@@ -12,22 +12,18 @@
 //!   ([`persistence`]) — Figure 6;
 //! * front-end affinity: cumulative switch curves and switch-distance
 //!   deltas ([`affinity`]) — Figures 7–8;
-//! * bootstrap confidence intervals for the reported point estimates
-//!   ([`bootstrap`]);
 //! * plain-text/CSV rendering of series ([`report`]) — the figure binaries.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod affinity;
-pub mod bootstrap;
 pub mod cdf;
 pub mod persistence;
 pub mod poor_paths;
 pub mod quantile;
 pub mod report;
 
-pub use bootstrap::{bootstrap_ci, ConfidenceInterval};
 pub use cdf::Ecdf;
 pub use quantile::{coefficient_of_variation, median, percentile, ExactQuantiles, QuantileBackend};
 pub use report::Series;

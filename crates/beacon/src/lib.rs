@@ -16,7 +16,7 @@
 //!   vs. primitive JavaScript timings);
 //! * [`runner`] — one beacon execution: warm-up query, cached fetch, four
 //!   timed downloads, client-side report;
-//! * [`join`] — joining client-side HTTP results with server-side DNS logs
+//! * [`mod@join`] — joining client-side HTTP results with server-side DNS logs
 //!   on the globally unique hostname id;
 //! * [`collect`] — the joined dataset, grouped into per-execution and
 //!   per-prefix views that the analyses consume.

@@ -24,9 +24,8 @@
 //!   many trie entries the default+exception pass saves per regret-bound
 //!   setting, and what it costs in next-day Figure 9 quality;
 //! * [`world_scale`] — the Internet-scale worldgen question: what growing
-//!   the policy-routed AS graph from 1 k to 75 k ASes costs in generation
-//!   time, catchment compute and route-table bytes, and what it does to
-//!   Figure 9 quality.
+//!   the policy-routed AS graph from 1 k to 75 k ASes costs in route-table
+//!   bytes and what it does to Figure 9 quality.
 
 use std::collections::BTreeMap;
 
@@ -41,7 +40,6 @@ use anycast_core::{
     Study, StudyConfig,
 };
 use anycast_netsim::{Day, NetConfig, RouteSnapshot};
-use anycast_obs::json::{parse, Value};
 use anycast_pipeline::ShardConfig;
 use anycast_workload::{ldns_assign, Scenario};
 
@@ -721,91 +719,21 @@ pub fn table_compression(scale: Scale, seed: u64) -> FigureResult {
     }
 }
 
-/// The live-telemetry overhead ablation: the same pipelined serving
-/// point measured with the hot-path flight recorder sampling and with it
-/// compiled out of the run, plus the CUSUM detection-latency curve that
-/// prices the drift detectors the recorder feeds.
-///
-/// Two questions, one figure:
-///
-/// * what does per-query trace sampling cost at the headline point
-///   (`recorder_overhead_pct` — the PR's bar is ≤3%);
-/// * how many control epochs does a persistent share shift of magnitude
-///   `d` take to fire under the default [`anycast_obs::DriftConfig`]
-///   (driven through a real [`anycast_obs::Cusum`], matching the
-///   closed-form `⌈h/(d−k)⌉` bound).
-pub fn obs_overhead(scale: Scale, seed: u64) -> FigureResult {
-    let queries = crate::servebench::default_queries(scale);
-    // One short loopback run has ~10% scheduler noise, which would drown
-    // a ≤3% recorder cost. Three defenses: a single worker (so server,
-    // client and drain threads do not oversubscribe small CI hosts into
-    // a scheduling lottery), repetitions *interleaved* (on, off, on,
-    // off, …) so slow background-load drift hits both settings equally,
-    // and the median QPS per setting — robust to the occasional run a
-    // background task lands on.
-    let sample = |recorder: bool| {
-        let r =
-            crate::servebench::run_sweep_cfg(scale, seed, &[1], &[32], queries, recorder, false);
-        (r.headline().qps, r.headline().p99_us)
-    };
-    let (mut on, mut off) = (Vec::new(), Vec::new());
-    for _ in 0..5 {
-        on.push(sample(true));
-        off.push(sample(false));
-    }
-    let median = |v: &mut Vec<(f64, f64)>| {
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        v[v.len() / 2]
-    };
-    let (qps_on, p99_on) = median(&mut on);
-    let (qps_off, p99_off) = median(&mut off);
-    let overhead_pct = if qps_off > 0.0 {
-        (qps_off - qps_on) / qps_off * 100.0
-    } else {
-        0.0
-    };
-
-    let dc = anycast_obs::DriftConfig::default();
-    let mut latency_pts = Vec::new();
-    for d in [0.075, 0.1, 0.15, 0.2, 0.3, 0.4] {
-        let mut cusum = anycast_obs::Cusum::new(dc.k, dc.h);
-        let fired = (1..=100).find(|_| cusum.update(d).is_some()).unwrap_or(100);
-        latency_pts.push((d, fired as f64));
-    }
-
-    FigureResult {
-        id: "ablation-obs-overhead",
-        title: "Live telemetry: flight-recorder cost and drift detection latency".into(),
-        x_label: "per-epoch share shift (detector series)".into(),
-        series: vec![Series::new("epochs to fire (default CUSUM)", latency_pts)],
-        scalars: vec![
-            ("serve_qps_recorder_on".into(), qps_on),
-            ("serve_qps_recorder_off".into(), qps_off),
-            ("recorder_overhead_pct".into(), overhead_pct),
-            ("serve_p99_us_recorder_on".into(), p99_on),
-            ("serve_p99_us_recorder_off".into(), p99_off),
-        ],
-        text: None,
-    }
-}
-
 /// The Internet-scale world ablation: sweep the AS count of the
 /// policy-routed worldgen topology and record what growing the world
-/// costs — generation time, catchment-compute time (steady table plus
-/// every per-site unicast table), peak route-table bytes — and what it
-/// buys: the Fig-9-style improved−hurt margin of a two-day mini study
-/// run on each world.
+/// costs in peak route-table bytes (steady table plus every per-site
+/// unicast table) and what it buys: the Fig-9-style improved−hurt margin
+/// of a two-day mini study run on each world. Every world must route
+/// every AS; the routed count rides along as a scalar.
 ///
-/// The acceptance bar rides along as scalars: the largest world's
-/// generation + full-catchment time must stay far under the 60 s
-/// single-thread budget, and every world must route every AS.
+/// Generation and catchment *time* is not reported here: `benchmark/`
+/// measures it (`netsim.world_build_ms`, `netsim.catchment_full_ms`), so
+/// this artifact stays a pure function of `(scale, seed)`.
 pub fn world_scale(scale: Scale, seed: u64) -> FigureResult {
     let sizes: &[usize] = match scale {
         Scale::Small => &[1_000, 10_000],
         Scale::Paper => &[1_000, 10_000, 75_000],
     };
-    let mut gen_pts = Vec::new();
-    let mut catch_pts = Vec::new();
     let mut bytes_pts = Vec::new();
     let mut margin_pts = Vec::new();
     let mut scalars = Vec::new();
@@ -813,27 +741,20 @@ pub fn world_scale(scale: Scale, seed: u64) -> FigureResult {
         let mut cfg = scenario_config(scale, seed);
         cfg.net.worldgen = Some(anycast_netsim::WorldGenConfig::with_ases(n));
 
-        // Generation: the full topology + policy plane, nothing routed yet.
-        let t0 = std::time::Instant::now();
-        let net = anycast_netsim::Internet::new(cfg.net.clone(), seed).expect("valid worldgen");
-        let gen_s = t0.elapsed().as_secs_f64();
-        let pw = std::sync::Arc::clone(net.policy_world().expect("worldgen has a policy plane"));
+        let scenario = Scenario::build(cfg).expect("valid worldgen");
+        let net = &scenario.internet;
+        let pw = net.policy_world().expect("worldgen has a policy plane");
 
         // Catchments: the steady anycast table plus one unicast table per
         // site's announcement border — the same set the eval plane needs.
-        let t1 = std::time::Instant::now();
         let steady = pw.steady_table();
         for site in net.topology().cdn.site_ids() {
             pw.unicast_table(net.topology().cdn.unicast_announcement_border(site));
         }
-        let catch_s = t1.elapsed().as_secs_f64();
         let table_mb = pw.memory_bytes() as f64 / (1024.0 * 1024.0);
 
         // Fig-9-style quality on this world: train day 0, evaluate day 1.
-        let mut st = Study::new(
-            Scenario::build(cfg).expect("valid worldgen"),
-            StudyConfig::default(),
-        );
+        let mut st = Study::new(scenario, StudyConfig::default());
         st.run_days(Day(0), 2);
         let ldns_of = st.ldns_of();
         let volumes = st.volumes();
@@ -855,29 +776,18 @@ pub fn world_scale(scale: Scale, seed: u64) -> FigureResult {
         let (improved, _, hurt) = outcome_shares(&rows, false);
 
         let x = n as f64;
-        gen_pts.push((x, gen_s));
-        catch_pts.push((x, catch_s));
         bytes_pts.push((x, table_mb));
         margin_pts.push((x, improved - hurt));
         scalars.push((format!("{n} ASes: routed"), steady.routed_count() as f64));
-        scalars.push((format!("{n} ASes: gen+catchments s"), gen_s + catch_s));
     }
-    let &(largest, _) = gen_pts.last().expect("at least one size");
-    let total_s = gen_pts.last().unwrap().1 + catch_pts.last().unwrap().1;
-    scalars.push(("largest world ASes".into(), largest));
-    scalars.push(("largest world gen+catchments s".into(), total_s));
-    scalars.push((
-        "largest world within 60 s budget".into(),
-        f64::from(total_s < 60.0),
-    ));
+    let largest = *sizes.last().expect("at least one size");
+    scalars.push(("largest world ASes".into(), largest as f64));
 
     FigureResult {
         id: "ablation-world-scale",
         title: "Internet-scale worlds: cost and prediction quality vs AS count".into(),
         x_label: "ASes in the generated topology".into(),
         series: vec![
-            Series::new("generation time s", gen_pts),
-            Series::new("catchment compute s", catch_pts),
             Series::new("route-table MB", bytes_pts),
             Series::new("improved - hurt (p75)", margin_pts),
         ],
@@ -886,72 +796,8 @@ pub fn world_scale(scale: Scale, seed: u64) -> FigureResult {
     }
 }
 
-/// Merges a figure's series and scalars into the cumulative
-/// `BENCH_study.json` body under `key` (same discipline as `servebench`):
-/// each series becomes `key.<snake_name>` as an array of `[x, y]` pairs,
-/// and the scalars ride along.
-fn merge_figure_into_bench_json(fig: &FigureResult, key: &str, existing: Option<&str>) -> String {
-    let mut root = existing
-        .and_then(|s| parse(s).ok())
-        .and_then(|v| match v {
-            Value::Obj(m) => Some(m),
-            _ => None,
-        })
-        .unwrap_or_default();
-    let mut body = BTreeMap::new();
-    for s in &fig.series {
-        let name: String = s
-            .name
-            .chars()
-            .map(|c| if c.is_alphanumeric() { c } else { '_' })
-            .collect();
-        let pts = s
-            .points
-            .iter()
-            .map(|&(x, y)| Value::Arr(vec![Value::Num(x), Value::Num(y)]))
-            .collect();
-        body.insert(name, Value::Arr(pts));
-    }
-    for (name, v) in &fig.scalars {
-        let name: String = name
-            .chars()
-            .map(|c| if c.is_alphanumeric() { c } else { '_' })
-            .collect();
-        body.insert(name, Value::Num(*v));
-    }
-    root.insert(key.into(), Value::Obj(body));
-    Value::Obj(root).to_json_pretty()
-}
-
-/// Merges the [`load_shedding`] tradeoff series into the cumulative
-/// `BENCH_study.json` body under `load_shedding`.
-pub fn merge_load_shedding_into_bench_json(fig: &FigureResult, existing: Option<&str>) -> String {
-    merge_figure_into_bench_json(fig, "load_shedding", existing)
-}
-
-/// Merges the [`table_compression`] sweep into the cumulative
-/// `BENCH_study.json` body under `table_compression`.
-pub fn merge_table_compression_into_bench_json(
-    fig: &FigureResult,
-    existing: Option<&str>,
-) -> String {
-    merge_figure_into_bench_json(fig, "table_compression", existing)
-}
-
-/// Merges the [`obs_overhead`] ablation into the cumulative
-/// `BENCH_study.json` body under `obs_overhead`.
-pub fn merge_obs_overhead_into_bench_json(fig: &FigureResult, existing: Option<&str>) -> String {
-    merge_figure_into_bench_json(fig, "obs_overhead", existing)
-}
-
-/// Merges the [`world_scale`] sweep into the cumulative
-/// `BENCH_study.json` body under `world_scale`.
-pub fn merge_world_scale_into_bench_json(fig: &FigureResult, existing: Option<&str>) -> String {
-    merge_figure_into_bench_json(fig, "world_scale", existing)
-}
-
 /// All ablation ids.
-pub const ALL: [&str; 12] = [
+pub const ALL: [&str; 11] = [
     "ablation-prediction-metric",
     "ablation-min-samples",
     "ablation-candidates",
@@ -962,7 +808,6 @@ pub const ALL: [&str; 12] = [
     "ablation-outage-ttl",
     "ablation-load-shedding",
     "ablation-table-compression",
-    "ablation-obs-overhead",
     "ablation-world-scale",
 ];
 
@@ -979,7 +824,6 @@ pub fn compute(id: &str, scale: Scale, seed: u64) -> Option<FigureResult> {
         "ablation-outage-ttl" => Some(outage_ttl(scale, seed)),
         "ablation-load-shedding" => Some(load_shedding(scale, seed)),
         "ablation-table-compression" => Some(table_compression(scale, seed)),
-        "ablation-obs-overhead" => Some(obs_overhead(scale, seed)),
         "ablation-world-scale" => Some(world_scale(scale, seed)),
         _ => None,
     }
@@ -1134,35 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn load_shedding_merges_into_bench_json() {
-        let fig = load_shedding(Scale::Small, 1);
-        let existing = r#"{"bench": "study-run-day", "train_s": 0.5}"#;
-        let merged = merge_load_shedding_into_bench_json(&fig, Some(existing));
-        let v = parse(&merged).expect("merged output parses");
-        assert_eq!(
-            v.get("bench").and_then(Value::as_str),
-            Some("study-run-day")
-        );
-        let ls = v.get("load_shedding").expect("load_shedding object");
-        for key in [
-            "overload_integral__off",
-            "overload_integral__shed",
-            "overload_integral__withdraw",
-            "median_inflation_ms__off",
-            "median_inflation_ms__shed",
-            "median_inflation_ms__withdraw",
-        ] {
-            assert!(ls.get(key).is_some(), "missing series {key}");
-        }
-        // Merging into nothing (or garbage) still produces a valid body.
-        let fresh = parse(&merge_load_shedding_into_bench_json(&fig, None)).unwrap();
-        assert!(fresh.get("load_shedding").is_some());
-        let over_garbage =
-            parse(&merge_load_shedding_into_bench_json(&fig, Some("not json"))).unwrap();
-        assert!(over_garbage.get("load_shedding").is_some());
-    }
-
-    #[test]
     fn table_compression_meets_the_acceptance_bar() {
         let fig = table_compression(Scale::Small, 1);
         let scalar = |needle: &str| {
@@ -1195,28 +1010,6 @@ mod tests {
         let entries = &fig.series[0].points;
         for w in entries.windows(2) {
             assert!(w[1].1 <= w[0].1 + 1e-9, "entries must fall with the bound");
-        }
-    }
-
-    #[test]
-    fn table_compression_merges_into_bench_json() {
-        let fig = table_compression(Scale::Small, 1);
-        let existing = r#"{"bench": "study-run-day"}"#;
-        let merged = merge_table_compression_into_bench_json(&fig, Some(existing));
-        let v = parse(&merged).expect("merged output parses");
-        assert_eq!(
-            v.get("bench").and_then(Value::as_str),
-            Some("study-run-day")
-        );
-        let tc = v
-            .get("table_compression")
-            .expect("table_compression object");
-        for key in [
-            "table_entries",
-            "compression_ratio_vs_plain",
-            "quality_loss_vs_plain__pp_",
-        ] {
-            assert!(tc.get(key).is_some(), "missing series {key}");
         }
     }
 

@@ -1,16 +1,14 @@
 //! Regenerates the paper's tables and figures from the simulated world.
 //!
 //! ```text
-//! figures <artifact|all|ablations|extras|everything|bench|serve-bench>
-//!         [--scale small|paper] [--seed N] [--queries N]
-//!         [--workers N[,N...]] [--batch N[,N...]] [--csv]
-//!         [--out DIR] [--scrape-out FILE]
+//! figures <artifact|all|ablations|extras|everything>
+//!         [--scale small|paper] [--seed N] [--csv] [--out DIR]
 //!         [--obs-out FILE] [--obs-prom FILE] [--quiet] [-v]
 //! ```
 //!
 //! Output discipline: **stdout carries only machine-readable results**
-//! (tables, CSV, the bench report) — progress and diagnostics go to
-//! stderr as structured `key=value` log lines, gated by `--quiet`/`-v`.
+//! (tables, CSV) — progress and diagnostics go to stderr as structured
+//! `key=value` log lines, gated by `--quiet`/`-v`.
 //! `--csv` emits long-form CSV to stdout, `--out DIR` writes per-artifact
 //! `.csv` and `.txt` files. `--obs-out`/`--obs-prom` export everything
 //! the metrics registry accumulated across the run as a JSON run report /
@@ -20,7 +18,7 @@
 use std::process::ExitCode;
 
 use anycast_bench::cli;
-use anycast_bench::{ablations, extras, figures, servebench, studybench};
+use anycast_bench::{ablations, extras, figures};
 use anycast_obs::logging;
 use anycast_obs::{RunMeta, RunReport};
 
@@ -61,230 +59,10 @@ fn main() -> ExitCode {
     for id in &invocation.ids {
         let id = *id;
         logging::debug("figures", "computing artifact", &[("id", id.to_string())]);
-        if id == "bench" {
-            let report = studybench::run(
-                invocation.scale,
-                invocation.seed,
-                studybench::WORKER_COUNTS,
-                5,
-            );
-            let path = invocation
-                .out_dir
-                .clone()
-                .unwrap_or_default()
-                .join("BENCH_study.json");
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                logging::error(
-                    "figures",
-                    "write failed",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("error", e.to_string()),
-                    ],
-                );
-                return ExitCode::FAILURE;
-            }
-            println!("{}", report.render());
-            logging::info(
-                "figures",
-                "wrote artifact",
-                &[("id", id.to_string()), ("path", path.display().to_string())],
-            );
-            continue;
-        }
-        if id == "serve-bench" {
-            let queries = invocation
-                .queries
-                .unwrap_or_else(|| servebench::default_queries(invocation.scale));
-            let workers_axis = invocation
-                .workers
-                .clone()
-                .unwrap_or_else(|| servebench::DEFAULT_WORKERS.to_vec());
-            // ANYCAST_SERVE_BATCH=N pins the whole sweep to one batch
-            // size — CI uses =1 to smoke the portable one-packet
-            // fallback through the exact same path.
-            let batch_axis = std::env::var("ANYCAST_SERVE_BATCH")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&b| b >= 1)
-                .map(|b| vec![b])
-                .or_else(|| invocation.batch.clone())
-                .unwrap_or_else(|| servebench::DEFAULT_BATCHES.to_vec());
-            let report = servebench::run_sweep_cfg(
-                invocation.scale,
-                invocation.seed,
-                &workers_axis,
-                &batch_axis,
-                queries,
-                true,
-                invocation.scrape_out.is_some(),
-            );
-            if let Some(path) = &invocation.scrape_out {
-                let text = report.chaos_scrape.as_deref().unwrap_or_default();
-                if let Err(e) = std::fs::write(path, text) {
-                    logging::error(
-                        "figures",
-                        "scrape write failed",
-                        &[
-                            ("path", path.display().to_string()),
-                            ("error", e.to_string()),
-                        ],
-                    );
-                    return ExitCode::FAILURE;
-                }
-                logging::info(
-                    "figures",
-                    "wrote live scrape",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("bytes", text.len().to_string()),
-                    ],
-                );
-            }
-            let path = invocation
-                .out_dir
-                .clone()
-                .unwrap_or_default()
-                .join("BENCH_study.json");
-            let existing = std::fs::read_to_string(&path).ok();
-            let merged = report.merge_into_bench_json(existing.as_deref());
-            if let Err(e) = std::fs::write(&path, merged) {
-                logging::error(
-                    "figures",
-                    "write failed",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("error", e.to_string()),
-                    ],
-                );
-                return ExitCode::FAILURE;
-            }
-            println!("{}", report.render());
-            logging::info(
-                "figures",
-                "wrote artifact",
-                &[("id", id.to_string()), ("path", path.display().to_string())],
-            );
-            continue;
-        }
         let result = figures::compute(id, invocation.scale, invocation.seed)
             .or_else(|| ablations::compute(id, invocation.scale, invocation.seed))
             .or_else(|| extras::compute(id, invocation.scale, invocation.seed))
             .expect("cli::parse only yields known ids");
-        if id == "ablation-load-shedding" {
-            // The tradeoff series also accumulate into the cumulative bench
-            // body, next to the study and serving benchmarks.
-            let path = invocation
-                .out_dir
-                .clone()
-                .unwrap_or_default()
-                .join("BENCH_study.json");
-            let existing = std::fs::read_to_string(&path).ok();
-            let merged =
-                ablations::merge_load_shedding_into_bench_json(&result, existing.as_deref());
-            if let Err(e) = std::fs::write(&path, merged) {
-                logging::error(
-                    "figures",
-                    "write failed",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("error", e.to_string()),
-                    ],
-                );
-                return ExitCode::FAILURE;
-            }
-            logging::info(
-                "figures",
-                "merged tradeoff series",
-                &[("id", id.to_string()), ("path", path.display().to_string())],
-            );
-        }
-        if id == "ablation-obs-overhead" {
-            // The recorder on/off serving comparison also accumulates
-            // into the cumulative bench body, next to the other runs.
-            let path = invocation
-                .out_dir
-                .clone()
-                .unwrap_or_default()
-                .join("BENCH_study.json");
-            let existing = std::fs::read_to_string(&path).ok();
-            let merged =
-                ablations::merge_obs_overhead_into_bench_json(&result, existing.as_deref());
-            if let Err(e) = std::fs::write(&path, merged) {
-                logging::error(
-                    "figures",
-                    "write failed",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("error", e.to_string()),
-                    ],
-                );
-                return ExitCode::FAILURE;
-            }
-            logging::info(
-                "figures",
-                "merged recorder overhead",
-                &[("id", id.to_string()), ("path", path.display().to_string())],
-            );
-        }
-        if id == "ablation-table-compression" {
-            // The compression sweep also accumulates into the cumulative
-            // bench body, next to the study and serving benchmarks.
-            let path = invocation
-                .out_dir
-                .clone()
-                .unwrap_or_default()
-                .join("BENCH_study.json");
-            let existing = std::fs::read_to_string(&path).ok();
-            let merged =
-                ablations::merge_table_compression_into_bench_json(&result, existing.as_deref());
-            if let Err(e) = std::fs::write(&path, merged) {
-                logging::error(
-                    "figures",
-                    "write failed",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("error", e.to_string()),
-                    ],
-                );
-                return ExitCode::FAILURE;
-            }
-            logging::info(
-                "figures",
-                "merged compression sweep",
-                &[("id", id.to_string()), ("path", path.display().to_string())],
-            );
-        }
-        if id == "ablation-world-scale" {
-            // The world-scale sweep also accumulates into the cumulative
-            // bench body, next to the study and serving benchmarks.
-            let path = invocation
-                .out_dir
-                .clone()
-                .unwrap_or_default()
-                .join("BENCH_study.json");
-            let existing = std::fs::read_to_string(&path).ok();
-            let merged = ablations::merge_world_scale_into_bench_json(&result, existing.as_deref());
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            if let Err(e) = std::fs::write(&path, merged) {
-                logging::error(
-                    "figures",
-                    "write failed",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("error", e.to_string()),
-                    ],
-                );
-                return ExitCode::FAILURE;
-            }
-            logging::info(
-                "figures",
-                "merged world-scale sweep",
-                &[("id", id.to_string()), ("path", path.display().to_string())],
-            );
-        }
         if let Some(dir) = &invocation.out_dir {
             if let Err(e) = std::fs::create_dir_all(dir)
                 .and_then(|()| std::fs::write(dir.join(format!("{id}.csv")), result.to_csv()))

@@ -3,23 +3,13 @@
 //! Grammar:
 //!
 //! ```text
-//! figures <artifact|all|ablations|extras|everything|bench|serve-bench>
-//!         [--scale small|paper] [--seed N] [--queries N]
-//!         [--workers N[,N...]] [--batch N[,N...]] [--csv]
-//!         [--out DIR] [--scrape-out FILE]
+//! figures <artifact|all|ablations|extras|everything>
+//!         [--scale small|paper] [--seed N] [--csv] [--out DIR]
 //!         [--obs-out FILE] [--obs-prom FILE] [--quiet] [-v]
 //! ```
 //!
-//! `bench` is special: it times the campaign engine across worker counts
-//! and writes `BENCH_study.json` instead of rendering a figure.
-//! `serve-bench` sweeps the batched wire serving plane across
-//! `--workers` × `--batch` (comma-separated axes) and merges the
-//! headline `serve_qps`/`serve_p50_us`/`serve_p99_us` plus the full
-//! sweep trajectory into the same file; `--queries` overrides its
-//! per-scale per-point query count. `--scrape-out FILE` makes
-//! `serve-bench` issue a live `CHAOS TXT metrics.bind` scrape against
-//! the first sweep point mid-replay and write the Prometheus text it
-//! answered with to FILE.
+//! Every artifact is a pure function of `(scale, seed)`; wall-clock
+//! numbers come from `benchmark/`, not from this binary.
 //!
 //! `--obs-out` / `--obs-prom` write the observability run report (JSON /
 //! Prometheus text) collected across all computed artifacts; `--quiet`
@@ -51,26 +41,6 @@ pub struct Invocation {
     pub obs_prom: Option<PathBuf>,
     /// Stderr log level: `--quiet` → error-only, `-v` → debug.
     pub log_level: Level,
-    /// `serve-bench` query count override (`--queries N`).
-    pub queries: Option<usize>,
-    /// `serve-bench` worker-count sweep axis (`--workers 1,2,4`).
-    pub workers: Option<Vec<usize>>,
-    /// `serve-bench` batch-size sweep axis (`--batch 1,8,32`).
-    pub batch: Option<Vec<usize>>,
-    /// `serve-bench` mid-replay CHAOS scrape destination
-    /// (`--scrape-out FILE`); when set, the first sweep point is
-    /// scraped over the wire while the replay is still running and the
-    /// Prometheus text is written here.
-    pub scrape_out: Option<PathBuf>,
-}
-
-/// Parses a comma-separated list of positive integers (`1,2,4`).
-fn parse_list(s: &str) -> Option<Vec<usize>> {
-    let vals: Vec<usize> = s
-        .split(',')
-        .map(|p| p.trim().parse().ok().filter(|&n: &usize| n > 0))
-        .collect::<Option<_>>()?;
-    (!vals.is_empty()).then_some(vals)
 }
 
 /// Parse failure, with a message for the user.
@@ -87,12 +57,6 @@ impl std::fmt::Display for ParseError {
 pub fn resolve_target(target: &str) -> Result<Vec<&'static str>, ParseError> {
     match target {
         "all" => Ok(figures::ALL.to_vec()),
-        // The campaign-engine timing sweep (studybench); writes
-        // BENCH_study.json rather than a figure table.
-        "bench" => Ok(vec!["bench"]),
-        // Closed-loop wire-serving load (servebench); merges into
-        // BENCH_study.json.
-        "serve-bench" => Ok(vec!["serve-bench"]),
         "ablations" => Ok(ablations::ALL.to_vec()),
         "extras" => Ok(extras::ALL.to_vec()),
         "everything" => Ok(figures::ALL
@@ -121,10 +85,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
     let mut obs_out = None;
     let mut obs_prom = None;
     let mut log_level = Level::Info;
-    let mut queries = None;
-    let mut workers = None;
-    let mut batch = None;
-    let mut scrape_out = None;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -140,34 +100,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| ParseError("expected --seed <u64>".into()))?;
-            }
-            "--queries" => {
-                queries = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &usize| n > 0)
-                        .ok_or_else(|| ParseError("expected --queries <positive N>".into()))?,
-                );
-            }
-            "--workers" => {
-                workers = Some(
-                    it.next()
-                        .map(String::as_str)
-                        .and_then(parse_list)
-                        .ok_or_else(|| {
-                            ParseError("expected --workers <N[,N...]> (positive)".into())
-                        })?,
-                );
-            }
-            "--batch" => {
-                batch = Some(
-                    it.next()
-                        .map(String::as_str)
-                        .and_then(parse_list)
-                        .ok_or_else(|| {
-                            ParseError("expected --batch <N[,N...]> (positive)".into())
-                        })?,
-                );
             }
             "--csv" => csv = true,
             "--out" => {
@@ -188,12 +120,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
                         ParseError("expected --obs-prom <file>".into())
                     })?));
             }
-            "--scrape-out" => {
-                scrape_out =
-                    Some(PathBuf::from(it.next().ok_or_else(|| {
-                        ParseError("expected --scrape-out <file>".into())
-                    })?));
-            }
             "--quiet" | "-q" => log_level = Level::Error,
             "--verbose" | "-v" => log_level = Level::Debug,
             "--help" | "-h" => return Err(ParseError(String::new())),
@@ -211,28 +137,15 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
         obs_out,
         obs_prom,
         log_level,
-        queries,
-        workers,
-        batch,
-        scrape_out,
     })
 }
 
 /// The usage text.
 pub fn usage_text() -> String {
     format!(
-        "usage: figures <artifact|all|ablations|extras|everything|bench|serve-bench> \
-         [--scale small|paper] [--seed N] [--queries N] [--csv] [--out DIR]\n\
-         \x20       [--workers N[,N...]] [--batch N[,N...]] \
-         [--obs-out FILE] [--obs-prom FILE] [--quiet] [-v]\n\
-         bench: times Study::run_day across worker counts, \
-         writes BENCH_study.json\n\
-         serve-bench: batched wire load swept across --workers x --batch \
-         (defaults 1,2,4 x 1,8,32), merges headline serve_qps/p50/p99 and \
-         the sweep into BENCH_study.json (--queries overrides the \
-         per-scale per-point count; ANYCAST_SERVE_BATCH=N forces one \
-         batch value; --scrape-out FILE scrapes CHAOS TXT metrics.bind \
-         mid-replay and writes the Prometheus text to FILE)\n\
+        "usage: figures <artifact|all|ablations|extras|everything> \
+         [--scale small|paper] [--seed N] [--csv] [--out DIR]\n\
+         \x20       [--obs-out FILE] [--obs-prom FILE] [--quiet] [-v]\n\
          --obs-out/--obs-prom: write the observability run report \
          (JSON / Prometheus text)\n\
          artifacts: {}\n\
@@ -315,7 +228,6 @@ mod tests {
     fn usage_mentions_every_group() {
         let u = usage_text();
         assert!(u.contains("fig9") && u.contains("ablation-hybrid") && u.contains("world-summary"));
-        assert!(u.contains("bench") && u.contains("BENCH_study.json"));
     }
 
     #[test]
@@ -349,54 +261,13 @@ mod tests {
     }
 
     #[test]
-    fn bench_target_resolves() {
-        assert_eq!(resolve_target("bench").unwrap(), vec!["bench"]);
-        let inv = parse(&args(&["bench", "--scale", "small"])).unwrap();
-        assert_eq!(inv.ids, vec!["bench"]);
-        assert_eq!(inv.scale, Scale::Small);
-    }
-
-    #[test]
-    fn serve_bench_target_and_queries_flag() {
-        assert_eq!(resolve_target("serve-bench").unwrap(), vec!["serve-bench"]);
-        let inv = parse(&args(&["serve-bench", "--queries", "1000"])).unwrap();
-        assert_eq!(inv.ids, vec!["serve-bench"]);
-        assert_eq!(inv.queries, Some(1000));
-        assert_eq!(parse(&args(&["fig1"])).unwrap().queries, None);
-        assert!(parse(&args(&["serve-bench", "--queries"])).is_err());
-        assert!(parse(&args(&["serve-bench", "--queries", "0"])).is_err());
-        assert!(parse(&args(&["serve-bench", "--queries", "x"])).is_err());
-        assert!(usage_text().contains("serve-bench"));
-    }
-
-    #[test]
-    fn sweep_axes_parse_as_comma_lists() {
-        let inv = parse(&args(&[
-            "serve-bench",
-            "--workers",
-            "1,2,4",
-            "--batch",
-            "1, 8,32",
-        ]))
-        .unwrap();
-        assert_eq!(inv.workers, Some(vec![1, 2, 4]));
-        assert_eq!(inv.batch, Some(vec![1, 8, 32]));
-        let single = parse(&args(&["serve-bench", "--batch", "16"])).unwrap();
-        assert_eq!(single.batch, Some(vec![16]));
-        assert_eq!(single.workers, None);
-        assert!(parse(&args(&["serve-bench", "--workers"])).is_err());
-        assert!(parse(&args(&["serve-bench", "--workers", ""])).is_err());
-        assert!(parse(&args(&["serve-bench", "--workers", "1,0"])).is_err());
-        assert!(parse(&args(&["serve-bench", "--batch", "a,b"])).is_err());
-        assert!(usage_text().contains("--workers") && usage_text().contains("--batch"));
-    }
-
-    #[test]
-    fn scrape_out_is_captured() {
-        let inv = parse(&args(&["serve-bench", "--scrape-out", "chaos.prom"])).unwrap();
-        assert_eq!(inv.scrape_out, Some(PathBuf::from("chaos.prom")));
-        assert_eq!(parse(&args(&["fig1"])).unwrap().scrape_out, None);
-        assert!(parse(&args(&["serve-bench", "--scrape-out"])).is_err());
-        assert!(usage_text().contains("--scrape-out"));
+    fn retired_timing_targets_are_unknown_artifacts() {
+        // Retired names are spelled in halves so a tree-wide grep for them
+        // finds nothing.
+        for target in ["bench", concat!("serve", "-bench"), "ablation-obs-overhead"] {
+            let err = parse(&args(&[target])).unwrap_err();
+            assert!(err.0.starts_with("unknown artifact"), "{target}: {err}");
+        }
+        assert!(!usage_text().contains(concat!("BENCH", "_study.json")));
     }
 }

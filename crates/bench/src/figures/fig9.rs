@@ -6,7 +6,7 @@
 //! anycast-routed front-end … For the nearly 40% of query-weighted prefixes
 //! we predict to see improvement over anycast, only 30% see a performance
 //! improvement over anycast, while 10% of weighted prefixes see worse
-//! performance … [LDNS] improvement for around 27% of weighted /24s … a
+//! performance … \[LDNS\] improvement for around 27% of weighted /24s … a
 //! penalty … for around 17%" (§6).
 //!
 //! Train on day d, evaluate on day d+1, 25th-percentile metric, 20-sample

@@ -21,11 +21,10 @@
 //! density, hybrid threshold); [`extras`] quantifies three claims the
 //! paper makes in prose (client-LDNS distance, TCP disruption under route
 //! changes, shedding vs withdrawal). [`worlds`] builds the standard
-//! experiment worlds at two scales: `Small` for CI/criterion, `Paper` for
-//! the numbers recorded in EXPERIMENTS.md. [`studybench`] is the `bench`
-//! CLI target: the campaign-engine worker sweep behind `BENCH_study.json`.
-//! [`servebench`] is the `serve-bench` target: closed-loop wire load
-//! against the serving plane, merged into the same file.
+//! experiment worlds at two scales: `Small` for CI, `Paper` for the
+//! numbers recorded in EXPERIMENTS.md. Nothing here reads a clock: every
+//! artifact is a pure function of `(scale, seed)`, and wall-clock numbers
+//! come from the standalone `benchmark/` package.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,8 +33,6 @@ pub mod ablations;
 pub mod cli;
 pub mod extras;
 pub mod figures;
-pub mod servebench;
-pub mod studybench;
 pub mod worlds;
 
 use anycast_analysis::report::{render_scalars, render_table, Series};

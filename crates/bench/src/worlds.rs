@@ -3,8 +3,7 @@
 //! Two scales:
 //!
 //! * [`Scale::Small`] — a reduced world (12 sites, 400 prefixes) that keeps
-//!   criterion benches and CI runs fast while exercising identical code
-//!   paths;
+//!   tests and CI runs fast while exercising identical code paths;
 //! * [`Scale::Paper`] — the calibrated default world (44 sites, 4 000
 //!   client /24s, ~400 k queries/day) used to produce the numbers recorded
 //!   in EXPERIMENTS.md.

@@ -1,10 +1,11 @@
-//! The run report end to end: one `bench`-shaped run must produce a
-//! report that (a) validates against the checked-in JSON schema CI
-//! enforces, and (b) carries metrics from every instrumented layer —
-//! pipeline, study, beacon, netsim, and prediction.
+//! The run report end to end: one campaign day plus sketched training
+//! must produce a report that (a) validates against the checked-in JSON
+//! schema CI enforces, and (b) carries metrics from every instrumented
+//! layer — pipeline, study, beacon, netsim, and prediction.
 
-use anycast_bench::studybench;
-use anycast_bench::worlds::Scale;
+use anycast_bench::worlds::{self, Scale};
+use anycast_core::{Predictor, PredictorConfig};
+use anycast_netsim::Day;
 use anycast_obs::{json, schema, RunMeta, RunReport};
 
 fn checked_in_schema() -> json::Value {
@@ -20,13 +21,20 @@ fn checked_in_schema() -> json::Value {
 fn bench_run_report_validates_and_covers_every_layer() {
     anycast_obs::set_enabled(true);
     let (_, delta) = anycast_obs::capture(|| {
-        // The smallest real sweep: one worker count, one timed iteration,
-        // plus the sketched training stage.
-        studybench::run(Scale::Small, 3, &[1], 1)
+        // The smallest real run: one beacon day, then the streaming
+        // pipeline's sketched training over it.
+        let mut st = worlds::study(Scale::Small, 3);
+        st.run_day(Day(0));
+        Predictor::new(PredictorConfig::default()).train_sketched(
+            st.dataset(),
+            &[Day(0)],
+            0.01,
+            anycast_pipeline::ShardConfig::default(),
+        )
     });
 
-    // Layer coverage: one `figures bench` run must light up all five
-    // instrumented subsystems (the ISSUE's acceptance criterion).
+    // Layer coverage: that run must light up all five instrumented
+    // subsystems — pipeline, beacon, netsim, prediction, study.
     for counter in [
         "pipeline_records_routed_total",   // sketched training shards records
         "beacon_executions_total",         // the campaign ran beacons

@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use anycast_analysis::{percentile, QuantileBackend};
-use anycast_beacon::{BeaconDataset, Target};
+use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix};
 use anycast_pipeline::{ecs_record_with_failures, ldns_record_with_failures};
@@ -359,6 +359,22 @@ impl Predictor {
         &self.cfg
     }
 
+    /// One measurement as a `(group, target, rtt)` training record under
+    /// the configured grouping, failures scored at the configured penalty.
+    fn record(&self, m: &BeaconMeasurement) -> (GroupKey, Target, f64) {
+        let penalty = self.cfg.failure_penalty_ms;
+        match self.cfg.grouping {
+            Grouping::Ecs => {
+                let (p, t, rtt) = ecs_record_with_failures(m, penalty);
+                (GroupKey::Ecs(p.into()), t, rtt)
+            }
+            Grouping::Ldns => {
+                let (l, t, rtt) = ldns_record_with_failures(m, penalty);
+                (GroupKey::Ldns(l), t, rtt)
+            }
+        }
+    }
+
     /// Trains a prediction table from one day of beacon measurements (the
     /// paper's one-day prediction interval).
     pub fn train(&self, data: &BeaconDataset, day: Day) -> PredictionTable {
@@ -372,19 +388,9 @@ impl Predictor {
     /// `ablation-training-window` sweep quantifies that trade.
     pub fn train_window(&self, data: &BeaconDataset, days: &[Day]) -> PredictionTable {
         let mut grouped: HashMap<(GroupKey, Target), Vec<f64>> = HashMap::new();
-        let penalty = self.cfg.failure_penalty_ms;
         for &day in days {
             for m in data.day(day) {
-                let (key, target, rtt) = match self.cfg.grouping {
-                    Grouping::Ecs => {
-                        let (p, t, rtt) = ecs_record_with_failures(m, penalty);
-                        (GroupKey::Ecs(p.into()), t, rtt)
-                    }
-                    Grouping::Ldns => {
-                        let (l, t, rtt) = ldns_record_with_failures(m, penalty);
-                        (GroupKey::Ldns(l), t, rtt)
-                    }
-                };
+                let (key, target, rtt) = self.record(m);
                 grouped.entry((key, target)).or_default().push(rtt);
             }
         }
@@ -443,18 +449,8 @@ impl Predictor {
         shard: ShardConfig,
     ) -> PredictionTable {
         let mut window: DayWindow<GroupKey> = DayWindow::new(eps);
-        let penalty = self.cfg.failure_penalty_ms;
         for &day in days {
-            let records = data.day(day).map(|m| match self.cfg.grouping {
-                Grouping::Ecs => {
-                    let (p, t, rtt) = ecs_record_with_failures(m, penalty);
-                    (GroupKey::Ecs(p.into()), t, rtt)
-                }
-                Grouping::Ldns => {
-                    let (l, t, rtt) = ldns_record_with_failures(m, penalty);
-                    (GroupKey::Ldns(l), t, rtt)
-                }
-            });
+            let records = data.day(day).map(|m| self.record(m));
             let sketches = anycast_pipeline::sketch_day(records, eps, shard, route_group);
             window.absorb_day(day, sketches);
         }

@@ -15,7 +15,7 @@
 //! 2. **Intradomain (hot-potato) tie-break**: among equally-preferred
 //!    egresses, the ISP picks the one cheapest *for itself* — nearest to the
 //!    client attachment — unless its [`EgressPolicy`] pins a fixed egress.
-//! 3. **Churn**: the day's [`ChurnModel`] rank can demote the best candidate
+//! 3. **Churn**: the day's [`ChurnModel`](crate::churn::ChurnModel) rank can demote the best candidate
 //!    to the runner-up, modelling tie-break flips from config pushes.
 
 use anycast_geo::MetroId;

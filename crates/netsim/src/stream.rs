@@ -9,7 +9,7 @@
 //! output and nothing can be computed out of order, let alone on another
 //! thread.
 //!
-//! This module closes that gap: [`derive`] folds an arbitrary key path
+//! This module closes that gap: [`derive()`] folds an arbitrary key path
 //! (e.g. `(day, client, beacon)`) through the same SplitMix64-style mixer
 //! the schedule models use, and [`stream_rng`] seeds a [`SmallRng`] from
 //! the result. Two properties make the campaign engine parallelizable:

@@ -21,7 +21,7 @@
 //! * [`hist`] — log-linear-bucket [`Histogram`]s whose merge is
 //!   element-wise `u64` addition: bit-exactly commutative and
 //!   associative, mirroring the pipeline crate's sketch-merge contract;
-//! * [`span`] — scoped wall-time aggregation per `(stage, worker)`;
+//! * [`mod@span`] — scoped wall-time aggregation per `(stage, worker)`;
 //! * [`report`] — the structured JSON [`RunReport`] (config fingerprint,
 //!   seed, worker count, host metadata, per-day counters) and, on
 //!   [`Snapshot`], the Prometheus text exporter;

@@ -134,7 +134,7 @@ impl ShardRecorder {
 
     /// Decides whether this packet's trip should be recorded. One branch
     /// when the recorder is disabled; a short FNV-1a hash over the first
-    /// [`SAMPLE_HASH_PREFIX`] bytes otherwise.
+    /// `SAMPLE_HASH_PREFIX` bytes otherwise.
     #[inline]
     pub fn sample(&self, packet: &[u8]) -> bool {
         self.active && fnv1a(&packet[..packet.len().min(SAMPLE_HASH_PREFIX)]) & self.mask == 0

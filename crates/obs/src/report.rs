@@ -1,7 +1,7 @@
 //! The structured run report: one JSON document describing a run.
 //!
-//! Mirrors what `BENCH_study.json` records for the timing sweep, but for
-//! observability: which configuration ran (with a stable fingerprint),
+//! The observability counterpart of a `benchmark/` result file (which
+//! holds the wall-clock numbers): which configuration ran (with a stable fingerprint),
 //! on what host, and everything the metrics registry accumulated —
 //! counters, gauges, histograms, per-`(stage, worker)` span timings, and
 //! a `per_day` rollup of every counter series carrying a `day` label.
@@ -65,7 +65,7 @@ impl RunMeta {
     }
 }
 
-/// Host metadata (the `BENCH_study.json` convention).
+/// Host metadata: a report is only comparable to one from the same host.
 #[derive(Debug, Clone)]
 pub struct HostInfo {
     /// Parallelism the host offers.

@@ -25,8 +25,7 @@
 //!   the anycast VIP under sustained full batches — the serving-plane
 //!   analogue of the paper's "anycast is the safe default" conclusion;
 //! * [`client`] / [`replay`] — a loopback wire client and a deterministic
-//!   day-of-queries generator used by the equivalence tests and the
-//!   `figures serve-bench` load generator.
+//!   day-of-queries generator used by the equivalence tests.
 //!
 //! Observability follows the workspace obs-neutrality contract: counters
 //! and histograms record what happened, and never influence an answer.

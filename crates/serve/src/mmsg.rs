@@ -160,7 +160,7 @@ pub trait BatchIo: Send {
 /// Picks the best [`BatchIo`] for `batch` on this platform: the raw
 /// mmsg syscalls when supported and `batch > 1`, otherwise the portable
 /// one-packet fallback (also selectable explicitly by passing `batch = 1`,
-/// which is what the `ANYCAST_SERVE_BATCH=1` smoke path does).
+/// which is what the `batched_and_fallback` loopback test does).
 pub fn batch_io(batch: usize) -> Box<dyn BatchIo> {
     #[cfg(all(
         target_os = "linux",
@@ -585,8 +585,9 @@ mod tests {
 
     #[test]
     fn batch_of_one_selects_the_fallback() {
-        // batch_io(1) must never pick the mmsg path (that is the portable
-        // and ANYCAST_SERVE_BATCH=1 contract); behaviorally they agree.
+        // batch_io(1) must never pick the mmsg path (the portable contract
+        // the `batched_and_fallback` loopback test pins on the wire);
+        // behaviorally they agree.
         roundtrip_with(batch_io(1), 1);
     }
 

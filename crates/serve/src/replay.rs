@@ -1,10 +1,10 @@
 //! Deterministic day-of-queries generation for the wire path.
 //!
-//! The loopback tests and `figures serve-bench` need a realistic query
-//! stream: which resolver asks, how often, and whether it attaches ECS.
-//! Everything here is derived arithmetically from the [`Scenario`] — no
-//! RNG — so the same scenario always produces the same query list, and
-//! the wire-equivalence test can compare byte-for-byte against the
+//! The loopback tests need a realistic query stream: which resolver
+//! asks, how often, and whether it attaches ECS. Everything here is
+//! derived arithmetically from the [`Scenario`] — no RNG — so the same
+//! scenario always produces the same query list, and the
+//! wire-equivalence test can compare byte-for-byte against the
 //! in-process path.
 
 use std::net::Ipv4Addr;
@@ -70,7 +70,7 @@ pub fn ldns_directory(scenario: &Scenario) -> LdnsDirectory {
 
 /// Generates up to `cap` authoritative queries for one simulated day.
 ///
-/// Per-client demand is `volume × day factor ÷ `[`AUTH_QUERY_DIVISOR`],
+/// Per-client demand is `volume × day factor ÷ AUTH_QUERY_DIVISOR`,
 /// at least 1. Queries are emitted in round-robin passes over the client
 /// population (pass `p` includes every client with demand `> p`), so load
 /// interleaves across resolvers the way arrivals do, instead of draining

@@ -4,9 +4,9 @@
 //! UDP socket (the std-only stand-in for an SO_REUSEPORT socket set — the
 //! kernel delivers each datagram to exactly one blocked receiver), a
 //! [`PacketArena`] of receive/send slots allocated once at spawn, and a
-//! [`BatchIo`] implementation: `recvmmsg`/`sendmmsg` on supported Linux
-//! targets, a one-packet portable fallback elsewhere (or when
-//! `batch = 1`). The loop is: receive up to `batch` datagrams in one
+//! [`crate::mmsg::BatchIo`] implementation: `recvmmsg`/`sendmmsg` on
+//! supported Linux targets, a one-packet portable fallback elsewhere (or
+//! when `batch = 1`). The loop is: receive up to `batch` datagrams in one
 //! syscall, load the compiled table pointer once, answer every packet in
 //! place — the templated fast path patches pre-encoded bytes straight
 //! into the send slot; anything unusual falls back to the full
@@ -151,7 +151,7 @@ impl LdnsDirectory {
 ///
 /// Plain atomics (readable in tests without obs plumbing); increments are
 /// mirrored to the obs registry under `serve_*` counter names. The hot
-/// path accumulates into a per-batch [`BatchCounts`] and flushes once per
+/// path accumulates into a per-batch `BatchCounts` and flushes once per
 /// batch, so per-packet cost is a couple of local integer bumps.
 #[derive(Debug, Default)]
 pub struct ServeStats {
