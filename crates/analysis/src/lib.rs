@@ -25,5 +25,7 @@ pub mod quantile;
 pub mod report;
 
 pub use cdf::Ecdf;
-pub use quantile::{coefficient_of_variation, median, percentile, ExactQuantiles, QuantileBackend};
+pub use quantile::{
+    coefficient_of_variation, median, percentile, percentile_mut, ExactQuantiles, QuantileBackend,
+};
 pub use report::Series;

@@ -8,8 +8,8 @@
 
 /// A source of percentile estimates over a latency distribution.
 ///
-/// Two implementations exist: [`ExactQuantiles`] (every sample kept,
-/// sorted on demand — the behavior every analysis in this crate had
+/// Two implementations exist: [`ExactQuantiles`] (every sample kept, a
+/// copy sorted per read — the behavior every analysis in this crate had
 /// before the pipeline existed) and `anycast_pipeline::QuantileSketch`
 /// (bounded memory, mergeable, rank error within a configured bound).
 /// Consumers that only need "the p-th percentile of what this group saw"
@@ -24,7 +24,11 @@ pub trait QuantileBackend {
     fn percentile(&self, p: f64) -> Option<f64>;
 }
 
-/// The exact [`QuantileBackend`]: keeps every sample and sorts lazily.
+/// The exact [`QuantileBackend`]: keeps every sample in arrival order and
+/// sorts a copy on **every** [`percentile`](QuantileBackend::percentile)
+/// read (the trait reads through `&self`, so nothing is cached). A reader
+/// that owns its samples and scores them once should sort them in place
+/// with [`percentile_mut`] instead.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExactQuantiles {
     values: Vec<f64>,
@@ -73,12 +77,21 @@ impl QuantileBackend for ExactQuantiles {
 /// sorted; NaNs are rejected by returning `None` (a NaN in a latency vector
 /// is a bug upstream, surfaced rather than propagated).
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
+    percentile_mut(&mut values.to_vec(), p)
+}
+
+/// [`percentile`] without the copy: sorts `values` in place (ascending,
+/// `total_cmp`) and reads the percentile off the sorted slice, so further
+/// percentiles of the same data cost a [`percentile_sorted`] each. Same
+/// `None` cases as [`percentile`]; the slice is left unsorted then.
+pub fn percentile_mut(values: &mut [f64], p: f64) -> Option<f64> {
     if values.is_empty() || !p.is_finite() || values.iter().any(|v| v.is_nan()) {
         return None;
     }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    Some(percentile_sorted(&sorted, p))
+    // Unstable is exact here: values that compare equal under `total_cmp`
+    // are bit-identical, so their order cannot show in the result.
+    values.sort_unstable_by(|a, b| a.total_cmp(b));
+    Some(percentile_sorted(values, p))
 }
 
 /// Percentile over an already-sorted slice (ascending). Callers computing
@@ -184,6 +197,26 @@ mod tests {
     fn percentile_unsorted_input() {
         let v = [5.0, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(percentile(&v, 50.0), Some(3.0));
+    }
+
+    #[test]
+    fn percentile_mut_sorts_once_and_matches_the_copying_read() {
+        let v: [f64; 7] = [5.0, -0.0, 3.0, 0.0, 3.0, 4.0, 1.0];
+        let mut by_hand = v;
+        by_hand.sort_by(|a, b| a.total_cmp(b));
+        let mut owned = v;
+        for p in [0.0, 10.0, 25.0, 50.0, 99.0, 100.0] {
+            let want = Some(percentile_sorted(&by_hand, p).to_bits());
+            assert_eq!(percentile(&v, p).map(f64::to_bits), want);
+            assert_eq!(percentile_mut(&mut owned, p).map(f64::to_bits), want);
+        }
+        assert_eq!(owned.map(f64::to_bits), by_hand.map(f64::to_bits));
+        // The `None` cases leave the input as it was.
+        let mut bad = [2.0, f64::NAN, 1.0];
+        assert_eq!(percentile_mut(&mut bad, 50.0), None);
+        assert_eq!(bad[0], 2.0);
+        assert_eq!(percentile_mut(&mut [], 50.0), None);
+        assert_eq!(percentile_mut(&mut [1.0], f64::INFINITY), None);
     }
 
     #[test]

@@ -1,0 +1,65 @@
+//! Training goldens: the four artifacts that read a trained table, byte
+//! for byte.
+//!
+//! `fig9` goes through `train` at both groupings, `ablation-table-
+//! compression` through `train_aggregated`, `ablation-sketch-accuracy`
+//! through `train_sketched` and `ablation-training-window` through
+//! `train_window`, so a change to any training path that moves a served
+//! choice, a score or a gain shows up here as a diff. The files under
+//! `goldens/` are the stdout of `figures <id> --scale small --seed 7`;
+//! regenerate them only for a change that *means* to move a table.
+
+use anycast_bench::worlds::Scale;
+use anycast_bench::{ablations, figures};
+
+const SEED: u64 = 7;
+
+fn assert_matches_golden(id: &str, golden: &str) {
+    let result = figures::compute(id, Scale::Small, SEED)
+        .or_else(|| ablations::compute(id, Scale::Small, SEED))
+        .expect("a known artifact id");
+    // `figures` prints the rendering with `println!`.
+    let got = format!("{}\n", result.render());
+    if got != golden {
+        let line = got
+            .lines()
+            .zip(golden.lines())
+            .position(|(g, w)| g != w)
+            .unwrap_or_else(|| got.lines().count().min(golden.lines().count()));
+        panic!(
+            "{id} drifted from tests/goldens/{id}.txt at line {}:\n  got:  {:?}\n  want: {:?}",
+            line + 1,
+            got.lines().nth(line),
+            golden.lines().nth(line),
+        );
+    }
+}
+
+#[test]
+fn fig9_matches_its_golden() {
+    assert_matches_golden("fig9", include_str!("goldens/fig9.txt"));
+}
+
+#[test]
+fn table_compression_matches_its_golden() {
+    assert_matches_golden(
+        "ablation-table-compression",
+        include_str!("goldens/ablation-table-compression.txt"),
+    );
+}
+
+#[test]
+fn sketch_accuracy_matches_its_golden() {
+    assert_matches_golden(
+        "ablation-sketch-accuracy",
+        include_str!("goldens/ablation-sketch-accuracy.txt"),
+    );
+}
+
+#[test]
+fn training_window_matches_its_golden() {
+    assert_matches_golden(
+        "ablation-training-window",
+        include_str!("goldens/ablation-training-window.txt"),
+    );
+}

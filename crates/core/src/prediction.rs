@@ -17,12 +17,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use anycast_analysis::{percentile, QuantileBackend};
+use anycast_analysis::{percentile, percentile_mut, QuantileBackend};
 use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix};
 use anycast_pipeline::{ecs_record_with_failures, ldns_record_with_failures};
-use anycast_pipeline::{route_ldns, route_subnet, DayWindow, ShardConfig};
+use anycast_pipeline::{merge_keyed, route_ldns, route_subnet, sketch_day};
+use anycast_pipeline::{DaySketches, FastMap, ShardConfig};
+
+#[cfg(test)]
+mod oracle;
 
 /// The granularity clients are grouped at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -386,24 +390,93 @@ impl Predictor {
     /// "our sampling rate was limited due to engineering issues" (§6,
     /// footnote 2); longer windows trade staleness for sample count — the
     /// `ablation-training-window` sweep quantifies that trade.
+    ///
+    /// One grouping pass scores every `(group, target)` pair of the
+    /// window exactly once (the kernel [`Predictor::train_aggregated`]
+    /// also starts from); the "20+ measurements" filter and the shared
+    /// selection pass then read scores, never samples.
     pub fn train_window(&self, data: &BeaconDataset, days: &[Day]) -> PredictionTable {
-        let mut grouped: HashMap<(GroupKey, Target), Vec<f64>> = HashMap::new();
-        for &day in days {
-            for m in data.day(day) {
-                let (key, target, rtt) = self.record(m);
-                grouped.entry((key, target)).or_default().push(rtt);
-            }
-        }
-        let min = self.cfg.min_samples;
-        let p = self.cfg.metric.p();
-        choose(grouped.into_iter().filter_map(|((key, target), samples)| {
-            if samples.len() < min {
-                anycast_obs::counter!("prediction_groups_discarded_total").inc();
+        let (table, tally) = self.window_table(data, days);
+        tally.publish();
+        table
+    }
+
+    /// [`train_window`](Predictor::train_window) before its tally reaches
+    /// the obs counters.
+    fn window_table(&self, data: &BeaconDataset, days: &[Day]) -> (PredictionTable, GroupTally) {
+        let min = self.cfg.min_samples as u64;
+        let mut tally = GroupTally::default();
+        let pairs = self.grouped_scores(data, days);
+        let table = choose(pairs.into_iter().filter_map(|pair| {
+            if !tally.admit(pair.n as u64, min) {
                 return None;
             }
-            anycast_obs::counter!("prediction_groups_trained_total").inc();
-            percentile(&samples, p).map(|score| (key, target, score))
-        }))
+            pair.score.map(|score| (pair.key, pair.target, score))
+        }));
+        (table, tally)
+    }
+
+    /// The grouping kernel under [`train_window`](Predictor::train_window)
+    /// and [`train_aggregated`](Predictor::train_aggregated): every
+    /// `(group, target)` pair of the window with its exact sample count
+    /// and its score under the configured metric, each pair scored exactly
+    /// once. Pairs come back in first-seen order.
+    ///
+    /// Two passes over the rows and one flat sample arena, instead of a
+    /// vector per pair: pass 1 maps each row's pair to a dense id and
+    /// counts; a prefix sum turns the counts into arena offsets; pass 2
+    /// scatters the latencies into place; each pair's run is then sorted
+    /// once where it lies and read with `percentile_sorted`. The arena is
+    /// gone when this returns — callers select from scores, never samples.
+    fn grouped_scores(&self, data: &BeaconDataset, days: &[Day]) -> Vec<PairScore> {
+        let rows = || {
+            days.iter()
+                .flat_map(|&day| data.day(day))
+                .map(|m| self.record(m))
+        };
+        let mut ids: FastMap<(GroupKey, Target), u32> = FastMap::default();
+        let mut pairs: Vec<PairScore> = Vec::new();
+        // One id per row of the window: at most the whole dataset, and
+        // the part of the reservation the window does not reach is never
+        // touched. Growing by doubling instead would hold two copies.
+        let mut pair_of_row: Vec<u32> = Vec::with_capacity(data.len());
+        for (key, target, _) in rows() {
+            let id = *ids.entry((key, target)).or_insert_with(|| {
+                let id = u32::try_from(pairs.len()).expect("fewer than 2^32 (group, target) pairs");
+                pairs.push(PairScore {
+                    key,
+                    target,
+                    n: 0,
+                    score: None,
+                });
+                id
+            });
+            pairs[id as usize].n += 1;
+            pair_of_row.push(id);
+        }
+        drop(ids);
+        // `ends[i]` starts as pair i's arena offset and, once pass 2 has
+        // written its last sample, is the end of its run.
+        let mut ends: Vec<usize> = Vec::with_capacity(pairs.len());
+        let mut total = 0;
+        for pair in &pairs {
+            ends.push(total);
+            total += pair.n;
+        }
+        let mut arena = vec![0.0f64; total];
+        for ((_, _, rtt), &id) in rows().zip(&pair_of_row) {
+            let at = &mut ends[id as usize];
+            arena[*at] = rtt;
+            *at += 1;
+        }
+        drop(pair_of_row);
+        let p = self.cfg.metric.p();
+        let mut start = 0;
+        for (pair, &end) in pairs.iter_mut().zip(&ends) {
+            pair.score = percentile_mut(&mut arena[start..end], p);
+            start = end;
+        }
+        pairs
     }
 
     /// Trains from streaming per-`(group, target)` summaries instead of
@@ -422,20 +495,30 @@ impl Predictor {
     ) -> PredictionTable {
         let min = self.cfg.min_samples as u64;
         let p = self.cfg.metric.p();
-        choose(stats.iter().filter_map(|(&(key, target), backend)| {
-            if backend.count() < min {
-                anycast_obs::counter!("prediction_groups_discarded_total").inc();
+        let mut tally = GroupTally::default();
+        let table = choose(stats.iter().filter_map(|(&(key, target), backend)| {
+            if !tally.admit(backend.count(), min) {
                 return None;
             }
-            anycast_obs::counter!("prediction_groups_trained_total").inc();
             backend.percentile(p).map(|score| (key, target, score))
-        }))
+        }));
+        tally.publish();
+        table
     }
 
     /// Trains from a multi-day window through the full streaming pipeline:
     /// each day's measurements are sharded by group key into per-worker
     /// latency sketches of rank-error bound `eps`, merged, pooled across
-    /// the window, and scored with [`Predictor::train_from_stats`].
+    /// the window, and scored behind the filter and tie-breaks of
+    /// [`Predictor::train_from_stats`].
+    ///
+    /// The pooling is move-only: the first day's sketches *become* the
+    /// pool, each later day is merged into it by value and dropped, and
+    /// the pool is consumed by the scoring pass, which reads each owned
+    /// sketch in place (`QuantileSketch::quantile_read`). No sketch is
+    /// ever cloned, so the pass peaks at one day's sketches plus the pool.
+    /// The table equals `train_from_stats(&window.pooled(days))` over an
+    /// `anycast_pipeline::DayWindow` holding the same days, bit for bit.
     ///
     /// This is the production-shaped equivalent of
     /// [`Predictor::train_window`]: same filter, same tie-breaks, scores
@@ -448,13 +531,27 @@ impl Predictor {
         eps: f64,
         shard: ShardConfig,
     ) -> PredictionTable {
-        let mut window: DayWindow<GroupKey> = DayWindow::new(eps);
+        let mut pool: DaySketches<GroupKey> = BTreeMap::new();
         for &day in days {
             let records = data.day(day).map(|m| self.record(m));
-            let sketches = anycast_pipeline::sketch_day(records, eps, shard, route_group);
-            window.absorb_day(day, sketches);
+            let sketches = sketch_day(records, eps, shard, route_group);
+            pool = if pool.is_empty() {
+                sketches
+            } else {
+                merge_keyed(vec![pool, sketches], |a, b| a.merge(&b))
+            };
         }
-        self.train_from_stats(&window.pooled(days))
+        let min = self.cfg.min_samples as u64;
+        let p = self.cfg.metric.p();
+        let mut tally = GroupTally::default();
+        let table = choose(pool.into_iter().filter_map(|((key, target), mut sketch)| {
+            if !tally.admit(sketch.count(), min) {
+                return None;
+            }
+            sketch.quantile_read(p).map(|score| (key, target, score))
+        }));
+        tally.publish();
+        table
     }
 
     /// Trains a *routing-aware aggregated* table: variable-length prefix
@@ -489,6 +586,10 @@ impl Predictor {
     ///    evidence from their covering prefix instead of falling back to
     ///    anycast.
     ///
+    /// Both phases walk **scores, never samples**: the day goes through
+    /// the grouping kernel of [`Predictor::train_window`] once, and every
+    /// decision above reads a leaf's memoized `{n, score}` per target.
+    ///
     /// Lookup against the result is [`PredictionTable::lookup_lpm`]; the
     /// matched prefix length is the ECS answer scope. With
     /// [`AggregationConfig::disabled`] the output is byte-identical to
@@ -505,35 +606,44 @@ impl Predictor {
         if self.cfg.grouping != Grouping::Ecs {
             return self.train(data, day);
         }
-        let penalty = self.cfg.failure_penalty_ms;
-        let mut by_leaf: BTreeMap<u32, BTreeMap<Target, Vec<f64>>> = BTreeMap::new();
-        for m in data.day(day) {
-            let (p, t, rtt) = ecs_record_with_failures(m, penalty);
-            by_leaf
-                .entry(Prefix::from(p).raw())
-                .or_default()
-                .entry(t)
-                .or_default()
-                .push(rtt);
-        }
-        let leaves: Vec<(u32, BTreeMap<Target, Vec<f64>>)> = by_leaf.into_iter().collect();
-        let universe: BTreeSet<Target> = leaves
-            .iter()
-            .flat_map(|(_, stats)| stats.keys().copied())
+        let (table, tally) = self.aggregated_table(data, day, agg);
+        tally.publish();
+        table
+    }
+
+    /// [`train_aggregated`](Predictor::train_aggregated) under
+    /// [`Grouping::Ecs`], before its tally reaches the obs counters.
+    fn aggregated_table(
+        &self,
+        data: &BeaconDataset,
+        day: Day,
+        agg: &AggregationConfig,
+    ) -> (PredictionTable, GroupTally) {
+        let net_of = |pair: &PairScore| match pair.key {
+            GroupKey::Ecs(p) => p.raw(),
+            GroupKey::Ldns(_) => unreachable!("ECS grouping keys every row by its /24"),
+        };
+        let mut pairs = self.grouped_scores(data, &[day]);
+        pairs.sort_unstable_by_key(|pair| (net_of(pair), pair.target));
+        let leaves: Vec<Leaf<'_>> = pairs
+            .chunk_by(|a, b| a.key == b.key)
+            .map(|stats| Leaf {
+                net: net_of(&stats[0]),
+                stats,
+            })
             .collect();
-        let metric_p = self.cfg.metric.p();
+        let universe: BTreeSet<Target> = pairs.iter().map(|pair| pair.target).collect();
         // Locality-scoped evidence transfer: the median per-leaf score of
         // each target across the leaf's allocation block. /24s of one
         // announced block share an access network and a metro, so a
         // front-end measured by a /24's block siblings is evidence about
         // the /24 itself — the premise the whole aggregation rests on.
         let mut block_samples: HashMap<u32, BTreeMap<Target, Vec<f64>>> = HashMap::new();
-        let block_mask = u32::MAX << (32 - LOCALITY_BLOCK_LEN);
-        for (net, stats) in &leaves {
-            let per_block = block_samples.entry(net & block_mask).or_default();
-            for (t, samples) in stats {
-                if let Some(s) = percentile(samples, metric_p) {
-                    per_block.entry(*t).or_default().push(s);
+        for leaf in &leaves {
+            let per_block = block_samples.entry(locality_block(leaf.net)).or_default();
+            for pair in leaf.stats {
+                if let Some(s) = pair.score {
+                    per_block.entry(pair.target).or_default().push(s);
                 }
             }
         }
@@ -542,13 +652,12 @@ impl Predictor {
             .map(|(block, by_target)| {
                 let medians = by_target
                     .into_iter()
-                    .filter_map(|(t, scores)| percentile(&scores, 50.0).map(|m| (t, m)))
+                    .filter_map(|(t, mut scores)| percentile_mut(&mut scores, 50.0).map(|m| (t, m)))
                     .collect();
                 (block, medians)
             })
             .collect();
         let mut ctx = AggContext {
-            metric_p,
             min_samples: self.cfg.min_samples,
             regret_bound_ms: agg.regret_bound_ms,
             min_prefix_len: agg.min_prefix_len.min(24),
@@ -556,10 +665,64 @@ impl Predictor {
             block_scores,
             excls: HashMap::new(),
             rows: Vec::new(),
+            tally: GroupTally::default(),
         };
         build_exclusions(&leaves, 0, 0, &mut ctx);
         emit_subtree(&leaves, 0, 0, 0, None, &mut ctx);
-        choose(ctx.rows.into_iter())
+        (choose(ctx.rows.into_iter()), ctx.tally)
+    }
+}
+
+/// One `(group, target)` pair of a training window, scored once by
+/// [`Predictor::grouped_scores`].
+#[derive(Debug, Clone, Copy)]
+struct PairScore {
+    key: GroupKey,
+    target: Target,
+    /// Samples the pair holds (exact: the "20+ measurements" filter and
+    /// the aggregate quorum read it).
+    n: usize,
+    /// The training metric over those samples; `None` when one of them is
+    /// NaN, as `anycast_analysis::percentile` answers.
+    score: Option<f64>,
+}
+
+/// What one training pass did with its `(group, target)` pairs. Passes
+/// tally locally and add to the `prediction_groups_*_total` obs counters
+/// once, so the hot loops touch no shared state.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct GroupTally {
+    trained: u64,
+    discarded: u64,
+    borrowed: u64,
+}
+
+impl GroupTally {
+    /// The §6 "20+ measurements" filter: whether a pair holding `n`
+    /// samples may be scored, tallied either way.
+    fn admit(&mut self, n: u64, min_samples: u64) -> bool {
+        let admitted = n >= min_samples;
+        if admitted {
+            self.trained += 1;
+        } else {
+            self.discarded += 1;
+        }
+        admitted
+    }
+
+    /// Adds the tally to the obs counters. A count of zero leaves its
+    /// counter untouched (and unregistered), as a pass that never
+    /// incremented it would.
+    fn publish(self) {
+        if self.trained > 0 {
+            anycast_obs::counter!("prediction_groups_trained_total").add(self.trained);
+        }
+        if self.discarded > 0 {
+            anycast_obs::counter!("prediction_groups_discarded_total").add(self.discarded);
+        }
+        if self.borrowed > 0 {
+            anycast_obs::counter!("prediction_groups_borrowed_total").add(self.borrowed);
+        }
     }
 }
 
@@ -572,9 +735,38 @@ impl Predictor {
 /// exclusion sets exist to prevent.
 const LOCALITY_BLOCK_LEN: u8 = 21;
 
+/// The allocation block (network address) around the /24 at `net`.
+fn locality_block(net: u32) -> u32 {
+    net & (u32::MAX << (32 - LOCALITY_BLOCK_LEN))
+}
+
+/// One measured /24 of a [`Predictor::train_aggregated`] trie walk: its
+/// network address and its per-target `{n, score}`, a run of the sorted
+/// kernel output.
+#[derive(Debug, Clone, Copy)]
+struct Leaf<'a> {
+    net: u32,
+    stats: &'a [PairScore],
+}
+
+impl Leaf<'_> {
+    /// Every target the leaf measured, with its score.
+    fn scored(&self) -> impl Iterator<Item = (Target, f64)> + '_ {
+        self.stats
+            .iter()
+            .filter_map(|pair| pair.score.map(|s| (pair.target, s)))
+    }
+
+    /// The leaf's *own* best: over the targets it measured `min_samples`
+    /// times or more, the one plain training would serve it.
+    fn own_best(&self, min_samples: usize) -> Option<(Target, f64)> {
+        let eligible = self.stats.iter().filter(|pair| pair.n >= min_samples);
+        best_scored(eligible.filter_map(|pair| pair.score.map(|s| (pair.target, s))))
+    }
+}
+
 /// Shared state of one [`Predictor::train_aggregated`] trie walk.
 struct AggContext {
-    metric_p: f64,
     min_samples: usize,
     regret_bound_ms: f64,
     min_prefix_len: u8,
@@ -592,6 +784,8 @@ struct AggContext {
     /// so aggregates and exceptions get exactly the ranking, tie-break,
     /// and gain computation every other training path gets.
     rows: Vec<(GroupKey, Target, f64)>,
+    /// Pairs trained, discarded and borrowed by [`emit_leaf`].
+    tally: GroupTally,
 }
 
 impl AggContext {
@@ -606,27 +800,24 @@ impl AggContext {
     /// dense, lucky cluster of samples elect a front-end that is terrible
     /// for every other leaf under the node — exactly the failure the
     /// regret bound exists to prevent.
-    fn pooled_scores(
-        &self,
-        leaves: &[(u32, BTreeMap<Target, Vec<f64>>)],
-        strict: bool,
-    ) -> Vec<(Target, f64)> {
-        let mut leaf_scores: BTreeMap<Target, Vec<f64>> = BTreeMap::new();
-        let mut counts: BTreeMap<Target, usize> = BTreeMap::new();
-        for (_, stats) in leaves {
-            for (t, samples) in stats {
-                if let Some(s) = percentile(samples, self.metric_p) {
-                    leaf_scores.entry(*t).or_default().push(s);
-                }
-                *counts.entry(*t).or_default() += samples.len();
+    fn pooled_scores(&self, leaves: &[Leaf<'_>], strict: bool) -> Vec<(Target, f64)> {
+        // Per target: samples pooled under the node, and its per-leaf scores.
+        let mut by_target: BTreeMap<Target, (usize, Vec<f64>)> = BTreeMap::new();
+        for leaf in leaves {
+            for pair in leaf.stats {
+                let (pooled, per_leaf) = by_target.entry(pair.target).or_default();
+                *pooled += pair.n;
+                per_leaf.extend(pair.score);
             }
         }
         let quorum = if strict { leaves.len().div_ceil(2) } else { 1 };
         let min_samples = if strict { self.min_samples } else { 1 };
-        leaf_scores
+        by_target
             .into_iter()
-            .filter(|(t, per_leaf)| counts[t] >= min_samples && per_leaf.len() >= quorum)
-            .filter_map(|(t, per_leaf)| percentile(&per_leaf, 50.0).map(|v| (t, v)))
+            .filter(|(_, (pooled, per_leaf))| *pooled >= min_samples && per_leaf.len() >= quorum)
+            .filter_map(|(t, (_, mut per_leaf))| {
+                percentile_mut(&mut per_leaf, 50.0).map(|v| (t, v))
+            })
             .collect()
     }
 
@@ -637,7 +828,7 @@ impl AggContext {
     /// node — the node then defers to its children entirely.
     fn node_choice(
         &self,
-        leaves: &[(u32, BTreeMap<Target, Vec<f64>>)],
+        leaves: &[Leaf<'_>],
         excl: &BTreeSet<Target>,
     ) -> Option<(Target, Vec<(Target, f64)>)> {
         for strict in [true, false] {
@@ -646,29 +837,41 @@ impl AggContext {
                 .into_iter()
                 .filter(|(t, _)| !excl.contains(t))
                 .collect();
-            if let Some((best, _)) = best_scored(&scored) {
+            if let Some((best, _)) = best_scored(scored.iter().copied()) {
                 return Some((best, scored));
             }
         }
         None
     }
 
-    /// Whether the allocation block around the /24 at `net` vouches for
-    /// serving it `t` despite the leaf itself never measuring `t`: the
-    /// block's sibling /24s measured `t` within the regret bound of the
-    /// leaf's own best (`best_all`).
-    fn block_vouches(&self, net: u32, t: Target, best_all: f64) -> bool {
-        let block = net & (u32::MAX << (32 - LOCALITY_BLOCK_LEN));
-        self.block_scores
-            .get(&block)
-            .and_then(|m| m.get(&t))
-            .is_some_and(|&s| s - best_all <= self.regret_bound_ms)
+    /// The damage check for one leaf: whether serving it the target `t`
+    /// would cost it more than the regret bound, over *everything* the
+    /// leaf measured (no eligibility filter: this is a damage check, not
+    /// a choice). `t` is acceptable when the leaf measured it within the
+    /// bound of the best of all it measured, or when it is anycast (the
+    /// evidence-free safe harbor); otherwise only the allocation block's
+    /// *vouch* — its routing siblings' median score for `t` landing
+    /// within the bound of the leaf's own best — saves it.
+    fn damages<'a>(&'a self, leaf: &'a Leaf<'_>) -> impl Fn(Target) -> bool + 'a {
+        let best_all = leaf.scored().map(|(_, s)| s).fold(f64::INFINITY, f64::min);
+        let block = self.block_scores.get(&locality_block(leaf.net));
+        let within_bound = move |s: f64| s - best_all <= self.regret_bound_ms;
+        move |t| {
+            let acceptable = match leaf.scored().find(|&(measured, _)| measured == t) {
+                Some((_, s)) => within_bound(s),
+                None => t == Target::Anycast,
+            };
+            let vouched = block
+                .and_then(|scores| scores.get(&t))
+                .is_some_and(|&s| within_bound(s));
+            !acceptable && !vouched
+        }
     }
 }
 
 /// The best-scored target among `scored`, under the global tie-break.
-fn best_scored(scored: &[(Target, f64)]) -> Option<(Target, f64)> {
-    scored.iter().copied().min_by(|a, b| {
+fn best_scored(scored: impl IntoIterator<Item = (Target, f64)>) -> Option<(Target, f64)> {
+    scored.into_iter().min_by(|a, b| {
         a.1.total_cmp(&b.1)
             .then_with(|| target_order(a.0).cmp(&target_order(b.0)))
     })
@@ -681,16 +884,16 @@ fn best_scored(scored: &[(Target, f64)]) -> Option<(Target, f64)> {
 /// union; where children's candidates are disjoint (exclusions cover the
 /// whole universe) the node defers and keeps only the shared exclusions.
 fn build_exclusions(
-    leaves: &[(u32, BTreeMap<Target, Vec<f64>>)],
+    leaves: &[Leaf<'_>],
     start: usize,
     len: u8,
     ctx: &mut AggContext,
 ) -> BTreeSet<Target> {
     let excl = if leaves.len() == 1 || len == 24 {
-        leaf_exclusions(leaves[0].0, &leaves[0].1, ctx)
+        leaf_exclusions(&leaves[0], ctx)
     } else {
         let bit = 1u32 << (31 - len);
-        let split = leaves.partition_point(|(n, _)| n & bit == 0);
+        let split = leaves.partition_point(|leaf| leaf.net & bit == 0);
         if split == 0 || split == leaves.len() {
             build_exclusions(leaves, start, len + 1, ctx)
         } else {
@@ -704,50 +907,33 @@ fn build_exclusions(
             }
         }
     };
-    ctx.excls.insert((len, start), excl.clone());
+    // Phase 2 consults only nodes that could emit a default, and a
+    // default needs two leaves or more.
+    if leaves.len() > 1 {
+        ctx.excls.insert((len, start), excl.clone());
+    }
     excl
 }
 
-/// A /24's exclusion set: the targets its own samples rule out as a
-/// default. A target is *acceptable* when the leaf measured it within
-/// the regret bound of the best of everything measured at the leaf, or
-/// when it is anycast (the evidence-free safe harbor); anything else is
-/// excluded unless the leaf's allocation block *vouches* for it — its
-/// routing siblings' median score lands within the bound of the leaf's
-/// own best. The vouch cuts both ways by design: it admits front-ends
-/// the leaf never reached, and it overrides a thin, noisy measurement
-/// that dissents from the block consensus — while a genuine dissenter,
-/// whose own best truly beats the block's median by more than the bound,
-/// keeps its veto. Exactly the damage check [`emit_leaf`] applies, so
-/// phase 1's feasibility and phase 2's cover/exception decisions cannot
-/// disagree. A leaf too sparse for a choice of its own excludes nothing:
-/// it will borrow any default.
-fn leaf_exclusions(
-    net: u32,
-    stats: &BTreeMap<Target, Vec<f64>>,
-    ctx: &AggContext,
-) -> BTreeSet<Target> {
-    let own = stats
-        .iter()
-        .filter(|(_, samples)| samples.len() >= ctx.min_samples)
-        .filter_map(|(t, samples)| percentile(samples, ctx.metric_p).map(|s| (*t, s)));
-    let Some((own_target, _)) = best_scored(&own.collect::<Vec<_>>()) else {
+/// A /24's exclusion set: the targets its own measurements rule out as a
+/// default — every target other than its own best that would
+/// [damage](AggContext::damages) it. The block vouch inside that check
+/// cuts both ways by design: it admits front-ends the leaf never reached,
+/// and it overrides a thin, noisy measurement that dissents from the
+/// block consensus — while a genuine dissenter, whose own best truly
+/// beats the block's median by more than the bound, keeps its veto.
+/// Exactly the damage check [`emit_leaf`] applies, so phase 1's
+/// feasibility and phase 2's cover/exception decisions cannot disagree.
+/// A leaf too sparse for a choice of its own excludes nothing: it will
+/// borrow any default.
+fn leaf_exclusions(leaf: &Leaf<'_>, ctx: &AggContext) -> BTreeSet<Target> {
+    let Some((own_target, _)) = leaf.own_best(ctx.min_samples) else {
         return BTreeSet::new();
     };
-    let all: BTreeMap<Target, f64> = stats
-        .iter()
-        .filter_map(|(t, s)| percentile(s, ctx.metric_p).map(|v| (*t, v)))
-        .collect();
-    let best_all = all.values().copied().fold(f64::INFINITY, f64::min);
+    let damages = ctx.damages(leaf);
     ctx.universe
         .iter()
-        .filter(|&&t| {
-            let acceptable = match all.get(&t) {
-                Some(&s) => s - best_all <= ctx.regret_bound_ms,
-                None => t == Target::Anycast,
-            };
-            t != own_target && !acceptable && !ctx.block_vouches(net, t, best_all)
-        })
+        .filter(|&&t| t != own_target && damages(t))
         .copied()
         .collect()
 }
@@ -759,7 +945,7 @@ fn leaf_exclusions(
 /// its exclusion set (or no ancestor emitted), which is what makes the
 /// resulting table ORTC-minimal for the phase-1 feasibility sets.
 fn emit_subtree(
-    leaves: &[(u32, BTreeMap<Target, Vec<f64>>)],
+    leaves: &[Leaf<'_>],
     start: usize,
     net: u32,
     len: u8,
@@ -770,7 +956,7 @@ fn emit_subtree(
         return;
     }
     if len == 24 {
-        emit_leaf(leaves[0].0, &leaves[0].1, inherited, ctx);
+        emit_leaf(&leaves[0], inherited, ctx);
         return;
     }
     let mut inherited = inherited;
@@ -789,7 +975,7 @@ fn emit_subtree(
         }
     }
     let bit = 1u32 << (31 - len);
-    let split = leaves.partition_point(|(n, _)| n & bit == 0);
+    let split = leaves.partition_point(|leaf| leaf.net & bit == 0);
     emit_subtree(&leaves[..split], start, net, len + 1, inherited, ctx);
     emit_subtree(
         &leaves[split..],
@@ -803,57 +989,32 @@ fn emit_subtree(
 
 /// Leaf (/24) emission: exactly [`Predictor::train`]'s per-group behavior
 /// when uncovered, cover/exception/borrow logic under an aggregate.
-fn emit_leaf(
-    net: u32,
-    stats: &BTreeMap<Target, Vec<f64>>,
-    inherited: Option<Target>,
-    ctx: &mut AggContext,
-) {
-    let key = GroupKey::Ecs(Prefix::from_raw(net, 24));
-    let mut eligible: Vec<(Target, f64)> = Vec::new();
-    for (t, samples) in stats {
-        if samples.len() < ctx.min_samples {
-            if inherited.is_none() {
-                anycast_obs::counter!("prediction_groups_discarded_total").inc();
-            }
-            continue;
-        }
-        if inherited.is_none() {
-            anycast_obs::counter!("prediction_groups_trained_total").inc();
-        }
-        if let Some(s) = percentile(samples, ctx.metric_p) {
-            eligible.push((*t, s));
-        }
-    }
-    let own = best_scored(&eligible);
-    match (inherited, own) {
+fn emit_leaf(leaf: &Leaf<'_>, inherited: Option<Target>, ctx: &mut AggContext) {
+    let key = GroupKey::Ecs(Prefix::from_raw(leaf.net, 24));
+    let min = ctx.min_samples;
+    let own_rows = |ctx: &mut AggContext| {
+        let eligible = leaf.stats.iter().filter(|pair| pair.n >= min);
+        ctx.rows
+            .extend(eligible.filter_map(|pair| pair.score.map(|s| (key, pair.target, s))));
+    };
+    match (inherited, leaf.own_best(min)) {
         // No covering aggregate: behave exactly like plain training.
-        (None, Some(_)) => ctx.rows.extend(eligible.iter().map(|&(t, s)| (key, t, s))),
-        (None, None) => {}
+        (None, own) => {
+            for pair in leaf.stats {
+                ctx.tally.admit(pair.n as u64, min as u64);
+            }
+            if own.is_some() {
+                own_rows(ctx);
+            }
+        }
         // Covered but too sparse for a choice of its own: borrow the
         // aggregate's — don't emit, don't fall back to anycast.
-        (Some(_), None) => anycast_obs::counter!("prediction_groups_borrowed_total").inc(),
+        (Some(_), None) => ctx.tally.borrowed += 1,
+        // Agrees with the aggregate, or disagrees within the bound:
+        // covered. Beyond the bound: a longer-prefix exception.
         (Some(h), Some((own_target, _))) => {
-            if own_target == h {
-                return; // agrees with the aggregate — covered
-            }
-            // Regret of serving `h` here, over *all* of the leaf's samples
-            // (no eligibility filter: this is a damage check, not a
-            // choice), with the allocation block's vouch overriding both
-            // gaps and thin dissent — mirror of [`leaf_exclusions`].
-            let all: Vec<(Target, f64)> = stats
-                .iter()
-                .filter_map(|(t, s)| percentile(s, ctx.metric_p).map(|v| (*t, v)))
-                .collect();
-            let best_all = all.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-            let acceptable = match all.iter().find(|(t, _)| *t == h) {
-                Some(&(_, h_score)) => h_score - best_all <= ctx.regret_bound_ms,
-                None => h == Target::Anycast,
-            };
-            let damaging = !acceptable && !ctx.block_vouches(net, h, best_all);
-            if damaging {
-                // Disagrees beyond the bound: longer-prefix exception.
-                ctx.rows.extend(eligible.iter().map(|&(t, s)| (key, t, s)));
+            if own_target != h && ctx.damages(leaf)(h) {
+                own_rows(ctx);
             }
         }
     }
@@ -1528,12 +1689,18 @@ mod tests {
         assert!(matched.len() > 8, "exception is longer than the default");
     }
 
-    #[test]
-    fn sparse_leaves_borrow_their_aggregate() {
+    /// [`separated_dataset`] plus a leaf too sparse for a choice of its own.
+    fn borrow_dataset() -> BeaconDataset {
         let mut ds = separated_dataset();
         // Leaf 20 has 5 anycast samples: below min_samples, so plain
         // training discards it entirely.
         ds.extend(rows(10_000, prefix(20), 20, Target::Anycast, 80.0, 5));
+        ds
+    }
+
+    #[test]
+    fn sparse_leaves_borrow_their_aggregate() {
+        let ds = borrow_dataset();
         let predictor = Predictor::new(PredictorConfig::default());
         let plain = predictor.train(&ds, Day(0));
         assert_eq!(plain.predict(GroupKey::Ecs(prefix(20).into())), None);
@@ -1581,5 +1748,257 @@ mod tests {
         assert!(table
             .lookup_lpm(Prefix::new(Ipv4Addr::new(12, 0, 0, 0), 24))
             .is_none());
+    }
+
+    /// A table in comparable form: per group the served target, the gain
+    /// bits, and the full ranking with score bits.
+    type Canonical = BTreeMap<GroupKey, (Target, Option<u64>, Vec<(Target, u64)>)>;
+
+    fn canonical(table: &PredictionTable) -> Canonical {
+        let out: Canonical = table
+            .iter()
+            .map(|(key, choice)| {
+                let ranking = table.ranked(key).iter();
+                let ranking = ranking.map(|c| (c.target, c.score_ms.to_bits())).collect();
+                let gain = choice.gain_ms.map(f64::to_bits);
+                (key, (choice.target, gain, ranking))
+            })
+            .collect();
+        assert_eq!(out.len(), table.iter_ranked().count(), "one ranking a key");
+        out
+    }
+
+    /// Leaves of one /21 whose siblings' measurements must speak for two
+    /// of them, and one leaf of the next /21 nobody can vouch for.
+    fn block_vouch_dataset() -> BeaconDataset {
+        let mut ds = BeaconDataset::new();
+        let mut exec = 0u64;
+        let mut add = |ds: &mut BeaconDataset, g: u8, target: Target, base: f64, n: usize| {
+            for i in 0..n {
+                let jitter = ((i * 5 + usize::from(g)) % 7) as f64 - 3.0;
+                ds.extend(rows(
+                    exec,
+                    prefix(g),
+                    u32::from(g),
+                    target,
+                    base + jitter,
+                    1,
+                ));
+                exec += 1;
+            }
+        };
+        let (site3, site4) = (Target::Unicast(SiteId(3)), Target::Unicast(SiteId(4)));
+        for g in 0..6u8 {
+            add(&mut ds, g, Target::Anycast, 80.0, 25);
+            add(&mut ds, g, site3, 50.0, 25);
+        }
+        // Never reached site 3: the block vouches for it.
+        add(&mut ds, 6, Target::Anycast, 80.0, 25);
+        add(&mut ds, 6, site4, 55.0, 25);
+        // Five slow samples of site 3 against the block's fifty-odd ms: a
+        // thin dissent the block overrides.
+        add(&mut ds, 7, Target::Anycast, 80.0, 25);
+        add(&mut ds, 7, site4, 46.0, 25);
+        add(&mut ds, 7, site3, 95.0, 5);
+        // 11.0.9.0/24 sits in the next /21: no sibling measured site 3.
+        add(&mut ds, 9, Target::Anycast, 80.0, 25);
+        add(&mut ds, 9, site4, 55.0, 25);
+        ds
+    }
+
+    /// A seeded three-day campaign over 2,000 /24s in some 375 allocation
+    /// blocks of two /8s: one to four targets a leaf, 1–120 samples a pair,
+    /// block-wide preferences with per-leaf dissent, failed fetches,
+    /// resolvers shared across leaves, and sub-/24 ECS sources on a fifth
+    /// of the rows. With `with_nan`, one pair carries a NaN latency.
+    fn mixed_days(seed: u64, with_nan: bool) -> BeaconDataset {
+        use anycast_pipeline::mix64;
+        let mut ds = BeaconDataset::new();
+        let mut exec = 0u64;
+        for leaf in 0..2_000u32 {
+            let h = mix64(seed ^ (u64::from(leaf) << 20));
+            // Two of every three /24s of 11.0.0.0/13 and 12.0.0.0/13.
+            let net = ((11 + leaf / 1_000) << 24) | ((leaf % 1_000 * 3 / 2) << 8);
+            let block = u64::from(locality_block(net));
+            let p = Prefix24::from_raw(net);
+            let block_site = (mix64(seed ^ block) % 6) as u16;
+            for t in 0..(1 + h % 4) {
+                let ht = mix64(h ^ t);
+                let target = match t {
+                    0 => Target::Anycast,
+                    // Most leaves measure their block's site; some dissent.
+                    1 if !ht.is_multiple_of(5) => Target::Unicast(SiteId(block_site)),
+                    _ => Target::Unicast(SiteId((ht % 6) as u16)),
+                };
+                let base = match target {
+                    Target::Anycast => 80.0,
+                    Target::Unicast(s) if s.0 == block_site => 45.0 + (ht % 9) as f64,
+                    Target::Unicast(_) => 40.0 + (ht % 60) as f64,
+                };
+                for i in 0..(1 + (ht >> 8) % 120) {
+                    let hi = mix64(ht ^ (i << 32));
+                    let mut m = rows(exec, p, leaf % 97, target, 0.0, 1).remove(0);
+                    m.rtt_ms = base + (hi % 2_000) as f64 / 100.0;
+                    m.failed = hi.is_multiple_of(41);
+                    m.day = Day((hi >> 12) as u32 % 3);
+                    if hi.is_multiple_of(5) {
+                        m.ecs = Some(Prefix::from_raw(net | 0x80, 25));
+                    }
+                    ds.extend([m]);
+                    exec += 1;
+                }
+            }
+        }
+        if with_nan {
+            let mut m = ds.measurements()[0];
+            m.rtt_ms = f64::NAN;
+            m.failed = false;
+            ds.extend([m]);
+        }
+        ds
+    }
+
+    #[test]
+    fn window_kernel_equals_the_per_pair_vector_oracle() {
+        let mixed = mixed_days(2015, true);
+        let cases: [(&str, &BeaconDataset); 4] = [
+            ("exception", &exception_dataset()),
+            ("borrow", &borrow_dataset()),
+            ("block-vouch", &block_vouch_dataset()),
+            ("mixed", &mixed),
+        ];
+        for (name, ds) in cases {
+            for grouping in [Grouping::Ecs, Grouping::Ldns] {
+                for metric in [Metric::P25, Metric::Median, Metric::P95] {
+                    let predictor = Predictor::new(PredictorConfig {
+                        grouping,
+                        metric,
+                        ..Default::default()
+                    });
+                    for days in [&[Day(0)][..], &[Day(2), Day(0), Day(1)][..]] {
+                        let what = format!("{name} {grouping:?} {metric:?} {days:?}");
+                        let (got, got_tally) = predictor.window_table(ds, days);
+                        let (want, want_tally) = predictor.oracle_window(ds, days);
+                        assert_eq!(canonical(&got), canonical(&want), "{what}");
+                        assert_eq!(got_tally, want_tally, "{what}");
+                    }
+                }
+            }
+        }
+        // The mixed days exercise what they claim to.
+        let (table, tally) =
+            Predictor::new(PredictorConfig::default()).window_table(&mixed, &[Day(0)]);
+        assert!(table.len() > 200 && tally.discarded > 1_000, "{tally:?}");
+    }
+
+    #[test]
+    fn aggregated_walk_over_scores_equals_the_walk_over_samples() {
+        let mixed = mixed_days(7, true);
+        let cases: [(&str, &BeaconDataset); 5] = [
+            ("separated", &separated_dataset()),
+            ("exception", &exception_dataset()),
+            ("borrow", &borrow_dataset()),
+            ("block-vouch", &block_vouch_dataset()),
+            ("mixed", &mixed),
+        ];
+        let configs = [
+            AggregationConfig::default(),
+            AggregationConfig::disabled(),
+            AggregationConfig {
+                regret_bound_ms: 0.0,
+                min_prefix_len: 16,
+            },
+            AggregationConfig {
+                regret_bound_ms: 30.0,
+                min_prefix_len: 8,
+            },
+        ];
+        let mut seen = GroupTally::default();
+        for (name, ds) in cases {
+            for metric in [Metric::P25, Metric::Median] {
+                let predictor = Predictor::new(PredictorConfig {
+                    metric,
+                    ..Default::default()
+                });
+                for agg in &configs {
+                    let what = format!("{name} {metric:?} {agg:?}");
+                    let (got, got_tally) = predictor.aggregated_table(ds, Day(0), agg);
+                    let (want, want_tally) = predictor.oracle_aggregated(ds, Day(0), agg);
+                    assert_eq!(canonical(&got), canonical(&want), "{what}");
+                    assert_eq!(got_tally, want_tally, "{what}");
+                    seen.trained += got_tally.trained;
+                    seen.discarded += got_tally.discarded;
+                    seen.borrowed += got_tally.borrowed;
+                }
+            }
+        }
+        assert!(
+            seen.trained > 0 && seen.discarded > 0 && seen.borrowed > 0,
+            "every counter exercised: {seen:?}"
+        );
+        // The block's vouch decides what the dataset says it does. Leaves
+        // 0–5 never measured site 4 yet accept it on their siblings' word;
+        // leaf 9, with no sibling to speak for site 3, vetoes it — so the
+        // one default everything rides is site 4.
+        let table = Predictor::new(PredictorConfig::default()).train_aggregated(
+            &block_vouch_dataset(),
+            Day(0),
+            &AggregationConfig::default(),
+        );
+        assert_eq!(table.len(), 1);
+        for g in [0u8, 5, 6, 7, 9] {
+            let (matched, choice) = table.lookup_lpm(prefix(g).into()).expect("covered");
+            assert_eq!(
+                (matched.len(), choice.target),
+                (8, Target::Unicast(SiteId(4)))
+            );
+        }
+    }
+
+    #[test]
+    fn ldns_grouping_falls_back_to_plain_training_when_aggregating() {
+        let ds = mixed_days(3, false);
+        let predictor = Predictor::new(PredictorConfig {
+            grouping: Grouping::Ldns,
+            ..Default::default()
+        });
+        let plain = predictor.train(&ds, Day(1));
+        let agg = predictor.train_aggregated(&ds, Day(1), &AggregationConfig::default());
+        assert!(!plain.is_empty());
+        assert_eq!(canonical(&agg), canonical(&plain));
+    }
+
+    #[test]
+    fn sketched_training_equals_training_from_the_pooled_window() {
+        use anycast_pipeline::DayWindow;
+        let ds = mixed_days(11, false);
+        let shard = ShardConfig {
+            workers: 2,
+            ..ShardConfig::default()
+        };
+        for grouping in [Grouping::Ecs, Grouping::Ldns] {
+            let predictor = Predictor::new(PredictorConfig {
+                grouping,
+                ..Default::default()
+            });
+            for eps in [0.01, 0.05] {
+                // Day 5 holds no rows: pooling must not care.
+                for days in [&[Day(1)][..], &[Day(0), Day(5), Day(1), Day(2)][..]] {
+                    let mut window: DayWindow<GroupKey> = DayWindow::new(eps);
+                    for &day in days {
+                        let records = ds.day(day).map(|m| predictor.record(m));
+                        window.absorb_day(day, sketch_day(records, eps, shard, route_group));
+                    }
+                    let want = predictor.train_from_stats(&window.pooled(days));
+                    let got = predictor.train_sketched(&ds, days, eps, shard);
+                    assert!(!want.is_empty());
+                    assert_eq!(
+                        canonical(&got),
+                        canonical(&want),
+                        "{grouping:?} eps {eps} {days:?}"
+                    );
+                }
+            }
+        }
     }
 }

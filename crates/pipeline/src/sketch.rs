@@ -121,9 +121,15 @@ struct Tuple {
 /// bit-exactly commutative and associative, the property the sharded
 /// ingestion layer's determinism contract rests on.
 ///
-/// Space: O((1/eps) · log(eps·n)) tuples, plus an insert buffer of
-/// ⌈3/(2·eps)⌉ values that batches sort+merge work (the single-core ingest
-/// win measured by the `pipeline-ingest` bench comes from this buffer).
+/// Space: O((1/eps) · log(eps·n)) tuples, plus an insert buffer that
+/// batches sort+merge work. The buffer is **demand-grown**: it doubles
+/// from 16 values as observations arrive and ⌈3/(2·eps)⌉ (the
+/// flush threshold) is the *cap* on that doubling, not an up-front
+/// reservation — a day holds one sketch per `(group, target)` pair and
+/// most pairs see a few dozen samples, so a sketch costs what its samples
+/// need (a 20-sample sketch at eps 0.01 holds 32 slots, not 150). Flush
+/// points read the buffer's length, never its capacity, so the sketch's
+/// state is the same whatever the growth schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     /// Advertised rank-error bound (fraction of n).
@@ -137,6 +143,10 @@ pub struct QuantileSketch {
     /// Cached ⌈1/(2ε')⌉ — a pure function of `eps`, read once per observe.
     buf_limit: usize,
 }
+
+/// First allocation of a sketch's insert buffer, in values; see the
+/// "Space" note on [`QuantileSketch`].
+const MIN_BUFFER_SLOTS: usize = 16;
 
 impl QuantileSketch {
     /// Creates an empty sketch with rank-error bound `eps` (e.g. `0.01`
@@ -179,6 +189,12 @@ impl QuantileSketch {
         self.tuples.len()
     }
 
+    /// Values the insert buffer has room for without reallocating (space
+    /// introspection beside [`tuples_len`](QuantileSketch::tuples_len)).
+    pub fn buffer_capacity(&self) -> usize {
+        self.buffer.capacity()
+    }
+
     /// Internal rank-error budget: a third of the advertised bound, the
     /// rest being reserved for merge slack (see the type docs).
     fn eps_internal(&self) -> f64 {
@@ -207,10 +223,14 @@ impl QuantileSketch {
     /// Panics on NaN input.
     pub fn observe(&mut self, v: f64) {
         assert!(!v.is_nan(), "NaN fed to QuantileSketch");
-        if self.buffer.capacity() == 0 {
-            // One exact allocation instead of a doubling-growth chain; the
-            // capacity is then kept across flushes.
-            self.buffer.reserve_exact(self.buf_limit);
+        let cap = self.buffer.capacity();
+        if self.buffer.len() == cap && cap < self.buf_limit {
+            // Exact doubling up to the flush threshold, so a small group
+            // never pays for the full buffer; past the threshold (hot
+            // streams waiting on the tuple list) `push` grows as usual.
+            // The capacity reached is kept across flushes.
+            let want = (cap * 2).max(MIN_BUFFER_SLOTS).min(self.buf_limit);
+            self.buffer.reserve_exact(want - cap);
         }
         self.buffer.push(v);
         // Adaptive schedule: never flush before the accuracy-driven
@@ -318,11 +338,20 @@ impl QuantileSketch {
     /// Merges `other` into `self`: a canonical multiset union of tuples
     /// (both insert buffers flushed first), `n` summed, `eps` the max of
     /// the two bounds. No compression happens here, so merging is
-    /// bit-exactly commutative and associative.
+    /// bit-exactly commutative and associative. `other` is copied only
+    /// when it has buffered observations to flush; a compacted operand is
+    /// read in place.
     pub fn merge(&mut self, other: &QuantileSketch) {
         self.flush();
-        let mut o = other.clone();
-        o.flush();
+        let flushed;
+        let o = if other.buffer.is_empty() {
+            other
+        } else {
+            let mut copy = other.clone();
+            copy.flush();
+            flushed = copy;
+            &flushed
+        };
         self.eps = self.eps.max(o.eps);
         self.buf_limit = Self::buf_limit_for(self.eps);
         self.n += o.n;
@@ -364,15 +393,15 @@ impl QuantileSketch {
         }
         if self.tuples.is_empty() {
             // Nearest-rank with ties to the lower rank — the same pick the
-            // tuple walk makes on a buffer-only flush (g = 1, Δ = 0).
+            // tuple walk makes on a buffer-only flush (g = 1, Δ = 0). The
+            // target is `query`'s own one-based expression: its distances
+            // to the two neighbouring ranks are exact, so the pick agrees
+            // with the walk bit for bit at every `p`.
             let p = p.clamp(0.0, 100.0);
-            let t = p / 100.0 * (self.buffer.len() - 1) as f64;
-            let lo = t.floor();
-            let idx = if t - lo <= 0.5 {
-                lo as usize
-            } else {
-                lo as usize + 1
-            };
+            let target = 1.0 + p / 100.0 * (self.buffer.len() - 1) as f64;
+            let lo = target.floor();
+            let rank = if target - lo <= 0.5 { lo } else { lo + 1.0 };
+            let idx = rank as usize - 1;
             let (_, v, _) = self
                 .buffer
                 .select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
@@ -682,6 +711,66 @@ mod tests {
                 let immut = s.quantile(p);
                 assert_eq!(s.clone().quantile_read(p), immut, "n={n} p={p}");
             }
+        }
+    }
+
+    #[test]
+    fn quantile_read_breaks_half_rank_ties_as_the_tuple_walk_does() {
+        // p/100·(n−1) lands one ulp above k + ½ here; the walk's one-based
+        // target rounds that ulp away and picks the lower rank.
+        for (n, p) in [(26u64, 14.0), (51, 7.0), (101, 3.5)] {
+            let mut s = QuantileSketch::new(0.01);
+            for i in 0..n {
+                s.observe((mix64(i) % 9_973) as f64);
+            }
+            assert_eq!(s.tuples_len(), 0, "buffer-only");
+            assert_eq!(s.clone().quantile_read(p), s.quantile(p), "n={n} p={p}");
+        }
+    }
+
+    #[test]
+    fn buffer_grows_on_demand_up_to_the_flush_threshold() {
+        let mut s = QuantileSketch::new(0.01);
+        assert_eq!(s.buffer_capacity(), 0, "an empty sketch owns no buffer");
+        let mut seen = Vec::new();
+        for i in 0..150u64 {
+            s.observe(i as f64);
+            if seen.last() != Some(&s.buffer_capacity()) {
+                seen.push(s.buffer_capacity());
+            }
+            if i == 19 {
+                assert!(s.buffer_capacity() <= 32, "20 samples fit 32 slots");
+            }
+        }
+        assert_eq!(seen, [16, 32, 64, 128, 150], "doubling, capped");
+        assert!(s.tuples_len() > 0, "the 150th observation flushed");
+        // The grown buffer is kept across the flush.
+        assert_eq!(s.buffer_capacity(), 150);
+        // A bound whose threshold is under the first step starts at it.
+        let mut coarse = QuantileSketch::new(0.2);
+        coarse.observe(1.0);
+        assert_eq!(coarse.buffer_capacity(), 8);
+    }
+
+    #[test]
+    fn merge_reads_a_compacted_operand_in_place() {
+        // Same result whether the operand still buffers or was compacted.
+        let build = |lo: u64, hi: u64| {
+            let mut s = QuantileSketch::new(0.05);
+            for i in lo..hi {
+                s.observe((mix64(i) % 1000) as f64);
+            }
+            s
+        };
+        for (lo, hi) in [(0u64, 7u64), (0, 30), (0, 333)] {
+            let buffered = build(lo, hi);
+            let mut compacted = buffered.clone();
+            compacted.compact();
+            let mut a = build(1_000, 1_400);
+            let mut b = a.clone();
+            a.merge(&buffered);
+            b.merge(&compacted);
+            assert_eq!(a, b, "operand of {} values", hi - lo);
         }
     }
 

@@ -6,7 +6,9 @@
 //! [`DayWindow`] mirrors that lifecycle — per-day maps of per-
 //! `(group, front-end)` latency sketches, built incrementally as records
 //! arrive, pooled across a training window on demand, and retired once the
-//! window has moved past them.
+//! window has moved past them. It is the *retaining* form: a trainer that
+//! builds its days, pools them once and drops them (`train_sketched`)
+//! moves the [`DaySketches`] maps instead and never holds a second copy.
 //!
 //! The group key is generic (`K: Ord`): the pipeline is used with
 //! `Prefix24` (ECS granularity), `LdnsId`, and `anycast_core`'s own
@@ -90,8 +92,16 @@ impl<K: Ord + Clone> DayWindow<K> {
     }
 
     /// Pools the given days into per-`(group, target)` merged sketches —
-    /// the multi-day training input of `train_window`. Days with no data
-    /// contribute nothing.
+    /// the multi-day training input of `train_from_stats`. Days with no
+    /// data contribute nothing.
+    ///
+    /// The window keeps its days, so the pool is a **copy**: every sketch
+    /// of the first day a key appears on is cloned, later days merge into
+    /// the clone. A caller that owns its day maps and reads them once
+    /// does not need the copy — `anycast_core`'s `train_sketched` folds
+    /// each day's [`DaySketches`] into a running map by value (first day
+    /// moved, later days merged with the same `merge` calls, in the same
+    /// order) and is pinned bit-identical to training from this pool.
     pub fn pooled(&self, days: &[Day]) -> DaySketches<K> {
         let mut out: DaySketches<K> = BTreeMap::new();
         for day in days {

@@ -5,7 +5,10 @@
 //!   rank comparison needs);
 //! * **determinism** — merging is bit-exactly commutative and associative,
 //!   and a sharded ingestion run produces bit-identical output for any
-//!   worker count.
+//!   worker count;
+//! * **one read** — the in-place `quantile_read` the sketched trainer
+//!   scores with answers bit-for-bit what the copying `quantile` answers,
+//!   and a sketch's state does not depend on how its insert buffer grew.
 
 use std::collections::BTreeMap;
 
@@ -16,6 +19,7 @@ use anycast_pipeline::{
     ShardConfig, ShardedIngest,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn sketch_of(values: &[f64], eps: f64) -> QuantileSketch {
     let mut s = QuantileSketch::new(eps);
@@ -33,7 +37,97 @@ fn rank_window(sorted: &[f64], estimate: f64) -> (f64, f64) {
     (below as f64, (at_or_below - 1) as f64)
 }
 
+/// The flush threshold of a sketch built with `eps` (the cap of its
+/// demand-grown insert buffer), by the sketch's own expression.
+fn flush_threshold(eps: f64) -> usize {
+    (1.0 / (2.0 * (eps / 3.0))).ceil() as usize
+}
+
+/// Asserts `quantile_read` on a copy answers exactly what `quantile`
+/// does, at the training percentiles and at `p`.
+fn assert_reads_agree(s: &QuantileSketch, p: f64, what: &str) -> Result<(), TestCaseError> {
+    for p in [0.0, 25.0, 50.0, 75.0, 100.0, p] {
+        let copying = s.quantile(p).map(f64::to_bits);
+        let in_place = s.clone().quantile_read(p).map(f64::to_bits);
+        prop_assert_eq!(
+            in_place,
+            copying,
+            "{} sketch, n = {}, p = {}",
+            what,
+            s.count(),
+            p
+        );
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn in_place_read_equals_the_copying_read_bit_for_bit(
+        values in prop::collection::vec(0.0f64..1_000.0, 700..1_500),
+        eps in prop::sample::select(vec![0.005, 0.01, 0.05]),
+        small in 1usize..30,
+        p in 0.0f64..100.0,
+    ) {
+        let limit = flush_threshold(eps);
+        // Buffer-only: never flushed, answered by in-place selection.
+        let buffered = sketch_of(&values[..small.min(limit - 1)], eps);
+        prop_assert_eq!(buffered.tuples_len(), 0);
+        assert_reads_agree(&buffered, p, "buffer-only")?;
+        // One short of the threshold, and exactly at it (the first flush).
+        let brim = sketch_of(&values[..limit - 1], eps);
+        prop_assert_eq!(brim.tuples_len(), 0);
+        assert_reads_agree(&brim, p, "brim-full")?;
+        let at_limit = sketch_of(&values[..limit], eps);
+        prop_assert!(at_limit.tuples_len() > 0);
+        assert_reads_agree(&at_limit, p, "at-threshold")?;
+        // Spilled: tuples plus a part-filled buffer.
+        let spilled = sketch_of(&values, eps);
+        assert_reads_agree(&spilled, p, "spilled")?;
+        // Merged: two buffer-only days, and a spilled day into a small one.
+        let mut merged_small = buffered.clone();
+        merged_small.merge(&sketch_of(&values[small..small + 20], eps));
+        assert_reads_agree(&merged_small, p, "merged buffer-only")?;
+        let mut merged = buffered;
+        merged.merge(&spilled);
+        assert_reads_agree(&merged, p, "merged spilled")?;
+    }
+
+    #[test]
+    fn sketch_state_is_independent_of_buffer_growth(
+        values in prop::collection::vec(0.0f64..1_000.0, 1..1_200),
+        cut in 0usize..1_200,
+        eps in prop::sample::select(vec![0.005, 0.01, 0.05]),
+    ) {
+        // A clone's buffer holds exactly its values, so from `cut` on the
+        // copy reallocates on a different schedule than the original —
+        // same stream, different capacities, and the state must not care.
+        let limit = flush_threshold(eps);
+        let cut = cut % values.len();
+        let mut grown = QuantileSketch::new(eps);
+        let mut recut = grown.clone();
+        for (i, &v) in values.iter().enumerate() {
+            if i == cut {
+                recut = grown.clone();
+            }
+            grown.observe(v);
+            if i >= cut {
+                recut.observe(v);
+            }
+            if grown.tuples_len() == 0 {
+                // Demand growth: at most double what it holds (16 at
+                // first), and never past the flush threshold.
+                let held = grown.count() as usize;
+                prop_assert!(
+                    grown.buffer_capacity() <= (2 * held).max(16).min(limit),
+                    "{} values in {} slots (threshold {})", held, grown.buffer_capacity(), limit
+                );
+            }
+        }
+        prop_assert_eq!(&recut, &grown);
+        prop_assert_eq!(sketch_of(&values, eps), grown);
+    }
+
     #[test]
     fn quantile_reads_stay_within_the_advertised_rank_error(
         values in prop::collection::vec(0.0f64..1_000.0, 1..3_000),
