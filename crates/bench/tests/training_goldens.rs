@@ -1,22 +1,29 @@
-//! Training goldens: the four artifacts that read a trained table, byte
-//! for byte.
+//! Goldens, byte for byte: the four artifacts that read a trained table,
+//! and the two that route through a `RouteSnapshot` over something other
+//! than the steady legacy world.
 //!
 //! `fig9` goes through `train` at both groupings, `ablation-table-
 //! compression` through `train_aggregated`, `ablation-sketch-accuracy`
 //! through `train_sketched` and `ablation-training-window` through
 //! `train_window`, so a change to any training path that moves a served
-//! choice, a score or a gain shows up here as a diff. The files under
+//! choice, a score or a gain shows up here as a diff.
+//! `ablation-world-scale` runs two-day studies on policy worlds (default
+//! flap rates, so the snapshot's route-dynamics timeline answers beacons)
+//! and reports the catchment tables' bytes; `extra-failover` drives the
+//! snapshot's site-outage fallback on a failure world. The files under
 //! `goldens/` are the stdout of `figures <id> --scale small --seed 7`;
-//! regenerate them only for a change that *means* to move a table.
+//! regenerate them only for a change that *means* to move a table or a
+//! route.
 
 use anycast_bench::worlds::Scale;
-use anycast_bench::{ablations, figures};
+use anycast_bench::{ablations, extras, figures};
 
 const SEED: u64 = 7;
 
 fn assert_matches_golden(id: &str, golden: &str) {
     let result = figures::compute(id, Scale::Small, SEED)
         .or_else(|| ablations::compute(id, Scale::Small, SEED))
+        .or_else(|| extras::compute(id, Scale::Small, SEED))
         .expect("a known artifact id");
     // `figures` prints the rendering with `println!`.
     let got = format!("{}\n", result.render());
@@ -62,4 +69,17 @@ fn training_window_matches_its_golden() {
         "ablation-training-window",
         include_str!("goldens/ablation-training-window.txt"),
     );
+}
+
+#[test]
+fn world_scale_matches_its_golden() {
+    assert_matches_golden(
+        "ablation-world-scale",
+        include_str!("goldens/ablation-world-scale.txt"),
+    );
+}
+
+#[test]
+fn failover_matches_its_golden() {
+    assert_matches_golden("extra-failover", include_str!("goldens/extra-failover.txt"));
 }

@@ -224,7 +224,7 @@ impl Internet {
     /// multi-hop AS paths are charged the transit detour through the
     /// first-hop provider's home. `None` when the client AS is unrouted
     /// under this table or every candidate front-end is down.
-    fn policy_route(
+    pub(crate) fn policy_route(
         &self,
         pw: &PolicyWorld,
         table: &CatchmentTable,
@@ -257,17 +257,6 @@ impl Internet {
             site,
             day,
         ))
-    }
-
-    /// All windows on `day` during which the anycast catchment may deviate
-    /// from steady state due to *route dynamics* (session/border flaps and
-    /// egress shifts). Empty outside worldgen worlds; site outage windows
-    /// are tracked separately by [`crate::outage::OutageModel`].
-    pub fn anycast_disturbance_windows(&self, day: Day) -> Vec<(f64, f64)> {
-        match &self.policy {
-            Some(pw) => pw.disturbance_windows(day),
-            None => Vec::new(),
-        }
     }
 
     fn anycast_route_ranked(
@@ -308,8 +297,16 @@ impl Internet {
     ) -> Option<RouteDecision> {
         let down = self.down_sites(day, time_s);
         if let Some(pw) = &self.policy {
-            let steady = self.anycast_route(client, day);
-            if down.contains(&steady.site) && self.outages.converging(steady.site, day, time_s) {
+            // The steady *site* settles both the loss check and the reroute
+            // counter, and costs a table lookup plus the IGP pick — the one
+            // full decision built below is the one returned.
+            let steady = pw.steady_table();
+            let steady_ingress = steady
+                .ingress(client.as_id.0)
+                .expect("steady policy catchment routes every client AS");
+            let igp_rank = usize::from(self.igp_episode_on(steady_ingress, day));
+            let steady_site = igp::select_site_ranked(&self.topo, steady_ingress, igp_rank);
+            if down.contains(&steady_site) && self.outages.converging(steady_site, day, time_s) {
                 counter!("netsim_reconvergence_losses_total").inc();
                 return None;
             }
@@ -319,12 +316,12 @@ impl Internet {
                 .collect();
             let env = pw.env_at(day, time_s, &withdrawn);
             if env.is_steady() {
-                return Some(steady);
+                return self.policy_route(pw, &steady, client, day, &[]);
             }
             let table = pw.table_for(&env);
             let decision = self.policy_route(pw, &table, client, day, &down);
             match &decision {
-                Some(d) if d.site != steady.site => {
+                Some(d) if d.site != steady_site => {
                     counter!("netsim_failover_reroutes_total").inc();
                 }
                 None => counter!("netsim_policy_unrouted_total").inc(),

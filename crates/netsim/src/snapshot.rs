@@ -11,23 +11,54 @@
 //!
 //! The snapshot is **transparent**: for every `(client, site, time)` it
 //! returns exactly what [`Internet::anycast_route_at`] /
-//! [`Internet::unicast_route_at`] would. The steady-state fast path is a
-//! borrow of the precomputed decision; only instants that fall inside a
-//! scheduled down-window fall back to the full failover computation (which
-//! depends on the set of currently-down sites and is too time-varying to
-//! precompute). Worlds without failure injection never take the fallback.
+//! [`Internet::unicast_route_at`] would, and moves the same failover
+//! counters.
+//!
+//! Anycast routing varies within a day only at the edges of scheduled
+//! windows, so the snapshot cuts the day there into a sorted **timeline**
+//! of segments and a lookup is a binary search:
+//!
+//! * **steady** segments borrow the precomputed decision;
+//! * segments under **route dynamics** (worldgen session/border flaps and
+//!   egress shifts) are memoized too: each distinct environment of the day
+//!   is computed once at build time, and since an event moves a sliver of
+//!   ASes, the handful of clients whose AS it rerouted get their resolved
+//!   decision stored beside the steady one — everyone else still borrows
+//!   steady;
+//! * only segments inside a *site* down-window fall back to the full
+//!   failover computation, which depends on the set of currently-down
+//!   sites and the reconvergence clock. Worlds without failure injection
+//!   never take the fallback.
 
 use std::borrow::Cow;
 
 use anycast_obs::counter;
 
-use crate::ids::SiteId;
+use crate::ids::{BorderId, SiteId};
 use crate::internet::{ClientAttachment, Internet, RouteDecision};
 use crate::outage::OutageWindow;
 use crate::sim::Day;
+use crate::worldgen::{PolicyWorld, RouteEnv};
+
+/// What answers an anycast lookup inside one timeline segment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Segment {
+    /// No window is open: the steady decision.
+    Steady,
+    /// Route dynamics only: the steady decision unless the client is
+    /// listed in `moved[.0]`.
+    Dynamics(usize),
+    /// Some site is down: ask the [`Internet`].
+    SiteDown,
+}
+
+/// A client a dynamics environment routes differently from steady state,
+/// with where it goes instead (`None`: its AS holds no route).
+type Moved = (u32, Option<RouteDecision>);
 
 /// One day's routing table for a fixed client population: steady anycast
-/// and per-site unicast decisions, plus the day's outage windows.
+/// and per-site unicast decisions, plus the day's timeline of outage and
+/// route-dynamics windows.
 #[derive(Debug, Clone)]
 pub struct RouteSnapshot {
     day: Day,
@@ -39,11 +70,21 @@ pub struct RouteSnapshot {
     unicast: Vec<RouteDecision>,
     /// This day's down-window per site (almost always all `None`).
     windows: Vec<Option<OutageWindow>>,
-    /// Windows during which *route dynamics* (worldgen session/border
-    /// flaps, egress shifts) may move the anycast catchment off steady
-    /// state. Always empty outside worldgen worlds.
-    dynamics_windows: Vec<(f64, f64)>,
-    has_windows: bool,
+    timeline: DayTimeline,
+}
+
+/// The day cut at every window edge.
+#[derive(Debug, Clone, PartialEq)]
+struct DayTimeline {
+    /// Segment start instants, ascending. `starts[0]` is −∞, so every
+    /// instant falls in a segment; the rest are the distinct edges of the
+    /// day's site windows and dynamics windows.
+    starts: Vec<f64>,
+    /// `segments[i]` covers `[starts[i], starts[i + 1])`.
+    segments: Vec<Segment>,
+    /// Per distinct dynamics environment of the day: the clients it
+    /// moves, ascending by client. Always empty outside worldgen worlds.
+    moved: Vec<Vec<Moved>>,
 }
 
 impl RouteSnapshot {
@@ -62,14 +103,13 @@ impl RouteSnapshot {
         day: Day,
         workers: usize,
     ) -> RouteSnapshot {
-        let sites: Vec<SiteId> = internet.topology().cdn.site_ids().collect();
+        let cdn = &internet.topology().cdn;
+        let sites: Vec<SiteId> = cdn.site_ids().collect();
         let n_sites = sites.len();
         let windows: Vec<Option<OutageWindow>> = sites
             .iter()
             .map(|&s| internet.outages().window_on(s, day))
             .collect();
-        let dynamics_windows = internet.anycast_disturbance_windows(day);
-        let has_windows = windows.iter().any(Option::is_some) || !dynamics_windows.is_empty();
         for w in windows.iter().flatten() {
             let kind = match w.kind {
                 crate::outage::OutageKind::Unplanned => "unplanned",
@@ -80,6 +120,19 @@ impl RouteSnapshot {
                 .inc();
         }
 
+        let workers = workers.max(1).min(clients.len().max(1));
+        if let Some(pw) = internet.policy_world() {
+            // Every row below reads the steady table and one unicast table
+            // per site; compute the missing ones up front, each once,
+            // instead of having the row workers queue behind one another.
+            let borders: Vec<BorderId> = sites
+                .iter()
+                .map(|&s| cdn.unicast_announcement_border(s))
+                .collect();
+            pw.warm_tables(&borders, workers);
+        }
+        let timeline = DayTimeline::cut(internet, clients, day, &windows);
+
         let row = |c: &ClientAttachment| -> (RouteDecision, Vec<RouteDecision>) {
             let any = internet.anycast_route(c, day);
             let uni = sites
@@ -89,7 +142,6 @@ impl RouteSnapshot {
             (any, uni)
         };
 
-        let workers = workers.max(1).min(clients.len().max(1));
         let rows: Vec<(RouteDecision, Vec<RouteDecision>)> = if workers <= 1 {
             clients.iter().map(row).collect()
         } else {
@@ -123,8 +175,7 @@ impl RouteSnapshot {
             anycast,
             unicast,
             windows,
-            dynamics_windows,
-            has_windows,
+            timeline,
         }
     }
 
@@ -158,22 +209,9 @@ impl RouteSnapshot {
         &self.unicast[client * self.n_sites + site.0 as usize]
     }
 
-    /// Whether routing at `time_s` may differ from steady state: some site
-    /// is inside a down-window, or a route-dynamics window is active.
-    fn any_down(&self, time_s: f64) -> bool {
-        self.has_windows
-            && (self
-                .windows
-                .iter()
-                .any(|w| w.is_some_and(|w| w.contains(time_s)))
-                || self
-                    .dynamics_windows
-                    .iter()
-                    .any(|&(s, e)| time_s >= s && time_s < e))
-    }
-
-    /// Memoized [`Internet::anycast_route_at`]: a borrowed steady decision
-    /// on the (overwhelmingly common) fast path, the full failover
+    /// Memoized [`Internet::anycast_route_at`]: a borrowed decision —
+    /// steady, or the one a route-dynamics event moved this client to — on
+    /// the (overwhelmingly common) fast path, the full failover
     /// computation only while some site is actually down.
     pub fn anycast_at(
         &self,
@@ -181,14 +219,38 @@ impl RouteSnapshot {
         client: usize,
         time_s: f64,
     ) -> Option<Cow<'_, RouteDecision>> {
-        if !self.any_down(time_s) {
-            counter!("netsim_route_memo_hits_total").inc();
-            return Some(Cow::Borrowed(self.steady_anycast(client)));
+        let steady = self.steady_anycast(client);
+        let moved = match self.timeline.segment_at(time_s) {
+            Segment::Steady => None,
+            Segment::Dynamics(env) => {
+                let moved = &self.timeline.moved[env];
+                moved
+                    .binary_search_by_key(&(client as u32), |m| m.0)
+                    .ok()
+                    .map(|i| &moved[i].1)
+            }
+            Segment::SiteDown => {
+                counter!("netsim_route_memo_misses_total").inc();
+                return internet
+                    .anycast_route_at(&self.attachments[client], self.day, time_s)
+                    .map(Cow::Owned);
+            }
+        };
+        counter!("netsim_route_memo_hits_total").inc();
+        // The same tallies `anycast_route_at` keeps for an event table.
+        match moved {
+            None => Some(Cow::Borrowed(steady)),
+            Some(Some(d)) => {
+                if d.site != steady.site {
+                    counter!("netsim_failover_reroutes_total").inc();
+                }
+                Some(Cow::Borrowed(d))
+            }
+            Some(None) => {
+                counter!("netsim_policy_unrouted_total").inc();
+                None
+            }
         }
-        counter!("netsim_route_memo_misses_total").inc();
-        internet
-            .anycast_route_at(&self.attachments[client], self.day, time_s)
-            .map(Cow::Owned)
     }
 
     /// Memoized [`Internet::unicast_route_at`]: `None` while `site`'s
@@ -208,6 +270,103 @@ impl RouteSnapshot {
     pub fn client(&self, idx: usize) -> ClientRoutes<'_> {
         ClientRoutes { snap: self, idx }
     }
+}
+
+impl DayTimeline {
+    /// Cuts `day` at every edge of `windows` (the site down-windows) and
+    /// of the policy world's dynamics windows. No edge lies strictly
+    /// inside a segment, so the windows open at a segment's start are the
+    /// windows open throughout it.
+    fn cut(
+        internet: &Internet,
+        clients: &[ClientAttachment],
+        day: Day,
+        windows: &[Option<OutageWindow>],
+    ) -> DayTimeline {
+        let policy = internet.policy_world().filter(|pw| pw.dynamics_enabled());
+        let mut starts = vec![f64::NEG_INFINITY];
+        for w in windows.iter().flatten() {
+            starts.extend([w.start_s, w.end_s]);
+        }
+        if let Some(pw) = policy {
+            for w in pw.events_on(day).iter() {
+                starts.extend([w.start_s, w.end_s]);
+            }
+        }
+        starts.sort_unstable_by(f64::total_cmp);
+        starts.dedup();
+
+        let mut envs: Vec<RouteEnv> = Vec::new();
+        let segments = starts
+            .iter()
+            .map(|&start| {
+                if windows.iter().flatten().any(|w| w.contains(start)) {
+                    return Segment::SiteDown;
+                }
+                let Some(pw) = policy else {
+                    return Segment::Steady;
+                };
+                let env = pw.env_at(day, start, &[]);
+                if env.is_steady() {
+                    return Segment::Steady;
+                }
+                let known = envs.iter().position(|e| *e == env);
+                Segment::Dynamics(known.unwrap_or_else(|| {
+                    envs.push(env);
+                    envs.len() - 1
+                }))
+            })
+            .collect();
+
+        let moved = match policy {
+            Some(pw) if !envs.is_empty() => moved_clients(internet, pw, clients, day, &envs),
+            _ => Vec::new(),
+        };
+        DayTimeline {
+            starts,
+            segments,
+            moved,
+        }
+    }
+
+    /// The segment `time_s` falls in.
+    fn segment_at(&self, time_s: f64) -> Segment {
+        let after = self.starts.partition_point(|&start| start <= time_s);
+        self.segments[after.saturating_sub(1)]
+    }
+}
+
+/// For each environment, the clients whose AS it routes differently from
+/// steady state, with their resolved decision. Each environment's table
+/// is computed here, once, and dropped once its clients are resolved.
+fn moved_clients(
+    internet: &Internet,
+    pw: &PolicyWorld,
+    clients: &[ClientAttachment],
+    day: Day,
+    envs: &[RouteEnv],
+) -> Vec<Vec<Moved>> {
+    let mut by_as: Vec<(u32, u32)> = clients
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c.as_id.0, i as u32))
+        .collect();
+    by_as.sort_unstable();
+    envs.iter()
+        .map(|env| {
+            let table = pw.table_for(env);
+            let mut moved: Vec<Moved> = Vec::new();
+            for &(node, _) in table.overrides() {
+                let lo = by_as.partition_point(|&(a, _)| a < node);
+                for &(_, i) in by_as[lo..].iter().take_while(|&&(a, _)| a == node) {
+                    let c = &clients[i as usize];
+                    moved.push((i, internet.policy_route(pw, &table, c, day, &[])));
+                }
+            }
+            moved.sort_unstable_by_key(|m| m.0);
+            moved
+        })
+        .collect()
 }
 
 /// A single client's slice of a [`RouteSnapshot`].
@@ -324,5 +483,55 @@ mod tests {
             assert_eq!(seq.unicast, par.unicast);
             assert_eq!(seq.windows, par.windows);
         }
+    }
+
+    #[test]
+    fn dynamics_days_are_memoized_whole() {
+        use crate::worldgen::WorldGenConfig;
+        let cfg = NetConfig {
+            worldgen: Some(WorldGenConfig {
+                n_ases: 400,
+                p_session_flap: 0.2,
+                p_egress_shift: 0.2,
+                ..WorldGenConfig::default()
+            }),
+            ..NetConfig::small()
+        };
+        let net = Internet::new(cfg, 3).unwrap();
+        let hosts: Vec<_> = net
+            .topology()
+            .eyeballs
+            .iter()
+            .filter(|e| !e.pops.is_empty())
+            .collect();
+        let cs: Vec<ClientAttachment> = (0..hosts.len() * 2)
+            .map(|i| {
+                let e = hosts[i % hosts.len()];
+                ClientAttachment {
+                    as_id: e.id,
+                    metro: e.pops[0],
+                    location: net.topology().atlas.metro(e.pops[0]).location(),
+                    access: AccessTech::sample((i as f64 * 0.21) % 1.0),
+                }
+            })
+            .collect();
+        let seq = RouteSnapshot::build(&net, &cs, Day(0));
+        // No site ever goes down here, so no segment asks the Internet,
+        // and with every hosting AS covered some flap moves some client.
+        let tl = &seq.timeline;
+        assert!(tl.starts.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(tl.starts.len(), tl.segments.len());
+        assert!(!tl.segments.contains(&Segment::SiteDown));
+        assert!(tl
+            .segments
+            .iter()
+            .any(|s| matches!(s, Segment::Dynamics(_))));
+        assert!(tl.moved.iter().any(|m| !m.is_empty()));
+        for moved in &tl.moved {
+            assert!(moved.windows(2).all(|w| w[0].0 < w[1].0));
+        }
+        let par = RouteSnapshot::build_parallel(&net, &cs, Day(0), 3);
+        assert_eq!(seq.anycast, par.anycast);
+        assert_eq!(seq.timeline, par.timeline);
     }
 }

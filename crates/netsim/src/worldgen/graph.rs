@@ -63,6 +63,30 @@ impl Csr {
         Csr { offsets, targets }
     }
 
+    /// Inverts a forest over `n` nodes given as one optional parent per
+    /// node: `neighbors(p)` are the nodes whose parent is `p`. A counting
+    /// pass, not a sort — O(n).
+    pub fn from_parents(n: usize, parent_of: impl Fn(u32) -> Option<u32>) -> Csr {
+        let mut offsets = vec![0u32; n + 1];
+        for v in 0..n as u32 {
+            if let Some(p) = parent_of(v) {
+                offsets[p as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets.clone();
+        let mut targets = vec![0u32; offsets[n] as usize];
+        for v in 0..n as u32 {
+            if let Some(p) = parent_of(v) {
+                targets[next[p as usize] as usize] = v;
+                next[p as usize] += 1;
+            }
+        }
+        Csr { offsets, targets }
+    }
+
     /// Neighbors of `v`, sorted ascending.
     pub fn neighbors(&self, v: u32) -> &[u32] {
         let lo = self.offsets[v as usize] as usize;
@@ -182,6 +206,18 @@ mod tests {
         assert_eq!(csr.neighbors(2), &[1]);
         assert_eq!(csr.neighbors(3), &[] as &[u32]);
         assert_eq!(csr.len(), 3);
+    }
+
+    #[test]
+    fn csr_from_parents_equals_the_sorted_build() {
+        let parents = [None, Some(0), Some(0), Some(2), None, Some(2), Some(5)];
+        let inverted = Csr::from_parents(parents.len(), |v| parents[v as usize]);
+        let pairs = parents
+            .iter()
+            .enumerate()
+            .filter_map(|(v, p)| p.map(|p| (p, v as u32)))
+            .collect();
+        assert_eq!(inverted, Csr::from_pairs(parents.len(), pairs));
     }
 
     #[test]

@@ -10,26 +10,40 @@
 //!
 //! One **catchment table** answers "where does every AS's traffic enter
 //! the CDN" for one announcement configuration. It is computed by a
-//! three-phase multi-source BFS over the policy graph — O(V+E) per
-//! announcement set, independent of the client count:
+//! three-phase multi-source relaxation over the policy graph:
 //!
 //! 1. customer routes climb provider edges from the CDN's transit sessions;
 //! 2. peer routes take one lateral step from customer-routed ASes (plus
 //!    the CDN's own peering sessions);
 //! 3. provider routes descend customer edges from every routed AS.
 //!
-//! The table is compact: one 8-byte [`RouteEntry`] per AS. Full AS paths
-//! are not materialized — they are shared structurally through the
-//! `next_hop` forest and reconstructed on demand by [`CatchmentTable::path`].
+//! Each phase is a lexicographic-minimum fixpoint over `(path_len,
+//! next_hop)`. Phases 1 and 3 reach it from a **worklist in path-length
+//! order**: every node being recomputed first pulls the best candidate its
+//! already-routed neighbors offer, then nodes are finalized level by level
+//! and push `path_len + 1` to the neighbors that learn from them. A node
+//! is visited once per length it ever holds, so a pass costs the nodes it
+//! recomputes plus their edges — O(V+E) from scratch, the size of the
+//! dirty subtree for an event.
 //!
-//! [`PolicyWorld`] memoizes tables by announcement-set key across days
-//! (steady and per-unicast-border tables are shared by *every* day that
-//! shares the announcement set — the cross-day extension of the PR-3
-//! `RouteSnapshot` memoization), and event tables are derived from the
-//! steady table by re-running only the dirty subtree.
+//! A from-scratch table is compact: one 8-byte [`RouteEntry`] per AS. Full
+//! AS paths are not materialized — they are shared structurally through
+//! the `next_hop` forest and reconstructed on demand by
+//! [`CatchmentTable::path`]. An **event table** (session/border flaps,
+//! egress shifts) is smaller still: it shares its steady base and holds
+//! only the entries that differ from it — a few dozen of 75 000.
+//!
+//! [`PolicyWorld`] memoizes the steady table and the per-site unicast
+//! tables for the life of the world (every day that shares the
+//! announcement set shares them — the cross-day extension of the PR-3
+//! `RouteSnapshot` memoization). Event tables are derived from the steady
+//! table by re-running only the dirty subtree; they are cheap enough that
+//! nobody caches them globally — each day's
+//! [`RouteSnapshot`](crate::RouteSnapshot) computes its own once.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use anycast_geo::{MetroId, WorldAtlas};
 use anycast_obs::counter;
@@ -39,7 +53,10 @@ use crate::sim::Day;
 use crate::topology::CdnNetwork;
 
 use super::dynamics::{DynEvent, EventWindow, RouteDynamics};
-use super::graph::{CdnRelation, PolicyGraph, NO_SESSION};
+use super::graph::{CdnRelation, Csr, PolicyGraph, NO_SESSION};
+
+#[cfg(test)]
+mod oracle;
 
 /// Route class codes, ordered by BGP local preference (lower = preferred).
 pub mod route_class {
@@ -80,6 +97,17 @@ impl RouteEntry {
         path_len: u8::MAX,
     };
 
+    /// A route of `class` over `next_hop` at `path_len`; the ingress is
+    /// resolved after the three phases.
+    fn via(next_hop: u32, class: u8, path_len: u8) -> RouteEntry {
+        RouteEntry {
+            next_hop,
+            ingress: u16::MAX,
+            class,
+            path_len,
+        }
+    }
+
     /// Whether a route exists.
     pub fn is_routed(&self) -> bool {
         self.class != route_class::NONE
@@ -88,7 +116,7 @@ impl RouteEntry {
 
 /// The routing environment a table is computed under: which announcements
 /// and sessions are live. The empty environment is the steady state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteEnv {
     /// Borders that have withdrawn the announcement (site outages and
     /// border flaps), sorted ascending.
@@ -112,10 +140,10 @@ impl RouteEnv {
             && self.only_border.is_none()
     }
 
-    /// Stable cache key: equal environments hash equal. The steady
-    /// environment is key 0; pure unicast environments set bit 63 (they
-    /// are pinned in the cache alongside steady); event environments are
-    /// odd hashes with bit 63 clear (evictable).
+    /// Stable key: equal environments hash equal. The steady environment
+    /// is key 0 and pure unicast environments set bit 63 — the two kinds
+    /// [`PolicyWorld`] memoizes; event environments are odd hashes with
+    /// bit 63 clear and are never memoized.
     pub fn key(&self) -> u64 {
         if self.is_steady() {
             return 0;
@@ -147,7 +175,7 @@ impl RouteEnv {
             eat(0xA4);
             eat(u64::from(b.0) + 1);
         }
-        (h & !(1u64 << 63)) | 1 // odd, bit 63 clear: evictable event key
+        (h & !(1u64 << 63)) | 1 // odd, bit 63 clear: an event key
     }
 
     fn session_dead(&self, s: u32) -> bool {
@@ -168,16 +196,88 @@ impl RouteEnv {
     }
 }
 
-/// One computed catchment table: the selected route per AS.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CatchmentTable {
+/// One route per AS, computed from scratch, plus what incremental
+/// recomputes against it reuse.
+#[derive(Debug)]
+struct DenseTable {
     entries: Vec<RouteEntry>,
+    /// Built by the first incremental recompute against this table.
+    subtrees: OnceLock<SubtreeIndex>,
+}
+
+/// See [`DenseTable::subtrees`].
+#[derive(Debug)]
+struct SubtreeIndex {
+    /// The routing tree, inverted: `children.neighbors(u)` = nodes whose
+    /// `next_hop` is `u`.
+    children: Csr,
+    /// A [`Subtree::slot`] array with every node clean, handed from one
+    /// recompute to the next so that marking a subtree dirty costs the
+    /// subtree, not a pass over every AS. Empty while a recompute has it;
+    /// a concurrent one allocates its own.
+    slots: Mutex<Vec<u32>>,
+}
+
+impl DenseTable {
+    fn new(entries: Vec<RouteEntry>) -> DenseTable {
+        DenseTable {
+            entries,
+            subtrees: OnceLock::new(),
+        }
+    }
+
+    fn subtrees(&self) -> &SubtreeIndex {
+        self.subtrees.get_or_init(|| SubtreeIndex {
+            children: Csr::from_parents(self.entries.len(), |v| {
+                let e = self.entries[v as usize];
+                (e.is_routed() && e.next_hop != CDN_NEXT).then_some(e.next_hop)
+            }),
+            slots: Mutex::new(Vec::new()),
+        })
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let index = self.subtrees.get().map_or(0, |i| {
+            let slots = i.slots.lock().expect("slot scratch poisoned");
+            i.children.memory_bytes() + slots.capacity() * std::mem::size_of::<u32>()
+        });
+        self.entries.len() * std::mem::size_of::<RouteEntry>() + index
+    }
+}
+
+/// One computed catchment table: the selected route per AS.
+///
+/// A from-scratch table owns one dense entry per AS. An event table
+/// shares its base's dense entries and holds only the entries that differ;
+/// every accessor answers from the differences first, then the base.
+#[derive(Debug, Clone)]
+pub struct CatchmentTable {
+    dense: Arc<DenseTable>,
+    /// `(node, entry)` where this table differs from `dense`, ascending by
+    /// node. Empty for a from-scratch table.
+    overrides: Vec<(u32, RouteEntry)>,
+}
+
+impl PartialEq for CatchmentTable {
+    /// Two tables are equal when they route every AS the same way,
+    /// whichever form they are held in.
+    fn eq(&self, other: &CatchmentTable) -> bool {
+        self.entries() == other.entries()
+    }
 }
 
 impl CatchmentTable {
+    /// The stored entry of `node`, routed or not.
+    fn raw(&self, node: u32) -> RouteEntry {
+        match self.overrides.binary_search_by_key(&node, |o| o.0) {
+            Ok(i) => self.overrides[i].1,
+            Err(_) => self.dense.entries[node as usize],
+        }
+    }
+
     /// The route entry of `node`, if routed.
     pub fn entry(&self, node: u32) -> Option<RouteEntry> {
-        let e = self.entries[node as usize];
+        let e = self.raw(node);
         e.is_routed().then_some(e)
     }
 
@@ -191,9 +291,13 @@ impl CatchmentTable {
     pub fn path(&self, node: u32) -> Vec<u32> {
         let mut out = Vec::new();
         let mut cur = node;
-        while self.entries[cur as usize].is_routed() {
+        loop {
+            let e = self.raw(cur);
+            if !e.is_routed() {
+                break;
+            }
             out.push(cur);
-            match self.entries[cur as usize].next_hop {
+            match e.next_hop {
                 CDN_NEXT => break,
                 next => cur = next,
             }
@@ -203,18 +307,229 @@ impl CatchmentTable {
 
     /// Number of routed ASes.
     pub fn routed_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_routed()).count()
+        let routed = |e: &RouteEntry| usize::from(e.is_routed());
+        let base: usize = self.dense.entries.iter().map(routed).sum();
+        let gained: usize = self.overrides.iter().map(|(_, e)| routed(e)).sum();
+        let lost: usize = self
+            .overrides
+            .iter()
+            .map(|&(v, _)| routed(&self.dense.entries[v as usize]))
+            .sum();
+        base + gained - lost
     }
 
-    /// Bytes held by the table.
+    /// Bytes this table holds: its dense entries (and the subtree index
+    /// once an incremental recompute has built it) for a from-scratch
+    /// table, only its differences for an event table — the shared base is
+    /// counted by the table that owns it.
     pub fn memory_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<RouteEntry>()
+        if self.overrides.is_empty() {
+            self.dense.memory_bytes()
+        } else {
+            std::mem::size_of_val(&self.overrides[..])
+        }
     }
 
-    /// Entry slice (tests/benches).
-    pub fn entries(&self) -> &[RouteEntry] {
-        &self.entries
+    /// One entry per AS: borrowed from a from-scratch table, materialised
+    /// for an event table (tests/benches).
+    pub fn entries(&self) -> Cow<'_, [RouteEntry]> {
+        if self.overrides.is_empty() {
+            return Cow::Borrowed(&self.dense.entries);
+        }
+        let mut all = self.dense.entries.clone();
+        for &(v, e) in &self.overrides {
+            all[v as usize] = e;
+        }
+        Cow::Owned(all)
     }
+
+    /// `(node, entry)` for every AS this event table routes differently
+    /// from the from-scratch table it was derived from, ascending by node.
+    pub fn overrides(&self) -> &[(u32, RouteEntry)] {
+        &self.overrides
+    }
+}
+
+/// The entries one relaxation works on. Every node is either *dirty* —
+/// reset to unrouted and being recomputed — or a fixed boundary condition.
+trait WorkSet {
+    fn get(&self, v: u32) -> RouteEntry;
+    /// Stores the entry of a dirty node.
+    fn set(&mut self, v: u32, e: RouteEntry);
+    fn is_dirty(&self, v: u32) -> bool;
+    fn dirty_len(&self) -> usize;
+    /// The `i`-th dirty node, `i < dirty_len()`.
+    fn dirty_node(&self, i: usize) -> u32;
+}
+
+/// From scratch: every node is dirty.
+struct WholeGraph(Vec<RouteEntry>);
+
+impl WorkSet for WholeGraph {
+    fn get(&self, v: u32) -> RouteEntry {
+        self.0[v as usize]
+    }
+    fn set(&mut self, v: u32, e: RouteEntry) {
+        self.0[v as usize] = e;
+    }
+    fn is_dirty(&self, _: u32) -> bool {
+        true
+    }
+    fn dirty_len(&self) -> usize {
+        self.0.len()
+    }
+    fn dirty_node(&self, i: usize) -> u32 {
+        i as u32
+    }
+}
+
+/// Incremental: a dirty subtree laid over a borrowed base that is never
+/// copied.
+struct Subtree<'a> {
+    base: &'a [RouteEntry],
+    /// Per node: its index into `nodes`/`vals`, or [`Subtree::CLEAN`].
+    slot: Vec<u32>,
+    nodes: Vec<u32>,
+    vals: Vec<RouteEntry>,
+}
+
+impl<'a> Subtree<'a> {
+    const CLEAN: u32 = u32::MAX;
+
+    /// Nothing dirty yet. `slot` is a previous subtree's
+    /// [`Subtree::into_clean_slots`] over the same base, or empty.
+    fn new(base: &'a [RouteEntry], mut slot: Vec<u32>) -> Subtree<'a> {
+        if slot.len() != base.len() {
+            slot = vec![Self::CLEAN; base.len()];
+        }
+        Subtree {
+            base,
+            slot,
+            nodes: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+
+    /// Marks `v` dirty (idempotent): its entry restarts unrouted.
+    fn mark(&mut self, v: u32) {
+        if self.slot[v as usize] == Self::CLEAN {
+            self.slot[v as usize] = self.nodes.len() as u32;
+            self.nodes.push(v);
+            self.vals.push(RouteEntry::NONE);
+        }
+    }
+
+    /// The slot array with every node clean again, for the next subtree.
+    fn into_clean_slots(mut self) -> Vec<u32> {
+        for &v in &self.nodes {
+            self.slot[v as usize] = Self::CLEAN;
+        }
+        self.slot
+    }
+}
+
+impl WorkSet for Subtree<'_> {
+    fn get(&self, v: u32) -> RouteEntry {
+        match self.slot[v as usize] {
+            Self::CLEAN => self.base[v as usize],
+            s => self.vals[s as usize],
+        }
+    }
+    fn set(&mut self, v: u32, e: RouteEntry) {
+        self.vals[self.slot[v as usize] as usize] = e;
+    }
+    fn is_dirty(&self, v: u32) -> bool {
+        self.slot[v as usize] != Self::CLEAN
+    }
+    fn dirty_len(&self) -> usize {
+        self.nodes.len()
+    }
+    fn dirty_node(&self, i: usize) -> u32 {
+        self.nodes[i]
+    }
+}
+
+/// Nodes queued by path length, drained shortest first. AS paths are a
+/// handful of hops, so this is a few small vectors.
+#[derive(Default)]
+struct Levels {
+    by_len: Vec<Vec<u32>>,
+}
+
+impl Levels {
+    fn push(&mut self, path_len: u8, v: u32) {
+        let l = usize::from(path_len);
+        if self.by_len.len() <= l {
+            self.by_len.resize_with(l + 1, Vec::new);
+        }
+        self.by_len[l].push(v);
+    }
+
+    /// Calls `visit(path_len, node, self)` for every queued node in
+    /// ascending length order, including nodes `visit` queues at longer
+    /// lengths on the way. Leaves the queue empty.
+    fn drain(&mut self, mut visit: impl FnMut(u8, u32, &mut Levels)) {
+        let mut l = 0;
+        while l < self.by_len.len() {
+            for v in std::mem::take(&mut self.by_len[l]) {
+                visit(l as u8, v, self);
+            }
+            l += 1;
+        }
+        self.by_len.clear();
+    }
+}
+
+/// The best route of `class` a node can learn from `upstream`, the
+/// neighbors that export to it: lowest `(path_len, next_hop)` among those
+/// whose current route satisfies `exports`.
+fn best_via(
+    w: &impl WorkSet,
+    upstream: &[u32],
+    class: u8,
+    exports: impl Fn(&RouteEntry) -> bool,
+) -> RouteEntry {
+    let mut best = RouteEntry::NONE;
+    for &u in upstream {
+        let ue = w.get(u);
+        if !exports(&ue) {
+            continue;
+        }
+        let cand_len = ue.path_len.saturating_add(1);
+        if !best.is_routed() || (cand_len, u) < (best.path_len, best.next_hop) {
+            best = RouteEntry::via(u, class, cand_len);
+        }
+    }
+    best
+}
+
+/// Finalizes the queued nodes of one route `class` in path-length order,
+/// pushing `path_len + 1` over `learners` (the neighbors that learn this
+/// class from a node) into dirty nodes that hold no route yet or a worse
+/// one of the same class. A node whose length improved after it was
+/// queued is skipped at its stale length — it was queued again at the
+/// better one.
+fn relax(w: &mut impl WorkSet, levels: &mut Levels, class: u8, learners: &Csr) {
+    levels.drain(|len, v, levels| {
+        if w.get(v).path_len != len {
+            return;
+        }
+        let cand_len = len.saturating_add(1);
+        for &u in learners.neighbors(v) {
+            if !w.is_dirty(u) {
+                continue;
+            }
+            let ue = w.get(u);
+            let better = !ue.is_routed()
+                || (ue.class == class && (cand_len, v) < (ue.path_len, ue.next_hop));
+            if better {
+                w.set(u, RouteEntry::via(v, class, cand_len));
+                if ue.path_len != cand_len {
+                    levels.push(cand_len, u);
+                }
+            }
+        }
+    });
 }
 
 /// The policy-routed world: graph + dynamics + memoized catchment tables.
@@ -230,14 +545,14 @@ pub struct PolicyWorld {
     /// km from every metro to every border: `metro_major[m * n_borders + b]`.
     metro_border_km: Vec<f64>,
     n_borders: usize,
-    tables: Mutex<HashMap<u64, Arc<CatchmentTable>>>,
+    /// The steady table and the unicast tables, by [`RouteEnv::key`]. Each
+    /// cell is filled by exactly one caller; concurrent callers of the
+    /// same key wait for it rather than compute it again.
+    tables: Mutex<HashMap<u64, TableCell>>,
     day_events: Mutex<HashMap<u32, Arc<Vec<EventWindow>>>>,
 }
 
-/// Cap on memoized tables; beyond it, event tables are evicted (steady and
-/// unicast tables are always retained). Purely a memory bound — eviction
-/// can never change an output.
-const TABLE_CACHE_CAP: usize = 192;
+type TableCell = Arc<OnceLock<Arc<CatchmentTable>>>;
 
 impl PolicyWorld {
     /// Builds the world: precomputes the metro↔border distance matrix.
@@ -327,6 +642,15 @@ impl PolicyWorld {
             .any(|&b| env.border_live(b))
     }
 
+    /// Whether `v` holds a live CDN session of `relation` under `env`: it
+    /// learns the prefix from the CDN itself, at path length 1.
+    fn learns_directly(&self, v: u32, relation: CdnRelation, env: &RouteEnv) -> bool {
+        let s = self.graph.session_of[v as usize];
+        s != NO_SESSION
+            && self.graph.sessions[s as usize].relation == relation
+            && self.session_live(s, env)
+    }
+
     /// The steady anycast catchment table (announcement set = every
     /// border, all sessions up). Computed once, shared by every day —
     /// the cache-hit counter proves the cross-day reuse.
@@ -338,281 +662,216 @@ impl PolicyWorld {
     /// `border` (§3.1: only the routers closest to the front-end announce
     /// it). Shared by every day.
     pub fn unicast_table(&self, border: BorderId) -> Arc<CatchmentTable> {
-        self.table_for(&RouteEnv {
-            only_border: Some(border),
-            ..RouteEnv::default()
-        })
+        self.table_for(&Self::unicast_env(border))
     }
 
-    /// The table for an arbitrary environment, memoized by
-    /// [`RouteEnv::key`]. Event environments are computed incrementally
-    /// from the steady table (dirty subtree only).
+    fn unicast_env(border: BorderId) -> RouteEnv {
+        RouteEnv {
+            only_border: Some(border),
+            ..RouteEnv::default()
+        }
+    }
+
+    /// The table for an arbitrary environment. The steady and the pure
+    /// unicast environments are computed from scratch exactly once and
+    /// memoized for the life of the world. Any other environment is an
+    /// event perturbation: recomputed incrementally from the steady table
+    /// (dirty subtree only) on every call and never memoized — a caller
+    /// that asks more than once per environment keeps the `Arc`, as each
+    /// day's [`RouteSnapshot`](crate::RouteSnapshot) does.
     pub fn table_for(&self, env: &RouteEnv) -> Arc<CatchmentTable> {
         let key = env.key();
+        let memoized = key == 0 || key >> 63 == 1;
+        if !memoized {
+            counter!("netsim_catchment_cache_misses_total").inc();
+            counter!("netsim_catchment_incremental_recomputes_total").inc();
+            return Arc::new(self.recompute_incremental(&self.steady_table(), env));
+        }
+        let cell = {
+            let mut tables = self.tables.lock().expect("table cache poisoned");
+            Arc::clone(tables.entry(key).or_default())
+        };
+        // Filled outside the map lock, so distinct tables compute in
+        // parallel while a second caller of this one waits for the first.
+        let mut computed = false;
+        let table = cell.get_or_init(|| {
+            computed = true;
+            Arc::new(self.compute_scratch(env))
+        });
+        if computed {
+            counter!("netsim_catchment_cache_misses_total").inc();
+        } else {
+            counter!("netsim_catchment_cache_hits_total").inc();
+        }
+        Arc::clone(table)
+    }
+
+    /// Computes the steady table and the unicast tables of `borders` that
+    /// are not memoized yet, split across up to `workers` threads, each
+    /// table by one thread. Tables already held cost a map probe.
+    pub fn warm_tables(&self, borders: &[BorderId], workers: usize) {
+        let mut missing: Vec<RouteEnv> = std::iter::once(RouteEnv::default())
+            .chain(borders.iter().map(|&b| Self::unicast_env(b)))
+            .collect();
         {
             let tables = self.tables.lock().expect("table cache poisoned");
-            if let Some(t) = tables.get(&key) {
-                counter!("netsim_catchment_cache_hits_total").inc();
-                return Arc::clone(t);
+            missing.retain(|env| tables.get(&env.key()).is_none_or(|c| c.get().is_none()));
+        }
+        missing.sort_by_key(RouteEnv::key);
+        missing.dedup();
+        if missing.is_empty() {
+            return;
+        }
+        let per_worker = missing.len().div_ceil(workers.max(1));
+        std::thread::scope(|scope| {
+            for part in missing.chunks(per_worker) {
+                scope.spawn(move || {
+                    for env in part {
+                        self.table_for(env);
+                    }
+                });
             }
-        }
-        counter!("netsim_catchment_cache_misses_total").inc();
-        // Compute outside the lock: scratch for steady/unicast bases,
-        // dirty-subtree incremental for event perturbations of steady.
-        let table = if env.is_steady() || env.only_border.is_some() {
-            Arc::new(self.compute_scratch(env))
-        } else {
-            let base = self.steady_table();
-            counter!("netsim_catchment_incremental_recomputes_total").inc();
-            Arc::new(self.recompute_incremental(&base, env))
-        };
-        let mut tables = self.tables.lock().expect("table cache poisoned");
-        if tables.len() >= TABLE_CACHE_CAP {
-            // Drop event tables; steady (0) and unicast (bit 63) stay.
-            tables.retain(|k, _| *k == 0 || k >> 63 == 1);
-        }
-        let entry = tables.entry(key).or_insert_with(|| Arc::clone(&table));
-        Arc::clone(entry)
+        });
     }
 
     /// Computes a table from scratch: the three valley-free phases over
     /// the whole graph.
     pub fn compute_scratch(&self, env: &RouteEnv) -> CatchmentTable {
-        let n = self.graph.n as usize;
-        let mut entries = vec![RouteEntry::NONE; n];
-        let dirty = vec![true; n];
-        self.run_phases(&mut entries, &dirty, env);
-        CatchmentTable { entries }
+        let mut w = WholeGraph(vec![RouteEntry::NONE; self.graph.n as usize]);
+        self.run_phases(&mut w, env);
+        CatchmentTable {
+            dense: Arc::new(DenseTable::new(w.0)),
+            overrides: Vec::new(),
+        }
     }
 
     /// Recomputes only the subtree invalidated by `env` relative to the
-    /// steady `base` table. Every node whose steady route crosses an
-    /// affected session/border (plus the affected session owners
-    /// themselves) is re-relaxed; everyone else keeps their entry, which
-    /// remains optimal because withdrawing announcements only removes
-    /// candidates.
+    /// from-scratch `base` table (the steady table, for every caller in
+    /// the workspace). Every node whose base route crosses an affected
+    /// session/border (plus the affected session owners themselves) is
+    /// re-relaxed; everyone else keeps their entry, which remains optimal
+    /// because withdrawing announcements only removes candidates. The
+    /// result shares `base`'s entries and holds the differences.
+    ///
+    /// # Panics
+    /// If `base` is itself an event table.
     pub fn recompute_incremental(&self, base: &CatchmentTable, env: &RouteEnv) -> CatchmentTable {
-        let n = self.graph.n as usize;
+        assert!(
+            base.overrides.is_empty(),
+            "the base of an incremental recompute must be a from-scratch table"
+        );
+        let sessions = &self.graph.sessions;
+        let index = base.dense.subtrees();
+        let slots = std::mem::take(&mut *index.slots.lock().expect("slot scratch poisoned"));
+        let mut w = Subtree::new(&base.dense.entries, slots);
         // Directly affected: owners of dead/withdrawn/shifted sessions.
-        let mut dirty = vec![false; n];
-        let mut queue: Vec<u32> = Vec::new();
-        for (s, sess) in self.graph.sessions.iter().enumerate() {
-            let s = s as u32;
-            let affected = env.session_dead(s)
-                || env.session_shifted(s)
-                || sess.borders.iter().any(|&b| !env.border_live(b));
-            if affected && !dirty[sess.node as usize] {
-                dirty[sess.node as usize] = true;
-                queue.push(sess.node);
+        if env.withdrawn.is_empty() && env.only_border.is_none() {
+            // Every border is live, so the environment's own lists name
+            // the affected sessions.
+            for &s in env.dead_sessions.iter().chain(&env.shifted) {
+                w.mark(sessions[s as usize].node);
+            }
+        } else {
+            for (s, sess) in sessions.iter().enumerate() {
+                let s = s as u32;
+                if env.session_dead(s)
+                    || env.session_shifted(s)
+                    || sess.borders.iter().any(|&b| !env.border_live(b))
+                {
+                    w.mark(sess.node);
+                }
             }
         }
         // Close over routing-tree descendants: children via base next_hop.
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (v, e) in base.entries.iter().enumerate() {
-            if e.is_routed() && e.next_hop != CDN_NEXT {
-                children[e.next_hop as usize].push(v as u32);
-            }
-        }
         let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
+        while head < w.nodes.len() {
+            for &c in index.children.neighbors(w.nodes[head]) {
+                w.mark(c);
+            }
             head += 1;
-            for &c in &children[u as usize] {
-                if !dirty[c as usize] {
-                    dirty[c as usize] = true;
-                    queue.push(c);
-                }
-            }
         }
-        let mut entries = base.entries.clone();
-        for (v, d) in dirty.iter().enumerate() {
-            if *d {
-                entries[v] = RouteEntry::NONE;
-            }
+        self.run_phases(&mut w, env);
+        let mut overrides: Vec<(u32, RouteEntry)> = w
+            .nodes
+            .iter()
+            .zip(&w.vals)
+            .filter(|&(&v, e)| base.dense.entries[v as usize] != *e)
+            .map(|(&v, &e)| (v, e))
+            .collect();
+        overrides.sort_unstable_by_key(|o| o.0);
+        *index.slots.lock().expect("slot scratch poisoned") = w.into_clean_slots();
+        CatchmentTable {
+            dense: Arc::clone(&base.dense),
+            overrides,
         }
-        self.run_phases(&mut entries, &dirty, env);
-        CatchmentTable { entries }
     }
 
-    /// The three-phase valley-free relaxation, restricted to `dirty`
-    /// nodes; clean nodes act as fixed boundary conditions. Each phase is
-    /// a lexicographic-minimum fixpoint over `(path_len, next_hop)`, which
-    /// on the provider DAG equals the level-synchronous BFS result — and
-    /// running scratch and incremental through this one routine keeps them
-    /// exactly equivalent.
-    fn run_phases(&self, entries: &mut [RouteEntry], dirty: &[bool], env: &RouteEnv) {
+    /// The three-phase valley-free relaxation over the dirty nodes of
+    /// `w`, which all start unrouted; clean nodes act as fixed boundary
+    /// conditions. Each phase's fixpoint is unique (the provider graph is
+    /// a DAG and every route is the lexicographic minimum its neighbors
+    /// offer), so reaching it from a worklist gives exactly the entries a
+    /// sweep-until-stable would — and running scratch and incremental
+    /// through this one routine keeps them exactly equivalent.
+    fn run_phases(&self, w: &mut impl WorkSet, env: &RouteEnv) {
+        use route_class::{CUSTOMER, PEER, PROVIDER};
         let g = &self.graph;
-        let n = g.n as usize;
+        let mut levels = Levels::default();
 
         // Phase 1 — customer routes (learned from a customer, traffic
         // flows strictly downhill). Seeds: live transit sessions, where
-        // the CDN itself is the customer.
-        for v in 0..n {
-            if !dirty[v] {
-                continue;
-            }
-            let s = g.session_of[v];
-            if s != NO_SESSION
-                && g.sessions[s as usize].relation == CdnRelation::Transit
-                && self.session_live(s, env)
-            {
-                entries[v] = RouteEntry {
-                    next_hop: CDN_NEXT,
-                    ingress: u16::MAX, // resolved in the ingress pass
-                    class: route_class::CUSTOMER,
-                    path_len: 1,
-                };
+        // the CDN itself is the customer, and dirty nodes with a clean
+        // customer-routed customer. Relaxed up provider edges.
+        for i in 0..w.dirty_len() {
+            let v = w.dirty_node(i);
+            let e = if self.learns_directly(v, CdnRelation::Transit, env) {
+                RouteEntry::via(CDN_NEXT, CUSTOMER, 1)
+            } else {
+                best_via(w, g.customers.neighbors(v), CUSTOMER, |c| {
+                    c.class == CUSTOMER
+                })
+            };
+            if e.is_routed() {
+                w.set(v, e);
+                levels.push(e.path_len, v);
             }
         }
-        // Relax customer routes up provider edges to fixpoint.
-        loop {
-            let mut changed = false;
-            for v in 0..n {
-                if !dirty[v] {
-                    continue;
-                }
-                let mut best = entries[v];
-                for &c in g.customers.neighbors(v as u32) {
-                    let ce = entries[c as usize];
-                    if ce.class != route_class::CUSTOMER {
-                        continue;
-                    }
-                    let cand_len = ce.path_len.saturating_add(1);
-                    let better = best.class != route_class::CUSTOMER
-                        || (cand_len, c) < (best.path_len, best.next_hop);
-                    // Own transit session (len 1) always wins; never
-                    // displace it.
-                    if better && !(best.class == route_class::CUSTOMER && best.next_hop == CDN_NEXT)
-                    {
-                        best = RouteEntry {
-                            next_hop: c,
-                            ingress: u16::MAX,
-                            class: route_class::CUSTOMER,
-                            path_len: cand_len,
-                        };
-                    }
-                }
-                if best != entries[v] {
-                    entries[v] = best;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        relax(w, &mut levels, CUSTOMER, &g.providers);
 
         // Phase 2 — peer routes: one lateral step. Candidates: the node's
-        // own peering session, or a peer holding a customer route. Single
-        // pass (peer routes are never re-exported to peers).
-        for v in 0..n {
-            if !dirty[v] || entries[v].class == route_class::CUSTOMER {
+        // own peering session (length 1, so it always wins), or a peer
+        // holding a customer route. Single pass (peer routes are never
+        // re-exported to peers).
+        for i in 0..w.dirty_len() {
+            let v = w.dirty_node(i);
+            if w.get(v).class == CUSTOMER {
                 continue;
             }
-            let mut best = RouteEntry::NONE;
-            let s = g.session_of[v];
-            if s != NO_SESSION
-                && g.sessions[s as usize].relation == CdnRelation::Peer
-                && self.session_live(s, env)
-            {
-                best = RouteEntry {
-                    next_hop: CDN_NEXT,
-                    ingress: u16::MAX,
-                    class: route_class::PEER,
-                    path_len: 1,
-                };
-            }
-            for &w in g.peers.neighbors(v as u32) {
-                let we = entries[w as usize];
-                if we.class != route_class::CUSTOMER {
-                    continue;
-                }
-                let cand_len = we.path_len.saturating_add(1);
-                if best.class != route_class::PEER || (cand_len, w) < (best.path_len, best.next_hop)
-                {
-                    best = RouteEntry {
-                        next_hop: w,
-                        ingress: u16::MAX,
-                        class: route_class::PEER,
-                        path_len: cand_len,
-                    };
-                }
-            }
-            if best.is_routed() {
-                entries[v] = best;
+            let e = if self.learns_directly(v, CdnRelation::Peer, env) {
+                RouteEntry::via(CDN_NEXT, PEER, 1)
+            } else {
+                best_via(w, g.peers.neighbors(v), PEER, |p| p.class == CUSTOMER)
+            };
+            if e.is_routed() {
+                w.set(v, e);
             }
         }
 
         // Phase 3 — provider routes: any routed provider exports to its
-        // customers; relax down customer edges to fixpoint. Only fills
-        // nodes with no customer/peer route (lowest preference).
-        loop {
-            let mut changed = false;
-            for v in 0..n {
-                if !dirty[v] || entries[v].class != route_class::NONE {
-                    continue;
-                }
-                let mut best = RouteEntry::NONE;
-                for &p in g.providers.neighbors(v as u32) {
-                    let pe = entries[p as usize];
-                    if !pe.is_routed() {
-                        continue;
-                    }
-                    let cand_len = pe.path_len.saturating_add(1);
-                    if best.class != route_class::PROVIDER
-                        || (cand_len, p) < (best.path_len, best.next_hop)
-                    {
-                        best = RouteEntry {
-                            next_hop: p,
-                            ingress: u16::MAX,
-                            class: route_class::PROVIDER,
-                            path_len: cand_len,
-                        };
-                    }
-                }
-                if best.is_routed() {
-                    entries[v] = best;
-                    changed = true;
-                }
+        // customers. Only fills nodes with no customer/peer route (lowest
+        // preference); relaxed down customer edges.
+        for i in 0..w.dirty_len() {
+            let v = w.dirty_node(i);
+            if w.get(v).is_routed() {
+                continue;
             }
-            if !changed {
-                break;
+            let e = best_via(w, g.providers.neighbors(v), PROVIDER, RouteEntry::is_routed);
+            if e.is_routed() {
+                w.set(v, e);
+                levels.push(e.path_len, v);
             }
         }
-        // Provider-route lengths can shorten as the fixpoint spreads;
-        // re-relax until stable (the loop above already iterates, but a
-        // filled node is skipped — run an improvement sweep).
-        loop {
-            let mut changed = false;
-            for v in 0..n {
-                if !dirty[v] || entries[v].class != route_class::PROVIDER {
-                    continue;
-                }
-                let mut best = entries[v];
-                for &p in g.providers.neighbors(v as u32) {
-                    let pe = entries[p as usize];
-                    if !pe.is_routed() {
-                        continue;
-                    }
-                    let cand_len = pe.path_len.saturating_add(1);
-                    if (cand_len, p) < (best.path_len, best.next_hop) {
-                        best = RouteEntry {
-                            next_hop: p,
-                            ingress: u16::MAX,
-                            class: route_class::PROVIDER,
-                            path_len: cand_len,
-                        };
-                    }
-                }
-                if best != entries[v] {
-                    entries[v] = best;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        relax(w, &mut levels, PROVIDER, &g.customers);
 
         // Ingress resolution, ascending path length (a parent's length is
         // always exactly one less than its children's, so parents resolve
@@ -621,19 +880,21 @@ impl PolicyWorld {
         // metro for its direct children (traffic from different customers
         // enters the adjacent AS at different points), inherited further
         // down.
-        let mut order: Vec<u32> = (0..g.n).filter(|&v| dirty[v as usize]).collect();
-        order.sort_by_key(|&v| (entries[v as usize].path_len, v));
-        for v in order {
-            let e = entries[v as usize];
-            if !e.is_routed() {
-                continue;
+        for i in 0..w.dirty_len() {
+            let v = w.dirty_node(i);
+            let e = w.get(v);
+            if e.is_routed() {
+                levels.push(e.path_len, v);
             }
+        }
+        levels.drain(|_, v, _| {
+            let e = w.get(v);
             let ingress = match e.next_hop {
                 CDN_NEXT => {
                     self.session_ingress(g.session_of[v as usize], g.home_metro[v as usize], env)
                 }
                 next => {
-                    let ne = entries[next as usize];
+                    let ne = w.get(next);
                     if ne.next_hop == CDN_NEXT {
                         self.session_ingress(
                             g.session_of[next as usize],
@@ -645,11 +906,14 @@ impl PolicyWorld {
                     }
                 }
             };
-            match ingress {
-                Some(b) => entries[v as usize].ingress = b.0,
-                None => entries[v as usize] = RouteEntry::NONE,
-            }
-        }
+            w.set(
+                v,
+                match ingress {
+                    Some(b) => RouteEntry { ingress: b.0, ..e },
+                    None => RouteEntry::NONE,
+                },
+            );
+        });
     }
 
     /// All event windows scheduled on `day`, memoized.
@@ -693,30 +957,27 @@ impl PolicyWorld {
         env
     }
 
-    /// Time windows on `day` during which the anycast catchment may differ
-    /// from steady state (the snapshot fast-path guard).
-    pub fn disturbance_windows(&self, day: Day) -> Vec<(f64, f64)> {
-        self.events_on(day)
-            .iter()
-            .map(|w| (w.start_s, w.end_s))
-            .collect()
-    }
-
     /// Whether any dynamics are configured.
     pub fn dynamics_enabled(&self) -> bool {
         self.dynamics.enabled()
     }
 
-    /// Bytes held by graph + distance matrix + all memoized tables.
+    /// Bytes held by graph + distance matrix + all memoized tables (and
+    /// the steady table's subtree index once an event has built it).
     pub fn memory_bytes(&self) -> usize {
         let tables = self.tables.lock().expect("table cache poisoned");
         self.graph.memory_bytes()
             + self.metro_border_km.len() * 8
-            + tables.values().map(|t| t.memory_bytes()).sum::<usize>()
+            + tables
+                .values()
+                .filter_map(|cell| cell.get())
+                .map(|t| t.memory_bytes())
+                .sum::<usize>()
     }
 
     /// Number of memoized tables (tests/benches).
     pub fn cached_tables(&self) -> usize {
-        self.tables.lock().expect("table cache poisoned").len()
+        let tables = self.tables.lock().expect("table cache poisoned");
+        tables.values().filter(|cell| cell.get().is_some()).count()
     }
 }

@@ -10,6 +10,9 @@ use anycast_netsim::{
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
+mod common;
+use common::{clients_sharing_ases, flappy_world, policy_client, probe_times};
+
 fn world(seed: u64) -> Internet {
     Internet::new(NetConfig::small(), seed).unwrap()
 }
@@ -20,30 +23,6 @@ fn policy_world(n_ases: usize, seed: u64) -> Internet {
         ..NetConfig::small()
     };
     Internet::new(cfg, seed).unwrap()
-}
-
-/// A client attached to some enterprise AS of a policy world (transit-class
-/// nodes host no clients).
-fn policy_client(net: &Internet, idx: usize) -> ClientAttachment {
-    let hosts: Vec<&anycast_netsim::EyeballAs> = net
-        .topology()
-        .eyeballs
-        .iter()
-        .filter(|e| !e.pops.is_empty())
-        .collect();
-    let e = hosts[idx % hosts.len()];
-    let metro = e.pops[idx % e.pops.len()];
-    ClientAttachment {
-        as_id: e.id,
-        metro,
-        location: net
-            .topology()
-            .atlas
-            .metro(metro)
-            .location()
-            .destination((idx as f64 * 41.0) % 360.0, 20.0),
-        access: AccessTech::sample((idx as f64 * 0.173) % 1.0),
-    }
 }
 
 /// Verifies every selected route obeys the Gao-Rexford export rules, edge
@@ -425,41 +404,6 @@ proptest! {
     }
 
     #[test]
-    fn policy_route_memo_is_transparent(
-        seed in 0u64..5,
-        idx in 0usize..40,
-        day in 0u32..6,
-        slot in 0u32..48,
-    ) {
-        // RouteSnapshot must stay a pure cache in worldgen worlds, where
-        // mid-day route dynamics (not just outages) can move catchments.
-        let cfg = NetConfig {
-            worldgen: Some(WorldGenConfig {
-                n_ases: 600,
-                p_session_flap: 0.25,
-                p_border_flap: 0.1,
-                p_egress_shift: 0.3,
-                ..WorldGenConfig::default()
-            }),
-            p_site_outage: 0.2,
-            p_site_drain: 0.1,
-            ..NetConfig::small()
-        };
-        let net = Internet::new(cfg, seed).unwrap();
-        let c = policy_client(&net, idx);
-        let snap = RouteSnapshot::build(&net, &[c], Day(day));
-        let t = f64::from(slot) * 1_800.0 + 900.0;
-        let memo = snap.anycast_at(&net, 0, t).map(|d| d.into_owned());
-        let direct = net.anycast_route_at(&c, Day(day), t);
-        prop_assert_eq!(memo, direct, "anycast memo diverges at t={}", t);
-        for site in net.topology().cdn.site_ids() {
-            let memo = snap.unicast_at(0, site, t).cloned();
-            let direct = net.unicast_route_at(&c, site, Day(day), t);
-            prop_assert_eq!(memo, direct, "unicast memo diverges at site {:?}", site);
-        }
-    }
-
-    #[test]
     fn route_memo_is_transparent(
         seed in 0u64..6,
         idx in 0usize..60,
@@ -486,6 +430,40 @@ proptest! {
             let memo = snap.unicast_at(0, site, t).cloned();
             let direct = net.unicast_route_at(&c, site, Day(day), t);
             prop_assert_eq!(memo, direct, "unicast memo diverges at site {:?}", site);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn policy_route_memo_is_transparent(
+        seed in 0u64..5,
+        first in 0usize..40,
+        day in 0u32..6,
+    ) {
+        // RouteSnapshot must stay a pure cache in worldgen worlds, where
+        // mid-day route dynamics (not just outages) can move catchments:
+        // probed where the answer can change — at every window edge and
+        // the instants either side of it — for clients that share ASes,
+        // so one moved AS is several memoized rows.
+        let net = flappy_world(seed);
+        let clients = clients_sharing_ases(&net, first, 4);
+        let snap = RouteSnapshot::build(&net, &clients, Day(day));
+        let times = probe_times(&net, Day(day));
+        prop_assert!(times.len() > 48, "no window fired on day {}", day);
+        for &t in &times {
+            for (i, c) in clients.iter().enumerate() {
+                let memo = snap.anycast_at(&net, i, t).map(|d| d.into_owned());
+                let direct = net.anycast_route_at(c, Day(day), t);
+                prop_assert_eq!(memo, direct, "anycast memo diverges for client {} at t={}", i, t);
+            }
+            for site in net.topology().cdn.site_ids() {
+                let memo = snap.unicast_at(0, site, t).cloned();
+                let direct = net.unicast_route_at(&clients[0], site, Day(day), t);
+                prop_assert_eq!(memo, direct, "unicast memo diverges at site {:?} t={}", site, t);
+            }
         }
     }
 }
