@@ -7,7 +7,6 @@
 //! threshold *t* if its best unicast front-end beats anycast by more than
 //! *t* milliseconds.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// The figure's improvement thresholds in ms: any (>0), >10, >25, >50, >100.
@@ -87,11 +86,6 @@ pub fn mean_fraction(days: &[DailyPrevalence], threshold_idx: usize) -> f64 {
         return 0.0;
     }
     days.iter().map(|d| d.fraction(threshold_idx)).sum::<f64>() / days.len() as f64
-}
-
-/// Per-key improvement map for one day (used by prediction evaluation).
-pub fn improvement_by_key<K: Copy + Eq + Hash>(perf: &[PrefixDayPerf<K>]) -> HashMap<K, f64> {
-    perf.iter().map(|p| (p.key, p.improvement_ms())).collect()
 }
 
 #[cfg(test)]

@@ -437,7 +437,6 @@ pub fn replay_wire(
     )));
     let mut serve_cfg = ServeConfig::new(addressing.anycast_ip());
     serve_cfg.workers = workers;
-    serve_cfg.day = cfg.day;
     let server = DnsServer::spawn_tables(serve_cfg, store.clone(), ldns_directory(scenario))
         .expect("server spawns");
 

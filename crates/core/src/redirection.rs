@@ -98,12 +98,6 @@ impl PredictionPolicy {
         }
     }
 
-    /// Swaps in a freshly trained table (the daily prediction-interval
-    /// update).
-    pub fn update_table(&mut self, table: PredictionTable) {
-        self.table = table;
-    }
-
     /// The currently installed table.
     pub fn table(&self) -> &PredictionTable {
         &self.table

@@ -50,14 +50,6 @@ where
     }
 }
 
-/// A shared policy is a policy — this is what lets a hot-reloadable table
-/// store be installed once and swapped underneath a running server.
-impl<P: RedirectionPolicy + ?Sized> RedirectionPolicy for std::sync::Arc<P> {
-    fn answer(&self, query: &QueryContext<'_>) -> DnsAnswer {
-        (**self).answer(query)
-    }
-}
-
 /// The authoritative server: policy + ECS switch + query log.
 #[derive(Debug)]
 pub struct AuthoritativeServer<P> {
@@ -132,11 +124,6 @@ impl<P: RedirectionPolicy> AuthoritativeServer<P> {
     /// days).
     pub fn policy(&self) -> &P {
         &self.policy
-    }
-
-    /// Mutable access to the policy.
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
     }
 }
 

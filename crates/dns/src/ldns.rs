@@ -152,11 +152,6 @@ impl Ldns {
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
     }
-
-    /// Clears the cache (day-boundary housekeeping in long runs).
-    pub fn flush_cache(&mut self) {
-        self.cache.clear();
-    }
 }
 
 #[cfg(test)]

@@ -341,11 +341,6 @@ impl WorldAtlas {
             .map(|(i, m)| (MetroId(i as u32), m))
     }
 
-    /// Total population across all metros, in thousands.
-    pub fn total_population_k(&self) -> u64 {
-        self.total_pop
-    }
-
     /// Samples a metro proportionally to population using the provided
     /// uniform draw `u ∈ [0, 1)`. Deterministic given `u`; callers supply
     /// randomness explicitly.

@@ -143,11 +143,6 @@ impl Internet {
         &self.churn
     }
 
-    /// The latency model (exposed for ablations).
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     /// The failure schedule (exposed for availability analyses).
     pub fn outages(&self) -> &OutageModel {
         &self.outages

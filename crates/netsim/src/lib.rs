@@ -53,7 +53,6 @@ pub mod sim;
 pub mod snapshot;
 pub mod stream;
 pub mod topology;
-pub mod trace;
 pub mod worldgen;
 
 pub use addressing::CdnAddressing;
@@ -65,9 +64,8 @@ pub use latency::AccessTech;
 pub use outage::{OutageKind, OutageModel, OutageWindow};
 pub use path::{Hop, HopKind, RoutePath};
 pub use prefix::{Prefix, Prefix24, PrefixAllocator};
-pub use sim::{Day, Timeline};
+pub use sim::Day;
 pub use snapshot::{ClientRoutes, RouteSnapshot};
 pub use stream::stream_rng;
 pub use topology::{CdnNetwork, EyeballAs, Topology, TransitAs};
-pub use trace::{Probe, ProbeFleet, Traceroute};
 pub use worldgen::{AsClass, CatchmentTable, PolicyGraph, PolicyWorld, WorldGenConfig};

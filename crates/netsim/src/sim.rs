@@ -1,13 +1,8 @@
-//! Simulation time and the event timeline.
+//! Simulation time.
 //!
 //! The study spans calendar time: Figure 5 is a month of daily analyses,
 //! Figure 7 a week keyed by weekday. [`Day`] is the simulation's coarse
-//! clock. Within a day, measurement arrivals are scheduled on a [`Timeline`]
-//! — a deterministic discrete-event queue in the smoltcp/event-driven idiom:
-//! no wall clock, no global state, strict (time, sequence) ordering.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! clock.
 
 /// Day of the week.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,9 +69,6 @@ impl std::fmt::Display for Weekday {
 pub struct Day(pub u32);
 
 impl Day {
-    /// Weekday of day 0.
-    pub const EPOCH_WEEKDAY: Weekday = Weekday::Wed;
-
     /// The weekday this day falls on.
     pub fn weekday(&self) -> Weekday {
         // Wednesday has index 2 in ALL.
@@ -99,90 +91,6 @@ impl Day {
 impl std::fmt::Display for Day {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "day{}({})", self.0, self.weekday())
-    }
-}
-
-/// A deterministic discrete-event queue.
-///
-/// Events are ordered by time (seconds within the day, f64), with insertion
-/// order breaking ties so identical-time events pop in push order. Times
-/// must be finite; pushing a NaN time is a programming error and panics.
-#[derive(Debug)]
-pub struct Timeline<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: f64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest time pops first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Default for Timeline<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Timeline<E> {
-    /// Creates an empty timeline.
-    pub fn new() -> Self {
-        Timeline {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` at `time` (seconds). Panics on non-finite time.
-    pub fn push(&mut self, time: f64, event: E) {
-        assert!(time.is_finite(), "event time must be finite, got {time}");
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    /// Pops the earliest event, or `None` when drained.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -212,45 +120,5 @@ mod tests {
     fn week_has_two_weekend_days() {
         let weekends = Day(0).span(7).filter(|d| d.weekday().is_weekend()).count();
         assert_eq!(weekends, 2);
-    }
-
-    #[test]
-    fn timeline_orders_by_time() {
-        let mut tl = Timeline::new();
-        tl.push(3.0, "c");
-        tl.push(1.0, "a");
-        tl.push(2.0, "b");
-        let order: Vec<&str> = std::iter::from_fn(|| tl.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn timeline_ties_pop_in_push_order() {
-        let mut tl = Timeline::new();
-        for i in 0..10 {
-            tl.push(5.0, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| tl.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn timeline_peek_and_len() {
-        let mut tl = Timeline::new();
-        assert!(tl.is_empty());
-        assert_eq!(tl.peek_time(), None);
-        tl.push(2.0, ());
-        tl.push(1.0, ());
-        assert_eq!(tl.len(), 2);
-        assert_eq!(tl.peek_time(), Some(1.0));
-        tl.pop();
-        assert_eq!(tl.peek_time(), Some(2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn timeline_rejects_nan_time() {
-        let mut tl = Timeline::new();
-        tl.push(f64::NAN, ());
     }
 }

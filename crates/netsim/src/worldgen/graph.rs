@@ -172,12 +172,6 @@ impl PolicyGraph {
         }
     }
 
-    /// Total directed provider/customer edge count plus peer edge count
-    /// (each undirected relationship counted once).
-    pub fn edge_count(&self) -> usize {
-        self.providers.len() + self.peers.len() / 2
-    }
-
     /// Bytes used by the adjacency + attribute arrays.
     pub fn memory_bytes(&self) -> usize {
         self.providers.memory_bytes()

@@ -213,12 +213,12 @@ struct SeriesState {
 
 /// Multiplexes detectors over named series: EWMA+CUSUM on counter deltas,
 /// plain CUSUM on externally computed residuals (e.g. measured minus
-/// projected per-site share), burn rate on histogram deltas.
+/// projected per-site share). Burn rate over histogram deltas is the
+/// standalone [`BurnRate`].
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
     cfg: DriftConfig,
     series: BTreeMap<String, SeriesState>,
-    burn: BurnRate,
     signals: u64,
 }
 
@@ -228,7 +228,6 @@ impl DriftMonitor {
         DriftMonitor {
             cfg,
             series: BTreeMap::new(),
-            burn: BurnRate::new(cfg.slo_ms, cfg.burn_budget),
             signals: 0,
         }
     }
@@ -269,22 +268,6 @@ impl DriftMonitor {
         let armed = st.samples >= warmup.max(1);
         let fired = st.cusum.update(residual);
         self.emit(series, armed, fired)
-    }
-
-    /// Feeds one histogram delta through the burn-rate tracker.
-    pub fn observe_histogram(
-        &mut self,
-        series: &str,
-        delta: &HistogramSnapshot,
-    ) -> Option<DriftSignal> {
-        let b = self.burn.check(delta)?;
-        self.signals += 1;
-        Some(DriftSignal {
-            kind: DriftKind::SloBurn,
-            series: series.to_string(),
-            value: b,
-            threshold: self.cfg.burn_budget,
-        })
     }
 
     fn emit(

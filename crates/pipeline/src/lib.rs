@@ -7,11 +7,9 @@
 //! simulation scales, not for production ones. This crate is the
 //! production-shaped ingestion path:
 //!
-//! * [`sketch`] — mergeable bounded-memory summaries: a Greenwald–Khanna
+//! * [`sketch`] — the mergeable bounded-memory summary: a Greenwald–Khanna
 //!   quantile sketch with a configurable rank-error bound (the §6
-//!   25th-percentile prediction metric reads it), a SpaceSaving heavy-
-//!   hitter tracker (Zipf-skewed per-/24 query volume), and a KMV
-//!   distinct-/24 estimator;
+//!   25th-percentile prediction metric reads it);
 //! * [`shard`] — hash-partitioned ingestion across N worker threads over
 //!   bounded channels with blocking backpressure, merged deterministically
 //!   at day close;
@@ -21,8 +19,8 @@
 //! * [`window`] — day-partitioned incremental per-`(group, front-end)`
 //!   sketches, pooled over training windows and retired once the window
 //!   passes (the §6 one-day prediction interval lifecycle);
-//! * [`source`] — adapters from `anycast_telemetry` passive rows and
-//!   `anycast_beacon` joined measurements into pipeline streams.
+//! * [`source`] — adapters from `anycast_beacon` joined measurements and
+//!   request outcomes into pipeline streams.
 //!
 //! **Determinism under sharding.** Every pipeline here routes records by
 //! the client-group key, so a group's records are wholly owned by one
@@ -48,13 +46,10 @@ pub mod window;
 
 pub use ordered::map_ordered;
 pub use shard::{merge_keyed, Aggregate, ShardConfig, ShardError, ShardedIngest};
-pub use sketch::{
-    mix64, Counts, DistinctCounter, FastHasher, FastMap, HeavyHitters, QuantileSketch,
-};
+pub use sketch::{mix64, FastHasher, FastMap, QuantileSketch};
 pub use source::{
-    ecs_record, ecs_record_with_failures, ldns_record, ldns_record_with_failures, passive_record,
-    route_ldns, route_prefix, route_subnet, sketch_day, summarize_passive_day, tally_outcomes,
-    OutcomeCounts, OutcomeTally, PassiveAggregator, PassiveDaySummary, PassiveSummaryConfig,
+    ecs_record, ecs_record_with_failures, ldns_record, ldns_record_with_failures, route_ldns,
+    route_prefix, route_subnet, sketch_day, tally_outcomes, OutcomeCounts, OutcomeTally,
 };
 pub use window::{DaySketches, DayWindow, GroupAggregator};
 

@@ -4,27 +4,20 @@
 //! logs and a month of beacon measurements (§3.2). At that volume the
 //! repo's exact path — materialize every `(group, target)` latency vector,
 //! sort it, read a percentile — stops being the thing a production CDN
-//! would run. This module provides the three bounded-memory summaries the
-//! day-scale aggregation actually needs:
+//! would run. This module provides the bounded-memory summary the
+//! day-scale aggregation actually needs: [`QuantileSketch`], a
+//! Greenwald–Khanna streaming quantile summary with a configurable
+//! rank-error bound, for the §6 per-group 25th-percentile prediction
+//! metric.
 //!
-//! * [`QuantileSketch`] — a Greenwald–Khanna streaming quantile summary
-//!   with a configurable rank-error bound, for the §6 per-group
-//!   25th-percentile prediction metric;
-//! * [`HeavyHitters`] — a SpaceSaving counter set, for the Zipf-skewed
-//!   per-/24 query-volume weighting the Figure 9 evaluation uses;
-//! * [`DistinctCounter`] — a k-minimum-values estimator for distinct /24
-//!   counts ("around 400k /24 client networks", §5.1).
-//!
-//! Every summary here is **mergeable** and **deterministic**: merging is
+//! The summary is **mergeable** and **deterministic**: merging is
 //! insensitive to operand order, and the same input stream produces the
 //! same bytes regardless of how ingestion was sharded (see
 //! [`crate::shard`] for the ownership discipline that guarantees the
 //! latter).
 
-use std::collections::{BTreeMap, BTreeSet};
-
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer used for
-/// deterministic hashing (shard routing, KMV hashing). Stable across
+/// deterministic hashing (shard routing). Stable across
 /// platforms and releases by construction — never replace it with
 /// `DefaultHasher`, whose output is allowed to change between Rust
 /// versions.
@@ -455,206 +448,6 @@ fn tuple_le(a: &Tuple, b: &Tuple) -> bool {
         .is_le()
 }
 
-/// A SpaceSaving heavy-hitter tracker over keys of type `K`.
-///
-/// With capacity `c`, any key whose true count exceeds `n/c` is guaranteed
-/// present, and every reported count over-states the truth by at most its
-/// recorded `err` (itself ≤ n/c). Per-/24 query volume is Zipf-skewed
-/// ("50% of queries come from 1% of /24s" is the shape §5's
-/// volume-weighted CDFs lean on), which is exactly the regime SpaceSaving
-/// is designed for.
-///
-/// All tie-breaks are on the key's `Ord`, so identical streams produce
-/// identical states and merging is order-insensitive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeavyHitters<K: Ord + Clone> {
-    capacity: usize,
-    n: u64,
-    counters: BTreeMap<K, Counts>,
-    by_count: BTreeSet<(u64, K)>,
-}
-
-/// A tracked key's count and over-estimate bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Counts {
-    /// Estimated count (never under the true count; over by at most `err`).
-    pub count: u64,
-    /// Maximum possible over-estimate inherited from evicted keys.
-    pub err: u64,
-}
-
-impl Counts {
-    /// The guaranteed lower bound on the true count.
-    pub fn guaranteed(&self) -> u64 {
-        self.count - self.err
-    }
-}
-
-impl<K: Ord + Clone> HeavyHitters<K> {
-    /// Creates a tracker holding at most `capacity` keys.
-    ///
-    /// # Panics
-    /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> HeavyHitters<K> {
-        assert!(capacity > 0, "HeavyHitters capacity must be positive");
-        HeavyHitters {
-            capacity,
-            n: 0,
-            counters: BTreeMap::new(),
-            by_count: BTreeSet::new(),
-        }
-    }
-
-    /// Total stream weight observed.
-    pub fn total(&self) -> u64 {
-        self.n
-    }
-
-    /// Number of tracked keys.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Whether nothing has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
-    /// Observes `key` with weight `w` (a query count, typically 1).
-    pub fn observe(&mut self, key: K, w: u64) {
-        self.n += w;
-        if let Some(c) = self.counters.get_mut(&key) {
-            self.by_count.remove(&(c.count, key.clone()));
-            c.count += w;
-            self.by_count.insert((c.count, key));
-        } else if self.counters.len() < self.capacity {
-            self.counters
-                .insert(key.clone(), Counts { count: w, err: 0 });
-            self.by_count.insert((w, key));
-        } else {
-            // Evict the (count, key)-minimal victim; the newcomer inherits
-            // its count as the over-estimate (classic SpaceSaving).
-            let (vc, vk) = self
-                .by_count
-                .first()
-                .expect("non-empty at capacity")
-                .clone();
-            self.by_count.remove(&(vc, vk.clone()));
-            self.counters.remove(&vk);
-            self.counters.insert(
-                key.clone(),
-                Counts {
-                    count: vc + w,
-                    err: vc,
-                },
-            );
-            self.by_count.insert((vc + w, key));
-        }
-    }
-
-    /// Merges `other` into `self`: counts and error bounds add keywise,
-    /// then the table is trimmed back to capacity by evicting
-    /// (count, key)-minimal entries. Commutative bit-for-bit; associative
-    /// up to the (bounded) error the trim introduces.
-    pub fn merge(&mut self, other: &HeavyHitters<K>) {
-        self.n += other.n;
-        self.capacity = self.capacity.min(other.capacity);
-        for (k, oc) in &other.counters {
-            match self.counters.get_mut(k) {
-                Some(c) => {
-                    self.by_count.remove(&(c.count, k.clone()));
-                    c.count += oc.count;
-                    c.err += oc.err;
-                    self.by_count.insert((c.count, k.clone()));
-                }
-                None => {
-                    self.counters.insert(k.clone(), *oc);
-                    self.by_count.insert((oc.count, k.clone()));
-                }
-            }
-        }
-        while self.counters.len() > self.capacity {
-            let (vc, vk) = self.by_count.first().expect("over capacity").clone();
-            self.by_count.remove(&(vc, vk.clone()));
-            self.counters.remove(&vk);
-        }
-    }
-
-    /// Tracked keys, heaviest first (ties broken by key order).
-    pub fn top(&self) -> Vec<(K, Counts)> {
-        let mut out: Vec<(K, Counts)> =
-            self.counters.iter().map(|(k, c)| (k.clone(), *c)).collect();
-        out.sort_by(|a, b| b.1.count.cmp(&a.1.count).then(a.0.cmp(&b.0)));
-        out
-    }
-
-    /// The tracked count for `key`, if present.
-    pub fn get(&self, key: &K) -> Option<Counts> {
-        self.counters.get(key).copied()
-    }
-}
-
-/// A k-minimum-values distinct counter.
-///
-/// Keeps the `k` smallest SplitMix64 hashes seen; the k-th smallest,
-/// viewed as a fraction of the hash space, estimates density and hence
-/// cardinality. Below `k` distinct values the count is exact. Merging is
-/// a set union re-trimmed to `k` — bit-exactly commutative, associative,
-/// and idempotent, so re-merging a day's summary is harmless.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistinctCounter {
-    k: usize,
-    hashes: BTreeSet<u64>,
-}
-
-impl DistinctCounter {
-    /// Creates a counter keeping `k` minimum hashes (relative error
-    /// ≈ 1/√k).
-    ///
-    /// # Panics
-    /// Panics when `k < 2` (the estimator needs at least two order
-    /// statistics).
-    pub fn new(k: usize) -> DistinctCounter {
-        assert!(k >= 2, "KMV needs k >= 2");
-        DistinctCounter {
-            k,
-            hashes: BTreeSet::new(),
-        }
-    }
-
-    /// Observes an item by its stable 64-bit key.
-    pub fn observe(&mut self, item: u64) {
-        let h = mix64(item);
-        if self.hashes.len() < self.k {
-            self.hashes.insert(h);
-        } else if h < *self.hashes.last().expect("k >= 2") {
-            self.hashes.insert(h);
-            if self.hashes.len() > self.k {
-                self.hashes.pop_last();
-            }
-        }
-    }
-
-    /// Merges `other` into `self` (union, trimmed to the smaller k).
-    pub fn merge(&mut self, other: &DistinctCounter) {
-        self.k = self.k.min(other.k);
-        self.hashes.extend(other.hashes.iter().copied());
-        while self.hashes.len() > self.k {
-            self.hashes.pop_last();
-        }
-    }
-
-    /// The estimated number of distinct items observed (exact below k).
-    pub fn estimate(&self) -> f64 {
-        if self.hashes.len() < self.k {
-            return self.hashes.len() as f64;
-        }
-        let kth = *self.hashes.last().expect("k >= 2");
-        let frac = (kth as f64 + 1.0) / (u64::MAX as f64 + 1.0);
-        (self.k as f64 - 1.0) / frac
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,82 +656,8 @@ mod tests {
     }
 
     #[test]
-    fn heavy_hitters_find_the_zipf_head() {
-        // Key i appears ~30000/(i+1) times: classic Zipf head.
-        let mut hh = HeavyHitters::new(16);
-        for i in 0..200u32 {
-            for _ in 0..(30_000 / (i + 1)) {
-                hh.observe(i, 1);
-            }
-        }
-        let top = hh.top();
-        assert_eq!(top[0].0, 0, "true heaviest key must surface");
-        let bound = hh.total() / 16;
-        for (k, c) in &top {
-            let truth = u64::from(30_000 / (k + 1));
-            assert!(c.count >= truth, "SpaceSaving never undercounts");
-            assert!(
-                c.count - truth <= bound,
-                "over-estimate beyond n/c for key {k}"
-            );
-            assert!(c.guaranteed() <= truth);
-        }
-    }
-
-    #[test]
-    fn heavy_hitters_merge_commutes() {
-        let mut a = HeavyHitters::new(8);
-        let mut b = HeavyHitters::new(8);
-        for i in 0..400u64 {
-            a.observe(mix64(i) % 40, 1);
-            b.observe(mix64(i + 1_000) % 60, 1);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.total(), 800);
-        assert!(ab.len() <= 8);
-    }
-
-    #[test]
-    fn distinct_counter_exact_below_k_and_close_above() {
-        let mut d = DistinctCounter::new(256);
-        for i in 0..100u64 {
-            d.observe(i);
-            d.observe(i); // duplicates must not count
-        }
-        assert_eq!(d.estimate(), 100.0);
-        for i in 0..50_000u64 {
-            d.observe(i);
-        }
-        let est = d.estimate();
-        let err = (est - 50_000.0).abs() / 50_000.0;
-        assert!(err < 0.2, "KMV estimate {est} off by {err}");
-    }
-
-    #[test]
-    fn distinct_counter_merge_is_idempotent_union() {
-        let mut a = DistinctCounter::new(64);
-        let mut b = DistinctCounter::new(64);
-        for i in 0..1_000u64 {
-            a.observe(i);
-            b.observe(i + 500);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        let mut again = ab.clone();
-        again.merge(&ab);
-        assert_eq!(again, ab, "self-merge must be a no-op");
-    }
-
-    #[test]
     fn mix64_is_stable() {
-        // Pin the mixer: shard routing and KMV depend on these exact bits.
+        // Pin the mixer: shard routing depends on these exact bits.
         assert_eq!(mix64(0), 0xe220a8397b1dcdaf);
         assert_eq!(mix64(1), 0x910a2dec89025cc1);
     }

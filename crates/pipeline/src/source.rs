@@ -1,13 +1,10 @@
 //! Adapters from the repo's record types into pipeline streams.
 //!
-//! Two upstream sources exist, matching the paper's two data sets (§3.2):
-//!
-//! * **passive logs** — `anycast_telemetry::PassiveRecord`, one row per
-//!   production query; feeds per-/24 volume heavy hitters, the distinct
-//!   /24 count, and per-site load ([`PassiveAggregator`]);
-//! * **beacon measurements** — `anycast_beacon::BeaconMeasurement`, the
-//!   joined active measurements; feed per-`(group, target)` latency
-//!   sketches at ECS or LDNS granularity ([`ecs_record`], [`ldns_record`]).
+//! **Beacon measurements** — `anycast_beacon::BeaconMeasurement`, the
+//! joined active measurements — feed per-`(group, target)` latency
+//! sketches at ECS or LDNS granularity ([`ecs_record`], [`ldns_record`]);
+//! `(key, served)` request outcomes feed per-key availability tallies
+//! ([`tally_outcomes`]).
 //!
 //! Routing helpers hash the *group* key ([`route_prefix`], [`route_ldns`])
 //! so sharded ingestion keeps the key-ownership discipline `shard`'s
@@ -17,11 +14,10 @@ use std::collections::BTreeMap;
 
 use anycast_beacon::{BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
-use anycast_netsim::{Prefix, Prefix24, SiteId};
-use anycast_telemetry::PassiveRecord;
+use anycast_netsim::{Prefix, Prefix24};
 
 use crate::shard::{merge_keyed, Aggregate, ShardConfig, ShardedIngest};
-use crate::sketch::{mix64, DistinctCounter, HeavyHitters, QuantileSketch};
+use crate::sketch::{mix64, QuantileSketch};
 use crate::window::DaySketches;
 
 /// A beacon measurement as an ECS-granularity latency observation.
@@ -50,11 +46,6 @@ pub fn ecs_record_with_failures(m: &BeaconMeasurement, penalty_ms: f64) -> (Pref
 pub fn ldns_record_with_failures(m: &BeaconMeasurement, penalty_ms: f64) -> (LdnsId, Target, f64) {
     let v = if m.failed { penalty_ms } else { m.rtt_ms };
     (m.ldns, m.target, v)
-}
-
-/// A passive log row as a `(client /24, serving site)` stream record.
-pub fn passive_record(r: &PassiveRecord) -> (Prefix24, SiteId) {
-    (r.prefix, r.site)
 }
 
 /// Shard route for prefix-keyed records.
@@ -104,124 +95,6 @@ where
         .finish()
         .unwrap_or_else(|e| panic!("sketch_day ingestion failed: {e}"));
     merge_keyed(parts, |a: &mut QuantileSketch, b| a.merge(&b))
-}
-
-/// Summary sizes for a passive-log day.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassiveSummaryConfig {
-    /// SpaceSaving capacity for the per-/24 volume tracker.
-    pub heavy_hitter_capacity: usize,
-    /// KMV size for the distinct-/24 estimator (relative error ≈ 1/√k).
-    pub distinct_k: usize,
-}
-
-impl Default for PassiveSummaryConfig {
-    fn default() -> Self {
-        PassiveSummaryConfig {
-            heavy_hitter_capacity: 256,
-            distinct_k: 1024,
-        }
-    }
-}
-
-/// One day of passive telemetry, summarized in bounded space: total
-/// volume, exact per-site load, the /24 volume head, and the distinct-/24
-/// estimate ("around 400k /24 client networks", §5.1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PassiveDaySummary {
-    /// Total queries observed.
-    pub total_queries: u64,
-    /// Exact query count per serving site (sites are few; this is cheap).
-    pub per_site: BTreeMap<SiteId, u64>,
-    /// Per-/24 query-volume heavy hitters.
-    pub volume: HeavyHitters<Prefix24>,
-    /// Distinct client /24 estimator.
-    pub distinct_prefixes: DistinctCounter,
-}
-
-impl PassiveDaySummary {
-    /// Creates an empty summary.
-    pub fn new(cfg: PassiveSummaryConfig) -> PassiveDaySummary {
-        PassiveDaySummary {
-            total_queries: 0,
-            per_site: BTreeMap::new(),
-            volume: HeavyHitters::new(cfg.heavy_hitter_capacity),
-            distinct_prefixes: DistinctCounter::new(cfg.distinct_k),
-        }
-    }
-
-    /// Merges another worker's partial summary. Site counts and totals
-    /// add; the sketches merge per their own (order-insensitive) rules.
-    pub fn merge(&mut self, other: &PassiveDaySummary) {
-        self.total_queries += other.total_queries;
-        for (site, n) in &other.per_site {
-            *self.per_site.entry(*site).or_insert(0) += n;
-        }
-        self.volume.merge(&other.volume);
-        self.distinct_prefixes.merge(&other.distinct_prefixes);
-    }
-}
-
-/// The [`Aggregate`] over `(client /24, serving site)` passive records.
-#[derive(Debug, Clone)]
-pub struct PassiveAggregator {
-    summary: PassiveDaySummary,
-}
-
-impl PassiveAggregator {
-    /// Creates an empty aggregate.
-    pub fn new(cfg: PassiveSummaryConfig) -> PassiveAggregator {
-        PassiveAggregator {
-            summary: PassiveDaySummary::new(cfg),
-        }
-    }
-}
-
-impl Aggregate for PassiveAggregator {
-    type Record = (Prefix24, SiteId);
-    type Output = PassiveDaySummary;
-
-    fn observe(&mut self, (prefix, site): (Prefix24, SiteId)) {
-        self.summary.total_queries += 1;
-        *self.summary.per_site.entry(site).or_insert(0) += 1;
-        self.summary.volume.observe(prefix, 1);
-        self.summary.distinct_prefixes.observe(prefix.key());
-    }
-
-    fn finish(self) -> PassiveDaySummary {
-        self.summary
-    }
-}
-
-/// Runs a day of passive records through sharded ingestion (routed by
-/// client /24) and returns the merged summary.
-pub fn summarize_passive_day<I>(
-    records: I,
-    sum_cfg: PassiveSummaryConfig,
-    shard_cfg: ShardConfig,
-) -> PassiveDaySummary
-where
-    I: IntoIterator<Item = (Prefix24, SiteId)>,
-{
-    let mut ingest = ShardedIngest::new(
-        shard_cfg,
-        |r: &(Prefix24, SiteId)| route_prefix(r.0),
-        |_| PassiveAggregator::new(sum_cfg),
-    );
-    for r in records {
-        if let Err(e) = ingest.push(r) {
-            panic!("passive-day ingestion failed: {e}");
-        }
-    }
-    let mut parts = ingest
-        .finish()
-        .unwrap_or_else(|e| panic!("passive-day ingestion failed: {e}"))
-        .into_iter();
-    let mut merged = parts.next().expect("at least one worker");
-    for p in parts {
-        merged.merge(&p);
-    }
-    merged
 }
 
 /// Success/failure counts for one request group.
@@ -322,80 +195,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_geo::{GeoPoint, MetroId, Region};
-    use anycast_netsim::Day;
+    use anycast_netsim::{Day, SiteId};
     use std::net::Ipv4Addr;
-
-    fn passive(prefix_octet: u8, site: u16) -> PassiveRecord {
-        PassiveRecord {
-            prefix: Prefix24::containing(Ipv4Addr::new(11, 0, prefix_octet, 1)),
-            metro: MetroId(0),
-            country: "US",
-            region: Region::NorthAmerica,
-            location: GeoPoint::new(0.0, 0.0),
-            site: SiteId(site),
-            day: Day(0),
-            time_s: 0.0,
-        }
-    }
-
-    #[test]
-    fn passive_summary_counts_and_sites() {
-        // Prefix 0 dominates: 300 queries on site 0; 50 others on site 1.
-        let mut records = Vec::new();
-        for _ in 0..300 {
-            records.push(passive_record(&passive(0, 0)));
-        }
-        for i in 0..50u8 {
-            records.push(passive_record(&passive(i.wrapping_add(1), 1)));
-        }
-        let summary = summarize_passive_day(
-            records.iter().copied(),
-            PassiveSummaryConfig {
-                heavy_hitter_capacity: 8,
-                distinct_k: 64,
-            },
-            ShardConfig {
-                workers: 2,
-                batch: 16,
-                queue_depth: 2,
-            },
-        );
-        assert_eq!(summary.total_queries, 350);
-        assert_eq!(summary.per_site[&SiteId(0)], 300);
-        assert_eq!(summary.per_site[&SiteId(1)], 50);
-        let top = summary.volume.top();
-        assert_eq!(top[0].0, passive(0, 0).prefix);
-        assert!(top[0].1.guaranteed() >= 300);
-        assert_eq!(summary.distinct_prefixes.estimate(), 51.0);
-    }
-
-    #[test]
-    fn passive_summary_is_worker_count_invariant_in_exact_parts() {
-        let records: Vec<(Prefix24, SiteId)> = (0..2_000u64)
-            .map(|i| passive_record(&passive((i % 40) as u8, (i % 3) as u16)))
-            .collect();
-        let cfg = PassiveSummaryConfig::default();
-        let one = summarize_passive_day(
-            records.iter().copied(),
-            cfg,
-            ShardConfig {
-                workers: 1,
-                ..ShardConfig::default()
-            },
-        );
-        let four = summarize_passive_day(
-            records.iter().copied(),
-            cfg,
-            ShardConfig {
-                workers: 4,
-                ..ShardConfig::default()
-            },
-        );
-        // Key-partitioned routing makes even the approximate structures
-        // identical: every /24's observations land on one worker.
-        assert_eq!(one, four);
-    }
 
     #[test]
     fn beacon_adapters_project_the_right_fields() {

@@ -1,19 +1,21 @@
 //! Wire-speed serving plane for the §6 prediction-based redirection
-//! system: a real authoritative DNS front door for the simulator's
-//! policies.
+//! system: a real authoritative DNS server for trained prediction tables.
 //!
 //! The paper's CDN answers billions of real DNS queries; everything else
 //! in this workspace exercises redirection policies through in-process
-//! calls. This crate closes that gap with zero external dependencies:
+//! calls. What the DNS tier of a CDN serves is a compiled client-group →
+//! front-end map, so this crate serves exactly that — a trained
+//! `PredictionTable` compiled to a [`CompiledTable`] — with zero external
+//! dependencies:
 //!
 //! * [`wire`] / [`message`] — an in-house RFC 1035 codec (header, question,
 //!   answer, name compression) plus EDNS0/RFC 7871 client-subnet options,
-//!   bridging [`anycast_dns::DnsAnswer`] and [`anycast_dns::QueryContext`]
-//!   onto real packets;
+//!   bridging [`anycast_dns::DnsAnswer`] and
+//!   [`anycast_dns::ecs::EcsOption`] onto real packets;
 //! * [`store`] — trained prediction tables compiled into immutable lookup
 //!   structures (a longest-prefix-match trie for ECS groups, sorted
 //!   arrays for LDNS groups), hot-swapped atomically while the server
-//!   runs;
+//!   runs — the only thing the server serves;
 //! * [`mmsg`] / [`template`] — the million-QPS hot path: batched UDP I/O
 //!   via raw `recvmmsg`/`sendmmsg` syscalls (libc-free, with a portable
 //!   one-packet fallback behind the same trait), preallocated per-shard
@@ -23,7 +25,9 @@
 //!   sockets, emulating an SO_REUSEPORT worker set) with a TCP fallback
 //!   path for truncated responses and an overload valve that degrades to
 //!   the anycast VIP under sustained full batches — the serving-plane
-//!   analogue of the paper's "anycast is the safe default" conclusion;
+//!   analogue of the paper's "anycast is the safe default" conclusion.
+//!   Every answer, on either encoder and either transport, comes from one
+//!   decision over the one table generation its batch loaded;
 //! * [`client`] / [`replay`] — a loopback wire client and a deterministic
 //!   day-of-queries generator used by the equivalence tests.
 //!

@@ -31,12 +31,6 @@ use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 /// would be 64 MiB per worker; nobody needs more than this per syscall).
 pub const MAX_BATCH: usize = 1024;
 
-/// Whether this build carries the raw-syscall batched path.
-pub const MMSG_SUPPORTED: bool = cfg!(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
-
 /// Preallocated per-shard packet storage: receive slots, send slots,
 /// lengths, and peer addresses for one batch.
 ///
@@ -120,19 +114,21 @@ impl PacketArena {
         self.peers[i] = dst;
     }
 
-    /// Bytes queued for sending in slot `i` (0 = empty / skipped). The
-    /// client side of a windowed exchange uses this to tell answered
-    /// slots (zeroed via [`PacketArena::set_response_len`]) from ones
-    /// still pending a re-send.
-    pub fn send_len(&self, i: usize) -> usize {
-        self.send_lens[i]
+    /// Test scaffolding: fills receive slot `i` as if `payload` had just
+    /// arrived from `src`.
+    #[cfg(test)]
+    pub(crate) fn set_incoming(&mut self, i: usize, payload: &[u8], src: SocketAddr) {
+        self.recv_slot_mut(i)[..payload.len()].copy_from_slice(payload);
+        self.recv_lens[i] = payload.len();
+        self.peers[i] = src;
     }
 
     fn recv_slot_mut(&mut self, i: usize) -> &mut [u8] {
         &mut self.recv_bufs[i * self.slot..(i + 1) * self.slot]
     }
 
-    fn send_slot(&self, i: usize) -> &[u8] {
+    /// The valid bytes of send slot `i` (empty = skipped).
+    pub(crate) fn send_slot(&self, i: usize) -> &[u8] {
         &self.send_bufs[i * self.slot..i * self.slot + self.send_lens[i]]
     }
 }

@@ -7,13 +7,20 @@
 //! [`crate::mmsg::BatchIo`] implementation: `recvmmsg`/`sendmmsg` on
 //! supported Linux targets, a one-packet portable fallback elsewhere (or
 //! when `batch = 1`). The loop is: receive up to `batch` datagrams in one
-//! syscall, load the compiled table pointer once, answer every packet in
-//! place — the templated fast path patches pre-encoded bytes straight
-//! into the send slot; anything unusual falls back to the full
-//! decode/encode path — flush the batch's counters, and send every
-//! response in one syscall. Steady state performs **no allocation and no
-//! lock acquisition per packet**. A single **TCP acceptor** thread serves
-//! the RFC 1035 fallback path for clients that saw TC=1.
+//! syscall, load the compiled table **once**, answer every packet of the
+//! batch in place from that one generation — the templated fast path
+//! patches pre-encoded bytes straight into the send slot; anything unusual
+//! falls back to the full decode/encode path against the *same* table —
+//! flush the batch's counters, and send every response in one syscall.
+//! Steady state performs **no allocation and no lock acquisition per
+//! packet**. A single **TCP acceptor** thread serves the RFC 1035 fallback
+//! path for clients that saw TC=1, loading the table once per message.
+//!
+//! What the server serves is a table and nothing else: whichever encoder
+//! a query's shape selects, its `(answer, scope, flags)` comes from the one
+//! decision function (`ServeCtx::decide`: valve → unknown resolver → table
+//! lookup) over the `CompiledTable` its batch loaded, so a batch never mixes
+//! generations and a shard's generation never goes backwards inside one.
 //!
 //! Backpressure is the kernel's: there is no userspace ingress queue, so
 //! overload manifests as socket-buffer drops (the client retries), which
@@ -21,7 +28,7 @@
 //! watches for sustained full batches — `batch` consecutive datagrams per
 //! recv call means the socket never drains — and, past the watermark,
 //! answers with the anycast VIP at a short TTL without consulting the
-//! policy. Degrading to anycast is always safe (the paper's central
+//! table. Degrading to anycast is always safe (the paper's central
 //! observation) and sheds the table-lookup cost exactly when the shard
 //! is drowning.
 
@@ -32,18 +39,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use anycast_dns::{LdnsId, QueryContext, RedirectionPolicy};
+use anycast_dns::{DnsAnswer, LdnsId};
 use anycast_geo::GeoPoint;
-use anycast_netsim::Day;
 use anycast_obs::live::{
     BatchEvent, FlightRecorder, RecorderConfig, ShardRecorder, TraceRecord, TRACE_OVERLOAD,
     TRACE_TEMPLATE_HIT, TRACE_UNKNOWN_LDNS, TRACE_VALVE,
 };
 use anycast_obs::{counter, histogram};
 
-use crate::message::{decode_query, encode_chaos_txt, encode_response, CHAOS_METRICS_QNAME};
-use crate::mmsg::{batch_io, PacketArena, MAX_BATCH};
-use crate::store::TableStore;
+use crate::message::{decode_query, encode_chaos_txt, encode_response, Edns, CHAOS_METRICS_QNAME};
+use crate::mmsg::{batch_io, BatchIo, PacketArena, MAX_BATCH};
+use crate::store::{CompiledTable, TableStore};
 use crate::template::{response_len, write_response, AnswerRr, QueryView};
 use crate::wire::{Flags, Header, CLASSIC_UDP_LIMIT, CLASS_CHAOS, CLASS_IN, TYPE_A, TYPE_TXT};
 
@@ -72,15 +78,13 @@ pub struct ServeConfig {
     pub batch: usize,
     /// Sustained-backlog threshold, in packets, at or above which the
     /// overload valve answers the anycast VIP without consulting the
-    /// policy. A shard estimates its backlog as `batch` × the number of
+    /// table. A shard estimates its backlog as `batch` × the number of
     /// consecutive completely-full batches it has received; 0 valves
     /// every query (useful in tests).
     pub overload_watermark: usize,
     /// TTL of valve (degraded) answers — short, so clients re-ask once
     /// the shard recovers.
     pub valve_ttl_s: u32,
-    /// Simulation day stamped into [`QueryContext`]s.
-    pub day: Day,
     /// The anycast VIP used by the valve and for unknown-resolver queries.
     pub anycast_vip: Ipv4Addr,
     /// Server-side cap on UDP response size regardless of what the client
@@ -103,7 +107,6 @@ impl ServeConfig {
             batch: 32,
             overload_watermark: 256,
             valve_ttl_s: 30,
-            day: Day(0),
             anycast_vip,
             udp_response_cap: None,
             recorder: true,
@@ -173,6 +176,10 @@ pub struct ServeStats {
     pub template_hits: AtomicU64,
     /// Decodable UDP queries that needed the full encoder.
     pub template_misses: AtomicU64,
+    /// Unexpected socket errors on a worker's batch receive or send
+    /// (mirrored to `serve_io_errors_total{op="recv"|"send"}`). The
+    /// worker stays up through either.
+    pub io_errors: AtomicU64,
     /// Per answered-address tallies — how many A answers named each
     /// front-end address (the anycast VIP included). This is the control
     /// plane's live offered-load feed: the plain map is authoritative
@@ -184,6 +191,14 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
+    /// Counts one unexpected socket error; `op` is `"recv"` or `"send"`.
+    fn note_io_error(&self, op: &str) {
+        self.io_errors.fetch_add(1, Ordering::Relaxed);
+        anycast_obs::global()
+            .counter_with("serve_io_errors_total", &[("op", op)])
+            .inc();
+    }
+
     /// Merges a batch of per-address tallies under one lock acquisition.
     fn note_answered_bulk(&self, tallies: &[(Ipv4Addr, u64)]) {
         if tallies.is_empty() {
@@ -297,11 +312,83 @@ impl BatchCounts {
     }
 }
 
+/// Everything the serving threads share, built once at spawn and held
+/// behind one `Arc`.
+#[derive(Debug)]
+struct ServeCtx {
+    cfg: ServeConfig,
+    tables: Arc<TableStore>,
+    directory: LdnsDirectory,
+    /// The baked degraded answer (anycast VIP at the valve TTL) the valve
+    /// and unknown-resolver branches share.
+    valve: AnswerRr,
+    stats: ServeStats,
+    stop: AtomicBool,
+}
+
+impl ServeCtx {
+    fn new(cfg: ServeConfig, tables: Arc<TableStore>, directory: LdnsDirectory) -> ServeCtx {
+        ServeCtx {
+            cfg,
+            tables,
+            directory,
+            valve: AnswerRr::new(cfg.anycast_vip, cfg.valve_ttl_s),
+            stats: ServeStats::default(),
+            stop: AtomicBool::new(false),
+        }
+    }
+
+    /// The UDP response-size rule: the client's EDNS advertisement (never
+    /// below the classic 512, which is also the no-EDNS limit), clamped by
+    /// the operator's `udp_response_cap`.
+    fn udp_payload_limit(&self, advertised: Option<u16>) -> usize {
+        let advertised =
+            advertised.map_or(CLASSIC_UDP_LIMIT, |p| usize::from(p).max(CLASSIC_UDP_LIMIT));
+        self.cfg
+            .udp_response_cap
+            .map_or(advertised, |cap| advertised.min(cap))
+    }
+
+    /// The one answer decision: overload valve → unknown resolver → table
+    /// lookup. Returns the baked answer, the ECS scope to advertise and the
+    /// `TRACE_*` flags describing which branch decided; counts the branch
+    /// and tallies the answered address. The templated fast path, the
+    /// full-encoder slow path and TCP all answer through here, against the
+    /// table their batch (or message) loaded.
+    #[inline]
+    fn decide<'a>(
+        &'a self,
+        table: &'a CompiledTable,
+        src: SocketAddr,
+        edns: Option<Edns>,
+        overloaded: bool,
+        counts: &mut BatchCounts,
+    ) -> (&'a AnswerRr, u8, u8) {
+        let (rr, scope, flags) = if overloaded {
+            counts.degraded += 1;
+            (&self.valve, 0, TRACE_OVERLOAD | TRACE_VALVE)
+        } else {
+            match self.directory.lookup(source_ip(src)) {
+                Some((ldns, _)) => {
+                    let ecs = edns.and_then(|e| e.ecs).and_then(|e| e.to_option());
+                    let (rr, scope) = table.answer_rr(ldns, ecs.as_ref());
+                    (rr, scope, 0)
+                }
+                None => {
+                    counts.unknown_ldns += 1;
+                    (&self.valve, 0, TRACE_VALVE | TRACE_UNKNOWN_LDNS)
+                }
+            }
+        };
+        counts.tally(rr.addr());
+        (rr, scope, flags)
+    }
+}
+
 /// A running server; dropping it stops all threads.
 pub struct DnsServer {
     addr: SocketAddr,
-    stats: Arc<ServeStats>,
-    stop: Arc<AtomicBool>,
+    ctx: Arc<ServeCtx>,
     workers: usize,
     handles: Vec<std::thread::JoinHandle<()>>,
     recorder: Arc<FlightRecorder>,
@@ -317,52 +404,25 @@ impl std::fmt::Debug for DnsServer {
 }
 
 impl DnsServer {
-    /// Binds UDP + TCP on an ephemeral loopback port and spawns the
-    /// worker set around an arbitrary policy. Every decodable query runs
-    /// the full decode → policy → encode path (no templates: a generic
-    /// policy's answers cannot be pre-encoded).
-    pub fn spawn<P>(
-        cfg: ServeConfig,
-        policy: P,
-        directory: LdnsDirectory,
-    ) -> std::io::Result<DnsServer>
-    where
-        P: RedirectionPolicy + Send + Sync + 'static,
-    {
-        DnsServer::spawn_inner(cfg, Arc::new(policy), None, directory)
-    }
-
-    /// Binds and spawns around a [`TableStore`], enabling the zero-alloc
-    /// templated fast path: each batch loads the current
-    /// [`crate::store::CompiledTable`] once and patches its pre-encoded
-    /// answers straight into the send slots. Non-templatable queries
-    /// still take the full path against the same table, so the wire
-    /// bytes are identical either way.
+    /// Binds UDP + TCP on an ephemeral loopback port and spawns the worker
+    /// set around a [`TableStore`]. Each batch loads the current
+    /// [`CompiledTable`] once: templatable queries get its pre-encoded
+    /// answers patched straight into the send slots, everything else takes
+    /// the full decode/encode path against the same table, so the wire
+    /// bytes are identical either way and no batch mixes generations. Keep
+    /// a second `Arc` handle to the store to swap tables while the server
+    /// runs.
     pub fn spawn_tables(
         cfg: ServeConfig,
         store: Arc<TableStore>,
         directory: LdnsDirectory,
     ) -> std::io::Result<DnsServer> {
-        DnsServer::spawn_inner(cfg, store.clone(), Some(store), directory)
-    }
-
-    fn spawn_inner<P>(
-        cfg: ServeConfig,
-        policy: Arc<P>,
-        tables: Option<Arc<TableStore>>,
-        directory: LdnsDirectory,
-    ) -> std::io::Result<DnsServer>
-    where
-        P: RedirectionPolicy + Send + Sync + 'static,
-    {
         let (udp, tcp) = bind_pair()?;
         let addr = udp.local_addr()?;
         udp.set_read_timeout(Some(POLL_INTERVAL))?;
         tcp.set_nonblocking(true)?;
 
-        let directory = Arc::new(directory);
-        let stats = Arc::new(ServeStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
+        let ctx = Arc::new(ServeCtx::new(cfg, store, directory));
         let mut handles = Vec::new();
 
         // One socket clone per worker; a clone failure degrades to a
@@ -389,26 +449,14 @@ impl DnsServer {
         ));
         for (worker, sock) in socks.into_iter().enumerate() {
             handles.push(spawn_worker(
+                ctx.clone(),
                 sock,
-                cfg,
-                policy.clone(),
-                tables.clone(),
-                directory.clone(),
-                stats.clone(),
-                stop.clone(),
                 recorder.shard(worker),
                 format!("serve-wk-{worker}"),
             ));
         }
 
-        handles.push(spawn_tcp_acceptor(
-            tcp,
-            cfg,
-            policy,
-            directory,
-            stats.clone(),
-            stop.clone(),
-        ));
+        handles.push(spawn_tcp_acceptor(ctx.clone(), tcp));
 
         // The drain side of the flight recorder: folds ring contents into
         // registry metrics off the hot path, at the poll cadence. The
@@ -416,12 +464,12 @@ impl DnsServer {
         // so post-stop totals include the last batches.
         if recorder.enabled() {
             let rec = recorder.clone();
-            let stop_flag = stop.clone();
+            let ctx = ctx.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name("serve-obs".to_string())
                     .spawn(move || {
-                        while !stop_flag.load(Ordering::Relaxed) {
+                        while !ctx.stop.load(Ordering::Relaxed) {
                             rec.drain();
                             std::thread::sleep(POLL_INTERVAL);
                         }
@@ -432,8 +480,7 @@ impl DnsServer {
 
         Ok(DnsServer {
             addr,
-            stats,
-            stop,
+            ctx,
             workers: spawned,
             handles,
             recorder,
@@ -447,7 +494,7 @@ impl DnsServer {
 
     /// Live counters.
     pub fn stats(&self) -> &ServeStats {
-        &self.stats
+        &self.ctx.stats
     }
 
     /// The hot-path flight recorder (disabled when
@@ -458,7 +505,7 @@ impl DnsServer {
 
     /// Stops all threads and waits for them to exit. Idempotent.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.ctx.stop.store(true, Ordering::SeqCst);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -489,117 +536,115 @@ fn bind_pair() -> std::io::Result<(UdpSocket, TcpListener)> {
     Err(last_err.unwrap_or_else(|| std::io::Error::other("could not pair UDP/TCP ports")))
 }
 
-/// One worker shard: arena + batch I/O + the per-batch answer loop.
-#[allow(clippy::too_many_arguments)]
-fn spawn_worker<P>(
+/// One worker shard: a thread running [`worker_loop`] over its socket
+/// clone and the platform's best [`BatchIo`].
+fn spawn_worker(
+    ctx: Arc<ServeCtx>,
     sock: UdpSocket,
-    cfg: ServeConfig,
-    policy: Arc<P>,
-    tables: Option<Arc<TableStore>>,
-    directory: Arc<LdnsDirectory>,
-    stats: Arc<ServeStats>,
-    stop: Arc<AtomicBool>,
     rec: Arc<ShardRecorder>,
     name: String,
-) -> std::thread::JoinHandle<()>
-where
-    P: RedirectionPolicy + Send + Sync + 'static,
-{
+) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
-            let batch = cfg.batch.clamp(1, MAX_BATCH);
-            let mut io = batch_io(batch);
-            let mut arena = PacketArena::new(batch, RECV_BUF);
-            let valve = AnswerRr::new(cfg.anycast_vip, cfg.valve_ttl_s);
-            let mut counts = BatchCounts::default();
-            // Consecutive completely-full batches: the overload signal.
-            // A full batch means the socket had more queued than one
-            // syscall drained; a streak of them means the shard is not
-            // keeping up. `batch == 1` carries no backlog information
-            // (every busy recv is "full"), so the streak stays 0 there
-            // and only `overload_watermark == 0` valves.
-            let mut full_streak: usize = 0;
-            while !stop.load(Ordering::Relaxed) {
-                let n = match io.recv_batch(&sock, &mut arena) {
-                    Ok(n) => n,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock
-                                | std::io::ErrorKind::TimedOut
-                                | std::io::ErrorKind::Interrupted
-                        ) =>
-                    {
-                        full_streak = 0;
-                        continue;
-                    }
-                    Err(_) => break,
-                };
-                histogram!("serve_batch_size").observe(n as f64);
-                if batch > 1 && n == batch {
-                    full_streak += 1;
-                } else {
-                    full_streak = 0;
-                }
-                let overloaded = full_streak.saturating_mul(batch) >= cfg.overload_watermark;
-                rec.record_batch(BatchEvent {
-                    fill: n as u16,
-                    overloaded,
-                });
-                // One atomic load of the hot-swapped table per batch.
-                let table = tables.as_ref().map(|t| t.load());
-                for i in 0..n {
-                    if arena.packet(i).is_empty() {
-                        arena.set_response_len(i, 0);
-                        continue;
-                    }
-                    let src = arena.peer(i);
-                    let len = serve_packet(
-                        &cfg,
-                        &*policy,
-                        table.as_deref(),
-                        &directory,
-                        &valve,
-                        &mut counts,
-                        i,
-                        &mut arena,
-                        src,
-                        overloaded,
-                        &rec,
-                    );
-                    arena.set_response_len(i, len);
-                }
-                // Flush tallies before the responses hit the wire, so a
-                // client that sees its answer also sees the counts.
-                counts.flush(&stats);
-                let _ = io.send_batch(&sock, &mut arena, n);
-            }
+            let mut io = batch_io(ctx.cfg.batch);
+            worker_loop(&ctx, &sock, &mut *io, &rec);
         })
         .expect("spawn worker thread")
 }
 
+/// The shard loop: receive a batch, answer it from one table generation,
+/// flush its counters, send it — until the stop flag is raised. Socket
+/// errors other than a quiet-socket timeout are counted and survived.
+fn worker_loop(ctx: &ServeCtx, sock: &UdpSocket, io: &mut dyn BatchIo, rec: &ShardRecorder) {
+    let batch = ctx.cfg.batch.clamp(1, MAX_BATCH);
+    let mut arena = PacketArena::new(batch, RECV_BUF);
+    let mut counts = BatchCounts::default();
+    // Consecutive completely-full batches: the overload signal. A full
+    // batch means the socket had more queued than one syscall drained; a
+    // streak of them means the shard is not keeping up. `batch == 1`
+    // carries no backlog information (every busy recv is "full"), so the
+    // streak stays 0 there and only `overload_watermark == 0` valves.
+    let mut full_streak: usize = 0;
+    while !ctx.stop.load(Ordering::Relaxed) {
+        let n = match io.recv_batch(sock, &mut arena) {
+            Ok(n) => n,
+            Err(e) => {
+                full_streak = 0;
+                if !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) {
+                    // Not a quiet socket: count it and back off one poll
+                    // interval, so a persistent failure neither kills the
+                    // shard silently nor spins it.
+                    ctx.stats.note_io_error("recv");
+                    std::thread::sleep(POLL_INTERVAL);
+                }
+                continue;
+            }
+        };
+        histogram!("serve_batch_size").observe(n as f64);
+        if batch > 1 && n == batch {
+            full_streak += 1;
+        } else {
+            full_streak = 0;
+        }
+        let overloaded = full_streak.saturating_mul(batch) >= ctx.cfg.overload_watermark;
+        rec.record_batch(BatchEvent {
+            fill: n as u16,
+            overloaded,
+        });
+        // One load of the hot-swapped table per batch: every packet below
+        // is answered from this generation.
+        let table = ctx.tables.load();
+        answer_batch(ctx, &table, &mut arena, n, overloaded, &mut counts, rec);
+        // Flush tallies before the responses hit the wire, so a client
+        // that sees its answer also sees the counts.
+        counts.flush(&ctx.stats);
+        if io.send_batch(sock, &mut arena, n).is_err() {
+            ctx.stats.note_io_error("send");
+        }
+    }
+}
+
+/// Answers arena slots `0..n` in place from one table generation: each
+/// received packet's response lands in the matching send slot (length 0 =
+/// no response). Socket-free, so a batch can be answered in a unit test.
+fn answer_batch(
+    ctx: &ServeCtx,
+    table: &CompiledTable,
+    arena: &mut PacketArena,
+    n: usize,
+    overloaded: bool,
+    counts: &mut BatchCounts,
+    rec: &ShardRecorder,
+) {
+    for i in 0..n {
+        let len = if arena.packet(i).is_empty() {
+            0
+        } else {
+            serve_packet(ctx, table, arena, i, overloaded, counts, rec)
+        };
+        arena.set_response_len(i, len);
+    }
+}
+
 /// Answers the packet in arena slot `i`, returning the response length
 /// written into the matching send slot (0 = no response).
-#[allow(clippy::too_many_arguments)]
-fn serve_packet<P>(
-    cfg: &ServeConfig,
-    policy: &P,
-    table: Option<&crate::store::CompiledTable>,
-    directory: &LdnsDirectory,
-    valve: &AnswerRr,
-    counts: &mut BatchCounts,
-    i: usize,
+fn serve_packet(
+    ctx: &ServeCtx,
+    table: &CompiledTable,
     arena: &mut PacketArena,
-    src: SocketAddr,
+    i: usize,
     overloaded: bool,
+    counts: &mut BatchCounts,
     rec: &ShardRecorder,
-) -> usize
-where
-    P: RedirectionPolicy + ?Sized,
-{
+) -> usize {
     counts.udp += 1;
-    let (data, out, _) = arena.io_slot(i);
+    let (data, out, src) = arena.io_slot(i);
     // Arrival: the deterministic sampling decision (a txid-independent
     // hash over the packet bytes — the same packet is sampled under any
     // worker count). One branch when the recorder is off.
@@ -609,85 +654,45 @@ where
     } else {
         0
     };
-    // The zero-alloc fast path: a templatable query against a compiled
-    // table whose response provably fits. Any gate failing falls through
-    // to the full decode/encode path, the behavioral reference.
-    if let Some(table) = table {
-        if let Some(view) = QueryView::parse(data) {
-            let advertised = view
-                .udp_payload()
-                .map(|p| usize::from(p).max(CLASSIC_UDP_LIMIT))
-                .unwrap_or(CLASSIC_UDP_LIMIT);
-            let max_payload = match cfg.udp_response_cap {
-                Some(cap) => advertised.min(cap),
-                None => advertised,
+    // The zero-alloc fast path: a templatable query whose response
+    // provably fits. Any gate failing falls through to the full
+    // decode/encode path, the behavioral reference.
+    let fast = QueryView::parse(data).filter(|view| {
+        let len = response_len(view);
+        len <= ctx.udp_payload_limit(view.udp_payload()) && len <= out.len()
+    });
+    // All gates are checked before any count mutation, so the slow path
+    // never double-counts a query the fast path rejected.
+    let (written, depth, flags) = match fast {
+        Some(view) => {
+            let (rr, scope, flags) = ctx.decide(table, src, view.edns, overloaded, counts);
+            counts.template_hits += 1;
+            let written = write_response(out, &view, rr, scope);
+            (written, scope, flags | TRACE_TEMPLATE_HIT)
+        }
+        None => {
+            let transport = Transport::Udp { overloaded };
+            let (resp, trace) = respond(ctx, table, counts, data, src, transport);
+            let written = match resp {
+                Some(resp) if resp.len() <= out.len() => {
+                    out[..resp.len()].copy_from_slice(&resp);
+                    resp.len()
+                }
+                _ => 0,
             };
-            let len = response_len(&view);
-            // All gates checked before any count mutation, so the slow
-            // path never double-counts a query the fast path rejected.
-            if len <= max_payload && len <= out.len() {
-                let mut flags = TRACE_TEMPLATE_HIT;
-                if overloaded {
-                    flags |= TRACE_OVERLOAD;
-                }
-                let (rr, scope) = if overloaded {
-                    counts.degraded += 1;
-                    flags |= TRACE_VALVE;
-                    (valve, 0)
-                } else {
-                    match directory.lookup(source_ip(src)) {
-                        Some((ldns, _)) => {
-                            let ecs = view.edns.and_then(|e| e.ecs).and_then(|e| e.to_option());
-                            table.answer_rr(ldns, ecs.as_ref())
-                        }
-                        None => {
-                            counts.unknown_ldns += 1;
-                            flags |= TRACE_VALVE | TRACE_UNKNOWN_LDNS;
-                            (valve, 0)
-                        }
-                    }
-                };
-                counts.template_hits += 1;
-                counts.tally(rr.addr());
-                let written = write_response(out, &view, rr, scope);
-                if sampled {
-                    // Send: the completed trace — lookup depth is the
-                    // matched ECS prefix length the answer advertises.
-                    rec.record(TraceRecord {
-                        txid,
-                        depth: scope,
-                        flags,
-                        resp_len: written as u16,
-                    });
-                }
-                return written;
-            }
+            // A query that reached no answer decision (FORMERR, REFUSED,
+            // empty NOERROR, scrape) still reports the shard's state.
+            let (depth, flags) = trace.unwrap_or((0, if overloaded { TRACE_OVERLOAD } else { 0 }));
+            (written, depth, flags)
         }
-    }
-    let resp = respond(
-        cfg,
-        policy,
-        directory,
-        counts,
-        data,
-        src,
-        Transport::Udp { overloaded },
-    );
-    // Re-borrow the slot: `respond` needed `data` immutably while the
-    // response Vec was built.
-    let (_, out, _) = arena.io_slot(i);
-    let written = match resp {
-        Some(resp) if resp.len() <= out.len() => {
-            out[..resp.len()].copy_from_slice(&resp);
-            resp.len()
-        }
-        _ => 0,
     };
     if sampled {
+        // Send: the completed trace — lookup depth is the matched ECS
+        // prefix length the answer advertises.
         rec.record(TraceRecord {
             txid,
-            depth: 0,
-            flags: if overloaded { TRACE_OVERLOAD } else { 0 },
+            depth,
+            flags,
             resp_len: written as u16,
         });
     }
@@ -701,26 +706,16 @@ fn source_ip(src: SocketAddr) -> Ipv4Addr {
     }
 }
 
-fn spawn_tcp_acceptor<P>(
-    listener: TcpListener,
-    cfg: ServeConfig,
-    policy: Arc<P>,
-    directory: Arc<LdnsDirectory>,
-    stats: Arc<ServeStats>,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()>
-where
-    P: RedirectionPolicy + Send + Sync + 'static,
-{
+fn spawn_tcp_acceptor(ctx: Arc<ServeCtx>, listener: TcpListener) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("serve-tcp".to_string())
         .spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
+            while !ctx.stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, src)) => {
-                        stats.tcp_fallbacks.fetch_add(1, Ordering::Relaxed);
+                        ctx.stats.tcp_fallbacks.fetch_add(1, Ordering::Relaxed);
                         counter!("tcp_fallback_total").inc();
-                        let _ = serve_tcp_conn(stream, src, &cfg, &*policy, &directory, &stats);
+                        let _ = serve_tcp_conn(&ctx, stream, src);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(5));
@@ -734,18 +729,9 @@ where
 
 /// Serves queries on one TCP connection (RFC 1035 §4.2.2 framing) until
 /// the peer closes or times out. The query scratch and the length-prefixed
-/// response frame are per-connection buffers reused across messages.
-fn serve_tcp_conn<P>(
-    mut stream: TcpStream,
-    src: SocketAddr,
-    cfg: &ServeConfig,
-    policy: &P,
-    directory: &LdnsDirectory,
-    stats: &ServeStats,
-) -> std::io::Result<()>
-where
-    P: RedirectionPolicy + ?Sized,
-{
+/// response frame are per-connection buffers reused across messages; the
+/// table is loaded once per message.
+fn serve_tcp_conn(ctx: &ServeCtx, mut stream: TcpStream, src: SocketAddr) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut data: Vec<u8> = Vec::new();
     let mut frame: Vec<u8> = Vec::new();
@@ -759,16 +745,9 @@ where
         data.resize(len, 0);
         stream.read_exact(&mut data)?;
         counts.tcp += 1;
-        let resp = respond(
-            cfg,
-            policy,
-            directory,
-            &mut counts,
-            &data,
-            src,
-            Transport::Tcp,
-        );
-        counts.flush(stats);
+        let table = ctx.tables.load();
+        let (resp, _) = respond(ctx, &table, &mut counts, &data, src, Transport::Tcp);
+        counts.flush(&ctx.stats);
         if let Some(resp) = resp {
             debug_assert!(resp.len() <= TCP_MAX_MESSAGE);
             // One write_all of [len | message]: a single segment on the
@@ -796,43 +775,31 @@ enum Transport {
     Tcp,
 }
 
-/// Decodes one query and produces the response bytes, if any. The full
+/// Decodes one query and produces the response bytes, if any, plus the
+/// `(scope, flags)` of the answer decision when one was made. The full
 /// (allocating) path: behavioral reference for FORMERR, REFUSED,
 /// truncation, and every non-templatable shape.
-fn respond<P>(
-    cfg: &ServeConfig,
-    policy: &P,
-    directory: &LdnsDirectory,
+fn respond(
+    ctx: &ServeCtx,
+    table: &CompiledTable,
     counts: &mut BatchCounts,
     data: &[u8],
     src: SocketAddr,
     transport: Transport,
-) -> Option<Vec<u8>>
-where
-    P: RedirectionPolicy + ?Sized,
-{
+) -> (Option<Vec<u8>>, Option<(u8, u8)>) {
     let q = match decode_query(data) {
         Ok(q) => q,
         Err(_) => {
             counts.decode_errors += 1;
-            return formerr_response(data);
+            return (formerr_response(data), None);
         }
     };
-    if matches!(transport, Transport::Udp { .. }) {
-        counts.template_misses += 1;
-    }
-    let overloaded = matches!(transport, Transport::Udp { overloaded: true });
-    let max_payload = match transport {
-        Transport::Tcp => TCP_MAX_MESSAGE,
-        Transport::Udp { .. } => {
-            let advertised = q
-                .edns
-                .map(|e| usize::from(e.udp_payload).max(CLASSIC_UDP_LIMIT))
-                .unwrap_or(CLASSIC_UDP_LIMIT);
-            match cfg.udp_response_cap {
-                Some(cap) => advertised.min(cap),
-                None => advertised,
-            }
+    let (max_payload, overloaded) = match transport {
+        Transport::Tcp => (TCP_MAX_MESSAGE, false),
+        Transport::Udp { overloaded } => {
+            counts.template_misses += 1;
+            let limit = ctx.udp_payload_limit(q.edns.map(|e| e.udp_payload));
+            (limit, overloaded)
         }
     };
     if q.qclass == CLASS_CHAOS {
@@ -845,51 +812,34 @@ where
         if q.qtype == TYPE_TXT && q.qname.as_str() == CHAOS_METRICS_QNAME {
             counter!("serve_chaos_scrapes_total").inc();
             let text = anycast_obs::global().snapshot().to_prometheus();
-            return Some(encode_chaos_txt(
-                &q,
-                &text,
-                max_payload,
-                matches!(transport, Transport::Tcp),
-            ));
+            let over_tcp = matches!(transport, Transport::Tcp);
+            return (
+                Some(encode_chaos_txt(&q, &text, max_payload, over_tcp)),
+                None,
+            );
         }
-        return Some(encode_response(&q, None, RCODE_REFUSED, max_payload));
+        return (
+            Some(encode_response(&q, None, RCODE_REFUSED, max_payload)),
+            None,
+        );
     }
     if q.qclass != CLASS_IN {
-        return Some(encode_response(&q, None, RCODE_REFUSED, max_payload));
+        return (
+            Some(encode_response(&q, None, RCODE_REFUSED, max_payload)),
+            None,
+        );
     }
     if q.qtype != TYPE_A {
-        return Some(encode_response(&q, None, 0, max_payload));
+        return (Some(encode_response(&q, None, 0, max_payload)), None);
     }
-    let answer = if overloaded {
-        counts.degraded += 1;
-        anycast_dns::DnsAnswer::global(cfg.anycast_vip, cfg.valve_ttl_s)
-    } else {
-        match directory.lookup(source_ip(src)) {
-            Some((ldns, ldns_location)) => {
-                let ecs = q.edns.and_then(|e| e.ecs).and_then(|e| e.to_option());
-                let ctx = QueryContext {
-                    qname: &q.qname,
-                    ldns,
-                    ldns_location,
-                    ecs,
-                    day: cfg.day,
-                    time_s: 0.0,
-                };
-                policy.answer(&ctx)
-            }
-            None => {
-                counts.unknown_ldns += 1;
-                anycast_dns::DnsAnswer::global(cfg.anycast_vip, cfg.valve_ttl_s)
-            }
-        }
-    };
-    counts.tally(answer.addr);
+    let (rr, scope, flags) = ctx.decide(table, src, q.edns, overloaded, counts);
+    let answer = DnsAnswer::scoped(rr.addr(), rr.ttl_s(), scope);
     let resp = encode_response(&q, Some(&answer), 0, max_payload);
     if resp.len() >= crate::wire::HEADER_LEN && resp[2] & 0x02 != 0 {
         // TC bit set in the encoded header.
         counts.truncated += 1;
     }
-    Some(resp)
+    (Some(resp), Some((scope, flags)))
 }
 
 /// A question-less FORMERR response, if the packet at least carries an id.
@@ -909,4 +859,211 @@ fn formerr_response(data: &[u8]) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(crate::wire::HEADER_LEN);
     header.encode(&mut out);
     Some(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::{decode_response, encode_query, WireEcs, WireQuery};
+    use crate::wire::HEADER_LEN;
+    use anycast_core::prediction::{GroupKey, Grouping};
+    use anycast_dns::DnsName;
+    use anycast_netsim::{CdnAddressing, Prefix, SiteId};
+
+    const RESOLVER: Ipv4Addr = Ipv4Addr::new(127, 0, 0, 9);
+    const TRAINED: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 0);
+
+    fn plan() -> CdnAddressing {
+        CdnAddressing::standard(8)
+    }
+
+    /// An ECS table sending `TRAINED`/24 to `site`, everything at `ttl_s`.
+    fn table(site: u16, ttl_s: u32) -> CompiledTable {
+        CompiledTable::empty(Grouping::Ecs, plan(), ttl_s)
+            .with_entry(GroupKey::Ecs(Prefix::new(TRAINED, 24)), SiteId(site))
+    }
+
+    fn ctx(store: Arc<TableStore>) -> ServeCtx {
+        let mut directory = LdnsDirectory::new();
+        directory.insert(RESOLVER, LdnsId(0), GeoPoint::new(0.0, 0.0));
+        ServeCtx::new(ServeConfig::new(plan().anycast_ip()), store, directory)
+    }
+
+    fn recorder_off() -> Arc<ShardRecorder> {
+        let cfg = RecorderConfig {
+            enabled: false,
+            ..RecorderConfig::default()
+        };
+        FlightRecorder::new(1, cfg).shard(0)
+    }
+
+    fn ecs(subnet: Ipv4Addr) -> Option<Edns> {
+        Some(Edns {
+            udp_payload: 1232,
+            ecs: Some(WireEcs {
+                addr: subnet,
+                source_prefix_len: 24,
+                scope_prefix_len: 0,
+            }),
+        })
+    }
+
+    fn query(id: u16, qtype: u16, edns: Option<Edns>) -> Vec<u8> {
+        encode_query(&WireQuery {
+            id,
+            rd: true,
+            qname: DnsName::new("www.cdn.example").unwrap(),
+            qtype,
+            qclass: CLASS_IN,
+            edns,
+        })
+    }
+
+    /// `query`, with the first QNAME byte upper-cased: the raw question no
+    /// longer equals its canonical re-encoding, so the template declines it.
+    fn mixed_case(mut wire: Vec<u8>) -> Vec<u8> {
+        wire[HEADER_LEN + 1] = b'W';
+        assert!(QueryView::parse(&wire).is_none());
+        wire
+    }
+
+    #[test]
+    fn a_batch_is_answered_from_the_one_generation_it_loaded() {
+        // Table A is what the batch loaded; by the time it is answered the
+        // store already holds B (other site, other TTL — so even VIP
+        // misses tell the generations apart).
+        let store = Arc::new(TableStore::new(table(2, 60)));
+        let ctx = ctx(store.clone());
+        let a = store.load();
+        store.swap(table(5, 61));
+
+        let elsewhere = Ipv4Addr::new(203, 0, 113, 0);
+        let batch = [
+            query(1, TYPE_A, ecs(TRAINED)),               // template, table hit
+            mixed_case(query(2, TYPE_A, ecs(TRAINED))),   // encoder, table hit
+            query(3, TYPE_A, None),                       // template, no EDNS: miss
+            mixed_case(query(4, TYPE_A, ecs(elsewhere))), // encoder, miss
+            query(5, 28, Some(Edns::plain(1232))),        // encoder, AAAA: no answer
+        ];
+        let src = SocketAddr::from((RESOLVER, 5353));
+        let mut arena = PacketArena::new(batch.len(), RECV_BUF);
+        let mut answer_from = |table: &CompiledTable| {
+            for (i, wire) in batch.iter().enumerate() {
+                arena.set_incoming(i, wire, src);
+            }
+            let mut counts = BatchCounts::default();
+            answer_batch(
+                &ctx,
+                table,
+                &mut arena,
+                batch.len(),
+                false,
+                &mut counts,
+                &recorder_off(),
+            );
+            assert_eq!((counts.template_hits, counts.template_misses), (2, 3));
+            (0..batch.len())
+                .map(|i| decode_response(arena.send_slot(i)).expect("response decodes"))
+                .collect::<Vec<_>>()
+        };
+
+        let from_a = answer_from(&a);
+        let (hit, vip) = (plan().site_ip(SiteId(2)), plan().anycast_ip());
+        let want = [
+            Some((hit, 60)),
+            Some((hit, 60)),
+            Some((vip, 60)),
+            Some((vip, 60)),
+            None,
+        ];
+        for (r, want) in from_a.iter().zip(want) {
+            assert_eq!(r.rcode, 0);
+            assert_eq!(
+                r.answer, want,
+                "query {} must be answered from table A",
+                r.id
+            );
+        }
+        assert_eq!(from_a[0].ecs.unwrap().scope_prefix_len, 24);
+        assert_eq!(from_a[1].ecs.unwrap().scope_prefix_len, 24);
+        assert_eq!(from_a[3].ecs.unwrap().scope_prefix_len, 0);
+
+        // The same batch loaded after the swap is answered wholly from B.
+        let from_b = answer_from(&store.load());
+        let hit = plan().site_ip(SiteId(5));
+        let want = [
+            Some((hit, 61)),
+            Some((hit, 61)),
+            Some((vip, 61)),
+            Some((vip, 61)),
+            None,
+        ];
+        for (r, want) in from_b.iter().zip(want) {
+            assert_eq!(
+                r.answer, want,
+                "query {} must be answered from table B",
+                r.id
+            );
+        }
+    }
+
+    /// A scripted [`BatchIo`]: an unexpected receive error, then one query
+    /// whose send fails, then a quiet socket that raises the stop flag.
+    struct FlakyIo {
+        ctx: Arc<ServeCtx>,
+        recv_calls: usize,
+        tried_to_send: usize,
+    }
+
+    impl BatchIo for FlakyIo {
+        fn recv_batch(&mut self, _: &UdpSocket, arena: &mut PacketArena) -> std::io::Result<usize> {
+            self.recv_calls += 1;
+            match self.recv_calls {
+                1 => Err(std::io::Error::other("receive broke")),
+                2 => {
+                    let src = SocketAddr::from((RESOLVER, 5353));
+                    arena.set_incoming(0, &query(9, TYPE_A, ecs(TRAINED)), src);
+                    Ok(1)
+                }
+                _ => {
+                    self.ctx.stop.store(true, Ordering::SeqCst);
+                    Err(std::io::ErrorKind::WouldBlock.into())
+                }
+            }
+        }
+
+        fn send_batch(
+            &mut self,
+            _: &UdpSocket,
+            arena: &mut PacketArena,
+            n: usize,
+        ) -> std::io::Result<()> {
+            self.tried_to_send += (0..n).filter(|&i| !arena.send_slot(i).is_empty()).count();
+            Err(std::io::Error::other("send broke"))
+        }
+    }
+
+    #[test]
+    fn socket_errors_are_counted_and_the_worker_survives_them() {
+        let ctx = Arc::new(ctx(Arc::new(TableStore::new(table(2, 60)))));
+        let mut io = FlakyIo {
+            ctx: ctx.clone(),
+            recv_calls: 0,
+            tried_to_send: 0,
+        };
+        let sock = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        worker_loop(&ctx, &sock, &mut io, &recorder_off());
+        // The receive error did not end the loop (the query after it was
+        // served), nor did the send error (the loop came back to receive).
+        assert_eq!(io.recv_calls, 3);
+        assert_eq!(io.tried_to_send, 1);
+        assert_eq!(ctx.stats.udp_queries.load(Ordering::Relaxed), 1);
+        assert_eq!(ctx.stats.io_errors.load(Ordering::Relaxed), 2);
+        let by_op = |op| {
+            anycast_obs::global()
+                .snapshot()
+                .counter_with("serve_io_errors_total", &[("op", op)])
+        };
+        assert!(by_op("recv") >= 1 && by_op("send") >= 1);
+    }
 }

@@ -7,14 +7,15 @@
 //! (a binary longest-prefix-match trie for ECS groups, a sorted array for
 //! LDNS groups — no hashing, no locking on the read path), and
 //! [`TableStore`] swaps whole tables atomically under a brief write lock.
-//! Workers clone an `Arc` per query, so a swap never blocks a lookup in
-//! flight and an old table stays alive until its last in-flight query
-//! completes.
+//! A UDP worker clones the `Arc` once per batch (TCP once per message), so
+//! a swap never blocks a lookup in flight, a batch is answered from one
+//! generation, and an old table stays alive until the last batch holding
+//! it completes.
 //!
 //! [`CompiledTable::answer`] is contractually byte-identical to
-//! [`anycast_core::redirection::PredictionPolicy`] — the loopback
-//! equivalence test pins `(addr, ttl_s, ecs_scope)` for a full simulated
-//! day of queries.
+//! [`anycast_core::redirection::PredictionPolicy`] over the same
+//! `PredictionTable` — the loopback equivalence test pins
+//! `(addr, ttl_s, ecs_scope)` for a full simulated day of queries.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -23,7 +24,7 @@ use std::sync::{Arc, RwLock};
 use anycast_beacon::Target;
 use anycast_core::prediction::{GroupKey, Grouping, PredictionTable};
 use anycast_dns::ecs::EcsOption;
-use anycast_dns::{DnsAnswer, LdnsId, QueryContext, RedirectionPolicy};
+use anycast_dns::{DnsAnswer, LdnsId};
 use anycast_netsim::{CdnAddressing, Prefix};
 use anycast_obs::counter;
 
@@ -247,6 +248,23 @@ impl CompiledTable {
         }
     }
 
+    /// Test scaffolding: this table plus one `key → site` entry, without
+    /// training a `PredictionTable` first.
+    #[cfg(test)]
+    pub(crate) fn with_entry(mut self, key: GroupKey, site: anycast_netsim::SiteId) -> Self {
+        let rr = AnswerRr::new(self.addressing.site_ip(site), self.ttl_s);
+        self.templates.push(rr);
+        let idx = (self.templates.len() - 1) as u32;
+        match key {
+            GroupKey::Ecs(p) => self.by_prefix.insert(p, idx),
+            GroupKey::Ldns(l) => {
+                self.by_ldns.push((l.0, idx));
+                self.by_ldns.sort_unstable_by_key(|&(k, _)| k);
+            }
+        }
+        self
+    }
+
     /// This table's generation tag.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -318,19 +336,12 @@ impl CompiledTable {
     }
 }
 
-impl RedirectionPolicy for CompiledTable {
-    fn answer(&self, query: &QueryContext<'_>) -> DnsAnswer {
-        CompiledTable::answer(self, query.ldns, query.ecs.as_ref())
-    }
-}
-
 /// Atomically swappable holder of the live [`CompiledTable`].
 ///
 /// Readers take the read lock just long enough to clone an `Arc`;
-/// [`TableStore::swap`] installs a new table under the write lock. Install
-/// it on a server as `Arc<TableStore>` (which implements
-/// [`RedirectionPolicy`] through the blanket `Arc` impl) and keep a second
-/// `Arc` handle to swap tables while the server runs.
+/// [`TableStore::swap`] installs a new table under the write lock. Hand
+/// the server one `Arc<TableStore>` and keep a second handle to swap
+/// tables while it runs.
 #[derive(Debug)]
 pub struct TableStore {
     current: RwLock<Arc<CompiledTable>>,
@@ -358,17 +369,9 @@ impl TableStore {
     }
 }
 
-impl RedirectionPolicy for TableStore {
-    fn answer(&self, query: &QueryContext<'_>) -> DnsAnswer {
-        CompiledTable::answer(&self.load(), query.ldns, query.ecs.as_ref())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_dns::DnsName;
-    use anycast_geo::GeoPoint;
     use anycast_netsim::{Day, Prefix24, SiteId};
 
     fn plan() -> CdnAddressing {
@@ -563,27 +566,13 @@ mod tests {
     #[test]
     fn swap_changes_answers_without_restart() {
         let store = TableStore::new(CompiledTable::empty(Grouping::Ldns, plan(), 60));
-        let qname = DnsName::new("www.cdn.example").unwrap();
-        let q = QueryContext {
-            qname: &qname,
-            ldns: LdnsId(7),
-            ldns_location: GeoPoint::new(0.0, 0.0),
-            ecs: None,
-            day: Day(0),
-            time_s: 0.0,
-        };
-        assert!(plan().is_anycast(RedirectionPolicy::answer(&store, &q).addr));
-        // Hand-build a one-entry LDNS table by compiling through the
-        // public surface: an empty PredictionTable has no entries, so
-        // patch via the sorted-array representation directly.
-        let mut t = CompiledTable::empty(Grouping::Ldns, plan(), 60);
-        t.templates
-            .push(AnswerRr::new(plan().site_ip(SiteId(3)), 60));
-        t.by_ldns.push((7, 1));
+        assert!(plan().is_anycast(store.load().answer(LdnsId(7), None).addr));
+        let mut t = CompiledTable::empty(Grouping::Ldns, plan(), 60)
+            .with_entry(GroupKey::Ldns(LdnsId(7)), SiteId(3));
         t.generation = 1;
         let old = store.swap(t);
         assert_eq!(old.generation(), 0);
-        let a = RedirectionPolicy::answer(&store, &q);
+        let a = store.load().answer(LdnsId(7), None);
         assert_eq!(plan().site_for_ip(a.addr), Some(SiteId(3)));
         assert_eq!(store.load().generation(), 1);
     }

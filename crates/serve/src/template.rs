@@ -63,6 +63,12 @@ impl AnswerRr {
         self.addr
     }
 
+    /// The baked TTL, seconds (what the full encoder is handed when a
+    /// query cannot take the template).
+    pub fn ttl_s(&self) -> u32 {
+        u32::from_be_bytes([self.bytes[6], self.bytes[7], self.bytes[8], self.bytes[9]])
+    }
+
     /// The 16 baked wire octets.
     pub fn bytes(&self) -> &[u8; 16] {
         &self.bytes
@@ -440,6 +446,7 @@ mod tests {
     fn answer_rr_bakes_the_wire_pattern() {
         let rr = AnswerRr::new(Ipv4Addr::new(192, 0, 2, 7), 0x01020304);
         assert_eq!(rr.addr(), Ipv4Addr::new(192, 0, 2, 7));
+        assert_eq!(rr.ttl_s(), 0x01020304);
         assert_eq!(
             rr.bytes(),
             &[0xC0, 0x0C, 0, 1, 0, 1, 1, 2, 3, 4, 0, 4, 192, 0, 2, 7]

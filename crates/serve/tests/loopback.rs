@@ -1,10 +1,11 @@
 //! End-to-end loopback tests: real UDP/TCP packets against the in-process
 //! authoritative path.
 //!
-//! The ISSUE acceptance bar: for a full simulated day of queries, the
+//! The acceptance bar: for a full simulated day of queries, the
 //! wire-served `(addr, ttl, ecs_scope)` triple must be byte-identical to
-//! what [`AuthoritativeServer`] + the same policy produce in-process — at
-//! 1 worker and at 4 workers.
+//! what [`AuthoritativeServer`] over [`PredictionPolicy`] over the same
+//! trained table produces in-process — at 1 worker and at 4 workers, on
+//! the portable one-packet path (`batch = 1`) and the batched one.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -23,9 +24,24 @@ use anycast_workload::Scenario;
 
 const TTL_S: u32 = 60;
 
-/// Runs one real beacon day at small scale and trains a prediction policy
-/// from it. Returns the study (which owns the scenario) alongside.
-fn trained(seed: u64, grouping: Grouping) -> (Study, PredictionPolicy) {
+/// One trained table in its two shapes: the in-process reference policy
+/// and the compiled table the wire server serves.
+struct Trained {
+    /// Owns the scenario.
+    study: Study,
+    policy: PredictionPolicy,
+    compiled: CompiledTable,
+}
+
+impl Trained {
+    /// A fresh store holding the compiled table.
+    fn store(&self) -> Arc<TableStore> {
+        Arc::new(TableStore::new(self.compiled.clone()))
+    }
+}
+
+/// Runs one real beacon day at small scale and trains a table from it.
+fn trained(seed: u64, grouping: Grouping) -> Trained {
     let mut study = Study::new(Scenario::small(seed), StudyConfig::default());
     study.run_day(Day(0));
     let cfg = PredictorConfig {
@@ -33,8 +49,14 @@ fn trained(seed: u64, grouping: Grouping) -> (Study, PredictionPolicy) {
         ..PredictorConfig::default()
     };
     let table = Predictor::new(cfg).train(study.dataset(), Day(0));
-    let policy = PredictionPolicy::new(table, grouping, study.scenario().addressing, TTL_S);
-    (study, policy)
+    let addressing = study.scenario().addressing;
+    let compiled = CompiledTable::compile(&table, grouping, addressing, TTL_S, 1);
+    let policy = PredictionPolicy::new(table, grouping, addressing, TTL_S);
+    Trained {
+        study,
+        policy,
+        compiled,
+    }
 }
 
 /// One client per LDNS source address, created on demand.
@@ -59,117 +81,80 @@ impl ClientPool {
     }
 }
 
-fn equivalence_for_workers(workers: usize) {
-    let (study, policy) = trained(42, Grouping::Ecs);
-    let scenario = study.scenario();
+/// Where the directory believes each of the scenario's resolvers is.
+fn believed_locations(
+    scenario: &Scenario,
+    directory: &anycast_serve::server::LdnsDirectory,
+) -> HashMap<LdnsId, anycast_geo::GeoPoint> {
+    let resolvers = scenario.ldns.resolvers.iter();
+    resolvers
+        .map(|r| (r.id, directory.lookup(ldns_source_addr(r.id)).unwrap().1))
+        .collect()
+}
+
+/// The first `limit` queries of the scenario's day 1 as raw A/IN wire
+/// queries (EDNS, ECS where the resolver sends it), with the resolver
+/// each must be sent from.
+fn day_wires(scenario: &Scenario, limit: usize) -> Vec<(LdnsId, Vec<u8>)> {
+    use anycast_serve::message::{encode_query, Edns, WireEcs, WireQuery};
+    use anycast_serve::wire::{CLASS_IN, TYPE_A};
+    let wire = |(i, q): (usize, &anycast_serve::replay::QuerySpec)| {
+        let edns = Edns {
+            udp_payload: 1232,
+            ecs: q.ecs.as_ref().map(WireEcs::from_option),
+        };
+        let query = WireQuery {
+            id: i as u16,
+            rd: i % 2 == 0,
+            qname: q.qname.clone(),
+            qtype: TYPE_A,
+            qclass: CLASS_IN,
+            edns: Some(edns),
+        };
+        (q.ldns, encode_query(&query))
+    };
+    let queries = day_queries(scenario, Day(1), limit);
+    queries.iter().enumerate().map(wire).collect()
+}
+
+/// Sends one raw datagram from `ldns`'s source address and returns the
+/// raw reply.
+fn ask(server: &DnsServer, ldns: LdnsId, wire: &[u8]) -> Vec<u8> {
+    let sock = std::net::UdpSocket::bind((ldns_source_addr(ldns), 0)).expect("bind");
+    sock.set_read_timeout(Some(std::time::Duration::from_millis(2000)))
+        .unwrap();
+    sock.send_to(wire, server.local_addr()).expect("send");
+    let mut buf = [0u8; 4096];
+    let (n, _) = sock.recv_from(&mut buf).expect("reply");
+    buf[..n].to_vec()
+}
+
+/// A trained table behind the server must serve a full simulated day
+/// identically to the same table exercised in-process — and actually take
+/// the templated fast path. `batch = 1` is the portable one-packet path,
+/// `batch = 32` the recvmmsg/sendmmsg one.
+fn equivalence_for(workers: usize, batch: usize) {
+    let t = trained(52, Grouping::Ecs);
+    let scenario = t.study.scenario();
+
+    let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
+    cfg.workers = workers;
+    cfg.batch = batch;
+    let directory = ldns_directory(scenario);
+    let believed = believed_locations(scenario, &directory);
+    let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
+
+    // The in-process reference: the same table behind the simulator's
+    // authoritative front end (ECS honored).
+    let mut reference = AuthoritativeServer::new(t.policy.clone(), true);
+    let qname = service_qname();
+    let mut pool = ClientPool::new(server.local_addr());
     let queries = day_queries(scenario, Day(1), usize::MAX);
     assert!(
         queries.len() > 100,
         "a simulated day must produce a real workload, got {}",
         queries.len()
     );
-
-    // The in-process reference: the same policy behind the simulator's
-    // authoritative front end (ECS honored).
-    let mut reference = AuthoritativeServer::new(policy.clone(), true);
-
-    let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
-    cfg.workers = workers;
-    cfg.day = Day(1);
-    let directory = ldns_directory(scenario);
-    let believed: HashMap<LdnsId, anycast_geo::GeoPoint> = scenario
-        .ldns
-        .resolvers
-        .iter()
-        .map(|r| (r.id, directory.lookup(ldns_source_addr(r.id)).unwrap().1))
-        .collect();
-    let server = DnsServer::spawn(cfg, policy, directory).expect("server spawns");
-
-    let qname = service_qname();
-    let mut pool = ClientPool::new(server.local_addr());
-    let mut mismatches = 0usize;
-    for q in &queries {
-        let served = pool
-            .get(q.ldns)
-            .query(&qname, q.ecs.as_ref())
-            .expect("wire query");
-        let (_, expected) =
-            reference.resolve(&qname, q.ldns, believed[&q.ldns], q.ecs, Day(1), 0.0);
-        if (served.addr, served.ttl_s, served.ecs_scope)
-            != (expected.addr, expected.ttl_s, expected.ecs_scope)
-        {
-            mismatches += 1;
-            if mismatches <= 5 {
-                eprintln!(
-                    "mismatch for {:?}: wire {served:?} vs in-process {expected:?}",
-                    q
-                );
-            }
-        }
-    }
-    assert_eq!(
-        mismatches,
-        0,
-        "wire answers must be byte-identical to the in-process path \
-         ({} of {} differed at {workers} workers)",
-        mismatches,
-        queries.len()
-    );
-    let stats = server.stats();
-    assert_eq!(
-        stats
-            .decode_errors
-            .load(std::sync::atomic::Ordering::Relaxed),
-        0
-    );
-    assert!(stats.udp_queries.load(std::sync::atomic::Ordering::Relaxed) >= queries.len() as u64);
-}
-
-#[test]
-fn wire_answers_match_in_process_path_one_worker() {
-    equivalence_for_workers(1);
-}
-
-#[test]
-fn wire_answers_match_in_process_path_four_workers() {
-    equivalence_for_workers(4);
-}
-
-/// The batched tentpole path against the in-process reference: a
-/// trie-compiled table behind `spawn_tables` (recvmmsg/sendmmsg workers,
-/// templated answers) must serve a full simulated day identically to the
-/// same table exercised in-process — and actually take the fast path.
-fn batched_equivalence_for_workers(workers: usize, batch: usize) {
-    let mut study = Study::new(Scenario::small(52), StudyConfig::default());
-    study.run_day(Day(0));
-    let pcfg = PredictorConfig {
-        grouping: Grouping::Ecs,
-        ..PredictorConfig::default()
-    };
-    let table = Predictor::new(pcfg).train(study.dataset(), Day(0));
-    let scenario = study.scenario();
-    let policy = PredictionPolicy::new(table.clone(), Grouping::Ecs, scenario.addressing, TTL_S);
-    let compiled = CompiledTable::compile(&table, Grouping::Ecs, scenario.addressing, TTL_S, 1);
-
-    let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
-    cfg.workers = workers;
-    cfg.batch = batch;
-    cfg.day = Day(1);
-    let directory = ldns_directory(scenario);
-    let believed: HashMap<LdnsId, anycast_geo::GeoPoint> = scenario
-        .ldns
-        .resolvers
-        .iter()
-        .map(|r| (r.id, directory.lookup(ldns_source_addr(r.id)).unwrap().1))
-        .collect();
-    let server = DnsServer::spawn_tables(cfg, Arc::new(TableStore::new(compiled)), directory)
-        .expect("server spawns");
-
-    let mut reference = AuthoritativeServer::new(policy, true);
-    let qname = service_qname();
-    let mut pool = ClientPool::new(server.local_addr());
-    let queries = day_queries(scenario, Day(1), usize::MAX);
-    assert!(queries.len() > 100);
     for q in &queries {
         let served = pool
             .get(q.ldns)
@@ -180,13 +165,14 @@ fn batched_equivalence_for_workers(workers: usize, batch: usize) {
         assert_eq!(
             (served.addr, served.ttl_s, served.ecs_scope),
             (expected.addr, expected.ttl_s, expected.ecs_scope),
-            "batched wire answer must match the in-process path for {q:?} \
+            "wire answer must match the in-process path for {q:?} \
              ({workers} workers, batch {batch})"
         );
     }
     use std::sync::atomic::Ordering::Relaxed;
     let stats = server.stats();
     assert_eq!(stats.decode_errors.load(Relaxed), 0);
+    assert!(stats.udp_queries.load(Relaxed) >= queries.len() as u64);
     assert!(
         stats.template_hits.load(Relaxed) > 0,
         "canonical client queries must engage the templated fast path"
@@ -194,13 +180,23 @@ fn batched_equivalence_for_workers(workers: usize, batch: usize) {
 }
 
 #[test]
+fn wire_answers_match_in_process_path_one_worker() {
+    equivalence_for(1, 1);
+}
+
+#[test]
+fn wire_answers_match_in_process_path_four_workers() {
+    equivalence_for(4, 1);
+}
+
+#[test]
 fn batched_tables_match_in_process_path_one_worker() {
-    batched_equivalence_for_workers(1, 32);
+    equivalence_for(1, 32);
 }
 
 #[test]
 fn batched_tables_match_in_process_path_four_workers() {
-    batched_equivalence_for_workers(4, 32);
+    equivalence_for(4, 32);
 }
 
 #[test]
@@ -210,55 +206,25 @@ fn batched_and_fallback_servers_are_byte_identical_on_the_wire() {
     // through the portable one-packet fallback (batch 1) must produce
     // bit-for-bit identical response packets — templated or not, the wire
     // format is pinned to the reference encoder.
-    use anycast_serve::message::{encode_query, Edns, WireEcs, WireQuery};
-    use anycast_serve::wire::{CLASS_IN, TYPE_A};
+    use anycast_serve::message::{encode_query, Edns, WireQuery};
+    use anycast_serve::wire::CLASS_IN;
 
-    let mut study = Study::new(Scenario::small(53), StudyConfig::default());
-    study.run_day(Day(0));
-    let pcfg = PredictorConfig {
-        grouping: Grouping::Ecs,
-        ..PredictorConfig::default()
-    };
-    let table = Predictor::new(pcfg).train(study.dataset(), Day(0));
-    let scenario = study.scenario();
-    let compiled = CompiledTable::compile(&table, Grouping::Ecs, scenario.addressing, TTL_S, 1);
+    let t = trained(53, Grouping::Ecs);
+    let scenario = t.study.scenario();
 
     let spawn_with_batch = |batch: usize| {
         let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
         cfg.workers = 1;
         cfg.batch = batch;
-        cfg.day = Day(1);
-        DnsServer::spawn_tables(
-            cfg,
-            Arc::new(TableStore::new(compiled.clone())),
-            ldns_directory(scenario),
-        )
-        .expect("server spawns")
+        DnsServer::spawn_tables(cfg, t.store(), ldns_directory(scenario)).expect("server spawns")
     };
     let batched = spawn_with_batch(32);
     let fallback = spawn_with_batch(1);
 
     // Real day-of-queries shapes plus crafted slow-path shapes (an AAAA
     // query and an ECS-bearing one at several source lengths).
-    let mut wires: Vec<(LdnsId, Vec<u8>)> = Vec::new();
-    let queries = day_queries(scenario, Day(1), 200);
-    for (i, q) in queries.iter().enumerate() {
-        wires.push((
-            q.ldns,
-            encode_query(&WireQuery {
-                id: i as u16,
-                rd: i % 2 == 0,
-                qname: q.qname.clone(),
-                qtype: TYPE_A,
-                qclass: CLASS_IN,
-                edns: Some(Edns {
-                    udp_payload: 1232,
-                    ecs: q.ecs.as_ref().map(WireEcs::from_option),
-                }),
-            }),
-        ));
-    }
-    let some_ldns = queries[0].ldns;
+    let mut wires = day_wires(scenario, 200);
+    let some_ldns = wires[0].0;
     wires.push((
         some_ldns,
         encode_query(&WireQuery {
@@ -271,15 +237,6 @@ fn batched_and_fallback_servers_are_byte_identical_on_the_wire() {
         }),
     ));
 
-    let ask = |server: &DnsServer, ldns: LdnsId, wire: &[u8]| -> Vec<u8> {
-        let sock = std::net::UdpSocket::bind((ldns_source_addr(ldns), 0)).expect("bind");
-        sock.set_read_timeout(Some(std::time::Duration::from_millis(2000)))
-            .unwrap();
-        sock.send_to(wire, server.local_addr()).expect("send");
-        let mut buf = [0u8; 4096];
-        let (n, _) = sock.recv_from(&mut buf).expect("reply");
-        buf[..n].to_vec()
-    };
     for (ldns, wire) in &wires {
         assert_eq!(
             ask(&batched, *ldns, wire),
@@ -350,15 +307,14 @@ fn answered_tallies_mirror_answers_and_never_influence_them() {
     // answers — identical across reruns and worker counts — and (b)
     // obs-neutral: the answers themselves are byte-identical whether or
     // not anyone reads the tallies.
-    let (study, policy) = trained(49, Grouping::Ecs);
-    let scenario = study.scenario();
+    let t = trained(49, Grouping::Ecs);
+    let scenario = t.study.scenario();
     let queries = day_queries(scenario, Day(1), 400);
     let run = |workers: usize| {
         let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
         cfg.workers = workers;
-        cfg.day = Day(1);
         let directory = ldns_directory(scenario);
-        let server = DnsServer::spawn(cfg, policy.clone(), directory).expect("server spawns");
+        let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
         let qname = service_qname();
         let mut pool = ClientPool::new(server.local_addr());
         let mut answers = Vec::new();
@@ -417,15 +373,9 @@ fn aggregated_tables_serve_identically_compiled_or_in_process() {
     let policy = PredictionPolicy::new(table.clone(), Grouping::Ecs, scenario.addressing, TTL_S);
     let compiled = CompiledTable::compile(&table, Grouping::Ecs, scenario.addressing, TTL_S, 1);
 
-    let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
-    cfg.day = Day(1);
+    let cfg = ServeConfig::new(scenario.addressing.anycast_ip());
     let directory = ldns_directory(scenario);
-    let believed: HashMap<LdnsId, anycast_geo::GeoPoint> = scenario
-        .ldns
-        .resolvers
-        .iter()
-        .map(|r| (r.id, directory.lookup(ldns_source_addr(r.id)).unwrap().1))
-        .collect();
+    let believed = believed_locations(scenario, &directory);
     let server = DnsServer::spawn_tables(cfg, Arc::new(TableStore::new(compiled)), directory)
         .expect("server spawns");
 
@@ -508,12 +458,11 @@ fn disabled_aggregation_compiles_to_byte_identical_answers() {
 
 #[test]
 fn ldns_keyed_tables_serve_scope_zero_on_the_wire() {
-    let (study, policy) = trained(43, Grouping::Ldns);
-    let scenario = study.scenario();
-    let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
-    cfg.day = Day(1);
+    let t = trained(43, Grouping::Ldns);
+    let scenario = t.study.scenario();
+    let cfg = ServeConfig::new(scenario.addressing.anycast_ip());
     let directory = ldns_directory(scenario);
-    let server = DnsServer::spawn(cfg, policy.clone(), directory).expect("server spawns");
+    let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
 
     let qname = service_qname();
     let mut pool = ClientPool::new(server.local_addr());
@@ -631,16 +580,15 @@ fn hot_swap_and_ttl_control_retention_through_the_wire() {
 
 #[test]
 fn overload_valve_degrades_to_anycast() {
-    let (study, policy) = trained(45, Grouping::Ecs);
-    let scenario = study.scenario();
+    let t = trained(45, Grouping::Ecs);
+    let scenario = t.study.scenario();
     let plan = scenario.addressing;
     let mut cfg = ServeConfig::new(plan.anycast_ip());
     cfg.workers = 1;
     cfg.overload_watermark = 0; // every dequeue sees depth >= watermark
     cfg.valve_ttl_s = 7;
-    cfg.day = Day(1);
     let directory = ldns_directory(scenario);
-    let server = DnsServer::spawn(cfg, policy, directory).expect("server spawns");
+    let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
 
     let qname = service_qname();
     let queries = day_queries(scenario, Day(1), 50);
@@ -663,12 +611,11 @@ fn overload_valve_degrades_to_anycast() {
 
 #[test]
 fn truncated_udp_answers_complete_over_tcp() {
-    let (study, policy) = trained(46, Grouping::Ecs);
-    let scenario = study.scenario();
+    let t = trained(46, Grouping::Ecs);
+    let scenario = t.study.scenario();
     let plan = scenario.addressing;
     let mut cfg = ServeConfig::new(plan.anycast_ip());
     cfg.workers = 1;
-    cfg.day = Day(1);
     // Clamp UDP responses below the answer size: every answer truncates.
     cfg.udp_response_cap = Some(40);
     // std TCP clients cannot bind a loopback source address, so TCP
@@ -687,10 +634,10 @@ fn truncated_udp_answers_complete_over_tcp() {
     let mut directory = ldns_directory(scenario);
     let believed = directory.lookup(ldns_source_addr(ldns)).unwrap().1;
     directory.insert(Ipv4Addr::new(127, 0, 0, 1), ldns, believed);
-    let server = DnsServer::spawn(cfg, policy.clone(), directory).expect("server spawns");
+    let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
 
     let qname = service_qname();
-    let mut reference = AuthoritativeServer::new(policy, true);
+    let mut reference = AuthoritativeServer::new(t.policy.clone(), true);
     let mut pool = ClientPool::new(server.local_addr());
     for q in &queries {
         let served = pool
@@ -713,11 +660,11 @@ fn truncated_udp_answers_complete_over_tcp() {
 
 #[test]
 fn malformed_packets_get_formerr_and_are_counted() {
-    let (study, policy) = trained(47, Grouping::Ecs);
-    let scenario = study.scenario();
+    let t = trained(47, Grouping::Ecs);
+    let scenario = t.study.scenario();
     let cfg = ServeConfig::new(scenario.addressing.anycast_ip());
     let directory = ldns_directory(scenario);
-    let server = DnsServer::spawn(cfg, policy, directory).expect("server spawns");
+    let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
 
     let sock = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
     sock.set_read_timeout(Some(std::time::Duration::from_millis(2000)))
@@ -742,11 +689,11 @@ fn malformed_packets_get_formerr_and_are_counted() {
 #[test]
 fn unknown_qtypes_get_empty_noerror() {
     use anycast_serve::message::{decode_response, encode_query, Edns, WireQuery};
-    let (study, policy) = trained(48, Grouping::Ecs);
-    let scenario = study.scenario();
+    let t = trained(48, Grouping::Ecs);
+    let scenario = t.study.scenario();
     let cfg = ServeConfig::new(scenario.addressing.anycast_ip());
     let directory = ldns_directory(scenario);
-    let server = DnsServer::spawn(cfg, policy, directory).expect("server spawns");
+    let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
 
     let q = WireQuery {
         id: 77,
@@ -806,59 +753,18 @@ fn recorder_toggle_is_obs_neutral_on_the_batched_path() {
     // path, but it only *observes* — raw response datagrams must be
     // bit-for-bit identical with the recorder on and off, at 1 worker and
     // at 4, through the batched syscall path.
-    use anycast_serve::message::{encode_query, Edns, WireEcs, WireQuery};
-    use anycast_serve::wire::{CLASS_IN, TYPE_A};
-
-    let mut study = Study::new(Scenario::small(54), StudyConfig::default());
-    study.run_day(Day(0));
-    let pcfg = PredictorConfig {
-        grouping: Grouping::Ecs,
-        ..PredictorConfig::default()
-    };
-    let table = Predictor::new(pcfg).train(study.dataset(), Day(0));
-    let scenario = study.scenario();
-    let compiled = CompiledTable::compile(&table, Grouping::Ecs, scenario.addressing, TTL_S, 1);
+    let t = trained(54, Grouping::Ecs);
+    let scenario = t.study.scenario();
 
     let spawn = |workers: usize, recorder: bool| {
         let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
         cfg.workers = workers;
         cfg.batch = 32;
-        cfg.day = Day(1);
         cfg.recorder = recorder;
-        DnsServer::spawn_tables(
-            cfg,
-            Arc::new(TableStore::new(compiled.clone())),
-            ldns_directory(scenario),
-        )
-        .expect("server spawns")
+        DnsServer::spawn_tables(cfg, t.store(), ldns_directory(scenario)).expect("server spawns")
     };
 
-    let mut wires: Vec<(LdnsId, Vec<u8>)> = Vec::new();
-    for (i, q) in day_queries(scenario, Day(1), 300).iter().enumerate() {
-        wires.push((
-            q.ldns,
-            encode_query(&WireQuery {
-                id: i as u16,
-                rd: true,
-                qname: q.qname.clone(),
-                qtype: TYPE_A,
-                qclass: CLASS_IN,
-                edns: Some(Edns {
-                    udp_payload: 1232,
-                    ecs: q.ecs.as_ref().map(WireEcs::from_option),
-                }),
-            }),
-        ));
-    }
-    let ask = |server: &DnsServer, ldns: LdnsId, wire: &[u8]| -> Vec<u8> {
-        let sock = std::net::UdpSocket::bind((ldns_source_addr(ldns), 0)).expect("bind");
-        sock.set_read_timeout(Some(std::time::Duration::from_millis(2000)))
-            .unwrap();
-        sock.send_to(wire, server.local_addr()).expect("send");
-        let mut buf = [0u8; 4096];
-        let (n, _) = sock.recv_from(&mut buf).expect("reply");
-        buf[..n].to_vec()
-    };
+    let wires = day_wires(scenario, 300);
 
     for workers in [1usize, 4] {
         let on = spawn(workers, true);
@@ -890,26 +796,14 @@ fn chaos_scrape_answers_live_prometheus_mid_replay() {
     // server is serving a replay workload, a `CHAOS TXT metrics.bind`
     // query returns schema-valid Prometheus text reflecting the queries
     // served so far — through the exact same socket path as A queries.
-    let mut study = Study::new(Scenario::small(55), StudyConfig::default());
-    study.run_day(Day(0));
-    let pcfg = PredictorConfig {
-        grouping: Grouping::Ecs,
-        ..PredictorConfig::default()
-    };
-    let table = Predictor::new(pcfg).train(study.dataset(), Day(0));
-    let scenario = study.scenario();
-    let compiled = CompiledTable::compile(&table, Grouping::Ecs, scenario.addressing, TTL_S, 1);
+    let t = trained(55, Grouping::Ecs);
+    let scenario = t.study.scenario();
 
     let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
     cfg.workers = 2;
     cfg.batch = 32;
-    cfg.day = Day(1);
-    let server = DnsServer::spawn_tables(
-        cfg,
-        Arc::new(TableStore::new(compiled)),
-        ldns_directory(scenario),
-    )
-    .expect("server spawns");
+    let server =
+        DnsServer::spawn_tables(cfg, t.store(), ldns_directory(scenario)).expect("server spawns");
 
     // Serve part of a day first so the scrape has counters to report.
     let qname = service_qname();

@@ -80,11 +80,6 @@ impl LdnsAssignment {
         &self.resolvers[id.0 as usize]
     }
 
-    /// Mutable access (resolution mutates caches).
-    pub fn resolver_mut(&mut self, id: LdnsId) -> &mut Ldns {
-        &mut self.resolvers[id.0 as usize]
-    }
-
     /// True distance from each client to its LDNS, km — the §3.3
     /// client-LDNS proximity statistic.
     pub fn client_ldns_km(&self, clients: &[Client]) -> Vec<f64> {

@@ -3,7 +3,7 @@
 use anycast_cdn::analysis::cdf::Ecdf;
 use anycast_cdn::analysis::quantile::{percentile, Summary};
 use anycast_cdn::geo::GeoPoint;
-use anycast_cdn::netsim::{Day, Prefix24, Timeline};
+use anycast_cdn::netsim::{Day, Prefix24};
 use proptest::prelude::*;
 
 fn finite_lat() -> impl Strategy<Value = f64> {
@@ -124,19 +124,6 @@ proptest! {
     }
 
     // ---- infrastructure ----
-
-    #[test]
-    fn timeline_pops_in_time_order(times in prop::collection::vec(0.0..86_400.0f64, 1..200)) {
-        let mut tl = Timeline::new();
-        for (i, &t) in times.iter().enumerate() {
-            tl.push(t, i);
-        }
-        let mut prev = f64::NEG_INFINITY;
-        while let Some((t, _)) = tl.pop() {
-            prop_assert!(t >= prev);
-            prev = t;
-        }
-    }
 
     #[test]
     fn prefix24_containment_is_consistent(raw in any::<u32>(), low in any::<u8>()) {
