@@ -132,36 +132,6 @@ impl BeaconDataset {
         out
     }
 
-    /// Latency samples grouped by `(ldns, target)` for one day — the §6
-    /// LDNS prediction input ("assigning each front-end measurement made by
-    /// a client to the client's LDNS").
-    pub fn by_ldns_target(&self, day: Day) -> HashMap<(LdnsId, Target), Vec<f64>> {
-        let mut out: HashMap<(LdnsId, Target), Vec<f64>> = HashMap::new();
-        for m in self.day(day) {
-            if m.failed {
-                continue;
-            }
-            out.entry((m.ldns, m.target)).or_default().push(m.rtt_ms);
-        }
-        out
-    }
-
-    /// `(served, failed)` counts per target for one day — the availability
-    /// side of the dataset that the latency groupings above deliberately
-    /// exclude.
-    pub fn outcomes_by_target(&self, day: Day) -> HashMap<Target, (u64, u64)> {
-        let mut out: HashMap<Target, (u64, u64)> = HashMap::new();
-        for m in self.day(day) {
-            let e = out.entry(m.target).or_insert((0, 0));
-            if m.failed {
-                e.1 += 1;
-            } else {
-                e.0 += 1;
-            }
-        }
-        out
-    }
-
     /// `(served, failed)` counts per `(prefix, target)` for one day — the
     /// per-/24 availability input of the evaluation layer.
     pub fn outcomes_by_prefix_target(&self, day: Day) -> HashMap<(Prefix24, Target), (u64, u64)> {
@@ -177,47 +147,12 @@ impl BeaconDataset {
         out
     }
 
-    /// Total failed measurements across the dataset.
-    pub fn failed_count(&self) -> u64 {
-        self.measurements.iter().filter(|m| m.failed).count() as u64
-    }
-
     /// The days present, ascending.
     pub fn days(&self) -> Vec<Day> {
         let mut days: Vec<Day> = self.measurements.iter().map(|m| m.day).collect();
         days.sort();
         days.dedup();
         days
-    }
-
-    /// Writes the dataset as CSV (header + one row per measurement) — the
-    /// interchange format for replotting outside the workspace.
-    pub fn write_csv<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        writeln!(
-            w,
-            "measurement_id,slot,prefix,ldns,target,served_site,rtt_ms,failed,day,time_s"
-        )?;
-        for m in &self.measurements {
-            let target = match m.target {
-                Target::Anycast => "anycast".to_string(),
-                Target::Unicast(s) => s.to_string(),
-            };
-            writeln!(
-                w,
-                "{},{},{},{},{},{},{:.1},{},{},{:.1}",
-                m.measurement_id,
-                m.slot.index(),
-                m.prefix,
-                m.ldns,
-                target,
-                m.served_site,
-                m.rtt_ms,
-                u8::from(m.failed),
-                m.day.0,
-                m.time_s,
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -328,18 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_has_header_and_rows() {
-        let mut ds = BeaconDataset::new();
-        ds.extend(full_run(0, 50.0, [(1, 40.0), (3, 60.0), (4, 45.0)], 0));
-        let mut buf = Vec::new();
-        ds.write_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 5);
-        assert!(text.lines().next().unwrap().starts_with("measurement_id,"));
-        assert!(text.contains("anycast"));
-    }
-
-    #[test]
     fn failed_rows_count_towards_availability_not_latency() {
         let mut ds = BeaconDataset::new();
         ds.extend(full_run(0, 50.0, [(1, 40.0), (3, 60.0), (4, 45.0)], 0));
@@ -352,28 +275,12 @@ mod tests {
             ds.by_prefix_target(Day(0))[&(prefix, Target::Anycast)],
             vec![50.0]
         );
-        assert_eq!(
-            ds.by_ldns_target(Day(0))[&(LdnsId(0), Target::Anycast)],
-            vec![50.0]
-        );
         // …the availability view counts it…
-        assert_eq!(ds.outcomes_by_target(Day(0))[&Target::Anycast], (1, 1));
-        assert_eq!(ds.failed_count(), 1);
+        assert_eq!(
+            ds.outcomes_by_prefix_target(Day(0))[&(prefix, Target::Anycast)],
+            (1, 1)
+        );
         // …and the failed run's execution is missing its anycast side.
         assert_eq!(ds.executions()[1].anycast, None);
-        let mut buf = Vec::new();
-        ds.write_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.lines().next().unwrap().contains(",failed,"));
-        assert!(text.lines().any(|l| l.contains(",6000.0,1,")));
-    }
-
-    #[test]
-    fn ldns_grouping() {
-        let mut ds = BeaconDataset::new();
-        ds.extend(full_run(0, 50.0, [(1, 40.0), (3, 60.0), (4, 45.0)], 0));
-        let groups = ds.by_ldns_target(Day(0));
-        assert_eq!(groups[&(LdnsId(0), Target::Anycast)].len(), 1);
-        assert_eq!(groups.len(), 4);
     }
 }

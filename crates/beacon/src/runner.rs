@@ -12,7 +12,6 @@
 //! The warm-up resolution is what lands in the authoritative DNS log, and
 //! its unique hostname is the join key.
 
-use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 use anycast_geo::GeoPoint;
@@ -166,7 +165,7 @@ pub fn run_beacon(
                 let site = addressing
                     .site_for_ip(addr)
                     .expect("measurement answer must be a service address");
-                routes.unicast_at(site, t).map(Cow::Borrowed)
+                routes.unicast_at(site, t).copied()
             };
             if let Some(decision) = route {
                 // Success path draws exactly the same randomness as the

@@ -40,11 +40,7 @@ fn main() -> ExitCode {
     };
     logging::set_level(invocation.log_level);
 
-    let workers = std::env::var("ANYCAST_STUDY_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(1);
+    let workers = anycast_core::StudyConfig::default().workers;
     logging::info(
         "figures",
         "run start",

@@ -9,7 +9,6 @@
 //!   in EXPERIMENTS.md.
 
 use anycast_core::{Study, StudyConfig};
-use anycast_netsim::Day;
 use anycast_workload::{Scenario, ScenarioConfig};
 use rand::rngs::SmallRng;
 
@@ -54,14 +53,6 @@ pub fn study(scale: Scale, seed: u64) -> Study {
     Study::new(scenario(scale, seed), StudyConfig::default())
 }
 
-/// Builds a study and runs `days` consecutive days of beacons starting at
-/// day 0.
-pub fn study_with_days(scale: Scale, seed: u64, days: u32) -> Study {
-    let mut s = study(scale, seed);
-    s.run_days(Day(0), days);
-    s
-}
-
 /// The number of beacon-campaign days each figure uses at a scale.
 /// Small scale trims the long experiments so benches stay quick.
 pub fn figure_days(scale: Scale, paper_days: u32) -> u32 {
@@ -79,6 +70,7 @@ pub fn rng_for(seed: u64, salt: u64) -> SmallRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anycast_netsim::Day;
 
     #[test]
     fn scales_parse() {
@@ -89,7 +81,8 @@ mod tests {
 
     #[test]
     fn small_study_runs_a_day() {
-        let s = study_with_days(Scale::Small, 1, 1);
+        let mut s = study(Scale::Small, 1);
+        s.run_days(Day(0), 1);
         assert!(!s.dataset().is_empty());
     }
 

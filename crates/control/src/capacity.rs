@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use anycast_netsim::{Day, Internet, SiteId};
+use anycast_netsim::SiteId;
 
 /// Capacity budgets for the front-end fleet, in answered queries per
 /// control epoch.
@@ -55,25 +55,6 @@ impl CapacityPlan {
     pub fn iter(&self) -> impl Iterator<Item = (SiteId, f64)> + '_ {
         self.caps.iter().map(|(&s, &c)| (s, c))
     }
-
-    /// A uniform budget for every listed site.
-    pub fn uniform(sites: &[SiteId], queries_per_epoch: f64) -> CapacityPlan {
-        let mut plan = CapacityPlan::new();
-        for &s in sites {
-            plan.set(s, queries_per_epoch);
-        }
-        plan
-    }
-
-    /// Folds the netsim outage model in: any site down at `(day, time_s)`
-    /// gets a zero budget, so the controller treats an outage exactly
-    /// like a site with no capacity and steers its steerable load away.
-    pub fn with_outages(mut self, internet: &Internet, day: Day, time_s: f64) -> CapacityPlan {
-        for site in internet.down_sites(day, time_s) {
-            self.caps.insert(site, 0.0);
-        }
-        self
-    }
 }
 
 #[cfg(test)]
@@ -103,24 +84,5 @@ mod tests {
         assert!(plan.is_empty());
         assert_eq!(plan.get(SiteId(0)), f64::INFINITY);
         assert_eq!(plan.iter().count(), 0);
-    }
-
-    #[test]
-    fn outages_zero_the_dead_sites() {
-        use anycast_netsim::NetConfig;
-        let mut cfg = NetConfig::small();
-        cfg.p_site_outage = 1.0; // every site has an outage window each day
-        let net = Internet::new(cfg, 7).expect("valid config");
-        let (site, window) = net
-            .site_locations()
-            .iter()
-            .find_map(|&(s, _)| net.outages().window_on(s, Day(0)).map(|w| (s, w)))
-            .expect("p=1 must schedule a window");
-        let t = (window.start_s + window.end_s) / 2.0;
-        let plan = CapacityPlan::new().with_outages(&net, Day(0), t);
-        assert_eq!(plan.get(site), 0.0, "down site has zero budget");
-        // Outside every window the plan stays untouched.
-        let before = CapacityPlan::new().with_outages(&net, Day(0), -1.0);
-        assert!(before.is_empty());
     }
 }

@@ -98,19 +98,6 @@ pub fn anycast_request(
     }
 }
 
-/// A stream of anycast requests at the given instants of one day.
-pub fn anycast_requests(
-    internet: &Internet,
-    client: &ClientAttachment,
-    day: Day,
-    times_s: &[f64],
-) -> Vec<RequestOutcome> {
-    times_s
-        .iter()
-        .map(|&t| anycast_request(internet, client, day, t))
-        .collect()
-}
-
 /// [`anycast_request`] through a per-day [`RouteSnapshot`]: identical
 /// outcomes (the snapshot is transparent), but the steady-state path is an
 /// array lookup instead of a full BGP/IGP re-selection. `client` indexes
@@ -135,20 +122,6 @@ pub fn anycast_request_memo(
             }
         }
     }
-}
-
-/// A stream of memoized anycast requests at the given instants of the
-/// snapshot's day.
-pub fn anycast_requests_memo(
-    internet: &Internet,
-    routes: &RouteSnapshot,
-    client: usize,
-    times_s: &[f64],
-) -> Vec<RequestOutcome> {
-    times_s
-        .iter()
-        .map(|&t| anycast_request_memo(internet, routes, client, t))
-        .collect()
 }
 
 /// `n` evenly spaced request instants across a day, offset off the exact

@@ -40,8 +40,8 @@ pub mod study;
 pub use deployment::Deployment;
 pub use evaluation::{evaluate_prediction, weighted_availability, EvalRow};
 pub use failure::{
-    anycast_request, anycast_request_memo, anycast_requests, anycast_requests_memo, request_times,
-    DnsRedirectionSim, FailureReason, RequestOutcome,
+    anycast_request, anycast_request_memo, request_times, DnsRedirectionSim, FailureReason,
+    RequestOutcome,
 };
 pub use flows::{disruption_rate, DisruptionStats, FlowModel};
 pub use loadaware::{plan_shedding, withdraw, SiteLoad};

@@ -5,7 +5,9 @@
 //! the beacon, each beacon makes its four measurements through the client's
 //! real resolver against the CDN's authoritative servers, and at the end of
 //! each day the backend joins client-side HTTP results with server-side DNS
-//! logs into the growing [`BeaconDataset`].
+//! logs into the growing [`BeaconDataset`]. The DNS log is an input to that
+//! join, not campaign state: `run_day` hands the day's log to its caller
+//! and keeps none of it.
 //!
 //! # The parallel deterministic engine
 //!
@@ -97,7 +99,7 @@ pub struct StudyConfig {
     /// daily poor-path analysis. Stream-neutral.
     pub min_unicast_samples: usize,
     /// Worker threads for `run_day` (≥ 1). Output bytes never depend on
-    /// it. Defaults to `$ANYCAST_STUDY_WORKERS` when set, else 1.
+    /// it. Defaults to the host's available parallelism.
     pub workers: usize,
 }
 
@@ -110,19 +112,9 @@ impl Default for StudyConfig {
             timing: TimingModel::default(),
             fetch: FetchConfig::default(),
             min_unicast_samples: 6,
-            workers: default_workers(),
+            workers: std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
-}
-
-/// Worker count from `$ANYCAST_STUDY_WORKERS` (CI exercises the threaded
-/// path this way), defaulting to sequential.
-fn default_workers() -> usize {
-    std::env::var("ANYCAST_STUDY_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(1)
 }
 
 /// One scheduled beacon execution: client `client`'s beacon number
@@ -154,7 +146,6 @@ pub struct Study {
     scenario: Scenario,
     policy: MeasurementPolicy,
     dataset: BeaconDataset,
-    dns_log: Vec<DnsQueryLog>,
     zone: DnsName,
     cfg: StudyConfig,
     /// Client prefix → LDNS, fixed for the scenario (built once).
@@ -196,7 +187,6 @@ impl Study {
             scenario,
             policy,
             dataset: BeaconDataset::new(),
-            dns_log: Vec::new(),
             zone: DnsName::new("probe.cdn.example").expect("static zone is valid"),
             cfg,
             ldns_of,
@@ -220,20 +210,15 @@ impl Study {
         &self.dataset
     }
 
-    /// Server-side authoritative DNS log collected so far, in global time
-    /// order (the backend's view before the join).
-    pub fn dns_log(&self) -> &[DnsQueryLog] {
-        &self.dns_log
-    }
-
     /// Runs one day of beacons: schedules each client's executions from
     /// its private derived stream, sorts them into one global timeline,
     /// fans them out across `cfg.workers` threads against a shared per-day
     /// route snapshot, and merges results back in time order — so DNS and
     /// HTTP logs come out exactly as a sequential run would produce them,
     /// for any worker count. The day ends with the backend join of DNS and
-    /// HTTP logs into the dataset.
-    pub fn run_day(&mut self, day: Day) {
+    /// HTTP logs into the dataset. Returns the day's authoritative DNS log
+    /// in global time order (the backend's view before the join).
+    pub fn run_day(&mut self, day: Day) -> Vec<DnsQueryLog> {
         let s = &self.scenario;
         let cfg = &self.cfg;
         let zone = &self.zone;
@@ -351,7 +336,6 @@ impl Study {
         }
         let joined = join(&http_rows, &dns_rows, &s.addressing);
         self.dataset.extend(joined);
-        self.dns_log.extend(dns_rows);
         drop(join_timer);
 
         // Per-day campaign counters: tallied on the merge thread from the
@@ -366,6 +350,7 @@ impl Study {
             .add(http_rows.len() as u64);
         obs.counter_with("study_day_failed_rows_total", labels)
             .add(http_rows.iter().filter(|r| r.failed).count() as u64);
+        dns_rows
     }
 
     /// Runs a span of consecutive days. Each day derives its own streams,
@@ -398,24 +383,20 @@ impl Study {
     /// skipped).
     pub fn daily_prefix_perf(&self, day: Day) -> Vec<PrefixDayPerf<Prefix24>> {
         let by_target = self.dataset.by_prefix_target(day);
-        let mut prefixes: Vec<Prefix24> = by_target.keys().map(|&(p, _)| p).collect();
-        prefixes.sort();
-        prefixes.dedup();
+        let mut groups: Vec<(&(Prefix24, Target), &Vec<f64>)> = by_target.iter().collect();
+        groups.sort_unstable_by_key(|&(key, _)| *key);
         let mut out = Vec::new();
-        for prefix in prefixes {
-            let Some(anycast_samples) = by_target.get(&(prefix, Target::Anycast)) else {
+        for of_prefix in groups.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            // `Target::Anycast` sorts ahead of every unicast target.
+            let (&(prefix, Target::Anycast), anycast_samples) = of_prefix[0] else {
                 continue;
             };
             let Some(anycast_ms) = median(anycast_samples) else {
                 continue;
             };
-            let best_unicast = by_target
+            let best_unicast = of_prefix[1..]
                 .iter()
-                .filter(|((p, t), v)| {
-                    *p == prefix
-                        && matches!(t, Target::Unicast(_))
-                        && v.len() >= self.cfg.min_unicast_samples
-                })
+                .filter(|(_, v)| v.len() >= self.cfg.min_unicast_samples)
                 .filter_map(|(_, v)| median(v))
                 .fold(f64::INFINITY, f64::min);
             if best_unicast.is_finite() {
@@ -505,7 +486,7 @@ mod tests {
         // The event-driven day must produce time-ordered logs, like a real
         // log pipeline — and so must the drained DNS log.
         let mut study = small_study(8);
-        study.run_day(Day(0));
+        let dns_log = study.run_day(Day(0));
         let times: Vec<f64> = study
             .dataset()
             .measurements()
@@ -515,10 +496,7 @@ mod tests {
         assert!(times.len() > 100);
         let sorted = times.windows(2).all(|w| w[0] <= w[1]);
         assert!(sorted, "day's measurements are not time-ordered");
-        let dns_sorted = study
-            .dns_log()
-            .windows(2)
-            .all(|w| w[0].time_s <= w[1].time_s);
+        let dns_sorted = dns_log.windows(2).all(|w| w[0].time_s <= w[1].time_s);
         assert!(dns_sorted, "day's DNS log is not time-ordered");
     }
 
@@ -555,17 +533,17 @@ mod tests {
                 ..StudyConfig::default()
             };
             let mut study = Study::new(Scenario::small(11), cfg);
-            study.run_day(Day(0));
-            study
+            let dns_log = study.run_day(Day(0));
+            (study, dns_log)
         };
-        let seq = run(1);
-        let par = run(3);
+        let (seq, seq_log) = run(1);
+        let (par, par_log) = run(3);
         assert_eq!(
             seq.dataset().measurements(),
             par.dataset().measurements(),
             "joined dataset differs across worker counts"
         );
-        assert_eq!(seq.dns_log(), par.dns_log(), "DNS log differs");
+        assert_eq!(seq_log, par_log, "DNS log differs");
     }
 
     #[test]

@@ -36,8 +36,8 @@ fn run_campaign(seed: u64, workers: usize, outages: bool) -> String {
         ..StudyConfig::default()
     };
     let mut st = Study::new(scenario, study_cfg);
-    st.run_day(Day(0));
-    format!("{:?}\n{:?}", st.dataset().measurements(), st.dns_log())
+    let dns_log = st.run_day(Day(0));
+    format!("{:?}\n{:?}", st.dataset().measurements(), dns_log)
 }
 
 /// Runs the campaign inside a capture window, returning output bytes and

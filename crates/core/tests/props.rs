@@ -4,7 +4,7 @@
 use anycast_beacon::{BeaconDataset, BeaconMeasurement, Slot, Target};
 use anycast_core::loadaware::{plan_shedding, total_overload, withdraw, SiteLoad};
 use anycast_core::{GroupKey, Grouping, Metric, Predictor, PredictorConfig, Study, StudyConfig};
-use anycast_dns::LdnsId;
+use anycast_dns::{DnsQueryLog, LdnsId};
 use anycast_geo::GeoPoint;
 use anycast_netsim::{Day, Prefix24, SiteId, WorldGenConfig};
 use anycast_workload::{Scenario, ScenarioConfig};
@@ -182,6 +182,30 @@ proptest! {
 
 // Each case runs three full campaign days over a Small world, so this
 // block keeps its case count low; CI invokes it by name.
+/// Runs `days` campaign days and returns the joined rows with the
+/// concatenation of the DNS logs `run_day` returned, each checked to be in
+/// global time order and to hold only its own day's rows.
+fn run_study(
+    scenario: Scenario,
+    workers: usize,
+    days: u32,
+) -> (Vec<BeaconMeasurement>, Vec<DnsQueryLog>) {
+    let cfg = StudyConfig {
+        workers,
+        ..StudyConfig::default()
+    };
+    let mut st = Study::new(scenario, cfg);
+    let mut dns_log = Vec::new();
+    for day in Day(0).span(days) {
+        let log = st.run_day(day);
+        assert!(!log.is_empty(), "{day:?} logged no DNS query");
+        assert!(log.iter().all(|row| row.day == day));
+        assert!(log.windows(2).all(|w| w[0].time_s <= w[1].time_s));
+        dns_log.extend(log);
+    }
+    (st.dataset().measurements().to_vec(), dns_log)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -202,12 +226,7 @@ proptest! {
             }
             Scenario::build(cfg).expect("valid config")
         };
-        let run = |workers: usize| {
-            let cfg = StudyConfig { workers, ..StudyConfig::default() };
-            let mut st = Study::new(world(seed), cfg);
-            st.run_day(Day(0));
-            (st.dataset().measurements().to_vec(), st.dns_log().to_vec())
-        };
+        let run = |workers: usize| run_study(world(seed), workers, 2);
         let (m1, d1) = run(1);
         prop_assert!(!m1.is_empty(), "campaign produced no measurements");
         for workers in [2usize, 8] {
@@ -240,12 +259,7 @@ proptest! {
             cfg.net.p_site_drain = 0.15;
             Scenario::build(cfg).expect("valid config")
         };
-        let run = |workers: usize| {
-            let cfg = StudyConfig { workers, ..StudyConfig::default() };
-            let mut st = Study::new(world(seed), cfg);
-            st.run_day(Day(0));
-            (st.dataset().measurements().to_vec(), st.dns_log().to_vec())
-        };
+        let run = |workers: usize| run_study(world(seed), workers, 1);
         let (m1, d1) = run(1);
         prop_assert!(!m1.is_empty(), "campaign produced no measurements");
         for workers in [2usize, 8] {

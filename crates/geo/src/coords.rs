@@ -91,21 +91,6 @@ impl GeoPoint {
         EARTH_RADIUS_KM * c
     }
 
-    /// Initial bearing from `self` towards `other`, in degrees clockwise from
-    /// north, in `[0, 360)`. Returns 0 for coincident points.
-    pub fn initial_bearing_deg(&self, other: &GeoPoint) -> f64 {
-        let (lat1, lon1) = (self.lat_rad(), self.lon_rad());
-        let (lat2, lon2) = (other.lat_rad(), other.lon_rad());
-        let dlon = lon2 - lon1;
-        let y = dlon.sin() * lat2.cos();
-        let x = lat1.cos() * lat2.sin() - lat1.sin() * lat2.cos() * dlon.cos();
-        if y == 0.0 && x == 0.0 {
-            return 0.0;
-        }
-        let bearing = y.atan2(x).to_degrees();
-        (bearing + 360.0) % 360.0
-    }
-
     /// The point reached by travelling `distance_km` along the great circle
     /// with initial bearing `bearing_deg` (degrees clockwise from north).
     ///
@@ -120,18 +105,6 @@ impl GeoPoint {
         let lon2 = lon1
             + (theta.sin() * delta.sin() * lat1.cos()).atan2(delta.cos() - lat1.sin() * lat2.sin());
         GeoPoint::new(lat2.to_degrees(), lon2.to_degrees())
-    }
-
-    /// The midpoint of the great-circle segment from `self` to `other`.
-    pub fn midpoint(&self, other: &GeoPoint) -> GeoPoint {
-        let (lat1, lon1) = (self.lat_rad(), self.lon_rad());
-        let (lat2, lon2) = (other.lat_rad(), other.lon_rad());
-        let dlon = lon2 - lon1;
-        let bx = lat2.cos() * dlon.cos();
-        let by = lat2.cos() * dlon.sin();
-        let lat3 = (lat1.sin() + lat2.sin()).atan2(((lat1.cos() + bx).powi(2) + by.powi(2)).sqrt());
-        let lon3 = lon1 + by.atan2(lat1.cos() + bx);
-        GeoPoint::new(lat3.to_degrees(), lon3.to_degrees())
     }
 }
 
@@ -221,48 +194,6 @@ mod tests {
         let p = GeoPoint::new(-33.87, 151.21); // Sydney
         let q = p.destination(123.0, 0.0);
         assert!(p.haversine_km(&q) < 1e-6);
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let eq = GeoPoint::new(0.0, 0.0);
-        assert!(approx(
-            eq.initial_bearing_deg(&GeoPoint::new(1.0, 0.0)),
-            0.0,
-            1e-6
-        ));
-        assert!(approx(
-            eq.initial_bearing_deg(&GeoPoint::new(0.0, 1.0)),
-            90.0,
-            1e-6
-        ));
-        assert!(approx(
-            eq.initial_bearing_deg(&GeoPoint::new(-1.0, 0.0)),
-            180.0,
-            1e-6
-        ));
-        assert!(approx(
-            eq.initial_bearing_deg(&GeoPoint::new(0.0, -1.0)),
-            270.0,
-            1e-6
-        ));
-    }
-
-    #[test]
-    fn bearing_of_coincident_points_is_zero() {
-        let p = GeoPoint::new(10.0, 10.0);
-        assert_eq!(p.initial_bearing_deg(&p), 0.0);
-    }
-
-    #[test]
-    fn midpoint_is_equidistant() {
-        let a = GeoPoint::new(40.7128, -74.0060);
-        let b = GeoPoint::new(51.5074, -0.1278);
-        let m = a.midpoint(&b);
-        let da = a.haversine_km(&m);
-        let db = b.haversine_km(&m);
-        assert!(approx(da, db, 1e-6 * da.max(1.0)));
-        assert!(approx(da + db, a.haversine_km(&b), 1e-6 * da.max(1.0)));
     }
 
     #[test]

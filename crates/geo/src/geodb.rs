@@ -127,16 +127,6 @@ impl GeoDb {
         let bearing = rng.gen_range(0.0..360.0);
         true_loc.destination(bearing, distance)
     }
-
-    /// Whether `key` is mislocated under this database snapshot.
-    pub fn is_mislocated(&self, key: u64) -> bool {
-        if self.model.mislocate_prob <= 0.0 {
-            return false;
-        }
-        let mut mix = SplitMix64(self.seed ^ key.wrapping_mul(0xA24B_AED4_963E_E407));
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(mix.next_u64());
-        rng.gen::<f64>() < self.model.mislocate_prob
-    }
 }
 
 /// Samples a standard normal via Box–Muller; avoids depending on
@@ -186,7 +176,6 @@ mod tests {
         let p = GeoPoint::new(47.6, -122.3);
         for key in 0..100 {
             assert_eq!(db.locate(key, p), p);
-            assert!(!db.is_mislocated(key));
         }
     }
 
@@ -221,20 +210,11 @@ mod tests {
             ..Default::default()
         };
         let db = GeoDb::new(7, model);
+        let p = GeoPoint::new(35.68, 139.65);
         let n = 50_000;
-        let bad = (0..n).filter(|&k| db.is_mislocated(k)).count();
+        let bad = (0..n).filter(|&k| db.locate(k, p) != p).count();
         let frac = bad as f64 / n as f64;
         assert!((frac - 0.06).abs() < 0.01, "observed {frac}");
-    }
-
-    #[test]
-    fn mislocated_entries_agree_with_locate() {
-        let db = GeoDb::new(9, GeoDbErrorModel::default());
-        let p = GeoPoint::new(35.68, 139.65);
-        for key in 0..2000 {
-            let moved = db.locate(key, p) != p;
-            assert_eq!(moved, db.is_mislocated(key), "key {key}");
-        }
     }
 
     #[test]

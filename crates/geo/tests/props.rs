@@ -13,34 +13,6 @@ fn lon() -> impl Strategy<Value = f64> {
 
 proptest! {
     #[test]
-    fn midpoint_halves_the_geodesic(
-        a_lat in -80.0..80.0f64, a_lon in lon(),
-        b_lat in -80.0..80.0f64, b_lon in lon(),
-    ) {
-        let a = GeoPoint::new(a_lat, a_lon);
-        let b = GeoPoint::new(b_lat, b_lon);
-        let d = a.haversine_km(&b);
-        // Skip antipodal near-degenerate pairs where the midpoint is
-        // numerically ill-conditioned.
-        prop_assume!(d < 19_000.0);
-        let m = a.midpoint(&b);
-        let tolerance = (d * 1e-6).max(1e-6);
-        prop_assert!((a.haversine_km(&m) - d / 2.0).abs() < tolerance + 1e-3);
-        prop_assert!((b.haversine_km(&m) - d / 2.0).abs() < tolerance + 1e-3);
-    }
-
-    #[test]
-    fn bearing_is_in_range(
-        a_lat in lat(), a_lon in lon(),
-        b_lat in lat(), b_lon in lon(),
-    ) {
-        let a = GeoPoint::new(a_lat, a_lon);
-        let b = GeoPoint::new(b_lat, b_lon);
-        let bearing = a.initial_bearing_deg(&b);
-        prop_assert!((0.0..360.0).contains(&bearing));
-    }
-
-    #[test]
     fn constructor_always_yields_valid_coordinates(raw_lat in -1e9..1e9f64, raw_lon in -1e9..1e9f64) {
         let p = GeoPoint::new(raw_lat, raw_lon);
         prop_assert!(p.lat_deg().abs() <= 90.0);
@@ -52,7 +24,6 @@ proptest! {
         let db = GeoDb::new(seed, GeoDbErrorModel::default());
         let p = GeoPoint::new(plat, plon);
         prop_assert_eq!(db.locate(key, p), db.locate(key, p));
-        prop_assert_eq!(db.is_mislocated(key), db.locate(key, p) != p);
     }
 
     #[test]

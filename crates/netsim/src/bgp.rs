@@ -380,7 +380,7 @@ mod tests {
         let metro = topo.eyeball(as_id).home_metro;
         let d = select_anycast_ingress(&topo, 0, as_id, metro);
         let provider = d.via_transit.expect("must use transit");
-        assert!(topo.is_transit(provider));
+        assert!(topo.eyeball(as_id).transit.contains(&provider));
         let handoff = d.handoff_metro.expect("handoff recorded");
         assert!(topo.transit(provider).pops.contains(&handoff));
         assert!(topo.transit(provider).peering_borders.contains(&d.ingress));

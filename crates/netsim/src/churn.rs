@@ -27,6 +27,7 @@ use anycast_geo::MetroId;
 use crate::config::NetConfig;
 use crate::ids::AsId;
 use crate::sim::Day;
+use crate::stream::{mix, to_unit};
 
 /// Deterministic churn process over attachment points.
 #[derive(Debug, Clone, Copy)]
@@ -110,19 +111,6 @@ impl ChurnModel {
 
 fn key(as_id: AsId, metro: MetroId) -> u64 {
     (u64::from(as_id.0) << 32) | u64::from(metro.0)
-}
-
-/// SplitMix64-style mixing of (seed, key, salt) into a well-distributed u64.
-fn mix(seed: u64, key: u64, salt: u64) -> u64 {
-    let mut z =
-        seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn to_unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

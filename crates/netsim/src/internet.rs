@@ -24,7 +24,7 @@ use crate::ids::{AsId, BorderId, SiteId};
 use crate::igp;
 use crate::latency::{AccessTech, LatencyModel};
 use crate::outage::OutageModel;
-use crate::path::{Hop, HopKind, RoutePath};
+use crate::path::{self, Hop, HopKind, RoutePath};
 use crate::sim::Day;
 use crate::topology::Topology;
 use crate::worldgen::{self, CatchmentTable, PolicyWorld, CDN_NEXT};
@@ -44,22 +44,29 @@ pub struct ClientAttachment {
     pub access: AccessTech,
 }
 
-/// A resolved route: where traffic ingresses, which front-end serves it, the
-/// geographic path, and the noise-free base RTT.
-#[derive(Debug, Clone, PartialEq)]
+/// A resolved route: where traffic ingresses, which front-end serves it, how
+/// it was handed off, and the noise-free base RTT. A plain value — the
+/// hop-by-hop path is a function of it and the client
+/// ([`Internet::path_of`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteDecision {
     /// CDN border router where traffic enters.
     pub ingress: BorderId,
     /// Serving front-end site.
     pub site: SiteId,
-    /// Hop-by-hop path (traceroute equivalent).
-    pub path: RoutePath,
     /// Deterministic RTT in ms (propagation + hops + last mile + stable
     /// congestion); add [`Internet::sample_rtt`] noise for a measurement.
     pub base_rtt_ms: f64,
     /// Transit provider used, if any.
     pub via_transit: Option<AsId>,
+    /// Metro where the client's ISP hands traffic to the transit provider
+    /// (`None` for direct peering).
+    pub handoff_metro: Option<MetroId>,
 }
+
+/// Longest path the route builder lays: access, ISP, transit, peering, CDN
+/// backbone, front-end.
+const MAX_HOPS: usize = 6;
 
 /// The simulated Internet: topology + churn + latency under one roof.
 ///
@@ -440,18 +447,6 @@ impl Internet {
         decision.base_rtt_ms + self.latency.sample_extra_ms(rng)
     }
 
-    /// Convenience: anycast route + one RTT sample.
-    pub fn measure_anycast<R: Rng + ?Sized>(
-        &self,
-        client: &ClientAttachment,
-        day: Day,
-        rng: &mut R,
-    ) -> (SiteId, f64) {
-        let d = self.anycast_route(client, day);
-        let rtt = self.sample_rtt(&d, rng);
-        (d.site, rtt)
-    }
-
     /// Convenience: unicast route to `site` + one RTT sample.
     pub fn measure_unicast<R: Rng + ?Sized>(
         &self,
@@ -475,61 +470,76 @@ impl Internet {
         client.location.haversine_km(&s)
     }
 
-    fn build_decision(
+    /// The hop-by-hop path (traceroute equivalent) `decision` takes from
+    /// `client`: the hops its base RTT was charged for, rebuilt on demand.
+    pub fn path_of(&self, client: &ClientAttachment, decision: &RouteDecision) -> RoutePath {
+        let (hops, n) = self.lay_hops(
+            client,
+            decision.handoff_metro,
+            decision.ingress,
+            decision.site,
+        );
+        RoutePath::new(hops[..n].to_vec())
+    }
+
+    /// Lays a route's hops in order; the first `.1` entries of `.0` are the
+    /// path.
+    fn lay_hops(
         &self,
         client: &ClientAttachment,
-        egress: EgressDecision,
+        handoff_metro: Option<MetroId>,
+        ingress: BorderId,
         site: SiteId,
-        day: Day,
-    ) -> RouteDecision {
+    ) -> ([Hop; MAX_HOPS], usize) {
         let atlas = &self.topo.atlas;
-        let mut hops = Vec::with_capacity(6);
-        hops.push(Hop {
+        let at = |kind: HopKind, metro: MetroId| Hop {
+            kind,
+            metro,
+            location: atlas.metro(metro).location(),
+        };
+        let access = Hop {
             kind: HopKind::ClientAccess,
             metro: client.metro,
             location: client.location,
-        });
-        let client_metro_loc = atlas.metro(client.metro).location();
+        };
+        let mut hops = [access; MAX_HOPS];
+        let mut n = 1;
+        let mut push = |hop: Hop| {
+            hops[n] = hop;
+            n += 1;
+        };
         // ISP backbone hop at the attachment metro center (distinct from the
         // client's own location).
-        hops.push(Hop {
-            kind: HopKind::IspBackbone,
-            metro: client.metro,
-            location: client_metro_loc,
-        });
-        if let Some(handoff) = egress.handoff_metro {
-            if handoff != client.metro {
-                hops.push(Hop {
-                    kind: HopKind::TransitBackbone,
-                    metro: handoff,
-                    location: atlas.metro(handoff).location(),
-                });
-            }
+        push(at(HopKind::IspBackbone, client.metro));
+        if let Some(handoff) = handoff_metro.filter(|&h| h != client.metro) {
+            push(at(HopKind::TransitBackbone, handoff));
         }
-        let ingress_metro = self.topo.cdn.border_metro(egress.ingress);
-        hops.push(Hop {
-            kind: HopKind::Peering,
-            metro: ingress_metro,
-            location: atlas.metro(ingress_metro).location(),
-        });
+        let ingress_metro = self.topo.cdn.border_metro(ingress);
+        push(at(HopKind::Peering, ingress_metro));
         let site_metro = self.topo.cdn.site_metro(site);
         if site_metro != ingress_metro {
-            hops.push(Hop {
-                kind: HopKind::CdnBackbone,
-                metro: site_metro,
-                location: atlas.metro(site_metro).location(),
-            });
+            push(at(HopKind::CdnBackbone, site_metro));
         }
-        hops.push(Hop {
-            kind: HopKind::FrontEnd,
-            metro: site_metro,
-            location: atlas.metro(site_metro).location(),
-        });
-        let path = RoutePath::new(hops);
+        push(at(HopKind::FrontEnd, site_metro));
+        (hops, n)
+    }
+
+    /// The deterministic RTT of `hops` (a route of `client`'s entering at
+    /// `ingress`) on `day`, before any unicast path penalty.
+    fn base_rtt_over(
+        &self,
+        hops: &[Hop],
+        client: &ClientAttachment,
+        handoff_metro: Option<MetroId>,
+        ingress: BorderId,
+        day: Day,
+    ) -> f64 {
+        let atlas = &self.topo.atlas;
         // Transit-carried legs detour through provider hubs: charge the
         // configured extra stretch on the handoff→ingress leg.
-        let extra_km = match egress.handoff_metro {
+        let extra_km = match handoff_metro {
             Some(handoff) => {
+                let ingress_metro = self.topo.cdn.border_metro(ingress);
                 let leg = atlas
                     .metro(handoff)
                     .location()
@@ -538,20 +548,36 @@ impl Internet {
             }
             None => 0.0,
         };
-        let base_rtt_ms = self.latency.base_rtt_ms(
-            &path,
+        self.latency.base_rtt_ms(
+            path::total_km(hops),
             client.access,
             client.as_id,
-            egress.ingress,
+            ingress,
             day,
             extra_km,
-        );
+        )
+    }
+
+    fn build_decision(
+        &self,
+        client: &ClientAttachment,
+        egress: EgressDecision,
+        site: SiteId,
+        day: Day,
+    ) -> RouteDecision {
+        let (hops, n) = self.lay_hops(client, egress.handoff_metro, egress.ingress, site);
         RouteDecision {
             ingress: egress.ingress,
             site,
-            path,
-            base_rtt_ms,
+            base_rtt_ms: self.base_rtt_over(
+                &hops[..n],
+                client,
+                egress.handoff_metro,
+                egress.ingress,
+                day,
+            ),
             via_transit: egress.via_transit,
+            handoff_metro: egress.handoff_metro,
         }
     }
 }
@@ -602,18 +628,118 @@ mod tests {
     }
 
     #[test]
+    fn route_decision_is_a_small_plain_value() {
+        // The campaign holds one decision per (client, target) per day.
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<RouteDecision>();
+        const _: () = assert!(std::mem::size_of::<RouteDecision>() <= 32);
+    }
+
+    #[test]
     fn path_starts_at_client_and_ends_at_site() {
         let net = world();
         for i in 0..10 {
             let c = client_at(&net, i);
             let d = net.anycast_route(&c, Day(0));
-            let hops = d.path.hops();
+            let path = net.path_of(&c, &d);
+            let hops = path.hops();
             assert_eq!(hops.first().unwrap().kind, HopKind::ClientAccess);
             assert_eq!(hops.last().unwrap().kind, HopKind::FrontEnd);
             assert_eq!(
                 hops.last().unwrap().metro,
                 net.topology().cdn.site_metro(d.site)
             );
+        }
+    }
+
+    /// `day`'s probe instants: a steady grid plus the middle of every
+    /// dynamics window and site down-window.
+    fn probe_times(net: &Internet, day: Day) -> Vec<f64> {
+        let mut times: Vec<f64> = (0..6).map(|k| f64::from(k) * 14_400.0 + 900.0).collect();
+        if let Some(pw) = net.policy_world() {
+            times.extend(
+                pw.events_on(day)
+                    .iter()
+                    .map(|w| (w.start_s + w.end_s) / 2.0),
+            );
+        }
+        for site in net.topology().cdn.site_ids() {
+            if let Some(w) = net.outages().window_on(site, day) {
+                times.push((w.start_s + w.end_s) / 2.0);
+            }
+        }
+        times
+    }
+
+    #[test]
+    fn path_of_rebuilds_the_hops_the_base_rtt_was_charged_for() {
+        use crate::worldgen::WorldGenConfig;
+        let failures = NetConfig {
+            p_site_outage: 0.2,
+            p_site_drain: 0.1,
+            ..NetConfig::default()
+        };
+        let policy = NetConfig {
+            worldgen: Some(WorldGenConfig {
+                n_ases: 1000,
+                p_session_flap: 0.2,
+                p_border_flap: 0.1,
+                p_egress_shift: 0.2,
+                ..WorldGenConfig::default()
+            }),
+            ..failures.clone()
+        };
+        for cfg in [failures, policy] {
+            let net = Internet::new(cfg, 17).unwrap();
+            let hosts: Vec<&crate::topology::EyeballAs> = net
+                .topology()
+                .eyeballs
+                .iter()
+                .filter(|e| !e.pops.is_empty())
+                .collect();
+            let mut rerouted = 0;
+            for (i, e) in hosts.iter().enumerate().take(40) {
+                let metro = e.pops[i % e.pops.len()];
+                let c = ClientAttachment {
+                    as_id: e.id,
+                    metro,
+                    location: net
+                        .topology()
+                        .atlas
+                        .metro(metro)
+                        .location()
+                        .destination(i as f64 * 41.0, 20.0),
+                    access: AccessTech::sample((i as f64 * 0.173) % 1.0),
+                };
+                let day = Day(i as u32 % 3);
+                let check = |d: &RouteDecision, unicast_penalty_ms: f64| {
+                    let path = net.path_of(&c, d);
+                    let hops = path.hops();
+                    assert!(hops.len() <= MAX_HOPS);
+                    assert_eq!(hops[0].kind, HopKind::ClientAccess);
+                    assert_eq!(hops[0].location, c.location);
+                    let last = hops.last().unwrap();
+                    assert_eq!(last.kind, HopKind::FrontEnd);
+                    assert_eq!(last.metro, net.topology().cdn.site_metro(d.site));
+                    let rtt = net.base_rtt_over(hops, &c, d.handoff_metro, d.ingress, day)
+                        + unicast_penalty_ms;
+                    assert_eq!(rtt.to_bits(), d.base_rtt_ms.to_bits());
+                };
+                let steady = net.anycast_route(&c, day);
+                check(&steady, 0.0);
+                for t in probe_times(&net, day) {
+                    if let Some(d) = net.anycast_route_at(&c, day, t) {
+                        rerouted += usize::from(d != steady);
+                        check(&d, 0.0);
+                    }
+                }
+                for site in net.topology().cdn.site_ids() {
+                    let announcement = net.topology().cdn.unicast_announcement_border(site);
+                    let penalty = net.latency.unicast_path_penalty_ms(c.as_id, announcement);
+                    check(&net.unicast_route(&c, site, day), penalty);
+                }
+            }
+            assert!(rerouted > 0, "no outage or dynamics instant moved a route");
         }
     }
 
@@ -625,7 +751,7 @@ mod tests {
             let d = net.anycast_route(&c, Day(0));
             assert!(d.base_rtt_ms > 0.0);
             // RTT must at least cover two-way propagation on the path.
-            let min_prop = 2.0 * d.path.total_km() * net.config().fiber_path_stretch
+            let min_prop = 2.0 * net.path_of(&c, &d).total_km() * net.config().fiber_path_stretch
                 / net.config().fiber_km_per_ms;
             assert!(d.base_rtt_ms >= min_prop);
         }
@@ -715,12 +841,10 @@ mod tests {
     fn measure_helpers_agree_with_routes() {
         let net = world();
         let c = client_at(&net, 2);
+        let site = net.anycast_route(&c, Day(0)).site;
+        let base = net.unicast_route(&c, site, Day(0)).base_rtt_ms;
         let mut rng = SmallRng::seed_from_u64(1);
-        let (site, rtt) = net.measure_anycast(&c, Day(0), &mut rng);
-        assert_eq!(site, net.anycast_route(&c, Day(0)).site);
-        assert!(rtt > 0.0);
-        let u = net.measure_unicast(&c, site, Day(0), &mut rng);
-        assert!(u > 0.0);
+        assert!(net.measure_unicast(&c, site, Day(0), &mut rng) > base);
     }
 
     #[test]

@@ -29,8 +29,8 @@ use anycast_geo::LogNormal;
 
 use crate::config::NetConfig;
 use crate::ids::{AsId, BorderId};
-use crate::path::RoutePath;
 use crate::sim::Day;
+use crate::stream::mix;
 
 /// Client access technology, setting the last-mile RTT floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,21 +101,22 @@ impl LatencyModel {
         &self.cfg
     }
 
-    /// Deterministic RTT for a path on a given day: propagation + hops +
-    /// last mile + congestion (chronic and episodic). Excludes jitter,
-    /// spikes and server time.
+    /// Deterministic RTT for a path of `path_km` great-circle kilometres
+    /// ([`RoutePath::total_km`](crate::path::RoutePath::total_km)) on a
+    /// given day: propagation + hops + last mile + congestion (chronic and
+    /// episodic). Excludes jitter, spikes and server time.
     /// `extra_km` charges route-specific detours (the transit-leg stretch
     /// computed by the route builder) on top of the path's geodesic length.
     pub fn base_rtt_ms(
         &self,
-        path: &RoutePath,
+        path_km: f64,
         access: AccessTech,
         as_id: AsId,
         ingress: BorderId,
         day: Day,
         extra_km: f64,
     ) -> f64 {
-        let km = (path.total_km() + extra_km.max(0.0)) * self.cfg.fiber_path_stretch;
+        let km = (path_km + extra_km.max(0.0)) * self.cfg.fiber_path_stretch;
         let propagation = 2.0 * km / self.cfg.fiber_km_per_ms;
         // Router count grows with distance: every ~400 km of fiber crosses
         // another IP hop, on top of a handful of fixed hops at the edges.
@@ -138,14 +139,14 @@ impl LatencyModel {
         let key = (u64::from(as_id.0) << 24) | u64::from(ingress.0);
         if self.cfg.p_chronic_congestion > 0.0 {
             let mut rng =
-                rand::rngs::SmallRng::seed_from_u64(mix64(self.congestion_seed, key, 0xc401));
+                rand::rngs::SmallRng::seed_from_u64(mix(self.congestion_seed, key, 0xc401));
             if rng.gen::<f64>() < self.cfg.p_chronic_congestion {
                 return LogNormal::new(self.cfg.congestion_ms_median, self.cfg.congestion_ms_sigma)
                     .sample(&mut rng);
             }
         }
         if self.cfg.p_episodic_congestion > 0.0 {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(mix64(
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(mix(
                 self.congestion_seed,
                 key ^ (u64::from(day.0) << 40),
                 0xe915,
@@ -183,7 +184,7 @@ impl LatencyModel {
             return 0.0;
         }
         let key = 0x5550_0000_0000_0000 | (u64::from(as_id.0) << 24) | u64::from(announcement.0);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(mix64(self.congestion_seed, key, 0x751c));
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(mix(self.congestion_seed, key, 0x751c));
         if rng.gen::<f64>() < self.cfg.p_unicast_path_penalty {
             LogNormal::new(
                 self.cfg.unicast_penalty_ms_median,
@@ -196,24 +197,15 @@ impl LatencyModel {
     }
 }
 
-/// SplitMix64-style (seed, key, salt) mixer.
-fn mix64(seed: u64, key: u64, salt: u64) -> u64 {
-    let mut z =
-        seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::{Hop, HopKind};
+    use crate::path::{Hop, HopKind, RoutePath};
     use anycast_geo::{GeoPoint, MetroId};
     use rand::rngs::SmallRng;
 
-    fn straight_path(km_target: f64) -> RoutePath {
-        // Build an equatorial two-hop path of roughly the requested length.
+    fn straight_km(km_target: f64) -> f64 {
+        // Length of an equatorial two-hop path of roughly the requested length.
         let start = GeoPoint::new(0.0, 0.0);
         let end = start.destination(90.0, km_target);
         RoutePath::new(vec![
@@ -228,6 +220,7 @@ mod tests {
                 location: end,
             },
         ])
+        .total_km()
     }
 
     fn model() -> LatencyModel {
@@ -238,7 +231,7 @@ mod tests {
     fn rtt_scales_with_distance() {
         let m = model();
         let near = m.base_rtt_ms(
-            &straight_path(100.0),
+            straight_km(100.0),
             AccessTech::Fiber,
             AsId(50),
             BorderId(0),
@@ -246,7 +239,7 @@ mod tests {
             0.0,
         );
         let far = m.base_rtt_ms(
-            &straight_path(5000.0),
+            straight_km(5000.0),
             AccessTech::Fiber,
             AsId(50),
             BorderId(0),
@@ -261,18 +254,11 @@ mod tests {
     #[test]
     fn last_mile_orders_by_technology() {
         let m = model();
-        let path = straight_path(500.0);
-        let fiber = m.base_rtt_ms(&path, AccessTech::Fiber, AsId(50), BorderId(0), Day(0), 0.0);
-        let cable = m.base_rtt_ms(&path, AccessTech::Cable, AsId(50), BorderId(0), Day(0), 0.0);
-        let dsl = m.base_rtt_ms(&path, AccessTech::Dsl, AsId(50), BorderId(0), Day(0), 0.0);
-        let mobile = m.base_rtt_ms(
-            &path,
-            AccessTech::Mobile,
-            AsId(50),
-            BorderId(0),
-            Day(0),
-            0.0,
-        );
+        let km = straight_km(500.0);
+        let fiber = m.base_rtt_ms(km, AccessTech::Fiber, AsId(50), BorderId(0), Day(0), 0.0);
+        let cable = m.base_rtt_ms(km, AccessTech::Cable, AsId(50), BorderId(0), Day(0), 0.0);
+        let dsl = m.base_rtt_ms(km, AccessTech::Dsl, AsId(50), BorderId(0), Day(0), 0.0);
+        let mobile = m.base_rtt_ms(km, AccessTech::Mobile, AsId(50), BorderId(0), Day(0), 0.0);
         assert!(fiber < cable && cable < dsl && dsl < mobile);
         assert!((mobile - fiber - 39.0).abs() < 1e-9);
     }
@@ -392,7 +378,7 @@ mod tests {
     fn empty_path_still_has_floor_latency() {
         let m = model();
         let rtt = m.base_rtt_ms(
-            &RoutePath::default(),
+            RoutePath::default().total_km(),
             AccessTech::Dsl,
             AsId(50),
             BorderId(0),

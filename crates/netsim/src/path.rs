@@ -88,10 +88,7 @@ impl RoutePath {
     /// routing detours — the quantity at the heart of the paper's §5 case
     /// studies.
     pub fn total_km(&self) -> f64 {
-        self.hops
-            .windows(2)
-            .map(|w| w[0].location.haversine_km(&w[1].location))
-            .sum()
+        total_km(&self.hops)
     }
 
     /// Direct great-circle distance from the first to the last hop, in km.
@@ -100,20 +97,6 @@ impl RoutePath {
             (Some(a), Some(b)) => a.location.haversine_km(&b.location),
             _ => 0.0,
         }
-    }
-
-    /// Path stretch: routed length over direct distance (≥ 1 for non-trivial
-    /// paths; 1 when the path is direct, 0 for empty/degenerate paths).
-    pub fn stretch(&self) -> f64 {
-        let direct = self.direct_km();
-        if direct <= 0.0 {
-            return if self.total_km() > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-        }
-        self.total_km() / direct
     }
 
     /// Renders the path as a traceroute-style multi-line string using metro
@@ -138,6 +121,16 @@ impl RoutePath {
     }
 }
 
+/// Great-circle length of `hops` in km, summed leg by leg in hop order. The
+/// route builder charges propagation for this sum over its stack-laid hops
+/// and [`RoutePath::total_km`] reports it for a rebuilt path, so the two
+/// agree to the bit.
+pub(crate) fn total_km(hops: &[Hop]) -> f64 {
+    hops.windows(2)
+        .map(|w| w[0].location.haversine_km(&w[1].location))
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +153,7 @@ mod tests {
         ]);
         let direct = GeoPoint::new(0.0, 0.0).haversine_km(&GeoPoint::new(0.0, 20.0));
         assert!((path.total_km() - direct).abs() < 1.0); // along the equator
-        assert!((path.stretch() - 1.0).abs() < 1e-3);
+        assert!((path.total_km() / path.direct_km() - 1.0).abs() < 1e-3);
     }
 
     #[test]
@@ -171,7 +164,7 @@ mod tests {
             hop(HopKind::Peering, 0.0, 10.0),
             hop(HopKind::FrontEnd, 0.0, 1.0),
         ]);
-        assert!(path.stretch() > 15.0);
+        assert!(path.total_km() / path.direct_km() > 15.0);
     }
 
     #[test]
@@ -179,7 +172,7 @@ mod tests {
         let empty = RoutePath::default();
         assert!(empty.is_empty());
         assert_eq!(empty.total_km(), 0.0);
-        assert_eq!(empty.stretch(), 0.0);
+        assert_eq!(empty.direct_km(), 0.0);
         let single = RoutePath::new(vec![hop(HopKind::FrontEnd, 1.0, 1.0)]);
         assert_eq!(single.total_km(), 0.0);
         assert_eq!(single.direct_km(), 0.0);
@@ -192,7 +185,8 @@ mod tests {
             hop(HopKind::Peering, 0.0, 5.0),
             hop(HopKind::FrontEnd, 0.0, 0.0),
         ]);
-        assert!(path.stretch().is_infinite());
+        assert_eq!(path.direct_km(), 0.0);
+        assert!((path.total_km() / path.direct_km()).is_infinite());
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl Prefix {
         (u32::from(addr) & mask(self.len)) == self.net
     }
 
-    /// Whether this prefix covers `other` (is equal or shorter and
-    /// contains its network).
-    pub fn covers(&self, other: &Prefix) -> bool {
-        self.len <= other.len && (other.net & mask(self.len)) == self.net
-    }
-
     /// A stable 64-bit key for hashing into seeded random streams,
     /// distinct across `(network, length)` pairs.
     pub fn key(&self) -> u64 {
@@ -294,13 +288,11 @@ mod tests {
             (p16.network(), p16.len()),
             (Ipv4Addr::new(93, 184, 0, 0), 16)
         );
-        assert!(p16.covers(&p24));
-        assert!(!p24.covers(&p16));
-        assert!(p24.covers(&p24));
+        assert!(p16.contains(p24.network()));
         // Truncating to a longer length is the identity.
         assert_eq!(p24.truncate(32), p24);
         let other = Prefix::new(Ipv4Addr::new(93, 185, 0, 0), 16);
-        assert!(!other.covers(&p24));
+        assert!(!other.contains(p24.network()));
     }
 
     #[test]

@@ -18,19 +18,17 @@
 //! windows, so the snapshot cuts the day there into a sorted **timeline**
 //! of segments and a lookup is a binary search:
 //!
-//! * **steady** segments borrow the precomputed decision;
+//! * **steady** segments answer with the precomputed decision;
 //! * segments under **route dynamics** (worldgen session/border flaps and
 //!   egress shifts) are memoized too: each distinct environment of the day
 //!   is computed once at build time, and since an event moves a sliver of
 //!   ASes, the handful of clients whose AS it rerouted get their resolved
-//!   decision stored beside the steady one — everyone else still borrows
+//!   decision stored beside the steady one — everyone else still gets
 //!   steady;
 //! * only segments inside a *site* down-window fall back to the full
 //!   failover computation, which depends on the set of currently-down
 //!   sites and the reconvergence clock. Worlds without failure injection
 //!   never take the fallback.
-
-use std::borrow::Cow;
 
 use anycast_obs::counter;
 
@@ -209,7 +207,7 @@ impl RouteSnapshot {
         &self.unicast[client * self.n_sites + site.0 as usize]
     }
 
-    /// Memoized [`Internet::anycast_route_at`]: a borrowed decision —
+    /// Memoized [`Internet::anycast_route_at`]: a stored decision —
     /// steady, or the one a route-dynamics event moved this client to — on
     /// the (overwhelmingly common) fast path, the full failover
     /// computation only while some site is actually down.
@@ -218,7 +216,7 @@ impl RouteSnapshot {
         internet: &Internet,
         client: usize,
         time_s: f64,
-    ) -> Option<Cow<'_, RouteDecision>> {
+    ) -> Option<RouteDecision> {
         let steady = self.steady_anycast(client);
         let moved = match self.timeline.segment_at(time_s) {
             Segment::Steady => None,
@@ -227,24 +225,22 @@ impl RouteSnapshot {
                 moved
                     .binary_search_by_key(&(client as u32), |m| m.0)
                     .ok()
-                    .map(|i| &moved[i].1)
+                    .map(|i| moved[i].1)
             }
             Segment::SiteDown => {
                 counter!("netsim_route_memo_misses_total").inc();
-                return internet
-                    .anycast_route_at(&self.attachments[client], self.day, time_s)
-                    .map(Cow::Owned);
+                return internet.anycast_route_at(&self.attachments[client], self.day, time_s);
             }
         };
         counter!("netsim_route_memo_hits_total").inc();
         // The same tallies `anycast_route_at` keeps for an event table.
         match moved {
-            None => Some(Cow::Borrowed(steady)),
+            None => Some(*steady),
             Some(Some(d)) => {
                 if d.site != steady.site {
                     counter!("netsim_failover_reroutes_total").inc();
                 }
-                Some(Cow::Borrowed(d))
+                Some(d)
             }
             Some(None) => {
                 counter!("netsim_policy_unrouted_total").inc();
@@ -388,7 +384,7 @@ impl<'a> ClientRoutes<'a> {
     }
 
     /// Memoized [`Internet::anycast_route_at`] for this client.
-    pub fn anycast_at(&self, internet: &Internet, time_s: f64) -> Option<Cow<'a, RouteDecision>> {
+    pub fn anycast_at(&self, internet: &Internet, time_s: f64) -> Option<RouteDecision> {
         self.snap.anycast_at(internet, self.idx, time_s)
     }
 
@@ -435,7 +431,7 @@ mod tests {
             }
             for t in [0.0, 40_000.0, 80_000.0] {
                 assert_eq!(
-                    snap.anycast_at(&net, i, t).map(Cow::into_owned),
+                    snap.anycast_at(&net, i, t),
                     net.anycast_route_at(c, Day(2), t)
                 );
             }
@@ -456,13 +452,13 @@ mod tests {
             for (i, c) in cs.iter().enumerate() {
                 for t in [0.0, 15_000.0, 43_200.0, 70_000.0, 86_000.0] {
                     assert_eq!(
-                        snap.anycast_at(&net, i, t).map(Cow::into_owned),
+                        snap.anycast_at(&net, i, t),
                         net.anycast_route_at(c, day, t),
                         "anycast divergence day {day:?} t {t}"
                     );
                     for s in net.topology().cdn.site_ids() {
                         assert_eq!(
-                            snap.unicast_at(i, s, t).cloned(),
+                            snap.unicast_at(i, s, t).copied(),
                             net.unicast_route_at(c, s, day, t),
                             "unicast divergence day {day:?} t {t}"
                         );

@@ -215,11 +215,6 @@ impl Topology {
         &self.transits[id.0 as usize]
     }
 
-    /// Whether the id denotes a transit provider.
-    pub fn is_transit(&self, id: AsId) -> bool {
-        (id.0 as usize) < self.transits.len()
-    }
-
     /// Eyeball ASes with an attachment point at `metro` (possibly empty for
     /// metros only covered via the coverage pass of a different metro).
     pub fn eyeballs_at_metro(&self, metro: MetroId) -> &[AsId] {
@@ -676,7 +671,7 @@ mod tests {
         for e in &t.eyeballs {
             assert!(!e.transit.is_empty());
             for tid in &e.transit {
-                assert!(t.is_transit(*tid));
+                assert!(t.transits.iter().any(|tr| tr.id == *tid));
             }
         }
     }
@@ -759,10 +754,9 @@ mod tests {
         let t = world();
         for e in &t.eyeballs {
             assert_eq!(t.eyeball(e.id).home_metro, e.home_metro);
-            assert!(!t.is_transit(e.id));
         }
         for tr in &t.transits {
-            assert!(t.is_transit(tr.id));
+            assert_eq!(t.transit(tr.id).id, tr.id);
         }
     }
 

@@ -19,6 +19,7 @@
 
 use crate::ids::BorderId;
 use crate::sim::Day;
+use crate::stream::to_unit;
 
 use super::graph::PolicyGraph;
 
@@ -137,17 +138,17 @@ impl RouteDynamics {
         if p <= 0.0 {
             return None;
         }
-        let fire = unit(mix64(self.seed, (entity << 20) | u64::from(day.0), salt));
+        let fire = to_unit(mix64(self.seed, (entity << 20) | u64::from(day.0), salt));
         if fire >= p {
             return None;
         }
-        let start = unit(mix64(
+        let start = to_unit(mix64(
             self.seed,
             (entity << 20) | u64::from(day.0),
             salt ^ 0x57A2,
         )) * 60_480.0;
         let span = self.flap_min_s
-            + unit(mix64(
+            + to_unit(mix64(
                 self.seed,
                 (entity << 20) | u64::from(day.0),
                 salt ^ 0xD0A2,
@@ -164,11 +165,6 @@ fn mix64(seed: u64, key: u64, salt: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Maps a hash to `[0, 1)`.
-fn unit(z: u64) -> f64 {
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -974,10 +974,4 @@ impl PolicyWorld {
                 .map(|t| t.memory_bytes())
                 .sum::<usize>()
     }
-
-    /// Number of memoized tables (tests/benches).
-    pub fn cached_tables(&self) -> usize {
-        let tables = self.tables.lock().expect("table cache poisoned");
-        tables.values().filter(|cell| cell.get().is_some()).count()
-    }
 }

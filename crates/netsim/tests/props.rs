@@ -156,13 +156,14 @@ proptest! {
         prop_assert!((d.site.0 as usize) < net.topology().cdn.sites.len());
         prop_assert!((d.ingress.0 as usize) < net.topology().cdn.borders.len());
         // Path shape: starts at the client, ends at the chosen site.
-        let hops = d.path.hops();
+        let path = net.path_of(&c, &d);
+        let hops = path.hops();
         prop_assert!(hops.len() >= 3);
         prop_assert_eq!(hops[0].kind, HopKind::ClientAccess);
         prop_assert_eq!(hops.last().unwrap().kind, HopKind::FrontEnd);
         prop_assert_eq!(hops.last().unwrap().metro, net.topology().cdn.site_metro(d.site));
         // Latency is at least two-way stretched propagation over the path.
-        let floor = 2.0 * d.path.total_km() * net.config().fiber_path_stretch
+        let floor = 2.0 * path.total_km() * net.config().fiber_path_stretch
             / net.config().fiber_km_per_ms;
         prop_assert!(d.base_rtt_ms >= floor - 1e-9);
         prop_assert!(d.base_rtt_ms.is_finite());
@@ -176,8 +177,9 @@ proptest! {
         let site = sites[site_pick % sites.len()];
         let d = net.unicast_route(&c, site, Day(0));
         prop_assert_eq!(d.site, site);
+        let path = net.path_of(&c, &d);
         prop_assert_eq!(
-            d.path.hops().last().unwrap().metro,
+            path.hops().last().unwrap().metro,
             net.topology().cdn.site_metro(site)
         );
     }
@@ -423,11 +425,11 @@ proptest! {
         let c = client_of(&net, idx, 15.0);
         let snap = RouteSnapshot::build(&net, &[c], Day(day));
         let t = f64::from(slot) * 1_800.0 + 900.0;
-        let memo = snap.anycast_at(&net, 0, t).map(|d| d.into_owned());
+        let memo = snap.anycast_at(&net, 0, t);
         let direct = net.anycast_route_at(&c, Day(day), t);
         prop_assert_eq!(memo, direct, "anycast memo diverges at t={}", t);
         for site in net.topology().cdn.site_ids() {
-            let memo = snap.unicast_at(0, site, t).cloned();
+            let memo = snap.unicast_at(0, site, t).copied();
             let direct = net.unicast_route_at(&c, site, Day(day), t);
             prop_assert_eq!(memo, direct, "unicast memo diverges at site {:?}", site);
         }
@@ -455,12 +457,12 @@ proptest! {
         prop_assert!(times.len() > 48, "no window fired on day {}", day);
         for &t in &times {
             for (i, c) in clients.iter().enumerate() {
-                let memo = snap.anycast_at(&net, i, t).map(|d| d.into_owned());
+                let memo = snap.anycast_at(&net, i, t);
                 let direct = net.anycast_route_at(c, Day(day), t);
                 prop_assert_eq!(memo, direct, "anycast memo diverges for client {} at t={}", i, t);
             }
             for site in net.topology().cdn.site_ids() {
-                let memo = snap.unicast_at(0, site, t).cloned();
+                let memo = snap.unicast_at(0, site, t).copied();
                 let direct = net.unicast_route_at(&clients[0], site, Day(day), t);
                 prop_assert_eq!(memo, direct, "unicast memo diverges at site {:?} t={}", site, t);
             }

@@ -31,7 +31,7 @@ fn memoized_lookups_keep_the_direct_paths_tallies() {
                 let mut routes = Vec::new();
                 for &t in &times {
                     for i in 0..clients.len() {
-                        routes.push(snap.anycast_at(&net, i, t).map(|d| d.into_owned()));
+                        routes.push(snap.anycast_at(&net, i, t));
                     }
                 }
                 routes

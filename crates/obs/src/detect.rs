@@ -159,11 +159,6 @@ impl Cusum {
         }
         None
     }
-
-    /// Current accumulated sums `(S⁺, S⁻)` — visible for tests and debug.
-    pub fn sums(&self) -> (f64, f64) {
-        (self.pos, self.neg)
-    }
 }
 
 /// Burn-rate tracker over log-linear histogram deltas.
@@ -325,8 +320,7 @@ mod tests {
             let r = if i % 2 == 0 { 0.04 } else { -0.04 };
             assert!(c.update(r).is_none(), "fired on sub-slack noise at {i}");
         }
-        let (p, n) = c.sums();
-        assert!(p < 0.25 && n < 0.25);
+        assert!(c.pos < 0.25 && c.neg < 0.25);
     }
 
     #[test]

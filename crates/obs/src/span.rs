@@ -107,15 +107,6 @@ impl SpanSnapshot {
         self.total_ns as f64 / 1e6
     }
 
-    /// Mean span duration in ms (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ms() / self.count as f64
-        }
-    }
-
     /// Increments since `baseline` (max keeps the current value).
     pub fn diff(&self, baseline: &SpanSnapshot) -> SpanSnapshot {
         SpanSnapshot {
@@ -173,7 +164,7 @@ mod tests {
         assert_eq!(s.count, 3);
         assert_eq!(s.total_ns, 60);
         assert_eq!(s.max_ns, 30);
-        assert!((s.mean_ms() - 2e-5).abs() < 1e-12);
+        assert!((s.total_ms() - 6e-5).abs() < 1e-12);
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub use ordered::map_ordered;
 pub use shard::{merge_keyed, Aggregate, ShardConfig, ShardError, ShardedIngest};
 pub use sketch::{mix64, FastHasher, FastMap, QuantileSketch};
 pub use source::{
-    ecs_record, ecs_record_with_failures, ldns_record, ldns_record_with_failures, route_ldns,
-    route_prefix, route_subnet, sketch_day, tally_outcomes, OutcomeCounts, OutcomeTally,
+    ecs_record_with_failures, ldns_record_with_failures, route_ldns, route_prefix, route_subnet,
+    sketch_day, tally_outcomes, OutcomeCounts, OutcomeTally,
 };
 pub use window::{DaySketches, DayWindow, GroupAggregator};
 

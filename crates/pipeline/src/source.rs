@@ -2,7 +2,8 @@
 //!
 //! **Beacon measurements** — `anycast_beacon::BeaconMeasurement`, the
 //! joined active measurements — feed per-`(group, target)` latency
-//! sketches at ECS or LDNS granularity ([`ecs_record`], [`ldns_record`]);
+//! sketches at ECS or LDNS granularity ([`ecs_record_with_failures`],
+//! [`ldns_record_with_failures`]);
 //! `(key, served)` request outcomes feed per-key availability tallies
 //! ([`tally_outcomes`]).
 //!
@@ -20,29 +21,18 @@ use crate::shard::{merge_keyed, Aggregate, ShardConfig, ShardedIngest};
 use crate::sketch::{mix64, QuantileSketch};
 use crate::window::DaySketches;
 
-/// A beacon measurement as an ECS-granularity latency observation.
-pub fn ecs_record(m: &BeaconMeasurement) -> (Prefix24, Target, f64) {
-    (m.prefix, m.target, m.rtt_ms)
-}
-
-/// A beacon measurement as an LDNS-granularity latency observation
-/// ("assigning each front-end measurement made by a client to the
-/// client's LDNS", §6).
-pub fn ldns_record(m: &BeaconMeasurement) -> (LdnsId, Target, f64) {
-    (m.ldns, m.target, m.rtt_ms)
-}
-
-/// Like [`ecs_record`], but failure-aware: a failed fetch (timeout against
-/// a dead front-end) contributes `penalty_ms` instead of its meaningless
-/// reported latency, so availability-aware training sees dead targets as
-/// very slow rather than invisible.
+/// A beacon measurement as an ECS-granularity latency observation. A
+/// failed fetch (timeout against a dead front-end) contributes `penalty_ms`
+/// instead of its meaningless reported latency, so availability-aware
+/// training sees dead targets as very slow rather than invisible.
 pub fn ecs_record_with_failures(m: &BeaconMeasurement, penalty_ms: f64) -> (Prefix24, Target, f64) {
     let v = if m.failed { penalty_ms } else { m.rtt_ms };
     (m.prefix, m.target, v)
 }
 
-/// Like [`ldns_record`], but failure-aware (see
-/// [`ecs_record_with_failures`]).
+/// A beacon measurement as an LDNS-granularity latency observation
+/// ("assigning each front-end measurement made by a client to the
+/// client's LDNS", §6), failure-aware like [`ecs_record_with_failures`].
 pub fn ldns_record_with_failures(m: &BeaconMeasurement, penalty_ms: f64) -> (LdnsId, Target, f64) {
     let v = if m.failed { penalty_ms } else { m.rtt_ms };
     (m.ldns, m.target, v)
@@ -214,8 +204,14 @@ mod tests {
             day: Day(3),
             time_s: 1.0,
         };
-        assert_eq!(ecs_record(&m), (m.prefix, Target::Anycast, 42.0));
-        assert_eq!(ldns_record(&m), (LdnsId(9), Target::Anycast, 42.0));
+        assert_eq!(
+            ecs_record_with_failures(&m, 3000.0),
+            (m.prefix, Target::Anycast, 42.0)
+        );
+        assert_eq!(
+            ldns_record_with_failures(&m, 3000.0),
+            (LdnsId(9), Target::Anycast, 42.0)
+        );
         assert_ne!(route_prefix(m.prefix), route_ldns(m.ldns));
     }
 

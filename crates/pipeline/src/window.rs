@@ -122,16 +122,6 @@ impl<K: Ord + Clone> DayWindow<K> {
         out
     }
 
-    /// Retires every day strictly before `day` — they have slid out of
-    /// any training window that will ever be asked for. Returns how many
-    /// days were dropped.
-    pub fn retire_before(&mut self, day: Day) -> usize {
-        let keep = self.days.split_off(&day);
-        let dropped = self.days.len();
-        self.days = keep;
-        dropped
-    }
-
     /// Number of days held.
     pub fn len(&self) -> usize {
         self.days.len()
@@ -214,17 +204,6 @@ mod tests {
         assert_eq!(total, 2_000, "pooling must conserve exact counts");
         // Pooling a single day is the day itself.
         assert_eq!(&w.pooled(&[Day(1)]), w.day(Day(1)).unwrap());
-    }
-
-    #[test]
-    fn retire_drops_only_the_past() {
-        let mut w: DayWindow<u32> = DayWindow::new(0.05);
-        for d in 0..6u32 {
-            w.observe(Day(d), 1, Target::Anycast, 10.0);
-        }
-        assert_eq!(w.retire_before(Day(4)), 4);
-        assert_eq!(w.days(), vec![Day(4), Day(5)]);
-        assert_eq!(w.retire_before(Day(0)), 0);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl PacketArena {
         self.batch
     }
 
-    /// Bytes per slot.
-    pub fn slot_len(&self) -> usize {
-        self.slot
-    }
-
     /// The received datagram in slot `i`.
     pub fn packet(&self, i: usize) -> &[u8] {
         &self.recv_bufs[i * self.slot..i * self.slot + self.recv_lens[i]]
@@ -612,7 +607,7 @@ mod tests {
     fn arena_outgoing_and_slots() {
         let mut arena = PacketArena::new(2, 600);
         assert_eq!(arena.batch(), 2);
-        assert!(arena.slot_len() >= 600);
+        assert!(arena.slot >= 600);
         let dst = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 5353));
         arena.set_outgoing(1, &[9u8; 600], dst);
         assert_eq!(arena.send_lens[1], 600);

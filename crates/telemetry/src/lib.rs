@@ -3,14 +3,13 @@
 //! "Bing server logs provide detailed information about client requests for
 //! each search query. For our analysis we use the client IP address,
 //! location, and what front-end was used during a particular request"
-//! (§3.2.1). This crate is that logging pipeline: a per-query record type,
-//! a day-partitioned in-memory store with the group-bys the analyses need,
-//! and dependency-free CSV export.
+//! (§3.2.1). This crate is that logging pipeline: a per-query record type
+//! and a day-partitioned in-memory store with the group-bys the analyses
+//! need.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod export;
 pub mod record;
 pub mod store;
 

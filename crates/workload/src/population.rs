@@ -163,18 +163,6 @@ pub fn generate(topo: &Topology, cfg: &PopulationConfig, rng: &mut impl Rng) -> 
     clients
 }
 
-/// Returns `(metro_id, client_count)` pairs for a population — a sanity view
-/// used in tests and reports.
-pub fn metro_histogram(clients: &[Client]) -> Vec<(MetroId, usize)> {
-    let mut counts: std::collections::HashMap<MetroId, usize> = std::collections::HashMap::new();
-    for c in clients {
-        *counts.entry(c.attachment.metro).or_default() += 1;
-    }
-    let mut out: Vec<(MetroId, usize)> = counts.into_iter().collect();
-    out.sort_by_key(|&(m, n)| (std::cmp::Reverse(n), m));
-    out
-}
-
 /// Convenience for analyses: the client's believed location according to a
 /// geolocation database (stable per prefix).
 pub fn believed_location(client: &Client, geodb: &anycast_geo::GeoDb) -> GeoPoint {
@@ -266,9 +254,13 @@ mod tests {
             ..PopulationConfig::small()
         };
         let clients = generate(&topo, &cfg, &mut rng);
-        let hist = metro_histogram(&clients);
+        let mut counts: std::collections::HashMap<MetroId, usize> = Default::default();
+        for c in &clients {
+            *counts.entry(c.attachment.metro).or_default() += 1;
+        }
         // The most client-heavy metro must be one of the world's biggest.
-        let top_metro = topo.atlas.metro(hist[0].0);
+        let (&busiest, _) = counts.iter().max_by_key(|&(&m, &n)| (n, m)).unwrap();
+        let top_metro = topo.atlas.metro(busiest);
         assert!(
             top_metro.population_k > 10_000,
             "top metro {}",

@@ -1,7 +1,7 @@
 //! Property tests for workload generation.
 
 use anycast_netsim::{Day, NetConfig, Topology};
-use anycast_workload::volume::{gini, zipf_volumes};
+use anycast_workload::volume::zipf_volumes;
 use anycast_workload::{
     ldns_assign, population, temporal, LdnsConfig, PopulationConfig, Scenario, ScenarioConfig,
 };
@@ -20,8 +20,6 @@ proptest! {
         let v = zipf_volumes(n, s, total, &mut rng);
         prop_assert_eq!(v.len(), n);
         prop_assert!(v.iter().all(|&x| x >= 1));
-        // Higher exponents concentrate volume.
-        prop_assert!((0.0..=1.0).contains(&gini(&v)));
     }
 
     #[test]
@@ -52,7 +50,6 @@ proptest! {
             prop_assert!((id.0 as usize) < a.resolvers.len());
             prop_assert_eq!(a.resolver(id).id, id);
         }
-        prop_assert_eq!(a.client_ldns_km(&clients).len(), clients.len());
     }
 
     #[test]

@@ -88,6 +88,9 @@ fn main() {
     );
     println!(
         "path:\n{}",
-        route.path.render(&scenario.internet.topology().atlas)
+        scenario
+            .internet
+            .path_of(&client.attachment, &route)
+            .render(&scenario.internet.topology().atlas)
     );
 }

@@ -73,13 +73,23 @@ fn main() {
             "  anycast: {:5.1} ms via {}\n{}",
             route.base_rtt_ms,
             deployment.front_end(route.site).label,
-            indent(&route.path.render(&topo.atlas))
+            indent(
+                &scenario
+                    .internet
+                    .path_of(&client.attachment, &route)
+                    .render(&topo.atlas)
+            )
         );
         println!(
             "  best unicast: {:5.1} ms via {}\n{}",
             unicast.base_rtt_ms,
             deployment.front_end(best.0).label,
-            indent(&unicast.path.render(&topo.atlas))
+            indent(
+                &scenario
+                    .internet
+                    .path_of(&client.attachment, &unicast)
+                    .render(&topo.atlas)
+            )
         );
         shown += 1;
         if shown >= 2 {
