@@ -25,10 +25,11 @@ pub trait QuantileBackend {
 }
 
 /// The exact [`QuantileBackend`]: keeps every sample in arrival order and
-/// sorts a copy on **every** [`percentile`](QuantileBackend::percentile)
+/// selects from a copy on **every** [`percentile`](QuantileBackend::percentile)
 /// read (the trait reads through `&self`, so nothing is cached). A reader
-/// that owns its samples and scores them once should sort them in place
-/// with [`percentile_mut`] instead.
+/// that owns its samples and scores them once should read them in place
+/// with [`percentile_mut`] instead, which leaves them partitioned around
+/// the read, not sorted.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExactQuantiles {
     values: Vec<f64>,
@@ -80,37 +81,54 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     percentile_mut(&mut values.to_vec(), p)
 }
 
-/// [`percentile`] without the copy: sorts `values` in place (ascending,
-/// `total_cmp`) and reads the percentile off the sorted slice, so further
-/// percentiles of the same data cost a [`percentile_sorted`] each. Same
-/// `None` cases as [`percentile`]; the slice is left unsorted then.
+/// [`percentile`] without the copy, by selection instead of a sort: finds
+/// the lower order statistic with `select_nth_unstable_by` (`total_cmp`
+/// order) and the upper one as the minimum of what lies to its right, so a
+/// read costs O(n). The result is bit-identical to [`percentile_sorted`]
+/// over a sorted copy. Leaves `values` partitioned around the read, not
+/// sorted. Same `None` cases as [`percentile`]; the slice is untouched
+/// then.
 pub fn percentile_mut(values: &mut [f64], p: f64) -> Option<f64> {
     if values.is_empty() || !p.is_finite() || values.iter().any(|v| v.is_nan()) {
         return None;
     }
+    let (lo, hi, frac) = rank(values.len(), p);
     // Unstable is exact here: values that compare equal under `total_cmp`
-    // are bit-identical, so their order cannot show in the result.
-    values.sort_unstable_by(|a, b| a.total_cmp(b));
-    Some(percentile_sorted(values, p))
+    // are bit-identical, so which of them lands at `lo` cannot show.
+    let (_, &mut at_lo, above) = values.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        return Some(at_lo);
+    }
+    let at_hi = above.iter().copied().min_by(f64::total_cmp);
+    let at_hi = at_hi.expect("hi = lo + 1 lies inside the slice");
+    Some(interpolate(at_lo, at_hi, frac))
 }
 
 /// Percentile over an already-sorted slice (ascending). Callers computing
 /// many percentiles over the same data should sort once and use this.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
-    let p = p.clamp(0.0, 100.0);
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let (lo, hi, frac) = rank(sorted.len(), p);
     if lo == hi {
         sorted[lo]
     } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        interpolate(sorted[lo], sorted[hi], frac)
     }
+}
+
+/// Where the `p`-th percentile of `n ≥ 1` ordered values lies: the two
+/// order statistics it falls between (equal when it lands on one) and the
+/// fraction of the way from the lower to the upper.
+fn rank(n: usize, p: f64) -> (usize, usize, f64) {
+    let rank = p.clamp(0.0, 100.0) / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
+/// The one interpolation expression every percentile read shares, so the
+/// sorting and the selecting reads cannot differ in a bit.
+fn interpolate(at_lo: f64, at_hi: f64, frac: f64) -> f64 {
+    at_lo * (1.0 - frac) + at_hi * frac
 }
 
 /// The median (50th percentile).
@@ -210,6 +228,9 @@ mod tests {
             assert_eq!(percentile(&v, p).map(f64::to_bits), want);
             assert_eq!(percentile_mut(&mut owned, p).map(f64::to_bits), want);
         }
+        // Partitioned around the last read, not sorted: the same multiset,
+        // bit for bit.
+        owned.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(owned.map(f64::to_bits), by_hand.map(f64::to_bits));
         // The `None` cases leave the input as it was.
         let mut bad = [2.0, f64::NAN, 1.0];
@@ -217,6 +238,51 @@ mod tests {
         assert_eq!(bad[0], 2.0);
         assert_eq!(percentile_mut(&mut [], 50.0), None);
         assert_eq!(percentile_mut(&mut [1.0], f64::INFINITY), None);
+    }
+
+    #[test]
+    fn selection_read_equals_the_sorted_read_on_every_small_input() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(2015);
+        for n in 1..=48usize {
+            for round in 0..8 {
+                // Few distinct values, so ties are everywhere; every third
+                // round draws signed zeros among them.
+                let distinct = rng.gen_range(1..=n.min(7) as u64);
+                let values: Vec<f64> = (0..n)
+                    .map(|_| match rng.gen_range(0..distinct + 2) {
+                        0 if round % 3 == 0 => -0.0,
+                        1 if round % 3 == 0 => 0.0,
+                        k => k as f64 * 1.25 - 3.0,
+                    })
+                    .collect();
+                let mut sorted = values.clone();
+                sorted.sort_by(|a, b| a.total_cmp(b));
+                let sorted_bits: Vec<u64> = sorted.iter().map(|v| v.to_bits()).collect();
+                for p in [0.0, 10.0, 25.0, 50.0, 75.0, 95.0, 99.0, 100.0] {
+                    let mut owned = values.clone();
+                    let got = percentile_mut(&mut owned, p).map(f64::to_bits);
+                    let want = Some(percentile_sorted(&sorted, p).to_bits());
+                    assert_eq!(got, want, "n {n} round {round} p {p}: {values:?}");
+                    owned.sort_by(|a, b| a.total_cmp(b));
+                    let owned_bits: Vec<u64> = owned.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(owned_bits, sorted_bits, "n {n} p {p}: samples kept");
+                }
+            }
+        }
+        // The three `None` cases leave the input untouched.
+        let shuffled = [3.0, 1.0, 2.0, 0.5];
+        let mut with_nan = [3.0, f64::NAN, 2.0, 0.5];
+        assert_eq!(percentile_mut(&mut with_nan, 50.0), None);
+        assert_eq!(with_nan[0], 3.0);
+        assert!(with_nan[1].is_nan());
+        assert_eq!(with_nan[2..], shuffled[2..]);
+        for bad_p in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut owned = shuffled;
+            assert_eq!(percentile_mut(&mut owned, bad_p), None);
+            assert_eq!(owned, shuffled);
+        }
+        assert_eq!(percentile_mut(&mut [], 25.0), None);
     }
 
     #[test]

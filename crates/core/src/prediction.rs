@@ -15,12 +15,12 @@
 //! showed that higher percentiles of latency distributions are very noisy
 //! … The 25th percentile and median have lower coefficient of variation."
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use anycast_analysis::{percentile, percentile_mut, QuantileBackend};
 use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
-use anycast_netsim::{Day, Prefix};
+use anycast_netsim::{Day, Prefix, SiteId};
 use anycast_pipeline::{ecs_record_with_failures, ldns_record_with_failures};
 use anycast_pipeline::{merge_keyed, route_ldns, route_subnet, sketch_day};
 use anycast_pipeline::{DaySketches, FastMap, ShardConfig};
@@ -172,11 +172,22 @@ pub struct RankedCandidate {
 /// spill targets when a front-end saturates.
 #[derive(Debug, Clone, Default)]
 pub struct PredictionTable {
-    choices: HashMap<GroupKey, Choice>,
-    ranked: HashMap<GroupKey, Vec<RankedCandidate>>,
+    /// Each group's choice and where its ranking lies in `ranked`.
+    choices: HashMap<GroupKey, Entry>,
+    /// Every group's ranking, best first, one group after another.
+    ranked: Vec<RankedCandidate>,
     /// Distinct prefix lengths among the ECS keys, longest first — the
     /// probe order for [`PredictionTable::lookup_lpm`].
     ecs_lens: Vec<u8>,
+}
+
+/// One group's row of a [`PredictionTable`]: its choice and the run of
+/// `PredictionTable::ranked` that holds its ranking.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    choice: Choice,
+    ranked_start: u32,
+    ranked_len: u32,
 }
 
 impl PredictionTable {
@@ -184,8 +195,8 @@ impl PredictionTable {
     /// present. Every constructor funnels through here so longest-prefix
     /// lookup stays consistent with the key set.
     fn from_parts(
-        choices: HashMap<GroupKey, Choice>,
-        ranked: HashMap<GroupKey, Vec<RankedCandidate>>,
+        choices: HashMap<GroupKey, Entry>,
+        ranked: Vec<RankedCandidate>,
     ) -> PredictionTable {
         let mut ecs_lens: Vec<u8> = choices
             .keys()
@@ -203,9 +214,43 @@ impl PredictionTable {
         }
     }
 
+    /// Appends one group's ranking (best first) to `ranked` and returns
+    /// the group's table row: rank 0 as the served choice, with its
+    /// expected gain over the ranking's anycast score.
+    fn entry(
+        ranked: &mut Vec<RankedCandidate>,
+        ranking: impl Iterator<Item = RankedCandidate>,
+    ) -> Entry {
+        let start = ranked.len();
+        ranked.extend(ranking);
+        let ranking = &ranked[start..];
+        let best = ranking[0];
+        let gain_ms = match best.target {
+            Target::Anycast => Some(0.0),
+            Target::Unicast(_) => ranking
+                .iter()
+                .find(|c| c.target == Target::Anycast)
+                .map(|anycast| anycast.score_ms - best.score_ms),
+        };
+        let row = |n: usize| u32::try_from(n).expect("fewer than 2^32 ranked candidates");
+        Entry {
+            choice: Choice {
+                target: best.target,
+                gain_ms,
+            },
+            ranked_start: row(start),
+            ranked_len: row(ranking.len()),
+        }
+    }
+
+    /// The run of `ranked` an entry addresses.
+    fn ranking(&self, entry: &Entry) -> &[RankedCandidate] {
+        &self.ranked[entry.ranked_start as usize..][..entry.ranked_len as usize]
+    }
+
     /// The predicted best target for a group, if the group had enough data.
     pub fn predict(&self, key: GroupKey) -> Option<Target> {
-        self.choices.get(&key).map(|c| c.target)
+        self.choice(key).map(|c| c.target)
     }
 
     /// Longest-prefix-match lookup for an ECS subnet: the most specific
@@ -222,7 +267,7 @@ impl PredictionTable {
                 continue;
             }
             let truncated = p.truncate(len);
-            if let Some(c) = self.choices.get(&GroupKey::Ecs(truncated)) {
+            if let Some(c) = self.choice(GroupKey::Ecs(truncated)) {
                 return Some((truncated, c));
             }
         }
@@ -231,7 +276,7 @@ impl PredictionTable {
 
     /// The full choice (target + expected gain) for a group.
     pub fn choice(&self, key: GroupKey) -> Option<&Choice> {
-        self.choices.get(&key)
+        self.choices.get(&key).map(|entry| &entry.choice)
     }
 
     /// Restricts the table to groups whose expected gain over anycast is at
@@ -240,21 +285,17 @@ impl PredictionTable {
     /// anycast". Groups with unknown gain are dropped (no evidence, no
     /// redirect).
     pub fn hybrid_filter(&self, min_gain_ms: f64) -> PredictionTable {
-        let choices: HashMap<GroupKey, Choice> = self
-            .choices
-            .iter()
-            .filter(|(_, c)| {
-                matches!(c.target, Target::Unicast(_))
-                    && c.gain_ms.is_some_and(|g| g >= min_gain_ms)
-            })
-            .map(|(k, c)| (*k, *c))
-            .collect();
-        let ranked = self
-            .ranked
-            .iter()
-            .filter(|(k, _)| choices.contains_key(k))
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
+        let mut choices = HashMap::new();
+        let mut ranked = Vec::new();
+        for (key, entry) in &self.choices {
+            let c = &entry.choice;
+            if matches!(c.target, Target::Unicast(_)) && c.gain_ms.is_some_and(|g| g >= min_gain_ms)
+            {
+                // Same ranking, so the same choice and gain.
+                let ranking = self.ranking(entry).iter().copied();
+                choices.insert(*key, Self::entry(&mut ranked, ranking));
+            }
+        }
         PredictionTable::from_parts(choices, ranked)
     }
 
@@ -274,13 +315,13 @@ impl PredictionTable {
     pub fn redirected_groups(&self) -> impl Iterator<Item = (GroupKey, &Choice)> {
         self.choices
             .iter()
-            .filter(|(_, c)| !matches!(c.target, Target::Anycast))
-            .map(|(k, c)| (*k, c))
+            .filter(|(_, entry)| !matches!(entry.choice.target, Target::Anycast))
+            .map(|(k, entry)| (*k, &entry.choice))
     }
 
     /// Iterates over every `(group, choice)`.
     pub fn iter(&self) -> impl Iterator<Item = (GroupKey, Choice)> + '_ {
-        self.choices.iter().map(|(k, c)| (*k, *c))
+        self.choices.iter().map(|(k, entry)| (*k, entry.choice))
     }
 
     /// The group's full candidate ranking, best first (empty for groups
@@ -288,7 +329,9 @@ impl PredictionTable {
     /// [`PredictionTable::predict`] serves; deeper ranks are the next-best
     /// eligible front-ends, in score order with the same tie-break.
     pub fn ranked(&self, key: GroupKey) -> &[RankedCandidate] {
-        self.ranked.get(&key).map(Vec::as_slice).unwrap_or(&[])
+        self.choices
+            .get(&key)
+            .map_or(&[], |entry| self.ranking(entry))
     }
 }
 
@@ -406,7 +449,8 @@ impl Predictor {
             if !tally.admit(pair.n as u64, min) {
                 return None;
             }
-            pair.score.map(|score| (pair.key, pair.target, score))
+            let (key, target) = (pair.pair.group(), pair.pair.target());
+            pair.score.map(|score| (key, target, score))
         }));
         (table, tally)
     }
@@ -418,29 +462,31 @@ impl Predictor {
     /// once. Pairs come back in first-seen order.
     ///
     /// Two passes over the rows and one flat sample arena, instead of a
-    /// vector per pair: pass 1 maps each row's pair to a dense id and
+    /// vector per pair: pass 1 packs each row's pair into a [`PairKey`]
+    /// word, maps the word to a dense id through a one-multiply hash and
     /// counts; a prefix sum turns the counts into arena offsets; pass 2
-    /// scatters the latencies into place; each pair's run is then sorted
-    /// once where it lies and read with `percentile_sorted`. The arena is
-    /// gone when this returns — callers select from scores, never samples.
+    /// scatters the latencies into place; each pair's run is then read
+    /// once where it lies, by selection (`percentile_mut`), not sorted.
+    /// The arena is gone when this returns — callers select from scores,
+    /// never samples.
     fn grouped_scores(&self, data: &BeaconDataset, days: &[Day]) -> Vec<PairScore> {
         let rows = || {
-            days.iter()
-                .flat_map(|&day| data.day(day))
-                .map(|m| self.record(m))
+            days.iter().flat_map(|&day| data.day(day)).map(|m| {
+                let (key, target, rtt) = self.record(m);
+                (PairKey::new(key, target), rtt)
+            })
         };
-        let mut ids: FastMap<(GroupKey, Target), u32> = FastMap::default();
+        let mut ids: FastMap<PairKey, u32> = FastMap::default();
         let mut pairs: Vec<PairScore> = Vec::new();
         // One id per row of the window: at most the whole dataset, and
         // the part of the reservation the window does not reach is never
         // touched. Growing by doubling instead would hold two copies.
         let mut pair_of_row: Vec<u32> = Vec::with_capacity(data.len());
-        for (key, target, _) in rows() {
-            let id = *ids.entry((key, target)).or_insert_with(|| {
+        for (pair, _) in rows() {
+            let id = *ids.entry(pair).or_insert_with(|| {
                 let id = u32::try_from(pairs.len()).expect("fewer than 2^32 (group, target) pairs");
                 pairs.push(PairScore {
-                    key,
-                    target,
+                    pair,
                     n: 0,
                     score: None,
                 });
@@ -459,7 +505,7 @@ impl Predictor {
             total += pair.n;
         }
         let mut arena = vec![0.0f64; total];
-        for ((_, _, rtt), &id) in rows().zip(&pair_of_row) {
+        for ((_, rtt), &id) in rows().zip(&pair_of_row) {
             let at = &mut ends[id as usize];
             arena[*at] = rtt;
             *at += 1;
@@ -614,57 +660,111 @@ impl Predictor {
         day: Day,
         agg: &AggregationConfig,
     ) -> (PredictionTable, GroupTally) {
-        let net_of = |pair: &PairScore| match pair.key {
-            GroupKey::Ecs(p) => p.raw(),
-            GroupKey::Ldns(_) => unreachable!("ECS grouping keys every row by its /24"),
-        };
         let mut pairs = self.grouped_scores(data, &[day]);
-        pairs.sort_unstable_by_key(|pair| (net_of(pair), pair.target));
-        let leaves: Vec<Leaf<'_>> = pairs
-            .chunk_by(|a, b| a.key == b.key)
-            .map(|stats| Leaf {
-                net: net_of(&stats[0]),
-                stats,
-            })
-            .collect();
-        let universe: BTreeSet<Target> = pairs.iter().map(|pair| pair.target).collect();
+        // ECS grouping keys every row by its /24, so word order is
+        // `(network, target)` order: a /24's pairs lie together, and so
+        // do the /24s of an allocation block.
+        pairs.sort_unstable_by_key(|pair| pair.pair);
+        let universe = Universe::of(&pairs);
+        let mut scratch = TargetScratch::new(universe.len());
         // Locality-scoped evidence transfer: the median per-leaf score of
         // each target across the leaf's allocation block. /24s of one
         // announced block share an access network and a metro, so a
         // front-end measured by a /24's block siblings is evidence about
         // the /24 itself — the premise the whole aggregation rests on.
-        let mut block_samples: HashMap<u32, BTreeMap<Target, Vec<f64>>> = HashMap::new();
-        for leaf in &leaves {
-            let per_block = block_samples.entry(locality_block(leaf.net)).or_default();
-            for pair in leaf.stats {
-                if let Some(s) = pair.score {
-                    per_block.entry(pair.target).or_default().push(s);
+        let mut block_medians: Vec<(usize, f64)> = Vec::new();
+        let mut leaves: Vec<Leaf<'_>> = Vec::new();
+        let block_of = |pair: &PairScore| locality_block(pair.pair.net());
+        for block in pairs.chunk_by(|a, b| block_of(a) == block_of(b)) {
+            scratch.reset();
+            for pair in block {
+                scratch.scores[universe.dense(pair.pair)].extend(pair.score);
+            }
+            let first = block_medians.len();
+            for (t, scores) in scratch.scores.iter_mut().enumerate() {
+                if let Some(median) = percentile_mut(scores, 50.0) {
+                    block_medians.push((t, median));
                 }
             }
+            let vouches = (first, block_medians.len());
+            let per_leaf = block.chunk_by(|a, b| a.pair.group() == b.pair.group());
+            leaves.extend(per_leaf.map(|stats| Leaf {
+                net: stats[0].pair.net(),
+                stats,
+                vouches,
+            }));
         }
-        let block_scores: HashMap<u32, BTreeMap<Target, f64>> = block_samples
-            .into_iter()
-            .map(|(block, by_target)| {
-                let medians = by_target
-                    .into_iter()
-                    .filter_map(|(t, mut scores)| percentile_mut(&mut scores, 50.0).map(|m| (t, m)))
-                    .collect();
-                (block, medians)
-            })
-            .collect();
-        let mut ctx = AggContext {
+        let excls = TargetSets::new((2 * leaves.len()).saturating_sub(1), universe.len());
+        let mut walk = AggContext {
             min_samples: self.cfg.min_samples,
             regret_bound_ms: agg.regret_bound_ms,
             min_prefix_len: agg.min_prefix_len.min(24),
             universe,
-            block_scores,
-            excls: HashMap::new(),
+            leaves: &leaves,
+            block_medians,
+            excls,
+            scratch,
             rows: Vec::new(),
             tally: GroupTally::default(),
         };
-        build_exclusions(&leaves, 0, 0, &mut ctx);
-        emit_subtree(&leaves, 0, 0, 0, None, &mut ctx);
-        (choose(ctx.rows.into_iter()), ctx.tally)
+        if !leaves.is_empty() {
+            walk.build_exclusions(0, leaves.len());
+            walk.emit_subtree(0, leaves.len(), 0, None);
+        }
+        (choose(walk.rows.into_iter()), walk.tally)
+    }
+}
+
+/// A `(group, target)` pair packed into one word: what the grouping
+/// kernel hashes and compares once per row, in place of an enum tuple.
+///
+/// From the low end: 17 bits of target code ([`target_order`]: 0 is
+/// anycast, `1 + id` a unicast site), 6 bits of ECS prefix length, 32 bits
+/// of network address or resolver id, and a plane bit set for LDNS groups.
+/// The packing is injective — equal words are equal pairs — and within the
+/// ECS plane words order as `(network, length, target)`, the order
+/// [`Predictor::aggregated_table`] walks its /24s in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct PairKey(u64);
+
+impl PairKey {
+    const CODE_BITS: u32 = 17;
+    const LEN_BITS: u32 = 6;
+    const ID_SHIFT: u32 = Self::CODE_BITS + Self::LEN_BITS;
+    const LDNS_PLANE: u64 = 1 << (Self::ID_SHIFT + 32);
+
+    fn new(key: GroupKey, target: Target) -> PairKey {
+        let group = match key {
+            GroupKey::Ecs(p) => {
+                u64::from(p.raw()) << Self::ID_SHIFT | u64::from(p.len()) << Self::CODE_BITS
+            }
+            GroupKey::Ldns(l) => Self::LDNS_PLANE | u64::from(l.0) << Self::ID_SHIFT,
+        };
+        PairKey(group | u64::from(target_order(target)))
+    }
+
+    /// The network address of an ECS group (the resolver id of an LDNS
+    /// group).
+    fn net(self) -> u32 {
+        (self.0 >> Self::ID_SHIFT) as u32
+    }
+
+    /// The target's code, [`target_order`].
+    fn code(self) -> usize {
+        (self.0 & ((1 << Self::CODE_BITS) - 1)) as usize
+    }
+
+    fn group(self) -> GroupKey {
+        if self.0 & Self::LDNS_PLANE != 0 {
+            GroupKey::Ldns(LdnsId(self.net()))
+        } else {
+            let len = (self.0 >> Self::CODE_BITS) & ((1 << Self::LEN_BITS) - 1);
+            GroupKey::Ecs(Prefix::from_raw(self.net(), len as u8))
+        }
+    }
+
+    fn target(self) -> Target {
+        target_of_code(self.code())
     }
 }
 
@@ -672,8 +772,7 @@ impl Predictor {
 /// [`Predictor::grouped_scores`].
 #[derive(Debug, Clone, Copy)]
 struct PairScore {
-    key: GroupKey,
-    target: Target,
+    pair: PairKey,
     /// Samples the pair holds (exact: the "20+ measurements" filter and
     /// the aggregate quorum read it).
     n: usize,
@@ -736,130 +835,384 @@ fn locality_block(net: u32) -> u32 {
 }
 
 /// One measured /24 of a [`Predictor::train_aggregated`] trie walk: its
-/// network address and its per-target `{n, score}`, a run of the sorted
-/// kernel output.
+/// network address, its per-target `{n, score}` — a run of the sorted
+/// kernel output — and the run of `AggContext::block_medians` that holds
+/// its allocation block's vouches.
 #[derive(Debug, Clone, Copy)]
 struct Leaf<'a> {
     net: u32,
     stats: &'a [PairScore],
+    vouches: (usize, usize),
 }
 
 impl Leaf<'_> {
     /// Every target the leaf measured, with its score.
-    fn scored(&self) -> impl Iterator<Item = (Target, f64)> + '_ {
+    fn scored(&self) -> impl Iterator<Item = (PairKey, f64)> + '_ {
         self.stats
             .iter()
-            .filter_map(|pair| pair.score.map(|s| (pair.target, s)))
+            .filter_map(|pair| pair.score.map(|s| (pair.pair, s)))
     }
 
-    /// The leaf's *own* best: over the targets it measured `min_samples`
-    /// times or more, the one plain training would serve it.
+    /// The `(target, score)` rows plain training would rank for the leaf:
+    /// the targets it measured `min_samples` times or more.
+    fn eligible(&self, min_samples: usize) -> impl Iterator<Item = (Target, f64)> + '_ {
+        let eligible = self.stats.iter().filter(move |pair| pair.n >= min_samples);
+        eligible.filter_map(|pair| pair.score.map(|s| (pair.pair.target(), s)))
+    }
+
+    /// The leaf's *own* best: the target plain training would serve it.
     fn own_best(&self, min_samples: usize) -> Option<(Target, f64)> {
-        let eligible = self.stats.iter().filter(|pair| pair.n >= min_samples);
-        best_scored(eligible.filter_map(|pair| pair.score.map(|s| (pair.target, s))))
+        best_scored(self.eligible(min_samples))
+    }
+}
+
+/// The targets measured anywhere on the training day — the universe the
+/// ORTC exclusion sets live in — indexed densely in `Target` order, so a
+/// set of targets is a bitset ([`TargetSets`]).
+struct Universe {
+    /// The targets, ascending; a target's position is its dense index.
+    targets: Vec<Target>,
+    /// Dense index by target code ([`target_order`]); `None` for a code
+    /// no row of the day carried.
+    index: Vec<Option<u32>>,
+}
+
+impl Universe {
+    fn of(pairs: &[PairScore]) -> Universe {
+        let mut index: Vec<Option<u32>> = Vec::new();
+        for pair in pairs {
+            let code = pair.pair.code();
+            if code >= index.len() {
+                index.resize(code + 1, None);
+            }
+            index[code] = Some(0);
+        }
+        let mut targets = Vec::new();
+        for (code, slot) in index.iter_mut().enumerate() {
+            if slot.is_some() {
+                *slot = Some(targets.len() as u32);
+                targets.push(target_of_code(code));
+            }
+        }
+        Universe { targets, index }
+    }
+
+    fn len(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// The dense index of `target`, if the day measured it.
+    fn index_of(&self, target: Target) -> Option<usize> {
+        let slot = self.index.get(target_order(target) as usize);
+        slot.copied().flatten().map(|i| i as usize)
+    }
+
+    /// The dense index of a pair of the day.
+    fn dense(&self, pair: PairKey) -> usize {
+        self.index[pair.code()].expect("the universe holds every pair's target") as usize
+    }
+}
+
+/// Sets of dense target indices, a bitset of `words` words each, all in
+/// one flat allocation and addressed by slot.
+struct TargetSets {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl TargetSets {
+    /// `sets` empty sets over a universe of `targets`.
+    fn new(sets: usize, targets: usize) -> TargetSets {
+        let words = targets.div_ceil(64);
+        TargetSets {
+            words,
+            bits: vec![0; sets * words],
+        }
+    }
+
+    fn set(&self, slot: usize) -> &[u64] {
+        &self.bits[slot * self.words..][..self.words]
+    }
+
+    fn set_mut(&mut self, slot: usize) -> &mut [u64] {
+        &mut self.bits[slot * self.words..][..self.words]
+    }
+
+    fn contains(&self, slot: usize, t: usize) -> bool {
+        self.set(slot)[t / 64] >> (t % 64) & 1 == 1
+    }
+}
+
+/// Per-target accumulators indexed densely, reused from one trie node (or
+/// allocation block) to the next so the walk allocates nothing per node.
+struct TargetScratch {
+    /// Samples pooled per target.
+    pooled: Vec<usize>,
+    /// Per-leaf metric scores per target.
+    scores: Vec<Vec<f64>>,
+}
+
+impl TargetScratch {
+    fn new(targets: usize) -> TargetScratch {
+        TargetScratch {
+            pooled: vec![0; targets],
+            scores: vec![Vec::new(); targets],
+        }
+    }
+
+    fn reset(&mut self) {
+        self.pooled.fill(0);
+        self.scores.iter_mut().for_each(Vec::clear);
     }
 }
 
 /// Shared state of one [`Predictor::train_aggregated`] trie walk.
-struct AggContext {
+///
+/// The trie is never built: it is the binary trie over `leaves`, which
+/// are sorted by network address, walked path-compressed. A range of two
+/// or more leaves is one trie node at every prefix length from the one it
+/// was entered at down to the first bit its first and last /24 differ in
+/// — the same leaves, so the same exclusion set, at each — and splits
+/// there. Each boundary between adjacent leaves is the split of exactly
+/// one such range, which gives every range a slot of its own in `excls`.
+struct AggContext<'a> {
     min_samples: usize,
     regret_bound_ms: f64,
     min_prefix_len: u8,
-    /// Every target measured anywhere on the training day — the universe
-    /// the ORTC exclusion sets live in.
-    universe: BTreeSet<Target>,
-    /// Per-[`LOCALITY_BLOCK_LEN`]-block median of per-leaf metric scores,
-    /// for vouching for targets a leaf never measured itself.
-    block_scores: HashMap<u32, BTreeMap<Target, f64>>,
-    /// Phase-1 output: each trie node's excluded targets, keyed by
-    /// `(depth, index of the node's first leaf)`. Nodes at one depth
-    /// cover disjoint leaf ranges, so the pair is a unique node identity.
-    excls: HashMap<(u8, usize), BTreeSet<Target>>,
+    universe: Universe,
+    /// The day's measured /24s, ascending.
+    leaves: &'a [Leaf<'a>],
+    /// Per-[`LOCALITY_BLOCK_LEN`]-block median of per-leaf metric scores
+    /// as `(dense target, median)`, one block's run after another — for
+    /// vouching for targets a leaf never measured itself.
+    block_medians: Vec<(usize, f64)>,
+    /// Phase-1 output: every exclusion set. Leaf `i`'s set is slot `i`;
+    /// the set of the range that splits before leaf `mid` is slot
+    /// `leaves.len() + mid - 1`.
+    excls: TargetSets,
+    scratch: TargetScratch,
     /// Emitted `(group, target, score)` rows, fed to [`choose`] at the end
     /// so aggregates and exceptions get exactly the ranking, tie-break,
     /// and gain computation every other training path gets.
     rows: Vec<(GroupKey, Target, f64)>,
-    /// Pairs trained, discarded and borrowed by [`emit_leaf`].
+    /// Pairs trained, discarded and borrowed by
+    /// [`emit_leaf`](AggContext::emit_leaf).
     tally: GroupTally,
 }
 
-impl AggContext {
-    /// Scores an internal node's targets for use as a *default*: the
-    /// median of the target's per-leaf metric scores. When `strict`, a
-    /// target is eligible only if it was measured in a majority of the
-    /// node's leaves and carries ≥ `min_samples` samples pooled.
-    ///
-    /// Robustness is the point. A default is served to every covered /24
-    /// that has no say of its own, so it must be good for the *typical*
-    /// leaf. Scoring the naively pooled sample set instead would let one
-    /// dense, lucky cluster of samples elect a front-end that is terrible
-    /// for every other leaf under the node — exactly the failure the
-    /// regret bound exists to prevent.
-    fn pooled_scores(&self, leaves: &[Leaf<'_>], strict: bool) -> Vec<(Target, f64)> {
-        // Per target: samples pooled under the node, and its per-leaf scores.
-        let mut by_target: BTreeMap<Target, (usize, Vec<f64>)> = BTreeMap::new();
-        for leaf in leaves {
-            for pair in leaf.stats {
-                let (pooled, per_leaf) = by_target.entry(pair.target).or_default();
-                *pooled += pair.n;
-                per_leaf.extend(pair.score);
-            }
-        }
-        let quorum = if strict { leaves.len().div_ceil(2) } else { 1 };
-        let min_samples = if strict { self.min_samples } else { 1 };
-        by_target
-            .into_iter()
-            .filter(|(_, (pooled, per_leaf))| *pooled >= min_samples && per_leaf.len() >= quorum)
-            .filter_map(|(t, (_, mut per_leaf))| {
-                percentile_mut(&mut per_leaf, 50.0).map(|v| (t, v))
-            })
-            .collect()
+impl AggContext<'_> {
+    /// Where the range `leaves[start..end]` (two leaves or more) splits:
+    /// the length of the prefix all of it shares, and the index of the
+    /// first leaf with the next bit set. Sorted, the range's first and
+    /// last /24 bound every leaf between, so they alone fix that length.
+    fn split(&self, start: usize, end: usize) -> (u8, usize) {
+        let leaves = &self.leaves[start..end];
+        let shared = (leaves[0].net ^ leaves[leaves.len() - 1].net).leading_zeros();
+        let bit = 1u32 << (31 - shared);
+        let mid = start + leaves.partition_point(|leaf| leaf.net & bit == 0);
+        (shared as u8, mid)
     }
 
-    /// The default an emitting node serves, with the ranking rows to
-    /// record for it: the best-scored target the node's exclusion set
-    /// allows, robust (majority-quorum) scores first, any-leaf scores as
-    /// the fallback. `None` when nothing feasible was measured under the
-    /// node — the node then defers to its children entirely.
+    /// The slot in `excls` of the range that splits before leaf `mid`.
+    fn range_slot(&self, mid: usize) -> usize {
+        self.leaves.len() + mid - 1
+    }
+
+    /// Whether the exclusion set in `slot` holds `target`.
+    fn excludes(&self, slot: usize, target: Target) -> bool {
+        self.universe
+            .index_of(target)
+            .is_some_and(|t| self.excls.contains(slot, t))
+    }
+
+    /// Phase 1 (bottom-up): fills the exclusion set of `leaves[start..end]`
+    /// — the targets that are *not* an acceptable default for some /24 in
+    /// it — and of every range below, and returns its slot. Mirrors ORTC's
+    /// next-hop-set merge, complemented: where ORTC intersects candidate
+    /// sets, exclusions union; where children's candidates are disjoint
+    /// (exclusions cover the whole universe) the range defers and keeps
+    /// only the shared exclusions.
+    fn build_exclusions(&mut self, start: usize, end: usize) -> usize {
+        if end - start == 1 {
+            self.leaf_exclusions(start);
+            return start;
+        }
+        let (_, mid) = self.split(start, end);
+        let a = self.build_exclusions(start, mid);
+        let b = self.build_exclusions(mid, end);
+        let slot = self.range_slot(mid);
+        let words = self.excls.set(a).iter().zip(self.excls.set(b));
+        let union_len: u32 = words.map(|(x, y)| (x | y).count_ones()).sum();
+        let can_agree = (union_len as usize) < self.universe.len();
+        for w in 0..self.excls.words {
+            let (x, y) = (self.excls.set(a)[w], self.excls.set(b)[w]);
+            self.excls.set_mut(slot)[w] = if can_agree { x | y } else { x & y };
+        }
+        slot
+    }
+
+    /// Fills leaf `i`'s exclusion set: the targets its own measurements
+    /// rule out as a default. Serving the leaf a target does it no damage
+    /// when the leaf measured the target within the regret bound of the
+    /// best of *everything* it measured (no eligibility filter: this is a
+    /// damage check, not a choice), or when the target is anycast and the
+    /// leaf has no score for it (the evidence-free safe harbor), or when
+    /// the allocation block *vouches* — its routing siblings' median score
+    /// for the target lands within the bound of the leaf's best. The set
+    /// is every other target of the day, bar the leaf's own best.
+    ///
+    /// The block vouch cuts both ways by design: it admits front-ends the
+    /// leaf never reached, and it overrides a thin, noisy measurement that
+    /// dissents from the block consensus — while a genuine dissenter,
+    /// whose own best truly beats the block's median by more than the
+    /// bound, keeps its veto. [`emit_leaf`](AggContext::emit_leaf) reads
+    /// this same set, so phase 1's feasibility and phase 2's
+    /// cover/exception decisions cannot disagree. A leaf too sparse for a
+    /// choice of its own excludes nothing: it will borrow any default.
+    fn leaf_exclusions(&mut self, i: usize) {
+        let leaf = self.leaves[i];
+        let Some((own_target, _)) = leaf.own_best(self.min_samples) else {
+            return;
+        };
+        let best_all = leaf.scored().map(|(_, s)| s).fold(f64::INFINITY, f64::min);
+        let bound = self.regret_bound_ms;
+        let within_bound = |s: f64| s - best_all <= bound;
+        let universe = &self.universe;
+        let set = self.excls.set_mut(i);
+        for (w, word) in set.iter_mut().enumerate() {
+            *word = u64::MAX >> (64 - (universe.len() - w * 64).min(64));
+        }
+        let mut clear = |t: usize| set[t / 64] &= !(1 << (t % 64));
+        let mut anycast_scored = false;
+        for (pair, s) in leaf.scored() {
+            let target = pair.target();
+            anycast_scored |= target == Target::Anycast;
+            if target == own_target || within_bound(s) {
+                clear(universe.dense(pair));
+            }
+        }
+        if let (false, Some(anycast)) = (anycast_scored, universe.index_of(Target::Anycast)) {
+            clear(anycast);
+        }
+        let (first, end) = leaf.vouches;
+        for &(t, median) in &self.block_medians[first..end] {
+            if within_bound(median) {
+                clear(t);
+            }
+        }
+    }
+
+    /// The default an emitting range serves under `key`: the best-scored
+    /// target its exclusion set (in `slot`) allows, robust
+    /// (majority-quorum) scores first, any-leaf scores as the fallback.
+    /// The feasible targets' `(key, target, score)` ranking rows are
+    /// recorded with it. `None`, and nothing recorded, when nothing
+    /// feasible was measured under the range — it then defers to its
+    /// children entirely.
+    ///
+    /// A target's score for use as a *default* is the median of its
+    /// per-leaf metric scores; the robust pass admits it only if it was
+    /// measured in a majority of the range's leaves and carries
+    /// ≥ `min_samples` samples pooled. Robustness is the point. A default
+    /// is served to every covered /24 that has no say of its own, so it
+    /// must be good for the *typical* leaf. Scoring the naively pooled
+    /// sample set instead would let one dense, lucky cluster of samples
+    /// elect a front-end that is terrible for every other leaf under the
+    /// range — exactly the failure the regret bound exists to prevent.
     fn node_choice(
-        &self,
-        leaves: &[Leaf<'_>],
-        excl: &BTreeSet<Target>,
-    ) -> Option<(Target, Vec<(Target, f64)>)> {
-        for strict in [true, false] {
-            let scored: Vec<(Target, f64)> = self
-                .pooled_scores(leaves, strict)
-                .into_iter()
-                .filter(|(t, _)| !excl.contains(t))
-                .collect();
-            if let Some((best, _)) = best_scored(scored.iter().copied()) {
-                return Some((best, scored));
+        &mut self,
+        start: usize,
+        end: usize,
+        slot: usize,
+        key: GroupKey,
+    ) -> Option<Target> {
+        self.scratch.reset();
+        for pair in self.leaves[start..end].iter().flat_map(|leaf| leaf.stats) {
+            let t = self.universe.dense(pair.pair);
+            self.scratch.pooled[t] += pair.n;
+            self.scratch.scores[t].extend(pair.score);
+        }
+        for (min_samples, quorum) in [(self.min_samples, (end - start).div_ceil(2)), (1, 1)] {
+            let first_row = self.rows.len();
+            for (t, per_leaf) in self.scratch.scores.iter_mut().enumerate() {
+                let excluded = self.excls.contains(slot, t);
+                if excluded || self.scratch.pooled[t] < min_samples || per_leaf.len() < quorum {
+                    continue;
+                }
+                if let Some(median) = percentile_mut(per_leaf, 50.0) {
+                    self.rows.push((key, self.universe.targets[t], median));
+                }
+            }
+            let scored = self.rows[first_row..].iter().map(|&(_, t, s)| (t, s));
+            if let Some((best, _)) = best_scored(scored) {
+                return Some(best);
             }
         }
         None
     }
 
-    /// The damage check for one leaf: whether serving it the target `t`
-    /// would cost it more than the regret bound, over *everything* the
-    /// leaf measured (no eligibility filter: this is a damage check, not
-    /// a choice). `t` is acceptable when the leaf measured it within the
-    /// bound of the best of all it measured, or when it is anycast (the
-    /// evidence-free safe harbor); otherwise only the allocation block's
-    /// *vouch* — its routing siblings' median score for `t` landing
-    /// within the bound of the leaf's own best — saves it.
-    fn damages<'a>(&'a self, leaf: &'a Leaf<'_>) -> impl Fn(Target) -> bool + 'a {
-        let best_all = leaf.scored().map(|(_, s)| s).fold(f64::INFINITY, f64::min);
-        let block = self.block_scores.get(&locality_block(leaf.net));
-        let within_bound = move |s: f64| s - best_all <= self.regret_bound_ms;
-        move |t| {
-            let acceptable = match leaf.scored().find(|&(measured, _)| measured == t) {
-                Some((_, s)) => within_bound(s),
-                None => t == Target::Anycast,
-            };
-            let vouched = block
-                .and_then(|scores| scores.get(&t))
-                .is_some_and(|&s| within_bound(s));
-            !acceptable && !vouched
+    /// Phase 2 (top-down): recursive emission over the range
+    /// `leaves[start..end]`, entered at prefix length `len`. `inherited`
+    /// is the choice of the nearest ancestor that emitted an aggregate
+    /// entry; a range emits only when that choice is in its exclusion set
+    /// (or no ancestor emitted), which is what makes the resulting table
+    /// ORTC-minimal for the phase-1 feasibility sets.
+    fn emit_subtree(&mut self, start: usize, end: usize, len: u8, inherited: Option<Target>) {
+        if end - start == 1 {
+            self.emit_leaf(start, inherited);
+            return;
+        }
+        let (shared, mid) = self.split(start, end);
+        let mut inherited = inherited;
+        // Of the prefixes from `len` to `shared` bits the range is the
+        // node of, the shortest the configuration allows is the one to
+        // emit at: what it decides holds for every longer one, as they
+        // cover the same leaves. (A single leaf never emits a default: it
+        // would only claim unmeasured address space around it without
+        // saving an entry.)
+        let at = len.max(self.min_prefix_len);
+        if at <= shared {
+            let slot = self.range_slot(mid);
+            if inherited.is_none_or(|h| self.excludes(slot, h)) {
+                let key = GroupKey::Ecs(Prefix::from_raw(self.leaves[start].net, at));
+                if let Some(best) = self.node_choice(start, end, slot, key) {
+                    inherited = Some(best);
+                }
+            }
+        }
+        self.emit_subtree(start, mid, shared + 1, inherited);
+        self.emit_subtree(mid, end, shared + 1, inherited);
+    }
+
+    /// Leaf (/24) emission: exactly [`Predictor::train`]'s per-group
+    /// behavior when uncovered, cover/exception/borrow logic under an
+    /// aggregate.
+    fn emit_leaf(&mut self, i: usize, inherited: Option<Target>) {
+        let leaf = self.leaves[i];
+        let min = self.min_samples;
+        let own_rows = match (inherited, leaf.own_best(min)) {
+            // No covering aggregate: behave exactly like plain training.
+            (None, own) => {
+                for pair in leaf.stats {
+                    self.tally.admit(pair.n as u64, min as u64);
+                }
+                own.is_some()
+            }
+            // Covered but too sparse for a choice of its own: borrow the
+            // aggregate's — don't emit, don't fall back to anycast.
+            (Some(_), None) => {
+                self.tally.borrowed += 1;
+                false
+            }
+            // Agrees with the aggregate, or disagrees within the bound:
+            // covered. Beyond the bound — the aggregate's choice is in
+            // the leaf's exclusion set — a longer-prefix exception.
+            (Some(h), Some(_)) => self.excludes(i, h),
+        };
+        if own_rows {
+            let key = GroupKey::Ecs(Prefix::from_raw(leaf.net, 24));
+            self.rows
+                .extend(leaf.eligible(min).map(|(t, s)| (key, t, s)));
         }
     }
 }
@@ -870,149 +1223,6 @@ fn best_scored(scored: impl IntoIterator<Item = (Target, f64)>) -> Option<(Targe
         a.1.total_cmp(&b.1)
             .then_with(|| target_order(a.0).cmp(&target_order(b.0)))
     })
-}
-
-/// Phase 1 (bottom-up): the exclusion set of the trie node at `len`
-/// whose leaf slice starts at `start` — the targets that are *not* an
-/// acceptable default for some /24 below it. Mirrors ORTC's next-hop-set
-/// merge, complemented: where ORTC intersects candidate sets, exclusions
-/// union; where children's candidates are disjoint (exclusions cover the
-/// whole universe) the node defers and keeps only the shared exclusions.
-fn build_exclusions(
-    leaves: &[Leaf<'_>],
-    start: usize,
-    len: u8,
-    ctx: &mut AggContext,
-) -> BTreeSet<Target> {
-    let excl = if leaves.len() == 1 || len == 24 {
-        leaf_exclusions(&leaves[0], ctx)
-    } else {
-        let bit = 1u32 << (31 - len);
-        let split = leaves.partition_point(|leaf| leaf.net & bit == 0);
-        if split == 0 || split == leaves.len() {
-            build_exclusions(leaves, start, len + 1, ctx)
-        } else {
-            let a = build_exclusions(&leaves[..split], start, len + 1, ctx);
-            let b = build_exclusions(&leaves[split..], start + split, len + 1, ctx);
-            let union: BTreeSet<Target> = a.union(&b).copied().collect();
-            if union.len() < ctx.universe.len() {
-                union
-            } else {
-                a.intersection(&b).copied().collect()
-            }
-        }
-    };
-    // Phase 2 consults only nodes that could emit a default, and a
-    // default needs two leaves or more.
-    if leaves.len() > 1 {
-        ctx.excls.insert((len, start), excl.clone());
-    }
-    excl
-}
-
-/// A /24's exclusion set: the targets its own measurements rule out as a
-/// default — every target other than its own best that would
-/// [damage](AggContext::damages) it. The block vouch inside that check
-/// cuts both ways by design: it admits front-ends the leaf never reached,
-/// and it overrides a thin, noisy measurement that dissents from the
-/// block consensus — while a genuine dissenter, whose own best truly
-/// beats the block's median by more than the bound, keeps its veto.
-/// Exactly the damage check [`emit_leaf`] applies, so phase 1's
-/// feasibility and phase 2's cover/exception decisions cannot disagree.
-/// A leaf too sparse for a choice of its own excludes nothing: it will
-/// borrow any default.
-fn leaf_exclusions(leaf: &Leaf<'_>, ctx: &AggContext) -> BTreeSet<Target> {
-    let Some((own_target, _)) = leaf.own_best(ctx.min_samples) else {
-        return BTreeSet::new();
-    };
-    let damages = ctx.damages(leaf);
-    ctx.universe
-        .iter()
-        .filter(|&&t| t != own_target && damages(t))
-        .copied()
-        .collect()
-}
-
-/// Phase 2 (top-down): recursive emission over the trie node `(net, len)`
-/// covering the leaf slice starting at `start` (sorted by /24 network
-/// address). `inherited` is the choice of the nearest ancestor that
-/// emitted an aggregate entry; a node emits only when that choice is in
-/// its exclusion set (or no ancestor emitted), which is what makes the
-/// resulting table ORTC-minimal for the phase-1 feasibility sets.
-fn emit_subtree(
-    leaves: &[Leaf<'_>],
-    start: usize,
-    net: u32,
-    len: u8,
-    inherited: Option<Target>,
-    ctx: &mut AggContext,
-) {
-    if leaves.is_empty() {
-        return;
-    }
-    if len == 24 {
-        emit_leaf(&leaves[0], inherited, ctx);
-        return;
-    }
-    let mut inherited = inherited;
-    // Aggregating a single leaf would only claim unmeasured address space
-    // around it without saving an entry, so defaults need ≥ 2 leaves.
-    if len >= ctx.min_prefix_len && leaves.len() > 1 {
-        let excl = &ctx.excls[&(len, start)];
-        let infeasible = inherited.is_none_or(|h| excl.contains(&h));
-        if infeasible {
-            if let Some((best, scored)) = ctx.node_choice(leaves, excl) {
-                let key = GroupKey::Ecs(Prefix::from_raw(net, len));
-                ctx.rows
-                    .extend(scored.into_iter().map(|(t, s)| (key, t, s)));
-                inherited = Some(best);
-            }
-        }
-    }
-    let bit = 1u32 << (31 - len);
-    let split = leaves.partition_point(|leaf| leaf.net & bit == 0);
-    emit_subtree(&leaves[..split], start, net, len + 1, inherited, ctx);
-    emit_subtree(
-        &leaves[split..],
-        start + split,
-        net | bit,
-        len + 1,
-        inherited,
-        ctx,
-    );
-}
-
-/// Leaf (/24) emission: exactly [`Predictor::train`]'s per-group behavior
-/// when uncovered, cover/exception/borrow logic under an aggregate.
-fn emit_leaf(leaf: &Leaf<'_>, inherited: Option<Target>, ctx: &mut AggContext) {
-    let key = GroupKey::Ecs(Prefix::from_raw(leaf.net, 24));
-    let min = ctx.min_samples;
-    let own_rows = |ctx: &mut AggContext| {
-        let eligible = leaf.stats.iter().filter(|pair| pair.n >= min);
-        ctx.rows
-            .extend(eligible.filter_map(|pair| pair.score.map(|s| (key, pair.target, s))));
-    };
-    match (inherited, leaf.own_best(min)) {
-        // No covering aggregate: behave exactly like plain training.
-        (None, own) => {
-            for pair in leaf.stats {
-                ctx.tally.admit(pair.n as u64, min as u64);
-            }
-            if own.is_some() {
-                own_rows(ctx);
-            }
-        }
-        // Covered but too sparse for a choice of its own: borrow the
-        // aggregate's — don't emit, don't fall back to anycast.
-        (Some(_), None) => ctx.tally.borrowed += 1,
-        // Agrees with the aggregate, or disagrees within the bound:
-        // covered. Beyond the bound: a longer-prefix exception.
-        (Some(h), Some((own_target, _))) => {
-            if own_target != h && ctx.damages(leaf)(h) {
-                own_rows(ctx);
-            }
-        }
-    }
 }
 
 /// Shard route for prediction group keys (key-ownership discipline: a
@@ -1030,41 +1240,26 @@ fn route_group(key: &GroupKey) -> u64 {
 /// over anycast. Both the exact and the sketch-fed training paths end
 /// here, so their tie-break behavior cannot drift apart.
 ///
-/// The ranking is total — `(score, target_order)` with a unique order per
-/// target — so rank 0 is exactly the single-best target the pre-ranking
-/// implementation kept, and the deeper ranks extend it without changing
+/// One sort of the rows by `(group, score, target_order)` puts every
+/// group's ranking in place, best first; the rankings are then copied,
+/// group after group, into the table's one flat vector. The ranking is
+/// total — a unique order per target — so rank 0 is exactly the
+/// single-best target, and the deeper ranks extend it without changing
 /// any served answer.
 fn choose(scores: impl Iterator<Item = (GroupKey, Target, f64)>) -> PredictionTable {
-    let mut ranked: HashMap<GroupKey, Vec<RankedCandidate>> = HashMap::new();
-    for (key, target, score) in scores {
-        ranked.entry(key).or_default().push(RankedCandidate {
-            target,
-            score_ms: score,
-        });
-    }
-    let mut choices = HashMap::with_capacity(ranked.len());
-    for (key, cands) in &mut ranked {
-        cands.sort_by(|a, b| {
-            a.score_ms
-                .total_cmp(&b.score_ms)
-                .then_with(|| target_order(a.target).cmp(&target_order(b.target)))
-        });
-        let best = cands[0];
-        let anycast = cands
-            .iter()
-            .find(|c| c.target == Target::Anycast)
-            .map(|c| c.score_ms);
-        let gain_ms = match best.target {
-            Target::Anycast => Some(0.0),
-            Target::Unicast(_) => anycast.map(|a| a - best.score_ms),
-        };
-        choices.insert(
-            *key,
-            Choice {
-                target: best.target,
-                gain_ms,
-            },
-        );
+    let mut rows: Vec<(GroupKey, RankedCandidate)> = scores
+        .map(|(key, target, score_ms)| (key, RankedCandidate { target, score_ms }))
+        .collect();
+    rows.sort_unstable_by(|(ka, a), (kb, b)| {
+        ka.cmp(kb)
+            .then_with(|| a.score_ms.total_cmp(&b.score_ms))
+            .then_with(|| target_order(a.target).cmp(&target_order(b.target)))
+    });
+    let mut choices = HashMap::new();
+    let mut ranked = Vec::with_capacity(rows.len());
+    for group in rows.chunk_by(|a, b| a.0 == b.0) {
+        let ranking = group.iter().map(|&(_, candidate)| candidate);
+        choices.insert(group[0].0, PredictionTable::entry(&mut ranked, ranking));
     }
     PredictionTable::from_parts(choices, ranked)
 }
@@ -1075,6 +1270,14 @@ fn target_order(t: Target) -> u32 {
     match t {
         Target::Anycast => 0,
         Target::Unicast(s) => 1 + u32::from(s.0),
+    }
+}
+
+/// The target `target_order` numbers `code`.
+fn target_of_code(code: usize) -> Target {
+    match code.checked_sub(1) {
+        None => Target::Anycast,
+        Some(site) => Target::Unicast(SiteId(site as u16)),
     }
 }
 
@@ -1483,7 +1686,12 @@ mod tests {
             })
             .train(&ds, Day(0));
             assert!(!table.is_empty());
-            assert_eq!(table.ranked.len(), table.len(), "one ranking a choice");
+            let ranked_rows: usize = table.iter().map(|(key, _)| table.ranked(key).len()).sum();
+            assert_eq!(
+                ranked_rows,
+                table.ranked.len(),
+                "every ranked row is a choice's"
+            );
             for (key, _) in table.iter() {
                 let cands = table.ranked(key);
                 assert!(!cands.is_empty(), "every choice has a ranking");
@@ -1758,7 +1966,12 @@ mod tests {
                 (key, (choice.target, gain, ranking))
             })
             .collect();
-        assert_eq!(out.len(), table.ranked.len(), "one ranking a key");
+        let ranked_rows: usize = out.values().map(|(_, _, ranking)| ranking.len()).sum();
+        assert_eq!(
+            ranked_rows,
+            table.ranked.len(),
+            "every ranked row is a key's"
+        );
         out
     }
 
@@ -1852,6 +2065,117 @@ mod tests {
         ds
     }
 
+    /// Forty-eight /24s of three /8s over a universe of `sites` unicast
+    /// sites and anycast — more targets than one 64-bit word holds, and at
+    /// 130 sites more than two. Every site is measured somewhere. Each /16
+    /// has a home site its leaves prefer by far, so the leaves of a /16
+    /// can agree on a default (their exclusion sets union) while the two
+    /// /16s of a /8 cannot (the union is the whole universe: the /8 keeps
+    /// the intersection). Around that: a per-/16 neighbor site within the
+    /// regret bound that only some leaves reach, leaves without an anycast
+    /// measurement, one dissenter a /8, and one leaf a /16 too sparse for
+    /// a choice of its own.
+    fn wide_universe_dataset(sites: u16) -> BeaconDataset {
+        let mut ds = BeaconDataset::new();
+        let mut exec = 0u64;
+        let mut add = |ds: &mut BeaconDataset, net: u32, target: Target, base: f64, n: usize| {
+            for i in 0..n {
+                let jitter = ((i * 5 + (net >> 8) as usize) % 7) as f64 - 3.0;
+                let p = Prefix24::from_raw(net);
+                ds.extend(rows(exec, p, net >> 16, target, base + jitter, 1));
+                exec += 1;
+            }
+        };
+        let site = |id: u16| Target::Unicast(SiteId(id));
+        // Sites 0–5 are the homes, 6–11 their neighbors; the rest take
+        // turns as the far-away sites a leaf also measured.
+        let mut far = (12..sites).cycle();
+        let mut leaf = 0usize;
+        for (a, slash8) in [11u32, 12, 13].into_iter().enumerate() {
+            for slash16 in [1u32, 2] {
+                let home = (a * 2) as u16 + slash16 as u16 - 1;
+                let home_ms = 44.0 + f64::from(home);
+                for third in [0u32, 1, 2, 3, 8, 9, 10, 11] {
+                    let net = slash8 << 24 | slash16 << 16 | third << 8;
+                    leaf += 1;
+                    if third == 11 {
+                        add(&mut ds, net, Target::Anycast, 80.0, 5);
+                        continue;
+                    }
+                    if !leaf.is_multiple_of(5) {
+                        add(&mut ds, net, Target::Anycast, 80.0, 25);
+                    }
+                    add(&mut ds, net, site(home), home_ms, 25);
+                    if leaf.is_multiple_of(3) {
+                        add(&mut ds, net, site(6 + home), home_ms + 3.0, 22);
+                    }
+                    // One leaf a /8 finds a far-away site the fastest.
+                    let dissents = slash16 == 2 && third == 9;
+                    add(
+                        &mut ds,
+                        net,
+                        site(far.next().unwrap()),
+                        if dissents { 20.0 } else { 100.0 },
+                        25,
+                    );
+                    for _ in 0..2 {
+                        add(&mut ds, net, site(far.next().unwrap()), 120.0, 5);
+                    }
+                }
+            }
+        }
+        let measured: std::collections::BTreeSet<Target> =
+            ds.measurements().iter().map(|m| m.target).collect();
+        assert_eq!(
+            measured.len(),
+            usize::from(sites) + 1,
+            "every target measured"
+        );
+        ds
+    }
+
+    #[test]
+    fn pair_key_is_injective_orders_like_the_pair_and_round_trips() {
+        let mut groups: Vec<GroupKey> = Vec::new();
+        for len in 0..=32u8 {
+            // The top address bit set, alone and with every other.
+            groups.push(GroupKey::Ecs(Prefix::from_raw(1 << 31, len)));
+            groups.push(GroupKey::Ecs(Prefix::from_raw(u32::MAX, len)));
+        }
+        groups.push(GroupKey::Ecs(Prefix::from_raw(0, 24)));
+        for id in [0, 1, 1 << 31, u32::MAX] {
+            groups.push(GroupKey::Ldns(LdnsId(id)));
+        }
+        groups.sort_unstable();
+        groups.dedup();
+        let targets = [
+            Target::Anycast,
+            Target::Unicast(SiteId(0)),
+            Target::Unicast(SiteId(1)),
+            Target::Unicast(SiteId(u16::MAX)),
+        ];
+        let mut pairs: Vec<(GroupKey, Target)> = Vec::new();
+        for &group in &groups {
+            pairs.extend(targets.map(|target| (group, target)));
+        }
+        let mut by_word = pairs.clone();
+        by_word.sort_unstable_by_key(|&(group, target)| PairKey::new(group, target));
+        pairs.sort_unstable();
+        // Distinct pairs pack to distinct words (a collision would leave two
+        // neighbors equal under one order and not the other), and words
+        // order as the pairs do — ECS before LDNS, then network, length,
+        // target — which is what lets the aggregation walk sort by word.
+        assert_eq!(by_word, pairs);
+        for w in pairs.windows(2) {
+            let (a, b) = (PairKey::new(w[0].0, w[0].1), PairKey::new(w[1].0, w[1].1));
+            assert!(a < b, "{:?} and {:?} pack to {a:?} and {b:?}", w[0], w[1]);
+        }
+        for (group, target) in pairs {
+            let word = PairKey::new(group, target);
+            assert_eq!((word.group(), word.target()), (group, target));
+        }
+    }
+
     #[test]
     fn window_kernel_equals_the_per_pair_vector_oracle() {
         let mixed = mixed_days(2015, true);
@@ -1888,12 +2212,14 @@ mod tests {
     #[test]
     fn aggregated_walk_over_scores_equals_the_walk_over_samples() {
         let mixed = mixed_days(7, true);
-        let cases: [(&str, &BeaconDataset); 5] = [
+        let cases: [(&str, &BeaconDataset); 7] = [
             ("separated", &separated_dataset()),
             ("exception", &exception_dataset()),
             ("borrow", &borrow_dataset()),
             ("block-vouch", &block_vouch_dataset()),
             ("mixed", &mixed),
+            ("two-word universe", &wide_universe_dataset(70)),
+            ("three-word universe", &wide_universe_dataset(130)),
         ];
         let configs = [
             AggregationConfig::default(),
@@ -1947,6 +2273,30 @@ mod tests {
                 (8, Target::Unicast(SiteId(4)))
             );
         }
+        // So do the wide universe's merges. The leaves of 11.1.0.0/16 agree
+        // on their home, site 0, and those of 11.2.0.0/16 on site 1, and
+        // each /16 vetoes the other's: 11/8 keeps only the exclusions they
+        // share, which leaves it the one target nobody vetoes — the
+        // dissenter's far-away site, vouched for across its block — and
+        // each home is carved out of the /8 as a nested aggregate.
+        let table = Predictor::new(PredictorConfig::default()).train_aggregated(
+            &wide_universe_dataset(130),
+            Day(0),
+            &AggregationConfig::default(),
+        );
+        let served = |a: u8, b: u8, c: u8| {
+            let (matched, choice) = table
+                .lookup_lpm(Prefix::new(Ipv4Addr::new(a, b, c, 0), 24))
+                .expect("covered");
+            (matched.len(), choice.target)
+        };
+        assert_eq!(served(11, 1, 2), (15, Target::Unicast(SiteId(0))));
+        assert_eq!(served(11, 2, 2), (21, Target::Unicast(SiteId(1))));
+        let (len, far) = served(11, 2, 9);
+        assert_eq!(len, 8);
+        assert!(matches!(far, Target::Unicast(SiteId(12..))), "{far:?}");
+        assert_eq!(served(11, 2, 11), (len, far), "the sparse leaf borrows");
+        assert_eq!(table.len(), 3 * 3);
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //! `train_window` and `train_aggregated` ran before they shared
 //! `Predictor::grouped_scores`, kept verbatim for the equivalence tests
 //! in the parent module — a vector of samples per `(group, target)`,
-//! nested maps per /24, and a fresh copy-and-sort `percentile` at every
-//! read. The one edit: it tallies into a [`GroupTally`] where it used to
+//! nested maps per /24, and a fresh copy-and-sort [`percentile`] at every
+//! read. Two edits. It tallies into a [`GroupTally`] where it used to
 //! bump the `prediction_groups_*_total` counters in place, so a test can
-//! compare counts without racing the process-wide registry.
+//! compare counts without racing the process-wide registry. And its
+//! `percentile` is a local copy-and-sort: `anycast_analysis::percentile`
+//! is the selection read the production kernel scores with, and an oracle
+//! that shared it would compare that read with itself.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use anycast_analysis::percentile;
+use anycast_analysis::quantile::percentile_sorted;
 use anycast_beacon::{BeaconDataset, Target};
 use anycast_netsim::{Day, Prefix};
 use anycast_pipeline::ecs_record_with_failures;
@@ -18,6 +21,17 @@ use super::{
     choose, target_order, AggregationConfig, GroupKey, GroupTally, PredictionTable, Predictor,
     LOCALITY_BLOCK_LEN,
 };
+
+/// `anycast_analysis::percentile` as it was: sort a copy, read the sorted
+/// slice. Same `None` cases.
+fn percentile(values: &[f64], p: f64) -> Option<f64> {
+    if values.is_empty() || !p.is_finite() || values.iter().any(|v| v.is_nan()) {
+        return None;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    Some(percentile_sorted(&sorted, p))
+}
 
 impl Predictor {
     /// `train_window` as it was: one `Vec<f64>` per pair, scored by copy.

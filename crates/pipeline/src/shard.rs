@@ -164,10 +164,13 @@ impl<A: Aggregate, R: Fn(&A::Record) -> u64> ShardedIngest<A, R> {
         // this runs once per log record.
         let hash = (self.route)(&record);
         let shard = ((u128::from(hash) * self.senders.len() as u128) >> 64) as usize;
-        counter!("pipeline_records_routed_total").inc();
         self.pending[shard].push(record);
         if self.pending[shard].len() >= self.batch {
             let batch = std::mem::replace(&mut self.pending[shard], Vec::with_capacity(self.batch));
+            // Routed records are counted a batch at a time (and the
+            // residues in `finish`): the producer bounds sharded ingest,
+            // and one atomic per record is what it can least afford.
+            counter!("pipeline_records_routed_total").add(batch.len() as u64);
             counter!("pipeline_batches_sent_total").inc();
             // try_send first so a full queue — the producer outrunning the
             // workers — is visible as a backpressure event before blocking.
@@ -226,6 +229,7 @@ impl<A: Aggregate, R: Fn(&A::Record) -> u64> ShardedIngest<A, R> {
     pub fn finish(mut self) -> Result<Vec<A::Output>, ShardError> {
         for (i, residue) in self.pending.drain(..).enumerate() {
             if !residue.is_empty() {
+                counter!("pipeline_records_routed_total").add(residue.len() as u64);
                 // A failed flush means the worker died; the join below
                 // recovers its panic payload, so ignore the send error.
                 let _ = self.senders[i].send(residue);

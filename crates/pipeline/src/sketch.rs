@@ -44,9 +44,17 @@ impl FastHasher {
 }
 
 impl std::hash::Hasher for FastHasher {
+    /// The state with its high bits folded down. After the multiply the
+    /// low bits of the state depend only on the low bits of the input,
+    /// and `hashbrown` picks the bucket from the hash's low bits: returned
+    /// raw, keys of the shape `x << k | small` pile into a few buckets.
+    /// The top bits are the ones every input bit reaches, so the high
+    /// half goes onto the low half and the top twelve onto the bottom
+    /// twelve; the top seven, `hashbrown`'s tag, stay as they are.
     #[inline]
     fn finish(&self) -> u64 {
-        self.0
+        let h = self.0;
+        h ^ (h >> 32) ^ (h >> 52)
     }
 
     #[inline]
@@ -653,6 +661,22 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         QuantileSketch::new(0.1).observe(f64::NAN);
+    }
+
+    #[test]
+    fn fast_hasher_spreads_keys_whose_low_bits_are_constant() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<FastHasher>::default();
+        for shift in [20u32, 40] {
+            let buckets: std::collections::BTreeSet<u64> = (0..4096u64)
+                .map(|i| build.hash_one(i << shift) & 0xfff)
+                .collect();
+            assert!(
+                buckets.len() >= 2_000,
+                "keys i << {shift} reach {} of 4096 buckets",
+                buckets.len()
+            );
+        }
     }
 
     #[test]
