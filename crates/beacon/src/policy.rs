@@ -12,6 +12,10 @@
 //! 3. answers are deterministic per measurement id, so reruns of a seed
 //!    reproduce the same "random" diversity.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use anycast_geo::{GeoPoint, NearestIndex};
 use anycast_netsim::{CdnAddressing, SiteId};
 use rand::{Rng, SeedableRng};
@@ -32,6 +36,23 @@ pub struct MeasurementPolicy {
     /// beacon" so the timed fetch is a cache hit.
     pub ttl_s: u32,
     seed: u64,
+    known: Arc<KnownResolvers>,
+}
+
+/// The candidate sets of the resolver locations a policy was told about
+/// ([`MeasurementPolicy::with_known_resolvers`]): a candidate set is a
+/// function of the resolver's location alone, and a campaign asks for the
+/// same few thousand locations hundreds of thousands of times a day.
+#[derive(Debug, Default)]
+struct KnownResolvers {
+    /// The candidate-set size the sets were computed at.
+    k: usize,
+    /// By the bit patterns of the location's latitude and longitude.
+    sets: HashMap<(u64, u64), Vec<(SiteId, f64)>>,
+}
+
+fn location_bits(p: &GeoPoint) -> (u64, u64) {
+    (p.lat_deg().to_bits(), p.lon_deg().to_bits())
 }
 
 impl MeasurementPolicy {
@@ -50,37 +71,67 @@ impl MeasurementPolicy {
             candidates,
             ttl_s,
             seed,
+            known: Arc::default(),
         }
+    }
+
+    /// Computes the candidate set of each of `locations` now, once, so
+    /// answers for a resolver at one of them read it instead of ranking the
+    /// site catalog again. Clones of the policy share the sets. Answers are
+    /// unchanged: a location not listed here (or a policy whose
+    /// `candidates` was changed afterwards) is ranked on the spot.
+    pub fn with_known_resolvers(mut self, locations: &[GeoPoint]) -> MeasurementPolicy {
+        let sets = locations
+            .iter()
+            .map(|loc| {
+                (
+                    location_bits(loc),
+                    self.sites.k_nearest(loc, self.candidates),
+                )
+            })
+            .collect();
+        self.known = Arc::new(KnownResolvers {
+            k: self.candidates,
+            sets,
+        });
+        self
     }
 
     /// The candidate front-ends for an LDNS at `ldns_location`: the k
     /// nearest sites with distances, ascending.
     pub fn candidate_sites(&self, ldns_location: &GeoPoint) -> Vec<(SiteId, f64)> {
-        self.sites.k_nearest(ldns_location, self.candidates)
+        self.candidates_of(ldns_location).into_owned()
+    }
+
+    fn candidates_of(&self, ldns_location: &GeoPoint) -> Cow<'_, [(SiteId, f64)]> {
+        match self.known.sets.get(&location_bits(ldns_location)) {
+            Some(set) if self.known.k == self.candidates => Cow::Borrowed(set),
+            _ => Cow::Owned(self.sites.k_nearest(ldns_location, self.candidates)),
+        }
     }
 
     /// The site a given slot's answer selects for an LDNS location, or
     /// `None` for the anycast slot (whose answer is the VIP, not a site).
     /// Exposed for tests and for the Figure 1 candidate-rank analysis.
     pub fn select_site(&self, slot: Slot, id: u64, ldns_location: &GeoPoint) -> Option<SiteId> {
-        let candidates = self.candidate_sites(ldns_location);
         match slot {
             Slot::Anycast => None,
-            Slot::GeoClosest => candidates.first().map(|&(s, _)| s),
+            Slot::GeoClosest => self.candidates_of(ldns_location).first().map(|&(s, _)| s),
             Slot::Random1 | Slot::Random2 => {
+                let candidates = self.candidates_of(ldns_location);
                 let rest = &candidates[1.min(candidates.len())..];
                 if rest.is_empty() {
                     return candidates.first().map(|&(s, _)| s);
                 }
                 // Weight ∝ 1/(rank+1): the 3rd closest beats the 4th.
-                let weights: Vec<f64> = (0..rest.len()).map(|r| 1.0 / (r as f64 + 2.0)).collect();
-                let total: f64 = weights.iter().sum();
+                let weight = |r: usize| 1.0 / (r as f64 + 2.0);
+                let total: f64 = (0..rest.len()).map(weight).sum();
                 let mut rng = id_rng(self.seed, id);
                 let mut draw = rng.gen::<f64>() * total;
-                for (i, w) in weights.iter().enumerate() {
-                    draw -= w;
+                for (i, &(site, _)) in rest.iter().enumerate() {
+                    draw -= weight(i);
                     if draw <= 0.0 {
-                        return Some(rest[i].0);
+                        return Some(site);
                     }
                 }
                 rest.last().map(|&(s, _)| s)
@@ -227,6 +278,125 @@ mod tests {
         let qname = DnsName::new("www.cdn.example").unwrap();
         let a = p.answer(&ctx(&qname, GeoPoint::new(0.0, 0.0)));
         assert!(p.addressing.is_anycast(a.addr));
+    }
+
+    /// The policy over `Scenario::small(7)`'s sites with the candidate set
+    /// of every resolver's believed location memoised, a second policy
+    /// that was told of no resolver, and the believed locations.
+    fn small_scenario_policies() -> (MeasurementPolicy, MeasurementPolicy, Vec<GeoPoint>) {
+        use anycast_workload::{ldns_assign, Scenario};
+        let s = Scenario::small(7);
+        let believed: Vec<GeoPoint> = s
+            .ldns
+            .resolvers
+            .iter()
+            .map(|r| ldns_assign::believed_ldns_location(r, &s.geodb))
+            .collect();
+        let plain = MeasurementPolicy::new(s.internet.site_locations(), s.addressing, 10, 300, 7);
+        let memoised = plain.clone().with_known_resolvers(&believed);
+        (memoised, plain, believed)
+    }
+
+    #[test]
+    fn memoised_candidate_sets_are_k_nearest_for_every_resolver() {
+        let (memoised, _, believed) = small_scenario_policies();
+        assert!(believed.len() > 20);
+        for loc in &believed {
+            let Cow::Borrowed(set) = memoised.candidates_of(loc) else {
+                panic!("{loc:?} was not memoised");
+            };
+            assert_eq!(set, memoised.sites.k_nearest(loc, 10));
+            assert_eq!(memoised.candidate_sites(loc), set);
+        }
+        // Clones share the sets instead of copying them.
+        assert!(Arc::ptr_eq(&memoised.known, &memoised.clone().known));
+    }
+
+    #[test]
+    fn unknown_or_resized_candidate_lookups_fall_back_to_ranking() {
+        let (memoised, _, believed) = small_scenario_policies();
+        // A location no resolver is believed at.
+        let nowhere = GeoPoint::new(12.345, -67.89);
+        assert!(matches!(memoised.candidates_of(&nowhere), Cow::Owned(_)));
+        assert_eq!(
+            memoised.candidate_sites(&nowhere),
+            memoised.sites.k_nearest(&nowhere, 10)
+        );
+        // A known location after the public size field moved: the sets were
+        // computed at ten, so they no longer apply.
+        let mut resized = memoised.clone();
+        resized.candidates = 4;
+        assert!(matches!(resized.candidates_of(&believed[0]), Cow::Owned(_)));
+        assert_eq!(
+            resized.candidate_sites(&believed[0]),
+            resized.sites.k_nearest(&believed[0], 4)
+        );
+    }
+
+    /// `select_site` as it stood before candidate sets were memoised: rank
+    /// the catalog on every call, whatever the slot, and draw against an
+    /// allocated weight vector. Kept verbatim as the reference.
+    fn parent_select_site(
+        p: &MeasurementPolicy,
+        slot: Slot,
+        id: u64,
+        ldns_location: &GeoPoint,
+    ) -> Option<SiteId> {
+        let candidates = p.sites.k_nearest(ldns_location, p.candidates);
+        match slot {
+            Slot::Anycast => None,
+            Slot::GeoClosest => candidates.first().map(|&(s, _)| s),
+            Slot::Random1 | Slot::Random2 => {
+                let rest = &candidates[1.min(candidates.len())..];
+                if rest.is_empty() {
+                    return candidates.first().map(|&(s, _)| s);
+                }
+                // Weight ∝ 1/(rank+1): the 3rd closest beats the 4th.
+                let weights: Vec<f64> = (0..rest.len()).map(|r| 1.0 / (r as f64 + 2.0)).collect();
+                let total: f64 = weights.iter().sum();
+                let mut rng = id_rng(p.seed, id);
+                let mut draw = rng.gen::<f64>() * total;
+                for (i, w) in weights.iter().enumerate() {
+                    draw -= w;
+                    if draw <= 0.0 {
+                        return Some(rest[i].0);
+                    }
+                }
+                rest.last().map(|&(s, _)| s)
+            }
+        }
+    }
+
+    #[test]
+    fn select_site_over_memoised_candidate_sets_equals_the_parent_body() {
+        let (memoised, plain, believed) = small_scenario_policies();
+        let step = believed.len() / 20;
+        for loc in believed.iter().step_by(step).take(20) {
+            for counter in 0..10_000 {
+                for slot in [Slot::GeoClosest, Slot::Random1, Slot::Random2] {
+                    let id = slot.id_for(counter);
+                    let expected = parent_select_site(&plain, slot, id, loc);
+                    assert_eq!(memoised.select_site(slot, id, loc), expected);
+                    assert_eq!(plain.select_site(slot, id, loc), expected);
+                }
+            }
+            assert_eq!(memoised.select_site(Slot::Anycast, 0, loc), None);
+        }
+        // A one-site catalog leaves the random slots nothing to draw from.
+        let lone = MeasurementPolicy::new(
+            vec![(SiteId(3), GeoPoint::new(1.0, 2.0))],
+            CdnAddressing::standard(4),
+            10,
+            300,
+            7,
+        );
+        for slot in Slot::ALL {
+            let id = slot.id_for(1);
+            assert_eq!(
+                lone.select_site(slot, id, &believed[0]),
+                parent_select_site(&lone, slot, id, &believed[0])
+            );
+        }
     }
 
     #[test]

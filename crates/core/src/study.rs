@@ -160,13 +160,6 @@ pub struct Study {
 impl Study {
     /// Sets up the campaign over a scenario.
     pub fn new(scenario: Scenario, cfg: StudyConfig) -> Study {
-        let policy = MeasurementPolicy::new(
-            scenario.internet.site_locations(),
-            scenario.addressing,
-            cfg.candidates,
-            cfg.ttl_s,
-            scenario.seed ^ 0x6265_6163_6f6e,
-        );
         let ldns_of: HashMap<Prefix24, LdnsId> = scenario
             .clients
             .iter()
@@ -183,6 +176,16 @@ impl Study {
             .iter()
             .map(|r| ldns_assign::believed_ldns_location(r, &scenario.geodb))
             .collect();
+        // Every DNS query of the campaign comes from one of these
+        // locations, so the policy ranks the site catalog once for each.
+        let policy = MeasurementPolicy::new(
+            scenario.internet.site_locations(),
+            scenario.addressing,
+            cfg.candidates,
+            cfg.ttl_s,
+            scenario.seed ^ 0x6265_6163_6f6e,
+        )
+        .with_known_resolvers(&believed);
         Study {
             scenario,
             policy,

@@ -11,6 +11,8 @@
 //! Population figures are coarse mid-2010s estimates; only their *relative*
 //! magnitudes matter, since they act as sampling weights.
 
+use std::sync::OnceLock;
+
 use crate::coords::GeoPoint;
 use crate::regions::Region;
 
@@ -284,6 +286,13 @@ pub const METROS: &[Metro] = &[
     Metro { name: "Christchurch", country: "NZ", region: Oceania, lat: -43.5321, lon: 172.6362, population_k: 400 },
 ];
 
+/// Great-circle km between every ordered pair of catalog metros:
+/// `METRO_KM[a][b]` is `metro(a).location().haversine_km(&metro(b).location())`,
+/// argument order included. Built on the first [`WorldAtlas::metro_km`] call
+/// of the process and shared by every atlas (the catalog is static, so the
+/// table is too).
+static METRO_KM: OnceLock<Vec<[f64; METROS.len()]>> = OnceLock::new();
+
 /// Indexed, weighted access to the metro catalog.
 ///
 /// The atlas owns cumulative population weights so metros can be sampled
@@ -331,6 +340,32 @@ impl WorldAtlas {
     /// error).
     pub fn metro(&self, id: MetroId) -> &'static Metro {
         &METROS[id.0 as usize]
+    }
+
+    /// Great-circle distance between the centers of metros `a` and `b`, in
+    /// km: bit for bit the value of
+    /// `self.metro(a).location().haversine_km(&self.metro(b).location())`,
+    /// read from a table computed once per process. Routing ranks and
+    /// charges metro-to-metro distances hundreds of thousands of times a
+    /// simulated day; [`GeoPoint::haversine_km`] stays the only definition
+    /// of distance. Panics on an out-of-range id, like [`WorldAtlas::metro`].
+    pub fn metro_km(&self, a: MetroId, b: MetroId) -> f64 {
+        self.metro_km_from(a)[b.0 as usize]
+    }
+
+    /// [`WorldAtlas::metro_km`] from `a` to every metro of the catalog,
+    /// indexed by [`MetroId`] — for a loop that ranks many metros from one.
+    pub fn metro_km_from(&self, a: MetroId) -> &'static [f64] {
+        let table = METRO_KM.get_or_init(|| {
+            METROS
+                .iter()
+                .map(|from| {
+                    let from = from.location();
+                    std::array::from_fn(|to| from.haversine_km(&METROS[to].location()))
+                })
+                .collect()
+        });
+        &table[a.0 as usize]
     }
 
     /// Iterator over `(id, metro)` pairs in catalog order.
@@ -465,6 +500,24 @@ mod tests {
         }
         // Moscow is Europe's largest metro in the catalog.
         assert_eq!(atlas.metro(top[0]).name, "Moscow");
+    }
+
+    #[test]
+    fn metro_km_is_the_direct_haversine_call_bit_for_bit() {
+        let atlas = WorldAtlas::new();
+        for (a, ma) in atlas.iter() {
+            assert_eq!(atlas.metro_km(a, a), 0.0, "{}", ma.name);
+            for (b, mb) in atlas.iter() {
+                let direct = ma.location().haversine_km(&mb.location());
+                assert_eq!(
+                    atlas.metro_km(a, b).to_bits(),
+                    direct.to_bits(),
+                    "{} -> {}",
+                    ma.name,
+                    mb.name
+                );
+            }
+        }
     }
 
     #[test]

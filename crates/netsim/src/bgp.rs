@@ -226,12 +226,11 @@ fn rank_by_distance(
     rank: usize,
 ) -> BorderId {
     debug_assert!(!candidates.is_empty());
-    let from = topo.atlas.metro(from_metro).location();
     let mut ranked: Vec<(BorderId, f64)> = candidates
         .iter()
         .map(|&b| {
-            let loc = topo.atlas.metro(topo.cdn.border_metro(b)).location();
-            (b, loc.haversine_km(&from))
+            let km = topo.atlas.metro_km(topo.cdn.border_metro(b), from_metro);
+            (b, km)
         })
         .collect();
     ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -241,17 +240,10 @@ fn rank_by_distance(
 /// The metro in `metros` nearest to `from_metro`.
 fn nearest_metro(topo: &Topology, metros: &[MetroId], from_metro: MetroId) -> MetroId {
     debug_assert!(!metros.is_empty());
-    let from = topo.atlas.metro(from_metro).location();
+    let km = |m: MetroId| topo.atlas.metro_km(m, from_metro);
     *metros
         .iter()
-        .min_by(|a, b| {
-            topo.atlas
-                .metro(**a)
-                .location()
-                .haversine_km(&from)
-                .total_cmp(&topo.atlas.metro(**b).location().haversine_km(&from))
-                .then(a.cmp(b))
-        })
+        .min_by(|a, b| km(**a).total_cmp(&km(**b)).then(a.cmp(b)))
         .expect("non-empty metro list")
 }
 
@@ -459,6 +451,93 @@ mod tests {
         };
         let d = select_anycast_ingress_avoiding(&topo, 0, e.id, e.home_metro, &[pinned]);
         assert_ne!(d.ingress, pinned);
+    }
+
+    /// `rank_by_distance` as it stood before the metro distance table:
+    /// great-circle trigonometry per candidate. Kept verbatim as the
+    /// reference the tabulated ranker is checked against.
+    fn parent_rank_by_distance(
+        topo: &Topology,
+        candidates: &[BorderId],
+        from_metro: MetroId,
+        rank: usize,
+    ) -> BorderId {
+        let from = topo.atlas.metro(from_metro).location();
+        let mut ranked: Vec<(BorderId, f64)> = candidates
+            .iter()
+            .map(|&b| {
+                let loc = topo.atlas.metro(topo.cdn.border_metro(b)).location();
+                (b, loc.haversine_km(&from))
+            })
+            .collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        ranked[rank.min(ranked.len() - 1)].0
+    }
+
+    /// `nearest_metro` as it stood before the metro distance table.
+    fn parent_nearest_metro(topo: &Topology, metros: &[MetroId], from_metro: MetroId) -> MetroId {
+        let from = topo.atlas.metro(from_metro).location();
+        *metros
+            .iter()
+            .min_by(|a, b| {
+                topo.atlas
+                    .metro(**a)
+                    .location()
+                    .haversine_km(&from)
+                    .total_cmp(&topo.atlas.metro(**b).location().haversine_km(&from))
+                    .then(a.cmp(b))
+            })
+            .expect("non-empty metro list")
+    }
+
+    #[test]
+    fn ranker_agrees_with_the_parent_bodies_over_every_list_metro_and_rank() {
+        let policy = NetConfig {
+            worldgen: Some(crate::worldgen::WorldGenConfig::with_ases(1_000)),
+            ..NetConfig::small()
+        };
+        for topo in [world(), crate::worldgen::build(&policy, 42).0] {
+            // Every distinct list the selection functions can be handed.
+            let mut border_lists: Vec<Vec<BorderId>> = topo
+                .eyeballs
+                .iter()
+                .map(|e| e.peering_borders.clone())
+                .chain(topo.transits.iter().map(|t| t.peering_borders.clone()))
+                .chain([topo.cdn.border_ids().collect()])
+                .filter(|l| !l.is_empty())
+                .collect();
+            border_lists.sort();
+            border_lists.dedup();
+            let mut metro_lists: Vec<Vec<MetroId>> = topo
+                .eyeballs
+                .iter()
+                .map(|e| e.pops.clone())
+                .chain(topo.transits.iter().map(|t| t.pops.clone()))
+                .filter(|l| !l.is_empty())
+                .collect();
+            metro_lists.sort();
+            metro_lists.dedup();
+            assert!(border_lists.len() > 10 && metro_lists.len() > 10);
+            for (from, _) in topo.atlas.iter() {
+                for list in &border_lists {
+                    // One past the end exercises the clamp.
+                    for rank in 0..=list.len() {
+                        assert_eq!(
+                            rank_by_distance(&topo, list, from, rank),
+                            parent_rank_by_distance(&topo, list, from, rank),
+                            "{list:?} from {from} at rank {rank}"
+                        );
+                    }
+                }
+                for list in &metro_lists {
+                    assert_eq!(
+                        nearest_metro(&topo, list, from),
+                        parent_nearest_metro(&topo, list, from),
+                        "{list:?} from {from}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

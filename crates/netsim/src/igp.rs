@@ -16,10 +16,10 @@ use crate::topology::Topology;
 
 /// IGP cost from a border router to a front-end site.
 pub fn igp_cost(topo: &Topology, border: BorderId, site: SiteId) -> f64 {
-    let b = topo.atlas.metro(topo.cdn.border_metro(border)).location();
-    let s = topo.atlas.metro(topo.cdn.site_metro(site)).location();
-    let mult = topo.cdn.igp_multiplier[border.0 as usize][site.0 as usize];
-    b.haversine_km(&s) * mult
+    let km = topo
+        .atlas
+        .metro_km(topo.cdn.border_metro(border), topo.cdn.site_metro(site));
+    km * topo.cdn.igp_multiplier[border.0 as usize][site.0 as usize]
 }
 
 /// The front-end the CDN's IGP selects for traffic ingressing at `border`:
@@ -115,6 +115,103 @@ mod tests {
             // Everything down: nothing to serve from.
             let all: Vec<SiteId> = topo.cdn.site_ids().collect();
             assert_eq!(select_site_avoiding(&topo, b, 0, &all), None);
+        }
+    }
+
+    /// `igp_cost`, `select_site_ranked` and `select_site_avoiding` as they
+    /// stood before the metro distance table: great-circle trigonometry
+    /// inside the sort comparator. Kept verbatim as the reference the
+    /// tabulated selection is checked against.
+    fn parent_igp_cost(topo: &Topology, border: BorderId, site: SiteId) -> f64 {
+        let b = topo.atlas.metro(topo.cdn.border_metro(border)).location();
+        let s = topo.atlas.metro(topo.cdn.site_metro(site)).location();
+        let mult = topo.cdn.igp_multiplier[border.0 as usize][site.0 as usize];
+        b.haversine_km(&s) * mult
+    }
+
+    fn parent_select_site_ranked(topo: &Topology, border: BorderId, rank: usize) -> SiteId {
+        if rank == 0 {
+            if let Some(site) = topo.cdn.borders[border.0 as usize].colocated_site {
+                return site;
+            }
+        }
+        let mut ranked: Vec<SiteId> = topo.cdn.site_ids().collect();
+        ranked.sort_by(|a, b| {
+            parent_igp_cost(topo, border, *a)
+                .total_cmp(&parent_igp_cost(topo, border, *b))
+                .then(a.cmp(b))
+        });
+        ranked[rank.min(ranked.len() - 1)]
+    }
+
+    fn parent_select_site_avoiding(
+        topo: &Topology,
+        border: BorderId,
+        rank: usize,
+        down: &[SiteId],
+    ) -> Option<SiteId> {
+        if down.is_empty() {
+            return Some(parent_select_site_ranked(topo, border, rank));
+        }
+        if rank == 0 {
+            if let Some(site) = topo.cdn.borders[border.0 as usize].colocated_site {
+                if !down.contains(&site) {
+                    return Some(site);
+                }
+            }
+        }
+        let mut ranked: Vec<SiteId> = topo.cdn.site_ids().filter(|s| !down.contains(s)).collect();
+        if ranked.is_empty() {
+            return None;
+        }
+        ranked.sort_by(|a, b| {
+            parent_igp_cost(topo, border, *a)
+                .total_cmp(&parent_igp_cost(topo, border, *b))
+                .then(a.cmp(b))
+        });
+        Some(ranked[rank.min(ranked.len() - 1)])
+    }
+
+    #[test]
+    fn site_selection_agrees_with_the_parent_bodies_over_every_border_rank_and_down_site() {
+        let policy = NetConfig {
+            worldgen: Some(crate::worldgen::WorldGenConfig::with_ases(1_000)),
+            p_igp_inflated: 0.5,
+            ..NetConfig::small()
+        };
+        let inflated = NetConfig {
+            p_igp_inflated: 0.5,
+            ..NetConfig::small()
+        };
+        for topo in [
+            Topology::generate(&NetConfig::small(), 9),
+            Topology::generate(&inflated, 9),
+            crate::worldgen::build(&policy, 9).0,
+        ] {
+            let n_sites = topo.cdn.sites.len();
+            for b in topo.cdn.border_ids() {
+                for s in topo.cdn.site_ids() {
+                    assert_eq!(
+                        igp_cost(&topo, b, s).to_bits(),
+                        parent_igp_cost(&topo, b, s).to_bits()
+                    );
+                }
+                // One past the end exercises the clamp.
+                for rank in 0..=n_sites {
+                    assert_eq!(
+                        select_site_ranked(&topo, b, rank),
+                        parent_select_site_ranked(&topo, b, rank),
+                        "border {b:?} rank {rank}"
+                    );
+                    for down in topo.cdn.site_ids() {
+                        assert_eq!(
+                            select_site_avoiding(&topo, b, rank, &[down]),
+                            parent_select_site_avoiding(&topo, b, rank, &[down]),
+                            "border {b:?} rank {rank} down {down:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

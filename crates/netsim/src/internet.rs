@@ -24,7 +24,7 @@ use crate::ids::{AsId, BorderId, SiteId};
 use crate::igp;
 use crate::latency::{AccessTech, LatencyModel};
 use crate::outage::OutageModel;
-use crate::path::{self, Hop, HopKind, RoutePath};
+use crate::path::{Hop, HopKind, RoutePath};
 use crate::sim::Day;
 use crate::topology::Topology;
 use crate::worldgen::{self, CatchmentTable, PolicyWorld, CDN_NEXT};
@@ -193,14 +193,36 @@ impl Internet {
     /// shared table lookup, identical for every day with the same
     /// announcement set.
     pub fn anycast_route(&self, client: &ClientAttachment, day: Day) -> RouteDecision {
+        self.anycast_route_from(client, self.access_km(client), day)
+    }
+
+    /// Great-circle km of `client`'s access leg, its own location to the
+    /// center of its attachment metro: the one leg of a route that is not
+    /// between two metro centers. It depends on the client alone, so
+    /// [`RouteSnapshot`](crate::RouteSnapshot) computes it once for all of
+    /// a client's targets.
+    pub(crate) fn access_km(&self, client: &ClientAttachment) -> f64 {
+        client
+            .location
+            .haversine_km(&self.topo.atlas.metro(client.metro).location())
+    }
+
+    /// [`Internet::anycast_route`] for a client whose
+    /// [`access_km`](Internet::access_km) is already known.
+    pub(crate) fn anycast_route_from(
+        &self,
+        client: &ClientAttachment,
+        access_km: f64,
+        day: Day,
+    ) -> RouteDecision {
         if let Some(pw) = &self.policy {
             let table = pw.steady_table();
             return self
-                .policy_route(pw, &table, client, day, &[])
+                .policy_route(pw, &table, client, access_km, day, &[])
                 .expect("steady policy catchment routes every client AS");
         }
         let rank = self.churn.selection_rank(client.as_id, client.metro, day);
-        self.anycast_route_ranked(client, rank, day)
+        self.anycast_route_ranked(client, access_km, rank, day)
     }
 
     /// Where anycast routed `client` at the *start* of `day`, before any
@@ -218,7 +240,7 @@ impl Internet {
         let rank = self
             .churn
             .selection_rank_before(client.as_id, client.metro, day);
-        self.anycast_route_ranked(client, rank, day)
+        self.anycast_route_ranked(client, self.access_km(client), rank, day)
     }
 
     /// Resolves a policy-table route entry into a full [`RouteDecision`]:
@@ -231,6 +253,7 @@ impl Internet {
         pw: &PolicyWorld,
         table: &CatchmentTable,
         client: &ClientAttachment,
+        access_km: f64,
         day: Day,
         down: &[SiteId],
     ) -> Option<RouteDecision> {
@@ -251,6 +274,7 @@ impl Internet {
         };
         Some(self.build_decision(
             client,
+            access_km,
             EgressDecision {
                 ingress,
                 via_transit,
@@ -264,13 +288,14 @@ impl Internet {
     fn anycast_route_ranked(
         &self,
         client: &ClientAttachment,
+        access_km: f64,
         rank: usize,
         day: Day,
     ) -> RouteDecision {
         let egress = bgp::select_anycast_ingress(&self.topo, rank, client.as_id, client.metro);
         let igp_rank = usize::from(self.igp_episode_on(egress.ingress, day));
         let site = igp::select_site_ranked(&self.topo, egress.ingress, igp_rank);
-        self.build_decision(client, egress, site, day)
+        self.build_decision(client, access_km, egress, site, day)
     }
 
     /// Where anycast routes `client` at the instant `(day, time_s)`, with
@@ -317,11 +342,12 @@ impl Internet {
                 .map(|&s| self.topo.cdn.unicast_announcement_border(s))
                 .collect();
             let env = pw.env_at(day, time_s, &withdrawn);
+            let access_km = self.access_km(client);
             if env.is_steady() {
-                return self.policy_route(pw, &steady, client, day, &[]);
+                return self.policy_route(pw, &steady, client, access_km, day, &[]);
             }
             let table = pw.table_for(&env);
-            let decision = self.policy_route(pw, &table, client, day, &down);
+            let decision = self.policy_route(pw, &table, client, access_km, day, &down);
             match &decision {
                 Some(d) if d.site != steady_site => {
                     counter!("netsim_failover_reroutes_total").inc();
@@ -334,7 +360,8 @@ impl Internet {
         if down.is_empty() {
             return Some(self.anycast_route(client, day));
         }
-        let steady = self.anycast_route(client, day);
+        let access_km = self.access_km(client);
+        let steady = self.anycast_route_from(client, access_km, day);
         if down.contains(&steady.site) && self.outages.converging(steady.site, day, time_s) {
             counter!("netsim_reconvergence_losses_total").inc();
             return None;
@@ -356,7 +383,7 @@ impl Internet {
         if site != steady.site {
             counter!("netsim_failover_reroutes_total").inc();
         }
-        Some(self.build_decision(client, egress, site, day))
+        Some(self.build_decision(client, access_km, egress, site, day))
     }
 
     /// The unicast route to `site` at the instant `(day, time_s)`: `None`
@@ -399,6 +426,18 @@ impl Internet {
         site: SiteId,
         day: Day,
     ) -> RouteDecision {
+        self.unicast_route_from(client, self.access_km(client), site, day)
+    }
+
+    /// [`Internet::unicast_route`] for a client whose
+    /// [`access_km`](Internet::access_km) is already known.
+    pub(crate) fn unicast_route_from(
+        &self,
+        client: &ClientAttachment,
+        access_km: f64,
+        site: SiteId,
+        day: Day,
+    ) -> RouteDecision {
         let announcement = self.topo.cdn.unicast_announcement_border(site);
         if let Some(pw) = &self.policy {
             // The unicast prefix is announced only at the site's colocated
@@ -417,6 +456,7 @@ impl Internet {
             };
             let mut decision = self.build_decision(
                 client,
+                access_km,
                 EgressDecision {
                     ingress: BorderId(entry.ingress),
                     via_transit,
@@ -433,7 +473,7 @@ impl Internet {
         let rank = self.churn.selection_rank(client.as_id, client.metro, day);
         let egress =
             bgp::select_unicast_ingress(&self.topo, rank, client.as_id, client.metro, announcement);
-        let mut decision = self.build_decision(client, egress, site, day);
+        let mut decision = self.build_decision(client, access_km, egress, site, day);
         // Single-prefix routes are often not the ISP's engineered best path.
         decision.base_rtt_ms += self
             .latency
@@ -473,104 +513,109 @@ impl Internet {
     /// The hop-by-hop path (traceroute equivalent) `decision` takes from
     /// `client`: the hops its base RTT was charged for, rebuilt on demand.
     pub fn path_of(&self, client: &ClientAttachment, decision: &RouteDecision) -> RoutePath {
-        let (hops, n) = self.lay_hops(
-            client,
+        let (laid, n) = self.lay_hops(
+            client.metro,
             decision.handoff_metro,
             decision.ingress,
             decision.site,
         );
-        RoutePath::new(hops[..n].to_vec())
-    }
-
-    /// Lays a route's hops in order; the first `.1` entries of `.0` are the
-    /// path.
-    fn lay_hops(
-        &self,
-        client: &ClientAttachment,
-        handoff_metro: Option<MetroId>,
-        ingress: BorderId,
-        site: SiteId,
-    ) -> ([Hop; MAX_HOPS], usize) {
-        let atlas = &self.topo.atlas;
-        let at = |kind: HopKind, metro: MetroId| Hop {
-            kind,
-            metro,
-            location: atlas.metro(metro).location(),
-        };
         let access = Hop {
             kind: HopKind::ClientAccess,
             metro: client.metro,
             location: client.location,
         };
-        let mut hops = [access; MAX_HOPS];
-        let mut n = 1;
-        let mut push = |hop: Hop| {
-            hops[n] = hop;
-            n += 1;
+        let at_center = |&(kind, metro): &(HopKind, MetroId)| Hop {
+            kind,
+            metro,
+            location: self.topo.atlas.metro(metro).location(),
         };
+        RoutePath::new(
+            std::iter::once(access)
+                .chain(laid[..n].iter().map(at_center))
+                .collect(),
+        )
+    }
+
+    /// Lays the hops of a route from `client_metro` that follow the
+    /// client's own access hop, in order: each sits at the center of its
+    /// metro. The first `.1` entries of `.0` are the path.
+    fn lay_hops(
+        &self,
+        client_metro: MetroId,
+        handoff_metro: Option<MetroId>,
+        ingress: BorderId,
+        site: SiteId,
+    ) -> ([(HopKind, MetroId); MAX_HOPS - 1], usize) {
         // ISP backbone hop at the attachment metro center (distinct from the
         // client's own location).
-        push(at(HopKind::IspBackbone, client.metro));
-        if let Some(handoff) = handoff_metro.filter(|&h| h != client.metro) {
-            push(at(HopKind::TransitBackbone, handoff));
+        let mut hops = [(HopKind::IspBackbone, client_metro); MAX_HOPS - 1];
+        let mut n = 1;
+        let mut push = |kind: HopKind, metro: MetroId| {
+            hops[n] = (kind, metro);
+            n += 1;
+        };
+        if let Some(handoff) = handoff_metro.filter(|&h| h != client_metro) {
+            push(HopKind::TransitBackbone, handoff);
         }
         let ingress_metro = self.topo.cdn.border_metro(ingress);
-        push(at(HopKind::Peering, ingress_metro));
+        push(HopKind::Peering, ingress_metro);
         let site_metro = self.topo.cdn.site_metro(site);
         if site_metro != ingress_metro {
-            push(at(HopKind::CdnBackbone, site_metro));
+            push(HopKind::CdnBackbone, site_metro);
         }
-        push(at(HopKind::FrontEnd, site_metro));
+        push(HopKind::FrontEnd, site_metro);
         (hops, n)
     }
 
-    /// The deterministic RTT of `hops` (a route of `client`'s entering at
-    /// `ingress`) on `day`, before any unicast path penalty.
+    /// The deterministic RTT of a route of `client`'s that is `path_km`
+    /// long and enters at `ingress` on `day`, before any unicast path
+    /// penalty.
     fn base_rtt_over(
         &self,
-        hops: &[Hop],
+        path_km: f64,
         client: &ClientAttachment,
         handoff_metro: Option<MetroId>,
         ingress: BorderId,
         day: Day,
     ) -> f64 {
-        let atlas = &self.topo.atlas;
         // Transit-carried legs detour through provider hubs: charge the
         // configured extra stretch on the handoff→ingress leg.
         let extra_km = match handoff_metro {
             Some(handoff) => {
                 let ingress_metro = self.topo.cdn.border_metro(ingress);
-                let leg = atlas
-                    .metro(handoff)
-                    .location()
-                    .haversine_km(&atlas.metro(ingress_metro).location());
+                let leg = self.topo.atlas.metro_km(handoff, ingress_metro);
                 (self.config().transit_detour_stretch - 1.0) * leg
             }
             None => 0.0,
         };
-        self.latency.base_rtt_ms(
-            path::total_km(hops),
-            client.access,
-            client.as_id,
-            ingress,
-            day,
-            extra_km,
-        )
+        self.latency
+            .base_rtt_ms(path_km, client.access, client.as_id, ingress, day, extra_km)
     }
 
     fn build_decision(
         &self,
         client: &ClientAttachment,
+        access_km: f64,
         egress: EgressDecision,
         site: SiteId,
         day: Day,
     ) -> RouteDecision {
-        let (hops, n) = self.lay_hops(client, egress.handoff_metro, egress.ingress, site);
+        let (laid, n) = self.lay_hops(client.metro, egress.handoff_metro, egress.ingress, site);
+        // The access leg, then each leg between two metro centers in hop
+        // order: the additions `RoutePath::total_km` makes over the path
+        // `path_of` rebuilds, so the two agree to the bit.
+        let path_km: f64 = std::iter::once(access_km)
+            .chain(
+                laid[..n]
+                    .windows(2)
+                    .map(|w| self.topo.atlas.metro_km(w[0].1, w[1].1)),
+            )
+            .sum();
         RouteDecision {
             ingress: egress.ingress,
             site,
             base_rtt_ms: self.base_rtt_over(
-                &hops[..n],
+                path_km,
                 client,
                 egress.handoff_metro,
                 egress.ingress,
@@ -721,8 +766,9 @@ mod tests {
                     let last = hops.last().unwrap();
                     assert_eq!(last.kind, HopKind::FrontEnd);
                     assert_eq!(last.metro, net.topology().cdn.site_metro(d.site));
-                    let rtt = net.base_rtt_over(hops, &c, d.handoff_metro, d.ingress, day)
-                        + unicast_penalty_ms;
+                    let rtt =
+                        net.base_rtt_over(path.total_km(), &c, d.handoff_metro, d.ingress, day)
+                            + unicast_penalty_ms;
                     assert_eq!(rtt.to_bits(), d.base_rtt_ms.to_bits());
                 };
                 let steady = net.anycast_route(&c, day);

@@ -88,7 +88,10 @@ impl RoutePath {
     /// routing detours — the quantity at the heart of the paper's §5 case
     /// studies.
     pub fn total_km(&self) -> f64 {
-        total_km(&self.hops)
+        self.hops
+            .windows(2)
+            .map(|w| w[0].location.haversine_km(&w[1].location))
+            .sum()
     }
 
     /// Direct great-circle distance from the first to the last hop, in km.
@@ -119,16 +122,6 @@ impl RoutePath {
         }
         out
     }
-}
-
-/// Great-circle length of `hops` in km, summed leg by leg in hop order. The
-/// route builder charges propagation for this sum over its stack-laid hops
-/// and [`RoutePath::total_km`] reports it for a rebuilt path, so the two
-/// agree to the bit.
-pub(crate) fn total_km(hops: &[Hop]) -> f64 {
-    hops.windows(2)
-        .map(|w| w[0].location.haversine_km(&w[1].location))
-        .sum()
 }
 
 #[cfg(test)]

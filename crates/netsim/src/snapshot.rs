@@ -131,40 +131,42 @@ impl RouteSnapshot {
         }
         let timeline = DayTimeline::cut(internet, clients, day, &windows);
 
-        let row = |c: &ClientAttachment| -> (RouteDecision, Vec<RouteDecision>) {
-            let any = internet.anycast_route(c, day);
-            let uni = sites
-                .iter()
-                .map(|&s| internet.unicast_route(c, s, day))
-                .collect();
-            (any, uni)
+        // Every slot below is overwritten: each worker fills its own
+        // contiguous slice of the two flat arrays, so worker counts can
+        // never reorder (or change) the pure per-client rows.
+        let unset = RouteDecision {
+            ingress: BorderId(0),
+            site: SiteId(0),
+            base_rtt_ms: 0.0,
+            via_transit: None,
+            handoff_metro: None,
         };
-
-        let rows: Vec<(RouteDecision, Vec<RouteDecision>)> = if workers <= 1 {
-            clients.iter().map(row).collect()
+        let mut anycast = vec![unset; clients.len()];
+        let mut unicast = vec![unset; clients.len() * n_sites];
+        let fill =
+            |part: &[ClientAttachment], any: &mut [RouteDecision], uni: &mut [RouteDecision]| {
+                for ((c, any), row) in part.iter().zip(any).zip(uni.chunks_mut(n_sites)) {
+                    let access_km = internet.access_km(c);
+                    *any = internet.anycast_route_from(c, access_km, day);
+                    for (&s, slot) in sites.iter().zip(row) {
+                        *slot = internet.unicast_route_from(c, access_km, s, day);
+                    }
+                }
+            };
+        if workers <= 1 {
+            fill(clients, &mut anycast, &mut unicast);
         } else {
-            // Contiguous chunks, stitched back in order: worker counts can
-            // never reorder (or change) the pure per-client rows.
             let chunk = clients.len().div_ceil(workers);
-            let mut parts: Vec<Vec<(RouteDecision, Vec<RouteDecision>)>> =
-                Vec::with_capacity(workers);
+            let fill = &fill;
             std::thread::scope(|scope| {
-                let handles: Vec<_> = clients
+                for ((part, any), uni) in clients
                     .chunks(chunk)
-                    .map(|part| scope.spawn(|| part.iter().map(row).collect::<Vec<_>>()))
-                    .collect();
-                for h in handles {
-                    parts.push(h.join().expect("snapshot worker panicked"));
+                    .zip(anycast.chunks_mut(chunk))
+                    .zip(unicast.chunks_mut(chunk * n_sites))
+                {
+                    scope.spawn(move || fill(part, any, uni));
                 }
             });
-            parts.into_iter().flatten().collect()
-        };
-
-        let mut anycast = Vec::with_capacity(clients.len());
-        let mut unicast = Vec::with_capacity(clients.len() * n_sites);
-        for (any, uni) in rows {
-            anycast.push(any);
-            unicast.extend(uni);
         }
         RouteSnapshot {
             day,
@@ -356,7 +358,8 @@ fn moved_clients(
                 let lo = by_as.partition_point(|&(a, _)| a < node);
                 for &(_, i) in by_as[lo..].iter().take_while(|&&(a, _)| a == node) {
                     let c = &clients[i as usize];
-                    moved.push((i, internet.policy_route(pw, &table, c, day, &[])));
+                    let access_km = internet.access_km(c);
+                    moved.push((i, internet.policy_route(pw, &table, c, access_km, day, &[])));
                 }
             }
             moved.sort_unstable_by_key(|m| m.0);

@@ -309,16 +309,13 @@ pub(crate) fn generate_cdn(atlas: &WorldAtlas, cfg: &NetConfig, rng: &mut impl R
             continue;
         }
         if rng.gen::<f64>() < cfg.p_igp_inflated && sites.len() > 1 {
-            let bloc = atlas.metro(border.metro).location();
             let nearest = sites
                 .iter()
                 .enumerate()
                 .min_by(|(_, a), (_, b)| {
                     atlas
-                        .metro(a.metro)
-                        .location()
-                        .haversine_km(&bloc)
-                        .total_cmp(&atlas.metro(b.metro).location().haversine_km(&bloc))
+                        .metro_km(a.metro, border.metro)
+                        .total_cmp(&atlas.metro_km(b.metro, border.metro))
                 })
                 .map(|(i, _)| i)
                 .expect("at least one site");
@@ -376,14 +373,13 @@ fn generate_eyeballs(
         let id = AsId((transits.len() + i) as u32);
         let home = atlas.sample_by_population(rng.gen());
         let home_metro = atlas.metro(home);
-        let home_loc = home_metro.location();
 
         // Footprint: same-country metros by distance from home, up to a
         // random size. Small-country ISPs may have only their home metro.
         let mut candidates: Vec<(MetroId, f64)> = atlas
             .iter()
             .filter(|(_, m)| m.country == home_metro.country)
-            .map(|(mid, m)| (mid, m.location().haversine_km(&home_loc)))
+            .map(|(mid, _)| (mid, atlas.metro_km(mid, home)))
             .collect();
         candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
         let size = rng
@@ -408,15 +404,8 @@ fn generate_eyeballs(
                     .iter()
                     .max_by(|a, b| {
                         atlas
-                            .metro(cdn.border_metro(**a))
-                            .location()
-                            .haversine_km(&home_loc)
-                            .total_cmp(
-                                &atlas
-                                    .metro(cdn.border_metro(**b))
-                                    .location()
-                                    .haversine_km(&home_loc),
-                            )
+                            .metro_km(cdn.border_metro(**a), home)
+                            .total_cmp(&atlas.metro_km(cdn.border_metro(**b), home))
                     })
                     .expect("non-empty peering");
                 EgressPolicy::FixedEgress(far)
@@ -454,10 +443,10 @@ fn choose_peering(
     let mut ranked: Vec<(BorderId, f64)> = cdn
         .border_ids()
         .map(|b| {
-            let bloc = atlas.metro(cdn.border_metro(b)).location();
+            let border_metro = cdn.border_metro(b);
             let d = pops
                 .iter()
-                .map(|&m| atlas.metro(m).location().haversine_km(&bloc))
+                .map(|&m| atlas.metro_km(m, border_metro))
                 .fold(f64::INFINITY, f64::min);
             (b, d)
         })
@@ -481,19 +470,11 @@ fn choose_peering(
         let mut out: Vec<BorderId> = pops
             .iter()
             .map(|&pop| {
-                let loc = atlas.metro(pop).location();
                 cdn.border_ids()
                     .min_by(|a, b| {
                         atlas
-                            .metro(cdn.border_metro(*a))
-                            .location()
-                            .haversine_km(&loc)
-                            .total_cmp(
-                                &atlas
-                                    .metro(cdn.border_metro(*b))
-                                    .location()
-                                    .haversine_km(&loc),
-                            )
+                            .metro_km(cdn.border_metro(*a), pop)
+                            .total_cmp(&atlas.metro_km(cdn.border_metro(*b), pop))
                             .then(a.cmp(b))
                     })
                     .expect("at least one border")
@@ -529,15 +510,14 @@ fn ensure_metro_coverage(atlas: &WorldAtlas, eyeballs: &mut [EyeballAs]) {
         if covered.contains(&mid) {
             continue;
         }
-        let loc = metro.location();
         let best = eyeballs
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
-                let da = region_penalty(atlas, a.home_metro, metro)
-                    + atlas.metro(a.home_metro).location().haversine_km(&loc);
-                let db = region_penalty(atlas, b.home_metro, metro)
-                    + atlas.metro(b.home_metro).location().haversine_km(&loc);
+                let da =
+                    region_penalty(atlas, a.home_metro, metro) + atlas.metro_km(a.home_metro, mid);
+                let db =
+                    region_penalty(atlas, b.home_metro, metro) + atlas.metro_km(b.home_metro, mid);
                 da.total_cmp(&db)
             })
             .map(|(i, _)| i)

@@ -197,18 +197,14 @@ pub fn build(cfg: &NetConfig, seed: u64) -> (Topology, PolicyWorld) {
 }
 
 /// Per-metro border ranking (nearest first, ties by id) — shared by session
-/// placement; 222 metros × ~54 borders, precomputed once.
+/// placement; one ranking per catalog metro, precomputed once.
 fn border_rankings(atlas: &WorldAtlas, cdn: &CdnNetwork) -> Vec<Vec<BorderId>> {
-    let borders: Vec<(BorderId, anycast_geo::GeoPoint)> = cdn
-        .border_ids()
-        .map(|b| (b, atlas.metro(cdn.border_metro(b)).location()))
-        .collect();
-    (0..atlas.len())
-        .map(|m| {
-            let loc = atlas.metro(MetroId(m as u32)).location();
-            let mut ranked: Vec<(BorderId, f64)> = borders
-                .iter()
-                .map(|&(b, bloc)| (b, loc.haversine_km(&bloc)))
+    atlas
+        .iter()
+        .map(|(m, _)| {
+            let mut ranked: Vec<(BorderId, f64)> = cdn
+                .border_ids()
+                .map(|b| (b, atlas.metro_km(m, cdn.border_metro(b))))
                 .collect();
             ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             ranked.into_iter().map(|(b, _)| b).collect()
@@ -467,11 +463,10 @@ fn bridge_eyeballs(
         let home = graph.home_metro[v as usize];
         let home_metro = atlas.metro(home);
         let pops = if graph.class[v as usize] == AsClass::Ec {
-            let home_loc = home_metro.location();
             let mut candidates: Vec<(MetroId, f64)> = atlas
                 .iter()
                 .filter(|(_, m)| m.country == home_metro.country)
-                .map(|(mid, m)| (mid, m.location().haversine_km(&home_loc)))
+                .map(|(mid, _)| (mid, atlas.metro_km(mid, home)))
                 .collect();
             candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
             let size = rng
@@ -509,21 +504,14 @@ fn bridge_eyeballs(
         if covered.contains(&mid) {
             continue;
         }
-        let loc = metro.location();
         let best = ec_indexes
             .iter()
             .copied()
             .min_by(|&a, &b| {
                 let pa = penalty(atlas, eyeballs[a].home_metro, metro.region)
-                    + atlas
-                        .metro(eyeballs[a].home_metro)
-                        .location()
-                        .haversine_km(&loc);
+                    + atlas.metro_km(eyeballs[a].home_metro, mid);
                 let pb = penalty(atlas, eyeballs[b].home_metro, metro.region)
-                    + atlas
-                        .metro(eyeballs[b].home_metro)
-                        .location()
-                        .haversine_km(&loc);
+                    + atlas.metro_km(eyeballs[b].home_metro, mid);
                 pa.total_cmp(&pb)
             })
             .expect("worlds always contain enterprise ASes");

@@ -542,9 +542,9 @@ pub struct PolicyWorld {
     /// The AS graph.
     pub graph: PolicyGraph,
     dynamics: RouteDynamics,
-    /// km from every metro to every border: `metro_major[m * n_borders + b]`.
-    metro_border_km: Vec<f64>,
-    n_borders: usize,
+    atlas: WorldAtlas,
+    /// The metro of each CDN border router, by [`BorderId`].
+    border_metro: Vec<MetroId>,
     /// The steady table and the unicast tables, by [`RouteEnv::key`]. Each
     /// cell is filled by exactly one caller; concurrent callers of the
     /// same key wait for it rather than compute it again.
@@ -555,35 +555,21 @@ pub struct PolicyWorld {
 type TableCell = Arc<OnceLock<Arc<CatchmentTable>>>;
 
 impl PolicyWorld {
-    /// Builds the world: precomputes the metro↔border distance matrix.
+    /// Builds the world over `cdn`'s border routers.
     pub fn new(
         graph: PolicyGraph,
         dynamics: RouteDynamics,
         atlas: &WorldAtlas,
         cdn: &CdnNetwork,
     ) -> PolicyWorld {
-        let n_borders = cdn.borders.len();
-        let mut metro_border_km = vec![0.0; atlas.len() * n_borders];
-        for (mid, metro) in atlas.iter() {
-            let mloc = metro.location();
-            for b in 0..n_borders {
-                let bloc = atlas.metro(cdn.borders[b].metro).location();
-                metro_border_km[mid.0 as usize * n_borders + b] = mloc.haversine_km(&bloc);
-            }
-        }
         PolicyWorld {
             graph,
             dynamics,
-            metro_border_km,
-            n_borders,
+            atlas: atlas.clone(),
+            border_metro: cdn.borders.iter().map(|b| b.metro).collect(),
             tables: Mutex::new(HashMap::new()),
             day_events: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// km from `metro` to `border`.
-    fn km(&self, metro: MetroId, border: BorderId) -> f64 {
-        self.metro_border_km[metro.0 as usize * self.n_borders + border.0 as usize]
     }
 
     /// The hot-potato ingress of session `s` as seen from `for_metro`:
@@ -591,6 +577,8 @@ impl PolicyWorld {
     /// is shifted. `None` when no border of the session is live.
     fn session_ingress(&self, s: u32, for_metro: MetroId, env: &RouteEnv) -> Option<BorderId> {
         let sess = &self.graph.sessions[s as usize];
+        let from = self.atlas.metro_km_from(for_metro);
+        let km = |b: BorderId| from[self.border_metro[b.0 as usize].0 as usize];
         let mut best: Option<BorderId> = None;
         let mut second: Option<BorderId> = None;
         for &b in &sess.borders {
@@ -600,22 +588,14 @@ impl PolicyWorld {
             match best {
                 None => best = Some(b),
                 Some(cur) => {
-                    let closer = self
-                        .km(for_metro, b)
-                        .total_cmp(&self.km(for_metro, cur))
-                        .then(b.0.cmp(&cur.0))
-                        .is_lt();
+                    let closer = km(b).total_cmp(&km(cur)).then(b.0.cmp(&cur.0)).is_lt();
                     if closer {
                         second = best;
                         best = Some(b);
                     } else {
                         let better_second = match second {
                             None => true,
-                            Some(sec) => self
-                                .km(for_metro, b)
-                                .total_cmp(&self.km(for_metro, sec))
-                                .then(b.0.cmp(&sec.0))
-                                .is_lt(),
+                            Some(sec) => km(b).total_cmp(&km(sec)).then(b.0.cmp(&sec.0)).is_lt(),
                         };
                         if better_second {
                             second = Some(b);
@@ -924,7 +904,10 @@ impl PolicyWorld {
                 return Arc::clone(e);
             }
         }
-        let events = Arc::new(self.dynamics.events_on(&self.graph, self.n_borders, day));
+        let events = Arc::new(
+            self.dynamics
+                .events_on(&self.graph, self.border_metro.len(), day),
+        );
         let mut cache = self.day_events.lock().expect("event cache poisoned");
         if cache.len() > 4096 {
             cache.clear();
@@ -962,12 +945,12 @@ impl PolicyWorld {
         self.dynamics.enabled()
     }
 
-    /// Bytes held by graph + distance matrix + all memoized tables (and
-    /// the steady table's subtree index once an event has built it).
+    /// Bytes held by graph + all memoized tables (and the steady table's
+    /// subtree index once an event has built it). Distances are read from
+    /// the process-wide [`WorldAtlas::metro_km`] table, which no world owns.
     pub fn memory_bytes(&self) -> usize {
         let tables = self.tables.lock().expect("table cache poisoned");
         self.graph.memory_bytes()
-            + self.metro_border_km.len() * 8
             + tables
                 .values()
                 .filter_map(|cell| cell.get())

@@ -326,12 +326,13 @@ mod tests {
         }
         if mix(3) % 3 == 0 {
             for i in 0..=(mix(4) % 3) {
-                env.withdrawn
-                    .push(BorderId((mix(300 + i) % pw.n_borders as u64) as u16));
+                env.withdrawn.push(BorderId(
+                    (mix(300 + i) % pw.border_metro.len() as u64) as u16,
+                ));
             }
         }
         if mix(5) % 8 == 0 {
-            env.only_border = Some(BorderId((mix(400) % pw.n_borders as u64) as u16));
+            env.only_border = Some(BorderId((mix(400) % pw.border_metro.len() as u64) as u16));
         }
         env.dead_sessions.sort_unstable();
         env.dead_sessions.dedup();
