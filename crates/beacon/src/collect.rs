@@ -86,7 +86,7 @@ impl BeaconDataset {
     }
 
     /// Measurements restricted to one day.
-    pub fn day(&self, day: Day) -> impl Iterator<Item = &BeaconMeasurement> {
+    pub fn day(&self, day: Day) -> impl Iterator<Item = &BeaconMeasurement> + Clone {
         self.measurements.iter().filter(move |m| m.day == day)
     }
 

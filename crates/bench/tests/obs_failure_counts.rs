@@ -2,20 +2,19 @@
 //! with what the analysis layer independently computes.
 //!
 //! * `beacon_fetch_failures_total` — beacon executions whose every
-//!   attempt timed out — must match the failed-request tally
-//!   [`anycast_pipeline::tally_outcomes`] produces over the same joined
-//!   dataset (satellite: failure worlds are *visible*, not just survived).
+//!   attempt timed out — must match the failed rows of the joined dataset
+//!   the same days produced (satellite: failure worlds are *visible*, not
+//!   just survived).
 //! * `pipeline_shard_panics_total` — ShardError recoveries — must match
-//!   the number of worker deaths the producer actually observed.
+//!   the number of worker deaths the caller actually observed.
 //!
 //! Dedicated integration-test binary: exact-count assertions run inside
 //! `obs::capture` windows with nothing else in the process.
 
-use std::collections::BTreeMap;
-
+use anycast_beacon::Target;
 use anycast_core::{Study, StudyConfig};
-use anycast_netsim::{Day, Prefix24};
-use anycast_pipeline::{route_prefix, tally_outcomes, Aggregate, ShardConfig, ShardedIngest};
+use anycast_netsim::Day;
+use anycast_pipeline::{mix64, sketch_day, ShardConfig};
 use anycast_workload::{Scenario, ScenarioConfig};
 
 /// A failure world: outages and drains scheduled at high rates so some
@@ -28,7 +27,7 @@ fn failure_world(seed: u64) -> Scenario {
 }
 
 #[test]
-fn failed_fetch_counter_matches_tally_outcomes() {
+fn failed_fetch_counter_matches_the_dataset_rows() {
     anycast_obs::set_enabled(true);
     let (st, delta) = anycast_obs::capture(|| {
         let mut st = Study::new(failure_world(11), StudyConfig::default());
@@ -36,26 +35,16 @@ fn failed_fetch_counter_matches_tally_outcomes() {
         st
     });
 
-    // Independent ground truth: shard the joined rows through the
-    // availability tally (which takes `(key, served)` records) and sum
-    // the failed side.
-    let tallies: BTreeMap<Prefix24, _> = tally_outcomes(
-        st.dataset()
-            .measurements()
-            .iter()
-            .map(|m| (m.prefix, !m.failed)),
-        ShardConfig::default(),
-        |p: &Prefix24| route_prefix(*p),
-    );
-    let failed_rows: u64 = tallies.values().map(|c| c.failed).sum();
-    let total_rows: u64 = tallies.values().map(|c| c.total()).sum();
+    // Independent ground truth: fold the joined rows.
+    let rows = st.dataset().measurements();
+    let failed_rows = rows.iter().filter(|m| m.failed).count() as u64;
     assert!(failed_rows > 0, "failure world produced no failed fetches");
-    assert_eq!(total_rows, st.dataset().measurements().len() as u64);
+    assert!(failed_rows < rows.len() as u64);
 
     assert_eq!(
         delta.counter("beacon_fetch_failures_total"),
         failed_rows,
-        "run-report failure counter disagrees with tally_outcomes"
+        "run-report failure counter disagrees with the dataset"
     );
     // Failed fetches imply retries: the retry counter saw at least one
     // retry per failure (max_attempts >= 2 by default).
@@ -67,51 +56,36 @@ fn failed_fetch_counter_matches_tally_outcomes() {
     );
 }
 
-/// Aggregate that panics on a poison record.
-struct Poisonable;
-
-impl Aggregate for Poisonable {
-    type Record = u64;
-    type Output = u64;
-
-    fn observe(&mut self, record: u64) {
-        assert!(record != 99, "poison record 99 observed");
-    }
-
-    fn finish(self) -> u64 {
-        0
-    }
-}
-
 #[test]
 fn shard_panic_counter_matches_observed_errors() {
     anycast_obs::set_enabled(true);
-    let (observed, delta) = anycast_obs::capture(|| {
-        let cfg = ShardConfig {
-            workers: 2,
-            batch: 1,
-            queue_depth: 1,
-        };
-        let mut ingest =
-            ShardedIngest::new(cfg, |r: &u64| anycast_pipeline::mix64(*r), |_| Poisonable);
-        let mut errors = 0u64;
-        for i in 0..1_000u64 {
-            let record = if i == 10 { 99 } else { i };
-            if ingest.push(record).is_err() {
-                errors += 1;
-                break;
-            }
-        }
-        if ingest.finish().is_err() && errors == 0 {
-            errors += 1;
-        }
-        errors
+    // Key 9's owner meets a NaN latency mid-stream and dies; the other
+    // worker finishes its share.
+    let records = (0..1_000u64).map(|i| {
+        let v = if i == 509 { f64::NAN } else { i as f64 };
+        (i % 10, Target::Anycast, v)
     });
-    assert_eq!(observed, 1, "exactly one worker death is observed");
+    let (observed, delta) = anycast_obs::capture(|| {
+        let died = std::panic::catch_unwind(|| {
+            sketch_day(records, 0.05, ShardConfig { workers: 2 }, |k: &u64| {
+                mix64(*k)
+            })
+        })
+        .expect_err("the poisoned worker's death reaches the caller");
+        let message = died.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("shard worker"), "{message}");
+        assert!(message.contains("NaN fed to QuantileSketch"), "{message}");
+        1u64
+    });
     assert_eq!(
         delta.counter("pipeline_shard_panics_total"),
         observed,
         "panic counter disagrees with observed ShardErrors"
     );
-    assert!(delta.counter("pipeline_records_routed_total") > 0);
+    // The survivor still reports the rows it kept.
+    let routed = delta.counter("pipeline_records_routed_total");
+    assert!(
+        routed > 0 && routed % 100 == 0 && routed < 1_000,
+        "{routed}"
+    );
 }

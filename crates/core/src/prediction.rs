@@ -22,8 +22,7 @@ use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix, SiteId};
 use anycast_pipeline::{ecs_record_with_failures, ldns_record_with_failures};
-use anycast_pipeline::{merge_keyed, route_ldns, route_subnet, sketch_day};
-use anycast_pipeline::{DaySketches, FastMap, ShardConfig};
+use anycast_pipeline::{route_ldns, route_subnet, sketch_day, FastMap, ShardConfig};
 
 #[cfg(test)]
 mod oracle;
@@ -548,18 +547,17 @@ impl Predictor {
     }
 
     /// Trains from a multi-day window through the full streaming pipeline:
-    /// each day's measurements are sharded by group key into per-worker
-    /// latency sketches of rank-error bound `eps`, merged, pooled across
-    /// the window, and scored behind the filter and tie-breaks of
-    /// [`Predictor::train_from_stats`].
+    /// each day's measurements are sketched by `shard.workers` workers —
+    /// every worker reads the day itself and keeps the groups it owns —
+    /// into per-`(group, target)` latency sketches of rank-error bound
+    /// `eps`, later days are pooled into the first
+    /// (`anycast_pipeline::DaySketches::absorb`), and the pool is scored
+    /// in place, each worker's share on its own thread, behind the filter
+    /// and tie-breaks of [`Predictor::train_from_stats`].
     ///
-    /// The pooling is move-only: the first day's sketches *become* the
-    /// pool, each later day is merged into it by value and dropped, and
-    /// the pool is consumed by the scoring pass, which reads each owned
-    /// sketch in place (`QuantileSketch::quantile_read`). No sketch is
-    /// ever cloned, so the pass peaks at one day's sketches plus the pool.
-    /// The table equals `train_from_stats(&window.pooled(days))` over an
-    /// `anycast_pipeline::DayWindow` holding the same days, bit for bit.
+    /// The table equals `train_from_stats` over one
+    /// `anycast_pipeline::QuantileSketch` per pair per day, merged in day
+    /// order, bit for bit.
     ///
     /// This is the production-shaped equivalent of
     /// [`Predictor::train_window`]: same filter, same tie-breaks, scores
@@ -572,25 +570,25 @@ impl Predictor {
         eps: f64,
         shard: ShardConfig,
     ) -> PredictionTable {
-        let mut pool: DaySketches<GroupKey> = BTreeMap::new();
-        for &day in days {
+        let sketched = days.iter().map(|&day| {
             let records = data.day(day).map(|m| self.record(m));
-            let sketches = sketch_day(records, eps, shard, route_group);
-            pool = if pool.is_empty() {
-                sketches
-            } else {
-                merge_keyed(vec![pool, sketches], |a, b| a.merge(&b))
-            };
-        }
+            sketch_day(records, eps, shard, route_group)
+        });
+        let pool = sketched.reduce(|mut pool, day| {
+            pool.absorb(day);
+            pool
+        });
+        let Some(mut pool) = pool else {
+            return choose(std::iter::empty());
+        };
         let min = self.cfg.min_samples as u64;
-        let p = self.cfg.metric.p();
-        let mut tally = GroupTally::default();
-        let table = choose(pool.into_iter().filter_map(|((key, target), mut sketch)| {
-            if !tally.admit(sketch.count(), min) {
-                return None;
-            }
-            sketch.quantile_read(p).map(|score| (key, target, score))
-        }));
+        let scores = pool.read(self.cfg.metric.p(), min);
+        let tally = GroupTally {
+            trained: scores.admitted,
+            discarded: pool.len() as u64 - scores.admitted,
+            borrowed: 0,
+        };
+        let table = choose(scores.rows.into_iter());
         tally.publish();
         table
     }
@@ -1658,12 +1656,8 @@ mod tests {
         let tables: Vec<Vec<(GroupKey, Choice)>> = [1usize, 3]
             .iter()
             .map(|&workers| {
-                let shard = ShardConfig {
-                    workers,
-                    ..ShardConfig::default()
-                };
                 let mut t: Vec<(GroupKey, Choice)> = predictor
-                    .train_sketched(&ds, &[Day(0)], 0.01, shard)
+                    .train_sketched(&ds, &[Day(0)], 0.01, ShardConfig { workers })
                     .iter()
                     .collect();
                 t.sort_by_key(|(k, _)| *k);
@@ -2314,12 +2308,8 @@ mod tests {
 
     #[test]
     fn sketched_training_equals_training_from_the_pooled_window() {
-        use anycast_pipeline::DayWindow;
+        use anycast_pipeline::QuantileSketch;
         let ds = mixed_days(11, false);
-        let shard = ShardConfig {
-            workers: 2,
-            ..ShardConfig::default()
-        };
         for grouping in [Grouping::Ecs, Grouping::Ldns] {
             let predictor = Predictor::new(PredictorConfig {
                 grouping,
@@ -2328,19 +2318,39 @@ mod tests {
             for eps in [0.01, 0.05] {
                 // Day 5 holds no rows: pooling must not care.
                 for days in [&[Day(1)][..], &[Day(0), Day(5), Day(1), Day(2)][..]] {
-                    let mut window: DayWindow<GroupKey> = DayWindow::new(eps);
+                    // The pool by hand: one sketch per pair per day, fed
+                    // in row order, merged in day order.
+                    let mut pool: BTreeMap<(GroupKey, Target), QuantileSketch> = BTreeMap::new();
                     for &day in days {
-                        let records = ds.day(day).map(|m| predictor.record(m));
-                        window.absorb_day(day, sketch_day(records, eps, shard, route_group));
+                        let mut sketches: BTreeMap<(GroupKey, Target), QuantileSketch> =
+                            BTreeMap::new();
+                        for (key, target, rtt) in ds.day(day).map(|m| predictor.record(m)) {
+                            sketches
+                                .entry((key, target))
+                                .or_insert_with(|| QuantileSketch::new(eps))
+                                .observe(rtt);
+                        }
+                        for (pair, sketch) in sketches {
+                            match pool.entry(pair) {
+                                std::collections::btree_map::Entry::Vacant(e) => {
+                                    e.insert(sketch);
+                                }
+                                std::collections::btree_map::Entry::Occupied(mut e) => {
+                                    e.get_mut().merge(&sketch);
+                                }
+                            }
+                        }
                     }
-                    let want = predictor.train_from_stats(&window.pooled(days));
-                    let got = predictor.train_sketched(&ds, days, eps, shard);
+                    let want = predictor.train_from_stats(&pool);
                     assert!(!want.is_empty());
-                    assert_eq!(
-                        canonical(&got),
-                        canonical(&want),
-                        "{grouping:?} eps {eps} {days:?}"
-                    );
+                    for workers in [1, 2, 3] {
+                        let got = predictor.train_sketched(&ds, days, eps, ShardConfig { workers });
+                        assert_eq!(
+                            canonical(&got),
+                            canonical(&want),
+                            "{grouping:?} eps {eps} {days:?} workers {workers}"
+                        );
+                    }
                 }
             }
         }

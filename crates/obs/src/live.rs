@@ -27,7 +27,7 @@
 //!
 //! Because ring drains race with traffic, `serve_trace_*` totals are
 //! timing-dependent (a record can be overwritten before the drain
-//! reaches it); like the backpressure counters they are excluded from
+//! reaches it); they are excluded from
 //! [`Snapshot::deterministic`](crate::Snapshot::deterministic).
 
 use std::sync::Arc;

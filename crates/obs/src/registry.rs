@@ -353,17 +353,12 @@ impl Snapshot {
     /// only. This is the part the obs-neutrality proptests compare across
     /// worker counts — spans and gauges carry wall-clock state and are
     /// excluded by construction, as are metrics whose value depends on
-    /// scheduling rather than the input stream (backpressure blocks: how
-    /// often a producer found a queue *momentarily* full is a race
-    /// outcome, even though what flowed through the queues is not; and
-    /// the `serve_trace_*` flight-recorder tallies: ring drains race with
-    /// traffic, so a trace can be overwritten before the drain reaches
-    /// it — the *answers* stay byte-identical, but the recorder's own
-    /// bookkeeping does not).
+    /// scheduling rather than the input stream (the `serve_trace_*`
+    /// flight-recorder tallies: ring drains race with traffic, so a trace
+    /// can be overwritten before the drain reaches it — the *answers*
+    /// stay byte-identical, but the recorder's own bookkeeping does not).
     pub fn deterministic(&self) -> Snapshot {
-        let scheduling_dependent = |name: &str| {
-            name.ends_with("_backpressure_blocks_total") || name.starts_with("serve_trace_")
-        };
+        let scheduling_dependent = |name: &str| name.starts_with("serve_trace_");
         Snapshot {
             counters: self
                 .counters

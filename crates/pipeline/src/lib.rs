@@ -10,24 +10,29 @@
 //! * [`sketch`] — the mergeable bounded-memory summary: a Greenwald–Khanna
 //!   quantile sketch with a configurable rank-error bound (the §6
 //!   25th-percentile prediction metric reads it);
-//! * [`shard`] — hash-partitioned ingestion across N worker threads over
-//!   bounded channels with blocking backpressure, merged deterministically
-//!   at day close;
+//! * `bank` (private) — all of a worker's sketches in one slab: a sketch
+//!   under its flush threshold is a chain of 16-value chunks, not a heap
+//!   buffer of its own, and equals the real sketch bit for bit;
+//! * [`shard`] — key-ownership sharding without a producer: every worker
+//!   replays the record source itself and keeps the keys a hash of the
+//!   group gives it; a dead worker reaches the caller as a typed
+//!   [`ShardError`];
 //! * [`ordered`] — ordered fan-out over a finite indexed work list,
 //!   outputs merged back in input order over bounded channels: the shape
 //!   the campaign engine uses to shard a day of beacon events;
-//! * [`window`] — day-partitioned incremental per-`(group, front-end)`
-//!   sketches, pooled over training windows and retired once the window
-//!   passes (the §6 one-day prediction interval lifecycle);
-//! * [`source`] — adapters from `anycast_beacon` joined measurements and
-//!   request outcomes into pipeline streams.
+//! * [`window`] — one day's per-`(group, front-end)` sketches as the
+//!   workers leave them ([`DaySketches`]: disjoint per-worker shares),
+//!   pooled over a training window day by day and read share by share,
+//!   each on its own thread (the §6 one-day prediction interval);
+//! * [`source`] — adapters from `anycast_beacon` joined measurements into
+//!   pipeline records, and [`sketch_day`], the one sharded entry point.
 //!
-//! **Determinism under sharding.** Every pipeline here routes records by
-//! the client-group key, so a group's records are wholly owned by one
-//! worker and arrive in stream order; merged outputs are canonical-order
-//! unions of disjoint-key maps. The same seed therefore produces
-//! bit-identical aggregates for *any* worker count — reproducibility
-//! never depends on how the work was parallelized.
+//! **Determinism under sharding.** Records are routed by the client-group
+//! key, so a group's records are wholly owned by one worker and arrive in
+//! stream order; workers' key sets are disjoint and what is read from
+//! them is a function of each key's own records. The same seed therefore
+//! produces bit-identical aggregates for *any* worker count —
+//! reproducibility never depends on how the work was parallelized.
 //!
 //! The sketch path plugs into the exact path through
 //! `anycast_analysis::quantile::QuantileBackend`, which
@@ -38,6 +43,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod bank;
 pub mod ordered;
 pub mod shard;
 pub mod sketch;
@@ -45,13 +51,13 @@ pub mod source;
 pub mod window;
 
 pub use ordered::map_ordered;
-pub use shard::{merge_keyed, Aggregate, ShardConfig, ShardError, ShardedIngest};
+pub use shard::{ShardConfig, ShardError};
 pub use sketch::{mix64, FastHasher, FastMap, QuantileSketch};
 pub use source::{
     ecs_record_with_failures, ldns_record_with_failures, route_ldns, route_prefix, route_subnet,
-    sketch_day, tally_outcomes, OutcomeCounts, OutcomeTally,
+    sketch_day,
 };
-pub use window::{DaySketches, DayWindow, GroupAggregator};
+pub use window::{DayScores, DaySketches};
 
 use anycast_analysis::quantile::QuantileBackend;
 

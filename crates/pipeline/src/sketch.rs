@@ -165,7 +165,7 @@ impl QuantileSketch {
             n: 0,
             tuples: Vec::new(),
             buffer: Vec::new(),
-            buf_limit: Self::buf_limit_for(eps),
+            buf_limit: Self::flush_threshold(eps),
         }
     }
 
@@ -213,7 +213,9 @@ impl QuantileSketch {
         self.buf_limit
     }
 
-    fn buf_limit_for(eps: f64) -> usize {
+    /// The flush threshold ⌈3/(2·eps)⌉: the observation count at which a
+    /// sketch first folds its buffer into tuples.
+    pub(crate) fn flush_threshold(eps: f64) -> usize {
         (1.0 / (2.0 * (eps / 3.0))).ceil() as usize
     }
 
@@ -354,7 +356,7 @@ impl QuantileSketch {
             &flushed
         };
         self.eps = self.eps.max(o.eps);
-        self.buf_limit = Self::buf_limit_for(self.eps);
+        self.buf_limit = Self::flush_threshold(self.eps);
         self.n += o.n;
         let a = std::mem::take(&mut self.tuples);
         let mut merged = Vec::with_capacity(a.len() + o.tuples.len());
@@ -393,20 +395,7 @@ impl QuantileSketch {
             return None;
         }
         if self.tuples.is_empty() {
-            // Nearest-rank with ties to the lower rank — the same pick the
-            // tuple walk makes on a buffer-only flush (g = 1, Δ = 0). The
-            // target is `query`'s own one-based expression: its distances
-            // to the two neighbouring ranks are exact, so the pick agrees
-            // with the walk bit for bit at every `p`.
-            let p = p.clamp(0.0, 100.0);
-            let target = 1.0 + p / 100.0 * (self.buffer.len() - 1) as f64;
-            let lo = target.floor();
-            let rank = if target - lo <= 0.5 { lo } else { lo + 1.0 };
-            let idx = rank as usize - 1;
-            let (_, v, _) = self
-                .buffer
-                .select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-            return Some(*v);
+            return Some(pick_buffered(&mut self.buffer, p));
         }
         self.compact();
         Some(self.query(p))
@@ -447,6 +436,27 @@ impl QuantileSketch {
         }
         best.1
     }
+}
+
+/// The `p`-th percentile (finite) of a never-flushed sketch's
+/// observations, by in-place selection: the one buffer-only read, under
+/// [`QuantileSketch::quantile_read`] and under the bank's read of a member
+/// that has not spilled. `values` must be non-empty and is left
+/// partitioned, not sorted.
+///
+/// Nearest-rank with ties to the lower rank — the same pick the tuple
+/// walk makes on a buffer-only flush (g = 1, Δ = 0). The target is
+/// `query`'s own one-based expression: its distances to the two
+/// neighbouring ranks are exact, so the pick agrees with the walk bit for
+/// bit at every `p`.
+pub(crate) fn pick_buffered(values: &mut [f64], p: f64) -> f64 {
+    let p = p.clamp(0.0, 100.0);
+    let target = 1.0 + p / 100.0 * (values.len() - 1) as f64;
+    let lo = target.floor();
+    let rank = if target - lo <= 0.5 { lo } else { lo + 1.0 };
+    let idx = rank as usize - 1;
+    let (_, v, _) = values.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
+    *v
 }
 
 fn tuple_le(a: &Tuple, b: &Tuple) -> bool {

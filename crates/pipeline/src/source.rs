@@ -3,23 +3,22 @@
 //! **Beacon measurements** — `anycast_beacon::BeaconMeasurement`, the
 //! joined active measurements — feed per-`(group, target)` latency
 //! sketches at ECS or LDNS granularity ([`ecs_record_with_failures`],
-//! [`ldns_record_with_failures`]);
-//! `(key, served)` request outcomes feed per-key availability tallies
-//! ([`tally_outcomes`]).
+//! [`ldns_record_with_failures`]), a day at a time ([`sketch_day`]).
 //!
 //! Routing helpers hash the *group* key ([`route_prefix`], [`route_ldns`])
 //! so sharded ingestion keeps the key-ownership discipline `shard`'s
 //! determinism contract requires.
 
-use std::collections::BTreeMap;
+use std::hash::Hash;
 
 use anycast_beacon::{BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Prefix, Prefix24};
+use anycast_obs::counter;
 
-use crate::shard::{merge_keyed, Aggregate, ShardConfig, ShardedIngest};
-use crate::sketch::{mix64, QuantileSketch};
-use crate::window::DaySketches;
+use crate::shard::{owner, run_workers, ShardConfig};
+use crate::sketch::mix64;
+use crate::window::{DaySketches, Share};
 
 /// A beacon measurement as an ECS-granularity latency observation. A
 /// failed fetch (timeout against a dead front-end) contributes `penalty_ms`
@@ -57,129 +56,47 @@ pub fn route_ldns(l: LdnsId) -> u64 {
     mix64(0x4c44_4e53_0000_0000 | u64::from(l.0))
 }
 
-/// Runs one day of `(group, target, rtt)` records through sharded
-/// ingestion and returns the merged per-`(group, target)` sketches.
-/// Convenience wrapper over [`ShardedIngest`] + [`merge_keyed`]; the
+/// Sketches one day of `(group, target, rtt)` records into per-
+/// `(group, target)` latency sketches of rank-error bound `eps`, sharded
+/// by key ownership without a producer: each of `cfg.workers` workers
+/// replays `records` itself and keeps the records whose group
+/// `route` hashes to it (see [`crate::shard`]). What is read from the
 /// result is bit-identical for any `cfg.workers`.
+///
+/// # Panics
+/// Panics when `cfg.workers` is 0, and with the [`ShardError`] text of the
+/// first worker that panicked.
+///
+/// [`ShardError`]: crate::ShardError
 pub fn sketch_day<K, I>(
     records: I,
     eps: f64,
     cfg: ShardConfig,
-    route: impl Fn(&K) -> u64 + 'static,
+    route: impl Fn(&K) -> u64 + Sync,
 ) -> DaySketches<K>
 where
-    K: Ord + std::hash::Hash + Clone + Send + 'static,
-    I: IntoIterator<Item = (K, Target, f64)>,
+    K: Hash + Eq + Clone + Send,
+    I: IntoIterator<Item = (K, Target, f64)> + Clone + Send,
 {
-    let mut ingest = ShardedIngest::new(
-        cfg,
-        move |r: &(K, Target, f64)| route(&r.0),
-        |_| crate::window::GroupAggregator::new(eps),
-    );
-    for r in records {
-        if let Err(e) = ingest.push(r) {
-            panic!("sketch_day ingestion failed: {e}");
+    let workers = cfg.workers;
+    assert!(workers > 0, "need at least one worker");
+    let lanes = (0..workers)
+        .map(|_| (Share::new(eps), records.clone()))
+        .collect();
+    let shares = run_workers(lanes, |w, (mut share, records): (Share<K>, I)| {
+        let mut kept = 0u64;
+        for (key, target, rtt_ms) in records {
+            if owner(route(&key), workers) == w {
+                share.observe(key, target, rtt_ms);
+                kept += 1;
+            }
         }
-    }
-    let parts = ingest
-        .finish()
-        .unwrap_or_else(|e| panic!("sketch_day ingestion failed: {e}"));
-    merge_keyed(parts, |a: &mut QuantileSketch, b| a.merge(&b))
-}
-
-/// Success/failure counts for one request group.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutcomeCounts {
-    /// Requests that were served.
-    pub ok: u64,
-    /// Requests that failed (timed out against a dead front-end, or were
-    /// lost while routing reconverged).
-    pub failed: u64,
-}
-
-impl OutcomeCounts {
-    /// Total requests observed.
-    pub fn total(&self) -> u64 {
-        self.ok + self.failed
-    }
-
-    /// Served fraction in `[0, 1]`; an empty group counts as available.
-    pub fn availability(&self) -> f64 {
-        if self.total() == 0 {
-            1.0
-        } else {
-            self.ok as f64 / self.total() as f64
-        }
-    }
-
-    /// Adds another group's counts (used by [`merge_keyed`]).
-    pub fn absorb(&mut self, other: OutcomeCounts) {
-        self.ok += other.ok;
-        self.failed += other.failed;
-    }
-}
-
-/// The [`Aggregate`] over `(key, served)` request-outcome records: per-key
-/// availability tallies for the failure experiments. Counts add under
-/// merge, so the sharded tally is worker-count invariant like every other
-/// pipeline in this crate.
-#[derive(Debug, Clone)]
-pub struct OutcomeTally<K> {
-    counts: BTreeMap<K, OutcomeCounts>,
-}
-
-impl<K> Default for OutcomeTally<K> {
-    fn default() -> Self {
-        OutcomeTally {
-            counts: BTreeMap::new(),
-        }
-    }
-}
-
-impl<K: Ord + Send + 'static> Aggregate for OutcomeTally<K> {
-    type Record = (K, bool);
-    type Output = BTreeMap<K, OutcomeCounts>;
-
-    fn observe(&mut self, (key, served): (K, bool)) {
-        let c = self.counts.entry(key).or_default();
-        if served {
-            c.ok += 1;
-        } else {
-            c.failed += 1;
-        }
-    }
-
-    fn finish(self) -> BTreeMap<K, OutcomeCounts> {
-        self.counts
-    }
-}
-
-/// Runs `(key, served)` outcome records through sharded ingestion and
-/// returns the merged per-key tallies. Bit-identical for any
-/// `cfg.workers`.
-pub fn tally_outcomes<K, I>(
-    records: I,
-    cfg: ShardConfig,
-    route: impl Fn(&K) -> u64 + 'static,
-) -> BTreeMap<K, OutcomeCounts>
-where
-    K: Ord + Send + 'static,
-    I: IntoIterator<Item = (K, bool)>,
-{
-    let mut ingest = ShardedIngest::new(
-        cfg,
-        move |r: &(K, bool)| route(&r.0),
-        |_| OutcomeTally::default(),
-    );
-    for r in records {
-        if let Err(e) = ingest.push(r) {
-            panic!("outcome tally ingestion failed: {e}");
-        }
-    }
-    let parts = ingest
-        .finish()
-        .unwrap_or_else(|e| panic!("outcome tally ingestion failed: {e}"));
-    merge_keyed(parts, |a: &mut OutcomeCounts, b| a.absorb(b))
+        // One atomic a worker: the sum is the rows ingested.
+        counter!("pipeline_records_routed_total").add(kept);
+        share
+    })
+    .unwrap_or_else(|e| panic!("sketch_day ingestion failed: {e}"));
+    DaySketches { shares }
 }
 
 #[cfg(test)]
@@ -220,10 +137,36 @@ mod tests {
         let records: Vec<(u32, Target, f64)> = (0..500u64)
             .map(|i| ((i % 7) as u32, Target::Anycast, i as f64))
             .collect();
-        let day = sketch_day(records, 0.05, ShardConfig::default(), |k: &u32| {
+        let mut day = sketch_day(records, 0.05, ShardConfig::default(), |k: &u32| {
             mix64(u64::from(*k))
         });
         assert_eq!(day.len(), 7);
-        assert_eq!(day.values().map(|s| s.count()).sum::<u64>(), 500);
+        // 500 = 7 · 71 + 3: three keys hold 72 values, four hold 71.
+        let admitted = |day: &mut DaySketches<u32>, n| day.read(50.0, n).admitted;
+        assert_eq!(admitted(&mut day, 71), 7);
+        assert_eq!(admitted(&mut day, 72), 3);
+        assert_eq!(admitted(&mut day, 73), 0);
+    }
+
+    #[test]
+    fn sketch_day_panics_with_the_dead_workers_message() {
+        // Key 3's owner meets a NaN; the caller sees which worker died
+        // and why.
+        let records = (0..200u64).map(|i| {
+            let v = if i == 150 { f64::NAN } else { i as f64 };
+            ((i % 5) as u32, Target::Anycast, v)
+        });
+        let died = std::panic::catch_unwind(|| {
+            sketch_day(records, 0.05, ShardConfig { workers: 3 }, |k: &u32| {
+                mix64(u64::from(*k))
+            })
+        })
+        .expect_err("a worker panicked");
+        let message = died.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.starts_with("sketch_day ingestion failed: shard worker ")
+                && message.ends_with(" panicked: NaN fed to QuantileSketch"),
+            "{message}"
+        );
     }
 }

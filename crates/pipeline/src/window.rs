@@ -1,188 +1,284 @@
-//! Day-partitioned incremental aggregation windows.
+//! A day's sketches, and their pooling over a training window.
 //!
 //! The §6 predictor "updates its mapping every prediction interval, set to
-//! one day in our experiment": training reads a window of whole days, and
-//! a day that has slid out of every window will never be read again. The
-//! [`DayWindow`] mirrors that lifecycle — per-day maps of per-
-//! `(group, front-end)` latency sketches, built incrementally as records
-//! arrive, pooled across a training window on demand, and retired once the
-//! window has moved past them. It is the *retaining* form: a trainer that
-//! builds its days, pools them once and drops them (`train_sketched`)
-//! moves the [`DaySketches`] maps instead and never holds a second copy.
+//! one day in our experiment": training reads a window of whole days, each
+//! sketched once. [`DaySketches`] is one day's per-`(group, front-end)`
+//! latency sketches as sharded ingestion leaves them — one share per
+//! worker, key sets disjoint — [`DaySketches::absorb`] pools a later day
+//! into it sketch by sketch, and [`DaySketches::read`] scores the pool,
+//! each share on its own thread.
 //!
-//! The group key is generic (`K: Ord`): the pipeline is used with
-//! `Prefix24` (ECS granularity), `LdnsId`, and `anycast_core`'s own
-//! `GroupKey`.
+//! The group key is generic: the pipeline is used with `Prefix` (ECS
+//! granularity), `LdnsId`, and `anycast_core`'s own `GroupKey`.
 
-use std::collections::BTreeMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
 use anycast_beacon::Target;
-use anycast_netsim::Day;
 
-use crate::shard::Aggregate;
-use crate::sketch::QuantileSketch;
+use crate::bank::SketchBank;
+use crate::shard::run_workers;
+use crate::sketch::FastHasher;
 
-/// A per-`(group, target)` map of latency sketches for one day.
-pub type DaySketches<K> = BTreeMap<(K, Target), QuantileSketch>;
-
-/// Day-partitioned per-`(group, target)` latency sketches.
-///
-/// Each entry holds the 25th-percentile estimate (any percentile, in
-/// fact — the sketch answers all of them within its rank-error bound)
-/// plus the **exact** sample count the "20+ measurements" filter needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DayWindow<K: Ord + Clone> {
-    eps: f64,
-    days: BTreeMap<Day, DaySketches<K>>,
-}
-
-impl<K: Ord + Clone> DayWindow<K> {
-    /// Creates an empty window whose sketches carry rank-error bound
-    /// `eps` (see [`QuantileSketch::new`] for the valid range).
-    pub fn new(eps: f64) -> DayWindow<K> {
-        // Validate eagerly so a bad bound fails at construction, not on
-        // the first observation.
-        let _ = QuantileSketch::new(eps);
-        DayWindow {
-            eps,
-            days: BTreeMap::new(),
-        }
-    }
-
-    /// The rank-error bound every sketch in this window is built with.
-    pub fn error_bound(&self) -> f64 {
-        self.eps
-    }
-
-    /// Absorbs one latency observation.
-    pub fn observe(&mut self, day: Day, key: K, target: Target, rtt_ms: f64) {
-        self.days
-            .entry(day)
-            .or_default()
-            .entry((key, target))
-            .or_insert_with(|| QuantileSketch::new(self.eps))
-            .observe(rtt_ms);
-    }
-
-    /// Folds a sharded-ingestion partial result (one worker's
-    /// [`DaySketches`]) into a day. With key-ownership routing the partial
-    /// key sets are disjoint and this is a plain union.
-    pub fn absorb_day(&mut self, day: Day, part: DaySketches<K>) {
-        let slot = self.days.entry(day).or_default();
-        for (k, sketch) in part {
-            match slot.entry(k) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(sketch);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().merge(&sketch);
-                }
-            }
-        }
-    }
-
-    /// One day's sketches, if any records landed on that day.
-    pub fn day(&self, day: Day) -> Option<&DaySketches<K>> {
-        self.days.get(&day)
-    }
-
-    /// The days currently held, ascending.
-    pub fn days(&self) -> Vec<Day> {
-        self.days.keys().copied().collect()
-    }
-
-    /// Pools the given days into per-`(group, target)` merged sketches —
-    /// the multi-day training input of `train_from_stats`. Days with no
-    /// data contribute nothing.
-    ///
-    /// The window keeps its days, so the pool is a **copy**: every sketch
-    /// of the first day a key appears on is cloned, later days merge into
-    /// the clone. A caller that owns its day maps and reads them once
-    /// does not need the copy — `anycast_core`'s `train_sketched` folds
-    /// each day's [`DaySketches`] into a running map by value (first day
-    /// moved, later days merged with the same `merge` calls, in the same
-    /// order) and is pinned bit-identical to training from this pool.
-    pub fn pooled(&self, days: &[Day]) -> DaySketches<K> {
-        let mut out: DaySketches<K> = BTreeMap::new();
-        for day in days {
-            let Some(sketches) = self.days.get(day) else {
-                continue;
-            };
-            for (k, sketch) in sketches {
-                match out.entry(k.clone()) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(sketch.clone());
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        e.get_mut().merge(sketch);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Number of days held.
-    pub fn len(&self) -> usize {
-        self.days.len()
-    }
-
-    /// Whether the window holds no days.
-    pub fn is_empty(&self) -> bool {
-        self.days.is_empty()
-    }
-}
-
-/// The [`Aggregate`] that builds one worker's share of a day's
-/// [`DaySketches`] under sharded ingestion. Records are
-/// `(group, target, rtt_ms)` triples; route them by the group key.
-///
-/// The per-record index is a `HashMap` — the hot path runs once per log
-/// record, and a B-tree walk there is measurably slower. Only
-/// [`finish`](Aggregate::finish) pays for ordering, so iteration-order
-/// nondeterminism in the intermediate map never reaches the output.
+/// An open-addressing index from a pair to its id that holds no keys: a
+/// slot is the top half of the pair's hash over its id, and the pairs
+/// themselves lie in the share's `keys` only. Eight bytes a slot whatever
+/// the key type — the probe runs once per log record, and what it costs
+/// is the cache lines its slots span.
 #[derive(Debug, Clone)]
-pub struct GroupAggregator<K: Ord + std::hash::Hash + Clone> {
-    eps: f64,
-    sketches: crate::sketch::FastMap<(K, Target), QuantileSketch>,
+struct PairIndex {
+    /// `EMPTY`, or `tag << 32 | id`; a power of two long, at most half
+    /// full. Ids stay under `u32::MAX` (the bank's own limit), so no entry
+    /// reads as `EMPTY`.
+    slots: Vec<u64>,
 }
 
-impl<K: Ord + std::hash::Hash + Clone> GroupAggregator<K> {
-    /// Creates an empty aggregate with rank-error bound `eps`.
-    pub fn new(eps: f64) -> GroupAggregator<K> {
-        let _ = QuantileSketch::new(eps);
-        GroupAggregator {
-            eps,
-            sketches: crate::sketch::FastMap::default(),
+const EMPTY: u64 = u64::MAX;
+
+impl PairIndex {
+    /// The slot of id `id`, whose pair hashes to `hash`.
+    fn slot(hash: u64, id: u32) -> u64 {
+        hash >> 32 << 32 | u64::from(id)
+    }
+
+    /// An index of the ids `0..` whose pairs hash to `hashes`, in order,
+    /// with room for as many again.
+    fn of(hashes: impl ExactSizeIterator<Item = u64>) -> PairIndex {
+        let mut index = PairIndex {
+            slots: vec![EMPTY; (4 * hashes.len()).next_power_of_two().max(16)],
+        };
+        for (id, hash) in hashes.enumerate() {
+            let at = index.probe(hash, |_| false);
+            index.slots[at] = PairIndex::slot(hash, id as u32);
+        }
+        index
+    }
+
+    /// The slot `hash` leads to: the one holding the id whose pair `is`
+    /// accepts, else the empty one that pair would fill.
+    fn probe(&self, hash: u64, is: impl Fn(u32) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot == EMPTY || (slot >> 32 == hash >> 32 && is(slot as u32)) {
+                return at;
+            }
+            at = (at + 1) & mask;
         }
     }
 }
 
-impl<K: Ord + std::hash::Hash + Clone + Send + 'static> Aggregate for GroupAggregator<K> {
-    type Record = (K, Target, f64);
-    type Output = DaySketches<K>;
+fn hash_of<T: Hash>(pair: &T) -> u64 {
+    BuildHasherDefault::<FastHasher>::default().hash_one(pair)
+}
 
-    fn observe(&mut self, (key, target, rtt_ms): (K, Target, f64)) {
-        self.sketches
-            .entry((key, target))
-            .or_insert_with(|| QuantileSketch::new(self.eps))
-            .observe(rtt_ms);
+/// The pairs one worker owns: dense ids in first-seen order, the bank
+/// member of each id its sketch.
+#[derive(Debug, Clone)]
+pub(crate) struct Share<K> {
+    index: PairIndex,
+    keys: Vec<(K, Target)>,
+    bank: SketchBank,
+}
+
+impl<K: Hash + Eq + Clone> Share<K> {
+    /// An empty share whose sketches carry rank-error bound `eps`.
+    pub(crate) fn new(eps: f64) -> Share<K> {
+        Share {
+            index: PairIndex::of(std::iter::empty()),
+            keys: Vec::new(),
+            bank: SketchBank::new(eps),
+        }
     }
 
-    fn finish(self) -> DaySketches<K> {
-        self.sketches.into_iter().collect()
+    /// The id of `pair`; one seen for the first time takes the id of the
+    /// bank member `member` adds for it.
+    fn id_of(&mut self, pair: (K, Target), member: impl FnOnce(&mut SketchBank) -> u32) -> u32 {
+        let hash = hash_of(&pair);
+        let at = self.index.probe(hash, |id| self.keys[id as usize] == pair);
+        let slot = self.index.slots[at];
+        if slot != EMPTY {
+            return slot as u32;
+        }
+        let id = member(&mut self.bank);
+        debug_assert_eq!(id as usize, self.keys.len());
+        self.keys.push(pair);
+        self.index.slots[at] = PairIndex::slot(hash, id);
+        if 2 * self.keys.len() > self.index.slots.len() {
+            self.index = PairIndex::of(self.keys.iter().map(hash_of));
+        }
+        id
+    }
+
+    /// Absorbs one latency observation of `(key, target)`.
+    pub(crate) fn observe(&mut self, key: K, target: Target, rtt_ms: f64) {
+        let id = self.id_of((key, target), SketchBank::add);
+        self.bank.observe(id, rtt_ms);
+    }
+
+    /// Pools `later`, a later day's share of the same keys' owner, into
+    /// this one: `a.merge(&b)` for a pair both hold, `b` as it is for a
+    /// pair only `later` holds.
+    fn absorb(&mut self, later: Share<K>) {
+        for (theirs, pair) in later.keys.into_iter().enumerate() {
+            let theirs = theirs as u32;
+            let held = self.keys.len() as u32;
+            let ours = self.id_of(pair, |bank| bank.add_sketch(later.bank.sketch(theirs)));
+            // Ids count up: one under `held` was here before.
+            if ours < held {
+                self.bank.merge(ours, &later.bank.sketch(theirs));
+            }
+        }
+    }
+
+    /// This share's part of [`DaySketches::read`].
+    fn read(&mut self, p: f64, min_count: u64) -> DayScores<K> {
+        let mut scores = DayScores {
+            rows: Vec::with_capacity(self.keys.len()),
+            admitted: 0,
+        };
+        for (id, (key, target)) in self.keys.iter().enumerate() {
+            let id = id as u32;
+            if self.bank.count(id) < min_count {
+                continue;
+            }
+            scores.admitted += 1;
+            if let Some(score) = self.bank.quantile_read(id, p) {
+                scores.rows.push((key.clone(), *target, score));
+            }
+        }
+        scores
+    }
+}
+
+/// One day's per-`(group, target)` latency sketches, as
+/// [`sketch_day`](crate::source::sketch_day) leaves them: one share per
+/// worker, each pair in exactly one.
+///
+/// Each sketch answers any percentile within its rank-error bound and
+/// carries the **exact** sample count the "20+ measurements" filter
+/// needs. Nothing read from a `DaySketches` depends on how many shares it
+/// has.
+#[derive(Debug, Clone)]
+pub struct DaySketches<K> {
+    pub(crate) shares: Vec<Share<K>>,
+}
+
+/// What [`DaySketches::read`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DayScores<K> {
+    /// `(group, target, percentile)` of every admitted pair, in no
+    /// particular order.
+    pub rows: Vec<(K, Target, f64)>,
+    /// Pairs holding at least the asked-for number of observations.
+    pub admitted: u64,
+}
+
+impl<K: Hash + Eq + Clone + Send> DaySketches<K> {
+    /// Number of `(group, target)` pairs.
+    pub fn len(&self) -> usize {
+        self.shares.iter().map(|share| share.keys.len()).sum()
+    }
+
+    /// Whether no record landed on the day.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Pools a later day into this one, pair by pair
+    /// [`QuantileSketch::merge`](crate::QuantileSketch::merge): call it
+    /// with the days of a training window in order. A pair only the later
+    /// day holds joins the pool as it is.
+    ///
+    /// # Panics
+    /// Panics unless both days were sketched by the same number of
+    /// workers (and, unchecked, under the same route): shares pool one to
+    /// one, a key's owner being the same worker on every day.
+    pub fn absorb(&mut self, later: DaySketches<K>) {
+        assert_eq!(
+            self.shares.len(),
+            later.shares.len(),
+            "days of one window are sketched by one worker count"
+        );
+        for (share, later) in self.shares.iter_mut().zip(later.shares) {
+            share.absorb(later);
+        }
+    }
+
+    /// Reads the `p`-th percentile
+    /// ([`QuantileSketch::quantile_read`](crate::QuantileSketch::quantile_read))
+    /// of every pair that holds at least `min_count` observations, each
+    /// share on its own thread.
+    pub fn read(&mut self, p: f64, min_count: u64) -> DayScores<K> {
+        let parts = run_workers(self.shares.iter_mut().collect(), |_, share| {
+            share.read(p, min_count)
+        })
+        .unwrap_or_else(|e| panic!("day sketch read failed: {e}"));
+        parts
+            .into_iter()
+            .reduce(|mut scores, part| {
+                scores.rows.extend(part.rows);
+                scores.admitted += part.admitted;
+                scores
+            })
+            .expect("a day has at least one share")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{merge_keyed, ShardConfig, ShardedIngest};
-    use crate::sketch::mix64;
+    use crate::shard::ShardConfig;
+    use crate::sketch::{mix64, QuantileSketch};
+    use crate::source::sketch_day;
     use anycast_netsim::SiteId;
+    use std::collections::BTreeMap;
 
-    fn obs(i: u64) -> (u32, Target, f64) {
-        let key = (i % 13) as u32;
+    /// Every worker count the invariance contract is pinned at.
+    const WORKER_COUNTS: [usize; 5] = [1, 2, 3, 5, 8];
+
+    /// Every pair of `day` as a sketch of its own.
+    fn sketches<K: Ord + Clone>(day: &DaySketches<K>) -> BTreeMap<(K, Target), QuantileSketch> {
+        let mut out = BTreeMap::new();
+        for share in &day.shares {
+            for (id, pair) in share.keys.iter().enumerate() {
+                let twice = out.insert(pair.clone(), share.bank.sketch(id as u32));
+                assert!(twice.is_none(), "a pair lies in exactly one share");
+            }
+        }
+        out
+    }
+
+    /// One `QuantileSketch` per pair, fed the pair's values in stream
+    /// order: what a day's sketches are defined to equal.
+    fn direct(records: &[(u32, Target, f64)], eps: f64) -> BTreeMap<(u32, Target), QuantileSketch> {
+        let mut out: BTreeMap<(u32, Target), QuantileSketch> = BTreeMap::new();
+        for &(k, t, v) in records {
+            out.entry((k, t))
+                .or_insert_with(|| QuantileSketch::new(eps))
+                .observe(v);
+        }
+        out
+    }
+
+    fn sharded(records: &[(u32, Target, f64)], eps: f64, workers: usize) -> DaySketches<u32> {
+        sketch_day(
+            records.iter().copied(),
+            eps,
+            ShardConfig { workers },
+            |k: &u32| mix64(u64::from(*k)),
+        )
+    }
+
+    /// Thirteen keys whose pairs hold a few dozen values each, and (from
+    /// `heavy` on) one key in every four records, well past any flush
+    /// threshold used here.
+    fn obs(i: u64, heavy: u64) -> (u32, Target, f64) {
+        let key = if i >= heavy && i.is_multiple_of(4) {
+            100
+        } else {
+            (i % 13) as u32
+        };
         let target = if i.is_multiple_of(4) {
             Target::Anycast
         } else {
@@ -192,76 +288,93 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_pool_across_days() {
-        let mut w: DayWindow<u32> = DayWindow::new(0.05);
-        for i in 0..2_000u64 {
-            let (k, t, v) = obs(i);
-            w.observe(Day((i % 3) as u32), k, t, v);
+    fn sharded_day_equals_direct_day() {
+        // Light pairs (slab members) beside one that spills again and
+        // again: key for key the directly fed sketch, at every count.
+        let records: Vec<(u32, Target, f64)> = (0..5_000).map(|i| obs(i, 1_000)).collect();
+        for eps in [0.01, 0.2] {
+            let want = direct(&records, eps);
+            assert!(want[&(100, Target::Anycast)].tuples_len() > 0, "spilled");
+            // At the coarse bound every pair has spilled.
+            let light = want.values().filter(|s| s.tuples_len() == 0).count();
+            assert_eq!(light > 0, eps == 0.01, "{light} buffer-only pairs");
+            for workers in WORKER_COUNTS {
+                let day = sharded(&records, eps, workers);
+                assert_eq!(day.len(), want.len());
+                assert_eq!(sketches(&day), want, "eps {eps}, workers {workers}");
+            }
         }
-        assert_eq!(w.days(), vec![Day(0), Day(1), Day(2)]);
-        let pooled = w.pooled(&[Day(0), Day(1), Day(2)]);
-        let total: u64 = pooled.values().map(|s| s.count()).sum();
-        assert_eq!(total, 2_000, "pooling must conserve exact counts");
-        // Pooling a single day is the day itself.
-        assert_eq!(&w.pooled(&[Day(1)]), w.day(Day(1)).unwrap());
     }
 
     #[test]
-    fn sharded_day_equals_direct_day() {
-        let records: Vec<(u32, Target, f64)> = (0..5_000).map(obs).collect();
-
-        let mut direct: DayWindow<u32> = DayWindow::new(0.02);
-        for &(k, t, v) in &records {
-            direct.observe(Day(0), k, t, v);
-        }
-
-        for workers in [1usize, 4] {
-            let cfg = ShardConfig {
-                workers,
-                batch: 64,
-                queue_depth: 2,
-            };
-            let mut ingest = ShardedIngest::new(
-                cfg,
-                |r: &(u32, Target, f64)| mix64(u64::from(r.0)),
-                |_| GroupAggregator::new(0.02),
-            );
-            for &r in &records {
-                ingest.push(r).unwrap();
+    fn observe_and_pool_across_days() {
+        // Day 0 is empty, day 1 light, day 2 brings a heavy key and new
+        // pairs, day 3 drops some: the pool is `a.merge(&b)` in day order
+        // for a pair two days share, the sketch as it is otherwise.
+        let days: [Vec<(u32, Target, f64)>; 4] = [
+            Vec::new(),
+            (0..700).map(|i| obs(i, u64::MAX)).collect(),
+            (700..2_600).map(|i| obs(i * 7, 0)).collect(),
+            (0..300).map(|i| obs(i * 2, u64::MAX)).collect(),
+        ];
+        let eps = 0.05;
+        let mut want: BTreeMap<(u32, Target), QuantileSketch> = BTreeMap::new();
+        for day in &days {
+            for (pair, sketch) in direct(day, eps) {
+                match want.entry(pair) {
+                    std::collections::btree_map::Entry::Vacant(e) => {
+                        e.insert(sketch);
+                    }
+                    std::collections::btree_map::Entry::Occupied(mut e) => {
+                        e.get_mut().merge(&sketch)
+                    }
+                }
             }
-            let merged = merge_keyed(ingest.finish().unwrap(), |a: &mut QuantileSketch, b| {
-                a.merge(&b)
-            });
-            let mut sharded: DayWindow<u32> = DayWindow::new(0.02);
-            sharded.absorb_day(Day(0), merged);
-            assert_eq!(
-                sharded.day(Day(0)),
-                direct.day(Day(0)),
-                "workers={workers}: sharded day must be bit-identical to direct ingestion"
-            );
+        }
+        for workers in WORKER_COUNTS {
+            let mut pool = sharded(&days[0], eps, workers);
+            assert!(pool.is_empty());
+            for day in &days[1..] {
+                pool.absorb(sharded(day, eps, workers));
+            }
+            let got = sketches(&pool);
+            assert_eq!(got, want, "workers {workers}");
+            let total: u64 = got.values().map(|s| s.count()).sum();
+            assert_eq!(total, 700 + 1_900 + 300, "pooling conserves counts");
+            // And the pool reads as its sketches do.
+            let mut scores = pool.read(25.0, 20);
+            scores.rows.sort_by_key(|row| (row.0, row.1));
+            let mut read = want.clone();
+            let rows: Vec<(u32, Target, f64)> = read
+                .iter_mut()
+                .filter(|(_, s)| s.count() >= 20)
+                .map(|(&(k, t), s)| (k, t, s.quantile_read(25.0).expect("not empty")))
+                .collect();
+            assert_eq!(scores.admitted, rows.len() as u64);
+            assert_eq!(scores.rows, rows, "workers {workers}");
         }
     }
 
     #[test]
     fn exact_counts_survive_sharding() {
-        let records: Vec<(u32, Target, f64)> = (0..999).map(obs).collect();
-        let cfg = ShardConfig {
-            workers: 3,
-            batch: 10,
-            queue_depth: 2,
-        };
-        let mut ingest = ShardedIngest::new(
-            cfg,
-            |r: &(u32, Target, f64)| mix64(u64::from(r.0)),
-            |_| GroupAggregator::new(0.05),
-        );
-        for &r in &records {
-            ingest.push(r).unwrap();
+        let records: Vec<(u32, Target, f64)> = (0..999).map(|i| obs(i, 500)).collect();
+        let mut expected: BTreeMap<(u32, Target), u64> = BTreeMap::new();
+        for &(k, t, _) in &records {
+            *expected.entry((k, t)).or_insert(0) += 1;
         }
-        let merged = merge_keyed(ingest.finish().unwrap(), |a: &mut QuantileSketch, b| {
-            a.merge(&b)
-        });
-        let total: u64 = merged.values().map(|s| s.count()).sum();
-        assert_eq!(total, 999);
+        let day = sharded(&records, 0.05, 3);
+        let counts: BTreeMap<(u32, Target), u64> = sketches(&day)
+            .into_iter()
+            .map(|(pair, s)| (pair, s.count()))
+            .collect();
+        assert_eq!(counts, expected);
+        assert_eq!(counts.values().sum::<u64>(), 999);
+    }
+
+    #[test]
+    #[should_panic(expected = "one worker count")]
+    fn days_sketched_by_different_worker_counts_do_not_pool() {
+        let records: Vec<(u32, Target, f64)> = (0..50).map(|i| obs(i, u64::MAX)).collect();
+        sharded(&records, 0.05, 2).absorb(sharded(&records, 0.05, 3));
     }
 }

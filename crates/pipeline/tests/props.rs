@@ -14,9 +14,7 @@ use std::collections::BTreeMap;
 
 use anycast_beacon::Target;
 use anycast_netsim::SiteId;
-use anycast_pipeline::{
-    merge_keyed, mix64, tally_outcomes, GroupAggregator, QuantileSketch, ShardConfig, ShardedIngest,
-};
+use anycast_pipeline::{mix64, sketch_day, QuantileSketch, ShardConfig};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -199,8 +197,9 @@ proptest! {
             (0u32..64, 0u8..4, 0.0f64..250.0),
             1..2_000,
         ),
-        workers in 2usize..7,
-        batch in 1usize..129,
+        workers in 2usize..9,
+        eps in prop::sample::select(vec![0.02, 0.2]),
+        p in 0.0f64..100.0,
     ) {
         let records: Vec<(u32, Target, f64)> = records
             .into_iter()
@@ -212,75 +211,69 @@ proptest! {
                 (k, target, v)
             })
             .collect();
-        let run = |workers: usize, batch: usize| {
-            let cfg = ShardConfig { workers, batch, queue_depth: 2 };
-            let mut ingest = ShardedIngest::new(
-                cfg,
-                |r: &(u32, Target, f64)| mix64(u64::from(r.0)),
-                |_| GroupAggregator::new(0.02),
+        // Everything a day's sketches answer: the pairs, who passes a
+        // count filter, and each pair's percentile, bit for bit.
+        let run = |workers: usize| {
+            let mut day = sketch_day(
+                records.iter().copied(),
+                eps,
+                ShardConfig { workers },
+                |k: &u32| mix64(u64::from(*k)),
             );
-            for &r in &records {
-                ingest.push(r).unwrap();
-            }
-            merge_keyed(ingest.finish().unwrap(), |a: &mut QuantileSketch, b| a.merge(&b))
+            let reads: Vec<_> = [(25.0, 0), (p, 3), (50.0, 20)]
+                .into_iter()
+                .map(|(p, min_count)| {
+                    let scores = day.read(p, min_count);
+                    let mut rows: Vec<(u32, Target, u64)> = scores
+                        .rows
+                        .into_iter()
+                        .map(|(k, t, v)| (k, t, v.to_bits()))
+                        .collect();
+                    rows.sort_unstable();
+                    (rows, scores.admitted)
+                })
+                .collect();
+            (day.len(), reads)
         };
-        let reference = run(1, 64);
-        let sharded = run(workers, batch);
-        prop_assert_eq!(&sharded, &reference, "workers = {}, batch = {}", workers, batch);
-    }
-
-    #[test]
-    fn outcome_tallies_are_worker_count_invariant(
-        records in prop::collection::vec((0u32..48, any::<bool>()), 1..2_000),
-        workers in 2usize..7,
-        batch in 1usize..65,
-    ) {
-        // Failure records — (group key, served?) — tally identically no
-        // matter how the stream is sharded, so availability numbers from
-        // the parallel pipeline match a sequential pass bit-for-bit.
-        let run = |workers: usize, batch: usize| {
-            let cfg = ShardConfig { workers, batch, queue_depth: 2 };
-            tally_outcomes(records.iter().copied(), cfg, |k: &u32| mix64(u64::from(*k)))
-        };
-        let reference = run(1, 64);
-        let sharded = run(workers, batch);
-        prop_assert_eq!(&sharded, &reference, "workers = {}, batch = {}", workers, batch);
-        // Conservation: every record lands in exactly one tally.
-        let total: u64 = reference.values().map(|c| c.total()).sum();
-        prop_assert_eq!(total, records.len() as u64);
-        let failed: u64 = reference.values().map(|c| c.failed).sum();
-        prop_assert_eq!(failed, records.iter().filter(|&&(_, served)| !served).count() as u64);
+        let reference = run(1);
+        prop_assert_eq!(reference.1[0].1, reference.0 as u64, "no filter admits every pair");
+        let sharded = run(workers);
+        prop_assert_eq!(&sharded, &reference, "workers = {}", workers);
     }
 }
 
 /// Non-proptest companion: exact counts survive sharding for every key —
-/// a cheap full-coverage check the random cases above build on.
+/// a cheap full-coverage check the random cases above build on. A pair
+/// passes the count filter at `n` exactly when it holds `n` observations
+/// or more, so sweeping `n` reads every pair's count.
 #[test]
 fn sharded_counts_are_exact_per_key() {
     let records: Vec<(u32, Target, f64)> = (0..10_000u64)
-        .map(|i| ((i % 37) as u32, Target::Anycast, (mix64(i) % 300) as f64))
+        .map(|i| {
+            (
+                (mix64(i) % 37) as u32,
+                Target::Anycast,
+                (mix64(i) % 300) as f64,
+            )
+        })
         .collect();
-    let cfg = ShardConfig {
-        workers: 5,
-        batch: 33,
-        queue_depth: 2,
-    };
-    let mut ingest = ShardedIngest::new(
-        cfg,
-        |r: &(u32, Target, f64)| mix64(u64::from(r.0)),
-        |_| GroupAggregator::new(0.05),
-    );
-    for &r in &records {
-        ingest.push(r).unwrap();
-    }
-    let merged = merge_keyed(ingest.finish().unwrap(), |a: &mut QuantileSketch, b| {
-        a.merge(&b)
-    });
     let mut expected: BTreeMap<u32, u64> = BTreeMap::new();
     for &(k, _, _) in &records {
         *expected.entry(k).or_insert(0) += 1;
     }
-    for ((k, _), sketch) in &merged {
-        assert_eq!(sketch.count(), expected[k]);
+    let mut day = sketch_day(
+        records.iter().copied(),
+        0.05,
+        ShardConfig { workers: 5 },
+        |k: &u32| mix64(u64::from(*k)),
+    );
+    assert_eq!(day.len(), expected.len());
+    let mut counted: BTreeMap<u32, u64> = BTreeMap::new();
+    let most = *expected.values().max().unwrap();
+    for n in 1..=most + 1 {
+        for (k, _, _) in day.read(50.0, n).rows {
+            counted.insert(k, n);
+        }
     }
+    assert_eq!(counted, expected);
 }
