@@ -67,10 +67,13 @@ pub fn join(
     dns: &[DnsQueryLog],
     addressing: &CdnAddressing,
 ) -> Vec<BeaconMeasurement> {
-    let dns_by_id: HashMap<u64, &DnsQueryLog> = dns
-        .iter()
-        .filter_map(|row| row.measurement_id().map(|id| (id, row)))
-        .collect();
+    // Sized once: a filtered iterator promises no length, so collecting
+    // it would grow the map through a rehash at every doubling.
+    let mut dns_by_id: HashMap<u64, &DnsQueryLog> = HashMap::with_capacity(dns.len());
+    dns_by_id.extend(
+        dns.iter()
+            .filter_map(|row| row.measurement_id().map(|id| (id, row))),
+    );
     http.iter()
         .filter_map(|h| {
             let d = dns_by_id.get(&h.measurement_id)?;

@@ -165,7 +165,7 @@ pub fn run_beacon(
                 let site = addressing
                     .site_for_ip(addr)
                     .expect("measurement answer must be a service address");
-                routes.unicast_at(site, t).copied()
+                routes.unicast_at(internet, site, t)
             };
             if let Some(decision) = route {
                 // Success path draws exactly the same randomness as the
@@ -266,7 +266,7 @@ mod tests {
             c.attachment.location,
             false,
         );
-        let snap = RouteSnapshot::build(&w.internet, &[c.attachment], Day(0));
+        let snap = RouteSnapshot::build(&w.internet, std::slice::from_ref(&c.attachment), Day(0));
         let mut rng = SmallRng::seed_from_u64(seed);
         let results = run_beacon(
             &w.internet,
@@ -396,7 +396,7 @@ mod tests {
                     access: AccessTech::Cable,
                 },
             };
-            let snap = RouteSnapshot::build(&internet, &[c.attachment], day);
+            let snap = RouteSnapshot::build(&internet, std::slice::from_ref(&c.attachment), day);
             let mut ldns = Ldns::new(LdnsId(0), ResolverKind::IspLocal, loc, false);
             for i in 0..4u32 {
                 execution += 1;
@@ -451,7 +451,7 @@ mod tests {
             c.attachment.location,
             false,
         );
-        let snap = RouteSnapshot::build(&w.internet, &[c.attachment], Day(0));
+        let snap = RouteSnapshot::build(&w.internet, std::slice::from_ref(&c.attachment), Day(0));
         let mut rng = SmallRng::seed_from_u64(6);
         let mut seen = std::collections::HashSet::new();
         for i in 0..10u64 {

@@ -237,7 +237,7 @@ impl<'a> DnsRedirectionSim<'a> {
         let Some(site) = self.answer_site(prefix, &loc, day, time_s) else {
             return RequestOutcome::Failed(FailureReason::NoLiveRoute);
         };
-        match routes.unicast_at(client, site, time_s) {
+        match routes.unicast_at(self.internet, client, site, time_s) {
             Some(d) => RequestOutcome::Served {
                 site,
                 rtt_ms: d.base_rtt_ms,

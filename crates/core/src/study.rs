@@ -18,7 +18,8 @@
 //! 1. **Schedule.** Each client's beacon count and timestamps for the day
 //!    are drawn from a private stream derived as
 //!    `stream_rng(seed, [SCHEDULE_STREAM, day, client])` — no client's
-//!    draws can perturb another's.
+//!    draws can perturb another's. (They are drawn on the calling thread:
+//!    a client's draws cost less than a hand-off between threads.)
 //! 2. **Order.** The scheduled beacons are sorted into one global event
 //!    list by `(time, client, beacon)` and numbered; event *i* of `day`
 //!    gets execution id `(day << 28) | i`, globally unique across the
@@ -26,7 +27,10 @@
 //! 3. **Execute.** Events fan out over worker threads with
 //!    [`anycast_pipeline::map_ordered`]; each beacon draws its noise from
 //!    `stream_rng(seed, [BEACON_STREAM, day, client, beacon])` and routes
-//!    against a shared read-only [`RouteSnapshot`] built once for the day.
+//!    against a shared read-only [`RouteSnapshot`] built once for the day,
+//!    which holds the routes the day's beacons can fetch: every client's
+//!    anycast route and, for each client that fires, the unicast routes
+//!    to the candidate sites of its resolver.
 //!    Per-worker scratch state (authoritative server, resolver caches) is
 //!    output-transparent: beacon hostnames are unique, so resolver caches
 //!    only ever hit within a single execution.
@@ -45,7 +49,7 @@ use anycast_beacon::{
 };
 use anycast_dns::{AuthoritativeServer, DnsName, DnsQueryLog, Ldns, LdnsId};
 use anycast_geo::GeoPoint;
-use anycast_netsim::{stream_rng, ClientAttachment, Day, Prefix24, RouteSnapshot};
+use anycast_netsim::{stream_rng, ClientAttachment, Day, Prefix24, RouteSnapshot, SiteId};
 use anycast_obs::span;
 use anycast_pipeline::map_ordered;
 use anycast_workload::{ldns_assign, temporal, Scenario};
@@ -155,6 +159,14 @@ pub struct Study {
     /// Resolver id → where the CDN's geolocation database believes the
     /// resolver is (pure per resolver, precomputed).
     believed: Vec<GeoPoint>,
+    /// Resolver id → the sites the policy can answer its clients' unicast
+    /// slots with (§3.3's candidates of the believed location): the only
+    /// unicast routes a beacon behind that resolver can fetch, so the row
+    /// the day's route snapshot holds for each of them.
+    candidate_rows: Vec<Vec<SiteId>>,
+    /// Client index → attachment: the population every day's route
+    /// snapshot is built over and borrows.
+    attachments: Vec<ClientAttachment>,
 }
 
 impl Study {
@@ -186,6 +198,14 @@ impl Study {
             scenario.seed ^ 0x6265_6163_6f6e,
         )
         .with_known_resolvers(&believed);
+        let attachments = scenario.clients.iter().map(|c| c.attachment).collect();
+        let candidate_rows = believed
+            .iter()
+            .map(|loc| {
+                let sites = policy.candidate_sites(loc);
+                sites.into_iter().map(|(site, _)| site).collect()
+            })
+            .collect();
         Study {
             scenario,
             policy,
@@ -195,6 +215,8 @@ impl Study {
             ldns_of,
             client_ldns,
             believed,
+            candidate_rows,
+            attachments,
         }
     }
 
@@ -228,37 +250,27 @@ impl Study {
         let policy = &self.policy;
         let client_ldns = &self.client_ldns;
         let believed = &self.believed;
+        let candidate_rows = &self.candidate_rows;
         let workers = cfg.workers.max(1);
         let day_factor = temporal::day_volume_factor(day);
 
         // Phase 1: schedule the day's beacon executions, one derived
         // stream per client. The floor+Bernoulli count and the rejection-
         // sampled timestamps all come from the client's own stream, so the
-        // schedule is computable per client in isolation.
+        // schedule is computable per client in isolation — and cheaper
+        // computed here: a client's draws take a fraction of a microsecond,
+        // less than handing them to another thread and back.
         let schedule_timer = span!("study.schedule").start();
-        let schedules: Vec<Vec<f64>> = map_ordered(
-            &s.clients,
-            workers,
-            QUEUE_DEPTH,
-            |_| (),
-            |(), idx, c| {
-                let mut rng = stream_rng(s.seed, &[SCHEDULE_STREAM, u64::from(day.0), idx as u64]);
-                let expected = c.volume as f64 * cfg.beacon_rate * day_factor;
-                let n = anycast_workload::scenario::sample_count(expected, &mut rng);
-                (0..n)
-                    .map(|_| temporal::sample_query_time(c.attachment.location.lon_deg(), &mut rng))
-                    .collect()
-            },
-        );
         let mut events: Vec<Event> = Vec::new();
-        for (client, times) in schedules.iter().enumerate() {
-            for (beacon, &time_s) in times.iter().enumerate() {
-                events.push(Event {
-                    time_s,
-                    client,
-                    beacon: beacon as u64,
-                });
-            }
+        for (client, c) in s.clients.iter().enumerate() {
+            let mut rng = stream_rng(s.seed, &[SCHEDULE_STREAM, u64::from(day.0), client as u64]);
+            let expected = c.volume as f64 * cfg.beacon_rate * day_factor;
+            let n = anycast_workload::scenario::sample_count(expected, &mut rng);
+            events.extend((0..n).map(|beacon| Event {
+                time_s: temporal::sample_query_time(c.attachment.location.lon_deg(), &mut rng),
+                client,
+                beacon,
+            }));
         }
         // Total order: arrival time, then (client, beacon) as the
         // deterministic tiebreak for simultaneous arrivals.
@@ -276,10 +288,22 @@ impl Study {
         drop(schedule_timer);
 
         // Phase 2: build the day's route memo once (shared read-only), then
-        // fan events out; outputs come back merged in event order.
-        let attachments: Vec<ClientAttachment> = s.clients.iter().map(|c| c.attachment).collect();
-        let routes = span!("study.snapshot_build")
-            .time(|| RouteSnapshot::build_parallel(&s.internet, &attachments, day, workers));
+        // fan events out; outputs come back merged in event order. The memo
+        // holds what the day's beacons can fetch: the candidate sites of
+        // its resolver for a client that fires today, nothing for the rest.
+        let mut fires = vec![false; s.clients.len()];
+        for ev in &events {
+            fires[ev.client] = true;
+        }
+        let routes = span!("study.snapshot_build").time(|| {
+            RouteSnapshot::build_rows(&s.internet, &self.attachments, day, workers, |client| {
+                if fires[client] {
+                    &candidate_rows[client_ldns[client].0 as usize]
+                } else {
+                    &[]
+                }
+            })
+        });
         let execute_timer = span!("study.execute").start();
         let outputs: Vec<(Vec<anycast_beacon::HttpResult>, Vec<DnsQueryLog>)> = map_ordered(
             &events,

@@ -5,7 +5,7 @@
 //! logic itself is a [`RedirectionPolicy`] supplied by `anycast-core`
 //! (anycast-always, geo-DNS, prediction-driven, hybrid); this module
 //! provides the mechanism: receive a query with its LDNS identity and
-//! optional ECS, ask the policy, log the query, return the record.
+//! optional ECS, ask the policy, log the query, return the answer.
 
 use anycast_geo::GeoPoint;
 use anycast_netsim::Day;
@@ -14,7 +14,7 @@ use crate::ecs::EcsOption;
 use crate::ldns::LdnsId;
 use crate::log::DnsQueryLog;
 use crate::name::DnsName;
-use crate::record::{ARecord, DnsAnswer};
+use crate::record::DnsAnswer;
 
 /// Everything a redirection policy may condition on. Note what is *not*
 /// here: the client's own address (unless ECS carried its prefix) — the
@@ -76,7 +76,7 @@ impl<P: RedirectionPolicy> AuthoritativeServer<P> {
     }
 
     /// Resolves one query: consults the policy, appends to the query log,
-    /// returns the record the LDNS should cache.
+    /// returns the answer the LDNS should cache.
     pub fn resolve(
         &mut self,
         qname: &DnsName,
@@ -85,7 +85,7 @@ impl<P: RedirectionPolicy> AuthoritativeServer<P> {
         ecs: Option<EcsOption>,
         day: Day,
         time_s: f64,
-    ) -> (ARecord, DnsAnswer) {
+    ) -> DnsAnswer {
         let effective_ecs = if self.ecs_enabled { ecs } else { None };
         let ctx = QueryContext {
             qname,
@@ -104,10 +104,7 @@ impl<P: RedirectionPolicy> AuthoritativeServer<P> {
             day,
             time_s,
         });
-        (
-            ARecord::new(qname.clone(), answer.addr, answer.ttl_s),
-            answer,
-        )
+        answer
     }
 
     /// The accumulated query log.
@@ -142,7 +139,7 @@ mod tests {
         let ip = Ipv4Addr::new(203, 0, 113, 5);
         let mut server = AuthoritativeServer::new(fixed_policy(ip), false);
         let qname = DnsName::new("www.cdn.example").unwrap();
-        let (rec, ans) = server.resolve(
+        let ans = server.resolve(
             &qname,
             LdnsId(9),
             GeoPoint::new(0.0, 0.0),
@@ -150,7 +147,7 @@ mod tests {
             Day(1),
             42.0,
         );
-        assert_eq!(rec.addr, ip);
+        assert_eq!(ans.addr, ip);
         assert_eq!(ans.ttl_s, 300);
         assert_eq!(server.log().len(), 1);
         assert_eq!(server.log()[0].ldns, LdnsId(9));

@@ -1,22 +1,27 @@
 //! TTL-honoring resolver cache.
 //!
 //! Cache entries are keyed by `(name, ECS prefix)` per RFC 7871 §7.3.1: an
-//! answer computed for one client subnet must not be served to another. For
-//! non-ECS answers the prefix key is `None` and the entry is shared by all
-//! clients of the resolver — exactly the coarseness that makes pure
-//! LDNS-granularity redirection imprecise (§2).
+//! answer computed for one client subnet must not be served to another. A
+//! non-ECS answer has no prefix and is shared by all clients of the
+//! resolver — exactly the coarseness that makes pure LDNS-granularity
+//! redirection imprecise (§2).
+//!
+//! The two kinds live in two maps, resolver-wide answers by name and
+//! subnet-scoped ones by `(name, /24)`, so the resolver-wide lookup — the
+//! only one a campaign makes, since it runs with ECS off — hashes the
+//! caller's name where it is and copies nothing. One capacity and one
+//! eviction order span both.
 //!
 //! Time is absolute experiment seconds (day × 86 400 + seconds-of-day).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::net::Ipv4Addr;
 
 use anycast_netsim::Prefix24;
 
 use crate::name::DnsName;
-
-/// Cache key: name plus optional ECS scope.
-type Key = (DnsName, Option<Prefix24>);
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -27,13 +32,47 @@ struct Entry {
 /// A TTL cache of A answers.
 #[derive(Debug, Clone, Default)]
 pub struct DnsCache {
-    entries: HashMap<Key, Entry>,
+    /// Answers shared by every client of the resolver.
+    global: HashMap<DnsName, Entry>,
+    /// Answers tailored to one client subnet.
+    scoped: HashMap<(DnsName, Prefix24), Entry>,
     hits: u64,
     misses: u64,
     /// Maximum live entries; 0 = unbounded. Real resolvers bound their
     /// cache; the beacon's unique per-measurement names would otherwise
     /// grow a resolver's cache without limit over a month-long campaign.
     capacity: usize,
+}
+
+/// The live address `map` holds under `key` at `now_s`; an expired entry
+/// is dropped.
+fn live<K, Q>(map: &mut HashMap<K, Entry>, key: &Q, now_s: f64) -> Option<Ipv4Addr>
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: Hash + Eq + ?Sized,
+{
+    let entry = map.get(key)?;
+    if entry.expires_at > now_s {
+        return Some(entry.addr);
+    }
+    map.remove(key);
+    None
+}
+
+/// When the soonest-expiring entry of `map` expires.
+fn soonest<K>(map: &HashMap<K, Entry>) -> Option<f64> {
+    map.values().map(|e| e.expires_at).min_by(f64::total_cmp)
+}
+
+/// Removes one entry of `map` that expires at `at`.
+fn evict<K: Hash + Eq + Clone>(map: &mut HashMap<K, Entry>, at: f64) {
+    let victim = map
+        .iter()
+        .find(|(_, e)| e.expires_at == at)
+        .map(|(k, _)| k.clone());
+    if let Some(k) = victim {
+        map.remove(&k);
+    }
 }
 
 impl DnsCache {
@@ -56,22 +95,15 @@ impl DnsCache {
     /// subnet-scoped) at time `now_s`. Expired entries are treated as
     /// absent (and dropped).
     pub fn get(&mut self, name: &DnsName, ecs: Option<Prefix24>, now_s: f64) -> Option<Ipv4Addr> {
-        let key = (name.clone(), ecs);
-        match self.entries.get(&key) {
-            Some(e) if e.expires_at > now_s => {
-                self.hits += 1;
-                Some(e.addr)
-            }
-            Some(_) => {
-                self.entries.remove(&key);
-                self.misses += 1;
-                None
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let addr = match ecs {
+            None => live(&mut self.global, name, now_s),
+            Some(subnet) => live(&mut self.scoped, &(name.clone(), subnet), now_s),
+        };
+        match addr {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        addr
     }
 
     /// Stores an answer valid for `ttl_s` seconds from `now_s`, evicting
@@ -84,49 +116,57 @@ impl DnsCache {
         ttl_s: u32,
         now_s: f64,
     ) {
-        let key = (name, ecs);
+        let entry = Entry {
+            addr,
+            expires_at: now_s + f64::from(ttl_s),
+        };
         // Overwriting an existing key does not grow the cache, so it must
         // not trigger eviction: doing so could victimize the key itself
         // (it may be the soonest-expiring entry) and then evict an
         // unrelated live entry on the next insert.
-        if self.capacity > 0
-            && self.entries.len() >= self.capacity
-            && !self.entries.contains_key(&key)
-        {
-            // Cheap pass: drop everything already expired.
-            self.entries.retain(|_, e| e.expires_at > now_s);
-            // Still full: evict the soonest-expiring entries.
-            while self.entries.len() >= self.capacity {
-                let victim = self
-                    .entries
-                    .iter()
-                    .min_by(|a, b| a.1.expires_at.total_cmp(&b.1.expires_at))
-                    .map(|(k, _)| k.clone());
-                match victim {
-                    Some(k) => {
-                        self.entries.remove(&k);
-                    }
-                    None => break,
+        let full = self.capacity > 0 && self.len() >= self.capacity;
+        match ecs {
+            None => {
+                if full && !self.global.contains_key(&name) {
+                    self.make_room(now_s);
                 }
+                self.global.insert(name, entry);
+            }
+            Some(subnet) => {
+                let key = (name, subnet);
+                if full && !self.scoped.contains_key(&key) {
+                    self.make_room(now_s);
+                }
+                self.scoped.insert(key, entry);
             }
         }
-        self.entries.insert(
-            key,
-            Entry {
-                addr,
-                expires_at: now_s + f64::from(ttl_s),
-            },
-        );
+    }
+
+    /// Brings a full cache under its capacity, whichever map the victims
+    /// are in.
+    fn make_room(&mut self, now_s: f64) {
+        // Cheap pass: drop everything already expired.
+        self.global.retain(|_, e| e.expires_at > now_s);
+        self.scoped.retain(|_, e| e.expires_at > now_s);
+        // Still full: evict the soonest-expiring entries.
+        while self.len() >= self.capacity {
+            match (soonest(&self.global), soonest(&self.scoped)) {
+                (Some(g), Some(s)) if s < g => evict(&mut self.scoped, s),
+                (Some(g), _) => evict(&mut self.global, g),
+                (None, Some(s)) => evict(&mut self.scoped, s),
+                (None, None) => break,
+            }
+        }
     }
 
     /// Number of live + expired entries currently held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.global.len() + self.scoped.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.global.is_empty() && self.scoped.is_empty()
     }
 
     /// `(hits, misses)` counters since construction.
@@ -137,7 +177,8 @@ impl DnsCache {
     /// Drops every entry (used at day boundaries in long experiments to
     /// model resolver restarts and bound memory).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.global.clear();
+        self.scoped.clear();
     }
 }
 
@@ -334,6 +375,60 @@ mod tests {
             c.get(&name("new.cdn.example"), None, 101.0),
             Some(Ipv4Addr::new(3, 3, 3, 3))
         );
+    }
+
+    #[test]
+    fn one_name_held_resolver_wide_and_for_two_subnets() {
+        let n = name("a.cdn.example");
+        let p1 = Prefix24::containing(Ipv4Addr::new(1, 1, 1, 1));
+        let p2 = Prefix24::containing(Ipv4Addr::new(2, 2, 2, 2));
+        let p3 = Prefix24::containing(Ipv4Addr::new(3, 3, 3, 3));
+        let ip = |last| Ipv4Addr::new(10, 0, 0, last);
+        let mut c = DnsCache::with_capacity(3);
+        c.put(n.clone(), None, ip(0), 300, 0.0);
+        c.put(n.clone(), Some(p1), ip(1), 100, 0.0);
+        c.put(n.clone(), Some(p2), ip(2), 200, 0.0);
+        assert_eq!(c.len(), 3);
+        // Each scope hits only itself.
+        assert_eq!(c.get(&n, None, 1.0), Some(ip(0)));
+        assert_eq!(c.get(&n, Some(p1), 1.0), Some(ip(1)));
+        assert_eq!(c.get(&n, Some(p2), 1.0), Some(ip(2)));
+        assert_eq!(c.get(&n, Some(p3), 1.0), None);
+        assert_eq!(c.stats(), (3, 1));
+        // Overwriting a held key at capacity evicts nothing, in either map.
+        c.put(n.clone(), Some(p1), ip(11), 100, 1.0);
+        c.put(n.clone(), None, ip(10), 300, 1.0);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.get(&n, None, 2.0), Some(ip(10)));
+        assert_eq!(c.get(&n, Some(p1), 2.0), Some(ip(11)));
+        assert_eq!(c.get(&n, Some(p2), 2.0), Some(ip(2)));
+        // Expiry of one scope leaves the others.
+        assert_eq!(c.get(&n, Some(p1), 150.0), None);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(&n, None, 150.0), Some(ip(10)));
+        assert_eq!(c.get(&n, Some(p2), 150.0), Some(ip(2)));
+
+        // Eviction at capacity takes the soonest-expiring live entry,
+        // whichever map holds it: a subnet's here ...
+        let mut c = DnsCache::with_capacity(3);
+        c.put(n.clone(), None, ip(0), 300, 0.0);
+        c.put(n.clone(), Some(p1), ip(1), 100, 0.0);
+        c.put(n.clone(), Some(p2), ip(2), 200, 0.0);
+        c.put(name("b.cdn.example"), None, ip(3), 300, 1.0);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.get(&n, Some(p1), 2.0), None);
+        assert_eq!(c.get(&n, Some(p2), 2.0), Some(ip(2)));
+        assert_eq!(c.get(&n, None, 2.0), Some(ip(0)));
+        // ... and the resolver-wide one here, for a subnet's sake.
+        let mut c = DnsCache::with_capacity(3);
+        c.put(n.clone(), None, ip(0), 50, 0.0);
+        c.put(n.clone(), Some(p1), ip(1), 100, 0.0);
+        c.put(n.clone(), Some(p2), ip(2), 200, 0.0);
+        c.put(n.clone(), Some(p3), ip(3), 300, 1.0);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.get(&n, None, 2.0), None);
+        assert_eq!(c.get(&n, Some(p1), 2.0), Some(ip(1)));
+        assert_eq!(c.get(&n, Some(p3), 2.0), Some(ip(3)));
     }
 
     #[test]

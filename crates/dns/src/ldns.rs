@@ -135,15 +135,15 @@ impl Ldns {
         let ecs = ecs_active.then(|| {
             EcsOption::for_subnet(Prefix::from(client_prefix).truncate(self.ecs_prefix_len))
         });
-        let (record, answer) = auth.resolve(qname, self.id, believed_location, ecs, day, time_s);
+        let answer = auth.resolve(qname, self.id, believed_location, ecs, day, time_s);
         // Per RFC 7871 the cache scope follows the *answer's* scope: a
         // global answer (scope 0) is shared across subnets even if we sent
         // ECS.
         let store_scope = (ecs_active && answer.ecs_scope > 0).then_some(client_prefix);
         self.cache
-            .put(qname.clone(), store_scope, record.addr, record.ttl_s, now_s);
+            .put(qname.clone(), store_scope, answer.addr, answer.ttl_s, now_s);
         Resolution {
-            addr: record.addr,
+            addr: answer.addr,
             cache_hit: false,
         }
     }

@@ -12,7 +12,7 @@
 //! This crate models exactly those mechanics:
 //!
 //! * [`name::DnsName`] — hostnames, including the unique measurement ids;
-//! * [`record::ARecord`] / [`record::DnsAnswer`] — minimal A-record answers;
+//! * [`record::DnsAnswer`] — minimal A answers: address, TTL, ECS scope;
 //! * [`ecs::EcsOption`] — the client-subnet option at /24 granularity;
 //! * [`cache::DnsCache`] — TTL-honoring cache, ECS-scope aware;
 //! * [`ldns::Ldns`] — recursive resolvers (ISP-local and public), each with
@@ -38,4 +38,4 @@ pub use ecs::EcsOption;
 pub use ldns::{Ldns, LdnsId, ResolverKind};
 pub use log::DnsQueryLog;
 pub use name::DnsName;
-pub use record::{ARecord, DnsAnswer};
+pub use record::DnsAnswer;

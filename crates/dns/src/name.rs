@@ -46,6 +46,17 @@ impl std::fmt::Display for NameError {
 
 impl std::error::Error for NameError {}
 
+/// What a measurement hostname starts with, ahead of its id.
+const ID_PREFIX: &str = "m-";
+/// Hex digits of a measurement id: a `u64`, zero-padded.
+const ID_DIGITS: usize = 16;
+/// The digits [`DnsName::measurement`] writes.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+/// Where a measurement hostname's first label ends.
+const ID_END: usize = ID_PREFIX.len() + ID_DIGITS;
+/// What follows the first label of a measurement hostname, ahead of the zone.
+const PROBE: &str = ".probe.";
+
 impl DnsName {
     /// Parses and normalizes a name. A single trailing dot is accepted and
     /// dropped.
@@ -95,18 +106,33 @@ impl DnsName {
     /// lets the backend join client-side HTTP timings with server-side DNS
     /// logs (§3.2.2).
     pub fn measurement(id: u64, zone: &DnsName) -> DnsName {
-        DnsName(format!("m-{id:016x}.probe.{}", zone.0))
+        let mut name = String::with_capacity(ID_END + PROBE.len() + zone.0.len());
+        name.push_str(ID_PREFIX);
+        for nibble in (0..ID_DIGITS).rev() {
+            name.push(char::from(HEX[(id >> (4 * nibble)) as usize & 0xf]));
+        }
+        name.push_str(PROBE);
+        name.push_str(&zone.0);
+        DnsName(name)
     }
 
     /// Extracts the measurement id from a name built by
-    /// [`DnsName::measurement`], if it is one.
+    /// [`DnsName::measurement`], if it is one: a first label of exactly
+    /// `m-` and sixteen hex digits.
     pub fn measurement_id(&self) -> Option<u64> {
-        let first = self.labels().next()?;
-        let hex = first.strip_prefix("m-")?;
-        if hex.len() != 16 {
+        let bytes = self.0.as_bytes();
+        if !bytes.starts_with(ID_PREFIX.as_bytes()) || bytes.len() < ID_END {
             return None;
         }
-        u64::from_str_radix(hex, 16).ok()
+        // The digits must be the rest of the first label.
+        if bytes.get(ID_END).is_some_and(|&b| b != b'.') {
+            return None;
+        }
+        bytes[ID_PREFIX.len()..ID_END]
+            .iter()
+            .try_fold(0u64, |id, &b| {
+                Some((id << 4) | u64::from(char::from(b).to_digit(16)?))
+            })
     }
 }
 
@@ -200,6 +226,112 @@ mod tests {
                 .measurement_id(),
             None
         );
+    }
+
+    /// The hostname as it was built before the digits were written by
+    /// hand. Kept verbatim as the reference.
+    fn parent_measurement(id: u64, zone: &DnsName) -> String {
+        format!("m-{id:016x}.probe.{}", zone.0)
+    }
+
+    /// `measurement_id` as it stood before it read fixed offsets: split
+    /// off the first label and hand its tail to `from_str_radix`. Kept
+    /// verbatim as the reference.
+    fn parent_measurement_id(name: &DnsName) -> Option<u64> {
+        let first = name.labels().next()?;
+        let hex = first.strip_prefix("m-")?;
+        if hex.len() != 16 {
+            return None;
+        }
+        u64::from_str_radix(hex, 16).ok()
+    }
+
+    #[test]
+    fn measurement_names_equal_the_formatted_ones() {
+        let mut ids = vec![0u64, 1, u64::MAX, 0xdead_beef];
+        // The low bits a beacon's four slots put under an execution id.
+        for execution in [0u64, 1, 0xabc, (7 << 28) | 12_345, u64::MAX >> 2] {
+            ids.extend((0..4).map(|slot| (execution << 2) | slot));
+        }
+        // Every digit in every position.
+        for nibble in 0..16 {
+            ids.extend((0..16u64).map(|digit| digit << (4 * nibble)));
+        }
+        // SplitMix64 from a fixed seed.
+        let mut state = 2015u64;
+        ids.extend((0..10_000).map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }));
+        for zone in ["cdn.example", "probe.cdn.example", "x"] {
+            let zone = DnsName::new(zone).unwrap();
+            for &id in &ids {
+                let name = DnsName::measurement(id, &zone);
+                assert_eq!(name.as_str(), parent_measurement(id, &zone));
+                assert_eq!(name, DnsName::new(name.as_str()).unwrap());
+                assert_eq!(name.measurement_id(), Some(id), "{name}");
+                assert_eq!(parent_measurement_id(&name), Some(id), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn measurement_id_accepts_what_the_label_split_parse_accepted() {
+        let good = "0123456789abcdef";
+        let mut corpus: Vec<String> = vec![
+            // A bare first label, with and without a zone under it.
+            format!("m-{good}"),
+            format!("m-{good}.probe.cdn.example"),
+            format!("m-{good}.cdn.example"),
+            // One digit short, one digit long.
+            format!("m-{}.probe.cdn.example", &good[1..]),
+            format!("m-{good}0.probe.cdn.example"),
+            format!("m-{}", &good[1..]),
+            format!("m-{good}0"),
+            // No dot after the digits.
+            format!("m-{good}probe.cdn.example"),
+            format!("m-{good}-x.cdn.example"),
+            // The prefix missing, mangled, or a label further down.
+            format!("{good}.probe.cdn.example"),
+            format!("m{good}.probe.cdn.example"),
+            format!("n-{good}.probe.cdn.example"),
+            format!("mm-{good}.probe.cdn.example"),
+            format!("x.m-{good}.probe.cdn.example"),
+            "m-".to_string(),
+            "m".to_string(),
+            "m-.probe.cdn.example".to_string(),
+            // Capitals are folded before either parser sees them.
+            format!("M-{}.PROBE.cdn.example", good.to_ascii_uppercase()),
+            "m-ffffffffffffffff.probe.cdn.example".to_string(),
+            "m-0000000000000000.probe.cdn.example".to_string(),
+        ];
+        // A character that is no hex digit in each position, among them
+        // the `-` that `from_str_radix` would read as a sign up front.
+        for at in 0..16 {
+            for bad in ["g", "z", "-"] {
+                let mut hex = good.to_string();
+                hex.replace_range(at..=at, bad);
+                corpus.push(format!("m-{hex}.probe.cdn.example"));
+                corpus.push(format!("m-{hex}"));
+            }
+        }
+        let mut accepted = 0;
+        for text in &corpus {
+            // `m-0123…-` ends its label with a hyphen: not a name at all.
+            let Ok(name) = DnsName::new(text) else {
+                continue;
+            };
+            let id = name.measurement_id();
+            assert_eq!(id, parent_measurement_id(&name), "{text}");
+            accepted += usize::from(id.is_some());
+        }
+        assert_eq!(accepted, 6, "the corpus lost its positive cases");
+        // The one sign `from_str_radix` does take can never reach a parser:
+        // a name cannot hold it.
+        assert!(DnsName::new(&format!("m-+{}.probe.cdn.example", &good[1..])).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Minimal resource records.
+//! Minimal A answers.
 //!
-//! The study only needs A records (the beacon fetches test URLs whose
+//! The study only needs A answers (the beacon fetches test URLs whose
 //! hostnames resolve to front-end IPs), so that is all we model. TTLs are
 //! kept because the paper's methodology depends on them twice: DNS-based
 //! redirection uses *small* TTLs to retain control (§2), while the beacon
@@ -8,8 +8,6 @@
 //! lookup latency from the timed fetch (§3.2.2).
 
 use std::net::Ipv4Addr;
-
-use crate::name::DnsName;
 
 /// What a redirection policy returns: an address and the TTL to serve it
 /// with.
@@ -52,30 +50,6 @@ impl DnsAnswer {
     }
 }
 
-/// A complete A record: name, address, TTL.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ARecord {
-    /// Owner name.
-    pub name: DnsName,
-    /// IPv4 address.
-    pub addr: Ipv4Addr,
-    /// Time-to-live in seconds.
-    pub ttl_s: u32,
-}
-
-impl ARecord {
-    /// Creates a record.
-    pub fn new(name: DnsName, addr: Ipv4Addr, ttl_s: u32) -> ARecord {
-        ARecord { name, addr, ttl_s }
-    }
-}
-
-impl std::fmt::Display for ARecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} {} IN A {}", self.name, self.ttl_s, self.addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,15 +66,5 @@ mod tests {
             DnsAnswer::scoped(c.addr, 60, 0),
             DnsAnswer::global(c.addr, 60)
         );
-    }
-
-    #[test]
-    fn record_displays_zone_file_style() {
-        let r = ARecord::new(
-            DnsName::new("www.cdn.example").unwrap(),
-            Ipv4Addr::new(203, 0, 113, 7),
-            120,
-        );
-        assert_eq!(r.to_string(), "www.cdn.example 120 IN A 203.0.113.7");
     }
 }

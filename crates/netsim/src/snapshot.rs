@@ -9,10 +9,24 @@
 //! it read-only across worker threads, and route each request with an
 //! array lookup.
 //!
-//! The snapshot is **transparent**: for every `(client, site, time)` it
-//! returns exactly what [`Internet::anycast_route_at`] /
-//! [`Internet::unicast_route_at`] would, and moves the same failover
-//! counters.
+//! The unicast side is held as per-client **rows**: for each client the
+//! decisions of the sites its caller declared, back to back in one flat
+//! array behind per-client offsets. A beacon only ever fetches the
+//! candidates of its client's resolver (§3.3's ten), so a campaign day
+//! declares those for the clients that fire and nothing for the rest
+//! ([`RouteSnapshot::build_rows`]); the availability sweeps declare every
+//! site for every client ([`RouteSnapshot::build`] /
+//! [`RouteSnapshot::build_parallel`]). A lookup finds the site in the
+//! client's row, and a site outside the row is routed on the spot
+//! through [`Internet::unicast_route`] — the same answer, paid for at the
+//! lookup and counted in `netsim_route_memo_misses_total`, so a caller
+//! whose rows do not cover its lookups sees it in
+//! `netsim.route_memo_hit_ratio` rather than in wrong routes.
+//!
+//! The snapshot is therefore **transparent** whatever the rows: for every
+//! `(client, site, time)` it returns exactly what
+//! [`Internet::anycast_route_at`] / [`Internet::unicast_route_at`] would,
+//! and moves the same failover counters.
 //!
 //! Anycast routing varies within a day only at the edges of scheduled
 //! windows, so the snapshot cuts the day there into a sorted **timeline**
@@ -55,17 +69,21 @@ enum Segment {
 type Moved = (u32, Option<RouteDecision>);
 
 /// One day's routing table for a fixed client population: steady anycast
-/// and per-site unicast decisions, plus the day's timeline of outage and
-/// route-dynamics windows.
-#[derive(Debug, Clone)]
-pub struct RouteSnapshot {
+/// and the declared unicast decisions, plus the day's timeline of outage
+/// and route-dynamics windows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteSnapshot<'a> {
     day: Day,
-    n_sites: usize,
-    attachments: Vec<ClientAttachment>,
+    /// The population the snapshot was built over, borrowed from its
+    /// builder: a campaign builds a snapshot a day over one population.
+    attachments: &'a [ClientAttachment],
     /// Steady anycast decision per client.
     anycast: Vec<RouteDecision>,
-    /// Unicast decision per `(client, site)`, client-major.
+    /// The clients' unicast rows, back to back.
     unicast: Vec<RouteDecision>,
+    /// `unicast[row_starts[c]..row_starts[c + 1]]` is client `c`'s row:
+    /// one decision per site declared for it, in declaration order.
+    row_starts: Vec<usize>,
     /// This day's down-window per site (almost always all `None`).
     windows: Vec<Option<OutageWindow>>,
     timeline: DayTimeline,
@@ -85,28 +103,46 @@ struct DayTimeline {
     moved: Vec<Vec<Moved>>,
 }
 
-impl RouteSnapshot {
+impl<'a> RouteSnapshot<'a> {
     /// Builds the snapshot sequentially. Equivalent to
     /// [`RouteSnapshot::build_parallel`] with one worker.
-    pub fn build(internet: &Internet, clients: &[ClientAttachment], day: Day) -> RouteSnapshot {
+    pub fn build(
+        internet: &Internet,
+        clients: &'a [ClientAttachment],
+        day: Day,
+    ) -> RouteSnapshot<'a> {
         Self::build_parallel(internet, clients, day, 1)
     }
 
-    /// Builds the snapshot with up to `workers` threads. Per-client rows
-    /// are pure functions of `(internet, client, day)`, so the result is
-    /// identical for any worker count.
+    /// Builds the snapshot with up to `workers` threads, declaring every
+    /// site for every client: [`RouteSnapshot::build_rows`] with full rows.
     pub fn build_parallel(
         internet: &Internet,
-        clients: &[ClientAttachment],
+        clients: &'a [ClientAttachment],
         day: Day,
         workers: usize,
-    ) -> RouteSnapshot {
+    ) -> RouteSnapshot<'a> {
+        let sites: Vec<SiteId> = internet.topology().cdn.site_ids().collect();
+        Self::build_rows(internet, clients, day, workers, |_| sites.as_slice())
+    }
+
+    /// Builds the snapshot with up to `workers` threads, holding for client
+    /// `c` the unicast decisions of the sites `row_of(c)` declares (any
+    /// sites, any order, possibly none). Rows only decide what a lookup
+    /// finds stored; every lookup answers the same whatever they are.
+    /// Per-client rows are pure functions of `(internet, client, day)`, so
+    /// the result is identical for any worker count.
+    pub fn build_rows<'r>(
+        internet: &Internet,
+        clients: &'a [ClientAttachment],
+        day: Day,
+        workers: usize,
+        row_of: impl Fn(usize) -> &'r [SiteId] + Sync,
+    ) -> RouteSnapshot<'a> {
         let cdn = &internet.topology().cdn;
-        let sites: Vec<SiteId> = cdn.site_ids().collect();
-        let n_sites = sites.len();
-        let windows: Vec<Option<OutageWindow>> = sites
-            .iter()
-            .map(|&s| internet.outages().window_on(s, day))
+        let windows: Vec<Option<OutageWindow>> = cdn
+            .site_ids()
+            .map(|s| internet.outages().window_on(s, day))
             .collect();
         for w in windows.iter().flatten() {
             let kind = match w.kind {
@@ -120,16 +156,22 @@ impl RouteSnapshot {
 
         let workers = workers.max(1).min(clients.len().max(1));
         if let Some(pw) = internet.policy_world() {
-            // Every row below reads the steady table and one unicast table
+            // The rows below read the steady table and one unicast table
             // per site; compute the missing ones up front, each once,
             // instead of having the row workers queue behind one another.
-            let borders: Vec<BorderId> = sites
-                .iter()
-                .map(|&s| cdn.unicast_announcement_border(s))
+            let borders: Vec<BorderId> = cdn
+                .site_ids()
+                .map(|s| cdn.unicast_announcement_border(s))
                 .collect();
             pw.warm_tables(&borders, workers);
         }
         let timeline = DayTimeline::cut(internet, clients, day, &windows);
+
+        let mut row_starts = Vec::with_capacity(clients.len() + 1);
+        row_starts.push(0);
+        for c in 0..clients.len() {
+            row_starts.push(row_starts[c] + row_of(c).len());
+        }
 
         // Every slot below is overwritten: each worker fills its own
         // contiguous slice of the two flat arrays, so worker counts can
@@ -142,38 +184,54 @@ impl RouteSnapshot {
             handoff_metro: None,
         };
         let mut anycast = vec![unset; clients.len()];
-        let mut unicast = vec![unset; clients.len() * n_sites];
-        let fill =
-            |part: &[ClientAttachment], any: &mut [RouteDecision], uni: &mut [RouteDecision]| {
-                for ((c, any), row) in part.iter().zip(any).zip(uni.chunks_mut(n_sites)) {
-                    let access_km = internet.access_km(c);
-                    *any = internet.anycast_route_from(c, access_km, day);
-                    for (&s, slot) in sites.iter().zip(row) {
-                        *slot = internet.unicast_route_from(c, access_km, s, day);
-                    }
+        let mut unicast = vec![unset; row_starts[clients.len()]];
+        // Fills the decisions of the clients from index `first` on.
+        let fill = |first: usize,
+                    part: &[ClientAttachment],
+                    any: &mut [RouteDecision],
+                    uni: &mut [RouteDecision]| {
+            let mut uni = uni.iter_mut();
+            for (i, (c, any)) in part.iter().zip(any).enumerate() {
+                let access_km = internet.access_km(c);
+                *any = internet.anycast_route_from(c, access_km, day);
+                let row = row_of(first + i);
+                assert_eq!(
+                    row.len(),
+                    row_starts[first + i + 1] - row_starts[first + i],
+                    "client {}'s row changed length during the build",
+                    first + i
+                );
+                for (&s, slot) in row.iter().zip(&mut uni) {
+                    *slot = internet.unicast_route_from(c, access_km, s, day);
                 }
-            };
+            }
+        };
         if workers <= 1 {
-            fill(clients, &mut anycast, &mut unicast);
+            fill(0, clients, &mut anycast, &mut unicast);
         } else {
             let chunk = clients.len().div_ceil(workers);
-            let fill = &fill;
+            let (fill, row_starts) = (&fill, &row_starts);
             std::thread::scope(|scope| {
-                for ((part, any), uni) in clients
+                let mut rest = unicast.as_mut_slice();
+                for (k, (part, any)) in clients
                     .chunks(chunk)
                     .zip(anycast.chunks_mut(chunk))
-                    .zip(unicast.chunks_mut(chunk * n_sites))
+                    .enumerate()
                 {
-                    scope.spawn(move || fill(part, any, uni));
+                    let first = k * chunk;
+                    let rows = row_starts[first + part.len()] - row_starts[first];
+                    let (uni, after) = std::mem::take(&mut rest).split_at_mut(rows);
+                    rest = after;
+                    scope.spawn(move || fill(first, part, any, uni));
                 }
             });
         }
         RouteSnapshot {
             day,
-            n_sites,
-            attachments: clients.to_vec(),
+            attachments: clients,
             anycast,
             unicast,
+            row_starts,
             windows,
             timeline,
         }
@@ -204,9 +262,32 @@ impl RouteSnapshot {
         &self.anycast[client]
     }
 
-    /// Steady unicast decision for `(client, site)` (ignores outages).
-    pub fn steady_unicast(&self, client: usize, site: SiteId) -> &RouteDecision {
-        &self.unicast[client * self.n_sites + site.0 as usize]
+    /// The stored decision for `(client, site)`, if the client's row
+    /// declared the site.
+    fn stored_unicast(&self, client: usize, site: SiteId) -> Option<&RouteDecision> {
+        let row = &self.unicast[self.row_starts[client]..self.row_starts[client + 1]];
+        // A decision names its site, so wherever `site` turns up in the
+        // row is the answer: a row of every site in id order holds it at
+        // its own index, any other row is a scan of a handful of entries.
+        match row.get(site.0 as usize) {
+            Some(d) if d.site == site => Some(d),
+            _ => row.iter().find(|d| d.site == site),
+        }
+    }
+
+    /// Steady unicast decision for `(client, site)` (ignores outages):
+    /// the stored one, or [`Internet::unicast_route`] computed now for a
+    /// site outside the client's row.
+    pub fn steady_unicast(
+        &self,
+        internet: &Internet,
+        client: usize,
+        site: SiteId,
+    ) -> RouteDecision {
+        match self.stored_unicast(client, site) {
+            Some(d) => *d,
+            None => internet.unicast_route(&self.attachments[client], site, self.day),
+        }
     }
 
     /// Memoized [`Internet::anycast_route_at`]: a stored decision —
@@ -252,15 +333,30 @@ impl RouteSnapshot {
     }
 
     /// Memoized [`Internet::unicast_route_at`]: `None` while `site`'s
-    /// window contains `time_s`, the precomputed decision otherwise.
-    pub fn unicast_at(&self, client: usize, site: SiteId, time_s: f64) -> Option<&RouteDecision> {
+    /// window contains `time_s`, the client's stored decision otherwise —
+    /// or, for a site its row did not declare, the route computed on the
+    /// spot and counted as a memo miss.
+    pub fn unicast_at(
+        &self,
+        internet: &Internet,
+        client: usize,
+        site: SiteId,
+        time_s: f64,
+    ) -> Option<RouteDecision> {
         let down = self.windows[site.0 as usize].is_some_and(|w| w.contains(time_s));
         if down {
             counter!("netsim_route_memo_misses_total").inc();
-            None
-        } else {
-            counter!("netsim_route_memo_hits_total").inc();
-            Some(self.steady_unicast(client, site))
+            return None;
+        }
+        match self.stored_unicast(client, site) {
+            Some(d) => {
+                counter!("netsim_route_memo_hits_total").inc();
+                Some(*d)
+            }
+            None => {
+                counter!("netsim_route_memo_misses_total").inc();
+                Some(internet.unicast_route(&self.attachments[client], site, self.day))
+            }
         }
     }
 
@@ -371,7 +467,7 @@ fn moved_clients(
 /// A single client's slice of a [`RouteSnapshot`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClientRoutes<'a> {
-    snap: &'a RouteSnapshot,
+    snap: &'a RouteSnapshot<'a>,
     idx: usize,
 }
 
@@ -392,8 +488,13 @@ impl<'a> ClientRoutes<'a> {
     }
 
     /// Memoized [`Internet::unicast_route_at`] for this client.
-    pub fn unicast_at(&self, site: SiteId, time_s: f64) -> Option<&'a RouteDecision> {
-        self.snap.unicast_at(self.idx, site, time_s)
+    pub fn unicast_at(
+        &self,
+        internet: &Internet,
+        site: SiteId,
+        time_s: f64,
+    ) -> Option<RouteDecision> {
+        self.snap.unicast_at(internet, self.idx, site, time_s)
     }
 }
 
@@ -430,7 +531,10 @@ mod tests {
         for (i, c) in cs.iter().enumerate() {
             assert_eq!(*snap.steady_anycast(i), net.anycast_route(c, Day(2)));
             for s in net.topology().cdn.site_ids() {
-                assert_eq!(*snap.steady_unicast(i, s), net.unicast_route(c, s, Day(2)));
+                assert_eq!(
+                    snap.steady_unicast(&net, i, s),
+                    net.unicast_route(c, s, Day(2))
+                );
             }
             for t in [0.0, 40_000.0, 80_000.0] {
                 assert_eq!(
@@ -461,7 +565,7 @@ mod tests {
                     );
                     for s in net.topology().cdn.site_ids() {
                         assert_eq!(
-                            snap.unicast_at(i, s, t).copied(),
+                            snap.unicast_at(&net, i, s, t),
                             net.unicast_route_at(c, s, day, t),
                             "unicast divergence day {day:?} t {t}"
                         );

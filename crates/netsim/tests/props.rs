@@ -423,13 +423,13 @@ proptest! {
         };
         let net = Internet::new(cfg, seed).unwrap();
         let c = client_of(&net, idx, 15.0);
-        let snap = RouteSnapshot::build(&net, &[c], Day(day));
+        let snap = RouteSnapshot::build(&net, std::slice::from_ref(&c), Day(day));
         let t = f64::from(slot) * 1_800.0 + 900.0;
         let memo = snap.anycast_at(&net, 0, t);
         let direct = net.anycast_route_at(&c, Day(day), t);
         prop_assert_eq!(memo, direct, "anycast memo diverges at t={}", t);
         for site in net.topology().cdn.site_ids() {
-            let memo = snap.unicast_at(0, site, t).copied();
+            let memo = snap.unicast_at(&net, 0, site, t);
             let direct = net.unicast_route_at(&c, site, Day(day), t);
             prop_assert_eq!(memo, direct, "unicast memo diverges at site {:?}", site);
         }
@@ -462,7 +462,7 @@ proptest! {
                 prop_assert_eq!(memo, direct, "anycast memo diverges for client {} at t={}", i, t);
             }
             for site in net.topology().cdn.site_ids() {
-                let memo = snap.unicast_at(0, site, t).copied();
+                let memo = snap.unicast_at(&net, 0, site, t);
                 let direct = net.unicast_route_at(&clients[0], site, Day(day), t);
                 prop_assert_eq!(memo, direct, "unicast memo diverges at site {:?} t={}", site, t);
             }

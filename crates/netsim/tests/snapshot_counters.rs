@@ -2,13 +2,15 @@
 //!
 //! `RouteSnapshot::anycast_at` answers route-dynamics segments from its
 //! own overrides without calling the `Internet`, so it has to keep the
-//! counters `Internet::anycast_route_at` would have kept. This file is a
+//! counters `Internet::anycast_route_at` would have kept; and
+//! `RouteSnapshot::unicast_at` routes a site outside the client's row on
+//! the spot, which it has to count as a memo miss. This file is a
 //! dedicated integration-test binary: `obs::capture` serializes capture
 //! windows and nothing else runs in this process, so exact deltas are safe.
 
 mod common;
 
-use anycast_netsim::{Day, RouteSnapshot};
+use anycast_netsim::{Day, RouteSnapshot, SiteId};
 use common::{clients_sharing_ases, flappy_world, probe_times};
 
 const TALLIES: [&str; 3] = [
@@ -61,6 +63,43 @@ fn memoized_lookups_keep_the_direct_paths_tallies() {
                     <= memo.counter("netsim_route_memo_misses_total"),
                 "a lookup outside a site down-window reached the catchment engine"
             );
+
+            // Unicast, from rows that declare two sites a client: a stored
+            // decision is a hit, and a lookup the snapshot could not answer
+            // from its row — the site is down, or was never declared and
+            // is routed on the spot — is a miss, never silent.
+            let sites: Vec<SiteId> = net.topology().cdn.site_ids().collect();
+            let row = |c: usize| &sites[c % 5..c % 5 + 2];
+            let rows = RouteSnapshot::build_rows(&net, &clients, day, 1, row);
+            let lookups = || {
+                times.iter().flat_map(|&t| {
+                    let sites = &sites;
+                    (0..clients.len()).flat_map(move |i| sites.iter().map(move |&s| (t, i, s)))
+                })
+            };
+            let (memo_routes, memo) = anycast_obs::capture(|| {
+                lookups()
+                    .map(|(t, i, s)| rows.unicast_at(&net, i, s, t))
+                    .collect::<Vec<_>>()
+            });
+            let (direct_routes, direct) = anycast_obs::capture(|| {
+                lookups()
+                    .map(|(t, i, s)| net.unicast_route_at(&clients[i], s, day, t))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(memo_routes, direct_routes, "seed {seed} {day:?}");
+            let stored = lookups()
+                .filter(|&(t, i, s)| row(i).contains(&s) && !net.outages().is_down(s, day, t))
+                .count() as u64;
+            assert!(stored > 0);
+            assert_eq!(memo.counter("netsim_route_memo_hits_total"), stored);
+            assert_eq!(
+                memo.counter("netsim_route_memo_misses_total"),
+                lookups().count() as u64 - stored
+            );
+            for name in TALLIES {
+                assert_eq!(memo.counter(name), direct.counter(name), "{name}");
+            }
         }
     }
     // Not vacuous: the probed days rerouted clients and lost requests to

@@ -160,8 +160,7 @@ fn equivalence_for(workers: usize, batch: usize) {
             .get(q.ldns)
             .query(&qname, q.ecs.as_ref())
             .expect("wire query");
-        let (_, expected) =
-            reference.resolve(&qname, q.ldns, believed[&q.ldns], q.ecs, Day(1), 0.0);
+        let expected = reference.resolve(&qname, q.ldns, believed[&q.ldns], q.ecs, Day(1), 0.0);
         assert_eq!(
             (served.addr, served.ttl_s, served.ecs_scope),
             (expected.addr, expected.ttl_s, expected.ecs_scope),
@@ -388,8 +387,7 @@ fn aggregated_tables_serve_identically_compiled_or_in_process() {
             .get(q.ldns)
             .query(&qname, q.ecs.as_ref())
             .expect("wire query");
-        let (_, expected) =
-            reference.resolve(&qname, q.ldns, believed[&q.ldns], q.ecs, Day(1), 0.0);
+        let expected = reference.resolve(&qname, q.ldns, believed[&q.ldns], q.ecs, Day(1), 0.0);
         assert_eq!(
             (served.addr, served.ttl_s, served.ecs_scope),
             (expected.addr, expected.ttl_s, expected.ecs_scope),
@@ -645,7 +643,7 @@ fn truncated_udp_answers_complete_over_tcp() {
             .query(&qname, q.ecs.as_ref())
             .expect("query");
         assert!(served.over_tcp, "a clamped answer must arrive over TCP");
-        let (_, expected) = reference.resolve(&qname, q.ldns, believed, q.ecs, Day(1), 0.0);
+        let expected = reference.resolve(&qname, q.ldns, believed, q.ecs, Day(1), 0.0);
         assert_eq!(
             (served.addr, served.ttl_s, served.ecs_scope),
             (expected.addr, expected.ttl_s, expected.ecs_scope),
