@@ -65,6 +65,12 @@ impl BeaconDataset {
         BeaconDataset::default()
     }
 
+    /// Makes room for `additional` more measurements ahead of a run of
+    /// [`extend`](BeaconDataset::extend)s.
+    pub fn reserve(&mut self, additional: usize) {
+        self.measurements.reserve(additional);
+    }
+
     /// Appends joined measurements.
     pub fn extend(&mut self, rows: impl IntoIterator<Item = BeaconMeasurement>) {
         self.measurements.extend(rows);

@@ -24,34 +24,43 @@
 //!    list by `(time, client, beacon)` and numbered; event *i* of `day`
 //!    gets execution id `(day << 28) | i`, globally unique across the
 //!    campaign without any shared counter.
-//! 3. **Execute.** Events fan out over worker threads with
-//!    [`anycast_pipeline::map_ordered`]; each beacon draws its noise from
-//!    `stream_rng(seed, [BEACON_STREAM, day, client, beacon])` and routes
-//!    against a shared read-only [`RouteSnapshot`] built once for the day,
-//!    which holds the routes the day's beacons can fetch: every client's
-//!    anycast route and, for each client that fires, the unicast routes
-//!    to the candidate sites of its resolver.
-//!    Per-worker scratch state (authoritative server, resolver caches) is
-//!    output-transparent: beacon hostnames are unique, so resolver caches
-//!    only ever hit within a single execution.
-//! 4. **Merge.** Outputs come back in event order, so the HTTP rows and
-//!    the DNS log are globally time-ordered and **bit-identical for any
-//!    worker count** — the same contract the pipeline crate's sharded
-//!    ingestion makes, pinned end-to-end by the `study-worker-invariance`
-//!    proptest.
+//! 3. **Execute.** The event list is cut into one contiguous range per
+//!    worker — worker *w* of *W* owns events `[w·⌈n/W⌉, (w+1)·⌈n/W⌉)` —
+//!    and each worker runs its range start to finish
+//!    ([`anycast_pipeline::run_workers`]: range 0 on the calling thread,
+//!    so *W* threads are busy, never *W* + 1). Each beacon draws its noise
+//!    from `stream_rng(seed, [BEACON_STREAM, day, client, beacon])` and
+//!    routes against a shared read-only [`RouteSnapshot`] built once for
+//!    the day, which holds the routes the day's beacons can fetch: every
+//!    client's anycast route and, for each client that fires, the unicast
+//!    routes to the candidate sites of its resolver. A worker's beacons
+//!    append to one HTTP buffer and one authoritative log it owns, and it
+//!    joins the two itself when its range ends — measurement ids are
+//!    unique, so a row's DNS half is always in its own range. Nothing is
+//!    handed between threads per beacon. Per-worker scratch state
+//!    (authoritative server, resolver caches) is output-transparent:
+//!    beacon hostnames are unique, so resolver caches only ever hit
+//!    within a single execution.
+//! 4. **Merge.** The caller appends the ranges' joined rows and DNS logs
+//!    in range order. Ranges are consecutive runs of one sorted list, so
+//!    the dataset and the DNS log are globally time-ordered and
+//!    **bit-identical for any worker count** — the same contract the
+//!    pipeline crate's sharded ingestion makes, pinned end-to-end by the
+//!    `study-worker-invariance` proptest.
 
 use std::collections::HashMap;
 
 use anycast_analysis::poor_paths::PrefixDayPerf;
 use anycast_analysis::quantile::median;
 use anycast_beacon::{
-    join, BeaconClient, BeaconDataset, FetchConfig, MeasurementPolicy, Target, TimingModel,
+    join, run_beacon, BeaconClient, BeaconDataset, BeaconMeasurement, FetchConfig,
+    MeasurementPolicy, Target, TimingModel,
 };
 use anycast_dns::{AuthoritativeServer, DnsName, DnsQueryLog, Ldns, LdnsId};
 use anycast_geo::GeoPoint;
 use anycast_netsim::{stream_rng, ClientAttachment, Day, Prefix24, RouteSnapshot, SiteId};
 use anycast_obs::span;
-use anycast_pipeline::map_ordered;
+use anycast_pipeline::run_workers;
 use anycast_workload::{ldns_assign, temporal, Scenario};
 
 /// First key of every scheduling stream ("schedule").
@@ -62,8 +71,6 @@ const BEACON_STREAM: u64 = 0x62_6561_636f_6e21;
 /// day number occupies the bits above. 2^28 beacons/day is two orders of
 /// magnitude past the Paper-scale world.
 const EXEC_INDEX_BITS: u32 = 28;
-/// Per-worker bounded output queue depth for the ordered merge.
-const QUEUE_DEPTH: usize = 16;
 
 /// Campaign parameters.
 ///
@@ -130,18 +137,14 @@ struct Event {
     beacon: u64,
 }
 
-/// Per-worker scratch state for a day's event fan-out. The authoritative
-/// server is a clone of the shared (pure, id-keyed) policy whose log is
-/// drained after every event; resolver replicas are built lazily per
-/// worker. Both are output-transparent: beacon hostnames are globally
-/// unique, so a resolver cache can only hit within one execution.
-struct DayWorker {
-    auth: AuthoritativeServer<MeasurementPolicy>,
-    resolvers: HashMap<LdnsId, Ldns>,
-    /// Wall-time accumulator for this worker's beacon executions
-    /// (`study.beacon`, labeled by worker index). Observability only:
-    /// spans never touch RNG streams or outputs.
-    beacon_span: std::sync::Arc<anycast_obs::SpanAcc>,
+/// What a worker hands back for its contiguous range of the day's events:
+/// the rows it joined, the authoritative log behind them, and the tallies
+/// of the HTTP rows it dropped once joined.
+struct RangeOutput {
+    joined: Vec<BeaconMeasurement>,
+    dns: Vec<DnsQueryLog>,
+    http_rows: usize,
+    failed_rows: usize,
 }
 
 /// A running measurement campaign.
@@ -237,19 +240,20 @@ impl Study {
 
     /// Runs one day of beacons: schedules each client's executions from
     /// its private derived stream, sorts them into one global timeline,
-    /// fans them out across `cfg.workers` threads against a shared per-day
-    /// route snapshot, and merges results back in time order — so DNS and
-    /// HTTP logs come out exactly as a sequential run would produce them,
-    /// for any worker count. The day ends with the backend join of DNS and
-    /// HTTP logs into the dataset. Returns the day's authoritative DNS log
-    /// in global time order (the backend's view before the join).
+    /// and cuts it into one contiguous range per `cfg.workers` thread;
+    /// each worker runs its range against a shared per-day route snapshot
+    /// and performs the backend join of its own DNS and HTTP logs. The
+    /// ranges' joined rows are appended to the dataset in range order — so
+    /// they come out exactly as a sequential run would produce them, for
+    /// any worker count. Returns the day's authoritative DNS log in global
+    /// time order (the backend's view before the join).
+    ///
+    /// # Panics
+    /// If a worker panics, with that worker's message.
     pub fn run_day(&mut self, day: Day) -> Vec<DnsQueryLog> {
         let s = &self.scenario;
         let cfg = &self.cfg;
-        let zone = &self.zone;
-        let policy = &self.policy;
         let client_ldns = &self.client_ldns;
-        let believed = &self.believed;
         let candidate_rows = &self.candidate_rows;
         let workers = cfg.workers.max(1);
         let day_factor = temporal::day_volume_factor(day);
@@ -288,9 +292,9 @@ impl Study {
         drop(schedule_timer);
 
         // Phase 2: build the day's route memo once (shared read-only), then
-        // fan events out; outputs come back merged in event order. The memo
-        // holds what the day's beacons can fetch: the candidate sites of
-        // its resolver for a client that fires today, nothing for the rest.
+        // run the events, a contiguous range per worker. The memo holds
+        // what the day's beacons can fetch: the candidate sites of its
+        // resolver for a client that fires today, nothing for the rest.
         let mut fires = vec![false; s.clients.len()];
         for ev in &events {
             fires[ev.client] = true;
@@ -305,68 +309,41 @@ impl Study {
             })
         });
         let execute_timer = span!("study.execute").start();
-        let outputs: Vec<(Vec<anycast_beacon::HttpResult>, Vec<DnsQueryLog>)> = map_ordered(
-            &events,
-            workers,
-            QUEUE_DEPTH,
-            |worker| DayWorker {
-                auth: AuthoritativeServer::new(policy.clone(), false),
-                resolvers: HashMap::new(),
-                beacon_span: span!("study.beacon", &worker.to_string()),
-            },
-            |w, i, ev| {
-                let _beacon_timer = w.beacon_span.start();
-                let c = &s.clients[ev.client];
-                let ldns_id = client_ldns[ev.client];
-                let ldns = w.resolvers.entry(ldns_id).or_insert_with(|| {
-                    let r = s.ldns.resolver(ldns_id);
-                    Ldns::new(r.id, r.kind, r.location, r.supports_ecs)
-                        .with_ecs_prefix_len(r.ecs_prefix_len)
-                });
-                let beacon_client = BeaconClient {
-                    prefix: c.prefix,
-                    attachment: c.attachment,
-                };
-                let execution = (u64::from(day.0) << EXEC_INDEX_BITS) | i as u64;
-                let mut rng = stream_rng(
-                    s.seed,
-                    &[BEACON_STREAM, u64::from(day.0), ev.client as u64, ev.beacon],
-                );
-                let rows = anycast_beacon::run_beacon(
-                    &s.internet,
-                    routes.client(ev.client),
-                    &s.addressing,
-                    &cfg.timing,
-                    &cfg.fetch,
-                    zone,
-                    &beacon_client,
-                    ldns,
-                    believed[ldns_id.0 as usize],
-                    &mut w.auth,
-                    execution,
-                    ev.time_s,
-                    &mut rng,
-                );
-                (rows, w.auth.drain_log())
-            },
-        );
+        // ⌈n/W⌉ events a range, so at most W ranges and none of them
+        // empty: a day of fewer events than workers spawns fewer threads,
+        // a day of none runs nothing.
+        let per_range = events.len().div_ceil(workers).max(1);
+        let outputs = run_workers(
+            events.chunks(per_range).collect(),
+            |worker, range: &[Event]| self.run_range(&routes, worker, worker * per_range, range),
+        )
+        .unwrap_or_else(|e| panic!("campaign day {} failed: {e}", day.0));
         drop(execute_timer);
 
-        // Phase 3: day-end backend processing — concatenate the already
-        // time-ordered logs and join.
+        // Phase 3: day-end backend processing. Each range arrives joined;
+        // consecutive ranges of a sorted list append into time order. The
+        // day's DNS log is range 0's, taken as it is, with the rest behind.
         let join_timer = span!("study.join").start();
-        let mut http_rows = Vec::with_capacity(events.len() * 4);
-        let mut dns_rows = Vec::with_capacity(events.len() * 4);
-        for (rows, dns) in outputs {
-            http_rows.extend(rows);
-            dns_rows.extend(dns);
+        self.dataset
+            .reserve(outputs.iter().map(|o| o.joined.len()).sum());
+        let later_dns: usize = outputs.iter().skip(1).map(|o| o.dns.len()).sum();
+        let mut dns_rows = Vec::new();
+        let (mut http_rows, mut failed_rows) = (0, 0);
+        for o in outputs {
+            self.dataset.extend(o.joined);
+            if dns_rows.is_empty() {
+                dns_rows = o.dns;
+                dns_rows.reserve(later_dns);
+            } else {
+                dns_rows.extend(o.dns);
+            }
+            http_rows += o.http_rows;
+            failed_rows += o.failed_rows;
         }
-        let joined = join(&http_rows, &dns_rows, &s.addressing);
-        self.dataset.extend(joined);
         drop(join_timer);
 
-        // Per-day campaign counters: tallied on the merge thread from the
-        // already-ordered outputs, so the values are worker-count
+        // Per-day campaign counters: sums over the ranges of what each
+        // tallied from its own rows, so the values are worker-count
         // invariant (the neutrality tests compare them directly).
         let day_label = day.0.to_string();
         let labels: &[(&str, &str)] = &[("day", &day_label)];
@@ -374,10 +351,80 @@ impl Study {
         obs.counter_with("study_day_events_total", labels)
             .add(events.len() as u64);
         obs.counter_with("study_day_rows_total", labels)
-            .add(http_rows.len() as u64);
+            .add(http_rows as u64);
         obs.counter_with("study_day_failed_rows_total", labels)
-            .add(http_rows.iter().filter(|r| r.failed).count() as u64);
+            .add(failed_rows as u64);
         dns_rows
+    }
+
+    /// Runs `range` — the day's events `first..first + range.len()` — start
+    /// to finish on the calling thread and joins what it logged. The
+    /// authoritative server is a clone of the shared (pure, id-keyed)
+    /// policy and resolver replicas are built lazily; both are
+    /// output-transparent, because beacon hostnames are globally unique
+    /// and a resolver cache can only hit within one execution.
+    fn run_range(
+        &self,
+        routes: &RouteSnapshot<'_>,
+        worker: usize,
+        first: usize,
+        range: &[Event],
+    ) -> RangeOutput {
+        let s = &self.scenario;
+        let day = routes.day();
+        let mut auth = AuthoritativeServer::new(self.policy.clone(), false);
+        // One allocation for the range's log, four rows an event: a log
+        // grown by doubling leaves a spawned worker's heap enough freed
+        // memory behind to be trimmed, and the next day pays for those
+        // pages again, fault by fault.
+        auth.reserve_log(range.len() * 4);
+        let mut resolvers: HashMap<LdnsId, Ldns> = HashMap::new();
+        // Wall time of this worker's beacon executions. Observability
+        // only: spans never touch RNG streams or outputs.
+        let beacon_span = span!("study.beacon", &worker.to_string());
+        let mut http = Vec::with_capacity(range.len() * 4);
+        for (i, ev) in range.iter().enumerate() {
+            let _beacon_timer = beacon_span.start();
+            let c = &s.clients[ev.client];
+            let ldns_id = self.client_ldns[ev.client];
+            let ldns = resolvers.entry(ldns_id).or_insert_with(|| {
+                let r = s.ldns.resolver(ldns_id);
+                Ldns::new(r.id, r.kind, r.location, r.supports_ecs)
+                    .with_ecs_prefix_len(r.ecs_prefix_len)
+            });
+            let beacon_client = BeaconClient {
+                prefix: c.prefix,
+                attachment: c.attachment,
+            };
+            let execution = (u64::from(day.0) << EXEC_INDEX_BITS) | (first + i) as u64;
+            let mut rng = stream_rng(
+                s.seed,
+                &[BEACON_STREAM, u64::from(day.0), ev.client as u64, ev.beacon],
+            );
+            run_beacon(
+                &s.internet,
+                routes.client(ev.client),
+                &s.addressing,
+                &self.cfg.timing,
+                &self.cfg.fetch,
+                &self.zone,
+                &beacon_client,
+                ldns,
+                self.believed[ldns_id.0 as usize],
+                &mut auth,
+                execution,
+                ev.time_s,
+                &mut rng,
+                &mut http,
+            );
+        }
+        let dns = auth.drain_log();
+        RangeOutput {
+            joined: join(&http, &dns, &s.addressing),
+            dns,
+            http_rows: http.len(),
+            failed_rows: http.iter().filter(|r| r.failed).count(),
+        }
     }
 
     /// Runs a span of consecutive days. Each day derives its own streams,
@@ -571,6 +618,47 @@ mod tests {
             "joined dataset differs across worker counts"
         );
         assert_eq!(seq_log, par_log, "DNS log differs");
+    }
+
+    #[test]
+    fn a_day_without_events_is_empty() {
+        // No event, no range: nothing runs and nothing is logged.
+        let cfg = StudyConfig {
+            beacon_rate: 0.0,
+            workers: 4,
+            ..StudyConfig::default()
+        };
+        let mut study = Study::new(Scenario::small(12), cfg);
+        assert!(study.run_day(Day(0)).is_empty());
+        assert!(study.dataset().is_empty());
+    }
+
+    #[test]
+    fn a_spawned_workers_panic_propagates() {
+        // A day of a few dozen beacons over ten ranges. `believed` is cut
+        // short so that range 0 (the caller's) still finds every resolver
+        // it needs and a later range (a spawned worker's) indexes past the
+        // end: the day must end in that panic, not in a partial dataset.
+        let study = |workers: usize| {
+            let cfg = StudyConfig {
+                beacon_rate: 0.002,
+                workers,
+                ..StudyConfig::default()
+            };
+            Study::new(Scenario::small(13), cfg)
+        };
+        let dns_log = study(1).run_day(Day(0));
+        let events = dns_log.len() / 4;
+        let range0 = &dns_log[..4 * events.div_ceil(10)];
+        let keep = 1 + range0.iter().map(|row| row.ldns.0).max().expect("events") as usize;
+        assert!(
+            dns_log.iter().any(|row| row.ldns.0 as usize >= keep),
+            "no later range uses a resolver range 0 does not"
+        );
+        let mut poisoned = study(10);
+        poisoned.believed.truncate(keep);
+        let day = std::panic::AssertUnwindSafe(|| poisoned.run_day(Day(0)));
+        assert!(std::panic::catch_unwind(day).is_err());
     }
 
     #[test]

@@ -76,12 +76,57 @@ proptest! {
 
         // Disabling obs must change no output byte either (and records
         // nothing at all).
-        anycast_obs::set_enabled(false);
-        let (bytes_off, delta_off) = anycast_obs::capture(|| run_campaign(seed, 2, outages));
-        anycast_obs::set_enabled(true);
+        // (Switched inside the capture window: the other tests of this
+        // binary record only inside windows of their own.)
+        let (bytes_off, delta_off) = anycast_obs::capture(|| {
+            anycast_obs::set_enabled(false);
+            let bytes = run_campaign(seed, 2, outages);
+            anycast_obs::set_enabled(true);
+            bytes
+        });
         prop_assert_eq!(&bytes_off, &bytes_1w, "output bytes change when obs is disabled");
         prop_assert_eq!(delta_off.deterministic().counter_sum("beacon_executions_total"), 0);
     }
+}
+
+#[test]
+fn more_workers_than_events_changes_nothing() {
+    // A day of a few dozen beacons run by five more workers than it has
+    // events: every event is a range of its own, every gap between two
+    // events a seam, and five workers have nothing to run.
+    let day = |workers: usize| {
+        anycast_obs::capture(|| {
+            let scenario = Scenario::build(ScenarioConfig::small(5)).expect("valid config");
+            let cfg = StudyConfig {
+                workers,
+                beacon_rate: 0.002,
+                ..StudyConfig::default()
+            };
+            let mut st = Study::new(scenario, cfg);
+            let dns_log = st.run_day(Day(0));
+            (st.dataset().measurements().to_vec(), dns_log)
+        })
+    };
+    anycast_obs::set_enabled(true);
+    let ((rows_1w, dns_1w), delta_1w) = day(1);
+    let events = delta_1w.counter_sum("beacon_executions_total") as usize;
+    // More than the eight workers any other test of this binary uses, so
+    // the highest `study.beacon` worker label below is this test's.
+    assert!(events > 8, "only {events} events");
+    let ((rows, dns), delta) = day(events + 5);
+    assert_eq!(rows, rows_1w, "joined rows diverge");
+    assert_eq!(dns, dns_1w, "DNS log diverges");
+    assert_eq!(delta.deterministic(), delta_1w.deterministic());
+    assert!(rows.windows(2).all(|w| w[0].time_s <= w[1].time_s));
+    // A range registers its span when it starts: the labels stop at the
+    // last event, so no empty range was started.
+    let highest_worker = delta
+        .spans
+        .keys()
+        .filter(|k| k.name == "study.beacon")
+        .filter_map(|k| k.label("worker")?.parse::<usize>().ok())
+        .max();
+    assert_eq!(highest_worker, Some(events - 1));
 }
 
 #[test]

@@ -197,10 +197,15 @@ fn run_study(
     let mut st = Study::new(scenario, cfg);
     let mut dns_log = Vec::new();
     for day in Day(0).span(days) {
+        let before = st.dataset().len();
         let log = st.run_day(day);
         assert!(!log.is_empty(), "{day:?} logged no DNS query");
         assert!(log.iter().all(|row| row.day == day));
+        // Time order over the whole day is time order across every seam
+        // between two workers' ranges.
         assert!(log.windows(2).all(|w| w[0].time_s <= w[1].time_s));
+        let joined = &st.dataset().measurements()[before..];
+        assert!(joined.windows(2).all(|w| w[0].time_s <= w[1].time_s));
         dns_log.extend(log);
     }
     (st.dataset().measurements().to_vec(), dns_log)
@@ -216,8 +221,8 @@ proptest! {
     ) {
         // The threaded campaign engine must be output-transparent: for a
         // fixed seed, the joined dataset AND the drained DNS log are
-        // byte-identical for any worker count, including in worlds where
-        // front-ends fail mid-day.
+        // byte-identical for any worker count — even splits and uneven
+        // ones — including in worlds where front-ends fail mid-day.
         let world = |seed: u64| {
             let mut cfg = ScenarioConfig::small(seed);
             if outages {
@@ -229,7 +234,7 @@ proptest! {
         let run = |workers: usize| run_study(world(seed), workers, 2);
         let (m1, d1) = run(1);
         prop_assert!(!m1.is_empty(), "campaign produced no measurements");
-        for workers in [2usize, 8] {
+        for workers in [2usize, 3, 7, 8] {
             let (m, d) = run(workers);
             prop_assert_eq!(&m, &m1, "measurements diverge at {} workers", workers);
             prop_assert_eq!(&d, &d1, "dns log diverges at {} workers", workers);
@@ -262,7 +267,7 @@ proptest! {
         let run = |workers: usize| run_study(world(seed), workers, 1);
         let (m1, d1) = run(1);
         prop_assert!(!m1.is_empty(), "campaign produced no measurements");
-        for workers in [2usize, 8] {
+        for workers in [2usize, 3, 7, 8] {
             let (m, d) = run(workers);
             prop_assert_eq!(&m, &m1, "measurements diverge at {} workers", workers);
             prop_assert_eq!(&d, &d1, "dns log diverges at {} workers", workers);

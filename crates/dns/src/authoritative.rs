@@ -70,6 +70,12 @@ impl<P: RedirectionPolicy> AuthoritativeServer<P> {
         }
     }
 
+    /// Makes room in the query log for exactly `additional` more rows, for
+    /// a caller that knows how many queries it is about to send.
+    pub fn reserve_log(&mut self, additional: usize) {
+        self.log.reserve_exact(additional);
+    }
+
     /// Whether ECS is honored.
     pub fn ecs_enabled(&self) -> bool {
         self.ecs_enabled

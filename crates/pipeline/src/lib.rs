@@ -16,10 +16,9 @@
 //! * [`shard`] — key-ownership sharding without a producer: every worker
 //!   replays the record source itself and keeps the keys a hash of the
 //!   group gives it; a dead worker reaches the caller as a typed
-//!   [`ShardError`];
-//! * [`ordered`] — ordered fan-out over a finite indexed work list,
-//!   outputs merged back in input order over bounded channels: the shape
-//!   the campaign engine uses to shard a day of beacon events;
+//!   [`ShardError`]. Its [`run_workers`] — worker 0 on the calling thread,
+//!   the rest on scoped threads, outputs in worker order — is also how
+//!   the campaign engine runs a day's contiguous event ranges;
 //! * [`window`] — one day's per-`(group, front-end)` sketches as the
 //!   workers leave them ([`DaySketches`]: disjoint per-worker shares),
 //!   pooled over a training window day by day and read share by share,
@@ -44,14 +43,12 @@
 #![forbid(unsafe_code)]
 
 mod bank;
-pub mod ordered;
 pub mod shard;
 pub mod sketch;
 pub mod source;
 pub mod window;
 
-pub use ordered::map_ordered;
-pub use shard::{ShardConfig, ShardError};
+pub use shard::{run_workers, ShardConfig, ShardError};
 pub use sketch::{mix64, FastHasher, FastMap, QuantileSketch};
 pub use source::{
     ecs_record_with_failures, ldns_record_with_failures, route_ldns, route_prefix, route_subnet,

@@ -85,7 +85,7 @@ pub(crate) fn owner(hash: u64, workers: usize) -> usize {
 /// Returns the lowest-index panicking worker's [`ShardError`]. Every
 /// worker is joined first, and each death is counted in
 /// `pipeline_shard_panics_total`.
-pub(crate) fn run_workers<S: Send, T: Send>(
+pub fn run_workers<S: Send, T: Send>(
     inputs: Vec<S>,
     work: impl Fn(usize, S) -> T + Sync,
 ) -> Result<Vec<T>, ShardError> {
