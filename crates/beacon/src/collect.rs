@@ -53,10 +53,15 @@ impl BeaconExecution {
     }
 }
 
-/// The joined dataset.
+/// The joined dataset: the rows in arrival order, and where each day's
+/// rows lie among them.
 #[derive(Debug, Clone, Default)]
 pub struct BeaconDataset {
     measurements: Vec<BeaconMeasurement>,
+    /// The maximal runs of same-day rows as `(day, first row)`; a run ends
+    /// where the next begins. A function of the rows alone, however they
+    /// were split over `extend`s: one run per day of a campaign.
+    runs: Vec<(Day, usize)>,
 }
 
 impl BeaconDataset {
@@ -71,9 +76,17 @@ impl BeaconDataset {
         self.measurements.reserve(additional);
     }
 
-    /// Appends joined measurements.
+    /// Appends joined measurements, opening a run wherever the day
+    /// changes.
     pub fn extend(&mut self, rows: impl IntoIterator<Item = BeaconMeasurement>) {
-        self.measurements.extend(rows);
+        let runs = &mut self.runs;
+        let mut at = self.measurements.len();
+        self.measurements.extend(rows.into_iter().inspect(|m| {
+            if runs.last().map(|&(day, _)| day) != Some(m.day) {
+                runs.push((m.day, at));
+            }
+            at += 1;
+        }));
     }
 
     /// All measurements.
@@ -91,9 +104,23 @@ impl BeaconDataset {
         self.measurements.is_empty()
     }
 
-    /// Measurements restricted to one day.
+    /// Measurements restricted to one day, in row order. Walks the day's
+    /// runs, not the dataset.
     pub fn day(&self, day: Day) -> impl Iterator<Item = &BeaconMeasurement> + Clone {
-        self.measurements.iter().filter(move |m| m.day == day)
+        DayRows {
+            head: [].iter(),
+            later: self.day_slices(day),
+        }
+    }
+
+    /// The rows of [`day`](Self::day) as the contiguous slices they are
+    /// stored in, in row order — what a scan that wants to cut the day
+    /// into ranges (the exact trainers) starts from.
+    pub fn day_slices(&self, day: Day) -> impl Iterator<Item = &[BeaconMeasurement]> + Clone {
+        let ends = self.runs.iter().skip(1).map(|&(_, first)| first);
+        let runs = self.runs.iter().zip(ends.chain([self.measurements.len()]));
+        runs.filter(move |((d, _), _)| *d == day)
+            .map(|(&(_, start), end)| &self.measurements[start..end])
     }
 
     /// Reassembles executions (each beacon run's four measurements).
@@ -155,10 +182,32 @@ impl BeaconDataset {
 
     /// The days present, ascending.
     pub fn days(&self) -> Vec<Day> {
-        let mut days: Vec<Day> = self.measurements.iter().map(|m| m.day).collect();
+        let mut days: Vec<Day> = self.runs.iter().map(|&(day, _)| day).collect();
         days.sort();
         days.dedup();
         days
+    }
+}
+
+/// [`BeaconDataset::day`]: `Flatten` over slices without its back half,
+/// which a caller pulling a row at a time (`sketch_day`) pays for per row.
+#[derive(Clone)]
+struct DayRows<'a, S> {
+    head: std::slice::Iter<'a, BeaconMeasurement>,
+    later: S,
+}
+
+impl<'a, S: Iterator<Item = &'a [BeaconMeasurement]>> Iterator for DayRows<'a, S> {
+    type Item = &'a BeaconMeasurement;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a BeaconMeasurement> {
+        loop {
+            if let Some(m) = self.head.next() {
+                return Some(m);
+            }
+            self.head = self.later.next()?.iter();
+        }
     }
 }
 
@@ -288,5 +337,44 @@ mod tests {
         );
         // …and the failed run's execution is missing its anycast side.
         assert_eq!(ds.executions()[1].anycast, None);
+    }
+
+    #[test]
+    fn run_index_is_a_function_of_the_rows() {
+        // Every sequence of up to five `extend`s from a menu with an empty
+        // batch, one-day batches (so a day arrives twice in a row) and
+        // batches that change day inside.
+        let menu: [&[u32]; 6] = [&[], &[0], &[0, 0], &[1], &[0, 1], &[2, 0, 0]];
+        for len in 0..=5u32 {
+            for mut code in 0..menu.len().pow(len) {
+                let mut ds = BeaconDataset::new();
+                let mut exec = 0u64;
+                for _ in 0..len {
+                    let batch = menu[code % menu.len()];
+                    code /= menu.len();
+                    ds.extend(batch.iter().map(|&day| {
+                        exec += 1;
+                        m(exec, Slot::Anycast, Target::Anycast, 1, exec as f64, day)
+                    }));
+                }
+                let rows = ds.measurements();
+                // One run per change of day, and none besides.
+                let changes = (0..rows.len()).filter(|&i| i == 0 || rows[i].day != rows[i - 1].day);
+                let want_runs: Vec<(Day, usize)> = changes.map(|i| (rows[i].day, i)).collect();
+                assert_eq!(ds.runs, want_runs);
+                let mut want_days: Vec<Day> = rows.iter().map(|r| r.day).collect();
+                want_days.sort();
+                want_days.dedup();
+                assert_eq!(ds.days(), want_days);
+                for day in (0..4).map(Day) {
+                    let want: Vec<&BeaconMeasurement> =
+                        rows.iter().filter(|r| r.day == day).collect();
+                    let sliced: Vec<&BeaconMeasurement> = ds.day_slices(day).flatten().collect();
+                    assert_eq!(sliced, want);
+                    assert_eq!(ds.day(day).collect::<Vec<_>>(), want);
+                    assert!(ds.day_slices(day).all(|slice| !slice.is_empty()));
+                }
+            }
+        }
     }
 }

@@ -16,6 +16,7 @@ use anycast_analysis::percentile;
 use anycast_beacon::{BeaconDataset, Target};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix24};
+use anycast_pipeline::FastMap;
 
 use crate::prediction::{GroupKey, Grouping, PredictionTable};
 
@@ -57,16 +58,28 @@ pub fn evaluate_prediction(
     ldns_of: &HashMap<Prefix24, LdnsId>,
     volumes: &HashMap<Prefix24, u64>,
 ) -> Vec<EvalRow> {
-    let by_prefix = data.by_prefix_target(eval_day);
-    let outcomes = data.outcomes_by_prefix_target(eval_day);
-    // Collect the prefixes seen on the eval day.
-    let mut prefixes: Vec<Prefix24> = by_prefix.keys().map(|&(p, _)| p).collect();
+    // One scan of the eval day: per `(prefix, target)`, the latencies of
+    // the served fetches and how many failed.
+    let mut by_pair: FastMap<(Prefix24, Target), (Vec<f64>, u64)> = FastMap::default();
+    for m in data.day(eval_day) {
+        let (served, failed) = by_pair.entry((m.prefix, m.target)).or_default();
+        if m.failed {
+            *failed += 1;
+        } else {
+            served.push(m.rtt_ms);
+        }
+    }
+    let served_to = |prefix, target| {
+        let (served, _) = by_pair.get(&(prefix, target))?;
+        (!served.is_empty()).then_some(served)
+    };
+    let mut prefixes: Vec<Prefix24> = by_pair.keys().map(|&(p, _)| p).collect();
     prefixes.sort();
     prefixes.dedup();
 
     let mut out = Vec::new();
     for prefix in prefixes {
-        let Some(anycast_samples) = by_prefix.get(&(prefix, Target::Anycast)) else {
+        let Some(anycast_samples) = served_to(prefix, Target::Anycast) else {
             continue;
         };
         // ECS tables are longest-prefix-match (an aggregated table may
@@ -85,7 +98,7 @@ pub fn evaluate_prediction(
         let (p50, p75) = match choice {
             Target::Anycast => (0.0, 0.0),
             Target::Unicast(_) => {
-                let Some(chosen_samples) = by_prefix.get(&(prefix, choice)) else {
+                let Some(chosen_samples) = served_to(prefix, choice) else {
                     continue;
                 };
                 let any50 = percentile(anycast_samples, 50.0);
@@ -98,11 +111,12 @@ pub fn evaluate_prediction(
                 }
             }
         };
-        let availability = match outcomes.get(&(prefix, choice)) {
-            Some(&(served, failed)) if served + failed > 0 => {
+        let availability = match by_pair.get(&(prefix, choice)) {
+            Some((served, failed)) => {
+                let served = served.len() as u64;
                 served as f64 / (served + failed) as f64
             }
-            _ => 1.0,
+            None => 1.0,
         };
         out.push(EvalRow {
             prefix,

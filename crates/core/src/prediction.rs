@@ -22,7 +22,7 @@ use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix, SiteId};
 use anycast_pipeline::{ecs_record_with_failures, ldns_record_with_failures};
-use anycast_pipeline::{route_ldns, route_subnet, sketch_day, FastMap, ShardConfig};
+use anycast_pipeline::{route_ldns, route_subnet, run_workers, sketch_day, FastMap, ShardConfig};
 
 #[cfg(test)]
 mod oracle;
@@ -433,17 +433,16 @@ impl Predictor {
     /// also starts from); the "20+ measurements" filter and the shared
     /// selection pass then read scores, never samples.
     pub fn train_window(&self, data: &BeaconDataset, days: &[Day]) -> PredictionTable {
-        let (table, tally) = self.window_table(data, days);
+        let (table, tally) = self.window_table(self.grouped_scores(data, days));
         tally.publish();
         table
     }
 
-    /// [`train_window`](Predictor::train_window) before its tally reaches
-    /// the obs counters.
-    fn window_table(&self, data: &BeaconDataset, days: &[Day]) -> (PredictionTable, GroupTally) {
+    /// [`train_window`](Predictor::train_window) from its window's scored
+    /// pairs, before its tally reaches the obs counters.
+    fn window_table(&self, pairs: Vec<PairScore>) -> (PredictionTable, GroupTally) {
         let min = self.cfg.min_samples as u64;
         let mut tally = GroupTally::default();
-        let pairs = self.grouped_scores(data, days);
         let table = choose(pairs.into_iter().filter_map(|pair| {
             if !tally.admit(pair.n as u64, min) {
                 return None;
@@ -460,63 +459,21 @@ impl Predictor {
     /// and its score under the configured metric, each pair scored exactly
     /// once. Pairs come back in first-seen order.
     ///
-    /// Two passes over the rows and one flat sample arena, instead of a
-    /// vector per pair: pass 1 packs each row's pair into a [`PairKey`]
-    /// word, maps the word to a dense id through a one-multiply hash and
-    /// counts; a prefix sum turns the counts into arena offsets; pass 2
-    /// scatters the latencies into place; each pair's run is then read
-    /// once where it lies, by selection (`percentile_mut`), not sorted.
-    /// The arena is gone when this returns — callers select from scores,
-    /// never samples.
+    /// The window is the days' row slices in the order `days` names them
+    /// (a day named twice pools twice); [`scores_in_ranges`] scans it as
+    /// one contiguous range per core the host offers, up to one range per
+    /// [`MIN_ROWS_PER_RANGE`] rows — a campaign day stays on the calling
+    /// thread. The pairs do not depend on the range count.
     fn grouped_scores(&self, data: &BeaconDataset, days: &[Day]) -> Vec<PairScore> {
-        let rows = || {
-            days.iter().flat_map(|&day| data.day(day)).map(|m| {
-                let (key, target, rtt) = self.record(m);
-                (PairKey::new(key, target), rtt)
-            })
-        };
-        let mut ids: FastMap<PairKey, u32> = FastMap::default();
-        let mut pairs: Vec<PairScore> = Vec::new();
-        // One id per row of the window: at most the whole dataset, and
-        // the part of the reservation the window does not reach is never
-        // touched. Growing by doubling instead would hold two copies.
-        let mut pair_of_row: Vec<u32> = Vec::with_capacity(data.len());
-        for (pair, _) in rows() {
-            let id = *ids.entry(pair).or_insert_with(|| {
-                let id = u32::try_from(pairs.len()).expect("fewer than 2^32 (group, target) pairs");
-                pairs.push(PairScore {
-                    pair,
-                    n: 0,
-                    score: None,
-                });
-                id
-            });
-            pairs[id as usize].n += 1;
-            pair_of_row.push(id);
-        }
-        drop(ids);
-        // `ends[i]` starts as pair i's arena offset and, once pass 2 has
-        // written its last sample, is the end of its run.
-        let mut ends: Vec<usize> = Vec::with_capacity(pairs.len());
-        let mut total = 0;
-        for pair in &pairs {
-            ends.push(total);
-            total += pair.n;
-        }
-        let mut arena = vec![0.0f64; total];
-        for ((_, rtt), &id) in rows().zip(&pair_of_row) {
-            let at = &mut ends[id as usize];
-            arena[*at] = rtt;
-            *at += 1;
-        }
-        drop(pair_of_row);
-        let p = self.cfg.metric.p();
-        let mut start = 0;
-        for (pair, &end) in pairs.iter_mut().zip(&ends) {
-            pair.score = percentile_mut(&mut arena[start..end], p);
-            start = end;
-        }
-        pairs
+        let window: Vec<&[BeaconMeasurement]> =
+            days.iter().flat_map(|&day| data.day_slices(day)).collect();
+        let rows: usize = window.iter().map(|slice| slice.len()).sum();
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let ranges = cores.min(rows / MIN_ROWS_PER_RANGE);
+        scores_in_ranges(&window, ranges, self.cfg.metric.p(), |m| {
+            let (key, target, rtt) = self.record(m);
+            (PairKey::new(key, target), rtt)
+        })
     }
 
     /// Trains from streaming per-`(group, target)` summaries instead of
@@ -645,20 +602,19 @@ impl Predictor {
         if self.cfg.grouping != Grouping::Ecs {
             return self.train(data, day);
         }
-        let (table, tally) = self.aggregated_table(data, day, agg);
+        let (table, tally) = self.aggregated_table(self.grouped_scores(data, &[day]), agg);
         tally.publish();
         table
     }
 
     /// [`train_aggregated`](Predictor::train_aggregated) under
-    /// [`Grouping::Ecs`], before its tally reaches the obs counters.
+    /// [`Grouping::Ecs`] from its day's scored pairs, before its tally
+    /// reaches the obs counters.
     fn aggregated_table(
         &self,
-        data: &BeaconDataset,
-        day: Day,
+        mut pairs: Vec<PairScore>,
         agg: &AggregationConfig,
     ) -> (PredictionTable, GroupTally) {
-        let mut pairs = self.grouped_scores(data, &[day]);
         // ECS grouping keys every row by its /24, so word order is
         // `(network, target)` order: a /24's pairs lie together, and so
         // do the /24s of an allocation block.
@@ -711,6 +667,202 @@ impl Predictor {
         }
         (choose(walk.rows.into_iter()), walk.tally)
     }
+}
+
+/// Rows a range of the grouping kernel holds before another range is
+/// worth a thread.
+const MIN_ROWS_PER_RANGE: usize = 1 << 16;
+
+/// What one range of a window found.
+struct RangeGroups {
+    /// Its distinct pairs, first seen first.
+    keys: Vec<PairKey>,
+    /// Where each pair's run ends in the range's part of the arena; runs
+    /// lie in pair order, each starting where the last ended.
+    ends: Vec<usize>,
+    /// Range 0's index of `keys`, which the merge starts from; empty for
+    /// the other ranges.
+    ids: FastMap<PairKey, u32>,
+}
+
+/// The dense id of a range's or a window's `nth` distinct pair.
+fn pair_id(nth: usize) -> u32 {
+    u32::try_from(nth).expect("fewer than 2^32 (group, target) pairs")
+}
+
+/// Turns counts into their exclusive prefix sums in place: run lengths
+/// into run starts.
+fn starts_of(counts: &mut [usize]) {
+    let mut total = 0;
+    for slot in counts {
+        total += std::mem::replace(slot, total);
+    }
+}
+
+/// [`Predictor::grouped_scores`] over `window`'s rows cut into `ranges`
+/// contiguous, balanced ranges (made at least one, none empty), `record`
+/// giving a row's pair and latency and `p` the percentile to score at.
+///
+/// Two passes over the rows and one flat sample arena, instead of a
+/// vector per pair. Each range, on a thread of its own (range 0 on the
+/// caller's): pass 1 packs each row's pair into a [`PairKey`] word, maps
+/// the word to a range-local dense id through a one-multiply hash and
+/// counts; a prefix sum turns the counts into offsets; pass 2 scatters the
+/// latencies into the range's part of the arena. The two window-sized
+/// buffers are the caller's, lent out in disjoint parts: a worker thread
+/// allocates only its key map and key list. The key lists then merge in
+/// range order — first-seen order over the window, ranges being
+/// consecutive rows — and chunks of pairs balanced by sample count are
+/// scored a chunk per thread, a pair's runs gathered in range (= row)
+/// order and read once by selection (`percentile_mut`), not sorted. The
+/// arena is gone when this returns: callers select from scores.
+///
+/// # Panics
+/// If a range panicked (`record` did), once every range has been joined.
+fn scores_in_ranges(
+    window: &[&[BeaconMeasurement]],
+    ranges: usize,
+    p: f64,
+    record: impl Fn(&BeaconMeasurement) -> (PairKey, f64) + Sync,
+) -> Vec<PairScore> {
+    let rows: usize = window.iter().map(|slice| slice.len()).sum();
+    if rows == 0 {
+        return Vec::new();
+    }
+    // ⌈rows/R⌉ rows a range: at most R ranges and none of them empty.
+    let per_range = rows.div_ceil(ranges.clamp(1, rows));
+    let mut pair_of_row = vec![0u32; rows];
+    let mut arena = vec![0.0f64; rows];
+    let mut slices = window.iter().copied();
+    let mut head: &[BeaconMeasurement] = &[];
+    let parts = pair_of_row
+        .chunks_mut(per_range)
+        .zip(arena.chunks_mut(per_range));
+    // A range's rows as the window's slices cut to fit, each beside the
+    // ids of its rows.
+    let inputs = parts.map(|(mut ids, samples)| {
+        let mut part: Vec<(&[BeaconMeasurement], &mut [u32])> = Vec::new();
+        while !ids.is_empty() {
+            if head.is_empty() {
+                head = slices.next().expect("the window holds `rows` rows");
+            }
+            let (rows, later) = head.split_at(ids.len().min(head.len()));
+            let (row_ids, later_ids) = ids.split_at_mut(rows.len());
+            part.push((rows, row_ids));
+            (head, ids) = (later, later_ids);
+        }
+        (part, samples)
+    });
+    let mut groups = run_workers(inputs.collect(), |range, (mut part, samples)| {
+        let mut local: FastMap<PairKey, u32> = FastMap::default();
+        let mut keys: Vec<PairKey> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
+        for (rows, ids) in &mut part {
+            for (m, slot) in rows.iter().zip(ids.iter_mut()) {
+                let id = *local.entry(record(m).0).or_insert_with_key(|&pair| {
+                    keys.push(pair);
+                    ends.push(0);
+                    pair_id(keys.len() - 1)
+                });
+                ends[id as usize] += 1;
+                *slot = id;
+            }
+        }
+        if range != 0 {
+            local = FastMap::default();
+        }
+        // `ends[i]` starts as pair i's offset and, once pass 2 has written
+        // its last sample, is the end of its run.
+        starts_of(&mut ends);
+        for (rows, ids) in &part {
+            for (m, &id) in rows.iter().zip(ids.iter()) {
+                let at = &mut ends[id as usize];
+                samples[*at] = record(m).1;
+                *at += 1;
+            }
+        }
+        RangeGroups {
+            keys,
+            ends,
+            ids: local,
+        }
+    })
+    .unwrap_or_else(|e| panic!("exact training failed: {e}"));
+    drop(pair_of_row);
+
+    // Merge in range order. Ranges are consecutive rows, so first seen in
+    // the earliest range is first seen in the window: range 0's ids stand
+    // and each later range adds the pairs new to it behind them.
+    let mut ids = std::mem::take(&mut groups[0].ids);
+    let unscored = |pair: &PairKey| PairScore {
+        pair: *pair,
+        n: 0,
+        score: None,
+    };
+    let mut pairs: Vec<PairScore> = groups[0].keys.iter().map(unscored).collect();
+    let mut id_of = |pair: &PairKey| {
+        *ids.entry(*pair).or_insert_with(|| {
+            pairs.push(unscored(pair));
+            pair_id(pairs.len() - 1)
+        })
+    };
+    let mut global_ids: Vec<Vec<u32>> = vec![(0..groups[0].keys.len() as u32).collect()];
+    global_ids.extend(
+        groups[1..]
+            .iter()
+            .map(|g| g.keys.iter().map(&mut id_of).collect()),
+    );
+    drop(ids);
+    // The runs by pair, a pair's in range order (a counting sort):
+    // `run_ends[i]` ends pair i's stretch of `runs`.
+    let mut run_ends = vec![0usize; pairs.len()];
+    for &id in global_ids.iter().flatten() {
+        run_ends[id as usize] += 1;
+    }
+    starts_of(&mut run_ends);
+    let mut runs = vec![(0, 0); global_ids.iter().map(Vec::len).sum()];
+    for (r, (group, ids)) in groups.iter().zip(&global_ids).enumerate() {
+        let mut start = r * per_range;
+        for (&id, &end) in ids.iter().zip(&group.ends) {
+            let end = r * per_range + end;
+            pairs[id as usize].n += end - start;
+            let at = &mut run_ends[id as usize];
+            runs[*at] = (start, end);
+            *at += 1;
+            start = end;
+        }
+    }
+    drop((groups, global_ids));
+
+    // Each chunk is the shortest head of what is left that holds a range's
+    // worth of samples, so there are at most as many chunks as ranges.
+    let mut chunks = Vec::new();
+    let (mut rest, mut rest_ends, mut first_run) = (&mut pairs[..], &run_ends[..], 0);
+    while !rest.is_empty() {
+        let mut seen = 0;
+        let heavy = rest.iter().position(|pair| {
+            seen += pair.n;
+            seen >= per_range
+        });
+        let take = heavy.map_or(rest.len(), |i| i + 1);
+        let (chunk, left) = std::mem::take(&mut rest).split_at_mut(take);
+        let (ends, left_ends) = rest_ends.split_at(take);
+        chunks.push((first_run, chunk, ends));
+        (rest, rest_ends, first_run) = (left, left_ends, ends[take - 1]);
+    }
+    run_workers(chunks, |_, (mut run, chunk, ends)| {
+        let mut scratch: Vec<f64> = Vec::new();
+        for (pair, &end) in chunk.iter_mut().zip(ends) {
+            scratch.clear();
+            for &(from, to) in &runs[run..end] {
+                scratch.extend_from_slice(&arena[from..to]);
+            }
+            pair.score = percentile_mut(&mut scratch, p);
+            run = end;
+        }
+    })
+    .unwrap_or_else(|e| panic!("exact training failed: {e}"));
+    pairs
 }
 
 /// A `(group, target)` pair packed into one word: what the grouping
@@ -2189,7 +2341,8 @@ mod tests {
                     });
                     for days in [&[Day(0)][..], &[Day(2), Day(0), Day(1)][..]] {
                         let what = format!("{name} {grouping:?} {metric:?} {days:?}");
-                        let (got, got_tally) = predictor.window_table(ds, days);
+                        let (got, got_tally) =
+                            predictor.window_table(predictor.grouped_scores(ds, days));
                         let (want, want_tally) = predictor.oracle_window(ds, days);
                         assert_eq!(canonical(&got), canonical(&want), "{what}");
                         assert_eq!(got_tally, want_tally, "{what}");
@@ -2198,8 +2351,8 @@ mod tests {
             }
         }
         // The mixed days exercise what they claim to.
-        let (table, tally) =
-            Predictor::new(PredictorConfig::default()).window_table(&mixed, &[Day(0)]);
+        let predictor = Predictor::new(PredictorConfig::default());
+        let (table, tally) = predictor.window_table(predictor.grouped_scores(&mixed, &[Day(0)]));
         assert!(table.len() > 200 && tally.discarded > 1_000, "{tally:?}");
     }
 
@@ -2236,7 +2389,8 @@ mod tests {
                 });
                 for agg in &configs {
                     let what = format!("{name} {metric:?} {agg:?}");
-                    let (got, got_tally) = predictor.aggregated_table(ds, Day(0), agg);
+                    let (got, got_tally) =
+                        predictor.aggregated_table(predictor.grouped_scores(ds, &[Day(0)]), agg);
                     let (want, want_tally) = predictor.oracle_aggregated(ds, Day(0), agg);
                     assert_eq!(canonical(&got), canonical(&want), "{what}");
                     assert_eq!(got_tally, want_tally, "{what}");
@@ -2354,5 +2508,181 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The production kernel over `days` of `ds` at a pinned range count,
+    /// pairs in comparable form: the word, `n` and the score's bits.
+    fn kernel(
+        predictor: &Predictor,
+        ds: &BeaconDataset,
+        days: &[Day],
+        ranges: usize,
+    ) -> Vec<(PairKey, usize, Option<u64>)> {
+        let pairs = kernel_pairs(predictor, ds, days, ranges);
+        let comparable = |pair: &PairScore| (pair.pair, pair.n, pair.score.map(f64::to_bits));
+        pairs.iter().map(comparable).collect()
+    }
+
+    fn kernel_pairs(
+        predictor: &Predictor,
+        ds: &BeaconDataset,
+        days: &[Day],
+        ranges: usize,
+    ) -> Vec<PairScore> {
+        let window: Vec<&[BeaconMeasurement]> =
+            days.iter().flat_map(|&day| ds.day_slices(day)).collect();
+        scores_in_ranges(&window, ranges, predictor.cfg.metric.p(), |m| {
+            let (key, target, rtt) = predictor.record(m);
+            (PairKey::new(key, target), rtt)
+        })
+    }
+
+    #[test]
+    fn range_count_never_shows_in_the_pairs_or_the_tables() {
+        for (seed, with_nan) in [(22, true), (1, false)] {
+            // Interleaved days: every slice of a window is a few rows long.
+            let ds = mixed_days(seed, with_nan);
+            for grouping in [Grouping::Ecs, Grouping::Ldns] {
+                let predictor = Predictor::new(PredictorConfig {
+                    grouping,
+                    ..Default::default()
+                });
+                let windows = [
+                    &[Day(0)][..],
+                    &[Day(2), Day(0), Day(1)][..],
+                    // Named twice, a day pools twice.
+                    &[Day(1), Day(1)][..],
+                ];
+                for days in windows {
+                    let one = kernel(&predictor, &ds, days, 1);
+                    let rows: usize = one.iter().map(|&(_, n, _)| n).sum();
+                    assert_eq!(rows, days.iter().map(|&d| ds.day(d).count()).sum::<usize>());
+                    if days.len() == 3 {
+                        assert_eq!(one.iter().any(|(.., score)| score.is_none()), with_nan);
+                    }
+                    for ranges in [0, 2, 3, 7] {
+                        let what = format!("seed {seed} {grouping:?} {days:?} at {ranges}");
+                        assert_eq!(kernel(&predictor, &ds, days, ranges), one, "{what}");
+                    }
+                    // Equal pairs make equal tables, under every trainer.
+                    let table_at = |ranges| {
+                        let (table, tally) =
+                            predictor.window_table(kernel_pairs(&predictor, &ds, days, ranges));
+                        (canonical(&table), tally)
+                    };
+                    let trained = canonical(&predictor.train_window(&ds, days));
+                    for ranges in [1, 2, 7] {
+                        assert_eq!(table_at(ranges).0, trained);
+                        assert_eq!(table_at(ranges).1, table_at(1).1);
+                    }
+                    if let ([day], Grouping::Ecs) = (days, grouping) {
+                        assert_eq!(canonical(&predictor.train(&ds, *day)), trained);
+                        for agg in [AggregationConfig::default(), AggregationConfig::disabled()] {
+                            let want = canonical(&predictor.train_aggregated(&ds, *day, &agg));
+                            for ranges in [1, 3, 7] {
+                                let pairs = kernel_pairs(&predictor, &ds, days, ranges);
+                                let (got, _) = predictor.aggregated_table(pairs, &agg);
+                                assert_eq!(canonical(&got), want, "{agg:?} at {ranges}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_seam_inside_one_pairs_rows_splits_nothing() {
+        let site = Target::Unicast(SiteId(3));
+        let mut ds = BeaconDataset::new();
+        ds.extend(rows(0, prefix(1), 0, Target::Anycast, 80.0, 3));
+        // Ten rows of one pair in a row, 10..=100 ms: of thirteen rows in
+        // two ranges the seam falls after the seventh, inside them.
+        for i in 1..=10u32 {
+            ds.extend(rows(
+                u64::from(i) * 10,
+                prefix(1),
+                0,
+                site,
+                f64::from(i) * 10.0,
+                1,
+            ));
+        }
+        let predictor = Predictor::new(PredictorConfig::default());
+        let want = vec![
+            (
+                PairKey::new(GroupKey::Ecs(prefix(1).into()), Target::Anycast),
+                3,
+                Some(80f64.to_bits()),
+            ),
+            (
+                PairKey::new(GroupKey::Ecs(prefix(1).into()), site),
+                10,
+                Some(32.5f64.to_bits()),
+            ),
+        ];
+        // Asked for more ranges than rows: a row a range, none empty.
+        for ranges in [1, 2, 13 + 5] {
+            assert_eq!(kernel(&predictor, &ds, &[Day(0)], ranges), want, "{ranges}");
+        }
+        // A NaN on the far side of the seam still unscores the whole pair.
+        let mut nan = ds.measurements()[12];
+        nan.rtt_ms = f64::NAN;
+        ds.extend([nan]);
+        for ranges in [1, 2, 14 + 5] {
+            let got = kernel(&predictor, &ds, &[Day(0)], ranges);
+            assert_eq!(
+                (got[0], got[1].1, got[1].2),
+                (want[0], 11, None),
+                "{ranges}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_windows_have_no_pairs_and_small_ones_no_threads() {
+        let ds = mixed_days(5, false);
+        let predictor = Predictor::new(PredictorConfig::default());
+        // No day named, a day the dataset lacks, and both beside a real one.
+        assert!(predictor.grouped_scores(&ds, &[]).is_empty());
+        assert!(predictor.grouped_scores(&ds, &[Day(9)]).is_empty());
+        assert!(predictor.train(&BeaconDataset::new(), Day(0)).is_empty());
+        assert_eq!(
+            kernel(&predictor, &ds, &[Day(9), Day(1), Day(8)], 3),
+            kernel(&predictor, &ds, &[Day(1)], 1)
+        );
+        // One range runs where it was called; several do not.
+        let window: Vec<&[BeaconMeasurement]> = ds.day_slices(Day(0)).collect();
+        let caller = std::thread::current().id();
+        let elsewhere = std::sync::atomic::AtomicUsize::new(0);
+        let record = |m: &BeaconMeasurement| {
+            if std::thread::current().id() != caller {
+                elsewhere.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            (
+                PairKey::new(GroupKey::Ecs(m.prefix.into()), m.target),
+                m.rtt_ms,
+            )
+        };
+        scores_in_ranges(&window, 1, 25.0, record);
+        assert_eq!(elsewhere.load(std::sync::atomic::Ordering::Relaxed), 0);
+        scores_in_ranges(&window, 3, 25.0, record);
+        assert!(elsewhere.load(std::sync::atomic::Ordering::Relaxed) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exact training failed: shard worker 1 panicked: row 7")]
+    fn a_panicking_range_is_one_panic_after_every_join() {
+        let mut ds = BeaconDataset::new();
+        ds.extend(rows(0, prefix(1), 0, Target::Anycast, 80.0, 12));
+        let window: Vec<&[BeaconMeasurement]> = ds.day_slices(Day(0)).collect();
+        let seventh = ds.measurements()[7].measurement_id;
+        scores_in_ranges(&window, 3, 25.0, |m| {
+            assert!(m.measurement_id != seventh, "row 7");
+            (
+                PairKey::new(GroupKey::Ecs(m.prefix.into()), m.target),
+                m.rtt_ms,
+            )
+        });
     }
 }
