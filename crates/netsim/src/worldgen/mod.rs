@@ -459,20 +459,27 @@ fn bridge_eyeballs(
     rng: &mut impl Rng,
 ) -> Vec<EyeballAs> {
     let mut eyeballs: Vec<EyeballAs> = Vec::with_capacity(graph.n as usize);
+    // A footprint is a prefix of the home metro's same-country metros,
+    // nearest first (ties in atlas order): one list per home metro, built
+    // when its first enterprise AS asks.
+    let mut nearest_in_country: Vec<Option<Vec<MetroId>>> = vec![None; atlas.len()];
     for v in 0..graph.n {
         let home = graph.home_metro[v as usize];
         let home_metro = atlas.metro(home);
         let pops = if graph.class[v as usize] == AsClass::Ec {
-            let mut candidates: Vec<(MetroId, f64)> = atlas
-                .iter()
-                .filter(|(_, m)| m.country == home_metro.country)
-                .map(|(mid, _)| (mid, atlas.metro_km(mid, home)))
-                .collect();
-            candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
+            let candidates = nearest_in_country[home.0 as usize].get_or_insert_with(|| {
+                let mut ranked: Vec<(MetroId, f64)> = atlas
+                    .iter()
+                    .filter(|(_, m)| m.country == home_metro.country)
+                    .map(|(mid, _)| (mid, atlas.metro_km(mid, home)))
+                    .collect();
+                ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+                ranked.into_iter().map(|(m, _)| m).collect()
+            });
             let size = rng
                 .gen_range(1..=cfg.eyeball_max_pops)
                 .min(candidates.len());
-            candidates[..size].iter().map(|&(m, _)| m).collect()
+            candidates[..size].to_vec()
         } else {
             Vec::new()
         };
@@ -582,6 +589,51 @@ mod tests {
             assert_eq!(a.pops, b.pops);
             assert_eq!(a.home_metro, b.home_metro);
         }
+    }
+
+    /// FNV-1a over every bridged AS's id, home, country, footprint (in
+    /// order) and peering borders.
+    fn eyeball_digest(eyeballs: &[EyeballAs]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for e in eyeballs {
+            eat(u64::from(e.id.0));
+            eat(u64::from(e.home_metro.0));
+            e.country.bytes().for_each(|b| eat(u64::from(b)));
+            eat(e.pops.len() as u64);
+            e.pops.iter().for_each(|m| eat(u64::from(m.0)));
+            eat(e.peering_borders.len() as u64);
+            e.peering_borders.iter().for_each(|b| eat(u64::from(b.0)));
+        }
+        h
+    }
+
+    /// Footprints, pinned: recorded from the build that filtered, measured
+    /// and sorted the atlas once per enterprise AS, before the candidate
+    /// lists were shared per home metro. The RNG stream is part of what
+    /// is pinned — a footprint drawn one call later moves every AS after
+    /// it.
+    #[test]
+    fn bridged_eyeballs_match_the_recorded_digest() {
+        const RECORDED: [(usize, u64, u64); 6] = [
+            (1_000, 1, 0xc3fb_0346_8c9e_0060),
+            (1_000, 7, 0x0df2_0adb_c6c8_47a5),
+            (1_000, 42, 0x24dc_a4c9_c31c_f77e),
+            (10_000, 1, 0xb346_7bca_f335_6eee),
+            (10_000, 7, 0x286f_62c9_8c63_b543),
+            (10_000, 42, 0xf445_1217_e28f_cf1f),
+        ];
+        // All six at once, so a deliberate change re-records from one run.
+        let built = RECORDED.map(|(n, seed, _)| {
+            let (topo, _) = build(&policy_cfg(n), seed);
+            (n, seed, eyeball_digest(&topo.eyeballs))
+        });
+        assert_eq!(built, RECORDED, "built: {built:#x?}");
     }
 
     #[test]

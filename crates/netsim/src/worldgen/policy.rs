@@ -29,15 +29,18 @@
 //! A from-scratch table is compact: one 8-byte [`RouteEntry`] per AS. Full
 //! AS paths are not materialized — they are shared structurally through
 //! the `next_hop` forest and reconstructed on demand by
-//! [`CatchmentTable::path`]. An **event table** (session/border flaps,
-//! egress shifts) is smaller still: it shares its steady base and holds
-//! only the entries that differ from it — a few dozen of 75 000.
+//! [`CatchmentTable::path`]. Only two tables are computed from scratch:
+//! the steady one and the **unicast base**, in which just the sessions
+//! established at every border are live. Every other table shares one of
+//! them and holds only the entries that differ: an **event table**
+//! (session/border flaps, egress shifts) is the steady table minus what an
+//! event takes away, a few dozen entries of 75 000; a **unicast table** is
+//! the unicast base plus what one border's own sessions add, the few
+//! thousand ASes below their owners.
 //!
 //! [`PolicyWorld`] memoizes the steady table and the per-site unicast
 //! tables for the life of the world (every day that shares the
-//! announcement set shares them — the cross-day extension of the PR-3
-//! `RouteSnapshot` memoization). Event tables are derived from the steady
-//! table by re-running only the dirty subtree; they are cheap enough that
+//! announcement set shares them). Event tables are cheap enough that
 //! nobody caches them globally — each day's
 //! [`RouteSnapshot`](crate::RouteSnapshot) computes its own once.
 
@@ -53,7 +56,7 @@ use crate::sim::Day;
 use crate::topology::CdnNetwork;
 
 use super::dynamics::{DynEvent, EventWindow, RouteDynamics};
-use super::graph::{CdnRelation, Csr, PolicyGraph, NO_SESSION};
+use super::graph::{CdnRelation, CdnSession, Csr, PolicyGraph, NO_SESSION};
 
 #[cfg(test)]
 mod oracle;
@@ -196,25 +199,19 @@ impl RouteEnv {
     }
 }
 
-/// One route per AS, computed from scratch, plus what incremental
-/// recomputes against it reuse.
+/// One route per AS, computed from scratch, plus what the tables derived
+/// from it reuse.
 #[derive(Debug)]
 struct DenseTable {
     entries: Vec<RouteEntry>,
-    /// Built by the first incremental recompute against this table.
-    subtrees: OnceLock<SubtreeIndex>,
-}
-
-/// See [`DenseTable::subtrees`].
-#[derive(Debug)]
-struct SubtreeIndex {
     /// The routing tree, inverted: `children.neighbors(u)` = nodes whose
-    /// `next_hop` is `u`.
-    children: Csr,
+    /// `next_hop` is `u`. Built by the first event recompute against this
+    /// table.
+    children: OnceLock<Csr>,
     /// A [`Subtree::slot`] array with every node clean, handed from one
-    /// recompute to the next so that marking a subtree dirty costs the
-    /// subtree, not a pass over every AS. Empty while a recompute has it;
-    /// a concurrent one allocates its own.
+    /// derivation to the next so that marking a subtree dirty costs the
+    /// subtree, not a pass over every AS. Empty until the first derivation
+    /// and while one has it; a concurrent one allocates its own.
     slots: Mutex<Vec<u32>>,
 }
 
@@ -222,40 +219,54 @@ impl DenseTable {
     fn new(entries: Vec<RouteEntry>) -> DenseTable {
         DenseTable {
             entries,
-            subtrees: OnceLock::new(),
+            children: OnceLock::new(),
+            slots: Mutex::new(Vec::new()),
         }
     }
 
-    fn subtrees(&self) -> &SubtreeIndex {
-        self.subtrees.get_or_init(|| SubtreeIndex {
-            children: Csr::from_parents(self.entries.len(), |v| {
+    fn children(&self) -> &Csr {
+        self.children.get_or_init(|| {
+            Csr::from_parents(self.entries.len(), |v| {
                 let e = self.entries[v as usize];
                 (e.is_routed() && e.next_hop != CDN_NEXT).then_some(e.next_hop)
-            }),
-            slots: Mutex::new(Vec::new()),
+            })
         })
     }
 
     fn memory_bytes(&self) -> usize {
-        let index = self.subtrees.get().map_or(0, |i| {
-            let slots = i.slots.lock().expect("slot scratch poisoned");
-            i.children.memory_bytes() + slots.capacity() * std::mem::size_of::<u32>()
-        });
-        self.entries.len() * std::mem::size_of::<RouteEntry>() + index
+        let slots = self.slots.lock().expect("slot scratch poisoned");
+        self.entries.len() * std::mem::size_of::<RouteEntry>()
+            + self.children.get().map_or(0, Csr::memory_bytes)
+            + slots.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// `e` as a table announced only at `sole_ingress` holds it: under a
+/// single-border announcement every route ingresses at that border.
+fn pinned(e: RouteEntry, sole_ingress: Option<BorderId>) -> RouteEntry {
+    match sole_ingress {
+        Some(b) if e.is_routed() => RouteEntry { ingress: b.0, ..e },
+        _ => e,
     }
 }
 
 /// One computed catchment table: the selected route per AS.
 ///
-/// A from-scratch table owns one dense entry per AS. An event table
-/// shares its base's dense entries and holds only the entries that differ;
-/// every accessor answers from the differences first, then the base.
+/// A from-scratch table owns one dense entry per AS. A table held as
+/// differences from a shared base — an event table over the steady table,
+/// a unicast table over the unicast base — shares the base's dense entries
+/// and holds only the entries that differ; every accessor answers from the
+/// differences first, then the base.
 #[derive(Debug, Clone)]
 pub struct CatchmentTable {
     dense: Arc<DenseTable>,
-    /// `(node, entry)` where this table differs from `dense`, ascending by
-    /// node. Empty for a from-scratch table.
+    /// `(node, entry)` where this table differs from `dense` (as
+    /// `sole_ingress` reads it), ascending by node. Empty for a
+    /// from-scratch table.
     overrides: Vec<(u32, RouteEntry)>,
+    /// On a unicast table, the one border that announces: every routed
+    /// entry ingresses there, so the base's ingresses are read as it.
+    sole_ingress: Option<BorderId>,
 }
 
 impl PartialEq for CatchmentTable {
@@ -271,8 +282,13 @@ impl CatchmentTable {
     fn raw(&self, node: u32) -> RouteEntry {
         match self.overrides.binary_search_by_key(&node, |o| o.0) {
             Ok(i) => self.overrides[i].1,
-            Err(_) => self.dense.entries[node as usize],
+            Err(_) => pinned(self.dense.entries[node as usize], self.sole_ingress),
         }
+    }
+
+    /// Whether this table owns `dense` rather than sharing it as a base.
+    fn is_from_scratch(&self) -> bool {
+        self.overrides.is_empty() && self.sole_ingress.is_none()
     }
 
     /// The route entry of `node`, if routed.
@@ -287,7 +303,8 @@ impl CatchmentTable {
     }
 
     /// Reconstructs the AS path of `node` (itself first, CDN-adjacent AS
-    /// last) by chasing shared next-hop links.
+    /// last) by chasing shared next-hop links, each read from the
+    /// differences first.
     pub fn path(&self, node: u32) -> Vec<u32> {
         let mut out = Vec::new();
         let mut cur = node;
@@ -305,7 +322,7 @@ impl CatchmentTable {
         out
     }
 
-    /// Number of routed ASes.
+    /// Number of routed ASes: the base's, corrected by the differences.
     pub fn routed_count(&self) -> usize {
         let routed = |e: &RouteEntry| usize::from(e.is_routed());
         let base: usize = self.dense.entries.iter().map(routed).sum();
@@ -318,12 +335,13 @@ impl CatchmentTable {
         base + gained - lost
     }
 
-    /// Bytes this table holds: its dense entries (and the subtree index
-    /// once an incremental recompute has built it) for a from-scratch
-    /// table, only its differences for an event table — the shared base is
-    /// counted by the table that owns it.
+    /// Bytes this table holds: its dense entries (plus the child index
+    /// and slot scratch that derivations from it have built) for a
+    /// from-scratch table, only its differences (12 B each) for a table
+    /// held as differences from a shared base — the base is counted once,
+    /// by whoever owns it.
     pub fn memory_bytes(&self) -> usize {
-        if self.overrides.is_empty() {
+        if self.is_from_scratch() {
             self.dense.memory_bytes()
         } else {
             std::mem::size_of_val(&self.overrides[..])
@@ -331,20 +349,22 @@ impl CatchmentTable {
     }
 
     /// One entry per AS: borrowed from a from-scratch table, materialised
-    /// for an event table (tests/benches).
+    /// for a table held as differences from a shared base (tests/benches).
     pub fn entries(&self) -> Cow<'_, [RouteEntry]> {
-        if self.overrides.is_empty() {
+        if self.is_from_scratch() {
             return Cow::Borrowed(&self.dense.entries);
         }
-        let mut all = self.dense.entries.clone();
+        let pin = |&e: &RouteEntry| pinned(e, self.sole_ingress);
+        let mut all: Vec<RouteEntry> = self.dense.entries.iter().map(pin).collect();
         for &(v, e) in &self.overrides {
             all[v as usize] = e;
         }
         Cow::Owned(all)
     }
 
-    /// `(node, entry)` for every AS this event table routes differently
-    /// from the from-scratch table it was derived from, ascending by node.
+    /// `(node, entry)` for every AS this table routes differently from the
+    /// shared base it was derived from (the single ingress border of a
+    /// unicast table aside), ascending by node. Empty when from scratch.
     pub fn overrides(&self) -> &[(u32, RouteEntry)] {
         &self.overrides
     }
@@ -386,7 +406,9 @@ impl WorkSet for WholeGraph {
 /// Incremental: a dirty subtree laid over a borrowed base that is never
 /// copied.
 struct Subtree<'a> {
-    base: &'a [RouteEntry],
+    base: &'a Arc<DenseTable>,
+    /// Clean entries are read as [`pinned`] to this border.
+    sole_ingress: Option<BorderId>,
     /// Per node: its index into `nodes`/`vals`, or [`Subtree::CLEAN`].
     slot: Vec<u32>,
     nodes: Vec<u32>,
@@ -396,18 +418,24 @@ struct Subtree<'a> {
 impl<'a> Subtree<'a> {
     const CLEAN: u32 = u32::MAX;
 
-    /// Nothing dirty yet. `slot` is a previous subtree's
-    /// [`Subtree::into_clean_slots`] over the same base, or empty.
-    fn new(base: &'a [RouteEntry], mut slot: Vec<u32>) -> Subtree<'a> {
-        if slot.len() != base.len() {
-            slot = vec![Self::CLEAN; base.len()];
+    /// Nothing dirty yet, over the base's slot scratch if nobody has it.
+    fn over(base: &'a Arc<DenseTable>, sole_ingress: Option<BorderId>) -> Subtree<'a> {
+        let mut slot = std::mem::take(&mut *base.slots.lock().expect("slot scratch poisoned"));
+        if slot.len() != base.entries.len() {
+            slot = vec![Self::CLEAN; base.entries.len()];
         }
         Subtree {
             base,
+            sole_ingress,
             slot,
             nodes: Vec::new(),
             vals: Vec::new(),
         }
+    }
+
+    /// The base's entry of `v`, as this table reads it.
+    fn clean(&self, v: u32) -> RouteEntry {
+        pinned(self.base.entries[v as usize], self.sole_ingress)
     }
 
     /// Marks `v` dirty (idempotent): its entry restarts unrouted.
@@ -419,19 +447,45 @@ impl<'a> Subtree<'a> {
         }
     }
 
-    /// The slot array with every node clean again, for the next subtree.
-    fn into_clean_slots(mut self) -> Vec<u32> {
+    /// Marks everything reachable from a dirty node over `edges`.
+    fn close_over(&mut self, edges: &Csr) {
+        let mut head = 0;
+        while head < self.nodes.len() {
+            for &u in edges.neighbors(self.nodes[head]) {
+                self.mark(u);
+            }
+            head += 1;
+        }
+    }
+
+    /// The relaxed subtree as a table: the base shared, the dirty entries
+    /// that ended up different from it kept. Hands the slot array back to
+    /// the base, every node clean again, for the next subtree.
+    fn into_table(mut self) -> CatchmentTable {
+        let mut overrides: Vec<(u32, RouteEntry)> = self
+            .nodes
+            .iter()
+            .zip(&self.vals)
+            .filter(|&(&v, e)| self.clean(v) != *e)
+            .map(|(&v, &e)| (v, e))
+            .collect();
+        overrides.sort_unstable_by_key(|o| o.0);
         for &v in &self.nodes {
             self.slot[v as usize] = Self::CLEAN;
         }
-        self.slot
+        *self.base.slots.lock().expect("slot scratch poisoned") = self.slot;
+        CatchmentTable {
+            dense: Arc::clone(self.base),
+            overrides,
+            sole_ingress: self.sole_ingress,
+        }
     }
 }
 
 impl WorkSet for Subtree<'_> {
     fn get(&self, v: u32) -> RouteEntry {
         match self.slot[v as usize] {
-            Self::CLEAN => self.base[v as usize],
+            Self::CLEAN => self.clean(v),
             s => self.vals[s as usize],
         }
     }
@@ -532,6 +586,20 @@ fn relax(w: &mut impl WorkSet, levels: &mut Levels, class: u8, learners: &Csr) {
     });
 }
 
+/// Runs `job(i)` for every `i < n` on up to `workers` threads, thread `t`
+/// taking `t, t + threads, …`. Stripe 0 runs on the calling thread, so one
+/// stripe spawns nothing.
+fn striped(n: usize, workers: usize, job: impl Fn(usize) + Sync) {
+    let threads = workers.clamp(1, n.max(1));
+    let stripe = |t: usize| (t..n).step_by(threads).for_each(&job);
+    std::thread::scope(|scope| {
+        for t in 1..threads {
+            scope.spawn(move || stripe(t));
+        }
+        stripe(0);
+    });
+}
+
 /// The policy-routed world: graph + dynamics + memoized catchment tables.
 ///
 /// Shared read-only (behind `Arc`) by every clone of the owning
@@ -549,6 +617,9 @@ pub struct PolicyWorld {
     /// cell is filled by exactly one caller; concurrent callers of the
     /// same key wait for it rather than compute it again.
     tables: Mutex<HashMap<u64, TableCell>>,
+    /// What every unicast table shares ([`PolicyWorld::unicast_base`]),
+    /// filled by the first unicast derivation while concurrent ones wait.
+    unicast_base: OnceLock<CatchmentTable>,
     day_events: Mutex<HashMap<u32, Arc<Vec<EventWindow>>>>,
 }
 
@@ -568,6 +639,7 @@ impl PolicyWorld {
             atlas: atlas.clone(),
             border_metro: cdn.borders.iter().map(|b| b.metro).collect(),
             tables: Mutex::new(HashMap::new()),
+            unicast_base: OnceLock::new(),
             day_events: Mutex::new(HashMap::new()),
         }
     }
@@ -640,7 +712,8 @@ impl PolicyWorld {
 
     /// The catchment table of the unicast prefix announced only at
     /// `border` (§3.1: only the routers closest to the front-end announce
-    /// it). Shared by every day.
+    /// it): the differences from the shared unicast base. Shared by every
+    /// day.
     pub fn unicast_table(&self, border: BorderId) -> Arc<CatchmentTable> {
         self.table_for(&Self::unicast_env(border))
     }
@@ -652,13 +725,14 @@ impl PolicyWorld {
         }
     }
 
-    /// The table for an arbitrary environment. The steady and the pure
-    /// unicast environments are computed from scratch exactly once and
-    /// memoized for the life of the world. Any other environment is an
-    /// event perturbation: recomputed incrementally from the steady table
-    /// (dirty subtree only) on every call and never memoized — a caller
-    /// that asks more than once per environment keeps the `Arc`, as each
-    /// day's [`RouteSnapshot`](crate::RouteSnapshot) does.
+    /// The table for an arbitrary environment. The steady environment is
+    /// computed from scratch and each pure unicast environment derived from
+    /// the unicast base, exactly once, and memoized for the life of the
+    /// world. Any other environment is an event perturbation: recomputed
+    /// incrementally from the steady table (dirty subtree only) on every
+    /// call and never memoized — a caller that asks more than once per
+    /// environment keeps the `Arc`, as each day's
+    /// [`RouteSnapshot`](crate::RouteSnapshot) does.
     pub fn table_for(&self, env: &RouteEnv) -> Arc<CatchmentTable> {
         let key = env.key();
         let memoized = key == 0 || key >> 63 == 1;
@@ -676,7 +750,10 @@ impl PolicyWorld {
         let mut computed = false;
         let table = cell.get_or_init(|| {
             computed = true;
-            Arc::new(self.compute_scratch(env))
+            Arc::new(match env.only_border {
+                Some(border) => self.derive_unicast(border),
+                None => self.compute_scratch(env),
+            })
         });
         if computed {
             counter!("netsim_catchment_cache_misses_total").inc();
@@ -687,30 +764,34 @@ impl PolicyWorld {
     }
 
     /// Computes the steady table and the unicast tables of `borders` that
-    /// are not memoized yet, split across up to `workers` threads, each
-    /// table by one thread. Tables already held cost a map probe.
+    /// are not memoized yet on up to `workers` threads, the calling one
+    /// among them: first the two full passes (the steady table and the
+    /// unicast base, side by side), then the unicast tables, striped so
+    /// that large and small cones mix on every thread. Tables already held
+    /// cost a map probe.
     pub fn warm_tables(&self, borders: &[BorderId], workers: usize) {
-        let mut missing: Vec<RouteEnv> = std::iter::once(RouteEnv::default())
-            .chain(borders.iter().map(|&b| Self::unicast_env(b)))
-            .collect();
-        {
+        let mut cones: Vec<BorderId> = borders.to_vec();
+        cones.sort_unstable();
+        cones.dedup();
+        let steady_held = {
             let tables = self.tables.lock().expect("table cache poisoned");
-            missing.retain(|env| tables.get(&env.key()).is_none_or(|c| c.get().is_none()));
-        }
-        missing.sort_by_key(RouteEnv::key);
-        missing.dedup();
-        if missing.is_empty() {
+            let held = |env: &RouteEnv| tables.get(&env.key()).is_some_and(|c| c.get().is_some());
+            cones.retain(|&b| !held(&Self::unicast_env(b)));
+            held(&RouteEnv::default())
+        };
+        if steady_held && cones.is_empty() {
             return;
         }
-        let per_worker = missing.len().div_ceil(workers.max(1));
-        std::thread::scope(|scope| {
-            for part in missing.chunks(per_worker) {
-                scope.spawn(move || {
-                    for env in part {
-                        self.table_for(env);
-                    }
-                });
+        striped(2, workers, |pass| {
+            if pass == 0 && !steady_held {
+                self.steady_table();
             }
+            if pass == 1 && !cones.is_empty() {
+                self.unicast_base();
+            }
+        });
+        striped(cones.len(), workers, |i| {
+            self.unicast_table(cones[i]);
         });
     }
 
@@ -722,7 +803,58 @@ impl PolicyWorld {
         CatchmentTable {
             dense: Arc::new(DenseTable::new(w.0)),
             overrides: Vec::new(),
+            sole_ingress: None,
         }
+    }
+
+    /// Whether `sess` is established at every border, and so is live
+    /// under every single-border announcement alike.
+    fn at_every_border(&self, sess: &CdnSession) -> bool {
+        (0..self.border_metro.len() as u16).all(|b| sess.borders.contains(&BorderId(b)))
+    }
+
+    /// What all unicast tables share: the from-scratch table of the
+    /// environment in which only the sessions established at every border
+    /// are live. Its ingresses are hot-potato over all borders; a unicast
+    /// table reads them [`pinned`] to its own.
+    fn unicast_base(&self) -> &CatchmentTable {
+        self.unicast_base.get_or_init(|| {
+            let sessions = self.graph.sessions.iter().enumerate();
+            self.compute_scratch(&RouteEnv {
+                dead_sessions: sessions
+                    .filter(|(_, sess)| !self.at_every_border(sess))
+                    .map(|(s, _)| s as u32)
+                    .collect(),
+                ..RouteEnv::default()
+            })
+        })
+    }
+
+    /// The unicast table of `border` as what one border adds to the
+    /// unicast base: the sessions that list `border` but not every border
+    /// come up, and only what can learn from their owners is re-relaxed —
+    /// a peering owner's customer cone; for a transit owner, whose customer
+    /// route climbs and crosses, first the providers above it and their
+    /// peers. Everyone else is offered exactly the base's candidates, so
+    /// keeps the base's route, read with `border` as its ingress.
+    fn derive_unicast(&self, border: BorderId) -> CatchmentTable {
+        let g = &self.graph;
+        let mut w = Subtree::over(&self.unicast_base().dense, Some(border));
+        let comes_up = |s: &&CdnSession| s.borders.contains(&border) && !self.at_every_border(s);
+        let (transit, peering): (Vec<&CdnSession>, Vec<&CdnSession>) = (g.sessions.iter())
+            .filter(comes_up)
+            .partition(|s| s.relation == CdnRelation::Transit);
+        transit.iter().for_each(|s| w.mark(s.node));
+        w.close_over(&g.providers);
+        for i in 0..w.nodes.len() {
+            for &p in g.peers.neighbors(w.nodes[i]) {
+                w.mark(p);
+            }
+        }
+        peering.iter().for_each(|s| w.mark(s.node));
+        w.close_over(&g.customers);
+        self.run_phases(&mut w, &Self::unicast_env(border));
+        w.into_table()
     }
 
     /// Recomputes only the subtree invalidated by `env` relative to the
@@ -734,16 +866,15 @@ impl PolicyWorld {
     /// result shares `base`'s entries and holds the differences.
     ///
     /// # Panics
-    /// If `base` is itself an event table.
+    /// If `base` is itself held as differences from another table (an
+    /// event table or a unicast table).
     pub fn recompute_incremental(&self, base: &CatchmentTable, env: &RouteEnv) -> CatchmentTable {
         assert!(
-            base.overrides.is_empty(),
+            base.is_from_scratch(),
             "the base of an incremental recompute must be a from-scratch table"
         );
         let sessions = &self.graph.sessions;
-        let index = base.dense.subtrees();
-        let slots = std::mem::take(&mut *index.slots.lock().expect("slot scratch poisoned"));
-        let mut w = Subtree::new(&base.dense.entries, slots);
+        let mut w = Subtree::over(&base.dense, None);
         // Directly affected: owners of dead/withdrawn/shifted sessions.
         if env.withdrawn.is_empty() && env.only_border.is_none() {
             // Every border is live, so the environment's own lists name
@@ -763,27 +894,9 @@ impl PolicyWorld {
             }
         }
         // Close over routing-tree descendants: children via base next_hop.
-        let mut head = 0;
-        while head < w.nodes.len() {
-            for &c in index.children.neighbors(w.nodes[head]) {
-                w.mark(c);
-            }
-            head += 1;
-        }
+        w.close_over(base.dense.children());
         self.run_phases(&mut w, env);
-        let mut overrides: Vec<(u32, RouteEntry)> = w
-            .nodes
-            .iter()
-            .zip(&w.vals)
-            .filter(|&(&v, e)| base.dense.entries[v as usize] != *e)
-            .map(|(&v, &e)| (v, e))
-            .collect();
-        overrides.sort_unstable_by_key(|o| o.0);
-        *index.slots.lock().expect("slot scratch poisoned") = w.into_clean_slots();
-        CatchmentTable {
-            dense: Arc::clone(&base.dense),
-            overrides,
-        }
+        w.into_table()
     }
 
     /// The three-phase valley-free relaxation over the dirty nodes of
@@ -797,6 +910,7 @@ impl PolicyWorld {
         use route_class::{CUSTOMER, PEER, PROVIDER};
         let g = &self.graph;
         let mut levels = Levels::default();
+        counter!("netsim_catchment_nodes_relaxed_total").add(w.dirty_len() as u64);
 
         // Phase 1 — customer routes (learned from a customer, traffic
         // flows strictly downhill). Seeds: live transit sessions, where
@@ -945,12 +1059,14 @@ impl PolicyWorld {
         self.dynamics.enabled()
     }
 
-    /// Bytes held by graph + all memoized tables (and the steady table's
-    /// subtree index once an event has built it). Distances are read from
+    /// Bytes held by graph + all memoized tables: the steady table (with
+    /// its child index once an event has built it) and the unicast base
+    /// dense, each unicast table as its differences. Distances are read from
     /// the process-wide [`WorldAtlas::metro_km`] table, which no world owns.
     pub fn memory_bytes(&self) -> usize {
         let tables = self.tables.lock().expect("table cache poisoned");
         self.graph.memory_bytes()
+            + self.unicast_base.get().map_or(0, |t| t.memory_bytes())
             + tables
                 .values()
                 .filter_map(|cell| cell.get())
