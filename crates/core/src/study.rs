@@ -6,8 +6,8 @@
 //! real resolver against the CDN's authoritative servers, and at the end of
 //! each day the backend joins client-side HTTP results with server-side DNS
 //! logs into the growing [`BeaconDataset`]. The DNS log is an input to that
-//! join, not campaign state: `run_day` hands the day's log to its caller
-//! and keeps none of it.
+//! join and nothing else: a worker logs a block of beacons, joins the
+//! block and empties the log, so no day-sized log ever exists.
 //!
 //! # The parallel deterministic engine
 //!
@@ -33,20 +33,23 @@
 //!    routes against a shared read-only [`RouteSnapshot`] built once for
 //!    the day, which holds the routes the day's beacons can fetch: every
 //!    client's anycast route and, for each client that fires, the unicast
-//!    routes to the candidate sites of its resolver. A worker's beacons
-//!    append to one HTTP buffer and one authoritative log it owns, and it
-//!    joins the two itself when its range ends — measurement ids are
-//!    unique, so a row's DNS half is always in its own range. Nothing is
-//!    handed between threads per beacon. Per-worker scratch state
-//!    (authoritative server, resolver caches) is output-transparent:
-//!    beacon hostnames are unique, so resolver caches only ever hit
-//!    within a single execution.
-//! 4. **Merge.** The caller appends the ranges' joined rows and DNS logs
-//!    in range order. Ranges are consecutive runs of one sorted list, so
-//!    the dataset and the DNS log are globally time-ordered and
-//!    **bit-identical for any worker count** — the same contract the
-//!    pipeline crate's sharded ingestion makes, pinned end-to-end by the
-//!    `study-worker-invariance` proptest.
+//!    routes to the candidate sites of its resolver. A worker takes its
+//!    range a block of 512 beacons at a time: the block's beacons
+//!    append to one HTTP buffer and one authoritative log the worker
+//!    owns, it joins the two onto the range's rows, and then empties
+//!    both, and its resolver caches with them, for the next block. A
+//!    row's warm-up query and its fetch happen inside one beacon and
+//!    measurement ids are unique, so a row's DNS half is always in its
+//!    own block, and the join walks the HTTP rows in order: the rows are
+//!    those of a range joined whole. Nothing is handed between threads
+//!    per beacon. Per-worker scratch state (authoritative server,
+//!    resolver caches) is output-transparent: beacon hostnames are
+//!    unique, so resolver caches only ever hit within a single execution.
+//! 4. **Merge.** The caller appends the ranges' joined rows in range
+//!    order. Ranges are consecutive runs of one sorted list, so the
+//!    dataset is globally time-ordered and **bit-identical for any worker
+//!    count** — the same contract the pipeline crate's sharded ingestion
+//!    makes, pinned end-to-end by the `study-worker-invariance` proptest.
 
 use std::collections::HashMap;
 
@@ -56,7 +59,7 @@ use anycast_beacon::{
     join, run_beacon, BeaconClient, BeaconDataset, BeaconMeasurement, FetchConfig,
     MeasurementPolicy, Target, TimingModel,
 };
-use anycast_dns::{AuthoritativeServer, DnsName, DnsQueryLog, Ldns, LdnsId};
+use anycast_dns::{AuthoritativeServer, DnsName, Ldns, LdnsId};
 use anycast_geo::GeoPoint;
 use anycast_netsim::{stream_rng, ClientAttachment, Day, Prefix24, RouteSnapshot, SiteId};
 use anycast_obs::span;
@@ -71,6 +74,11 @@ const BEACON_STREAM: u64 = 0x62_6561_636f_6e21;
 /// day number occupies the bits above. 2^28 beacons/day is two orders of
 /// magnitude past the Paper-scale world.
 const EXEC_INDEX_BITS: u32 = 28;
+/// Beacons a worker runs between joins. 512 beacons are 2,048 rows:
+/// ~115 kB of HTTP rows, ~160 kB of log and a ~50 kB join map, which
+/// stay in a core's L2 from the beacon that writes them to the join that
+/// reads them.
+const BLOCK_BEACONS: usize = 512;
 
 /// Campaign parameters.
 ///
@@ -138,11 +146,10 @@ struct Event {
 }
 
 /// What a worker hands back for its contiguous range of the day's events:
-/// the rows it joined, the authoritative log behind them, and the tallies
-/// of the HTTP rows it dropped once joined.
+/// the rows it joined, and the tallies of the HTTP rows it dropped once
+/// joined.
 struct RangeOutput {
     joined: Vec<BeaconMeasurement>,
-    dns: Vec<DnsQueryLog>,
     http_rows: usize,
     failed_rows: usize,
 }
@@ -245,30 +252,70 @@ impl Study {
     /// and performs the backend join of its own DNS and HTTP logs. The
     /// ranges' joined rows are appended to the dataset in range order — so
     /// they come out exactly as a sequential run would produce them, for
-    /// any worker count. Returns the day's authoritative DNS log in global
-    /// time order (the backend's view before the join).
+    /// any worker count.
     ///
     /// # Panics
     /// If a worker panics, with that worker's message.
-    pub fn run_day(&mut self, day: Day) -> Vec<DnsQueryLog> {
-        let s = &self.scenario;
-        let cfg = &self.cfg;
-        let client_ldns = &self.client_ldns;
-        let candidate_rows = &self.candidate_rows;
-        let workers = cfg.workers.max(1);
-        let day_factor = temporal::day_volume_factor(day);
+    pub fn run_day(&mut self, day: Day) {
+        let workers = self.cfg.workers.max(1);
+        let events = span!("study.schedule").time(|| self.schedule(day));
+        let routes = span!("study.snapshot_build").time(|| self.routes(day, &events, workers));
 
-        // Phase 1: schedule the day's beacon executions, one derived
-        // stream per client. The floor+Bernoulli count and the rejection-
-        // sampled timestamps all come from the client's own stream, so the
-        // schedule is computable per client in isolation — and cheaper
-        // computed here: a client's draws take a fraction of a microsecond,
-        // less than handing them to another thread and back.
-        let schedule_timer = span!("study.schedule").start();
+        // Phase 2: run the events, a contiguous range per worker.
+        let execute_timer = span!("study.execute").start();
+        // ⌈n/W⌉ events a range, so at most W ranges and none of them
+        // empty: a day of fewer events than workers spawns fewer threads,
+        // a day of none runs nothing.
+        let per_range = events.len().div_ceil(workers).max(1);
+        let outputs = run_workers(
+            events.chunks(per_range).collect(),
+            |worker, range: &[Event]| {
+                self.run_range(&routes, worker, worker * per_range, range, BLOCK_BEACONS)
+            },
+        )
+        .unwrap_or_else(|e| panic!("campaign day {} failed: {e}", day.0));
+        drop(execute_timer);
+
+        // Phase 3: day-end backend processing. Each range arrives joined;
+        // consecutive ranges of a sorted list append into time order.
+        let join_timer = span!("study.join").start();
+        self.dataset
+            .reserve(outputs.iter().map(|o| o.joined.len()).sum());
+        let (mut http_rows, mut failed_rows) = (0, 0);
+        for o in outputs {
+            self.dataset.extend(o.joined);
+            http_rows += o.http_rows;
+            failed_rows += o.failed_rows;
+        }
+        drop(join_timer);
+
+        // Per-day campaign counters: sums over the ranges of what each
+        // tallied from its own rows, so the values are worker-count
+        // invariant (the neutrality tests compare them directly).
+        let day_label = day.0.to_string();
+        let labels: &[(&str, &str)] = &[("day", &day_label)];
+        let obs = anycast_obs::global();
+        obs.counter_with("study_day_events_total", labels)
+            .add(events.len() as u64);
+        obs.counter_with("study_day_rows_total", labels)
+            .add(http_rows as u64);
+        obs.counter_with("study_day_failed_rows_total", labels)
+            .add(failed_rows as u64);
+    }
+
+    /// Phase 1: the day's beacon executions in the order they run, one
+    /// derived stream per client. The floor+Bernoulli count and the
+    /// rejection-sampled timestamps all come from the client's own stream,
+    /// so the schedule is computable per client in isolation — and cheaper
+    /// computed on one thread: a client's draws take a fraction of a
+    /// microsecond, less than handing them to another thread and back.
+    fn schedule(&self, day: Day) -> Vec<Event> {
+        let s = &self.scenario;
+        let day_factor = temporal::day_volume_factor(day);
         let mut events: Vec<Event> = Vec::new();
         for (client, c) in s.clients.iter().enumerate() {
             let mut rng = stream_rng(s.seed, &[SCHEDULE_STREAM, u64::from(day.0), client as u64]);
-            let expected = c.volume as f64 * cfg.beacon_rate * day_factor;
+            let expected = c.volume as f64 * self.cfg.beacon_rate * day_factor;
             let n = anycast_workload::scenario::sample_count(expected, &mut rng);
             events.extend((0..n).map(|beacon| Event {
                 time_s: temporal::sample_query_time(c.attachment.location.lon_deg(), &mut rng),
@@ -289,142 +336,108 @@ impl Study {
             "day of {} events overflows the execution-id index space",
             events.len()
         );
-        drop(schedule_timer);
+        events
+    }
 
-        // Phase 2: build the day's route memo once (shared read-only), then
-        // run the events, a contiguous range per worker. The memo holds
-        // what the day's beacons can fetch: the candidate sites of its
-        // resolver for a client that fires today, nothing for the rest.
-        let mut fires = vec![false; s.clients.len()];
-        for ev in &events {
+    /// The day's route memo, built once and shared read-only. It holds
+    /// what the day's beacons can fetch: the candidate sites of its
+    /// resolver for a client that fires today, nothing for the rest.
+    fn routes(&self, day: Day, events: &[Event], workers: usize) -> RouteSnapshot<'_> {
+        let mut fires = vec![false; self.scenario.clients.len()];
+        for ev in events {
             fires[ev.client] = true;
         }
-        let routes = span!("study.snapshot_build").time(|| {
-            RouteSnapshot::build_rows(&s.internet, &self.attachments, day, workers, |client| {
-                if fires[client] {
-                    &candidate_rows[client_ldns[client].0 as usize]
-                } else {
-                    &[]
-                }
-            })
-        });
-        let execute_timer = span!("study.execute").start();
-        // ⌈n/W⌉ events a range, so at most W ranges and none of them
-        // empty: a day of fewer events than workers spawns fewer threads,
-        // a day of none runs nothing.
-        let per_range = events.len().div_ceil(workers).max(1);
-        let outputs = run_workers(
-            events.chunks(per_range).collect(),
-            |worker, range: &[Event]| self.run_range(&routes, worker, worker * per_range, range),
-        )
-        .unwrap_or_else(|e| panic!("campaign day {} failed: {e}", day.0));
-        drop(execute_timer);
-
-        // Phase 3: day-end backend processing. Each range arrives joined;
-        // consecutive ranges of a sorted list append into time order. The
-        // day's DNS log is range 0's, taken as it is, with the rest behind.
-        let join_timer = span!("study.join").start();
-        self.dataset
-            .reserve(outputs.iter().map(|o| o.joined.len()).sum());
-        let later_dns: usize = outputs.iter().skip(1).map(|o| o.dns.len()).sum();
-        let mut dns_rows = Vec::new();
-        let (mut http_rows, mut failed_rows) = (0, 0);
-        for o in outputs {
-            self.dataset.extend(o.joined);
-            if dns_rows.is_empty() {
-                dns_rows = o.dns;
-                dns_rows.reserve(later_dns);
+        let rows = |client: usize| -> &[SiteId] {
+            if fires[client] {
+                &self.candidate_rows[self.client_ldns[client].0 as usize]
             } else {
-                dns_rows.extend(o.dns);
+                &[]
             }
-            http_rows += o.http_rows;
-            failed_rows += o.failed_rows;
-        }
-        drop(join_timer);
-
-        // Per-day campaign counters: sums over the ranges of what each
-        // tallied from its own rows, so the values are worker-count
-        // invariant (the neutrality tests compare them directly).
-        let day_label = day.0.to_string();
-        let labels: &[(&str, &str)] = &[("day", &day_label)];
-        let obs = anycast_obs::global();
-        obs.counter_with("study_day_events_total", labels)
-            .add(events.len() as u64);
-        obs.counter_with("study_day_rows_total", labels)
-            .add(http_rows as u64);
-        obs.counter_with("study_day_failed_rows_total", labels)
-            .add(failed_rows as u64);
-        dns_rows
+        };
+        RouteSnapshot::build_rows(
+            &self.scenario.internet,
+            &self.attachments,
+            day,
+            workers,
+            rows,
+        )
     }
 
     /// Runs `range` — the day's events `first..first + range.len()` — start
-    /// to finish on the calling thread and joins what it logged. The
-    /// authoritative server is a clone of the shared (pure, id-keyed)
-    /// policy and resolver replicas are built lazily; both are
-    /// output-transparent, because beacon hostnames are globally unique
-    /// and a resolver cache can only hit within one execution.
+    /// to finish on the calling thread, `block` beacons at a time: each
+    /// block is run, joined against the log of its own beacons, tallied,
+    /// and forgotten. The authoritative server is a clone of the shared
+    /// (pure, id-keyed) policy and resolver replicas are built lazily;
+    /// both are output-transparent, because beacon hostnames are globally
+    /// unique and a resolver cache can only hit within one execution —
+    /// which is also why the rows do not depend on `block`.
     fn run_range(
         &self,
         routes: &RouteSnapshot<'_>,
         worker: usize,
         first: usize,
         range: &[Event],
+        block: usize,
     ) -> RangeOutput {
         let s = &self.scenario;
         let day = routes.day();
         let mut auth = AuthoritativeServer::new(self.policy.clone(), false);
-        // One allocation for the range's log, four rows an event: a log
-        // grown by doubling leaves a spawned worker's heap enough freed
-        // memory behind to be trimmed, and the next day pays for those
-        // pages again, fault by fault.
-        auth.reserve_log(range.len() * 4);
         let mut resolvers: HashMap<LdnsId, Ldns> = HashMap::new();
         // Wall time of this worker's beacon executions. Observability
         // only: spans never touch RNG streams or outputs.
         let beacon_span = span!("study.beacon", &worker.to_string());
-        let mut http = Vec::with_capacity(range.len() * 4);
-        for (i, ev) in range.iter().enumerate() {
-            let _beacon_timer = beacon_span.start();
-            let c = &s.clients[ev.client];
-            let ldns_id = self.client_ldns[ev.client];
-            let ldns = resolvers.entry(ldns_id).or_insert_with(|| {
-                let r = s.ldns.resolver(ldns_id);
-                Ldns::new(r.id, r.kind, r.location, r.supports_ecs)
-                    .with_ecs_prefix_len(r.ecs_prefix_len)
-            });
-            let beacon_client = BeaconClient {
-                prefix: c.prefix,
-                attachment: c.attachment,
-            };
-            let execution = (u64::from(day.0) << EXEC_INDEX_BITS) | (first + i) as u64;
-            let mut rng = stream_rng(
-                s.seed,
-                &[BEACON_STREAM, u64::from(day.0), ev.client as u64, ev.beacon],
-            );
-            run_beacon(
-                &s.internet,
-                routes.client(ev.client),
-                &s.addressing,
-                &self.cfg.timing,
-                &self.cfg.fetch,
-                &self.zone,
-                &beacon_client,
-                ldns,
-                self.believed[ldns_id.0 as usize],
-                &mut auth,
-                execution,
-                ev.time_s,
-                &mut rng,
-                &mut http,
-            );
+        let mut http = Vec::with_capacity(range.len().min(block) * 4);
+        let mut out = RangeOutput {
+            joined: Vec::with_capacity(range.len() * 4),
+            http_rows: 0,
+            failed_rows: 0,
+        };
+        let mut index = first as u64;
+        for beacons in range.chunks(block) {
+            for ev in beacons {
+                let _beacon_timer = beacon_span.start();
+                let c = &s.clients[ev.client];
+                let ldns_id = self.client_ldns[ev.client];
+                let ldns = resolvers.entry(ldns_id).or_insert_with(|| {
+                    let r = s.ldns.resolver(ldns_id);
+                    Ldns::new(r.id, r.kind, r.location, r.supports_ecs)
+                        .with_ecs_prefix_len(r.ecs_prefix_len)
+                });
+                let beacon_client = BeaconClient {
+                    prefix: c.prefix,
+                    attachment: c.attachment,
+                };
+                let execution = (u64::from(day.0) << EXEC_INDEX_BITS) | index;
+                index += 1;
+                let mut rng = stream_rng(
+                    s.seed,
+                    &[BEACON_STREAM, u64::from(day.0), ev.client as u64, ev.beacon],
+                );
+                run_beacon(
+                    &s.internet,
+                    routes.client(ev.client),
+                    &s.addressing,
+                    &self.cfg.timing,
+                    &self.cfg.fetch,
+                    &self.zone,
+                    &beacon_client,
+                    ldns,
+                    self.believed[ldns_id.0 as usize],
+                    &mut auth,
+                    execution,
+                    ev.time_s,
+                    &mut rng,
+                    &mut http,
+                );
+            }
+            out.joined.extend(join(&http, auth.log(), &s.addressing));
+            out.http_rows += http.len();
+            out.failed_rows += http.iter().filter(|r| r.failed).count();
+            http.clear();
+            auth.clear_log();
+            resolvers.values_mut().for_each(Ldns::clear_cache);
         }
-        let dns = auth.drain_log();
-        RangeOutput {
-            joined: join(&http, &dns, &s.addressing),
-            dns,
-            http_rows: http.len(),
-            failed_rows: http.iter().filter(|r| r.failed).count(),
-        }
+        out
     }
 
     /// Runs a span of consecutive days. Each day derives its own streams,
@@ -558,9 +571,9 @@ mod tests {
     #[test]
     fn measurements_arrive_in_time_order() {
         // The event-driven day must produce time-ordered logs, like a real
-        // log pipeline — and so must the drained DNS log.
+        // log pipeline.
         let mut study = small_study(8);
-        let dns_log = study.run_day(Day(0));
+        study.run_day(Day(0));
         let times: Vec<f64> = study
             .dataset()
             .measurements()
@@ -570,8 +583,6 @@ mod tests {
         assert!(times.len() > 100);
         let sorted = times.windows(2).all(|w| w[0] <= w[1]);
         assert!(sorted, "day's measurements are not time-ordered");
-        let dns_sorted = dns_log.windows(2).all(|w| w[0].time_s <= w[1].time_s);
-        assert!(dns_sorted, "day's DNS log is not time-ordered");
     }
 
     #[test]
@@ -607,29 +618,59 @@ mod tests {
                 ..StudyConfig::default()
             };
             let mut study = Study::new(Scenario::small(11), cfg);
-            let dns_log = study.run_day(Day(0));
-            (study, dns_log)
+            study.run_day(Day(0));
+            study
         };
-        let (seq, seq_log) = run(1);
-        let (par, par_log) = run(3);
         assert_eq!(
-            seq.dataset().measurements(),
-            par.dataset().measurements(),
+            run(1).dataset().measurements(),
+            run(3).dataset().measurements(),
             "joined dataset differs across worker counts"
         );
-        assert_eq!(seq_log, par_log, "DNS log differs");
+    }
+
+    #[test]
+    fn block_length_does_not_change_a_range() {
+        // One range from the middle of a day, on a quiet world and on one
+        // whose front-ends fail (retried and failed fetches included), cut
+        // at every beacon, at a length that divides nothing, at the
+        // production length and not at all.
+        for failures in [false, true] {
+            let mut cfg = anycast_workload::ScenarioConfig::small(14);
+            if failures {
+                cfg.net.p_site_outage = 0.25;
+                cfg.net.p_site_drain = 0.15;
+            }
+            let scenario = Scenario::build(cfg).expect("valid config");
+            let study = Study::new(scenario, StudyConfig::default());
+            let events = study.schedule(Day(0));
+            let routes = study.routes(Day(0), &events, 1);
+            let first = events.len() / 5;
+            let range = &events[first..];
+            assert!(range.len() > BLOCK_BEACONS, "{} events", range.len());
+            let run = |block: usize| study.run_range(&routes, 0, first, range, block);
+            let whole = run(usize::MAX);
+            assert_eq!(whole.http_rows, 4 * range.len());
+            assert_eq!(whole.joined.len(), whole.http_rows);
+            assert_eq!(whole.failed_rows > 0, failures);
+            for block in [1, 3, BLOCK_BEACONS] {
+                let blocks = run(block);
+                assert_eq!(blocks.joined, whole.joined, "block length {block}");
+                assert_eq!(blocks.http_rows, whole.http_rows);
+                assert_eq!(blocks.failed_rows, whole.failed_rows);
+            }
+        }
     }
 
     #[test]
     fn a_day_without_events_is_empty() {
-        // No event, no range: nothing runs and nothing is logged.
+        // No event, no range: nothing runs and nothing is joined.
         let cfg = StudyConfig {
             beacon_rate: 0.0,
             workers: 4,
             ..StudyConfig::default()
         };
         let mut study = Study::new(Scenario::small(12), cfg);
-        assert!(study.run_day(Day(0)).is_empty());
+        study.run_day(Day(0));
         assert!(study.dataset().is_empty());
     }
 
@@ -647,12 +688,16 @@ mod tests {
             };
             Study::new(Scenario::small(13), cfg)
         };
-        let dns_log = study(1).run_day(Day(0));
-        let events = dns_log.len() / 4;
-        let range0 = &dns_log[..4 * events.div_ceil(10)];
+        // A joined row's `ldns` is its log row's: the resolvers a range
+        // asked are the resolvers of its rows.
+        let mut whole = study(1);
+        whole.run_day(Day(0));
+        let rows = whole.dataset().measurements();
+        let events = rows.len() / 4;
+        let range0 = &rows[..4 * events.div_ceil(10)];
         let keep = 1 + range0.iter().map(|row| row.ldns.0).max().expect("events") as usize;
         assert!(
-            dns_log.iter().any(|row| row.ldns.0 as usize >= keep),
+            rows.iter().any(|row| row.ldns.0 as usize >= keep),
             "no later range uses a resolver range 0 does not"
         );
         let mut poisoned = study(10);

@@ -5,8 +5,8 @@
 //! hold for the same seed:
 //!
 //! 1. **Output bytes are invariant** — obs enabled, disabled, or the
-//!    campaign spread over any worker count, the joined dataset and the
-//!    DNS log are byte-identical.
+//!    campaign spread over any worker count, the joined dataset is
+//!    byte-identical.
 //! 2. **Deterministic metrics are invariant** — the counter/histogram
 //!    slice of the snapshot (`Snapshot::deterministic`) is identical for
 //!    any worker count, because every deterministic series tallies the
@@ -22,8 +22,8 @@ use anycast_obs::Snapshot;
 use anycast_workload::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
 
-/// One campaign day; returns the output bytes (joined dataset + DNS log,
-/// via the derived `Debug` forms, which cover every field).
+/// One campaign day; returns the output bytes (the joined dataset, via the
+/// derived `Debug` form, which covers every field).
 fn run_campaign(seed: u64, workers: usize, outages: bool) -> String {
     let mut cfg = ScenarioConfig::small(seed);
     if outages {
@@ -36,8 +36,8 @@ fn run_campaign(seed: u64, workers: usize, outages: bool) -> String {
         ..StudyConfig::default()
     };
     let mut st = Study::new(scenario, study_cfg);
-    let dns_log = st.run_day(Day(0));
-    format!("{:?}\n{:?}", st.dataset().measurements(), dns_log)
+    st.run_day(Day(0));
+    format!("{:?}", st.dataset().measurements())
 }
 
 /// Runs the campaign inside a capture window, returning output bytes and
@@ -103,19 +103,18 @@ fn more_workers_than_events_changes_nothing() {
                 ..StudyConfig::default()
             };
             let mut st = Study::new(scenario, cfg);
-            let dns_log = st.run_day(Day(0));
-            (st.dataset().measurements().to_vec(), dns_log)
+            st.run_day(Day(0));
+            st.dataset().measurements().to_vec()
         })
     };
     anycast_obs::set_enabled(true);
-    let ((rows_1w, dns_1w), delta_1w) = day(1);
+    let (rows_1w, delta_1w) = day(1);
     let events = delta_1w.counter_sum("beacon_executions_total") as usize;
     // More than the eight workers any other test of this binary uses, so
     // the highest `study.beacon` worker label below is this test's.
     assert!(events > 8, "only {events} events");
-    let ((rows, dns), delta) = day(events + 5);
+    let (rows, delta) = day(events + 5);
     assert_eq!(rows, rows_1w, "joined rows diverge");
-    assert_eq!(dns, dns_1w, "DNS log diverges");
     assert_eq!(delta.deterministic(), delta_1w.deterministic());
     assert!(rows.windows(2).all(|w| w[0].time_s <= w[1].time_s));
     // A range registers its span when it starts: the labels stop at the

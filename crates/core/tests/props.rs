@@ -4,7 +4,7 @@
 use anycast_beacon::{BeaconDataset, BeaconMeasurement, Slot, Target};
 use anycast_core::loadaware::{plan_shedding, total_overload, withdraw, SiteLoad};
 use anycast_core::{GroupKey, Grouping, Metric, Predictor, PredictorConfig, Study, StudyConfig};
-use anycast_dns::{DnsQueryLog, LdnsId};
+use anycast_dns::LdnsId;
 use anycast_geo::GeoPoint;
 use anycast_netsim::{Day, Prefix24, SiteId, WorldGenConfig};
 use anycast_workload::{Scenario, ScenarioConfig};
@@ -182,33 +182,25 @@ proptest! {
 
 // Each case runs three full campaign days over a Small world, so this
 // block keeps its case count low; CI invokes it by name.
-/// Runs `days` campaign days and returns the joined rows with the
-/// concatenation of the DNS logs `run_day` returned, each checked to be in
-/// global time order and to hold only its own day's rows.
-fn run_study(
-    scenario: Scenario,
-    workers: usize,
-    days: u32,
-) -> (Vec<BeaconMeasurement>, Vec<DnsQueryLog>) {
+/// Runs `days` campaign days and returns the joined rows, each day's
+/// checked to be in global time order and to hold only that day's rows.
+fn run_study(scenario: Scenario, workers: usize, days: u32) -> Vec<BeaconMeasurement> {
     let cfg = StudyConfig {
         workers,
         ..StudyConfig::default()
     };
     let mut st = Study::new(scenario, cfg);
-    let mut dns_log = Vec::new();
     for day in Day(0).span(days) {
         let before = st.dataset().len();
-        let log = st.run_day(day);
-        assert!(!log.is_empty(), "{day:?} logged no DNS query");
-        assert!(log.iter().all(|row| row.day == day));
+        st.run_day(day);
+        let joined = &st.dataset().measurements()[before..];
+        assert!(!joined.is_empty(), "{day:?} joined no row");
+        assert!(joined.iter().all(|row| row.day == day));
         // Time order over the whole day is time order across every seam
         // between two workers' ranges.
-        assert!(log.windows(2).all(|w| w[0].time_s <= w[1].time_s));
-        let joined = &st.dataset().measurements()[before..];
         assert!(joined.windows(2).all(|w| w[0].time_s <= w[1].time_s));
-        dns_log.extend(log);
     }
-    (st.dataset().measurements().to_vec(), dns_log)
+    st.dataset().measurements().to_vec()
 }
 
 proptest! {
@@ -220,9 +212,9 @@ proptest! {
         outages in any::<bool>(),
     ) {
         // The threaded campaign engine must be output-transparent: for a
-        // fixed seed, the joined dataset AND the drained DNS log are
-        // byte-identical for any worker count — even splits and uneven
-        // ones — including in worlds where front-ends fail mid-day.
+        // fixed seed, the joined dataset is byte-identical for any worker
+        // count — even splits and uneven ones — including in worlds where
+        // front-ends fail mid-day.
         let world = |seed: u64| {
             let mut cfg = ScenarioConfig::small(seed);
             if outages {
@@ -232,12 +224,9 @@ proptest! {
             Scenario::build(cfg).expect("valid config")
         };
         let run = |workers: usize| run_study(world(seed), workers, 2);
-        let (m1, d1) = run(1);
-        prop_assert!(!m1.is_empty(), "campaign produced no measurements");
+        let m1 = run(1);
         for workers in [2usize, 3, 7, 8] {
-            let (m, d) = run(workers);
-            prop_assert_eq!(&m, &m1, "measurements diverge at {} workers", workers);
-            prop_assert_eq!(&d, &d1, "dns log diverges at {} workers", workers);
+            prop_assert_eq!(&run(workers), &m1, "measurements diverge at {} workers", workers);
         }
     }
 }
@@ -265,12 +254,9 @@ proptest! {
             Scenario::build(cfg).expect("valid config")
         };
         let run = |workers: usize| run_study(world(seed), workers, 1);
-        let (m1, d1) = run(1);
-        prop_assert!(!m1.is_empty(), "campaign produced no measurements");
+        let m1 = run(1);
         for workers in [2usize, 3, 7, 8] {
-            let (m, d) = run(workers);
-            prop_assert_eq!(&m, &m1, "measurements diverge at {} workers", workers);
-            prop_assert_eq!(&d, &d1, "dns log diverges at {} workers", workers);
+            prop_assert_eq!(&run(workers), &m1, "measurements diverge at {} workers", workers);
         }
     }
 }

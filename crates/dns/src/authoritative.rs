@@ -70,12 +70,6 @@ impl<P: RedirectionPolicy> AuthoritativeServer<P> {
         }
     }
 
-    /// Makes room in the query log for exactly `additional` more rows, for
-    /// a caller that knows how many queries it is about to send.
-    pub fn reserve_log(&mut self, additional: usize) {
-        self.log.reserve_exact(additional);
-    }
-
     /// Whether ECS is honored.
     pub fn ecs_enabled(&self) -> bool {
         self.ecs_enabled
@@ -118,9 +112,10 @@ impl<P: RedirectionPolicy> AuthoritativeServer<P> {
         &self.log
     }
 
-    /// Drains the query log (the backend "pushes logs to storage").
-    pub fn drain_log(&mut self) -> Vec<DnsQueryLog> {
-        std::mem::take(&mut self.log)
+    /// Empties the query log once the backend has joined it, keeping its
+    /// allocation for the queries to come.
+    pub fn clear_log(&mut self) {
+        self.log.clear();
     }
 
     /// Access to the policy (e.g. to update a prediction table between
@@ -204,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_log_empties() {
+    fn clear_log_empties() {
         let mut server = AuthoritativeServer::new(fixed_policy(Ipv4Addr::new(1, 1, 1, 1)), false);
         let qname = DnsName::new("a.cdn.example").unwrap();
         for i in 0..5 {
@@ -217,8 +212,8 @@ mod tests {
                 f64::from(i),
             );
         }
-        let drained = server.drain_log();
-        assert_eq!(drained.len(), 5);
+        assert_eq!(server.log().len(), 5);
+        server.clear_log();
         assert!(server.log().is_empty());
     }
 }

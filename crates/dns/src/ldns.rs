@@ -148,6 +148,11 @@ impl Ldns {
         }
     }
 
+    /// Forgets every cached answer (the statistics stay).
+    pub fn clear_cache(&mut self) {
+        self.cache.clear();
+    }
+
     /// Cache statistics `(hits, misses)`.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()

@@ -32,6 +32,8 @@ pub struct DnsQueryLog {
     pub time_s: f64,
 }
 
+const _: () = assert!(std::mem::size_of::<DnsQueryLog>() == 80);
+
 impl DnsQueryLog {
     /// The measurement id embedded in the qname, if this row belongs to a
     /// beacon measurement.

@@ -8,6 +8,11 @@
 
 /// A validated, lowercase DNS name.
 ///
+/// A name of at most 46 bytes — every measurement hostname of
+/// the campaign zone — lives in the value itself, so building, cloning and
+/// logging one allocates nothing; a longer one is boxed. The representation
+/// is a function of the length alone, and every comparison reads the bytes.
+///
 /// ```
 /// use anycast_dns::DnsName;
 ///
@@ -16,8 +21,24 @@
 /// assert!(probe.is_in_zone(&zone));
 /// assert_eq!(probe.measurement_id(), Some(0xbeef));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DnsName(String);
+#[derive(Clone)]
+pub struct DnsName(Repr);
+
+/// Bytes a name can hold in the value itself: what is left of 48 once the
+/// variant tag and the length have taken a byte each.
+const INLINE_CAP: usize = 46;
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the name.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_CAP],
+    },
+    Heap(Box<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<DnsName>() == 48);
 
 /// Why a string failed to parse as a DNS name.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +79,22 @@ const ID_END: usize = ID_PREFIX.len() + ID_DIGITS;
 const PROBE: &str = ".probe.";
 
 impl DnsName {
+    /// The name of `len` bytes that `write` fills in, which must leave
+    /// lowercase ASCII in every one of them.
+    fn build<E>(len: usize, write: impl FnOnce(&mut [u8]) -> Result<(), E>) -> Result<DnsName, E> {
+        if len <= INLINE_CAP {
+            let mut bytes = [0; INLINE_CAP];
+            write(&mut bytes[..len])?;
+            let len = len as u8;
+            Ok(DnsName(Repr::Inline { len, bytes }))
+        } else {
+            let mut bytes = vec![0; len];
+            write(&mut bytes)?;
+            let text = String::from_utf8(bytes).expect("a name is ASCII");
+            Ok(DnsName(Repr::Heap(text.into_boxed_str())))
+        }
+    }
+
     /// Parses and normalizes a name. A single trailing dot is accepted and
     /// dropped.
     pub fn new(s: &str) -> Result<DnsName, NameError> {
@@ -65,40 +102,68 @@ impl DnsName {
         if s.is_empty() {
             return Err(NameError::Empty);
         }
-        let lower = s.to_ascii_lowercase();
-        if lower.len() > 253 {
+        if s.len() > 253 {
             return Err(NameError::TooLong);
         }
-        for label in lower.split('.') {
-            if label.is_empty() || label.len() > 63 {
-                return Err(NameError::BadLabel(label.to_string()));
+        // One pass: each label is checked and lowercased straight into the
+        // value; only a rejected label is ever copied out.
+        DnsName::build(s.len(), |out| {
+            let mut at = 0;
+            for label in s.split('.') {
+                let bad = |why: fn(String) -> NameError| Err(why(label.to_ascii_lowercase()));
+                if label.is_empty() || label.len() > 63 {
+                    return bad(NameError::BadLabel);
+                }
+                if label.starts_with('-') || label.ends_with('-') {
+                    return bad(NameError::BadChar);
+                }
+                if at > 0 {
+                    out[at] = b'.';
+                    at += 1;
+                }
+                for b in label.bytes() {
+                    if !(b.is_ascii_alphanumeric() || b == b'-') {
+                        return bad(NameError::BadChar);
+                    }
+                    out[at] = b.to_ascii_lowercase();
+                    at += 1;
+                }
             }
-            if label.starts_with('-') || label.ends_with('-') {
-                return Err(NameError::BadChar(label.to_string()));
-            }
-            if !label
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-            {
-                return Err(NameError::BadChar(label.to_string()));
-            }
+            Ok(())
+        })
+    }
+
+    /// The bytes of the normalized name.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(text) => text.as_bytes(),
         }
-        Ok(DnsName(lower))
     }
 
     /// The normalized name as a string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("a name is ASCII")
+            }
+            Repr::Heap(text) => text,
+        }
     }
 
     /// The labels, leftmost first.
     pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.0.split('.')
+        self.as_str().split('.')
     }
 
     /// Whether this name is underneath `zone` (or equal to it).
     pub fn is_in_zone(&self, zone: &DnsName) -> bool {
-        self == zone || self.0.ends_with(&format!(".{}", zone.0))
+        let (name, zone) = (self.as_bytes(), zone.as_bytes());
+        match name.len().checked_sub(zone.len()) {
+            Some(0) => name == zone,
+            Some(above) => name[above - 1] == b'.' && &name[above..] == zone,
+            None => false,
+        }
     }
 
     /// Builds the beacon's unique measurement hostname for measurement id
@@ -106,21 +171,28 @@ impl DnsName {
     /// lets the backend join client-side HTTP timings with server-side DNS
     /// logs (§3.2.2).
     pub fn measurement(id: u64, zone: &DnsName) -> DnsName {
-        let mut name = String::with_capacity(ID_END + PROBE.len() + zone.0.len());
-        name.push_str(ID_PREFIX);
-        for nibble in (0..ID_DIGITS).rev() {
-            name.push(char::from(HEX[(id >> (4 * nibble)) as usize & 0xf]));
-        }
-        name.push_str(PROBE);
-        name.push_str(&zone.0);
-        DnsName(name)
+        let zone = zone.as_bytes();
+        let zone_at = ID_END + PROBE.len();
+        let Ok(name) = DnsName::build(zone_at + zone.len(), |out| {
+            out[..ID_PREFIX.len()].copy_from_slice(ID_PREFIX.as_bytes());
+            for (digit, nibble) in out[ID_PREFIX.len()..ID_END]
+                .iter_mut()
+                .zip((0..ID_DIGITS).rev())
+            {
+                *digit = HEX[(id >> (4 * nibble)) as usize & 0xf];
+            }
+            out[ID_END..zone_at].copy_from_slice(PROBE.as_bytes());
+            out[zone_at..].copy_from_slice(zone);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        name
     }
 
     /// Extracts the measurement id from a name built by
     /// [`DnsName::measurement`], if it is one: a first label of exactly
     /// `m-` and sixteen hex digits.
     pub fn measurement_id(&self) -> Option<u64> {
-        let bytes = self.0.as_bytes();
+        let bytes = self.as_bytes();
         if !bytes.starts_with(ID_PREFIX.as_bytes()) || bytes.len() < ID_END {
             return None;
         }
@@ -136,9 +208,43 @@ impl DnsName {
     }
 }
 
+impl PartialEq for DnsName {
+    fn eq(&self, other: &DnsName) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for DnsName {}
+
+impl Ord for DnsName {
+    fn cmp(&self, other: &DnsName) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl PartialOrd for DnsName {
+    fn partial_cmp(&self, other: &DnsName) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Hashes as the text does (`str`'s bytes and its `0xff` terminator).
+impl std::hash::Hash for DnsName {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl std::fmt::Debug for DnsName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("DnsName").field(&self.as_str()).finish()
+    }
+}
+
 impl std::fmt::Display for DnsName {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -187,6 +293,22 @@ mod tests {
         ));
         let long_name = format!("{}.{}", "a".repeat(63), "b".repeat(63)).repeat(3);
         assert!(matches!(DnsName::new(&long_name), Err(NameError::TooLong)));
+        // The error carries the offending label, lowercased as the name
+        // would have been, whichever representation was being filled.
+        for tail in ["com", &"x".repeat(60)] {
+            assert_eq!(
+                DnsName::new(&format!("Ok.-Bad.{tail}")),
+                Err(NameError::BadChar("-bad".to_string()))
+            );
+            assert_eq!(
+                DnsName::new(&format!("ok.Sp ace.{tail}")),
+                Err(NameError::BadChar("sp ace".to_string()))
+            );
+            assert_eq!(
+                DnsName::new(&format!("A..{tail}")),
+                Err(NameError::BadLabel(String::new()))
+            );
+        }
     }
 
     #[test]
@@ -231,7 +353,7 @@ mod tests {
     /// The hostname as it was built before the digits were written by
     /// hand. Kept verbatim as the reference.
     fn parent_measurement(id: u64, zone: &DnsName) -> String {
-        format!("m-{id:016x}.probe.{}", zone.0)
+        format!("m-{id:016x}.probe.{zone}")
     }
 
     /// `measurement_id` as it stood before it read fixed offsets: split

@@ -161,7 +161,10 @@ impl<'a> Cursor<'a> {
     ///   must pass [`DnsName`] validation (so downstream code only ever
     ///   sees well-formed, lowercase names).
     pub fn name(&mut self) -> Result<DnsName, WireError> {
-        let mut text = String::new();
+        // The dotted text, on the stack: it is one octet shorter than the
+        // wire form the cap below bounds.
+        let mut text = [0u8; MAX_NAME_WIRE_LEN];
+        let mut text_len = 0usize;
         let mut wire_len = 0usize; // reassembled wire octets (labels + len octets)
         let mut jumps = 0usize;
         // Highest offset the next pointer is allowed to target; tightened
@@ -204,20 +207,23 @@ impl<'a> Cursor<'a> {
                         return Err(WireError::NameTooLong);
                     }
                     let bytes = read.take(l)?;
-                    if !text.is_empty() {
-                        text.push('.');
+                    if !bytes.is_ascii() {
+                        return Err(WireError::BadName);
                     }
-                    for &b in bytes {
-                        if !b.is_ascii() {
-                            return Err(WireError::BadName);
-                        }
-                        text.push(char::from(b));
+                    if text_len > 0 {
+                        text[text_len] = b'.';
+                        text_len += 1;
                     }
+                    text[text_len..text_len + l].copy_from_slice(bytes);
+                    text_len += l;
                 }
             }
         }
         self.pos = after.unwrap_or(read.pos);
-        DnsName::new(&text).map_err(|_| WireError::BadName)
+        std::str::from_utf8(&text[..text_len])
+            .ok()
+            .and_then(|text| DnsName::new(text).ok())
+            .ok_or(WireError::BadName)
     }
 }
 
