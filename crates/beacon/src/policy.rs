@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use anycast_geo::{GeoPoint, NearestIndex};
+use anycast_netsim::stream::splitmix64;
 use anycast_netsim::{CdnAddressing, SiteId};
 use rand::{Rng, SeedableRng};
 
@@ -156,10 +157,7 @@ impl RedirectionPolicy for MeasurementPolicy {
 }
 
 fn id_rng(seed: u64, id: u64) -> rand::rngs::SmallRng {
-    let mut z = seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    rand::rngs::SmallRng::seed_from_u64(z ^ (z >> 31))
+    rand::rngs::SmallRng::seed_from_u64(splitmix64(seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 #[cfg(test)]

@@ -55,26 +55,14 @@ pub struct HttpResult {
     pub time_s: f64,
 }
 
-/// Client-side fetch resilience knobs: how long a beacon fetch waits
-/// before declaring a timeout and how many times it retries. Real beacon
-/// JavaScript bounds both so a dead front-end costs a few seconds, not a
-/// hung measurement — and so the failure is *recorded* rather than lost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FetchConfig {
-    /// Per-attempt timeout, ms.
-    pub timeout_ms: f64,
-    /// Total attempts (first try + retries), at least 1.
-    pub max_attempts: u32,
-}
-
-impl Default for FetchConfig {
-    fn default() -> FetchConfig {
-        FetchConfig {
-            timeout_ms: 3_000.0,
-            max_attempts: 2,
-        }
-    }
-}
+/// Per-attempt fetch timeout, ms. Real beacon JavaScript bounds how long a
+/// fetch waits, and how many times it retries, so a dead front-end costs
+/// a few seconds, not a hung measurement — and so the failure is
+/// *recorded* rather than lost. Training charges a failed measurement this
+/// timeout as its latency.
+pub const FETCH_TIMEOUT_MS: f64 = 3_000.0;
+/// Total fetch attempts (first try + one retry).
+const FETCH_ATTEMPTS: u32 = 2;
 
 /// The client-side identity a beacon execution runs as.
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +89,7 @@ pub struct BeaconClient {
 /// this function's draws never interleave with another execution's.
 ///
 /// Fetches honor the failure schedule: an attempt against a down (or
-/// still-converging) front-end times out after `fetch.timeout_ms`, retries
+/// still-converging) front-end times out after [`FETCH_TIMEOUT_MS`], retries
 /// re-route at the later instant (the DNS answer stays cached, so retries
 /// reuse the same address), and an execution whose every attempt times out
 /// is reported as a *failed* row rather than silently dropped. In a world
@@ -113,7 +101,6 @@ pub fn run_beacon(
     routes: ClientRoutes<'_>,
     addressing: &CdnAddressing,
     timing: &TimingModel,
-    fetch_cfg: &FetchConfig,
     zone: &DnsName,
     client: &BeaconClient,
     ldns: &mut Ldns,
@@ -152,15 +139,14 @@ pub fn run_beacon(
         );
         debug_assert!(fetch.cache_hit, "timed fetch must be served from cache");
         let addr = fetch.addr;
-        let max_attempts = fetch_cfg.max_attempts.max(1);
         let mut attempts = 0u32;
         let mut served: Option<(SiteId, f64)> = None;
-        for attempt in 0..max_attempts {
+        for attempt in 0..FETCH_ATTEMPTS {
             attempts = attempt + 1;
             // Each retry happens one timeout later; routing is re-resolved
             // at that instant, so anycast clients pick up the post-failover
             // catchment while unicast retries keep hitting the dead site.
-            let t = time_s + 0.5 + f64::from(attempt) * fetch_cfg.timeout_ms / 1000.0;
+            let t = time_s + 0.5 + f64::from(attempt) * FETCH_TIMEOUT_MS / 1000.0;
             let route = if addressing.is_anycast(addr) {
                 routes.anycast_at(internet, t)
             } else {
@@ -197,7 +183,7 @@ pub fn run_beacon(
                         .site_for_ip(addr)
                         .expect("measurement answer must be a service address")
                 };
-                (site, f64::from(attempts) * fetch_cfg.timeout_ms, true)
+                (site, f64::from(attempts) * FETCH_TIMEOUT_MS, true)
             }
         };
         histogram!("beacon_reported_ms").observe(reported_ms);
@@ -275,7 +261,6 @@ mod tests {
             snap.client(0),
             &w.addressing,
             &TimingModel::perfect(),
-            &FetchConfig::default(),
             &w.zone,
             &c,
             &mut ldns,
@@ -382,7 +367,6 @@ mod tests {
         let addressing = CdnAddressing::standard(n);
         let zone = DnsName::new("cdn.example").unwrap();
         let (day, when) = first_outage(&internet, n).expect("outage scheduled at rate 0.4");
-        let fetch = FetchConfig::default();
         let policy = MeasurementPolicy::new(internet.site_locations(), addressing, 10, 300, 1);
         let mut auth = AuthoritativeServer::new(policy, false);
         let mut execution = 0u64;
@@ -409,7 +393,6 @@ mod tests {
                     snap.client(0),
                     &addressing,
                     &TimingModel::perfect(),
-                    &fetch,
                     &zone,
                     &c,
                     &mut ldns,
@@ -423,10 +406,10 @@ mod tests {
                 for r in rs {
                     if r.failed {
                         saw_failure = true;
-                        assert_eq!(r.attempts, fetch.max_attempts);
+                        assert_eq!(r.attempts, FETCH_ATTEMPTS);
                         assert_eq!(
                             r.reported_ms,
-                            f64::from(fetch.max_attempts) * fetch.timeout_ms,
+                            f64::from(FETCH_ATTEMPTS) * FETCH_TIMEOUT_MS,
                             "failed rows report total timeout time"
                         );
                         assert!(
@@ -434,7 +417,7 @@ mod tests {
                             "failure must be attributed to a down site"
                         );
                     } else {
-                        assert!(r.reported_ms < fetch.timeout_ms);
+                        assert!(r.reported_ms < FETCH_TIMEOUT_MS);
                     }
                 }
             }
@@ -465,7 +448,6 @@ mod tests {
                 snap.client(0),
                 &w.addressing,
                 &TimingModel::default(),
-                &FetchConfig::default(),
                 &w.zone,
                 &c,
                 &mut ldns,

@@ -67,7 +67,6 @@ pub fn prediction_metric(scale: Scale, seed: u64) -> FigureResult {
             grouping: Grouping::Ecs,
             metric: *metric,
             min_samples: 20,
-            failure_penalty_ms: 3_000.0,
         };
         let table = Predictor::new(cfg).train(st.dataset(), Day(0));
         let rows = evaluate_prediction(
@@ -112,7 +111,6 @@ pub fn min_samples(scale: Scale, seed: u64) -> FigureResult {
             grouping: Grouping::Ecs,
             metric: Metric::P25,
             min_samples: min,
-            failure_penalty_ms: 3_000.0,
         };
         let table = Predictor::new(cfg).train(st.dataset(), Day(0));
         let rows = evaluate_prediction(
@@ -248,7 +246,6 @@ pub fn hybrid_threshold(scale: Scale, seed: u64) -> FigureResult {
         grouping: Grouping::Ecs,
         metric: Metric::P25,
         min_samples: 20,
-        failure_penalty_ms: 3_000.0,
     };
     let full_table = Predictor::new(cfg).train(st.dataset(), Day(0));
 
@@ -305,7 +302,6 @@ pub fn training_window(scale: Scale, seed: u64) -> FigureResult {
             grouping: Grouping::Ecs,
             metric: Metric::P25,
             min_samples: 20,
-            failure_penalty_ms: 3_000.0,
         };
         let table = Predictor::new(cfg).train_window(st.dataset(), &window);
         let rows = evaluate_prediction(
@@ -358,7 +354,6 @@ pub fn sketch_accuracy(scale: Scale, seed: u64) -> FigureResult {
             grouping,
             metric: Metric::P25,
             min_samples: 20,
-            failure_penalty_ms: 3_000.0,
         };
         let predictor = Predictor::new(cfg);
         let exact_table = predictor.train(st.dataset(), Day(0));
@@ -534,10 +529,7 @@ pub fn load_shedding(scale: Scale, seed: u64) -> FigureResult {
         grouping: Grouping::Ldns,
         day: Day(1),
         epochs: 6,
-        control: ControlConfig {
-            mode,
-            ..ControlConfig::default()
-        },
+        control: ControlConfig { mode },
         ..LoopConfig::default()
     };
 
@@ -646,7 +638,6 @@ pub fn table_compression(scale: Scale, seed: u64) -> FigureResult {
         grouping: Grouping::Ecs,
         metric: Metric::P25,
         min_samples: 1,
-        failure_penalty_ms: 3_000.0,
     };
     let predictor = Predictor::new(cfg);
     let plain = predictor.train(st.dataset(), Day(0));
@@ -762,7 +753,6 @@ pub fn world_scale(scale: Scale, seed: u64) -> FigureResult {
             grouping: Grouping::Ecs,
             metric: Metric::P25,
             min_samples: 20,
-            failure_penalty_ms: 3_000.0,
         };
         let table = Predictor::new(pcfg).train(st.dataset(), Day(0));
         let rows = evaluate_prediction(

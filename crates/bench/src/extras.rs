@@ -186,7 +186,6 @@ pub fn ecs_adoption(scale: Scale, seed: u64) -> FigureResult {
             grouping: Grouping::Ecs,
             metric: Metric::P25,
             min_samples: 20,
-            failure_penalty_ms: 3_000.0,
         };
         let table = Predictor::new(pcfg).train(st.dataset(), Day(0));
         let ldns_of = st.ldns_of();
@@ -325,7 +324,7 @@ pub fn failover(scale: Scale, seed: u64) -> FigureResult {
             ),
             (
                 "BGP reconvergence (s)".to_string(),
-                internet.outages().reconvergence_s(),
+                anycast_netsim::outage::BGP_RECONVERGENCE_S,
             ),
             (
                 "stale-answer failures at 3 600 s TTL".to_string(),

@@ -11,7 +11,7 @@ use anycast_analysis::cdf::{log2_grid, Ecdf};
 use anycast_analysis::report::Series;
 use anycast_core::Deployment;
 use anycast_netsim::Day;
-use anycast_telemetry::TelemetryStore;
+use anycast_workload::TelemetryStore;
 
 use crate::worlds::{rng_for, scenario, Scale};
 use crate::FigureResult;

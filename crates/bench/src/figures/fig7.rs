@@ -11,7 +11,7 @@
 use anycast_analysis::affinity::{cumulative_switch_curve, ClientObservations};
 use anycast_analysis::report::Series;
 use anycast_netsim::{Day, Prefix24, SiteId};
-use anycast_telemetry::TelemetryStore;
+use anycast_workload::TelemetryStore;
 use std::collections::HashMap;
 
 use crate::worlds::{rng_for, scenario, Scale};

@@ -38,7 +38,6 @@ pub fn compute(scale: Scale, seed: u64) -> FigureResult {
             grouping,
             metric: Metric::P25,
             min_samples: 20,
-            failure_penalty_ms: 3_000.0,
         };
         let table = Predictor::new(cfg).train(st.dataset(), Day(0));
         let rows = evaluate_prediction(&table, grouping, st.dataset(), Day(1), ldns_of, &volumes);

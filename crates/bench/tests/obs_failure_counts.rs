@@ -47,7 +47,7 @@ fn failed_fetch_counter_matches_the_dataset_rows() {
         "run-report failure counter disagrees with the dataset"
     );
     // Failed fetches imply retries: the retry counter saw at least one
-    // retry per failure (max_attempts >= 2 by default).
+    // retry per failure (a beacon makes two attempts).
     assert!(delta.counter("beacon_fetch_retries_total") >= failed_rows);
     // And the per-day failed-row counters sum to the same total.
     assert_eq!(

@@ -52,8 +52,6 @@ pub struct LoopConfig {
     pub epochs: usize,
     /// Cap on the day's query count (`usize::MAX` = the whole day).
     pub query_cap: usize,
-    /// Answer TTL served.
-    pub ttl_s: u32,
     /// Controller tuning.
     pub control: ControlConfig,
     /// Streaming drift detection over the live feed ([`replay_wire`]
@@ -72,7 +70,6 @@ impl Default for LoopConfig {
             day: Day(1),
             epochs: 6,
             query_cap: usize::MAX,
-            ttl_s: 60,
             control: ControlConfig::default(),
             drift: None,
         }
@@ -394,6 +391,9 @@ fn withdraw_epoch(
     }
 }
 
+/// Answer TTL the replayed server serves, seconds.
+const TTL_S: u32 = 60;
+
 /// Replays a day of real queries against a running DNS server, closing
 /// the loop live: per-front-end answered tallies are read at each epoch
 /// boundary, the controller steps on the measured loads, and a rewritten
@@ -432,7 +432,7 @@ pub fn replay_wire(
         table,
         cfg.grouping,
         addressing,
-        cfg.ttl_s,
+        TTL_S,
         0,
     )));
     let mut serve_cfg = ServeConfig::new(addressing.anycast_ip());
@@ -599,7 +599,7 @@ pub fn replay_wire(
                     &step.overrides,
                     cfg.grouping,
                     addressing,
-                    cfg.ttl_s,
+                    TTL_S,
                     swaps,
                 ));
             }
@@ -619,7 +619,7 @@ pub fn replay_wire(
                 &controller.overrides(table),
                 cfg.grouping,
                 addressing,
-                cfg.ttl_s,
+                TTL_S,
                 swaps,
             ));
         }

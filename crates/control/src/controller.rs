@@ -19,8 +19,8 @@
 //!   so assignments do not flap), demoted groups climb back toward their
 //!   rank-0 choice, cheapest first.
 //! * **Hysteresis** — a group that just moved is frozen for
-//!   `cooldown_epochs`; restores only fire when the destination stays
-//!   below `(1 − restore_margin) × capacity`.
+//!   `COOLDOWN_EPOCHS`; restores only fire when the destination stays
+//!   below `(1 − RESTORE_MARGIN) × capacity`.
 //!
 //! Every data structure iterated is a `BTreeMap` and every sort carries a
 //! total tie-break, so a step is a pure deterministic function of
@@ -55,26 +55,17 @@ pub enum ControlMode {
 }
 
 /// Controller tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ControlConfig {
     /// What to do about overload.
     pub mode: ControlMode,
-    /// Restores only fire while the destination stays below
-    /// `(1 − restore_margin) × capacity` (fraction in `[0, 1)`).
-    pub restore_margin: f64,
-    /// Epochs a just-moved group is frozen (shed and restore alike).
-    pub cooldown_epochs: u32,
 }
 
-impl Default for ControlConfig {
-    fn default() -> ControlConfig {
-        ControlConfig {
-            mode: ControlMode::Off,
-            restore_margin: 0.1,
-            cooldown_epochs: 2,
-        }
-    }
-}
+/// Restores only fire while the destination stays below
+/// `(1 − RESTORE_MARGIN) × capacity`, so assignments do not flap.
+const RESTORE_MARGIN: f64 = 0.1;
+/// Epochs a just-moved group is frozen (shed and restore alike).
+const COOLDOWN_EPOCHS: u32 = 2;
 
 /// One epoch's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -297,7 +288,7 @@ impl Controller {
         loads: &mut BTreeMap<SiteId, f64>,
     ) -> usize {
         let mut restored = 0usize;
-        let margin = 1.0 - self.cfg.restore_margin.clamp(0.0, 1.0);
+        let margin = 1.0 - RESTORE_MARGIN;
         let demoted: Vec<(GroupKey, usize)> = self.rank.iter().map(|(&k, &r)| (k, r)).collect();
         for (key, r) in demoted {
             if self.cooldown.contains_key(&key) {
@@ -313,7 +304,7 @@ impl Controller {
             }
             Self::apply(demand, loads, key, cur, best);
             self.rank.remove(&key);
-            self.cooldown.insert(key, self.cfg.cooldown_epochs);
+            self.cooldown.insert(key, COOLDOWN_EPOCHS);
             restored += 1;
         }
         restored
@@ -393,7 +384,7 @@ impl Controller {
                 }
                 Self::apply(demand, loads, key, cur, cand);
                 self.rank.insert(key, r_next);
-                self.cooldown.insert(key, self.cfg.cooldown_epochs);
+                self.cooldown.insert(key, COOLDOWN_EPOCHS);
                 remaining -= reduction;
                 moves += 1;
             }
@@ -472,7 +463,6 @@ mod tests {
     fn shed_cfg() -> ControlConfig {
         ControlConfig {
             mode: ControlMode::Shed,
-            ..ControlConfig::default()
         }
     }
 

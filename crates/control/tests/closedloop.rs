@@ -136,10 +136,7 @@ fn loop_cfg(mode: ControlMode) -> LoopConfig {
         grouping: Grouping::Ldns,
         day: Day(1),
         epochs: 4,
-        control: ControlConfig {
-            mode,
-            ..ControlConfig::default()
-        },
+        control: ControlConfig { mode },
         ..LoopConfig::default()
     }
 }

@@ -326,7 +326,7 @@ mod tests {
         let internet = failure_world();
         let (site, day, win, c) =
             unplanned_outage_with_victim(&internet).expect("an unplanned outage with a victim");
-        let reconv = internet.outages().reconvergence_s();
+        let reconv = anycast_netsim::outage::BGP_RECONVERGENCE_S;
         // Mid-convergence: the withdrawal is still propagating — blackhole.
         let during = anycast_request(&internet, &c, day, win.start_s + reconv * 0.5);
         assert_eq!(during.reason(), Some(FailureReason::Converging));
@@ -391,7 +391,7 @@ mod tests {
         );
         // Mid-outage, answer still cached: stale — and stays stale well
         // after anycast has already reconverged.
-        let t1 = win.start_s + internet.outages().reconvergence_s() + 10.0;
+        let t1 = win.start_s + anycast_netsim::outage::BGP_RECONVERGENCE_S + 10.0;
         assert!(t1 - t0 < ttl, "probe must land inside the cached TTL");
         assert_eq!(
             dns.request(p, &c, day, t1).reason(),

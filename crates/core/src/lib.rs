@@ -49,5 +49,5 @@ pub use prediction::{
     AggregationConfig, Choice, GroupKey, Grouping, Metric, PredictionTable, Predictor,
     PredictorConfig,
 };
-pub use redirection::{AnycastPolicy, GeoClosestDnsPolicy, HybridPolicy, PredictionPolicy};
+pub use redirection::{AnycastPolicy, GeoClosestDnsPolicy, PredictionPolicy};
 pub use study::{Study, StudyConfig};

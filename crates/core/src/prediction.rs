@@ -117,14 +117,6 @@ pub struct PredictorConfig {
     /// Minimum measurements a `(group, target)` pair needs to be considered
     /// (paper: 20).
     pub min_samples: usize,
-    /// Latency substituted for a *failed* measurement when scoring a
-    /// target, ms. Failed fetches carry no RTT, but silently dropping them
-    /// would make a flaky front-end look as good as its successful fetches
-    /// — the predictor would happily redirect clients to a site that times
-    /// out on them. Charging each failure the fetch timeout makes
-    /// unreliability count against a target exactly as much as being that
-    /// slow. Irrelevant (by construction) in worlds without failures.
-    pub failure_penalty_ms: f64,
 }
 
 impl Default for PredictorConfig {
@@ -133,7 +125,6 @@ impl Default for PredictorConfig {
             grouping: Grouping::Ecs,
             metric: Metric::P25,
             min_samples: 20,
-            failure_penalty_ms: 3_000.0,
         }
     }
 }
@@ -401,16 +392,15 @@ impl Predictor {
     }
 
     /// One measurement as a `(group, target, rtt)` training record under
-    /// the configured grouping, failures scored at the configured penalty.
+    /// the configured grouping, failures scored at the fetch timeout.
     fn record(&self, m: &BeaconMeasurement) -> (GroupKey, Target, f64) {
-        let penalty = self.cfg.failure_penalty_ms;
         match self.cfg.grouping {
             Grouping::Ecs => {
-                let (p, t, rtt) = ecs_record_with_failures(m, penalty);
+                let (p, t, rtt) = ecs_record_with_failures(m);
                 (GroupKey::Ecs(p.into()), t, rtt)
             }
             Grouping::Ldns => {
-                let (l, t, rtt) = ldns_record_with_failures(m, penalty);
+                let (l, t, rtt) = ldns_record_with_failures(m);
                 (GroupKey::Ldns(l), t, rtt)
             }
         }

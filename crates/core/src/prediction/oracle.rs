@@ -69,10 +69,9 @@ impl Predictor {
         day: Day,
         agg: &AggregationConfig,
     ) -> (PredictionTable, GroupTally) {
-        let penalty = self.cfg.failure_penalty_ms;
         let mut by_leaf: BTreeMap<u32, BTreeMap<Target, Vec<f64>>> = BTreeMap::new();
         for m in data.day(day) {
-            let (p, t, rtt) = ecs_record_with_failures(m, penalty);
+            let (p, t, rtt) = ecs_record_with_failures(m);
             by_leaf
                 .entry(Prefix::from(p).raw())
                 .or_default()

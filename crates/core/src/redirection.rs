@@ -11,10 +11,10 @@
 //!   request" in its simplest form);
 //! * [`PredictionPolicy`] — answer from a trained
 //!   [`crate::prediction::PredictionTable`], at ECS or LDNS granularity,
-//!   falling back to anycast for unknown groups;
-//! * [`HybridPolicy`] — the paper's conclusion: anycast for everyone except
-//!   the groups a prediction table says gain at least a threshold from DNS
-//!   redirection.
+//!   falling back to anycast for unknown groups. Over
+//!   [`PredictionTable::hybrid_filter`] it is the paper's conclusion:
+//!   anycast for everyone except the groups the table says gain at least a
+//!   threshold from DNS redirection.
 
 use anycast_geo::GeoPoint;
 use anycast_netsim::CdnAddressing;
@@ -128,45 +128,6 @@ impl RedirectionPolicy for PredictionPolicy {
             Target::Unicast(site) => self.addressing.site_ip(site),
         };
         DnsAnswer::scoped(addr, self.ttl_s, self.grouping.answer_scope(matched_len))
-    }
-}
-
-/// The hybrid: prediction-driven redirection restricted to groups whose
-/// expected gain clears a threshold; anycast for everyone else.
-#[derive(Debug, Clone)]
-pub struct HybridPolicy {
-    inner: PredictionPolicy,
-}
-
-impl HybridPolicy {
-    /// Builds the hybrid from a full table by keeping only groups with an
-    /// expected gain of at least `min_gain_ms`.
-    pub fn new(
-        table: &PredictionTable,
-        min_gain_ms: f64,
-        grouping: Grouping,
-        addressing: CdnAddressing,
-        ttl_s: u32,
-    ) -> HybridPolicy {
-        HybridPolicy {
-            inner: PredictionPolicy::new(
-                table.hybrid_filter(min_gain_ms),
-                grouping,
-                addressing,
-                ttl_s,
-            ),
-        }
-    }
-
-    /// Number of groups the hybrid actually redirects.
-    pub fn redirected_count(&self) -> usize {
-        self.inner.table().len()
-    }
-}
-
-impl RedirectionPolicy for HybridPolicy {
-    fn answer(&self, query: &QueryContext<'_>) -> DnsAnswer {
-        self.inner.answer(query)
     }
 }
 
@@ -377,13 +338,17 @@ mod tests {
         let qname = DnsName::new("www.cdn.example").unwrap();
         let ecs = Some(EcsOption::for_prefix(prefix(1)));
 
-        let permissive = HybridPolicy::new(&table, 5.0, Grouping::Ecs, plan, 60);
-        assert_eq!(permissive.redirected_count(), 1);
+        let hybrid = |min_gain_ms: f64| {
+            PredictionPolicy::new(table.hybrid_filter(min_gain_ms), Grouping::Ecs, plan, 60)
+        };
+
+        let permissive = hybrid(5.0);
+        assert_eq!(permissive.table().len(), 1);
         let a = permissive.answer(&ctx(&qname, 0, GeoPoint::new(0.0, 0.0), ecs));
         assert_eq!(plan.site_for_ip(a.addr), Some(SiteId(3)));
 
-        let strict = HybridPolicy::new(&table, 25.0, Grouping::Ecs, plan, 60);
-        assert_eq!(strict.redirected_count(), 0);
+        let strict = hybrid(25.0);
+        assert_eq!(strict.table().len(), 0);
         let b = strict.answer(&ctx(&qname, 0, GeoPoint::new(0.0, 0.0), ecs));
         assert!(plan.is_anycast(b.addr));
     }

@@ -56,8 +56,8 @@ use std::collections::HashMap;
 use anycast_analysis::poor_paths::PrefixDayPerf;
 use anycast_analysis::quantile::median;
 use anycast_beacon::{
-    join, run_beacon, BeaconClient, BeaconDataset, BeaconMeasurement, FetchConfig,
-    MeasurementPolicy, Target, TimingModel,
+    join, run_beacon, BeaconClient, BeaconDataset, BeaconMeasurement, MeasurementPolicy, Target,
+    TimingModel,
 };
 use anycast_dns::{AuthoritativeServer, DnsName, Ldns, LdnsId};
 use anycast_geo::GeoPoint;
@@ -79,6 +79,9 @@ const EXEC_INDEX_BITS: u32 = 28;
 /// stay in a core's L2 from the beacon that writes them to the join that
 /// reads them.
 const BLOCK_BEACONS: usize = 512;
+/// Minimum samples for a per-day unicast median to count in the §5 daily
+/// poor-path analysis.
+const MIN_UNICAST_SAMPLES: usize = 6;
 
 /// Campaign parameters.
 ///
@@ -91,11 +94,11 @@ const BLOCK_BEACONS: usize = 512;
 ///   scheduled beacon count, hence the event list and every downstream id;
 /// * `candidates` **affects stream identity** of the measurement policy's
 ///   answers (which unicast targets a beacon fetches);
-/// * `timing` and `fetch` change how many draws a beacon makes from *its
-///   own* stream (and the reported values), but never another stream's;
-/// * `ttl_s`, `min_unicast_samples`, and `workers` are **stream-neutral**:
-///   `workers` in particular is provably output-neutral (the
-///   worker-invariance proptest pins it).
+/// * `ttl_s` and `workers` are **stream-neutral**: `workers` in particular
+///   is provably output-neutral (the worker-invariance proptest pins it).
+///
+/// Every beacon reports through [`TimingModel::default`] and fetches with
+/// the beacon crate's fixed timeout and retry count.
 #[derive(Debug, Clone, Copy)]
 pub struct StudyConfig {
     /// Fraction of queries that carry the beacon ("a small fraction of
@@ -107,16 +110,6 @@ pub struct StudyConfig {
     /// Measurement answer TTL, seconds (longer than a beacon run).
     /// Stream-neutral.
     pub ttl_s: u32,
-    /// Browser timing accuracy model. Changes per-beacon draws, not
-    /// stream identity.
-    pub timing: TimingModel,
-    /// Client-side fetch timeout/retry behavior (matters only in worlds
-    /// with scheduled front-end failures). Changes per-beacon draws, not
-    /// stream identity.
-    pub fetch: FetchConfig,
-    /// Minimum samples for a per-day unicast median to count in the §5
-    /// daily poor-path analysis. Stream-neutral.
-    pub min_unicast_samples: usize,
     /// Worker threads for `run_day` (≥ 1). Output bytes never depend on
     /// it. Defaults to the host's available parallelism.
     pub workers: usize,
@@ -128,9 +121,6 @@ impl Default for StudyConfig {
             beacon_rate: 0.04,
             candidates: 10,
             ttl_s: 300,
-            timing: TimingModel::default(),
-            fetch: FetchConfig::default(),
-            min_unicast_samples: 6,
             workers: std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
@@ -383,6 +373,7 @@ impl Study {
         let day = routes.day();
         let mut auth = AuthoritativeServer::new(self.policy.clone(), false);
         let mut resolvers: HashMap<LdnsId, Ldns> = HashMap::new();
+        let timing = TimingModel::default();
         // Wall time of this worker's beacon executions. Observability
         // only: spans never touch RNG streams or outputs.
         let beacon_span = span!("study.beacon", &worker.to_string());
@@ -417,8 +408,7 @@ impl Study {
                     &s.internet,
                     routes.client(ev.client),
                     &s.addressing,
-                    &self.cfg.timing,
-                    &self.cfg.fetch,
+                    &timing,
                     &self.zone,
                     &beacon_client,
                     ldns,
@@ -466,7 +456,7 @@ impl Study {
 
     /// §5's end-of-day analysis: for each /24 with anycast measurements on
     /// `day`, the median anycast latency and the best per-front-end unicast
-    /// median (front-ends with fewer than `min_unicast_samples` samples are
+    /// median (front-ends with fewer than `MIN_UNICAST_SAMPLES` samples are
     /// skipped).
     pub fn daily_prefix_perf(&self, day: Day) -> Vec<PrefixDayPerf<Prefix24>> {
         let by_target = self.dataset.by_prefix_target(day);
@@ -483,7 +473,7 @@ impl Study {
             };
             let best_unicast = of_prefix[1..]
                 .iter()
-                .filter(|(_, v)| v.len() >= self.cfg.min_unicast_samples)
+                .filter(|(_, v)| v.len() >= MIN_UNICAST_SAMPLES)
                 .filter_map(|(_, v)| median(v))
                 .fold(f64::INFINITY, f64::min);
             if best_unicast.is_finite() {

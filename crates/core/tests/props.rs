@@ -58,7 +58,7 @@ proptest! {
             (1, None, anycast_rtts.clone()),
             (1, Some(3), unicast_rtts.clone()),
         ]);
-        let cfg = PredictorConfig { grouping: Grouping::Ecs, metric: Metric::P25, min_samples, failure_penalty_ms: 3_000.0 };
+        let cfg = PredictorConfig { grouping: Grouping::Ecs, metric: Metric::P25, min_samples };
         let table = Predictor::new(cfg).train(&ds, Day(0));
         let prefix = Prefix24::containing(std::net::Ipv4Addr::new(11, 0, 1, 1));
         match table.predict(GroupKey::Ecs(prefix.into())) {
@@ -77,7 +77,7 @@ proptest! {
         c in prop::collection::vec(1.0..300.0f64, 10..30),
     ) {
         let ds = dataset(&[(1, None, a.clone()), (1, Some(2), b.clone()), (1, Some(5), c.clone())]);
-        let cfg = PredictorConfig { grouping: Grouping::Ecs, metric: Metric::P25, min_samples: 10, failure_penalty_ms: 3_000.0 };
+        let cfg = PredictorConfig { grouping: Grouping::Ecs, metric: Metric::P25, min_samples: 10 };
         let table = Predictor::new(cfg).train(&ds, Day(0));
         let prefix = Prefix24::containing(std::net::Ipv4Addr::new(11, 0, 1, 1));
         let chosen = table.predict(GroupKey::Ecs(prefix.into())).unwrap();
@@ -110,7 +110,7 @@ proptest! {
             })
             .collect();
         let ds = dataset(&spec);
-        let cfg = PredictorConfig { grouping: Grouping::Ecs, metric: Metric::P25, min_samples: 10, failure_penalty_ms: 3_000.0 };
+        let cfg = PredictorConfig { grouping: Grouping::Ecs, metric: Metric::P25, min_samples: 10 };
         let table = Predictor::new(cfg).train(&ds, Day(0));
         let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
         prop_assert!(table.hybrid_filter(hi).len() <= table.hybrid_filter(lo).len());

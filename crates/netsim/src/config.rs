@@ -1,10 +1,14 @@
 //! Simulation parameters.
 //!
-//! Every knob that shapes the synthetic Internet lives here, with defaults
-//! calibrated so the default world reproduces the paper's headline shapes
-//! (≈20% of clients with a better unicast front-end; ≈55% of clients routed
-//! to their closest front-end; churn of a few percent per weekday). The
-//! calibration rationale for each default is given on the field.
+//! Every knob an experiment varies lives here, with defaults calibrated so
+//! the default world reproduces the paper's headline shapes (≈20% of
+//! clients with a better unicast front-end; ≈55% of clients routed to
+//! their closest front-end; churn of a few percent per weekday). The
+//! calibration rationale for each default is given on the field. Values
+//! every world shares — the latency model's constants, the peering and
+//! IGP calibration, the drain and reconvergence windows — are named
+//! constants beside the code that reads them (`latency`, `topology`,
+//! `internet`, `outage`).
 
 /// Parameters for topology generation, routing pathologies, churn and the
 /// latency model.
@@ -23,12 +27,6 @@ pub struct NetConfig {
     pub transit_pops: usize,
     /// Number of eyeball (access) ASes hosting clients.
     pub n_eyeball: usize,
-    /// Maximum number of metros in an eyeball AS's footprint.
-    pub eyeball_max_pops: usize,
-    /// Fraction of eyeball ASes that peer directly with the CDN somewhere.
-    /// The rest reach the CDN only through transit. Default 0.78: large
-    /// eyeballs overwhelmingly peer with major CDNs directly.
-    pub p_direct_peering: f64,
     /// Among directly-peering ASes, the fraction whose *only* peering with
     /// the CDN is at a single (possibly distant) location — the paper's
     /// "ISP's internal policy chooses to hand off traffic at a distant
@@ -48,10 +46,6 @@ pub struct NetConfig {
     /// per day, so most last exactly one day — Figure 6's "around 60%
     /// appear for only one day over the month".
     pub p_episodic_congestion: f64,
-    /// Median of the lognormal stable congestion penalty (ms, RTT).
-    pub congestion_ms_median: f64,
-    /// Sigma of the stable congestion penalty lognormal.
-    pub congestion_ms_sigma: f64,
     /// Probability that a flappy attachment point flips its route tie-break
     /// on a given weekday. Calibrated against Figure 7 *end to end*: an
     /// attachment-level flip only becomes a visible front-end switch when
@@ -67,41 +61,6 @@ pub struct NetConfig {
     /// the rest never change routes. Figure 7 plateaus near 21% over a full
     /// week: most clients are stable.
     pub flappy_fraction: f64,
-    /// One-way propagation speed in fiber, km per millisecond (~2/3 c).
-    pub fiber_km_per_ms: f64,
-    /// Multiplier on great-circle distance to account for fiber paths not
-    /// following geodesics. 1.25 matches common transit-path stretch
-    /// estimates.
-    pub fiber_path_stretch: f64,
-    /// Additional stretch on the transit-carried leg of a route. Prefixes
-    /// announced from a single location (the measurement /24s, §3.1) reach
-    /// most of the Internet via transit, whose paths detour through provider
-    /// hubs; direct peering avoids this. The asymmetry makes the *unicast*
-    /// probe to a distant front-end genuinely slower than anycast for
-    /// well-served clients — which is why the paper's daily "any
-    /// improvement" classification fires rarely for most prefixes.
-    pub transit_detour_stretch: f64,
-    /// Per-hop processing/serialization delay, ms (RTT, both directions).
-    pub per_hop_ms: f64,
-    /// Median last-mile RTT in ms by access technology is built into
-    /// [`crate::latency::AccessTech`]; this scales all of them (1.0 = as
-    /// modeled).
-    pub last_mile_scale: f64,
-    /// Median of the per-measurement additive jitter lognormal (ms).
-    pub jitter_ms_median: f64,
-    /// Sigma of the per-measurement jitter lognormal.
-    pub jitter_ms_sigma: f64,
-    /// Probability a single measurement hits a transient congestion spike.
-    pub spike_prob: f64,
-    /// Maximum transient spike size (ms); spikes are uniform in
-    /// `[spike_min_ms, spike_max_ms]`.
-    pub spike_min_ms: f64,
-    /// See `spike_min_ms`.
-    pub spike_max_ms: f64,
-    /// Server processing time added to every HTTP fetch (ms, median).
-    pub server_ms_median: f64,
-    /// Sigma of the server processing lognormal.
-    pub server_ms_sigma: f64,
     /// Fraction of CDN border routers whose IGP cost towards some front-ends
     /// is inflated (non-geographic internal topology, §5 case study 1).
     pub p_igp_inflated: f64,
@@ -114,10 +73,6 @@ pub struct NetConfig {
     /// only 19% of prefixes see *any* daily-median improvement even though
     /// 45% of clients are not on their geographically closest front-end.
     pub p_unicast_path_penalty: f64,
-    /// Median of the stable unicast path penalty, ms.
-    pub unicast_penalty_ms_median: f64,
-    /// Lognormal sigma of the unicast path penalty.
-    pub unicast_penalty_ms_sigma: f64,
     /// Per-day probability that a border router's ingress→front-end mapping
     /// is remapped to its runner-up site for that day (internal maintenance
     /// and load management — the FastRoute-style interventions the paper
@@ -125,9 +80,6 @@ pub struct NetConfig {
     /// 6's short-lived poor paths: unicast probes, pinned to their own
     /// sites, are unaffected.
     pub p_igp_episode: f64,
-    /// Multiplier applied to the IGP cost of an inflated (border, site)
-    /// pair.
-    pub igp_inflation_factor: f64,
     /// Per-day probability that a front-end site suffers an **unplanned
     /// outage** (crash): its anycast announcement is withdrawn reactively,
     /// so the old catchment blackholes until BGP reconverges, and its
@@ -142,13 +94,6 @@ pub struct NetConfig {
     /// Duration of an unplanned outage window, seconds (≤ one day; windows
     /// never span midnight).
     pub outage_duration_s: f64,
-    /// Duration of a maintenance-drain window, seconds (≤ one day).
-    pub drain_duration_s: f64,
-    /// How long an *unplanned* anycast withdrawal takes to propagate:
-    /// clients whose steady route lands on the crashed site lose requests
-    /// for this many seconds after the window opens, then recover via the
-    /// next-best catchment (the paper's §2 "one routing step").
-    pub bgp_reconvergence_s: f64,
     /// Present: generate an Internet-scale policy-routed AS graph
     /// ([`crate::worldgen`]) instead of the default small world, and route
     /// by valley-free best-path selection instead of distance ranking.
@@ -164,40 +109,19 @@ impl Default for NetConfig {
             n_transit: 6,
             transit_pops: 50,
             n_eyeball: 160,
-            eyeball_max_pops: 12,
-            p_direct_peering: 0.80,
             p_remote_peering_only: 0.05,
             p_fixed_regional_egress: 0.045,
             p_chronic_congestion: 0.02,
             p_episodic_congestion: 0.07,
-            congestion_ms_median: 26.0,
-            congestion_ms_sigma: 1.1,
             weekday_flip_prob: 0.42,
             weekend_flip_prob: 0.02,
             flappy_fraction: 0.42,
-            fiber_km_per_ms: 200.0,
-            fiber_path_stretch: 1.25,
-            transit_detour_stretch: 1.45,
-            per_hop_ms: 0.35,
-            last_mile_scale: 1.0,
-            jitter_ms_median: 2.0,
-            jitter_ms_sigma: 0.12,
-            spike_prob: 0.12,
-            spike_min_ms: 10.0,
-            spike_max_ms: 200.0,
-            server_ms_median: 4.0,
-            server_ms_sigma: 0.05,
             p_igp_inflated: 0.08,
             p_unicast_path_penalty: 0.55,
-            unicast_penalty_ms_median: 4.0,
-            unicast_penalty_ms_sigma: 0.8,
             p_igp_episode: 0.02,
-            igp_inflation_factor: 3.0,
             p_site_outage: 0.0,
             p_site_drain: 0.0,
             outage_duration_s: 7_200.0,
-            drain_duration_s: 14_400.0,
-            bgp_reconvergence_s: 30.0,
             worldgen: None,
         }
     }
@@ -228,8 +152,6 @@ impl NetConfig {
             p_episodic_congestion: 0.0,
             p_igp_inflated: 0.0,
             p_unicast_path_penalty: 0.0,
-            unicast_penalty_ms_median: 4.0,
-            unicast_penalty_ms_sigma: 0.8,
             p_igp_episode: 0.0,
             flappy_fraction: 0.0,
             weekday_flip_prob: 0.0,
@@ -250,23 +172,12 @@ impl NetConfig {
                 Err(format!("{name} must be a probability, got {v}"))
             }
         }
-        fn pos(name: &str, v: f64) -> Result<(), String> {
-            if v > 0.0 && v.is_finite() {
-                Ok(())
-            } else {
-                Err(format!("{name} must be positive and finite, got {v}"))
-            }
-        }
         if self.n_sites == 0 {
             return Err("n_sites must be at least 1".into());
         }
         if self.n_eyeball == 0 {
             return Err("n_eyeball must be at least 1".into());
         }
-        if self.eyeball_max_pops == 0 {
-            return Err("eyeball_max_pops must be at least 1".into());
-        }
-        prob("p_direct_peering", self.p_direct_peering)?;
         prob("p_remote_peering_only", self.p_remote_peering_only)?;
         prob("p_fixed_regional_egress", self.p_fixed_regional_egress)?;
         prob("p_chronic_congestion", self.p_chronic_congestion)?;
@@ -274,41 +185,16 @@ impl NetConfig {
         prob("weekday_flip_prob", self.weekday_flip_prob)?;
         prob("weekend_flip_prob", self.weekend_flip_prob)?;
         prob("flappy_fraction", self.flappy_fraction)?;
-        prob("spike_prob", self.spike_prob)?;
         prob("p_igp_inflated", self.p_igp_inflated)?;
         prob("p_igp_episode", self.p_igp_episode)?;
         prob("p_site_outage", self.p_site_outage)?;
         prob("p_site_drain", self.p_site_drain)?;
-        pos("outage_duration_s", self.outage_duration_s)?;
-        pos("drain_duration_s", self.drain_duration_s)?;
-        if self.outage_duration_s > 86_400.0 || self.drain_duration_s > 86_400.0 {
-            return Err("outage/drain windows must fit within one day".into());
-        }
-        if self.bgp_reconvergence_s < 0.0 || !self.bgp_reconvergence_s.is_finite() {
-            return Err(format!(
-                "bgp_reconvergence_s must be non-negative and finite, got {}",
-                self.bgp_reconvergence_s
-            ));
-        }
         prob("p_unicast_path_penalty", self.p_unicast_path_penalty)?;
-        pos("unicast_penalty_ms_median", self.unicast_penalty_ms_median)?;
-        pos("fiber_km_per_ms", self.fiber_km_per_ms)?;
-        pos("fiber_path_stretch", self.fiber_path_stretch)?;
-        if self.transit_detour_stretch < 1.0 || !self.transit_detour_stretch.is_finite() {
+        if !(self.outage_duration_s > 0.0 && self.outage_duration_s <= 86_400.0) {
             return Err(format!(
-                "transit_detour_stretch must be >= 1, got {}",
-                self.transit_detour_stretch
+                "outage_duration_s must be in (0, 86400], got {}",
+                self.outage_duration_s
             ));
-        }
-        pos("congestion_ms_median", self.congestion_ms_median)?;
-        pos("jitter_ms_median", self.jitter_ms_median)?;
-        pos("server_ms_median", self.server_ms_median)?;
-        pos("igp_inflation_factor", self.igp_inflation_factor)?;
-        if self.per_hop_ms < 0.0 || self.last_mile_scale < 0.0 {
-            return Err("per_hop_ms and last_mile_scale must be non-negative".into());
-        }
-        if self.spike_min_ms < 0.0 || self.spike_max_ms < self.spike_min_ms {
-            return Err("spike range must satisfy 0 <= min <= max".into());
         }
         if let Some(wg) = &self.worldgen {
             wg.validate()?;
@@ -331,17 +217,7 @@ mod tests {
     #[test]
     fn bad_probability_rejected() {
         let cfg = NetConfig {
-            p_direct_peering: 1.5,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn bad_spike_range_rejected() {
-        let cfg = NetConfig {
-            spike_min_ms: 50.0,
-            spike_max_ms: 10.0,
+            p_remote_peering_only: 1.5,
             ..Default::default()
         };
         assert!(cfg.validate().is_err());
@@ -357,26 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn negative_speed_rejected() {
-        let cfg = NetConfig {
-            fiber_km_per_ms: -1.0,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
     fn failure_knobs_default_off_and_validate() {
         let cfg = NetConfig::default();
         assert_eq!(cfg.p_site_outage, 0.0);
         assert_eq!(cfg.p_site_drain, 0.0);
         let bad = NetConfig {
             outage_duration_s: 200_000.0,
-            ..NetConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = NetConfig {
-            bgp_reconvergence_s: -1.0,
             ..NetConfig::default()
         };
         assert!(bad.validate().is_err());

@@ -79,6 +79,37 @@ impl AccessTech {
     }
 }
 
+/// One-way propagation speed in fiber, km per millisecond (~2/3 c).
+pub const FIBER_KM_PER_MS: f64 = 200.0;
+/// Multiplier on great-circle distance to account for fiber paths not
+/// following geodesics. 1.25 matches common transit-path stretch
+/// estimates.
+pub const FIBER_PATH_STRETCH: f64 = 1.25;
+/// Per-hop processing/serialization delay, ms (RTT, both directions).
+const PER_HOP_MS: f64 = 0.35;
+/// Median of the lognormal stable congestion penalty (ms, RTT).
+const CONGESTION_MS_MEDIAN: f64 = 26.0;
+/// Sigma of the stable congestion penalty lognormal.
+const CONGESTION_MS_SIGMA: f64 = 1.1;
+/// Median of the per-measurement additive jitter lognormal (ms).
+const JITTER_MS_MEDIAN: f64 = 2.0;
+/// Sigma of the per-measurement jitter lognormal.
+const JITTER_MS_SIGMA: f64 = 0.12;
+/// Probability a single measurement hits a transient congestion spike.
+const SPIKE_PROB: f64 = 0.12;
+/// Transient spikes are uniform in `[SPIKE_MIN_MS, SPIKE_MAX_MS]`.
+const SPIKE_MIN_MS: f64 = 10.0;
+/// See [`SPIKE_MIN_MS`].
+const SPIKE_MAX_MS: f64 = 200.0;
+/// Server processing time added to every HTTP fetch (ms, median).
+const SERVER_MS_MEDIAN: f64 = 4.0;
+/// Sigma of the server processing lognormal.
+const SERVER_MS_SIGMA: f64 = 0.05;
+/// Median of the stable unicast path penalty, ms.
+const UNICAST_PENALTY_MS_MEDIAN: f64 = 4.0;
+/// Lognormal sigma of the unicast path penalty.
+const UNICAST_PENALTY_MS_SIGMA: f64 = 0.8;
+
 /// The workspace latency model.
 #[derive(Debug, Clone)]
 pub struct LatencyModel {
@@ -116,14 +147,13 @@ impl LatencyModel {
         day: Day,
         extra_km: f64,
     ) -> f64 {
-        let km = (path_km + extra_km.max(0.0)) * self.cfg.fiber_path_stretch;
-        let propagation = 2.0 * km / self.cfg.fiber_km_per_ms;
+        let km = (path_km + extra_km.max(0.0)) * FIBER_PATH_STRETCH;
+        let propagation = 2.0 * km / FIBER_KM_PER_MS;
         // Router count grows with distance: every ~400 km of fiber crosses
         // another IP hop, on top of a handful of fixed hops at the edges.
         let routers = 4.0 + km / 400.0;
-        let processing = routers * self.cfg.per_hop_ms;
-        let last_mile = access.last_mile_ms() * self.cfg.last_mile_scale;
-        propagation + processing + last_mile + self.congestion_ms(as_id, ingress, day)
+        let processing = routers * PER_HOP_MS;
+        propagation + processing + access.last_mile_ms() + self.congestion_ms(as_id, ingress, day)
     }
 
     /// The congestion penalty of the `(AS, ingress)` adjacency on `day`.
@@ -141,8 +171,7 @@ impl LatencyModel {
             let mut rng =
                 rand::rngs::SmallRng::seed_from_u64(mix(self.congestion_seed, key, 0xc401));
             if rng.gen::<f64>() < self.cfg.p_chronic_congestion {
-                return LogNormal::new(self.cfg.congestion_ms_median, self.cfg.congestion_ms_sigma)
-                    .sample(&mut rng);
+                return LogNormal::new(CONGESTION_MS_MEDIAN, CONGESTION_MS_SIGMA).sample(&mut rng);
             }
         }
         if self.cfg.p_episodic_congestion > 0.0 {
@@ -152,8 +181,7 @@ impl LatencyModel {
                 0xe915,
             ));
             if rng.gen::<f64>() < self.cfg.p_episodic_congestion {
-                return LogNormal::new(self.cfg.congestion_ms_median, self.cfg.congestion_ms_sigma)
-                    .sample(&mut rng);
+                return LogNormal::new(CONGESTION_MS_MEDIAN, CONGESTION_MS_SIGMA).sample(&mut rng);
             }
         }
         0.0
@@ -162,15 +190,13 @@ impl LatencyModel {
     /// Samples the per-measurement additive components: jitter, transient
     /// spike, and server time.
     pub fn sample_extra_ms<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let jitter =
-            LogNormal::new(self.cfg.jitter_ms_median, self.cfg.jitter_ms_sigma).sample(rng);
-        let spike = if rng.gen::<f64>() < self.cfg.spike_prob {
-            rng.gen_range(self.cfg.spike_min_ms..=self.cfg.spike_max_ms)
+        let jitter = LogNormal::new(JITTER_MS_MEDIAN, JITTER_MS_SIGMA).sample(rng);
+        let spike = if rng.gen::<f64>() < SPIKE_PROB {
+            rng.gen_range(SPIKE_MIN_MS..=SPIKE_MAX_MS)
         } else {
             0.0
         };
-        let server =
-            LogNormal::new(self.cfg.server_ms_median, self.cfg.server_ms_sigma).sample(rng);
+        let server = LogNormal::new(SERVER_MS_MEDIAN, SERVER_MS_SIGMA).sample(rng);
         jitter + spike + server
     }
 }
@@ -186,11 +212,7 @@ impl LatencyModel {
         let key = 0x5550_0000_0000_0000 | (u64::from(as_id.0) << 24) | u64::from(announcement.0);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(mix(self.congestion_seed, key, 0x751c));
         if rng.gen::<f64>() < self.cfg.p_unicast_path_penalty {
-            LogNormal::new(
-                self.cfg.unicast_penalty_ms_median,
-                self.cfg.unicast_penalty_ms_sigma,
-            )
-            .sample(&mut rng)
+            LogNormal::new(UNICAST_PENALTY_MS_MEDIAN, UNICAST_PENALTY_MS_SIGMA).sample(&mut rng)
         } else {
             0.0
         }

@@ -15,7 +15,7 @@
 //! * **Unplanned outages** — the site crashes mid-announcement. Its border
 //!   withdraws the anycast prefix *reactively*, so clients whose steady
 //!   route lands on the dead site lose packets until BGP reconverges
-//!   (`bgp_reconvergence_s`); after that one routing step they are served
+//!   ([`BGP_RECONVERGENCE_S`]); after that one routing step they are served
 //!   by the next-best catchment.
 //! * **Maintenance drains** — operators withdraw the announcement *before*
 //!   taking the site down (the FastRoute-style drains Sinha et al. study
@@ -61,6 +61,14 @@ impl OutageWindow {
     }
 }
 
+/// Duration of a maintenance-drain window, seconds (≤ one day).
+const DRAIN_DURATION_S: f64 = 14_400.0;
+/// How long an *unplanned* anycast withdrawal takes to propagate: clients
+/// whose steady route lands on the crashed site lose requests for this
+/// many seconds after the window opens, then recover via the next-best
+/// catchment (the paper's §2 "one routing step").
+pub const BGP_RECONVERGENCE_S: f64 = 30.0;
+
 /// Deterministic failure schedule over `(site, day, time)`.
 ///
 /// At most one window per site per day; windows never span a day boundary
@@ -73,8 +81,6 @@ pub struct OutageModel {
     p_outage: f64,
     p_drain: f64,
     outage_duration_s: f64,
-    drain_duration_s: f64,
-    reconvergence_s: f64,
 }
 
 impl OutageModel {
@@ -85,8 +91,6 @@ impl OutageModel {
             p_outage: cfg.p_site_outage,
             p_drain: cfg.p_site_drain,
             outage_duration_s: cfg.outage_duration_s,
-            drain_duration_s: cfg.drain_duration_s,
-            reconvergence_s: cfg.bgp_reconvergence_s,
         }
     }
 
@@ -97,8 +101,6 @@ impl OutageModel {
             p_outage: 0.0,
             p_drain: 0.0,
             outage_duration_s: 1.0,
-            drain_duration_s: 1.0,
-            reconvergence_s: 0.0,
         }
     }
 
@@ -106,11 +108,6 @@ impl OutageModel {
     /// route builders: most worlds never schedule a window).
     pub fn enabled(&self) -> bool {
         self.p_outage > 0.0 || self.p_drain > 0.0
-    }
-
-    /// How long an unplanned withdrawal takes to propagate, seconds.
-    pub fn reconvergence_s(&self) -> f64 {
-        self.reconvergence_s
     }
 
     /// The down-window scheduled for `site` on `day`, if any.
@@ -131,12 +128,12 @@ impl OutageModel {
         if self.p_drain > 0.0 {
             let roll = to_unit(mix(self.seed, key(site), 0xd2a1_0000_0000_0000 ^ d));
             if roll < self.p_drain {
-                let span = (86_400.0 - self.drain_duration_s).max(0.0);
+                let span = 86_400.0 - DRAIN_DURATION_S;
                 let start = to_unit(mix(self.seed, key(site), 0x3a1e_0000_0000_0000 ^ d)) * span;
                 return Some(OutageWindow {
                     kind: OutageKind::Maintenance,
                     start_s: start,
-                    end_s: start + self.drain_duration_s,
+                    end_s: start + DRAIN_DURATION_S,
                 });
             }
         }
@@ -161,7 +158,7 @@ impl OutageModel {
         }
         match self.window_on(site, day) {
             Some(w) if w.kind == OutageKind::Unplanned => {
-                let converged_at = (w.start_s + self.reconvergence_s).min(w.end_s);
+                let converged_at = (w.start_s + BGP_RECONVERGENCE_S).min(w.end_s);
                 w.start_s <= time_s && time_s < converged_at
             }
             _ => false,
@@ -240,7 +237,7 @@ mod tests {
             })
             .expect("some unplanned outage");
         let (site, day, w) = found;
-        let reconv = m.reconvergence_s();
+        let reconv = BGP_RECONVERGENCE_S;
         assert!(m.converging(site, day, w.start_s + reconv / 2.0));
         assert!(!m.converging(site, day, w.start_s + reconv + 1.0));
         // Still down after convergence — just no longer blackholing the

@@ -15,12 +15,11 @@
 //! candidates of its client's resolver (§3.3's ten), so a campaign day
 //! declares those for the clients that fire and nothing for the rest
 //! ([`RouteSnapshot::build_rows`]); the availability sweeps declare every
-//! site for every client ([`RouteSnapshot::build`] /
-//! [`RouteSnapshot::build_parallel`]). A lookup finds the site in the
-//! client's row, and a site outside the row is routed on the spot
-//! through [`Internet::unicast_route`] — the same answer, paid for at the
-//! lookup and counted in `netsim_route_memo_misses_total`, so a caller
-//! whose rows do not cover its lookups sees it in
+//! site for every client ([`RouteSnapshot::build`]). A lookup finds the
+//! site in the client's row, and a site outside the row is routed on the
+//! spot through [`Internet::unicast_route`] — the same answer, paid for
+//! at the lookup and counted in `netsim_route_memo_misses_total`, so a
+//! caller whose rows do not cover its lookups sees it in
 //! `netsim.route_memo_hit_ratio` rather than in wrong routes.
 //!
 //! The snapshot is therefore **transparent** whatever the rows: for every
@@ -104,26 +103,15 @@ struct DayTimeline {
 }
 
 impl<'a> RouteSnapshot<'a> {
-    /// Builds the snapshot sequentially. Equivalent to
-    /// [`RouteSnapshot::build_parallel`] with one worker.
+    /// Builds the snapshot sequentially, declaring every site for every
+    /// client: [`RouteSnapshot::build_rows`] with full rows on one worker.
     pub fn build(
         internet: &Internet,
         clients: &'a [ClientAttachment],
         day: Day,
     ) -> RouteSnapshot<'a> {
-        Self::build_parallel(internet, clients, day, 1)
-    }
-
-    /// Builds the snapshot with up to `workers` threads, declaring every
-    /// site for every client: [`RouteSnapshot::build_rows`] with full rows.
-    pub fn build_parallel(
-        internet: &Internet,
-        clients: &'a [ClientAttachment],
-        day: Day,
-        workers: usize,
-    ) -> RouteSnapshot<'a> {
         let sites: Vec<SiteId> = internet.topology().cdn.site_ids().collect();
-        Self::build_rows(internet, clients, day, workers, |_| sites.as_slice())
+        Self::build_rows(internet, clients, day, 1, |_| sites.as_slice())
     }
 
     /// Builds the snapshot with up to `workers` threads, holding for client
@@ -579,9 +567,10 @@ mod tests {
     fn parallel_build_is_identical_to_sequential() {
         let net = Internet::new(NetConfig::small(), 5).unwrap();
         let cs = clients(&net, 23);
+        let sites: Vec<SiteId> = net.topology().cdn.site_ids().collect();
         let seq = RouteSnapshot::build(&net, &cs, Day(1));
         for workers in [2, 3, 8] {
-            let par = RouteSnapshot::build_parallel(&net, &cs, Day(1), workers);
+            let par = RouteSnapshot::build_rows(&net, &cs, Day(1), workers, |_| sites.as_slice());
             assert_eq!(seq.anycast, par.anycast);
             assert_eq!(seq.unicast, par.unicast);
             assert_eq!(seq.windows, par.windows);
@@ -633,7 +622,8 @@ mod tests {
         for moved in &tl.moved {
             assert!(moved.windows(2).all(|w| w[0].0 < w[1].0));
         }
-        let par = RouteSnapshot::build_parallel(&net, &cs, Day(0), 3);
+        let sites: Vec<SiteId> = net.topology().cdn.site_ids().collect();
+        let par = RouteSnapshot::build_rows(&net, &cs, Day(0), 3, |_| sites.as_slice());
         assert_eq!(seq.anycast, par.anycast);
         assert_eq!(seq.timeline, par.timeline);
     }

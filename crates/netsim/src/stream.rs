@@ -32,8 +32,16 @@ use rand::SeedableRng;
 /// u64. Identical to the mixer used by the schedule models so the whole
 /// repo shares one derivation idiom.
 pub fn mix(seed: u64, key: u64, salt: u64) -> u64 {
-    let mut z =
-        seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    splitmix64(
+        seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9),
+    )
+}
+
+/// The SplitMix64 finalizer: every hash in the workspace above `geo`
+/// pre-mixes its own inputs and ends here. Stable across platforms and
+/// releases by construction — never replace it with `DefaultHasher`, whose
+/// output is allowed to change between Rust versions.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -242,6 +242,9 @@ const SITE_REGION_WEIGHTS: [(Region, f64); 6] = [
     (Region::Africa, 0.05),
 ];
 
+/// Multiplier applied to the IGP cost of an inflated (border, site) pair.
+const IGP_INFLATION_FACTOR: f64 = 3.0;
+
 pub(crate) fn generate_cdn(atlas: &WorldAtlas, cfg: &NetConfig, rng: &mut impl Rng) -> CdnNetwork {
     // Allocate site counts per region by weight (largest remainder).
     let mut counts: Vec<(Region, usize)> = SITE_REGION_WEIGHTS
@@ -319,7 +322,7 @@ pub(crate) fn generate_cdn(atlas: &WorldAtlas, cfg: &NetConfig, rng: &mut impl R
                 })
                 .map(|(i, _)| i)
                 .expect("at least one site");
-            igp[b_idx][nearest] = cfg.igp_inflation_factor;
+            igp[b_idx][nearest] = IGP_INFLATION_FACTOR;
         }
     }
 
@@ -361,6 +364,13 @@ fn generate_transits(
         .collect()
 }
 
+/// Maximum number of metros in an eyeball AS's footprint.
+pub(crate) const EYEBALL_MAX_POPS: usize = 12;
+/// Fraction of eyeball ASes that peer directly with the CDN somewhere; the
+/// rest reach the CDN only through transit. Large eyeballs overwhelmingly
+/// peer with major CDNs directly.
+const P_DIRECT_PEERING: f64 = 0.80;
+
 fn generate_eyeballs(
     atlas: &WorldAtlas,
     cdn: &CdnNetwork,
@@ -382,13 +392,11 @@ fn generate_eyeballs(
             .map(|(mid, _)| (mid, atlas.metro_km(mid, home)))
             .collect();
         candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let size = rng
-            .gen_range(1..=cfg.eyeball_max_pops)
-            .min(candidates.len());
+        let size = rng.gen_range(1..=EYEBALL_MAX_POPS).min(candidates.len());
         let pops: Vec<MetroId> = candidates[..size].iter().map(|&(m, _)| m).collect();
 
         // Direct peering: borders "reachable" from the footprint.
-        let peering_borders = if rng.gen::<f64>() < cfg.p_direct_peering {
+        let peering_borders = if rng.gen::<f64>() < P_DIRECT_PEERING {
             choose_peering(atlas, cdn, &pops, cfg, rng)
         } else {
             Vec::new()

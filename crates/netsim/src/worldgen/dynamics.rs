@@ -19,7 +19,7 @@
 
 use crate::ids::BorderId;
 use crate::sim::Day;
-use crate::stream::to_unit;
+use crate::stream::{splitmix64, to_unit};
 
 use super::graph::PolicyGraph;
 
@@ -52,6 +52,12 @@ impl EventWindow {
     }
 }
 
+/// Shortest event window, seconds: half an hour, a session reset that
+/// outlives BGP's own timers.
+const FLAP_MIN_S: f64 = 1_800.0;
+/// Longest event window, seconds: four hours, a maintenance slot.
+const FLAP_MAX_S: f64 = 14_400.0;
+
 /// Deterministic per-day event scheduler. Probabilities come from
 /// [`crate::worldgen::WorldGenConfig`]; all zero means no dynamics and the
 /// steady catchment table serves every instant.
@@ -61,8 +67,6 @@ pub struct RouteDynamics {
     p_session_flap: f64,
     p_border_flap: f64,
     p_egress_shift: f64,
-    flap_min_s: f64,
-    flap_max_s: f64,
 }
 
 impl RouteDynamics {
@@ -73,16 +77,12 @@ impl RouteDynamics {
         p_session_flap: f64,
         p_border_flap: f64,
         p_egress_shift: f64,
-        flap_min_s: f64,
-        flap_max_s: f64,
     ) -> RouteDynamics {
         RouteDynamics {
             seed: seed ^ 0x6479_6e61_6d69_6373,
             p_session_flap,
             p_border_flap,
             p_egress_shift,
-            flap_min_s,
-            flap_max_s,
         }
     }
 
@@ -133,7 +133,7 @@ impl RouteDynamics {
 
     /// Rolls one `(salt, entity, day)` event; returns its window if it
     /// fires. Start is uniform in the first 70% of the day, duration
-    /// uniform in `[flap_min_s, flap_max_s]`, clamped to midnight.
+    /// uniform in `[FLAP_MIN_S, FLAP_MAX_S]`, clamped to midnight.
     fn roll(&self, salt: u64, entity: u64, day: Day, p: f64) -> Option<(f64, f64)> {
         if p <= 0.0 {
             return None;
@@ -147,12 +147,12 @@ impl RouteDynamics {
             (entity << 20) | u64::from(day.0),
             salt ^ 0x57A2,
         )) * 60_480.0;
-        let span = self.flap_min_s
+        let span = FLAP_MIN_S
             + to_unit(mix64(
                 self.seed,
                 (entity << 20) | u64::from(day.0),
                 salt ^ 0xD0A2,
-            )) * (self.flap_max_s - self.flap_min_s).max(0.0);
+            )) * (FLAP_MAX_S - FLAP_MIN_S);
         Some((start, (start + span).min(86_400.0)))
     }
 }
@@ -160,11 +160,9 @@ impl RouteDynamics {
 /// SplitMix64-style (seed, key, salt) mixer — the same construction the
 /// churn/outage/latency models use.
 fn mix64(seed: u64, key: u64, salt: u64) -> u64 {
-    let mut z =
-        seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(
+        seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
+    )
 }
 
 #[cfg(test)]
@@ -173,13 +171,13 @@ mod tests {
 
     #[test]
     fn disabled_dynamics_schedule_nothing() {
-        let d = RouteDynamics::new(7, 0.0, 0.0, 0.0, 600.0, 1200.0);
+        let d = RouteDynamics::new(7, 0.0, 0.0, 0.0);
         assert!(!d.enabled());
     }
 
     #[test]
     fn windows_are_within_the_day() {
-        let d = RouteDynamics::new(7, 0.5, 0.5, 0.5, 1800.0, 14_400.0);
+        let d = RouteDynamics::new(7, 0.5, 0.5, 0.5);
         for entity in 0..50u64 {
             for day in 0..5 {
                 if let Some((s, e)) = d.roll(0xF1A9, entity, Day(day), 0.5) {
@@ -191,8 +189,8 @@ mod tests {
 
     #[test]
     fn rolls_are_deterministic() {
-        let a = RouteDynamics::new(9, 0.3, 0.3, 0.3, 600.0, 1200.0);
-        let b = RouteDynamics::new(9, 0.3, 0.3, 0.3, 600.0, 1200.0);
+        let a = RouteDynamics::new(9, 0.3, 0.3, 0.3);
+        let b = RouteDynamics::new(9, 0.3, 0.3, 0.3);
         for entity in 0..100 {
             assert_eq!(
                 a.roll(0xF1A9, entity, Day(3), 0.3),

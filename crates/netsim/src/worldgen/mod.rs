@@ -16,7 +16,7 @@
 //!   AS graphs: a few regional providers carry most stub networks;
 //! * the CDN attached exactly as in the paper: transit from a handful of
 //!   tier-1s at every border, settlement-free peering with hypergiants and
-//!   many access networks — including a configurable share of
+//!   many access networks — including a fixed share of
 //!   **remote-only peers** reproducing the §5 pathology;
 //! * deterministic mid-day route dynamics ([`dynamics`]) and a catchment
 //!   engine ([`policy`]) that replaces distance ranking with valley-free
@@ -53,22 +53,6 @@ pub struct WorldGenConfig {
     /// Total AS count (enterprise + transit + hypergiant). The paper-scale
     /// world uses 75 000; CI smoke uses 10 000.
     pub n_ases: usize,
-    /// Tier-1s the CDN buys transit from (sessions at *every* border, so
-    /// the prefix is globally reachable). Paper §3: "a few transit
-    /// providers".
-    pub n_cdn_transits: usize,
-    /// Probability a hypergiant peers with the CDN (they interconnect with
-    /// everyone).
-    pub p_cdn_peer_hypergiant: f64,
-    /// Probability a small transit provider peers with the CDN (2–4
-    /// borders near its home).
-    pub p_cdn_peer_stp: f64,
-    /// Probability an enterprise/access AS peers with the CDN at its 1–2
-    /// nearest borders.
-    pub p_cdn_peer_ec: f64,
-    /// Probability an enterprise/access AS instead peers at a *single
-    /// distant* border — the §5 remote-peering pathology.
-    pub p_remote_peer_ec: f64,
     /// Per-session-day probability of a BGP session flap.
     pub p_session_flap: f64,
     /// Per-border-day probability of an announcement withdrawal window.
@@ -76,26 +60,15 @@ pub struct WorldGenConfig {
     /// Per-session-day probability of a hot-potato egress shift (multi-
     /// border sessions only).
     pub p_egress_shift: f64,
-    /// Shortest event window, seconds.
-    pub flap_min_s: f64,
-    /// Longest event window, seconds.
-    pub flap_max_s: f64,
 }
 
 impl Default for WorldGenConfig {
     fn default() -> Self {
         WorldGenConfig {
             n_ases: 10_000,
-            n_cdn_transits: 3,
-            p_cdn_peer_hypergiant: 0.9,
-            p_cdn_peer_stp: 0.5,
-            p_cdn_peer_ec: 0.3,
-            p_remote_peer_ec: 0.08,
             p_session_flap: 0.0008,
             p_border_flap: 0.0004,
             p_egress_shift: 0.0015,
-            flap_min_s: 1_800.0,
-            flap_max_s: 14_400.0,
         }
     }
 }
@@ -128,14 +101,7 @@ impl WorldGenConfig {
                 self.n_ases
             ));
         }
-        if self.n_cdn_transits == 0 {
-            return Err("worldgen.n_cdn_transits must be >= 1".into());
-        }
         for (name, p) in [
-            ("p_cdn_peer_hypergiant", self.p_cdn_peer_hypergiant),
-            ("p_cdn_peer_stp", self.p_cdn_peer_stp),
-            ("p_cdn_peer_ec", self.p_cdn_peer_ec),
-            ("p_remote_peer_ec", self.p_remote_peer_ec),
             ("p_session_flap", self.p_session_flap),
             ("p_border_flap", self.p_border_flap),
             ("p_egress_shift", self.p_egress_shift),
@@ -143,12 +109,6 @@ impl WorldGenConfig {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("worldgen.{name} must be in [0, 1], got {p}"));
             }
-        }
-        if self.p_cdn_peer_ec + self.p_remote_peer_ec > 1.0 {
-            return Err("worldgen.p_cdn_peer_ec + p_remote_peer_ec must be <= 1".into());
-        }
-        if !(self.flap_min_s > 0.0 && self.flap_max_s >= self.flap_min_s) {
-            return Err("worldgen flap window must satisfy 0 < min <= max".into());
         }
         Ok(())
     }
@@ -181,16 +141,9 @@ pub fn build(cfg: &NetConfig, seed: u64) -> (Topology, PolicyWorld) {
 
     let cdn = topology::generate_cdn(&atlas, cfg, &mut rng);
     let graph = generate_graph(&atlas, &cdn, wg, &mut rng);
-    let eyeballs = bridge_eyeballs(&atlas, &graph, cfg, &mut rng);
+    let eyeballs = bridge_eyeballs(&atlas, &graph, &mut rng);
 
-    let dynamics = RouteDynamics::new(
-        seed,
-        wg.p_session_flap,
-        wg.p_border_flap,
-        wg.p_egress_shift,
-        wg.flap_min_s,
-        wg.flap_max_s,
-    );
+    let dynamics = RouteDynamics::new(seed, wg.p_session_flap, wg.p_border_flap, wg.p_egress_shift);
     let world = PolicyWorld::new(graph, dynamics, &atlas, &cdn);
     let topo = Topology::from_parts(atlas, cdn, Vec::new(), eyeballs);
     (topo, world)
@@ -211,6 +164,22 @@ fn border_rankings(atlas: &WorldAtlas, cdn: &CdnNetwork) -> Vec<Vec<BorderId>> {
         })
         .collect()
 }
+
+/// Tier-1s the CDN buys transit from (sessions at *every* border, so the
+/// prefix is globally reachable). Paper §3: "a few transit providers".
+const N_CDN_TRANSITS: usize = 3;
+/// Probability a hypergiant peers with the CDN (they interconnect with
+/// everyone).
+const P_CDN_PEER_HYPERGIANT: f64 = 0.9;
+/// Probability a small transit provider peers with the CDN (2–4 borders
+/// near its home).
+const P_CDN_PEER_STP: f64 = 0.5;
+/// Probability an enterprise/access AS peers with the CDN at its 1–2
+/// nearest borders.
+const P_CDN_PEER_EC: f64 = 0.3;
+/// Probability an enterprise/access AS instead peers at a *single distant*
+/// border — the §5 remote-peering pathology.
+const P_REMOTE_PEER_EC: f64 = 0.08;
 
 fn generate_graph(
     atlas: &WorldAtlas,
@@ -356,7 +325,7 @@ fn generate_graph(
         }
     }
 
-    // CDN sessions. Transit: the CDN is a customer of `n_cdn_transits`
+    // CDN sessions. Transit: the CDN is a customer of `N_CDN_TRANSITS`
     // LTPs, with the session present at EVERY border — this is what makes
     // every announcement (incl. single-border unicast prefixes) globally
     // reachable. Peer sessions follow class-specific footprints.
@@ -367,7 +336,7 @@ fn generate_graph(
 
     let mut transit_ltps: Vec<u32> = (0..n_ltp as u32).collect();
     transit_ltps.shuffle(rng);
-    transit_ltps.truncate(wg.n_cdn_transits.min(n_ltp));
+    transit_ltps.truncate(N_CDN_TRANSITS.min(n_ltp));
     transit_ltps.sort_unstable();
     for &l in &transit_ltps {
         session_of[l as usize] = sessions.len() as u32;
@@ -386,9 +355,9 @@ fn generate_graph(
         let borders: Option<Vec<BorderId>> = match class[v as usize] {
             AsClass::Ltp => None, // non-transit LTPs reach the CDN via peers
             AsClass::Hypergiant => {
-                (rng.gen::<f64>() < wg.p_cdn_peer_hypergiant).then(|| all_borders.clone())
+                (rng.gen::<f64>() < P_CDN_PEER_HYPERGIANT).then(|| all_borders.clone())
             }
-            AsClass::Stp => (rng.gen::<f64>() < wg.p_cdn_peer_stp).then(|| {
+            AsClass::Stp => (rng.gen::<f64>() < P_CDN_PEER_STP).then(|| {
                 let k = rng.gen_range(2..=4usize).min(ranked.len());
                 let mut b = ranked[..k].to_vec();
                 b.sort_unstable();
@@ -396,13 +365,13 @@ fn generate_graph(
             }),
             AsClass::Ec => {
                 let r = rng.gen::<f64>();
-                if r < wg.p_remote_peer_ec && ranked.len() >= 3 {
+                if r < P_REMOTE_PEER_EC && ranked.len() >= 3 {
                     // Remote-only peering: one session at a mid-ranked
                     // (distant but not antipodal) exchange.
                     let lo = (ranked.len() / 8).max(1);
                     let hi = (ranked.len() / 3).max(lo + 1).min(ranked.len());
                     Some(vec![ranked[rng.gen_range(lo..hi)]])
-                } else if r < wg.p_remote_peer_ec + wg.p_cdn_peer_ec {
+                } else if r < P_REMOTE_PEER_EC + P_CDN_PEER_EC {
                     let k = rng.gen_range(1..=2usize).min(ranked.len());
                     let mut b = ranked[..k].to_vec();
                     b.sort_unstable();
@@ -452,12 +421,7 @@ fn generate_graph(
 /// client footprints; transit-class nodes exist as ASes but never attract
 /// clients. A final coverage pass guarantees every metro hosts at least one
 /// *enterprise* AS (never a transit — clients must not attach to backbones).
-fn bridge_eyeballs(
-    atlas: &WorldAtlas,
-    graph: &PolicyGraph,
-    cfg: &NetConfig,
-    rng: &mut impl Rng,
-) -> Vec<EyeballAs> {
+fn bridge_eyeballs(atlas: &WorldAtlas, graph: &PolicyGraph, rng: &mut impl Rng) -> Vec<EyeballAs> {
     let mut eyeballs: Vec<EyeballAs> = Vec::with_capacity(graph.n as usize);
     // A footprint is a prefix of the home metro's same-country metros,
     // nearest first (ties in atlas order): one list per home metro, built
@@ -477,7 +441,7 @@ fn bridge_eyeballs(
                 ranked.into_iter().map(|(m, _)| m).collect()
             });
             let size = rng
-                .gen_range(1..=cfg.eyeball_max_pops)
+                .gen_range(1..=topology::EYEBALL_MAX_POPS)
                 .min(candidates.len());
             candidates[..size].to_vec()
         } else {
@@ -560,13 +524,7 @@ mod tests {
     fn validate_rejects_bad_knobs() {
         assert!(WorldGenConfig::with_ases(10).validate().is_err());
         assert!(WorldGenConfig {
-            p_cdn_peer_ec: 1.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(WorldGenConfig {
-            flap_min_s: 0.0,
+            p_session_flap: 1.5,
             ..Default::default()
         }
         .validate()

@@ -14,7 +14,6 @@ pub fn flappy_world(seed: u64) -> Internet {
             p_session_flap: 0.25,
             p_border_flap: 0.1,
             p_egress_shift: 0.3,
-            ..WorldGenConfig::default()
         }),
         p_site_outage: 0.2,
         p_site_drain: 0.1,
@@ -73,7 +72,7 @@ pub fn probe_times(net: &Internet, day: Day) -> Vec<f64> {
     }
     for site in net.topology().cdn.site_ids() {
         if let Some(w) = net.outages().window_on(site, day) {
-            let converged = w.start_s + net.outages().reconvergence_s();
+            let converged = w.start_s + anycast_netsim::outage::BGP_RECONVERGENCE_S;
             edges.extend([w.start_s, converged, w.end_s]);
         }
     }

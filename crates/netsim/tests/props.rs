@@ -1,6 +1,7 @@
 //! Property tests for the Internet substrate: routing invariants that must
 //! hold over *any* generated world.
 
+use anycast_netsim::latency::{FIBER_KM_PER_MS, FIBER_PATH_STRETCH};
 use anycast_netsim::worldgen::{route_class, CdnRelation, RouteEnv, CDN_NEXT};
 use anycast_netsim::{
     AccessTech, BorderId, CatchmentTable, ClientAttachment, Day, HopKind, Internet, NetConfig,
@@ -163,8 +164,7 @@ proptest! {
         prop_assert_eq!(hops.last().unwrap().kind, HopKind::FrontEnd);
         prop_assert_eq!(hops.last().unwrap().metro, net.topology().cdn.site_metro(d.site));
         // Latency is at least two-way stretched propagation over the path.
-        let floor = 2.0 * path.total_km() * net.config().fiber_path_stretch
-            / net.config().fiber_km_per_ms;
+        let floor = 2.0 * path.total_km() * FIBER_PATH_STRETCH / FIBER_KM_PER_MS;
         prop_assert!(d.base_rtt_ms >= floor - 1e-9);
         prop_assert!(d.base_rtt_ms.is_finite());
     }
@@ -330,9 +330,9 @@ proptest! {
         for field in 0..3 {
             let mut cfg = NetConfig::default();
             match field {
-                0 => cfg.p_direct_peering = p,
+                0 => cfg.p_remote_peering_only = p,
                 1 => cfg.flappy_fraction = p,
-                _ => cfg.spike_prob = p,
+                _ => cfg.p_chronic_congestion = p,
             }
             prop_assert!(cfg.validate().is_err());
         }

@@ -44,10 +44,6 @@ pub struct DriftConfig {
     /// Samples a series must deliver before it may fire (lets the EWMA
     /// baseline seed itself).
     pub warmup: u32,
-    /// Latency SLO bound in milliseconds, for burn-rate tracking.
-    pub slo_ms: f64,
-    /// Error budget: allowed fraction of observations above `slo_ms`.
-    pub burn_budget: f64,
 }
 
 impl Default for DriftConfig {
@@ -57,8 +53,6 @@ impl Default for DriftConfig {
             k: 0.05,
             h: 0.25,
             warmup: 1,
-            slo_ms: 100.0,
-            burn_budget: 0.01,
         }
     }
 }
@@ -83,7 +77,7 @@ pub struct DriftSignal {
     pub series: String,
     /// The detector statistic at firing time (CUSUM sum or burn rate).
     pub value: f64,
-    /// The threshold it crossed (`h` or `burn_budget`).
+    /// The threshold it crossed (`h`).
     pub threshold: f64,
 }
 

@@ -16,16 +16,13 @@
 //! [`crate::shard`] for the ownership discipline that guarantees the
 //! latter).
 
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer used for
-/// deterministic hashing (shard routing). Stable across
-/// platforms and releases by construction — never replace it with
-/// `DefaultHasher`, whose output is allowed to change between Rust
-/// versions.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+use anycast_netsim::stream::splitmix64;
+
+/// SplitMix64 of one key: a cheap, high-quality 64-bit mixer used for
+/// deterministic hashing (shard routing), stable across platforms and
+/// releases.
+pub fn mix64(x: u64) -> u64 {
+    splitmix64(x.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 /// A cheap multiply-rotate hasher (FxHash construction) for the

@@ -11,7 +11,7 @@
 
 use std::hash::Hash;
 
-use anycast_beacon::{BeaconMeasurement, Target};
+use anycast_beacon::{BeaconMeasurement, Target, FETCH_TIMEOUT_MS};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Prefix, Prefix24};
 use anycast_obs::counter;
@@ -20,21 +20,33 @@ use crate::shard::{owner, run_workers, ShardConfig};
 use crate::sketch::mix64;
 use crate::window::{DaySketches, Share};
 
-/// A beacon measurement as an ECS-granularity latency observation. A
-/// failed fetch (timeout against a dead front-end) contributes `penalty_ms`
-/// instead of its meaningless reported latency, so availability-aware
-/// training sees dead targets as very slow rather than invisible.
-pub fn ecs_record_with_failures(m: &BeaconMeasurement, penalty_ms: f64) -> (Prefix24, Target, f64) {
-    let v = if m.failed { penalty_ms } else { m.rtt_ms };
-    (m.prefix, m.target, v)
+/// The latency a measurement contributes to training: its RTT, or for a
+/// *failed* fetch (every attempt timed out against a dead or converging
+/// front-end) the fetch timeout. Failed fetches carry no RTT, but silently
+/// dropping them would make a flaky front-end look as good as its
+/// successful fetches — the predictor would happily redirect clients to a
+/// site that times out on them. Charging each failure the timeout makes
+/// unreliability count against a target exactly as much as being that
+/// slow; worlds without failures never take the branch.
+fn training_ms(m: &BeaconMeasurement) -> f64 {
+    if m.failed {
+        FETCH_TIMEOUT_MS
+    } else {
+        m.rtt_ms
+    }
+}
+
+/// A beacon measurement as an ECS-granularity latency observation, failures
+/// scored as slow rather than invisible.
+pub fn ecs_record_with_failures(m: &BeaconMeasurement) -> (Prefix24, Target, f64) {
+    (m.prefix, m.target, training_ms(m))
 }
 
 /// A beacon measurement as an LDNS-granularity latency observation
 /// ("assigning each front-end measurement made by a client to the
 /// client's LDNS", §6), failure-aware like [`ecs_record_with_failures`].
-pub fn ldns_record_with_failures(m: &BeaconMeasurement, penalty_ms: f64) -> (LdnsId, Target, f64) {
-    let v = if m.failed { penalty_ms } else { m.rtt_ms };
-    (m.ldns, m.target, v)
+pub fn ldns_record_with_failures(m: &BeaconMeasurement) -> (LdnsId, Target, f64) {
+    (m.ldns, m.target, training_ms(m))
 }
 
 /// Shard route for prefix-keyed records.
@@ -122,13 +134,15 @@ mod tests {
             time_s: 1.0,
         };
         assert_eq!(
-            ecs_record_with_failures(&m, 3000.0),
+            ecs_record_with_failures(&m),
             (m.prefix, Target::Anycast, 42.0)
         );
         assert_eq!(
-            ldns_record_with_failures(&m, 3000.0),
+            ldns_record_with_failures(&m),
             (LdnsId(9), Target::Anycast, 42.0)
         );
+        let failed = BeaconMeasurement { failed: true, ..m };
+        assert_eq!(ecs_record_with_failures(&failed).2, FETCH_TIMEOUT_MS);
         assert_ne!(route_prefix(m.prefix), route_ldns(m.ldns));
     }
 

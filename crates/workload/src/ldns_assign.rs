@@ -12,7 +12,7 @@
 //! The model: each eyeball AS gets one resolver per footprint cluster
 //! (placed at the AS's largest PoPs), a configurable fraction of ASes
 //! centralize their resolver at the home metro even for remote PoPs (the
-//! distant-LDNS tail), and a handful of public resolvers capture a
+//! distant-LDNS tail), and three public resolvers capture a
 //! configurable share of demand.
 
 use std::collections::HashMap;
@@ -30,8 +30,6 @@ use crate::population::Client;
 pub struct LdnsConfig {
     /// Fraction of client demand using a public resolver (paper: ~8%).
     pub public_resolver_share: f64,
-    /// Number of public resolver deployments.
-    pub n_public: usize,
     /// Fraction of eyeball ASes that centralize DNS at their home metro,
     /// leaving remote-PoP clients far from their LDNS (paper: 11-12% of
     /// demand > 500 km).
@@ -47,7 +45,6 @@ impl Default for LdnsConfig {
     fn default() -> Self {
         LdnsConfig {
             public_resolver_share: 0.08,
-            n_public: 3,
             centralized_dns_fraction: 0.12,
             isp_ecs_fraction: 0.0,
         }
@@ -81,6 +78,9 @@ impl LdnsAssignment {
     }
 }
 
+/// Number of public resolver deployments.
+const N_PUBLIC: usize = 3;
+
 /// Places resolvers and assigns every client to one.
 pub fn assign(
     topo: &Topology,
@@ -92,9 +92,9 @@ pub fn assign(
 
     // Public resolvers: anycast deployments; model each as located at a
     // major metro on a distinct continent, ECS-capable.
-    let public_homes = topo.atlas.top_by_population(cfg.n_public.max(1) * 3, None);
+    let public_homes = topo.atlas.top_by_population(N_PUBLIC * 3, None);
     let mut public_ids = Vec::new();
-    for i in 0..cfg.n_public {
+    for i in 0..N_PUBLIC {
         let id = LdnsId(resolvers.len() as u32);
         let metro = public_homes[(i * 3) % public_homes.len()];
         resolvers.push(Ldns::new(

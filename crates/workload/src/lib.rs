@@ -15,17 +15,26 @@
 //!   ([`temporal`]);
 //! * [`scenario`] ties it all together: one call builds the world,
 //!   population, resolvers and per-day passive logs that every figure
-//!   harness starts from.
+//!   harness starts from;
+//! * the passive logs are the production request log of §3.2.1 — "the
+//!   client IP address, location, and what front-end was used during a
+//!   particular request": one [`record::PassiveRecord`] per sampled query,
+//!   kept day-partitioned by [`store::TelemetryStore`] with the group-bys
+//!   the distance (Figure 4) and affinity (Figures 7–8) analyses read.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod ldns_assign;
 pub mod population;
+pub mod record;
 pub mod scenario;
+pub mod store;
 pub mod temporal;
 pub mod volume;
 
 pub use ldns_assign::{LdnsAssignment, LdnsConfig};
 pub use population::{Client, PopulationConfig};
+pub use record::PassiveRecord;
 pub use scenario::{Scenario, ScenarioConfig};
+pub use store::TelemetryStore;

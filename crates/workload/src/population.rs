@@ -41,43 +41,16 @@ impl Client {
 pub struct PopulationConfig {
     /// Number of client /24 prefixes to generate.
     pub n_prefixes: usize,
-    /// Zipf exponent of the per-/24 query-volume skew (≈1 for web traffic).
-    pub zipf_exponent: f64,
     /// Total queries per day across the population (volumes are scaled to
     /// sum approximately to this).
     pub daily_queries: u64,
-    /// Median displacement of a client from its metro center, km. Clients
-    /// are not at the metro's city hall: metro areas plus their commuter
-    /// and rural hinterland spread populations over hundreds of km, which
-    /// is what puts the paper's median client 280 km from its nearest
-    /// front-end even though front-ends sit in major metros.
-    pub spread_km_median: f64,
-    /// Lognormal sigma of the displacement (tail heaviness).
-    pub spread_sigma: f64,
-    /// Per-region usage multipliers applied on top of raw metro population
-    /// when sampling client locations. The studied service's user base was
-    /// heavily North-American/European; raw world population would put
-    /// nearly half the clients in Asia, which no mid-2010s search engine's
-    /// traffic resembled.
-    pub region_usage: [(Region, f64); 6],
 }
 
 impl Default for PopulationConfig {
     fn default() -> Self {
         PopulationConfig {
             n_prefixes: 4000,
-            zipf_exponent: 1.05,
             daily_queries: 400_000,
-            spread_km_median: 110.0,
-            spread_sigma: 1.0,
-            region_usage: [
-                (Region::NorthAmerica, 3.4),
-                (Region::Europe, 2.6),
-                (Region::Asia, 0.45),
-                (Region::SouthAmerica, 0.8),
-                (Region::Oceania, 2.2),
-                (Region::Africa, 0.35),
-            ],
         }
     }
 }
@@ -88,10 +61,33 @@ impl PopulationConfig {
         PopulationConfig {
             n_prefixes: 400,
             daily_queries: 20_000,
-            ..Default::default()
         }
     }
 }
+
+/// Zipf exponent of the per-/24 query-volume skew (≈1 for web traffic).
+const ZIPF_EXPONENT: f64 = 1.05;
+/// Median displacement of a client from its metro center, km. Clients are
+/// not at the metro's city hall: metro areas plus their commuter and rural
+/// hinterland spread populations over hundreds of km, which is what puts
+/// the paper's median client 280 km from its nearest front-end even though
+/// front-ends sit in major metros.
+const SPREAD_KM_MEDIAN: f64 = 110.0;
+/// Lognormal sigma of the displacement (tail heaviness).
+const SPREAD_SIGMA: f64 = 1.0;
+/// Per-region usage multipliers applied on top of raw metro population
+/// when sampling client locations. The studied service's user base was
+/// heavily North-American/European; raw world population would put nearly
+/// half the clients in Asia, which no mid-2010s search engine's traffic
+/// resembled.
+const REGION_USAGE: [(Region, f64); 6] = [
+    (Region::NorthAmerica, 3.4),
+    (Region::Europe, 2.6),
+    (Region::Asia, 0.45),
+    (Region::SouthAmerica, 0.8),
+    (Region::Oceania, 2.2),
+    (Region::Africa, 0.35),
+];
 
 /// Generates the client population over a topology. Metros are drawn
 /// proportionally to population; the AS is drawn uniformly from those
@@ -99,11 +95,11 @@ impl PopulationConfig {
 pub fn generate(topo: &Topology, cfg: &PopulationConfig, rng: &mut impl Rng) -> Vec<Client> {
     let mut alloc = PrefixAllocator::new();
     let volumes =
-        crate::volume::zipf_volumes(cfg.n_prefixes, cfg.zipf_exponent, cfg.daily_queries, rng);
-    let spread = LogNormal::new(cfg.spread_km_median, cfg.spread_sigma);
+        crate::volume::zipf_volumes(cfg.n_prefixes, ZIPF_EXPONENT, cfg.daily_queries, rng);
+    let spread = LogNormal::new(SPREAD_KM_MEDIAN, SPREAD_SIGMA);
     // Usage-weighted metro sampler: population × region usage factor.
     let usage = |r: Region| -> f64 {
-        cfg.region_usage
+        REGION_USAGE
             .iter()
             .find(|(region, _)| *region == r)
             .map(|(_, w)| *w)

@@ -7,12 +7,13 @@
 //! logs and beacon measurements through it.
 
 use anycast_geo::{GeoDb, GeoDbErrorModel};
+use anycast_netsim::stream::{splitmix64, to_unit};
 use anycast_netsim::{CdnAddressing, Day, Internet, NetConfig};
-use anycast_telemetry::PassiveRecord;
 use rand::Rng;
 
 use crate::ldns_assign::{self, LdnsAssignment, LdnsConfig};
 use crate::population::{self, Client, PopulationConfig};
+use crate::record::PassiveRecord;
 use crate::temporal;
 
 /// Everything needed to build a [`Scenario`].
@@ -24,8 +25,6 @@ pub struct ScenarioConfig {
     pub population: PopulationConfig,
     /// Resolver parameters.
     pub ldns: LdnsConfig,
-    /// Geolocation error model for the CDN's database.
-    pub geodb_error: GeoDbErrorModel,
     /// Fraction of each /24's daily queries that the passive log generator
     /// actually materializes (production logs are huge; experiments sample).
     pub passive_sample_rate: f64,
@@ -40,7 +39,6 @@ impl Default for ScenarioConfig {
             net: NetConfig::default(),
             population: PopulationConfig::default(),
             ldns: LdnsConfig::default(),
-            geodb_error: GeoDbErrorModel::default(),
             passive_sample_rate: 0.30,
             seed: 0,
         }
@@ -79,7 +77,7 @@ pub struct Scenario {
     pub clients: Vec<Client>,
     /// Resolver fleet and client assignment.
     pub ldns: LdnsAssignment,
-    /// The CDN's geolocation database.
+    /// The CDN's geolocation database, with the default error model.
     pub geodb: GeoDb,
     /// The CDN's address plan.
     pub addressing: CdnAddressing,
@@ -105,7 +103,7 @@ impl Scenario {
         let mut rng = seeded_rng(cfg.seed, 0x776f726b);
         let clients = population::generate(internet.topology(), &cfg.population, &mut rng);
         let ldns = ldns_assign::assign(internet.topology(), &clients, &cfg.ldns, &mut rng);
-        let geodb = GeoDb::new(cfg.seed ^ 0x67656f64, cfg.geodb_error);
+        let geodb = GeoDb::new(cfg.seed ^ 0x67656f64, GeoDbErrorModel::default());
         let n_sites = internet.topology().cdn.sites.len() as u16;
         Ok(Scenario {
             internet,
@@ -132,14 +130,11 @@ impl Scenario {
     /// attachment takes effect on `day` (deterministic per attachment/day).
     pub fn flip_time_s(&self, client: &Client, day: Day) -> f64 {
         let a = client.attachment;
-        let mut z = self.seed
+        let z = self.seed
             ^ (u64::from(a.as_id.0) << 40)
             ^ (u64::from(a.metro.0) << 16)
             ^ u64::from(day.0);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64 * 86_400.0
+        to_unit(splitmix64(z)) * 86_400.0
     }
 
     /// Generates one day of passive production logs: every client's sampled
@@ -204,16 +199,13 @@ pub fn sample_count(expected: f64, rng: &mut impl Rng) -> u64 {
 /// Derives an independent RNG stream from `(seed, salt)`.
 pub fn seeded_rng(seed: u64, salt: u64) -> rand::rngs::SmallRng {
     use rand::SeedableRng;
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    rand::rngs::SmallRng::seed_from_u64(z ^ (z >> 31))
+    rand::rngs::SmallRng::seed_from_u64(splitmix64(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_telemetry::TelemetryStore;
+    use crate::store::TelemetryStore;
 
     #[test]
     fn build_small_world() {

@@ -86,7 +86,6 @@ fn main() {
         epochs: 4,
         control: ControlConfig {
             mode: ControlMode::Shed,
-            ..ControlConfig::default()
         },
         ..LoopConfig::default()
     };

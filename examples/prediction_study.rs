@@ -35,7 +35,6 @@ fn main() {
             grouping,
             metric: Metric::P25,
             min_samples: 20,
-            failure_penalty_ms: 3_000.0,
         };
         let table = Predictor::new(cfg).train(study.dataset(), Day(0));
         let rows =
@@ -62,7 +61,6 @@ fn main() {
         grouping: Grouping::Ecs,
         metric: Metric::P25,
         min_samples: 20,
-        failure_penalty_ms: 3_000.0,
     };
     let full = Predictor::new(cfg).train(study.dataset(), Day(0));
     for threshold in [0.0, 5.0, 10.0, 25.0, 50.0] {

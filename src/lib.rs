@@ -31,5 +31,4 @@ pub use anycast_dns as dns;
 pub use anycast_geo as geo;
 pub use anycast_netsim as netsim;
 pub use anycast_serve as serve;
-pub use anycast_telemetry as telemetry;
 pub use anycast_workload as workload;

@@ -6,8 +6,7 @@ use anycast_cdn::core::{
     evaluate_prediction, Grouping, Metric, Predictor, PredictorConfig, Study, StudyConfig,
 };
 use anycast_cdn::netsim::Day;
-use anycast_cdn::telemetry::TelemetryStore;
-use anycast_cdn::workload::{scenario::seeded_rng, Scenario};
+use anycast_cdn::workload::{scenario::seeded_rng, Scenario, TelemetryStore};
 
 fn small_study(seed: u64, days: u32) -> Study {
     let mut study = Study::new(Scenario::small(seed), StudyConfig::default());
@@ -38,7 +37,6 @@ fn full_pipeline_produces_all_analyses() {
         grouping: Grouping::Ecs,
         metric: Metric::P25,
         min_samples: 10,
-        failure_penalty_ms: 3_000.0,
     };
     let table = Predictor::new(cfg).train(dataset, Day(0));
     let rows = evaluate_prediction(
@@ -149,7 +147,6 @@ fn prediction_targets_were_actually_measured() {
         grouping: Grouping::Ecs,
         metric: Metric::P25,
         min_samples: 10,
-        failure_penalty_ms: 3_000.0,
     };
     let table = Predictor::new(cfg).train(study.dataset(), Day(0));
     let by_target = study.dataset().by_prefix_target(Day(0));

@@ -2,8 +2,8 @@
 //! (LDNS cache → authoritative server → policy), not called directly.
 
 use anycast_cdn::core::{
-    AnycastPolicy, Deployment, GeoClosestDnsPolicy, Grouping, HybridPolicy, Metric,
-    PredictionPolicy, Predictor, PredictorConfig, Study, StudyConfig,
+    AnycastPolicy, Deployment, GeoClosestDnsPolicy, Grouping, Metric, PredictionPolicy, Predictor,
+    PredictorConfig, Study, StudyConfig,
 };
 use anycast_cdn::dns::{AuthoritativeServer, DnsName, Ldns, LdnsId, ResolverKind};
 use anycast_cdn::netsim::Day;
@@ -69,7 +69,6 @@ fn prediction_policy_end_to_end_with_ecs() {
         grouping: Grouping::Ecs,
         metric: Metric::P25,
         min_samples: 10,
-        failure_penalty_ms: 3_000.0,
     };
     let table = Predictor::new(cfg).train(study.dataset(), Day(0));
     assert!(!table.is_empty(), "campaign produced no predictions");
@@ -105,7 +104,6 @@ fn prediction_policy_without_ecs_falls_back_to_anycast() {
         grouping: Grouping::Ecs,
         metric: Metric::P25,
         min_samples: 10,
-        failure_penalty_ms: 3_000.0,
     };
     let table = Predictor::new(cfg).train(study.dataset(), Day(0));
     let scenario = study.scenario();
@@ -125,11 +123,15 @@ fn hybrid_redirects_strict_subset() {
         grouping: Grouping::Ecs,
         metric: Metric::P25,
         min_samples: 10,
-        failure_penalty_ms: 3_000.0,
     };
     let table = Predictor::new(cfg).train(study.dataset(), Day(0));
     let all = table.redirected_groups().count();
     let scenario = study.scenario();
-    let hybrid = HybridPolicy::new(&table, 10.0, Grouping::Ecs, scenario.addressing, 300);
-    assert!(hybrid.redirected_count() <= all);
+    let hybrid = PredictionPolicy::new(
+        table.hybrid_filter(10.0),
+        Grouping::Ecs,
+        scenario.addressing,
+        300,
+    );
+    assert!(hybrid.table().len() <= all);
 }
