@@ -698,14 +698,18 @@ fn starts_of(counts: &mut [usize]) {
 /// caller's): pass 1 packs each row's pair into a [`PairKey`] word, maps
 /// the word to a range-local dense id through a one-multiply hash and
 /// counts; a prefix sum turns the counts into offsets; pass 2 scatters the
-/// latencies into the range's part of the arena. The two window-sized
-/// buffers are the caller's, lent out in disjoint parts: a worker thread
-/// allocates only its key map and key list. The key lists then merge in
-/// range order — first-seen order over the window, ranges being
-/// consecutive rows — and chunks of pairs balanced by sample count are
-/// scored a chunk per thread, a pair's runs gathered in range (= row)
-/// order and read once by selection (`percentile_mut`), not sorted. The
-/// arena is gone when this returns: callers select from scores.
+/// latencies into the range's part of the arena. The sample arena and one
+/// pair-id buffer per range are the caller's, the arena lent out in
+/// disjoint parts: a worker thread allocates only its key map and key
+/// list. (The ids come in one buffer per range, so the largest block the
+/// pass frees is a range's ids, not the window's: glibc lets every arena
+/// keep free heap up to twice the largest block of at most 32 MB it has
+/// unmapped.) The key lists then merge in range order — first-seen order
+/// over the window, ranges being consecutive rows — and chunks of pairs
+/// balanced by sample count are scored a chunk per thread, a pair's runs
+/// gathered in range (= row) order and read once by selection
+/// (`percentile_mut`), not sorted. The arena is gone when this returns:
+/// callers select from scores.
 ///
 /// # Panics
 /// If a range panicked (`record` did), once every range has been joined.
@@ -721,12 +725,16 @@ fn scores_in_ranges(
     }
     // ⌈rows/R⌉ rows a range: at most R ranges and none of them empty.
     let per_range = rows.div_ceil(ranges.clamp(1, rows));
-    let mut pair_of_row = vec![0u32; rows];
+    let mut pair_of_row: Vec<Vec<u32>> = (0..rows)
+        .step_by(per_range)
+        .map(|first| vec![0u32; per_range.min(rows - first)])
+        .collect();
     let mut arena = vec![0.0f64; rows];
     let mut slices = window.iter().copied();
     let mut head: &[BeaconMeasurement] = &[];
     let parts = pair_of_row
-        .chunks_mut(per_range)
+        .iter_mut()
+        .map(Vec::as_mut_slice)
         .zip(arena.chunks_mut(per_range));
     // A range's rows as the window's slices cut to fit, each beside the
     // ids of its rows.
@@ -789,7 +797,10 @@ fn scores_in_ranges(
         n: 0,
         score: None,
     };
-    let mut pairs: Vec<PairScore> = groups[0].keys.iter().map(unscored).collect();
+    // Room for every range's pairs: the window's, and the few that two
+    // ranges share counted twice.
+    let mut pairs = Vec::with_capacity(groups.iter().map(|g| g.keys.len()).sum());
+    pairs.extend(groups[0].keys.iter().map(unscored));
     let mut id_of = |pair: &PairKey| {
         *ids.entry(*pair).or_insert_with(|| {
             pairs.push(unscored(pair));

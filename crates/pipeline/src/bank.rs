@@ -5,10 +5,15 @@
 //! day all 157k pairs hold 16–40 samples against a threshold of 150. A
 //! [`QuantileSketch`] of that size is nothing but its insert buffer, so a
 //! [`SketchBank`] keeps such members as chains of fixed-size chunks in one
-//! `Vec` — no heap allocation per sketch, nothing to free one by one —
+//! slab — no heap allocation per sketch, nothing to free one by one —
 //! and turns a member into a real `QuantileSketch` on the observation
 //! that reaches the threshold, the one on which the sketch itself would
 //! first flush.
+//!
+//! The slab is [`Pages`]: it grows a page at a time and never moves a
+//! chunk. A slab that doubled would copy itself on every doubling and,
+//! once the allocator serves blocks of its size from the heap, leave
+//! holes there that outlive the day.
 //!
 //! **Defined by equivalence.** For every member, [`SketchBank::count`],
 //! [`SketchBank::quantile_read`] and [`SketchBank::sketch`] equal, bit for
@@ -17,13 +22,79 @@
 //! an unspilled member is read by the sketch's own buffer-only pick, a
 //! spilled one *is* a sketch.
 
+use std::ops::{Index, IndexMut};
+
 use crate::sketch::{pick_buffered, QuantileSketch};
 
-/// Values per chunk: the first allocation of a sketch's own insert buffer.
-const CHUNK: usize = 16;
+/// Values per chunk: a 16–40-sample member wastes half a chunk on
+/// average, four values.
+const CHUNK: usize = 8;
 
 /// "No chunk": the end of a chain and of the free list.
 const NIL: u32 = u32::MAX;
+
+/// Items per page of [`Pages`]: item `i` lies at `(i / PAGE, i % PAGE)`.
+const PAGE: usize = 256;
+
+/// A push-and-index array in fixed pages of [`PAGE`] items, at most 64 KiB
+/// each: a push allocates at most one page and moves no item.
+#[derive(Debug)]
+struct Pages<T> {
+    /// Each allocated for exactly `PAGE` items; all but the last full.
+    pages: Vec<Vec<T>>,
+}
+
+impl<T> Pages<T> {
+    fn new() -> Pages<T> {
+        const { assert!(PAGE * std::mem::size_of::<T>() <= 64 << 10) };
+        Pages { pages: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.pages
+            .last()
+            .map_or(0, |page| (self.pages.len() - 1) * PAGE + page.len())
+    }
+
+    fn push(&mut self, item: T) {
+        match self.pages.last_mut() {
+            Some(page) if page.len() < PAGE => page.push(item),
+            _ => {
+                let mut page = Vec::with_capacity(PAGE);
+                page.push(item);
+                self.pages.push(page);
+            }
+        }
+    }
+}
+
+impl<T: Clone> Clone for Pages<T> {
+    /// Page for page, each copy a whole page too.
+    fn clone(&self) -> Pages<T> {
+        let copy = |page: &Vec<T>| {
+            let mut copy = Vec::with_capacity(PAGE);
+            copy.extend_from_slice(page);
+            copy
+        };
+        Pages {
+            pages: self.pages.iter().map(copy).collect(),
+        }
+    }
+}
+
+impl<T> Index<usize> for Pages<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        &self.pages[i / PAGE][i % PAGE]
+    }
+}
+
+impl<T> IndexMut<usize> for Pages<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.pages[i / PAGE][i % PAGE]
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Chunk {
@@ -51,7 +122,7 @@ pub(crate) struct SketchBank {
     /// threshold.
     threshold: u32,
     members: Vec<Member>,
-    chunks: Vec<Chunk>,
+    chunks: Pages<Chunk>,
     /// Head of the list of chunks that spilled members gave back.
     free: u32,
     spilled: Vec<QuantileSketch>,
@@ -73,7 +144,7 @@ impl SketchBank {
             eps,
             threshold,
             members: Vec::new(),
-            chunks: Vec::new(),
+            chunks: Pages::new(),
             free: NIL,
             spilled: Vec::new(),
             scratch: Vec::new(),
@@ -319,29 +390,119 @@ mod tests {
                 want[m].observe(v);
             }
         };
-        // Members 1 and 2 stop mid-chunk; member 0 fills two chunks less
+        assert_eq!(CHUNK, 8, "the counts below are in 8-value chunks");
+        // Members 1 and 2 stop mid-chunk; member 0 fills four chunks less
         // three values.
         feed(&mut bank, 1, 5);
         feed(&mut bank, 0, threshold - 1);
         feed(&mut bank, 2, 10);
         let slab = bank.chunks.len();
-        assert_eq!(slab, 1 + 2 + 1);
-        // Member 0 spills: its two chunks go to the free list…
+        assert_eq!(slab, 1 + 4 + 2);
+        // Member 0 spills: its four chunks go to the free list…
         feed(&mut bank, 0, 1);
         assert_eq!((bank.spilled.len(), bank.chunks.len()), (1, slab));
         assert_ne!(bank.free, NIL);
         // …and the others' next chunks come from it: the slab does not
         // grow until the list is empty.
         feed(&mut bank, 1, 12);
-        feed(&mut bank, 2, 7);
+        feed(&mut bank, 2, 15);
         assert_eq!((bank.chunks.len(), bank.free), (slab, NIL));
-        feed(&mut bank, 1, 12);
-        assert_eq!(bank.chunks.len(), slab, "29 values lie in two chunks");
-        feed(&mut bank, 2, 13);
+        feed(&mut bank, 1, 7);
+        assert_eq!(bank.chunks.len(), slab, "24 values lie in three chunks");
+        feed(&mut bank, 2, 5);
         assert_eq!((bank.spilled.len(), bank.chunks.len()), (2, slab));
         feed(&mut bank, 0, 3 * threshold);
         for m in 0..3 {
             assert_member_is(&bank, ids[m], &want[m], &format!("member {m}"));
+        }
+    }
+
+    /// A bank beside the sketches its members must equal, both fed one
+    /// stream.
+    struct Twin {
+        bank: SketchBank,
+        want: Vec<QuantileSketch>,
+        fed: u64,
+    }
+
+    impl Twin {
+        fn add(&mut self) -> u32 {
+            self.want.push(QuantileSketch::new(self.bank.eps));
+            self.bank.add()
+        }
+
+        fn feed(&mut self, id: u32) {
+            self.fed += 1;
+            self.bank.observe(id, value(self.fed));
+            self.want[id as usize].observe(value(self.fed));
+        }
+
+        fn pages_of(&self, id: u32) -> (usize, usize) {
+            match self.bank.members[id as usize] {
+                Member::Chain { head, tail, .. } => (head as usize / PAGE, tail as usize / PAGE),
+                Member::Spilled { .. } => panic!("member {id} left the slab"),
+            }
+        }
+    }
+
+    #[test]
+    fn bank_chains_cross_pages_onto_the_chunks_spills_free() {
+        for eps in BOUNDS {
+            let threshold = QuantileSketch::flush_threshold(eps) as u64;
+            // The chunks of a member one value short of spilling.
+            let full = (threshold as usize - 1).div_ceil(CHUNK);
+            let mut twin = Twin {
+                bank: SketchBank::new(eps),
+                want: Vec::new(),
+                fed: 0,
+            };
+            // Page 0: members fed round-robin to one value short of the
+            // threshold, so their chains interleave.
+            let early: Vec<u32> = (0..PAGE / full).map(|_| twin.add()).collect();
+            for _ in 1..threshold {
+                early.iter().for_each(|&id| twin.feed(id));
+            }
+            assert!(twin.bank.chunks.len() <= PAGE, "eps {eps}");
+            // Page 1 and the start of page 2: one single-value member a
+            // chunk.
+            let mut late = Vec::new();
+            while twin.bank.chunks.len() < 2 * PAGE + 8 {
+                let id = twin.add();
+                twin.feed(id);
+                late.push(id);
+            }
+            let late = late.split_off(late.len() - 8);
+            assert!(late.iter().all(|&id| twin.pages_of(id) == (2, 2)));
+            let slab = twin.bank.chunks.len();
+            // The early members spill, freeing every chunk they held on
+            // page 0…
+            early.iter().for_each(|&id| twin.feed(id));
+            assert_eq!(twin.bank.spilled.len(), early.len(), "eps {eps}");
+            let mut free = early.len() * full;
+            // …which the late members' chains go on in, up to one value
+            // short of the threshold, before the slab grows a chunk.
+            for _ in 2..threshold {
+                late.iter().for_each(|&id| twin.feed(id));
+            }
+            free -= late.len() * (full - 1);
+            assert_eq!(twin.bank.chunks.len(), slab, "eps {eps}");
+            if full > 1 {
+                assert!(late.iter().all(|&id| twin.pages_of(id) == (2, 0)));
+            }
+            // New members take the rest of the list, then grow the slab.
+            for _ in 0..=free {
+                let id = twin.add();
+                twin.feed(id);
+            }
+            assert_eq!(twin.bank.chunks.len(), slab + 1, "eps {eps}");
+            for (id, want) in twin.want.iter().enumerate() {
+                assert_member_is(
+                    &twin.bank,
+                    id as u32,
+                    want,
+                    &format!("eps {eps}, member {id}"),
+                );
+            }
         }
     }
 

@@ -11,8 +11,9 @@
 //!   quantile sketch with a configurable rank-error bound (the §6
 //!   25th-percentile prediction metric reads it);
 //! * `bank` (private) — all of a worker's sketches in one slab: a sketch
-//!   under its flush threshold is a chain of 16-value chunks, not a heap
-//!   buffer of its own, and equals the real sketch bit for bit;
+//!   under its flush threshold is a chain of 8-value chunks on fixed
+//!   pages, not a heap buffer of its own, and equals the real sketch bit
+//!   for bit;
 //! * [`shard`] — key-ownership sharding without a producer: every worker
 //!   replays the record source itself and keeps the keys a hash of the
 //!   group gives it; a dead worker reaches the caller as a typed

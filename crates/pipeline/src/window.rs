@@ -208,20 +208,22 @@ impl<K: Hash + Eq + Clone + Send> DaySketches<K> {
     /// Reads the `p`-th percentile
     /// ([`QuantileSketch::quantile_read`](crate::QuantileSketch::quantile_read))
     /// of every pair that holds at least `min_count` observations, each
-    /// share on its own thread.
+    /// share on its own thread. The shares' rows are gathered into one
+    /// allocation of their total length.
     pub fn read(&mut self, p: f64, min_count: u64) -> DayScores<K> {
         let parts = run_workers(self.shares.iter_mut().collect(), |_, share| {
             share.read(p, min_count)
         })
         .unwrap_or_else(|e| panic!("day sketch read failed: {e}"));
-        parts
-            .into_iter()
-            .reduce(|mut scores, part| {
-                scores.rows.extend(part.rows);
-                scores.admitted += part.admitted;
-                scores
-            })
-            .expect("a day has at least one share")
+        let mut scores = DayScores {
+            rows: Vec::with_capacity(parts.iter().map(|part| part.rows.len()).sum()),
+            admitted: 0,
+        };
+        for part in parts {
+            scores.rows.extend(part.rows);
+            scores.admitted += part.admitted;
+        }
+        scores
     }
 }
 
