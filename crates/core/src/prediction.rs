@@ -460,7 +460,8 @@ impl Predictor {
         let rows: usize = window.iter().map(|slice| slice.len()).sum();
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
         let ranges = cores.min(rows / MIN_ROWS_PER_RANGE);
-        scores_in_ranges(&window, ranges, self.cfg.metric.p(), |m| {
+        let span = chunk_span(rows);
+        scores_in_ranges(&window, ranges, span, self.cfg.metric.p(), |m| {
             let (key, target, rtt) = self.record(m);
             (PairKey::new(key, target), rtt)
         })
@@ -663,16 +664,43 @@ impl Predictor {
 /// worth a thread.
 const MIN_ROWS_PER_RANGE: usize = 1 << 16;
 
+/// Chunks of pairs the grouping kernel cuts a window's samples into: a
+/// scoring thread holds one chunk's samples at a time.
+const CHUNKS_PER_WINDOW: usize = 8;
+
+/// Samples a chunk holds at least, so a small window is not swept more
+/// often than its chunk buffers save.
+const MIN_CHUNK_SAMPLES: usize = 1 << 16;
+
+/// The samples a chunk of the grouping kernel holds at least, for a window
+/// of `rows` rows.
+fn chunk_span(rows: usize) -> usize {
+    rows.div_ceil(CHUNKS_PER_WINDOW).max(MIN_CHUNK_SAMPLES)
+}
+
+/// A pair's rows in one range: how many, and the window row of the last.
+struct Seen {
+    n: u32,
+    last: u32,
+}
+
 /// What one range of a window found.
 struct RangeGroups {
     /// Its distinct pairs, first seen first.
     keys: Vec<PairKey>,
-    /// Where each pair's run ends in the range's part of the arena; runs
-    /// lie in pair order, each starting where the last ended.
-    ends: Vec<usize>,
+    /// Each pair's rows in the range, beside `keys`.
+    seen: Vec<Seen>,
     /// Range 0's index of `keys`, which the merge starts from; empty for
     /// the other ranges.
     ids: FastMap<PairKey, u32>,
+}
+
+/// A chunk of the grouping kernel's pairs, window ids `lo..lo +
+/// pairs.len()`, and the window rows that can hold their samples.
+struct Chunk<'a> {
+    lo: usize,
+    pairs: &'a mut [PairScore],
+    rows: std::ops::Range<usize>,
 }
 
 /// The dense id of a range's or a window's `nth` distinct pair.
@@ -691,31 +719,36 @@ fn starts_of(counts: &mut [usize]) {
 
 /// [`Predictor::grouped_scores`] over `window`'s rows cut into `ranges`
 /// contiguous, balanced ranges (made at least one, none empty), `record`
-/// giving a row's pair and latency and `p` the percentile to score at.
+/// giving a row's pair and latency, `p` the percentile to score at and
+/// `span` the samples a chunk of pairs holds at least ([`chunk_span`]).
 ///
-/// Two passes over the rows and one flat sample arena, instead of a
-/// vector per pair. Each range, on a thread of its own (range 0 on the
-/// caller's): pass 1 packs each row's pair into a [`PairKey`] word, maps
-/// the word to a range-local dense id through a one-multiply hash and
-/// counts; a prefix sum turns the counts into offsets; pass 2 scatters the
-/// latencies into the range's part of the arena. The sample arena and one
-/// pair-id buffer per range are the caller's, the arena lent out in
-/// disjoint parts: a worker thread allocates only its key map and key
-/// list. (The ids come in one buffer per range, so the largest block the
-/// pass frees is a range's ids, not the window's: glibc lets every arena
-/// keep free heap up to twice the largest block of at most 32 MB it has
-/// unmapped.) The key lists then merge in range order — first-seen order
-/// over the window, ranges being consecutive rows — and chunks of pairs
-/// balanced by sample count are scored a chunk per thread, a pair's runs
-/// gathered in range (= row) order and read once by selection
-/// (`percentile_mut`), not sorted. The arena is gone when this returns:
-/// callers select from scores.
+/// No vector per pair and no sample arena the size of the window. Each
+/// range, on a thread of its own (range 0 on the caller's), packs each
+/// row's pair into a [`PairKey`] word, maps the word to a range-local dense
+/// id through a one-multiply hash and counts, keeping each row's id and
+/// each pair's last row. The key lists merge in range order — first-seen
+/// order over the window, ranges being consecutive rows — and each range
+/// then relabels its rows to window ids on its own thread (range 0's ids
+/// are window ids already). The pairs are cut into chunks of consecutive
+/// ids holding `span` samples or more (a pair heavier than that is a chunk
+/// of its own, scored whole), dealt to `ranges` threads that each reuse
+/// one chunk-sized sample buffer: per chunk, a thread scatters the rows
+/// whose id falls in the chunk into the buffer and reads each pair's run
+/// there once by selection (`percentile_mut`), not sorted. A chunk sweeps
+/// only the rows from its first pair's first row — ids being first-seen,
+/// no earlier row holds any of its pairs — to the last row of any of its
+/// pairs. So the pass holds a `u32` id a row, a few words a pair and a
+/// chunk buffer a thread. (The ids come in one buffer per range, so the
+/// largest block the pass frees is a range's ids, not the window's: glibc
+/// lets every arena keep free heap up to twice the largest block of at
+/// most 32 MB it has unmapped.)
 ///
 /// # Panics
 /// If a range panicked (`record` did), once every range has been joined.
 fn scores_in_ranges(
     window: &[&[BeaconMeasurement]],
     ranges: usize,
+    span: usize,
     p: f64,
     record: impl Fn(&BeaconMeasurement) -> (PairKey, f64) + Sync,
 ) -> Vec<PairScore> {
@@ -723,22 +756,21 @@ fn scores_in_ranges(
     if rows == 0 {
         return Vec::new();
     }
+    // A pair's last row is kept as a `u32`.
+    assert!(u32::try_from(rows).is_ok(), "fewer than 2^32 rows a window");
     // ⌈rows/R⌉ rows a range: at most R ranges and none of them empty.
     let per_range = rows.div_ceil(ranges.clamp(1, rows));
     let mut pair_of_row: Vec<Vec<u32>> = (0..rows)
         .step_by(per_range)
         .map(|first| vec![0u32; per_range.min(rows - first)])
         .collect();
-    let mut arena = vec![0.0f64; rows];
+    let ranges = pair_of_row.len();
     let mut slices = window.iter().copied();
     let mut head: &[BeaconMeasurement] = &[];
-    let parts = pair_of_row
-        .iter_mut()
-        .map(Vec::as_mut_slice)
-        .zip(arena.chunks_mut(per_range));
     // A range's rows as the window's slices cut to fit, each beside the
     // ids of its rows.
-    let inputs = parts.map(|(mut ids, samples)| {
+    let parts = pair_of_row.iter_mut().map(|ids| {
+        let mut ids = ids.as_mut_slice();
         let mut part: Vec<(&[BeaconMeasurement], &mut [u32])> = Vec::new();
         while !ids.is_empty() {
             if head.is_empty() {
@@ -749,44 +781,39 @@ fn scores_in_ranges(
             part.push((rows, row_ids));
             (head, ids) = (later, later_ids);
         }
-        (part, samples)
+        part
     });
-    let mut groups = run_workers(inputs.collect(), |range, (mut part, samples)| {
+    let found = run_workers(parts.collect(), |range, mut part| {
         let mut local: FastMap<PairKey, u32> = FastMap::default();
         let mut keys: Vec<PairKey> = Vec::new();
-        let mut ends: Vec<usize> = Vec::new();
+        let mut seen: Vec<Seen> = Vec::new();
+        let mut row = (range * per_range) as u32;
         for (rows, ids) in &mut part {
             for (m, slot) in rows.iter().zip(ids.iter_mut()) {
                 let id = *local.entry(record(m).0).or_insert_with_key(|&pair| {
                     keys.push(pair);
-                    ends.push(0);
+                    seen.push(Seen { n: 0, last: 0 });
                     pair_id(keys.len() - 1)
                 });
-                ends[id as usize] += 1;
+                let pair = &mut seen[id as usize];
+                pair.n += 1;
+                pair.last = row;
                 *slot = id;
+                row += 1;
             }
         }
         if range != 0 {
             local = FastMap::default();
         }
-        // `ends[i]` starts as pair i's offset and, once pass 2 has written
-        // its last sample, is the end of its run.
-        starts_of(&mut ends);
-        for (rows, ids) in &part {
-            for (m, &id) in rows.iter().zip(ids.iter()) {
-                let at = &mut ends[id as usize];
-                samples[*at] = record(m).1;
-                *at += 1;
-            }
-        }
-        RangeGroups {
+        let groups = RangeGroups {
             keys,
-            ends,
+            seen,
             ids: local,
-        }
+        };
+        (part, groups)
     })
     .unwrap_or_else(|e| panic!("exact training failed: {e}"));
-    drop(pair_of_row);
+    let (parts, mut groups): (Vec<_>, Vec<_>) = found.into_iter().unzip();
 
     // Merge in range order. Ranges are consecutive rows, so first seen in
     // the earliest range is first seen in the window: range 0's ids stand
@@ -807,59 +834,121 @@ fn scores_in_ranges(
             pair_id(pairs.len() - 1)
         })
     };
-    let mut global_ids: Vec<Vec<u32>> = vec![(0..groups[0].keys.len() as u32).collect()];
-    global_ids.extend(
-        groups[1..]
-            .iter()
-            .map(|g| g.keys.iter().map(&mut id_of).collect()),
-    );
+    // Each later range's ids as window ids.
+    let to_window: Vec<Vec<u32>> = groups[1..]
+        .iter()
+        .map(|g| g.keys.iter().map(&mut id_of).collect())
+        .collect();
     drop(ids);
-    // The runs by pair, a pair's in range order (a counting sort):
-    // `run_ends[i]` ends pair i's stretch of `runs`.
-    let mut run_ends = vec![0usize; pairs.len()];
-    for &id in global_ids.iter().flatten() {
-        run_ends[id as usize] += 1;
-    }
-    starts_of(&mut run_ends);
-    let mut runs = vec![(0, 0); global_ids.iter().map(Vec::len).sum()];
-    for (r, (group, ids)) in groups.iter().zip(&global_ids).enumerate() {
-        let mut start = r * per_range;
-        for (&id, &end) in ids.iter().zip(&group.ends) {
-            let end = r * per_range + end;
-            pairs[id as usize].n += end - start;
-            let at = &mut run_ends[id as usize];
-            runs[*at] = (start, end);
-            *at += 1;
-            start = end;
+    // Counts and last rows in range order, so a pair's last row is its
+    // last range's.
+    let mut last = vec![0u32; pairs.len()];
+    for (range, group) in groups.iter().enumerate() {
+        for (nth, seen) in group.seen.iter().enumerate() {
+            let id = if range == 0 {
+                nth
+            } else {
+                to_window[range - 1][nth] as usize
+            };
+            pairs[id].n += seen.n as usize;
+            last[id] = seen.last;
         }
     }
-    drop((groups, global_ids));
+    drop(groups);
 
-    // Each chunk is the shortest head of what is left that holds a range's
-    // worth of samples, so there are at most as many chunks as ranges.
-    let mut chunks = Vec::new();
-    let (mut rest, mut rest_ends, mut first_run) = (&mut pairs[..], &run_ends[..], 0);
-    while !rest.is_empty() {
-        let mut seen = 0;
-        let heavy = rest.iter().position(|pair| {
-            seen += pair.n;
-            seen >= per_range
-        });
-        let take = heavy.map_or(rest.len(), |i| i + 1);
-        let (chunk, left) = std::mem::take(&mut rest).split_at_mut(take);
-        let (ends, left_ends) = rest_ends.split_at(take);
-        chunks.push((first_run, chunk, ends));
-        (rest, rest_ends, first_run) = (left, left_ends, ends[take - 1]);
+    // Chunk starts: each chunk is the shortest run of pairs from its start
+    // that holds `span` samples, or what is left.
+    let mut los = Vec::new();
+    let mut held = 0;
+    for (id, pair) in pairs.iter().enumerate() {
+        if held == 0 {
+            los.push(id);
+        }
+        held += pair.n;
+        if held >= span {
+            held = 0;
+        }
     }
-    run_workers(chunks, |_, (mut run, chunk, ends)| {
-        let mut scratch: Vec<f64> = Vec::new();
-        for (pair, &end) in chunk.iter_mut().zip(ends) {
-            scratch.clear();
-            for &(from, to) in &runs[run..end] {
-                scratch.extend_from_slice(&arena[from..to]);
+    // Each range relabels its rows to window ids and finds, for each
+    // chunk, its first row holding the chunk's first pair or a later one.
+    // Over the window that row is the chunk's first pair's first: ids are
+    // first-seen.
+    let to_window = std::iter::once(Vec::new()).chain(to_window);
+    let inputs = parts.into_iter().zip(to_window).collect();
+    let relabelled = run_workers(inputs, |range, (mut part, to_window)| {
+        let mut firsts = vec![usize::MAX; los.len()];
+        let (mut row, mut next) = (range * per_range, 0);
+        for (_, ids) in &mut part {
+            for id in ids.iter_mut() {
+                if range != 0 {
+                    *id = to_window[*id as usize];
+                }
+                while los.get(next).is_some_and(|&lo| *id as usize >= lo) {
+                    firsts[next] = row;
+                    next += 1;
+                }
+                row += 1;
             }
-            pair.score = percentile_mut(&mut scratch, p);
-            run = end;
+        }
+        (part, firsts)
+    })
+    .unwrap_or_else(|e| panic!("exact training failed: {e}"));
+    let (parts, firsts): (Vec<_>, Vec<_>) = relabelled.into_iter().unzip();
+    // The window's rows as pieces aligned with their ids, each with the
+    // window row it starts at.
+    let mut pieces: Vec<(usize, &[BeaconMeasurement], &[u32])> = Vec::new();
+    for (rows, ids) in parts.into_iter().flatten() {
+        let start = pieces
+            .last()
+            .map_or(0, |&(start, rows, _)| start + rows.len());
+        pieces.push((start, rows, ids));
+    }
+
+    let workers = ranges.min(los.len());
+    let mut dealt: Vec<Vec<Chunk>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut rest = &mut pairs[..];
+    for (c, &lo) in los.iter().enumerate() {
+        let hi = los.get(c + 1).copied().unwrap_or(lo + rest.len());
+        let (chunk, left) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+        let from = firsts.iter().map(|f| f[c]).min().expect("a range");
+        let to = last[lo..hi].iter().max().expect("a pair a chunk");
+        dealt[c % workers].push(Chunk {
+            lo,
+            pairs: chunk,
+            rows: from..*to as usize + 1,
+        });
+        rest = left;
+    }
+    run_workers(dealt, |_, chunks| {
+        let held = |chunk: &Chunk| chunk.pairs.iter().map(|pair| pair.n).sum::<usize>();
+        let mut samples = vec![0.0f64; chunks.iter().map(held).max().unwrap_or(0)];
+        let mut ends: Vec<usize> = Vec::new();
+        for Chunk { lo, pairs, rows } in chunks {
+            // `ends[k]` starts as pair `lo + k`'s offset and, once the
+            // sweep has written its last sample, is the end of its run.
+            ends.clear();
+            ends.extend(pairs.iter().map(|pair| pair.n));
+            starts_of(&mut ends);
+            let at = pieces.partition_point(|&(start, part, _)| start + part.len() <= rows.start);
+            for &(start, part, ids) in &pieces[at..] {
+                if start >= rows.end {
+                    break;
+                }
+                let from = rows.start.max(start) - start;
+                let to = rows.end.min(start + part.len()) - start;
+                for (m, &id) in part[from..to].iter().zip(&ids[from..to]) {
+                    // Rows of other chunks fall outside `ends`.
+                    if let Some(at) = ends.get_mut((id as usize).wrapping_sub(lo)) {
+                        samples[*at] = record(m).1;
+                        *at += 1;
+                    }
+                }
+            }
+            let mut start = 0;
+            for (pair, &end) in pairs.iter_mut().zip(&ends) {
+                pair.score = percentile_mut(&mut samples[start..end], p);
+                start = end;
+            }
         }
     })
     .unwrap_or_else(|e| panic!("exact training failed: {e}"));
@@ -2511,15 +2600,17 @@ mod tests {
         }
     }
 
-    /// The production kernel over `days` of `ds` at a pinned range count,
-    /// pairs in comparable form: the word, `n` and the score's bits.
+    /// The production kernel over `days` of `ds` at a pinned range count
+    /// and chunk span, pairs in comparable form: the word, `n` and the
+    /// score's bits.
     fn kernel(
         predictor: &Predictor,
         ds: &BeaconDataset,
         days: &[Day],
         ranges: usize,
+        span: usize,
     ) -> Vec<(PairKey, usize, Option<u64>)> {
-        let pairs = kernel_pairs(predictor, ds, days, ranges);
+        let pairs = kernel_pairs(predictor, ds, days, ranges, span);
         let comparable = |pair: &PairScore| (pair.pair, pair.n, pair.score.map(f64::to_bits));
         pairs.iter().map(comparable).collect()
     }
@@ -2529,14 +2620,19 @@ mod tests {
         ds: &BeaconDataset,
         days: &[Day],
         ranges: usize,
+        span: usize,
     ) -> Vec<PairScore> {
         let window: Vec<&[BeaconMeasurement]> =
             days.iter().flat_map(|&day| ds.day_slices(day)).collect();
-        scores_in_ranges(&window, ranges, predictor.cfg.metric.p(), |m| {
+        scores_in_ranges(&window, ranges, span, predictor.cfg.metric.p(), |m| {
             let (key, target, rtt) = predictor.record(m);
             (PairKey::new(key, target), rtt)
         })
     }
+
+    /// The span [`chunk_span`] gives every window these tests build (none
+    /// holds `CHUNKS_PER_WINDOW` times this many rows).
+    const SPAN: usize = MIN_CHUNK_SAMPLES;
 
     #[test]
     fn range_count_never_shows_in_the_pairs_or_the_tables() {
@@ -2555,7 +2651,7 @@ mod tests {
                     &[Day(1), Day(1)][..],
                 ];
                 for days in windows {
-                    let one = kernel(&predictor, &ds, days, 1);
+                    let one = kernel(&predictor, &ds, days, 1, SPAN);
                     let rows: usize = one.iter().map(|&(_, n, _)| n).sum();
                     assert_eq!(rows, days.iter().map(|&d| ds.day(d).count()).sum::<usize>());
                     if days.len() == 3 {
@@ -2563,25 +2659,26 @@ mod tests {
                     }
                     for ranges in [0, 2, 3, 7] {
                         let what = format!("seed {seed} {grouping:?} {days:?} at {ranges}");
-                        assert_eq!(kernel(&predictor, &ds, days, ranges), one, "{what}");
+                        assert_eq!(kernel(&predictor, &ds, days, ranges, SPAN), one, "{what}");
                     }
                     // Equal pairs make equal tables, under every trainer.
                     let table_at = |ranges| {
-                        let (table, tally) =
-                            predictor.window_table(kernel_pairs(&predictor, &ds, days, ranges));
+                        let (table, tally) = predictor
+                            .window_table(kernel_pairs(&predictor, &ds, days, ranges, SPAN));
                         (canonical(&table), tally)
                     };
                     let trained = canonical(&predictor.train_window(&ds, days));
-                    for ranges in [1, 2, 7] {
-                        assert_eq!(table_at(ranges).0, trained);
-                        assert_eq!(table_at(ranges).1, table_at(1).1);
+                    let (table, tally) = table_at(1);
+                    assert_eq!(table, trained);
+                    for ranges in [2, 7] {
+                        assert_eq!(table_at(ranges), (trained.clone(), tally));
                     }
                     if let ([day], Grouping::Ecs) = (days, grouping) {
                         assert_eq!(canonical(&predictor.train(&ds, *day)), trained);
                         for agg in [AggregationConfig::default(), AggregationConfig::disabled()] {
                             let want = canonical(&predictor.train_aggregated(&ds, *day, &agg));
                             for ranges in [1, 3, 7] {
-                                let pairs = kernel_pairs(&predictor, &ds, days, ranges);
+                                let pairs = kernel_pairs(&predictor, &ds, days, ranges, SPAN);
                                 let (got, _) = predictor.aggregated_table(pairs, &agg);
                                 assert_eq!(canonical(&got), want, "{agg:?} at {ranges}");
                             }
@@ -2622,21 +2719,58 @@ mod tests {
                 Some(32.5f64.to_bits()),
             ),
         ];
-        // Asked for more ranges than rows: a row a range, none empty.
+        // Asked for more ranges than rows: a row a range, none empty. A
+        // span of 1 or 2 makes the ten-row pair a chunk heavier than its
+        // span; at 5 the chunk seam falls inside its rows and the chunk
+        // takes the whole pair; at 18 one chunk holds everything.
         for ranges in [1, 2, 13 + 5] {
-            assert_eq!(kernel(&predictor, &ds, &[Day(0)], ranges), want, "{ranges}");
+            for span in [1, 2, 5, 13 + 5] {
+                let got = kernel(&predictor, &ds, &[Day(0)], ranges, span);
+                assert_eq!(got, want, "{ranges} ranges, span {span}");
+            }
         }
         // A NaN on the far side of the seam still unscores the whole pair.
         let mut nan = ds.measurements()[12];
         nan.rtt_ms = f64::NAN;
         ds.extend([nan]);
         for ranges in [1, 2, 14 + 5] {
-            let got = kernel(&predictor, &ds, &[Day(0)], ranges);
-            assert_eq!(
-                (got[0], got[1].1, got[1].2),
-                (want[0], 11, None),
-                "{ranges}"
-            );
+            for span in [1, 2, 5, 14 + 5] {
+                let got = kernel(&predictor, &ds, &[Day(0)], ranges, span);
+                assert_eq!(
+                    (got[0], got[1].1, got[1].2),
+                    (want[0], 11, None),
+                    "{ranges} ranges, span {span}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_span_never_shows_in_the_pairs() {
+        let ds = mixed_days(2015, true);
+        // The NaN row joins its day at the end, beside the day's first
+        // row: that pair's rows run from the window's first row to its
+        // last, across every chunk seam.
+        let day = ds.measurements()[0].day;
+        let rows = ds.day(day).count();
+        // An LDNS pair's rows spread over the whole day, so a chunk a pair
+        // would sweep the day once a pair: its spans cut a few chunks.
+        for (grouping, spans) in [
+            (Grouping::Ecs, [1, 2, 7, rows + 5]),
+            (Grouping::Ldns, [1_000, rows / 3, rows / 2, rows + 5]),
+        ] {
+            let predictor = Predictor::new(PredictorConfig {
+                grouping,
+                ..Default::default()
+            });
+            let whole = kernel(&predictor, &ds, &[day], 1, rows + 5);
+            assert!(whole.iter().any(|(.., score)| score.is_none()));
+            for span in spans {
+                for ranges in [1, 2, 3, 7] {
+                    let got = kernel(&predictor, &ds, &[day], ranges, span);
+                    assert_eq!(got, whole, "{grouping:?} span {span} at {ranges}");
+                }
+            }
         }
     }
 
@@ -2649,8 +2783,8 @@ mod tests {
         assert!(predictor.grouped_scores(&ds, &[Day(9)]).is_empty());
         assert!(predictor.train(&BeaconDataset::new(), Day(0)).is_empty());
         assert_eq!(
-            kernel(&predictor, &ds, &[Day(9), Day(1), Day(8)], 3),
-            kernel(&predictor, &ds, &[Day(1)], 1)
+            kernel(&predictor, &ds, &[Day(9), Day(1), Day(8)], 3, SPAN),
+            kernel(&predictor, &ds, &[Day(1)], 1, SPAN)
         );
         // One range runs where it was called; several do not.
         let window: Vec<&[BeaconMeasurement]> = ds.day_slices(Day(0)).collect();
@@ -2665,9 +2799,9 @@ mod tests {
                 m.rtt_ms,
             )
         };
-        scores_in_ranges(&window, 1, 25.0, record);
+        scores_in_ranges(&window, 1, SPAN, 25.0, record);
         assert_eq!(elsewhere.load(std::sync::atomic::Ordering::Relaxed), 0);
-        scores_in_ranges(&window, 3, 25.0, record);
+        scores_in_ranges(&window, 3, SPAN, 25.0, record);
         assert!(elsewhere.load(std::sync::atomic::Ordering::Relaxed) > 0);
     }
 
@@ -2678,7 +2812,7 @@ mod tests {
         ds.extend(rows(0, prefix(1), 0, Target::Anycast, 80.0, 12));
         let window: Vec<&[BeaconMeasurement]> = ds.day_slices(Day(0)).collect();
         let seventh = ds.measurements()[7].measurement_id;
-        scores_in_ranges(&window, 3, 25.0, |m| {
+        scores_in_ranges(&window, 3, SPAN, 25.0, |m| {
             assert!(m.measurement_id != seventh, "row 7");
             (
                 PairKey::new(GroupKey::Ecs(m.prefix.into()), m.target),

@@ -76,9 +76,6 @@ pub struct RecorderConfig {
     /// Master switch; a disabled recorder reduces every hot-path hook to
     /// one predictable branch.
     pub enabled: bool,
-    /// Per-shard ring capacity, in records (queries and batches each get a
-    /// ring of this size).
-    pub capacity: usize,
     /// Sample one query in `2^sample_shift` (0 samples everything).
     pub sample_shift: u32,
 }
@@ -87,11 +84,15 @@ impl Default for RecorderConfig {
     fn default() -> RecorderConfig {
         RecorderConfig {
             enabled: true,
-            capacity: 1024,
             sample_shift: 6,
         }
     }
 }
+
+/// Per-shard ring capacity, in records: queries and batches each get a
+/// ring of this size. At the default one sampled query in 64, a query
+/// ring spans ~65k queries between drains before it overwrites.
+const RING_CAPACITY: usize = 1024;
 
 /// How many leading packet bytes feed the sampling hash. The DNS header
 /// (12 bytes, txid included) plus the start of the question section is
@@ -127,8 +128,8 @@ impl ShardRecorder {
         ShardRecorder {
             active: cfg.enabled,
             mask: (1u64 << cfg.sample_shift.min(63)) - 1,
-            queries: Ring::new(cfg.capacity),
-            batches: Ring::new(cfg.capacity),
+            queries: Ring::new(RING_CAPACITY),
+            batches: Ring::new(RING_CAPACITY),
         }
     }
 
@@ -279,7 +280,6 @@ mod tests {
             RecorderConfig {
                 enabled: false,
                 sample_shift: 0,
-                ..RecorderConfig::default()
             },
         );
         assert!(!rec.shard(0).sample(&[0, 1, 2]));
