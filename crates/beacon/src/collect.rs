@@ -165,21 +165,6 @@ impl BeaconDataset {
         out
     }
 
-    /// `(served, failed)` counts per `(prefix, target)` for one day — the
-    /// per-/24 availability input of the evaluation layer.
-    pub fn outcomes_by_prefix_target(&self, day: Day) -> HashMap<(Prefix24, Target), (u64, u64)> {
-        let mut out: HashMap<(Prefix24, Target), (u64, u64)> = HashMap::new();
-        for m in self.day(day) {
-            let e = out.entry((m.prefix, m.target)).or_insert((0, 0));
-            if m.failed {
-                e.1 += 1;
-            } else {
-                e.0 += 1;
-            }
-        }
-        out
-    }
-
     /// The days present, ascending.
     pub fn days(&self) -> Vec<Day> {
         let mut days: Vec<Day> = self.runs.iter().map(|&(day, _)| day).collect();
@@ -329,11 +314,6 @@ mod tests {
         assert_eq!(
             ds.by_prefix_target(Day(0))[&(prefix, Target::Anycast)],
             vec![50.0]
-        );
-        // …the availability view counts it…
-        assert_eq!(
-            ds.outcomes_by_prefix_target(Day(0))[&(prefix, Target::Anycast)],
-            (1, 1)
         );
         // …and the failed run's execution is missing its anycast side.
         assert_eq!(ds.executions()[1].anycast, None);

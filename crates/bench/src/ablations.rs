@@ -35,7 +35,7 @@ use anycast_control::{
     simulate, CapacityPlan, ControlConfig, ControlMode, DemandModel, LoopConfig,
 };
 use anycast_core::{
-    anycast_request_memo, evaluate_prediction, evaluation::outcome_shares, request_times,
+    anycast_request, evaluate_prediction, evaluation::outcome_shares, request_times,
     AggregationConfig, Deployment, DnsRedirectionSim, Grouping, Metric, Predictor, PredictorConfig,
     Study, StudyConfig,
 };
@@ -458,7 +458,7 @@ pub fn outage_ttl(scale: Scale, seed: u64) -> FigureResult {
             let snap = RouteSnapshot::build(internet, &attachments, Day(day));
             for &t in &times {
                 for i in 0..s.clients.len() {
-                    if anycast_request_memo(internet, &snap, i, t).served() {
+                    if anycast_request(internet, &snap, i, t).served() {
                         any_served += 1;
                     } else {
                         any_failed += 1;
@@ -479,7 +479,7 @@ pub fn outage_ttl(scale: Scale, seed: u64) -> FigureResult {
                 let snap = RouteSnapshot::build(internet, &attachments, Day(day));
                 for &t in &times {
                     for (i, c) in s.clients.iter().enumerate() {
-                        if dns.request_memo(c.prefix, &snap, i, t).served() {
+                        if dns.request(c.prefix, &snap, i, t).served() {
                             served += 1;
                         } else {
                             failed += 1;

@@ -22,7 +22,7 @@ use anycast_analysis::report::Series;
 use anycast_core::flows::{disruption_rate, FlowModel};
 use anycast_core::loadaware::{loads_from_traffic, plan_shedding, total_overload, withdraw};
 use anycast_core::{
-    anycast_request_memo, evaluate_prediction, evaluation::outcome_shares, request_times,
+    anycast_request, evaluate_prediction, evaluation::outcome_shares, request_times,
     DnsRedirectionSim, FailureReason, Grouping, Metric, Predictor, PredictorConfig, Study,
     StudyConfig,
 };
@@ -263,7 +263,7 @@ pub fn failover(scale: Scale, seed: u64) -> FigureResult {
         let snap = RouteSnapshot::build(internet, &attachments, Day(day));
         for &t in &times {
             for i in 0..s.clients.len() {
-                match anycast_request_memo(internet, &snap, i, t) {
+                match anycast_request(internet, &snap, i, t) {
                     out if out.served() => any_served += 1,
                     out => {
                         any_failed += 1;
@@ -289,7 +289,7 @@ pub fn failover(scale: Scale, seed: u64) -> FigureResult {
             let snap = RouteSnapshot::build(internet, &attachments, Day(day));
             for &t in &times {
                 for (i, c) in s.clients.iter().enumerate() {
-                    match dns.request_memo(c.prefix, &snap, i, t) {
+                    match dns.request(c.prefix, &snap, i, t) {
                         out if out.served() => served += 1,
                         out => {
                             failed += 1;

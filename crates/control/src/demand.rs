@@ -99,8 +99,9 @@ pub fn epoch_bounds(n: usize, epochs: usize) -> Vec<(usize, usize)> {
 impl DemandModel {
     /// Builds the model from a scenario's deterministic day of queries.
     ///
-    /// `table` decides which groups are steerable (a group with an empty
-    /// candidate ranking cannot be moved); `cap` bounds the day's query
+    /// `table` decides which groups are steerable: a query steers through
+    /// the group [`PredictionTable::match_query`] matches it to, and one
+    /// that matches none is pinned; `cap` bounds the day's query
     /// count the way the replay's cap does.
     pub fn build(
         scenario: &Scenario,
@@ -121,20 +122,12 @@ impl DemandModel {
                     .internet
                     .anycast_route(&client.attachment, day)
                     .site;
-                // ECS tables are longest-prefix-match: a query steers
-                // through the *aggregate* entry covering its subnet, so
-                // steering groups are keyed (and overridden) per aggregate
-                // — rewriting one short default entry moves every /24 it
-                // covers at once.
-                let key = match grouping {
-                    Grouping::Ecs => spec
-                        .ecs
-                        .as_ref()
-                        .and_then(|e| table.lookup_lpm(e.prefix).map(|(p, _)| GroupKey::Ecs(p))),
-                    Grouping::Ldns => Some(GroupKey::Ldns(spec.ldns)),
-                };
-                match key.filter(|k| !table.ranked(*k).is_empty()) {
-                    Some(k) => {
+                // An ECS query matches the *aggregate* entry covering its
+                // subnet, so steering groups are keyed (and overridden)
+                // per aggregate — rewriting one short default entry moves
+                // every /24 it covers at once.
+                match table.match_query(grouping, spec.ldns, spec.ecs.map(|e| e.prefix)) {
+                    Some((k, _)) => {
                         let g = epoch.groups.entry(k).or_default();
                         g.queries += 1;
                         *g.vip_by_site.entry(catchment).or_insert(0) += 1;

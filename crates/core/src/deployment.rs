@@ -1,13 +1,12 @@
-//! The CDN deployment: sites + addressing, as a service-level view.
+//! The CDN deployment: its sites, as a service-level view.
 //!
 //! `anycast-netsim` knows the CDN as routers and links; this module is the
-//! CDN *service* view the paper operates at: named front-end locations with
-//! an anycast VIP and per-site unicast /24s (§3.1), plus the geographic
-//! queries the figures need (distance from a client to its Nth-closest
-//! front-end, Figure 2).
+//! CDN *service* view the paper operates at: named front-end locations
+//! (§3.1), plus the geographic queries the figures need (distance from a
+//! client to its Nth-closest front-end, Figure 2).
 
 use anycast_geo::{GeoPoint, NearestIndex};
-use anycast_netsim::{CdnAddressing, Internet, SiteId};
+use anycast_netsim::{Internet, SiteId};
 
 /// One front-end location, as presented in reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,12 +19,11 @@ pub struct FrontEnd {
     pub location: GeoPoint,
 }
 
-/// The deployment: front-ends and the address plan.
+/// The deployment: front-ends and their nearest-site index.
 #[derive(Debug, Clone)]
 pub struct Deployment {
     front_ends: Vec<FrontEnd>,
     index: NearestIndex<SiteId>,
-    addressing: CdnAddressing,
 }
 
 impl Deployment {
@@ -45,11 +43,7 @@ impl Deployment {
             })
             .collect();
         let index = NearestIndex::new(front_ends.iter().map(|f| (f.site, f.location)).collect());
-        Deployment {
-            front_ends,
-            index,
-            addressing: CdnAddressing::standard(topo.cdn.sites.len() as u16),
-        }
+        Deployment { front_ends, index }
     }
 
     /// All front-ends.
@@ -60,11 +54,6 @@ impl Deployment {
     /// Number of locations — the §4 size statistic.
     pub fn size(&self) -> usize {
         self.front_ends.len()
-    }
-
-    /// The address plan.
-    pub fn addressing(&self) -> &CdnAddressing {
-        &self.addressing
     }
 
     /// Nearest-k front-ends to a point, `(site, km)` ascending.
@@ -98,7 +87,6 @@ mod tests {
     fn size_matches_topology() {
         let d = deployment();
         assert_eq!(d.size(), NetConfig::small().n_sites);
-        assert_eq!(d.addressing().n_sites() as usize, d.size());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix24};
 use anycast_pipeline::FastMap;
 
-use crate::prediction::{GroupKey, Grouping, PredictionTable};
+use crate::prediction::{Grouping, PredictionTable};
 
 /// One prefix's evaluation outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,19 +82,17 @@ pub fn evaluate_prediction(
         let Some(anycast_samples) = served_to(prefix, Target::Anycast) else {
             continue;
         };
-        // ECS tables are longest-prefix-match (an aggregated table may
-        // cover this /24 with a shorter default entry); LDNS tables key on
-        // the prefix's resolver.
-        let choice = match grouping {
-            Grouping::Ecs => table
-                .lookup_lpm(prefix.into())
-                .map(|(_, c)| c.target)
-                .unwrap_or(Target::Anycast),
-            Grouping::Ldns => match ldns_of.get(&prefix) {
-                Some(&l) => table.predict(GroupKey::Ldns(l)).unwrap_or(Target::Anycast),
-                None => continue,
-            },
+        // The prefix asks as a /24 ECS query from its resolver would. An
+        // LDNS table cannot place a prefix whose resolver is unknown; an
+        // ECS table never reads the resolver.
+        let ldns = match ldns_of.get(&prefix) {
+            Some(&l) => l,
+            None if grouping == Grouping::Ldns => continue,
+            None => LdnsId(0),
         };
+        let choice = table
+            .match_query(grouping, ldns, Some(prefix.into()))
+            .map_or(Target::Anycast, |(_, c)| c.target);
         let (p50, p75) = match choice {
             Target::Anycast => (0.0, 0.0),
             Target::Unicast(_) => {

@@ -17,14 +17,15 @@
 //!   mid-TTL takes its cached clients down with it until their answers
 //!   expire.
 //!
-//! Both paths are deterministic — outcomes use the route's `base_rtt_ms`,
-//! no RNG — so the bench experiments can sweep outage rate and TTL and get
-//! reproducible availability numbers.
+//! Both paths route through a per-day [`RouteSnapshot`] and are
+//! deterministic — outcomes use the route's `base_rtt_ms`, no RNG — so the
+//! bench experiments can sweep outage rate and TTL and get reproducible
+//! availability numbers.
 
 use std::collections::HashMap;
 
 use anycast_geo::GeoPoint;
-use anycast_netsim::{ClientAttachment, Day, Internet, Prefix24, RouteSnapshot, SiteId};
+use anycast_netsim::{Day, Internet, Prefix24, RouteSnapshot, SiteId};
 
 /// Why a request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,39 +71,14 @@ impl RequestOutcome {
     }
 }
 
-/// One client request over the anycast VIP at `(day, time_s)`.
+/// One client request over the anycast VIP at `time_s` of the day
+/// `routes` was built for. `client` indexes the snapshot's population.
 ///
 /// Anycast clients take no action on failure: either routing has already
 /// steered them to a live site (served), or their catchment's announcement
 /// was just withdrawn and they blackhole until BGP reconverges
 /// ([`FailureReason::Converging`]).
 pub fn anycast_request(
-    internet: &Internet,
-    client: &ClientAttachment,
-    day: Day,
-    time_s: f64,
-) -> RequestOutcome {
-    match internet.anycast_route_at(client, day, time_s) {
-        Some(d) => RequestOutcome::Served {
-            site: d.site,
-            rtt_ms: d.base_rtt_ms,
-        },
-        None => {
-            let steady = internet.anycast_route(client, day).site;
-            if internet.outages().converging(steady, day, time_s) {
-                RequestOutcome::Failed(FailureReason::Converging)
-            } else {
-                RequestOutcome::Failed(FailureReason::NoLiveRoute)
-            }
-        }
-    }
-}
-
-/// [`anycast_request`] through a per-day [`RouteSnapshot`]: identical
-/// outcomes (the snapshot is transparent), but the steady-state path is an
-/// array lookup instead of a full BGP/IGP re-selection. `client` indexes
-/// the population the snapshot was built over.
-pub fn anycast_request_memo(
     internet: &Internet,
     routes: &RouteSnapshot,
     client: usize,
@@ -198,34 +174,11 @@ impl<'a> DnsRedirectionSim<'a> {
         }
     }
 
-    /// One request from `prefix` at `(day, time_s)`. Time must not go
-    /// backwards across calls for a given prefix (cache expiry is absolute
-    /// experiment time).
+    /// One request from `prefix` at `time_s` of the day `routes` was
+    /// built for. `client` indexes the snapshot's population. Time must
+    /// not go backwards across calls for a given prefix (cache expiry is
+    /// absolute experiment time).
     pub fn request(
-        &mut self,
-        prefix: Prefix24,
-        client: &ClientAttachment,
-        day: Day,
-        time_s: f64,
-    ) -> RequestOutcome {
-        let Some(site) = self.answer_site(prefix, &client.location, day, time_s) else {
-            return RequestOutcome::Failed(FailureReason::NoLiveRoute);
-        };
-        match self.internet.unicast_route_at(client, site, day, time_s) {
-            Some(d) => RequestOutcome::Served {
-                site,
-                rtt_ms: d.base_rtt_ms,
-            },
-            // The answer was live when cached; the site died under it.
-            None => RequestOutcome::Failed(FailureReason::StaleDnsAnswer),
-        }
-    }
-
-    /// [`DnsRedirectionSim::request`] through a per-day [`RouteSnapshot`]
-    /// built over the same client population (the snapshot's day supplies
-    /// the day): identical outcomes, memoized unicast routing. `client`
-    /// indexes the snapshot's population.
-    pub fn request_memo(
         &mut self,
         prefix: Prefix24,
         routes: &RouteSnapshot,
@@ -242,25 +195,16 @@ impl<'a> DnsRedirectionSim<'a> {
                 site,
                 rtt_ms: d.base_rtt_ms,
             },
+            // The answer was live when cached; the site died under it.
             None => RequestOutcome::Failed(FailureReason::StaleDnsAnswer),
         }
-    }
-
-    /// The configured TTL, seconds.
-    pub fn ttl_s(&self) -> f64 {
-        self.ttl_s
-    }
-
-    /// Drops all cached answers (a resolver restart).
-    pub fn clear(&mut self) {
-        self.cache.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_netsim::{NetConfig, OutageKind, OutageWindow};
+    use anycast_netsim::{ClientAttachment, NetConfig, OutageKind, OutageWindow};
     use std::net::Ipv4Addr;
 
     fn failure_world() -> Internet {
@@ -312,12 +256,13 @@ mod tests {
     #[test]
     fn failure_free_world_always_serves() {
         let internet = Internet::new(NetConfig::small(), 3).unwrap();
-        let c = attachment(&internet, 0);
+        let clients = [attachment(&internet, 0)];
+        let routes = RouteSnapshot::build(&internet, &clients, Day(0));
         let p = Prefix24::containing(Ipv4Addr::new(11, 0, 0, 1));
         let mut dns = DnsRedirectionSim::new(&internet, 300.0);
         for &t in &request_times(8) {
-            assert!(anycast_request(&internet, &c, Day(0), t).served());
-            assert!(dns.request(p, &c, Day(0), t).served());
+            assert!(anycast_request(&internet, &routes, 0, t).served());
+            assert!(dns.request(p, &routes, 0, t).served());
         }
     }
 
@@ -326,12 +271,14 @@ mod tests {
         let internet = failure_world();
         let (site, day, win, c) =
             unplanned_outage_with_victim(&internet).expect("an unplanned outage with a victim");
+        let clients = [c];
+        let routes = RouteSnapshot::build(&internet, &clients, day);
         let reconv = anycast_netsim::outage::BGP_RECONVERGENCE_S;
         // Mid-convergence: the withdrawal is still propagating — blackhole.
-        let during = anycast_request(&internet, &c, day, win.start_s + reconv * 0.5);
+        let during = anycast_request(&internet, &routes, 0, win.start_s + reconv * 0.5);
         assert_eq!(during.reason(), Some(FailureReason::Converging));
         // One routing step later: served by a different, live site.
-        let after = anycast_request(&internet, &c, day, win.start_s + reconv + 1.0);
+        let after = anycast_request(&internet, &routes, 0, win.start_s + reconv + 1.0);
         match after {
             RequestOutcome::Served { site: s, .. } => {
                 assert_ne!(s, site);
@@ -342,7 +289,7 @@ mod tests {
             RequestOutcome::Failed(r) => panic!("expected failover, got {r:?}"),
         }
         // Before the outage: served by the (then healthy) catchment site.
-        let before = anycast_request(&internet, &c, day, win.start_s - 1.0);
+        let before = anycast_request(&internet, &routes, 0, win.start_s - 1.0);
         assert_eq!(
             before,
             RequestOutcome::Served {
@@ -377,16 +324,18 @@ mod tests {
         let (site, day, win, _) =
             unplanned_outage_with_victim(&internet).expect("an unplanned outage");
         let c = client_nearest_to(&internet, site).expect("a client homed on the dying site");
+        let clients = [c];
+        let routes = RouteSnapshot::build(&internet, &clients, day);
         let p = Prefix24::containing(Ipv4Addr::new(11, 0, 7, 1));
         let ttl = 300.0;
         let mut dns = DnsRedirectionSim::new(&internet, ttl);
         // Resolved shortly before the outage: the healthy nearest site.
         let t0 = win.start_s - 10.0;
         assert_eq!(
-            dns.request(p, &c, day, t0),
+            dns.request(p, &routes, 0, t0),
             RequestOutcome::Served {
                 site,
-                rtt_ms: internet.unicast_route(&c, site, day).base_rtt_ms
+                rtt_ms: internet.unicast_route(&clients[0], site, day).base_rtt_ms
             }
         );
         // Mid-outage, answer still cached: stale — and stays stale well
@@ -394,7 +343,7 @@ mod tests {
         let t1 = win.start_s + anycast_netsim::outage::BGP_RECONVERGENCE_S + 10.0;
         assert!(t1 - t0 < ttl, "probe must land inside the cached TTL");
         assert_eq!(
-            dns.request(p, &c, day, t1).reason(),
+            dns.request(p, &routes, 0, t1).reason(),
             Some(FailureReason::StaleDnsAnswer)
         );
         // After expiry: re-resolution health-checks and picks a live site.
@@ -403,37 +352,9 @@ mod tests {
             t2 < win.end_s,
             "re-resolution probe still inside the outage"
         );
-        match dns.request(p, &c, day, t2) {
+        match dns.request(p, &routes, 0, t2) {
             RequestOutcome::Served { site: s, .. } => assert_ne!(s, site),
             RequestOutcome::Failed(r) => panic!("expected re-resolved answer, got {r:?}"),
-        }
-    }
-
-    #[test]
-    fn memoized_paths_match_direct_paths_under_failures() {
-        let internet = failure_world();
-        let clients: Vec<ClientAttachment> = (0..6).map(|i| attachment(&internet, i)).collect();
-        let times = request_times(24);
-        for day in 0..6u32 {
-            let day = Day(day);
-            let routes = RouteSnapshot::build(&internet, &clients, day);
-            let mut dns_direct = DnsRedirectionSim::new(&internet, 300.0);
-            let mut dns_memo = DnsRedirectionSim::new(&internet, 300.0);
-            for (i, c) in clients.iter().enumerate() {
-                let p = Prefix24::containing(Ipv4Addr::new(11, 0, i as u8, 1));
-                for &t in &times {
-                    assert_eq!(
-                        anycast_request_memo(&internet, &routes, i, t),
-                        anycast_request(&internet, c, day, t),
-                        "anycast divergence day {day:?} t {t}"
-                    );
-                    assert_eq!(
-                        dns_memo.request_memo(p, &routes, i, t),
-                        dns_direct.request(p, c, day, t),
-                        "dns divergence day {day:?} t {t}"
-                    );
-                }
-            }
         }
     }
 

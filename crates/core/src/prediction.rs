@@ -167,7 +167,7 @@ pub struct PredictionTable {
     /// Every group's ranking, best first, one group after another.
     ranked: Vec<RankedCandidate>,
     /// Distinct prefix lengths among the ECS keys, longest first — the
-    /// probe order for [`PredictionTable::lookup_lpm`].
+    /// probe order of the longest-prefix match.
     ecs_lens: Vec<u8>,
 }
 
@@ -243,25 +243,45 @@ impl PredictionTable {
         self.choice(key).map(|c| c.target)
     }
 
-    /// Longest-prefix-match lookup for an ECS subnet: the most specific
-    /// table entry whose prefix covers `p`, together with the matching
-    /// aggregate's prefix — whose length is the RFC 7871 §7.2.1 SCOPE
-    /// PREFIX-LENGTH the answer should advertise.
+    /// The group a query from `ldns` carrying the ECS subnet `ecs` matches,
+    /// with that group's choice; `None` sends the query to anycast. This
+    /// is the one rule the evaluation, the control plane's demand model
+    /// and the served compiled table answer by.
     ///
-    /// Entries *longer* than the query's own prefix are never matched: an
-    /// answer must not claim a scope more specific than the SOURCE
-    /// PREFIX-LENGTH the query disclosed.
-    pub fn lookup_lpm(&self, p: Prefix) -> Option<(Prefix, &Choice)> {
-        for &len in &self.ecs_lens {
-            if len > p.len() {
-                continue;
-            }
-            let truncated = p.truncate(len);
-            if let Some(c) = self.choice(GroupKey::Ecs(truncated)) {
-                return Some((truncated, c));
+    /// * [`Grouping::Ecs`] tables are longest-prefix-match: the most
+    ///   specific entry covering `ecs`, never one longer than the query's
+    ///   own SOURCE PREFIX-LENGTH (an answer must not claim a scope more
+    ///   specific than the query disclosed). A query without ECS matches
+    ///   nothing.
+    /// * [`Grouping::Ldns`] tables match the resolver's own entry and
+    ///   ignore `ecs`.
+    ///
+    /// The answer's RFC 7871 scope follows from the key
+    /// ([`Grouping::answer_scope`]): an ECS key advertises its prefix
+    /// length, an LDNS key or a miss advertises 0.
+    pub fn match_query(
+        &self,
+        grouping: Grouping,
+        ldns: LdnsId,
+        ecs: Option<Prefix>,
+    ) -> Option<(GroupKey, &Choice)> {
+        match grouping {
+            Grouping::Ecs => self.lookup_lpm(ecs?),
+            Grouping::Ldns => {
+                let key = GroupKey::Ldns(ldns);
+                self.choice(key).map(|choice| (key, choice))
             }
         }
-        None
+    }
+
+    /// The most specific ECS entry whose prefix covers `p` and is no
+    /// longer than `p`.
+    fn lookup_lpm(&self, p: Prefix) -> Option<(GroupKey, &Choice)> {
+        let mut covering = self.ecs_lens.iter().filter(|&&len| len <= p.len());
+        covering.find_map(|&len| {
+            let key = GroupKey::Ecs(p.truncate(len));
+            self.choice(key).map(|choice| (key, choice))
+        })
     }
 
     /// The full choice (target + expected gain) for a group.
@@ -577,8 +597,8 @@ impl Predictor {
     /// the grouping kernel of [`Predictor::train_window`] once, and every
     /// decision above reads a leaf's memoized `{n, score}` per target.
     ///
-    /// Lookup against the result is [`PredictionTable::lookup_lpm`]; the
-    /// matched prefix length is the ECS answer scope. With
+    /// Queries match the result through [`PredictionTable::match_query`];
+    /// the matched prefix length is the ECS answer scope. With
     /// [`AggregationConfig::disabled`] the output is byte-identical to
     /// [`Predictor::train`].
     ///
@@ -1522,14 +1542,22 @@ fn target_of_code(code: usize) -> Target {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use anycast_beacon::{BeaconMeasurement, Slot};
     use anycast_netsim::{Prefix24, SiteId};
     use std::net::Ipv4Addr;
 
-    fn prefix(n: u8) -> Prefix24 {
+    pub(crate) fn prefix(n: u8) -> Prefix24 {
         Prefix24::containing(Ipv4Addr::new(11, 0, n, 1))
+    }
+
+    /// The ECS entry a query for `p` matches: its prefix and choice.
+    fn ecs_match(table: &PredictionTable, p: Prefix) -> Option<(Prefix, Choice)> {
+        match table.match_query(Grouping::Ecs, LdnsId(0), Some(p))? {
+            (GroupKey::Ecs(matched), choice) => Some((matched, *choice)),
+            (GroupKey::Ldns(_), _) => unreachable!("an ECS match is keyed by its prefix"),
+        }
     }
 
     /// Builds `n` measurements of `rtt` for (prefix, ldns, target) on day 0.
@@ -1838,7 +1866,7 @@ mod tests {
 
     /// A dataset with clearly separated per-target latency levels, varied
     /// enough that sketches have real distributions to summarize.
-    fn separated_dataset() -> BeaconDataset {
+    pub(crate) fn separated_dataset() -> BeaconDataset {
         let mut ds = BeaconDataset::new();
         let mut exec = 0u64;
         for g in 0..12u8 {
@@ -2066,9 +2094,8 @@ mod tests {
         let agg = predictor.train_aggregated(&ds, Day(0), &AggregationConfig::default());
         assert_eq!(agg.len(), 1, "12 agreeing /24s compress to one entry");
         for g in 0..12u8 {
-            let (matched, choice) = agg
-                .lookup_lpm(prefix(g).into())
-                .expect("every measured /24 is covered");
+            let (matched, choice) =
+                ecs_match(&agg, prefix(g).into()).expect("every measured /24 is covered");
             assert_eq!(matched.len(), 8);
             assert_eq!(
                 Some(choice.target),
@@ -2076,9 +2103,7 @@ mod tests {
             );
         }
         // Unmeasured space outside the aggregate still misses.
-        assert!(agg
-            .lookup_lpm(Prefix::new(Ipv4Addr::new(99, 0, 0, 0), 24))
-            .is_none());
+        assert!(ecs_match(&agg, Prefix::new(Ipv4Addr::new(99, 0, 0, 0), 24)).is_none());
     }
 
     /// Five leaves prefer site 3; one strongly prefers site 4.
@@ -2113,7 +2138,7 @@ mod tests {
         );
         // Compression must not change any measured leaf's served target.
         for g in 0..6u8 {
-            let (matched, choice) = agg.lookup_lpm(prefix(g).into()).expect("covered");
+            let (matched, choice) = ecs_match(&agg, prefix(g).into()).expect("covered");
             assert_eq!(
                 Some(choice.target),
                 plain.predict(GroupKey::Ecs(prefix(g).into())),
@@ -2122,7 +2147,7 @@ mod tests {
         }
         // The dissenting leaf is served by a more specific entry than the
         // default aggregate.
-        let (matched, choice) = agg.lookup_lpm(prefix(5).into()).unwrap();
+        let (matched, choice) = ecs_match(&agg, prefix(5).into()).unwrap();
         assert_eq!(choice.target, Target::Unicast(SiteId(4)));
         assert!(matched.len() > 8, "exception is longer than the default");
     }
@@ -2148,9 +2173,8 @@ mod tests {
             None,
             "the sparse leaf gets no entry of its own"
         );
-        let (matched, choice) = agg
-            .lookup_lpm(prefix(20).into())
-            .expect("borrows the covering aggregate");
+        let (matched, choice) =
+            ecs_match(&agg, prefix(20).into()).expect("borrows the covering aggregate");
         assert_eq!(matched.len(), 8);
         assert_eq!(choice.target, Target::Unicast(SiteId(3)));
     }
@@ -2171,21 +2195,17 @@ mod tests {
         );
         let table = Predictor::new(PredictorConfig::default()).train_from_stats(&stats);
         // /24 query under the exception: longest match wins.
-        let (m, c) = table.lookup_lpm(prefix(5).into()).unwrap();
+        let (m, c) = ecs_match(&table, prefix(5).into()).unwrap();
         assert_eq!((m.len(), c.target), (24, Target::Unicast(SiteId(2))));
         // /24 query elsewhere under the default.
-        let (m, c) = table.lookup_lpm(prefix(9).into()).unwrap();
+        let (m, c) = ecs_match(&table, prefix(9).into()).unwrap();
         assert_eq!((m.len(), c.target), (8, Target::Anycast));
         // A /16 query must never match the /24 entry (scope would exceed
         // the disclosed source prefix) — it falls back to the /8.
-        let (m, _) = table
-            .lookup_lpm(Prefix::new(Ipv4Addr::new(11, 0, 5, 0), 16))
-            .unwrap();
+        let (m, _) = ecs_match(&table, Prefix::new(Ipv4Addr::new(11, 0, 5, 0), 16)).unwrap();
         assert_eq!(m.len(), 8);
         // Outside the default entirely: miss.
-        assert!(table
-            .lookup_lpm(Prefix::new(Ipv4Addr::new(12, 0, 0, 0), 24))
-            .is_none());
+        assert!(ecs_match(&table, Prefix::new(Ipv4Addr::new(12, 0, 0, 0), 24)).is_none());
     }
 
     /// A table in comparable form: per group the served target, the gain
@@ -2505,7 +2525,7 @@ mod tests {
         );
         assert_eq!(table.len(), 1);
         for g in [0u8, 5, 6, 7, 9] {
-            let (matched, choice) = table.lookup_lpm(prefix(g).into()).expect("covered");
+            let (matched, choice) = ecs_match(&table, prefix(g).into()).expect("covered");
             assert_eq!(
                 (matched.len(), choice.target),
                 (8, Target::Unicast(SiteId(4)))
@@ -2523,9 +2543,8 @@ mod tests {
             &AggregationConfig::default(),
         );
         let served = |a: u8, b: u8, c: u8| {
-            let (matched, choice) = table
-                .lookup_lpm(Prefix::new(Ipv4Addr::new(a, b, c, 0), 24))
-                .expect("covered");
+            let (matched, choice) =
+                ecs_match(&table, Prefix::new(Ipv4Addr::new(a, b, c, 0), 24)).expect("covered");
             (matched.len(), choice.target)
         };
         assert_eq!(served(11, 1, 2), (15, Target::Unicast(SiteId(0))));

@@ -2,10 +2,10 @@
 //!
 //! "The CDN makes a performance-based decision about what IP address to
 //! return based on which LDNS forwarded the request" (§2). The decision
-//! logic itself is a [`RedirectionPolicy`] supplied by `anycast-core`
-//! (anycast-always, geo-DNS, prediction-driven, hybrid); this module
-//! provides the mechanism: receive a query with its LDNS identity and
-//! optional ECS, ask the policy, log the query, return the answer.
+//! logic itself is a [`RedirectionPolicy`] the caller supplies (the beacon
+//! campaign's measurement policy); this module provides the mechanism:
+//! receive a query with its LDNS identity and optional ECS, ask the
+//! policy, log the query, return the answer.
 
 use anycast_geo::GeoPoint;
 use anycast_netsim::Day;
@@ -116,12 +116,6 @@ impl<P: RedirectionPolicy> AuthoritativeServer<P> {
     /// allocation for the queries to come.
     pub fn clear_log(&mut self) {
         self.log.clear();
-    }
-
-    /// Access to the policy (e.g. to update a prediction table between
-    /// days).
-    pub fn policy(&self) -> &P {
-        &self.policy
     }
 }
 

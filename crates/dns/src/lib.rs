@@ -18,8 +18,9 @@
 //! * [`ldns::Ldns`] — recursive resolvers (ISP-local and public), each with
 //!   a cache and optional ECS support;
 //! * [`authoritative::AuthoritativeServer`] — the CDN's nameserver with a
-//!   pluggable [`authoritative::RedirectionPolicy`] (the policies themselves
-//!   live in `anycast-core`) and a query log ([`log::DnsQueryLog`]).
+//!   pluggable [`authoritative::RedirectionPolicy`] (the campaign's is
+//!   `anycast-beacon`'s measurement policy) and a query log
+//!   ([`log::DnsQueryLog`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

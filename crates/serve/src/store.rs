@@ -12,10 +12,10 @@
 //! generation, and an old table stays alive until the last batch holding
 //! it completes.
 //!
-//! [`CompiledTable::answer`] is contractually byte-identical to
-//! [`anycast_core::redirection::PredictionPolicy`] over the same
-//! `PredictionTable` — the loopback equivalence test pins
-//! `(addr, ttl_s, ecs_scope)` for a full simulated day of queries.
+//! [`CompiledTable::answer`] is contractually the answer the source
+//! table's own [`PredictionTable::match_query`] implies — the loopback
+//! equivalence tests pin `(addr, ttl_s, ecs_scope)` for a full simulated
+//! day of queries, and a property test at every ECS source length.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -323,9 +323,9 @@ impl CompiledTable {
 
     /// Decides the answer for a query from `ldns` carrying `ecs`.
     ///
-    /// Mirrors `PredictionPolicy::answer` exactly: longest-prefix match for
-    /// ECS tables (bounded by the query's disclosed prefix length), exact
-    /// match for LDNS tables, anycast VIP on a miss. The ECS scope is the
+    /// Mirrors [`PredictionTable::match_query`] exactly: longest-prefix
+    /// match for ECS tables (bounded by the query's disclosed prefix
+    /// length), exact match for LDNS tables, anycast VIP on a miss. The ECS scope is the
     /// matched entry's prefix length — and 0 on a miss: the VIP fallback
     /// was derived from no subnet, so advertising the query's /24 there
     /// (the old behavior) fragmented resolver caches into per-/24 entries

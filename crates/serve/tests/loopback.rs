@@ -1,42 +1,45 @@
 //! End-to-end loopback tests: real UDP/TCP packets against the in-process
-//! authoritative path.
+//! answer of the table the server compiled.
 //!
 //! The acceptance bar: for a full simulated day of queries, the
 //! wire-served `(addr, ttl, ecs_scope)` triple must be byte-identical to
-//! what [`AuthoritativeServer`] over [`PredictionPolicy`] over the same
-//! trained table produces in-process — at 1 worker and at 4 workers, on
-//! the portable one-packet path (`batch = 1`) and the batched one.
+//! the answer the trained table's own `match_query` implies — at 1 worker
+//! and at 4 workers, on the portable one-packet path (`batch = 1`) and the
+//! batched one.
+
+mod common;
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use anycast_core::prediction::{Grouping, Predictor, PredictorConfig};
-use anycast_core::{PredictionPolicy, Study, StudyConfig};
+use anycast_core::{Study, StudyConfig};
 use anycast_dns::cache::DnsCache;
-use anycast_dns::{AuthoritativeServer, DnsAnswer, LdnsId};
+use anycast_dns::{DnsAnswer, LdnsId};
 use anycast_netsim::Day;
 use anycast_serve::client::WireClient;
-use anycast_serve::replay::{day_queries, ldns_directory, ldns_source_addr, service_qname};
+use anycast_serve::replay::{
+    day_queries, ldns_directory, ldns_source_addr, service_qname, QuerySpec,
+};
 use anycast_serve::server::{DnsServer, ServeConfig};
 use anycast_serve::store::{CompiledTable, TableStore};
 use anycast_workload::Scenario;
 
-const TTL_S: u32 = 60;
+use common::{Reference, TTL_S};
 
-/// One trained table in its two shapes: the in-process reference policy
-/// and the compiled table the wire server serves.
+/// One trained table: its own match is the reference every served answer
+/// is checked against, and its compiled form is what the server serves.
 struct Trained {
     /// Owns the scenario.
     study: Study,
-    policy: PredictionPolicy,
-    compiled: CompiledTable,
+    reference: Reference,
 }
 
 impl Trained {
     /// A fresh store holding the compiled table.
     fn store(&self) -> Arc<TableStore> {
-        Arc::new(TableStore::new(self.compiled.clone()))
+        Arc::new(TableStore::new(self.reference.compile()))
     }
 }
 
@@ -49,14 +52,13 @@ fn trained(seed: u64, grouping: Grouping) -> Trained {
         ..PredictorConfig::default()
     };
     let table = Predictor::new(cfg).train(study.dataset(), Day(0));
-    let addressing = study.scenario().addressing;
-    let compiled = CompiledTable::compile(&table, grouping, addressing, TTL_S, 1);
-    let policy = PredictionPolicy::new(table, grouping, addressing, TTL_S);
-    Trained {
-        study,
-        policy,
-        compiled,
-    }
+    let plan = study.scenario().addressing;
+    let reference = Reference {
+        table,
+        grouping,
+        plan,
+    };
+    Trained { study, reference }
 }
 
 /// One client per LDNS source address, created on demand.
@@ -81,24 +83,13 @@ impl ClientPool {
     }
 }
 
-/// Where the directory believes each of the scenario's resolvers is.
-fn believed_locations(
-    scenario: &Scenario,
-    directory: &anycast_serve::server::LdnsDirectory,
-) -> HashMap<LdnsId, anycast_geo::GeoPoint> {
-    let resolvers = scenario.ldns.resolvers.iter();
-    resolvers
-        .map(|r| (r.id, directory.lookup(ldns_source_addr(r.id)).unwrap().1))
-        .collect()
-}
-
 /// The first `limit` queries of the scenario's day 1 as raw A/IN wire
 /// queries (EDNS, ECS where the resolver sends it), with the resolver
 /// each must be sent from.
 fn day_wires(scenario: &Scenario, limit: usize) -> Vec<(LdnsId, Vec<u8>)> {
     use anycast_serve::message::{encode_query, Edns, WireEcs, WireQuery};
     use anycast_serve::wire::{CLASS_IN, TYPE_A};
-    let wire = |(i, q): (usize, &anycast_serve::replay::QuerySpec)| {
+    let wire = |(i, q): (usize, &QuerySpec)| {
         let edns = Edns {
             udp_payload: 1232,
             ecs: q.ecs.as_ref().map(WireEcs::from_option),
@@ -129,10 +120,10 @@ fn ask(server: &DnsServer, ldns: LdnsId, wire: &[u8]) -> Vec<u8> {
     buf[..n].to_vec()
 }
 
-/// A trained table behind the server must serve a full simulated day
-/// identically to the same table exercised in-process — and actually take
-/// the templated fast path. `batch = 1` is the portable one-packet path,
-/// `batch = 32` the recvmmsg/sendmmsg one.
+/// A trained table behind the server must serve a full simulated day as
+/// the table's own match answers it — and actually take the templated
+/// fast path. `batch = 1` is the portable one-packet path, `batch = 32`
+/// the recvmmsg/sendmmsg one.
 fn equivalence_for(workers: usize, batch: usize) {
     let t = trained(52, Grouping::Ecs);
     let scenario = t.study.scenario();
@@ -140,13 +131,8 @@ fn equivalence_for(workers: usize, batch: usize) {
     let mut cfg = ServeConfig::new(scenario.addressing.anycast_ip());
     cfg.workers = workers;
     cfg.batch = batch;
-    let directory = ldns_directory(scenario);
-    let believed = believed_locations(scenario, &directory);
-    let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
-
-    // The in-process reference: the same table behind the simulator's
-    // authoritative front end (ECS honored).
-    let mut reference = AuthoritativeServer::new(t.policy.clone(), true);
+    let server =
+        DnsServer::spawn_tables(cfg, t.store(), ldns_directory(scenario)).expect("server spawns");
     let qname = service_qname();
     let mut pool = ClientPool::new(server.local_addr());
     let queries = day_queries(scenario, Day(1), usize::MAX);
@@ -160,11 +146,10 @@ fn equivalence_for(workers: usize, batch: usize) {
             .get(q.ldns)
             .query(&qname, q.ecs.as_ref())
             .expect("wire query");
-        let expected = reference.resolve(&qname, q.ldns, believed[&q.ldns], q.ecs, Day(1), 0.0);
         assert_eq!(
             (served.addr, served.ttl_s, served.ecs_scope),
-            (expected.addr, expected.ttl_s, expected.ecs_scope),
-            "wire answer must match the in-process path for {q:?} \
+            t.reference.answer(q.ldns, q.ecs.as_ref()),
+            "wire answer must match the table's own match for {q:?} \
              ({workers} workers, batch {batch})"
         );
     }
@@ -350,9 +335,9 @@ fn answered_tallies_mirror_answers_and_never_influence_them() {
 #[test]
 fn aggregated_tables_serve_identically_compiled_or_in_process() {
     // The routing-aware table behind a real socket: the trie-compiled
-    // table must serve the same (addr, ttl, scope) triple as the
-    // in-process LPM policy for a full day, never advertise a scope wider
-    // than the query disclosed, and answer misses at scope 0.
+    // table must serve the same (addr, ttl, scope) triple as the table's
+    // own hash-probe longest-prefix match for a full day, never advertise
+    // a scope wider than the query disclosed, and answer misses at scope 0.
     use anycast_core::prediction::AggregationConfig;
     use anycast_dns::ecs::EcsOption;
     use anycast_netsim::Prefix;
@@ -369,16 +354,17 @@ fn aggregated_tables_serve_identically_compiled_or_in_process() {
         &AggregationConfig::default(),
     );
     let scenario = study.scenario();
-    let policy = PredictionPolicy::new(table.clone(), Grouping::Ecs, scenario.addressing, TTL_S);
-    let compiled = CompiledTable::compile(&table, Grouping::Ecs, scenario.addressing, TTL_S, 1);
+    let reference = Reference {
+        table,
+        grouping: Grouping::Ecs,
+        plan: scenario.addressing,
+    };
 
     let cfg = ServeConfig::new(scenario.addressing.anycast_ip());
-    let directory = ldns_directory(scenario);
-    let believed = believed_locations(scenario, &directory);
-    let server = DnsServer::spawn_tables(cfg, Arc::new(TableStore::new(compiled)), directory)
-        .expect("server spawns");
+    let store = Arc::new(TableStore::new(reference.compile()));
+    let server =
+        DnsServer::spawn_tables(cfg, store, ldns_directory(scenario)).expect("server spawns");
 
-    let mut reference = AuthoritativeServer::new(policy, true);
     let qname = service_qname();
     let mut pool = ClientPool::new(server.local_addr());
     let queries = day_queries(scenario, Day(1), 2_000);
@@ -387,11 +373,10 @@ fn aggregated_tables_serve_identically_compiled_or_in_process() {
             .get(q.ldns)
             .query(&qname, q.ecs.as_ref())
             .expect("wire query");
-        let expected = reference.resolve(&qname, q.ldns, believed[&q.ldns], q.ecs, Day(1), 0.0);
         assert_eq!(
             (served.addr, served.ttl_s, served.ecs_scope),
-            (expected.addr, expected.ttl_s, expected.ecs_scope),
-            "trie-compiled and in-process LPM answers must agree for {q:?}"
+            reference.answer(q.ldns, q.ecs.as_ref()),
+            "trie-compiled and hash-probe LPM answers must agree for {q:?}"
         );
         if let Some(e) = &q.ecs {
             assert!(
@@ -464,20 +449,24 @@ fn ldns_keyed_tables_serve_scope_zero_on_the_wire() {
 
     let qname = service_qname();
     let mut pool = ClientPool::new(server.local_addr());
-    // Find an ECS-capable resolver so the query carries the option.
-    let queries = day_queries(scenario, Day(1), usize::MAX);
-    let ecs_query = queries
-        .iter()
-        .find(|q| q.ecs.is_some())
-        .expect("small world has public resolvers");
-    let served = pool
-        .get(ecs_query.ldns)
-        .query(&qname, ecs_query.ecs.as_ref())
-        .expect("wire query");
-    // LDNS-keyed answer to an ECS-bearing query: the scope on the wire
-    // must be 0 — the §6 fix this PR carries.
-    assert_eq!(served.ecs_scope, 0);
-    assert_eq!(served.ttl_s, TTL_S);
+    let queries = day_queries(scenario, Day(1), 2_000);
+    assert!(
+        queries.iter().any(|q| q.ecs.is_some()),
+        "small world has public resolvers"
+    );
+    for q in &queries {
+        let served = pool
+            .get(q.ldns)
+            .query(&qname, q.ecs.as_ref())
+            .expect("wire query");
+        assert_eq!(
+            (served.addr, served.ttl_s, served.ecs_scope),
+            t.reference.answer(q.ldns, q.ecs.as_ref()),
+            "LDNS-keyed wire answer must match the table's own match for {q:?}"
+        );
+        // An LDNS-keyed answer to an ECS-bearing query is scope 0.
+        assert_eq!(served.ecs_scope, 0);
+    }
 }
 
 #[test]
@@ -635,7 +624,6 @@ fn truncated_udp_answers_complete_over_tcp() {
     let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
 
     let qname = service_qname();
-    let mut reference = AuthoritativeServer::new(t.policy.clone(), true);
     let mut pool = ClientPool::new(server.local_addr());
     for q in &queries {
         let served = pool
@@ -643,10 +631,9 @@ fn truncated_udp_answers_complete_over_tcp() {
             .query(&qname, q.ecs.as_ref())
             .expect("query");
         assert!(served.over_tcp, "a clamped answer must arrive over TCP");
-        let expected = reference.resolve(&qname, q.ldns, believed, q.ecs, Day(1), 0.0);
         assert_eq!(
             (served.addr, served.ttl_s, served.ecs_scope),
-            (expected.addr, expected.ttl_s, expected.ecs_scope),
+            t.reference.answer(q.ldns, q.ecs.as_ref()),
             "TCP fallback serves the same bytes"
         );
     }

@@ -5,6 +5,8 @@
 //! floor): arbitrary bytes must never panic, only return `Ok` or a
 //! controlled [`WireError`].
 
+mod common;
+
 use std::net::Ipv4Addr;
 
 use anycast_dns::{DnsAnswer, DnsName};
@@ -261,6 +263,97 @@ mod trie {
                     addr,
                     max_len
                 );
+            }
+        }
+    }
+}
+
+/// The compiled table against the source table's own match at every ECS
+/// source length 0–32, at addresses inside and outside the trained
+/// blocks, for plain, aggregated and LDNS-keyed tables. The loopback suite
+/// replays one day's query mix (/24s and the resolvers' truncation
+/// lengths); this covers every other length.
+mod compiled {
+    use super::*;
+    use crate::common::Reference;
+    use anycast_beacon::{BeaconDataset, BeaconMeasurement, Slot, Target};
+    use anycast_core::prediction::{AggregationConfig, Grouping, Predictor, PredictorConfig};
+    use anycast_dns::ecs::EcsOption;
+    use anycast_dns::LdnsId;
+    use anycast_netsim::{CdnAddressing, Day, Prefix, Prefix24, SiteId};
+
+    /// Resolvers the rows come from; one more is unknown to every table.
+    const RESOLVERS: u32 = 6;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn compiled_answers_equal_the_tables_own_match_at_every_source_length(
+            // Batches of fetches: a /24 of 10.0.0.0/18, its resolver, the
+            // target (0 is anycast, `s + 1` front-end `s`), the RTT, and
+            // whether the batch alone is too small to score.
+            batches in prop::collection::vec(
+                (0u32..64, 0..RESOLVERS, 0u16..5, 20.0..120.0f64, any::<bool>()),
+                1..60,
+            ),
+            hosts in prop::collection::vec(any::<u32>(), 0..8),
+        ) {
+            let mut ds = BeaconDataset::new();
+            for (i, &(net, ldns, code, rtt, sparse)) in batches.iter().enumerate() {
+                let target = match code {
+                    0 => Target::Anycast,
+                    s => Target::Unicast(SiteId(s - 1)),
+                };
+                ds.extend((0..if sparse { 5 } else { 25 }).map(|j| BeaconMeasurement {
+                    measurement_id: Slot::Anycast.id_for((i * 25 + j) as u64),
+                    slot: Slot::Anycast,
+                    prefix: Prefix24::from_raw(0x0A00_0000 | (net << 8)),
+                    ldns: LdnsId(ldns),
+                    ecs: None,
+                    target,
+                    served_site: SiteId(0),
+                    rtt_ms: rtt + (j % 5) as f64,
+                    failed: false,
+                    day: Day(0),
+                    time_s: 0.0,
+                }));
+            }
+            let ecs = Predictor::new(PredictorConfig::default());
+            let ldns = Predictor::new(PredictorConfig {
+                grouping: Grouping::Ldns,
+                ..PredictorConfig::default()
+            });
+            let plan = CdnAddressing::standard(8);
+            let tables = [
+                (ecs.train(&ds, Day(0)), Grouping::Ecs),
+                (ecs.train_aggregated(&ds, Day(0), &AggregationConfig::default()), Grouping::Ecs),
+                (ldns.train(&ds, Day(0)), Grouping::Ldns),
+            ];
+            // A host inside each trained /24, then `hosts` inside the
+            // trained 10.0.0.0/16 and anywhere at all.
+            let mut addrs: Vec<u32> = batches
+                .iter()
+                .map(|&(net, ..)| 0x0A00_0000 | (net << 8) | (net * 37 % 256))
+                .collect();
+            addrs.extend(hosts.iter().map(|&h| 0x0A00_0000 | (h & 0xFFFF)));
+            addrs.extend(&hosts);
+            let subnets = addrs.iter().flat_map(|&a| (0..=32).map(move |l| Prefix::from_raw(a, l)));
+            let mut queries: Vec<_> = subnets.map(|p| Some(EcsOption::for_subnet(p))).collect();
+            queries.push(None);
+            for (table, grouping) in tables {
+                let reference = Reference { table, grouping, plan };
+                let compiled = reference.compile();
+                for resolver in (0..=RESOLVERS).map(LdnsId) {
+                    for ecs in queries.iter().map(Option::as_ref) {
+                        let served = compiled.answer(resolver, ecs);
+                        prop_assert_eq!(
+                            (served.addr, served.ttl_s, served.ecs_scope),
+                            reference.answer(resolver, ecs),
+                            "{:?} table, {:?}, {:?}", grouping, resolver, ecs
+                        );
+                    }
+                }
             }
         }
     }
