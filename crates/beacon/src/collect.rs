@@ -199,6 +199,7 @@ impl<'a, S: Iterator<Item = &'a [BeaconMeasurement]>> Iterator for DayRows<'a, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anycast_netsim::Prefix;
     use std::net::Ipv4Addr;
 
     fn m(
@@ -317,6 +318,76 @@ mod tests {
         );
         // …and the failed run's execution is missing its anycast side.
         assert_eq!(ds.executions()[1].anycast, None);
+    }
+
+    /// A row with its floats as bits beside it, so rows compare equal
+    /// field for field even when a float is NaN.
+    fn bits(m: &BeaconMeasurement) -> (BeaconMeasurement, u64, u64) {
+        let rest = BeaconMeasurement {
+            rtt_ms: 0.0,
+            time_s: 0.0,
+            ..*m
+        };
+        (rest, m.rtt_ms.to_bits(), m.time_s.to_bits())
+    }
+
+    #[test]
+    fn packed_rows_come_back_unchanged() {
+        let floats = [
+            42.5,
+            -0.0,
+            f64::from_bits(1), // the least subnormal
+            f64::INFINITY,
+            f64::from_bits(0x7ff8_0000_dead_beef), // NaN with a payload
+            f64::MAX,
+        ];
+        let targets = [
+            Target::Anycast,
+            Target::Unicast(SiteId(0)),
+            Target::Unicast(SiteId(u16::MAX)),
+        ];
+        // One row per ECS value: `None`, then every length 0–32.
+        let ecs =
+            std::iter::once(None).chain((0..=32).map(|len| Some(Prefix::from_raw(u32::MAX, len))));
+        let rows: Vec<BeaconMeasurement> = ecs
+            .enumerate()
+            .map(|(i, ecs)| {
+                let slot = Slot::ALL[i % 4];
+                BeaconMeasurement {
+                    measurement_id: slot.id_for((u64::MAX >> 2) - i as u64),
+                    slot,
+                    prefix: Prefix24::from_raw(u32::MAX - i as u32 * 0x100),
+                    ldns: LdnsId(u32::MAX - i as u32),
+                    ecs,
+                    target: targets[i % 3],
+                    served_site: SiteId(u16::MAX - i as u16),
+                    rtt_ms: floats[i % floats.len()],
+                    failed: i % 2 == 1,
+                    day: Day(if i < 17 { 3 } else { u32::MAX }),
+                    time_s: floats[(i + 2) % floats.len()],
+                }
+            })
+            .collect();
+        let want: Vec<_> = rows.iter().map(bits).collect();
+        let split = |cuts: &[usize]| {
+            let mut ds = BeaconDataset::new();
+            let mut from = 0;
+            for &to in cuts.iter().chain([&rows.len()]) {
+                ds.extend(rows[from..to].iter().copied());
+                from = to;
+            }
+            ds
+        };
+        for cuts in [&[][..], &[1], &[17], &[20], &[5, 17], &[16, 18], &[0, 33]] {
+            let ds = split(cuts);
+            assert_eq!(ds.measurements().iter().map(bits).collect::<Vec<_>>(), want);
+            assert_eq!(ds.days(), vec![Day(3), Day(u32::MAX)]);
+            for (day, range) in [(Day(3), 0..17), (Day(u32::MAX), 17..34)] {
+                let sliced: Vec<_> = ds.day_slices(day).flatten().map(bits).collect();
+                assert_eq!(sliced, want[range.clone()], "{cuts:?}");
+                assert_eq!(ds.day(day).map(bits).collect::<Vec<_>>(), want[range]);
+            }
+        }
     }
 
     #[test]

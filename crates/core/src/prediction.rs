@@ -68,6 +68,9 @@ pub enum GroupKey {
     Ldns(LdnsId),
 }
 
+// The ECS variant's prefix length leaves a niche the tag folds into.
+const _: () = assert!(size_of::<GroupKey>() == 8);
+
 /// The latency statistic used to score a candidate front-end.
 ///
 /// ```

@@ -9,7 +9,9 @@
 //! privacy), and what the routing-aware aggregation pass produces when it
 //! merges /24s that share a best front-end.
 
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
+use std::num::NonZeroU8;
 
 /// An IPv4 prefix of any length 0–32, stored as the network address with
 /// all bits beyond the length zeroed.
@@ -17,11 +19,18 @@ use std::net::Ipv4Addr;
 /// Ordering is `(network, length)` lexicographic, so a covering prefix
 /// sorts immediately before the subnets it contains — the order compiled
 /// tables and aggregation passes iterate in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The length is stored plus one, so zero is a niche: `Option<Prefix>`
+/// (a joined row's ECS subnet) costs no tag. `Hash` and `Debug` are
+/// written out to see `(net, len)`, exactly as derives on the plain
+/// length would; the derived order on `(net, len + 1)` is the same order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Prefix {
     net: u32,
-    len: u8,
+    len_plus_one: NonZeroU8,
 }
+
+const _: () = assert!(size_of::<Option<Prefix>>() == size_of::<Prefix>());
 
 impl Prefix {
     /// The `/len` prefix containing `addr`. Lengths above 32 are clamped;
@@ -35,7 +44,7 @@ impl Prefix {
         let len = len.min(32);
         Prefix {
             net: raw & mask(len),
-            len,
+            len_plus_one: NonZeroU8::MIN.saturating_add(len),
         }
     }
 
@@ -51,18 +60,18 @@ impl Prefix {
 
     /// The prefix length in bits.
     pub fn len(&self) -> u8 {
-        self.len
+        self.len_plus_one.get() - 1
     }
 
     /// Whether this is the zero-length prefix (all of IPv4).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// This prefix truncated to `len` bits (no-op when `len` is not
     /// shorter).
     pub fn truncate(&self, len: u8) -> Prefix {
-        if len >= self.len {
+        if len >= self.len() {
             *self
         } else {
             Prefix::from_raw(self.net, len)
@@ -71,28 +80,41 @@ impl Prefix {
 
     /// Whether `addr` belongs to this prefix.
     pub fn contains(&self, addr: Ipv4Addr) -> bool {
-        (u32::from(addr) & mask(self.len)) == self.net
+        (u32::from(addr) & mask(self.len())) == self.net
     }
 
     /// A stable 64-bit key for hashing into seeded random streams,
     /// distinct across `(network, length)` pairs.
     pub fn key(&self) -> u64 {
-        (u64::from(self.net) << 8) | u64::from(self.len)
+        (u64::from(self.net) << 8) | u64::from(self.len())
+    }
+}
+
+impl Hash for Prefix {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.net.hash(state);
+        self.len().hash(state);
+    }
+}
+
+impl std::fmt::Debug for Prefix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Prefix")
+            .field("net", &self.net)
+            .field("len", &self.len())
+            .finish()
     }
 }
 
 impl From<Prefix24> for Prefix {
     fn from(p: Prefix24) -> Prefix {
-        Prefix {
-            net: p.raw(),
-            len: 24,
-        }
+        Prefix::from_raw(p.raw(), 24)
     }
 }
 
 impl std::fmt::Display for Prefix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.network(), self.len)
+        write!(f, "{}/{}", self.network(), self.len())
     }
 }
 
@@ -293,6 +315,39 @@ mod tests {
         assert_eq!(p24.truncate(32), p24);
         let other = Prefix::new(Ipv4Addr::new(93, 185, 0, 0), 16);
         assert!(!other.contains(p24.network()));
+    }
+
+    /// The stored `len + 1` never shows: hashing, `Debug`, order and
+    /// `Display` all see the `(net, len)` a prefix was built from. (The
+    /// pipeline's `FastHasher` is checked the same way in its own tests.)
+    #[test]
+    fn prefix_reads_as_its_net_and_length() {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let build = BuildHasherDefault::<DefaultHasher>::default();
+        let nets = [0u32, u32::from(Ipv4Addr::new(1, 2, 3, 4)), u32::MAX];
+        let mut all = Vec::new();
+        for raw in nets {
+            for len in 0..=32u8 {
+                let p = Prefix::from_raw(raw, len);
+                let tuple = (p.raw(), len);
+                assert_eq!(p.len(), len);
+                assert_eq!(build.hash_one(p), build.hash_one(tuple), "{p}");
+                assert_eq!(
+                    format!("{p:?}"),
+                    format!("Prefix {{ net: {}, len: {len} }}", p.raw())
+                );
+                let addr = Ipv4Addr::from(p.raw());
+                assert_eq!(p.to_string(), format!("{addr}/{len}"));
+                assert_ne!(Some(p), None);
+                all.push((p, tuple));
+            }
+        }
+        for &(a, ta) in &all {
+            for &(b, tb) in &all {
+                assert_eq!(a.cmp(&b), ta.cmp(&tb), "{a} vs {b}");
+                assert_eq!(a == b, ta == tb, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -686,6 +686,21 @@ mod tests {
         }
     }
 
+    /// `Prefix` stores its length plus one; the pipeline's maps must still
+    /// hash it as the `(net, len)` it stood for, or their order moves.
+    #[test]
+    fn fast_hasher_sees_a_prefix_as_its_net_and_length() {
+        use anycast_netsim::Prefix;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<FastHasher>::default();
+        for raw in [0u32, 0x0102_0304, u32::MAX] {
+            for len in 0..=32u8 {
+                let p = Prefix::from_raw(raw, len);
+                assert_eq!(build.hash_one(p), build.hash_one((p.raw(), len)), "{p}");
+            }
+        }
+    }
+
     #[test]
     fn mix64_is_stable() {
         // Pin the mixer: shard routing depends on these exact bits.

@@ -61,8 +61,8 @@ fn same_seed_reproduces_every_measurement() {
         .iter()
         .zip(b.dataset().measurements())
     {
-        assert_eq!(x.measurement_id, y.measurement_id);
-        assert_eq!(x.rtt_ms, y.rtt_ms);
+        assert_eq!({ x.measurement_id }, { y.measurement_id });
+        assert_eq!({ x.rtt_ms }, { y.rtt_ms });
         assert_eq!(x.target, y.target);
         assert_eq!(x.ldns, y.ldns);
     }
