@@ -92,14 +92,12 @@ fn prometheus_dump_is_well_formed() {
     assert!(prom.contains("# TYPE beacon_reported_ms histogram"));
     assert!(prom.contains("beacon_reported_ms_bucket{le=\"+Inf\"}"));
     assert!(prom.contains("beacon_reported_ms_count"));
-    // Every sample line is `name{labels} value` or `name value`.
-    for line in prom.lines().filter(|l| !l.starts_with('#')) {
-        let mut parts = line.rsplitn(2, ' ');
-        let value = parts.next().unwrap();
-        assert!(
-            value.parse::<f64>().is_ok(),
-            "unparseable sample value in {line:?}"
-        );
-        assert!(parts.next().is_some(), "no metric name in {line:?}");
-    }
+    // The grammar check `obs_validate --prom` runs: names, TYPE lines,
+    // cumulative buckets and `+Inf` agreeing with `_count`.
+    let errors = anycast_obs::validate_prometheus(&prom);
+    assert!(
+        errors.is_empty(),
+        "Prometheus dump is malformed:\n{}",
+        errors.join("\n")
+    );
 }

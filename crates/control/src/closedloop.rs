@@ -29,7 +29,6 @@ use anycast_core::loadaware::{total_overload, withdraw, SiteLoad};
 use anycast_core::prediction::{Grouping, PredictionTable};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, SiteId};
-use anycast_obs::json::Value;
 use anycast_obs::{counter, DriftConfig, DriftMonitor};
 use anycast_serve::client::WireClient;
 use anycast_serve::replay::{day_query_plan, ldns_directory, ldns_source_addr, service_qname};
@@ -121,49 +120,6 @@ pub struct RunReport {
     pub drift_signals: u64,
 }
 
-impl RunReport {
-    /// Deterministic JSON rendering (stable key order).
-    pub fn to_json(&self) -> Value {
-        let mut root = BTreeMap::new();
-        root.insert("mode".into(), Value::Str(mode_name(self.mode).into()));
-        root.insert(
-            "overload_integral".into(),
-            Value::Num(self.overload_integral),
-        );
-        root.insert(
-            "median_inflation_ms".into(),
-            Value::Num(self.median_inflation_ms),
-        );
-        root.insert("table_swaps".into(), Value::Num(self.table_swaps as f64));
-        root.insert(
-            "drift_signals".into(),
-            Value::Num(self.drift_signals as f64),
-        );
-        root.insert(
-            "answers_digest".into(),
-            Value::Str(format!("{:016x}", self.answers_digest)),
-        );
-        let epochs = self
-            .epochs
-            .iter()
-            .map(|e| {
-                let mut m = BTreeMap::new();
-                m.insert("epoch".into(), Value::Num(e.epoch as f64));
-                m.insert("queries".into(), Value::Num(e.queries));
-                m.insert("overload".into(), Value::Num(e.overload));
-                m.insert("moves".into(), Value::Num(e.moves as f64));
-                m.insert("restored".into(), Value::Num(e.restored as f64));
-                m.insert("mean_inflation_ms".into(), Value::Num(e.mean_inflation_ms));
-                m.insert("swapped".into(), Value::Bool(e.swapped));
-                m.insert("drift_signals".into(), Value::Num(e.drift_signals as f64));
-                Value::Obj(m)
-            })
-            .collect();
-        root.insert("epochs".into(), Value::Arr(epochs));
-        Value::Obj(root)
-    }
-}
-
 /// A wire replay's outcome: the report plus every served answer triple,
 /// in query order, for byte-identity assertions.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,14 +128,6 @@ pub struct WireRunReport {
     pub report: RunReport,
     /// Every `(addr, ttl, scope)` served, in order.
     pub answers: Vec<(Ipv4Addr, u32, u8)>,
-}
-
-fn mode_name(mode: ControlMode) -> &'static str {
-    match mode {
-        ControlMode::Off => "off",
-        ControlMode::Shed => "shed",
-        ControlMode::Withdraw => "withdraw",
-    }
 }
 
 fn median(xs: &[f64]) -> f64 {
@@ -674,32 +622,5 @@ mod tests {
         let b = fnv1a([3u8, 2, 1]);
         assert_ne!(a, b);
         assert_eq!(a, fnv1a([1u8, 2, 3]));
-    }
-
-    #[test]
-    fn report_json_is_deterministic() {
-        let rep = RunReport {
-            mode: ControlMode::Shed,
-            epochs: vec![EpochReport {
-                epoch: 0,
-                queries: 10.0,
-                overload: 1.5,
-                moves: 2,
-                restored: 0,
-                mean_inflation_ms: 0.25,
-                swapped: true,
-                drift_signals: 1,
-            }],
-            overload_integral: 1.5,
-            median_inflation_ms: 0.25,
-            table_swaps: 1,
-            answers_digest: 0xdead_beef,
-            drift_signals: 1,
-        };
-        let a = rep.to_json().to_json_pretty();
-        let b = rep.to_json().to_json_pretty();
-        assert_eq!(a, b);
-        assert!(a.contains("\"mode\": \"shed\""));
-        assert!(a.contains("00000000deadbeef"));
     }
 }

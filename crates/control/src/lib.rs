@@ -40,5 +40,5 @@ pub use closedloop::{replay_wire, simulate, EpochReport, LoopConfig, RunReport, 
 pub use controller::{ControlConfig, ControlMode, Controller, StepReport};
 // Drift detection lives in the obs crate (it is pure telemetry math);
 // re-exported here because [`LoopConfig::drift`] takes it.
-pub use anycast_obs::{DriftConfig, DriftKind, DriftMonitor, DriftSignal};
+pub use anycast_obs::{DriftConfig, DriftKind, DriftMonitor};
 pub use demand::{epoch_bounds, DemandModel, EpochDemand, GroupEpoch};

@@ -321,11 +321,6 @@ fn wire_replay_is_bit_identical_across_workers_and_reruns() {
     assert_ne!(one.report.answers_digest, 0);
     // The loop actually engaged: a rewritten table was swapped in.
     assert!(one.report.table_swaps > 0, "control must have acted");
-    // JSON rendering is deterministic too.
-    assert_eq!(
-        one.report.to_json().to_json_pretty(),
-        rerun.report.to_json().to_json_pretty()
-    );
 }
 
 #[test]

@@ -8,8 +8,10 @@
 //! Exit 0 when the artifact validates; exit 1 with one violation per
 //! stderr line otherwise. CI runs the JSON mode over every emitted run
 //! report against `crates/obs/schemas/run_report.schema.json`, and the
-//! `--prom` mode over the text scraped from a live server's in-band
-//! CHAOS endpoint mid-replay.
+//! `--prom` mode over the `figures --obs-prom` dump. (The text a live
+//! server serves on its in-band CHAOS endpoint is validated in-process
+//! by the serve crate's `chaos_scrape_answers_live_prometheus_mid_replay`
+//! test.)
 
 use std::process::ExitCode;
 

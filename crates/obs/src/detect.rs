@@ -1,10 +1,10 @@
-//! Streaming drift detectors: EWMA baselines, two-sided CUSUM change
-//! detection, and SLO burn-rate tracking over histogram deltas.
+//! Streaming drift detectors: EWMA baselines and two-sided CUSUM change
+//! detection.
 //!
 //! The paper's operational chapters (§5–§6) are about *noticing* change —
 //! route flips, front-end overload, prediction staleness. These detectors
 //! watch the metric streams the rest of the workspace already produces
-//! and turn persistent deviations into typed [`DriftSignal`]s that the
+//! and turn persistent deviations into [`DriftKind`] signals that the
 //! control loop (`anycast-control::closedloop`) consumes to trigger early
 //! table recompiles.
 //!
@@ -20,17 +20,12 @@
 //!   smaller than `k` per sample, so a shift of magnitude `d > k` fires
 //!   within `⌈h / (d − k)⌉` samples and pure noise below the slack never
 //!   accumulates.
-//! * **Burn rate** — over a histogram *delta* (this epoch's observations
-//!   only), the fraction of observations in buckets above the SLO bound,
-//!   compared to the error budget; spending the budget at `> 1×` fires.
 //!
 //! Everything here is plain `f64` state — no clocks, no randomness, no
 //! registry coupling — so detection latency is testable in closed form
 //! and a monitor embedded in a deterministic replay stays deterministic.
 
 use std::collections::BTreeMap;
-
-use crate::hist::HistogramSnapshot;
 
 /// Tuning for every detector a [`DriftMonitor`] runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,21 +59,6 @@ pub enum DriftKind {
     Surge,
     /// The series shifted persistently downward (CUSUM low side).
     Collapse,
-    /// The SLO error budget is burning faster than allowed.
-    SloBurn,
-}
-
-/// A typed change event emitted by a [`DriftMonitor`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftSignal {
-    /// Which way the series moved.
-    pub kind: DriftKind,
-    /// The monitored series ("site_share_3", "tcp_fallbacks", …).
-    pub series: String,
-    /// The detector statistic at firing time (CUSUM sum or burn rate).
-    pub value: f64,
-    /// The threshold it crossed (`h`).
-    pub threshold: f64,
 }
 
 /// Exponentially weighted moving average with an unseeded start: the
@@ -109,11 +89,6 @@ impl Ewma {
             }
         }
     }
-
-    /// The current smoothed mean, if any sample arrived yet.
-    pub fn mean(&self) -> Option<f64> {
-        self.mean
-    }
 }
 
 /// Two-sided CUSUM change detector over a residual stream.
@@ -138,58 +113,18 @@ impl Cusum {
 
     /// Accumulates one residual; fires when either side crosses `h`, then
     /// resets that side so the next change is detected fresh.
-    pub fn update(&mut self, residual: f64) -> Option<(DriftKind, f64)> {
+    pub fn update(&mut self, residual: f64) -> Option<DriftKind> {
         self.pos = (self.pos + residual - self.k).max(0.0);
         self.neg = (self.neg - residual - self.k).max(0.0);
         if self.pos > self.h {
-            let v = self.pos;
             self.pos = 0.0;
-            return Some((DriftKind::Surge, v));
+            return Some(DriftKind::Surge);
         }
         if self.neg > self.h {
-            let v = self.neg;
             self.neg = 0.0;
-            return Some((DriftKind::Collapse, v));
+            return Some(DriftKind::Collapse);
         }
         None
-    }
-}
-
-/// Burn-rate tracker over log-linear histogram deltas.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurnRate {
-    slo_ms: f64,
-    budget: f64,
-}
-
-impl BurnRate {
-    /// Tracks the fraction of observations above `slo_ms` against an
-    /// allowed `budget` fraction.
-    pub fn new(slo_ms: f64, budget: f64) -> BurnRate {
-        BurnRate { slo_ms, budget }
-    }
-
-    /// The fraction of `delta`'s observations in buckets above the SLO
-    /// bound (a bucket straddling the bound counts as over — the estimate
-    /// is conservative). 0 for an empty delta.
-    pub fn burn(&self, delta: &HistogramSnapshot) -> f64 {
-        let total = delta.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let over: u64 = delta
-            .nonzero_buckets()
-            .iter()
-            .filter(|(ub, _)| *ub > self.slo_ms)
-            .map(|(_, n)| n)
-            .sum();
-        over as f64 / total as f64
-    }
-
-    /// Fires when the delta burns the error budget at more than 1×.
-    pub fn check(&self, delta: &HistogramSnapshot) -> Option<f64> {
-        let b = self.burn(delta);
-        (b > self.budget).then_some(b)
     }
 }
 
@@ -202,8 +137,7 @@ struct SeriesState {
 
 /// Multiplexes detectors over named series: EWMA+CUSUM on counter deltas,
 /// plain CUSUM on externally computed residuals (e.g. measured minus
-/// projected per-site share). Burn rate over histogram deltas is the
-/// standalone [`BurnRate`].
+/// projected per-site share).
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
     cfg: DriftConfig,
@@ -237,45 +171,32 @@ impl DriftMonitor {
 
     /// Feeds one counter-delta sample: the residual against the EWMA
     /// baseline goes through CUSUM.
-    pub fn observe(&mut self, series: &str, value: f64) -> Option<DriftSignal> {
+    pub fn observe(&mut self, series: &str, value: f64) -> Option<DriftKind> {
         let warmup = self.cfg.warmup;
         let st = self.state(series);
         st.samples += 1;
         let r = st.ewma.update(value);
         let armed = st.samples > warmup;
         let fired = st.cusum.update(r);
-        self.emit(series, armed, fired)
+        self.emit(armed, fired)
     }
 
     /// Feeds one externally computed residual (no EWMA baseline — the
     /// caller already knows the expectation, e.g. a demand-model
     /// projection).
-    pub fn observe_residual(&mut self, series: &str, residual: f64) -> Option<DriftSignal> {
+    pub fn observe_residual(&mut self, series: &str, residual: f64) -> Option<DriftKind> {
         let warmup = self.cfg.warmup;
         let st = self.state(series);
         st.samples += 1;
         let armed = st.samples >= warmup.max(1);
         let fired = st.cusum.update(residual);
-        self.emit(series, armed, fired)
+        self.emit(armed, fired)
     }
 
-    fn emit(
-        &mut self,
-        series: &str,
-        armed: bool,
-        fired: Option<(DriftKind, f64)>,
-    ) -> Option<DriftSignal> {
-        let (kind, value) = fired?;
-        if !armed {
-            return None;
-        }
+    fn emit(&mut self, armed: bool, fired: Option<DriftKind>) -> Option<DriftKind> {
+        let kind = fired.filter(|_| armed)?;
         self.signals += 1;
-        Some(DriftSignal {
-            kind,
-            series: series.to_string(),
-            value,
-            threshold: self.cfg.h,
-        })
+        Some(kind)
     }
 
     /// Total signals emitted over the monitor's lifetime.
@@ -296,7 +217,7 @@ mod tests {
         let mut c = Cusum::new(k, h);
         let mut fired_at = None;
         for i in 1..=bound + 5 {
-            if let Some((kind, _)) = c.update(d) {
+            if let Some(kind) = c.update(d) {
                 fired_at = Some((i, kind));
                 break;
             }
@@ -322,7 +243,7 @@ mod tests {
         let mut c = Cusum::new(0.05, 0.25);
         let mut kinds = Vec::new();
         for _ in 0..10 {
-            if let Some((k, _)) = c.update(-0.2) {
+            if let Some(k) = c.update(-0.2) {
                 kinds.push(k);
             }
         }
@@ -334,10 +255,10 @@ mod tests {
     fn ewma_seeds_then_tracks() {
         let mut e = Ewma::new(0.5);
         assert_eq!(e.update(10.0), 0.0);
-        assert_eq!(e.mean(), Some(10.0));
+        assert_eq!(e.mean, Some(10.0));
         let r = e.update(20.0);
         assert!((r - 10.0).abs() < 1e-12);
-        assert!((e.mean().unwrap() - 15.0).abs() < 1e-12);
+        assert!((e.mean.unwrap() - 15.0).abs() < 1e-12);
     }
 
     #[test]
@@ -355,8 +276,8 @@ mod tests {
         // Step to 10x: fires within a few epochs.
         let mut fired = false;
         for _ in 0..5 {
-            if let Some(sig) = m.observe("tcp_fallbacks", 100.0) {
-                assert_eq!(sig.kind, DriftKind::Surge);
+            if let Some(kind) = m.observe("tcp_fallbacks", 100.0) {
+                assert_eq!(kind, DriftKind::Surge);
                 fired = true;
                 break;
             }
@@ -378,26 +299,5 @@ mod tests {
         assert!(m.observe_residual("site_share_0", 10.0).is_none());
         // First armed sample may fire.
         assert!(m.observe_residual("site_share_0", 10.0).is_some());
-    }
-
-    #[test]
-    fn burn_rate_fires_only_past_budget() {
-        let br = BurnRate::new(100.0, 0.01);
-        let mut ok = HistogramSnapshot::default();
-        for _ in 0..1000 {
-            ok.observe(5.0);
-        }
-        assert_eq!(br.check(&ok), None);
-        let mut hot = ok.clone();
-        for _ in 0..20 {
-            hot.observe(500.0);
-        }
-        let delta = hot.diff(&ok);
-        // The delta is entirely over-SLO observations.
-        assert!(br.check(&delta).is_some());
-        // Against the full stream the 2% over-SLO share also burns.
-        assert!(br.check(&hot).unwrap() > 0.01);
-        // Empty delta never fires.
-        assert_eq!(br.check(&HistogramSnapshot::default()), None);
     }
 }

@@ -10,14 +10,15 @@
 //! > feeds a value back into simulation state, and therefore never
 //! > changes an output byte — whether obs is enabled, disabled, or the
 //! > work is spread over any number of workers. Figures, ablations, and
-//! > extras goldens are bit-identical either way; the
-//! > `obs_neutrality` proptests and the CI golden-drift job pin it.
+//! > extras goldens are bit-identical either way; the tier-1 tests
+//! > `crates/bench/tests/obs_neutral_figures.rs` and
+//! > `crates/core/tests/obs_neutrality.rs` pin it.
 //!
 //! The pieces:
 //!
-//! * [`registry`] — thread-safe [`Registry`] of counters, gauges,
-//!   histograms, and spans; handles are `Arc`s of atomics, so hot paths
-//!   pay a couple of relaxed atomic ops and allocate nothing;
+//! * [`registry`] — thread-safe [`Registry`] of counters, histograms,
+//!   and spans; handles are `Arc`s of atomics, so hot paths pay a
+//!   couple of relaxed atomic ops and allocate nothing;
 //! * [`hist`] — log-linear-bucket [`Histogram`]s whose merge is
 //!   element-wise `u64` addition: bit-exactly commutative and
 //!   associative, mirroring the pipeline crate's sketch-merge contract;
@@ -28,16 +29,15 @@
 //! * [`json`] / [`schema`] — in-house JSON parsing and the
 //!   JSON-Schema-subset validator CI uses to enforce the report shape;
 //! * [`logging`] — structured `key=value` stderr logging behind
-//!   `--quiet`/`-v` (stdout stays machine-readable), rate-limited per
-//!   `(target, msg)` key so a counter spike under `-v` cannot stall a
-//!   hot path on stderr;
+//!   `--quiet`/`-v` (stdout stays machine-readable);
 //! * [`ring`] / [`live`] — the live telemetry plane: fixed-capacity
 //!   overwrite rings and the per-shard [`FlightRecorder`] the serving
-//!   plane feeds with deterministically sampled query traces, drained
-//!   off the hot path into ordinary counters and histograms;
-//! * [`detect`] — streaming EWMA/CUSUM change detectors and SLO
-//!   burn-rate tracking emitting typed [`DriftSignal`]s, the trigger the
-//!   control loop uses for early table recompiles.
+//!   plane feeds with deterministically sampled query traces (one in
+//!   64), drained off the hot path into ordinary counters and
+//!   histograms;
+//! * [`detect`] — streaming EWMA/CUSUM change detectors behind a
+//!   [`DriftMonitor`] that reports each change as a [`DriftKind`], the
+//!   trigger the control loop uses for early table recompiles.
 //!
 //! # Global registry and capture windows
 //!
@@ -50,8 +50,8 @@
 //! integration-test binary so unrelated parallel tests cannot inflate
 //! the window.
 //!
-//! Set `ANYCAST_OBS=0` to disable recording process-wide (the CI
-//! golden-drift job diffs outputs against an enabled run).
+//! Set `ANYCAST_OBS=0` to disable recording process-wide (output bytes
+//! stay the same: the two tier-1 tests above flip the same switch).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,10 +67,10 @@ pub mod ring;
 pub mod schema;
 pub mod span;
 
-pub use detect::{BurnRate, Cusum, DriftConfig, DriftKind, DriftMonitor, DriftSignal, Ewma};
+pub use detect::{DriftConfig, DriftKind, DriftMonitor};
 pub use hist::{Histogram, HistogramSnapshot};
-pub use live::{BatchEvent, FlightRecorder, RecorderConfig, ShardRecorder, TraceRecord};
-pub use registry::{Counter, Gauge, MetricKey, Registry, Snapshot};
+pub use live::{BatchEvent, FlightRecorder, ShardRecorder, TraceRecord};
+pub use registry::{Counter, MetricKey, Registry, Snapshot};
 pub use report::{fingerprint, validate_prometheus, HostInfo, RunMeta, RunReport};
 pub use ring::Ring;
 pub use span::{SpanAcc, SpanSnapshot, SpanTimer};

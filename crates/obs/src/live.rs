@@ -10,9 +10,10 @@
 //!   table lookup depth → template hit/miss → valve state → send), one for
 //!   per-batch [`BatchEvent`]s;
 //! * queries are sampled by a **deterministic txid hash**: an FNV-1a hash
-//!   over the raw packet bytes, kept when the low `sample_shift` bits are
-//!   zero. The same packet is sampled on every run and under any worker
-//!   count — no RNG is drawn, upholding the obs-neutrality contract;
+//!   over the raw packet bytes, kept when the low [`SAMPLE_SHIFT`] bits
+//!   are zero (one query in 64). The same packet is sampled on every run
+//!   and under any worker count — no RNG is drawn, upholding the
+//!   obs-neutrality contract;
 //! * a drain thread off the hot path periodically calls
 //!   [`FlightRecorder::drain`], which folds the buffered records into the
 //!   ordinary registry counters and log-linear histograms
@@ -70,28 +71,12 @@ pub struct BatchEvent {
     pub overloaded: bool,
 }
 
-/// Flight recorder construction knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecorderConfig {
-    /// Master switch; a disabled recorder reduces every hot-path hook to
-    /// one predictable branch.
-    pub enabled: bool,
-    /// Sample one query in `2^sample_shift` (0 samples everything).
-    pub sample_shift: u32,
-}
-
-impl Default for RecorderConfig {
-    fn default() -> RecorderConfig {
-        RecorderConfig {
-            enabled: true,
-            sample_shift: 6,
-        }
-    }
-}
+/// The recorder samples one query in `2^SAMPLE_SHIFT`.
+pub const SAMPLE_SHIFT: u32 = 6;
 
 /// Per-shard ring capacity, in records: queries and batches each get a
-/// ring of this size. At the default one sampled query in 64, a query
-/// ring spans ~65k queries between drains before it overwrites.
+/// ring of this size. At one sampled query in 64, a query ring spans
+/// ~65k queries between drains before it overwrites.
 const RING_CAPACITY: usize = 1024;
 
 /// How many leading packet bytes feed the sampling hash. The DNS header
@@ -118,16 +103,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug)]
 pub struct ShardRecorder {
     active: bool,
-    mask: u64,
     queries: Ring<TraceRecord>,
     batches: Ring<BatchEvent>,
 }
 
 impl ShardRecorder {
-    fn new(cfg: RecorderConfig) -> ShardRecorder {
+    fn new(active: bool) -> ShardRecorder {
         ShardRecorder {
-            active: cfg.enabled,
-            mask: (1u64 << cfg.sample_shift.min(63)) - 1,
+            active,
             queries: Ring::new(RING_CAPACITY),
             batches: Ring::new(RING_CAPACITY),
         }
@@ -138,7 +121,8 @@ impl ShardRecorder {
     /// `SAMPLE_HASH_PREFIX` bytes otherwise.
     #[inline]
     pub fn sample(&self, packet: &[u8]) -> bool {
-        self.active && fnv1a(&packet[..packet.len().min(SAMPLE_HASH_PREFIX)]) & self.mask == 0
+        const MASK: u64 = (1 << SAMPLE_SHIFT) - 1;
+        self.active && fnv1a(&packet[..packet.len().min(SAMPLE_HASH_PREFIX)]) & MASK == 0
     }
 
     /// Buffers a sampled query trace. Call only when [`sample`] said yes.
@@ -165,25 +149,26 @@ impl ShardRecorder {
 /// drain that folds buffered records into the global registry.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    cfg: RecorderConfig,
+    enabled: bool,
     shards: Vec<Arc<ShardRecorder>>,
 }
 
 impl FlightRecorder {
     /// Builds a recorder with `shards` independent shard recorders (one
-    /// per serve worker; minimum 1).
-    pub fn new(shards: usize, cfg: RecorderConfig) -> FlightRecorder {
+    /// per serve worker; minimum 1). A disabled recorder reduces every
+    /// hot-path hook to one predictable branch.
+    pub fn new(shards: usize, enabled: bool) -> FlightRecorder {
         FlightRecorder {
-            cfg,
+            enabled,
             shards: (0..shards.max(1))
-                .map(|_| Arc::new(ShardRecorder::new(cfg)))
+                .map(|_| Arc::new(ShardRecorder::new(enabled)))
                 .collect(),
         }
     }
 
     /// Whether hot-path hooks do anything at all.
     pub fn enabled(&self) -> bool {
-        self.cfg.enabled
+        self.enabled
     }
 
     /// The shard recorder for worker `i` (clamped to the shard count).
@@ -195,7 +180,7 @@ impl FlightRecorder {
     /// metrics. Called from the drain thread, never from the hot path.
     /// Returns the number of query traces folded.
     pub fn drain(&self) -> usize {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return 0;
         }
         let mut traces: Vec<TraceRecord> = Vec::new();
@@ -252,14 +237,11 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_shard_invariant() {
-        let cfg = RecorderConfig {
-            sample_shift: 3,
-            ..RecorderConfig::default()
-        };
-        let one = FlightRecorder::new(1, cfg);
-        let four = FlightRecorder::new(4, cfg);
+        let one = FlightRecorder::new(1, true);
+        let four = FlightRecorder::new(4, true);
+        let n = 16_384u32;
         let mut kept = 0;
-        for i in 0..4096u32 {
+        for i in 0..n {
             let pkt = i.to_be_bytes();
             let d = one.shard(0).sample(&pkt);
             // Every shard, in every layout, makes the same call.
@@ -269,20 +251,25 @@ mod tests {
             assert_eq!(one.shard(0).sample(&pkt), d);
             kept += d as u32;
         }
-        // Roughly one in 2^3, with slack for hash clustering.
-        assert!((256..1024).contains(&kept), "kept {kept} of 4096");
+        // One in 2^SAMPLE_SHIFT: a fair sampler keeps Binomial(n, 1/64),
+        // mean 256 and sd ~15.9; the band is the mean ± 6 sd.
+        let p = 1.0 / f64::from(1u32 << SAMPLE_SHIFT);
+        let mean = f64::from(n) * p;
+        let sd = (mean * (1.0 - p)).sqrt();
+        let kept = f64::from(kept);
+        assert!(
+            (kept - mean).abs() <= 6.0 * sd,
+            "kept {kept} of {n}, expected {mean} ± {:.0}",
+            6.0 * sd
+        );
     }
 
     #[test]
     fn disabled_recorder_never_samples_or_folds() {
-        let rec = FlightRecorder::new(
-            2,
-            RecorderConfig {
-                enabled: false,
-                sample_shift: 0,
-            },
-        );
-        assert!(!rec.shard(0).sample(&[0, 1, 2]));
+        let rec = FlightRecorder::new(2, false);
+        for i in 0..256u32 {
+            assert!(!rec.shard(0).sample(&i.to_be_bytes()));
+        }
         rec.shard(0).record(TraceRecord::default());
         rec.shard(0).record_batch(BatchEvent::default());
         assert_eq!(rec.drain(), 0);
@@ -290,13 +277,7 @@ mod tests {
 
     #[test]
     fn drain_folds_flags_into_tallies() {
-        let rec = FlightRecorder::new(
-            2,
-            RecorderConfig {
-                sample_shift: 0,
-                ..RecorderConfig::default()
-            },
-        );
+        let rec = FlightRecorder::new(2, true);
         rec.shard(0).record(TraceRecord {
             txid: 7,
             depth: 24,
@@ -316,19 +297,5 @@ mod tests {
         assert_eq!(rec.drain(), 2);
         // A second drain finds nothing new.
         assert_eq!(rec.drain(), 0);
-    }
-
-    #[test]
-    fn shift_zero_samples_everything() {
-        let rec = FlightRecorder::new(
-            1,
-            RecorderConfig {
-                sample_shift: 0,
-                ..RecorderConfig::default()
-            },
-        );
-        for i in 0..64u8 {
-            assert!(rec.shard(0).sample(&[i]));
-        }
     }
 }

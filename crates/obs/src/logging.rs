@@ -2,7 +2,7 @@
 //!
 //! The `figures` CLI reserves **stdout** for machine-readable results
 //! (tables, CSV, JSON); everything a human operator reads — progress,
-//! file paths written, warnings — goes to **stderr** through this
+//! file paths written, failures — goes to **stderr** through this
 //! module as `key=value` lines:
 //!
 //! ```text
@@ -12,17 +12,12 @@
 //! Levels are a process-global atomic: `--quiet` maps to
 //! [`Level::Error`], the default to [`Level::Info`], `-v` to
 //! [`Level::Debug`]. Logging never touches metrics or simulation state,
-//! so it inherits the obs-neutrality contract for free.
-//!
-//! Emission is **rate-limited per `(target, msg)` key** with a token
-//! bucket ([`LOG_BURST`] lines of burst, [`LOG_RATE`] lines/s sustained):
-//! stderr is a pipe with a finite buffer, so an unthrottled log site
-//! sitting near a hot loop under `-v` can block the loop on a slow
-//! consumer. Errors always print.
+//! so it inherits the obs-neutrality contract for free. Each line is one
+//! `eprintln!` with no rate limit, so log sites belong outside hot loops
+//! (today: at most one line per artifact or output file).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Log severity, in increasing verbosity order.
@@ -30,19 +25,16 @@ use std::time::Instant;
 pub enum Level {
     /// Failures only (`--quiet`).
     Error = 0,
-    /// Unusual but non-fatal conditions.
-    Warn = 1,
     /// Progress (the default).
-    Info = 2,
+    Info = 1,
     /// Everything (`-v`).
-    Debug = 3,
+    Debug = 2,
 }
 
 impl Level {
     fn name(self) -> &'static str {
         match self {
             Level::Error => "error",
-            Level::Warn => "warn",
             Level::Info => "info",
             Level::Debug => "debug",
         }
@@ -51,8 +43,7 @@ impl Level {
     fn from_u8(v: u8) -> Level {
         match v {
             0 => Level::Error,
-            1 => Level::Warn,
-            2 => Level::Info,
+            1 => Level::Info,
             _ => Level::Debug,
         }
     }
@@ -104,78 +95,16 @@ pub fn format_line(l: Level, target: &str, msg: &str, fields: &[(&str, String)])
     line
 }
 
-/// Burst capacity of each `(target, msg)` token bucket, in lines.
-pub const LOG_BURST: f64 = 32.0;
-/// Sustained refill rate of each bucket, in lines per second.
-pub const LOG_RATE: f64 = 16.0;
-
-/// One log site's token bucket. The math is pure — time comes in as a
-/// caller-supplied seconds value — so refill behavior is unit-testable
-/// without sleeping.
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    tokens: f64,
-    last_s: f64,
-}
-
-impl Bucket {
-    fn new(now_s: f64) -> Bucket {
-        Bucket {
-            tokens: LOG_BURST,
-            last_s: now_s,
-        }
-    }
-
-    /// Refills by elapsed time, then spends one token if available.
-    fn allow(&mut self, now_s: f64) -> bool {
-        self.tokens = (self.tokens + (now_s - self.last_s).max(0.0) * LOG_RATE).min(LOG_BURST);
-        self.last_s = now_s;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-static BUCKETS: OnceLock<Mutex<HashMap<(String, String), Bucket>>> = OnceLock::new();
-
-/// Consults the per-key bucket at `now_s` seconds since process start.
-/// Split from [`log`] so tests can drive the clock.
-fn rate_limit_allow(target: &str, msg: &str, now_s: f64) -> bool {
-    let buckets = BUCKETS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = buckets.lock().unwrap_or_else(|p| p.into_inner());
-    let key = (target.to_string(), msg.to_string());
-    map.entry(key)
-        .or_insert_with(|| Bucket::new(now_s))
-        .allow(now_s)
-}
-
-/// Emits a line at `l` to stderr when the level allows and the site's
-/// token bucket has budget. [`Level::Error`] bypasses the limiter —
-/// failures must never be shed.
+/// Emits a line at `l` to stderr when the level allows.
 pub fn log(l: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
-    if !enabled(l) {
-        return;
+    if enabled(l) {
+        eprintln!("{}", format_line(l, target, msg, fields));
     }
-    if l != Level::Error {
-        let now_s = START.get_or_init(Instant::now).elapsed().as_secs_f64();
-        if !rate_limit_allow(target, msg, now_s) {
-            return;
-        }
-    }
-    eprintln!("{}", format_line(l, target, msg, fields));
 }
 
 /// [`log`] at [`Level::Error`].
 pub fn error(target: &str, msg: &str, fields: &[(&str, String)]) {
     log(Level::Error, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Warn`].
-pub fn warn(target: &str, msg: &str, fields: &[(&str, String)]) {
-    log(Level::Warn, target, msg, fields);
 }
 
 /// [`log`] at [`Level::Info`].
@@ -194,12 +123,13 @@ mod tests {
 
     #[test]
     fn levels_order_and_gate() {
-        assert!(Level::Error < Level::Debug);
-        set_level(Level::Warn);
+        assert!(Level::Error < Level::Info && Level::Info < Level::Debug);
+        set_level(Level::Error);
         assert!(enabled(Level::Error));
-        assert!(enabled(Level::Warn));
         assert!(!enabled(Level::Info));
         set_level(Level::Info);
+        assert!(enabled(Level::Info));
+        assert!(!enabled(Level::Debug));
     }
 
     #[test]
@@ -224,39 +154,5 @@ mod tests {
         assert_eq!(field_value("a b"), "\"a b\"");
         assert_eq!(field_value("a=b"), "\"a=b\"");
         assert_eq!(field_value(""), "\"\"");
-    }
-
-    #[test]
-    fn bucket_allows_burst_then_blocks_then_refills() {
-        let mut b = Bucket::new(0.0);
-        for _ in 0..LOG_BURST as usize {
-            assert!(b.allow(0.0));
-        }
-        // Budget spent: same-instant lines are shed.
-        assert!(!b.allow(0.0));
-        assert!(!b.allow(0.01));
-        // One second refills LOG_RATE tokens.
-        for _ in 0..LOG_RATE as usize {
-            assert!(b.allow(1.0));
-        }
-        assert!(!b.allow(1.0));
-        // Tokens cap at the burst size no matter how long the gap.
-        for _ in 0..LOG_BURST as usize {
-            assert!(b.allow(1e6));
-        }
-        assert!(!b.allow(1e6));
-    }
-
-    #[test]
-    fn limiter_is_per_key_and_counts_suppressions() {
-        // Distinct keys get independent budgets.
-        assert!(rate_limit_allow("tgt_a", "unique msg a", 0.0));
-        assert!(rate_limit_allow("tgt_b", "unique msg b", 0.0));
-        let suppressed = (0..LOG_BURST as usize + 5)
-            .filter(|_| !rate_limit_allow("tgt_c", "spammy msg", 0.0))
-            .count();
-        assert_eq!(suppressed, 5);
-        // The unrelated key still has budget.
-        assert!(rate_limit_allow("tgt_d", "unique msg d", 0.0));
     }
 }

@@ -1,7 +1,7 @@
 //! The thread-safe metrics registry and its snapshot form.
 //!
 //! A [`Registry`] owns every metric by canonical [`MetricKey`]
-//! (name + sorted label pairs). Handles ([`Counter`], [`Gauge`],
+//! (name + sorted label pairs). Handles ([`Counter`],
 //! [`crate::Histogram`], [`crate::SpanAcc`]) are `Arc`s of lock-free
 //! atomics: registration takes the registry mutex once, after which hot
 //! paths touch only the handle — no per-event allocation, no lock.
@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{Histogram, HistogramSnapshot};
@@ -109,48 +109,12 @@ impl Counter {
     }
 }
 
-/// A point-in-time signed value (queue depths, last-seen sizes).
-#[derive(Debug)]
-pub struct Gauge {
-    value: AtomicI64,
-    enabled: Arc<AtomicBool>,
-}
-
-impl Gauge {
-    fn new(enabled: Arc<AtomicBool>) -> Gauge {
-        Gauge {
-            value: AtomicI64::new(0),
-            enabled,
-        }
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds (possibly negative) `d`.
-    pub fn add(&self, d: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_add(d, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
 /// The metric store. Cheap to create (tests use private registries);
 /// production code uses [`crate::global`].
 #[derive(Debug, Default)]
 pub struct Registry {
     enabled: Arc<AtomicBool>,
     counters: Mutex<BTreeMap<MetricKey, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<MetricKey, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<MetricKey, Arc<Histogram>>>,
     spans: Mutex<BTreeMap<MetricKey, Arc<SpanAcc>>>,
 }
@@ -189,29 +153,10 @@ impl Registry {
         )
     }
 
-    /// Registers (or finds) the gauge `name` with no labels.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.gauge_with(name, &[])
-    }
-
-    /// Registers (or finds) a labeled gauge.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let key = MetricKey::new(name, labels);
-        let mut map = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(
-            map.entry(key)
-                .or_insert_with(|| Arc::new(Gauge::new(Arc::clone(&self.enabled)))),
-        )
-    }
-
-    /// Registers (or finds) the histogram `name` with no labels.
+    /// Registers (or finds) the histogram `name` (histograms carry no
+    /// labels).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with(name, &[])
-    }
-
-    /// Registers (or finds) a labeled histogram.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let key = MetricKey::new(name, labels);
+        let key = MetricKey::new(name, &[]);
         let mut map = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
         Arc::clone(
             map.entry(key)
@@ -239,13 +184,6 @@ impl Registry {
             .iter()
             .map(|(k, c)| (k.clone(), c.get()))
             .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|(k, g)| (k.clone(), g.get()))
-            .collect();
         let histograms = self
             .histograms
             .lock()
@@ -262,7 +200,6 @@ impl Registry {
             .collect();
         Snapshot {
             counters,
-            gauges,
             histograms,
             spans,
         }
@@ -275,8 +212,6 @@ impl Registry {
 pub struct Snapshot {
     /// Counter values by key.
     pub counters: BTreeMap<MetricKey, u64>,
-    /// Gauge values by key.
-    pub gauges: BTreeMap<MetricKey, i64>,
     /// Histogram states by key.
     pub histograms: BTreeMap<MetricKey, HistogramSnapshot>,
     /// Span aggregates by key (label `worker` carries the attribution).
@@ -286,8 +221,8 @@ pub struct Snapshot {
 impl Snapshot {
     /// The increments recorded since `baseline`: counters and histograms
     /// subtract (saturating, so unrelated concurrent activity can only
-    /// inflate, never underflow); gauges keep their current value; spans
-    /// subtract count/total and keep the current max.
+    /// inflate, never underflow); spans subtract count/total and keep the
+    /// current max.
     pub fn diff(&self, baseline: &Snapshot) -> Snapshot {
         let counters = self
             .counters
@@ -321,7 +256,6 @@ impl Snapshot {
             .collect();
         Snapshot {
             counters,
-            gauges: self.gauges.clone(),
             histograms,
             spans,
         }
@@ -351,7 +285,7 @@ impl Snapshot {
 
     /// The deterministic slice of the snapshot: counters and histograms
     /// only. This is the part the obs-neutrality proptests compare across
-    /// worker counts — spans and gauges carry wall-clock state and are
+    /// worker counts — spans carry wall-clock state and are
     /// excluded by construction, as are metrics whose value depends on
     /// scheduling rather than the input stream (the `serve_trace_*`
     /// flight-recorder tallies: ring drains race with traffic, so a trace
@@ -366,7 +300,6 @@ impl Snapshot {
                 .filter(|(k, _)| !scheduling_dependent(&k.name))
                 .map(|(k, &v)| (k.clone(), v))
                 .collect(),
-            gauges: BTreeMap::new(),
             histograms: self
                 .histograms
                 .iter()
@@ -380,19 +313,13 @@ impl Snapshot {
     /// Renders the snapshot in the Prometheus text exposition format.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut last_type: Option<String> = None;
-        let mut type_line = |out: &mut String, name: &str, kind: &str| {
-            if last_type.as_deref() != Some(name) {
-                out.push_str(&format!("# TYPE {name} {kind}\n"));
-                last_type = Some(name.to_string());
-            }
-        };
+        // One TYPE line per name: a name's labeled series sort together.
+        let mut last_name: Option<&str> = None;
         for (k, v) in &self.counters {
-            type_line(&mut out, &k.name, "counter");
-            out.push_str(&format!("{k} {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            type_line(&mut out, &k.name, "gauge");
+            if last_name != Some(k.name.as_str()) {
+                out.push_str(&format!("# TYPE {} counter\n", k.name));
+                last_name = Some(&k.name);
+            }
             out.push_str(&format!("{k} {v}\n"));
         }
         for (k, h) in &self.histograms {
@@ -460,13 +387,10 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let r = Registry::new();
         let c = r.counter("c_total");
-        let g = r.gauge("g");
         c.inc();
         r.set_enabled(false);
         c.add(100);
-        g.set(9);
         assert_eq!(c.get(), 1);
-        assert_eq!(g.get(), 0);
         r.set_enabled(true);
         c.inc();
         assert_eq!(c.get(), 2);
@@ -489,13 +413,11 @@ mod tests {
     fn prometheus_text_renders_each_kind() {
         let r = Registry::new();
         r.counter("a_total").add(2);
-        r.gauge_with("depth", &[("q", "0")]).set(-3);
         r.histogram("lat_ms").observe(5.0);
         r.span("study.execute", "0").record_ns(2_000_000);
         let text = r.snapshot().to_prometheus();
         assert!(text.contains("# TYPE a_total counter"));
         assert!(text.contains("a_total 2"));
-        assert!(text.contains("depth{q=\"0\"} -3"));
         assert!(text.contains("# TYPE lat_ms histogram"));
         assert!(text.contains("lat_ms_count 1"));
         assert!(text.contains("lat_ms_bucket{le=\"+Inf\"} 1"));

@@ -3,7 +3,7 @@
 //! The observability counterpart of a `benchmark/` result file (which
 //! holds the wall-clock numbers): which configuration ran (with a stable fingerprint),
 //! on what host, and everything the metrics registry accumulated —
-//! counters, gauges, histograms, per-`(stage, worker)` span timings, and
+//! counters, histograms, per-`(stage, worker)` span timings, and
 //! a `per_day` rollup of every counter series carrying a `day` label.
 //!
 //! The document validates against
@@ -17,7 +17,7 @@ use crate::json::Value;
 use crate::registry::Snapshot;
 
 /// Schema version of the emitted document.
-pub const REPORT_VERSION: u64 = 1;
+pub const REPORT_VERSION: u64 = 2;
 
 /// FNV-1a over the parts, rendered as 16 hex digits: the config
 /// fingerprint. Stable across runs and platforms for equal inputs.
@@ -145,14 +145,6 @@ impl RunReport {
             .map(|(k, &v)| (k.to_string(), Value::Num(v as f64)))
             .collect();
         root.insert("counters".into(), Value::Obj(counters));
-
-        let gauges: BTreeMap<String, Value> = self
-            .snapshot
-            .gauges
-            .iter()
-            .map(|(k, &v)| (k.to_string(), Value::Num(v as f64)))
-            .collect();
-        root.insert("gauges".into(), Value::Obj(gauges));
 
         let histograms: BTreeMap<String, Value> = self
             .snapshot
@@ -488,7 +480,6 @@ mod tests {
         r.counter("serve_udp_queries_total").add(12);
         r.counter_with("serve_answers_total", &[("addr", "10.0.0.1")])
             .add(3);
-        r.gauge("pipeline_queue_depth").add(2);
         let h = r.histogram("serve_batch_size");
         for v in [1.0, 8.0, 32.0, 32.0] {
             h.observe(v);

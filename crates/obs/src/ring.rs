@@ -10,7 +10,7 @@
 //!
 //! The ring is deliberately a `Mutex` around a plain state struct rather
 //! than a lock-free queue: the obs crate forbids `unsafe`, producers only
-//! push *sampled* records (one in 2^k queries) plus one event per batch,
+//! push *sampled* records (one in 64 queries) plus one event per batch,
 //! and the critical section is a couple of array writes. Contention is
 //! between exactly one producer shard and one drain thread.
 
@@ -35,13 +35,12 @@ struct State<T> {
 }
 
 impl<T: Copy + Default> Ring<T> {
-    /// Creates a ring holding at most `capacity` records (minimum 1). The
+    /// Creates a ring holding at most `capacity` (> 0) records. The
     /// backing buffer is allocated here, once; pushes never allocate.
     pub fn new(capacity: usize) -> Ring<T> {
-        let cap = capacity.max(1);
         Ring {
             inner: Mutex::new(State {
-                buf: vec![T::default(); cap].into_boxed_slice(),
+                buf: vec![T::default(); capacity].into_boxed_slice(),
                 head: 0,
                 len: 0,
                 overwritten: 0,
@@ -78,21 +77,6 @@ impl<T: Copy + Default> Ring<T> {
         s.len = 0;
         std::mem::take(&mut s.overwritten)
     }
-
-    /// The fixed capacity chosen at construction.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().expect("ring poisoned").buf.len()
-    }
-
-    /// Live records currently buffered.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("ring poisoned").len
-    }
-
-    /// True when no records are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +92,10 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(r.drain_into(&mut out), 0);
         assert_eq!(out, vec![1, 2, 3]);
-        assert!(r.is_empty());
+        // The drain emptied the ring.
+        out.clear();
+        assert_eq!(r.drain_into(&mut out), 0);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -125,17 +112,6 @@ mod tests {
         out.clear();
         assert_eq!(r.drain_into(&mut out), 0);
         assert_eq!(out, vec![9]);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped() {
-        let r: Ring<u8> = Ring::new(0);
-        assert_eq!(r.capacity(), 1);
-        r.push(1);
-        r.push(2);
-        let mut out = Vec::new();
-        assert_eq!(r.drain_into(&mut out), 1);
-        assert_eq!(out, vec![2]);
     }
 
     #[test]

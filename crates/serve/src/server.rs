@@ -42,8 +42,8 @@ use std::time::Duration;
 use anycast_dns::{DnsAnswer, LdnsId};
 use anycast_geo::GeoPoint;
 use anycast_obs::live::{
-    BatchEvent, FlightRecorder, RecorderConfig, ShardRecorder, TraceRecord, TRACE_OVERLOAD,
-    TRACE_TEMPLATE_HIT, TRACE_UNKNOWN_LDNS, TRACE_VALVE,
+    BatchEvent, FlightRecorder, ShardRecorder, TraceRecord, TRACE_OVERLOAD, TRACE_TEMPLATE_HIT,
+    TRACE_UNKNOWN_LDNS, TRACE_VALVE,
 };
 use anycast_obs::{counter, histogram};
 
@@ -440,13 +440,7 @@ impl DnsServer {
             }
         }
         let spawned = socks.len();
-        let recorder = Arc::new(FlightRecorder::new(
-            spawned,
-            RecorderConfig {
-                enabled: cfg.recorder,
-                ..RecorderConfig::default()
-            },
-        ));
+        let recorder = Arc::new(FlightRecorder::new(spawned, cfg.recorder));
         for (worker, sock) in socks.into_iter().enumerate() {
             handles.push(spawn_worker(
                 ctx.clone(),
@@ -890,11 +884,7 @@ mod tests {
     }
 
     fn recorder_off() -> Arc<ShardRecorder> {
-        let cfg = RecorderConfig {
-            enabled: false,
-            ..RecorderConfig::default()
-        };
-        FlightRecorder::new(1, cfg).shard(0)
+        FlightRecorder::new(1, false).shard(0)
     }
 
     fn ecs(subnet: Ipv4Addr) -> Option<Edns> {
