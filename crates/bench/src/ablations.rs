@@ -35,24 +35,20 @@ use anycast_control::{
     simulate, CapacityPlan, ControlConfig, ControlMode, DemandModel, LoopConfig,
 };
 use anycast_core::{
-    anycast_request, evaluate_prediction, evaluation::outcome_shares, request_times,
-    AggregationConfig, Deployment, DnsRedirectionSim, Grouping, Metric, Predictor, PredictorConfig,
-    Study, StudyConfig,
+    anycast_request, request_times, AggregationConfig, Deployment, DnsRedirectionSim,
+    FailureReason, Grouping, Metric, PredictorConfig, Study, StudyConfig,
 };
-use anycast_netsim::{Day, NetConfig, RouteSnapshot};
-use anycast_pipeline::ShardConfig;
-use anycast_workload::{ldns_assign, Scenario};
+use anycast_netsim::{Day, NetConfig, SiteId};
+use anycast_workload::Scenario;
 
-use crate::worlds::{figure_days, rng_for, scenario, scenario_config, study, Scale};
+use crate::figures::fig1;
+use crate::trial::{replay, TrainSpec, Trial};
+use crate::worlds::{figure_days, rng_for, scenario, scenario_config, Scale};
 use crate::FigureResult;
 
 /// Sweep of the prediction metric (ECS grouping, p75 evaluation).
 pub fn prediction_metric(scale: Scale, seed: u64) -> FigureResult {
-    let mut st = study(scale, seed);
-    st.run_days(Day(0), 2);
-    let ldns_of = st.ldns_of();
-    let volumes = st.volumes();
-
+    let trial = Trial::run(scenario(scale, seed), 2);
     let metrics = [
         (Metric::P25, "p25"),
         (Metric::Median, "p50"),
@@ -64,23 +60,14 @@ pub fn prediction_metric(scale: Scale, seed: u64) -> FigureResult {
     let mut scalars = Vec::new();
     for (i, (metric, label)) in metrics.iter().enumerate() {
         let cfg = PredictorConfig {
-            grouping: Grouping::Ecs,
             metric: *metric,
-            min_samples: 20,
+            ..PredictorConfig::default()
         };
-        let table = Predictor::new(cfg).train(st.dataset(), Day(0));
-        let rows = evaluate_prediction(
-            &table,
-            Grouping::Ecs,
-            st.dataset(),
-            Day(1),
-            ldns_of,
-            &volumes,
-        );
-        let (improved, _, hurt) = outcome_shares(&rows, false);
-        improved_pts.push((i as f64, improved));
-        hurt_pts.push((i as f64, hurt));
-        scalars.push((format!("{label}: improved - hurt (p75)"), improved - hurt));
+        let table = trial.train(cfg, &TrainSpec::day(Day(0)));
+        let shares = trial.shares(&table, Grouping::Ecs, Day(1));
+        improved_pts.push((i as f64, shares.improved));
+        hurt_pts.push((i as f64, shares.hurt));
+        scalars.push((format!("{label}: improved - hurt (p75)"), shares.margin()));
     }
 
     FigureResult {
@@ -98,32 +85,19 @@ pub fn prediction_metric(scale: Scale, seed: u64) -> FigureResult {
 
 /// Sweep of the minimum-sample filter (ECS grouping, p25 metric).
 pub fn min_samples(scale: Scale, seed: u64) -> FigureResult {
-    let mut st = study(scale, seed);
-    st.run_days(Day(0), 2);
-    let ldns_of = st.ldns_of();
-    let volumes = st.volumes();
-
+    let trial = Trial::run(scenario(scale, seed), 2);
     let mut improved_pts = Vec::new();
     let mut hurt_pts = Vec::new();
     let mut redirected_pts = Vec::new();
     for &min in &[1usize, 5, 20, 50] {
         let cfg = PredictorConfig {
-            grouping: Grouping::Ecs,
-            metric: Metric::P25,
             min_samples: min,
+            ..PredictorConfig::default()
         };
-        let table = Predictor::new(cfg).train(st.dataset(), Day(0));
-        let rows = evaluate_prediction(
-            &table,
-            Grouping::Ecs,
-            st.dataset(),
-            Day(1),
-            ldns_of,
-            &volumes,
-        );
-        let (improved, _, hurt) = outcome_shares(&rows, false);
-        improved_pts.push((min as f64, improved));
-        hurt_pts.push((min as f64, hurt));
+        let table = trial.train(cfg, &TrainSpec::day(Day(0)));
+        let shares = trial.shares(&table, Grouping::Ecs, Day(1));
+        improved_pts.push((min as f64, shares.improved));
+        hurt_pts.push((min as f64, shares.hurt));
         redirected_pts.push((min as f64, table.redirected_groups().count() as f64));
     }
 
@@ -146,36 +120,13 @@ pub fn min_samples(scale: Scale, seed: u64) -> FigureResult {
 pub fn candidate_count(scale: Scale, seed: u64) -> FigureResult {
     let s = scenario(scale, seed);
     let deployment = Deployment::of(&s.internet);
-    let mut rng = rng_for(seed, 0xab03);
     let max_k = 12usize.min(deployment.size());
-
-    // One pass: per client, cumulative best latency per candidate rank.
-    let mut cumulative: Vec<Vec<f64>> = Vec::with_capacity(s.clients.len());
-    for c in &s.clients {
-        let ldns_id = s.ldns.resolver_of(c.prefix);
-        let believed = ldns_assign::believed_ldns_location(s.ldns.resolver(ldns_id), &s.geodb);
-        let mut best = f64::INFINITY;
-        let mut row = Vec::with_capacity(max_k);
-        for (site, _) in deployment.nearest(&believed, max_k) {
-            best = best.min(
-                s.internet
-                    .measure_unicast(&c.attachment, site, Day(0), &mut rng),
-            );
-            row.push(best);
-        }
-        cumulative.push(row);
-    }
-
+    let mut rng = rng_for(seed, 0xab03);
+    let best = fig1::best_within_nearest(&s, &deployment, max_k, 1, &mut rng);
     let points: Vec<(f64, f64)> = (1..=max_k)
         .map(|k| {
-            let med = Ecdf::from_values(
-                cumulative
-                    .iter()
-                    .filter_map(|row| row.get(k.min(row.len()) - 1).copied()),
-            )
-            .median()
-            .unwrap_or(f64::NAN);
-            (k as f64, med)
+            let med = fig1::within_nearest(&best, k).median();
+            (k as f64, med.unwrap_or(f64::NAN))
         })
         .collect();
     let knee_gain = points[2].1 - points.last().unwrap().1;
@@ -238,34 +189,17 @@ pub fn deployment_density(scale: Scale, seed: u64) -> FigureResult {
 
 /// Sweep of the hybrid gain threshold (ECS grouping).
 pub fn hybrid_threshold(scale: Scale, seed: u64) -> FigureResult {
-    let mut st = study(scale, seed);
-    st.run_days(Day(0), 2);
-    let ldns_of = st.ldns_of();
-    let volumes = st.volumes();
-    let cfg = PredictorConfig {
-        grouping: Grouping::Ecs,
-        metric: Metric::P25,
-        min_samples: 20,
-    };
-    let full_table = Predictor::new(cfg).train(st.dataset(), Day(0));
-
+    let trial = Trial::run(scenario(scale, seed), 2);
+    let full_table = trial.train(PredictorConfig::default(), &TrainSpec::day(Day(0)));
     let mut redirected_pts = Vec::new();
     let mut improved_pts = Vec::new();
     let mut hurt_pts = Vec::new();
     for &threshold in &[0.0, 5.0, 10.0, 25.0, 50.0] {
         let table = full_table.hybrid_filter(threshold);
-        let rows = evaluate_prediction(
-            &table,
-            Grouping::Ecs,
-            st.dataset(),
-            Day(1),
-            ldns_of,
-            &volumes,
-        );
-        let (improved, _, hurt) = outcome_shares(&rows, false);
+        let shares = trial.shares(&table, Grouping::Ecs, Day(1));
         redirected_pts.push((threshold, table.len() as f64));
-        improved_pts.push((threshold, improved));
-        hurt_pts.push((threshold, hurt));
+        improved_pts.push((threshold, shares.improved));
+        hurt_pts.push((threshold, shares.hurt));
     }
 
     FigureResult {
@@ -288,33 +222,16 @@ pub fn hybrid_threshold(scale: Scale, seed: u64) -> FigureResult {
 /// buy (more qualifying groups) and cost (staleness under churn).
 pub fn training_window(scale: Scale, seed: u64) -> FigureResult {
     let total_days = 5u32;
-    let mut st = study(scale, seed);
-    st.run_days(Day(0), total_days + 1);
-    let ldns_of = st.ldns_of();
-    let volumes = st.volumes();
-
+    let trial = Trial::run(scenario(scale, seed), total_days + 1);
     let mut improved_pts = Vec::new();
     let mut hurt_pts = Vec::new();
     let mut coverage_pts = Vec::new();
     for k in 1..=total_days {
-        let window: Vec<Day> = ((total_days - k)..total_days).map(Day).collect();
-        let cfg = PredictorConfig {
-            grouping: Grouping::Ecs,
-            metric: Metric::P25,
-            min_samples: 20,
-        };
-        let table = Predictor::new(cfg).train_window(st.dataset(), &window);
-        let rows = evaluate_prediction(
-            &table,
-            Grouping::Ecs,
-            st.dataset(),
-            Day(total_days),
-            ldns_of,
-            &volumes,
-        );
-        let (improved, _, hurt) = outcome_shares(&rows, false);
-        improved_pts.push((f64::from(k), improved));
-        hurt_pts.push((f64::from(k), hurt));
+        let window = TrainSpec::Window(((total_days - k)..total_days).map(Day).collect());
+        let table = trial.train(PredictorConfig::default(), &window);
+        let shares = trial.shares(&table, Grouping::Ecs, Day(total_days));
+        improved_pts.push((f64::from(k), shares.improved));
+        hurt_pts.push((f64::from(k), shares.hurt));
         coverage_pts.push((f64::from(k), table.len() as f64));
     }
 
@@ -333,55 +250,38 @@ pub fn training_window(scale: Scale, seed: u64) -> FigureResult {
 }
 
 /// Sweep of the pipeline sketch's rank-error bound: train the predictor
-/// from streaming quantile sketches (`Predictor::train_sketched`) at each
-/// bound, evaluate on the next day exactly as Figure 9 does, and compare
-/// the improved/hurt shares against exact-path training. At the default
-/// bound (ε = 0.01) the shares must agree within 2 percentage points —
-/// the contract that lets the streaming pipeline replace the
-/// materialize-and-sort path at production scale.
+/// from streaming quantile sketches at each bound, evaluate on the next
+/// day exactly as Figure 9 does, and compare the improved/hurt shares
+/// against exact-path training. At the default bound (ε = 0.01) the shares
+/// must agree within 2 percentage points — the contract that lets the
+/// streaming pipeline replace the materialize-and-sort path at production
+/// scale.
 pub fn sketch_accuracy(scale: Scale, seed: u64) -> FigureResult {
-    let mut st = study(scale, seed);
-    st.run_days(Day(0), 2);
-    let ldns_of = st.ldns_of();
-    let volumes = st.volumes();
-    let shard = ShardConfig::default();
     const DEFAULT_EPS: f64 = 0.01;
-
+    let trial = Trial::run(scenario(scale, seed), 2);
     let mut series = Vec::new();
     let mut scalars = Vec::new();
     for (grouping, label) in [(Grouping::Ecs, "ECS"), (Grouping::Ldns, "LDNS")] {
         let cfg = PredictorConfig {
             grouping,
-            metric: Metric::P25,
-            min_samples: 20,
+            ..PredictorConfig::default()
         };
-        let predictor = Predictor::new(cfg);
-        let exact_table = predictor.train(st.dataset(), Day(0));
-        let exact_rows = evaluate_prediction(
-            &exact_table,
-            grouping,
-            st.dataset(),
-            Day(1),
-            ldns_of,
-            &volumes,
-        );
-        let (exact_improved, _, exact_hurt) = outcome_shares(&exact_rows, false);
+        let exact_table = trial.train(cfg, &TrainSpec::day(Day(0)));
+        let exact = trial.shares(&exact_table, grouping, Day(1));
         scalars.push((
             format!("{label} exact improved share (p75)"),
-            exact_improved,
+            exact.improved,
         ));
-        scalars.push((format!("{label} exact hurt share (p75)"), exact_hurt));
+        scalars.push((format!("{label} exact hurt share (p75)"), exact.hurt));
 
         let mut improved_pts = Vec::new();
         let mut hurt_pts = Vec::new();
         let mut agreement_pts = Vec::new();
         for &eps in &[0.005, DEFAULT_EPS, 0.02, 0.05, 0.1, 0.2] {
-            let table = predictor.train_sketched(st.dataset(), &[Day(0)], eps, shard);
-            let rows =
-                evaluate_prediction(&table, grouping, st.dataset(), Day(1), ldns_of, &volumes);
-            let (improved, _, hurt) = outcome_shares(&rows, false);
-            improved_pts.push((eps * 1e3, improved));
-            hurt_pts.push((eps * 1e3, hurt));
+            let table = trial.train(cfg, &TrainSpec::Sketched { day: Day(0), eps });
+            let shares = trial.shares(&table, grouping, Day(1));
+            improved_pts.push((eps * 1e3, shares.improved));
+            hurt_pts.push((eps * 1e3, shares.hurt));
             let agreeing = exact_table
                 .iter()
                 .filter(|(k, c)| table.predict(*k) == Some(c.target))
@@ -395,11 +295,11 @@ pub fn sketch_accuracy(scale: Scale, seed: u64) -> FigureResult {
             if eps == DEFAULT_EPS {
                 scalars.push((
                     format!("{label} |Δ improved| at default ε (pp)"),
-                    (improved - exact_improved).abs() * 100.0,
+                    (shares.improved - exact.improved).abs() * 100.0,
                 ));
                 scalars.push((
                     format!("{label} |Δ hurt| at default ε (pp)"),
-                    (hurt - exact_hurt).abs() * 100.0,
+                    (shares.hurt - exact.hurt).abs() * 100.0,
                 ));
             }
         }
@@ -447,51 +347,27 @@ pub fn outage_ttl(scale: Scale, seed: u64) -> FigureResult {
         let mut cfg = scenario_config(scale, seed);
         cfg.net.p_site_outage = rate;
         let s = Scenario::build(cfg).expect("valid outage config");
-        let internet = &s.internet;
-
-        // Per-day route snapshots keep the 192-probe/day sweep from
-        // re-resolving steady routes on every probe.
-        let attachments: Vec<_> = s.clients.iter().map(|c| c.attachment).collect();
-
-        let (mut any_served, mut any_failed) = (0u64, 0u64);
-        for day in 0..days {
-            let snap = RouteSnapshot::build(internet, &attachments, Day(day));
-            for &t in &times {
-                for i in 0..s.clients.len() {
-                    if anycast_request(internet, &snap, i, t).served() {
-                        any_served += 1;
-                    } else {
-                        any_failed += 1;
-                    }
-                }
-            }
-        }
+        let anycast = replay(&s, days, &times, FailureReason::Converging, |snap, i, t| {
+            anycast_request(&s.internet, snap, i, t)
+        });
         scalars.push((
             format!("anycast unavailability at outage rate {rate}"),
-            any_failed as f64 / (any_served + any_failed) as f64,
+            anycast.unavailability(),
         ));
-
-        let mut dns_pts = Vec::new();
-        for ttl in TTLS_S {
-            let mut dns = DnsRedirectionSim::new(internet, ttl);
-            let (mut served, mut failed) = (0u64, 0u64);
-            for day in 0..days {
-                let snap = RouteSnapshot::build(internet, &attachments, Day(day));
-                for &t in &times {
-                    for (i, c) in s.clients.iter().enumerate() {
-                        if dns.request(c.prefix, &snap, i, t).served() {
-                            served += 1;
-                        } else {
-                            failed += 1;
-                        }
-                    }
-                }
-            }
-            dns_pts.push((ttl, failed as f64 / (served + failed) as f64));
-        }
+        let dns_pts = TTLS_S.map(|ttl| {
+            let mut dns = DnsRedirectionSim::new(&s.internet, ttl);
+            let dns = replay(
+                &s,
+                days,
+                &times,
+                FailureReason::StaleDnsAnswer,
+                |snap, i, t| dns.request(s.clients[i].prefix, snap, i, t),
+            );
+            (ttl, dns.unavailability())
+        });
         series.push(Series::new(
             format!("DNS unavailability, outage rate {rate}"),
-            dns_pts,
+            dns_pts.to_vec(),
         ));
     }
 
@@ -516,14 +392,13 @@ pub fn outage_ttl(scale: Scale, seed: u64) -> FigureResult {
 /// inflation the steering paid for it.
 pub fn load_shedding(scale: Scale, seed: u64) -> FigureResult {
     const HEADROOMS: [f64; 5] = [0.7, 0.85, 0.95, 1.1, 1.3];
-    let mut st = study(scale, seed);
-    st.run_day(anycast_netsim::Day(0));
+    let trial = Trial::run(scenario(scale, seed), 1);
     let cfg = PredictorConfig {
         grouping: Grouping::Ldns,
         ..PredictorConfig::default()
     };
-    let table = Predictor::new(cfg).train(st.dataset(), anycast_netsim::Day(0));
-    let scenario = st.scenario();
+    let table = trial.train(cfg, &TrainSpec::day(Day(0)));
+    let scenario = trial.scenario();
 
     let loop_cfg = |mode: ControlMode| LoopConfig {
         grouping: Grouping::Ldns,
@@ -544,7 +419,7 @@ pub fn load_shedding(scale: Scale, seed: u64) -> FigureResult {
         base.epochs,
         base.query_cap,
     );
-    let mut peak: BTreeMap<anycast_netsim::SiteId, f64> = BTreeMap::new();
+    let mut peak: BTreeMap<SiteId, f64> = BTreeMap::new();
     for epoch in &model.epochs {
         for (site, load) in epoch.project(&table, &BTreeMap::new()) {
             let p = peak.entry(site).or_insert(0.0);
@@ -625,32 +500,19 @@ pub fn load_shedding(scale: Scale, seed: u64) -> FigureResult {
 pub fn table_compression(scale: Scale, seed: u64) -> FigureResult {
     const BOUNDS_MS: [f64; 7] = [0.0, 1.0, 2.5, 5.0, 7.5, 10.0, 25.0];
     let default_bound = AggregationConfig::default().regret_bound_ms;
-    let mut st = study(scale, seed);
-    st.run_days(Day(0), 2);
-    let ldns_of = st.ldns_of();
-    let volumes = st.volumes();
+    let trial = Trial::run(scenario(scale, seed), 2);
     // Production-shaped baseline: one entry per measured /24, however
     // thin the evidence — the served table holds every /24 the logs saw,
     // not just the well-sampled ones. That is the table the aggregation
     // pass has to shrink; Fig-9's min_samples filter would leave a
     // handful of entries at small scale and nothing to compress.
     let cfg = PredictorConfig {
-        grouping: Grouping::Ecs,
-        metric: Metric::P25,
         min_samples: 1,
+        ..PredictorConfig::default()
     };
-    let predictor = Predictor::new(cfg);
-    let plain = predictor.train(st.dataset(), Day(0));
-    let plain_rows = evaluate_prediction(
-        &plain,
-        Grouping::Ecs,
-        st.dataset(),
-        Day(1),
-        ldns_of,
-        &volumes,
-    );
-    let (plain_improved, _, plain_hurt) = outcome_shares(&plain_rows, false);
-    let plain_margin = plain_improved - plain_hurt;
+    let plain = trial.train(cfg, &TrainSpec::day(Day(0)));
+    let plain_margin = trial.shares(&plain, Grouping::Ecs, Day(1)).margin();
+    let aggregated = |agg| trial.train(cfg, &TrainSpec::Aggregated { day: Day(0), agg });
 
     let mut entry_pts = Vec::new();
     let mut ratio_pts = Vec::new();
@@ -660,22 +522,13 @@ pub fn table_compression(scale: Scale, seed: u64) -> FigureResult {
         ("plain improved - hurt (p75)".to_string(), plain_margin),
     ];
     for &bound in &BOUNDS_MS {
-        let agg = AggregationConfig {
+        let table = aggregated(AggregationConfig {
             regret_bound_ms: bound,
             ..AggregationConfig::default()
-        };
-        let table = predictor.train_aggregated(st.dataset(), Day(0), &agg);
-        let rows = evaluate_prediction(
-            &table,
-            Grouping::Ecs,
-            st.dataset(),
-            Day(1),
-            ldns_of,
-            &volumes,
-        );
-        let (improved, _, hurt) = outcome_shares(&rows, false);
+        });
+        let margin = trial.shares(&table, Grouping::Ecs, Day(1)).margin();
         let ratio = plain.len() as f64 / table.len().max(1) as f64;
-        let delta_pp = (plain_margin - (improved - hurt)) * 100.0;
+        let delta_pp = (plain_margin - margin) * 100.0;
         entry_pts.push((bound, table.len() as f64));
         ratio_pts.push((bound, ratio));
         delta_pts.push((bound, delta_pp));
@@ -686,7 +539,7 @@ pub fn table_compression(scale: Scale, seed: u64) -> FigureResult {
     }
     // The identity contract: disabled aggregation reproduces plain
     // training choice-for-choice (1.0 = identical).
-    let disabled = predictor.train_aggregated(st.dataset(), Day(0), &AggregationConfig::disabled());
+    let disabled = aggregated(AggregationConfig::disabled());
     let identical = disabled.len() == plain.len()
         && plain
             .iter()
@@ -743,32 +596,17 @@ pub fn world_scale(scale: Scale, seed: u64) -> FigureResult {
             pw.unicast_table(net.topology().cdn.unicast_announcement_border(site));
         }
         let table_mb = pw.memory_bytes() as f64 / (1024.0 * 1024.0);
+        let routed = steady.routed_count() as f64;
 
         // Fig-9-style quality on this world: train day 0, evaluate day 1.
-        let mut st = Study::new(scenario, StudyConfig::default());
-        st.run_days(Day(0), 2);
-        let ldns_of = st.ldns_of();
-        let volumes = st.volumes();
-        let pcfg = PredictorConfig {
-            grouping: Grouping::Ecs,
-            metric: Metric::P25,
-            min_samples: 20,
-        };
-        let table = Predictor::new(pcfg).train(st.dataset(), Day(0));
-        let rows = evaluate_prediction(
-            &table,
-            Grouping::Ecs,
-            st.dataset(),
-            Day(1),
-            ldns_of,
-            &volumes,
-        );
-        let (improved, _, hurt) = outcome_shares(&rows, false);
+        let trial = Trial::run(scenario, 2);
+        let table = trial.train(PredictorConfig::default(), &TrainSpec::day(Day(0)));
+        let margin = trial.shares(&table, Grouping::Ecs, Day(1)).margin();
 
         let x = n as f64;
         bytes_pts.push((x, table_mb));
-        margin_pts.push((x, improved - hurt));
-        scalars.push((format!("{n} ASes: routed"), steady.routed_count() as f64));
+        margin_pts.push((x, margin));
+        scalars.push((format!("{n} ASes: routed"), routed));
     }
     let largest = *sizes.last().expect("at least one size");
     scalars.push(("largest world ASes".into(), largest as f64));
@@ -783,39 +621,6 @@ pub fn world_scale(scale: Scale, seed: u64) -> FigureResult {
         ],
         scalars,
         text: None,
-    }
-}
-
-/// All ablation ids.
-pub const ALL: [&str; 11] = [
-    "ablation-prediction-metric",
-    "ablation-min-samples",
-    "ablation-candidates",
-    "ablation-density",
-    "ablation-hybrid",
-    "ablation-training-window",
-    "ablation-sketch-accuracy",
-    "ablation-outage-ttl",
-    "ablation-load-shedding",
-    "ablation-table-compression",
-    "ablation-world-scale",
-];
-
-/// Computes an ablation by id.
-pub fn compute(id: &str, scale: Scale, seed: u64) -> Option<FigureResult> {
-    match id {
-        "ablation-prediction-metric" => Some(prediction_metric(scale, seed)),
-        "ablation-min-samples" => Some(min_samples(scale, seed)),
-        "ablation-candidates" => Some(candidate_count(scale, seed)),
-        "ablation-density" => Some(deployment_density(scale, seed)),
-        "ablation-hybrid" => Some(hybrid_threshold(scale, seed)),
-        "ablation-training-window" => Some(training_window(scale, seed)),
-        "ablation-sketch-accuracy" => Some(sketch_accuracy(scale, seed)),
-        "ablation-outage-ttl" => Some(outage_ttl(scale, seed)),
-        "ablation-load-shedding" => Some(load_shedding(scale, seed)),
-        "ablation-table-compression" => Some(table_compression(scale, seed)),
-        "ablation-world-scale" => Some(world_scale(scale, seed)),
-        _ => None,
     }
 }
 
@@ -863,10 +668,12 @@ mod tests {
 
     #[test]
     fn all_ids_resolve() {
-        for id in ALL {
-            assert!(compute(id, Scale::Small, 1).is_some(), "{id}");
+        let ids = crate::cli::resolve_target("ablations").unwrap();
+        assert_eq!(ids.len(), 11);
+        for id in ids {
+            assert_eq!(crate::compute(id, Scale::Small, 1).unwrap().id, id);
         }
-        assert!(compute("nope", Scale::Small, 1).is_none());
+        assert!(crate::compute("nope", Scale::Small, 1).is_none());
     }
 
     #[test]

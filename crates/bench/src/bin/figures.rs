@@ -18,7 +18,6 @@
 use std::process::ExitCode;
 
 use anycast_bench::cli;
-use anycast_bench::{ablations, extras, figures};
 use anycast_obs::logging;
 use anycast_obs::{RunMeta, RunReport};
 
@@ -55,9 +54,7 @@ fn main() -> ExitCode {
     for id in &invocation.ids {
         let id = *id;
         logging::debug("figures", "computing artifact", &[("id", id.to_string())]);
-        let result = figures::compute(id, invocation.scale, invocation.seed)
-            .or_else(|| ablations::compute(id, invocation.scale, invocation.seed))
-            .or_else(|| extras::compute(id, invocation.scale, invocation.seed))
+        let result = anycast_bench::compute(id, invocation.scale, invocation.seed)
             .expect("cli::parse only yields known ids");
         if let Some(dir) = &invocation.out_dir {
             if let Err(e) = std::fs::create_dir_all(dir)

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use anycast_obs::logging::Level;
 
 use crate::worlds::Scale;
-use crate::{ablations, extras, figures};
+use crate::ARTIFACTS;
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,26 +53,18 @@ impl std::fmt::Display for ParseError {
     }
 }
 
-/// Resolves a target word to the artifact ids it denotes.
+/// Resolves a target word to the artifact ids it denotes: one id, a group
+/// (`all`, `ablations`, `extras`) or `everything`.
 pub fn resolve_target(target: &str) -> Result<Vec<&'static str>, ParseError> {
-    match target {
-        "all" => Ok(figures::ALL.to_vec()),
-        "ablations" => Ok(ablations::ALL.to_vec()),
-        "extras" => Ok(extras::ALL.to_vec()),
-        "everything" => Ok(figures::ALL
-            .iter()
-            .chain(ablations::ALL.iter())
-            .chain(extras::ALL.iter())
-            .copied()
-            .collect()),
-        one => figures::ALL
-            .iter()
-            .chain(ablations::ALL.iter())
-            .chain(extras::ALL.iter())
-            .find(|&&id| id == one)
-            .map(|&id| vec![id])
-            .ok_or_else(|| ParseError(format!("unknown artifact {one:?}"))),
+    let ids: Vec<&'static str> = ARTIFACTS
+        .iter()
+        .filter(|&&(id, group, _)| [id, group, "everything"].contains(&target))
+        .map(|&(id, ..)| id)
+        .collect();
+    if ids.is_empty() {
+        return Err(ParseError(format!("unknown artifact {target:?}")));
     }
+    Ok(ids)
 }
 
 /// Parses command-line arguments (without the program name).
@@ -142,6 +134,7 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
 
 /// The usage text.
 pub fn usage_text() -> String {
+    let group = |word| resolve_target(word).expect("a known group").join(" ");
     format!(
         "usage: figures <artifact|all|ablations|extras|everything> \
          [--scale small|paper] [--seed N] [--csv] [--out DIR]\n\
@@ -151,9 +144,9 @@ pub fn usage_text() -> String {
          artifacts: {}\n\
          ablations: {}\n\
          extras:    {}",
-        figures::ALL.join(" "),
-        ablations::ALL.join(" "),
-        extras::ALL.join(" "),
+        group("all"),
+        group("ablations"),
+        group("extras"),
     )
 }
 
@@ -185,26 +178,17 @@ mod tests {
 
     #[test]
     fn groups_expand() {
-        assert_eq!(resolve_target("all").unwrap().len(), figures::ALL.len());
-        assert_eq!(
-            resolve_target("ablations").unwrap().len(),
-            ablations::ALL.len()
-        );
-        assert_eq!(resolve_target("extras").unwrap().len(), extras::ALL.len());
-        assert_eq!(
-            resolve_target("everything").unwrap().len(),
-            figures::ALL.len() + ablations::ALL.len() + extras::ALL.len()
-        );
+        assert_eq!(resolve_target("all").unwrap().len(), 10);
+        assert_eq!(resolve_target("ablations").unwrap().len(), 11);
+        assert_eq!(resolve_target("extras").unwrap().len(), 6);
+        let everything = resolve_target("everything").unwrap();
+        assert_eq!(everything, ARTIFACTS.map(|(id, ..)| id));
     }
 
     #[test]
     fn every_known_id_resolves_alone() {
-        for id in figures::ALL
-            .iter()
-            .chain(ablations::ALL.iter())
-            .chain(extras::ALL.iter())
-        {
-            assert_eq!(resolve_target(id).unwrap(), vec![*id]);
+        for (id, ..) in ARTIFACTS {
+            assert_eq!(resolve_target(id).unwrap(), vec![id]);
         }
     }
 

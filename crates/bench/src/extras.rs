@@ -22,14 +22,13 @@ use anycast_analysis::report::Series;
 use anycast_core::flows::{disruption_rate, FlowModel};
 use anycast_core::loadaware::{loads_from_traffic, plan_shedding, total_overload, withdraw};
 use anycast_core::{
-    anycast_request, evaluate_prediction, evaluation::outcome_shares, request_times,
-    DnsRedirectionSim, FailureReason, Grouping, Metric, Predictor, PredictorConfig, Study,
-    StudyConfig,
+    anycast_request, request_times, DnsRedirectionSim, FailureReason, Grouping, PredictorConfig,
 };
 use anycast_dns::ResolverKind;
-use anycast_netsim::{Day, RouteSnapshot, SiteId};
+use anycast_netsim::{Day, SiteId};
 use anycast_workload::Scenario;
 
+use crate::trial::{replay, Shares, TrainSpec, Trial};
 use crate::worlds::{figure_days, rng_for, scenario, scenario_config, Scale};
 use crate::FigureResult;
 
@@ -166,52 +165,30 @@ pub fn ecs_adoption(scale: Scale, seed: u64) -> FigureResult {
     for adoption in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let mut cfg = scenario_config(scale, seed);
         cfg.ldns.isp_ecs_fraction = adoption;
-        let scenario = Scenario::build(cfg).expect("valid adoption config");
-        let mut st = Study::new(scenario, StudyConfig::default());
-        st.run_days(Day(0), 2);
+        let trial = Trial::run(Scenario::build(cfg).expect("valid adoption config"), 2);
 
         // ECS reach: share of demand whose resolver forwards its subnet.
-        let s = st.scenario();
+        let s = trial.scenario();
+        let forwards_ecs = |prefix| s.ldns.resolver(s.ldns.resolver_of(prefix)).supports_ecs;
         let total_volume: f64 = s.clients.iter().map(|c| c.volume as f64).sum();
         let reachable: f64 = s
             .clients
             .iter()
-            .filter(|c| s.ldns.resolver(s.ldns.resolver_of(c.prefix)).supports_ecs)
+            .filter(|c| forwards_ecs(c.prefix))
             .map(|c| c.volume as f64)
             .sum();
         reach_pts.push((adoption, reachable / total_volume));
 
         // Prediction benefit, counting unreachable clients as unchanged.
-        let pcfg = PredictorConfig {
-            grouping: Grouping::Ecs,
-            metric: Metric::P25,
-            min_samples: 20,
-        };
-        let table = Predictor::new(pcfg).train(st.dataset(), Day(0));
-        let ldns_of = st.ldns_of();
-        let volumes = st.volumes();
-        let rows: Vec<_> = evaluate_prediction(
-            &table,
-            Grouping::Ecs,
-            st.dataset(),
-            Day(1),
-            ldns_of,
-            &volumes,
-        )
-        .into_iter()
-        .map(|mut row| {
-            let capable = s.ldns.resolver(s.ldns.resolver_of(row.prefix)).supports_ecs;
-            if !capable {
-                // No ECS from this client's resolver: the prediction
-                // cannot reach it; it stays on anycast.
-                row.improvement_p50_ms = 0.0;
-                row.improvement_p75_ms = 0.0;
-            }
-            row
-        })
-        .collect();
-        let (improved, _, _) = outcome_shares(&rows, false);
-        improved_pts.push((adoption, improved));
+        let table = trial.train(PredictorConfig::default(), &TrainSpec::day(Day(0)));
+        let mut rows = trial.rows(&table, Grouping::Ecs, Day(1));
+        for row in rows.iter_mut().filter(|row| !forwards_ecs(row.prefix)) {
+            // No ECS from this client's resolver: the prediction cannot
+            // reach it; it stays on anycast.
+            row.improvement_p50_ms = 0.0;
+            row.improvement_p75_ms = 0.0;
+        }
+        improved_pts.push((adoption, Shares::of(&rows).improved));
     }
 
     FigureResult {
@@ -245,67 +222,34 @@ pub fn failover(scale: Scale, seed: u64) -> FigureResult {
     cfg.net.p_site_outage = 0.25;
     cfg.net.p_site_drain = 0.1;
     let s = Scenario::build(cfg).expect("valid failure config");
-    let internet = &s.internet;
     let days = figure_days(scale, 10);
     // Probes are spaced 900 s apart; TTLs above that (1 200 s, 3 600 s)
     // exercise cached answers, shorter ones always re-resolve — so the
     // curve shows exactly where staleness starts to bite.
     let times = request_times(96);
 
-    // Routes are probed 96× per client-day, so resolve them once per day
-    // into a snapshot and let only the outage-window fallback re-resolve
-    // (the route-memo transparency proptest pins the equivalence).
-    let attachments: Vec<_> = s.clients.iter().map(|c| c.attachment).collect();
-
     // Anycast: no client-side state, so one pass covers every TTL.
-    let (mut any_served, mut any_failed, mut any_converging) = (0u64, 0u64, 0u64);
-    for day in 0..days {
-        let snap = RouteSnapshot::build(internet, &attachments, Day(day));
-        for &t in &times {
-            for i in 0..s.clients.len() {
-                match anycast_request(internet, &snap, i, t) {
-                    out if out.served() => any_served += 1,
-                    out => {
-                        any_failed += 1;
-                        if out.reason() == Some(FailureReason::Converging) {
-                            any_converging += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let any_total = any_served + any_failed;
-    let any_unavail = any_failed as f64 / any_total as f64;
+    let anycast = replay(&s, days, &times, FailureReason::Converging, |snap, i, t| {
+        anycast_request(&s.internet, snap, i, t)
+    });
+    let any_unavail = anycast.unavailability();
 
     // DNS redirection: one cache per TTL, time advancing monotonically so
     // expiries behave like a real resolver's.
-    let mut dns_pts = Vec::new();
-    let mut stale_at_max = 0u64;
-    for ttl in TTLS_S {
-        let mut dns = DnsRedirectionSim::new(internet, ttl);
-        let (mut served, mut failed, mut stale) = (0u64, 0u64, 0u64);
-        for day in 0..days {
-            let snap = RouteSnapshot::build(internet, &attachments, Day(day));
-            for &t in &times {
-                for (i, c) in s.clients.iter().enumerate() {
-                    match dns.request(c.prefix, &snap, i, t) {
-                        out if out.served() => served += 1,
-                        out => {
-                            failed += 1;
-                            if out.reason() == Some(FailureReason::StaleDnsAnswer) {
-                                stale += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        dns_pts.push((ttl, failed as f64 / (served + failed) as f64));
-        if ttl == TTLS_S[TTLS_S.len() - 1] {
-            stale_at_max = stale;
-        }
-    }
+    let dns = TTLS_S.map(|ttl| {
+        let mut dns = DnsRedirectionSim::new(&s.internet, ttl);
+        replay(
+            &s,
+            days,
+            &times,
+            FailureReason::StaleDnsAnswer,
+            |snap, i, t| dns.request(s.clients[i].prefix, snap, i, t),
+        )
+    });
+    let dns_pts = TTLS_S
+        .iter()
+        .zip(&dns)
+        .map(|(&ttl, d)| (ttl, d.unavailability()));
     let anycast_pts: Vec<(f64, f64)> = TTLS_S.iter().map(|&ttl| (ttl, any_unavail)).collect();
 
     FigureResult {
@@ -313,14 +257,14 @@ pub fn failover(scale: Scale, seed: u64) -> FigureResult {
         title: "Unavailability under front-end outages: anycast vs DNS redirection (§2)".into(),
         x_label: "DNS answer TTL (s)".into(),
         series: vec![
-            Series::new("DNS redirection", dns_pts),
+            Series::new("DNS redirection", dns_pts.collect()),
             Series::new("anycast (TTL-independent)", anycast_pts),
         ],
         scalars: vec![
             ("anycast availability".to_string(), 1.0 - any_unavail),
             (
                 "anycast failures inside BGP reconvergence".to_string(),
-                any_converging as f64,
+                anycast.of_reason as f64,
             ),
             (
                 "BGP reconvergence (s)".to_string(),
@@ -328,7 +272,7 @@ pub fn failover(scale: Scale, seed: u64) -> FigureResult {
             ),
             (
                 "stale-answer failures at 3 600 s TTL".to_string(),
-                stale_at_max as f64,
+                dns[TTLS_S.len() - 1].of_reason as f64,
             ),
         ],
         text: None,
@@ -406,29 +350,6 @@ pub fn world_summary(scale: Scale, seed: u64) -> FigureResult {
             ("client /24s".to_string(), s.clients.len() as f64),
         ],
         text: Some(text),
-    }
-}
-
-/// All supplementary ids.
-pub const ALL: [&str; 6] = [
-    "extra-ldns-distance",
-    "extra-tcp-disruption",
-    "extra-load-shed",
-    "extra-ecs-adoption",
-    "extra-failover",
-    "world-summary",
-];
-
-/// Computes a supplementary artifact by id.
-pub fn compute(id: &str, scale: Scale, seed: u64) -> Option<FigureResult> {
-    match id {
-        "extra-ldns-distance" => Some(ldns_distance(scale, seed)),
-        "extra-tcp-disruption" => Some(tcp_disruption(scale, seed)),
-        "extra-load-shed" => Some(load_shedding(scale, seed)),
-        "extra-ecs-adoption" => Some(ecs_adoption(scale, seed)),
-        "extra-failover" => Some(failover(scale, seed)),
-        "world-summary" => Some(world_summary(scale, seed)),
-        _ => None,
     }
 }
 

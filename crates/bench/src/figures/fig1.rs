@@ -15,7 +15,8 @@ use anycast_analysis::cdf::{linear_grid, Ecdf};
 use anycast_analysis::report::Series;
 use anycast_core::Deployment;
 use anycast_netsim::Day;
-use anycast_workload::ldns_assign;
+use anycast_workload::{ldns_assign, Scenario};
+use rand::rngs::SmallRng;
 
 use crate::worlds::{rng_for, scenario, Scale};
 use crate::FigureResult;
@@ -26,60 +27,68 @@ pub const N_LINES: [usize; 5] = [1, 3, 5, 7, 9];
 /// Samples per candidate front-end.
 const SAMPLES: usize = 3;
 
+/// Per client /24, the best day-0 latency among the `k` front-ends nearest
+/// its LDNS, by candidate rank: entry `n − 1` is the best of the nearest
+/// `n`, each front-end measured `samples` times.
+pub fn best_within_nearest(
+    s: &Scenario,
+    deployment: &Deployment,
+    k: usize,
+    samples: usize,
+    rng: &mut SmallRng,
+) -> Vec<Vec<f64>> {
+    let mut per_client = Vec::with_capacity(s.clients.len());
+    for c in &s.clients {
+        let ldns_id = s.ldns.resolver_of(c.prefix);
+        let believed = ldns_assign::believed_ldns_location(s.ldns.resolver(ldns_id), &s.geodb);
+        let mut best = f64::INFINITY;
+        let mut row = Vec::with_capacity(k);
+        for (site, _) in deployment.nearest(&believed, k) {
+            for _ in 0..samples {
+                best = best.min(s.internet.measure_unicast(&c.attachment, site, Day(0), rng));
+            }
+            row.push(best);
+        }
+        per_client.push(row);
+    }
+    per_client
+}
+
+/// The distribution over clients of the best latency within the nearest
+/// `n` (a client with fewer candidates contributes its best of all).
+pub fn within_nearest(per_client: &[Vec<f64>], n: usize) -> Ecdf {
+    Ecdf::from_values(
+        per_client
+            .iter()
+            .filter_map(|row| row.get(n.min(row.len()) - 1).copied()),
+    )
+}
+
 /// Computes the figure.
 pub fn compute(scale: Scale, seed: u64) -> FigureResult {
     let s = scenario(scale, seed);
     let deployment = Deployment::of(&s.internet);
     let mut rng = rng_for(seed, 0xf161);
-
-    // Per client: ascending-candidate-rank minimum latencies.
     let max_n = *N_LINES.iter().max().expect("non-empty");
-    let mut per_client_min: Vec<Vec<f64>> = Vec::with_capacity(s.clients.len());
-    for c in &s.clients {
-        let ldns_id = s.ldns.resolver_of(c.prefix);
-        let believed = ldns_assign::believed_ldns_location(s.ldns.resolver(ldns_id), &s.geodb);
-        let candidates = deployment.nearest(&believed, max_n);
-        let mut mins = Vec::with_capacity(candidates.len());
-        let mut best_so_far = f64::INFINITY;
-        for &(site, _) in &candidates {
-            let mut site_min = f64::INFINITY;
-            for _ in 0..SAMPLES {
-                site_min =
-                    site_min.min(
-                        s.internet
-                            .measure_unicast(&c.attachment, site, Day(0), &mut rng),
-                    );
-            }
-            best_so_far = best_so_far.min(site_min);
-            mins.push(best_so_far);
-        }
-        per_client_min.push(mins);
-    }
+    let per_client_min = best_within_nearest(&s, &deployment, max_n, SAMPLES, &mut rng);
 
     let grid = linear_grid(0.0, 200.0, 40);
-    let mut series = Vec::new();
     // Paper legend order: 9 front-ends first.
-    for &n in N_LINES.iter().rev() {
-        let values = per_client_min
-            .iter()
-            .filter_map(|mins| mins.get(n.min(mins.len()) - 1).copied());
-        let ecdf = Ecdf::from_values(values);
-        series.push(Series::new(
-            format!("{n} front-ends"),
-            ecdf.cdf_series(&grid),
-        ));
-    }
+    let series = N_LINES
+        .iter()
+        .rev()
+        .map(|&n| {
+            let cdf = within_nearest(&per_client_min, n).cdf_series(&grid);
+            Series::new(format!("{n} front-ends"), cdf)
+        })
+        .collect();
 
     // Headline scalars: median min-latency at N=1, 5, 9 — the diminishing-
     // returns argument in numbers.
     let median_at = |n: usize| {
-        Ecdf::from_values(
-            per_client_min
-                .iter()
-                .filter_map(|m| m.get(n.min(m.len()) - 1).copied()),
-        )
-        .median()
-        .unwrap_or(f64::NAN)
+        within_nearest(&per_client_min, n)
+            .median()
+            .unwrap_or(f64::NAN)
     };
     let scalars = vec![
         (

@@ -6,9 +6,9 @@
 //! find that 19% of prefixes see some performance benefit … 12% of clients
 //! with 10ms or more improvement, but only 4% see 50ms or more" (§5).
 
-use anycast_analysis::poor_paths::{daily_prevalence, mean_fraction, DailyPrevalence};
+use anycast_analysis::poor_paths::{daily_prevalence, mean_fraction, PrefixDayPerf};
 use anycast_analysis::report::Series;
-use anycast_netsim::Day;
+use anycast_netsim::{Day, Prefix24};
 
 use crate::worlds::{figure_days, study, Scale};
 use crate::FigureResult;
@@ -19,15 +19,22 @@ pub const PAPER_DAYS: u32 = 28;
 /// Threshold labels in the paper's legend.
 pub const LABELS: [&str; 5] = ["all", "> 10ms", "> 25ms", "> 50ms", "> 100ms"];
 
+/// Runs the month's campaign a day at a time and hands `each` every day's
+/// per-/24 anycast-vs-best-unicast summary: the data behind this figure
+/// and Figure 6.
+pub fn month(scale: Scale, seed: u64, mut each: impl FnMut(Day, Vec<PrefixDayPerf<Prefix24>>)) {
+    let mut st = study(scale, seed);
+    for day in Day(0).span(figure_days(scale, PAPER_DAYS)) {
+        st.run_day(day);
+        each(day, st.daily_prefix_perf(day));
+    }
+}
+
 /// Computes the figure, returning the per-day fractions.
 pub fn compute(scale: Scale, seed: u64) -> FigureResult {
     let days = figure_days(scale, PAPER_DAYS);
-    let mut st = study(scale, seed);
-    let mut daily: Vec<DailyPrevalence> = Vec::with_capacity(days as usize);
-    for day in Day(0).span(days) {
-        st.run_day(day);
-        daily.push(daily_prevalence(&st.daily_prefix_perf(day)));
-    }
+    let mut daily = Vec::with_capacity(days as usize);
+    month(scale, seed, |_, perf| daily.push(daily_prevalence(&perf)));
 
     let mut series = Vec::new();
     for (i, label) in LABELS.iter().enumerate() {
@@ -61,20 +68,14 @@ pub fn compute(scale: Scale, seed: u64) -> FigureResult {
     }
 }
 
-/// The per-day `(prefix, improvement)` data behind the figure — reused by
-/// Figure 6's persistence analysis so the month-long study runs once.
-pub fn poor_days_by_prefix(scale: Scale, seed: u64) -> Vec<(anycast_netsim::Prefix24, u32)> {
-    let days = figure_days(scale, PAPER_DAYS);
-    let mut st = study(scale, seed);
+/// The `(prefix, day)` of every /24-day some unicast front-end beat
+/// anycast — Figure 6's input.
+pub fn poor_days_by_prefix(scale: Scale, seed: u64) -> Vec<(Prefix24, u32)> {
     let mut out = Vec::new();
-    for day in Day(0).span(days) {
-        st.run_day(day);
-        for p in st.daily_prefix_perf(day) {
-            if p.improvement_ms() > 0.0 {
-                out.push((p.key, day.0));
-            }
-        }
-    }
+    month(scale, seed, |day, perf| {
+        let poor = perf.iter().filter(|p| p.improvement_ms() > 0.0);
+        out.extend(poor.map(|p| (p.key, day.0)));
+    });
     out
 }
 

@@ -14,21 +14,16 @@
 
 use anycast_analysis::cdf::{linear_grid, Ecdf};
 use anycast_analysis::report::Series;
-use anycast_core::{
-    evaluate_prediction, evaluation::outcome_shares, Grouping, Metric, Predictor, PredictorConfig,
-};
+use anycast_core::{Grouping, PredictorConfig};
 use anycast_netsim::Day;
 
-use crate::worlds::{study, Scale};
+use crate::trial::{Shares, TrainSpec, Trial};
+use crate::worlds::{scenario, Scale};
 use crate::FigureResult;
 
 /// Computes the figure.
 pub fn compute(scale: Scale, seed: u64) -> FigureResult {
-    let mut st = study(scale, seed);
-    st.run_days(Day(0), 2);
-
-    let ldns_of = st.ldns_of();
-    let volumes = st.volumes();
+    let trial = Trial::run(scenario(scale, seed), 2);
     let grid = linear_grid(-400.0, 400.0, 80);
     let mut series = Vec::new();
     let mut scalars = Vec::new();
@@ -36,11 +31,10 @@ pub fn compute(scale: Scale, seed: u64) -> FigureResult {
     for (grouping, label) in [(Grouping::Ecs, "EDNS-0"), (Grouping::Ldns, "LDNS")] {
         let cfg = PredictorConfig {
             grouping,
-            metric: Metric::P25,
-            min_samples: 20,
+            ..PredictorConfig::default()
         };
-        let table = Predictor::new(cfg).train(st.dataset(), Day(0));
-        let rows = evaluate_prediction(&table, grouping, st.dataset(), Day(1), ldns_of, &volumes);
+        let table = trial.train(cfg, &TrainSpec::day(Day(0)));
+        let rows = trial.rows(&table, grouping, Day(1));
         let p50 = Ecdf::from_weighted(rows.iter().map(|r| (r.improvement_p50_ms, r.weight)));
         let p75 = Ecdf::from_weighted(rows.iter().map(|r| (r.improvement_p75_ms, r.weight)));
         series.push(Series::new(
@@ -48,13 +42,16 @@ pub fn compute(scale: Scale, seed: u64) -> FigureResult {
             p50.cdf_series(&grid),
         ));
         series.push(Series::new(format!("{label} 75th"), p75.cdf_series(&grid)));
-        let (improved, unchanged, hurt) = outcome_shares(&rows, false);
-        scalars.push((format!("{label}: weighted share improved (p75)"), improved));
+        let shares = Shares::of(&rows);
+        scalars.push((
+            format!("{label}: weighted share improved (p75)"),
+            shares.improved,
+        ));
         scalars.push((
             format!("{label}: weighted share unchanged (p75)"),
-            unchanged,
+            shares.unchanged,
         ));
-        scalars.push((format!("{label}: weighted share hurt (p75)"), hurt));
+        scalars.push((format!("{label}: weighted share hurt (p75)"), shares.hurt));
         scalars.push((
             format!("{label}: groups redirected"),
             table.redirected_groups().count() as f64,

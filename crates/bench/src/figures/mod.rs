@@ -10,37 +10,3 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod table_cdn_sizes;
-
-use crate::worlds::Scale;
-use crate::FigureResult;
-
-/// All artifact ids, in paper order.
-pub const ALL: [&str; 10] = [
-    "fig1",
-    "table-cdn-sizes",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-];
-
-/// Computes an artifact by id.
-pub fn compute(id: &str, scale: Scale, seed: u64) -> Option<FigureResult> {
-    match id {
-        "fig1" => Some(fig1::compute(scale, seed)),
-        "table-cdn-sizes" => Some(table_cdn_sizes::compute()),
-        "fig2" => Some(fig2::compute(scale, seed)),
-        "fig3" => Some(fig3::compute(scale, seed)),
-        "fig4" => Some(fig4::compute(scale, seed)),
-        "fig5" => Some(fig5::compute(scale, seed)),
-        "fig6" => Some(fig6::compute(scale, seed)),
-        "fig7" => Some(fig7::compute(scale, seed)),
-        "fig8" => Some(fig8::compute(scale, seed)),
-        "fig9" => Some(fig9::compute(scale, seed)),
-        _ => None,
-    }
-}

@@ -6,7 +6,6 @@
 //! process-wide recording switch, which no other test may observe.
 
 use anycast_bench::worlds::Scale;
-use anycast_bench::{ablations, figures};
 
 const IDS: [&str; 5] = [
     "fig3",
@@ -17,8 +16,7 @@ const IDS: [&str; 5] = [
 ];
 
 fn render(id: &str) -> String {
-    figures::compute(id, Scale::Small, 7)
-        .or_else(|| ablations::compute(id, Scale::Small, 7))
+    anycast_bench::compute(id, Scale::Small, 7)
         .expect("a known artifact id")
         .render()
 }

@@ -6,7 +6,13 @@
 //! (EXPERIMENTS.md: improved ≫ hurt, 83–87% unchanged). One regressing
 //! prefix can swing a small world's seed (improved ranges ~5–19% across
 //! seeds), so the band holds for the shares averaged over three seeds.
+//!
+//! §2's cascade: "withdrawing the route … can lead to cascading
+//! overloading of nearby front-ends". In `ablation-load-shedding`, at every
+//! headroom below 1, withdrawing an overloaded site overloads the rest more
+//! than doing nothing, on each of three seeds.
 
+use anycast_bench::ablations;
 use anycast_bench::figures::fig9;
 use anycast_bench::worlds::Scale;
 
@@ -29,5 +35,32 @@ fn fig9_prediction_improves_more_than_it_hurts_and_leaves_most_demand_alone() {
             "{grouping}: improved {improved:.3}, hurt {hurt:.3}"
         );
         assert!(unchanged >= 0.80, "{grouping}: {unchanged:.3} unchanged");
+    }
+}
+
+#[test]
+fn withdrawing_an_overloaded_site_cascades_at_every_headroom_below_one() {
+    for seed in [1, 2, 3] {
+        let fig = ablations::load_shedding(Scale::Small, seed);
+        let integral = |mode: &str| {
+            let name = format!("overload integral, {mode}");
+            let series = fig.series.iter().find(|s| s.name == name);
+            series
+                .unwrap_or_else(|| panic!("{name:?} missing"))
+                .points
+                .clone()
+        };
+        let (off, withdraw) = (integral("off"), integral("withdraw"));
+        let tight = off.iter().zip(&withdraw).filter(|(o, _)| o.0 < 1.0);
+        assert_eq!(tight.clone().count(), 3, "seed {seed}: headrooms below 1");
+        for (o, w) in tight {
+            assert!(
+                w.1 > o.1,
+                "seed {seed}, headroom {}: withdraw {} vs off {}",
+                o.0,
+                w.1,
+                o.1
+            );
+        }
     }
 }

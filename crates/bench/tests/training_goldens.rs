@@ -16,15 +16,11 @@
 //! route.
 
 use anycast_bench::worlds::Scale;
-use anycast_bench::{ablations, extras, figures};
 
 const SEED: u64 = 7;
 
 fn assert_matches_golden(id: &str, golden: &str) {
-    let result = figures::compute(id, Scale::Small, SEED)
-        .or_else(|| ablations::compute(id, Scale::Small, SEED))
-        .or_else(|| extras::compute(id, Scale::Small, SEED))
-        .expect("a known artifact id");
+    let result = anycast_bench::compute(id, Scale::Small, SEED).expect("a known artifact id");
     // `figures` prints the rendering with `println!`.
     let got = format!("{}\n", result.render());
     if got != golden {

@@ -4,8 +4,8 @@
 //! integration suite fast; the campaign-driven figures are exercised by
 //! `anycast-bench`'s own tests and benches.
 
+use anycast_bench::cli;
 use anycast_bench::worlds::Scale;
-use anycast_bench::{cli, extras, figures};
 
 const FAST_ARTIFACTS: [&str; 5] = [
     "fig2",
@@ -18,8 +18,7 @@ const FAST_ARTIFACTS: [&str; 5] = [
 #[test]
 fn fast_artifacts_render_and_export() {
     for id in FAST_ARTIFACTS {
-        let fig = figures::compute(id, Scale::Small, 1)
-            .or_else(|| extras::compute(id, Scale::Small, 1))
+        let fig = anycast_bench::compute(id, Scale::Small, 1)
             .unwrap_or_else(|| panic!("{id} did not compute"));
         assert_eq!(fig.id, id);
         let text = fig.render();
