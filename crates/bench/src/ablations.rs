@@ -27,8 +27,6 @@
 //!   the policy-routed AS graph from 1 k to 75 k ASes costs in route-table
 //!   bytes and what it does to Figure 9 quality.
 
-use std::collections::BTreeMap;
-
 use anycast_analysis::cdf::Ecdf;
 use anycast_analysis::report::Series;
 use anycast_control::{
@@ -38,7 +36,7 @@ use anycast_core::{
     anycast_request, request_times, AggregationConfig, Deployment, DnsRedirectionSim,
     FailureReason, Grouping, Metric, PredictorConfig, Study, StudyConfig,
 };
-use anycast_netsim::{Day, NetConfig, SiteId};
+use anycast_netsim::{Day, NetConfig};
 use anycast_workload::Scenario;
 
 use crate::figures::fig1;
@@ -419,13 +417,7 @@ pub fn load_shedding(scale: Scale, seed: u64) -> FigureResult {
         base.epochs,
         base.query_cap,
     );
-    let mut peak: BTreeMap<SiteId, f64> = BTreeMap::new();
-    for epoch in &model.epochs {
-        for (site, load) in epoch.project(&table, &BTreeMap::new()) {
-            let p = peak.entry(site).or_insert(0.0);
-            *p = p.max(load);
-        }
-    }
+    let peak = model.peak_loads(&table);
 
     let modes = [
         (ControlMode::Off, "off"),

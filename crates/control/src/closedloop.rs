@@ -19,17 +19,17 @@
 //! [`CapacityPlan`] (or [`ControlMode::Off`]) the loop never swaps and
 //! the replay is byte-identical to an uncontrolled one.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use anycast_analysis::median;
 use anycast_beacon::Target;
 use anycast_core::loadaware::{total_overload, withdraw, SiteLoad};
 use anycast_core::prediction::{Grouping, PredictionTable};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, SiteId};
-use anycast_obs::{counter, DriftConfig, DriftMonitor};
+use anycast_obs::counter;
 use anycast_serve::client::WireClient;
 use anycast_serve::replay::{day_query_plan, ldns_directory, ldns_source_addr, service_qname};
 use anycast_serve::server::{DnsServer, ServeConfig};
@@ -53,13 +53,6 @@ pub struct LoopConfig {
     pub query_cap: usize,
     /// Controller tuning.
     pub control: ControlConfig,
-    /// Streaming drift detection over the live feed ([`replay_wire`]
-    /// only): per-site answered shares against the *training-day*
-    /// baseline plus the TCP-fallback rate run through EWMA+CUSUM. A
-    /// firing detector releases controller cooldowns and forces a table
-    /// recompile swap even when the step itself found nothing to move.
-    /// `None` keeps the loop byte-identical to a drift-unaware build.
-    pub drift: Option<DriftConfig>,
 }
 
 impl Default for LoopConfig {
@@ -70,7 +63,6 @@ impl Default for LoopConfig {
             epochs: 6,
             query_cap: usize::MAX,
             control: ControlConfig::default(),
-            drift: None,
         }
     }
 }
@@ -93,9 +85,6 @@ pub struct EpochReport {
     pub mean_inflation_ms: f64,
     /// Whether a rewritten table was swapped into the server.
     pub swapped: bool,
-    /// Drift signals the monitor emitted on this epoch's live feed (0
-    /// when drift detection is off or on the model path).
-    pub drift_signals: u64,
 }
 
 /// A whole run's outcome.
@@ -116,8 +105,6 @@ pub struct RunReport {
     /// FNV-1a digest over every served `(addr, ttl, scope)` triple in
     /// order (0 on the model path).
     pub answers_digest: u64,
-    /// Σ per-epoch drift signals.
-    pub drift_signals: u64,
 }
 
 /// A wire replay's outcome: the report plus every served answer triple,
@@ -130,20 +117,10 @@ pub struct WireRunReport {
     pub answers: Vec<(Ipv4Addr, u32, u8)>,
 }
 
-fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    // `+ 0.0` folds IEEE negative zero (which total_cmp sorts below +0.0)
-    // back to +0.0 so reports never print "-0".
-    if n % 2 == 1 {
-        v[n / 2] + 0.0
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0 + 0.0
-    }
+/// Median of the per-epoch inflations, 0 for no epochs. `+ 0.0` folds
+/// IEEE negative zero back to +0.0 so reports never print "-0".
+fn median_or_zero(xs: &[f64]) -> f64 {
+    median(xs).unwrap_or(0.0) + 0.0
 }
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -200,7 +177,6 @@ pub fn simulate(
                     restored: 0,
                     mean_inflation_ms: 0.0,
                     swapped: false,
-                    drift_signals: 0,
                 }
             }
             ControlMode::Shed => {
@@ -217,7 +193,6 @@ pub fn simulate(
                         0.0
                     },
                     swapped: step.changed,
-                    drift_signals: 0,
                 }
             }
             ControlMode::Withdraw => {
@@ -230,10 +205,9 @@ pub fn simulate(
     RunReport {
         mode: cfg.control.mode,
         overload_integral: epochs.iter().map(|e| e.overload).sum(),
-        median_inflation_ms: median(&inflations),
+        median_inflation_ms: median_or_zero(&inflations),
         table_swaps: 0,
         answers_digest: 0,
-        drift_signals: 0,
         epochs,
     }
 }
@@ -335,7 +309,6 @@ fn withdraw_epoch(
             0.0
         },
         swapped: false,
-        drift_signals: 0,
     }
 }
 
@@ -398,37 +371,6 @@ pub fn replay_wire(
     let mut inflations = Vec::with_capacity(bounds.len());
     let mut swaps = 0u64;
 
-    // Drift baseline: the *training day's* projected per-site answered
-    // shares, epoch by epoch. The replay-day model routes through
-    // `anycast_route` on the replay day itself, so its own projection
-    // tracks outages and can never drift from the measurement;
-    // yesterday's shares are what "normal" looked like when the table
-    // was trained. Comparing epoch `i` against the training day's epoch
-    // `i` cancels the diurnal shape, so residuals carry only
-    // day-over-day change.
-    let mut drift = cfg.drift.map(|dc| {
-        let train = DemandModel::build(
-            scenario,
-            table,
-            cfg.grouping,
-            Day(cfg.day.0.saturating_sub(1)),
-            cfg.epochs,
-            cfg.query_cap,
-        );
-        let baseline: Vec<BTreeMap<SiteId, f64>> = train
-            .epochs
-            .iter()
-            .map(|e| {
-                let proj = e.project(table, &BTreeMap::new());
-                let total: f64 = proj.values().sum();
-                proj.iter()
-                    .map(|(&s, &v)| (s, if total > 0.0 { v / total } else { 0.0 }))
-                    .collect()
-            })
-            .collect();
-        (DriftMonitor::new(dc), baseline, 0u64)
-    });
-
     for (i, &(lo, hi)) in bounds.iter().enumerate() {
         // Serve the epoch's chunk under the table currently installed.
         let mut vip_catchments: BTreeMap<SiteId, u64> = BTreeMap::new();
@@ -488,43 +430,6 @@ pub fn replay_wire(
         let queries = (hi - lo) as f64;
         let overload = overload_of(&measured, caps);
 
-        // Streaming drift detection on the live feed. Only series that
-        // are deterministic functions of the served queries are fed
-        // (answered shares, TCP fallback rate) — never the overload
-        // valve's scheduling-dependent tallies — so a drift-armed replay
-        // stays byte-identical across worker counts and reruns.
-        let mut epoch_signals = 0u64;
-        if let Some((mon, baselines, prev_tcp)) = drift.as_mut() {
-            let before = mon.signals_total();
-            let baseline = &baselines[i.min(baselines.len() - 1)];
-            let measured_total: f64 = measured.values().sum();
-            let sites: BTreeSet<SiteId> = baseline.keys().chain(measured.keys()).copied().collect();
-            for site in sites {
-                let b = baseline.get(&site).copied().unwrap_or(0.0);
-                let m = if measured_total > 0.0 {
-                    measured.get(&site).copied().unwrap_or(0.0) / measured_total
-                } else {
-                    0.0
-                };
-                mon.observe_residual(&format!("site_share_{}", site.0), m - b);
-            }
-            let tcp = server.stats().tcp_fallbacks.load(Ordering::Relaxed);
-            let tcp_rate = if queries > 0.0 {
-                (tcp - *prev_tcp) as f64 / queries
-            } else {
-                0.0
-            };
-            *prev_tcp = tcp;
-            mon.observe("tcp_fallback_rate", tcp_rate);
-            epoch_signals = mon.signals_total() - before;
-            if epoch_signals > 0 {
-                counter!("control_drift_signals_total").add(epoch_signals);
-                // A confirmed regime change should not wait out the
-                // anti-flap freeze.
-                controller.release_cooldowns();
-            }
-        }
-
         let mut moves = 0;
         let mut restored = 0;
         let mut swapped = false;
@@ -552,25 +457,6 @@ pub fn replay_wire(
                 ));
             }
         }
-        // A detector fired but the step left the assignment unchanged
-        // (or the mode never steps): force a recompile swap of the
-        // current assignment anyway, so the serving plane installs a
-        // fresh generation immediately instead of riding out the stale
-        // table. Same overrides ⇒ byte-identical answers; the early
-        // hot-swap is visible in `table_swaps` and the obs counters.
-        if epoch_signals > 0 && !swapped {
-            swaps += 1;
-            swapped = true;
-            counter!("control_drift_swaps_total").inc();
-            store.swap(CompiledTable::compile_with_overrides(
-                table,
-                &controller.overrides(table),
-                cfg.grouping,
-                addressing,
-                TTL_S,
-                swaps,
-            ));
-        }
         inflations.push(inflation);
         epochs.push(EpochReport {
             epoch: i,
@@ -580,7 +466,6 @@ pub fn replay_wire(
             restored,
             mean_inflation_ms: inflation,
             swapped,
-            drift_signals: epoch_signals,
         });
     }
 
@@ -594,10 +479,9 @@ pub fn replay_wire(
         report: RunReport {
             mode: cfg.control.mode,
             overload_integral: epochs.iter().map(|e| e.overload).sum(),
-            median_inflation_ms: median(&inflations),
+            median_inflation_ms: median_or_zero(&inflations),
             table_swaps: swaps,
             answers_digest: digest,
-            drift_signals: epochs.iter().map(|e| e.drift_signals).sum(),
             epochs,
         },
         answers,
@@ -610,10 +494,11 @@ mod tests {
 
     #[test]
     fn median_handles_all_shapes() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[3.0]), 3.0);
-        assert_eq!(median(&[1.0, 3.0]), 2.0);
-        assert_eq!(median(&[9.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median_or_zero(&[]), 0.0);
+        assert_eq!(median_or_zero(&[3.0]), 3.0);
+        assert_eq!(median_or_zero(&[1.0, 3.0]), 2.0);
+        assert_eq!(median_or_zero(&[9.0, 1.0, 3.0]), 3.0);
+        assert!(median_or_zero(&[-0.0]).is_sign_positive());
     }
 
     #[test]

@@ -125,14 +125,6 @@ impl Controller {
             .collect()
     }
 
-    /// Clears every cooldown so the next step may move frozen groups
-    /// immediately. Hysteresis exists to stop flapping in steady state;
-    /// when a drift detector confirms a regime change, waiting out the
-    /// freeze just prolongs the overload, so the closed loop releases it.
-    pub fn release_cooldowns(&mut self) {
-        self.cooldown.clear();
-    }
-
     /// Runs one control epoch: restore pass, then shed pass.
     ///
     /// `measured` supplies per-site offered load observed by the serving
@@ -215,18 +207,6 @@ impl Controller {
             .sum()
     }
 
-    /// How much of `site`'s load the group contributes under `target`.
-    fn contribution(demand: &EpochDemand, key: GroupKey, target: Target, site: SiteId) -> f64 {
-        let Some(g) = demand.groups.get(&key) else {
-            return 0.0;
-        };
-        match target {
-            Target::Unicast(s) if s == site => g.queries as f64,
-            Target::Unicast(_) => 0.0,
-            Target::Anycast => g.vip_by_site.get(&site).copied().unwrap_or(0) as f64,
-        }
-    }
-
     /// Applies a reassignment to the running load projection.
     fn apply(
         demand: &EpochDemand,
@@ -270,7 +250,7 @@ impl Controller {
         let fits_site = |site: SiteId, add: f64| {
             // Load the group already parks on the site under the current
             // assignment stays; only the net increase must fit.
-            let present = Self::contribution(demand, key, current, site);
+            let present = demand.contribution(key, current, site);
             let now = loads.get(&site).copied().unwrap_or(0.0);
             now - present + add <= limit_fraction * self.plan.get(site)
         };
@@ -354,14 +334,14 @@ impl Controller {
                 let Some(cur) = ranked.get(r_cur) else {
                     continue;
                 };
-                let here = Self::contribution(demand, key, cur.target, from);
+                let here = demand.contribution(key, cur.target, from);
                 if here <= 0.0 {
                     continue;
                 }
                 // First deeper candidate that fits and actually reduces
                 // load on the saturated site.
                 for (r_next, cand) in ranked.iter().enumerate().skip(r_cur + 1) {
-                    let reduction = here - Self::contribution(demand, key, cand.target, from);
+                    let reduction = here - demand.contribution(key, cand.target, from);
                     if reduction <= 0.0 {
                         continue;
                     }
@@ -524,30 +504,6 @@ mod tests {
         let rep3 = c.step(&t, &d, None);
         assert_eq!(rep3.restored, 0, "restore must not recreate the overload");
         assert_eq!(rep3.overrides.len(), 1);
-    }
-
-    #[test]
-    fn release_cooldowns_lets_restores_fire_immediately() {
-        let t = table();
-        let mut plan = CapacityPlan::new();
-        plan.set(SiteId(0), 120.0);
-        let mut c = Controller::new(shed_cfg(), plan, &sites());
-        c.step(&t, &demand(), None);
-
-        // Demand collapses, and a drift detector vouches for the regime
-        // change: the freeze is released, so the restore that would have
-        // waited two epochs fires on the very next step.
-        let mut quiet = EpochDemand::default();
-        let g = GroupEpoch {
-            queries: 40,
-            vip_by_site: [(SiteId(2), 40)].into(),
-        };
-        quiet.groups.insert(GroupKey::Ldns(LdnsId(0)), g);
-
-        c.release_cooldowns();
-        let r = c.step(&t, &quiet, None);
-        assert_eq!(r.restored, 1, "no cooldown left to wait out");
-        assert!(r.overrides.is_empty());
     }
 
     #[test]

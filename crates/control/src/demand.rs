@@ -13,6 +13,11 @@
 //!   (which sites absorb it if the answer is the VIP);
 //! * pinned load, per site, that no DNS rewrite can move.
 //!
+//! Two load rules live here and nowhere else:
+//! [`EpochDemand::contribution`] (how much load a group parks on a site
+//! under a target) and [`DemandModel::peak_loads`] (each site's peak
+//! rank-0 load across the day).
+//!
 //! Everything is keyed through `BTreeMap`s so iteration order — and hence
 //! every controller decision — is deterministic.
 
@@ -51,6 +56,21 @@ impl EpochDemand {
         let steer: u64 = self.groups.values().map(|g| g.queries).sum();
         let pinned: f64 = self.pinned.values().sum();
         steer as f64 + pinned
+    }
+
+    /// How much load `key` parks on `site` when answered with `target`:
+    /// all its queries on a unicast hit, its catchment share of `site`
+    /// under the VIP, nothing otherwise (or when the group sends nothing
+    /// this epoch).
+    pub fn contribution(&self, key: GroupKey, target: Target, site: SiteId) -> f64 {
+        let Some(g) = self.groups.get(&key) else {
+            return 0.0;
+        };
+        match target {
+            Target::Unicast(s) if s == site => g.queries as f64,
+            Target::Unicast(_) => 0.0,
+            Target::Anycast => g.vip_by_site.get(&site).copied().unwrap_or(0) as f64,
+        }
     }
 
     /// Projects per-site offered load under a group→target assignment.
@@ -140,6 +160,19 @@ impl DemandModel {
             out.push(epoch);
         }
         DemandModel { epochs: out }
+    }
+
+    /// Each site's peak offered load across the day's epochs with every
+    /// group on its rank-0 choice — the yardstick capacity plans scale.
+    pub fn peak_loads(&self, table: &PredictionTable) -> BTreeMap<SiteId, f64> {
+        let mut peak: BTreeMap<SiteId, f64> = BTreeMap::new();
+        for epoch in &self.epochs {
+            for (site, load) in epoch.project(table, &BTreeMap::new()) {
+                let p = peak.entry(site).or_insert(0.0);
+                *p = p.max(load);
+            }
+        }
+        peak
     }
 }
 

@@ -38,7 +38,4 @@ pub mod demand;
 pub use capacity::CapacityPlan;
 pub use closedloop::{replay_wire, simulate, EpochReport, LoopConfig, RunReport, WireRunReport};
 pub use controller::{ControlConfig, ControlMode, Controller, StepReport};
-// Drift detection lives in the obs crate (it is pure telemetry math);
-// re-exported here because [`LoopConfig::drift`] takes it.
-pub use anycast_obs::{DriftConfig, DriftKind, DriftMonitor};
 pub use demand::{epoch_bounds, DemandModel, EpochDemand, GroupEpoch};

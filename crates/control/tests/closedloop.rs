@@ -6,16 +6,17 @@
 //!   bounded median latency inflation;
 //! * the wire replay is bit-identical across worker counts and reruns;
 //! * with no capacities configured, the control plane is byte-for-byte
-//!   invisible: identical answers, zero table swaps.
+//!   invisible: identical answers, zero table swaps;
+//! * left alone, the wire measures exactly the overload the model
+//!   projects, epoch by epoch.
 
 use std::collections::BTreeMap;
 
-use anycast_beacon::Target;
 use anycast_control::{
-    replay_wire, simulate, CapacityPlan, ControlConfig, ControlMode, DemandModel, DriftConfig,
-    EpochDemand, LoopConfig,
+    replay_wire, simulate, CapacityPlan, ControlConfig, ControlMode, DemandModel, EpochDemand,
+    LoopConfig, RunReport,
 };
-use anycast_core::prediction::{GroupKey, Grouping, PredictionTable, Predictor, PredictorConfig};
+use anycast_core::prediction::{Grouping, PredictionTable, Predictor, PredictorConfig};
 use anycast_core::{Study, StudyConfig};
 use anycast_netsim::{Day, SiteId};
 use anycast_workload::{Scenario, ScenarioConfig};
@@ -32,8 +33,7 @@ fn trained(seed: u64) -> (Study, PredictionTable) {
 }
 
 /// An outage world: a quarter of the fleet goes dark for the whole day
-/// when the outage is drawn, shifting anycast catchments persistently —
-/// exactly the regime change the drift detectors exist to notice.
+/// when the outage is drawn, shifting anycast catchments persistently.
 fn trained_outage(seed: u64) -> (Study, PredictionTable) {
     let mut cfg = ScenarioConfig::small(seed);
     cfg.net.p_site_outage = 0.25;
@@ -51,86 +51,6 @@ fn trained_outage(seed: u64) -> (Study, PredictionTable) {
     (study, table)
 }
 
-#[test]
-fn drift_monitor_is_inert_on_the_default_world() {
-    // Ordinary day-over-day route churn stays inside the CUSUM slack: an
-    // armed monitor that never fires must be byte-for-byte invisible.
-    let (study, table) = trained(44);
-    let scenario = study.scenario();
-    let mut cfg = loop_cfg(ControlMode::Off);
-    cfg.epochs = 6;
-    let plain = replay_wire(scenario, &table, &cfg, &CapacityPlan::new(), 1);
-    cfg.drift = Some(DriftConfig::default());
-    let armed = replay_wire(scenario, &table, &cfg, &CapacityPlan::new(), 1);
-
-    assert_eq!(
-        armed.report.drift_signals, 0,
-        "no regime change, no signal: {:?}",
-        armed.report.epochs
-    );
-    assert_eq!(armed.report.table_swaps, 0);
-    assert_eq!(
-        armed.answers, plain.answers,
-        "armed-but-silent is invisible"
-    );
-    assert_eq!(armed.report.answers_digest, plain.report.answers_digest);
-}
-
-#[test]
-fn injected_outage_day_fires_drift_and_forces_early_hot_swap() {
-    // The PR-2 failure schedule shifts anycast catchments persistently on
-    // the replay day; the per-site share CUSUMs must notice within a
-    // bounded number of epochs and force a table hot-swap even though the
-    // Off-mode controller itself never rewrites anything.
-    let (study, table) = trained_outage(44);
-    let scenario = study.scenario();
-    let mut cfg = loop_cfg(ControlMode::Off);
-    cfg.epochs = 6;
-    let plain = replay_wire(scenario, &table, &cfg, &CapacityPlan::new(), 1);
-    assert_eq!(plain.report.table_swaps, 0, "Off mode alone never swaps");
-
-    cfg.drift = Some(DriftConfig::default());
-    let armed = replay_wire(scenario, &table, &cfg, &CapacityPlan::new(), 1);
-
-    assert!(
-        armed.report.drift_signals > 0,
-        "the outage day must fire: {:?}",
-        armed.report.epochs
-    );
-    let first = armed
-        .report
-        .epochs
-        .iter()
-        .position(|e| e.drift_signals > 0)
-        .expect("a signalling epoch exists");
-    assert!(
-        first <= 2,
-        "bounded detection latency, fired at epoch {first}: {:?}",
-        armed.report.epochs
-    );
-    // Every signalling epoch forced a swap, and the forced recompile
-    // reinstalls the same assignment: the served bytes must not change.
-    assert!(armed.report.table_swaps >= 1, "drift must force a hot-swap");
-    assert!(armed
-        .report
-        .epochs
-        .iter()
-        .all(|e| e.drift_signals == 0 || e.swapped));
-    assert_eq!(
-        armed.answers, plain.answers,
-        "a drift swap recompiles the same assignment — answers stay put"
-    );
-    assert_eq!(
-        armed.report.drift_signals,
-        armed
-            .report
-            .epochs
-            .iter()
-            .map(|e| e.drift_signals)
-            .sum::<u64>()
-    );
-}
-
 fn loop_cfg(mode: ControlMode) -> LoopConfig {
     LoopConfig {
         grouping: Grouping::Ldns,
@@ -138,18 +58,6 @@ fn loop_cfg(mode: ControlMode) -> LoopConfig {
         epochs: 4,
         control: ControlConfig { mode },
         ..LoopConfig::default()
-    }
-}
-
-/// How much of `site`'s load a group parks there under `target`.
-fn contribution(demand: &EpochDemand, key: GroupKey, target: Target, site: SiteId) -> f64 {
-    let Some(g) = demand.groups.get(&key) else {
-        return 0.0;
-    };
-    match target {
-        Target::Unicast(s) if s == site => g.queries as f64,
-        Target::Unicast(_) => 0.0,
-        Target::Anycast => g.vip_by_site.get(&site).copied().unwrap_or(0) as f64,
     }
 }
 
@@ -166,36 +74,32 @@ fn movable_at(demand: &EpochDemand, table: &PredictionTable, site: SiteId) -> f6
             let Some(cur) = ranked.first() else {
                 return 0.0;
             };
-            let here = contribution(demand, key, cur.target, site);
+            let here = demand.contribution(key, cur.target, site);
             if here <= 0.0 {
                 return 0.0;
             }
             ranked
                 .iter()
                 .skip(1)
-                .map(|c| here - contribution(demand, key, c.target, site))
+                .map(|c| here - demand.contribution(key, c.target, site))
                 .find(|&r| r > 0.0)
                 .unwrap_or(0.0)
         })
         .sum()
 }
 
-/// Per-site `(peak load, peak movable, total movable, peak unmovable)`
-/// across the day's epochs.
-fn site_profile(
-    model: &DemandModel,
-    table: &PredictionTable,
-) -> BTreeMap<SiteId, (f64, f64, f64, f64)> {
-    let mut out: BTreeMap<SiteId, (f64, f64, f64, f64)> = BTreeMap::new();
+/// Per-site `(peak movable, total movable, peak unmovable)` across the
+/// day's epochs.
+fn site_profile(model: &DemandModel, table: &PredictionTable) -> BTreeMap<SiteId, (f64, f64, f64)> {
+    let mut out: BTreeMap<SiteId, (f64, f64, f64)> = BTreeMap::new();
     for epoch in &model.epochs {
         let loads = epoch.project(table, &BTreeMap::new());
         for (&s, &l) in &loads {
             let m = movable_at(epoch, table, s);
-            let e = out.entry(s).or_insert((0.0, 0.0, 0.0, 0.0));
-            e.0 = e.0.max(l);
-            e.1 = e.1.max(m);
-            e.2 += m;
-            e.3 = e.3.max(l - m);
+            let e = out.entry(s).or_insert((0.0, 0.0, 0.0));
+            e.0 = e.0.max(m);
+            e.1 += m;
+            e.2 = e.2.max(l - m);
         }
     }
     out
@@ -221,9 +125,9 @@ fn undersize_busiest_site(
     cfg: &LoopConfig,
 ) -> (CapacityPlan, SiteId) {
     let profile = site_profile(&model_for(scenario, table, cfg), table);
-    let (&busiest, &(_, peak_movable, _, peak_unmovable)) = profile
+    let (&busiest, &(peak_movable, _, peak_unmovable)) = profile
         .iter()
-        .max_by(|a, b| a.1 .2.total_cmp(&b.1 .2).then_with(|| b.0.cmp(a.0)))
+        .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1).then_with(|| b.0.cmp(a.0)))
         .expect("a trained small world steers load somewhere");
     assert!(peak_movable > 0.0, "chosen site must have steerable load");
     let mut plan = CapacityPlan::new();
@@ -280,10 +184,10 @@ fn withdrawal_is_the_blunter_instrument() {
     let (study, table) = trained(42);
     let scenario = study.scenario();
     let cfg_off = loop_cfg(ControlMode::Off);
-    let profile = site_profile(&model_for(scenario, &table, &cfg_off), &table);
+    let peaks = model_for(scenario, &table, &cfg_off).peak_loads(&table);
     let (mut caps, busiest) = undersize_busiest_site(scenario, &table, &cfg_off);
     // Every other site gets a realistic budget: 30% above its own peak.
-    for (&s, &(peak_load, _, _, _)) in &profile {
+    for (&s, &peak_load) in &peaks {
         if s != busiest {
             caps.set(s, 1.3 * peak_load.max(1.0));
         }
@@ -373,7 +277,7 @@ fn wire_loop_clears_overload_after_convergence() {
         .expect("sites exist");
     assert!(movable0 > 0.0);
     let mut caps = CapacityPlan::new();
-    caps.set(site, profile[&site].3 + 0.05 * movable0);
+    caps.set(site, profile[&site].2 + 0.05 * movable0);
 
     let run = replay_wire(scenario, &table, &cfg, &caps, 1);
     assert!(
@@ -388,4 +292,35 @@ fn wire_loop_clears_overload_after_convergence() {
         run.report.epochs
     );
     assert!(run.report.table_swaps >= 1);
+}
+
+#[test]
+fn the_wire_measures_the_overload_the_model_projects() {
+    // The two harnesses share a demand model but not a measurement: the
+    // model projects each epoch's load from the query plan, the wire
+    // counts what a live server answered and where BGP took the VIP
+    // answers. Left alone (Off mode, nothing swapped), both must see the
+    // same overload in every epoch — on the default world and on one
+    // where whole-day outages move anycast catchments.
+    for (world, train) in [
+        ("default", trained as fn(u64) -> (Study, PredictionTable)),
+        ("outage", trained_outage),
+    ] {
+        for seed in [42, 43, 44] {
+            let (study, table) = train(seed);
+            let scenario = study.scenario();
+            let cfg = loop_cfg(ControlMode::Off);
+            let (caps, _) = undersize_busiest_site(scenario, &table, &cfg);
+            let model = simulate(scenario, &table, &cfg, &caps);
+            assert!(model.overload_integral > 0.0, "{world} world, seed {seed}");
+            let wire = replay_wire(scenario, &table, &cfg, &caps, 1);
+            let overloads = |r: &RunReport| r.epochs.iter().map(|e| e.overload).collect::<Vec<_>>();
+            assert_eq!(
+                overloads(&wire.report),
+                overloads(&model),
+                "{world} world, seed {seed}: wire vs model"
+            );
+            assert_eq!(wire.report.table_swaps, 0);
+        }
+    }
 }

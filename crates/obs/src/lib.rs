@@ -14,6 +14,11 @@
 //! > `crates/bench/tests/obs_neutral_figures.rs` and
 //! > `crates/core/tests/obs_neutrality.rs` pin it.
 //!
+//! Obs is write-only, with no exception: no decision anywhere in the
+//! workspace reads a metric back. Values a decision needs (the control
+//! loop's per-front-end answer tallies, say) travel as plain data next to
+//! the counters that mirror them.
+//!
 //! The pieces:
 //!
 //! * [`registry`] — thread-safe [`Registry`] of counters, histograms,
@@ -34,10 +39,7 @@
 //!   overwrite rings and the per-shard [`FlightRecorder`] the serving
 //!   plane feeds with deterministically sampled query traces (one in
 //!   64), drained off the hot path into ordinary counters and
-//!   histograms;
-//! * [`detect`] — streaming EWMA/CUSUM change detectors behind a
-//!   [`DriftMonitor`] that reports each change as a [`DriftKind`], the
-//!   trigger the control loop uses for early table recompiles.
+//!   histograms.
 //!
 //! # Global registry and capture windows
 //!
@@ -56,7 +58,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod detect;
 pub mod hist;
 pub mod json;
 pub mod live;
@@ -67,7 +68,6 @@ pub mod ring;
 pub mod schema;
 pub mod span;
 
-pub use detect::{DriftConfig, DriftKind, DriftMonitor};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use live::{BatchEvent, FlightRecorder, ShardRecorder, TraceRecord};
 pub use registry::{Counter, MetricKey, Registry, Snapshot};

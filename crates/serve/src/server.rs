@@ -162,8 +162,6 @@ pub struct ServeStats {
     pub udp_queries: AtomicU64,
     /// Queries received over TCP (truncation fallback).
     pub tcp_queries: AtomicU64,
-    /// TCP fallback connections accepted.
-    pub tcp_fallbacks: AtomicU64,
     /// Packets that failed to decode.
     pub decode_errors: AtomicU64,
     /// Queries answered by the overload valve.
@@ -707,7 +705,6 @@ fn spawn_tcp_acceptor(ctx: Arc<ServeCtx>, listener: TcpListener) -> std::thread:
             while !ctx.stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, src)) => {
-                        ctx.stats.tcp_fallbacks.fetch_add(1, Ordering::Relaxed);
                         counter!("tcp_fallback_total").inc();
                         let _ = serve_tcp_conn(&ctx, stream, src);
                     }

@@ -17,30 +17,15 @@
 
 use std::collections::BTreeMap;
 
-use anycast_cdn::beacon::Target;
 use anycast_cdn::control::{
     replay_wire, simulate, CapacityPlan, ControlConfig, ControlMode, DemandModel, EpochDemand,
     LoopConfig,
 };
 use anycast_cdn::core::flows::{disruption_rate, FlowModel};
-use anycast_cdn::core::prediction::{
-    GroupKey, Grouping, PredictionTable, Predictor, PredictorConfig,
-};
+use anycast_cdn::core::prediction::{Grouping, PredictionTable, Predictor, PredictorConfig};
 use anycast_cdn::core::{Deployment, Study, StudyConfig};
 use anycast_cdn::netsim::{Day, SiteId};
 use anycast_cdn::workload::{scenario::seeded_rng, Scenario};
-
-/// How much of `site`'s load `key` parks there under `target`.
-fn contribution(demand: &EpochDemand, key: GroupKey, target: Target, site: SiteId) -> f64 {
-    let Some(g) = demand.groups.get(&key) else {
-        return 0.0;
-    };
-    match target {
-        Target::Unicast(s) if s == site => g.queries as f64,
-        Target::Unicast(_) => 0.0,
-        Target::Anycast => g.vip_by_site.get(&site).copied().unwrap_or(0) as f64,
-    }
-}
 
 /// Load at `site` the controller could actually steer away this epoch:
 /// per contributing group, the reduction its first load-reducing deeper
@@ -54,14 +39,14 @@ fn movable_at(demand: &EpochDemand, table: &PredictionTable, site: SiteId) -> f6
             let Some(cur) = ranked.first() else {
                 return 0.0;
             };
-            let here = contribution(demand, key, cur.target, site);
+            let here = demand.contribution(key, cur.target, site);
             if here <= 0.0 {
                 return 0.0;
             }
             ranked
                 .iter()
                 .skip(1)
-                .map(|c| here - contribution(demand, key, c.target, site))
+                .map(|c| here - demand.contribution(key, c.target, site))
                 .find(|&r| r > 0.0)
                 .unwrap_or(0.0)
         })
@@ -159,14 +144,7 @@ fn main() {
     // neighbours (30% above their own peaks), dumping the withdrawn
     // site's whole catchment on them cascades where shedding fits.
     let mut realistic = caps.clone();
-    let mut peaks: BTreeMap<SiteId, f64> = BTreeMap::new();
-    for e in &model.epochs {
-        for (s, l) in e.project(&table, &BTreeMap::new()) {
-            let p = peaks.entry(s).or_insert(0.0);
-            *p = p.max(l);
-        }
-    }
-    for (&s, &p) in &peaks {
+    for (&s, &p) in &model.peak_loads(&table) {
         if s != site {
             realistic.set(s, 1.3 * p.max(1.0));
         }
