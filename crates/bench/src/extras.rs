@@ -15,16 +15,18 @@
 //!   routing step while DNS redirection serves stale answers until TTL
 //!   expiry.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use anycast_analysis::cdf::{log2_grid, Ecdf};
 use anycast_analysis::report::Series;
+use anycast_control::capacity::{busiest, withdraw};
+use anycast_control::CapacityPlan;
 use anycast_core::flows::{disruption_rate, FlowModel};
-use anycast_core::loadaware::{loads_from_traffic, plan_shedding, total_overload, withdraw};
 use anycast_core::{
     anycast_request, request_times, DnsRedirectionSim, FailureReason, Grouping, PredictorConfig,
 };
 use anycast_dns::ResolverKind;
+use anycast_geo::GeoPoint;
 use anycast_netsim::{Day, SiteId};
 use anycast_workload::Scenario;
 
@@ -106,27 +108,31 @@ pub fn tcp_disruption(scale: Scale, seed: u64) -> FigureResult {
 pub fn load_shedding(scale: Scale, seed: u64) -> FigureResult {
     let s = scenario(scale, seed);
     // Offered load per site: volume-weighted anycast routing of the
-    // population.
-    let mut traffic: HashMap<SiteId, f64> = HashMap::new();
+    // population. Every site is listed, idle ones too: they take spill.
+    let locations: BTreeMap<SiteId, GeoPoint> = s.internet.site_locations().into_iter().collect();
+    let mut traffic: BTreeMap<SiteId, f64> = locations.keys().map(|&site| (site, 0.0)).collect();
     for c in &s.clients {
         let route = s.internet.anycast_route(&c.attachment, Day(0));
         *traffic.entry(route.site).or_default() += c.volume as f64;
     }
-    let locations = s.internet.site_locations();
-    let busiest = *traffic
-        .iter()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(site, _)| site)
-        .expect("some site carries traffic");
+    let victim =
+        busiest(traffic.iter().map(|(&site, &load)| (site, load))).expect("the fleet has a site");
+    let mean = traffic.values().sum::<f64>() / locations.len().max(1) as f64;
 
     let mut shed_pts = Vec::new();
     let mut withdraw_pts = Vec::new();
     for factor in [1.2, 1.5, 2.0, 3.0, 5.0] {
-        let sites = loads_from_traffic(&traffic, &locations, factor);
-        let (_, after_shed) = plan_shedding(&sites);
-        shed_pts.push((factor, total_overload(&after_shed)));
-        let after_withdraw = withdraw(&sites, busiest);
-        withdraw_pts.push((factor, total_overload(&after_withdraw)));
+        // Every site gets `factor × mean load`.
+        let mut plan = CapacityPlan::new();
+        for &site in locations.keys() {
+            plan.set(site, factor * mean);
+        }
+        let mut shed = traffic.clone();
+        plan.spill(&mut shed, &locations);
+        shed_pts.push((factor, plan.overload(&shed)));
+        let mut withdrawn = traffic.clone();
+        withdraw(&mut withdrawn, &locations, victim);
+        withdraw_pts.push((factor, plan.overload(&withdrawn)));
     }
     let shed_at_2 = shed_pts[2].1;
     let withdraw_at_2 = withdraw_pts[2].1;

@@ -25,9 +25,9 @@ use std::sync::Arc;
 
 use anycast_analysis::median;
 use anycast_beacon::Target;
-use anycast_core::loadaware::{total_overload, withdraw, SiteLoad};
 use anycast_core::prediction::{Grouping, PredictionTable};
 use anycast_dns::LdnsId;
+use anycast_geo::GeoPoint;
 use anycast_netsim::{Day, SiteId};
 use anycast_obs::counter;
 use anycast_serve::client::WireClient;
@@ -36,7 +36,7 @@ use anycast_serve::server::{DnsServer, ServeConfig};
 use anycast_serve::store::{CompiledTable, TableStore};
 use anycast_workload::Scenario;
 
-use crate::capacity::CapacityPlan;
+use crate::capacity::{busiest, withdraw, CapacityPlan};
 use crate::controller::{ControlConfig, ControlMode, Controller};
 use crate::demand::{epoch_bounds, DemandModel, EpochDemand};
 
@@ -132,13 +132,6 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-fn overload_of(loads: &BTreeMap<SiteId, f64>, caps: &CapacityPlan) -> f64 {
-    loads
-        .iter()
-        .map(|(&s, &l)| (l - caps.get(s)).max(0.0))
-        .sum()
-}
-
 /// Runs the closed loop purely against the demand model — no sockets.
 ///
 /// All three [`ControlMode`]s are supported here; `Withdraw` is simulated
@@ -160,6 +153,7 @@ pub fn simulate(
     );
     let sites = scenario.internet.site_locations();
     let mut controller = Controller::new(cfg.control, caps.clone(), &sites);
+    let locations: BTreeMap<SiteId, GeoPoint> = sites.into_iter().collect();
     let mut withdrawn: Vec<SiteId> = Vec::new();
     let mut epochs = Vec::with_capacity(model.epochs.len());
     let mut inflations = Vec::with_capacity(model.epochs.len());
@@ -172,7 +166,7 @@ pub fn simulate(
                 EpochReport {
                     epoch: i,
                     queries,
-                    overload: overload_of(&loads, caps),
+                    overload: caps.overload(&loads),
                     moves: 0,
                     restored: 0,
                     mean_inflation_ms: 0.0,
@@ -196,7 +190,7 @@ pub fn simulate(
                 }
             }
             ControlMode::Withdraw => {
-                withdraw_epoch(i, demand, table, caps, &sites, &mut withdrawn, queries)
+                withdraw_epoch(i, demand, table, caps, &locations, &mut withdrawn, queries)
             }
         };
         inflations.push(rep.mean_inflation_ms);
@@ -222,40 +216,26 @@ fn withdraw_epoch(
     demand: &EpochDemand,
     table: &PredictionTable,
     caps: &CapacityPlan,
-    sites: &[(SiteId, anycast_geo::GeoPoint)],
+    locations: &BTreeMap<SiteId, GeoPoint>,
     withdrawn: &mut Vec<SiteId>,
     queries: f64,
 ) -> EpochReport {
     let proj = demand.project(table, &BTreeMap::new());
-    let mut state: Vec<SiteLoad> = sites
-        .iter()
-        .map(|&(site, location)| SiteLoad {
-            site,
-            location,
-            load: proj.get(&site).copied().unwrap_or(0.0),
-            capacity: caps.get(site),
-        })
+    let mut loads: BTreeMap<SiteId, f64> = locations
+        .keys()
+        .map(|&site| (site, proj.get(&site).copied().unwrap_or(0.0)))
         .collect();
-    let drop_site = |state: &mut Vec<SiteLoad>, site: SiteId| {
-        *state = withdraw(state, site);
-        state.retain(|s| s.site != site);
-    };
     for &w in withdrawn.iter() {
-        drop_site(&mut state, w);
+        withdraw(&mut loads, locations, w);
     }
-    let suffered = total_overload(&state);
+    let suffered = caps.overload(&loads);
     let standing = withdrawn.clone();
     let mut moved = 0usize;
-    if let Some(worst) = state
+    let overloaded = loads
         .iter()
-        .filter(|s| s.overload() > 0.0)
-        .max_by(|a, b| {
-            a.overload()
-                .total_cmp(&b.overload())
-                .then_with(|| b.site.cmp(&a.site))
-        })
-        .map(|s| s.site)
-    {
+        .map(|(&s, &l)| (s, caps.excess(s, l)))
+        .filter(|&(_, over)| over > 0.0);
+    if let Some(worst) = busiest(overloaded) {
         withdrawn.push(worst);
         moved = 1;
     }
@@ -428,7 +408,7 @@ pub fn replay_wire(
         }
 
         let queries = (hi - lo) as f64;
-        let overload = overload_of(&measured, caps);
+        let overload = caps.overload(&measured);
 
         let mut moves = 0;
         let mut restored = 0;

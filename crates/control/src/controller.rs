@@ -7,9 +7,9 @@
 //! [`crate::capacity::CapacityPlan`], and rewrites group→front-end
 //! assignments along each group's candidate ranking:
 //!
-//! * **Shed** — for every saturated site, the static planner
-//!   [`anycast_core::loadaware::plan_shedding`] computes how much load
-//!   must leave (the water level); the controller then picks the cheapest
+//! * **Shed** — for every saturated site, the gradual spill
+//!   [`CapacityPlan::spill`] computes how much load must leave (the
+//!   water level); the controller then picks the cheapest
 //!   movable groups — smallest predicted latency penalty between their
 //!   current candidate and the next ranked candidate with headroom — and
 //!   demotes them until the quota is met. This is FastRoute's insight
@@ -29,7 +29,6 @@
 use std::collections::BTreeMap;
 
 use anycast_beacon::Target;
-use anycast_core::loadaware::{plan_shedding, SiteLoad};
 use anycast_core::prediction::{GroupKey, PredictionTable};
 use anycast_geo::GeoPoint;
 use anycast_netsim::SiteId;
@@ -176,10 +175,7 @@ impl Controller {
                 loads.entry(site).or_insert(0.0);
             }
         }
-        let overload = loads
-            .iter()
-            .map(|(&s, &l)| (l - self.plan.get(s)).max(0.0))
-            .sum();
+        let overload = self.plan.overload(&loads);
         let inflation_ms_sum = self.inflation_ms_sum(table, demand);
         counter!("control_moves_total").add(moves as u64);
         counter!("control_restores_total").add(restored as u64);
@@ -298,27 +294,10 @@ impl Controller {
         demand: &EpochDemand,
         loads: &mut BTreeMap<SiteId, f64>,
     ) -> usize {
-        // The static planner computes how much must leave each site —
-        // respecting global headroom and preferring nearby destinations —
-        // and the controller translates those quotas into group moves.
-        let sites: Vec<SiteLoad> = loads
-            .iter()
-            .map(|(&site, &load)| SiteLoad {
-                site,
-                location: self
-                    .locations
-                    .get(&site)
-                    .copied()
-                    .unwrap_or_else(|| GeoPoint::new(0.0, 0.0)),
-                load,
-                capacity: self.plan.get(site),
-            })
-            .collect();
-        let (planned, _) = plan_shedding(&sites);
-        let mut quota: BTreeMap<SiteId, f64> = BTreeMap::new();
-        for m in planned {
-            *quota.entry(m.from).or_insert(0.0) += m.amount;
-        }
+        // The spill computes how much must leave each site — respecting
+        // global headroom and preferring nearby destinations — and the
+        // controller translates those quotas into group moves.
+        let quota = self.plan.spill(&mut loads.clone(), &self.locations);
 
         let mut moves = 0usize;
         for (&from, &q) in &quota {

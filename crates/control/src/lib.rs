@@ -5,12 +5,13 @@
 //! difficult to gradually direct traffic away from that front-end,
 //! although there has been recent progress in this area \[FastRoute\].
 //! Simply withdrawing the route … can lead to cascading overloading of
-//! nearby front-ends." The workspace already had the static halves —
-//! `anycast_core::loadaware` plans one-shot shedding, `anycast_serve`
-//! hot-swaps tables — and this crate wires them into a loop:
+//! nearby front-ends." `anycast_serve` hot-swaps tables; this crate
+//! holds the one site-load model and wires the two into a loop:
 //!
 //! * [`capacity`] — per-site budgets (queries per control epoch), with
-//!   the netsim outage model foldable in as zero-capacity sites;
+//!   the netsim outage model foldable in as zero-capacity sites, and the
+//!   site-load model read against them: overload, the gradual spill and
+//!   the route withdrawal;
 //! * [`demand`] — deterministic attribution of a day's query plan to
 //!   steerable groups and pinned anycast catchments, per control epoch;
 //! * [`controller`] — the water-filling controller: per epoch, demote

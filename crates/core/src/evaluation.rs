@@ -36,11 +36,6 @@ pub struct EvalRow {
     pub improvement_p50_ms: f64,
     /// Same at the 75th percentile.
     pub improvement_p75_ms: f64,
-    /// Fraction of the eval day's fetches towards the *chosen* target that
-    /// were served rather than timing out — 1.0 in failure-free worlds.
-    /// Latency improvements mean nothing if the chosen front-end doesn't
-    /// answer; this is the availability axis the failure worlds add.
-    pub availability: f64,
 }
 
 /// Evaluates a trained table against `eval_day`'s measurements.
@@ -59,20 +54,15 @@ pub fn evaluate_prediction(
     volumes: &HashMap<Prefix24, u64>,
 ) -> Vec<EvalRow> {
     // One scan of the eval day: per `(prefix, target)`, the latencies of
-    // the served fetches and how many failed.
-    let mut by_pair: FastMap<(Prefix24, Target), (Vec<f64>, u64)> = FastMap::default();
-    for m in data.day(eval_day) {
-        let (served, failed) = by_pair.entry((m.prefix, m.target)).or_default();
-        if m.failed {
-            *failed += 1;
-        } else {
-            served.push(m.rtt_ms);
-        }
+    // the served fetches. A failed fetch has no latency to compare.
+    let mut by_pair: FastMap<(Prefix24, Target), Vec<f64>> = FastMap::default();
+    for m in data.day(eval_day).filter(|m| !m.failed) {
+        by_pair
+            .entry((m.prefix, m.target))
+            .or_default()
+            .push(m.rtt_ms);
     }
-    let served_to = |prefix, target| {
-        let (served, _) = by_pair.get(&(prefix, target))?;
-        (!served.is_empty()).then_some(served)
-    };
+    let served_to = |prefix, target| by_pair.get(&(prefix, target));
     let mut prefixes: Vec<Prefix24> = by_pair.keys().map(|&(p, _)| p).collect();
     prefixes.sort();
     prefixes.dedup();
@@ -109,20 +99,12 @@ pub fn evaluate_prediction(
                 }
             }
         };
-        let availability = match by_pair.get(&(prefix, choice)) {
-            Some((served, failed)) => {
-                let served = served.len() as u64;
-                served as f64 / (served + failed) as f64
-            }
-            None => 1.0,
-        };
         out.push(EvalRow {
             prefix,
             weight: volumes.get(&prefix).copied().unwrap_or(1) as f64,
             choice,
             improvement_p50_ms: p50,
             improvement_p75_ms: p75,
-            availability,
         });
     }
     out
@@ -157,18 +139,6 @@ pub fn outcome_shares(rows: &[EvalRow], use_p50: bool) -> (f64, f64, f64) {
         1.0 - (improved + hurt) / total,
         hurt / total,
     )
-}
-
-/// Volume-weighted mean availability over an evaluation — the scalar the
-/// failure experiments track alongside the Figure 9 latency shares.
-/// Returns 1.0 for an empty evaluation (nothing failed because nothing
-/// was asked).
-pub fn weighted_availability(rows: &[EvalRow]) -> f64 {
-    let total: f64 = rows.iter().map(|r| r.weight).sum();
-    if total == 0.0 {
-        return 1.0;
-    }
-    rows.iter().map(|r| r.weight * r.availability).sum::<f64>() / total
 }
 
 #[cfg(test)]
@@ -435,8 +405,8 @@ mod tests {
             &HashMap::new(),
         );
         assert_eq!(rows[0].choice, Target::Anycast);
-        assert!((rows[0].availability - 0.75).abs() < 1e-9);
-        assert!((weighted_availability(&rows) - 0.75).abs() < 1e-9);
+        // The prefix is still evaluated, on its 15 served fetches.
+        assert_eq!(rows.len(), 1);
     }
 
     #[test]
@@ -451,7 +421,6 @@ mod tests {
             &HashMap::new(),
             &HashMap::new(),
         );
-        assert!(rows.iter().all(|r| r.availability == 1.0));
-        assert_eq!(weighted_availability(&rows), 1.0);
+        assert_eq!(rows.len(), 1);
     }
 }

@@ -1545,13 +1545,13 @@ fn target_of_code(code: usize) -> Target {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use anycast_beacon::{BeaconMeasurement, Slot};
     use anycast_netsim::{Prefix24, SiteId};
     use std::net::Ipv4Addr;
 
-    pub(crate) fn prefix(n: u8) -> Prefix24 {
+    fn prefix(n: u8) -> Prefix24 {
         Prefix24::containing(Ipv4Addr::new(11, 0, n, 1))
     }
 
@@ -1869,7 +1869,7 @@ pub(crate) mod tests {
 
     /// A dataset with clearly separated per-target latency levels, varied
     /// enough that sketches have real distributions to summarize.
-    pub(crate) fn separated_dataset() -> BeaconDataset {
+    fn separated_dataset() -> BeaconDataset {
         let mut ds = BeaconDataset::new();
         let mut exec = 0u64;
         for g in 0..12u8 {
@@ -2209,6 +2209,110 @@ pub(crate) mod tests {
         assert_eq!(m.len(), 8);
         // Outside the default entirely: miss.
         assert!(ecs_match(&table, Prefix::new(Ipv4Addr::new(12, 0, 0, 0), 24)).is_none());
+    }
+
+    /// What `table` serves a query from `ldns` carrying `ecs`: the
+    /// matched group's target (`None`: anycast) and the RFC 7871 scope
+    /// its key implies.
+    fn served(
+        table: &PredictionTable,
+        grouping: Grouping,
+        ldns: u32,
+        ecs: Option<Prefix>,
+    ) -> (Option<Target>, u8) {
+        let matched = table.match_query(grouping, LdnsId(ldns), ecs);
+        let len = match matched {
+            Some((GroupKey::Ecs(p), _)) => Some(p.len()),
+            _ => None,
+        };
+        (matched.map(|(_, c)| c.target), grouping.answer_scope(len))
+    }
+
+    /// separated_dataset() grouped by resolver: resolver g, like /24 g,
+    /// goes to site 3.
+    fn ldns_table() -> PredictionTable {
+        let cfg = PredictorConfig {
+            grouping: Grouping::Ldns,
+            ..Default::default()
+        };
+        Predictor::new(cfg).train(&separated_dataset(), Day(0))
+    }
+
+    #[test]
+    fn prediction_policy_ecs_uses_subnet() {
+        // separated_dataset() sends /24 g, behind resolver g, to site 3.
+        let table = Predictor::new(PredictorConfig::default()).train(&separated_dataset(), Day(0));
+        let ecs = |p: Option<Prefix24>| served(&table, Grouping::Ecs, 1, p.map(Prefix::from));
+        assert_eq!(ecs(Some(prefix(1))), (Some(Target::Unicast(SiteId(3))), 24));
+        // An unknown subnet gets anycast, derived from no subnet: scope
+        // 0, not the query's /24.
+        assert_eq!(ecs(Some(prefix(99))), (None, 0));
+        // An ECS table cannot place a query without ECS, even from the
+        // resolver the group was measured behind.
+        assert_eq!(ecs(None), (None, 0));
+    }
+
+    #[test]
+    fn prediction_policy_ldns_grouping_ignores_ecs() {
+        let table = ldns_table();
+        let site3 = (GroupKey::Ldns(LdnsId(1)), Target::Unicast(SiteId(3)));
+        // The resolver's own entry whatever subnet the query discloses;
+        // a resolver the table never saw gets anycast.
+        for ecs in [None, Some(prefix(1).into()), Some(prefix(99).into())] {
+            let matched = table.match_query(Grouping::Ldns, LdnsId(1), ecs);
+            assert_eq!(matched.map(|(k, c)| (k, c.target)), Some(site3));
+            assert!(table.match_query(Grouping::Ldns, LdnsId(99), ecs).is_none());
+        }
+    }
+
+    #[test]
+    fn ldns_keyed_answers_to_ecs_queries_advertise_scope_zero() {
+        // An answer computed per resolver does not depend on the client
+        // subnet: scope 0 even when the query carries ECS, so one cache
+        // entry serves every client of the resolver.
+        let table = ldns_table();
+        let site3 = Some(Target::Unicast(SiteId(3)));
+        for ecs in [None, Some(prefix(1).into()), Some(prefix(99).into())] {
+            assert_eq!(served(&table, Grouping::Ldns, 1, ecs), (site3, 0));
+            assert_eq!(served(&table, Grouping::Ldns, 99, ecs), (None, 0));
+        }
+    }
+
+    #[test]
+    fn the_matched_aggregate_length_is_the_scope() {
+        // separated_dataset() aggregates to one /8 default entry. A /24
+        // under it advertises the /8, and so does every coarser query
+        // it still covers; a query coarser than the aggregate cannot
+        // see it.
+        let agg = Predictor::new(PredictorConfig::default()).train_aggregated(
+            &separated_dataset(),
+            Day(0),
+            &AggregationConfig::default(),
+        );
+        let at = |len| {
+            let query = Prefix::from(prefix(3)).truncate(len);
+            served(&agg, Grouping::Ecs, 0, Some(query))
+        };
+        let site3 = Some(Target::Unicast(SiteId(3)));
+        let scoped = [(site3, 8), (site3, 8), (site3, 8), (None, 0)];
+        assert_eq!([24, 16, 8, 4].map(at), scoped);
+    }
+
+    #[test]
+    fn hybrid_threshold_gates_redirection() {
+        // Site 3 beats anycast by about 30 − g ms in group g: every
+        // group gains, a strict subset gains 25 ms, nobody a second.
+        let table = Predictor::new(PredictorConfig::default()).train(&separated_dataset(), Day(0));
+        let at = |t: &PredictionTable, g: u8| served(t, Grouping::Ecs, 0, Some(prefix(g).into()));
+        for (min_gain_ms, redirects) in [(0.0, 12..=12), (25.0, 1..=11), (1_000.0, 0..=0)] {
+            let hybrid = table.hybrid_filter(min_gain_ms);
+            // A surviving group keeps its target; a dropped one gets
+            // anycast.
+            let survivors = (0..12u8).filter(|&g| at(&hybrid, g).0.is_some());
+            assert!(survivors.clone().all(|g| at(&hybrid, g) == at(&table, g)));
+            assert_eq!(survivors.clone().count(), hybrid.len());
+            assert!(redirects.contains(&hybrid.len()), "{min_gain_ms} ms");
+        }
     }
 
     /// A table in comparable form: per group the served target, the gain

@@ -1,11 +1,9 @@
-//! Property tests for the core contribution: the predictor and the load
-//! planner must hold their invariants under arbitrary inputs.
+//! Property tests for the core contribution: the predictor must hold its
+//! invariants under arbitrary inputs.
 
 use anycast_beacon::{BeaconDataset, BeaconMeasurement, Slot, Target};
-use anycast_core::loadaware::{plan_shedding, total_overload, withdraw, SiteLoad};
 use anycast_core::{GroupKey, Grouping, Metric, Predictor, PredictorConfig, Study, StudyConfig};
 use anycast_dns::LdnsId;
-use anycast_geo::GeoPoint;
 use anycast_netsim::{Day, Prefix24, SiteId, WorldGenConfig};
 use anycast_workload::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
@@ -118,65 +116,6 @@ proptest! {
         for (_, choice) in table.hybrid_filter(lo).iter() {
             prop_assert!(choice.gain_ms.unwrap() >= lo - 1e-9);
         }
-    }
-
-    #[test]
-    fn shedding_never_overloads_a_destination(
-        loads in prop::collection::vec((0.0..500.0f64, 1.0..300.0f64), 1..20)
-    ) {
-        let sites: Vec<SiteLoad> = loads
-            .iter()
-            .enumerate()
-            .map(|(i, &(load, capacity))| SiteLoad {
-                site: SiteId(i as u16),
-                location: GeoPoint::new(0.0, (i as f64 * 17.0) % 360.0 - 180.0),
-                load,
-                capacity,
-            })
-            .collect();
-        let initially_healthy: Vec<bool> = sites.iter().map(|s| s.overload() == 0.0).collect();
-        let (moves, after) = plan_shedding(&sites);
-        // Load is conserved.
-        let before_total: f64 = sites.iter().map(|s| s.load).sum();
-        let after_total: f64 = after.iter().map(|s| s.load).sum();
-        prop_assert!((before_total - after_total).abs() < 1e-6);
-        // No healthy site was pushed over capacity.
-        for (i, s) in after.iter().enumerate() {
-            if initially_healthy[i] {
-                prop_assert!(s.load <= s.capacity + 1e-6, "site {i} overloaded by shedding");
-            }
-        }
-        // Shedding never increases total overload.
-        prop_assert!(total_overload(&after) <= total_overload(&sites) + 1e-6);
-        // Moves are positive and reference existing sites.
-        for m in &moves {
-            prop_assert!(m.amount > 0.0);
-            prop_assert!((m.from.0 as usize) < sites.len());
-            prop_assert!((m.to.0 as usize) < sites.len());
-        }
-    }
-
-    #[test]
-    fn withdrawal_conserves_load(
-        loads in prop::collection::vec((0.0..500.0f64, 1.0..300.0f64), 2..20),
-        victim in 0usize..20,
-    ) {
-        let sites: Vec<SiteLoad> = loads
-            .iter()
-            .enumerate()
-            .map(|(i, &(load, capacity))| SiteLoad {
-                site: SiteId(i as u16),
-                location: GeoPoint::new(0.0, (i as f64 * 17.0) % 360.0 - 180.0),
-                load,
-                capacity,
-            })
-            .collect();
-        let victim = SiteId((victim % loads.len()) as u16);
-        let after = withdraw(&sites, victim);
-        let before_total: f64 = sites.iter().map(|s| s.load).sum();
-        let after_total: f64 = after.iter().map(|s| s.load).sum();
-        prop_assert!((before_total - after_total).abs() < 1e-6);
-        prop_assert_eq!(after.iter().find(|s| s.site == victim).unwrap().load, 0.0);
     }
 }
 

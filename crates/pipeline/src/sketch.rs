@@ -166,11 +166,6 @@ impl QuantileSketch {
         }
     }
 
-    /// The configured rank-error bound.
-    pub fn error_bound(&self) -> f64 {
-        self.eps
-    }
-
     /// Exact number of observations absorbed — the §6 "20+ measurements"
     /// filter reads this, so it must not be an estimate.
     pub fn count(&self) -> u64 {
