@@ -4,8 +4,7 @@
 //! each has a module here:
 //!
 //! * CDFs/CCDFs, optionally query-volume weighted ([`cdf`]) — Figures 1–4, 8, 9;
-//! * robust quantiles and the coefficient-of-variation argument for
-//!   low-percentile prediction metrics ([`quantile`]) — §6;
+//! * percentiles, the §6 prediction metrics among them ([`quantile`]);
 //! * daily poor-path prevalence at latency-improvement thresholds
 //!   ([`poor_paths`]) — Figure 5;
 //! * poor-path persistence: days-bad and max-consecutive-days
@@ -25,7 +24,5 @@ pub mod quantile;
 pub mod report;
 
 pub use cdf::Ecdf;
-pub use quantile::{
-    coefficient_of_variation, median, percentile, percentile_mut, ExactQuantiles, QuantileBackend,
-};
+pub use quantile::{median, percentile, percentile_mut};
 pub use report::Series;

@@ -1,77 +1,9 @@
-//! Quantiles and dispersion.
+//! Percentiles.
 //!
-//! §6 of the paper picks its prediction metric by dispersion: "The 25th
-//! percentile and median have lower coefficient of variation, indicating
-//! less variation and more stability" than high percentiles. These are the
-//! primitives behind that argument and behind every percentile the
-//! evaluation reports (50th/75th).
-
-/// A source of percentile estimates over a latency distribution.
-///
-/// Two implementations exist: [`ExactQuantiles`] (every sample kept, a
-/// copy sorted per read — the behavior every analysis in this crate had
-/// before the pipeline existed) and `anycast_pipeline::QuantileSketch`
-/// (bounded memory, mergeable, rank error within a configured bound).
-/// Consumers that only need "the p-th percentile of what this group saw"
-/// — the §6 predictor above all — should take this trait so they work
-/// against either backend.
-pub trait QuantileBackend {
-    /// Exact number of samples absorbed. Exact, not estimated: the §6
-    /// "20+ measurements" eligibility filter reads it.
-    fn count(&self) -> u64;
-
-    /// The percentile `p ∈ [0, 100]`; `None` when no samples.
-    fn percentile(&self, p: f64) -> Option<f64>;
-}
-
-/// The exact [`QuantileBackend`]: keeps every sample in arrival order and
-/// selects from a copy on **every** [`percentile`](QuantileBackend::percentile)
-/// read (the trait reads through `&self`, so nothing is cached). A reader
-/// that owns its samples and scores them once should read them in place
-/// with [`percentile_mut`] instead, which leaves them partitioned around
-/// the read, not sorted.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExactQuantiles {
-    values: Vec<f64>,
-}
-
-impl ExactQuantiles {
-    /// Creates an empty collector.
-    pub fn new() -> ExactQuantiles {
-        ExactQuantiles::default()
-    }
-
-    /// Absorbs one sample.
-    pub fn observe(&mut self, v: f64) {
-        self.values.push(v);
-    }
-
-    /// Absorbs many samples.
-    pub fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
-        self.values.extend(values);
-    }
-
-    /// Merges another collector's samples.
-    pub fn merge(&mut self, other: &ExactQuantiles) {
-        self.values.extend_from_slice(&other.values);
-    }
-}
-
-impl From<Vec<f64>> for ExactQuantiles {
-    fn from(values: Vec<f64>) -> ExactQuantiles {
-        ExactQuantiles { values }
-    }
-}
-
-impl QuantileBackend for ExactQuantiles {
-    fn count(&self) -> u64 {
-        self.values.len() as u64
-    }
-
-    fn percentile(&self, p: f64) -> Option<f64> {
-        percentile(&self.values, p)
-    }
-}
+//! Every percentile the evaluation reports (50th/75th) and every score the
+//! §6 exact trainers read is one linear-interpolation rule, read over a
+//! sorted slice ([`percentile_sorted`]) or by selection
+//! ([`percentile_mut`]).
 
 /// Linear-interpolation percentile of `values` at `p ∈ [0, 100]`.
 /// Returns `None` for an empty slice or non-finite `p`. Input need not be
@@ -134,66 +66,6 @@ fn interpolate(at_lo: f64, at_hi: f64, frac: f64) -> f64 {
 /// The median (50th percentile).
 pub fn median(values: &[f64]) -> Option<f64> {
     percentile(values, 50.0)
-}
-
-/// Arithmetic mean; `None` when empty.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    Some(values.iter().sum::<f64>() / values.len() as f64)
-}
-
-/// Population standard deviation; `None` when empty.
-pub fn std_dev(values: &[f64]) -> Option<f64> {
-    let m = mean(values)?;
-    let var = values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64;
-    Some(var.sqrt())
-}
-
-/// Coefficient of variation (σ/μ); `None` when empty or the mean is zero.
-pub fn coefficient_of_variation(values: &[f64]) -> Option<f64> {
-    let m = mean(values)?;
-    if m == 0.0 {
-        return None;
-    }
-    Some(std_dev(values)? / m.abs())
-}
-
-/// A five-number-plus summary of a latency distribution, used by reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample count.
-    pub count: usize,
-    /// 25th percentile — the paper's preferred prediction metric.
-    pub p25: f64,
-    /// Median.
-    pub p50: f64,
-    /// 75th percentile — the Bing team's internal benchmark percentile.
-    pub p75: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Mean.
-    pub mean: f64,
-}
-
-impl Summary {
-    /// Summarizes `values`; `None` when empty.
-    pub fn of(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() || values.iter().any(|v| v.is_nan()) {
-            return None;
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        Some(Summary {
-            count: sorted.len(),
-            p25: percentile_sorted(&sorted, 25.0),
-            p50: percentile_sorted(&sorted, 50.0),
-            p75: percentile_sorted(&sorted, 75.0),
-            p95: percentile_sorted(&sorted, 95.0),
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -299,56 +171,5 @@ mod tests {
     #[test]
     fn median_even_count_interpolates() {
         assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), Some(2.5));
-    }
-
-    #[test]
-    fn cov_detects_noise() {
-        // The §6 argument: a noisy (spiky) distribution has higher CoV.
-        let stable = [50.0, 51.0, 49.0, 50.5, 49.5];
-        let noisy = [50.0, 51.0, 49.0, 150.0, 48.0];
-        assert!(
-            coefficient_of_variation(&noisy).unwrap()
-                > 3.0 * coefficient_of_variation(&stable).unwrap()
-        );
-    }
-
-    #[test]
-    fn cov_undefined_for_zero_mean_or_empty() {
-        assert_eq!(coefficient_of_variation(&[]), None);
-        assert_eq!(coefficient_of_variation(&[1.0, -1.0]), None);
-    }
-
-    #[test]
-    fn summary_is_consistent() {
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        let s = Summary::of(&v).unwrap();
-        assert_eq!(s.count, 100);
-        assert!((s.p25 - 25.75).abs() < 1e-9);
-        assert!((s.p50 - 50.5).abs() < 1e-9);
-        assert!((s.p75 - 75.25).abs() < 1e-9);
-        assert!((s.mean - 50.5).abs() < 1e-9);
-        assert!(s.p25 <= s.p50 && s.p50 <= s.p75 && s.p75 <= s.p95);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert_eq!(Summary::of(&[]), None);
-    }
-
-    #[test]
-    fn exact_backend_matches_percentile() {
-        let mut q = ExactQuantiles::new();
-        q.extend([5.0, 1.0, 3.0]);
-        q.observe(2.0);
-        q.observe(4.0);
-        assert_eq!(q.count(), 5);
-        assert_eq!(QuantileBackend::percentile(&q, 50.0), Some(3.0));
-        let mut other = ExactQuantiles::from(vec![6.0, 7.0]);
-        other.merge(&q);
-        assert_eq!(other.count(), 7);
-        assert_eq!(
-            QuantileBackend::percentile(&ExactQuantiles::new(), 50.0),
-            None
-        );
     }
 }

@@ -7,6 +7,12 @@
 //! prefix can swing a small world's seed (improved ranges ~5–19% across
 //! seeds), so the band holds for the shares averaged over three seeds.
 //!
+//! §6's metric argument: "higher percentiles of latency distributions are
+//! very noisy", so a table trained on them redirects clients it hurts. In
+//! `ablation-prediction-metric`, p95's net benefit (improved − hurt at
+//! p75) is the lowest of the four metrics on each of three seeds, and
+//! negative on their mean.
+//!
 //! §2's cascade: "withdrawing the route … can lead to cascading
 //! overloading of nearby front-ends". In `ablation-load-shedding`, at every
 //! headroom below 1, withdrawing an overloaded site overloads the rest more
@@ -36,6 +42,30 @@ fn fig9_prediction_improves_more_than_it_hurts_and_leaves_most_demand_alone() {
         );
         assert!(unchanged >= 0.80, "{grouping}: {unchanged:.3} unchanged");
     }
+}
+
+#[test]
+fn p95_is_the_worst_prediction_metric_and_a_net_loss() {
+    let net = |fig: &anycast_bench::FigureResult, metric: &str| {
+        let label = format!("{metric}: improved - hurt (p75)");
+        let scalar = fig.scalars.iter().find(|(name, _)| *name == label);
+        scalar.unwrap_or_else(|| panic!("{label:?} missing")).1
+    };
+    let mut p95_sum = 0.0;
+    for seed in [1, 2, 3] {
+        let fig = ablations::prediction_metric(Scale::Small, seed);
+        let p95 = net(&fig, "p95");
+        for metric in ["p25", "p50", "p75"] {
+            let other = net(&fig, metric);
+            assert!(
+                p95 < other,
+                "seed {seed}: p95 {p95:.3} vs {metric} {other:.3}"
+            );
+        }
+        p95_sum += p95;
+    }
+    let p95_mean = p95_sum / 3.0;
+    assert!(p95_mean < 0.0, "p95 mean net benefit {p95_mean:.3}");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! control epochs and tallies both halves per epoch:
 //!
 //! * steerable load, per group, with the group's *catchment distribution*
-//!   (which sites absorb it if the answer is the VIP);
+//!   (which sites take it if the answer is the VIP);
 //! * pinned load, per site, that no DNS rewrite can move.
 //!
 //! Two load rules live here and nowhere else:

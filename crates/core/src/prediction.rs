@@ -15,9 +15,9 @@
 //! showed that higher percentiles of latency distributions are very noisy
 //! … The 25th percentile and median have lower coefficient of variation."
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use anycast_analysis::{percentile, percentile_mut, QuantileBackend};
+use anycast_analysis::{percentile, percentile_mut};
 use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix, SiteId};
@@ -490,50 +490,23 @@ impl Predictor {
         })
     }
 
-    /// Trains from streaming per-`(group, target)` summaries instead of
-    /// raw sample vectors — the pipeline-fed path. Any
-    /// [`QuantileBackend`] works; with `anycast_pipeline::QuantileSketch`
-    /// the scores carry that sketch's rank-error bound, and the
-    /// `ablation-sketch-accuracy` sweep measures what that does to the
-    /// Figure 9 outcome shares (within 2 points at the default bound).
-    ///
-    /// The eligibility filter and tie-breaks are byte-for-byte the ones
-    /// [`Predictor::train_window`] applies: `QuantileBackend::count` is
-    /// exact, so "20+ measurements" means the same thing on both paths.
-    pub fn train_from_stats<S: QuantileBackend>(
-        &self,
-        stats: &BTreeMap<(GroupKey, Target), S>,
-    ) -> PredictionTable {
-        let min = self.cfg.min_samples as u64;
-        let p = self.cfg.metric.p();
-        let mut tally = GroupTally::default();
-        let table = choose(stats.iter().filter_map(|(&(key, target), backend)| {
-            if !tally.admit(backend.count(), min) {
-                return None;
-            }
-            backend.percentile(p).map(|score| (key, target, score))
-        }));
-        tally.publish();
-        table
-    }
-
     /// Trains from a multi-day window through the full streaming pipeline:
-    /// each day's measurements are sketched by `shard.workers` workers —
-    /// every worker reads the day itself and keeps the groups it owns —
-    /// into per-`(group, target)` latency sketches of rank-error bound
-    /// `eps`, later days are pooled into the first
-    /// (`anycast_pipeline::DaySketches::absorb`), and the pool is scored
-    /// in place, each worker's share on its own thread, behind the filter
-    /// and tie-breaks of [`Predictor::train_from_stats`].
+    /// the window's rows are one record stream — its days in the order
+    /// `days` names them, a day named twice counted twice, as in
+    /// [`Predictor::train_window`] — sketched once by `shard.workers`
+    /// workers (every worker reads the stream itself and keeps the groups
+    /// it owns) into per-`(group, target)` latency sketches of rank-error
+    /// bound `eps`, then scored in place, each worker's share on its own
+    /// thread, behind the same "20+ measurements" filter (sketch counts
+    /// are exact) and the same selection pass as the exact trainers.
     ///
-    /// The table equals `train_from_stats` over one
-    /// `anycast_pipeline::QuantileSketch` per pair per day, merged in day
-    /// order, bit for bit.
-    ///
-    /// This is the production-shaped equivalent of
-    /// [`Predictor::train_window`]: same filter, same tie-breaks, scores
-    /// within the sketch's error bound — and, per the pipeline's
-    /// determinism contract, the same table for any `shard.workers`.
+    /// The table is the one chosen from one
+    /// `anycast_pipeline::QuantileSketch` per pair, fed the window's rows
+    /// in order, bit for bit — and, per the pipeline's determinism
+    /// contract, the same for any `shard.workers`. Its scores carry the
+    /// sketch's rank-error bound; the `ablation-sketch-accuracy` sweep
+    /// measures what that does to the Figure 9 outcome shares (within 2
+    /// points at the default bound).
     pub fn train_sketched(
         &self,
         data: &BeaconDataset,
@@ -541,22 +514,15 @@ impl Predictor {
         eps: f64,
         shard: ShardConfig,
     ) -> PredictionTable {
-        let sketched = days.iter().map(|&day| {
-            let records = data.day(day).map(|m| self.record(m));
-            sketch_day(records, eps, shard, route_group)
-        });
-        let pool = sketched.reduce(|mut pool, day| {
-            pool.absorb(day);
-            pool
-        });
-        let Some(mut pool) = pool else {
-            return choose(std::iter::empty());
-        };
-        let min = self.cfg.min_samples as u64;
-        let scores = pool.read(self.cfg.metric.p(), min);
+        let records = days
+            .iter()
+            .flat_map(|&day| data.day(day))
+            .map(|m| self.record(m));
+        let mut sketches = sketch_day(records, eps, shard, route_group);
+        let scores = sketches.read(self.cfg.metric.p(), self.cfg.min_samples as u64);
         let tally = GroupTally {
             trained: scores.admitted,
-            discarded: pool.len() as u64 - scores.admitted,
+            discarded: sketches.len() as u64 - scores.admitted,
             borrowed: 0,
         };
         let table = choose(scores.rows.into_iter());
@@ -1549,7 +1515,33 @@ mod tests {
     use super::*;
     use anycast_beacon::{BeaconMeasurement, Slot};
     use anycast_netsim::{Prefix24, SiteId};
+    use anycast_pipeline::QuantileSketch;
+    use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
+
+    /// The reference the sketched trainer is checked against: the table
+    /// chosen from one sketch per pair, behind the exact trainers' "20+
+    /// measurements" filter.
+    fn train_from_stats(
+        predictor: &Predictor,
+        stats: &BTreeMap<(GroupKey, Target), QuantileSketch>,
+    ) -> PredictionTable {
+        let cfg = predictor.config();
+        choose(stats.iter().filter_map(|(&(key, target), sketch)| {
+            if sketch.count() < cfg.min_samples as u64 {
+                return None;
+            }
+            let score = sketch.quantile(cfg.metric.p())?;
+            Some((key, target, score))
+        }))
+    }
+
+    /// A sketch fed `n` samples of `v`.
+    fn sketch_of(v: f64, n: usize) -> QuantileSketch {
+        let mut sketch = QuantileSketch::new(0.01);
+        (0..n).for_each(|_| sketch.observe(v));
+        sketch
+    }
 
     fn prefix(n: u8) -> Prefix24 {
         Prefix24::containing(Ipv4Addr::new(11, 0, n, 1))
@@ -1984,10 +1976,8 @@ mod tests {
     /// score ties — and compute the same gain.
     #[test]
     fn rank_zero_matches_the_legacy_argmin_rule() {
-        use anycast_analysis::ExactQuantiles;
         // Groups with assorted tie patterns; min_samples satisfied.
-        let mk = |v: f64| ExactQuantiles::from(vec![v; 25]);
-        let mut stats: BTreeMap<(GroupKey, Target), ExactQuantiles> = BTreeMap::new();
+        let mut stats: BTreeMap<(GroupKey, Target), QuantileSketch> = BTreeMap::new();
         let rows: &[(u8, Target, f64)] = &[
             // Group 1: plain win for site 2.
             (1, Target::Anycast, 80.0),
@@ -2006,15 +1996,15 @@ mod tests {
             (4, Target::Unicast(SiteId(8)), 25.0),
         ];
         for &(g, t, v) in rows {
-            stats.insert((GroupKey::Ecs(prefix(g).into()), t), mk(v));
+            stats.insert((GroupKey::Ecs(prefix(g).into()), t), sketch_of(v, 25));
         }
-        let table = Predictor::new(PredictorConfig::default()).train_from_stats(&stats);
+        let table = train_from_stats(&Predictor::new(PredictorConfig::default()), &stats);
         // Legacy rule, recomputed independently: strict lexicographic min
         // over (score, target_order).
         let mut legacy: HashMap<GroupKey, (Target, f64)> = HashMap::new();
         let mut anycast: HashMap<GroupKey, f64> = HashMap::new();
         for (&(key, t), q) in &stats {
-            let s = q.percentile(25.0).unwrap();
+            let s = q.quantile(25.0).unwrap();
             if t == Target::Anycast {
                 anycast.insert(key, s);
             }
@@ -2061,16 +2051,12 @@ mod tests {
 
     #[test]
     fn train_from_stats_applies_the_min_samples_filter() {
-        use anycast_analysis::ExactQuantiles;
-        let mut stats: BTreeMap<(GroupKey, Target), ExactQuantiles> = BTreeMap::new();
+        let mut stats: BTreeMap<(GroupKey, Target), QuantileSketch> = BTreeMap::new();
         let key = GroupKey::Ecs(prefix(1).into());
-        stats.insert((key, Target::Anycast), ExactQuantiles::from(vec![80.0; 25]));
+        stats.insert((key, Target::Anycast), sketch_of(80.0, 25));
         // Faster, but too few samples to be eligible.
-        stats.insert(
-            (key, Target::Unicast(SiteId(3))),
-            ExactQuantiles::from(vec![10.0; 5]),
-        );
-        let table = Predictor::new(PredictorConfig::default()).train_from_stats(&stats);
+        stats.insert((key, Target::Unicast(SiteId(3))), sketch_of(10.0, 5));
+        let table = train_from_stats(&Predictor::new(PredictorConfig::default()), &stats);
         assert_eq!(table.predict(key), Some(Target::Anycast));
     }
 
@@ -2184,19 +2170,12 @@ mod tests {
 
     #[test]
     fn lpm_lookup_prefers_longest_match_and_respects_source_len() {
-        use anycast_analysis::ExactQuantiles;
-        let mut stats: BTreeMap<(GroupKey, Target), ExactQuantiles> = BTreeMap::new();
+        let mut stats: BTreeMap<(GroupKey, Target), QuantileSketch> = BTreeMap::new();
         let key8 = GroupKey::Ecs(Prefix::new(Ipv4Addr::new(11, 0, 0, 0), 8));
         let key24 = GroupKey::Ecs(prefix(5).into());
-        stats.insert(
-            (key8, Target::Anycast),
-            ExactQuantiles::from(vec![40.0; 25]),
-        );
-        stats.insert(
-            (key24, Target::Unicast(SiteId(2))),
-            ExactQuantiles::from(vec![30.0; 25]),
-        );
-        let table = Predictor::new(PredictorConfig::default()).train_from_stats(&stats);
+        stats.insert((key8, Target::Anycast), sketch_of(40.0, 25));
+        stats.insert((key24, Target::Unicast(SiteId(2))), sketch_of(30.0, 25));
+        let table = train_from_stats(&Predictor::new(PredictorConfig::default()), &stats);
         // /24 query under the exception: longest match wins.
         let (m, c) = ecs_match(&table, prefix(5).into()).unwrap();
         assert_eq!((m.len(), c.target), (24, Target::Unicast(SiteId(2))));
@@ -2678,7 +2657,6 @@ mod tests {
 
     #[test]
     fn sketched_training_equals_training_from_the_pooled_window() {
-        use anycast_pipeline::QuantileSketch;
         let ds = mixed_days(11, false);
         for grouping in [Grouping::Ecs, Grouping::Ldns] {
             let predictor = Predictor::new(PredictorConfig {
@@ -2686,32 +2664,24 @@ mod tests {
                 ..Default::default()
             });
             for eps in [0.01, 0.05] {
-                // Day 5 holds no rows: pooling must not care.
-                for days in [&[Day(1)][..], &[Day(0), Day(5), Day(1), Day(2)][..]] {
-                    // The pool by hand: one sketch per pair per day, fed
-                    // in row order, merged in day order.
+                // Day 5 holds no rows; day 1 is named twice and counts
+                // twice.
+                let windows: [&[Day]; 3] = [
+                    &[Day(1)],
+                    &[Day(0), Day(5), Day(1), Day(2)],
+                    &[Day(2), Day(1), Day(2)],
+                ];
+                for days in windows {
+                    // The pool by hand: one sketch per pair, fed the
+                    // window's rows in `days` order.
                     let mut pool: BTreeMap<(GroupKey, Target), QuantileSketch> = BTreeMap::new();
-                    for &day in days {
-                        let mut sketches: BTreeMap<(GroupKey, Target), QuantileSketch> =
-                            BTreeMap::new();
-                        for (key, target, rtt) in ds.day(day).map(|m| predictor.record(m)) {
-                            sketches
-                                .entry((key, target))
-                                .or_insert_with(|| QuantileSketch::new(eps))
-                                .observe(rtt);
-                        }
-                        for (pair, sketch) in sketches {
-                            match pool.entry(pair) {
-                                std::collections::btree_map::Entry::Vacant(e) => {
-                                    e.insert(sketch);
-                                }
-                                std::collections::btree_map::Entry::Occupied(mut e) => {
-                                    e.get_mut().merge(&sketch);
-                                }
-                            }
-                        }
+                    let rows = days.iter().flat_map(|&day| ds.day(day));
+                    for (key, target, rtt) in rows.map(|m| predictor.record(m)) {
+                        pool.entry((key, target))
+                            .or_insert_with(|| QuantileSketch::new(eps))
+                            .observe(rtt);
                     }
-                    let want = predictor.train_from_stats(&pool);
+                    let want = train_from_stats(&predictor, &pool);
                     assert!(!want.is_empty());
                     for workers in [1, 2, 3] {
                         let got = predictor.train_sketched(&ds, days, eps, ShardConfig { workers });

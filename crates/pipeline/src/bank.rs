@@ -164,36 +164,20 @@ impl SketchBank {
         id
     }
 
-    /// Adds a member that is `sketch`, whatever its state.
-    pub(crate) fn add_sketch(&mut self, sketch: QuantileSketch) -> u32 {
-        let id = self.add();
-        self.members[id as usize] = self.shelve(sketch);
-        id
-    }
-
-    fn shelve(&mut self, sketch: QuantileSketch) -> Member {
+    /// Takes chain member `id` out of the slab: its values replayed in
+    /// order into a sketch of its own, its chunks to the free list.
+    fn spill(&mut self, id: u32) {
+        let Member::Chain { head, tail, .. } = self.members[id as usize] else {
+            unreachable!("only a chain spills");
+        };
+        let sketch = self.sketch(id);
+        // At the threshold a chain holds at least one value, so a chunk.
+        self.chunks[tail as usize].next = self.free;
+        self.free = head;
         // No more sketches than members.
         let at = self.spilled.len() as u32;
         self.spilled.push(sketch);
-        Member::Spilled { at }
-    }
-
-    /// Takes member `id` out of the slab, if it is still there — its
-    /// values replayed in order into a sketch of its own, its chunks to
-    /// the free list — and returns that sketch.
-    fn spill(&mut self, id: u32) -> &mut QuantileSketch {
-        if let Member::Chain { head, tail, .. } = self.members[id as usize] {
-            let sketch = self.sketch(id);
-            if head != NIL {
-                self.chunks[tail as usize].next = self.free;
-                self.free = head;
-            }
-            self.members[id as usize] = self.shelve(sketch);
-        }
-        match self.members[id as usize] {
-            Member::Spilled { at } => &mut self.spilled[at as usize],
-            Member::Chain { .. } => unreachable!("the member spilled above"),
-        }
+        self.members[id as usize] = Member::Spilled { at };
     }
 
     /// The `len` values of the chain that starts at chunk `head`, in
@@ -208,7 +192,7 @@ impl SketchBank {
         })
     }
 
-    /// Absorbs one observation into member `id`.
+    /// Feeds one observation to member `id`.
     ///
     /// # Panics
     /// Panics on NaN input, as [`QuantileSketch::observe`] does.
@@ -248,7 +232,7 @@ impl SketchBank {
         }
     }
 
-    /// Exact number of observations member `id` absorbed.
+    /// Exact number of observations fed to member `id`.
     pub(crate) fn count(&self, id: u32) -> u64 {
         match self.members[id as usize] {
             Member::Chain { len, .. } => u64::from(len),
@@ -283,12 +267,6 @@ impl SketchBank {
                 sketch
             }
         }
-    }
-
-    /// [`QuantileSketch::merge`] of `other` into member `id`, which
-    /// leaves the slab: a merge flushes.
-    pub(crate) fn merge(&mut self, id: u32, other: &QuantileSketch) {
-        self.spill(id).merge(other);
     }
 }
 
@@ -502,42 +480,6 @@ mod tests {
                     want,
                     &format!("eps {eps}, member {id}"),
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn bank_merge_and_adoption_equal_the_sketch_operations() {
-        for eps in BOUNDS {
-            let threshold = QuantileSketch::flush_threshold(eps) as u64;
-            let other = {
-                let mut s = QuantileSketch::new(eps);
-                (0..threshold + 5).for_each(|i| s.observe(value(9_000 + i)));
-                s
-            };
-            // An empty member, a slab member and a spilled one.
-            for n in [0, 5, threshold - 1, threshold, 2 * threshold + 1] {
-                let mut bank = SketchBank::new(eps);
-                let id = bank.add();
-                let mut want = QuantileSketch::new(eps);
-                for i in 0..n {
-                    bank.observe(id, value(i));
-                    want.observe(value(i));
-                }
-                let adopted = bank.add_sketch(want.clone());
-                assert_member_is(&bank, adopted, &want, &format!("eps {eps}, adopted at {n}"));
-                bank.merge(id, &other);
-                want.merge(&other);
-                assert_member_is(&bank, id, &want, &format!("eps {eps}, merged at {n}"));
-                assert_eq!(
-                    bank.free == NIL,
-                    n == 0,
-                    "a member leaving the slab frees its chunks"
-                );
-                // Both go on as sketches do.
-                bank.observe(id, 1.5);
-                want.observe(1.5);
-                assert_member_is(&bank, id, &want, &format!("eps {eps}, fed after {n}"));
             }
         }
     }

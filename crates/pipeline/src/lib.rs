@@ -20,12 +20,13 @@
 //!   [`ShardError`]. Its [`run_workers`] — worker 0 on the calling thread,
 //!   the rest on scoped threads, outputs in worker order — is also how
 //!   the campaign engine runs a day's contiguous event ranges;
-//! * [`window`] — one day's per-`(group, front-end)` sketches as the
-//!   workers leave them ([`DaySketches`]: disjoint per-worker shares),
-//!   pooled over a training window day by day and read share by share,
-//!   each on its own thread (the §6 one-day prediction interval);
+//! * [`window`] — a training window's per-`(group, front-end)` sketches
+//!   as the workers leave them ([`DaySketches`]: disjoint per-worker
+//!   shares), read share by share, each on its own thread (the §6
+//!   one-day prediction interval);
 //! * [`source`] — adapters from `anycast_beacon` joined measurements into
-//!   pipeline records, and [`sketch_day`], the one sharded entry point.
+//!   pipeline records, and [`sketch_day`], the one sharded entry point: it
+//!   sketches one record stream, a day's or a whole window's in order.
 //!
 //! **Determinism under sharding.** Records are routed by the client-group
 //! key, so a group's records are wholly owned by one worker and arrive in
@@ -34,11 +35,9 @@
 //! produces bit-identical aggregates for *any* worker count —
 //! reproducibility never depends on how the work was parallelized.
 //!
-//! The sketch path plugs into the exact path through
-//! `anycast_analysis::quantile::QuantileBackend`, which
-//! [`QuantileSketch`] implements; `anycast_core`'s predictor can train
-//! from either and the `ablation-sketch-accuracy` sweep quantifies the
-//! gap.
+//! `anycast_core`'s predictor trains from either path — the exact one over
+//! sample vectors, or [`sketch_day`] then [`DaySketches::read`] — and the
+//! `ablation-sketch-accuracy` sweep quantifies the gap.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -52,19 +51,6 @@ pub mod window;
 pub use shard::{run_workers, ShardConfig, ShardError};
 pub use sketch::{mix64, FastHasher, FastMap, QuantileSketch};
 pub use source::{
-    ecs_record_with_failures, ldns_record_with_failures, route_ldns, route_prefix, route_subnet,
-    sketch_day,
+    ecs_record_with_failures, ldns_record_with_failures, route_ldns, route_subnet, sketch_day,
 };
 pub use window::{DayScores, DaySketches};
-
-use anycast_analysis::quantile::QuantileBackend;
-
-impl QuantileBackend for QuantileSketch {
-    fn count(&self) -> u64 {
-        QuantileSketch::count(self)
-    }
-
-    fn percentile(&self, p: f64) -> Option<f64> {
-        self.quantile(p)
-    }
-}

@@ -166,7 +166,7 @@ impl QuantileSketch {
         }
     }
 
-    /// Exact number of observations absorbed — the §6 "20+ measurements"
+    /// Exact number of observations fed in — the §6 "20+ measurements"
     /// filter reads this, so it must not be an estimate.
     pub fn count(&self) -> u64 {
         self.n + self.buffer.len() as u64

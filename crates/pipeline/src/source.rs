@@ -3,9 +3,10 @@
 //! **Beacon measurements** — `anycast_beacon::BeaconMeasurement`, the
 //! joined active measurements — feed per-`(group, target)` latency
 //! sketches at ECS or LDNS granularity ([`ecs_record_with_failures`],
-//! [`ldns_record_with_failures`]), a day at a time ([`sketch_day`]).
+//! [`ldns_record_with_failures`]), one record stream at a time
+//! ([`sketch_day`]).
 //!
-//! Routing helpers hash the *group* key ([`route_prefix`], [`route_ldns`])
+//! Routing helpers hash the *group* key ([`route_subnet`], [`route_ldns`])
 //! so sharded ingestion keeps the key-ownership discipline `shard`'s
 //! determinism contract requires.
 
@@ -49,11 +50,6 @@ pub fn ldns_record_with_failures(m: &BeaconMeasurement) -> (LdnsId, Target, f64)
     (m.ldns, m.target, training_ms(m))
 }
 
-/// Shard route for prefix-keyed records.
-pub fn route_prefix(p: Prefix24) -> u64 {
-    mix64(p.key())
-}
-
 /// Shard route for variable-length subnet keys (aggregated prediction
 /// groups). `Prefix::key` folds the length in, so a /16 and the /24 at the
 /// same network route independently.
@@ -68,12 +64,13 @@ pub fn route_ldns(l: LdnsId) -> u64 {
     mix64(0x4c44_4e53_0000_0000 | u64::from(l.0))
 }
 
-/// Sketches one day of `(group, target, rtt)` records into per-
-/// `(group, target)` latency sketches of rank-error bound `eps`, sharded
-/// by key ownership without a producer: each of `cfg.workers` workers
-/// replays `records` itself and keeps the records whose group
-/// `route` hashes to it (see [`crate::shard`]). What is read from the
-/// result is bit-identical for any `cfg.workers`.
+/// Sketches one stream of `(group, target, rtt)` records — a day, or a
+/// training window's days in order — into per-`(group, target)` latency
+/// sketches of rank-error bound `eps`, each fed its pair's records in
+/// stream order. Sharded by key ownership without a producer: each of
+/// `cfg.workers` workers replays `records` itself and keeps the records
+/// whose group `route` hashes to it (see [`crate::shard`]). What is read
+/// from the result is bit-identical for any `cfg.workers`.
 ///
 /// # Panics
 /// Panics when `cfg.workers` is 0, and with the [`ShardError`] text of the
@@ -143,7 +140,7 @@ mod tests {
         );
         let failed = BeaconMeasurement { failed: true, ..m };
         assert_eq!(ecs_record_with_failures(&failed).2, FETCH_TIMEOUT_MS);
-        assert_ne!(route_prefix(m.prefix), route_ldns(m.ldns));
+        assert_ne!(route_subnet(m.prefix.into()), route_ldns(m.ldns));
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! A day's sketches, and their pooling over a training window.
+//! A training window's sketches.
 //!
 //! The §6 predictor "updates its mapping every prediction interval, set to
-//! one day in our experiment": training reads a window of whole days, each
-//! sketched once. [`DaySketches`] is one day's per-`(group, front-end)`
-//! latency sketches as sharded ingestion leaves them — one share per
-//! worker, key sets disjoint — [`DaySketches::absorb`] pools a later day
-//! into it sketch by sketch, and [`DaySketches::read`] scores the pool,
-//! each share on its own thread.
+//! one day in our experiment": training reads a window of whole days as
+//! one record stream, sketched once. [`DaySketches`] is that stream's
+//! per-`(group, front-end)` latency sketches as sharded ingestion leaves
+//! them — one share per worker, key sets disjoint — and
+//! [`DaySketches::read`] scores them, each share on its own thread.
 //!
 //! The group key is generic: the pipeline is used with `Prefix` (ECS
 //! granularity), `LdnsId`, and `anycast_core`'s own `GroupKey`.
@@ -91,16 +90,16 @@ impl<K: Hash + Eq + Clone> Share<K> {
         }
     }
 
-    /// The id of `pair`; one seen for the first time takes the id of the
-    /// bank member `member` adds for it.
-    fn id_of(&mut self, pair: (K, Target), member: impl FnOnce(&mut SketchBank) -> u32) -> u32 {
+    /// The id of `pair`; one seen for the first time takes the id of a
+    /// new, empty bank member.
+    fn id_of(&mut self, pair: (K, Target)) -> u32 {
         let hash = hash_of(&pair);
         let at = self.index.probe(hash, |id| self.keys[id as usize] == pair);
         let slot = self.index.slots[at];
         if slot != EMPTY {
             return slot as u32;
         }
-        let id = member(&mut self.bank);
+        let id = self.bank.add();
         debug_assert_eq!(id as usize, self.keys.len());
         self.keys.push(pair);
         self.index.slots[at] = PairIndex::slot(hash, id);
@@ -110,25 +109,10 @@ impl<K: Hash + Eq + Clone> Share<K> {
         id
     }
 
-    /// Absorbs one latency observation of `(key, target)`.
+    /// Feeds one latency observation of `(key, target)` to its sketch.
     pub(crate) fn observe(&mut self, key: K, target: Target, rtt_ms: f64) {
-        let id = self.id_of((key, target), SketchBank::add);
+        let id = self.id_of((key, target));
         self.bank.observe(id, rtt_ms);
-    }
-
-    /// Pools `later`, a later day's share of the same keys' owner, into
-    /// this one: `a.merge(&b)` for a pair both hold, `b` as it is for a
-    /// pair only `later` holds.
-    fn absorb(&mut self, later: Share<K>) {
-        for (theirs, pair) in later.keys.into_iter().enumerate() {
-            let theirs = theirs as u32;
-            let held = self.keys.len() as u32;
-            let ours = self.id_of(pair, |bank| bank.add_sketch(later.bank.sketch(theirs)));
-            // Ids count up: one under `held` was here before.
-            if ours < held {
-                self.bank.merge(ours, &later.bank.sketch(theirs));
-            }
-        }
     }
 
     /// This share's part of [`DaySketches::read`].
@@ -151,7 +135,8 @@ impl<K: Hash + Eq + Clone> Share<K> {
     }
 }
 
-/// One day's per-`(group, target)` latency sketches, as
+/// One record stream's per-`(group, target)` latency sketches — a day's,
+/// or a window's read as one stream — as
 /// [`sketch_day`](crate::source::sketch_day) leaves them: one share per
 /// worker, each pair in exactly one.
 ///
@@ -180,29 +165,9 @@ impl<K: Hash + Eq + Clone + Send> DaySketches<K> {
         self.shares.iter().map(|share| share.keys.len()).sum()
     }
 
-    /// Whether no record landed on the day.
+    /// Whether no record landed in the stream.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Pools a later day into this one, pair by pair
-    /// [`QuantileSketch::merge`](crate::QuantileSketch::merge): call it
-    /// with the days of a training window in order. A pair only the later
-    /// day holds joins the pool as it is.
-    ///
-    /// # Panics
-    /// Panics unless both days were sketched by the same number of
-    /// workers (and, unchecked, under the same route): shares pool one to
-    /// one, a key's owner being the same worker on every day.
-    pub fn absorb(&mut self, later: DaySketches<K>) {
-        assert_eq!(
-            self.shares.len(),
-            later.shares.len(),
-            "days of one window are sketched by one worker count"
-        );
-        for (share, later) in self.shares.iter_mut().zip(later.shares) {
-            share.absorb(later);
-        }
     }
 
     /// Reads the `p`-th percentile
@@ -309,49 +274,31 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_pool_across_days() {
+    fn a_window_is_one_stream() {
         // Day 0 is empty, day 1 light, day 2 brings a heavy key and new
-        // pairs, day 3 drops some: the pool is `a.merge(&b)` in day order
-        // for a pair two days share, the sketch as it is otherwise.
+        // pairs, day 3 repeats some: the window's sketches are the direct
+        // sketches of the days' records concatenated, and read as those do.
         let days: [Vec<(u32, Target, f64)>; 4] = [
             Vec::new(),
             (0..700).map(|i| obs(i, u64::MAX)).collect(),
             (700..2_600).map(|i| obs(i * 7, 0)).collect(),
             (0..300).map(|i| obs(i * 2, u64::MAX)).collect(),
         ];
+        let window = days.concat();
         let eps = 0.05;
-        let mut want: BTreeMap<(u32, Target), QuantileSketch> = BTreeMap::new();
-        for day in &days {
-            for (pair, sketch) in direct(day, eps) {
-                match want.entry(pair) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(sketch);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        e.get_mut().merge(&sketch)
-                    }
-                }
-            }
-        }
+        let want = direct(&window, eps);
+        // Read on a copy: a read sorts a sketch's buffer.
+        let rows: Vec<(u32, Target, f64)> = want
+            .clone()
+            .iter_mut()
+            .filter(|(_, s)| s.count() >= 20)
+            .map(|(&(k, t), s)| (k, t, s.quantile_read(25.0).expect("not empty")))
+            .collect();
         for workers in WORKER_COUNTS {
-            let mut pool = sharded(&days[0], eps, workers);
-            assert!(pool.is_empty());
-            for day in &days[1..] {
-                pool.absorb(sharded(day, eps, workers));
-            }
-            let got = sketches(&pool);
-            assert_eq!(got, want, "workers {workers}");
-            let total: u64 = got.values().map(|s| s.count()).sum();
-            assert_eq!(total, 700 + 1_900 + 300, "pooling conserves counts");
-            // And the pool reads as its sketches do.
-            let mut scores = pool.read(25.0, 20);
+            let mut sketched = sharded(&window, eps, workers);
+            assert_eq!(sketches(&sketched), want, "workers {workers}");
+            let mut scores = sketched.read(25.0, 20);
             scores.rows.sort_by_key(|row| (row.0, row.1));
-            let mut read = want.clone();
-            let rows: Vec<(u32, Target, f64)> = read
-                .iter_mut()
-                .filter(|(_, s)| s.count() >= 20)
-                .map(|(&(k, t), s)| (k, t, s.quantile_read(25.0).expect("not empty")))
-                .collect();
             assert_eq!(scores.admitted, rows.len() as u64);
             assert_eq!(scores.rows, rows, "workers {workers}");
         }
@@ -371,12 +318,5 @@ mod tests {
             .collect();
         assert_eq!(counts, expected);
         assert_eq!(counts.values().sum::<u64>(), 999);
-    }
-
-    #[test]
-    #[should_panic(expected = "one worker count")]
-    fn days_sketched_by_different_worker_counts_do_not_pool() {
-        let records: Vec<(u32, Target, f64)> = (0..50).map(|i| obs(i, u64::MAX)).collect();
-        sharded(&records, 0.05, 2).absorb(sharded(&records, 0.05, 3));
     }
 }

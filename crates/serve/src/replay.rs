@@ -19,7 +19,7 @@ use anycast_workload::Scenario;
 use crate::server::LdnsDirectory;
 
 /// Queries per /24 per day that actually reach the authoritative server.
-/// LDNS caches absorb the rest (§2: the authoritative sees one query per
+/// LDNS caches answer the rest (§2: the authoritative sees one query per
 /// TTL per resolver, not one per client request).
 const AUTH_QUERY_DIVISOR: f64 = 64.0;
 
