@@ -34,6 +34,6 @@ pub mod timing;
 pub use collect::{BeaconDataset, BeaconExecution};
 pub use join::{join, BeaconMeasurement, Target};
 pub use policy::MeasurementPolicy;
-pub use runner::{run_beacon, BeaconClient, HttpResult, FETCH_TIMEOUT_MS};
+pub use runner::{run_beacon, BeaconClient, BeaconTally, HttpResult, FETCH_TIMEOUT_MS};
 pub use slots::Slot;
 pub use timing::TimingModel;

@@ -11,14 +11,19 @@
 //!
 //! The warm-up resolution is what lands in the authoritative DNS log, and
 //! its unique hostname is the join key.
+//!
+//! A beacon writes no shared counter: its obs tallies (executions, fetch
+//! attempts, retries and failures, the reported-latency histogram, and
+//! the route lookups') go to the caller's [`BeaconTally`], which the
+//! caller flushes into the obs registry once per block of beacons.
 
 use std::net::Ipv4Addr;
 
 use anycast_geo::GeoPoint;
 use anycast_netsim::{
-    CdnAddressing, ClientAttachment, ClientRoutes, Day, Internet, Prefix24, SiteId,
+    CdnAddressing, ClientAttachment, ClientRoutes, Day, Internet, Prefix24, RouteTally, SiteId,
 };
-use anycast_obs::{counter, histogram};
+use anycast_obs::{counter, histogram, HistogramSnapshot};
 use rand::Rng;
 
 use anycast_dns::{AuthoritativeServer, DnsName, Ldns};
@@ -73,6 +78,56 @@ pub struct BeaconClient {
     pub attachment: ClientAttachment,
 }
 
+/// The obs tallies of a run of beacon executions, kept by the caller and
+/// added to the global metrics by [`flush`](BeaconTally::flush). The sums,
+/// every histogram bucket and the histogram's sum are those per-beacon
+/// recording would reach; they become visible when the caller flushes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BeaconTally {
+    /// Executions run (`beacon_executions_total`).
+    pub executions: u64,
+    /// Fetch attempts, retries included (`beacon_fetch_attempts_total`).
+    pub fetch_attempts: u64,
+    /// Attempts after a fetch's first (`beacon_fetch_retries_total`).
+    pub fetch_retries: u64,
+    /// Fetches whose every attempt timed out
+    /// (`beacon_fetch_failures_total`).
+    pub fetch_failures: u64,
+    /// Each fetch's reported latency (`beacon_reported_ms`).
+    pub reported_ms: HistogramSnapshot,
+    /// The fetches' route-snapshot lookups.
+    pub routes: RouteTally,
+}
+
+impl BeaconTally {
+    /// Adds the tally to its obs metrics and zeroes it. A count of zero
+    /// leaves its metric untouched (and unregistered), as beacons that
+    /// never recorded into it would.
+    pub fn flush(&mut self) {
+        if self.executions > 0 {
+            counter!("beacon_executions_total").add(self.executions);
+        }
+        if self.fetch_attempts > 0 {
+            counter!("beacon_fetch_attempts_total").add(self.fetch_attempts);
+        }
+        if self.fetch_retries > 0 {
+            counter!("beacon_fetch_retries_total").add(self.fetch_retries);
+        }
+        if self.fetch_failures > 0 {
+            counter!("beacon_fetch_failures_total").add(self.fetch_failures);
+        }
+        if self.reported_ms.count() > 0 {
+            histogram!("beacon_reported_ms").merge(&self.reported_ms);
+            self.reported_ms.clear();
+        }
+        self.routes.flush();
+        self.executions = 0;
+        self.fetch_attempts = 0;
+        self.fetch_retries = 0;
+        self.fetch_failures = 0;
+    }
+}
+
 /// Runs one beacon execution and appends its four client-side result rows
 /// to `results` — the caller's buffer, so a run of executions fills one
 /// allocation instead of making one each.
@@ -95,6 +150,8 @@ pub struct BeaconClient {
 /// is reported as a *failed* row rather than silently dropped. In a world
 /// with no scheduled failures the sequence — and every random draw — is
 /// identical to the non-retrying path.
+///
+/// The execution's obs tallies go to `tally`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_beacon(
     internet: &Internet,
@@ -110,9 +167,10 @@ pub fn run_beacon(
     time_s: f64,
     rng: &mut impl Rng,
     results: &mut Vec<HttpResult>,
+    tally: &mut BeaconTally,
 ) {
     let day = routes.day();
-    counter!("beacon_executions_total").inc();
+    tally.executions += 1;
     let compliant = timing.browser_is_compliant(rng);
     for slot in Slot::ALL {
         let id = slot.id_for(execution);
@@ -148,12 +206,12 @@ pub fn run_beacon(
             // catchment while unicast retries keep hitting the dead site.
             let t = time_s + 0.5 + f64::from(attempt) * FETCH_TIMEOUT_MS / 1000.0;
             let route = if addressing.is_anycast(addr) {
-                routes.anycast_at(internet, t)
+                routes.anycast_at(internet, t, &mut tally.routes)
             } else {
                 let site = addressing
                     .site_for_ip(addr)
                     .expect("measurement answer must be a service address");
-                routes.unicast_at(internet, site, t)
+                routes.unicast_at(internet, site, t, &mut tally.routes)
             };
             if let Some(decision) = route {
                 // Success path draws exactly the same randomness as the
@@ -164,14 +222,12 @@ pub fn run_beacon(
                 break;
             }
         }
-        counter!("beacon_fetch_attempts_total").add(u64::from(attempts));
-        if attempts > 1 {
-            counter!("beacon_fetch_retries_total").add(u64::from(attempts - 1));
-        }
+        tally.fetch_attempts += u64::from(attempts);
+        tally.fetch_retries += u64::from(attempts - 1);
         let (served_site, reported_ms, failed) = match served {
             Some((site, ms)) => (site, ms, false),
             None => {
-                counter!("beacon_fetch_failures_total").inc();
+                tally.fetch_failures += 1;
                 // Every attempt timed out. Attribute the failure to the
                 // site the client was steered towards (the unicast target,
                 // or anycast's steady-state catchment) and report the time
@@ -186,7 +242,7 @@ pub fn run_beacon(
                 (site, f64::from(attempts) * FETCH_TIMEOUT_MS, true)
             }
         };
-        histogram!("beacon_reported_ms").observe(reported_ms);
+        tally.reported_ms.observe(reported_ms);
         results.push(HttpResult {
             measurement_id: id,
             prefix: client.prefix,
@@ -270,6 +326,7 @@ mod tests {
             100.0,
             &mut rng,
             &mut results,
+            &mut BeaconTally::default(),
         );
         (results, a)
     }
@@ -402,6 +459,7 @@ mod tests {
                     when + f64::from(i) * 60.0,
                     &mut rng,
                     &mut rs,
+                    &mut BeaconTally::default(),
                 );
                 for r in rs {
                     if r.failed {
@@ -442,6 +500,7 @@ mod tests {
         let snap = RouteSnapshot::build(&w.internet, std::slice::from_ref(&c.attachment), Day(0));
         let mut rng = SmallRng::seed_from_u64(6);
         let mut rs = Vec::new();
+        let mut tally = BeaconTally::default();
         for i in 0..10u64 {
             run_beacon(
                 &w.internet,
@@ -457,10 +516,17 @@ mod tests {
                 100.0 + i as f64 * 60.0,
                 &mut rng,
                 &mut rs,
+                &mut tally,
             );
         }
         // Ten executions appended to the one buffer, every id distinct.
         let seen: std::collections::HashSet<u64> = rs.iter().map(|r| r.measurement_id).collect();
         assert_eq!((rs.len(), seen.len()), (40, 40));
+        // The tally counted them, and flushing hands it over whole.
+        assert_eq!((tally.executions, tally.fetch_attempts), (10, 40));
+        assert_eq!(tally.reported_ms.count(), 40);
+        assert_eq!(tally.routes.memo_hits, 40);
+        tally.flush();
+        assert_eq!(tally, BeaconTally::default());
     }
 }

@@ -11,7 +11,7 @@ use anycast_analysis::cdf::{log2_grid, Ecdf};
 use anycast_analysis::report::Series;
 use anycast_core::Deployment;
 use anycast_netsim::Day;
-use anycast_workload::TelemetryStore;
+use anycast_workload::record::{daily_serving_site, query_volume};
 
 use crate::worlds::{rng_for, scenario, Scale};
 use crate::FigureResult;
@@ -21,22 +21,19 @@ pub fn compute(scale: Scale, seed: u64) -> FigureResult {
     let s = scenario(scale, seed);
     let deployment = Deployment::of(&s.internet);
     let mut rng = rng_for(seed, 0xf164);
-    let mut store = TelemetryStore::new();
-    for r in s.generate_passive_day(Day(0), &mut rng) {
-        store.push(r);
-    }
+    let records = s.generate_passive_day(Day(0), &mut rng);
 
     // Per prefix: the day's majority serving site, the believed client
     // location (what the CDN's geolocation reports), and the query volume.
-    let serving = store.daily_serving_site();
-    let volumes = store.query_volume();
+    let serving = daily_serving_site(&records);
+    let volumes = query_volume(&records);
     let mut to_fe: Vec<(f64, f64)> = Vec::new(); // (km, weight)
     let mut past_closest: Vec<(f64, f64)> = Vec::new();
     for (prefix, days) in &serving {
         let Some(&site) = days.get(&Day(0)) else {
             continue;
         };
-        let Some(rec) = store.day(Day(0)).iter().find(|r| r.prefix == *prefix) else {
+        let Some(rec) = records.iter().find(|r| r.prefix == *prefix) else {
             continue;
         };
         let weight = volumes.get(prefix).copied().unwrap_or(1) as f64;

@@ -11,7 +11,8 @@
 use anycast_analysis::affinity::{cumulative_switch_curve, ClientObservations};
 use anycast_analysis::report::Series;
 use anycast_netsim::{Day, Prefix24, SiteId};
-use anycast_workload::TelemetryStore;
+use anycast_workload::record::{daily_serving_site, sites_seen};
+use anycast_workload::PassiveRecord;
 use std::collections::HashMap;
 
 use crate::worlds::{rng_for, scenario, Scale};
@@ -20,26 +21,25 @@ use crate::FigureResult;
 /// The week of passive data.
 pub const WEEK_DAYS: u32 = 7;
 
-/// Builds the per-client observations for the week (shared with Figure 8).
+/// Builds the per-client observations for the week (shared with Figure 8),
+/// with the week's records in day order.
 pub fn week_observations(
     scale: Scale,
     seed: u64,
 ) -> (
-    TelemetryStore,
+    Vec<PassiveRecord>,
     HashMap<Prefix24, ClientObservations<SiteId>>,
 ) {
     let s = scenario(scale, seed);
     let mut rng = rng_for(seed, 0xf167);
-    let mut store = TelemetryStore::new();
+    let mut records = Vec::new();
     for day in Day(0).span(WEEK_DAYS) {
-        for r in s.generate_passive_day(day, &mut rng) {
-            store.push(r);
-        }
+        records.extend(s.generate_passive_day(day, &mut rng));
     }
-    let serving = store.daily_serving_site();
+    let serving = daily_serving_site(&records);
     let mut multi: HashMap<Prefix24, Vec<u32>> = HashMap::new();
     for day in Day(0).span(WEEK_DAYS) {
-        for (prefix, sites) in store.sites_seen(day) {
+        for (prefix, sites) in sites_seen(&records, day) {
             if sites.len() > 1 {
                 multi.entry(prefix).or_default().push(day.0);
             }
@@ -59,7 +59,7 @@ pub fn week_observations(
             )
         })
         .collect();
-    (store, observations)
+    (records, observations)
 }
 
 /// Computes the figure.

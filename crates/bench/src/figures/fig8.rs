@@ -9,7 +9,7 @@ use anycast_analysis::cdf::{log2_grid, Ecdf};
 use anycast_analysis::report::Series;
 use anycast_core::Deployment;
 use anycast_geo::GeoPoint;
-use anycast_netsim::{Day, Prefix24};
+use anycast_netsim::Prefix24;
 use std::collections::HashMap;
 
 use crate::figures::fig7::week_observations;
@@ -20,14 +20,12 @@ use crate::FigureResult;
 pub fn compute(scale: Scale, seed: u64) -> FigureResult {
     let s = scenario(scale, seed);
     let deployment = Deployment::of(&s.internet);
-    let (store, observations) = week_observations(scale, seed);
+    let (records, observations) = week_observations(scale, seed);
 
     // Believed client locations (first record of the week per prefix).
     let mut client_loc: HashMap<Prefix24, GeoPoint> = HashMap::new();
-    for day in Day(0).span(7) {
-        for r in store.day(day) {
-            client_loc.entry(r.prefix).or_insert(r.location);
-        }
+    for r in &records {
+        client_loc.entry(r.prefix).or_insert(r.location);
     }
 
     let mut deltas: Vec<f64> = Vec::new();

@@ -20,12 +20,13 @@
 //! Both paths route through a per-day [`RouteSnapshot`] and are
 //! deterministic — outcomes use the route's `base_rtt_ms`, no RNG — so the
 //! bench experiments can sweep outage rate and TTL and get reproducible
-//! availability numbers.
+//! availability numbers. Each request is one lookup, and flushes that
+//! lookup's [`RouteTally`] before it returns.
 
 use std::collections::HashMap;
 
 use anycast_geo::GeoPoint;
-use anycast_netsim::{Day, Internet, Prefix24, RouteSnapshot, SiteId};
+use anycast_netsim::{Day, Internet, Prefix24, RouteSnapshot, RouteTally, SiteId};
 
 /// Why a request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +85,10 @@ pub fn anycast_request(
     client: usize,
     time_s: f64,
 ) -> RequestOutcome {
-    match routes.anycast_at(internet, client, time_s) {
+    let mut tally = RouteTally::default();
+    let route = routes.anycast_at(internet, client, time_s, &mut tally);
+    tally.flush();
+    match route {
         Some(d) => RequestOutcome::Served {
             site: d.site,
             rtt_ms: d.base_rtt_ms,
@@ -190,7 +194,10 @@ impl<'a> DnsRedirectionSim<'a> {
         let Some(site) = self.answer_site(prefix, &loc, day, time_s) else {
             return RequestOutcome::Failed(FailureReason::NoLiveRoute);
         };
-        match routes.unicast_at(self.internet, client, site, time_s) {
+        let mut tally = RouteTally::default();
+        let route = routes.unicast_at(self.internet, client, site, time_s, &mut tally);
+        tally.flush();
+        match route {
             Some(d) => RequestOutcome::Served {
                 site,
                 rtt_ms: d.base_rtt_ms,

@@ -31,9 +31,11 @@
 //!    so *W* threads are busy, never *W* + 1). Each beacon draws its noise
 //!    from `stream_rng(seed, [BEACON_STREAM, day, client, beacon])` and
 //!    routes against a shared read-only [`RouteSnapshot`] built once for
-//!    the day, which holds the routes the day's beacons can fetch: every
+//!    the day, which holds the routes the day's beacons fetch: every
 //!    client's anycast route and, for each client that fires, the unicast
-//!    routes to the candidate sites of its resolver. A worker takes its
+//!    routes to the sites the policy answers its beacons with — known
+//!    before any beacon runs, since an answer is a pure function of the
+//!    measurement id and the resolver's believed location. A worker takes its
 //!    range a block of 512 beacons at a time: the block's beacons
 //!    append to one HTTP buffer and one authoritative log the worker
 //!    owns, it joins the two onto the range's rows, and then empties
@@ -52,17 +54,18 @@
 //!    makes, pinned end-to-end by the `study-worker-invariance` proptest.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use anycast_analysis::poor_paths::PrefixDayPerf;
 use anycast_analysis::quantile::median;
 use anycast_beacon::{
-    join, run_beacon, BeaconClient, BeaconDataset, BeaconMeasurement, MeasurementPolicy, Target,
-    TimingModel,
+    join, run_beacon, BeaconClient, BeaconDataset, BeaconMeasurement, BeaconTally,
+    MeasurementPolicy, Slot, Target, TimingModel,
 };
 use anycast_dns::{AuthoritativeServer, DnsName, Ldns, LdnsId};
 use anycast_geo::GeoPoint;
 use anycast_netsim::{stream_rng, ClientAttachment, Day, Prefix24, RouteSnapshot, SiteId};
-use anycast_obs::span;
+use anycast_obs::{span, SpanSnapshot};
 use anycast_pipeline::run_workers;
 use anycast_workload::{ldns_assign, temporal, Scenario};
 
@@ -159,11 +162,6 @@ pub struct Study {
     /// Resolver id → where the CDN's geolocation database believes the
     /// resolver is (pure per resolver, precomputed).
     believed: Vec<GeoPoint>,
-    /// Resolver id → the sites the policy can answer its clients' unicast
-    /// slots with (§3.3's candidates of the believed location): the only
-    /// unicast routes a beacon behind that resolver can fetch, so the row
-    /// the day's route snapshot holds for each of them.
-    candidate_rows: Vec<Vec<SiteId>>,
     /// Client index → attachment: the population every day's route
     /// snapshot is built over and borrows.
     attachments: Vec<ClientAttachment>,
@@ -199,13 +197,6 @@ impl Study {
         )
         .with_known_resolvers(&believed);
         let attachments = scenario.clients.iter().map(|c| c.attachment).collect();
-        let candidate_rows = believed
-            .iter()
-            .map(|loc| {
-                let sites = policy.candidate_sites(loc);
-                sites.into_iter().map(|(site, _)| site).collect()
-            })
-            .collect();
         Study {
             scenario,
             policy,
@@ -215,7 +206,6 @@ impl Study {
             ldns_of,
             client_ldns,
             believed,
-            candidate_rows,
             attachments,
         }
     }
@@ -247,6 +237,15 @@ impl Study {
     /// # Panics
     /// If a worker panics, with that worker's message.
     pub fn run_day(&mut self, day: Day) {
+        self.run_day_in_blocks(day, BLOCK_BEACONS);
+    }
+
+    /// [`Study::run_day`] with its workers taking `block` beacons between
+    /// joins and obs flushes instead of 512. Rows and every deterministic
+    /// metric are the same at any length; this is the door through which
+    /// `crates/core/tests/flush_boundaries.rs` checks that they are.
+    #[doc(hidden)]
+    pub fn run_day_in_blocks(&mut self, day: Day, block: usize) {
         let workers = self.cfg.workers.max(1);
         let events = span!("study.schedule").time(|| self.schedule(day));
         let routes = span!("study.snapshot_build").time(|| self.routes(day, &events, workers));
@@ -260,7 +259,7 @@ impl Study {
         let outputs = run_workers(
             events.chunks(per_range).collect(),
             |worker, range: &[Event]| {
-                self.run_range(&routes, worker, worker * per_range, range, BLOCK_BEACONS)
+                self.run_range(&routes, worker, worker * per_range, range, block)
             },
         )
         .unwrap_or_else(|e| panic!("campaign day {} failed: {e}", day.0));
@@ -330,27 +329,89 @@ impl Study {
     }
 
     /// The day's route memo, built once and shared read-only. It holds
-    /// what the day's beacons can fetch: the candidate sites of its
-    /// resolver for a client that fires today, nothing for the rest.
+    /// what the day's beacons fetch and nothing else: for each client, the
+    /// unicast sites its beacons' answers name ([`Study::fetched_rows`]),
+    /// and no row for a client that does not fire.
     fn routes(&self, day: Day, events: &[Event], workers: usize) -> RouteSnapshot<'_> {
-        let mut fires = vec![false; self.scenario.clients.len()];
-        for ev in events {
-            fires[ev.client] = true;
-        }
-        let rows = |client: usize| -> &[SiteId] {
-            if fires[client] {
-                &self.candidate_rows[self.client_ldns[client].0 as usize]
-            } else {
-                &[]
-            }
-        };
+        let (starts, sites) = self.fetched_rows(day, events, workers);
         RouteSnapshot::build_rows(
             &self.scenario.internet,
             &self.attachments,
             day,
             workers,
-            rows,
+            |client| &sites[starts[client]..starts[client + 1]],
         )
+    }
+
+    /// The distinct unicast sites each client's beacons fetch on `day`:
+    /// client `c`'s are `sites[starts[c]..starts[c + 1]]`, in the order its
+    /// events first name them. The policy's answer for a unicast slot is a
+    /// pure function of the slot, the measurement id and the resolver's
+    /// believed location, and an event's ids follow from its index in the
+    /// sorted list, so the answers are known before any beacon runs. The
+    /// picks are spread over up to `workers` threads, each a run of
+    /// clients holding about an equal share of the events.
+    fn fetched_rows(
+        &self,
+        day: Day,
+        events: &[Event],
+        workers: usize,
+    ) -> (Vec<usize>, Vec<SiteId>) {
+        let clients = self.scenario.clients.len();
+        // Each client's events as indices into the day's list, ascending:
+        // client `c`'s are `order[first[c]..first[c + 1]]`.
+        let mut first = vec![0usize; clients + 1];
+        for ev in events {
+            first[ev.client + 1] += 1;
+        }
+        for c in 0..clients {
+            first[c + 1] += first[c];
+        }
+        let mut next = first.clone();
+        let mut order = vec![0u32; events.len()];
+        for (i, ev) in events.iter().enumerate() {
+            order[next[ev.client]] = i as u32;
+            next[ev.client] += 1;
+        }
+
+        let mut cuts: Vec<usize> = (0..workers)
+            .map(|k| first.partition_point(|&e| e < events.len() * k / workers))
+            .collect();
+        cuts.push(clients);
+        cuts.dedup();
+        let ranges = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+        let day_bits = u64::from(day.0) << EXEC_INDEX_BITS;
+        let parts = run_workers(ranges, |_, range: std::ops::Range<usize>| {
+            let mut lens = Vec::with_capacity(range.len());
+            let mut sites: Vec<SiteId> = Vec::new();
+            for c in range {
+                let row = sites.len();
+                let at = &self.believed[self.client_ldns[c].0 as usize];
+                for &i in &order[first[c]..first[c + 1]] {
+                    let execution = day_bits | u64::from(i);
+                    for slot in [Slot::GeoClosest, Slot::Random1, Slot::Random2] {
+                        let site = self.policy.select_site(slot, slot.id_for(execution), at);
+                        if let Some(site) = site.filter(|s| !sites[row..].contains(s)) {
+                            sites.push(site);
+                        }
+                    }
+                }
+                lens.push(sites.len() - row);
+            }
+            (lens, sites)
+        })
+        .unwrap_or_else(|e| panic!("picking day {}'s rows failed: {e}", day.0));
+
+        let mut starts = Vec::with_capacity(clients + 1);
+        starts.push(0);
+        let mut sites = Vec::with_capacity(parts.iter().map(|(_, s)| s.len()).sum());
+        for (lens, part) in parts {
+            for len in lens {
+                starts.push(starts[starts.len() - 1] + len);
+            }
+            sites.extend(part);
+        }
+        (starts, sites)
     }
 
     /// Runs `range` — the day's events `first..first + range.len()` — start
@@ -375,8 +436,12 @@ impl Study {
         let mut resolvers: HashMap<LdnsId, Ldns> = HashMap::new();
         let timing = TimingModel::default();
         // Wall time of this worker's beacon executions. Observability
-        // only: spans never touch RNG streams or outputs.
+        // only: spans never touch RNG streams or outputs. Like the
+        // beacons' own tallies, the span is kept here and merged into the
+        // registry once a block.
         let beacon_span = span!("study.beacon", &worker.to_string());
+        let mut beacon_times = SpanSnapshot::default();
+        let mut tally = BeaconTally::default();
         let mut http = Vec::with_capacity(range.len().min(block) * 4);
         let mut out = RangeOutput {
             joined: Vec::with_capacity(range.len() * 4),
@@ -385,8 +450,11 @@ impl Study {
         };
         let mut index = first as u64;
         for beacons in range.chunks(block) {
+            // Read once a block, as the registry's own span guard reads it
+            // once a span: while obs is off no clock is read.
+            let timed = anycast_obs::enabled();
             for ev in beacons {
-                let _beacon_timer = beacon_span.start();
+                let start = timed.then(Instant::now);
                 let c = &s.clients[ev.client];
                 let ldns_id = self.client_ldns[ev.client];
                 let ldns = resolvers.entry(ldns_id).or_insert_with(|| {
@@ -418,8 +486,15 @@ impl Study {
                     ev.time_s,
                     &mut rng,
                     &mut http,
+                    &mut tally,
                 );
+                if let Some(start) = start {
+                    beacon_times.record_since(start);
+                }
             }
+            tally.flush();
+            beacon_span.merge(&beacon_times);
+            beacon_times = SpanSnapshot::default();
             out.joined.extend(join(&http, auth.log(), &s.addressing));
             out.http_rows += http.len();
             out.failed_rows += http.iter().filter(|r| r.failed).count();
@@ -491,7 +566,6 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_beacon::Slot;
 
     fn small_study(seed: u64) -> Study {
         Study::new(Scenario::small(seed), StudyConfig::default())

@@ -65,7 +65,7 @@ pub use outage::{OutageKind, OutageModel, OutageWindow};
 pub use path::{Hop, HopKind, RoutePath};
 pub use prefix::{Prefix, Prefix24, PrefixAllocator};
 pub use sim::Day;
-pub use snapshot::{ClientRoutes, RouteSnapshot};
+pub use snapshot::{ClientRoutes, RouteSnapshot, RouteTally};
 pub use stream::stream_rng;
 pub use topology::{CdnNetwork, EyeballAs, Topology, TransitAs};
 pub use worldgen::{AsClass, CatchmentTable, PolicyGraph, PolicyWorld, WorldGenConfig};

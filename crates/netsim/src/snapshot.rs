@@ -11,9 +11,10 @@
 //!
 //! The unicast side is held as per-client **rows**: for each client the
 //! decisions of the sites its caller declared, back to back in one flat
-//! array behind per-client offsets. A beacon only ever fetches the
-//! candidates of its client's resolver (§3.3's ten), so a campaign day
-//! declares those for the clients that fire and nothing for the rest
+//! array behind per-client offsets. A campaign day knows which sites its
+//! beacons will fetch before it routes — the DNS policy's answers are a
+//! pure function of the measurement id and the resolver — so it declares
+//! exactly those for the clients that fire and nothing for the rest
 //! ([`RouteSnapshot::build_rows`]); the availability sweeps declare every
 //! site for every client ([`RouteSnapshot::build`]). A lookup finds the
 //! site in the client's row, and a site outside the row is routed on the
@@ -26,6 +27,13 @@
 //! `(client, site, time)` it returns exactly what
 //! [`Internet::anycast_route_at`] / [`Internet::unicast_route_at`] would,
 //! and moves the same failover counters.
+//!
+//! Lookups run on every fetch of every worker, so they write no shared
+//! counter: each tallies its memo hits and misses and the failover
+//! reroutes it answered itself into the caller's [`RouteTally`], a plain
+//! value the caller owns and [flushes](RouteTally::flush) into the obs
+//! registry — a campaign worker once per block of beacons. Only the
+//! site-down fallback, which asks the [`Internet`], counts there directly.
 //!
 //! Anycast routing varies within a day only at the edges of scheduled
 //! windows, so the snapshot cuts the day there into a sorted **timeline**
@@ -66,6 +74,46 @@ enum Segment {
 /// A client a dynamics environment routes differently from steady state,
 /// with where it goes instead (`None`: its AS holds no route).
 type Moved = (u32, Option<RouteDecision>);
+
+/// The obs tallies of a run of snapshot lookups, kept by the caller and
+/// added to the global counters by [`flush`](RouteTally::flush): lookups on
+/// the hot path write no shared cache line. The sums are those per-lookup
+/// counting would reach, published when the caller flushes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouteTally {
+    /// Lookups answered from the snapshot (`netsim_route_memo_hits_total`).
+    pub memo_hits: u64,
+    /// Lookups the snapshot could not answer from what it stores
+    /// (`netsim_route_memo_misses_total`).
+    pub memo_misses: u64,
+    /// Memoized anycast answers that moved a client off its steady site
+    /// (`netsim_failover_reroutes_total`).
+    pub failover_reroutes: u64,
+    /// Memoized anycast answers of an AS that holds no route
+    /// (`netsim_policy_unrouted_total`).
+    pub policy_unrouted: u64,
+}
+
+impl RouteTally {
+    /// Adds the tally to its obs counters and zeroes it. A count of zero
+    /// leaves its counter untouched (and unregistered), as lookups that
+    /// never incremented it would.
+    pub fn flush(&mut self) {
+        if self.memo_hits > 0 {
+            counter!("netsim_route_memo_hits_total").add(self.memo_hits);
+        }
+        if self.memo_misses > 0 {
+            counter!("netsim_route_memo_misses_total").add(self.memo_misses);
+        }
+        if self.failover_reroutes > 0 {
+            counter!("netsim_failover_reroutes_total").add(self.failover_reroutes);
+        }
+        if self.policy_unrouted > 0 {
+            counter!("netsim_policy_unrouted_total").add(self.policy_unrouted);
+        }
+        *self = RouteTally::default();
+    }
+}
 
 /// One day's routing table for a fixed client population: steady anycast
 /// and the declared unicast decisions, plus the day's timeline of outage
@@ -116,7 +164,8 @@ impl<'a> RouteSnapshot<'a> {
 
     /// Builds the snapshot with up to `workers` threads, holding for client
     /// `c` the unicast decisions of the sites `row_of(c)` declares (any
-    /// sites, any order, possibly none). Rows only decide what a lookup
+    /// sites, any order, possibly none; their total is added to
+    /// `netsim_route_memo_unicast_decisions_total`). Rows only decide what a lookup
     /// finds stored; every lookup answers the same whatever they are.
     /// Per-client rows are pure functions of `(internet, client, day)`, so
     /// the result is identical for any worker count.
@@ -159,6 +208,10 @@ impl<'a> RouteSnapshot<'a> {
         row_starts.push(0);
         for c in 0..clients.len() {
             row_starts.push(row_starts[c] + row_of(c).len());
+        }
+        let decisions = row_starts[clients.len()] as u64;
+        if decisions > 0 {
+            counter!("netsim_route_memo_unicast_decisions_total").add(decisions);
         }
 
         // Every slot below is overwritten: each worker fills its own
@@ -281,12 +334,14 @@ impl<'a> RouteSnapshot<'a> {
     /// Memoized [`Internet::anycast_route_at`]: a stored decision —
     /// steady, or the one a route-dynamics event moved this client to — on
     /// the (overwhelmingly common) fast path, the full failover
-    /// computation only while some site is actually down.
+    /// computation only while some site is actually down. The lookup's
+    /// obs tallies go to `tally`.
     pub fn anycast_at(
         &self,
         internet: &Internet,
         client: usize,
         time_s: f64,
+        tally: &mut RouteTally,
     ) -> Option<RouteDecision> {
         let steady = self.steady_anycast(client);
         let moved = match self.timeline.segment_at(time_s) {
@@ -299,22 +354,22 @@ impl<'a> RouteSnapshot<'a> {
                     .map(|i| moved[i].1)
             }
             Segment::SiteDown => {
-                counter!("netsim_route_memo_misses_total").inc();
+                tally.memo_misses += 1;
                 return internet.anycast_route_at(&self.attachments[client], self.day, time_s);
             }
         };
-        counter!("netsim_route_memo_hits_total").inc();
+        tally.memo_hits += 1;
         // The same tallies `anycast_route_at` keeps for an event table.
         match moved {
             None => Some(*steady),
             Some(Some(d)) => {
                 if d.site != steady.site {
-                    counter!("netsim_failover_reroutes_total").inc();
+                    tally.failover_reroutes += 1;
                 }
                 Some(d)
             }
             Some(None) => {
-                counter!("netsim_policy_unrouted_total").inc();
+                tally.policy_unrouted += 1;
                 None
             }
         }
@@ -323,26 +378,28 @@ impl<'a> RouteSnapshot<'a> {
     /// Memoized [`Internet::unicast_route_at`]: `None` while `site`'s
     /// window contains `time_s`, the client's stored decision otherwise —
     /// or, for a site its row did not declare, the route computed on the
-    /// spot and counted as a memo miss.
+    /// spot and counted as a memo miss. The lookup's obs tallies go to
+    /// `tally`.
     pub fn unicast_at(
         &self,
         internet: &Internet,
         client: usize,
         site: SiteId,
         time_s: f64,
+        tally: &mut RouteTally,
     ) -> Option<RouteDecision> {
         let down = self.windows[site.0 as usize].is_some_and(|w| w.contains(time_s));
         if down {
-            counter!("netsim_route_memo_misses_total").inc();
+            tally.memo_misses += 1;
             return None;
         }
         match self.stored_unicast(client, site) {
             Some(d) => {
-                counter!("netsim_route_memo_hits_total").inc();
+                tally.memo_hits += 1;
                 Some(*d)
             }
             None => {
-                counter!("netsim_route_memo_misses_total").inc();
+                tally.memo_misses += 1;
                 Some(internet.unicast_route(&self.attachments[client], site, self.day))
             }
         }
@@ -471,8 +528,13 @@ impl<'a> ClientRoutes<'a> {
     }
 
     /// Memoized [`Internet::anycast_route_at`] for this client.
-    pub fn anycast_at(&self, internet: &Internet, time_s: f64) -> Option<RouteDecision> {
-        self.snap.anycast_at(internet, self.idx, time_s)
+    pub fn anycast_at(
+        &self,
+        internet: &Internet,
+        time_s: f64,
+        tally: &mut RouteTally,
+    ) -> Option<RouteDecision> {
+        self.snap.anycast_at(internet, self.idx, time_s, tally)
     }
 
     /// Memoized [`Internet::unicast_route_at`] for this client.
@@ -481,8 +543,10 @@ impl<'a> ClientRoutes<'a> {
         internet: &Internet,
         site: SiteId,
         time_s: f64,
+        tally: &mut RouteTally,
     ) -> Option<RouteDecision> {
-        self.snap.unicast_at(internet, self.idx, site, time_s)
+        self.snap
+            .unicast_at(internet, self.idx, site, time_s, tally)
     }
 }
 
@@ -526,7 +590,7 @@ mod tests {
             }
             for t in [0.0, 40_000.0, 80_000.0] {
                 assert_eq!(
-                    snap.anycast_at(&net, i, t),
+                    snap.anycast_at(&net, i, t, &mut RouteTally::default()),
                     net.anycast_route_at(c, Day(2), t)
                 );
             }
@@ -547,13 +611,13 @@ mod tests {
             for (i, c) in cs.iter().enumerate() {
                 for t in [0.0, 15_000.0, 43_200.0, 70_000.0, 86_000.0] {
                     assert_eq!(
-                        snap.anycast_at(&net, i, t),
+                        snap.anycast_at(&net, i, t, &mut RouteTally::default()),
                         net.anycast_route_at(c, day, t),
                         "anycast divergence day {day:?} t {t}"
                     );
                     for s in net.topology().cdn.site_ids() {
                         assert_eq!(
-                            snap.unicast_at(&net, i, s, t),
+                            snap.unicast_at(&net, i, s, t, &mut RouteTally::default()),
                             net.unicast_route_at(c, s, day, t),
                             "unicast divergence day {day:?} t {t}"
                         );

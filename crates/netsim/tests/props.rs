@@ -5,8 +5,8 @@ use anycast_netsim::latency::{FIBER_KM_PER_MS, FIBER_PATH_STRETCH};
 use anycast_netsim::worldgen::{route_class, CdnRelation, RouteEnv, CDN_NEXT};
 use anycast_netsim::{
     AccessTech, BorderId, CatchmentTable, ClientAttachment, Day, HopKind, Internet, NetConfig,
-    OutageKind, OutageModel, PolicyWorld, Prefix24, PrefixAllocator, RouteSnapshot, SiteId,
-    WorldGenConfig,
+    OutageKind, OutageModel, PolicyWorld, Prefix24, PrefixAllocator, RouteSnapshot, RouteTally,
+    SiteId, WorldGenConfig,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -425,14 +425,16 @@ proptest! {
         let c = client_of(&net, idx, 15.0);
         let snap = RouteSnapshot::build(&net, std::slice::from_ref(&c), Day(day));
         let t = f64::from(slot) * 1_800.0 + 900.0;
-        let memo = snap.anycast_at(&net, 0, t);
+        let mut tally = RouteTally::default();
+        let memo = snap.anycast_at(&net, 0, t, &mut tally);
         let direct = net.anycast_route_at(&c, Day(day), t);
         prop_assert_eq!(memo, direct, "anycast memo diverges at t={}", t);
         for site in net.topology().cdn.site_ids() {
-            let memo = snap.unicast_at(&net, 0, site, t);
+            let memo = snap.unicast_at(&net, 0, site, t, &mut tally);
             let direct = net.unicast_route_at(&c, site, Day(day), t);
             prop_assert_eq!(memo, direct, "unicast memo diverges at site {:?}", site);
         }
+        tally.flush();
     }
 }
 
@@ -455,18 +457,20 @@ proptest! {
         let snap = RouteSnapshot::build(&net, &clients, Day(day));
         let times = probe_times(&net, Day(day));
         prop_assert!(times.len() > 48, "no window fired on day {}", day);
+        let mut tally = RouteTally::default();
         for &t in &times {
             for (i, c) in clients.iter().enumerate() {
-                let memo = snap.anycast_at(&net, i, t);
+                let memo = snap.anycast_at(&net, i, t, &mut tally);
                 let direct = net.anycast_route_at(c, Day(day), t);
                 prop_assert_eq!(memo, direct, "anycast memo diverges for client {} at t={}", i, t);
             }
             for site in net.topology().cdn.site_ids() {
-                let memo = snap.unicast_at(&net, 0, site, t);
+                let memo = snap.unicast_at(&net, 0, site, t, &mut tally);
                 let direct = net.unicast_route_at(&clients[0], site, Day(day), t);
                 prop_assert_eq!(memo, direct, "unicast memo diverges at site {:?} t={}", site, t);
             }
         }
+        tally.flush();
     }
 }
 

@@ -10,7 +10,7 @@
 
 mod common;
 
-use anycast_netsim::{Day, RouteSnapshot, SiteId};
+use anycast_netsim::{Day, RouteSnapshot, RouteTally, SiteId};
 use common::{clients_sharing_ases, flappy_world, probe_times};
 
 const TALLIES: [&str; 3] = [
@@ -31,11 +31,13 @@ fn memoized_lookups_keep_the_direct_paths_tallies() {
             let times = probe_times(&net, day);
             let (memo_routes, memo) = anycast_obs::capture(|| {
                 let mut routes = Vec::new();
+                let mut tally = RouteTally::default();
                 for &t in &times {
                     for i in 0..clients.len() {
-                        routes.push(snap.anycast_at(&net, i, t));
+                        routes.push(snap.anycast_at(&net, i, t, &mut tally));
                     }
                 }
+                tally.flush();
                 routes
             });
             let (direct_routes, direct) = anycast_obs::capture(|| {
@@ -78,9 +80,12 @@ fn memoized_lookups_keep_the_direct_paths_tallies() {
                 })
             };
             let (memo_routes, memo) = anycast_obs::capture(|| {
-                lookups()
-                    .map(|(t, i, s)| rows.unicast_at(&net, i, s, t))
-                    .collect::<Vec<_>>()
+                let mut tally = RouteTally::default();
+                let routes = lookups()
+                    .map(|(t, i, s)| rows.unicast_at(&net, i, s, t, &mut tally))
+                    .collect::<Vec<_>>();
+                tally.flush();
+                routes
             });
             let (direct_routes, direct) = anycast_obs::capture(|| {
                 lookups()

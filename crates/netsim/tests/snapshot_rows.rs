@@ -11,7 +11,7 @@
 mod common;
 
 use anycast_netsim::{
-    ClientAttachment, Day, Internet, NetConfig, RouteSnapshot, SiteId, WorldGenConfig,
+    ClientAttachment, Day, Internet, NetConfig, RouteSnapshot, RouteTally, SiteId, WorldGenConfig,
 };
 use common::{clients_sharing_ases, probe_times};
 
@@ -116,22 +116,24 @@ fn rows_never_change_an_answer(net: &Internet, days: u32) {
         let agrees = |snap: &RouteSnapshot, shape: &str| {
             let mut anycast = direct_anycast.iter();
             let mut unicast = direct_unicast.iter();
+            let mut tally = RouteTally::default();
             for &t in &times {
                 for i in 0..clients.len() {
                     assert_eq!(
-                        snap.anycast_at(net, i, t),
+                        snap.anycast_at(net, i, t, &mut tally),
                         *anycast.next().unwrap(),
                         "{shape}: anycast of client {i} at {t} on {day:?}"
                     );
                     for &s in &sites {
                         assert_eq!(
-                            snap.unicast_at(net, i, s, t),
+                            snap.unicast_at(net, i, s, t, &mut tally),
                             *unicast.next().unwrap(),
                             "{shape}: client {i} site {s:?} at {t} on {day:?}"
                         );
                     }
                 }
             }
+            tally.flush();
         };
         agrees(&RouteSnapshot::build(net, &clients, day), "all sites");
         for (shape, rows) in &shapes {

@@ -91,6 +91,22 @@ impl Histogram {
         self.sum_micro.fetch_add(micro, Ordering::Relaxed);
     }
 
+    /// Adds a locally built snapshot: one relaxed atomic add per
+    /// non-empty bucket, plus the sum. A hot loop that observes into its
+    /// own [`HistogramSnapshot`] and merges it once per block leaves every
+    /// bucket and the sum exactly where observing each value here would.
+    pub fn merge(&self, local: &HistogramSnapshot) {
+        if !self.enabled.load(Ordering::Relaxed) {
+            return;
+        }
+        for (bucket, &n) in self.buckets.iter().zip(&local.buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.sum_micro.fetch_add(local.sum_micro, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -123,8 +139,8 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Records one value into the snapshot (the non-atomic path, for
-    /// building expected values in tests and merging partials).
+    /// Records one value into the snapshot (the non-atomic path: a hot
+    /// loop's local tally, which [`Histogram::merge`] publishes).
     pub fn observe(&mut self, v_ms: f64) {
         self.buckets[bucket_index(v_ms)] += 1;
         if v_ms.is_finite() && v_ms > 0.0 {
@@ -151,6 +167,12 @@ impl HistogramSnapshot {
                 .collect(),
             sum_micro: self.sum_micro.saturating_sub(baseline.sum_micro),
         }
+    }
+
+    /// Empties the snapshot, keeping its bucket vector.
+    pub fn clear(&mut self) {
+        self.buckets.fill(0);
+        self.sum_micro = 0;
     }
 
     /// Total observations.

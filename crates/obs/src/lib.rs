@@ -46,7 +46,12 @@
 //! Library crates record into [`global`] through the [`counter!`],
 //! [`histogram!`], and [`span!`] macros, which cache the handle in a
 //! call-site `OnceLock` — after the first hit, recording is lock-free
-//! and allocation-free. Tests that assert exact counts use [`capture`],
+//! and allocation-free. A loop that runs per event on several workers
+//! goes further and touches no shared cache line per event: it tallies
+//! into plain values — counts, a [`HistogramSnapshot`], a
+//! [`SpanSnapshot`] — and adds them once per block with [`Counter::add`],
+//! [`Histogram::merge`] and [`SpanAcc::merge`], which leave every value
+//! where per-event recording would. Tests that assert exact counts use [`capture`],
 //! which serializes capture windows process-wide and returns the
 //! metrics delta for the closure; put such tests in their own
 //! integration-test binary so unrelated parallel tests cannot inflate

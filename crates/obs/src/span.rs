@@ -64,6 +64,19 @@ impl SpanAcc {
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
+    /// Adds a locally built aggregate: counts and totals add, the max
+    /// takes the larger. A hot loop that records into its own
+    /// [`SpanSnapshot`] and merges it once per block leaves the count, the
+    /// total and the max exactly where recording each span here would.
+    pub fn merge(&self, local: &SpanSnapshot) {
+        if !self.enabled.load(Ordering::Relaxed) || local.count == 0 {
+            return;
+        }
+        self.count.fetch_add(local.count, Ordering::Relaxed);
+        self.total_ns.fetch_add(local.total_ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(local.max_ns, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy.
     pub fn snapshot(&self) -> SpanSnapshot {
         SpanSnapshot {
@@ -84,10 +97,14 @@ pub struct SpanTimer<'a> {
 impl Drop for SpanTimer<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.acc.record_ns(ns);
+            self.acc.record_ns(elapsed_ns(start));
         }
     }
+}
+
+/// Nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Plain-data span aggregate.
@@ -102,6 +119,21 @@ pub struct SpanSnapshot {
 }
 
 impl SpanSnapshot {
+    /// Records one span of `ns` into the plain aggregate (the non-atomic
+    /// path: a hot loop's local tally, which [`SpanAcc::merge`]
+    /// publishes).
+    pub fn record_ns(&mut self, ns: u64) {
+        self.count += 1;
+        self.total_ns = self.total_ns.wrapping_add(ns);
+        self.max_ns = self.max_ns.max(ns);
+    }
+
+    /// Records the span that began at `start` and ends now, measured as
+    /// the registry's [`SpanTimer`] measures it.
+    pub fn record_since(&mut self, start: Instant) {
+        self.record_ns(elapsed_ns(start));
+    }
+
     /// Total wall time in ms.
     pub fn total_ms(&self) -> f64 {
         self.total_ns as f64 / 1e6

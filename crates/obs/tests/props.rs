@@ -5,10 +5,13 @@
 //!   in one histogram (the same contract the pipeline crate's quantile
 //!   sketches make);
 //! * snapshot `diff` inverts accumulation;
+//! * a hot loop's local tally, merged into a live [`Histogram`] or
+//!   [`SpanAcc`], leaves it exactly where recording each event there
+//!   would — and a disabled registry takes nothing from a merge;
 //! * the JSON writer and parser round-trip arbitrary value trees.
 
 use anycast_obs::json::{self, Value};
-use anycast_obs::HistogramSnapshot;
+use anycast_obs::{Histogram, HistogramSnapshot, Registry, SpanAcc, SpanSnapshot};
 use proptest::prelude::*;
 
 fn hist_of(values: &[f64]) -> HistogramSnapshot {
@@ -29,8 +32,94 @@ fn latency() -> impl Strategy<Value = f64> {
     })
 }
 
+/// Latencies mixed with the values a bucket or the sum could misplace:
+/// NaN, ±0, ±∞, negatives, subnormals, and bucket edges with their
+/// neighbouring floats.
+fn edgy() -> impl Strategy<Value = f64> {
+    (any::<u8>(), latency(), any::<u16>()).prop_map(|(kind, v, pick)| {
+        // Every bucket's lower edge: 2^e · (1 + k/4) from 1/16 ms up.
+        let edge =
+            f64::powi(2.0, i32::from(pick % 27) - 4) * (1.0 + f64::from(pick / 27 % 4) / 4.0);
+        match kind % 10 {
+            0 => f64::NAN,
+            1 => -0.0,
+            2 => [0.0, f64::INFINITY, f64::NEG_INFINITY, -v, f64::from_bits(1)][pick as usize % 5],
+            3 => edge,
+            4 => f64::from_bits(edge.to_bits() - 1),
+            5 => f64::from_bits(edge.to_bits() + 1),
+            6 => v * 1e6,
+            _ => v,
+        }
+    })
+}
+
+/// A live histogram and span accumulator of a fresh registry.
+fn live(enabled: bool) -> (Registry, std::sync::Arc<Histogram>, std::sync::Arc<SpanAcc>) {
+    let r = Registry::new();
+    r.set_enabled(enabled);
+    let (h, s) = (r.histogram("h_ms"), r.span("stage", "0"));
+    (r, h, s)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn merged_local_tallies_equal_per_event_recording(
+        values in prop::collection::vec(edgy(), 0..300),
+        spans in prop::collection::vec(any::<u32>(), 0..60),
+        block in 1usize..40,
+    ) {
+        let (_direct_r, direct_h, direct_s) = live(true);
+        let (_merged_r, merged_h, merged_s) = live(true);
+        for &v in &values {
+            direct_h.observe(v);
+        }
+        for &ns in &spans {
+            direct_s.record_ns(u64::from(ns));
+        }
+        // Local tallies flushed every `block` events, as a hot loop does.
+        let mut local = HistogramSnapshot::default();
+        for chunk in values.chunks(block) {
+            chunk.iter().for_each(|&v| local.observe(v));
+            merged_h.merge(&local);
+            local.clear();
+        }
+        for chunk in spans.chunks(block) {
+            let mut local = SpanSnapshot::default();
+            chunk.iter().for_each(|&ns| local.record_ns(u64::from(ns)));
+            merged_s.merge(&local);
+        }
+        prop_assert_eq!(merged_h.snapshot(), direct_h.snapshot());
+        prop_assert_eq!(merged_h.snapshot(), hist_of(&values));
+        prop_assert_eq!(merged_s.snapshot(), direct_s.snapshot());
+        let want = SpanSnapshot {
+            count: spans.len() as u64,
+            total_ns: spans.iter().map(|&ns| u64::from(ns)).sum(),
+            max_ns: spans.iter().map(|&ns| u64::from(ns)).max().unwrap_or(0),
+        };
+        prop_assert_eq!(merged_s.snapshot(), want);
+    }
+
+    #[test]
+    fn a_disabled_registry_takes_nothing_from_a_merge(
+        values in prop::collection::vec(edgy(), 1..100),
+        ns in 1u32..u32::MAX,
+    ) {
+        let (r, h, s) = live(false);
+        let mut span = SpanSnapshot::default();
+        span.record_ns(u64::from(ns));
+        h.merge(&hist_of(&values));
+        s.merge(&span);
+        prop_assert_eq!(h.snapshot(), HistogramSnapshot::default());
+        prop_assert_eq!(s.snapshot(), SpanSnapshot::default());
+        // Switched back on, the same handles record the next merge.
+        r.set_enabled(true);
+        h.merge(&hist_of(&values));
+        s.merge(&span);
+        prop_assert_eq!(h.snapshot(), hist_of(&values));
+        prop_assert_eq!(s.snapshot(), span);
+    }
 
     #[test]
     fn hist_merge_is_commutative(

@@ -19,8 +19,8 @@
 //! * the passive logs are the production request log of §3.2.1 — "the
 //!   client IP address, location, and what front-end was used during a
 //!   particular request": one [`record::PassiveRecord`] per sampled query,
-//!   kept day-partitioned by [`store::TelemetryStore`] with the group-bys
-//!   the distance (Figure 4) and affinity (Figures 7–8) analyses read.
+//!   with the group-bys the distance (Figure 4) and affinity (Figures 7–8)
+//!   analyses read over a run of them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,7 +29,6 @@ pub mod ldns_assign;
 pub mod population;
 pub mod record;
 pub mod scenario;
-pub mod store;
 pub mod temporal;
 pub mod volume;
 
@@ -37,4 +36,3 @@ pub use ldns_assign::{LdnsAssignment, LdnsConfig};
 pub use population::{Client, PopulationConfig};
 pub use record::PassiveRecord;
 pub use scenario::{Scenario, ScenarioConfig};
-pub use store::TelemetryStore;

@@ -205,7 +205,7 @@ pub fn seeded_rng(seed: u64, salt: u64) -> rand::rngs::SmallRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::TelemetryStore;
+    use crate::record::sites_seen;
 
     #[test]
     fn build_small_world() {
@@ -252,16 +252,18 @@ mod tests {
 
     #[test]
     fn passive_records_go_into_store() {
+        // Three days generated one after another: one run of records per
+        // day, in day order, over a thousand records in all.
         let s = Scenario::small(4);
         let mut rng = seeded_rng(4, 1);
-        let mut store = TelemetryStore::new();
+        let mut records = Vec::new();
         for day in Day(0).span(3) {
-            for r in s.generate_passive_day(day, &mut rng) {
-                store.push(r);
-            }
+            records.extend(s.generate_passive_day(day, &mut rng));
         }
-        assert_eq!(store.days().count(), 3);
-        assert!(store.len() > 1000);
+        let mut days: Vec<Day> = records.iter().map(|r| r.day).collect();
+        days.dedup();
+        assert_eq!(days, vec![Day(0), Day(1), Day(2)]);
+        assert!(records.len() > 1000);
     }
 
     #[test]
@@ -270,19 +272,12 @@ mod tests {
         // front-ends within a single day (intra-day churn).
         let s = Scenario::small(5);
         let mut rng = seeded_rng(5, 1);
-        let mut found = false;
-        'outer: for day in Day(0).span(7) {
-            let mut store = TelemetryStore::new();
-            for r in s.generate_passive_day(day, &mut rng) {
-                store.push(r);
-            }
-            for (_, sites) in store.sites_seen(day) {
-                if sites.len() > 1 {
-                    found = true;
-                    break 'outer;
-                }
-            }
-        }
+        let found = Day(0).span(7).any(|day| {
+            let records = s.generate_passive_day(day, &mut rng);
+            sites_seen(&records, day)
+                .values()
+                .any(|sites| sites.len() > 1)
+        });
         assert!(found, "no intra-day front-end switch observed in a week");
     }
 

@@ -2,10 +2,11 @@
 
 use anycast_geo::{GeoPoint, MetroId, Region};
 use anycast_netsim::{Day, NetConfig, Prefix24, SiteId, Topology};
+use anycast_workload::record::{daily_serving_site, query_volume, sites_seen};
 use anycast_workload::volume::zipf_volumes;
 use anycast_workload::{
     ldns_assign, population, temporal, LdnsConfig, PassiveRecord, PopulationConfig, Scenario,
-    ScenarioConfig, TelemetryStore,
+    ScenarioConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -117,16 +118,15 @@ proptest! {
     fn store_preserves_every_record(
         rows in prop::collection::vec((0u8..20, 0u16..8, 0u32..7, 0.0..86_400.0f64), 0..300)
     ) {
-        let mut store = TelemetryStore::new();
-        for &(p, s, d, t) in &rows {
-            store.push(record(p, s, d, t));
-        }
-        prop_assert_eq!(store.len(), rows.len());
-        // Day partitions sum to the total.
-        let by_day: usize = store.days().map(|d| store.day(d).len()).sum();
-        prop_assert_eq!(by_day, rows.len());
+        let records: Vec<PassiveRecord> =
+            rows.iter().map(|&(p, s, d, t)| record(p, s, d, t)).collect();
+        // Each day's sites seen sum to that day's records.
+        let by_day: u64 = (0..7)
+            .map(|d| sites_seen(&records, Day(d)).values().flat_map(|m| m.values()).sum::<u64>())
+            .sum();
+        prop_assert_eq!(by_day as usize, rows.len());
         // Volumes sum to the total too.
-        let vol: u64 = store.query_volume().values().sum();
+        let vol: u64 = query_volume(&records).values().sum();
         prop_assert_eq!(vol as usize, rows.len());
     }
 
@@ -134,11 +134,9 @@ proptest! {
     fn majority_site_is_a_mode(
         sites in prop::collection::vec(0u16..4, 1..50)
     ) {
-        let mut store = TelemetryStore::new();
-        for (i, &s) in sites.iter().enumerate() {
-            store.push(record(1, s, 0, i as f64));
-        }
-        let chosen = store.daily_serving_site()
+        let records: Vec<PassiveRecord> =
+            sites.iter().enumerate().map(|(i, &s)| record(1, s, 0, i as f64)).collect();
+        let chosen = daily_serving_site(&records)
             [&Prefix24::containing(Ipv4Addr::new(11, 0, 1, 1))][&Day(0)];
         // The chosen site's count must be maximal.
         let count = |site: u16| sites.iter().filter(|&&s| s == site).count();
@@ -150,11 +148,9 @@ proptest! {
     fn sites_seen_counts_match(
         rows in prop::collection::vec((0u8..5, 0u16..4), 1..100)
     ) {
-        let mut store = TelemetryStore::new();
-        for (i, &(p, s)) in rows.iter().enumerate() {
-            store.push(record(p, s, 0, i as f64));
-        }
-        let seen = store.sites_seen(Day(0));
+        let records: Vec<PassiveRecord> =
+            rows.iter().enumerate().map(|(i, &(p, s))| record(p, s, 0, i as f64)).collect();
+        let seen = sites_seen(&records, Day(0));
         let total: u64 = seen.values().flat_map(|m| m.values()).sum();
         prop_assert_eq!(total as usize, rows.len());
     }

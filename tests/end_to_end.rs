@@ -6,7 +6,7 @@ use anycast_cdn::core::{
     evaluate_prediction, Grouping, Metric, Predictor, PredictorConfig, Study, StudyConfig,
 };
 use anycast_cdn::netsim::Day;
-use anycast_cdn::workload::{scenario::seeded_rng, Scenario, TelemetryStore};
+use anycast_cdn::workload::{scenario::seeded_rng, Scenario};
 
 fn small_study(seed: u64, days: u32) -> Study {
     let mut study = Study::new(Scenario::small(seed), StudyConfig::default());
@@ -109,10 +109,7 @@ fn passive_and_active_views_agree_on_anycast_site() {
     // routing layer says for that day (modulo intra-day flips).
     let scenario = Scenario::small(5);
     let mut rng = seeded_rng(5, 0xa9);
-    let mut store = TelemetryStore::new();
-    for r in scenario.generate_passive_day(Day(0), &mut rng) {
-        store.push(r);
-    }
+    let records = scenario.generate_passive_day(Day(0), &mut rng);
     let mut checked = 0;
     for client in &scenario.clients {
         let flips = scenario.internet.churn().flips_on(
@@ -127,11 +124,7 @@ fn passive_and_active_views_agree_on_anycast_site() {
             .internet
             .anycast_route(&client.attachment, Day(0))
             .site;
-        for r in store
-            .day(Day(0))
-            .iter()
-            .filter(|r| r.prefix == client.prefix)
-        {
+        for r in records.iter().filter(|r| r.prefix == client.prefix) {
             assert_eq!(r.site, expected, "{}", client.prefix);
             checked += 1;
         }
