@@ -36,4 +36,3 @@ pub use join::{join, BeaconMeasurement, Target};
 pub use policy::MeasurementPolicy;
 pub use runner::{run_beacon, BeaconClient, BeaconTally, HttpResult, FETCH_TIMEOUT_MS};
 pub use slots::Slot;
-pub use timing::TimingModel;

@@ -100,10 +100,6 @@ impl MeasurementPolicy {
 
     /// The candidate front-ends for an LDNS at `ldns_location`: the k
     /// nearest sites with distances, ascending.
-    pub fn candidate_sites(&self, ldns_location: &GeoPoint) -> Vec<(SiteId, f64)> {
-        self.candidates_of(ldns_location).into_owned()
-    }
-
     fn candidates_of(&self, ldns_location: &GeoPoint) -> Cow<'_, [(SiteId, f64)]> {
         match self.known.sets.get(&location_bits(ldns_location)) {
             Some(set) if self.known.k == self.candidates => Cow::Borrowed(set),
@@ -219,19 +215,18 @@ mod tests {
     #[test]
     fn random_picks_stay_within_candidates() {
         let p = policy();
+        // LDNS at 0°E: the ten candidates are sites 0-9, never 10 or 11.
         let loc = GeoPoint::new(0.0, 0.0);
-        let candidates: std::collections::HashSet<SiteId> = p
-            .candidate_sites(&loc)
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        assert_eq!(candidates.len(), 10);
+        let mut seen = std::collections::HashSet::new();
         for counter in 0..200 {
             let site = p
                 .select_site(Slot::Random1, Slot::Random1.id_for(counter), &loc)
                 .unwrap();
-            assert!(candidates.contains(&site));
+            assert!(site.0 < 10, "{site:?} is not a candidate");
+            seen.insert(site);
         }
+        // Every candidate but the geo-closest gets drawn.
+        assert_eq!(seen.len(), 9);
     }
 
     #[test]
@@ -304,7 +299,6 @@ mod tests {
                 panic!("{loc:?} was not memoised");
             };
             assert_eq!(set, memoised.sites.k_nearest(loc, 10));
-            assert_eq!(memoised.candidate_sites(loc), set);
         }
         // Clones share the sets instead of copying them.
         assert!(Arc::ptr_eq(&memoised.known, &memoised.clone().known));
@@ -317,7 +311,7 @@ mod tests {
         let nowhere = GeoPoint::new(12.345, -67.89);
         assert!(matches!(memoised.candidates_of(&nowhere), Cow::Owned(_)));
         assert_eq!(
-            memoised.candidate_sites(&nowhere),
+            *memoised.candidates_of(&nowhere),
             memoised.sites.k_nearest(&nowhere, 10)
         );
         // A known location after the public size field moved: the sets were
@@ -326,7 +320,7 @@ mod tests {
         resized.candidates = 4;
         assert!(matches!(resized.candidates_of(&believed[0]), Cow::Owned(_)));
         assert_eq!(
-            resized.candidate_sites(&believed[0]),
+            *resized.candidates_of(&believed[0]),
             resized.sites.k_nearest(&believed[0], 4)
         );
     }
@@ -400,8 +394,13 @@ mod tests {
     #[test]
     fn different_ldns_locations_get_different_candidates() {
         let p = policy();
-        let west = p.candidate_sites(&GeoPoint::new(0.0, 0.0));
-        let east = p.candidate_sites(&GeoPoint::new(0.0, 110.0));
-        assert_ne!(west[0].0, east[0].0);
+        let closest = |lon| {
+            p.select_site(
+                Slot::GeoClosest,
+                Slot::GeoClosest.id_for(1),
+                &GeoPoint::new(0.0, lon),
+            )
+        };
+        assert_ne!(closest(0.0), closest(110.0));
     }
 }

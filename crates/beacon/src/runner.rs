@@ -30,7 +30,7 @@ use anycast_dns::{AuthoritativeServer, DnsName, Ldns};
 
 use crate::policy::MeasurementPolicy;
 use crate::slots::Slot;
-use crate::timing::TimingModel;
+use crate::timing;
 
 /// A client-side HTTP result row: what the beacon uploads to the backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,7 +157,6 @@ pub fn run_beacon(
     internet: &Internet,
     routes: ClientRoutes<'_>,
     addressing: &CdnAddressing,
-    timing: &TimingModel,
     zone: &DnsName,
     client: &BeaconClient,
     ldns: &mut Ldns,
@@ -171,7 +170,7 @@ pub fn run_beacon(
 ) {
     let day = routes.day();
     tally.executions += 1;
-    let compliant = timing.browser_is_compliant(rng);
+    let compliant = timing::browser_is_compliant(rng);
     for slot in Slot::ALL {
         let id = slot.id_for(execution);
         let qname = DnsName::measurement(id, zone);
@@ -218,7 +217,7 @@ pub fn run_beacon(
                 // failure-free runner: one RTT jitter sample, one timing
                 // observation. Timed-out attempts draw none.
                 let true_rtt = internet.sample_rtt(&decision, rng);
-                served = Some((decision.site, timing.observe(true_rtt, compliant, rng)));
+                served = Some((decision.site, timing::observe(true_rtt, compliant, rng)));
                 break;
             }
         }
@@ -316,7 +315,6 @@ mod tests {
             &w.internet,
             snap.client(0),
             &w.addressing,
-            &TimingModel::perfect(),
             &w.zone,
             &c,
             &mut ldns,
@@ -449,7 +447,6 @@ mod tests {
                     &internet,
                     snap.client(0),
                     &addressing,
-                    &TimingModel::perfect(),
                     &zone,
                     &c,
                     &mut ldns,
@@ -506,7 +503,6 @@ mod tests {
                 &w.internet,
                 snap.client(0),
                 &w.addressing,
-                &TimingModel::default(),
                 &w.zone,
                 &c,
                 &mut ldns,

@@ -38,7 +38,7 @@ use anycast_workload::Scenario;
 
 use crate::capacity::{busiest, withdraw, CapacityPlan};
 use crate::controller::{ControlConfig, ControlMode, Controller};
-use crate::demand::{epoch_bounds, DemandModel, EpochDemand};
+use crate::demand::{epoch_bounds, vip_landing, DemandModel, EpochDemand};
 
 /// Closed-loop run parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -362,21 +362,8 @@ pub fn replay_wire(
             });
             let a = client.query(&qname, spec.ecs.as_ref()).expect("wire query");
             if addressing.is_anycast(a.addr) {
-                // Attribute the VIP answer to the site BGP actually
-                // delivers to at this instant, failure schedule applied.
-                // The plan is a round-robin sweep of the population, so a
-                // query's position stands in for its time of day; in a
-                // world without failure injection this is exactly the
-                // steady `anycast_route`.
-                let time_s = 86_400.0 * (lo + j) as f64 / plan.len().max(1) as f64;
-                match scenario.internet.anycast_route_at(
-                    &scenario.clients[*ci].attachment,
-                    cfg.day,
-                    time_s,
-                ) {
-                    Some(route) => *vip_catchments.entry(route.site).or_insert(0) += 1,
-                    // Steady route into a just-crashed site before BGP
-                    // reconverges: the answer went out, the packets die.
+                match vip_landing(scenario, *ci, cfg.day, lo + j, plan.len()) {
+                    Some(site) => *vip_catchments.entry(site).or_insert(0) += 1,
                     None => vip_lost += 1,
                 }
             }

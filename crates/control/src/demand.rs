@@ -13,6 +13,9 @@
 //!   (which sites take it if the answer is the VIP);
 //! * pinned load, per site, that no DNS rewrite can move.
 //!
+//! Where a VIP answer lands is `vip_landing`'s rule, which the wire
+//! replay reads too.
+//!
 //! Two load rules live here and nowhere else:
 //! [`EpochDemand::contribution`] (how much load a group parks on a site
 //! under a target) and [`DemandModel::peak_loads`] (each site's peak
@@ -36,7 +39,8 @@ pub struct GroupEpoch {
     /// Queries the group contributes this epoch.
     pub queries: u64,
     /// Where those queries land when answered with the anycast VIP:
-    /// site → query count (sums to `queries`).
+    /// site → query count (sums to `queries`, less any `vip_landing`
+    /// loses).
     pub vip_by_site: BTreeMap<SiteId, u64>,
 }
 
@@ -107,6 +111,28 @@ pub struct DemandModel {
     pub epochs: Vec<EpochDemand>,
 }
 
+/// Where a planned query answered with the anycast VIP lands: the site BGP
+/// delivers its client to at the query's time of day, failure schedule
+/// applied. The plan is a round-robin sweep of the population, so the
+/// query's position `pos` among `len` stands in for its time of day; in a
+/// world without failure injection this is exactly the steady
+/// `anycast_route`. `None` is a query lost to a steady route into a
+/// just-crashed site before BGP reconverges: the answer goes out, the
+/// packets die.
+pub(crate) fn vip_landing(
+    scenario: &Scenario,
+    client: usize,
+    day: Day,
+    pos: usize,
+    len: usize,
+) -> Option<SiteId> {
+    let time_s = 86_400.0 * pos as f64 / len.max(1) as f64;
+    scenario
+        .internet
+        .anycast_route_at(&scenario.clients[client].attachment, day, time_s)
+        .map(|route| route.site)
+}
+
 /// Chunk boundaries for splitting `n` queries into `epochs` contiguous
 /// control epochs: epoch `e` covers `[e·n/E, (e+1)·n/E)`. The wire replay
 /// uses the same boundaries, so model epochs and replay epochs line up
@@ -136,12 +162,8 @@ impl DemandModel {
         let mut out = Vec::with_capacity(bounds.len());
         for &(lo, hi) in &bounds {
             let mut epoch = EpochDemand::default();
-            for (ci, spec) in &plan[lo..hi] {
-                let client = &scenario.clients[*ci];
-                let catchment = scenario
-                    .internet
-                    .anycast_route(&client.attachment, day)
-                    .site;
+            for (j, (ci, spec)) in plan[lo..hi].iter().enumerate() {
+                let landing = vip_landing(scenario, *ci, day, lo + j, plan.len());
                 // An ECS query matches the *aggregate* entry covering its
                 // subnet, so steering groups are keyed (and overridden)
                 // per aggregate — rewriting one short default entry moves
@@ -150,10 +172,14 @@ impl DemandModel {
                     Some((k, _)) => {
                         let g = epoch.groups.entry(k).or_default();
                         g.queries += 1;
-                        *g.vip_by_site.entry(catchment).or_insert(0) += 1;
+                        if let Some(site) = landing {
+                            *g.vip_by_site.entry(site).or_insert(0) += 1;
+                        }
                     }
                     None => {
-                        *epoch.pinned.entry(catchment).or_insert(0.0) += 1.0;
+                        if let Some(site) = landing {
+                            *epoch.pinned.entry(site).or_insert(0.0) += 1.0;
+                        }
                     }
                 }
             }

@@ -18,7 +18,7 @@ use anycast_control::{
 };
 use anycast_core::prediction::{Grouping, PredictionTable, Predictor, PredictorConfig};
 use anycast_core::{Study, StudyConfig};
-use anycast_netsim::{Day, SiteId};
+use anycast_netsim::{Day, SiteId, WorldGenConfig};
 use anycast_workload::{Scenario, ScenarioConfig};
 
 fn trained(seed: u64) -> (Study, PredictionTable) {
@@ -35,7 +35,17 @@ fn trained(seed: u64) -> (Study, PredictionTable) {
 /// An outage world: a quarter of the fleet goes dark for the whole day
 /// when the outage is drawn, shifting anycast catchments persistently.
 fn trained_outage(seed: u64) -> (Study, PredictionTable) {
+    trained_outage_in(ScenarioConfig::small(seed))
+}
+
+/// The same outages on a 300-AS policy-routed world.
+fn trained_policy_outage(seed: u64) -> (Study, PredictionTable) {
     let mut cfg = ScenarioConfig::small(seed);
+    cfg.net.worldgen = Some(WorldGenConfig::with_ases(300));
+    trained_outage_in(cfg)
+}
+
+fn trained_outage_in(mut cfg: ScenarioConfig) -> (Study, PredictionTable) {
     cfg.net.p_site_outage = 0.25;
     cfg.net.outage_duration_s = 86_400.0;
     let mut study = Study::new(
@@ -300,11 +310,13 @@ fn the_wire_measures_the_overload_the_model_projects() {
     // model projects each epoch's load from the query plan, the wire
     // counts what a live server answered and where BGP took the VIP
     // answers. Left alone (Off mode, nothing swapped), both must see the
-    // same overload in every epoch — on the default world and on one
-    // where whole-day outages move anycast catchments.
+    // same overload in every epoch — on the default world and on two
+    // where whole-day outages move anycast catchments, one of them
+    // policy-routed.
     for (world, train) in [
         ("default", trained as fn(u64) -> (Study, PredictionTable)),
         ("outage", trained_outage),
+        ("policy outage", trained_policy_outage),
     ] {
         for seed in [42, 43, 44] {
             let (study, table) = train(seed);

@@ -150,16 +150,13 @@ mod tests {
 
     #[test]
     fn frozen_world_breaks_nothing() {
-        use anycast_netsim::NetConfig;
-        use anycast_workload::ScenarioConfig;
-        let cfg = ScenarioConfig {
-            net: NetConfig {
-                flappy_fraction: 0.0,
-                ..NetConfig::small()
-            },
-            ..ScenarioConfig::small(23)
-        };
-        let scenario = Scenario::build(cfg).unwrap();
+        // Only the clients whose attachment does not flip that day.
+        let mut scenario = Scenario::small(23);
+        let churn = *scenario.internet.churn();
+        scenario
+            .clients
+            .retain(|c| !churn.flips_on(c.attachment.as_id, c.attachment.metro, Day(0)));
+        assert!(!scenario.clients.is_empty());
         let mut rng = seeded_rng(23, 0xf10);
         let stats = disruption_rate(&scenario, Day(0), FlowModel::video(), 5, &mut rng);
         assert_eq!(stats.broken, 0);

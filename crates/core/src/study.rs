@@ -60,7 +60,7 @@ use anycast_analysis::poor_paths::PrefixDayPerf;
 use anycast_analysis::quantile::median;
 use anycast_beacon::{
     join, run_beacon, BeaconClient, BeaconDataset, BeaconMeasurement, BeaconTally,
-    MeasurementPolicy, Slot, Target, TimingModel,
+    MeasurementPolicy, Slot, Target,
 };
 use anycast_dns::{AuthoritativeServer, DnsName, Ldns, LdnsId};
 use anycast_geo::GeoPoint;
@@ -100,8 +100,9 @@ const MIN_UNICAST_SAMPLES: usize = 6;
 /// * `ttl_s` and `workers` are **stream-neutral**: `workers` in particular
 ///   is provably output-neutral (the worker-invariance proptest pins it).
 ///
-/// Every beacon reports through [`TimingModel::default`] and fetches with
-/// the beacon crate's fixed timeout and retry count.
+/// Every beacon reports through the beacon crate's browser timing model
+/// (`anycast_beacon::timing`) and fetches with its fixed timeout and retry
+/// count.
 #[derive(Debug, Clone, Copy)]
 pub struct StudyConfig {
     /// Fraction of queries that carry the beacon ("a small fraction of
@@ -434,7 +435,6 @@ impl Study {
         let day = routes.day();
         let mut auth = AuthoritativeServer::new(self.policy.clone(), false);
         let mut resolvers: HashMap<LdnsId, Ldns> = HashMap::new();
-        let timing = TimingModel::default();
         // Wall time of this worker's beacon executions. Observability
         // only: spans never touch RNG streams or outputs. Like the
         // beacons' own tallies, the span is kept here and merged into the
@@ -476,7 +476,6 @@ impl Study {
                     &s.internet,
                     routes.client(ev.client),
                     &s.addressing,
-                    &timing,
                     &self.zone,
                     &beacon_client,
                     ldns,

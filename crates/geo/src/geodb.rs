@@ -8,7 +8,7 @@
 //!
 //! [`GeoDb`] reproduces that imperfection deterministically: for any key
 //! (e.g. a /24 prefix id or an LDNS id) it reports either the true location
-//! or — with configurable probability — a displaced one. The displacement is
+//! or — with probability [`MISLOCATE_PROB`] — a displaced one. The displacement is
 //! a lognormal-distributed distance in a uniform direction, and crucially it
 //! is a *stable function of the key*: the database returns the same wrong
 //! answer every time, exactly like a real database with a stale entry.
@@ -40,42 +40,16 @@ mod rand_chacha_free {
     }
 }
 
-/// Parameters of the geolocation error process.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeoDbErrorModel {
-    /// Probability that a key's database entry is mislocated at all.
-    /// Real databases are right at country level almost always and at city
-    /// level most of the time; the default models a 6% city-level miss rate.
-    pub mislocate_prob: f64,
-    /// Median displacement of a mislocated entry, in km.
-    pub error_km_median: f64,
-    /// Lognormal shape parameter (sigma of the underlying normal).
-    /// Larger values fatten the tail of very wrong entries — the paper's
-    /// "very long client-to-front-end distances" artifact.
-    pub error_km_sigma: f64,
-}
-
-impl Default for GeoDbErrorModel {
-    fn default() -> Self {
-        GeoDbErrorModel {
-            mislocate_prob: 0.06,
-            error_km_median: 200.0,
-            error_km_sigma: 1.4,
-        }
-    }
-}
-
-impl GeoDbErrorModel {
-    /// A perfect database: every entry is the true location. Useful for
-    /// isolating geolocation effects in ablations.
-    pub fn perfect() -> Self {
-        GeoDbErrorModel {
-            mislocate_prob: 0.0,
-            error_km_median: 0.0,
-            error_km_sigma: 0.0,
-        }
-    }
-}
+/// Probability that a key's database entry is mislocated at all. Real
+/// databases are right at country level almost always and at city level
+/// most of the time; this models a 6% city-level miss rate.
+pub const MISLOCATE_PROB: f64 = 0.06;
+/// Median displacement of a mislocated entry, in km.
+pub const ERROR_KM_MEDIAN: f64 = 200.0;
+/// Lognormal shape parameter of the displacement (sigma of the underlying
+/// normal). Larger values fatten the tail of very wrong entries — the
+/// paper's "very long client-to-front-end distances" artifact.
+pub const ERROR_KM_SIGMA: f64 = 1.4;
 
 /// A deterministic geolocation database.
 ///
@@ -86,26 +60,12 @@ impl GeoDbErrorModel {
 #[derive(Debug, Clone, Copy)]
 pub struct GeoDb {
     seed: u64,
-    model: GeoDbErrorModel,
 }
 
 impl GeoDb {
-    /// Creates a database with the given seed and error model.
-    pub fn new(seed: u64, model: GeoDbErrorModel) -> Self {
-        GeoDb { seed, model }
-    }
-
-    /// Creates a perfect database (no error), for ablations.
-    pub fn perfect() -> Self {
-        GeoDb {
-            seed: 0,
-            model: GeoDbErrorModel::perfect(),
-        }
-    }
-
-    /// The error model in force.
-    pub fn model(&self) -> GeoDbErrorModel {
-        self.model
+    /// Creates the database snapshot named by `seed`.
+    pub fn new(seed: u64) -> Self {
+        GeoDb { seed }
     }
 
     /// The believed location of `key`, whose true location is `true_loc`.
@@ -113,17 +73,14 @@ impl GeoDb {
     /// Stable: the same `(seed, key, true_loc)` always yields the same
     /// answer. Independent keys get independent error draws.
     pub fn locate(&self, key: u64, true_loc: GeoPoint) -> GeoPoint {
-        if self.model.mislocate_prob <= 0.0 {
-            return true_loc;
-        }
         let mut mix = SplitMix64(self.seed ^ key.wrapping_mul(0xA24B_AED4_963E_E407));
         let mut rng = rand::rngs::SmallRng::seed_from_u64(mix.next_u64());
-        if rng.gen::<f64>() >= self.model.mislocate_prob {
+        if rng.gen::<f64>() >= MISLOCATE_PROB {
             return true_loc;
         }
         // Lognormal displacement distance: median * exp(sigma * N(0,1)).
         let normal: f64 = sample_standard_normal(&mut rng);
-        let distance = self.model.error_km_median * (self.model.error_km_sigma * normal).exp();
+        let distance = ERROR_KM_MEDIAN * (ERROR_KM_SIGMA * normal).exp();
         let bearing = rng.gen_range(0.0..360.0);
         true_loc.destination(bearing, distance)
     }
@@ -171,17 +128,8 @@ mod tests {
     use rand::rngs::SmallRng;
 
     #[test]
-    fn perfect_db_is_identity() {
-        let db = GeoDb::perfect();
-        let p = GeoPoint::new(47.6, -122.3);
-        for key in 0..100 {
-            assert_eq!(db.locate(key, p), p);
-        }
-    }
-
-    #[test]
     fn locate_is_stable_per_key() {
-        let db = GeoDb::new(42, GeoDbErrorModel::default());
+        let db = GeoDb::new(42);
         let p = GeoPoint::new(48.85, 2.35);
         for key in 0..500 {
             assert_eq!(db.locate(key, p), db.locate(key, p), "key {key}");
@@ -190,48 +138,45 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_snapshots() {
-        let model = GeoDbErrorModel {
-            mislocate_prob: 1.0,
-            ..Default::default()
-        };
-        let a = GeoDb::new(1, model);
-        let b = GeoDb::new(2, model);
+        // Of the keys either snapshot mislocates, almost none agree.
+        let a = GeoDb::new(1);
+        let b = GeoDb::new(2);
         let p = GeoPoint::new(0.0, 0.0);
-        let differing = (0..100)
-            .filter(|&k| a.locate(k, p) != b.locate(k, p))
-            .count();
-        assert!(differing > 90);
+        let (mut wrong, mut differing) = (0, 0);
+        for k in 0..5_000 {
+            let (la, lb) = (a.locate(k, p), b.locate(k, p));
+            if la != p || lb != p {
+                wrong += 1;
+                differing += usize::from(la != lb);
+            }
+        }
+        assert!(wrong > 300, "{wrong} mislocated keys");
+        assert!(differing * 10 > wrong * 9, "{differing} of {wrong} differ");
     }
 
     #[test]
     fn mislocate_fraction_matches_model() {
-        let model = GeoDbErrorModel {
-            mislocate_prob: 0.06,
-            ..Default::default()
-        };
-        let db = GeoDb::new(7, model);
+        let db = GeoDb::new(7);
         let p = GeoPoint::new(35.68, 139.65);
         let n = 50_000;
         let bad = (0..n).filter(|&k| db.locate(k, p) != p).count();
         let frac = bad as f64 / n as f64;
-        assert!((frac - 0.06).abs() < 0.01, "observed {frac}");
+        assert!((frac - MISLOCATE_PROB).abs() < 0.01, "observed {frac}");
     }
 
     #[test]
     fn error_distances_have_expected_median() {
-        let model = GeoDbErrorModel {
-            mislocate_prob: 1.0,
-            error_km_median: 200.0,
-            error_km_sigma: 1.4,
-        };
-        let db = GeoDb::new(11, model);
+        let db = GeoDb::new(11);
         let p = GeoPoint::new(51.5, -0.13);
-        let mut dists: Vec<f64> = (0..20_000)
-            .map(|k| db.locate(k, p).haversine_km(&p))
+        let mut dists: Vec<f64> = (0..300_000)
+            .map(|k| db.locate(k, p))
+            .filter(|&q| q != p)
+            .map(|q| q.haversine_km(&p))
             .collect();
+        assert!(dists.len() > 15_000, "{} mislocated keys", dists.len());
         dists.sort_by(|a, b| a.total_cmp(b));
         let median = dists[dists.len() / 2];
-        assert!((median - 200.0).abs() < 25.0, "median {median}");
+        assert!((median - ERROR_KM_MEDIAN).abs() < 25.0, "median {median}");
         // Fat tail exists: some entries are very wrong (> 1500 km).
         assert!(dists.iter().any(|&d| d > 1500.0));
     }

@@ -30,6 +30,6 @@ pub mod regions;
 
 pub use cities::{Metro, MetroId, WorldAtlas};
 pub use coords::GeoPoint;
-pub use geodb::{GeoDb, GeoDbErrorModel, LogNormal};
+pub use geodb::{GeoDb, LogNormal};
 pub use nearest::NearestIndex;
 pub use regions::{Region, Scope};

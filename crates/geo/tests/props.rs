@@ -1,6 +1,6 @@
 //! Property tests for the geography substrate.
 
-use anycast_geo::{GeoDb, GeoDbErrorModel, GeoPoint, NearestIndex, WorldAtlas};
+use anycast_geo::{GeoDb, GeoPoint, NearestIndex, WorldAtlas};
 use proptest::prelude::*;
 
 fn lat() -> impl Strategy<Value = f64> {
@@ -21,7 +21,7 @@ proptest! {
 
     #[test]
     fn geodb_is_a_pure_function(seed in any::<u64>(), key in any::<u64>(), plat in lat(), plon in lon()) {
-        let db = GeoDb::new(seed, GeoDbErrorModel::default());
+        let db = GeoDb::new(seed);
         let p = GeoPoint::new(plat, plon);
         prop_assert_eq!(db.locate(key, p), db.locate(key, p));
     }

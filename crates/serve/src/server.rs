@@ -67,6 +67,9 @@ const TCP_MAX_MESSAGE: usize = 65535;
 const RECV_BUF: usize = 4096;
 /// How often blocked receivers re-check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// TTL of valve (degraded) answers, seconds — short, so clients re-ask
+/// once the shard recovers.
+pub const VALVE_TTL_S: u32 = 30;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -82,9 +85,6 @@ pub struct ServeConfig {
     /// consecutive completely-full batches it has received; 0 valves
     /// every query (useful in tests).
     pub overload_watermark: usize,
-    /// TTL of valve (degraded) answers — short, so clients re-ask once
-    /// the shard recovers.
-    pub valve_ttl_s: u32,
     /// The anycast VIP used by the valve and for unknown-resolver queries.
     pub anycast_vip: Ipv4Addr,
     /// Server-side cap on UDP response size regardless of what the client
@@ -100,13 +100,12 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Sensible defaults for loopback serving: 2 workers, batches of 32,
-    /// valve at 256, 30 s degraded TTL.
+    /// valve at 256.
     pub fn new(anycast_vip: Ipv4Addr) -> ServeConfig {
         ServeConfig {
             workers: 2,
             batch: 32,
             overload_watermark: 256,
-            valve_ttl_s: 30,
             anycast_vip,
             udp_response_cap: None,
             recorder: true,
@@ -330,7 +329,7 @@ impl ServeCtx {
             cfg,
             tables,
             directory,
-            valve: AnswerRr::new(cfg.anycast_vip, cfg.valve_ttl_s),
+            valve: AnswerRr::new(cfg.anycast_vip, VALVE_TTL_S),
             stats: ServeStats::default(),
             stop: AtomicBool::new(false),
         }

@@ -22,7 +22,7 @@ use anycast_serve::client::WireClient;
 use anycast_serve::replay::{
     day_queries, ldns_directory, ldns_source_addr, service_qname, QuerySpec,
 };
-use anycast_serve::server::{DnsServer, ServeConfig};
+use anycast_serve::server::{DnsServer, ServeConfig, VALVE_TTL_S};
 use anycast_serve::store::{CompiledTable, TableStore};
 use anycast_workload::Scenario;
 
@@ -573,7 +573,6 @@ fn overload_valve_degrades_to_anycast() {
     let mut cfg = ServeConfig::new(plan.anycast_ip());
     cfg.workers = 1;
     cfg.overload_watermark = 0; // every dequeue sees depth >= watermark
-    cfg.valve_ttl_s = 7;
     let directory = ldns_directory(scenario);
     let server = DnsServer::spawn_tables(cfg, t.store(), directory).expect("server spawns");
 
@@ -586,7 +585,10 @@ fn overload_valve_degrades_to_anycast() {
             .query(&qname, q.ecs.as_ref())
             .expect("query");
         assert_eq!(a.addr, plan.anycast_ip(), "valve always answers the VIP");
-        assert_eq!(a.ttl_s, 7, "valve answers use the short degraded TTL");
+        assert_eq!(
+            a.ttl_s, VALVE_TTL_S,
+            "valve answers use the short degraded TTL"
+        );
         assert_eq!(a.ecs_scope, 0, "degraded answers are global");
     }
     let degraded = server

@@ -10,10 +10,9 @@
 //!   clients" and support ECS.
 //!
 //! The model: each eyeball AS gets one resolver per footprint cluster
-//! (placed at the AS's largest PoPs), a configurable fraction of ASes
-//! centralize their resolver at the home metro even for remote PoPs (the
-//! distant-LDNS tail), and three public resolvers capture a
-//! configurable share of demand.
+//! (placed at the AS's largest PoPs), a fixed fraction of ASes centralize
+//! their resolver at the home metro even for remote PoPs (the distant-LDNS
+//! tail), and three public resolvers capture a fixed share of demand.
 
 use std::collections::HashMap;
 
@@ -25,15 +24,16 @@ use anycast_dns::{Ldns, LdnsId, ResolverKind};
 
 use crate::population::Client;
 
+/// Fraction of client demand using a public resolver (paper: ~8%).
+pub const PUBLIC_RESOLVER_SHARE: f64 = 0.08;
+/// Fraction of eyeball ASes that centralize DNS at their home metro,
+/// leaving remote-PoP clients far from their LDNS (paper: 11-12% of demand
+/// farther than 500 km).
+pub const CENTRALIZED_DNS_FRACTION: f64 = 0.12;
+
 /// Parameters of resolver placement and assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LdnsConfig {
-    /// Fraction of client demand using a public resolver (paper: ~8%).
-    pub public_resolver_share: f64,
-    /// Fraction of eyeball ASes that centralize DNS at their home metro,
-    /// leaving remote-PoP clients far from their LDNS (paper: 11-12% of
-    /// demand > 500 km).
-    pub centralized_dns_fraction: f64,
     /// Fraction of ISP resolvers that attach ECS to upstream queries
     /// (mid-2015: essentially none; §7 discusses what ISP adoption would
     /// unlock — "clients using their ISPs' LDNS cannot benefit unless the
@@ -44,8 +44,6 @@ pub struct LdnsConfig {
 impl Default for LdnsConfig {
     fn default() -> Self {
         LdnsConfig {
-            public_resolver_share: 0.08,
-            centralized_dns_fraction: 0.12,
             isp_ecs_fraction: 0.0,
         }
     }
@@ -111,13 +109,13 @@ pub fn assign(
     let centralized: HashMap<u32, bool> = topo
         .eyeballs
         .iter()
-        .map(|e| (e.id.0, rng.gen::<f64>() < cfg.centralized_dns_fraction))
+        .map(|e| (e.id.0, rng.gen::<f64>() < CENTRALIZED_DNS_FRACTION))
         .collect();
     let mut isp_resolver: HashMap<(u32, u32), LdnsId> = HashMap::new();
 
     let mut by_client = HashMap::with_capacity(clients.len());
     for c in clients {
-        let use_public = !public_ids.is_empty() && rng.gen::<f64>() < cfg.public_resolver_share;
+        let use_public = !public_ids.is_empty() && rng.gen::<f64>() < PUBLIC_RESOLVER_SHARE;
         let id = if use_public {
             public_ids[rng.gen_range(0..public_ids.len())]
         } else {
@@ -190,7 +188,10 @@ mod tests {
             .filter(|c| a.resolver(a.resolver_of(c.prefix)).kind == ResolverKind::Public)
             .count();
         let frac = public as f64 / clients.len() as f64;
-        assert!((frac - 0.08).abs() < 0.04, "public fraction {frac}");
+        assert!(
+            (frac - PUBLIC_RESOLVER_SHARE).abs() < 0.04,
+            "public fraction {frac}"
+        );
     }
 
     #[test]
@@ -218,7 +219,6 @@ mod tests {
         );
         let cfg = LdnsConfig {
             isp_ecs_fraction: 0.5,
-            ..Default::default()
         };
         let a = assign(&topo, &clients, &cfg, &mut rng);
         let isp: Vec<_> = a
@@ -255,8 +255,8 @@ mod tests {
 
     #[test]
     fn centralized_ases_have_distant_clients() {
-        // With centralization forced on, remote-PoP clients must be far
-        // from their LDNS.
+        // A remote-PoP client of a centralized AS is served from the AS's
+        // home metro, far from where it sits.
         let topo = Topology::generate(&NetConfig::small(), 3);
         let mut rng = SmallRng::seed_from_u64(13);
         let clients = population::generate(
@@ -267,15 +267,14 @@ mod tests {
             },
             &mut rng,
         );
-        let cfg = LdnsConfig {
-            centralized_dns_fraction: 1.0,
-            public_resolver_share: 0.0,
-            ..Default::default()
-        };
-        let a = assign(&topo, &clients, &cfg, &mut rng);
+        let a = assign(&topo, &clients, &LdnsConfig::default(), &mut rng);
         let distant = clients.iter().any(|c| {
             let ldns = a.resolver(a.resolver_of(c.prefix));
-            c.attachment.location.haversine_km(&ldns.location) > 500.0
+            let home = topo.eyeball(c.attachment.as_id).home_metro;
+            ldns.kind == ResolverKind::IspLocal
+                && c.attachment.metro != home
+                && ldns.location == topo.atlas.metro(home).location()
+                && c.attachment.location.haversine_km(&ldns.location) > 500.0
         });
         assert!(distant, "no distant client-LDNS pairs");
     }
@@ -298,7 +297,7 @@ mod tests {
     #[test]
     fn believed_location_is_stable_and_keyspace_separated() {
         let (_, _, a) = setup();
-        let db = anycast_geo::GeoDb::new(5, anycast_geo::GeoDbErrorModel::default());
+        let db = anycast_geo::GeoDb::new(5);
         for r in a.resolvers.iter().take(20) {
             assert_eq!(
                 believed_ldns_location(r, &db),

@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn believed_location_is_stable() {
         let (_, clients) = world_and_clients();
-        let db = anycast_geo::GeoDb::new(1, anycast_geo::GeoDbErrorModel::default());
+        let db = anycast_geo::GeoDb::new(1);
         for c in clients.iter().take(50) {
             assert_eq!(believed_location(c, &db), believed_location(c, &db));
         }

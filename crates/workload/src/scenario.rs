@@ -6,7 +6,7 @@
 //! integration test starts by building one, then drives days of passive
 //! logs and beacon measurements through it.
 
-use anycast_geo::{GeoDb, GeoDbErrorModel};
+use anycast_geo::GeoDb;
 use anycast_netsim::stream::{splitmix64, to_unit};
 use anycast_netsim::{CdnAddressing, Day, Internet, NetConfig};
 use rand::Rng;
@@ -103,7 +103,7 @@ impl Scenario {
         let mut rng = seeded_rng(cfg.seed, 0x776f726b);
         let clients = population::generate(internet.topology(), &cfg.population, &mut rng);
         let ldns = ldns_assign::assign(internet.topology(), &clients, &cfg.ldns, &mut rng);
-        let geodb = GeoDb::new(cfg.seed ^ 0x67656f64, GeoDbErrorModel::default());
+        let geodb = GeoDb::new(cfg.seed ^ 0x67656f64);
         let n_sites = internet.topology().cdn.sites.len() as u16;
         Ok(Scenario {
             internet,
