@@ -87,20 +87,15 @@ pub fn anycast_request(
 ) -> RequestOutcome {
     let mut tally = RouteTally::default();
     let route = routes.anycast_at(internet, client, time_s, &mut tally);
+    let converging = tally.reconvergence_losses > 0;
     tally.flush();
     match route {
         Some(d) => RequestOutcome::Served {
             site: d.site,
             rtt_ms: d.base_rtt_ms,
         },
-        None => {
-            let steady = routes.steady_anycast(client).site;
-            if internet.outages().converging(steady, routes.day(), time_s) {
-                RequestOutcome::Failed(FailureReason::Converging)
-            } else {
-                RequestOutcome::Failed(FailureReason::NoLiveRoute)
-            }
-        }
+        None if converging => RequestOutcome::Failed(FailureReason::Converging),
+        None => RequestOutcome::Failed(FailureReason::NoLiveRoute),
     }
 }
 

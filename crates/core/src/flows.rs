@@ -70,11 +70,12 @@ impl DisruptionStats {
 /// Simulates `flows_per_client` flows per client on `day` and counts the
 /// ones broken by an anycast route change.
 ///
-/// A client's route can change at most once per day (the churn model's
-/// flip, at [`Scenario::flip_time_s`]); a flow is broken when it spans the
-/// flip time *and* the flip changes the serving front-end (flips between
-/// egresses mapping to the same site keep TCP intact — the connection's
-/// packets still reach the same terminating server).
+/// A client's route can change at most once per day (the switch
+/// [`Internet::anycast_day`](anycast_netsim::Internet::anycast_day)
+/// reports); a flow is broken when it spans the switch *and* the switch
+/// changes the serving front-end (switches between egresses mapping to the
+/// same site keep TCP intact — the connection's packets still reach the
+/// same terminating server).
 pub fn disruption_rate(
     scenario: &Scenario,
     day: Day,
@@ -86,20 +87,10 @@ pub fn disruption_rate(
     let mut flows = 0u64;
     let mut broken = 0u64;
     for client in &scenario.clients {
-        let flips = scenario.internet.churn().flips_on(
-            client.attachment.as_id,
-            client.attachment.metro,
-            day,
-        );
-        let change = if flips {
-            let before = scenario
-                .internet
-                .anycast_route_at_day_start(&client.attachment, day);
-            let after = scenario.internet.anycast_route(&client.attachment, day);
-            (before.site != after.site).then(|| scenario.flip_time_s(client, day))
-        } else {
-            None
-        };
+        let routes = scenario.internet.anycast_day(&client.attachment, day);
+        let change = routes
+            .switch
+            .and_then(|(at_s, before)| (before.site != routes.route.site).then_some(at_s));
         for _ in 0..flows_per_client {
             flows += 1;
             let Some(flip_at) = change else { continue };
@@ -150,12 +141,12 @@ mod tests {
 
     #[test]
     fn frozen_world_breaks_nothing() {
-        // Only the clients whose attachment does not flip that day.
+        // Only the clients anycast does not move that day.
         let mut scenario = Scenario::small(23);
-        let churn = *scenario.internet.churn();
+        let internet = &scenario.internet;
         scenario
             .clients
-            .retain(|c| !churn.flips_on(c.attachment.as_id, c.attachment.metro, Day(0)));
+            .retain(|c| internet.anycast_day(&c.attachment, Day(0)).switch.is_none());
         assert!(!scenario.clients.is_empty());
         let mut rng = seeded_rng(23, 0xf10);
         let stats = disruption_rate(&scenario, Day(0), FlowModel::video(), 5, &mut rng);

@@ -49,125 +49,60 @@ pub struct EgressDecision {
 }
 
 /// Selects the CDN ingress for the **anycast** prefix, which every border
-/// router announces. `rank` is the churn-model selection rank in force
-/// (0 = the ISP's preferred candidate, 1 = the runner-up after a tie-break
-/// flip); callers obtain it from [`crate::churn::ChurnModel`].
-pub fn select_anycast_ingress(
-    topo: &Topology,
-    rank: usize,
-    as_id: AsId,
-    client_metro: MetroId,
-) -> EgressDecision {
-    let eyeball = topo.eyeball(as_id);
-    if !eyeball.peering_borders.is_empty() {
-        // Direct peering wins on local-pref and AS-path length.
-        match eyeball.egress_policy {
-            EgressPolicy::FixedEgress(b) => EgressDecision {
-                ingress: b,
-                via_transit: None,
-                handoff_metro: None,
-            },
-            EgressPolicy::HotPotato => {
-                let ingress = rank_by_distance(topo, &eyeball.peering_borders, client_metro, rank);
-                EgressDecision {
-                    ingress,
-                    via_transit: None,
-                    handoff_metro: None,
-                }
-            }
-        }
-    } else {
-        // Transit-only: churn may flip the provider choice.
-        let provider_idx = rank % eyeball.transit.len();
-        let provider = topo.transit(eyeball.transit[provider_idx]);
-        let handoff = nearest_metro(topo, &provider.pops, client_metro);
-        // The transit provider is itself hot-potato: it exits at its peering
-        // point nearest the handoff.
-        let ingress = rank_by_distance(topo, &provider.peering_borders, handoff, 0);
-        EgressDecision {
-            ingress,
-            via_transit: Some(provider.id),
-            handoff_metro: Some(handoff),
-        }
-    }
-}
-
-/// Like [`select_anycast_ingress`], but with the borders in `withdrawn` no
-/// longer announcing the anycast prefix (their colocated front-ends are
-/// down, see [`crate::outage::OutageModel`]). Every route learned through a
-/// withdrawn border disappears from the candidate set and selection re-runs
-/// over what remains — this is the BGP re-resolution that gives anycast its
-/// automatic failover (§2). With an empty `withdrawn` the result is
-/// identical to [`select_anycast_ingress`].
+/// router announces except the ones in `withdrawn` (their colocated
+/// front-ends are down, see [`crate::outage::OutageModel`]). `rank` is the
+/// churn-model selection rank in force (0 = the ISP's preferred candidate,
+/// 1 = the runner-up after a tie-break flip); callers obtain it from
+/// [`crate::churn::ChurnModel`].
 ///
-/// Corner cases follow BGP semantics: a [`EgressPolicy::FixedEgress`] AS
-/// whose pinned border is withdrawn has no route over that session and
-/// falls back to hot-potato over its remaining peerings (or transit); a
-/// transit provider whose peerings are all withdrawn delivers at the
-/// nearest still-announcing border.
-pub fn select_anycast_ingress_avoiding(
+/// Every route learned through a withdrawn border is gone from the
+/// candidate set, so selection runs over what remains — the BGP
+/// re-resolution that gives anycast its automatic failover (§2). Corner
+/// cases follow BGP semantics: a [`EgressPolicy::FixedEgress`] AS whose
+/// pinned border is withdrawn has no route over that session and falls back
+/// to hot-potato over its remaining peerings (or transit); a transit
+/// provider whose peerings are all withdrawn delivers at the nearest
+/// still-announcing border.
+pub fn select_anycast_ingress(
     topo: &Topology,
     rank: usize,
     as_id: AsId,
     client_metro: MetroId,
     withdrawn: &[BorderId],
 ) -> EgressDecision {
-    if withdrawn.is_empty() {
-        return select_anycast_ingress(topo, rank, as_id, client_metro);
-    }
     let live = |b: &BorderId| !withdrawn.contains(b);
     let eyeball = topo.eyeball(as_id);
-    let peering: Vec<BorderId> = eyeball
-        .peering_borders
-        .iter()
-        .copied()
-        .filter(|b| live(b))
-        .collect();
-    if !peering.is_empty() {
-        match eyeball.egress_policy {
-            EgressPolicy::FixedEgress(b) if live(&b) => {
-                return EgressDecision {
-                    ingress: b,
-                    via_transit: None,
-                    handoff_metro: None,
-                }
-            }
-            // Pinned egress lost its route (or the AS is hot-potato):
-            // pick among the surviving direct peerings.
-            _ => {
-                let ingress = rank_by_distance(topo, &peering, client_metro, rank);
-                return EgressDecision {
-                    ingress,
-                    via_transit: None,
-                    handoff_metro: None,
-                };
-            }
-        }
+    if eyeball.peering_borders.iter().any(live) {
+        // Direct peering wins on local-pref and AS-path length.
+        let ingress = match eyeball.egress_policy {
+            EgressPolicy::FixedEgress(b) if live(&b) => b,
+            // Hot potato, or a pinned egress that lost its route: the
+            // nearest surviving direct peering.
+            _ => rank_by_distance(topo, &eyeball.peering_borders, live, client_metro, rank),
+        };
+        return EgressDecision {
+            ingress,
+            via_transit: None,
+            handoff_metro: None,
+        };
     }
-    // No surviving direct peering: the route arrives via transit.
+    // Transit only, or no surviving direct peering: churn may flip the
+    // provider choice.
     let provider_idx = rank % eyeball.transit.len();
     let provider = topo.transit(eyeball.transit[provider_idx]);
     let handoff = nearest_metro(topo, &provider.pops, client_metro);
-    let provider_live: Vec<BorderId> = provider
-        .peering_borders
-        .iter()
-        .copied()
-        .filter(|b| live(b))
-        .collect();
-    let candidates = if provider_live.is_empty() {
+    // The transit provider is itself hot-potato: it exits at its peering
+    // point nearest the handoff.
+    let ingress = if provider.peering_borders.iter().any(live) {
+        rank_by_distance(topo, &provider.peering_borders, live, handoff, 0)
+    } else {
         // The provider hears the announcement from other ASes even where it
         // does not peer directly; deliver at the nearest live border of the
         // CDN overall. (Reachable only in worlds where almost every border
         // is withdrawn.)
-        topo.cdn.border_ids().filter(|b| live(b)).collect()
-    } else {
-        provider_live
+        let borders: Vec<BorderId> = topo.cdn.border_ids().collect();
+        rank_by_distance(topo, &borders, live, handoff, 0)
     };
-    debug_assert!(
-        !candidates.is_empty(),
-        "all anycast announcements withdrawn"
-    );
-    let ingress = rank_by_distance(topo, &candidates, handoff, 0);
     EgressDecision {
         ingress,
         via_transit: Some(provider.id),
@@ -207,7 +142,7 @@ pub fn select_unicast_ingress(
         announcement
     } else {
         let target = topo.cdn.border_metro(announcement);
-        rank_by_distance(topo, &provider.peering_borders, target, 0)
+        rank_by_distance(topo, &provider.peering_borders, |_| true, target, 0)
     };
     EgressDecision {
         ingress,
@@ -216,23 +151,22 @@ pub fn select_unicast_ingress(
     }
 }
 
-/// The candidate at `rank` when borders are sorted by distance from
-/// `from_metro` (rank clamped to the candidate count). Deterministic
-/// tie-break on border id.
+/// The candidate at `rank` when the `live` borders among `candidates` are
+/// sorted by distance from `from_metro` (rank clamped to the live count).
+/// Deterministic tie-break on border id.
 fn rank_by_distance(
     topo: &Topology,
     candidates: &[BorderId],
+    live: impl Fn(&BorderId) -> bool,
     from_metro: MetroId,
     rank: usize,
 ) -> BorderId {
-    debug_assert!(!candidates.is_empty());
-    let mut ranked: Vec<(BorderId, f64)> = candidates
-        .iter()
-        .map(|&b| {
-            let km = topo.atlas.metro_km(topo.cdn.border_metro(b), from_metro);
-            (b, km)
-        })
-        .collect();
+    let mut ranked: Vec<(BorderId, f64)> = Vec::with_capacity(candidates.len());
+    ranked.extend(candidates.iter().filter(|b| live(b)).map(|&b| {
+        let km = topo.atlas.metro_km(topo.cdn.border_metro(b), from_metro);
+        (b, km)
+    }));
+    debug_assert!(!ranked.is_empty(), "all anycast announcements withdrawn");
     ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     ranked[rank.min(ranked.len() - 1)].0
 }
@@ -279,7 +213,7 @@ mod tests {
         let topo = world();
         let as_id = some_peered_as(&topo);
         let metro = topo.eyeball(as_id).home_metro;
-        let d = select_anycast_ingress(&topo, 0, as_id, metro);
+        let d = select_anycast_ingress(&topo, 0, as_id, metro, &[]);
         assert!(d.via_transit.is_none());
         assert!(d.handoff_metro.is_none());
         assert!(topo.eyeball(as_id).peering_borders.contains(&d.ingress));
@@ -291,7 +225,7 @@ mod tests {
         let as_id = some_peered_as(&topo);
         let e = topo.eyeball(as_id);
         let metro = e.home_metro;
-        let d = select_anycast_ingress(&topo, 0, as_id, metro);
+        let d = select_anycast_ingress(&topo, 0, as_id, metro, &[]);
         let from = topo.atlas.metro(metro).location();
         let chosen_d = topo
             .atlas
@@ -313,8 +247,8 @@ mod tests {
         let topo = world();
         let as_id = some_peered_as(&topo);
         let metro = topo.eyeball(as_id).home_metro;
-        let best = select_anycast_ingress(&topo, 0, as_id, metro);
-        let second = select_anycast_ingress(&topo, 1, as_id, metro);
+        let best = select_anycast_ingress(&topo, 0, as_id, metro, &[]);
+        let second = select_anycast_ingress(&topo, 1, as_id, metro, &[]);
         assert_ne!(best.ingress, second.ingress);
         // The runner-up is farther (or equal) by construction.
         let from = topo.atlas.metro(metro).location();
@@ -337,8 +271,8 @@ mod tests {
         let as_id = some_peered_as(&topo);
         let metro = topo.eyeball(as_id).home_metro;
         let n = topo.eyeball(as_id).peering_borders.len();
-        let clamped = select_anycast_ingress(&topo, 999, as_id, metro);
-        let last = select_anycast_ingress(&topo, n - 1, as_id, metro);
+        let clamped = select_anycast_ingress(&topo, 999, as_id, metro, &[]);
+        let last = select_anycast_ingress(&topo, n - 1, as_id, metro, &[]);
         assert_eq!(clamped.ingress, last.ingress);
     }
 
@@ -359,7 +293,7 @@ mod tests {
         };
         for &m in &e.pops {
             for rank in 0..2 {
-                let d = select_anycast_ingress(&topo, rank, e.id, m);
+                let d = select_anycast_ingress(&topo, rank, e.id, m, &[]);
                 assert_eq!(d.ingress, pinned);
             }
         }
@@ -370,7 +304,7 @@ mod tests {
         let topo = world();
         let as_id = some_transit_only_as(&topo);
         let metro = topo.eyeball(as_id).home_metro;
-        let d = select_anycast_ingress(&topo, 0, as_id, metro);
+        let d = select_anycast_ingress(&topo, 0, as_id, metro, &[]);
         let provider = d.via_transit.expect("must use transit");
         assert!(topo.eyeball(as_id).transit.contains(&provider));
         let handoff = d.handoff_metro.expect("handoff recorded");
@@ -413,14 +347,16 @@ mod tests {
         }
     }
 
+    /// Withdrawing a border the rank-0 selection does not use changes
+    /// nothing: the selection is the best of what remains.
     #[test]
     fn avoiding_nothing_matches_plain_selection() {
         let topo = world();
         for e in &topo.eyeballs {
-            for rank in 0..2 {
-                let plain = select_anycast_ingress(&topo, rank, e.id, e.home_metro);
-                let avoid = select_anycast_ingress_avoiding(&topo, rank, e.id, e.home_metro, &[]);
-                assert_eq!(plain, avoid);
+            let plain = select_anycast_ingress(&topo, 0, e.id, e.home_metro, &[]);
+            for b in topo.cdn.border_ids().filter(|&b| b != plain.ingress) {
+                let avoid = select_anycast_ingress(&topo, 0, e.id, e.home_metro, &[b]);
+                assert_eq!(plain, avoid, "AS {:?} withdrawing {b:?}", e.id);
             }
         }
     }
@@ -429,9 +365,9 @@ mod tests {
     fn withdrawn_border_is_never_selected() {
         let topo = world();
         for e in &topo.eyeballs {
-            let plain = select_anycast_ingress(&topo, 0, e.id, e.home_metro);
+            let plain = select_anycast_ingress(&topo, 0, e.id, e.home_metro, &[]);
             let withdrawn = [plain.ingress];
-            let moved = select_anycast_ingress_avoiding(&topo, 0, e.id, e.home_metro, &withdrawn);
+            let moved = select_anycast_ingress(&topo, 0, e.id, e.home_metro, &withdrawn);
             assert_ne!(moved.ingress, plain.ingress, "AS {:?}", e.id);
         }
     }
@@ -449,7 +385,7 @@ mod tests {
         let EgressPolicy::FixedEgress(pinned) = e.egress_policy else {
             unreachable!()
         };
-        let d = select_anycast_ingress_avoiding(&topo, 0, e.id, e.home_metro, &[pinned]);
+        let d = select_anycast_ingress(&topo, 0, e.id, e.home_metro, &[pinned]);
         assert_ne!(d.ingress, pinned);
     }
 
@@ -523,7 +459,7 @@ mod tests {
                     // One past the end exercises the clamp.
                     for rank in 0..=list.len() {
                         assert_eq!(
-                            rank_by_distance(&topo, list, from, rank),
+                            rank_by_distance(&topo, list, |_| true, from, rank),
                             parent_rank_by_distance(&topo, list, from, rank),
                             "{list:?} from {from} at rank {rank}"
                         );
@@ -545,10 +481,13 @@ mod tests {
         let topo = world();
         let as_id = some_peered_as(&topo);
         let metro = topo.eyeball(as_id).home_metro;
-        for rank in 0..3 {
-            let a = select_anycast_ingress(&topo, rank, as_id, metro);
-            let b = select_anycast_ingress(&topo, rank, as_id, metro);
-            assert_eq!(a, b);
+        let first = topo.eyeball(as_id).peering_borders[0];
+        for withdrawn in [&[][..], &[first]] {
+            for rank in 0..3 {
+                let a = select_anycast_ingress(&topo, rank, as_id, metro, withdrawn);
+                let b = select_anycast_ingress(&topo, rank, as_id, metro, withdrawn);
+                assert_eq!(a, b);
+            }
         }
     }
 }

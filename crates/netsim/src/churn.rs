@@ -6,18 +6,27 @@
 //! around 21%. Figure 8 shows that switches usually move a client to a
 //! *nearby* alternative front-end (median 483 km).
 //!
-//! [`ChurnModel`] reproduces this with a per-attachment-point process:
+//! [`ChurnModel`] reproduces this with a per-attachment-point process, the
+//! distance engine's only source of day-to-day change:
 //!
 //! * a fixed fraction of `(AS, metro)` attachment points are **flappy**;
 //!   the rest never change routes (the stable majority);
 //! * each day, a flappy attachment flips its BGP tie-break with a
 //!   weekday-dependent probability (weekends heavily damped);
-//! * a flip is a **one-day excursion**: from the flip time to the end of
-//!   the day the runner-up egress carries the traffic, and the preferred
-//!   route is back in force at the day boundary (operators push a change
-//!   and roll it back). A switch therefore lands on a nearby alternative —
-//!   the Figure 8 behaviour — and poor days from churn are short-lived —
-//!   the Figure 6 behaviour.
+//! * a flip is a **one-day excursion** to the runner-up egress: the
+//!   preferred route is back in force at the next day boundary (operators
+//!   push a change and roll it back). A switch therefore lands on a nearby
+//!   alternative — the Figure 8 behaviour — and poor days from churn are
+//!   short-lived — the Figure 6 behaviour.
+//!
+//! A flip also has an instant, [`ChurnModel::flip_s`], and the two clocks
+//! that read the model disagree about it. The day's route
+//! ([`Internet::anycast_route`](crate::Internet::anycast_route), and so
+//! every campaign lookup) takes the runner-up for the *whole* flip day;
+//! only [`Internet::anycast_day`](crate::Internet::anycast_day) — the
+//! passive log and the flow-disruption model — keeps the preferred route
+//! until the flip instant. EXPERIMENTS.md (*Known deviations* §5) measures
+//! the difference.
 //!
 //! Everything is a pure function of `(seed, as, metro, day)`: no state to
 //! update, no ordering constraints, and any day can be queried in isolation.
@@ -26,7 +35,7 @@ use anycast_geo::MetroId;
 
 use crate::ids::AsId;
 use crate::sim::Day;
-use crate::stream::{mix, to_unit};
+use crate::stream::{mix, splitmix64, to_unit};
 
 /// Fraction of `(AS, metro)` attachment points that are flappy at all; the
 /// rest never change routes. Figure 7 plateaus near 21% over a full week:
@@ -47,20 +56,24 @@ pub const WEEKEND_FLIP_PROB: f64 = 0.02;
 /// Deterministic churn process over attachment points.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnModel {
+    /// The world seed, unsalted: the flip instant hashes it as it is.
     seed: u64,
 }
 
 impl ChurnModel {
     /// Builds the model for the world seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        ChurnModel {
-            seed: seed ^ 0x6368_7572_6e21_0000,
-        }
+        ChurnModel { seed }
+    }
+
+    /// The seed the flappy and flip-day draws hash.
+    fn salted(&self) -> u64 {
+        self.seed ^ 0x6368_7572_6e21_0000
     }
 
     /// Whether the attachment point `(as_id, metro)` ever changes routes.
     pub fn is_flappy(&self, as_id: AsId, metro: MetroId) -> bool {
-        let h = mix(self.seed, key(as_id, metro), 0xf1a9);
+        let h = mix(self.salted(), key(as_id, metro), 0xf1a9);
         to_unit(h) < FLAPPY_FRACTION
     }
 
@@ -74,8 +87,20 @@ impl ChurnModel {
         } else {
             WEEKDAY_FLIP_PROB
         };
-        let h = mix(self.seed, key(as_id, metro), 0xd00d ^ u64::from(day.0));
+        let h = mix(self.salted(), key(as_id, metro), 0xd00d ^ u64::from(day.0));
         to_unit(h) < p
+    }
+
+    /// The UTC second of `day` at which the attachment point's flip takes
+    /// effect, on a flip day (deterministic per attachment and day).
+    pub fn flip_s(&self, as_id: AsId, metro: MetroId, day: Day) -> Option<f64> {
+        self.flips_on(as_id, metro, day).then(|| {
+            let z = self.seed
+                ^ (u64::from(as_id.0) << 40)
+                ^ (u64::from(metro.0) << 16)
+                ^ u64::from(day.0);
+            to_unit(splitmix64(z)) * 86_400.0
+        })
     }
 
     /// The egress-selection rank in force on `day`: 0 selects the best
@@ -87,21 +112,6 @@ impl ChurnModel {
     /// multi-day reroute.
     pub fn selection_rank(&self, as_id: AsId, metro: MetroId, day: Day) -> usize {
         usize::from(self.flips_on(as_id, metro, day))
-    }
-
-    /// The selection rank in force at the *start* of `day`, before any flip
-    /// event scheduled on that day takes effect.
-    ///
-    /// An excursion runs from its flip time to the end of its day, so at
-    /// every day boundary the preferred route (rank 0) is back in force:
-    /// this is always 0. It is kept as a method mirroring
-    /// [`ChurnModel::selection_rank`] so route builders read symmetrically
-    /// and the day-boundary semantics are documented in one place. Clients
-    /// observed both before and after the flip time see two different
-    /// front-ends on the same day — the intra-day churn Figure 7 counts on
-    /// day one.
-    pub fn selection_rank_before(&self, _as_id: AsId, _metro: MetroId, _day: Day) -> usize {
-        0
     }
 }
 

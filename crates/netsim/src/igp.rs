@@ -23,63 +23,35 @@ pub fn igp_cost(topo: &Topology, border: BorderId, site: SiteId) -> f64 {
     km * topo.cdn.igp_multiplier[border.0 as usize][site.0 as usize]
 }
 
-/// The front-end the CDN's IGP selects for traffic ingressing at `border`:
-/// minimum IGP cost, ties broken by site id (deterministic).
-pub fn select_site(topo: &Topology, border: BorderId) -> SiteId {
-    select_site_ranked(topo, border, 0)
-}
-
-/// The `rank`-th best front-end by IGP cost from `border` (rank 0 = normal
-/// selection; rank 1 = the runner-up a maintenance episode diverts to).
-/// Rank is clamped to the site count.
-pub fn select_site_ranked(topo: &Topology, border: BorderId, rank: usize) -> SiteId {
-    // Colocated site always wins normal selection: zero distance.
-    if rank == 0 {
-        if let Some(site) = topo.cdn.borders[border.0 as usize].colocated_site {
-            return site;
-        }
-    }
-    let mut ranked: Vec<SiteId> = topo.cdn.site_ids().collect();
-    ranked.sort_by(|a, b| {
-        igp_cost(topo, border, *a)
-            .total_cmp(&igp_cost(topo, border, *b))
-            .then(a.cmp(b))
-    });
-    ranked[rank.min(ranked.len() - 1)]
-}
-
-/// The best live front-end by IGP cost from `border` when the sites in
-/// `down` are out of service (crashed or drained, see
-/// [`crate::outage::OutageModel`]): the CDN's IGP simply stops advertising
-/// internal routes to a dead site, so the next-cheapest live site wins.
-/// Returns `None` only when *every* site is down. With an empty `down` the
-/// result equals [`select_site_ranked`].
-pub fn select_site_avoiding(
+/// The `rank`-th best live front-end by IGP cost from `border`, ties
+/// broken by site id (deterministic). Rank 0 is normal selection; rank 1 is
+/// the runner-up a maintenance episode diverts to; ranks past the end clamp
+/// to the last live site. The sites in `down` are out of service (crashed
+/// or drained, see [`crate::outage::OutageModel`]): the CDN's IGP simply
+/// stops advertising internal routes to a dead site, so the next-cheapest
+/// live site wins. `None` only when *every* site is down.
+pub fn select_site(
     topo: &Topology,
     border: BorderId,
     rank: usize,
     down: &[SiteId],
 ) -> Option<SiteId> {
-    if down.is_empty() {
-        return Some(select_site_ranked(topo, border, rank));
-    }
+    // A live colocated site always wins normal selection: zero distance.
     if rank == 0 {
-        if let Some(site) = topo.cdn.borders[border.0 as usize].colocated_site {
-            if !down.contains(&site) {
-                return Some(site);
-            }
+        let colocated = topo.cdn.borders[border.0 as usize].colocated_site;
+        if let Some(site) = colocated.filter(|s| !down.contains(s)) {
+            return Some(site);
         }
     }
-    let mut ranked: Vec<SiteId> = topo.cdn.site_ids().filter(|s| !down.contains(s)).collect();
-    if ranked.is_empty() {
-        return None;
-    }
+    let mut ranked: Vec<SiteId> = Vec::with_capacity(topo.cdn.sites.len());
+    ranked.extend(topo.cdn.site_ids().filter(|s| !down.contains(s)));
     ranked.sort_by(|a, b| {
         igp_cost(topo, border, *a)
             .total_cmp(&igp_cost(topo, border, *b))
             .then(a.cmp(b))
     });
-    Some(ranked[rank.min(ranked.len() - 1)])
+    let last = ranked.len().checked_sub(1)?;
+    Some(ranked[rank.min(last)])
 }
 
 #[cfg(test)]
@@ -91,11 +63,11 @@ mod tests {
     fn ranked_selection_is_ordered_and_distinct() {
         let topo = Topology::generate(&NetConfig::small(), 9);
         for b in topo.cdn.border_ids() {
-            let first = select_site_ranked(&topo, b, 0);
-            let second = select_site_ranked(&topo, b, 1);
+            let first = select_site(&topo, b, 0, &[]);
+            let second = select_site(&topo, b, 1, &[]);
             assert_ne!(first, second, "runner-up must differ");
             // Huge ranks clamp instead of panicking.
-            let last = select_site_ranked(&topo, b, 10_000);
+            let last = select_site(&topo, b, 10_000, &[]).unwrap();
             assert!(topo.cdn.site_ids().any(|s| s == last));
         }
     }
@@ -103,23 +75,19 @@ mod tests {
     #[test]
     fn avoiding_skips_down_sites() {
         let topo = Topology::generate(&NetConfig::small(), 9);
+        let all: Vec<SiteId> = topo.cdn.site_ids().collect();
         for b in topo.cdn.border_ids() {
-            // No down sites: exact agreement with ranked selection.
-            assert_eq!(
-                select_site_avoiding(&topo, b, 0, &[]),
-                Some(select_site_ranked(&topo, b, 0))
-            );
-            // The normally-selected site goes down: the runner-up wins.
-            let normal = select_site(&topo, b);
-            let moved = select_site_avoiding(&topo, b, 0, &[normal]).unwrap();
-            assert_ne!(moved, normal);
-            // Everything down: nothing to serve from.
-            let all: Vec<SiteId> = topo.cdn.site_ids().collect();
-            assert_eq!(select_site_avoiding(&topo, b, 0, &all), None);
+            for rank in 0..2 {
+                // The selected site goes down: another site wins.
+                let normal = select_site(&topo, b, rank, &[]).unwrap();
+                assert_ne!(select_site(&topo, b, rank, &[normal]), Some(normal));
+                // Everything down: nothing to serve from.
+                assert_eq!(select_site(&topo, b, rank, &all), None);
+            }
         }
     }
 
-    /// `igp_cost`, `select_site_ranked` and `select_site_avoiding` as they
+    /// `igp_cost` and the ranked and down-avoiding site selections as they
     /// stood before the metro distance table: great-circle trigonometry
     /// inside the sort comparator. Kept verbatim as the reference the
     /// tabulated selection is checked against.
@@ -223,13 +191,13 @@ mod tests {
                 // One past the end exercises the clamp.
                 for rank in 0..=n_sites {
                     assert_eq!(
-                        select_site_ranked(&topo, b, rank),
-                        parent_select_site_ranked(&topo, b, rank),
+                        select_site(&topo, b, rank, &[]),
+                        Some(parent_select_site_ranked(&topo, b, rank)),
                         "border {b:?} rank {rank}"
                     );
                     for down in topo.cdn.site_ids() {
                         assert_eq!(
-                            select_site_avoiding(&topo, b, rank, &[down]),
+                            select_site(&topo, b, rank, &[down]),
                             parent_select_site_avoiding(&topo, b, rank, &[down]),
                             "border {b:?} rank {rank} down {down:?}"
                         );
@@ -244,7 +212,10 @@ mod tests {
         let topo = Topology::generate(&NetConfig::small(), 1);
         for (b_idx, border) in topo.cdn.borders.iter().enumerate() {
             if let Some(site) = border.colocated_site {
-                assert_eq!(select_site(&topo, BorderId(b_idx as u16)), site);
+                assert_eq!(
+                    select_site(&topo, BorderId(b_idx as u16), 0, &[]).unwrap(),
+                    site
+                );
             }
         }
     }
@@ -253,7 +224,7 @@ mod tests {
     fn selection_minimizes_igp_cost() {
         let topo = Topology::generate(&NetConfig::small(), 2);
         for b in topo.cdn.border_ids() {
-            let chosen = select_site(&topo, b);
+            let chosen = select_site(&topo, b, 0, &[]).unwrap();
             let chosen_cost = igp_cost(&topo, b, chosen);
             for s in topo.cdn.site_ids() {
                 assert!(chosen_cost <= igp_cost(&topo, b, s) + 1e-9);
@@ -269,7 +240,10 @@ mod tests {
         let diverted = topo
             .cdn
             .border_ids()
-            .filter(|&b| is_inflated(&topo, b) && select_site(&topo, b) != geo_nearest(&topo, b))
+            .filter(|&b| {
+                is_inflated(&topo, b)
+                    && select_site(&topo, b, 0, &[]) != Some(geo_nearest(&topo, b))
+            })
             .count();
         assert!(diverted > 0, "inflation never diverted any border");
     }
@@ -278,7 +252,11 @@ mod tests {
     fn no_inflation_means_geo_nearest() {
         let topo = inflated_world();
         for b in topo.cdn.border_ids().filter(|&b| !is_inflated(&topo, b)) {
-            assert_eq!(select_site(&topo, b), geo_nearest(&topo, b), "border {b:?}");
+            assert_eq!(
+                select_site(&topo, b, 0, &[]),
+                Some(geo_nearest(&topo, b)),
+                "border {b:?}"
+            );
         }
     }
 }

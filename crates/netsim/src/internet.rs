@@ -10,11 +10,15 @@
 //!
 //! Routing is deterministic per `(client, day)`; measured RTTs add explicit
 //! RNG-driven noise on top of the route's base RTT.
+//!
+//! One engine value answers every egress decision; the rest of a route —
+//! the IGP pick, site failures, the hops and their RTT — is written once on
+//! top of it, and only the engine knows when a client's anycast route
+//! moves within a day ([`Internet::anycast_day`]).
 
 use std::sync::Arc;
 
 use anycast_geo::{GeoPoint, MetroId};
-use anycast_obs::counter;
 use rand::Rng;
 
 use crate::bgp::{self, EgressDecision};
@@ -26,6 +30,7 @@ use crate::latency::{AccessTech, LatencyModel};
 use crate::outage::OutageModel;
 use crate::path::{Hop, HopKind, RoutePath};
 use crate::sim::Day;
+use crate::snapshot::RouteTally;
 use crate::stream::{splitmix64, to_unit};
 use crate::topology::Topology;
 use crate::worldgen::{self, CatchmentTable, PolicyWorld, CDN_NEXT};
@@ -86,7 +91,8 @@ const TRANSIT_DETOUR_STRETCH: f64 = 1.45;
 /// unaffected.
 pub const P_IGP_EPISODE: f64 = 0.02;
 
-/// The simulated Internet: topology + churn + latency under one roof.
+/// The simulated Internet: topology + routing engine + failures + latency
+/// under one roof.
 ///
 /// ```
 /// use anycast_netsim::{AccessTech, ClientAttachment, Day, Internet, NetConfig};
@@ -105,13 +111,178 @@ pub const P_IGP_EPISODE: f64 = 0.02;
 #[derive(Debug, Clone)]
 pub struct Internet {
     topo: Topology,
-    churn: ChurnModel,
+    engine: Engine,
     outages: OutageModel,
     latency: LatencyModel,
     episode_seed: u64,
-    /// Present in worldgen worlds: the policy-routed AS graph and its
-    /// catchment engine. Clones share the memoized catchment tables.
-    policy: Option<Arc<PolicyWorld>>,
+}
+
+/// The routing engine: the one value that answers every egress decision.
+#[derive(Debug, Clone)]
+enum Engine {
+    /// Distance-ranked BGP over the generated topology ([`bgp`]), its
+    /// tie-breaks flipped day to day by the [`ChurnModel`].
+    Distance(ChurnModel),
+    /// The policy-routed AS graph of a worldgen world and its catchment
+    /// engine. Clones share the memoized catchment tables.
+    Policy(Arc<PolicyWorld>),
+}
+
+/// The anycast catchment in force at one instant: what an [`Engine`]
+/// decides a client's anycast egress from.
+pub(crate) enum Catchment<'a> {
+    /// The distance engine: each attachment's churn rank, over every border
+    /// but the `withdrawn` ones.
+    Ranked {
+        churn: &'a ChurnModel,
+        withdrawn: &'a [BorderId],
+    },
+    /// The policy engine: the valley-free catchment table of the
+    /// environment in force.
+    Table {
+        world: &'a PolicyWorld,
+        table: Arc<CatchmentTable>,
+    },
+}
+
+impl Catchment<'_> {
+    /// Where `client`'s anycast traffic enters the CDN on `day`; `None`
+    /// when its AS holds no route.
+    fn egress(
+        &self,
+        topo: &Topology,
+        client: &ClientAttachment,
+        day: Day,
+    ) -> Option<EgressDecision> {
+        match self {
+            Catchment::Ranked { churn, withdrawn } => {
+                let (as_id, metro) = (client.as_id, client.metro);
+                let rank = churn.selection_rank(as_id, metro, day);
+                Some(bgp::select_anycast_ingress(
+                    topo, rank, as_id, metro, withdrawn,
+                ))
+            }
+            Catchment::Table { world, table } => table_egress(world, table, client.as_id),
+        }
+    }
+}
+
+/// The egress a policy catchment table gives `as_id`: its ingress border,
+/// and for a multi-hop AS path the first-hop provider and its home metro
+/// as the hand-off. `None` when the AS is unrouted under the table.
+fn table_egress(
+    world: &PolicyWorld,
+    table: &CatchmentTable,
+    as_id: AsId,
+) -> Option<EgressDecision> {
+    let entry = table.entry(as_id.0)?;
+    let (via_transit, handoff_metro) = if entry.next_hop == CDN_NEXT {
+        (None, None)
+    } else {
+        let v1 = entry.next_hop;
+        (Some(AsId(v1)), Some(world.graph.home_metro[v1 as usize]))
+    };
+    Some(EgressDecision {
+        ingress: BorderId(entry.ingress),
+        via_transit,
+        handoff_metro,
+    })
+}
+
+impl Engine {
+    /// The steady catchment: every border announces, every session is up.
+    fn steady(&self) -> Catchment<'_> {
+        match self {
+            Engine::Distance(churn) => Catchment::Ranked {
+                churn,
+                withdrawn: &[],
+            },
+            Engine::Policy(world) => Catchment::Table {
+                world,
+                table: world.steady_table(),
+            },
+        }
+    }
+
+    /// The catchment at `(day, time_s)` with the borders in `withdrawn`
+    /// withdrawn, or `None` when that is the steady one.
+    fn at<'a>(&'a self, day: Day, time_s: f64, withdrawn: &'a [BorderId]) -> Option<Catchment<'a>> {
+        match self {
+            Engine::Distance(churn) => {
+                (!withdrawn.is_empty()).then_some(Catchment::Ranked { churn, withdrawn })
+            }
+            Engine::Policy(world) => {
+                let env = world.env_at(day, time_s, withdrawn);
+                (!env.is_steady()).then(|| Catchment::Table {
+                    world,
+                    table: world.table_for(&env),
+                })
+            }
+        }
+    }
+
+    /// Where `client`'s traffic to the unicast prefix announced only at
+    /// `announcement` enters the CDN on `day`.
+    fn unicast_egress(
+        &self,
+        topo: &Topology,
+        client: &ClientAttachment,
+        day: Day,
+        announcement: BorderId,
+    ) -> EgressDecision {
+        match self {
+            Engine::Distance(churn) => {
+                let rank = churn.selection_rank(client.as_id, client.metro, day);
+                bgp::select_unicast_ingress(topo, rank, client.as_id, client.metro, announcement)
+            }
+            // The unicast prefix is announced only at the site's colocated
+            // border (§3.1); its catchment table is computed once and shared
+            // by every day.
+            Engine::Policy(world) => {
+                table_egress(world, &world.unicast_table(announcement), client.as_id)
+                    .expect("unicast policy catchment routes every client AS")
+            }
+        }
+    }
+
+    /// The intra-day anycast switch of `client` on `day`: the second it
+    /// takes effect and the egress in force before it. Only the distance
+    /// engine's churn flips a route within a day.
+    fn switch(
+        &self,
+        topo: &Topology,
+        client: &ClientAttachment,
+        day: Day,
+    ) -> Option<(f64, EgressDecision)> {
+        let Engine::Distance(churn) = self else {
+            return None;
+        };
+        let at_s = churn.flip_s(client.as_id, client.metro, day)?;
+        // An excursion starts from the preferred route: rank 0.
+        let before = bgp::select_anycast_ingress(topo, 0, client.as_id, client.metro, &[]);
+        Some((at_s, before))
+    }
+}
+
+/// A client's anycast routing over one day ([`Internet::anycast_day`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AnycastDay {
+    /// The day's route, [`Internet::anycast_route`]: in force from the
+    /// switch on, or all day when there is none.
+    pub route: RouteDecision,
+    /// When anycast moves the client during the day: the second of the day
+    /// it moves at, and the route it leaves.
+    pub switch: Option<(f64, RouteDecision)>,
+}
+
+impl AnycastDay {
+    /// The route in force at second `time_s` of the day.
+    pub fn at(&self, time_s: f64) -> &RouteDecision {
+        match &self.switch {
+            Some((at_s, before)) if time_s < *at_s => before,
+            _ => &self.route,
+        }
+    }
 }
 
 impl Internet {
@@ -121,36 +292,28 @@ impl Internet {
     /// Returns a description of the violated constraint if `cfg` is invalid.
     pub fn new(cfg: NetConfig, seed: u64) -> Result<Internet, String> {
         cfg.validate()?;
-        if cfg.worldgen.is_some() {
+        let (topo, engine) = if cfg.worldgen.is_some() {
             let (topo, world) = worldgen::build(&cfg, seed);
-            let mut net = Self::from_topology(topo, cfg, seed);
-            net.policy = Some(Arc::new(world));
-            return Ok(net);
-        }
-        let topo = Topology::generate(&cfg, seed);
-        Ok(Self::from_topology(topo, cfg, seed))
-    }
-
-    /// Wraps an existing topology (used by tests that build bespoke worlds).
-    /// `cfg` must be the configuration the topology was generated with, or
-    /// at least one whose failure parameters you intend.
-    pub fn from_topology(topo: Topology, cfg: NetConfig, seed: u64) -> Internet {
-        let churn = ChurnModel::new(seed);
-        let outages = OutageModel::new(&cfg, seed);
-        let latency = LatencyModel::new(cfg, seed);
-        Internet {
+            (topo, Engine::Policy(Arc::new(world)))
+        } else {
+            let topo = Topology::generate(&cfg, seed);
+            (topo, Engine::Distance(ChurnModel::new(seed)))
+        };
+        Ok(Internet {
             topo,
-            churn,
-            outages,
-            latency,
+            engine,
+            outages: OutageModel::new(&cfg, seed),
+            latency: LatencyModel::new(cfg, seed),
             episode_seed: seed ^ 0x6970_6765_7069,
-            policy: None,
-        }
+        })
     }
 
     /// The policy-routing engine, present only in worldgen worlds.
     pub fn policy_world(&self) -> Option<&Arc<PolicyWorld>> {
-        self.policy.as_ref()
+        match &self.engine {
+            Engine::Policy(world) => Some(world),
+            Engine::Distance(_) => None,
+        }
     }
 
     /// The underlying topology.
@@ -161,11 +324,6 @@ impl Internet {
     /// The configuration in force.
     pub fn config(&self) -> &NetConfig {
         self.latency.config()
-    }
-
-    /// The churn model (exposed for affinity analyses).
-    pub fn churn(&self) -> &ChurnModel {
-        &self.churn
     }
 
     /// The failure schedule (exposed for availability analyses).
@@ -204,8 +362,9 @@ impl Internet {
             .collect()
     }
 
-    /// Where anycast routes `client` on `day` (after any route flip
-    /// scheduled that day has taken effect).
+    /// Where anycast routes `client` on `day`: the steady catchment, with
+    /// any churn flip scheduled that day in force for the *whole* day.
+    /// Only [`Internet::anycast_day`] honors the flip's instant.
     ///
     /// In worldgen worlds this is the steady valley-free catchment — one
     /// shared table lookup, identical for every day with the same
@@ -233,91 +392,57 @@ impl Internet {
         access_km: f64,
         day: Day,
     ) -> RouteDecision {
-        if let Some(pw) = &self.policy {
-            let table = pw.steady_table();
-            return self
-                .policy_route(pw, &table, client, access_km, day, &[])
-                .expect("steady policy catchment routes every client AS");
-        }
-        let rank = self.churn.selection_rank(client.as_id, client.metro, day);
-        self.anycast_route_ranked(client, access_km, rank, day)
+        self.anycast_under(&self.engine.steady(), client, access_km, day, &[])
+            .expect("the steady catchment routes every client AS")
     }
 
-    /// Where anycast routed `client` at the *start* of `day`, before any
-    /// flip event scheduled on that day. Differs from
-    /// [`Internet::anycast_route`] exactly on flip days; the passive-log
-    /// generator uses both to reproduce intra-day front-end switches. In
-    /// worldgen worlds there is no per-day tie-break churn — all intra-day
-    /// movement comes from windowed route dynamics
-    /// ([`Internet::anycast_route_at`]) — so this equals
-    /// [`Internet::anycast_route`].
-    pub fn anycast_route_at_day_start(&self, client: &ClientAttachment, day: Day) -> RouteDecision {
-        if self.policy.is_some() {
-            return self.anycast_route(client, day);
-        }
-        let rank = self
-            .churn
-            .selection_rank_before(client.as_id, client.metro, day);
-        self.anycast_route_ranked(client, self.access_km(client), rank, day)
+    /// Whether and when anycast moves `client` during `day`, and from which
+    /// route: the passive log's and the flow model's view of the day. A
+    /// churn flip moves the client at its instant from the rank-0 route to
+    /// [`Internet::anycast_route`]'s; there is no switch on any other day,
+    /// nor in worldgen worlds, whose intra-day movement is windowed route
+    /// dynamics ([`Internet::anycast_route_at`]).
+    pub fn anycast_day(&self, client: &ClientAttachment, day: Day) -> AnycastDay {
+        let access_km = self.access_km(client);
+        let route = self.anycast_route_from(client, access_km, day);
+        let switch = self
+            .engine
+            .switch(&self.topo, client, day)
+            .and_then(|(at_s, egress)| {
+                let site = self.igp_site(egress.ingress, day, &[])?;
+                let before = self.build_decision(client, access_km, egress, site, day);
+                (before != route).then_some((at_s, before))
+            });
+        AnycastDay { route, switch }
     }
 
-    /// Resolves a policy-table route entry into a full [`RouteDecision`]:
-    /// the table fixes the ingress border, the IGP picks the front-end, and
-    /// multi-hop AS paths are charged the transit detour through the
-    /// first-hop provider's home. `None` when the client AS is unrouted
-    /// under this table or every candidate front-end is down.
-    pub(crate) fn policy_route(
+    /// The route of `client` under `catchment` with the sites in `down` out
+    /// of service; `None` when its AS holds no route or every site is down.
+    /// Every anycast decision, direct or memoized, is this call.
+    pub(crate) fn anycast_under(
         &self,
-        pw: &PolicyWorld,
-        table: &CatchmentTable,
+        catchment: &Catchment,
         client: &ClientAttachment,
         access_km: f64,
         day: Day,
         down: &[SiteId],
     ) -> Option<RouteDecision> {
-        let node = client.as_id.0;
-        let entry = table.entry(node)?;
-        let ingress = BorderId(entry.ingress);
-        let igp_rank = usize::from(self.igp_episode_on(ingress, day));
-        let site = if down.is_empty() {
-            igp::select_site_ranked(&self.topo, ingress, igp_rank)
-        } else {
-            igp::select_site_avoiding(&self.topo, ingress, igp_rank, down)?
-        };
-        let (via_transit, handoff_metro) = if entry.next_hop == CDN_NEXT {
-            (None, None)
-        } else {
-            let v1 = entry.next_hop;
-            (Some(AsId(v1)), Some(pw.graph.home_metro[v1 as usize]))
-        };
-        Some(self.build_decision(
-            client,
-            access_km,
-            EgressDecision {
-                ingress,
-                via_transit,
-                handoff_metro,
-            },
-            site,
-            day,
-        ))
+        let egress = catchment.egress(&self.topo, client, day)?;
+        let site = self.igp_site(egress.ingress, day, down)?;
+        Some(self.build_decision(client, access_km, egress, site, day))
     }
 
-    fn anycast_route_ranked(
-        &self,
-        client: &ClientAttachment,
-        access_km: f64,
-        rank: usize,
-        day: Day,
-    ) -> RouteDecision {
-        let egress = bgp::select_anycast_ingress(&self.topo, rank, client.as_id, client.metro);
-        let igp_rank = usize::from(self.igp_episode_on(egress.ingress, day));
-        let site = igp::select_site_ranked(&self.topo, egress.ingress, igp_rank);
-        self.build_decision(client, access_km, egress, site, day)
+    /// The front-end the IGP picks from `ingress` on `day` with `down` out
+    /// of service: the runner-up on a maintenance-episode day.
+    fn igp_site(&self, ingress: BorderId, day: Day, down: &[SiteId]) -> Option<SiteId> {
+        let rank = usize::from(self.igp_episode_on(ingress, day));
+        igp::select_site(&self.topo, ingress, rank, down)
     }
 
     /// Where anycast routes `client` at the instant `(day, time_s)`, with
-    /// the failure schedule applied.
+    /// the failure schedule and the route dynamics in force. Like
+    /// [`Internet::anycast_route`], a churn flip is in force for its whole
+    /// day here.
     ///
     /// Returns `None` when the request is lost:
     ///
@@ -325,83 +450,69 @@ impl Internet {
     ///   *unplanned* outage and BGP has not yet reconverged
     ///   ([`crate::outage::BGP_RECONVERGENCE_S`]), so packets still follow
     ///   the withdrawn announcement into the dead site; or
-    /// * every front-end is down at once.
+    /// * every front-end is down at once, or (worldgen worlds) the
+    ///   client's AS holds no route in the instant's catchment.
     ///
     /// Otherwise the dead sites' borders are treated as having withdrawn
     /// the anycast announcement and selection re-runs over the survivors —
     /// one routing step later the client is served by its next-best
     /// catchment (§2). Maintenance drains are pre-announced, so routing
     /// has already moved by the window start and no request is ever lost.
-    /// In a world without failure injection this is exactly
-    /// [`Internet::anycast_route`].
+    /// In a world without failure injection or route dynamics this is
+    /// exactly [`Internet::anycast_route`].
     pub fn anycast_route_at(
         &self,
         client: &ClientAttachment,
         day: Day,
         time_s: f64,
     ) -> Option<RouteDecision> {
+        let mut tally = RouteTally::default();
+        let decision = self.anycast_route_tallied(client, day, time_s, &mut tally);
+        tally.flush();
+        decision
+    }
+
+    /// [`Internet::anycast_route_at`], its losses, failover reroutes and
+    /// unrouted answers counted into `tally`.
+    pub(crate) fn anycast_route_tallied(
+        &self,
+        client: &ClientAttachment,
+        day: Day,
+        time_s: f64,
+        tally: &mut RouteTally,
+    ) -> Option<RouteDecision> {
         let down = self.down_sites(day, time_s);
-        if let Some(pw) = &self.policy {
-            // The steady *site* settles both the loss check and the reroute
-            // counter, and costs a table lookup plus the IGP pick — the one
-            // full decision built below is the one returned.
-            let steady = pw.steady_table();
-            let steady_ingress = steady
-                .ingress(client.as_id.0)
-                .expect("steady policy catchment routes every client AS");
-            let igp_rank = usize::from(self.igp_episode_on(steady_ingress, day));
-            let steady_site = igp::select_site_ranked(&self.topo, steady_ingress, igp_rank);
-            if down.contains(&steady_site) && self.outages.converging(steady_site, day, time_s) {
-                counter!("netsim_reconvergence_losses_total").inc();
-                return None;
-            }
-            let withdrawn: Vec<BorderId> = down
-                .iter()
-                .map(|&s| self.topo.cdn.unicast_announcement_border(s))
-                .collect();
-            let env = pw.env_at(day, time_s, &withdrawn);
-            let access_km = self.access_km(client);
-            if env.is_steady() {
-                return self.policy_route(pw, &steady, client, access_km, day, &[]);
-            }
-            let table = pw.table_for(&env);
-            let decision = self.policy_route(pw, &table, client, access_km, day, &down);
-            match &decision {
-                Some(d) if d.site != steady_site => {
-                    counter!("netsim_failover_reroutes_total").inc();
-                }
-                None => counter!("netsim_policy_unrouted_total").inc(),
-                _ => {}
-            }
-            return decision;
-        }
-        if down.is_empty() {
-            return Some(self.anycast_route(client, day));
-        }
-        let access_km = self.access_km(client);
-        let steady = self.anycast_route_from(client, access_km, day);
-        if down.contains(&steady.site) && self.outages.converging(steady.site, day, time_s) {
-            counter!("netsim_reconvergence_losses_total").inc();
+        // The steady *site* settles both the loss check and the reroute
+        // count.
+        let steady = self
+            .engine
+            .steady()
+            .egress(&self.topo, client, day)
+            .expect("the steady catchment routes every client AS");
+        let steady_site = self
+            .igp_site(steady.ingress, day, &[])
+            .expect("a CDN has sites");
+        if down.contains(&steady_site) && self.outages.converging(steady_site, day, time_s) {
+            tally.reconvergence_losses += 1;
             return None;
         }
         let withdrawn: Vec<BorderId> = down
             .iter()
             .map(|&s| self.topo.cdn.unicast_announcement_border(s))
             .collect();
-        let rank = self.churn.selection_rank(client.as_id, client.metro, day);
-        let egress = bgp::select_anycast_ingress_avoiding(
-            &self.topo,
-            rank,
-            client.as_id,
-            client.metro,
-            &withdrawn,
-        );
-        let igp_rank = usize::from(self.igp_episode_on(egress.ingress, day));
-        let site = igp::select_site_avoiding(&self.topo, egress.ingress, igp_rank, &down)?;
-        if site != steady.site {
-            counter!("netsim_failover_reroutes_total").inc();
+        let access_km = self.access_km(client);
+        let Some(catchment) = self.engine.at(day, time_s, &withdrawn) else {
+            return Some(self.build_decision(client, access_km, steady, steady_site, day));
+        };
+        let decision = self.anycast_under(&catchment, client, access_km, day, &down);
+        match &decision {
+            Some(d) if d.site != steady_site => tally.failover_reroutes += 1,
+            // The distance engine routes every AS; it reaches `None` only
+            // with every site down, which is a loss, not an unrouted AS.
+            None if matches!(catchment, Catchment::Table { .. }) => tally.policy_unrouted += 1,
+            _ => {}
         }
-        Some(self.build_decision(client, access_km, egress, site, day))
+        decision
     }
 
     /// The unicast route to `site` at the instant `(day, time_s)`: `None`
@@ -451,40 +562,9 @@ impl Internet {
         day: Day,
     ) -> RouteDecision {
         let announcement = self.topo.cdn.unicast_announcement_border(site);
-        if let Some(pw) = &self.policy {
-            // The unicast prefix is announced only at the site's colocated
-            // border (§3.1); its catchment table is computed once and shared
-            // by every day.
-            let table = pw.unicast_table(announcement);
-            let node = client.as_id.0;
-            let entry = table
-                .entry(node)
-                .expect("unicast policy catchment routes every client AS");
-            let (via_transit, handoff_metro) = if entry.next_hop == CDN_NEXT {
-                (None, None)
-            } else {
-                let v1 = entry.next_hop;
-                (Some(AsId(v1)), Some(pw.graph.home_metro[v1 as usize]))
-            };
-            let mut decision = self.build_decision(
-                client,
-                access_km,
-                EgressDecision {
-                    ingress: BorderId(entry.ingress),
-                    via_transit,
-                    handoff_metro,
-                },
-                site,
-                day,
-            );
-            decision.base_rtt_ms += self
-                .latency
-                .unicast_path_penalty_ms(client.as_id, announcement);
-            return decision;
-        }
-        let rank = self.churn.selection_rank(client.as_id, client.metro, day);
-        let egress =
-            bgp::select_unicast_ingress(&self.topo, rank, client.as_id, client.metro, announcement);
+        let egress = self
+            .engine
+            .unicast_egress(&self.topo, client, day, announcement);
         let mut decision = self.build_decision(client, access_km, egress, site, day);
         // Single-prefix routes are often not the ISP's engineered best path.
         decision.base_rtt_ms += self
@@ -889,7 +969,7 @@ mod tests {
             if e.peering_borders.len() == 1
                 || !matches!(e.egress_policy, crate::bgp::EgressPolicy::HotPotato)
                 || inflated
-                || net.churn().flips_on(c.as_id, c.metro, Day(0))
+                || net.anycast_day(&c, Day(0)).switch.is_some()
                 || net.igp_episode_on(d.ingress, Day(0))
             {
                 continue;
@@ -907,6 +987,54 @@ mod tests {
         assert!(total >= 20, "only {total} pathology-free clients");
         let frac = f64::from(optimal) / f64::from(total);
         assert!(frac > 0.8, "only {frac} of idealized clients near-optimal");
+    }
+
+    /// The day query over the small, default, failure and 1k-AS policy
+    /// worlds: it answers only on flip days of flappy attachments, moves
+    /// the client from its rank-0 route at an instant inside the day, its
+    /// day's route is `anycast_route`, and a policy world never answers.
+    #[test]
+    fn anycast_day_switches_only_on_flip_days_from_the_rank_zero_route() {
+        use crate::worldgen::WorldGenConfig;
+        let failures = NetConfig {
+            p_site_outage: 0.3,
+            p_site_drain: 0.15,
+            ..NetConfig::small()
+        };
+        let policy = NetConfig {
+            worldgen: Some(WorldGenConfig::with_ases(1_000)),
+            ..NetConfig::small()
+        };
+        let mut switches = 0;
+        for cfg in [NetConfig::small(), NetConfig::default(), failures, policy] {
+            for seed in 0..8 {
+                let net = Internet::new(cfg.clone(), seed).unwrap();
+                let churn = ChurnModel::new(seed);
+                for i in 0..24 {
+                    let c = client_at(&net, i);
+                    for day in Day(0).span(14) {
+                        let today = net.anycast_day(&c, day);
+                        assert_eq!(today.route, net.anycast_route(&c, day));
+                        let Some((at_s, before)) = today.switch else {
+                            continue;
+                        };
+                        assert!(net.policy_world().is_none(), "a policy world switched");
+                        assert!(churn.is_flappy(c.as_id, c.metro));
+                        assert!(churn.flips_on(c.as_id, c.metro, day));
+                        assert!((0.0..86_400.0).contains(&at_s));
+                        let egress =
+                            bgp::select_anycast_ingress(&net.topo, 0, c.as_id, c.metro, &[]);
+                        let site = net.igp_site(egress.ingress, day, &[]).unwrap();
+                        let access_km = net.access_km(&c);
+                        assert_eq!(before, net.build_decision(&c, access_km, egress, site, day));
+                        assert_eq!(*today.at(at_s - 1e-6), before);
+                        assert_eq!(*today.at(at_s), today.route);
+                        switches += 1;
+                    }
+                }
+            }
+        }
+        assert!(switches > 100, "only {switches} switches");
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use addressing::CdnAddressing;
 pub use bgp::EgressPolicy;
 pub use config::NetConfig;
 pub use ids::{AsId, BorderId, SiteId};
-pub use internet::{ClientAttachment, Internet, RouteDecision};
+pub use internet::{AnycastDay, ClientAttachment, Internet, RouteDecision};
 pub use latency::AccessTech;
 pub use outage::{OutageKind, OutageModel, OutageWindow};
 pub use path::{Hop, HopKind, RoutePath};

@@ -29,11 +29,12 @@
 //! and moves the same failover counters.
 //!
 //! Lookups run on every fetch of every worker, so they write no shared
-//! counter: each tallies its memo hits and misses and the failover
-//! reroutes it answered itself into the caller's [`RouteTally`], a plain
-//! value the caller owns and [flushes](RouteTally::flush) into the obs
-//! registry — a campaign worker once per block of beacons. Only the
-//! site-down fallback, which asks the [`Internet`], counts there directly.
+//! counter: each tallies its memo hits and misses, and its losses,
+//! failover reroutes and unrouted answers, into the caller's
+//! [`RouteTally`], a plain value the caller owns and
+//! [flushes](RouteTally::flush) into the obs registry — a campaign worker
+//! once per block of beacons. The site-down fallback tallies into the same
+//! value.
 //!
 //! Anycast routing varies within a day only at the edges of scheduled
 //! windows, so the snapshot cuts the day there into a sorted **timeline**
@@ -51,10 +52,12 @@
 //!   sites and the reconvergence clock. Worlds without failure injection
 //!   never take the fallback.
 
+use std::sync::Arc;
+
 use anycast_obs::counter;
 
 use crate::ids::{BorderId, SiteId};
-use crate::internet::{ClientAttachment, Internet, RouteDecision};
+use crate::internet::{Catchment, ClientAttachment, Internet, RouteDecision};
 use crate::outage::OutageWindow;
 use crate::sim::Day;
 use crate::worldgen::{PolicyWorld, RouteEnv};
@@ -86,10 +89,13 @@ pub struct RouteTally {
     /// Lookups the snapshot could not answer from what it stores
     /// (`netsim_route_memo_misses_total`).
     pub memo_misses: u64,
-    /// Memoized anycast answers that moved a client off its steady site
+    /// Anycast requests lost to a site that crashed before BGP reconverged
+    /// (`netsim_reconvergence_losses_total`).
+    pub reconvergence_losses: u64,
+    /// Anycast answers that moved a client off its steady site
     /// (`netsim_failover_reroutes_total`).
     pub failover_reroutes: u64,
-    /// Memoized anycast answers of an AS that holds no route
+    /// Anycast answers of an AS that holds no route
     /// (`netsim_policy_unrouted_total`).
     pub policy_unrouted: u64,
 }
@@ -104,6 +110,9 @@ impl RouteTally {
         }
         if self.memo_misses > 0 {
             counter!("netsim_route_memo_misses_total").add(self.memo_misses);
+        }
+        if self.reconvergence_losses > 0 {
+            counter!("netsim_reconvergence_losses_total").add(self.reconvergence_losses);
         }
         if self.failover_reroutes > 0 {
             counter!("netsim_failover_reroutes_total").add(self.failover_reroutes);
@@ -316,21 +325,6 @@ impl<'a> RouteSnapshot<'a> {
         }
     }
 
-    /// Steady unicast decision for `(client, site)` (ignores outages):
-    /// the stored one, or [`Internet::unicast_route`] computed now for a
-    /// site outside the client's row.
-    pub fn steady_unicast(
-        &self,
-        internet: &Internet,
-        client: usize,
-        site: SiteId,
-    ) -> RouteDecision {
-        match self.stored_unicast(client, site) {
-            Some(d) => *d,
-            None => internet.unicast_route(&self.attachments[client], site, self.day),
-        }
-    }
-
     /// Memoized [`Internet::anycast_route_at`]: a stored decision —
     /// steady, or the one a route-dynamics event moved this client to — on
     /// the (overwhelmingly common) fast path, the full failover
@@ -355,7 +349,8 @@ impl<'a> RouteSnapshot<'a> {
             }
             Segment::SiteDown => {
                 tally.memo_misses += 1;
-                return internet.anycast_route_at(&self.attachments[client], self.day, time_s);
+                let client = &self.attachments[client];
+                return internet.anycast_route_tallied(client, self.day, time_s, tally);
             }
         };
         tally.memo_hits += 1;
@@ -494,13 +489,20 @@ fn moved_clients(
     envs.iter()
         .map(|env| {
             let table = pw.table_for(env);
+            let catchment = Catchment::Table {
+                world: pw,
+                table: Arc::clone(&table),
+            };
             let mut moved: Vec<Moved> = Vec::new();
             for &(node, _) in table.overrides() {
                 let lo = by_as.partition_point(|&(a, _)| a < node);
                 for &(_, i) in by_as[lo..].iter().take_while(|&&(a, _)| a == node) {
                     let c = &clients[i as usize];
                     let access_km = internet.access_km(c);
-                    moved.push((i, internet.policy_route(pw, &table, c, access_km, day, &[])));
+                    moved.push((
+                        i,
+                        internet.anycast_under(&catchment, c, access_km, day, &[]),
+                    ));
                 }
             }
             moved.sort_unstable_by_key(|m| m.0);
@@ -584,8 +586,8 @@ mod tests {
             assert_eq!(*snap.steady_anycast(i), net.anycast_route(c, Day(2)));
             for s in net.topology().cdn.site_ids() {
                 assert_eq!(
-                    snap.steady_unicast(&net, i, s),
-                    net.unicast_route(c, s, Day(2))
+                    snap.unicast_at(&net, i, s, 0.0, &mut RouteTally::default()),
+                    Some(net.unicast_route(c, s, Day(2)))
                 );
             }
             for t in [0.0, 40_000.0, 80_000.0] {

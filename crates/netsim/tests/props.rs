@@ -1,6 +1,7 @@
 //! Property tests for the Internet substrate: routing invariants that must
 //! hold over *any* generated world.
 
+use anycast_netsim::churn::ChurnModel;
 use anycast_netsim::latency::{FIBER_KM_PER_MS, FIBER_PATH_STRETCH};
 use anycast_netsim::worldgen::{route_class, CdnRelation, RouteEnv, CDN_NEXT};
 use anycast_netsim::{
@@ -195,10 +196,12 @@ proptest! {
     fn day_start_route_differs_only_on_flip_days(seed in 0u64..8, idx in 0usize..80, day in 1u32..14) {
         let net = world(seed);
         let c = client_of(&net, idx, 10.0);
-        let start = net.anycast_route_at_day_start(&c, Day(day));
-        let end = net.anycast_route(&c, Day(day));
-        if !net.churn().flips_on(c.as_id, c.metro, Day(day)) {
-            prop_assert_eq!(start.ingress, end.ingress);
+        let today = net.anycast_day(&c, Day(day));
+        prop_assert_eq!(today.route, net.anycast_route(&c, Day(day)));
+        let start = *today.at(0.0);
+        if !ChurnModel::new(seed).flips_on(c.as_id, c.metro, Day(day)) {
+            prop_assert!(today.switch.is_none());
+            prop_assert_eq!(start, today.route);
         }
     }
 
@@ -206,11 +209,11 @@ proptest! {
     fn idealized_world_is_pathology_free(seed in 0u64..6, idx in 0usize..60) {
         let net = world(seed);
         let c = client_of(&net, idx, 10.0);
-        // No churn: every day with no flip and no IGP episode routes
+        // No churn: every day with no switch and no IGP episode routes
         // identically.
         let d0 = net.anycast_route(&c, Day(0));
         let calm = |day| {
-            !net.churn().flips_on(c.as_id, c.metro, Day(day))
+            net.anycast_day(&c, Day(day)).switch.is_none()
                 && !net.igp_episode_on(d0.ingress, Day(day))
         };
         if calm(0) {

@@ -148,11 +148,6 @@ fn rows_never_change_an_answer(net: &Internet, days: u32) {
                 );
             }
             agrees(&snap, shape);
-            for (i, c) in clients.iter().enumerate() {
-                for &s in &sites {
-                    assert_eq!(snap.steady_unicast(net, i, s), net.unicast_route(c, s, day));
-                }
-            }
         }
     }
     assert!(edges > 0, "no window opened on any probed day");

@@ -7,7 +7,7 @@
 //! logs and beacon measurements through it.
 
 use anycast_geo::GeoDb;
-use anycast_netsim::stream::{splitmix64, to_unit};
+use anycast_netsim::stream::splitmix64;
 use anycast_netsim::{CdnAddressing, Day, Internet, NetConfig};
 use rand::Rng;
 
@@ -126,20 +126,10 @@ impl Scenario {
         &self.clients[idx]
     }
 
-    /// The UTC second-of-day at which a pending route flip for this
-    /// attachment takes effect on `day` (deterministic per attachment/day).
-    pub fn flip_time_s(&self, client: &Client, day: Day) -> f64 {
-        let a = client.attachment;
-        let z = self.seed
-            ^ (u64::from(a.as_id.0) << 40)
-            ^ (u64::from(a.metro.0) << 16)
-            ^ u64::from(day.0);
-        to_unit(splitmix64(z)) * 86_400.0
-    }
-
     /// Generates one day of passive production logs: every client's sampled
-    /// queries, routed by anycast, honoring intra-day route flips (queries
-    /// before the flip time see the day-start route).
+    /// queries, routed by anycast, honoring intra-day route switches
+    /// (queries before a switch see the route it leaves,
+    /// [`Internet::anycast_day`]).
     pub fn generate_passive_day(&self, day: Day, rng: &mut impl Rng) -> Vec<PassiveRecord> {
         let mut out = Vec::new();
         let day_factor = temporal::day_volume_factor(day);
@@ -149,31 +139,17 @@ impl Scenario {
             if n == 0 {
                 continue;
             }
-            let route_after = self.internet.anycast_route(&c.attachment, day);
-            let flips = self
-                .internet
-                .churn()
-                .flips_on(c.attachment.as_id, c.attachment.metro, day);
-            let route_before = if flips {
-                Some(self.internet.anycast_route_at_day_start(&c.attachment, day))
-            } else {
-                None
-            };
-            let flip_at = self.flip_time_s(c, day);
+            let routes = self.internet.anycast_day(&c.attachment, day);
             let believed = self.geodb.locate(c.prefix.key(), c.attachment.location);
             for _ in 0..n {
                 let t = temporal::sample_query_time(c.attachment.location.lon_deg(), rng);
-                let site = match &route_before {
-                    Some(before) if t < flip_at => before.site,
-                    _ => route_after.site,
-                };
                 out.push(PassiveRecord {
                     prefix: c.prefix,
                     metro: c.attachment.metro,
                     country: c.country,
                     region: c.region,
                     location: believed,
-                    site,
+                    site: routes.at(t).site,
                     day,
                     time_s: t,
                 });
@@ -284,13 +260,21 @@ mod tests {
     #[test]
     fn flip_time_is_deterministic_and_in_range() {
         let s = Scenario::small(6);
-        for c in s.clients.iter().take(20) {
+        let mut switches = 0;
+        for c in s.clients.iter().take(100) {
             for day in Day(0).span(3) {
-                let t = s.flip_time_s(c, day);
+                let Some((t, _)) = s.internet.anycast_day(&c.attachment, day).switch else {
+                    continue;
+                };
                 assert!((0.0..86_400.0).contains(&t));
-                assert_eq!(t, s.flip_time_s(c, day));
+                assert_eq!(
+                    s.internet.anycast_day(&c.attachment, day).switch.unwrap().0,
+                    t
+                );
+                switches += 1;
             }
         }
+        assert!(switches > 0, "no client switched in three days");
     }
 
     #[test]

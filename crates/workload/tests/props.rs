@@ -74,9 +74,11 @@ proptest! {
     fn flip_times_are_deterministic_and_in_range(seed in 0u64..6, idx in 0usize..100, day in 0u32..28) {
         let s = Scenario::small(seed);
         let c = &s.clients[idx % s.clients.len()];
-        let t = s.flip_time_s(c, Day(day));
-        prop_assert!((0.0..86_400.0).contains(&t));
-        prop_assert_eq!(t, s.flip_time_s(c, Day(day)));
+        let switch = s.internet.anycast_day(&c.attachment, Day(day)).switch;
+        if let Some((t, _)) = switch {
+            prop_assert!((0.0..86_400.0).contains(&t));
+        }
+        prop_assert_eq!(switch, s.internet.anycast_day(&c.attachment, Day(day)).switch);
     }
 
     #[test]

@@ -116,7 +116,8 @@ fn main() {
             }
             let b = anycast_cdn::netsim::BorderId(b_idx as u16);
             let bloc = wtopo.atlas.metro(border.metro).location();
-            let selected = anycast_cdn::netsim::igp::select_site(wtopo, b);
+            let selected =
+                anycast_cdn::netsim::igp::select_site(wtopo, b, 0, &[]).expect("a CDN has sites");
             let geo_nearest = wdeploy.nearest(&bloc, 1)[0].0;
             if selected == geo_nearest {
                 continue;

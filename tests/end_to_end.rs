@@ -106,30 +106,33 @@ fn beacon_slots_follow_the_methodology() {
 #[test]
 fn passive_and_active_views_agree_on_anycast_site() {
     // The passive log's serving site for a prefix must match what the
-    // routing layer says for that day (modulo intra-day flips).
+    // routing layer says for that day: on a switch day, the site the
+    // switch leaves before its second and the day's site from it on.
     let scenario = Scenario::small(5);
     let mut rng = seeded_rng(5, 0xa9);
     let records = scenario.generate_passive_day(Day(0), &mut rng);
     let mut checked = 0;
+    let mut before_switch = 0;
     for client in &scenario.clients {
-        let flips = scenario.internet.churn().flips_on(
-            client.attachment.as_id,
-            client.attachment.metro,
-            Day(0),
-        );
-        if flips {
-            continue; // both sites are legitimate on flip days
-        }
-        let expected = scenario
+        let routes = scenario.internet.anycast_day(&client.attachment, Day(0));
+        let after = scenario
             .internet
             .anycast_route(&client.attachment, Day(0))
             .site;
         for r in records.iter().filter(|r| r.prefix == client.prefix) {
-            assert_eq!(r.site, expected, "{}", client.prefix);
+            let expected = match routes.switch {
+                Some((at_s, before)) if r.time_s < at_s => {
+                    before_switch += 1;
+                    before.site
+                }
+                _ => after,
+            };
+            assert_eq!(r.site, expected, "{} at {}", client.prefix, r.time_s);
             checked += 1;
         }
     }
     assert!(checked > 100, "too few records checked: {checked}");
+    assert!(before_switch > 0, "no record fell before a switch");
 }
 
 #[test]
