@@ -22,6 +22,15 @@ use anycast_obs::Snapshot;
 use anycast_workload::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
 
+/// The tests below run one at a time. They share the global registry's
+/// on/off switch, and they compare whole deltas, in which a name another
+/// test registers between two windows shows up as a zero.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// One campaign day; returns the output bytes (the joined dataset, via the
 /// derived `Debug` form, which covers every field).
 fn run_campaign(seed: u64, workers: usize, outages: bool) -> String {
@@ -56,6 +65,7 @@ proptest! {
         seed in 0u64..200,
         outages in any::<bool>(),
     ) {
+        let _serial = serial();
         // Baseline: sequential, obs recording.
         let (bytes_1w, metrics_1w) = captured_run(seed, 1, outages);
         prop_assert!(
@@ -91,6 +101,7 @@ proptest! {
 
 #[test]
 fn more_workers_than_events_changes_nothing() {
+    let _serial = serial();
     // A day of a few dozen beacons run by five more workers than it has
     // events: every event is a range of its own, every gap between two
     // events a seam, and five workers have nothing to run.
@@ -130,6 +141,7 @@ fn more_workers_than_events_changes_nothing() {
 
 #[test]
 fn per_day_counters_match_the_dataset() {
+    let _serial = serial();
     // The per-day labeled counters must agree with what the dataset
     // itself says: rows tallied per day equal rows joined per day.
     anycast_obs::set_enabled(true);

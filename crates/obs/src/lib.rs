@@ -34,12 +34,7 @@
 //! * [`json`] / [`schema`] — in-house JSON parsing and the
 //!   JSON-Schema-subset validator CI uses to enforce the report shape;
 //! * [`logging`] — structured `key=value` stderr logging behind
-//!   `--quiet`/`-v` (stdout stays machine-readable);
-//! * [`ring`] / [`live`] — the live telemetry plane: fixed-capacity
-//!   overwrite rings and the per-shard [`FlightRecorder`] the serving
-//!   plane feeds with deterministically sampled query traces (one in
-//!   64), drained off the hot path into ordinary counters and
-//!   histograms.
+//!   `--quiet`/`-v` (stdout stays machine-readable).
 //!
 //! # Global registry and capture windows
 //!
@@ -65,19 +60,15 @@
 
 pub mod hist;
 pub mod json;
-pub mod live;
 pub mod logging;
 pub mod registry;
 pub mod report;
-pub mod ring;
 pub mod schema;
 pub mod span;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use live::{BatchEvent, FlightRecorder, ShardRecorder, TraceRecord};
 pub use registry::{Counter, MetricKey, Registry, Snapshot};
 pub use report::{fingerprint, validate_prometheus, HostInfo, RunMeta, RunReport};
-pub use ring::Ring;
 pub use span::{SpanAcc, SpanSnapshot, SpanTimer};
 
 use std::sync::{Mutex, OnceLock};

@@ -283,29 +283,15 @@ impl Snapshot {
             .sum()
     }
 
-    /// The deterministic slice of the snapshot: counters and histograms
-    /// only. This is the part the obs-neutrality proptests compare across
-    /// worker counts — spans carry wall-clock state and are
-    /// excluded by construction, as are metrics whose value depends on
-    /// scheduling rather than the input stream (the `serve_trace_*`
-    /// flight-recorder tallies: ring drains race with traffic, so a trace
-    /// can be overwritten before the drain reaches it — the *answers*
-    /// stay byte-identical, but the recorder's own bookkeeping does not).
+    /// The deterministic slice of the snapshot: every counter and
+    /// histogram, and no spans. This is the part the obs-neutrality
+    /// proptests compare across worker counts — spans carry wall-clock
+    /// state, while counters and histograms depend only on the input
+    /// stream.
     pub fn deterministic(&self) -> Snapshot {
-        let scheduling_dependent = |name: &str| name.starts_with("serve_trace_");
         Snapshot {
-            counters: self
-                .counters
-                .iter()
-                .filter(|(k, _)| !scheduling_dependent(&k.name))
-                .map(|(k, &v)| (k.clone(), v))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|(k, _)| !scheduling_dependent(&k.name))
-                .map(|(k, h)| (k.clone(), h.clone()))
-                .collect(),
+            counters: self.counters.clone(),
+            histograms: self.histograms.clone(),
             spans: BTreeMap::new(),
         }
     }

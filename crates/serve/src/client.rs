@@ -188,13 +188,13 @@ impl WireClient {
             if r.id != q.id {
                 continue;
             }
-            if r.tc {
-                let frame = self.exchange_tcp(&wire)?;
-                let r = crate::message::decode_chaos_txt(&frame)?;
-                if r.id != q.id {
-                    return Err(QueryError::IdMismatch);
-                }
-                return Ok(r.text);
+            let r = if r.tc {
+                crate::message::decode_chaos_txt(&self.exchange_tcp(&wire)?)?
+            } else {
+                r
+            };
+            if r.id != q.id {
+                return Err(QueryError::IdMismatch);
             }
             return Ok(r.text);
         }
@@ -218,16 +218,7 @@ impl WireClient {
 
     /// The RFC 1035 fallback: resend the same query over TCP.
     fn query_tcp(&self, wire: &[u8], id: u16) -> Result<ServedAnswer, QueryError> {
-        let mut stream = TcpStream::connect(self.server)?;
-        stream.set_read_timeout(Some(Duration::from_millis(2000)))?;
-        stream.write_all(&(wire.len() as u16).to_be_bytes())?;
-        stream.write_all(wire)?;
-        let mut len_buf = [0u8; 2];
-        stream.read_exact(&mut len_buf)?;
-        let len = usize::from(u16::from_be_bytes(len_buf));
-        let mut data = vec![0u8; len];
-        stream.read_exact(&mut data)?;
-        let r = decode_response(&data)?;
+        let r = decode_response(&self.exchange_tcp(wire)?)?;
         if r.id != id {
             return Err(QueryError::IdMismatch);
         }

@@ -17,7 +17,7 @@
 //! path for clients that saw TC=1, loading the table once per message.
 //!
 //! What the server serves is a table and nothing else: whichever encoder
-//! a query's shape selects, its `(answer, scope, flags)` comes from the one
+//! a query's shape selects, its `(answer, scope)` comes from the one
 //! decision function (`ServeCtx::decide`: valve → unknown resolver → table
 //! lookup) over the `CompiledTable` its batch loaded, so a batch never mixes
 //! generations and a shard's generation never goes backwards inside one.
@@ -41,17 +41,15 @@ use std::time::Duration;
 
 use anycast_dns::{DnsAnswer, LdnsId};
 use anycast_geo::GeoPoint;
-use anycast_obs::live::{
-    BatchEvent, FlightRecorder, ShardRecorder, TraceRecord, TRACE_OVERLOAD, TRACE_TEMPLATE_HIT,
-    TRACE_UNKNOWN_LDNS, TRACE_VALVE,
-};
-use anycast_obs::{counter, histogram};
+use anycast_obs::{counter, histogram, HistogramSnapshot};
 
 use crate::message::{decode_query, encode_chaos_txt, encode_response, Edns, CHAOS_METRICS_QNAME};
 use crate::mmsg::{batch_io, BatchIo, PacketArena, MAX_BATCH};
 use crate::store::{CompiledTable, TableStore};
 use crate::template::{response_len, write_response, AnswerRr, QueryView};
-use crate::wire::{Flags, Header, CLASSIC_UDP_LIMIT, CLASS_CHAOS, CLASS_IN, TYPE_A, TYPE_TXT};
+use crate::wire::{
+    Flags, Header, CLASSIC_UDP_LIMIT, CLASS_CHAOS, CLASS_IN, HEADER_LEN, TYPE_A, TYPE_TXT,
+};
 
 /// UDP payload size the server advertises in its OPT records.
 pub const SERVER_UDP_PAYLOAD: u16 = 1232;
@@ -63,8 +61,9 @@ pub const RCODE_REFUSED: u8 = 5;
 
 /// Maximum TCP message size (16-bit length prefix).
 const TCP_MAX_MESSAGE: usize = 65535;
-/// Receive buffer per datagram; larger than any advertised payload.
-const RECV_BUF: usize = 4096;
+/// Bytes per arena slot, receive and send alike: the largest datagram a
+/// worker reads and the largest UDP reply it sends.
+const SLOT_BYTES: usize = 4096;
 /// How often blocked receivers re-check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// TTL of valve (degraded) answers, seconds — short, so clients re-ask
@@ -90,11 +89,14 @@ pub struct ServeConfig {
     /// Server-side cap on UDP response size regardless of what the client
     /// advertises (BIND's `max-udp-size`; operators clamp it to dodge
     /// fragmentation). Oversized answers come back truncated and the
-    /// client retries over TCP. `None` honors the client's advertisement.
+    /// client retries over TCP. `None` honors the client's advertisement
+    /// up to the 4,096-byte send slot, which bounds any cap as well.
     pub udp_response_cap: Option<usize>,
-    /// Whether the flight recorder samples query traces on the hot path.
-    /// Disabling reduces every recorder hook to one predictable branch;
-    /// answers are byte-identical either way (the recorder only observes).
+    /// Whether workers tally the answer-scope and response-size
+    /// histograms and the overloaded-batch count
+    /// (`serve_answer_scope`, `serve_response_bytes`,
+    /// `serve_overload_batches_total`). Off, none of the three is
+    /// recorded; answers are byte-identical either way.
     pub recorder: bool,
 }
 
@@ -225,12 +227,23 @@ impl ServeStats {
     }
 }
 
-/// Counter deltas for one batch (or one TCP query), accumulated locally
-/// and flushed to [`ServeStats`] + obs in one step. Flushing *before* the
-/// batch's responses are sent keeps the invariant that a client observing
-/// its answer also observes the matching tallies.
+/// Counter and histogram deltas for one batch (or one TCP query),
+/// accumulated locally and flushed to [`ServeStats`] + obs in one step.
+/// Flushing *before* the batch's responses are sent keeps the invariant
+/// that a client observing its answer also observes the matching tallies.
 #[derive(Debug, Default)]
 struct BatchCounts {
+    /// [`ServeConfig::recorder`]: whether the scope, response-size and
+    /// overloaded-batch tallies below are kept.
+    recorder: bool,
+    /// Datagrams in the batch (`serve_batch_size`); `None` for TCP.
+    fill: Option<usize>,
+    /// Batches received with the valve engaged.
+    overload_batches: u64,
+    /// ECS scope of each answer decision.
+    scopes: HistogramSnapshot,
+    /// Length of each response sent.
+    response_bytes: HistogramSnapshot,
     udp: u64,
     tcp: u64,
     decode_errors: u64,
@@ -245,17 +258,50 @@ struct BatchCounts {
 }
 
 impl BatchCounts {
-    fn tally(&mut self, addr: Ipv4Addr) {
-        for (a, n) in self.answered.iter_mut() {
-            if *a == addr {
-                *n += 1;
-                return;
-            }
+    fn new(recorder: bool) -> BatchCounts {
+        BatchCounts {
+            recorder,
+            ..BatchCounts::default()
         }
-        self.answered.push((addr, 1));
+    }
+
+    /// One received batch of `n` datagrams.
+    fn batch(&mut self, n: usize, overloaded: bool) {
+        self.fill = Some(n);
+        self.overload_batches += u64::from(self.recorder && overloaded);
+    }
+
+    /// One answer decision: `addr` answered at ECS scope `scope`.
+    fn answer(&mut self, addr: Ipv4Addr, scope: u8) {
+        if self.recorder {
+            self.scopes.observe(f64::from(scope));
+        }
+        match self.answered.iter_mut().find(|(a, _)| *a == addr) {
+            Some((_, n)) => *n += 1,
+            None => self.answered.push((addr, 1)),
+        }
+    }
+
+    /// One response of `len` bytes sent.
+    fn response(&mut self, len: usize) {
+        if self.recorder {
+            self.response_bytes.observe(len as f64);
+        }
     }
 
     fn flush(&mut self, stats: &ServeStats) {
+        if let Some(n) = self.fill.take() {
+            histogram!("serve_batch_size").observe(n as f64);
+        }
+        if self.overload_batches > 0 {
+            counter!("serve_overload_batches_total").add(self.overload_batches);
+        }
+        if self.recorder {
+            histogram!("serve_answer_scope").merge(&self.scopes);
+            histogram!("serve_response_bytes").merge(&self.response_bytes);
+            self.scopes.clear();
+            self.response_bytes.clear();
+        }
         if self.udp > 0 {
             stats.udp_queries.fetch_add(self.udp, Ordering::Relaxed);
             counter!("serve_udp_queries_total").add(self.udp);
@@ -298,6 +344,7 @@ impl BatchCounts {
         }
         stats.note_answered_bulk(&self.answered);
         self.answered.clear();
+        self.overload_batches = 0;
         self.udp = 0;
         self.tcp = 0;
         self.decode_errors = 0;
@@ -337,19 +384,21 @@ impl ServeCtx {
 
     /// The UDP response-size rule: the client's EDNS advertisement (never
     /// below the classic 512, which is also the no-EDNS limit), clamped by
-    /// the operator's `udp_response_cap`.
+    /// the operator's `udp_response_cap` and by the send slot. A reply
+    /// over the limit comes back TC=1, so every UDP reply fits its slot.
     fn udp_payload_limit(&self, advertised: Option<u16>) -> usize {
         let advertised =
             advertised.map_or(CLASSIC_UDP_LIMIT, |p| usize::from(p).max(CLASSIC_UDP_LIMIT));
-        self.cfg
+        let cap = self
+            .cfg
             .udp_response_cap
-            .map_or(advertised, |cap| advertised.min(cap))
+            .map_or(SLOT_BYTES, |cap| cap.min(SLOT_BYTES));
+        advertised.min(cap)
     }
 
     /// The one answer decision: overload valve → unknown resolver → table
-    /// lookup. Returns the baked answer, the ECS scope to advertise and the
-    /// `TRACE_*` flags describing which branch decided; counts the branch
-    /// and tallies the answered address. The templated fast path, the
+    /// lookup. Returns the baked answer and the ECS scope to advertise;
+    /// counts the branch and tallies the answer. The templated fast path, the
     /// full-encoder slow path and TCP all answer through here, against the
     /// table their batch (or message) loaded.
     #[inline]
@@ -360,25 +409,24 @@ impl ServeCtx {
         edns: Option<Edns>,
         overloaded: bool,
         counts: &mut BatchCounts,
-    ) -> (&'a AnswerRr, u8, u8) {
-        let (rr, scope, flags) = if overloaded {
+    ) -> (&'a AnswerRr, u8) {
+        let (rr, scope) = if overloaded {
             counts.degraded += 1;
-            (&self.valve, 0, TRACE_OVERLOAD | TRACE_VALVE)
+            (&self.valve, 0)
         } else {
             match self.directory.lookup(source_ip(src)) {
                 Some((ldns, _)) => {
                     let ecs = edns.and_then(|e| e.ecs).and_then(|e| e.to_option());
-                    let (rr, scope) = table.answer_rr(ldns, ecs.as_ref());
-                    (rr, scope, 0)
+                    table.answer_rr(ldns, ecs.as_ref())
                 }
                 None => {
                     counts.unknown_ldns += 1;
-                    (&self.valve, 0, TRACE_VALVE | TRACE_UNKNOWN_LDNS)
+                    (&self.valve, 0)
                 }
             }
         };
-        counts.tally(rr.addr());
-        (rr, scope, flags)
+        counts.answer(rr.addr(), scope);
+        (rr, scope)
     }
 }
 
@@ -388,7 +436,6 @@ pub struct DnsServer {
     ctx: Arc<ServeCtx>,
     workers: usize,
     handles: Vec<std::thread::JoinHandle<()>>,
-    recorder: Arc<FlightRecorder>,
 }
 
 impl std::fmt::Debug for DnsServer {
@@ -437,44 +484,21 @@ impl DnsServer {
             }
         }
         let spawned = socks.len();
-        let recorder = Arc::new(FlightRecorder::new(spawned, cfg.recorder));
         for (worker, sock) in socks.into_iter().enumerate() {
             handles.push(spawn_worker(
                 ctx.clone(),
                 sock,
-                recorder.shard(worker),
                 format!("serve-wk-{worker}"),
             ));
         }
 
         handles.push(spawn_tcp_acceptor(ctx.clone(), tcp));
 
-        // The drain side of the flight recorder: folds ring contents into
-        // registry metrics off the hot path, at the poll cadence. The
-        // final fold happens in `stop()` after every worker has exited,
-        // so post-stop totals include the last batches.
-        if recorder.enabled() {
-            let rec = recorder.clone();
-            let ctx = ctx.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name("serve-obs".to_string())
-                    .spawn(move || {
-                        while !ctx.stop.load(Ordering::Relaxed) {
-                            rec.drain();
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                    })
-                    .expect("spawn recorder drain thread"),
-            );
-        }
-
         Ok(DnsServer {
             addr,
             ctx,
             workers: spawned,
             handles,
-            recorder,
         })
     }
 
@@ -488,20 +512,12 @@ impl DnsServer {
         &self.ctx.stats
     }
 
-    /// The hot-path flight recorder (disabled when
-    /// [`ServeConfig::recorder`] is false).
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
     /// Stops all threads and waits for them to exit. Idempotent.
     pub fn stop(&mut self) {
         self.ctx.stop.store(true, Ordering::SeqCst);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        // Workers are gone: fold whatever the periodic drain missed.
-        self.recorder.drain();
     }
 }
 
@@ -529,17 +545,12 @@ fn bind_pair() -> std::io::Result<(UdpSocket, TcpListener)> {
 
 /// One worker shard: a thread running [`worker_loop`] over its socket
 /// clone and the platform's best [`BatchIo`].
-fn spawn_worker(
-    ctx: Arc<ServeCtx>,
-    sock: UdpSocket,
-    rec: Arc<ShardRecorder>,
-    name: String,
-) -> std::thread::JoinHandle<()> {
+fn spawn_worker(ctx: Arc<ServeCtx>, sock: UdpSocket, name: String) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
             let mut io = batch_io(ctx.cfg.batch);
-            worker_loop(&ctx, &sock, &mut *io, &rec);
+            worker_loop(&ctx, &sock, &mut *io);
         })
         .expect("spawn worker thread")
 }
@@ -547,10 +558,10 @@ fn spawn_worker(
 /// The shard loop: receive a batch, answer it from one table generation,
 /// flush its counters, send it — until the stop flag is raised. Socket
 /// errors other than a quiet-socket timeout are counted and survived.
-fn worker_loop(ctx: &ServeCtx, sock: &UdpSocket, io: &mut dyn BatchIo, rec: &ShardRecorder) {
+fn worker_loop(ctx: &ServeCtx, sock: &UdpSocket, io: &mut dyn BatchIo) {
     let batch = ctx.cfg.batch.clamp(1, MAX_BATCH);
-    let mut arena = PacketArena::new(batch, RECV_BUF);
-    let mut counts = BatchCounts::default();
+    let mut arena = PacketArena::new(batch, SLOT_BYTES);
+    let mut counts = BatchCounts::new(ctx.cfg.recorder);
     // Consecutive completely-full batches: the overload signal. A full
     // batch means the socket had more queued than one syscall drained; a
     // streak of them means the shard is not keeping up. `batch == 1`
@@ -577,21 +588,17 @@ fn worker_loop(ctx: &ServeCtx, sock: &UdpSocket, io: &mut dyn BatchIo, rec: &Sha
                 continue;
             }
         };
-        histogram!("serve_batch_size").observe(n as f64);
         if batch > 1 && n == batch {
             full_streak += 1;
         } else {
             full_streak = 0;
         }
         let overloaded = full_streak.saturating_mul(batch) >= ctx.cfg.overload_watermark;
-        rec.record_batch(BatchEvent {
-            fill: n as u16,
-            overloaded,
-        });
+        counts.batch(n, overloaded);
         // One load of the hot-swapped table per batch: every packet below
         // is answered from this generation.
         let table = ctx.tables.load();
-        answer_batch(ctx, &table, &mut arena, n, overloaded, &mut counts, rec);
+        answer_batch(ctx, &table, &mut arena, n, overloaded, &mut counts);
         // Flush tallies before the responses hit the wire, so a client
         // that sees its answer also sees the counts.
         counts.flush(&ctx.stats);
@@ -611,13 +618,12 @@ fn answer_batch(
     n: usize,
     overloaded: bool,
     counts: &mut BatchCounts,
-    rec: &ShardRecorder,
 ) {
     for i in 0..n {
         let len = if arena.packet(i).is_empty() {
             0
         } else {
-            serve_packet(ctx, table, arena, i, overloaded, counts, rec)
+            serve_packet(ctx, table, arena, i, overloaded, counts)
         };
         arena.set_response_len(i, len);
     }
@@ -632,60 +638,38 @@ fn serve_packet(
     i: usize,
     overloaded: bool,
     counts: &mut BatchCounts,
-    rec: &ShardRecorder,
 ) -> usize {
     counts.udp += 1;
     let (data, out, src) = arena.io_slot(i);
-    // Arrival: the deterministic sampling decision (a txid-independent
-    // hash over the packet bytes — the same packet is sampled under any
-    // worker count). One branch when the recorder is off.
-    let sampled = rec.sample(data);
-    let txid = if data.len() >= 2 {
-        u16::from_be_bytes([data[0], data[1]])
-    } else {
-        0
-    };
-    // The zero-alloc fast path: a templatable query whose response
-    // provably fits. Any gate failing falls through to the full
+    // The zero-alloc fast path: a templatable query whose response fits
+    // the UDP limit. Any gate failing falls through to the full
     // decode/encode path, the behavioral reference.
-    let fast = QueryView::parse(data).filter(|view| {
-        let len = response_len(view);
-        len <= ctx.udp_payload_limit(view.udp_payload()) && len <= out.len()
-    });
+    let fast = QueryView::parse(data)
+        .filter(|view| response_len(view) <= ctx.udp_payload_limit(view.udp_payload()));
     // All gates are checked before any count mutation, so the slow path
     // never double-counts a query the fast path rejected.
-    let (written, depth, flags) = match fast {
+    let written = match fast {
         Some(view) => {
-            let (rr, scope, flags) = ctx.decide(table, src, view.edns, overloaded, counts);
+            let (rr, scope) = ctx.decide(table, src, view.edns, overloaded, counts);
             counts.template_hits += 1;
-            let written = write_response(out, &view, rr, scope);
-            (written, scope, flags | TRACE_TEMPLATE_HIT)
+            write_response(out, &view, rr, scope)
         }
-        None => {
-            let transport = Transport::Udp { overloaded };
-            let (resp, trace) = respond(ctx, table, counts, data, src, transport);
-            let written = match resp {
-                Some(resp) if resp.len() <= out.len() => {
-                    out[..resp.len()].copy_from_slice(&resp);
-                    resp.len()
+        None => match respond(ctx, table, counts, data, src, Transport::Udp { overloaded }) {
+            // The UDP limit never exceeds the send slot, and a reply over
+            // the limit shrinks to header and question: every reply fits.
+            Some(resp) => {
+                if resp.len() >= HEADER_LEN && resp[2] & 0x02 != 0 {
+                    // TC bit set in the encoded header.
+                    counts.truncated += 1;
                 }
-                _ => 0,
-            };
-            // A query that reached no answer decision (FORMERR, REFUSED,
-            // empty NOERROR, scrape) still reports the shard's state.
-            let (depth, flags) = trace.unwrap_or((0, if overloaded { TRACE_OVERLOAD } else { 0 }));
-            (written, depth, flags)
-        }
+                out[..resp.len()].copy_from_slice(&resp);
+                resp.len()
+            }
+            None => 0,
+        },
     };
-    if sampled {
-        // Send: the completed trace — lookup depth is the matched ECS
-        // prefix length the answer advertises.
-        rec.record(TraceRecord {
-            txid,
-            depth,
-            flags,
-            resp_len: written as u16,
-        });
+    if written > 0 {
+        counts.response(written);
     }
     written
 }
@@ -725,7 +709,7 @@ fn serve_tcp_conn(ctx: &ServeCtx, mut stream: TcpStream, src: SocketAddr) -> std
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut data: Vec<u8> = Vec::new();
     let mut frame: Vec<u8> = Vec::new();
-    let mut counts = BatchCounts::default();
+    let mut counts = BatchCounts::new(ctx.cfg.recorder);
     loop {
         let mut len_buf = [0u8; 2];
         if stream.read_exact(&mut len_buf).is_err() {
@@ -736,7 +720,10 @@ fn serve_tcp_conn(ctx: &ServeCtx, mut stream: TcpStream, src: SocketAddr) -> std
         stream.read_exact(&mut data)?;
         counts.tcp += 1;
         let table = ctx.tables.load();
-        let (resp, _) = respond(ctx, &table, &mut counts, &data, src, Transport::Tcp);
+        let resp = respond(ctx, &table, &mut counts, &data, src, Transport::Tcp);
+        if let Some(resp) = &resp {
+            counts.response(resp.len());
+        }
         counts.flush(&ctx.stats);
         if let Some(resp) = resp {
             debug_assert!(resp.len() <= TCP_MAX_MESSAGE);
@@ -765,8 +752,7 @@ enum Transport {
     Tcp,
 }
 
-/// Decodes one query and produces the response bytes, if any, plus the
-/// `(scope, flags)` of the answer decision when one was made. The full
+/// Decodes one query and produces the response bytes, if any. The full
 /// (allocating) path: behavioral reference for FORMERR, REFUSED,
 /// truncation, and every non-templatable shape.
 fn respond(
@@ -776,12 +762,12 @@ fn respond(
     data: &[u8],
     src: SocketAddr,
     transport: Transport,
-) -> (Option<Vec<u8>>, Option<(u8, u8)>) {
+) -> Option<Vec<u8>> {
     let q = match decode_query(data) {
         Ok(q) => q,
         Err(_) => {
             counts.decode_errors += 1;
-            return (formerr_response(data), None);
+            return formerr_response(data);
         }
     };
     let (max_payload, overloaded) = match transport {
@@ -803,33 +789,19 @@ fn respond(
             counter!("serve_chaos_scrapes_total").inc();
             let text = anycast_obs::global().snapshot().to_prometheus();
             let over_tcp = matches!(transport, Transport::Tcp);
-            return (
-                Some(encode_chaos_txt(&q, &text, max_payload, over_tcp)),
-                None,
-            );
+            return Some(encode_chaos_txt(&q, &text, max_payload, over_tcp));
         }
-        return (
-            Some(encode_response(&q, None, RCODE_REFUSED, max_payload)),
-            None,
-        );
+        return Some(encode_response(&q, None, RCODE_REFUSED, max_payload));
     }
     if q.qclass != CLASS_IN {
-        return (
-            Some(encode_response(&q, None, RCODE_REFUSED, max_payload)),
-            None,
-        );
+        return Some(encode_response(&q, None, RCODE_REFUSED, max_payload));
     }
     if q.qtype != TYPE_A {
-        return (Some(encode_response(&q, None, 0, max_payload)), None);
+        return Some(encode_response(&q, None, 0, max_payload));
     }
-    let (rr, scope, flags) = ctx.decide(table, src, q.edns, overloaded, counts);
+    let (rr, scope) = ctx.decide(table, src, q.edns, overloaded, counts);
     let answer = DnsAnswer::scoped(rr.addr(), rr.ttl_s(), scope);
-    let resp = encode_response(&q, Some(&answer), 0, max_payload);
-    if resp.len() >= crate::wire::HEADER_LEN && resp[2] & 0x02 != 0 {
-        // TC bit set in the encoded header.
-        counts.truncated += 1;
-    }
-    (Some(resp), Some((scope, flags)))
+    Some(encode_response(&q, Some(&answer), 0, max_payload))
 }
 
 /// A question-less FORMERR response, if the packet at least carries an id.
@@ -846,7 +818,7 @@ fn formerr_response(data: &[u8]) -> Option<Vec<u8>> {
         },
         ..Header::default()
     };
-    let mut out = Vec::with_capacity(crate::wire::HEADER_LEN);
+    let mut out = Vec::with_capacity(HEADER_LEN);
     header.encode(&mut out);
     Some(out)
 }
@@ -855,7 +827,6 @@ fn formerr_response(data: &[u8]) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::message::{decode_response, encode_query, WireEcs, WireQuery};
-    use crate::wire::HEADER_LEN;
     use anycast_core::prediction::{GroupKey, Grouping};
     use anycast_dns::DnsName;
     use anycast_netsim::{CdnAddressing, Prefix, SiteId};
@@ -877,10 +848,6 @@ mod tests {
         let mut directory = LdnsDirectory::new();
         directory.insert(RESOLVER, LdnsId(0), GeoPoint::new(0.0, 0.0));
         ServeCtx::new(ServeConfig::new(plan().anycast_ip()), store, directory)
-    }
-
-    fn recorder_off() -> Arc<ShardRecorder> {
-        FlightRecorder::new(1, false).shard(0)
     }
 
     fn ecs(subnet: Ipv4Addr) -> Option<Edns> {
@@ -932,21 +899,13 @@ mod tests {
             query(5, 28, Some(Edns::plain(1232))),        // encoder, AAAA: no answer
         ];
         let src = SocketAddr::from((RESOLVER, 5353));
-        let mut arena = PacketArena::new(batch.len(), RECV_BUF);
+        let mut arena = PacketArena::new(batch.len(), SLOT_BYTES);
         let mut answer_from = |table: &CompiledTable| {
             for (i, wire) in batch.iter().enumerate() {
                 arena.set_incoming(i, wire, src);
             }
-            let mut counts = BatchCounts::default();
-            answer_batch(
-                &ctx,
-                table,
-                &mut arena,
-                batch.len(),
-                false,
-                &mut counts,
-                &recorder_off(),
-            );
+            let mut counts = BatchCounts::new(false);
+            answer_batch(&ctx, table, &mut arena, batch.len(), false, &mut counts);
             assert_eq!((counts.template_hits, counts.template_misses), (2, 3));
             (0..batch.len())
                 .map(|i| decode_response(arena.send_slot(i)).expect("response decodes"))
@@ -1038,7 +997,7 @@ mod tests {
             tried_to_send: 0,
         };
         let sock = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
-        worker_loop(&ctx, &sock, &mut io, &recorder_off());
+        worker_loop(&ctx, &sock, &mut io);
         // The receive error did not end the loop (the query after it was
         // served), nor did the send error (the loop came back to receive).
         assert_eq!(io.recv_calls, 3);

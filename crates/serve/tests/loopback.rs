@@ -736,10 +736,12 @@ fn policy_answers_are_pure_dnsanswer_roundtrips() {
 
 #[test]
 fn recorder_toggle_is_obs_neutral_on_the_batched_path() {
-    // PR-9 tentpole guard: the flight recorder samples traces on the hot
-    // path, but it only *observes* — raw response datagrams must be
-    // bit-for-bit identical with the recorder on and off, at 1 worker and
-    // at 4, through the batched syscall path.
+    // The recorder switch gates the workers' scope, response-size and
+    // overloaded-batch tallies, which only *observe*: raw response
+    // datagrams must be bit-for-bit identical with it on and off, at 1
+    // worker and at 4, through the batched syscall path. (What it tallies
+    // is pinned by `serve_tallies.rs`, whose capture windows need their
+    // own binary.)
     let t = trained(54, Grouping::Ecs);
     let scenario = t.study.scenario();
 
@@ -765,15 +767,13 @@ fn recorder_toggle_is_obs_neutral_on_the_batched_path() {
             );
         }
         use std::sync::atomic::Ordering::Relaxed;
-        assert!(
-            on.stats().udp_queries.load(Relaxed) >= wires.len() as u64,
-            "the recorder-on server served the workload"
-        );
-        // The toggle actually reached the hot path (fold totals are
-        // registry-global, so sampling volume itself is asserted by the
-        // obs crate's unit tests, not per-server here).
-        assert!(on.recorder().enabled());
-        assert!(!off.recorder().enabled());
+        for server in [&on, &off] {
+            assert_eq!(
+                server.stats().udp_queries.load(Relaxed),
+                wires.len() as u64,
+                "both servers served the workload"
+            );
+        }
     }
 }
 
