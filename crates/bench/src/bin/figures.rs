@@ -3,23 +3,21 @@
 //! ```text
 //! figures <artifact|all|ablations|extras|everything>
 //!         [--scale small|paper] [--seed N] [--csv] [--out DIR]
-//!         [--obs-out FILE] [--obs-prom FILE] [--quiet] [-v]
+//!         [--obs-prom FILE] [--quiet] [-v]
 //! ```
 //!
 //! Output discipline: **stdout carries only machine-readable results**
 //! (tables, CSV) — progress and diagnostics go to stderr as structured
 //! `key=value` log lines, gated by `--quiet`/`-v`.
 //! `--csv` emits long-form CSV to stdout, `--out DIR` writes per-artifact
-//! `.csv` and `.txt` files. `--obs-out`/`--obs-prom` export everything
-//! the metrics registry accumulated across the run as a JSON run report /
-//! Prometheus text dump. EXPERIMENTS.md records the paper-vs-measured
+//! `.csv` and `.txt` files. `--obs-prom` exports everything the metrics
+//! registry accumulated across the run as Prometheus text. EXPERIMENTS.md records the paper-vs-measured
 //! comparison produced by `figures all --scale paper`.
 
 use std::process::ExitCode;
 
 use anycast_bench::cli;
 use anycast_obs::logging;
-use anycast_obs::{RunMeta, RunReport};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,52 +82,24 @@ fn main() -> ExitCode {
         }
     }
 
-    if invocation.obs_out.is_some() || invocation.obs_prom.is_some() {
-        let snapshot = anycast_obs::global().snapshot();
-        let meta = RunMeta {
-            tool: "figures".to_string(),
-            scale: format!("{:?}", invocation.scale).to_lowercase(),
-            seed: invocation.seed,
-            workers,
-            artifacts: invocation.ids.iter().map(|s| s.to_string()).collect(),
-        };
-        if let Some(path) = &invocation.obs_out {
-            let report = RunReport::new(meta.clone(), snapshot.clone());
-            if let Err(e) = std::fs::write(path, report.to_json()) {
-                logging::error(
-                    "figures",
-                    "obs report write failed",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("error", e.to_string()),
-                    ],
-                );
-                return ExitCode::FAILURE;
-            }
-            logging::info(
+    if let Some(path) = &invocation.obs_prom {
+        let text = anycast_obs::global().snapshot().to_prometheus();
+        if let Err(e) = std::fs::write(path, text) {
+            logging::error(
                 "figures",
-                "wrote obs report",
-                &[("path", path.display().to_string())],
+                "obs prometheus write failed",
+                &[
+                    ("path", path.display().to_string()),
+                    ("error", e.to_string()),
+                ],
             );
+            return ExitCode::FAILURE;
         }
-        if let Some(path) = &invocation.obs_prom {
-            if let Err(e) = std::fs::write(path, snapshot.to_prometheus()) {
-                logging::error(
-                    "figures",
-                    "obs prometheus write failed",
-                    &[
-                        ("path", path.display().to_string()),
-                        ("error", e.to_string()),
-                    ],
-                );
-                return ExitCode::FAILURE;
-            }
-            logging::info(
-                "figures",
-                "wrote obs metrics",
-                &[("path", path.display().to_string())],
-            );
-        }
+        logging::info(
+            "figures",
+            "wrote obs metrics",
+            &[("path", path.display().to_string())],
+        );
     }
     ExitCode::SUCCESS
 }

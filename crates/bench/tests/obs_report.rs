@@ -1,21 +1,12 @@
-//! The run report end to end: one campaign day plus sketched training
-//! must produce a report that (a) validates against the checked-in JSON
-//! schema CI enforces, and (b) carries metrics from every instrumented
-//! layer — pipeline, study, beacon, netsim, and prediction.
+//! The metrics export end to end: one campaign day plus sketched
+//! training must (a) carry metrics from every instrumented layer —
+//! pipeline, study, beacon, netsim, and prediction — and (b) export them
+//! as Prometheus text that passes the grammar check `obs_validate` runs;
+//! a campaign day alone must export its beacon families well formed.
 
 use anycast_bench::worlds::{self, Scale};
 use anycast_core::{Predictor, PredictorConfig};
 use anycast_netsim::Day;
-use anycast_obs::{json, schema, RunMeta, RunReport};
-
-fn checked_in_schema() -> json::Value {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../obs/schemas/run_report.schema.json"
-    );
-    let text = std::fs::read_to_string(path).expect("schema file is checked in");
-    json::parse(&text).expect("schema file is valid JSON")
-}
 
 #[test]
 fn bench_run_report_validates_and_covers_every_layer() {
@@ -59,24 +50,16 @@ fn bench_run_report_validates_and_covers_every_layer() {
         "study phase spans missing"
     );
 
-    // The report over that snapshot validates against the checked-in
-    // schema — the same check CI runs over `figures --obs-out` output.
-    let report = RunReport::new(
-        RunMeta {
-            tool: "figures".into(),
-            scale: "small".into(),
-            seed: 3,
-            workers: 1,
-            artifacts: vec!["bench".into()],
-        },
-        delta,
-    );
-    let doc = json::parse(&report.to_json()).expect("report serializes to valid JSON");
-    let violations = schema::validate(&doc, &checked_in_schema());
+    // The export of that snapshot — the run's metric report — passes the
+    // grammar check `obs_validate` runs.
+    let prom = delta.to_prometheus();
+    assert!(prom.contains("# TYPE prediction_groups_trained_total counter"));
+    assert!(prom.contains("# TYPE pipeline_records_routed_total counter"));
+    let errors = anycast_obs::validate_prometheus(&prom);
     assert!(
-        violations.is_empty(),
-        "run report violates its schema:\n{}",
-        violations.join("\n")
+        errors.is_empty(),
+        "Prometheus dump is malformed:\n{}",
+        errors.join("\n")
     );
 }
 
@@ -84,16 +67,17 @@ fn bench_run_report_validates_and_covers_every_layer() {
 fn prometheus_dump_is_well_formed() {
     anycast_obs::set_enabled(true);
     let (_, delta) = anycast_obs::capture(|| {
-        let mut st = anycast_bench::worlds::study(Scale::Small, 5);
-        st.run_day(anycast_netsim::Day(0));
+        let mut st = worlds::study(Scale::Small, 5);
+        st.run_day(Day(0));
     });
     let prom = delta.to_prometheus();
     assert!(prom.contains("# TYPE beacon_executions_total counter"));
     assert!(prom.contains("# TYPE beacon_reported_ms histogram"));
     assert!(prom.contains("beacon_reported_ms_bucket{le=\"+Inf\"}"));
     assert!(prom.contains("beacon_reported_ms_count"));
-    // The grammar check `obs_validate --prom` runs: names, TYPE lines,
-    // cumulative buckets and `+Inf` agreeing with `_count`.
+    // The grammar check `obs_validate --prom` runs: names, one contiguous
+    // group per family, cumulative buckets and `+Inf` agreeing with
+    // `_count`.
     let errors = anycast_obs::validate_prometheus(&prom);
     assert!(
         errors.is_empty(),

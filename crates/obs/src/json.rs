@@ -1,10 +1,11 @@
 //! A minimal JSON value model, parser, and writer.
 //!
-//! The workspace builds offline with no serde; run reports and their
-//! schema are plain JSON, so this module supplies just enough JSON to
-//! write them, read them back, and validate them ([`crate::schema`]).
-//! It is a strict subset: UTF-8 input, `f64` numbers, `\uXXXX` escapes
-//! decoded for the Basic Multilingual Plane (surrogate pairs included).
+//! The workspace builds offline with no serde. The one user is the
+//! `benchmark/` harness: it escapes the strings of its result files with
+//! [`Value::to_json`] and reads those files back with [`parse`] to
+//! compare two runs. It is a strict subset: UTF-8 input, `f64` numbers,
+//! `\uXXXX` escapes decoded for the Basic Multilingual Plane (surrogate
+//! pairs included).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -101,62 +102,14 @@ impl Value {
             }
         }
     }
-
-    /// Serializes with two-space indentation.
-    pub fn to_json_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        match self {
-            Value::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    indent(out, depth + 1);
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            Value::Obj(members) if !members.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    indent(out, depth + 1);
-                    write_str(k, out);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
-            other => other.write(out),
-        }
-    }
-}
-
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
 }
 
 /// Writes a number: integers without a fractional part, everything else
 /// via the shortest `f64` display.
 fn write_num(n: f64, out: &mut String) {
     if !n.is_finite() {
-        // JSON has no Inf/NaN; report writers must not produce them, but
-        // fail safe with null rather than emitting invalid JSON.
+        // JSON has no Inf/NaN; writers must not produce them, but fail
+        // safe with null rather than emitting invalid JSON.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
         out.push_str(&format!("{}", n as i64));
@@ -478,11 +431,10 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_compact_and_pretty() {
+    fn roundtrips_compact() {
         let src = r#"{"a":[1,2.5,"x\"y"],"b":{"c":null,"d":false},"e":-3}"#;
         let v = parse(src).unwrap();
         assert_eq!(parse(&v.to_json()).unwrap(), v);
-        assert_eq!(parse(&v.to_json_pretty()).unwrap(), v);
     }
 
     #[test]

@@ -28,11 +28,12 @@
 //!   element-wise `u64` addition: bit-exactly commutative and
 //!   associative, mirroring the pipeline crate's sketch-merge contract;
 //! * [`mod@span`] — scoped wall-time aggregation per `(stage, worker)`;
-//! * [`report`] — the structured JSON [`RunReport`] (config fingerprint,
-//!   seed, worker count, host metadata, per-day counters) and, on
-//!   [`Snapshot`], the Prometheus text exporter;
-//! * [`json`] / [`schema`] — in-house JSON parsing and the
-//!   JSON-Schema-subset validator CI uses to enforce the report shape;
+//! * [`prom`] — the Prometheus text format, the one way a [`Snapshot`]
+//!   leaves the process: the exporter ([`Snapshot::to_prometheus`]) and
+//!   its checker ([`validate_prometheus`]);
+//! * [`json`] — in-house JSON writing and parsing for the benchmark's
+//!   result files;
+//! * [`fingerprint`] — a stable hash of configuration strings;
 //! * [`logging`] — structured `key=value` stderr logging behind
 //!   `--quiet`/`-v` (stdout stays machine-readable).
 //!
@@ -61,14 +62,13 @@
 pub mod hist;
 pub mod json;
 pub mod logging;
+pub mod prom;
 pub mod registry;
-pub mod report;
-pub mod schema;
 pub mod span;
 
 pub use hist::{Histogram, HistogramSnapshot};
+pub use prom::validate_prometheus;
 pub use registry::{Counter, MetricKey, Registry, Snapshot};
-pub use report::{fingerprint, validate_prometheus, HostInfo, RunMeta, RunReport};
 pub use span::{SpanAcc, SpanSnapshot, SpanTimer};
 
 use std::sync::{Mutex, OnceLock};
@@ -96,6 +96,22 @@ pub fn enabled() -> bool {
 /// use this; simulation code never should).
 pub fn set_enabled(on: bool) {
     global().set_enabled(on);
+}
+
+/// FNV-1a over the parts, rendered as 16 hex digits: the config
+/// fingerprint. Stable across runs and platforms for equal inputs.
+pub fn fingerprint(parts: &[&str]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in parts {
+        for b in part.as_bytes() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        // Separator so ["ab","c"] and ["a","bc"] differ.
+        h ^= 0x1f;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
 }
 
 static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
@@ -165,6 +181,15 @@ mod tests {
         crate::span!("obs_lib_test.stage", "3").record_ns(10);
         let snap = crate::global().snapshot();
         assert!(snap.counter("obs_lib_test_total") >= 2);
+    }
+
+    #[test]
+    fn fingerprint_is_stable_and_separator_safe() {
+        use crate::fingerprint;
+        assert_eq!(fingerprint(&["a", "b"]), fingerprint(&["a", "b"]));
+        assert_ne!(fingerprint(&["ab"]), fingerprint(&["a", "b"]));
+        assert_ne!(fingerprint(&["ab", "c"]), fingerprint(&["a", "bc"]));
+        assert_eq!(fingerprint(&[]).len(), 16);
     }
 
     #[test]

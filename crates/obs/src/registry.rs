@@ -221,8 +221,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// The increments recorded since `baseline`: counters and histograms
     /// subtract (saturating, so unrelated concurrent activity can only
-    /// inflate, never underflow); spans subtract count/total and keep the
-    /// current max.
+    /// inflate, never underflow), and so do spans' counts and totals.
     pub fn diff(&self, baseline: &Snapshot) -> Snapshot {
         let counters = self
             .counters
@@ -294,48 +293,6 @@ impl Snapshot {
             histograms: self.histograms.clone(),
             spans: BTreeMap::new(),
         }
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        // One TYPE line per name: a name's labeled series sort together.
-        let mut last_name: Option<&str> = None;
-        for (k, v) in &self.counters {
-            if last_name != Some(k.name.as_str()) {
-                out.push_str(&format!("# TYPE {} counter\n", k.name));
-                last_name = Some(&k.name);
-            }
-            out.push_str(&format!("{k} {v}\n"));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!("# TYPE {} histogram\n", k.name));
-            let mut cumulative = 0u64;
-            for (ub, n) in h.nonzero_buckets() {
-                cumulative += n;
-                out.push_str(&format!("{}_bucket{{le=\"{ub}\"}} {cumulative}\n", k.name));
-            }
-            out.push_str(&format!("{}_bucket{{le=\"+Inf\"}} {}\n", k.name, h.count()));
-            out.push_str(&format!("{}_sum {}\n", k.name, h.sum_ms()));
-            out.push_str(&format!("{}_count {}\n", k.name, h.count()));
-        }
-        if !self.spans.is_empty() {
-            out.push_str("# TYPE obs_span_milliseconds_total counter\n");
-            out.push_str("# TYPE obs_span_events_total counter\n");
-        }
-        for (k, s) in &self.spans {
-            let worker = k.label("worker").unwrap_or("main");
-            out.push_str(&format!(
-                "obs_span_milliseconds_total{{stage=\"{}\",worker=\"{worker}\"}} {}\n",
-                k.name,
-                s.total_ms()
-            ));
-            out.push_str(&format!(
-                "obs_span_events_total{{stage=\"{}\",worker=\"{worker}\"}} {}\n",
-                k.name, s.count
-            ));
-        }
-        out
     }
 }
 

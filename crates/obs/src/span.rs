@@ -1,9 +1,9 @@
 //! Lightweight scoped spans: wall-time aggregation per `(stage, worker)`.
 //!
-//! A [`SpanAcc`] is three atomics — event count, total nanoseconds,
-//! maximum nanoseconds — registered once per `(stage, worker)` pair.
-//! Starting a span is one `Instant::now()`; dropping the guard is a
-//! second plus three relaxed atomic ops. Nothing allocates after
+//! A [`SpanAcc`] is two atomics — event count and total nanoseconds —
+//! registered once per `(stage, worker)` pair. Starting a span is one
+//! `Instant::now()`; dropping the guard is a second plus two relaxed
+//! atomic ops. Nothing allocates after
 //! registration, so per-event spans are safe inside the campaign
 //! engine's worker loops.
 //!
@@ -21,7 +21,6 @@ use std::time::Instant;
 pub struct SpanAcc {
     count: AtomicU64,
     total_ns: AtomicU64,
-    max_ns: AtomicU64,
     enabled: Arc<AtomicBool>,
 }
 
@@ -30,7 +29,6 @@ impl SpanAcc {
         SpanAcc {
             count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
             enabled,
         }
     }
@@ -61,20 +59,18 @@ impl SpanAcc {
         }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Adds a locally built aggregate: counts and totals add, the max
-    /// takes the larger. A hot loop that records into its own
-    /// [`SpanSnapshot`] and merges it once per block leaves the count, the
-    /// total and the max exactly where recording each span here would.
+    /// Adds a locally built aggregate: counts and totals add. A hot loop
+    /// that records into its own [`SpanSnapshot`] and merges it once per
+    /// block leaves the count and the total exactly where recording each
+    /// span here would.
     pub fn merge(&self, local: &SpanSnapshot) {
         if !self.enabled.load(Ordering::Relaxed) || local.count == 0 {
             return;
         }
         self.count.fetch_add(local.count, Ordering::Relaxed);
         self.total_ns.fetch_add(local.total_ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(local.max_ns, Ordering::Relaxed);
     }
 
     /// A point-in-time copy.
@@ -82,7 +78,6 @@ impl SpanAcc {
         SpanSnapshot {
             count: self.count.load(Ordering::Relaxed),
             total_ns: self.total_ns.load(Ordering::Relaxed),
-            max_ns: self.max_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -114,8 +109,6 @@ pub struct SpanSnapshot {
     pub count: u64,
     /// Total wall time, ns.
     pub total_ns: u64,
-    /// Longest single span, ns.
-    pub max_ns: u64,
 }
 
 impl SpanSnapshot {
@@ -125,7 +118,6 @@ impl SpanSnapshot {
     pub fn record_ns(&mut self, ns: u64) {
         self.count += 1;
         self.total_ns = self.total_ns.wrapping_add(ns);
-        self.max_ns = self.max_ns.max(ns);
     }
 
     /// Records the span that began at `start` and ends now, measured as
@@ -139,12 +131,11 @@ impl SpanSnapshot {
         self.total_ns as f64 / 1e6
     }
 
-    /// Increments since `baseline` (max keeps the current value).
+    /// Increments since `baseline`.
     pub fn diff(&self, baseline: &SpanSnapshot) -> SpanSnapshot {
         SpanSnapshot {
             count: self.count.saturating_sub(baseline.count),
             total_ns: self.total_ns.saturating_sub(baseline.total_ns),
-            max_ns: self.max_ns,
         }
     }
 }
@@ -164,9 +155,7 @@ mod tests {
             let _t = a.start();
             std::hint::black_box(1 + 1);
         }
-        let s = a.snapshot();
-        assert_eq!(s.count, 1);
-        assert!(s.max_ns <= s.total_ns || s.count == 1);
+        assert_eq!(a.snapshot().count, 1);
     }
 
     #[test]
@@ -195,7 +184,6 @@ mod tests {
         let s = a.snapshot();
         assert_eq!(s.count, 3);
         assert_eq!(s.total_ns, 60);
-        assert_eq!(s.max_ns, 30);
         assert!((s.total_ms() - 6e-5).abs() < 1e-12);
     }
 
@@ -204,16 +192,13 @@ mod tests {
         let a = SpanSnapshot {
             count: 5,
             total_ns: 100,
-            max_ns: 40,
         };
         let b = SpanSnapshot {
             count: 2,
             total_ns: 30,
-            max_ns: 40,
         };
         let d = a.diff(&b);
         assert_eq!(d.count, 3);
         assert_eq!(d.total_ns, 70);
-        assert_eq!(d.max_ns, 40);
     }
 }

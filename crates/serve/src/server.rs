@@ -334,13 +334,13 @@ impl BatchCounts {
             stats
                 .template_hits
                 .fetch_add(self.template_hits, Ordering::Relaxed);
-            counter!("serve_template_hit").add(self.template_hits);
+            counter!("serve_template_hits_total").add(self.template_hits);
         }
         if self.template_misses > 0 {
             stats
                 .template_misses
                 .fetch_add(self.template_misses, Ordering::Relaxed);
-            counter!("serve_template_miss").add(self.template_misses);
+            counter!("serve_template_misses_total").add(self.template_misses);
         }
         stats.note_answered_bulk(&self.answered);
         self.answered.clear();
@@ -688,7 +688,7 @@ fn spawn_tcp_acceptor(ctx: Arc<ServeCtx>, listener: TcpListener) -> std::thread:
             while !ctx.stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, src)) => {
-                        counter!("tcp_fallback_total").inc();
+                        counter!("serve_tcp_fallbacks_total").inc();
                         let _ = serve_tcp_conn(&ctx, stream, src);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
