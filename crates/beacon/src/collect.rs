@@ -175,7 +175,8 @@ impl BeaconDataset {
 }
 
 /// [`BeaconDataset::day`]: `Flatten` over slices without its back half,
-/// which a caller pulling a row at a time (`sketch_day`) pays for per row.
+/// which a caller pulling a row at a time (`evaluate_prediction`) pays for
+/// per row.
 #[derive(Clone)]
 struct DayRows<'a, S> {
     head: std::slice::Iter<'a, BeaconMeasurement>,

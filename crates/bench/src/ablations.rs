@@ -12,9 +12,6 @@
 //!   deployment; sweep the site count and watch the anycast penalty;
 //! * [`hybrid_threshold`] — §6's hybrid: how the redirected share and the
 //!   improvement trade off against the gain threshold;
-//! * [`sketch_accuracy`] — the streaming-pipeline question: how much of
-//!   the Figure 9 result survives when training reads bounded-memory
-//!   quantile sketches instead of exact per-group sample vectors;
 //! * [`outage_ttl`] — the §2 availability argument under stress: outage
 //!   rate × DNS TTL, anycast failover against DNS redirection staleness;
 //! * [`load_shedding`] — the §2 load-management question closed by the
@@ -243,81 +240,6 @@ pub fn training_window(scale: Scale, seed: u64) -> FigureResult {
             Series::new("groups with prediction", coverage_pts),
         ],
         scalars: Vec::new(),
-        text: None,
-    }
-}
-
-/// Sweep of the pipeline sketch's rank-error bound: train the predictor
-/// from streaming quantile sketches at each bound, evaluate on the next
-/// day exactly as Figure 9 does, and compare the improved/hurt shares
-/// against exact-path training. At the default bound (ε = 0.01) the shares
-/// must agree within 2 percentage points — the contract that lets the
-/// streaming pipeline replace the materialize-and-sort path at production
-/// scale.
-pub fn sketch_accuracy(scale: Scale, seed: u64) -> FigureResult {
-    const DEFAULT_EPS: f64 = 0.01;
-    let trial = Trial::run(scenario(scale, seed), 2);
-    let mut series = Vec::new();
-    let mut scalars = Vec::new();
-    for (grouping, label) in [(Grouping::Ecs, "ECS"), (Grouping::Ldns, "LDNS")] {
-        let cfg = PredictorConfig {
-            grouping,
-            ..PredictorConfig::default()
-        };
-        let exact_table = trial.train(cfg, &TrainSpec::day(Day(0)));
-        let exact = trial.shares(&exact_table, grouping, Day(1));
-        scalars.push((
-            format!("{label} exact improved share (p75)"),
-            exact.improved,
-        ));
-        scalars.push((format!("{label} exact hurt share (p75)"), exact.hurt));
-
-        let mut improved_pts = Vec::new();
-        let mut hurt_pts = Vec::new();
-        let mut agreement_pts = Vec::new();
-        for &eps in &[0.005, DEFAULT_EPS, 0.02, 0.05, 0.1, 0.2] {
-            let table = trial.train(cfg, &TrainSpec::Sketched { day: Day(0), eps });
-            let shares = trial.shares(&table, grouping, Day(1));
-            improved_pts.push((eps * 1e3, shares.improved));
-            hurt_pts.push((eps * 1e3, shares.hurt));
-            let agreeing = exact_table
-                .iter()
-                .filter(|(k, c)| table.predict(*k) == Some(c.target))
-                .count();
-            let agreement = if exact_table.is_empty() {
-                1.0
-            } else {
-                agreeing as f64 / exact_table.len() as f64
-            };
-            agreement_pts.push((eps * 1e3, agreement));
-            if eps == DEFAULT_EPS {
-                scalars.push((
-                    format!("{label} |Δ improved| at default ε (pp)"),
-                    (shares.improved - exact.improved).abs() * 100.0,
-                ));
-                scalars.push((
-                    format!("{label} |Δ hurt| at default ε (pp)"),
-                    (shares.hurt - exact.hurt).abs() * 100.0,
-                ));
-            }
-        }
-        series.push(Series::new(
-            format!("{label} improved (sketch)"),
-            improved_pts,
-        ));
-        series.push(Series::new(format!("{label} hurt (sketch)"), hurt_pts));
-        series.push(Series::new(
-            format!("{label} choice agreement"),
-            agreement_pts,
-        ));
-    }
-
-    FigureResult {
-        id: "ablation-sketch-accuracy",
-        title: "Sketch-fed training vs exact training across rank-error bounds".into(),
-        x_label: "rank-error bound ε (x 1e-3)".into(),
-        series,
-        scalars,
         text: None,
     }
 }
@@ -661,43 +583,11 @@ mod tests {
     #[test]
     fn all_ids_resolve() {
         let ids = crate::cli::resolve_target("ablations").unwrap();
-        assert_eq!(ids.len(), 11);
+        assert_eq!(ids.len(), 10);
         for id in ids {
             assert_eq!(crate::compute(id, Scale::Small, 1).unwrap().id, id);
         }
         assert!(crate::compute("nope", Scale::Small, 1).is_none());
-    }
-
-    #[test]
-    fn sketch_training_matches_exact_within_two_points() {
-        // The PR's acceptance bar: at the default rank-error bound, the
-        // sketch-fed predictor reproduces the exact-path Figure 9
-        // improved/hurt shares within 2 percentage points, for both
-        // groupings.
-        let fig = sketch_accuracy(Scale::Small, 1);
-        for (name, v) in &fig.scalars {
-            if name.contains("|Δ") {
-                assert!(*v <= 2.0, "{name} = {v:.3} pp exceeds the 2 pp budget");
-            }
-        }
-        // Sanity: all four delta scalars are actually present.
-        assert_eq!(
-            fig.scalars.iter().filter(|(n, _)| n.contains("|Δ")).count(),
-            4
-        );
-    }
-
-    #[test]
-    fn tighter_sketches_agree_at_least_as_well() {
-        let fig = sketch_accuracy(Scale::Small, 1);
-        for s in fig.series.iter().filter(|s| s.name.contains("agreement")) {
-            let first = s.points.first().unwrap().1;
-            assert!(
-                first >= 0.9,
-                "{}: tightest bound agrees on only {first:.3} of choices",
-                s.name
-            );
-        }
     }
 
     #[test]

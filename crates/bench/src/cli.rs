@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn groups_expand() {
         assert_eq!(resolve_target("all").unwrap().len(), 10);
-        assert_eq!(resolve_target("ablations").unwrap().len(), 11);
+        assert_eq!(resolve_target("ablations").unwrap().len(), 10);
         assert_eq!(resolve_target("extras").unwrap().len(), 6);
         let everything = resolve_target("everything").unwrap();
         assert_eq!(everything, ARTIFACTS.map(|(id, ..)| id));

@@ -16,10 +16,10 @@
 //! | [`figures::fig8`] | Fig. 8 — distance change on front-end switch |
 //! | [`figures::fig9`] | Fig. 9 — prediction improvement over anycast |
 //!
-//! [`ablations`] adds eleven sweeps of the design choices DESIGN.md calls
+//! [`ablations`] adds ten sweeps of the design choices DESIGN.md calls
 //! out (prediction metric, min-sample filter, candidate-set size,
-//! deployment density, hybrid threshold, training window, sketch bound,
-//! outage rate × TTL, load shedding, table compression, world scale);
+//! deployment density, hybrid threshold, training window, outage rate ×
+//! TTL, load shedding, table compression, world scale);
 //! [`extras`] quantifies five claims the paper makes in prose
 //! (client-LDNS distance, TCP disruption under route changes, shedding vs
 //! withdrawal, ECS adoption, failover) plus an inventory of the world.
@@ -52,7 +52,7 @@ pub type Compute = fn(Scale, u64) -> FigureResult;
 /// Every artifact as `(id, group, compute)`, in `figures everything`
 /// order. The group is the `figures` target word that selects it.
 #[rustfmt::skip]
-pub const ARTIFACTS: [(&str, &str, Compute); 27] = [
+pub const ARTIFACTS: [(&str, &str, Compute); 26] = [
     ("fig1", "all", fig1::compute),
     ("table-cdn-sizes", "all", |_, _| table_cdn_sizes::compute()),
     ("fig2", "all", fig2::compute),
@@ -69,7 +69,6 @@ pub const ARTIFACTS: [(&str, &str, Compute); 27] = [
     ("ablation-density", "ablations", ablations::deployment_density),
     ("ablation-hybrid", "ablations", ablations::hybrid_threshold),
     ("ablation-training-window", "ablations", ablations::training_window),
-    ("ablation-sketch-accuracy", "ablations", ablations::sketch_accuracy),
     ("ablation-outage-ttl", "ablations", ablations::outage_ttl),
     ("ablation-load-shedding", "ablations", ablations::load_shedding),
     ("ablation-table-compression", "ablations", ablations::table_compression),

@@ -15,7 +15,6 @@ use anycast_core::{
     Predictor, PredictorConfig, RequestOutcome, Study, StudyConfig,
 };
 use anycast_netsim::{Day, Prefix24, RouteSnapshot};
-use anycast_pipeline::ShardConfig;
 use anycast_workload::Scenario;
 
 /// How a table is trained: the shapes the experiments use.
@@ -23,13 +22,6 @@ use anycast_workload::Scenario;
 pub enum TrainSpec {
     /// Exact training, each group's samples pooled across the days.
     Window(Vec<Day>),
-    /// Training from streaming quantile sketches at rank-error bound `eps`.
-    Sketched {
-        /// The training day.
-        day: Day,
-        /// The sketches' rank-error bound.
-        eps: f64,
-    },
     /// Exact training, then routing-aware default+exception aggregation.
     Aggregated {
         /// The training day.
@@ -102,9 +94,6 @@ impl Trial {
         let data = self.study.dataset();
         match spec {
             TrainSpec::Window(days) => predictor.train_window(data, days),
-            TrainSpec::Sketched { day, eps } => {
-                predictor.train_sketched(data, &[*day], *eps, ShardConfig::default())
-            }
             TrainSpec::Aggregated { day, agg } => predictor.train_aggregated(data, *day, agg),
         }
     }

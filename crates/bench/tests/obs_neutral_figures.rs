@@ -1,17 +1,16 @@
 //! Obs-neutrality, byte for byte, at the figure level: metric recording
 //! on or off must not move a byte of what `figures` prints. `fig3` runs a
-//! campaign; the other four read a trained table (one per training path).
+//! campaign; the other three read a trained table (one per training entry).
 //!
 //! A dedicated integration-test binary with a single test: it flips the
 //! process-wide recording switch, which no other test may observe.
 
 use anycast_bench::worlds::Scale;
 
-const IDS: [&str; 5] = [
+const IDS: [&str; 4] = [
     "fig3",
     "fig9",
     "ablation-table-compression",
-    "ablation-sketch-accuracy",
     "ablation-training-window",
 ];
 

@@ -1,6 +1,6 @@
-//! The metrics export end to end: one campaign day plus sketched
-//! training must (a) carry metrics from every instrumented layer —
-//! pipeline, study, beacon, netsim, and prediction — and (b) export them
+//! The metrics export end to end: one campaign day plus window training
+//! must (a) carry metrics from every instrumented layer it enters —
+//! study, beacon, netsim and prediction — and (b) export them
 //! as Prometheus text that passes the grammar check `obs_validate` runs;
 //! a campaign day alone must export its beacon families well formed.
 
@@ -12,22 +12,15 @@ use anycast_netsim::Day;
 fn bench_run_report_validates_and_covers_every_layer() {
     anycast_obs::set_enabled(true);
     let (_, delta) = anycast_obs::capture(|| {
-        // The smallest real run: one beacon day, then the streaming
-        // pipeline's sketched training over it.
+        // The smallest real run: one beacon day, then training over it.
         let mut st = worlds::study(Scale::Small, 3);
         st.run_day(Day(0));
-        Predictor::new(PredictorConfig::default()).train_sketched(
-            st.dataset(),
-            &[Day(0)],
-            0.01,
-            anycast_pipeline::ShardConfig::default(),
-        )
+        Predictor::new(PredictorConfig::default()).train_window(st.dataset(), &[Day(0)])
     });
 
-    // Layer coverage: that run must light up all five instrumented
-    // subsystems — pipeline, beacon, netsim, prediction, study.
+    // Layer coverage: that run must light up all four subsystems it
+    // enters — beacon, netsim, prediction, study.
     for counter in [
-        "pipeline_records_routed_total",   // sketched training shards records
         "beacon_executions_total",         // the campaign ran beacons
         "netsim_route_memo_hits_total",    // fetches routed via the day memo
         "prediction_groups_trained_total", // training scored groups
@@ -54,7 +47,6 @@ fn bench_run_report_validates_and_covers_every_layer() {
     // grammar check `obs_validate` runs.
     let prom = delta.to_prometheus();
     assert!(prom.contains("# TYPE prediction_groups_trained_total counter"));
-    assert!(prom.contains("# TYPE pipeline_records_routed_total counter"));
     let errors = anycast_obs::validate_prometheus(&prom);
     assert!(
         errors.is_empty(),

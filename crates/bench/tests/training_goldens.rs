@@ -1,11 +1,10 @@
-//! Goldens, byte for byte: the four artifacts that read a trained table,
+//! Goldens, byte for byte: the three artifacts that read a trained table,
 //! and the two that route through a `RouteSnapshot` over something other
 //! than the steady legacy world.
 //!
 //! `fig9` goes through `train` at both groupings, `ablation-table-
-//! compression` through `train_aggregated`, `ablation-sketch-accuracy`
-//! through `train_sketched` and `ablation-training-window` through
-//! `train_window`, so a change to any training path that moves a served
+//! compression` through `train_aggregated` and `ablation-training-window`
+//! through `train_window`, so a change to the trainer that moves a served
 //! choice, a score or a gain shows up here as a diff.
 //! `ablation-world-scale` runs two-day studies on policy worlds (default
 //! flap rates, so the snapshot's route-dynamics timeline answers beacons)
@@ -48,14 +47,6 @@ fn table_compression_matches_its_golden() {
     assert_matches_golden(
         "ablation-table-compression",
         include_str!("goldens/ablation-table-compression.txt"),
-    );
-}
-
-#[test]
-fn sketch_accuracy_matches_its_golden() {
-    assert_matches_golden(
-        "ablation-sketch-accuracy",
-        include_str!("goldens/ablation-sketch-accuracy.txt"),
     );
 }
 

@@ -22,7 +22,7 @@ use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix, SiteId};
 use anycast_pipeline::{ecs_record_with_failures, ldns_record_with_failures};
-use anycast_pipeline::{route_ldns, route_subnet, run_workers, sketch_day, FastMap, ShardConfig};
+use anycast_pipeline::{run_workers, FastMap, ShardConfig};
 
 #[cfg(test)]
 mod oracle;
@@ -490,44 +490,17 @@ impl Predictor {
         })
     }
 
-    /// Trains from a multi-day window through the full streaming pipeline:
-    /// the window's rows are one record stream — its days in the order
-    /// `days` names them, a day named twice counted twice, as in
-    /// [`Predictor::train_window`] — sketched once by `shard.workers`
-    /// workers (every worker reads the stream itself and keeps the groups
-    /// it owns) into per-`(group, target)` latency sketches of rank-error
-    /// bound `eps`, then scored in place, each worker's share on its own
-    /// thread, behind the same "20+ measurements" filter (sketch counts
-    /// are exact) and the same selection pass as the exact trainers.
-    ///
-    /// The table is the one chosen from one
-    /// `anycast_pipeline::QuantileSketch` per pair, fed the window's rows
-    /// in order, bit for bit — and, per the pipeline's determinism
-    /// contract, the same for any `shard.workers`. Its scores carry the
-    /// sketch's rank-error bound; the `ablation-sketch-accuracy` sweep
-    /// measures what that does to the Figure 9 outcome shares (within 2
-    /// points at the default bound).
+    /// [`train_window`](Predictor::train_window) under the name the
+    /// benchmark's adapter calls, kept only for that caller; `eps` and
+    /// `shard` are ignored.
     pub fn train_sketched(
         &self,
         data: &BeaconDataset,
         days: &[Day],
-        eps: f64,
-        shard: ShardConfig,
+        _eps: f64,
+        _shard: ShardConfig,
     ) -> PredictionTable {
-        let records = days
-            .iter()
-            .flat_map(|&day| data.day(day))
-            .map(|m| self.record(m));
-        let mut sketches = sketch_day(records, eps, shard, route_group);
-        let scores = sketches.read(self.cfg.metric.p(), self.cfg.min_samples as u64);
-        let tally = GroupTally {
-            trained: scores.admitted,
-            discarded: sketches.len() as u64 - scores.admitted,
-            borrowed: 0,
-        };
-        let table = choose(scores.rows.into_iter());
-        tally.publish();
-        table
+        self.train_window(data, days)
     }
 
     /// Trains a *routing-aware aggregated* table: variable-length prefix
@@ -1454,20 +1427,12 @@ fn best_scored(scored: impl IntoIterator<Item = (Target, f64)>) -> Option<(Targe
     })
 }
 
-/// Shard route for prediction group keys (key-ownership discipline: a
-/// group's records always land on the same worker).
-fn route_group(key: &GroupKey) -> u64 {
-    match *key {
-        GroupKey::Ecs(p) => route_subnet(p),
-        GroupKey::Ldns(l) => route_ldns(l),
-    }
-}
-
 /// Shared selection pass: given `(group, target, score)` rows (already
 /// filtered for eligibility), ranks each group's targets by score and
 /// picks the argmin as the served choice, computing the expected gain
-/// over anycast. Both the exact and the sketch-fed training paths end
-/// here, so their tie-break behavior cannot drift apart.
+/// over anycast. Every trainer ends here — window training with its
+/// pairs' scores, the aggregated pass with its walk's rows — so no two
+/// break ties differently.
 ///
 /// One sort of the rows by `(group, score, target_order)` puts every
 /// group's ranking in place, best first; the rankings are then copied,
@@ -1515,13 +1480,12 @@ mod tests {
     use super::*;
     use anycast_beacon::{BeaconMeasurement, Slot};
     use anycast_netsim::{Prefix24, SiteId};
-    use anycast_pipeline::QuantileSketch;
+    use anycast_pipeline::{mix64, QuantileSketch};
     use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
 
-    /// The reference the sketched trainer is checked against: the table
-    /// chosen from one sketch per pair, behind the exact trainers' "20+
-    /// measurements" filter.
+    /// The table chosen from one column per pair, behind the trainers'
+    /// "20+ measurements" filter.
     fn train_from_stats(
         predictor: &Predictor,
         stats: &BTreeMap<(GroupKey, Target), QuantileSketch>,
@@ -1536,7 +1500,7 @@ mod tests {
         }))
     }
 
-    /// A sketch fed `n` samples of `v`.
+    /// A column of `n` samples of `v`.
     fn sketch_of(v: f64, n: usize) -> QuantileSketch {
         let mut sketch = QuantileSketch::new(0.01);
         (0..n).for_each(|_| sketch.observe(v));
@@ -1638,40 +1602,6 @@ mod tests {
             Some(Target::Anycast),
             "a mostly-failing front-end must not be chosen"
         );
-    }
-
-    #[test]
-    fn sketch_and_exact_training_agree_on_failures() {
-        let mut ds = BeaconDataset::new();
-        ds.extend(rows(0, prefix(1), 0, Target::Anycast, 80.0, 25));
-        ds.extend(rows(
-            100,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(3)),
-            30.0,
-            25,
-        ));
-        ds.extend(failed_rows(
-            200,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(3)),
-            30,
-        ));
-        for metric in [Metric::P25, Metric::Median] {
-            let predictor = Predictor::new(PredictorConfig {
-                metric,
-                ..Default::default()
-            });
-            let exact = predictor.train(&ds, Day(0));
-            let sketched = predictor.train_sketched(&ds, &[Day(0)], 0.01, ShardConfig::default());
-            assert_eq!(
-                exact.predict(GroupKey::Ecs(prefix(1).into())),
-                sketched.predict(GroupKey::Ecs(prefix(1).into())),
-                "{metric:?}: penalty handling must match on both paths"
-            );
-        }
     }
 
     #[test]
@@ -1860,7 +1790,7 @@ mod tests {
     }
 
     /// A dataset with clearly separated per-target latency levels, varied
-    /// enough that sketches have real distributions to summarize.
+    /// enough that each pair's percentile reads a real distribution.
     fn separated_dataset() -> BeaconDataset {
         let mut ds = BeaconDataset::new();
         let mut exec = 0u64;
@@ -1887,52 +1817,6 @@ mod tests {
             }
         }
         ds
-    }
-
-    #[test]
-    fn sketch_training_agrees_with_exact_training() {
-        let ds = separated_dataset();
-        for grouping in [Grouping::Ecs, Grouping::Ldns] {
-            let predictor = Predictor::new(PredictorConfig {
-                grouping,
-                ..Default::default()
-            });
-            let exact = predictor.train(&ds, Day(0));
-            let sketched = predictor.train_sketched(&ds, &[Day(0)], 0.01, ShardConfig::default());
-            assert_eq!(
-                exact.len(),
-                sketched.len(),
-                "{grouping:?}: same groups qualify"
-            );
-            for (key, choice) in exact.iter() {
-                assert_eq!(
-                    sketched.predict(key),
-                    Some(choice.target),
-                    "{grouping:?}: sketch path must pick the same target for {key:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sketch_training_is_worker_count_invariant() {
-        let ds = separated_dataset();
-        let predictor = Predictor::new(PredictorConfig::default());
-        let tables: Vec<Vec<(GroupKey, Choice)>> = [1usize, 3]
-            .iter()
-            .map(|&workers| {
-                let mut t: Vec<(GroupKey, Choice)> = predictor
-                    .train_sketched(&ds, &[Day(0)], 0.01, ShardConfig { workers })
-                    .iter()
-                    .collect();
-                t.sort_by_key(|(k, _)| *k);
-                t
-            })
-            .collect();
-        assert_eq!(
-            tables[0], tables[1],
-            "worker count must not change the trained table"
-        );
     }
 
     #[test]
@@ -2361,7 +2245,6 @@ mod tests {
     /// resolvers shared across leaves, and sub-/24 ECS sources on a fifth
     /// of the rows. With `with_nan`, one pair carries a NaN latency.
     fn mixed_days(seed: u64, with_nan: bool) -> BeaconDataset {
-        use anycast_pipeline::mix64;
         let mut ds = BeaconDataset::new();
         let mut exec = 0u64;
         for leaf in 0..2_000u32 {
@@ -2655,41 +2538,39 @@ mod tests {
         assert_eq!(canonical(&agg), canonical(&plain));
     }
 
+    /// The benchmark's table digest: every `(group, target)` in key
+    /// order, folded.
+    fn digest(table: &PredictionTable) -> u64 {
+        let word = |key: GroupKey| match key {
+            GroupKey::Ecs(p) => p.key(),
+            GroupKey::Ldns(l) => 1 << 63 | u64::from(l.0),
+        };
+        canonical(table).iter().fold(0, |d, (&key, (target, ..))| {
+            mix64(mix64(d ^ word(key)) ^ u64::from(target_order(*target)))
+        })
+    }
+
     #[test]
-    fn sketched_training_equals_training_from_the_pooled_window() {
+    fn sketched_training_is_window_training() {
+        // Failed fetches, and pairs of 1–120 samples: most p25 ranks fall
+        // between two samples, where a nearest-rank pick and the
+        // interpolated percentile differ.
         let ds = mixed_days(11, false);
         for grouping in [Grouping::Ecs, Grouping::Ldns] {
             let predictor = Predictor::new(PredictorConfig {
                 grouping,
                 ..Default::default()
             });
-            for eps in [0.01, 0.05] {
-                // Day 5 holds no rows; day 1 is named twice and counts
-                // twice.
-                let windows: [&[Day]; 3] = [
-                    &[Day(1)],
-                    &[Day(0), Day(5), Day(1), Day(2)],
-                    &[Day(2), Day(1), Day(2)],
-                ];
-                for days in windows {
-                    // The pool by hand: one sketch per pair, fed the
-                    // window's rows in `days` order.
-                    let mut pool: BTreeMap<(GroupKey, Target), QuantileSketch> = BTreeMap::new();
-                    let rows = days.iter().flat_map(|&day| ds.day(day));
-                    for (key, target, rtt) in rows.map(|m| predictor.record(m)) {
-                        pool.entry((key, target))
-                            .or_insert_with(|| QuantileSketch::new(eps))
-                            .observe(rtt);
-                    }
-                    let want = train_from_stats(&predictor, &pool);
-                    assert!(!want.is_empty());
-                    for workers in [1, 2, 3] {
+            let windows: [&[Day]; 3] = [&[Day(0)], &[Day(2), Day(0), Day(1)], &[Day(1), Day(1)]];
+            for days in windows {
+                let want = predictor.train_window(&ds, days);
+                assert!(!want.is_empty());
+                for eps in [0.005, 0.01, 0.2] {
+                    for workers in [1, 3] {
                         let got = predictor.train_sketched(&ds, days, eps, ShardConfig { workers });
-                        assert_eq!(
-                            canonical(&got),
-                            canonical(&want),
-                            "{grouping:?} eps {eps} {days:?} workers {workers}"
-                        );
+                        let at = format!("{grouping:?} {days:?} eps {eps} workers {workers}");
+                        assert_eq!(canonical(&got), canonical(&want), "{at}");
+                        assert_eq!(digest(&got), digest(&want), "{at}");
                     }
                 }
             }

@@ -1,12 +1,7 @@
 //! What a training pass may hold above the day it reads, and the largest
 //! block it may ask the allocator for.
 //!
-//! The sketched trainer keeps each worker's samples in a sketch bank:
-//! chains of fixed-size chunks on pages that are never reallocated. So its
-//! heap rises a few bytes a sample above the day, and no allocation grows
-//! with the day — a slab that grows by doubling shows up here as one block
-//! of megabytes, and copies its old self on every doubling. The exact
-//! trainer holds a `u32` pair id a row beside its per-pair arrays and
+//! The trainer holds a `u32` pair id a row beside its per-pair arrays and
 //! scores one chunk of pairs at a time a thread; its peak above the rows
 //! is pinned near its measured size, so it cannot grow silently, and no
 //! block of it holds a sample for every row.
@@ -26,7 +21,7 @@ use anycast_beacon::{BeaconDataset, BeaconMeasurement, Slot, Target};
 use anycast_core::prediction::{Predictor, PredictorConfig};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix24, SiteId};
-use anycast_pipeline::{mix64, ShardConfig};
+use anycast_pipeline::mix64;
 
 /// The system allocator, tracking live and peak bytes and the largest
 /// single block asked for.
@@ -142,36 +137,14 @@ fn training_holds_a_few_bytes_a_sample_and_no_slab_doubles() {
     let rows = data.len();
     assert!((400_000..500_000).contains(&rows), "{rows} rows");
     let predictor = Predictor::new(PredictorConfig::default());
-    let sketched = || {
-        predictor
-            .train_sketched(&data, &[Day(0)], 0.01, ShardConfig { workers: 2 })
-            .len()
-    };
     let exact = || predictor.train(&data, Day(0)).len();
-    // First calls register the trainers' obs counters; measure the next.
-    // (A /24 whose four pairs all hold under 20 samples has no entry.)
-    let tables = (sketched(), exact());
-    assert!(tables.0 > GROUPS as usize * 99 / 100, "{tables:?}");
+    // The first call registers the trainer's obs counters; measure the
+    // next. (A /24 whose four pairs all hold under 20 samples has no
+    // entry.)
+    let table = exact();
+    assert!(table > GROUPS as usize * 99 / 100, "{table}");
 
-    // Sketched: 72-byte chunks of eight samples, half a chunk wasted a
-    // pair, plus the pair index, members, keys and scored rows. Measured
-    // 14.7 B a sample; a slab that doubles read 24.4. Its largest block
-    // is the scored rows, allocated once (32 B a pair that scores); the
-    // doubling slab was one block of 4.5 MB, 278 B a pair.
-    let (entries, peak, largest) = measured(sketched);
-    assert_eq!(entries, tables.0);
-    let pairs = 4 * GROUPS as usize;
-    println!(
-        "train_sketched: peak {peak} B above the day ({:.2} B a sample), largest block {largest} B",
-        peak as f64 / rows as f64
-    );
-    assert!(peak <= 16 * rows, "{peak} B for {rows} samples");
-    assert!(
-        largest <= 40 * pairs,
-        "a {largest} B block for {pairs} pairs"
-    );
-
-    // Exact: a `u32` pair id a row (4 B), one buffer of a chunk's samples
+    // A `u32` pair id a row (4 B), one buffer of a chunk's samples
     // a scoring thread, and the key maps, key lists, counts, last rows and
     // scored pairs. A chunk holds 2^16 samples or more, so this day cuts
     // into seven, dealt to the ranges: one a core, up to one a 2^16 rows.
@@ -179,7 +152,7 @@ fn training_holds_a_few_bytes_a_sample_and_no_slab_doubles() {
     // sample arena read 14.1–14.5. Each range past two adds a buffer. The
     // largest block is a range's ids; the arena was one of 8 B a row.
     let (entries, peak, largest) = measured(exact);
-    assert_eq!(entries, tables.1);
+    assert_eq!(entries, table);
     println!(
         "train: peak {peak} B above the day ({:.2} B a row), largest block {largest} B",
         peak as f64 / rows as f64

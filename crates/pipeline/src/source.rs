@@ -1,14 +1,13 @@
 //! Adapters from the repo's record types into pipeline streams.
 //!
 //! **Beacon measurements** — `anycast_beacon::BeaconMeasurement`, the
-//! joined active measurements — feed per-`(group, target)` latency
-//! sketches at ECS or LDNS granularity ([`ecs_record_with_failures`],
-//! [`ldns_record_with_failures`]), one record stream at a time
-//! ([`sketch_day`]).
+//! joined active measurements — become `(group, target, latency)` training
+//! records at ECS or LDNS granularity ([`ecs_record_with_failures`],
+//! [`ldns_record_with_failures`]). [`sketch_day`] gathers one record
+//! stream into per-pair columns.
 //!
-//! Routing helpers hash the *group* key ([`route_subnet`], [`route_ldns`])
-//! so sharded ingestion keeps the key-ownership discipline `shard`'s
-//! determinism contract requires.
+//! [`route_subnet`] hashes the *group* key, so sharded ingestion keeps the
+//! key-ownership discipline `shard`'s determinism contract requires.
 
 use std::hash::Hash;
 
@@ -18,8 +17,8 @@ use anycast_netsim::{Prefix, Prefix24};
 use anycast_obs::counter;
 
 use crate::shard::{owner, run_workers, ShardConfig};
-use crate::sketch::mix64;
-use crate::window::{DaySketches, Share};
+use crate::sketch::{mix64, FastMap, QuantileSketch};
+use crate::window::DaySketches;
 
 /// The latency a measurement contributes to training: its RTT, or for a
 /// *failed* fetch (every attempt timed out against a dead or converging
@@ -57,18 +56,11 @@ pub fn route_subnet(p: Prefix) -> u64 {
     mix64(p.key())
 }
 
-/// Shard route for LDNS-keyed records.
-pub fn route_ldns(l: LdnsId) -> u64 {
-    // Offset into a different key plane than prefixes so mixed pipelines
-    // never collide structurally.
-    mix64(0x4c44_4e53_0000_0000 | u64::from(l.0))
-}
-
-/// Sketches one stream of `(group, target, rtt)` records — a day, or a
-/// training window's days in order — into per-`(group, target)` latency
-/// sketches of rank-error bound `eps`, each fed its pair's records in
-/// stream order. Sharded by key ownership without a producer: each of
-/// `cfg.workers` workers replays `records` itself and keeps the records
+/// Gathers one stream of `(group, target, rtt)` records — a day, or a
+/// training window's days in order — into per-`(group, target)` columns,
+/// each fed its pair's records in stream order. `eps` is ignored: the
+/// columns are exact. Sharded by key ownership without a producer: each
+/// of `cfg.workers` workers replays `records` itself and keeps the records
 /// whose group `route` hashes to it (see [`crate::shard`]). What is read
 /// from the result is bit-identical for any `cfg.workers`.
 ///
@@ -79,24 +71,23 @@ pub fn route_ldns(l: LdnsId) -> u64 {
 /// [`ShardError`]: crate::ShardError
 pub fn sketch_day<K, I>(
     records: I,
-    eps: f64,
+    _eps: f64,
     cfg: ShardConfig,
     route: impl Fn(&K) -> u64 + Sync,
 ) -> DaySketches<K>
 where
-    K: Hash + Eq + Clone + Send,
+    K: Hash + Eq + Send,
     I: IntoIterator<Item = (K, Target, f64)> + Clone + Send,
 {
     let workers = cfg.workers;
     assert!(workers > 0, "need at least one worker");
-    let lanes = (0..workers)
-        .map(|_| (Share::new(eps), records.clone()))
-        .collect();
-    let shares = run_workers(lanes, |w, (mut share, records): (Share<K>, I)| {
+    let lanes = (0..workers).map(|_| records.clone()).collect();
+    let shares = run_workers(lanes, |w, records: I| {
+        let mut share: FastMap<(K, Target), QuantileSketch> = FastMap::default();
         let mut kept = 0u64;
         for (key, target, rtt_ms) in records {
             if owner(route(&key), workers) == w {
-                share.observe(key, target, rtt_ms);
+                share.entry((key, target)).or_default().observe(rtt_ms);
                 kept += 1;
             }
         }
@@ -140,7 +131,6 @@ mod tests {
         );
         let failed = BeaconMeasurement { failed: true, ..m };
         assert_eq!(ecs_record_with_failures(&failed).2, FETCH_TIMEOUT_MS);
-        assert_ne!(route_subnet(m.prefix.into()), route_ldns(m.ldns));
     }
 
     #[test]
@@ -148,15 +138,14 @@ mod tests {
         let records: Vec<(u32, Target, f64)> = (0..500u64)
             .map(|i| ((i % 7) as u32, Target::Anycast, i as f64))
             .collect();
-        let mut day = sketch_day(records, 0.05, ShardConfig::default(), |k: &u32| {
+        let day = sketch_day(records, 0.05, ShardConfig::default(), |k: &u32| {
             mix64(u64::from(*k))
         });
         assert_eq!(day.len(), 7);
-        // 500 = 7 · 71 + 3: three keys hold 72 values, four hold 71.
-        let admitted = |day: &mut DaySketches<u32>, n| day.read(50.0, n).admitted;
-        assert_eq!(admitted(&mut day, 71), 7);
-        assert_eq!(admitted(&mut day, 72), 3);
-        assert_eq!(admitted(&mut day, 73), 0);
+        // 500 = 7 · 71 + 3: keys 0–2 hold 72 values, keys 3–6 hold 71.
+        for (&(key, _), column) in day.iter() {
+            assert_eq!(column.count(), if key < 3 { 72 } else { 71 }, "key {key}");
+        }
     }
 
     #[test]
