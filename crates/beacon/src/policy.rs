@@ -76,21 +76,18 @@ impl MeasurementPolicy {
         }
     }
 
-    /// Computes the candidate set of each of `locations` now, once, so
-    /// answers for a resolver at one of them read it instead of ranking the
-    /// site catalog again. Clones of the policy share the sets. Answers are
-    /// unchanged: a location not listed here (or a policy whose
+    /// Computes the candidate set of each distinct location of `locations`
+    /// now, once, so answers for a resolver at one of them read it instead
+    /// of ranking the site catalog again; resolvers that share a location
+    /// share its one ranking. Clones of the policy share the sets. Answers
+    /// are unchanged: a location not listed here (or a policy whose
     /// `candidates` was changed afterwards) is ranked on the spot.
     pub fn with_known_resolvers(mut self, locations: &[GeoPoint]) -> MeasurementPolicy {
-        let sets = locations
-            .iter()
-            .map(|loc| {
-                (
-                    location_bits(loc),
-                    self.sites.k_nearest(loc, self.candidates),
-                )
-            })
-            .collect();
+        let mut sets = HashMap::new();
+        for loc in locations {
+            sets.entry(location_bits(loc))
+                .or_insert_with(|| self.sites.k_nearest(loc, self.candidates));
+        }
         self.known = Arc::new(KnownResolvers {
             k: self.candidates,
             sets,
@@ -161,6 +158,7 @@ mod tests {
     use super::*;
     use anycast_dns::{DnsName, LdnsId};
     use anycast_netsim::Day;
+    use rand::seq::SliceRandom;
 
     fn policy() -> MeasurementPolicy {
         // Sites along the equator at 0, 10, 20, ... 110 degrees east.
@@ -292,7 +290,7 @@ mod tests {
 
     #[test]
     fn memoised_candidate_sets_are_k_nearest_for_every_resolver() {
-        let (memoised, _, believed) = small_scenario_policies();
+        let (memoised, plain, believed) = small_scenario_policies();
         assert!(believed.len() > 20);
         for loc in &believed {
             let Cow::Borrowed(set) = memoised.candidates_of(loc) else {
@@ -302,6 +300,33 @@ mod tests {
         }
         // Clones share the sets instead of copying them.
         assert!(Arc::ptr_eq(&memoised.known, &memoised.clone().known));
+
+        // Every believed location told one to eight times, shuffled: one
+        // set per distinct location, and every answer the plain policy's.
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let mut told: Vec<GeoPoint> = Vec::new();
+        for loc in &believed {
+            told.extend(std::iter::repeat_n(*loc, rng.gen_range(1..=8)));
+        }
+        told.shuffle(&mut rng);
+        assert!(told.len() > 2 * believed.len());
+        let repeated = plain.clone().with_known_resolvers(&told);
+        let distinct: std::collections::HashSet<(u64, u64)> =
+            believed.iter().map(location_bits).collect();
+        assert_eq!(repeated.known.sets.len(), distinct.len());
+        for (i, loc) in told.iter().enumerate() {
+            let Cow::Borrowed(set) = repeated.candidates_of(loc) else {
+                panic!("{loc:?} was not memoised");
+            };
+            assert_eq!(set, plain.sites.k_nearest(loc, 10));
+            for slot in Slot::ALL {
+                let id = slot.id_for(i as u64);
+                assert_eq!(
+                    repeated.select_site(slot, id, loc),
+                    plain.select_site(slot, id, loc)
+                );
+            }
+        }
     }
 
     #[test]

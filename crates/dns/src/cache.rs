@@ -64,12 +64,16 @@ fn soonest<K>(map: &HashMap<K, Entry>) -> Option<f64> {
     map.values().map(|e| e.expires_at).min_by(f64::total_cmp)
 }
 
-/// Removes one entry of `map` that expires at `at`.
-fn evict<K: Hash + Eq + Clone>(map: &mut HashMap<K, Entry>, at: f64) {
+/// Removes the least key of `map` among the entries that expire at `at`
+/// — by name bytes, then by scope — so which entry goes never depends on
+/// the map's hash order.
+fn evict<K: Hash + Ord + Clone>(map: &mut HashMap<K, Entry>, at: f64) {
     let victim = map
         .iter()
-        .find(|(_, e)| e.expires_at == at)
-        .map(|(k, _)| k.clone());
+        .filter(|(_, e)| e.expires_at == at)
+        .map(|(k, _)| k)
+        .min()
+        .cloned();
     if let Some(k) = victim {
         map.remove(&k);
     }
@@ -83,7 +87,11 @@ impl DnsCache {
 
     /// Creates a cache evicting down to `capacity` live entries. Eviction
     /// removes the entries expiring soonest — the cheapest victims, since
-    /// they are the least likely to be hit again before expiry.
+    /// they are the least likely to be hit again before expiry. Among
+    /// entries that expire at the same instant, a resolver-wide answer goes
+    /// before a subnet-scoped one, and within each kind the least name in
+    /// byte order goes first (then the least subnet), so two caches fed
+    /// the same puts keep the same entries.
     pub fn with_capacity(capacity: usize) -> DnsCache {
         DnsCache {
             capacity,
@@ -429,6 +437,46 @@ mod tests {
         assert_eq!(c.get(&n, None, 2.0), None);
         assert_eq!(c.get(&n, Some(p1), 2.0), Some(ip(1)));
         assert_eq!(c.get(&n, Some(p3), 2.0), Some(ip(3)));
+    }
+
+    /// Entries tied at the soonest expiry leave in key order, whatever
+    /// each cache's hash seed: the least name first, then, among one
+    /// name's subnet answers, the least subnet, and a resolver-wide
+    /// answer before any subnet's.
+    #[test]
+    fn tied_evictions_follow_key_order_in_every_cache() {
+        let ip = |i: u8| Ipv4Addr::new(10, 0, 0, i);
+        let p = |i: u8| Prefix24::containing(Ipv4Addr::new(i, 0, 0, 1));
+        let mut kept = std::collections::BTreeSet::new();
+        // Each cache map is seeded afresh, so 32 caches see many orders.
+        for _ in 0..32 {
+            let mut c = DnsCache::with_capacity(2);
+            for n in ["b.cdn.example", "a.cdn.example", "c.cdn.example"] {
+                c.put(name(n), None, ip(1), 60, 0.0);
+            }
+            let held: Vec<bool> = ["a", "b", "c"]
+                .iter()
+                .map(|n| c.get(&name(&format!("{n}.cdn.example")), None, 1.0) == Some(ip(1)))
+                .collect();
+            kept.insert(held);
+
+            let mut c = DnsCache::with_capacity(2);
+            let n = name("a.cdn.example");
+            c.put(n.clone(), Some(p(3)), ip(3), 60, 0.0);
+            c.put(n.clone(), Some(p(1)), ip(1), 60, 0.0);
+            c.put(n.clone(), None, ip(0), 60, 0.0);
+            // The least subnet made room for the resolver-wide answer; tied
+            // with the subnets' answers, that one made room for the third.
+            c.put(n.clone(), Some(p(2)), ip(2), 60, 0.0);
+            assert_eq!(c.get(&n, None, 1.0), None);
+            assert_eq!(c.get(&n, Some(p(1)), 1.0), None);
+            assert_eq!(c.get(&n, Some(p(2)), 1.0), Some(ip(2)));
+            assert_eq!(c.get(&n, Some(p(3)), 1.0), Some(ip(3)));
+        }
+        assert_eq!(
+            kept.into_iter().collect::<Vec<_>>(),
+            [vec![false, true, true]]
+        );
     }
 
     #[test]

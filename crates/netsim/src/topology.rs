@@ -15,8 +15,6 @@
 //!
 //! Generation is a pure function of `(NetConfig, seed)`.
 
-use std::collections::HashMap;
-
 use anycast_geo::{Metro, MetroId, Region, WorldAtlas};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -142,7 +140,8 @@ pub struct Topology {
     pub transits: Vec<TransitAs>,
     /// Eyeball ASes (ids `n_transit..n_transit + n_eyeball`).
     pub eyeballs: Vec<EyeballAs>,
-    eyeballs_by_metro: HashMap<MetroId, Vec<AsId>>,
+    /// By [`MetroId`]: the eyeball ASes with a PoP there, in eyeball order.
+    eyeballs_by_metro: Vec<Vec<AsId>>,
 }
 
 impl Topology {
@@ -161,35 +160,21 @@ impl Topology {
         let transits = generate_transits(&atlas, &cdn, cfg, &mut rng);
         let mut eyeballs = generate_eyeballs(&atlas, &cdn, &transits, cfg, &mut rng);
         ensure_metro_coverage(&atlas, &mut eyeballs);
-
-        let mut eyeballs_by_metro: HashMap<MetroId, Vec<AsId>> = HashMap::new();
-        for e in &eyeballs {
-            for &m in &e.pops {
-                eyeballs_by_metro.entry(m).or_default().push(e.id);
-            }
-        }
-
-        Topology {
-            atlas,
-            cdn,
-            transits,
-            eyeballs,
-            eyeballs_by_metro,
-        }
+        Topology::from_parts(atlas, cdn, transits, eyeballs)
     }
 
-    /// Assembles a topology from pre-generated parts (the worldgen bridge),
-    /// rebuilding the metro index.
+    /// Assembles a topology from generated parts (either generator),
+    /// building the metro index.
     pub(crate) fn from_parts(
         atlas: WorldAtlas,
         cdn: CdnNetwork,
         transits: Vec<TransitAs>,
         eyeballs: Vec<EyeballAs>,
     ) -> Topology {
-        let mut eyeballs_by_metro: HashMap<MetroId, Vec<AsId>> = HashMap::new();
+        let mut eyeballs_by_metro: Vec<Vec<AsId>> = vec![Vec::new(); atlas.len()];
         for e in &eyeballs {
             for &m in &e.pops {
-                eyeballs_by_metro.entry(m).or_default().push(e.id);
+                eyeballs_by_metro[m.0 as usize].push(e.id);
             }
         }
         Topology {
@@ -218,10 +203,7 @@ impl Topology {
     /// Eyeball ASes with an attachment point at `metro` (possibly empty for
     /// metros only covered via the coverage pass of a different metro).
     pub fn eyeballs_at_metro(&self, metro: MetroId) -> &[AsId] {
-        self.eyeballs_by_metro
-            .get(&metro)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        &self.eyeballs_by_metro[metro.0 as usize]
     }
 
     /// The metro of a front-end site (convenience).

@@ -48,18 +48,31 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds the CSR from unsorted `(from, to)` pairs over `n` nodes.
-    pub fn from_pairs(n: usize, mut edges: Vec<(u32, u32)>) -> Csr {
-        edges.sort_unstable();
-        edges.dedup();
-        let mut offsets = vec![0u32; n + 1];
-        for &(from, _) in &edges {
-            offsets[from as usize + 1] += 1;
+    /// Builds the CSR from unsorted `(from, to)` pairs over `n` nodes,
+    /// duplicates dropped: the adjacency of the pairs sorted and deduped.
+    /// A counting pass on `from`, then each row sorted and deduped in
+    /// place — rows are a handful of edges, so O(E) in practice.
+    pub fn from_pairs(n: usize, edges: Vec<(u32, u32)>) -> Csr {
+        let Csr {
+            mut offsets,
+            mut targets,
+        } = Csr::inverted(n, || edges.iter().map(|&(from, to)| (to, from)));
+        // Sort each row and compact it down over the duplicates dropped
+        // before it.
+        let mut kept = 0;
+        for v in 0..n {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            targets[lo..hi].sort_unstable();
+            offsets[v] = kept as u32;
+            for i in lo..hi {
+                if i == lo || targets[i] != targets[kept - 1] {
+                    targets[kept] = targets[i];
+                    kept += 1;
+                }
+            }
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let targets = edges.into_iter().map(|(_, to)| to).collect();
+        offsets[n] = kept as u32;
+        targets.truncate(kept);
         Csr { offsets, targets }
     }
 
@@ -67,22 +80,36 @@ impl Csr {
     /// node: `neighbors(p)` are the nodes whose parent is `p`. A counting
     /// pass, not a sort — O(n).
     pub fn from_parents(n: usize, parent_of: impl Fn(u32) -> Option<u32>) -> Csr {
+        Csr::inverted(n, || {
+            (0..n as u32).filter_map(|v| parent_of(v).map(|p| (v, p)))
+        })
+    }
+
+    /// The reverse relation: `u` lists `v` where `v` lists `u`. Every
+    /// target must be a node. A counting pass, not a sort — O(E).
+    pub fn transposed(&self) -> Csr {
+        let n = self.offsets.len() - 1;
+        Csr::inverted(n, || {
+            (0..n as u32).flat_map(|v| self.neighbors(v).iter().map(move |&u| (v, u)))
+        })
+    }
+
+    /// Row `u` lists every `v` of the `(v, u)` pairs `pairs()` yields, in
+    /// the order they come — so sorted when they come by ascending `v`.
+    /// Walks the pairs twice: once to count each row, once to fill it.
+    fn inverted<I: Iterator<Item = (u32, u32)>>(n: usize, pairs: impl Fn() -> I) -> Csr {
         let mut offsets = vec![0u32; n + 1];
-        for v in 0..n as u32 {
-            if let Some(p) = parent_of(v) {
-                offsets[p as usize + 1] += 1;
-            }
+        for (_, u) in pairs() {
+            offsets[u as usize + 1] += 1;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
         let mut next = offsets.clone();
         let mut targets = vec![0u32; offsets[n] as usize];
-        for v in 0..n as u32 {
-            if let Some(p) = parent_of(v) {
-                targets[next[p as usize] as usize] = v;
-                next[p as usize] += 1;
-            }
+        for (v, u) in pairs() {
+            targets[next[u as usize] as usize] = v;
+            next[u as usize] += 1;
         }
         Csr { offsets, targets }
     }
@@ -200,6 +227,7 @@ mod tests {
         assert_eq!(csr.neighbors(2), &[1]);
         assert_eq!(csr.neighbors(3), &[] as &[u32]);
         assert_eq!(csr.len(), 3);
+        assert!(Csr::from_pairs(0, Vec::new()).is_empty());
     }
 
     #[test]

@@ -30,9 +30,7 @@ pub mod dynamics;
 pub mod graph;
 pub mod policy;
 
-use std::collections::HashMap;
-
-use anycast_geo::{MetroId, WorldAtlas};
+use anycast_geo::{MetroId, Region, WorldAtlas};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
@@ -246,42 +244,43 @@ fn generate_graph(
 
     // STPs: 1–2 LTP providers; lateral peering with 1–2 earlier same-region
     // STPs (regional exchanges).
-    let mut stp_by_region: HashMap<anycast_geo::Region, Vec<u32>> = HashMap::new();
+    // Per-region lists are indexed by `Region::ALL` position (the enum's
+    // declaration order).
+    let region_of = |v: u32| atlas.metro(home_metro[v as usize]).region as usize;
+    let mut stp_by_region: [Vec<u32>; Region::ALL.len()] = Default::default();
     for s in 0..n_stp as u32 {
         let v = stp0 + s;
-        let region = atlas.metro(home_metro[v as usize]).region;
+        let region = region_of(v);
         let mut ltps: Vec<u32> = (0..n_ltp as u32).collect();
         ltps.shuffle(rng);
         for &l in ltps.iter().take(rng.gen_range(1..=2)) {
             provider_edges.push((v, ltp0 + l));
         }
-        if let Some(prior) = stp_by_region.get(&region) {
-            if !prior.is_empty() {
-                for _ in 0..rng.gen_range(1..=2usize) {
-                    if let Some(&p) = prior.choose(rng) {
-                        if p != v {
-                            peer_edges.push((p, v));
-                        }
+        let prior = &stp_by_region[region];
+        if !prior.is_empty() {
+            for _ in 0..rng.gen_range(1..=2usize) {
+                if let Some(&p) = prior.choose(rng) {
+                    if p != v {
+                        peer_edges.push((p, v));
                     }
                 }
             }
         }
-        stp_by_region.entry(region).or_default().push(v);
+        stp_by_region[region].push(v);
     }
 
     // ECs: 1–3 providers (60/30/10), preferential attachment within the
     // home region's STP pool — every pick re-enters the urn, so provider
     // customer-degrees follow a heavy-tailed (rich-get-richer)
     // distribution like the measured AS graph.
-    let mut urn_by_region: HashMap<anycast_geo::Region, Vec<u32>> = HashMap::new();
-    for (region, stps) in &stp_by_region {
-        urn_by_region.insert(*region, stps.clone());
-    }
-    let all_stps: Vec<u32> = (stp0..ec0).collect();
-    let mut global_urn: Vec<u32> = all_stps.clone();
+    // A region none of the STPs calls home has an empty urn, which falls
+    // through to the global one.
+    let mut urn_by_region = stp_by_region;
+    let mut global_urn: Vec<u32> = (stp0..ec0).collect();
+    let mut chosen: Vec<u32> = Vec::with_capacity(3);
     for e in 0..n_ec as u32 {
         let v = ec0 + e;
-        let region = atlas.metro(home_metro[v as usize]).region;
+        let region = region_of(v);
         let r = rng.gen::<f64>();
         let n_prov = if r < 0.60 {
             1
@@ -290,15 +289,15 @@ fn generate_graph(
         } else {
             3
         };
-        let mut chosen: Vec<u32> = Vec::with_capacity(n_prov);
+        chosen.clear();
         let mut guard = 0;
         while chosen.len() < n_prov && guard < 32 {
             guard += 1;
             let pick = rng.gen::<f64>();
             let cand = if pick < 0.85 {
-                urn_by_region
-                    .get(&region)
-                    .and_then(|u| u.choose(rng).copied())
+                urn_by_region[region]
+                    .choose(rng)
+                    .copied()
                     .or_else(|| global_urn.choose(rng).copied())
             } else if pick < 0.95 {
                 global_urn.choose(rng).copied()
@@ -318,8 +317,7 @@ fn generate_graph(
             provider_edges.push((v, c));
             // Rich-get-richer: the chosen STP re-enters both urns.
             if class[c as usize] == AsClass::Stp {
-                let creg = atlas.metro(home_metro[c as usize]).region;
-                urn_by_region.entry(creg).or_default().push(c);
+                urn_by_region[region_of(c)].push(c);
                 global_urn.push(c);
             }
         }
@@ -395,8 +393,8 @@ fn generate_graph(
 
     // CSR build: providers (v → its providers), customers (exact
     // transpose), peers (symmetric).
-    let providers = Csr::from_pairs(n, provider_edges.clone());
-    let customers = Csr::from_pairs(n, provider_edges.iter().map(|&(c, p)| (p, c)).collect());
+    let providers = Csr::from_pairs(n, provider_edges);
+    let customers = providers.transposed();
     let mut sym = Vec::with_capacity(peer_edges.len() * 2);
     for &(a, b) in &peer_edges {
         sym.push((a, b));
@@ -427,6 +425,8 @@ fn bridge_eyeballs(atlas: &WorldAtlas, graph: &PolicyGraph, rng: &mut impl Rng) 
     // nearest first (ties in atlas order): one list per home metro, built
     // when its first enterprise AS asks.
     let mut nearest_in_country: Vec<Option<Vec<MetroId>>> = vec![None; atlas.len()];
+    // By metro: whether some footprint includes it yet.
+    let mut covered = vec![false; atlas.len()];
     for v in 0..graph.n {
         let home = graph.home_metro[v as usize];
         let home_metro = atlas.metro(home);
@@ -443,6 +443,9 @@ fn bridge_eyeballs(atlas: &WorldAtlas, graph: &PolicyGraph, rng: &mut impl Rng) 
             let size = rng
                 .gen_range(1..=topology::EYEBALL_MAX_POPS)
                 .min(candidates.len());
+            for m in &candidates[..size] {
+                covered[m.0 as usize] = true;
+            }
             candidates[..size].to_vec()
         } else {
             Vec::new()
@@ -464,20 +467,12 @@ fn bridge_eyeballs(atlas: &WorldAtlas, graph: &PolicyGraph, rng: &mut impl Rng) 
 
     // EC-only metro coverage: orphan metros join the footprint of the
     // enterprise AS with the nearest home (same region strongly preferred).
-    let covered: std::collections::HashSet<MetroId> = eyeballs
-        .iter()
-        .flat_map(|e| e.pops.iter().copied())
-        .collect();
-    let ec_indexes: Vec<usize> = (0..graph.n as usize)
-        .filter(|&v| graph.class[v] == AsClass::Ec)
-        .collect();
     for (mid, metro) in atlas.iter() {
-        if covered.contains(&mid) {
+        if covered[mid.0 as usize] {
             continue;
         }
-        let best = ec_indexes
-            .iter()
-            .copied()
+        let best = (0..graph.n as usize)
+            .filter(|&v| graph.class[v] == AsClass::Ec)
             .min_by(|&a, &b| {
                 let pa = penalty(atlas, eyeballs[a].home_metro, metro.region)
                     + atlas.metro_km(eyeballs[a].home_metro, mid);
@@ -592,6 +587,54 @@ mod tests {
             (n, seed, eyeball_digest(&topo.eyeballs))
         });
         assert_eq!(built, RECORDED, "built: {built:#x?}");
+    }
+
+    /// FNV-1a over a generated graph: every node's class and home, each
+    /// relationship's rows in node order (length, then neighbors), every
+    /// session (owner, relation, borders) and `session_of`.
+    fn graph_digest(g: &PolicyGraph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(u64::from(g.n));
+        for v in 0..g.n as usize {
+            eat(u64::from(g.class[v].code()));
+            eat(u64::from(g.home_metro[v].0));
+        }
+        for csr in [&g.providers, &g.customers, &g.peers] {
+            for v in 0..g.n {
+                let row = csr.neighbors(v);
+                eat(row.len() as u64);
+                row.iter().for_each(|&u| eat(u64::from(u)));
+            }
+        }
+        for s in &g.sessions {
+            eat(u64::from(s.node));
+            eat(u64::from(s.relation == CdnRelation::Transit));
+            eat(s.borders.len() as u64);
+            s.borders.iter().for_each(|b| eat(u64::from(b.0)));
+        }
+        g.session_of.iter().for_each(|&s| eat(u64::from(s)));
+        h
+    }
+
+    /// The whole generated graph, pinned: an edge list, a session or an
+    /// RNG draw that moves moves the digest. The world is
+    /// `relaxed_nodes.rs`'s: 10,000 ASes at seed 3.
+    #[test]
+    fn generated_graph_matches_the_recorded_digest() {
+        const RECORDED: u64 = 0x23b1_092a_6d3c_7fb8;
+        let cfg = NetConfig {
+            worldgen: Some(WorldGenConfig::with_ases(10_000)),
+            ..NetConfig::default()
+        };
+        let (_, w) = build(&cfg, 3);
+        let built = graph_digest(&w.graph);
+        assert_eq!(built, RECORDED, "built: {built:#018x}");
     }
 
     #[test]

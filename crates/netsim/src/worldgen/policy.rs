@@ -189,6 +189,11 @@ impl RouteEnv {
         self.shifted.binary_search(&s).is_ok()
     }
 
+    /// The one border that announces, if exactly one does.
+    fn sole_live_border(&self) -> Option<BorderId> {
+        self.only_border.filter(|&b| self.border_live(b))
+    }
+
     fn border_live(&self, b: BorderId) -> bool {
         if let Some(only) = self.only_border {
             if b != only {
@@ -458,18 +463,29 @@ impl<'a> Subtree<'a> {
         }
     }
 
+    /// Puts the dirty nodes in ascending order before any is relaxed, so
+    /// the phases walk the per-node arrays forward and the overrides come
+    /// out sorted. The order nodes are relaxed in cannot change the
+    /// fixpoint they reach.
+    fn sort(&mut self) {
+        self.nodes.sort_unstable();
+        for (i, &v) in self.nodes.iter().enumerate() {
+            self.slot[v as usize] = i as u32;
+        }
+    }
+
     /// The relaxed subtree as a table: the base shared, the dirty entries
     /// that ended up different from it kept. Hands the slot array back to
     /// the base, every node clean again, for the next subtree.
     fn into_table(mut self) -> CatchmentTable {
-        let mut overrides: Vec<(u32, RouteEntry)> = self
+        debug_assert!(self.nodes.is_sorted(), "a subtree is relaxed sorted");
+        let overrides: Vec<(u32, RouteEntry)> = self
             .nodes
             .iter()
             .zip(&self.vals)
             .filter(|&(&v, e)| self.clean(v) != *e)
             .map(|(&v, &e)| (v, e))
             .collect();
-        overrides.sort_unstable_by_key(|o| o.0);
         for &v in &self.nodes {
             self.slot[v as usize] = Self::CLEAN;
         }
@@ -600,6 +616,12 @@ fn striped(n: usize, workers: usize, job: impl Fn(usize) + Sync) {
     });
 }
 
+/// Whether `sess` is established at every one of `n_borders` borders, and
+/// so is live under every single-border announcement alike.
+fn at_every_border(sess: &CdnSession, n_borders: usize) -> bool {
+    (0..n_borders as u16).all(|b| sess.borders.contains(&BorderId(b)))
+}
+
 /// The policy-routed world: graph + dynamics + memoized catchment tables.
 ///
 /// Shared read-only (behind `Arc`) by every clone of the owning
@@ -613,6 +635,10 @@ pub struct PolicyWorld {
     atlas: WorldAtlas,
     /// The metro of each CDN border router, by [`BorderId`].
     border_metro: Vec<MetroId>,
+    /// By [`BorderId`]: the sessions that list the border but not every
+    /// border, ascending — what a unicast announcement there brings up
+    /// over the unicast base.
+    partial_sessions: Vec<Vec<u32>>,
     /// The steady table and the unicast tables, by [`RouteEnv::key`]. Each
     /// cell is filled by exactly one caller; concurrent callers of the
     /// same key wait for it rather than compute it again.
@@ -633,11 +659,21 @@ impl PolicyWorld {
         atlas: &WorldAtlas,
         cdn: &CdnNetwork,
     ) -> PolicyWorld {
+        let border_metro: Vec<MetroId> = cdn.borders.iter().map(|b| b.metro).collect();
+        let mut partial_sessions = vec![Vec::new(); border_metro.len()];
+        for (s, sess) in graph.sessions.iter().enumerate() {
+            if !at_every_border(sess, border_metro.len()) {
+                for &b in &sess.borders {
+                    partial_sessions[b.0 as usize].push(s as u32);
+                }
+            }
+        }
         PolicyWorld {
             graph,
             dynamics,
             atlas: atlas.clone(),
-            border_metro: cdn.borders.iter().map(|b| b.metro).collect(),
+            border_metro,
+            partial_sessions,
             tables: Mutex::new(HashMap::new()),
             unicast_base: OnceLock::new(),
             day_events: Mutex::new(HashMap::new()),
@@ -807,12 +843,6 @@ impl PolicyWorld {
         }
     }
 
-    /// Whether `sess` is established at every border, and so is live
-    /// under every single-border announcement alike.
-    fn at_every_border(&self, sess: &CdnSession) -> bool {
-        (0..self.border_metro.len() as u16).all(|b| sess.borders.contains(&BorderId(b)))
-    }
-
     /// What all unicast tables share: the from-scratch table of the
     /// environment in which only the sessions established at every border
     /// are live. Its ingresses are hot-potato over all borders; a unicast
@@ -820,9 +850,10 @@ impl PolicyWorld {
     fn unicast_base(&self) -> &CatchmentTable {
         self.unicast_base.get_or_init(|| {
             let sessions = self.graph.sessions.iter().enumerate();
+            let n_borders = self.border_metro.len();
             self.compute_scratch(&RouteEnv {
                 dead_sessions: sessions
-                    .filter(|(_, sess)| !self.at_every_border(sess))
+                    .filter(|(_, sess)| !at_every_border(sess, n_borders))
                     .map(|(s, _)| s as u32)
                     .collect(),
                 ..RouteEnv::default()
@@ -840,9 +871,9 @@ impl PolicyWorld {
     fn derive_unicast(&self, border: BorderId) -> CatchmentTable {
         let g = &self.graph;
         let mut w = Subtree::over(&self.unicast_base().dense, Some(border));
-        let comes_up = |s: &&CdnSession| s.borders.contains(&border) && !self.at_every_border(s);
-        let (transit, peering): (Vec<&CdnSession>, Vec<&CdnSession>) = (g.sessions.iter())
-            .filter(comes_up)
+        let comes_up = self.partial_sessions[usize::from(border.0)].iter();
+        let (transit, peering): (Vec<&CdnSession>, Vec<&CdnSession>) = comes_up
+            .map(|&s| &g.sessions[s as usize])
             .partition(|s| s.relation == CdnRelation::Transit);
         transit.iter().for_each(|s| w.mark(s.node));
         w.close_over(&g.providers);
@@ -853,6 +884,7 @@ impl PolicyWorld {
         }
         peering.iter().for_each(|s| w.mark(s.node));
         w.close_over(&g.customers);
+        w.sort();
         self.run_phases(&mut w, &Self::unicast_env(border));
         w.into_table()
     }
@@ -895,6 +927,7 @@ impl PolicyWorld {
         }
         // Close over routing-tree descendants: children via base next_hop.
         w.close_over(base.dense.children());
+        w.sort();
         self.run_phases(&mut w, env);
         w.into_table()
     }
@@ -967,7 +1000,21 @@ impl PolicyWorld {
         }
         relax(w, &mut levels, PROVIDER, &g.customers);
 
-        // Ingress resolution, ascending path length (a parent's length is
+        // Ingress resolution. When one border alone announces, every live
+        // session lists it, so every route enters there. So does a clean
+        // next hop's: a unicast table reads it pinned to that border, and
+        // an event table keeps it clean only if it crosses no other.
+        if let Some(b) = env.sole_live_border() {
+            for i in 0..w.dirty_len() {
+                let v = w.dirty_node(i);
+                let e = w.get(v);
+                if e.is_routed() {
+                    w.set(v, RouteEntry { ingress: b.0, ..e });
+                }
+            }
+            return;
+        }
+        // Otherwise by ascending path length (a parent's length is
         // always exactly one less than its children's, so parents resolve
         // first). Hot-potato: the CDN-adjacent AS hands off at its
         // session's nearest live border — chosen per *downstream neighbor*

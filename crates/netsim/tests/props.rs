@@ -3,7 +3,7 @@
 
 use anycast_netsim::churn::ChurnModel;
 use anycast_netsim::latency::{FIBER_KM_PER_MS, FIBER_PATH_STRETCH};
-use anycast_netsim::worldgen::{route_class, CdnRelation, RouteEnv, CDN_NEXT};
+use anycast_netsim::worldgen::{route_class, CdnRelation, Csr, RouteEnv, CDN_NEXT};
 use anycast_netsim::{
     AccessTech, BorderId, CatchmentTable, ClientAttachment, Day, HopKind, Internet, NetConfig,
     OutageKind, OutageModel, PolicyWorld, Prefix24, PrefixAllocator, RouteSnapshot, RouteTally,
@@ -507,4 +507,41 @@ fn catchment_tables_are_reused_across_days() {
         after >= before + 12,
         "expected >=12 cache hits across days, saw {before} -> {after}"
     );
+}
+
+/// [`Csr::from_pairs`] by its definition: the pairs sorted and deduped,
+/// then cut into one row per `from`.
+fn sorted_rows(n: usize, pairs: &[(u32, u32)]) -> Vec<Vec<u32>> {
+    let mut sorted = pairs.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut rows = vec![Vec::new(); n];
+    for (from, to) in sorted {
+        rows[from as usize].push(to);
+    }
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Few nodes and many pairs in any order, so duplicates, isolated
+    /// nodes and empty rows are all common.
+    #[test]
+    fn csr_from_pairs_is_the_sorted_deduped_pairs(
+        n in 1usize..40,
+        raw in prop::collection::vec((0u32..40, 0u32..40), 0..160),
+    ) {
+        let n32 = n as u32;
+        let pairs: Vec<(u32, u32)> = raw.iter().map(|&(a, b)| (a % n32, b % n32)).collect();
+        let csr = Csr::from_pairs(n, pairs.clone());
+        let rows = sorted_rows(n, &pairs);
+        for v in 0..n32 {
+            prop_assert_eq!(csr.neighbors(v), &rows[v as usize][..]);
+        }
+        prop_assert_eq!(csr.len(), rows.iter().map(Vec::len).sum::<usize>());
+        // The transpose is the build of the swapped pairs.
+        let swapped = pairs.iter().map(|&(a, b)| (b, a)).collect();
+        prop_assert_eq!(csr.transposed(), Csr::from_pairs(n, swapped));
+    }
 }

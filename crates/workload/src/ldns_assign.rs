@@ -106,10 +106,11 @@ pub fn assign(
 
     // ISP resolvers: per (AS, metro) for decentralized ASes, per AS (at the
     // home metro) for centralized ones.
-    let centralized: HashMap<u32, bool> = topo
+    // By position in `topo.eyeballs`, which is the id past the transits.
+    let centralized: Vec<bool> = topo
         .eyeballs
         .iter()
-        .map(|e| (e.id.0, rng.gen::<f64>() < CENTRALIZED_DNS_FRACTION))
+        .map(|_| rng.gen::<f64>() < CENTRALIZED_DNS_FRACTION)
         .collect();
     let mut isp_resolver: HashMap<(u32, u32), LdnsId> = HashMap::new();
 
@@ -120,7 +121,7 @@ pub fn assign(
             public_ids[rng.gen_range(0..public_ids.len())]
         } else {
             let as_raw = c.attachment.as_id.0;
-            let resolver_metro = if centralized[&as_raw] {
+            let resolver_metro = if centralized[as_raw as usize - topo.transits.len()] {
                 topo.eyeball(c.attachment.as_id).home_metro
             } else {
                 c.attachment.metro
