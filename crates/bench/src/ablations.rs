@@ -31,13 +31,13 @@ use anycast_control::{
 };
 use anycast_core::{
     anycast_request, request_times, AggregationConfig, Deployment, DnsRedirectionSim,
-    FailureReason, Grouping, Metric, PredictorConfig, Study, StudyConfig,
+    FailureReason, Grouping, Metric, PredictorConfig, Study, StudyConfig, TrainSpec,
 };
 use anycast_netsim::{Day, NetConfig};
 use anycast_workload::Scenario;
 
 use crate::figures::fig1;
-use crate::trial::{replay, TrainSpec, Trial};
+use crate::trial::{replay, Trial};
 use crate::worlds::{figure_days, rng_for, scenario, scenario_config, Scale};
 use crate::FigureResult;
 
@@ -58,7 +58,7 @@ pub fn prediction_metric(scale: Scale, seed: u64) -> FigureResult {
             metric: *metric,
             ..PredictorConfig::default()
         };
-        let table = trial.train(cfg, &TrainSpec::day(Day(0)));
+        let table = trial.train(cfg, Day(0));
         let shares = trial.shares(&table, Grouping::Ecs, Day(1));
         improved_pts.push((i as f64, shares.improved));
         hurt_pts.push((i as f64, shares.hurt));
@@ -89,7 +89,7 @@ pub fn min_samples(scale: Scale, seed: u64) -> FigureResult {
             min_samples: min,
             ..PredictorConfig::default()
         };
-        let table = trial.train(cfg, &TrainSpec::day(Day(0)));
+        let table = trial.train(cfg, Day(0));
         let shares = trial.shares(&table, Grouping::Ecs, Day(1));
         improved_pts.push((min as f64, shares.improved));
         hurt_pts.push((min as f64, shares.hurt));
@@ -185,7 +185,7 @@ pub fn deployment_density(scale: Scale, seed: u64) -> FigureResult {
 /// Sweep of the hybrid gain threshold (ECS grouping).
 pub fn hybrid_threshold(scale: Scale, seed: u64) -> FigureResult {
     let trial = Trial::run(scenario(scale, seed), 2);
-    let full_table = trial.train(PredictorConfig::default(), &TrainSpec::day(Day(0)));
+    let full_table = trial.train(PredictorConfig::default(), Day(0));
     let mut redirected_pts = Vec::new();
     let mut improved_pts = Vec::new();
     let mut hurt_pts = Vec::new();
@@ -222,8 +222,11 @@ pub fn training_window(scale: Scale, seed: u64) -> FigureResult {
     let mut hurt_pts = Vec::new();
     let mut coverage_pts = Vec::new();
     for k in 1..=total_days {
-        let window = TrainSpec::Window(((total_days - k)..total_days).map(Day).collect());
-        let table = trial.train(PredictorConfig::default(), &window);
+        let window = TrainSpec {
+            days: ((total_days - k)..total_days).map(Day).collect(),
+            agg: None,
+        };
+        let table = trial.train(PredictorConfig::default(), window);
         let shares = trial.shares(&table, Grouping::Ecs, Day(total_days));
         improved_pts.push((f64::from(k), shares.improved));
         hurt_pts.push((f64::from(k), shares.hurt));
@@ -317,7 +320,7 @@ pub fn load_shedding(scale: Scale, seed: u64) -> FigureResult {
         grouping: Grouping::Ldns,
         ..PredictorConfig::default()
     };
-    let table = trial.train(cfg, &TrainSpec::day(Day(0)));
+    let table = trial.train(cfg, Day(0));
     let scenario = trial.scenario();
 
     let loop_cfg = |mode: ControlMode| LoopConfig {
@@ -424,9 +427,15 @@ pub fn table_compression(scale: Scale, seed: u64) -> FigureResult {
         min_samples: 1,
         ..PredictorConfig::default()
     };
-    let plain = trial.train(cfg, &TrainSpec::day(Day(0)));
+    let plain = trial.train(cfg, Day(0));
     let plain_margin = trial.shares(&plain, Grouping::Ecs, Day(1)).margin();
-    let aggregated = |agg| trial.train(cfg, &TrainSpec::Aggregated { day: Day(0), agg });
+    let aggregated = |agg| {
+        let spec = TrainSpec {
+            days: vec![Day(0)],
+            agg: Some(agg),
+        };
+        trial.train(cfg, spec)
+    };
 
     let mut entry_pts = Vec::new();
     let mut ratio_pts = Vec::new();
@@ -514,7 +523,7 @@ pub fn world_scale(scale: Scale, seed: u64) -> FigureResult {
 
         // Fig-9-style quality on this world: train day 0, evaluate day 1.
         let trial = Trial::run(scenario, 2);
-        let table = trial.train(PredictorConfig::default(), &TrainSpec::day(Day(0)));
+        let table = trial.train(PredictorConfig::default(), Day(0));
         let margin = trial.shares(&table, Grouping::Ecs, Day(1)).margin();
 
         let x = n as f64;

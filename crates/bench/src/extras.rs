@@ -30,7 +30,7 @@ use anycast_geo::GeoPoint;
 use anycast_netsim::{Day, SiteId};
 use anycast_workload::Scenario;
 
-use crate::trial::{replay, Shares, TrainSpec, Trial};
+use crate::trial::{replay, Shares, Trial};
 use crate::worlds::{figure_days, rng_for, scenario, scenario_config, Scale};
 use crate::FigureResult;
 
@@ -186,7 +186,7 @@ pub fn ecs_adoption(scale: Scale, seed: u64) -> FigureResult {
         reach_pts.push((adoption, reachable / total_volume));
 
         // Prediction benefit, counting unreachable clients as unchanged.
-        let table = trial.train(PredictorConfig::default(), &TrainSpec::day(Day(0)));
+        let table = trial.train(PredictorConfig::default(), Day(0));
         let mut rows = trial.rows(&table, Grouping::Ecs, Day(1));
         for row in rows.iter_mut().filter(|row| !forwards_ecs(row.prefix)) {
             // No ECS from this client's resolver: the prediction cannot

@@ -17,7 +17,7 @@ use anycast_analysis::report::Series;
 use anycast_core::{Grouping, PredictorConfig};
 use anycast_netsim::Day;
 
-use crate::trial::{Shares, TrainSpec, Trial};
+use crate::trial::{Shares, Trial};
 use crate::worlds::{scenario, Scale};
 use crate::FigureResult;
 
@@ -33,7 +33,7 @@ pub fn compute(scale: Scale, seed: u64) -> FigureResult {
             grouping,
             ..PredictorConfig::default()
         };
-        let table = trial.train(cfg, &TrainSpec::day(Day(0)));
+        let table = trial.train(cfg, Day(0));
         let rows = trial.rows(&table, grouping, Day(1));
         let p50 = Ecdf::from_weighted(rows.iter().map(|r| (r.improvement_p50_ms, r.weight)));
         let p75 = Ecdf::from_weighted(rows.iter().map(|r| (r.improvement_p75_ms, r.weight)));

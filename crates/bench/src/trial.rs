@@ -1,8 +1,9 @@
 //! The paper's §6 method as one seam, and one replay of a probe schedule.
 //!
 //! A [`Trial`] runs a world's beacon campaign once; each table is then
-//! trained from a [`TrainSpec`] and scored on a later day's beacons as the
-//! weighted improved / unchanged / hurt [`Shares`] of Figure 9. Every
+//! trained from a [`TrainSpec`] (a [`Day`] alone is the paper's scheme)
+//! and scored on a later day's beacons as the weighted improved /
+//! unchanged / hurt [`Shares`] of Figure 9. Every
 //! figure, ablation and extra that trains or evaluates a table goes
 //! through here, and every probe-schedule sweep (anycast VIP against a DNS
 //! answer cache) goes through [`replay`].
@@ -11,32 +12,11 @@ use std::collections::HashMap;
 
 use anycast_core::evaluation::outcome_shares;
 use anycast_core::{
-    evaluate_prediction, AggregationConfig, EvalRow, FailureReason, Grouping, PredictionTable,
-    Predictor, PredictorConfig, RequestOutcome, Study, StudyConfig,
+    evaluate_prediction, EvalRow, FailureReason, Grouping, PredictionTable, Predictor,
+    PredictorConfig, RequestOutcome, Study, StudyConfig, TrainSpec,
 };
 use anycast_netsim::{Day, Prefix24, RouteSnapshot};
 use anycast_workload::Scenario;
-
-/// How a table is trained: the shapes the experiments use.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TrainSpec {
-    /// Exact training, each group's samples pooled across the days.
-    Window(Vec<Day>),
-    /// Exact training, then routing-aware default+exception aggregation.
-    Aggregated {
-        /// The training day.
-        day: Day,
-        /// The aggregation pass's settings.
-        agg: AggregationConfig,
-    },
-}
-
-impl TrainSpec {
-    /// The paper's scheme: exact training on one day.
-    pub fn day(day: Day) -> TrainSpec {
-        TrainSpec::Window(vec![day])
-    }
-}
 
 /// Weighted shares of an evaluation at the 75th percentile — the Bing
 /// team's benchmark (§6). They sum to 1.
@@ -89,13 +69,8 @@ impl Trial {
     }
 
     /// Trains a table on the campaign's beacons.
-    pub fn train(&self, cfg: PredictorConfig, spec: &TrainSpec) -> PredictionTable {
-        let predictor = Predictor::new(cfg);
-        let data = self.study.dataset();
-        match spec {
-            TrainSpec::Window(days) => predictor.train_window(data, days),
-            TrainSpec::Aggregated { day, agg } => predictor.train_aggregated(data, *day, agg),
-        }
+    pub fn train(&self, cfg: PredictorConfig, spec: impl Into<TrainSpec>) -> PredictionTable {
+        Predictor::new(cfg).train(self.study.dataset(), spec)
     }
 
     /// Scores `table`, trained at `grouping`, against `day`'s beacons: one

@@ -15,7 +15,7 @@ fn bench_run_report_validates_and_covers_every_layer() {
         // The smallest real run: one beacon day, then training over it.
         let mut st = worlds::study(Scale::Small, 3);
         st.run_day(Day(0));
-        Predictor::new(PredictorConfig::default()).train_window(st.dataset(), &[Day(0)])
+        Predictor::new(PredictorConfig::default()).train(st.dataset(), Day(0))
     });
 
     // Layer coverage: that run must light up all four subsystems it

@@ -2,10 +2,11 @@
 //! and the two that route through a `RouteSnapshot` over something other
 //! than the steady legacy world.
 //!
-//! `fig9` goes through `train` at both groupings, `ablation-table-
-//! compression` through `train_aggregated` and `ablation-training-window`
-//! through `train_window`, so a change to the trainer that moves a served
-//! choice, a score or a gain shows up here as a diff.
+//! All three go through `Predictor::train`: `fig9` on one day at both
+//! groupings, `ablation-table-compression` with aggregation and
+//! `ablation-training-window` over multi-day windows, so a change to the
+//! trainer that moves a served choice, a score or a gain shows up here as
+//! a diff.
 //! `ablation-world-scale` runs two-day studies on policy worlds (default
 //! flap rates, so the snapshot's route-dynamics timeline answers beacons)
 //! and reports the catchment tables' bytes; `extra-failover` drives the

@@ -43,6 +43,6 @@ pub use failure::{
 pub use flows::{disruption_rate, DisruptionStats, FlowModel};
 pub use prediction::{
     AggregationConfig, Choice, GroupKey, Grouping, Metric, PredictionTable, Predictor,
-    PredictorConfig,
+    PredictorConfig, TrainSpec,
 };
 pub use study::{Study, StudyConfig};

@@ -24,9 +24,6 @@ use anycast_netsim::{Day, Prefix, SiteId};
 use anycast_pipeline::{ecs_record_with_failures, ldns_record_with_failures};
 use anycast_pipeline::{run_workers, FastMap, ShardConfig};
 
-#[cfg(test)]
-mod oracle;
-
 /// The granularity clients are grouped at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Grouping {
@@ -62,7 +59,7 @@ impl Grouping {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GroupKey {
     /// An ECS subnet group: a /24 from plain training, or a shorter
-    /// aggregate produced by [`Predictor::train_aggregated`].
+    /// aggregate produced by the aggregation pass ([`TrainSpec::agg`]).
     Ecs(Prefix),
     /// An LDNS group.
     Ldns(LdnsId),
@@ -349,7 +346,7 @@ impl PredictionTable {
 }
 
 /// Configuration for the routing-aware prefix-aggregation training pass
-/// ([`Predictor::train_aggregated`]).
+/// ([`TrainSpec::agg`]).
 ///
 /// Real ECS tables cannot afford one entry per /24: the paper's dataset
 /// alone spans hundreds of thousands of client /24s, most of which the §6
@@ -388,11 +385,74 @@ impl Default for AggregationConfig {
 impl AggregationConfig {
     /// Disables aggregation: with no aggregates allowed shorter than /24
     /// the pass degenerates to per-/24 training, and the resulting table is
-    /// byte-identical to [`Predictor::train`]'s.
+    /// byte-identical to the one trained without aggregation.
     pub fn disabled() -> Self {
         AggregationConfig {
             regret_bound_ms: 0.0,
             min_prefix_len: 24,
+        }
+    }
+}
+
+/// What [`Predictor::train`] trains a table from: a window of days and,
+/// optionally, the aggregation pass over it. A [`Day`] converts to the
+/// paper's scheme: that one day, one entry per group.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrainSpec {
+    /// The window's days. Each group's measurements pool across them, in
+    /// the order named (a day named twice pools twice). The paper used a
+    /// one-day interval only because "our sampling rate was limited due
+    /// to engineering issues" (§6, footnote 2); longer windows trade
+    /// staleness for sample count — the `ablation-training-window` sweep
+    /// quantifies that trade.
+    pub days: Vec<Day>,
+    /// The routing-aware aggregation pass: variable-length prefix groups
+    /// instead of one entry per /24. `None` trains one entry per group.
+    ///
+    /// The pass is ORTC-style (optimal routing table construction:
+    /// defaults plus exceptions) over the binary trie of the window's
+    /// measured /24s, in two phases:
+    ///
+    /// 1. **Bottom-up feasibility.** Each /24 *excludes* the targets its
+    ///    own samples show to be more than `regret_bound_ms` worse than
+    ///    its best — every other target is an acceptable default for it.
+    ///    Exclusion sets merge up the trie exactly as ORTC merges next-hop
+    ///    sets: where the children can agree on a shared default (their
+    ///    exclusions don't cover the whole target universe) the node
+    ///    excludes the union; where they can't, the node defers and
+    ///    excludes only the intersection.
+    /// 2. **Top-down emission.** A node at depth ≥ `min_prefix_len` emits
+    ///    an aggregate entry only when the choice inherited from the
+    ///    nearest emitting ancestor is infeasible for it (or when there is
+    ///    no ancestor); the emitted choice is the *robustly* best feasible
+    ///    target — lowest median of per-leaf metric scores, preferring
+    ///    targets measured in a majority of the node's leaves, so a
+    ///    default is good for the typical covered /24 rather than a lucky
+    ///    cluster. A /24 whose inherited default is within the regret
+    ///    bound of its own best (over *all* its samples — a damage check,
+    ///    not a choice) is covered and emits nothing; one that disagrees
+    ///    beyond the bound keeps a longer-prefix exception entry with its
+    ///    own ranking. A /24 with too little data for any choice of its
+    ///    own *borrows* its aggregate's (counted by
+    ///    `prediction_groups_borrowed_total`) — sparse groups inherit
+    ///    evidence from their covering prefix instead of falling back to
+    ///    anycast.
+    ///
+    /// Both phases read each leaf's `{n, score}` per target from the one
+    /// grouping pass, never samples. Queries match the result through
+    /// [`PredictionTable::match_query`]; the matched prefix length is the
+    /// ECS answer scope. With [`AggregationConfig::disabled`] the table is
+    /// byte-identical to the one `None` trains. Only [`Grouping::Ecs`]
+    /// aggregates: an LDNS-grouped predictor has no prefixes to aggregate
+    /// and ignores the pass.
+    pub agg: Option<AggregationConfig>,
+}
+
+impl From<Day> for TrainSpec {
+    fn from(day: Day) -> TrainSpec {
+        TrainSpec {
+            days: vec![day],
+            agg: None,
         }
     }
 }
@@ -429,30 +489,39 @@ impl Predictor {
         }
     }
 
-    /// Trains a prediction table from one day of beacon measurements (the
-    /// paper's one-day prediction interval).
-    pub fn train(&self, data: &BeaconDataset, day: Day) -> PredictionTable {
-        self.train_window(data, &[day])
-    }
-
-    /// Trains from a multi-day window, pooling each group's measurements
-    /// across the days. The paper used a one-day interval only because
-    /// "our sampling rate was limited due to engineering issues" (§6,
-    /// footnote 2); longer windows trade staleness for sample count — the
-    /// `ablation-training-window` sweep quantifies that trade.
+    /// Trains a prediction table: groups the window's clients, scores
+    /// each `(group, target)` pair once under the configured metric, keeps
+    /// the pairs with `min_samples` measurements or more, and serves each
+    /// group its lowest-scored target.
     ///
-    /// One grouping pass scores every `(group, target)` pair of the
-    /// window exactly once (the kernel [`Predictor::train_aggregated`]
-    /// also starts from); the "20+ measurements" filter and the shared
-    /// selection pass then read scores, never samples.
-    pub fn train_window(&self, data: &BeaconDataset, days: &[Day]) -> PredictionTable {
-        let (table, tally) = self.window_table(self.grouped_scores(data, days));
+    /// `spec` names the window's days (a [`Day`] alone is the paper's
+    /// one-day prediction interval) and, optionally, the routing-aware
+    /// aggregation pass over its /24s ([`TrainSpec::agg`]). Every path
+    /// starts from one grouping pass that scores every pair of the window
+    /// exactly once; the "20+ measurements" filter, the selection and the
+    /// aggregation walk then read scores, never samples.
+    pub fn train(&self, data: &BeaconDataset, spec: impl Into<TrainSpec>) -> PredictionTable {
+        let spec = spec.into();
+        let (table, tally) = self.select(self.grouped_scores(data, &spec.days), spec.agg);
         tally.publish();
         table
     }
 
-    /// [`train_window`](Predictor::train_window) from its window's scored
-    /// pairs, before its tally reaches the obs counters.
+    /// The table [`train`](Predictor::train) selects from its window's
+    /// scored pairs, with its tally before it reaches the obs counters.
+    fn select(
+        &self,
+        pairs: Vec<PairScore>,
+        agg: Option<AggregationConfig>,
+    ) -> (PredictionTable, GroupTally) {
+        match agg {
+            Some(agg) if self.cfg.grouping == Grouping::Ecs => self.aggregated_table(pairs, &agg),
+            _ => self.window_table(pairs),
+        }
+    }
+
+    /// Window training from the window's scored pairs: the pairs over the
+    /// "20+ measurements" bar, ranked per group.
     fn window_table(&self, pairs: Vec<PairScore>) -> (PredictionTable, GroupTally) {
         let min = self.cfg.min_samples as u64;
         let mut tally = GroupTally::default();
@@ -466,8 +535,7 @@ impl Predictor {
         (table, tally)
     }
 
-    /// The grouping kernel under [`train_window`](Predictor::train_window)
-    /// and [`train_aggregated`](Predictor::train_aggregated): every
+    /// The grouping kernel under every [`train`](Predictor::train): every
     /// `(group, target)` pair of the window with its exact sample count
     /// and its score under the configured metric, each pair scored exactly
     /// once. Pairs come back in first-seen order.
@@ -490,9 +558,9 @@ impl Predictor {
         })
     }
 
-    /// [`train_window`](Predictor::train_window) under the name the
-    /// benchmark's adapter calls, kept only for that caller; `eps` and
-    /// `shard` are ignored.
+    /// [`train`](Predictor::train) over `days`, without aggregation, under
+    /// the name `benchmark/src/adapter.rs` calls; kept only for that
+    /// caller. `eps` and `shard` are ignored.
     pub fn train_sketched(
         &self,
         data: &BeaconDataset,
@@ -500,69 +568,35 @@ impl Predictor {
         _eps: f64,
         _shard: ShardConfig,
     ) -> PredictionTable {
-        self.train_window(data, days)
+        self.train(
+            data,
+            TrainSpec {
+                days: days.to_vec(),
+                agg: None,
+            },
+        )
     }
 
-    /// Trains a *routing-aware aggregated* table: variable-length prefix
-    /// groups instead of one entry per /24.
-    ///
-    /// The pass is ORTC-style (optimal routing table construction:
-    /// defaults plus exceptions) over the binary trie of the day's
-    /// measured /24s, in two phases:
-    ///
-    /// 1. **Bottom-up feasibility.** Each /24 *excludes* the targets its
-    ///    own samples show to be more than `agg.regret_bound_ms` worse
-    ///    than its best — every other target is an acceptable default for
-    ///    it. Exclusion sets merge up the trie exactly as ORTC merges
-    ///    next-hop sets: where the children can agree on a shared default
-    ///    (their exclusions don't cover the whole target universe) the
-    ///    node excludes the union; where they can't, the node defers and
-    ///    excludes only the intersection.
-    /// 2. **Top-down emission.** A node at depth ≥ `agg.min_prefix_len`
-    ///    emits an aggregate entry only when the choice inherited from the
-    ///    nearest emitting ancestor is infeasible for it (or when there is
-    ///    no ancestor); the emitted choice is the *robustly* best feasible
-    ///    target — lowest median of per-leaf metric scores, preferring
-    ///    targets measured in a majority of the node's leaves, so a
-    ///    default is good for the typical covered /24 rather than a lucky
-    ///    cluster. A /24 whose inherited default is within the regret
-    ///    bound of its own best (over *all* its samples — a damage check,
-    ///    not a choice) is covered and emits nothing; one that disagrees
-    ///    beyond the bound keeps a longer-prefix exception entry with its
-    ///    own ranking. A /24 with too little data for any choice of its
-    ///    own *borrows* its aggregate's (counted by
-    ///    `prediction_groups_borrowed_total`) — sparse groups inherit
-    ///    evidence from their covering prefix instead of falling back to
-    ///    anycast.
-    ///
-    /// Both phases walk **scores, never samples**: the day goes through
-    /// the grouping kernel of [`Predictor::train_window`] once, and every
-    /// decision above reads a leaf's memoized `{n, score}` per target.
-    ///
-    /// Queries match the result through [`PredictionTable::match_query`];
-    /// the matched prefix length is the ECS answer scope. With
-    /// [`AggregationConfig::disabled`] the output is byte-identical to
-    /// [`Predictor::train`].
-    ///
-    /// Only meaningful for [`Grouping::Ecs`]; an LDNS-grouped predictor
-    /// has no prefixes to aggregate and falls back to plain training.
+    /// [`train`](Predictor::train) on `day` with aggregation `agg`, under
+    /// the name `benchmark/src/adapter.rs` calls; kept only for that
+    /// caller.
     pub fn train_aggregated(
         &self,
         data: &BeaconDataset,
         day: Day,
         agg: &AggregationConfig,
     ) -> PredictionTable {
-        if self.cfg.grouping != Grouping::Ecs {
-            return self.train(data, day);
-        }
-        let (table, tally) = self.aggregated_table(self.grouped_scores(data, &[day]), agg);
-        tally.publish();
-        table
+        self.train(
+            data,
+            TrainSpec {
+                days: vec![day],
+                agg: Some(*agg),
+            },
+        )
     }
 
-    /// [`train_aggregated`](Predictor::train_aggregated) under
-    /// [`Grouping::Ecs`] from its day's scored pairs, before its tally
-    /// reaches the obs counters.
+    /// The aggregation pass under [`Grouping::Ecs`] from its window's
+    /// scored pairs; see [`TrainSpec::agg`].
     fn aggregated_table(
         &self,
         mut pairs: Vec<PairScore>,
@@ -1036,7 +1070,7 @@ fn locality_block(net: u32) -> u32 {
     net & (u32::MAX << (32 - LOCALITY_BLOCK_LEN))
 }
 
-/// One measured /24 of a [`Predictor::train_aggregated`] trie walk: its
+/// One measured /24 of an aggregation trie walk ([`TrainSpec::agg`]): its
 /// network address, its per-target `{n, score}` — a run of the sorted
 /// kernel output — and the run of `AggContext::block_medians` that holds
 /// its allocation block's vouches.
@@ -1168,7 +1202,7 @@ impl TargetScratch {
     }
 }
 
-/// Shared state of one [`Predictor::train_aggregated`] trie walk.
+/// Shared state of one aggregation trie walk ([`TrainSpec::agg`]).
 ///
 /// The trie is never built: it is the binary trie over `leaves`, which
 /// are sorted by network address, walked path-compressed. A range of two
@@ -1386,8 +1420,8 @@ impl AggContext<'_> {
         self.emit_subtree(mid, end, shared + 1, inherited);
     }
 
-    /// Leaf (/24) emission: exactly [`Predictor::train`]'s per-group
-    /// behavior when uncovered, cover/exception/borrow logic under an
+    /// Leaf (/24) emission: exactly the per-group behavior of training
+    /// without aggregation when uncovered, cover/exception/borrow logic under an
     /// aggregate.
     fn emit_leaf(&mut self, i: usize, inherited: Option<Target>) {
         let leaf = self.leaves[i];
@@ -1480,35 +1514,81 @@ mod tests {
     use super::*;
     use anycast_beacon::{BeaconMeasurement, Slot};
     use anycast_netsim::{Prefix24, SiteId};
-    use anycast_pipeline::{mix64, QuantileSketch};
+    use anycast_pipeline::mix64;
     use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
 
-    /// The table chosen from one column per pair, behind the trainers'
-    /// "20+ measurements" filter.
-    fn train_from_stats(
-        predictor: &Predictor,
-        stats: &BTreeMap<(GroupKey, Target), QuantileSketch>,
-    ) -> PredictionTable {
-        let cfg = predictor.config();
-        choose(stats.iter().filter_map(|(&(key, target), sketch)| {
-            if sketch.count() < cfg.min_samples as u64 {
-                return None;
-            }
-            let score = sketch.quantile(cfg.metric.p())?;
-            Some((key, target, score))
-        }))
+    /// Every sample of a window, one column per `(group, target)` pair.
+    type Columns = BTreeMap<(GroupKey, Target), Vec<f64>>;
+
+    /// The window's rows as `predictor` groups them, one column a pair.
+    fn columns(predictor: &Predictor, ds: &BeaconDataset, days: &[Day]) -> Columns {
+        let mut columns = Columns::new();
+        for m in days.iter().flat_map(|&day| ds.day(day)) {
+            let (key, target, rtt) = predictor.record(m);
+            columns.entry((key, target)).or_default().push(rtt);
+        }
+        columns
     }
 
-    /// A column of `n` samples of `v`.
-    fn sketch_of(v: f64, n: usize) -> QuantileSketch {
-        let mut sketch = QuantileSketch::new(0.01);
-        (0..n).for_each(|_| sketch.observe(v));
-        sketch
+    /// The §6 scheme by brute force: each column with `min_samples`
+    /// samples or more scored with [`percentile`], and each group's
+    /// candidates ranked by `(score, target_order)`, the argmin served.
+    fn train_from_stats(predictor: &Predictor, columns: &Columns) -> PredictionTable {
+        let cfg = predictor.config();
+        let mut by_group: BTreeMap<GroupKey, Vec<RankedCandidate>> = BTreeMap::new();
+        for (&(key, target), column) in columns {
+            if column.len() < cfg.min_samples {
+                continue;
+            }
+            if let Some(score_ms) = percentile(column, cfg.metric.p()) {
+                let candidate = RankedCandidate { target, score_ms };
+                by_group.entry(key).or_default().push(candidate);
+            }
+        }
+        let (mut choices, mut ranked) = (HashMap::new(), Vec::new());
+        for (key, mut ranking) in by_group {
+            ranking.sort_by(|a, b| {
+                a.score_ms
+                    .total_cmp(&b.score_ms)
+                    .then_with(|| target_order(a.target).cmp(&target_order(b.target)))
+            });
+            let entry = PredictionTable::entry(&mut ranked, ranking.into_iter());
+            choices.insert(key, entry);
+        }
+        PredictionTable::from_parts(choices, ranked)
+    }
+
+    /// The tally window training owes `columns`.
+    fn tally_of(predictor: &Predictor, columns: &Columns) -> GroupTally {
+        let min = predictor.config().min_samples;
+        let trained = columns.values().filter(|c| c.len() >= min).count() as u64;
+        GroupTally {
+            trained,
+            discarded: columns.len() as u64 - trained,
+            borrowed: 0,
+        }
+    }
+
+    /// One day's training with aggregation `agg`.
+    fn aggregated_on(day: Day, agg: AggregationConfig) -> TrainSpec {
+        TrainSpec {
+            days: vec![day],
+            agg: Some(agg),
+        }
     }
 
     fn prefix(n: u8) -> Prefix24 {
         Prefix24::containing(Ipv4Addr::new(11, 0, n, 1))
+    }
+
+    /// The ECS group of [`prefix`]`(n)`.
+    fn ecs_key(n: u8) -> GroupKey {
+        GroupKey::Ecs(prefix(n).into())
+    }
+
+    fn site(id: u16) -> Target {
+        Target::Unicast(SiteId(id))
     }
 
     /// The ECS entry a query for `p` matches: its prefix and choice.
@@ -1554,22 +1634,6 @@ mod tests {
             .collect()
     }
 
-    /// Like [`rows`], but every fetch failed (`rtt_ms` carries the burnt
-    /// timeout time, which training must replace with its penalty).
-    fn failed_rows(
-        exec_base: u64,
-        p: Prefix24,
-        ldns: u32,
-        target: Target,
-        n: usize,
-    ) -> Vec<BeaconMeasurement> {
-        let mut v = rows(exec_base, p, ldns, target, 6000.0, n);
-        for m in &mut v {
-            m.failed = true;
-        }
-        v
-    }
-
     #[test]
     fn failures_count_against_a_flaky_target() {
         let mut ds = BeaconDataset::new();
@@ -1577,28 +1641,19 @@ mod tests {
         // Site 3 is fast when it answers — but times out more often than
         // it answers. Scored on successes alone it would win at 30 ms; the
         // failure penalty must make reliability part of the score.
-        ds.extend(rows(
-            100,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(3)),
-            30.0,
-            25,
-        ));
-        ds.extend(failed_rows(
-            200,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(3)),
-            30,
-        ));
+        ds.extend(rows(100, prefix(1), 0, site(3), 30.0, 25));
+        // Failed fetches: `rtt_ms` carries the burnt timeout time, which
+        // training must replace with its penalty.
+        let mut failed = rows(200, prefix(1), 0, site(3), 6000.0, 30);
+        failed.iter_mut().for_each(|m| m.failed = true);
+        ds.extend(failed);
         let cfg = PredictorConfig {
             metric: Metric::Median,
             ..Default::default()
         };
         let table = Predictor::new(cfg).train(&ds, Day(0));
         assert_eq!(
-            table.predict(GroupKey::Ecs(prefix(1).into())),
+            table.predict(ecs_key(1)),
             Some(Target::Anycast),
             "a mostly-failing front-end must not be chosen"
         );
@@ -1608,46 +1663,19 @@ mod tests {
     fn picks_the_lowest_latency_target() {
         let mut ds = BeaconDataset::new();
         ds.extend(rows(0, prefix(1), 0, Target::Anycast, 80.0, 25));
-        ds.extend(rows(
-            100,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(3)),
-            50.0,
-            25,
-        ));
-        ds.extend(rows(
-            200,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(4)),
-            65.0,
-            25,
-        ));
+        ds.extend(rows(100, prefix(1), 0, site(3), 50.0, 25));
+        ds.extend(rows(200, prefix(1), 0, site(4), 65.0, 25));
         let table = Predictor::new(PredictorConfig::default()).train(&ds, Day(0));
-        assert_eq!(
-            table.predict(GroupKey::Ecs(prefix(1).into())),
-            Some(Target::Unicast(SiteId(3)))
-        );
+        assert_eq!(table.predict(ecs_key(1)), Some(site(3)));
     }
 
     #[test]
     fn anycast_kept_when_it_wins() {
         let mut ds = BeaconDataset::new();
         ds.extend(rows(0, prefix(1), 0, Target::Anycast, 40.0, 25));
-        ds.extend(rows(
-            100,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(3)),
-            50.0,
-            25,
-        ));
+        ds.extend(rows(100, prefix(1), 0, site(3), 50.0, 25));
         let table = Predictor::new(PredictorConfig::default()).train(&ds, Day(0));
-        assert_eq!(
-            table.predict(GroupKey::Ecs(prefix(1).into())),
-            Some(Target::Anycast)
-        );
+        assert_eq!(table.predict(ecs_key(1)), Some(Target::Anycast));
         assert_eq!(table.redirected_groups().count(), 0);
     }
 
@@ -1656,12 +1684,9 @@ mod tests {
         let mut ds = BeaconDataset::new();
         ds.extend(rows(0, prefix(1), 0, Target::Anycast, 80.0, 25));
         // Better target, but only 5 samples: must be ignored.
-        ds.extend(rows(100, prefix(1), 0, Target::Unicast(SiteId(3)), 10.0, 5));
+        ds.extend(rows(100, prefix(1), 0, site(3), 10.0, 5));
         let table = Predictor::new(PredictorConfig::default()).train(&ds, Day(0));
-        assert_eq!(
-            table.predict(GroupKey::Ecs(prefix(1).into())),
-            Some(Target::Anycast)
-        );
+        assert_eq!(table.predict(ecs_key(1)), Some(Target::Anycast));
     }
 
     #[test]
@@ -1669,7 +1694,7 @@ mod tests {
         let mut ds = BeaconDataset::new();
         ds.extend(rows(0, prefix(1), 0, Target::Anycast, 80.0, 3));
         let table = Predictor::new(PredictorConfig::default()).train(&ds, Day(0));
-        assert_eq!(table.predict(GroupKey::Ecs(prefix(1).into())), None);
+        assert_eq!(table.predict(ecs_key(1)), None);
         assert!(table.is_empty());
     }
 
@@ -1680,31 +1705,14 @@ mod tests {
         // samples: individually below min_samples, pooled above it.
         ds.extend(rows(0, prefix(1), 7, Target::Anycast, 80.0, 15));
         ds.extend(rows(100, prefix(2), 7, Target::Anycast, 80.0, 15));
-        ds.extend(rows(
-            200,
-            prefix(1),
-            7,
-            Target::Unicast(SiteId(2)),
-            30.0,
-            15,
-        ));
-        ds.extend(rows(
-            300,
-            prefix(2),
-            7,
-            Target::Unicast(SiteId(2)),
-            30.0,
-            15,
-        ));
+        ds.extend(rows(200, prefix(1), 7, site(2), 30.0, 15));
+        ds.extend(rows(300, prefix(2), 7, site(2), 30.0, 15));
         let cfg = PredictorConfig {
             grouping: Grouping::Ldns,
             ..Default::default()
         };
         let table = Predictor::new(cfg).train(&ds, Day(0));
-        assert_eq!(
-            table.predict(GroupKey::Ldns(LdnsId(7))),
-            Some(Target::Unicast(SiteId(2)))
-        );
+        assert_eq!(table.predict(GroupKey::Ldns(LdnsId(7))), Some(site(2)));
         // ECS grouping on the same data: no group qualifies.
         let ecs_table = Predictor::new(PredictorConfig::default()).train(&ds, Day(0));
         assert!(ecs_table.is_empty());
@@ -1714,24 +1722,10 @@ mod tests {
     fn metric_changes_the_decision() {
         // Target A: excellent p25, terrible tail. Target B: flat 55 ms.
         let mut ds = BeaconDataset::new();
-        let mut a_samples = rows(0, prefix(1), 0, Target::Unicast(SiteId(1)), 20.0, 13);
-        a_samples.extend(rows(
-            50,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(1)),
-            200.0,
-            12,
-        ));
+        let mut a_samples = rows(0, prefix(1), 0, site(1), 20.0, 13);
+        a_samples.extend(rows(50, prefix(1), 0, site(1), 200.0, 12));
         ds.extend(a_samples);
-        ds.extend(rows(
-            100,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(2)),
-            55.0,
-            25,
-        ));
+        ds.extend(rows(100, prefix(1), 0, site(2), 55.0, 25));
         ds.extend(rows(200, prefix(1), 0, Target::Anycast, 300.0, 25));
         let p25 = Predictor::new(PredictorConfig {
             metric: Metric::P25,
@@ -1741,52 +1735,31 @@ mod tests {
             metric: Metric::P95,
             ..Default::default()
         });
-        assert_eq!(
-            p25.train(&ds, Day(0))
-                .predict(GroupKey::Ecs(prefix(1).into())),
-            Some(Target::Unicast(SiteId(1)))
-        );
-        assert_eq!(
-            p95.train(&ds, Day(0))
-                .predict(GroupKey::Ecs(prefix(1).into())),
-            Some(Target::Unicast(SiteId(2)))
-        );
+        assert_eq!(p25.train(&ds, Day(0)).predict(ecs_key(1)), Some(site(1)));
+        assert_eq!(p95.train(&ds, Day(0)).predict(ecs_key(1)), Some(site(2)));
     }
 
     #[test]
     fn training_only_sees_the_given_day() {
         let mut ds = BeaconDataset::new();
         ds.extend(rows(0, prefix(1), 0, Target::Anycast, 80.0, 25));
-        let mut tomorrow = rows(100, prefix(1), 0, Target::Unicast(SiteId(3)), 10.0, 25);
+        let mut tomorrow = rows(100, prefix(1), 0, site(3), 10.0, 25);
         for m in &mut tomorrow {
             m.day = Day(1);
         }
         ds.extend(tomorrow);
         let table = Predictor::new(PredictorConfig::default()).train(&ds, Day(0));
         // Day-1 data must not leak into day-0 training.
-        assert_eq!(
-            table.predict(GroupKey::Ecs(prefix(1).into())),
-            Some(Target::Anycast)
-        );
+        assert_eq!(table.predict(ecs_key(1)), Some(Target::Anycast));
     }
 
     #[test]
     fn tie_prefers_anycast() {
         let mut ds = BeaconDataset::new();
         ds.extend(rows(0, prefix(1), 0, Target::Anycast, 50.0, 25));
-        ds.extend(rows(
-            100,
-            prefix(1),
-            0,
-            Target::Unicast(SiteId(3)),
-            50.0,
-            25,
-        ));
+        ds.extend(rows(100, prefix(1), 0, site(3), 50.0, 25));
         let table = Predictor::new(PredictorConfig::default()).train(&ds, Day(0));
-        assert_eq!(
-            table.predict(GroupKey::Ecs(prefix(1).into())),
-            Some(Target::Anycast)
-        );
+        assert_eq!(table.predict(ecs_key(1)), Some(Target::Anycast));
     }
 
     /// A dataset with clearly separated per-target latency levels, varied
@@ -1799,19 +1772,13 @@ mod tests {
             // ~50+g, site 4 ~65. Jitter is deterministic in (g, i).
             for (target, base) in [
                 (Target::Anycast, 80.0),
-                (Target::Unicast(SiteId(3)), 50.0 + f64::from(g)),
-                (Target::Unicast(SiteId(4)), 65.0),
+                (site(3), 50.0 + f64::from(g)),
+                (site(4), 65.0),
             ] {
                 for i in 0..30usize {
                     let jitter = ((i * 7 + usize::from(g) * 3) % 11) as f64 - 5.0;
-                    ds.extend(rows(
-                        exec,
-                        prefix(g),
-                        u32::from(g),
-                        target,
-                        base + jitter,
-                        1,
-                    ));
+                    let (p, ldns) = (prefix(g), u32::from(g));
+                    ds.extend(rows(exec, p, ldns, target, base + jitter, 1));
                     exec += 1;
                 }
             }
@@ -1860,35 +1827,31 @@ mod tests {
     /// score ties — and compute the same gain.
     #[test]
     fn rank_zero_matches_the_legacy_argmin_rule() {
-        // Groups with assorted tie patterns; min_samples satisfied.
-        let mut stats: BTreeMap<(GroupKey, Target), QuantileSketch> = BTreeMap::new();
+        // Groups with assorted tie patterns.
         let rows: &[(u8, Target, f64)] = &[
             // Group 1: plain win for site 2.
             (1, Target::Anycast, 80.0),
-            (1, Target::Unicast(SiteId(2)), 50.0),
-            (1, Target::Unicast(SiteId(5)), 60.0),
+            (1, site(2), 50.0),
+            (1, site(5), 60.0),
             // Group 2: exact three-way tie — anycast must win.
             (2, Target::Anycast, 40.0),
-            (2, Target::Unicast(SiteId(1)), 40.0),
-            (2, Target::Unicast(SiteId(3)), 40.0),
+            (2, site(1), 40.0),
+            (2, site(3), 40.0),
             // Group 3: unicast tie — lower site id must win.
-            (3, Target::Unicast(SiteId(7)), 30.0),
-            (3, Target::Unicast(SiteId(4)), 30.0),
+            (3, site(7), 30.0),
+            (3, site(4), 30.0),
             (3, Target::Anycast, 90.0),
             // Group 4: no anycast measurement at all.
-            (4, Target::Unicast(SiteId(6)), 20.0),
-            (4, Target::Unicast(SiteId(8)), 25.0),
+            (4, site(6), 20.0),
+            (4, site(8), 25.0),
         ];
-        for &(g, t, v) in rows {
-            stats.insert((GroupKey::Ecs(prefix(g).into()), t), sketch_of(v, 25));
-        }
-        let table = train_from_stats(&Predictor::new(PredictorConfig::default()), &stats);
+        let table = choose(rows.iter().map(|&(g, t, s)| (ecs_key(g), t, s)));
         // Legacy rule, recomputed independently: strict lexicographic min
         // over (score, target_order).
         let mut legacy: HashMap<GroupKey, (Target, f64)> = HashMap::new();
         let mut anycast: HashMap<GroupKey, f64> = HashMap::new();
-        for (&(key, t), q) in &stats {
-            let s = q.quantile(25.0).unwrap();
+        for &(g, t, s) in rows {
+            let key = ecs_key(g);
             if t == Target::Anycast {
                 anycast.insert(key, s);
             }
@@ -1935,13 +1898,23 @@ mod tests {
 
     #[test]
     fn train_from_stats_applies_the_min_samples_filter() {
-        let mut stats: BTreeMap<(GroupKey, Target), QuantileSketch> = BTreeMap::new();
-        let key = GroupKey::Ecs(prefix(1).into());
-        stats.insert((key, Target::Anycast), sketch_of(80.0, 25));
+        let mut stats = Columns::new();
+        let key = ecs_key(1);
+        stats.insert((key, Target::Anycast), vec![80.0; 25]);
         // Faster, but too few samples to be eligible.
-        stats.insert((key, Target::Unicast(SiteId(3))), sketch_of(10.0, 5));
-        let table = train_from_stats(&Predictor::new(PredictorConfig::default()), &stats);
+        stats.insert((key, site(3)), vec![10.0; 5]);
+        let predictor = Predictor::new(PredictorConfig::default());
+        let table = train_from_stats(&predictor, &stats);
         assert_eq!(table.predict(key), Some(Target::Anycast));
+        // The rows those columns expand to train to the same answer.
+        let mut ds = BeaconDataset::new();
+        for (i, (&(_, target), column)) in stats.iter().enumerate() {
+            let exec = 100 * i as u64;
+            ds.extend(rows(exec, prefix(1), 0, target, column[0], column.len()));
+        }
+        assert_eq!(columns(&predictor, &ds, &[Day(0)]), stats);
+        let trained = predictor.train(&ds, Day(0));
+        assert_eq!(canonical(&trained), canonical(&table));
     }
 
     #[test]
@@ -1949,12 +1922,8 @@ mod tests {
         let ds = separated_dataset();
         let predictor = Predictor::new(PredictorConfig::default());
         let plain = predictor.train(&ds, Day(0));
-        let agg = predictor.train_aggregated(&ds, Day(0), &AggregationConfig::disabled());
-        assert_eq!(plain.len(), agg.len());
-        for (key, choice) in plain.iter() {
-            assert_eq!(agg.choice(key), Some(&choice), "{key:?}");
-            assert_eq!(agg.ranked(key), plain.ranked(key), "{key:?}");
-        }
+        let agg = predictor.train(&ds, aggregated_on(Day(0), AggregationConfig::disabled()));
+        assert_eq!(canonical(&agg), canonical(&plain));
     }
 
     #[test]
@@ -1964,16 +1933,13 @@ mod tests {
         let ds = separated_dataset();
         let predictor = Predictor::new(PredictorConfig::default());
         let plain = predictor.train(&ds, Day(0));
-        let agg = predictor.train_aggregated(&ds, Day(0), &AggregationConfig::default());
+        let agg = predictor.train(&ds, aggregated_on(Day(0), AggregationConfig::default()));
         assert_eq!(agg.len(), 1, "12 agreeing /24s compress to one entry");
         for g in 0..12u8 {
             let (matched, choice) =
                 ecs_match(&agg, prefix(g).into()).expect("every measured /24 is covered");
             assert_eq!(matched.len(), 8);
-            assert_eq!(
-                Some(choice.target),
-                plain.predict(GroupKey::Ecs(prefix(g).into()))
-            );
+            assert_eq!(Some(choice.target), plain.predict(ecs_key(g)));
         }
         // Unmeasured space outside the aggregate still misses.
         assert!(ecs_match(&agg, Prefix::new(Ipv4Addr::new(99, 0, 0, 0), 24)).is_none());
@@ -1985,11 +1951,7 @@ mod tests {
         let mut exec = 0u64;
         for g in 0..6u8 {
             let (s3, s4) = if g == 5 { (100.0, 20.0) } else { (50.0, 70.0) };
-            for (target, rtt) in [
-                (Target::Anycast, 80.0),
-                (Target::Unicast(SiteId(3)), s3),
-                (Target::Unicast(SiteId(4)), s4),
-            ] {
+            for (target, rtt) in [(Target::Anycast, 80.0), (site(3), s3), (site(4), s4)] {
                 ds.extend(rows(exec, prefix(g), u32::from(g), target, rtt, 25));
                 exec += 25;
             }
@@ -2002,7 +1964,7 @@ mod tests {
         let ds = exception_dataset();
         let predictor = Predictor::new(PredictorConfig::default());
         let plain = predictor.train(&ds, Day(0));
-        let agg = predictor.train_aggregated(&ds, Day(0), &AggregationConfig::default());
+        let agg = predictor.train(&ds, aggregated_on(Day(0), AggregationConfig::default()));
         assert!(
             agg.len() < plain.len(),
             "aggregation must shrink the table ({} vs {})",
@@ -2014,14 +1976,14 @@ mod tests {
             let (matched, choice) = ecs_match(&agg, prefix(g).into()).expect("covered");
             assert_eq!(
                 Some(choice.target),
-                plain.predict(GroupKey::Ecs(prefix(g).into())),
+                plain.predict(ecs_key(g)),
                 "leaf {g} (matched {matched})"
             );
         }
         // The dissenting leaf is served by a more specific entry than the
         // default aggregate.
         let (matched, choice) = ecs_match(&agg, prefix(5).into()).unwrap();
-        assert_eq!(choice.target, Target::Unicast(SiteId(4)));
+        assert_eq!(choice.target, site(4));
         assert!(matched.len() > 8, "exception is longer than the default");
     }
 
@@ -2039,30 +2001,27 @@ mod tests {
         let ds = borrow_dataset();
         let predictor = Predictor::new(PredictorConfig::default());
         let plain = predictor.train(&ds, Day(0));
-        assert_eq!(plain.predict(GroupKey::Ecs(prefix(20).into())), None);
-        let agg = predictor.train_aggregated(&ds, Day(0), &AggregationConfig::default());
+        assert_eq!(plain.predict(ecs_key(20)), None);
+        let agg = predictor.train(&ds, aggregated_on(Day(0), AggregationConfig::default()));
         assert_eq!(
-            agg.choice(GroupKey::Ecs(prefix(20).into())),
+            agg.choice(ecs_key(20)),
             None,
             "the sparse leaf gets no entry of its own"
         );
         let (matched, choice) =
             ecs_match(&agg, prefix(20).into()).expect("borrows the covering aggregate");
         assert_eq!(matched.len(), 8);
-        assert_eq!(choice.target, Target::Unicast(SiteId(3)));
+        assert_eq!(choice.target, site(3));
     }
 
     #[test]
     fn lpm_lookup_prefers_longest_match_and_respects_source_len() {
-        let mut stats: BTreeMap<(GroupKey, Target), QuantileSketch> = BTreeMap::new();
         let key8 = GroupKey::Ecs(Prefix::new(Ipv4Addr::new(11, 0, 0, 0), 8));
-        let key24 = GroupKey::Ecs(prefix(5).into());
-        stats.insert((key8, Target::Anycast), sketch_of(40.0, 25));
-        stats.insert((key24, Target::Unicast(SiteId(2))), sketch_of(30.0, 25));
-        let table = train_from_stats(&Predictor::new(PredictorConfig::default()), &stats);
+        let table =
+            choose([(key8, Target::Anycast, 40.0), (ecs_key(5), site(2), 30.0)].into_iter());
         // /24 query under the exception: longest match wins.
         let (m, c) = ecs_match(&table, prefix(5).into()).unwrap();
-        assert_eq!((m.len(), c.target), (24, Target::Unicast(SiteId(2))));
+        assert_eq!((m.len(), c.target), (24, site(2)));
         // /24 query elsewhere under the default.
         let (m, c) = ecs_match(&table, prefix(9).into()).unwrap();
         assert_eq!((m.len(), c.target), (8, Target::Anycast));
@@ -2106,7 +2065,7 @@ mod tests {
         // separated_dataset() sends /24 g, behind resolver g, to site 3.
         let table = Predictor::new(PredictorConfig::default()).train(&separated_dataset(), Day(0));
         let ecs = |p: Option<Prefix24>| served(&table, Grouping::Ecs, 1, p.map(Prefix::from));
-        assert_eq!(ecs(Some(prefix(1))), (Some(Target::Unicast(SiteId(3))), 24));
+        assert_eq!(ecs(Some(prefix(1))), (Some(site(3)), 24));
         // An unknown subnet gets anycast, derived from no subnet: scope
         // 0, not the query's /24.
         assert_eq!(ecs(Some(prefix(99))), (None, 0));
@@ -2118,7 +2077,7 @@ mod tests {
     #[test]
     fn prediction_policy_ldns_grouping_ignores_ecs() {
         let table = ldns_table();
-        let site3 = (GroupKey::Ldns(LdnsId(1)), Target::Unicast(SiteId(3)));
+        let site3 = (GroupKey::Ldns(LdnsId(1)), site(3));
         // The resolver's own entry whatever subnet the query discloses;
         // a resolver the table never saw gets anycast.
         for ecs in [None, Some(prefix(1).into()), Some(prefix(99).into())] {
@@ -2134,7 +2093,7 @@ mod tests {
         // subnet: scope 0 even when the query carries ECS, so one cache
         // entry serves every client of the resolver.
         let table = ldns_table();
-        let site3 = Some(Target::Unicast(SiteId(3)));
+        let site3 = Some(site(3));
         for ecs in [None, Some(prefix(1).into()), Some(prefix(99).into())] {
             assert_eq!(served(&table, Grouping::Ldns, 1, ecs), (site3, 0));
             assert_eq!(served(&table, Grouping::Ldns, 99, ecs), (None, 0));
@@ -2147,16 +2106,15 @@ mod tests {
         // under it advertises the /8, and so does every coarser query
         // it still covers; a query coarser than the aggregate cannot
         // see it.
-        let agg = Predictor::new(PredictorConfig::default()).train_aggregated(
+        let agg = Predictor::new(PredictorConfig::default()).train(
             &separated_dataset(),
-            Day(0),
-            &AggregationConfig::default(),
+            aggregated_on(Day(0), AggregationConfig::default()),
         );
         let at = |len| {
             let query = Prefix::from(prefix(3)).truncate(len);
             served(&agg, Grouping::Ecs, 0, Some(query))
         };
-        let site3 = Some(Target::Unicast(SiteId(3)));
+        let site3 = Some(site(3));
         let scoped = [(site3, 8), (site3, 8), (site3, 8), (None, 0)];
         assert_eq!([24, 16, 8, 4].map(at), scoped);
     }
@@ -2209,18 +2167,12 @@ mod tests {
         let mut add = |ds: &mut BeaconDataset, g: u8, target: Target, base: f64, n: usize| {
             for i in 0..n {
                 let jitter = ((i * 5 + usize::from(g)) % 7) as f64 - 3.0;
-                ds.extend(rows(
-                    exec,
-                    prefix(g),
-                    u32::from(g),
-                    target,
-                    base + jitter,
-                    1,
-                ));
+                let (p, ldns) = (prefix(g), u32::from(g));
+                ds.extend(rows(exec, p, ldns, target, base + jitter, 1));
                 exec += 1;
             }
         };
-        let (site3, site4) = (Target::Unicast(SiteId(3)), Target::Unicast(SiteId(4)));
+        let (site3, site4) = (site(3), site(4));
         for g in 0..6u8 {
             add(&mut ds, g, Target::Anycast, 80.0, 25);
             add(&mut ds, g, site3, 50.0, 25);
@@ -2311,7 +2263,6 @@ mod tests {
                 exec += 1;
             }
         };
-        let site = |id: u16| Target::Unicast(SiteId(id));
         // Sites 0–5 are the homes, 6–11 their neighbors; the rest take
         // turns as the far-away sites a leaf also measured.
         let mut far = (12..sites).cycle();
@@ -2375,8 +2326,8 @@ mod tests {
         groups.dedup();
         let targets = [
             Target::Anycast,
-            Target::Unicast(SiteId(0)),
-            Target::Unicast(SiteId(1)),
+            site(0),
+            site(1),
             Target::Unicast(SiteId(u16::MAX)),
         ];
         let mut pairs: Vec<(GroupKey, Target)> = Vec::new();
@@ -2420,20 +2371,102 @@ mod tests {
                     });
                     for days in [&[Day(0)][..], &[Day(2), Day(0), Day(1)][..]] {
                         let what = format!("{name} {grouping:?} {metric:?} {days:?}");
-                        let (got, got_tally) =
-                            predictor.window_table(predictor.grouped_scores(ds, days));
-                        let (want, want_tally) = predictor.oracle_window(ds, days);
+                        let pairs = predictor.grouped_scores(ds, days);
+                        let (got, got_tally) = predictor.select(pairs, None);
+                        let columns = columns(&predictor, ds, days);
+                        let want = train_from_stats(&predictor, &columns);
                         assert_eq!(canonical(&got), canonical(&want), "{what}");
-                        assert_eq!(got_tally, want_tally, "{what}");
+                        assert_eq!(got_tally, tally_of(&predictor, &columns), "{what}");
                     }
                 }
             }
         }
         // The mixed days exercise what they claim to.
         let predictor = Predictor::new(PredictorConfig::default());
-        let (table, tally) = predictor.window_table(predictor.grouped_scores(&mixed, &[Day(0)]));
+        let (table, tally) = predictor.select(predictor.grouped_scores(&mixed, &[Day(0)]), None);
         assert!(table.len() > 200 && tally.discarded > 1_000, "{tally:?}");
     }
+
+    /// Folds every field of `table`'s canonical form, then `tally`, into
+    /// `d`.
+    fn fold_trained(d: u64, table: &PredictionTable, tally: GroupTally) -> u64 {
+        let mut words = Vec::new();
+        for (key, (target, gain, ranking)) in canonical(table) {
+            let key = match key {
+                GroupKey::Ecs(p) => p.key(),
+                GroupKey::Ldns(l) => 1 << 63 | u64::from(l.0),
+            };
+            let target = u64::from(target_order(target));
+            words.extend([key, target, u64::from(gain.is_some())]);
+            words.extend([gain.unwrap_or(0), ranking.len() as u64]);
+            for (t, score) in ranking {
+                words.extend([u64::from(target_order(t)), score]);
+            }
+        }
+        words.extend([tally.trained, tally.discarded, tally.borrowed]);
+        words.into_iter().fold(d, |d, w| mix64(d ^ w))
+    }
+
+    /// Checks that aggregation does `table`'s measured /24s no damage: each
+    /// with a choice of its own is served that choice, a target it
+    /// measured within the regret bound of the best of everything it
+    /// measured, anycast when it has no anycast score, or a target its
+    /// allocation block vouches for — the median of the block's per-/24
+    /// scores within the bound of the /24's best. Returns the /24s checked.
+    fn assert_no_damage(
+        predictor: &Predictor,
+        ds: &BeaconDataset,
+        spec: &TrainSpec,
+        table: &PredictionTable,
+        what: &str,
+    ) -> usize {
+        let bound = spec.agg.expect("an aggregated table").regret_bound_ms;
+        let columns = columns(predictor, ds, &spec.days);
+        let plain = train_from_stats(predictor, &columns);
+        let mut leaves: BTreeMap<Prefix, BTreeMap<Target, f64>> = BTreeMap::new();
+        let mut blocks: BTreeMap<(u32, Target), Vec<f64>> = BTreeMap::new();
+        for (&(key, target), column) in &columns {
+            let (GroupKey::Ecs(p), Some(score)) =
+                (key, percentile(column, predictor.cfg.metric.p()))
+            else {
+                continue;
+            };
+            leaves.entry(p).or_default().insert(target, score);
+            let block = blocks.entry((locality_block(p.raw()), target));
+            block.or_default().push(score);
+        }
+        let mut checked = 0;
+        for (&p, scores) in &leaves {
+            let Some(own) = plain.predict(GroupKey::Ecs(p)) else {
+                continue;
+            };
+            let best_all = scores.values().copied().fold(f64::INFINITY, f64::min);
+            let within = |s: f64| s - best_all <= bound;
+            let (matched, choice) = table
+                .match_query(Grouping::Ecs, LdnsId(0), Some(p))
+                .unwrap_or_else(|| panic!("{what}: {p} has a choice and no entry"));
+            let served = choice.target;
+            let vouched = blocks
+                .get(&(locality_block(p.raw()), served))
+                .and_then(|scores| percentile(scores, 50.0));
+            let harmless = served == own
+                || scores.get(&served).is_some_and(|&s| within(s))
+                || (served == Target::Anycast && !scores.contains_key(&Target::Anycast))
+                || vouched.is_some_and(within);
+            assert!(
+                harmless,
+                "{what}: {p} served {served:?} by {matched:?}, own {own:?}, {scores:?}"
+            );
+            checked += 1;
+        }
+        checked
+    }
+
+    /// The digest [`fold_trained`] reads off every table and tally of
+    /// `aggregated_walk_over_scores_equals_the_walk_over_samples`'s grid,
+    /// recorded from the trainer as it stood when it still kept a copy of
+    /// the walk over samples, which agreed.
+    const AGGREGATED_DIGEST: u64 = 0x20fe_dfae_dc0a_1ca1;
 
     #[test]
     fn aggregated_walk_over_scores_equals_the_walk_over_samples() {
@@ -2458,47 +2491,66 @@ mod tests {
                 regret_bound_ms: 30.0,
                 min_prefix_len: 8,
             },
+            AggregationConfig {
+                min_prefix_len: 0,
+                ..AggregationConfig::default()
+            },
         ];
+        let mut digest = 0;
         let mut seen = GroupTally::default();
+        let mut checked = 0;
         for (name, ds) in cases {
             for metric in [Metric::P25, Metric::Median] {
-                let predictor = Predictor::new(PredictorConfig {
-                    metric,
-                    ..Default::default()
-                });
-                for agg in &configs {
-                    let what = format!("{name} {metric:?} {agg:?}");
-                    let (got, got_tally) =
-                        predictor.aggregated_table(predictor.grouped_scores(ds, &[Day(0)]), agg);
-                    let (want, want_tally) = predictor.oracle_aggregated(ds, Day(0), agg);
-                    assert_eq!(canonical(&got), canonical(&want), "{what}");
-                    assert_eq!(got_tally, want_tally, "{what}");
-                    seen.trained += got_tally.trained;
-                    seen.discarded += got_tally.discarded;
-                    seen.borrowed += got_tally.borrowed;
+                for min_samples in [20, 1] {
+                    let predictor = Predictor::new(PredictorConfig {
+                        metric,
+                        min_samples,
+                        ..Default::default()
+                    });
+                    for (i, &agg) in configs.iter().enumerate() {
+                        let what = format!("{name} {metric:?} {min_samples} {agg:?}");
+                        let spec = aggregated_on(Day(0), agg);
+                        let pairs = predictor.grouped_scores(ds, &spec.days);
+                        let (table, tally) = predictor.select(pairs, spec.agg);
+                        checked += assert_no_damage(&predictor, ds, &spec, &table, &what);
+                        // The digest's grid: the first four configurations
+                        // at the paper's sample floor.
+                        if min_samples == 20 && i < 4 {
+                            digest = fold_trained(digest, &table, tally);
+                            seen.trained += tally.trained;
+                            seen.discarded += tally.discarded;
+                            seen.borrowed += tally.borrowed;
+                        }
+                    }
                 }
             }
         }
+        assert_eq!(digest, AGGREGATED_DIGEST, "{digest:#018x}");
         assert!(
             seen.trained > 0 && seen.discarded > 0 && seen.borrowed > 0,
             "every counter exercised: {seen:?}"
         );
+        // A two-day window aggregates as one day does.
+        let predictor = Predictor::new(PredictorConfig::default());
+        let spec = TrainSpec {
+            days: vec![Day(0), Day(1)],
+            agg: Some(AggregationConfig::default()),
+        };
+        let table = predictor.train(&mixed, spec.clone());
+        checked += assert_no_damage(&predictor, &mixed, &spec, &table, "two days");
+        assert!(checked > 10_000, "{checked} /24s checked");
         // The block's vouch decides what the dataset says it does. Leaves
         // 0–5 never measured site 4 yet accept it on their siblings' word;
         // leaf 9, with no sibling to speak for site 3, vetoes it — so the
         // one default everything rides is site 4.
-        let table = Predictor::new(PredictorConfig::default()).train_aggregated(
+        let table = Predictor::new(PredictorConfig::default()).train(
             &block_vouch_dataset(),
-            Day(0),
-            &AggregationConfig::default(),
+            aggregated_on(Day(0), AggregationConfig::default()),
         );
         assert_eq!(table.len(), 1);
         for g in [0u8, 5, 6, 7, 9] {
             let (matched, choice) = ecs_match(&table, prefix(g).into()).expect("covered");
-            assert_eq!(
-                (matched.len(), choice.target),
-                (8, Target::Unicast(SiteId(4)))
-            );
+            assert_eq!((matched.len(), choice.target), (8, site(4)));
         }
         // So do the wide universe's merges. The leaves of 11.1.0.0/16 agree
         // on their home, site 0, and those of 11.2.0.0/16 on site 1, and
@@ -2506,18 +2558,17 @@ mod tests {
         // share, which leaves it the one target nobody vetoes — the
         // dissenter's far-away site, vouched for across its block — and
         // each home is carved out of the /8 as a nested aggregate.
-        let table = Predictor::new(PredictorConfig::default()).train_aggregated(
+        let table = Predictor::new(PredictorConfig::default()).train(
             &wide_universe_dataset(130),
-            Day(0),
-            &AggregationConfig::default(),
+            aggregated_on(Day(0), AggregationConfig::default()),
         );
         let served = |a: u8, b: u8, c: u8| {
             let (matched, choice) =
                 ecs_match(&table, Prefix::new(Ipv4Addr::new(a, b, c, 0), 24)).expect("covered");
             (matched.len(), choice.target)
         };
-        assert_eq!(served(11, 1, 2), (15, Target::Unicast(SiteId(0))));
-        assert_eq!(served(11, 2, 2), (21, Target::Unicast(SiteId(1))));
+        assert_eq!(served(11, 1, 2), (15, site(0)));
+        assert_eq!(served(11, 2, 2), (21, site(1)));
         let (len, far) = served(11, 2, 9);
         assert_eq!(len, 8);
         assert!(matches!(far, Target::Unicast(SiteId(12..))), "{far:?}");
@@ -2533,21 +2584,9 @@ mod tests {
             ..Default::default()
         });
         let plain = predictor.train(&ds, Day(1));
-        let agg = predictor.train_aggregated(&ds, Day(1), &AggregationConfig::default());
+        let agg = predictor.train(&ds, aggregated_on(Day(1), AggregationConfig::default()));
         assert!(!plain.is_empty());
         assert_eq!(canonical(&agg), canonical(&plain));
-    }
-
-    /// The benchmark's table digest: every `(group, target)` in key
-    /// order, folded.
-    fn digest(table: &PredictionTable) -> u64 {
-        let word = |key: GroupKey| match key {
-            GroupKey::Ecs(p) => p.key(),
-            GroupKey::Ldns(l) => 1 << 63 | u64::from(l.0),
-        };
-        canonical(table).iter().fold(0, |d, (&key, (target, ..))| {
-            mix64(mix64(d ^ word(key)) ^ u64::from(target_order(*target)))
-        })
     }
 
     #[test]
@@ -2563,15 +2602,17 @@ mod tests {
             });
             let windows: [&[Day]; 3] = [&[Day(0)], &[Day(2), Day(0), Day(1)], &[Day(1), Day(1)]];
             for days in windows {
-                let want = predictor.train_window(&ds, days);
+                let spec = TrainSpec {
+                    days: days.to_vec(),
+                    agg: None,
+                };
+                let want = predictor.train(&ds, spec);
                 assert!(!want.is_empty());
-                for eps in [0.005, 0.01, 0.2] {
-                    for workers in [1, 3] {
-                        let got = predictor.train_sketched(&ds, days, eps, ShardConfig { workers });
-                        let at = format!("{grouping:?} {days:?} eps {eps} workers {workers}");
-                        assert_eq!(canonical(&got), canonical(&want), "{at}");
-                        assert_eq!(digest(&got), digest(&want), "{at}");
-                    }
+                // The arguments the wrapper ignores, at both ends.
+                for (eps, workers) in [(0.005, 1), (0.2, 3)] {
+                    let got = predictor.train_sketched(&ds, days, eps, ShardConfig { workers });
+                    let at = format!("{grouping:?} {days:?} eps {eps} workers {workers}");
+                    assert_eq!(canonical(&got), canonical(&want), "{at}");
                 }
             }
         }
@@ -2638,27 +2679,28 @@ mod tests {
                         let what = format!("seed {seed} {grouping:?} {days:?} at {ranges}");
                         assert_eq!(kernel(&predictor, &ds, days, ranges, SPAN), one, "{what}");
                     }
-                    // Equal pairs make equal tables, under every trainer.
-                    let table_at = |ranges| {
-                        let (table, tally) = predictor
-                            .window_table(kernel_pairs(&predictor, &ds, days, ranges, SPAN));
-                        (canonical(&table), tally)
+                    // Equal pairs make equal tables, aggregated (one ECS
+                    // day: the walk is slow in a debug build) or not.
+                    let (default, disabled) =
+                        (AggregationConfig::default(), AggregationConfig::disabled());
+                    let aggs = match (days, grouping) {
+                        ([_], Grouping::Ecs) => &[None, Some(default), Some(disabled)][..],
+                        _ => &[None][..],
                     };
-                    let trained = canonical(&predictor.train_window(&ds, days));
-                    let (table, tally) = table_at(1);
-                    assert_eq!(table, trained);
-                    for ranges in [2, 7] {
-                        assert_eq!(table_at(ranges), (trained.clone(), tally));
-                    }
-                    if let ([day], Grouping::Ecs) = (days, grouping) {
-                        assert_eq!(canonical(&predictor.train(&ds, *day)), trained);
-                        for agg in [AggregationConfig::default(), AggregationConfig::disabled()] {
-                            let want = canonical(&predictor.train_aggregated(&ds, *day, &agg));
-                            for ranges in [1, 3, 7] {
-                                let pairs = kernel_pairs(&predictor, &ds, days, ranges, SPAN);
-                                let (got, _) = predictor.aggregated_table(pairs, &agg);
-                                assert_eq!(canonical(&got), want, "{agg:?} at {ranges}");
-                            }
+                    for &agg in aggs {
+                        let table_at = |ranges| {
+                            let pairs = kernel_pairs(&predictor, &ds, days, ranges, SPAN);
+                            let (table, tally) = predictor.select(pairs, agg);
+                            (canonical(&table), tally)
+                        };
+                        let one = table_at(1);
+                        let spec = TrainSpec {
+                            days: days.to_vec(),
+                            agg,
+                        };
+                        assert_eq!(one.0, canonical(&predictor.train(&ds, spec)));
+                        for ranges in [3, 7] {
+                            assert_eq!(table_at(ranges), one, "{agg:?} at {ranges}");
                         }
                     }
                 }
@@ -2668,30 +2710,23 @@ mod tests {
 
     #[test]
     fn a_seam_inside_one_pairs_rows_splits_nothing() {
-        let site = Target::Unicast(SiteId(3));
         let mut ds = BeaconDataset::new();
         ds.extend(rows(0, prefix(1), 0, Target::Anycast, 80.0, 3));
         // Ten rows of one pair in a row, 10..=100 ms: of thirteen rows in
         // two ranges the seam falls after the seventh, inside them.
         for i in 1..=10u32 {
-            ds.extend(rows(
-                u64::from(i) * 10,
-                prefix(1),
-                0,
-                site,
-                f64::from(i) * 10.0,
-                1,
-            ));
+            let (exec, rtt) = (u64::from(i) * 10, f64::from(i) * 10.0);
+            ds.extend(rows(exec, prefix(1), 0, site(3), rtt, 1));
         }
         let predictor = Predictor::new(PredictorConfig::default());
         let want = vec![
             (
-                PairKey::new(GroupKey::Ecs(prefix(1).into()), Target::Anycast),
+                PairKey::new(ecs_key(1), Target::Anycast),
                 3,
                 Some(80f64.to_bits()),
             ),
             (
-                PairKey::new(GroupKey::Ecs(prefix(1).into()), site),
+                PairKey::new(ecs_key(1), site(3)),
                 10,
                 Some(32.5f64.to_bits()),
             ),

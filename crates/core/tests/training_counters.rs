@@ -3,14 +3,17 @@
 //!
 //! Training passes tally their `(group, target)` pairs locally and add the
 //! tally to the counters once per pass; the unit tests in
-//! `anycast_core::prediction` pin those tallies against the reference
-//! oracle. This file pins the last step — that the tally reaches the
-//! registry, exactly — and is a dedicated integration-test binary with a
-//! single test, so nothing else in the process moves the counters.
+//! `anycast_core::prediction` pin those tallies against a brute-force
+//! count of the window's columns. This file pins the last step — that the
+//! tally reaches the registry, exactly — and is a dedicated
+//! integration-test binary with a single test, so nothing else in the
+//! process moves the counters.
 
 use std::collections::HashMap;
 
-use anycast_core::prediction::{AggregationConfig, Predictor, PredictorConfig};
+use anycast_core::prediction::{
+    AggregationConfig, PredictionTable, Predictor, PredictorConfig, TrainSpec,
+};
 use anycast_core::{Study, StudyConfig};
 use anycast_netsim::Day;
 use anycast_pipeline::ShardConfig;
@@ -44,20 +47,30 @@ fn every_training_mode_counts_each_pair_once() {
             delta.counter_sum("prediction_groups_borrowed_total"),
         ]
     };
-    let (_, exact) = anycast_obs::capture(|| predictor.train(data, Day(0)));
-    assert_eq!(counts(&exact), [trained, discarded, 0], "train");
-    let (_, sketched) = anycast_obs::capture(|| {
-        predictor.train_sketched(data, &[Day(0)], 0.01, ShardConfig::default())
-    });
-    assert_eq!(counts(&sketched), [trained, discarded, 0], "train_sketched");
-    let (_, unaggregated) = anycast_obs::capture(|| {
-        predictor.train_aggregated(data, Day(0), &AggregationConfig::disabled())
-    });
-    assert_eq!(
-        counts(&unaggregated),
-        [trained, discarded, 0],
-        "train_aggregated, aggregation disabled"
-    );
+    // The names the benchmark calls, and the one entry under them: one
+    // entry per group, each pair trained or discarded once.
+    let disabled = AggregationConfig::disabled();
+    let window = TrainSpec {
+        days: vec![Day(0)],
+        agg: None,
+    };
+    let shard = ShardConfig::default();
+    let modes: [(&str, &dyn Fn() -> PredictionTable); 4] = [
+        ("train(Day)", &|| predictor.train(data, Day(0))),
+        ("train_sketched", &|| {
+            predictor.train_sketched(data, &[Day(0)], 0.01, shard)
+        }),
+        ("train_aggregated, aggregation disabled", &|| {
+            predictor.train_aggregated(data, Day(0), &disabled)
+        }),
+        ("train(TrainSpec { agg: None })", &|| {
+            predictor.train(data, window.clone())
+        }),
+    ];
+    for (name, train) in modes {
+        let (_, delta) = anycast_obs::capture(train);
+        assert_eq!(counts(&delta), [trained, discarded, 0], "{name}");
+    }
 
     // Under an aggregate a leaf's pairs are neither trained nor discarded
     // (the aggregate speaks for them), and a leaf with no pair over the

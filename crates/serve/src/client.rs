@@ -162,9 +162,9 @@ impl WireClient {
     }
 
     /// Scrapes the server's in-band metrics endpoint: a CHAOS-class
-    /// `TXT metrics.bind` query over the ordinary wire path. Snapshots
-    /// rarely fit a UDP payload, so the usual flow is UDP → TC=1 → TCP
-    /// fallback, returning the full Prometheus text.
+    /// `TXT metrics.bind` query over the ordinary wire path. The server
+    /// answers a UDP scrape with TC=1 only, so the flow is always UDP →
+    /// TC=1 → TCP fallback, returning the full Prometheus text.
     pub fn scrape_metrics(&mut self) -> Result<String, QueryError> {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);

@@ -335,7 +335,12 @@ pub fn encode_response(
 }
 
 /// Header + question (+ OPT when it fits) with TC=1.
-fn encode_truncated(q: &WireQuery, edns: &Option<Edns>, rcode: u8, max_payload: usize) -> Vec<u8> {
+pub(crate) fn encode_truncated(
+    q: &WireQuery,
+    edns: &Option<Edns>,
+    rcode: u8,
+    max_payload: usize,
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     let mut header = Header {
         id: q.id,
@@ -396,21 +401,19 @@ fn txt_rdata_len(len: usize) -> usize {
 /// ≤255-byte character-strings inside one TXT record (TTL 0 — a scrape
 /// is never cacheable).
 ///
-/// When the full message exceeds `max_payload`: over UDP (`tcp` false)
-/// the reply is a TC=1 header + question, steering the scraper onto the
-/// TCP fallback path; over TCP the text itself is trimmed to the last
-/// complete metric line that fits, so the response is always valid
-/// exposition text.
-pub fn encode_chaos_txt(q: &WireQuery, text: &str, max_payload: usize, tcp: bool) -> Vec<u8> {
+/// When the full message exceeds `max_payload` the text is trimmed to
+/// the last complete metric line that fits, so the response is always
+/// valid exposition text. The server answers a scrape this way over TCP
+/// only: over UDP it sends a TC=1 header + question (`encode_truncated`),
+/// whatever the payload limit, so a spoofed source cannot turn a small
+/// query into a large reply.
+pub fn encode_chaos_txt(q: &WireQuery, text: &str, max_payload: usize) -> Vec<u8> {
     // Header + uncompressed question + (owner pointer, type, class, ttl,
     // rdlength) — everything except the RDATA itself.
     let qname_wire = q.qname.as_str().len() + 2;
     let overhead = HEADER_LEN + qname_wire + 4 + 12;
     let mut payload = text.as_bytes();
     if overhead + txt_rdata_len(payload.len()) > max_payload {
-        if !tcp {
-            return encode_truncated(q, &None, 0, max_payload);
-        }
         // Largest byte budget whose chunked form fits, then back off to a
         // line boundary so the scrape output stays parseable.
         let budget = max_payload.saturating_sub(overhead);
@@ -731,7 +734,7 @@ mod tests {
         let text: String = (0..40).map(|i| format!("metric_{i}_total {i}\n")).collect();
         assert!(text.len() > 255);
         let q = chaos_query();
-        let wire = encode_chaos_txt(&q, &text, 65535, true);
+        let wire = encode_chaos_txt(&q, &text, 65535);
         let got = decode_chaos_txt(&wire).unwrap();
         assert_eq!(got.id, q.id);
         assert!(!got.tc);
@@ -741,11 +744,11 @@ mod tests {
 
     #[test]
     fn chaos_txt_over_udp_truncates_instead_of_trimming() {
-        let text = "a_total 1\n".repeat(200);
-        let wire = encode_chaos_txt(&chaos_query(), &text, 512, false);
+        // What the server sends a UDP scrape, whatever the text's size.
+        let wire = encode_truncated(&chaos_query(), &None, 0, 512);
         assert!(wire.len() <= 512);
         let got = decode_chaos_txt(&wire).unwrap();
-        assert!(got.tc, "oversize UDP scrape must set TC");
+        assert!(got.tc, "a UDP scrape must set TC");
         assert_eq!(got.text, "");
     }
 
@@ -753,7 +756,7 @@ mod tests {
     fn chaos_txt_over_tcp_trims_at_a_line_boundary() {
         let text = "some_metric_total 123\n".repeat(5000);
         let cap = 4096;
-        let wire = encode_chaos_txt(&chaos_query(), &text, cap, true);
+        let wire = encode_chaos_txt(&chaos_query(), &text, cap);
         assert!(wire.len() <= cap);
         let got = decode_chaos_txt(&wire).unwrap();
         assert!(!got.tc);
@@ -764,7 +767,7 @@ mod tests {
 
     #[test]
     fn chaos_txt_empty_payload_is_one_empty_string() {
-        let wire = encode_chaos_txt(&chaos_query(), "", 512, false);
+        let wire = encode_chaos_txt(&chaos_query(), "", 512);
         let got = decode_chaos_txt(&wire).unwrap();
         assert!(!got.tc);
         assert_eq!(got.text, "");

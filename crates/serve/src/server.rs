@@ -43,7 +43,9 @@ use anycast_dns::{DnsAnswer, LdnsId};
 use anycast_geo::GeoPoint;
 use anycast_obs::{counter, histogram, HistogramSnapshot};
 
-use crate::message::{decode_query, encode_chaos_txt, encode_response, Edns, CHAOS_METRICS_QNAME};
+use crate::message::{
+    decode_query, encode_chaos_txt, encode_response, encode_truncated, Edns, CHAOS_METRICS_QNAME,
+};
 use crate::mmsg::{batch_io, BatchIo, PacketArena, MAX_BATCH};
 use crate::store::{CompiledTable, TableStore};
 use crate::template::{response_len, write_response, AnswerRr, QueryView};
@@ -781,15 +783,18 @@ fn respond(
     if q.qclass == CLASS_CHAOS {
         // The in-band scrape endpoint: `TXT metrics.bind CH` answers a
         // Prometheus-text snapshot of the metrics registry over the same
-        // wire path queries take — no side listener. Oversized snapshots
-        // come back TC=1 over UDP, steering the scraper onto the TCP
-        // fallback; any other CHAOS question is refused like any other
-        // class we don't serve.
+        // wire path queries take — no side listener. Over UDP the answer
+        // is always TC=1, no longer than the query, steering the scraper
+        // onto the TCP fallback: a UDP source can be spoofed, and a
+        // snapshot is kilobytes. Any other CHAOS question is refused like
+        // any other class we don't serve.
         if q.qtype == TYPE_TXT && q.qname.as_str() == CHAOS_METRICS_QNAME {
             counter!("serve_chaos_scrapes_total").inc();
+            if let Transport::Udp { .. } = transport {
+                return Some(encode_truncated(&q, &None, 0, max_payload));
+            }
             let text = anycast_obs::global().snapshot().to_prometheus();
-            let over_tcp = matches!(transport, Transport::Tcp);
-            return Some(encode_chaos_txt(&q, &text, max_payload, over_tcp));
+            return Some(encode_chaos_txt(&q, &text, max_payload));
         }
         return Some(encode_response(&q, None, RCODE_REFUSED, max_payload));
     }

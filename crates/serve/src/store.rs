@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn compiled_ecs_table_scopes_answers_by_matched_prefix() {
         use anycast_beacon::{BeaconDataset, BeaconMeasurement, Slot, Target};
-        use anycast_core::prediction::{AggregationConfig, Predictor, PredictorConfig};
+        use anycast_core::prediction::{AggregationConfig, Predictor, PredictorConfig, TrainSpec};
 
         // Two adjacent /24s agreeing on site 2: aggregation compiles them
         // into one short default entry.
@@ -453,11 +453,11 @@ mod tests {
                 }
             }
         }
-        let table = Predictor::new(PredictorConfig::default()).train_aggregated(
-            &ds,
-            Day(0),
-            &AggregationConfig::default(),
-        );
+        let spec = TrainSpec {
+            days: vec![Day(0)],
+            agg: Some(AggregationConfig::default()),
+        };
+        let table = Predictor::new(PredictorConfig::default()).train(&ds, spec);
         let compiled = CompiledTable::compile(&table, Grouping::Ecs, plan(), 60, 1);
         assert_eq!(compiled.len(), 1, "two agreeing /24s share one entry");
         // A /24 query under the aggregate: redirected, scoped to the

@@ -338,7 +338,7 @@ fn aggregated_tables_serve_identically_compiled_or_in_process() {
     // table must serve the same (addr, ttl, scope) triple as the table's
     // own hash-probe longest-prefix match for a full day, never advertise
     // a scope wider than the query disclosed, and answer misses at scope 0.
-    use anycast_core::prediction::AggregationConfig;
+    use anycast_core::prediction::{AggregationConfig, TrainSpec};
     use anycast_dns::ecs::EcsOption;
     use anycast_netsim::Prefix;
 
@@ -348,11 +348,11 @@ fn aggregated_tables_serve_identically_compiled_or_in_process() {
         grouping: Grouping::Ecs,
         ..PredictorConfig::default()
     };
-    let table = Predictor::new(cfg).train_aggregated(
-        study.dataset(),
-        Day(0),
-        &AggregationConfig::default(),
-    );
+    let spec = TrainSpec {
+        days: vec![Day(0)],
+        agg: Some(AggregationConfig::default()),
+    };
+    let table = Predictor::new(cfg).train(study.dataset(), spec);
     let scenario = study.scenario();
     let reference = Reference {
         table,
@@ -408,7 +408,7 @@ fn disabled_aggregation_compiles_to_byte_identical_answers() {
     // Golden-drift guard: with aggregation disabled the trie-compiled
     // table must answer every query of a simulated day byte-identically
     // to the plain per-/24 training path.
-    use anycast_core::prediction::AggregationConfig;
+    use anycast_core::prediction::{AggregationConfig, TrainSpec};
 
     let mut study = Study::new(Scenario::small(51), StudyConfig::default());
     study.run_day(Day(0));
@@ -418,8 +418,11 @@ fn disabled_aggregation_compiles_to_byte_identical_answers() {
     };
     let predictor = Predictor::new(cfg);
     let plain = predictor.train(study.dataset(), Day(0));
-    let disabled =
-        predictor.train_aggregated(study.dataset(), Day(0), &AggregationConfig::disabled());
+    let spec = TrainSpec {
+        days: vec![Day(0)],
+        agg: Some(AggregationConfig::disabled()),
+    };
+    let disabled = predictor.train(study.dataset(), spec);
     let scenario = study.scenario();
     let a = CompiledTable::compile(&plain, Grouping::Ecs, scenario.addressing, TTL_S, 1);
     let b = CompiledTable::compile(&disabled, Grouping::Ecs, scenario.addressing, TTL_S, 1);

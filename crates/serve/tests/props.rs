@@ -277,7 +277,9 @@ mod compiled {
     use super::*;
     use crate::common::Reference;
     use anycast_beacon::{BeaconDataset, BeaconMeasurement, Slot, Target};
-    use anycast_core::prediction::{AggregationConfig, Grouping, Predictor, PredictorConfig};
+    use anycast_core::prediction::{
+        AggregationConfig, Grouping, Predictor, PredictorConfig, TrainSpec,
+    };
     use anycast_dns::ecs::EcsOption;
     use anycast_dns::LdnsId;
     use anycast_netsim::{CdnAddressing, Day, Prefix, Prefix24, SiteId};
@@ -325,9 +327,13 @@ mod compiled {
                 ..PredictorConfig::default()
             });
             let plan = CdnAddressing::standard(8);
+            let aggregated = TrainSpec {
+                days: vec![Day(0)],
+                agg: Some(AggregationConfig::default()),
+            };
             let tables = [
                 (ecs.train(&ds, Day(0)), Grouping::Ecs),
-                (ecs.train_aggregated(&ds, Day(0), &AggregationConfig::default()), Grouping::Ecs),
+                (ecs.train(&ds, aggregated), Grouping::Ecs),
                 (ldns.train(&ds, Day(0)), Grouping::Ldns),
             ];
             // A host inside each trained /24, then `hosts` inside the
