@@ -24,5 +24,7 @@ pub mod quantile;
 pub mod report;
 
 pub use cdf::Ecdf;
-pub use quantile::{median, percentile, percentile_mut};
+pub use quantile::{
+    from_order_key, median, order_key, percentile, percentile_mut, percentile_of_keys,
+};
 pub use report::Series;

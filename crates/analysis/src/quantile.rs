@@ -3,7 +3,7 @@
 //! Every percentile the evaluation reports (50th/75th) and every score the
 //! §6 exact trainers read is one linear-interpolation rule, read over a
 //! sorted slice ([`percentile_sorted`]) or by selection
-//! ([`percentile_mut`]).
+//! ([`percentile_mut`], or [`percentile_of_keys`] over [`order_key`]s).
 
 /// Linear-interpolation percentile of `values` at `p ∈ [0, 100]`.
 /// Returns `None` for an empty slice or non-finite `p`. Input need not be
@@ -34,6 +34,87 @@ pub fn percentile_mut(values: &mut [f64], p: f64) -> Option<f64> {
     let at_hi = above.iter().copied().min_by(f64::total_cmp);
     let at_hi = at_hi.expect("hi = lo + 1 lies inside the slice");
     Some(interpolate(at_lo, at_hi, frac))
+}
+
+/// `x` as a `u64` whose integer order is [`f64::total_cmp`]'s. The map is
+/// a bijection ([`from_order_key`] inverts it), so keys select and sort
+/// exactly as their values do under `total_cmp`, on integer compares.
+pub fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    // Negative: every bit flips. Positive: only the sign bit does.
+    bits ^ (((bits as i64) >> 63) as u64 | 1 << 63)
+}
+
+/// The value [`order_key`] keyed.
+pub fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(key ^ (!(((key as i64) >> 63) as u64) | 1 << 63))
+}
+
+/// [`percentile_mut`] over the [`order_key`]s of the values: the same
+/// read, bit for bit, with the selection on integer compares. Leaves
+/// `keys` partitioned around the read; same `None` cases, the slice
+/// untouched then.
+pub fn percentile_of_keys(keys: &mut [u64], p: f64) -> Option<f64> {
+    // A NaN of either sign keys above +∞ or below -∞.
+    let ordered = order_key(f64::NEG_INFINITY)..=order_key(f64::INFINITY);
+    if keys.is_empty() || !p.is_finite() || keys.iter().any(|k| !ordered.contains(k)) {
+        return None;
+    }
+    let (lo, hi, frac) = rank(keys.len(), p);
+    let at_lo = from_order_key(select_key(keys, lo));
+    if lo == hi {
+        return Some(at_lo);
+    }
+    let at_hi = keys[hi..].iter().copied().min();
+    let at_hi = from_order_key(at_hi.expect("hi = lo + 1 lies inside the slice"));
+    Some(interpolate(at_lo, at_hi, frac))
+}
+
+/// Moves the `k`-th smallest of `keys` to `keys[k]`, with no greater key
+/// before it and no smaller one after, and returns it. A quickselect whose
+/// partitions branch on no comparison, so keys in random order cost no
+/// mispredicted branches; past about two passes per halving of the slice
+/// it hands what is left to the standard introselect, which bounds the
+/// worst case.
+fn select_key(keys: &mut [u64], k: usize) -> u64 {
+    let (mut lo, mut hi) = (0, keys.len());
+    let mut passes = 2 * (usize::BITS - keys.len().leading_zeros());
+    while hi - lo > 2 {
+        if passes == 0 {
+            return *keys[lo..hi].select_nth_unstable(k - lo).1;
+        }
+        passes -= 1;
+        let (a, b, c) = (keys[lo], keys[lo + (hi - lo) / 2], keys[hi - 1]);
+        let pivot = a.min(b).max(a.max(b).min(c));
+        let below = lo + to_front(&mut keys[lo..hi], |key| key < pivot);
+        if k < below {
+            hi = below;
+        } else if below > lo {
+            lo = below;
+        } else {
+            // The pivot is the least key left: its copies come next.
+            let equal = lo + to_front(&mut keys[lo..hi], |key| key == pivot);
+            if k < equal {
+                return pivot;
+            }
+            lo = equal;
+        }
+    }
+    if hi - lo == 2 && keys[lo] > keys[lo + 1] {
+        keys.swap(lo, lo + 1);
+    }
+    keys[k]
+}
+
+/// Moves the keys `front` holds for to the front of `keys`, in one pass
+/// that branches on no key, and returns how many there are.
+fn to_front(keys: &mut [u64], front: impl Fn(u64) -> bool) -> usize {
+    let mut n = 0;
+    for i in 0..keys.len() {
+        keys.swap(i, n);
+        n += usize::from(front(keys[n]));
+    }
+    n
 }
 
 /// Percentile over an already-sorted slice (ascending). Callers computing
@@ -155,6 +236,77 @@ mod tests {
             assert_eq!(owned, shuffled);
         }
         assert_eq!(percentile_mut(&mut [], 25.0), None);
+    }
+
+    #[test]
+    fn order_keys_order_as_total_cmp_and_keyed_reads_match() {
+        let specials = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in specials {
+            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
+            for b in specials {
+                assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b), "{a} {b}");
+            }
+        }
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        for n in 1..=40usize {
+            let values: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..6u32) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    k => f64::from(k) * 1.75 - 4.0,
+                })
+                .collect();
+            for p in [0.0, 25.0, 50.0, 95.0, 100.0] {
+                let mut keys: Vec<u64> = values.iter().map(|&v| order_key(v)).collect();
+                let want = percentile(&values, p).map(f64::to_bits);
+                assert_eq!(percentile_of_keys(&mut keys, p).map(f64::to_bits), want);
+            }
+        }
+        // Orders a median-of-three pivot handles worst, long enough to run
+        // out of branch-free passes: every rank reads as the sorted one,
+        // and the keys stay partitioned around it.
+        for n in [3usize, 64, 300, 5_000] {
+            let patterns: [Vec<u64>; 5] = [
+                (0..n as u64).collect(),
+                (0..n as u64).rev().collect(),
+                (0..n as u64).map(|i| i.min(n as u64 - i)).collect(),
+                (0..n as u64).map(|i| i % 3).collect(),
+                vec![7; n],
+            ];
+            for keys in patterns {
+                let mut sorted = keys.clone();
+                sorted.sort_unstable();
+                for k in [0, n / 4, n / 2, n - 1] {
+                    let mut owned = keys.clone();
+                    assert_eq!(select_key(&mut owned, k), sorted[k], "n {n} k {k}");
+                    assert!(owned[..k].iter().all(|&key| key <= owned[k]));
+                    assert!(owned[k..].iter().all(|&key| key >= owned[k]));
+                }
+            }
+        }
+        for bad in [[1.0, f64::NAN], [-f64::NAN, 2.0]] {
+            let mut keys = bad.map(order_key);
+            assert_eq!(percentile_of_keys(&mut keys, 50.0), None);
+            assert_eq!(keys, bad.map(order_key));
+        }
+        assert_eq!(percentile_of_keys(&mut [], 25.0), None);
+        assert_eq!(percentile_of_keys(&mut [order_key(1.0)], f64::NAN), None);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use std::collections::HashMap;
 
 use anycast_geo::GeoPoint;
 use anycast_netsim::{Day, Internet, Prefix24, RouteSnapshot, RouteTally, SiteId};
+use anycast_pipeline::FastMap;
 
 /// Why a request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,6 +123,10 @@ pub struct DnsRedirectionSim<'a> {
     sites: Vec<(SiteId, GeoPoint)>,
     ttl_s: f64,
     cache: HashMap<Prefix24, (SiteId, f64)>,
+    /// Every site by distance from a client location (its coordinates'
+    /// bits), nearest first, ties on site id: ranked once, read at every
+    /// resolution from there.
+    rankings: FastMap<(u64, u64), Box<[SiteId]>>,
 }
 
 impl<'a> DnsRedirectionSim<'a> {
@@ -132,18 +137,28 @@ impl<'a> DnsRedirectionSim<'a> {
             sites: internet.site_locations(),
             ttl_s,
             cache: HashMap::new(),
+            rankings: FastMap::default(),
         }
     }
 
     /// The nearest front-end to `loc` that is up at `(day, time_s)` —
     /// what the health-checked authority answers. Ties break on site id.
-    fn resolve(&self, loc: &GeoPoint, day: Day, time_s: f64) -> Option<SiteId> {
-        self.sites
+    fn resolve(&mut self, loc: &GeoPoint, day: Day, time_s: f64) -> Option<SiteId> {
+        let at = (loc.lat_deg().to_bits(), loc.lon_deg().to_bits());
+        let sites = &self.sites;
+        let ranking = self.rankings.entry(at).or_insert_with(|| {
+            let mut by_km: Vec<(f64, SiteId)> = sites
+                .iter()
+                .map(|&(s, sloc)| (sloc.haversine_km(loc), s))
+                .collect();
+            by_km.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            by_km.into_iter().map(|(_, s)| s).collect()
+        });
+        let outages = self.internet.outages();
+        ranking
             .iter()
-            .filter(|&&(s, _)| !self.internet.outages().is_down(s, day, time_s))
-            .map(|&(s, sloc)| (s, sloc.haversine_km(loc)))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .map(|(s, _)| s)
+            .copied()
+            .find(|&s| !outages.is_down(s, day, time_s))
     }
 
     /// The site the client uses at `(day, time_s)`: the cached answer if

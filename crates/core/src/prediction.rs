@@ -15,9 +15,7 @@
 //! showed that higher percentiles of latency distributions are very noisy
 //! … The 25th percentile and median have lower coefficient of variation."
 
-use std::collections::HashMap;
-
-use anycast_analysis::{percentile, percentile_mut};
+use anycast_analysis::{from_order_key, order_key, percentile, percentile_mut, percentile_of_keys};
 use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target};
 use anycast_dns::LdnsId;
 use anycast_netsim::{Day, Prefix, SiteId};
@@ -163,7 +161,7 @@ pub struct RankedCandidate {
 #[derive(Debug, Clone, Default)]
 pub struct PredictionTable {
     /// Each group's choice and where its ranking lies in `ranked`.
-    choices: HashMap<GroupKey, Entry>,
+    choices: FastMap<GroupKey, Entry>,
     /// Every group's ranking, best first, one group after another.
     ranked: Vec<RankedCandidate>,
     /// Distinct prefix lengths among the ECS keys, longest first — the
@@ -185,7 +183,7 @@ impl PredictionTable {
     /// present. Every constructor funnels through here so longest-prefix
     /// lookup stays consistent with the key set.
     fn from_parts(
-        choices: HashMap<GroupKey, Entry>,
+        choices: FastMap<GroupKey, Entry>,
         ranked: Vec<RankedCandidate>,
     ) -> PredictionTable {
         let mut ecs_lens: Vec<u8> = choices
@@ -295,7 +293,7 @@ impl PredictionTable {
     /// anycast". Groups with unknown gain are dropped (no evidence, no
     /// redirect).
     pub fn hybrid_filter(&self, min_gain_ms: f64) -> PredictionTable {
-        let mut choices = HashMap::new();
+        let mut choices = FastMap::default();
         let mut ranked = Vec::new();
         for (key, entry) in &self.choices {
             let c = &entry.choice;
@@ -498,8 +496,8 @@ impl Predictor {
     /// one-day prediction interval) and, optionally, the routing-aware
     /// aggregation pass over its /24s ([`TrainSpec::agg`]). Every path
     /// starts from one grouping pass that scores every pair of the window
-    /// exactly once; the "20+ measurements" filter, the selection and the
-    /// aggregation walk then read scores, never samples.
+    /// over all its samples; the "20+ measurements" filter, the selection
+    /// and the aggregation walk then read scores, never samples.
     pub fn train(&self, data: &BeaconDataset, spec: impl Into<TrainSpec>) -> PredictionTable {
         let spec = spec.into();
         let (table, tally) = self.select(self.grouped_scores(data, &spec.days), spec.agg);
@@ -537,14 +535,15 @@ impl Predictor {
 
     /// The grouping kernel under every [`train`](Predictor::train): every
     /// `(group, target)` pair of the window with its exact sample count
-    /// and its score under the configured metric, each pair scored exactly
-    /// once. Pairs come back in first-seen order.
+    /// and its score under the configured metric over all its samples.
+    /// Pairs come back in first-seen order.
     ///
     /// The window is the days' row slices in the order `days` names them
     /// (a day named twice pools twice); [`scores_in_ranges`] scans it as
     /// one contiguous range per core the host offers, up to one range per
     /// [`MIN_ROWS_PER_RANGE`] rows — a campaign day stays on the calling
-    /// thread. The pairs do not depend on the range count.
+    /// thread. The pairs depend neither on the range count nor on the
+    /// order the window stores its rows in.
     fn grouped_scores(&self, data: &BeaconDataset, days: &[Day]) -> Vec<PairScore> {
         let window: Vec<&[BeaconMeasurement]> =
             days.iter().flat_map(|&day| data.day_slices(day)).collect();
@@ -605,7 +604,11 @@ impl Predictor {
         // ECS grouping keys every row by its /24, so word order is
         // `(network, target)` order: a /24's pairs lie together, and so
         // do the /24s of an allocation block.
-        pairs.sort_unstable_by_key(|pair| pair.pair);
+        sort_by_group(
+            &mut pairs,
+            |pair| pair.pair.0 >> PairKey::CODE_BITS,
+            |pair| pair.pair,
+        );
         let universe = Universe::of(&pairs);
         let mut scratch = TargetScratch::new(universe.len());
         // Locality-scoped evidence transfer: the median per-leaf score of
@@ -674,10 +677,55 @@ fn chunk_span(rows: usize) -> usize {
     rows.div_ceil(CHUNKS_PER_WINDOW).max(MIN_CHUNK_SAMPLES)
 }
 
-/// A pair's rows in one range: how many, and the window row of the last.
+/// A pair's rows in one range — how many, and the window row of the last —
+/// and the score of its first run of rows in a row, while that run is
+/// every row it holds. Merged in range order, the pair's rows in the
+/// window.
 struct Seen {
     n: u32,
     last: u32,
+    /// The first run's score, or [`Seen::SWEPT`]'s bits: the pair recurs,
+    /// or its first run has not ended, or held a NaN. (A score that is a
+    /// NaN with those very bits is swept too, and comes out the same.)
+    score: f64,
+}
+
+impl Seen {
+    /// A NaN no arithmetic produces: the mark of a pair the sweep scores.
+    const SWEPT: u64 = u64::MAX;
+
+    fn new() -> Seen {
+        Seen {
+            n: 0,
+            last: 0,
+            score: f64::from_bits(Self::SWEPT),
+        }
+    }
+
+    /// Ends a run of `len` rows up to window row `last`. The pair's first
+    /// run is scored from its samples, the [`order_key`]s in `run`, at `p`;
+    /// a later one marks the pair for the sweep.
+    fn end_run(&mut self, len: u32, last: u32, run: &mut Vec<u64>, p: f64) {
+        let score = match self.n {
+            0 => percentile_of_keys(run, p),
+            _ => None,
+        };
+        self.score = score.unwrap_or(f64::from_bits(Self::SWEPT));
+        (self.n, self.last) = (self.n + len, last);
+        run.clear();
+    }
+
+    /// Adds the pair's rows in a later range: its first run is not every
+    /// row it holds, so the sweep scores it.
+    fn add(&mut self, later: &Seen) {
+        (self.n, self.last) = (self.n + later.n, later.last);
+        self.score = f64::from_bits(Self::SWEPT);
+    }
+
+    /// The first run's score, if that run is every row the pair holds.
+    fn whole_run_score(&self) -> Option<f64> {
+        (self.score.to_bits() != Self::SWEPT).then_some(self.score)
+    }
 }
 
 /// What one range of a window found.
@@ -686,17 +734,29 @@ struct RangeGroups {
     keys: Vec<PairKey>,
     /// Each pair's rows in the range, beside `keys`.
     seen: Vec<Seen>,
-    /// Range 0's index of `keys`, which the merge starts from; empty for
-    /// the other ranges.
-    ids: FastMap<PairKey, u32>,
+    /// Each pair's first row, beside `keys`.
+    firsts: Vec<u32>,
+    /// Range 0's index of `keys` (with each pair's first row), which the
+    /// merge starts from; empty for the other ranges.
+    ids: FastMap<PairKey, (u32, u32)>,
 }
 
-/// A chunk of the grouping kernel's pairs, window ids `lo..lo +
-/// pairs.len()`, and the window rows that can hold their samples.
+/// A chunk of the pairs the grouping kernel's sweep scores: the sweep ids
+/// from `lo`, one a score, the window rows that can hold their samples,
+/// and where their scores go.
 struct Chunk<'a> {
     lo: usize,
-    pairs: &'a mut [PairScore],
     rows: std::ops::Range<usize>,
+    scores: &'a mut [Option<f64>],
+}
+
+/// A stretch of a range's rows, from window row `start`, beside their
+/// range-local ids and the range's sweep id of each.
+struct Piece<'a> {
+    start: usize,
+    rows: &'a [BeaconMeasurement],
+    ids: &'a [u32],
+    to_sweep: &'a [u32],
 }
 
 /// The dense id of a range's or a window's `nth` distinct pair.
@@ -716,25 +776,36 @@ fn starts_of(counts: &mut [usize]) {
 /// [`Predictor::grouped_scores`] over `window`'s rows cut into `ranges`
 /// contiguous, balanced ranges (made at least one, none empty), `record`
 /// giving a row's pair and latency, `p` the percentile to score at and
-/// `span` the samples a chunk of pairs holds at least ([`chunk_span`]).
+/// `span` the samples a chunk of the sweep holds at least ([`chunk_span`]).
 ///
 /// No vector per pair and no sample arena the size of the window. Each
-/// range, on a thread of its own (range 0 on the caller's), packs each
-/// row's pair into a [`PairKey`] word, maps the word to a range-local dense
-/// id through a one-multiply hash and counts, keeping each row's id and
-/// each pair's last row. The key lists merge in range order — first-seen
-/// order over the window, ranges being consecutive rows — and each range
-/// then relabels its rows to window ids on its own thread (range 0's ids
-/// are window ids already). The pairs are cut into chunks of consecutive
-/// ids holding `span` samples or more (a pair heavier than that is a chunk
-/// of its own, scored whole), dealt to `ranges` threads that each reuse
-/// one chunk-sized sample buffer: per chunk, a thread scatters the rows
-/// whose id falls in the chunk into the buffer and reads each pair's run
-/// there once by selection (`percentile_mut`), not sorted. A chunk sweeps
-/// only the rows from its first pair's first row — ids being first-seen,
-/// no earlier row holds any of its pairs — to the last row of any of its
-/// pairs. So the pass holds a `u32` id a row, a few words a pair and a
-/// chunk buffer a thread. (The ids come in one buffer per range, so the
+/// range, on a thread of its own (range 0 on the caller's), reads its rows
+/// once. It packs each row's pair into a [`PairKey`] word and maps the word
+/// to a range-local dense id through a one-multiply hash — once a run of
+/// consecutive rows of one pair, not once a row — keeping each row's id
+/// and each pair's count, first row and last row. While a run is its
+/// pair's first in the range, its samples go to one reused buffer, and
+/// where the run ends they are scored there and then. The key lists merge
+/// in range order, which is first-seen order over the window, ranges being
+/// consecutive rows; a pair whose rows in the window are that one run
+/// keeps its score. So a day stored by client, each pair's rows together,
+/// is read once.
+///
+/// The pairs that recur after other rows, or whose rows straddle a range
+/// seam, are scored by a sweep over the rows. It cuts them, in window
+/// order, into chunks that hold `span` samples or more (a pair heavier than
+/// that is a chunk of its own, scored whole), or whose rows the next
+/// pair's all follow. Each chunk sweeps only the rows from its first pair's
+/// first row (pairs being in first-seen order, no earlier row holds any of
+/// its pairs) to the last row of any of its pairs. The chunks are dealt to
+/// `ranges` threads that each reuse one sample buffer: per chunk, a thread
+/// scatters the rows of the chunk's pairs into the buffer and reads each
+/// pair's run there by selection on [`order_key`]s
+/// ([`percentile_of_keys`]), not sorted. A day in time order, where every
+/// pair recurs, is swept whole, at the cost of one extra score a pair.
+///
+/// So the pass holds a `u32` id a row, a few words a pair and a sample
+/// buffer a sweeping thread. (The ids come in one buffer per range, so the
 /// largest block the pass frees is a range's ids, not the window's: glibc
 /// lets every arena keep free heap up to twice the largest block of at
 /// most 32 MB it has unmapped.)
@@ -752,7 +823,7 @@ fn scores_in_ranges(
     if rows == 0 {
         return Vec::new();
     }
-    // A pair's last row is kept as a `u32`.
+    // A pair's first and last rows are kept as `u32`s.
     assert!(u32::try_from(rows).is_ok(), "fewer than 2^32 rows a window");
     // ⌈rows/R⌉ rows a range: at most R ranges and none of them empty.
     let per_range = rows.div_ceil(ranges.clamp(1, rows));
@@ -780,23 +851,44 @@ fn scores_in_ranges(
         part
     });
     let found = run_workers(parts.collect(), |range, mut part| {
-        let mut local: FastMap<PairKey, u32> = FastMap::default();
-        let mut keys: Vec<PairKey> = Vec::new();
+        // Each pair's id and first row, by key.
+        let mut local: FastMap<PairKey, (u32, u32)> = FastMap::default();
         let mut seen: Vec<Seen> = Vec::new();
+        // The run being read: its pair, that pair's id and its rows so
+        // far, and whether it is the pair's first run, whose samples `run`
+        // holds.
+        let (mut at, mut id, mut len, mut first_run) = (None, 0, 0, false);
+        let mut run: Vec<u64> = Vec::new();
         let mut row = (range * per_range) as u32;
         for (rows, ids) in &mut part {
             for (m, slot) in rows.iter().zip(ids.iter_mut()) {
-                let id = *local.entry(record(m).0).or_insert_with_key(|&pair| {
-                    keys.push(pair);
-                    seen.push(Seen { n: 0, last: 0 });
-                    pair_id(keys.len() - 1)
-                });
-                let pair = &mut seen[id as usize];
-                pair.n += 1;
-                pair.last = row;
+                let (pair, rtt) = record(m);
+                if at != Some(pair) {
+                    if at.is_some() {
+                        seen[id as usize].end_run(len, row - 1, &mut run, p);
+                    }
+                    let next = pair_id(seen.len());
+                    (id, _) = *local.entry(pair).or_insert((next, row));
+                    if id == next {
+                        seen.push(Seen::new());
+                    }
+                    (at, len) = (Some(pair), 0);
+                    first_run = seen[id as usize].n == 0;
+                }
+                if first_run {
+                    run.push(order_key(rtt));
+                }
                 *slot = id;
+                len += 1;
                 row += 1;
             }
+        }
+        seen[id as usize].end_run(len, row - 1, &mut run, p);
+        // The keys and first rows in id order: first seen first.
+        let mut keys = vec![PairKey(0); seen.len()];
+        let mut firsts = vec![0; seen.len()];
+        for (&pair, &(id, first)) in &local {
+            (keys[id as usize], firsts[id as usize]) = (pair, first);
         }
         if range != 0 {
             local = FastMap::default();
@@ -804,6 +896,7 @@ fn scores_in_ranges(
         let groups = RangeGroups {
             keys,
             seen,
+            firsts,
             ids: local,
         };
         (part, groups)
@@ -812,142 +905,167 @@ fn scores_in_ranges(
     let (parts, mut groups): (Vec<_>, Vec<_>) = found.into_iter().unzip();
 
     // Merge in range order. Ranges are consecutive rows, so first seen in
-    // the earliest range is first seen in the window: range 0's ids stand
-    // and each later range adds the pairs new to it behind them.
-    let mut ids = std::mem::take(&mut groups[0].ids);
-    let unscored = |pair: &PairKey| PairScore {
-        pair: *pair,
-        n: 0,
-        score: None,
-    };
-    // Room for every range's pairs: the window's, and the few that two
-    // ranges share counted twice.
-    let mut pairs = Vec::with_capacity(groups.iter().map(|g| g.keys.len()).sum());
-    pairs.extend(groups[0].keys.iter().map(unscored));
-    let mut id_of = |pair: &PairKey| {
-        *ids.entry(*pair).or_insert_with(|| {
-            pairs.push(unscored(pair));
-            pair_id(pairs.len() - 1)
-        })
-    };
+    // the earliest range is first seen in the window: range 0's ids, keys
+    // and rows stand, and each later range adds the pairs new to it behind
+    // them. Room for every range's pairs in the lists (the window's, and
+    // the few that two ranges share counted twice), and in the index for
+    // those of every range but the last, which no later range looks up.
+    let mut later_groups = groups.split_off(1);
+    let last_range = later_groups.pop();
+    let later: usize = later_groups.iter().map(|g| g.keys.len()).sum();
+    let RangeGroups {
+        mut keys,
+        mut seen,
+        mut firsts,
+        mut ids,
+    } = groups.pop().expect("range 0");
+    let last_keys = last_range.as_ref().map_or(0, |g| g.keys.len());
+    ids.reserve(later);
+    keys.reserve(later + last_keys);
+    seen.reserve(later + last_keys);
+    firsts.reserve(later + last_keys);
     // Each later range's ids as window ids.
-    let to_window: Vec<Vec<u32>> = groups[1..]
-        .iter()
-        .map(|g| g.keys.iter().map(&mut id_of).collect())
-        .collect();
-    drop(ids);
-    // Counts and last rows in range order, so a pair's last row is its
-    // last range's.
-    let mut last = vec![0u32; pairs.len()];
-    for (range, group) in groups.iter().enumerate() {
-        for (nth, seen) in group.seen.iter().enumerate() {
-            let id = if range == 0 {
-                nth
-            } else {
-                to_window[range - 1][nth] as usize
-            };
-            pairs[id].n += seen.n as usize;
-            last[id] = seen.last;
-        }
-    }
-    drop(groups);
-
-    // Chunk starts: each chunk is the shortest run of pairs from its start
-    // that holds `span` samples, or what is left.
-    let mut los = Vec::new();
-    let mut held = 0;
-    for (id, pair) in pairs.iter().enumerate() {
-        if held == 0 {
-            los.push(id);
-        }
-        held += pair.n;
-        if held >= span {
-            held = 0;
-        }
-    }
-    // Each range relabels its rows to window ids and finds, for each
-    // chunk, its first row holding the chunk's first pair or a later one.
-    // Over the window that row is the chunk's first pair's first: ids are
-    // first-seen.
-    let to_window = std::iter::once(Vec::new()).chain(to_window);
-    let inputs = parts.into_iter().zip(to_window).collect();
-    let relabelled = run_workers(inputs, |range, (mut part, to_window)| {
-        let mut firsts = vec![usize::MAX; los.len()];
-        let (mut row, mut next) = (range * per_range, 0);
-        for (_, ids) in &mut part {
-            for id in ids.iter_mut() {
-                if range != 0 {
-                    *id = to_window[*id as usize];
-                }
-                while los.get(next).is_some_and(|&lo| *id as usize >= lo) {
-                    firsts[next] = row;
-                    next += 1;
-                }
-                row += 1;
+    let mut to_window: Vec<Vec<u32>> = Vec::with_capacity(later_groups.len() + 1);
+    let indexed = later_groups.into_iter().map(|group| (group, true));
+    for (group, index) in indexed.chain(last_range.map(|group| (group, false))) {
+        let range = group.keys.into_iter().zip(group.seen).zip(group.firsts);
+        let range_ids = range.map(|((pair, rows), first)| {
+            if let Some(&(at, _)) = ids.get(&pair) {
+                seen[at as usize].add(&rows);
+                return at;
             }
+            keys.push(pair);
+            seen.push(rows);
+            firsts.push(first);
+            let at = pair_id(keys.len() - 1);
+            if index {
+                ids.insert(pair, (at, first));
+            }
+            at
+        });
+        to_window.push(range_ids.collect());
+    }
+    // A pair keeps its first run's score when that run is every row it
+    // holds in the window; the sweep scores the others, in window order.
+    let swept: Vec<u32> = (0..seen.len())
+        .filter(|&id| seen[id].whole_run_score().is_none())
+        .map(pair_id)
+        .collect();
+    // Chunk starts: each chunk is the shortest run of swept pairs from its
+    // start that holds `span` samples, or whose rows the next pair's all
+    // follow, or what is left.
+    let mut los = Vec::new();
+    let (mut held, mut end) = (0, 0);
+    for (nth, &id) in swept.iter().enumerate() {
+        let rows = &seen[id as usize];
+        if nth == 0 || held >= span || firsts[id as usize] > end {
+            los.push(nth);
+            (held, end) = (0, 0);
         }
-        (part, firsts)
-    })
-    .unwrap_or_else(|e| panic!("exact training failed: {e}"));
-    let (parts, firsts): (Vec<_>, Vec<_>) = relabelled.into_iter().unzip();
-    // The window's rows as pieces aligned with their ids, each with the
-    // window row it starts at.
-    let mut pieces: Vec<(usize, &[BeaconMeasurement], &[u32])> = Vec::new();
-    for (rows, ids) in parts.into_iter().flatten() {
-        let start = pieces
-            .last()
-            .map_or(0, |&(start, rows, _)| start + rows.len());
-        pieces.push((start, rows, ids));
+        held += rows.n as usize;
+        end = end.max(rows.last);
+    }
+    // The window rows a chunk sweeps: from its first pair's first row —
+    // pairs being in first-seen order, no earlier row holds any of its
+    // pairs — to the last row of any of its pairs.
+    let spans: Vec<std::ops::Range<usize>> = (los.iter().enumerate())
+        .map(|(c, &lo)| {
+            let chunk = &swept[lo..los.get(c + 1).copied().unwrap_or(swept.len())];
+            let last = chunk.iter().map(|&id| seen[id as usize].last).max();
+            firsts[chunk[0] as usize] as usize..last.expect("a pair a chunk") as usize + 1
+        })
+        .collect();
+    drop((ids, firsts));
+    let mut pairs: Vec<PairScore> = keys
+        .into_iter()
+        .zip(&seen)
+        .map(|(pair, rows)| PairScore {
+            pair,
+            n: rows.n as usize,
+            score: rows.whole_run_score(),
+        })
+        .collect();
+    drop(seen);
+    if swept.is_empty() {
+        return pairs;
+    }
+    let mut sweep_id = vec![u32::MAX; pairs.len()];
+    for (nth, &id) in swept.iter().enumerate() {
+        sweep_id[id as usize] = pair_id(nth);
+    }
+    // Each range's ids as sweep ids: range 0's ids are window ids.
+    for ids in &mut to_window {
+        ids.iter_mut().for_each(|id| *id = sweep_id[*id as usize]);
+    }
+    let to_sweep = std::iter::once(&sweep_id).chain(&to_window);
+    let mut pieces: Vec<Piece> = Vec::new();
+    for (part, to_sweep) in parts.into_iter().zip(to_sweep) {
+        for (rows, ids) in part {
+            let start = pieces
+                .last()
+                .map_or(0, |piece| piece.start + piece.rows.len());
+            pieces.push(Piece {
+                start,
+                rows,
+                ids,
+                to_sweep,
+            });
+        }
     }
 
+    let n_of = |sweep: usize| pairs[swept[sweep] as usize].n;
+    let mut scores: Vec<Option<f64>> = vec![None; swept.len()];
     let workers = ranges.min(los.len());
     let mut dealt: Vec<Vec<Chunk>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut rest = &mut pairs[..];
-    for (c, &lo) in los.iter().enumerate() {
-        let hi = los.get(c + 1).copied().unwrap_or(lo + rest.len());
+    let mut rest = &mut scores[..];
+    for (c, (&lo, rows)) in los.iter().zip(spans).enumerate() {
+        let hi = los.get(c + 1).copied().unwrap_or(swept.len());
         let (chunk, left) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-        let from = firsts.iter().map(|f| f[c]).min().expect("a range");
-        let to = last[lo..hi].iter().max().expect("a pair a chunk");
         dealt[c % workers].push(Chunk {
             lo,
-            pairs: chunk,
-            rows: from..*to as usize + 1,
+            rows,
+            scores: chunk,
         });
         rest = left;
     }
     run_workers(dealt, |_, chunks| {
-        let held = |chunk: &Chunk| chunk.pairs.iter().map(|pair| pair.n).sum::<usize>();
-        let mut samples = vec![0.0f64; chunks.iter().map(held).max().unwrap_or(0)];
+        let held = |chunk: &Chunk| (chunk.lo..).take(chunk.scores.len()).map(n_of).sum();
+        let mut samples = vec![0u64; chunks.iter().map(held).max().unwrap_or(0)];
         let mut ends: Vec<usize> = Vec::new();
-        for Chunk { lo, pairs, rows } in chunks {
-            // `ends[k]` starts as pair `lo + k`'s offset and, once the
+        for Chunk { lo, rows, scores } in chunks {
+            // `ends[k]` starts as sweep id `lo + k`'s offset and, once the
             // sweep has written its last sample, is the end of its run.
             ends.clear();
-            ends.extend(pairs.iter().map(|pair| pair.n));
+            ends.extend((lo..).take(scores.len()).map(n_of));
             starts_of(&mut ends);
-            let at = pieces.partition_point(|&(start, part, _)| start + part.len() <= rows.start);
-            for &(start, part, ids) in &pieces[at..] {
-                if start >= rows.end {
+            let at = pieces.partition_point(|piece| piece.start + piece.rows.len() <= rows.start);
+            for piece in &pieces[at..] {
+                if piece.start >= rows.end {
                     break;
                 }
-                let from = rows.start.max(start) - start;
-                let to = rows.end.min(start + part.len()) - start;
-                for (m, &id) in part[from..to].iter().zip(&ids[from..to]) {
-                    // Rows of other chunks fall outside `ends`.
-                    if let Some(at) = ends.get_mut((id as usize).wrapping_sub(lo)) {
-                        samples[*at] = record(m).1;
+                let from = rows.start.max(piece.start) - piece.start;
+                let to = rows.end.min(piece.start + piece.rows.len()) - piece.start;
+                for (m, &id) in piece.rows[from..to].iter().zip(&piece.ids[from..to]) {
+                    // Rows of pairs scored already, or of other chunks,
+                    // fall outside `ends`.
+                    let sweep = piece.to_sweep[id as usize] as usize;
+                    if let Some(at) = ends.get_mut(sweep.wrapping_sub(lo)) {
+                        samples[*at] = order_key(record(m).1);
                         *at += 1;
                     }
                 }
             }
             let mut start = 0;
-            for (pair, &end) in pairs.iter_mut().zip(&ends) {
-                pair.score = percentile_mut(&mut samples[start..end], p);
+            for (score, &end) in scores.iter_mut().zip(&ends) {
+                *score = percentile_of_keys(&mut samples[start..end], p);
                 start = end;
             }
         }
     })
     .unwrap_or_else(|e| panic!("exact training failed: {e}"));
+    for (&id, score) in swept.iter().zip(scores) {
+        pairs[id as usize].score = score;
+    }
     pairs
 }
 
@@ -1004,8 +1122,8 @@ impl PairKey {
     }
 }
 
-/// One `(group, target)` pair of a training window, scored once by
-/// [`Predictor::grouped_scores`].
+/// One `(group, target)` pair of a training window, as
+/// [`Predictor::grouped_scores`] scores it.
 #[derive(Debug, Clone, Copy)]
 struct PairScore {
     pair: PairKey,
@@ -1470,26 +1588,49 @@ fn best_scored(scored: impl IntoIterator<Item = (Target, f64)>) -> Option<(Targe
 ///
 /// One sort of the rows by `(group, score, target_order)` puts every
 /// group's ranking in place, best first; the rankings are then copied,
-/// group after group, into the table's one flat vector. The ranking is
-/// total — a unique order per target — so rank 0 is exactly the
-/// single-best target, and the deeper ranks extend it without changing
-/// any served answer.
+/// group after group, into the table's one flat vector. The rows sort as
+/// integers: the group's [`PairKey`] word, the score's [`order_key`] and
+/// the target's code, which order as the group, `total_cmp` and
+/// [`target_order`] do. The ranking is total — a unique order per target —
+/// so rank 0 is exactly the single-best target, and the deeper ranks
+/// extend it without changing any served answer.
 fn choose(scores: impl Iterator<Item = (GroupKey, Target, f64)>) -> PredictionTable {
-    let mut rows: Vec<(GroupKey, RankedCandidate)> = scores
-        .map(|(key, target, score_ms)| (key, RankedCandidate { target, score_ms }))
+    let mut rows: Vec<(u64, u64, u32)> = scores
+        .map(|(key, target, score)| {
+            let group = PairKey::new(key, Target::Anycast).0;
+            (group, order_key(score), target_order(target))
+        })
         .collect();
-    rows.sort_unstable_by(|(ka, a), (kb, b)| {
-        ka.cmp(kb)
-            .then_with(|| a.score_ms.total_cmp(&b.score_ms))
-            .then_with(|| target_order(a.target).cmp(&target_order(b.target)))
-    });
-    let mut choices = HashMap::new();
+    sort_by_group(&mut rows, |row| row.0, |&row| row);
+    let mut choices = FastMap::default();
+    choices.reserve(rows.chunk_by(|a, b| a.0 == b.0).count());
     let mut ranked = Vec::with_capacity(rows.len());
     for group in rows.chunk_by(|a, b| a.0 == b.0) {
-        let ranking = group.iter().map(|&(_, candidate)| candidate);
-        choices.insert(group[0].0, PredictionTable::entry(&mut ranked, ranking));
+        let ranking = group.iter().map(|&(_, score, code)| RankedCandidate {
+            target: target_of_code(code as usize),
+            score_ms: from_order_key(score),
+        });
+        let entry = PredictionTable::entry(&mut ranked, ranking);
+        choices.insert(PairKey(group[0].0).group(), entry);
     }
     PredictionTable::from_parts(choices, ranked)
+}
+
+/// Sorts `rows` by `key`, whose order begins with the group word `group`
+/// reads off a row. Rows often come grouped already, groups ascending — a
+/// day stored by client, the aggregation walk's rows — and then only each
+/// group's few rows need ordering.
+fn sort_by_group<T, K: Ord>(
+    rows: &mut [T],
+    group: impl Fn(&T) -> u64,
+    key: impl Fn(&T) -> K + Copy,
+) {
+    if rows.is_sorted_by_key(&group) {
+        rows.chunk_by_mut(|a, b| group(a) == group(b))
+            .for_each(|run| run.sort_unstable_by_key(key));
+    } else {
+        rows.sort_unstable_by_key(key);
+    }
 }
 
 /// Deterministic tie-break: anycast wins ties (don't redirect without
@@ -1515,7 +1656,7 @@ mod tests {
     use anycast_beacon::{BeaconMeasurement, Slot};
     use anycast_netsim::{Prefix24, SiteId};
     use anycast_pipeline::mix64;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
     use std::net::Ipv4Addr;
 
     /// Every sample of a window, one column per `(group, target)` pair.
@@ -1546,7 +1687,7 @@ mod tests {
                 by_group.entry(key).or_default().push(candidate);
             }
         }
-        let (mut choices, mut ranked) = (HashMap::new(), Vec::new());
+        let (mut choices, mut ranked) = (FastMap::default(), Vec::new());
         for (key, mut ranking) in by_group {
             ranking.sort_by(|a, b| {
                 a.score_ms
@@ -2781,6 +2922,123 @@ mod tests {
                 for ranges in [1, 2, 3, 7] {
                     let got = kernel(&predictor, &ds, &[day], ranges, span);
                     assert_eq!(got, whole, "{grouping:?} span {span} at {ranges}");
+                }
+            }
+        }
+    }
+
+    /// The same rows in the layouts a window arrives in, as `(name,
+    /// rows)`: 40 /24s with one to three targets and 1–30 samples a pair
+    /// on day 0, a 200-row pair, a pair whose rows alternate between days
+    /// 0 and 1, and a pair with a NaN row.
+    fn layouts() -> Vec<(&'static str, Vec<BeaconMeasurement>)> {
+        let mut pairs: Vec<Vec<BeaconMeasurement>> = Vec::new();
+        let mut exec = 0;
+        for g in 0..40u8 {
+            let h = mix64(u64::from(g));
+            for t in 0..1 + h % 3 {
+                let target = if t == 0 {
+                    Target::Anycast
+                } else {
+                    site(t as u16)
+                };
+                let n = match (g, t) {
+                    (20, 0) => 200,
+                    _ => 1 + mix64(h ^ t) % 30,
+                };
+                let pair = (0..n).map(|i| {
+                    let hi = mix64(h ^ t << 32 ^ i << 40);
+                    let rtt = 20.0 + (hi % 5_000) as f64 / 100.0;
+                    let mut m =
+                        rows(exec + i, prefix(g), u32::from(g % 5), target, rtt, 1).remove(0);
+                    m.day = Day(u32::from(g == 7) * (i % 2) as u32);
+                    m.time_s = (hi >> 24) as f64 / (1u64 << 40) as f64 * 86_400.0;
+                    m
+                });
+                pairs.push(pair.collect());
+                exec += n;
+            }
+        }
+        pairs[5][1].rtt_ms = f64::NAN;
+        let client: Vec<BeaconMeasurement> = pairs.concat();
+        let mut time = client.clone();
+        time.sort_by(|a, b| { a.time_s }.total_cmp(&{ b.time_s }));
+        // Each pair's second half after every pair's first.
+        let (firsts, seconds): (Vec<_>, Vec<_>) = pairs
+            .iter()
+            .map(|pair| pair.split_at(pair.len() / 2))
+            .unzip();
+        let gap = [firsts.concat(), seconds.concat()].concat();
+        // The 200-row pair across the middle row, where two ranges meet.
+        let heavy = pairs
+            .iter()
+            .position(|pair| pair.len() == 200)
+            .expect("a heavy pair");
+        let mut seam: Vec<BeaconMeasurement> = pairs
+            .iter()
+            .enumerate()
+            .filter(|&(nth, _)| nth != heavy)
+            .flat_map(|(_, pair)| pair.iter().copied())
+            .collect();
+        let at = client.len() / 2 - 100;
+        seam.splice(at..at, pairs[heavy].iter().copied());
+        // The NaN row after every other row.
+        let mut nan_last = client.clone();
+        let nan = nan_last
+            .iter()
+            .position(|m| { m.rtt_ms }.is_nan())
+            .expect("a NaN row");
+        let row = nan_last.remove(nan);
+        nan_last.push(row);
+        vec![
+            ("client order", client),
+            ("time order", time),
+            ("recurring after a gap", gap),
+            ("a run across a range seam", seam),
+            ("the NaN row last", nan_last),
+        ]
+    }
+
+    #[test]
+    fn neither_row_layout_nor_range_count_shows_in_the_pairs() {
+        let predictor = Predictor::new(PredictorConfig::default());
+        let days = [Day(0), Day(1)];
+        let mut first_layout: Option<BTreeMap<PairKey, (usize, Option<u64>)>> = None;
+        for (layout, rows) in layouts() {
+            let mut ds = BeaconDataset::new();
+            ds.extend(rows);
+            let n = ds.len();
+            let one = kernel(&predictor, &ds, &days, 1, 1);
+            for ranges in [1, 2, 3, 7] {
+                for span in [1, 2, 7, n + 5] {
+                    let got = kernel(&predictor, &ds, &days, ranges, span);
+                    assert_eq!(got, one, "{layout}: {ranges} ranges, span {span}");
+                }
+            }
+            let by_pair: BTreeMap<_, _> = one
+                .iter()
+                .map(|&(pair, n, score)| (pair, (n, score)))
+                .collect();
+            assert_eq!(by_pair.len(), one.len(), "{layout}: each pair once");
+            match &first_layout {
+                Some(first) => assert_eq!(&by_pair, first, "{layout}"),
+                None => {
+                    // The pairs as the brute force reads them.
+                    let columns = columns(&predictor, &ds, &days);
+                    let want: BTreeMap<_, _> = columns
+                        .iter()
+                        .map(|(&(key, target), column)| {
+                            let score = percentile(column, predictor.cfg.metric.p());
+                            (
+                                PairKey::new(key, target),
+                                (column.len(), score.map(f64::to_bits)),
+                            )
+                        })
+                        .collect();
+                    assert_eq!(by_pair, want, "{layout}");
+                    let unscored = by_pair.values().filter(|(_, score)| score.is_none());
+                    assert_eq!(unscored.count(), 1, "the NaN row's pair");
+                    first_layout = Some(by_pair);
                 }
             }
         }

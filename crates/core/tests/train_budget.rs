@@ -144,13 +144,16 @@ fn training_holds_a_few_bytes_a_sample_and_no_slab_doubles() {
     let table = exact();
     assert!(table > GROUPS as usize * 99 / 100, "{table}");
 
-    // A `u32` pair id a row (4 B), one buffer of a chunk's samples
-    // a scoring thread, and the key maps, key lists, counts, last rows and
-    // scored pairs. A chunk holds 2^16 samples or more, so this day cuts
-    // into seven, dealt to the ranges: one a core, up to one a 2^16 rows.
-    // Measured 7.0 B a row at one range and 7.8 at two; a window-sized
-    // sample arena read 14.1–14.5. Each range past two adds a buffer. The
-    // largest block is a range's ids; the arena was one of 8 B a row.
+    // A `u32` pair id a row (4 B), the key maps, key lists, counts, first
+    // and last rows and scored pairs, and one buffer of a chunk's samples
+    // a sweeping thread. The day is stored by client, so the keying pass
+    // scores nearly every pair and the sweep holds only the samples of the
+    // pairs a range seam splits; a day in time order sweeps chunks of 2^16
+    // samples or more, dealt to the ranges: one a core, up to one a 2^16
+    // rows. Measured 6.5 B a row at one range and 6.4 at two (7.0 and 7.8
+    // with a chunk buffer a thread); a window-sized sample arena read
+    // 14.1–14.5. Each range past two adds a buffer. The largest block is a
+    // range's ids; the arena was one of 8 B a row.
     let (entries, peak, largest) = measured(exact);
     assert_eq!(entries, table);
     println!(

@@ -290,13 +290,7 @@ pub fn encode_response(
     rcode: u8,
     max_payload: usize,
 ) -> Vec<u8> {
-    let edns = q.edns.as_ref().map(|query_edns| Edns {
-        udp_payload: crate::server::SERVER_UDP_PAYLOAD,
-        ecs: query_edns.ecs.map(|e| WireEcs {
-            scope_prefix_len: answer.map(|a| a.ecs_scope).unwrap_or(0),
-            ..e
-        }),
-    });
+    let edns = echo_edns(q, answer.map_or(0, |a| a.ecs_scope));
     let header = Header {
         id: q.id,
         flags: Flags {
@@ -332,6 +326,19 @@ pub fn encode_response(
         return encode_truncated(q, &edns, rcode, max_payload);
     }
     out
+}
+
+/// The OPT record a response to `q` carries: one exactly when the query
+/// had one (RFC 6891 §7), advertising the server's payload size and
+/// echoing the query's ECS option with `scope_prefix_len`.
+pub(crate) fn echo_edns(q: &WireQuery, scope_prefix_len: u8) -> Option<Edns> {
+    q.edns.as_ref().map(|query_edns| Edns {
+        udp_payload: crate::server::SERVER_UDP_PAYLOAD,
+        ecs: query_edns.ecs.map(|e| WireEcs {
+            scope_prefix_len,
+            ..e
+        }),
+    })
 }
 
 /// Header + question (+ OPT when it fits) with TC=1.
@@ -399,7 +406,8 @@ fn txt_rdata_len(len: usize) -> usize {
 
 /// Encodes the CHAOS TXT metrics response. The payload is chunked into
 /// ≤255-byte character-strings inside one TXT record (TTL 0 — a scrape
-/// is never cacheable).
+/// is never cacheable). A query with an OPT record gets one back
+/// (echoing ECS at scope 0), after the answer.
 ///
 /// When the full message exceeds `max_payload` the text is trimmed to
 /// the last complete metric line that fits, so the response is always
@@ -408,10 +416,14 @@ fn txt_rdata_len(len: usize) -> usize {
 /// whatever the payload limit, so a spoofed source cannot turn a small
 /// query into a large reply.
 pub fn encode_chaos_txt(q: &WireQuery, text: &str, max_payload: usize) -> Vec<u8> {
+    let mut opt = Vec::new();
+    if let Some(edns) = echo_edns(q, 0) {
+        write_opt_record(&mut opt, &edns);
+    }
     // Header + uncompressed question + (owner pointer, type, class, ttl,
-    // rdlength) — everything except the RDATA itself.
+    // rdlength) + OPT — everything except the RDATA itself.
     let qname_wire = q.qname.as_str().len() + 2;
-    let overhead = HEADER_LEN + qname_wire + 4 + 12;
+    let overhead = HEADER_LEN + qname_wire + 4 + 12 + opt.len();
     let mut payload = text.as_bytes();
     if overhead + txt_rdata_len(payload.len()) > max_payload {
         // Largest byte budget whose chunked form fits, then back off to a
@@ -435,6 +447,7 @@ pub fn encode_chaos_txt(q: &WireQuery, text: &str, max_payload: usize) -> Vec<u8
         },
         qdcount: 1,
         ancount: 1,
+        arcount: u16::from(!opt.is_empty()),
         ..Header::default()
     };
     let mut out = Vec::with_capacity(overhead + txt_rdata_len(payload.len()));
@@ -455,6 +468,7 @@ pub fn encode_chaos_txt(q: &WireQuery, text: &str, max_payload: usize) -> Vec<u8
         out.push(chunk.len() as u8);
         out.extend_from_slice(chunk);
     }
+    out.extend_from_slice(&opt);
     debug_assert!(out.len() <= max_payload);
     out
 }

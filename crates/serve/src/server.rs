@@ -44,7 +44,8 @@ use anycast_geo::GeoPoint;
 use anycast_obs::{counter, histogram, HistogramSnapshot};
 
 use crate::message::{
-    decode_query, encode_chaos_txt, encode_response, encode_truncated, Edns, CHAOS_METRICS_QNAME,
+    decode_query, echo_edns, encode_chaos_txt, encode_response, encode_truncated, Edns,
+    CHAOS_METRICS_QNAME,
 };
 use crate::mmsg::{batch_io, BatchIo, PacketArena, MAX_BATCH};
 use crate::store::{CompiledTable, TableStore};
@@ -622,11 +623,7 @@ fn answer_batch(
     counts: &mut BatchCounts,
 ) {
     for i in 0..n {
-        let len = if arena.packet(i).is_empty() {
-            0
-        } else {
-            serve_packet(ctx, table, arena, i, overloaded, counts)
-        };
+        let len = serve_packet(ctx, table, arena, i, overloaded, counts);
         arena.set_response_len(i, len);
     }
 }
@@ -786,12 +783,15 @@ fn respond(
         // wire path queries take — no side listener. Over UDP the answer
         // is always TC=1, no longer than the query, steering the scraper
         // onto the TCP fallback: a UDP source can be spoofed, and a
-        // snapshot is kilobytes. Any other CHAOS question is refused like
-        // any other class we don't serve.
+        // snapshot is kilobytes. Either reply echoes the query's OPT, the
+        // UDP one only where that keeps it within the query's length. Any
+        // other CHAOS question is refused like any other class we don't
+        // serve.
         if q.qtype == TYPE_TXT && q.qname.as_str() == CHAOS_METRICS_QNAME {
             counter!("serve_chaos_scrapes_total").inc();
             if let Transport::Udp { .. } = transport {
-                return Some(encode_truncated(&q, &None, 0, max_payload));
+                let edns = echo_edns(&q, 0);
+                return Some(encode_truncated(&q, &edns, 0, max_payload.min(data.len())));
             }
             let text = anycast_obs::global().snapshot().to_prometheus();
             return Some(encode_chaos_txt(&q, &text, max_payload));
@@ -809,9 +809,12 @@ fn respond(
     Some(encode_response(&q, Some(&answer), 0, max_payload))
 }
 
-/// A question-less FORMERR response, if the packet at least carries an id.
+/// A question-less FORMERR response to a packet that failed to decode, if
+/// it has a whole header that asks (QR=0). A packet shorter than a header
+/// or one that is itself a response draws nothing: answering responses
+/// would let two servers answer each other forever.
 fn formerr_response(data: &[u8]) -> Option<Vec<u8>> {
-    if data.len() < 2 {
+    if data.len() < HEADER_LEN || data[2] & 0x80 != 0 {
         return None;
     }
     let header = Header {

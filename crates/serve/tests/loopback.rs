@@ -659,9 +659,11 @@ fn malformed_packets_get_formerr_and_are_counted() {
     let sock = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
     sock.set_read_timeout(Some(std::time::Duration::from_millis(2000)))
         .unwrap();
-    // A garbage packet that still has an id.
-    sock.send_to(&[0xAB, 0xCD, 0xFF, 0xFF, 0x00], server.local_addr())
-        .expect("send");
+    // A garbage query that still has a whole header: QR=0, two questions
+    // and no bytes for either. (A response, or a packet shorter than a
+    // header, draws no reply at all: `reply_rules.rs`.)
+    let garbage = [0xAB, 0xCD, 0x01, 0x00, 0, 2, 0, 0, 0, 0, 0, 0];
+    sock.send_to(&garbage, server.local_addr()).expect("send");
     let mut buf = [0u8; 512];
     let (n, _) = sock.recv_from(&mut buf).expect("formerr reply");
     assert!(n >= 12);

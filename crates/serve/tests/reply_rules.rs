@@ -1,0 +1,148 @@
+//! Which packets draw a reply, and what a scrape reply carries beside its
+//! answer, on the wire against a running server.
+//!
+//! A response (QR=1) or a packet shorter than a header is counted and
+//! never answered, so two servers cannot answer each other forever. A
+//! scrape reply echoes the query's OPT record, as every other reply does
+//! (RFC 6891 §7), over UDP (TC=1, no longer than the query) and over TCP.
+
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
+use std::time::Duration;
+
+use anycast_core::prediction::{Grouping, PredictionTable};
+use anycast_dns::DnsName;
+use anycast_netsim::CdnAddressing;
+use anycast_serve::message::{decode_response, encode_query, Edns, WireQuery};
+use anycast_serve::server::{DnsServer, LdnsDirectory, ServeConfig, SERVER_UDP_PAYLOAD};
+use anycast_serve::store::{CompiledTable, TableStore};
+use anycast_serve::wire::{CLASS_CHAOS, CLASS_IN, TYPE_A, TYPE_OPT, TYPE_TXT};
+use anycast_serve::CHAOS_METRICS_QNAME;
+
+/// A one-worker server over an empty ECS table: every A query is answered
+/// with the anycast address.
+fn server() -> DnsServer {
+    let plan = CdnAddressing::standard(8);
+    let table = CompiledTable::compile(&PredictionTable::default(), Grouping::Ecs, plan, 60, 1);
+    let mut cfg = ServeConfig::new(plan.anycast_ip());
+    cfg.workers = 1;
+    DnsServer::spawn_tables(cfg, Arc::new(TableStore::new(table)), LdnsDirectory::new())
+        .expect("server spawns")
+}
+
+fn query(id: u16, qname: &str, qtype: u16, qclass: u16, edns: Option<Edns>) -> Vec<u8> {
+    encode_query(&WireQuery {
+        id,
+        rd: false,
+        qname: DnsName::new(qname).expect("a valid name"),
+        qtype,
+        qclass,
+        edns,
+    })
+}
+
+fn udp_socket(timeout: Duration) -> UdpSocket {
+    let sock = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("socket binds");
+    sock.set_read_timeout(Some(timeout)).expect("timeout set");
+    sock
+}
+
+/// The reply to `wire` over TCP, unframed.
+fn tcp_exchange(server: SocketAddr, wire: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(server).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout set");
+    let mut frame = (wire.len() as u16).to_be_bytes().to_vec();
+    frame.extend_from_slice(wire);
+    stream.write_all(&frame).expect("query sent");
+    let mut len = [0u8; 2];
+    stream.read_exact(&mut len).expect("length read");
+    let mut reply = vec![0u8; usize::from(u16::from_be_bytes(len))];
+    stream.read_exact(&mut reply).expect("reply read");
+    reply
+}
+
+/// Past the name at `at`: labels up to the root, or up to a pointer.
+fn skip_name(msg: &[u8], mut at: usize) -> usize {
+    loop {
+        match msg[at] {
+            0 => return at + 1,
+            len if len & 0xC0 == 0xC0 => return at + 2,
+            len => at += 1 + usize::from(len),
+        }
+    }
+}
+
+/// ARCOUNT, and the OPT records of the additional section as `(CLASS,
+/// RDLENGTH)`. Walks every section, so a count that does not match the
+/// records, or bytes past the last one, fail here.
+fn additional(msg: &[u8]) -> (u16, Vec<(u16, u16)>) {
+    let count = |at: usize| u16::from_be_bytes([msg[at], msg[at + 1]]);
+    let (qd, an, ns, ar) = (count(4), count(6), count(8), count(10));
+    let mut at = 12;
+    for _ in 0..qd {
+        at = skip_name(msg, at) + 4;
+    }
+    let mut opts = Vec::new();
+    for nth in 0..u32::from(an) + u32::from(ns) + u32::from(ar) {
+        at = skip_name(msg, at);
+        let (rtype, class, rdlen) = (count(at), count(at + 2), count(at + 8));
+        if nth >= u32::from(an) + u32::from(ns) && rtype == TYPE_OPT {
+            opts.push((class, rdlen));
+        }
+        at += 10 + usize::from(rdlen);
+    }
+    assert_eq!(at, msg.len(), "the sections fill the message");
+    (ar, opts)
+}
+
+#[test]
+fn a_response_or_a_runt_draws_no_reply_and_the_next_query_is_answered() {
+    let server = server();
+    let sock = udp_socket(Duration::from_millis(200));
+    let mut buf = [0u8; 512];
+    // A FORMERR response header, as this server would send one, a packet
+    // shorter than any header, and an empty one.
+    let formerr = [0x12, 0x34, 0x80, 0x01, 0, 0, 0, 0, 0, 0, 0, 0];
+    for packet in [&formerr[..], &[0xAB, 0xCD, 0x00, 0x00, 0x00][..], &[][..]] {
+        sock.send_to(packet, server.local_addr()).expect("sent");
+        let got = sock.recv_from(&mut buf);
+        let quiet = got
+            .as_ref()
+            .is_err_and(|e| matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut));
+        assert!(quiet, "{packet:?} drew {got:?}");
+    }
+    let wire = query(0x5151, "www.example.com", TYPE_A, CLASS_IN, None);
+    sock.send_to(&wire, server.local_addr()).expect("sent");
+    let (n, _) = sock.recv_from(&mut buf).expect("the query is answered");
+    let reply = decode_response(&buf[..n]).expect("a response");
+    assert_eq!((reply.id, reply.rcode), (0x5151, 0));
+    assert_eq!(server.stats().decode_errors.load(Relaxed), 3);
+}
+
+#[test]
+fn scrape_replies_echo_the_querys_opt_over_udp_and_tcp() {
+    let server = server();
+    let sock = udp_socket(Duration::from_secs(2));
+    let mut buf = [0u8; 4096];
+    for edns in [None, Some(Edns::plain(4096))] {
+        let wire = query(0x0C4A, CHAOS_METRICS_QNAME, TYPE_TXT, CLASS_CHAOS, edns);
+        let want = match edns {
+            Some(_) => (1, vec![(SERVER_UDP_PAYLOAD, 0)]),
+            None => (0, Vec::new()),
+        };
+        sock.send_to(&wire, server.local_addr()).expect("sent");
+        let (n, _) = sock.recv_from(&mut buf).expect("the scrape is answered");
+        let udp = &buf[..n];
+        assert!(udp[2] & 0x02 != 0, "a UDP scrape comes back TC=1");
+        assert!(n <= wire.len(), "{n} bytes back for {}", wire.len());
+        assert_eq!(additional(udp), want, "UDP, query OPT {edns:?}");
+
+        let tcp = tcp_exchange(server.local_addr(), &wire);
+        assert_eq!(u16::from_be_bytes([tcp[6], tcp[7]]), 1, "one TXT answer");
+        assert_eq!(additional(&tcp), want, "TCP, query OPT {edns:?}");
+    }
+}
