@@ -9,9 +9,10 @@
 //! dependencies:
 //!
 //! * [`wire`] / [`message`] — an in-house RFC 1035 codec (header, question,
-//!   answer, name compression) plus EDNS0/RFC 7871 client-subnet options,
-//!   bridging [`anycast_dns::DnsAnswer`] and
-//!   [`anycast_dns::ecs::EcsOption`] onto real packets;
+//!   answer, compressed names on decode) plus EDNS0/RFC 7871 client-subnet
+//!   options, bridging [`anycast_dns::DnsAnswer`] and
+//!   [`anycast_dns::ecs::EcsOption`] onto real packets, and the one reply
+//!   encoder every reply comes from ([`message::encode_reply`]);
 //! * [`store`] — trained prediction tables compiled into immutable lookup
 //!   structures (a longest-prefix-match trie for ECS groups, sorted
 //!   arrays for LDNS groups), hot-swapped atomically while the server
@@ -50,10 +51,7 @@ pub mod template;
 pub mod wire;
 
 pub use client::{ServedAnswer, WireClient};
-pub use message::{
-    decode_chaos_txt, decode_query, decode_response, encode_chaos_txt, encode_query,
-    encode_response,
-};
+pub use message::{decode_chaos_txt, decode_query, decode_response, encode_query, encode_response};
 pub use message::{ChaosText, Edns, WireEcs, WireQuery, WireResponse, CHAOS_METRICS_QNAME};
 pub use mmsg::{batch_io, BatchIo, PacketArena};
 pub use replay::{day_queries, day_query_plan, ldns_directory, ldns_source_addr, QuerySpec};

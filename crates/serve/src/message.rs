@@ -6,6 +6,11 @@
 //! [`WireQuery`] keeps the *raw* ECS address from the wire (not just the
 //! derived /24) because RFC 7871 §7.1.4 requires the response to echo the
 //! source address and prefix length bit-for-bit.
+//!
+//! Every reply is built by one encoder, [`encode_reply`]: the header, the
+//! question as received, one [`Body`], then OPT. The template fast path
+//! ([`crate::template::write_response`]) patches the same bytes for an
+//! answer body.
 
 use std::net::Ipv4Addr;
 
@@ -13,9 +18,11 @@ use anycast_dns::ecs::EcsOption;
 use anycast_dns::{DnsAnswer, DnsName};
 use anycast_netsim::Prefix;
 
+use crate::server::SERVER_UDP_PAYLOAD;
+use crate::template::AnswerRr;
 use crate::wire::{
-    Cursor, Flags, Header, NameWriter, WireError, CLASS_CHAOS, CLASS_IN, HEADER_LEN, OPTION_ECS,
-    TYPE_A, TYPE_OPT, TYPE_TXT,
+    Cursor, Flags, Header, WireError, CLASS_CHAOS, CLASS_IN, HEADER_LEN, OPTION_ECS, TYPE_A,
+    TYPE_OPT, TYPE_TXT,
 };
 
 /// ECS option as carried on the wire (RFC 7871 §6).
@@ -113,17 +120,6 @@ pub struct WireResponse {
     pub ecs: Option<WireEcs>,
 }
 
-fn write_ecs_option(out: &mut Vec<u8>, ecs: &WireEcs) {
-    let addr_len = usize::from(ecs.source_prefix_len.div_ceil(8));
-    out.extend_from_slice(&OPTION_ECS.to_be_bytes());
-    out.extend_from_slice(&((4 + addr_len) as u16).to_be_bytes());
-    out.extend_from_slice(&1u16.to_be_bytes()); // FAMILY = IPv4
-    out.push(ecs.source_prefix_len);
-    out.push(ecs.scope_prefix_len);
-    let octets = mask_addr(ecs.addr, ecs.source_prefix_len).octets();
-    out.extend_from_slice(&octets[..addr_len]);
-}
-
 /// Zeroes address bits beyond `prefix_len`, per RFC 7871 §6.
 pub(crate) fn mask_addr(addr: Ipv4Addr, prefix_len: u8) -> Ipv4Addr {
     if prefix_len >= 32 {
@@ -137,18 +133,54 @@ pub(crate) fn mask_addr(addr: Ipv4Addr, prefix_len: u8) -> Ipv4Addr {
     Ipv4Addr::from(u32::from(addr) & mask)
 }
 
-fn write_opt_record(out: &mut Vec<u8>, edns: &Edns) {
-    out.push(0); // root name
-    out.extend_from_slice(&TYPE_OPT.to_be_bytes());
-    out.extend_from_slice(&edns.udp_payload.to_be_bytes());
-    out.extend_from_slice(&0u32.to_be_bytes()); // ext-rcode, version, flags
-    let rdlen_at = out.len();
-    out.extend_from_slice(&0u16.to_be_bytes());
-    if let Some(ecs) = &edns.ecs {
-        write_ecs_option(out, ecs);
+/// Wire length of the OPT record for an ECS option (or none): root
+/// owner, type, class, TTL and RDLENGTH, plus the option.
+#[inline]
+pub(crate) fn opt_record_len(ecs: Option<WireEcs>) -> usize {
+    11 + ecs.map_or(0, |e| 8 + usize::from(e.source_prefix_len.div_ceil(8)))
+}
+
+/// Writes the OPT record for `edns` at the start of `out` and returns its
+/// length: the root owner, the payload size as CLASS, a zero TTL
+/// (ext-rcode, version, flags), and the ECS option with its address
+/// masked to the source length (RFC 7871 §6).
+#[inline]
+pub(crate) fn write_opt(out: &mut [u8], edns: &Edns) -> usize {
+    let len = opt_record_len(edns.ecs);
+    let out = &mut out[..len];
+    let [t0, t1] = TYPE_OPT.to_be_bytes();
+    let [p0, p1] = edns.udp_payload.to_be_bytes();
+    let [r0, r1] = ((len - 11) as u16).to_be_bytes();
+    out[..11].copy_from_slice(&[0, t0, t1, p0, p1, 0, 0, 0, 0, r0, r1]);
+    if let Some(ecs) = edns.ecs {
+        let [c0, c1] = OPTION_ECS.to_be_bytes();
+        let [l0, l1] = ((len - 15) as u16).to_be_bytes();
+        let (source, scope) = (ecs.source_prefix_len, ecs.scope_prefix_len);
+        // Code, length, FAMILY 1 (IPv4), source and scope lengths.
+        out[11..19].copy_from_slice(&[c0, c1, l0, l1, 0, 1, source, scope]);
+        out[19..].copy_from_slice(&mask_addr(ecs.addr, source).octets()[..len - 19]);
     }
-    let rdlen = (out.len() - rdlen_at - 2) as u16;
-    out[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+    len
+}
+
+/// The OPT a reply carries for a query's `edns`: the server's payload size,
+/// and the query's ECS option echoed at `scope`.
+#[inline]
+pub(crate) fn reply_opt(edns: Edns, scope: u8) -> Edns {
+    Edns {
+        udp_payload: SERVER_UDP_PAYLOAD,
+        ecs: edns.ecs.map(|ecs| WireEcs {
+            scope_prefix_len: scope,
+            ..ecs
+        }),
+    }
+}
+
+/// Appends the OPT record for `edns`.
+fn write_opt_record(out: &mut Vec<u8>, edns: &Edns) {
+    let at = out.len();
+    out.resize(at + opt_record_len(edns.ecs), 0);
+    write_opt(&mut out[at..], edns);
 }
 
 /// Parses the RDATA of an OPT record into its ECS option (if present).
@@ -229,6 +261,14 @@ fn record_body<'a>(c: &mut Cursor<'a>) -> Result<(u16, u16, u32, &'a [u8]), Wire
 
 /// Decodes a query packet (QR must be 0; exactly one question).
 pub fn decode_query(buf: &[u8]) -> Result<WireQuery, WireError> {
+    decode_echo(buf).map(|(q, _)| q)
+}
+
+/// Decodes a query packet, and what its reply copies of it. The question
+/// must stand alone: a compression pointer in it (which could only point
+/// into the header or back into the question) is an error, so the
+/// question's bytes as received are `buf[12..12 + name + 4]`.
+pub fn decode_echo(buf: &[u8]) -> Result<(WireQuery, Echo<'_>), WireError> {
     let mut c = Cursor::new(buf);
     let h = Header::decode(&mut c)?;
     if h.flags.qr {
@@ -238,8 +278,15 @@ pub fn decode_query(buf: &[u8]) -> Result<WireQuery, WireError> {
         return Err(WireError::BadQuestionCount);
     }
     let qname = c.name()?;
+    // A pointer is two bytes standing for a suffix of one byte (the root)
+    // or of three or more, so the name's bytes in the packet number its
+    // wire length exactly when it holds none.
+    if c.pos() - HEADER_LEN != qname.as_str().len() + 2 {
+        return Err(WireError::CompressedQuestion);
+    }
     let qtype = c.u16()?;
     let qclass = c.u16()?;
+    let question = &buf[HEADER_LEN..c.pos()];
     // Answer/authority records in a query are tolerated but skipped.
     for _ in 0..u32::from(h.ancount) + u32::from(h.nscount) {
         c.name()?;
@@ -265,119 +312,202 @@ pub fn decode_query(buf: &[u8]) -> Result<WireQuery, WireError> {
             });
         }
     }
-    Ok(WireQuery {
+    let query = WireQuery {
         id: h.id,
         rd: h.flags.rd,
         qname,
         qtype,
         qclass,
         edns,
-    })
+    };
+    let echo = Echo {
+        id: h.id,
+        opcode: h.flags.opcode,
+        rd: h.flags.rd,
+        question,
+        edns,
+    };
+    Ok((query, echo))
 }
 
-/// Encodes an authoritative response to `q`.
+/// What a reply copies of the packet it answers: the header's id, opcode
+/// and RD, the question exactly as received, and the query's OPT.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Echo<'a> {
+    /// Transaction id.
+    pub id: u16,
+    /// Opcode (0 = standard query).
+    pub opcode: u8,
+    /// Recursion-desired bit.
+    pub rd: bool,
+    /// QNAME, QTYPE and QCLASS byte for byte as received (0x20 mixed case
+    /// included), or empty for a reply with no question.
+    pub question: &'a [u8],
+    /// The query's EDNS parameters, if it carried an OPT record.
+    pub edns: Option<Edns>,
+}
+
+impl<'a> Echo<'a> {
+    /// The echo of a packet that does not decode: its id, opcode and RD,
+    /// and no question. `None` for a packet shorter than a header or one
+    /// with QR=1: neither draws a reply, because answering responses would
+    /// let two servers answer each other forever.
+    pub fn header_only(buf: &'a [u8]) -> Option<Echo<'a>> {
+        let h = Header::decode(&mut Cursor::new(buf)).ok()?;
+        (!h.flags.qr).then_some(Echo {
+            id: h.id,
+            opcode: h.flags.opcode,
+            rd: h.flags.rd,
+            question: &[],
+            edns: None,
+        })
+    }
+}
+
+/// What a reply carries between its question and its OPT record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Body<'a> {
+    /// One A record, its owner a pointer to the question (the 16 baked
+    /// bytes of the [`AnswerRr`]), and the ECS scope the OPT echoes.
+    Answer(&'a AnswerRr, u8),
+    /// No record; the RCODE says why (NOERROR for a type this zone has no
+    /// data of, FORMERR, NOTIMP, REFUSED).
+    Rcode(u8),
+    /// No record and TC=1: retry over TCP.
+    Truncated,
+    /// One CHAOS TXT record (TTL 0) carrying the text in ≤255-byte
+    /// character-strings, trimmed at a line boundary to fit.
+    Text(&'a str),
+}
+
+/// Encodes the reply to `echo` into `out` (cleared first), in order:
+/// 1. the header: id, opcode and RD copied, QR and AA set;
+/// 2. the question, as received;
+/// 3. the body;
+/// 4. an OPT record advertising [`SERVER_UDP_PAYLOAD`] and echoing the
+///    query's ECS option at the body's scope (RFC 7871), if and only
+///    if the query carried OPT and it fits (RFC 6891 §7).
 ///
-/// * `answer` — `Some` for a normal A answer; `None` for an empty
-///   NOERROR/NXDOMAIN-style response (the `rcode` decides which).
-/// * `max_payload` — the client's effective payload limit. If the full
-///   response does not fit, a truncated (TC=1) header + question (+ OPT)
-///   is returned instead, telling the client to retry over TCP.
-/// * If the query carried ECS, the response echoes the option with the
-///   answer's scope prefix length (RFC 7871 §7.1.4).
+/// The size rule is applied here and nowhere else: an answer or
+/// rcode-only reply longer than `max_payload` is cut to the truncated
+/// body (TC=1, RCODE kept), and a text body is trimmed to the last whole
+/// line that fits. Returns whether the reply went out truncated.
+pub fn encode_reply(
+    out: &mut Vec<u8>,
+    echo: &Echo<'_>,
+    body: Body<'_>,
+    max_payload: usize,
+) -> bool {
+    let (rcode, scope) = match body {
+        Body::Answer(_, scope) => (0, scope),
+        Body::Rcode(rcode) => (rcode, 0),
+        Body::Truncated | Body::Text(_) => (0, 0),
+    };
+    let opt = echo.edns.map(|edns| reply_opt(edns, scope));
+    let opt_len = opt.map_or(0, |o| opt_record_len(o.ecs));
+    out.clear();
+    out.resize(HEADER_LEN, 0);
+    out.extend_from_slice(echo.question);
+    let question_end = out.len();
+    match body {
+        Body::Answer(rr, _) => out.extend_from_slice(rr.bytes()),
+        Body::Text(text) => write_txt(out, text, max_payload.saturating_sub(opt_len)),
+        Body::Rcode(_) | Body::Truncated => {}
+    }
+    let mut tc = body == Body::Truncated;
+    if out.len() + opt_len > max_payload {
+        out.truncate(question_end);
+        tc = true;
+    }
+    let answered = out.len() > question_end;
+    let opt = opt.filter(|_| out.len() + opt_len <= max_payload);
+    if let Some(opt) = &opt {
+        write_opt_record(out, opt);
+    }
+    let header = Header {
+        id: echo.id,
+        flags: Flags {
+            qr: true,
+            opcode: echo.opcode,
+            aa: true,
+            tc,
+            rd: echo.rd,
+            rcode,
+            ..Flags::default()
+        },
+        qdcount: u16::from(!echo.question.is_empty()),
+        ancount: u16::from(answered),
+        nscount: 0,
+        arcount: u16::from(opt.is_some()),
+    };
+    out[..HEADER_LEN].copy_from_slice(&header.to_bytes());
+    tc
+}
+
+/// Wire size of a TXT RDATA carrying `len` payload bytes: one length
+/// octet per ≤255-byte character-string chunk.
+fn txt_rdata_len(len: usize) -> usize {
+    len + len.div_ceil(255).max(1)
+}
+
+/// Appends the CHAOS TXT record for `text`, owned by the question,
+/// trimmed to the last whole line that keeps the message within `limit`
+/// bytes. If not even an empty record fits, the caller's size rule cuts
+/// the record.
+fn write_txt(out: &mut Vec<u8>, text: &str, limit: usize) {
+    // Owner pointer, type, class, TTL and RDLENGTH.
+    let overhead = out.len() + 12;
+    let mut payload = text.as_bytes();
+    if overhead + txt_rdata_len(payload.len()) > limit {
+        // The largest byte budget whose chunked form fits, backed off to a
+        // line boundary so the scrape output stays parseable.
+        let budget = limit.saturating_sub(overhead);
+        let mut keep = budget.saturating_sub(budget / 255 + 1);
+        while keep > 0 && (overhead + txt_rdata_len(keep) > limit || payload[keep - 1] != b'\n') {
+            keep -= 1;
+        }
+        payload = &payload[..keep];
+    }
+    out.extend_from_slice(&[0xC0, HEADER_LEN as u8]);
+    out.extend_from_slice(&TYPE_TXT.to_be_bytes());
+    out.extend_from_slice(&CLASS_CHAOS.to_be_bytes());
+    out.extend_from_slice(&0u32.to_be_bytes());
+    out.extend_from_slice(&(txt_rdata_len(payload.len()) as u16).to_be_bytes());
+    if payload.is_empty() {
+        out.push(0);
+    }
+    for chunk in payload.chunks(255) {
+        out.push(chunk.len() as u8);
+        out.extend_from_slice(chunk);
+    }
+}
+
+/// [`encode_reply`] for a decoded query: an answer body when `answer` is
+/// `Some`, else an rcode-only body with `rcode`. A [`WireQuery`] holds no
+/// raw bytes, so the question is re-encoded from `q.qname` (lower case)
+/// and the opcode is 0. Kept only for `benchmark/src/adapter.rs`
+/// (ROADMAP item 1a); the server calls [`encode_reply`].
 pub fn encode_response(
     q: &WireQuery,
     answer: Option<&DnsAnswer>,
     rcode: u8,
     max_payload: usize,
 ) -> Vec<u8> {
-    let edns = echo_edns(q, answer.map_or(0, |a| a.ecs_scope));
-    let header = Header {
+    let query = encode_query(q);
+    let echo = Echo {
         id: q.id,
-        flags: Flags {
-            qr: true,
-            aa: true,
-            rd: q.rd,
-            rcode,
-            ..Flags::default()
-        },
-        qdcount: 1,
-        ancount: u16::from(answer.is_some()),
-        arcount: u16::from(edns.is_some()),
-        ..Header::default()
+        opcode: 0,
+        rd: q.rd,
+        question: &query[HEADER_LEN..HEADER_LEN + q.qname.as_str().len() + 6],
+        edns: q.edns,
+    };
+    let rr = answer.map(|a| (AnswerRr::new(a.addr, a.ttl_s), a.ecs_scope));
+    let body = match &rr {
+        Some((rr, scope)) => Body::Answer(rr, *scope),
+        None => Body::Rcode(rcode),
     };
     let mut out = Vec::with_capacity(128);
-    header.encode(&mut out);
-    let mut names = NameWriter::new();
-    names.write(&mut out, &q.qname);
-    out.extend_from_slice(&q.qtype.to_be_bytes());
-    out.extend_from_slice(&q.qclass.to_be_bytes());
-    if let Some(a) = answer {
-        names.write(&mut out, &q.qname);
-        out.extend_from_slice(&TYPE_A.to_be_bytes());
-        out.extend_from_slice(&CLASS_IN.to_be_bytes());
-        out.extend_from_slice(&a.ttl_s.to_be_bytes());
-        out.extend_from_slice(&4u16.to_be_bytes());
-        out.extend_from_slice(&a.addr.octets());
-    }
-    if let Some(edns) = &edns {
-        write_opt_record(&mut out, edns);
-    }
-    if out.len() > max_payload {
-        return encode_truncated(q, &edns, rcode, max_payload);
-    }
-    out
-}
-
-/// The OPT record a response to `q` carries: one exactly when the query
-/// had one (RFC 6891 §7), advertising the server's payload size and
-/// echoing the query's ECS option with `scope_prefix_len`.
-pub(crate) fn echo_edns(q: &WireQuery, scope_prefix_len: u8) -> Option<Edns> {
-    q.edns.as_ref().map(|query_edns| Edns {
-        udp_payload: crate::server::SERVER_UDP_PAYLOAD,
-        ecs: query_edns.ecs.map(|e| WireEcs {
-            scope_prefix_len,
-            ..e
-        }),
-    })
-}
-
-/// Header + question (+ OPT when it fits) with TC=1.
-pub(crate) fn encode_truncated(
-    q: &WireQuery,
-    edns: &Option<Edns>,
-    rcode: u8,
-    max_payload: usize,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    let mut header = Header {
-        id: q.id,
-        flags: Flags {
-            qr: true,
-            aa: true,
-            tc: true,
-            rd: q.rd,
-            rcode,
-            ..Flags::default()
-        },
-        qdcount: 1,
-        ..Header::default()
-    };
-    header.encode(&mut out);
-    crate::wire::write_name_uncompressed(&mut out, &q.qname);
-    out.extend_from_slice(&q.qtype.to_be_bytes());
-    out.extend_from_slice(&q.qclass.to_be_bytes());
-    if let Some(edns) = edns {
-        let with_opt = out.len();
-        write_opt_record(&mut out, edns);
-        if out.len() > max_payload {
-            out.truncate(with_opt);
-        } else {
-            header.arcount = 1;
-            let mut fixed = Vec::with_capacity(HEADER_LEN);
-            header.encode(&mut fixed);
-            out[..HEADER_LEN].copy_from_slice(&fixed);
-        }
-    }
+    encode_reply(&mut out, &echo, body, max_payload);
     out
 }
 
@@ -396,81 +526,6 @@ pub struct ChaosText {
     pub rcode: u8,
     /// The concatenated TXT character-strings — Prometheus text.
     pub text: String,
-}
-
-/// Wire size of a TXT RDATA carrying `len` payload bytes: one length
-/// octet per ≤255-byte character-string chunk.
-fn txt_rdata_len(len: usize) -> usize {
-    len + len.div_ceil(255).max(1)
-}
-
-/// Encodes the CHAOS TXT metrics response. The payload is chunked into
-/// ≤255-byte character-strings inside one TXT record (TTL 0 — a scrape
-/// is never cacheable). A query with an OPT record gets one back
-/// (echoing ECS at scope 0), after the answer.
-///
-/// When the full message exceeds `max_payload` the text is trimmed to
-/// the last complete metric line that fits, so the response is always
-/// valid exposition text. The server answers a scrape this way over TCP
-/// only: over UDP it sends a TC=1 header + question (`encode_truncated`),
-/// whatever the payload limit, so a spoofed source cannot turn a small
-/// query into a large reply.
-pub fn encode_chaos_txt(q: &WireQuery, text: &str, max_payload: usize) -> Vec<u8> {
-    let mut opt = Vec::new();
-    if let Some(edns) = echo_edns(q, 0) {
-        write_opt_record(&mut opt, &edns);
-    }
-    // Header + uncompressed question + (owner pointer, type, class, ttl,
-    // rdlength) + OPT — everything except the RDATA itself.
-    let qname_wire = q.qname.as_str().len() + 2;
-    let overhead = HEADER_LEN + qname_wire + 4 + 12 + opt.len();
-    let mut payload = text.as_bytes();
-    if overhead + txt_rdata_len(payload.len()) > max_payload {
-        // Largest byte budget whose chunked form fits, then back off to a
-        // line boundary so the scrape output stays parseable.
-        let budget = max_payload.saturating_sub(overhead);
-        let mut keep = budget.saturating_sub(budget / 255 + 1);
-        while keep > 0
-            && (overhead + txt_rdata_len(keep) > max_payload || payload[keep - 1] != b'\n')
-        {
-            keep -= 1;
-        }
-        payload = &payload[..keep];
-    }
-    let header = Header {
-        id: q.id,
-        flags: Flags {
-            qr: true,
-            aa: true,
-            rd: q.rd,
-            ..Flags::default()
-        },
-        qdcount: 1,
-        ancount: 1,
-        arcount: u16::from(!opt.is_empty()),
-        ..Header::default()
-    };
-    let mut out = Vec::with_capacity(overhead + txt_rdata_len(payload.len()));
-    header.encode(&mut out);
-    let mut names = NameWriter::new();
-    names.write(&mut out, &q.qname);
-    out.extend_from_slice(&q.qtype.to_be_bytes());
-    out.extend_from_slice(&q.qclass.to_be_bytes());
-    names.write(&mut out, &q.qname);
-    out.extend_from_slice(&TYPE_TXT.to_be_bytes());
-    out.extend_from_slice(&CLASS_CHAOS.to_be_bytes());
-    out.extend_from_slice(&0u32.to_be_bytes());
-    out.extend_from_slice(&(txt_rdata_len(payload.len()) as u16).to_be_bytes());
-    if payload.is_empty() {
-        out.push(0);
-    }
-    for chunk in payload.chunks(255) {
-        out.push(chunk.len() as u8);
-        out.extend_from_slice(chunk);
-    }
-    out.extend_from_slice(&opt);
-    debug_assert!(out.len() <= max_payload);
-    out
 }
 
 /// Decodes a CHAOS TXT response, concatenating every character-string in
@@ -731,15 +786,22 @@ mod tests {
         assert_eq!(got.edns.unwrap().ecs, None);
     }
 
-    fn chaos_query() -> WireQuery {
-        WireQuery {
+    /// The scrape question, echoed as a server would: `metrics.bind`
+    /// TXT CH, its reply written by `encode_reply` with `body`.
+    fn chaos_reply(body: Body<'_>, max_payload: usize) -> Vec<u8> {
+        let q = WireQuery {
             id: 0x77AA,
             rd: false,
             qname: DnsName::new(CHAOS_METRICS_QNAME).unwrap(),
             qtype: TYPE_TXT,
             qclass: CLASS_CHAOS,
             edns: None,
-        }
+        };
+        let wire = encode_query(&q);
+        let (_, echo) = decode_echo(&wire).unwrap();
+        let mut out = Vec::new();
+        encode_reply(&mut out, &echo, body, max_payload);
+        out
     }
 
     #[test]
@@ -747,10 +809,8 @@ mod tests {
         // Over 255 bytes forces multiple character-string chunks.
         let text: String = (0..40).map(|i| format!("metric_{i}_total {i}\n")).collect();
         assert!(text.len() > 255);
-        let q = chaos_query();
-        let wire = encode_chaos_txt(&q, &text, 65535);
-        let got = decode_chaos_txt(&wire).unwrap();
-        assert_eq!(got.id, q.id);
+        let got = decode_chaos_txt(&chaos_reply(Body::Text(&text), 65535)).unwrap();
+        assert_eq!(got.id, 0x77AA);
         assert!(!got.tc);
         assert_eq!(got.rcode, 0);
         assert_eq!(got.text, text);
@@ -759,7 +819,7 @@ mod tests {
     #[test]
     fn chaos_txt_over_udp_truncates_instead_of_trimming() {
         // What the server sends a UDP scrape, whatever the text's size.
-        let wire = encode_truncated(&chaos_query(), &None, 0, 512);
+        let wire = chaos_reply(Body::Truncated, 512);
         assert!(wire.len() <= 512);
         let got = decode_chaos_txt(&wire).unwrap();
         assert!(got.tc, "a UDP scrape must set TC");
@@ -770,7 +830,7 @@ mod tests {
     fn chaos_txt_over_tcp_trims_at_a_line_boundary() {
         let text = "some_metric_total 123\n".repeat(5000);
         let cap = 4096;
-        let wire = encode_chaos_txt(&chaos_query(), &text, cap);
+        let wire = chaos_reply(Body::Text(&text), cap);
         assert!(wire.len() <= cap);
         let got = decode_chaos_txt(&wire).unwrap();
         assert!(!got.tc);
@@ -781,8 +841,7 @@ mod tests {
 
     #[test]
     fn chaos_txt_empty_payload_is_one_empty_string() {
-        let wire = encode_chaos_txt(&chaos_query(), "", 512);
-        let got = decode_chaos_txt(&wire).unwrap();
+        let got = decode_chaos_txt(&chaos_reply(Body::Text(""), 512)).unwrap();
         assert!(!got.tc);
         assert_eq!(got.text, "");
     }

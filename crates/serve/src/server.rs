@@ -39,26 +39,31 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use anycast_dns::{DnsAnswer, LdnsId};
+use anycast_dns::LdnsId;
 use anycast_geo::GeoPoint;
 use anycast_obs::{counter, histogram, HistogramSnapshot};
 
-use crate::message::{
-    decode_query, echo_edns, encode_chaos_txt, encode_response, encode_truncated, Edns,
-    CHAOS_METRICS_QNAME,
-};
+use crate::message::{decode_echo, encode_reply, Body, Echo, Edns, CHAOS_METRICS_QNAME};
 use crate::mmsg::{batch_io, BatchIo, PacketArena, MAX_BATCH};
 use crate::store::{CompiledTable, TableStore};
 use crate::template::{response_len, write_response, AnswerRr, QueryView};
-use crate::wire::{
-    Flags, Header, CLASSIC_UDP_LIMIT, CLASS_CHAOS, CLASS_IN, HEADER_LEN, TYPE_A, TYPE_TXT,
-};
+use crate::wire::{CLASSIC_UDP_LIMIT, CLASS_CHAOS, CLASS_IN, HEADER_LEN, TYPE_A, TYPE_TXT};
 
 /// UDP payload size the server advertises in its OPT records.
 pub const SERVER_UDP_PAYLOAD: u16 = 1232;
 
+/// The most bytes a UDP reply can exceed its query by: one A record whose
+/// owner is a pointer to the question. The rest of a reply copies the
+/// query's header and question, its OPT is no longer than the query's,
+/// and a scrape is cut to the query's length, so a spoofed source gets
+/// back at most this much more than it sent. `reply_conformance.rs`
+/// asserts it over its whole query domain.
+pub const MAX_UDP_REPLY_GROWTH: usize = 16;
+
 /// RCODE: format error.
 pub const RCODE_FORMERR: u8 = 1;
+/// RCODE: not implemented — the answer to every opcode but QUERY.
+pub const RCODE_NOTIMP: u8 = 4;
 /// RCODE: refused.
 pub const RCODE_REFUSED: u8 = 5;
 
@@ -247,8 +252,8 @@ struct BatchCounts {
     scopes: HistogramSnapshot,
     /// Length of each response sent.
     response_bytes: HistogramSnapshot,
-    udp: u64,
-    tcp: u64,
+    udp_queries: u64,
+    tcp_queries: u64,
     decode_errors: u64,
     degraded: u64,
     truncated: u64,
@@ -305,57 +310,30 @@ impl BatchCounts {
             self.scopes.clear();
             self.response_bytes.clear();
         }
-        if self.udp > 0 {
-            stats.udp_queries.fetch_add(self.udp, Ordering::Relaxed);
-            counter!("serve_udp_queries_total").add(self.udp);
+        // Each tally goes to its `ServeStats` atomic and its obs counter,
+        // then back to zero; a zero tally registers nothing.
+        macro_rules! flush {
+            ($($field:ident => $name:literal,)*) => {$(
+                let n = std::mem::take(&mut self.$field);
+                if n > 0 {
+                    stats.$field.fetch_add(n, Ordering::Relaxed);
+                    counter!($name).add(n);
+                }
+            )*};
         }
-        if self.tcp > 0 {
-            stats.tcp_queries.fetch_add(self.tcp, Ordering::Relaxed);
-            counter!("serve_tcp_queries_total").add(self.tcp);
-        }
-        if self.decode_errors > 0 {
-            stats
-                .decode_errors
-                .fetch_add(self.decode_errors, Ordering::Relaxed);
-            counter!("serve_decode_errors_total").add(self.decode_errors);
-        }
-        if self.degraded > 0 {
-            stats.degraded.fetch_add(self.degraded, Ordering::Relaxed);
-            counter!("serve_degraded_answers_total").add(self.degraded);
-        }
-        if self.truncated > 0 {
-            stats.truncated.fetch_add(self.truncated, Ordering::Relaxed);
-            counter!("serve_truncated_responses_total").add(self.truncated);
-        }
-        if self.unknown_ldns > 0 {
-            stats
-                .unknown_ldns
-                .fetch_add(self.unknown_ldns, Ordering::Relaxed);
-            counter!("serve_unknown_ldns_total").add(self.unknown_ldns);
-        }
-        if self.template_hits > 0 {
-            stats
-                .template_hits
-                .fetch_add(self.template_hits, Ordering::Relaxed);
-            counter!("serve_template_hits_total").add(self.template_hits);
-        }
-        if self.template_misses > 0 {
-            stats
-                .template_misses
-                .fetch_add(self.template_misses, Ordering::Relaxed);
-            counter!("serve_template_misses_total").add(self.template_misses);
+        flush! {
+            udp_queries => "serve_udp_queries_total",
+            tcp_queries => "serve_tcp_queries_total",
+            decode_errors => "serve_decode_errors_total",
+            degraded => "serve_degraded_answers_total",
+            truncated => "serve_truncated_responses_total",
+            unknown_ldns => "serve_unknown_ldns_total",
+            template_hits => "serve_template_hits_total",
+            template_misses => "serve_template_misses_total",
         }
         stats.note_answered_bulk(&self.answered);
         self.answered.clear();
         self.overload_batches = 0;
-        self.udp = 0;
-        self.tcp = 0;
-        self.decode_errors = 0;
-        self.degraded = 0;
-        self.truncated = 0;
-        self.unknown_ldns = 0;
-        self.template_hits = 0;
-        self.template_misses = 0;
     }
 }
 
@@ -638,7 +616,7 @@ fn serve_packet(
     overloaded: bool,
     counts: &mut BatchCounts,
 ) -> usize {
-    counts.udp += 1;
+    counts.udp_queries += 1;
     let (data, out, src) = arena.io_slot(i);
     // The zero-alloc fast path: a templatable query whose response fits
     // the UDP limit. Any gate failing falls through to the full
@@ -657,10 +635,6 @@ fn serve_packet(
             // The UDP limit never exceeds the send slot, and a reply over
             // the limit shrinks to header and question: every reply fits.
             Some(resp) => {
-                if resp.len() >= HEADER_LEN && resp[2] & 0x02 != 0 {
-                    // TC bit set in the encoded header.
-                    counts.truncated += 1;
-                }
                 out[..resp.len()].copy_from_slice(&resp);
                 resp.len()
             }
@@ -717,7 +691,7 @@ fn serve_tcp_conn(ctx: &ServeCtx, mut stream: TcpStream, src: SocketAddr) -> std
         let len = usize::from(u16::from_be_bytes(len_buf));
         data.resize(len, 0);
         stream.read_exact(&mut data)?;
-        counts.tcp += 1;
+        counts.tcp_queries += 1;
         let table = ctx.tables.load();
         let resp = respond(ctx, &table, &mut counts, &data, src, Transport::Tcp);
         if let Some(resp) = &resp {
@@ -751,9 +725,10 @@ enum Transport {
     Tcp,
 }
 
-/// Decodes one query and produces the response bytes, if any. The full
-/// (allocating) path: behavioral reference for FORMERR, REFUSED,
-/// truncation, and every non-templatable shape.
+/// Decodes one packet and encodes its reply, if it draws one: the full
+/// (allocating) path, for every packet the template declines. This is the
+/// one decision of which body a packet gets; [`encode_reply`] lays it out
+/// and applies the size rule.
 fn respond(
     ctx: &ServeCtx,
     table: &CompiledTable,
@@ -762,14 +737,17 @@ fn respond(
     src: SocketAddr,
     transport: Transport,
 ) -> Option<Vec<u8>> {
-    let q = match decode_query(data) {
-        Ok(q) => q,
+    let mut out = Vec::with_capacity(128);
+    let (q, echo) = match decode_echo(data) {
+        Ok(decoded) => decoded,
         Err(_) => {
             counts.decode_errors += 1;
-            return formerr_response(data);
+            let echo = Echo::header_only(data)?;
+            encode_reply(&mut out, &echo, Body::Rcode(RCODE_FORMERR), HEADER_LEN);
+            return Some(out);
         }
     };
-    let (max_payload, overloaded) = match transport {
+    let (mut max_payload, overloaded) = match transport {
         Transport::Tcp => (TCP_MAX_MESSAGE, false),
         Transport::Udp { overloaded } => {
             counts.template_misses += 1;
@@ -777,57 +755,42 @@ fn respond(
             (limit, overloaded)
         }
     };
-    if q.qclass == CLASS_CHAOS {
+    let text;
+    let body = if echo.opcode != 0 {
+        Body::Rcode(RCODE_NOTIMP)
+    } else if q.qclass == CLASS_CHAOS
+        && q.qtype == TYPE_TXT
+        && q.qname.as_str() == CHAOS_METRICS_QNAME
+    {
         // The in-band scrape endpoint: `TXT metrics.bind CH` answers a
         // Prometheus-text snapshot of the metrics registry over the same
         // wire path queries take — no side listener. Over UDP the answer
         // is always TC=1, no longer than the query, steering the scraper
         // onto the TCP fallback: a UDP source can be spoofed, and a
-        // snapshot is kilobytes. Either reply echoes the query's OPT, the
-        // UDP one only where that keeps it within the query's length. Any
-        // other CHAOS question is refused like any other class we don't
-        // serve.
-        if q.qtype == TYPE_TXT && q.qname.as_str() == CHAOS_METRICS_QNAME {
-            counter!("serve_chaos_scrapes_total").inc();
-            if let Transport::Udp { .. } = transport {
-                let edns = echo_edns(&q, 0);
-                return Some(encode_truncated(&q, &edns, 0, max_payload.min(data.len())));
+        // snapshot is kilobytes.
+        counter!("serve_chaos_scrapes_total").inc();
+        match transport {
+            Transport::Udp { .. } => {
+                max_payload = max_payload.min(data.len());
+                Body::Truncated
             }
-            let text = anycast_obs::global().snapshot().to_prometheus();
-            return Some(encode_chaos_txt(&q, &text, max_payload));
+            Transport::Tcp => {
+                text = anycast_obs::global().snapshot().to_prometheus();
+                Body::Text(&text)
+            }
         }
-        return Some(encode_response(&q, None, RCODE_REFUSED, max_payload));
-    }
-    if q.qclass != CLASS_IN {
-        return Some(encode_response(&q, None, RCODE_REFUSED, max_payload));
-    }
-    if q.qtype != TYPE_A {
-        return Some(encode_response(&q, None, 0, max_payload));
-    }
-    let (rr, scope) = ctx.decide(table, src, q.edns, overloaded, counts);
-    let answer = DnsAnswer::scoped(rr.addr(), rr.ttl_s(), scope);
-    Some(encode_response(&q, Some(&answer), 0, max_payload))
-}
-
-/// A question-less FORMERR response to a packet that failed to decode, if
-/// it has a whole header that asks (QR=0). A packet shorter than a header
-/// or one that is itself a response draws nothing: answering responses
-/// would let two servers answer each other forever.
-fn formerr_response(data: &[u8]) -> Option<Vec<u8>> {
-    if data.len() < HEADER_LEN || data[2] & 0x80 != 0 {
-        return None;
-    }
-    let header = Header {
-        id: u16::from_be_bytes([data[0], data[1]]),
-        flags: Flags {
-            qr: true,
-            rcode: RCODE_FORMERR,
-            ..Flags::default()
-        },
-        ..Header::default()
+    } else if q.qclass != CLASS_IN {
+        // Any other CHAOS question, and every class we don't serve.
+        Body::Rcode(RCODE_REFUSED)
+    } else if q.qtype != TYPE_A {
+        Body::Rcode(0)
+    } else {
+        let (rr, scope) = ctx.decide(table, src, q.edns, overloaded, counts);
+        Body::Answer(rr, scope)
     };
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    header.encode(&mut out);
+    if encode_reply(&mut out, &echo, body, max_payload) {
+        counts.truncated += 1;
+    }
     Some(out)
 }
 

@@ -3,31 +3,31 @@
 //!
 //! The steady-state query mix at an authoritative CDN front end is almost
 //! entirely well-formed `A`/`IN` questions with at most one OPT record.
-//! For exactly that shape, the full [`crate::message::encode_response`]
-//! pipeline (decode → `DnsName` → `NameWriter` compression → `Vec` pushes)
-//! is deterministic boilerplate: the question echoes the query's raw
+//! For exactly that shape, [`crate::message::encode_reply`] with an answer
+//! body is deterministic boilerplate: the question echoes the query's raw
 //! bytes, the answer RR is a fixed 16-byte pattern per `(addr, ttl)` pair
 //! baked at table-compile time ([`AnswerRr`]), and the OPT/ECS scaffolding
 //! depends only on fields a cheap scan extracts. So the hot path:
 //!
 //! 1. [`QueryView::parse`] scans the packet without allocating. It
-//!    succeeds only when the raw question bytes are *provably identical*
-//!    to what the encoder would re-emit (pointer-free, canonical
-//!    lowercase labels) — otherwise it returns `None` and the caller
-//!    falls back to the full decode/encode path, which remains the
-//!    behavioral reference for FORMERR, REFUSED, truncation, etc.
+//!    succeeds only for a standard query (opcode 0) whose raw question is
+//!    pointer-free, canonical lowercase and `A`/`IN`, with at most one
+//!    additional record, a well-formed OPT — otherwise it returns `None`
+//!    and the caller falls back to decode → [`crate::message::encode_reply`],
+//!    which decides FORMERR, NOTIMP, REFUSED, truncation and the 0x20
+//!    mixed-case echo.
 //! 2. [`write_response`] patches txid, flags, question echo, the baked
 //!    answer RR, and the ECS scope straight into the caller's send slot.
 //!
-//! Byte-for-byte equivalence with the full encoder is pinned by the unit
-//! tests here, a proptest across ECS source lengths and txids, and the
-//! CI golden-drift guard.
+//! That the patched bytes equal `encode_reply`'s is pinned by the unit
+//! tests here, a property across ECS source lengths and txids
+//! (`tests/props.rs`), and the wire conformance property over every
+//! reply (`tests/reply_conformance.rs`).
 
 use std::net::Ipv4Addr;
 
-use crate::message::{mask_addr, parse_opt_rdata, Edns};
-use crate::server::SERVER_UDP_PAYLOAD;
-use crate::wire::{CLASS_IN, HEADER_LEN, OPTION_ECS, TYPE_A, TYPE_OPT};
+use crate::message::{opt_record_len, parse_opt_rdata, reply_opt, write_opt, Edns};
+use crate::wire::{CLASS_IN, HEADER_LEN, TYPE_A, TYPE_OPT};
 
 /// Maximum text length of a DNS name (dot-joined), per RFC 1035.
 const MAX_NAME_TEXT: usize = 253;
@@ -44,8 +44,8 @@ pub struct AnswerRr {
 
 impl AnswerRr {
     /// Bakes the wire form of `addr` with `ttl_s`. The owner name is a
-    /// compression pointer to the question at offset 12, exactly what
-    /// [`crate::wire::NameWriter`] emits for the repeated QNAME.
+    /// compression pointer to the question at offset 12; these are the
+    /// bytes [`crate::message::encode_reply`] writes for an answer body.
     pub fn new(addr: Ipv4Addr, ttl_s: u32) -> AnswerRr {
         let mut bytes = [0u8; 16];
         bytes[0] = 0xC0;
@@ -98,7 +98,8 @@ impl<'a> QueryView<'a> {
     /// encoder, fed the decoded form of `buf`, would emit exactly what
     /// [`write_response`] patches. Gate, in order:
     ///
-    /// * header: QR=0, QDCOUNT=1, ANCOUNT=0, NSCOUNT=0, ARCOUNT≤1;
+    /// * header: QR=0, opcode 0, QDCOUNT=1, ANCOUNT=0, NSCOUNT=0,
+    ///   ARCOUNT≤1 (any other opcode draws NOTIMP on the slow path);
     /// * QNAME: pointer-free and already in canonical `DnsName` form —
     ///   labels 1..=63 of `[a-z0-9-]` with no leading/trailing hyphen,
     ///   dot-joined text ≤ 253 — so the raw bytes equal the encoder's
@@ -117,8 +118,8 @@ impl<'a> QueryView<'a> {
         }
         let id = u16::from_be_bytes([buf[0], buf[1]]);
         let flags = u16::from_be_bytes([buf[2], buf[3]]);
-        if flags & 0x8000 != 0 {
-            return None; // QR=1: not a query
+        if flags & 0xF800 != 0 {
+            return None; // QR=1 (not a query) or an opcode other than QUERY
         }
         let rd = flags & 0x0100 != 0;
         let qd = u16::from_be_bytes([buf[4], buf[5]]);
@@ -208,18 +209,7 @@ impl<'a> QueryView<'a> {
 
 /// Exact wire length [`write_response`] will produce for `view`.
 pub fn response_len(view: &QueryView<'_>) -> usize {
-    let opt = match &view.edns {
-        None => 0,
-        Some(edns) => {
-            // root(1) + type(2) + class(2) + ttl(4) + rdlen(2) = 11, plus
-            // the ECS option: code(2) + len(2) + family(2) + spl(1) +
-            // scope(1) + masked address bytes.
-            11 + edns
-                .ecs
-                .map(|e| 8 + usize::from(e.source_prefix_len.div_ceil(8)))
-                .unwrap_or(0)
-        }
-    };
+    let opt = view.edns.map_or(0, |edns| opt_record_len(edns.ecs));
     HEADER_LEN + view.qname_wire.len() + 4 + 16 + opt
 }
 
@@ -243,30 +233,8 @@ pub fn write_response(out: &mut [u8], view: &QueryView<'_>, rr: &AnswerRr, scope
     p += 4;
     out[p..p + 16].copy_from_slice(rr.bytes());
     p += 16;
-    if let Some(edns) = &view.edns {
-        out[p] = 0; // root owner
-        out[p + 1..p + 3].copy_from_slice(&TYPE_OPT.to_be_bytes());
-        out[p + 3..p + 5].copy_from_slice(&SERVER_UDP_PAYLOAD.to_be_bytes());
-        out[p + 5..p + 9].copy_from_slice(&0u32.to_be_bytes());
-        p += 9;
-        match edns.ecs {
-            None => {
-                out[p..p + 2].copy_from_slice(&0u16.to_be_bytes());
-                p += 2;
-            }
-            Some(ecs) => {
-                let addr_len = usize::from(ecs.source_prefix_len.div_ceil(8));
-                out[p..p + 2].copy_from_slice(&((8 + addr_len) as u16).to_be_bytes());
-                out[p + 2..p + 4].copy_from_slice(&OPTION_ECS.to_be_bytes());
-                out[p + 4..p + 6].copy_from_slice(&((4 + addr_len) as u16).to_be_bytes());
-                out[p + 6..p + 8].copy_from_slice(&1u16.to_be_bytes()); // FAMILY
-                out[p + 8] = ecs.source_prefix_len;
-                out[p + 9] = scope;
-                let octets = mask_addr(ecs.addr, ecs.source_prefix_len).octets();
-                out[p + 10..p + 10 + addr_len].copy_from_slice(&octets[..addr_len]);
-                p += 10 + addr_len;
-            }
-        }
+    if let Some(edns) = view.edns {
+        p += write_opt(&mut out[p..], &reply_opt(edns, scope));
     }
     p
 }
@@ -274,8 +242,10 @@ pub fn write_response(out: &mut [u8], view: &QueryView<'_>, rr: &AnswerRr, scope
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{decode_query, encode_query, encode_response, WireEcs, WireQuery};
-    use anycast_dns::{DnsAnswer, DnsName};
+    use crate::message::{
+        decode_echo, decode_query, encode_query, encode_reply, mask_addr, Body, WireEcs, WireQuery,
+    };
+    use anycast_dns::DnsName;
 
     fn query(id: u16, rd: bool, name: &str, edns: Option<Edns>) -> WireQuery {
         WireQuery {
@@ -297,13 +267,9 @@ mod tests {
         let mut out = vec![0u8; 4096];
         let n = write_response(&mut out, &view, &rr, scope);
         assert_eq!(n, response_len(&view), "advertised length is exact");
-        let decoded = decode_query(&wire).unwrap();
-        let want = encode_response(
-            &decoded,
-            Some(&DnsAnswer::scoped(addr, ttl, scope)),
-            0,
-            4096,
-        );
+        let (_, echo) = decode_echo(&wire).unwrap();
+        let mut want = Vec::new();
+        encode_reply(&mut want, &echo, Body::Answer(&rr, scope), 4096);
         assert_eq!(&out[..n], &want[..], "template == full encoder");
     }
 
@@ -360,7 +326,14 @@ mod tests {
         b[2] |= 0x80;
         assert!(QueryView::parse(&b).is_none());
 
-        // Uppercase label byte: raw bytes ≠ canonical re-encoding.
+        // Any opcode but QUERY draws NOTIMP, not an answer.
+        for opcode in [1u8, 2, 4, 5, 15] {
+            let mut b = base.clone();
+            b[2] |= opcode << 3;
+            assert!(QueryView::parse(&b).is_none(), "opcode {opcode}");
+        }
+
+        // Uppercase label byte: the slow path echoes it as received.
         let mut b = base.clone();
         b[HEADER_LEN + 1] = b'W';
         assert!(QueryView::parse(&b).is_none());

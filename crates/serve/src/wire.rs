@@ -5,12 +5,9 @@
 //! bounds-checked, compression pointers must point strictly backwards (the
 //! classic anti-loop rule), the number of pointer jumps is capped, and the
 //! reassembled name is revalidated through [`DnsName`]'s RFC 1035 shape
-//! rules before anything downstream sees it. The encode side performs
-//! target-style name compression: every label suffix written at a
-//! pointer-reachable offset is remembered, and later names reuse the
-//! longest recorded suffix.
-
-use std::collections::HashMap;
+//! rules before anything downstream sees it. The encode side writes names
+//! without pointers: a reply's only repeated name is its answer's owner,
+//! a fixed pointer to the question.
 
 use anycast_dns::DnsName;
 
@@ -61,6 +58,9 @@ pub enum WireError {
     BadQuestionCount,
     /// The message direction bit did not match what the caller expected.
     WrongDirection,
+    /// The question's name held a compression pointer; a reply copies the
+    /// question as received, so it must stand alone.
+    CompressedQuestion,
     /// A structurally malformed OPT record or ECS option payload.
     BadOpt,
     /// A resource record's RDLENGTH disagreed with its payload.
@@ -78,6 +78,7 @@ impl std::fmt::Display for WireError {
             WireError::BadName => "name fails RFC 1035 validation",
             WireError::BadQuestionCount => "message must carry exactly one question",
             WireError::WrongDirection => "QR bit does not match expected direction",
+            WireError::CompressedQuestion => "compression pointer in the question",
             WireError::BadOpt => "malformed EDNS OPT / ECS option",
             WireError::BadRdata => "RDLENGTH disagrees with record payload",
         };
@@ -292,12 +293,24 @@ pub struct Header {
 impl Header {
     /// Appends the 12 header octets.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.to_be_bytes());
-        out.extend_from_slice(&self.flags.encode().to_be_bytes());
-        out.extend_from_slice(&self.qdcount.to_be_bytes());
-        out.extend_from_slice(&self.ancount.to_be_bytes());
-        out.extend_from_slice(&self.nscount.to_be_bytes());
-        out.extend_from_slice(&self.arcount.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
+    }
+
+    /// The 12 header octets.
+    pub fn to_bytes(&self) -> [u8; HEADER_LEN] {
+        let words = [
+            self.id,
+            self.flags.encode(),
+            self.qdcount,
+            self.ancount,
+            self.nscount,
+            self.arcount,
+        ];
+        let mut out = [0u8; HEADER_LEN];
+        for (at, word) in out.chunks_exact_mut(2).zip(words) {
+            at.copy_from_slice(&word.to_be_bytes());
+        }
+        out
     }
 
     /// Reads the header from a cursor.
@@ -313,54 +326,7 @@ impl Header {
     }
 }
 
-/// Name writer with target-style compression: remembers the offset of
-/// every label suffix it writes and emits a pointer for the longest suffix
-/// already on the wire.
-#[derive(Debug, Default)]
-pub struct NameWriter {
-    offsets: HashMap<String, u16>,
-}
-
-impl NameWriter {
-    /// A fresh writer (no remembered suffixes).
-    pub fn new() -> NameWriter {
-        NameWriter::default()
-    }
-
-    /// Appends `name` to `out`, compressing against previously written
-    /// names. Offsets beyond the 14-bit pointer range are written in full
-    /// and not remembered.
-    pub fn write(&mut self, out: &mut Vec<u8>, name: &DnsName) {
-        let mut rest = name.as_str();
-        loop {
-            if let Some(&off) = self.offsets.get(rest) {
-                out.extend_from_slice(&(0xC000u16 | off).to_be_bytes());
-                return;
-            }
-            let here = out.len();
-            if here < 0x4000 {
-                self.offsets.insert(rest.to_string(), here as u16);
-            }
-            match rest.split_once('.') {
-                Some((label, tail)) => {
-                    debug_assert!(label.len() <= MAX_LABEL_LEN);
-                    out.push(label.len() as u8);
-                    out.extend_from_slice(label.as_bytes());
-                    rest = tail;
-                }
-                None => {
-                    out.push(rest.len() as u8);
-                    out.extend_from_slice(rest.as_bytes());
-                    out.push(0);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Appends a name without compression (used for query encoding, where
-/// there is nothing earlier to point at).
+/// Appends a name without compression pointers.
 pub fn write_name_uncompressed(out: &mut Vec<u8>, name: &DnsName) {
     for label in name.labels() {
         out.push(label.len() as u8);
@@ -407,39 +373,6 @@ mod tests {
         let mut c = Cursor::new(&buf);
         assert_eq!(c.name().unwrap(), n);
         assert_eq!(c.pos(), buf.len());
-    }
-
-    #[test]
-    fn compression_reuses_suffixes() {
-        let mut w = NameWriter::new();
-        let mut buf = vec![0u8; HEADER_LEN]; // simulate a header prefix
-        let a = DnsName::new("www.cdn.example").unwrap();
-        let b = DnsName::new("img.cdn.example").unwrap();
-        w.write(&mut buf, &a);
-        let before = buf.len();
-        w.write(&mut buf, &b);
-        // "img" label (4 octets) + 2-octet pointer to "cdn.example".
-        assert_eq!(buf.len() - before, 4 + 2);
-        let mut c = Cursor::new(&buf);
-        c.skip(HEADER_LEN).unwrap();
-        assert_eq!(c.name().unwrap(), a);
-        assert_eq!(c.name().unwrap(), b);
-        assert_eq!(c.remaining(), 0);
-    }
-
-    #[test]
-    fn exact_repeat_is_a_single_pointer() {
-        let mut w = NameWriter::new();
-        let mut buf = vec![0u8; HEADER_LEN];
-        let a = DnsName::new("www.cdn.example").unwrap();
-        w.write(&mut buf, &a);
-        let before = buf.len();
-        w.write(&mut buf, &a);
-        assert_eq!(buf.len() - before, 2);
-        let mut c = Cursor::new(&buf);
-        c.skip(HEADER_LEN).unwrap();
-        assert_eq!(c.name().unwrap(), a);
-        assert_eq!(c.name().unwrap(), a);
     }
 
     #[test]
