@@ -113,4 +113,4 @@ fn policy_world_days_match_the_recorded_digest() {
 const OUTAGE_ROWS: usize = 6_392;
 const OUTAGE_DIGEST: u64 = 0xa12f_34e1_3069_8c0e;
 const POLICY_ROWS: usize = 6_392;
-const POLICY_DIGEST: u64 = 0x9716_5fbd_9bcb_ba2f;
+const POLICY_DIGEST: u64 = 0x01b4_48ca_83e3_8c72;

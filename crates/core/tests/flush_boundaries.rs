@@ -93,7 +93,6 @@ fn day_metrics_are_the_same_at_any_worker_count_and_block_length() {
     policy_outage_world.net.worldgen = Some(WorldGenConfig {
         p_session_flap: 0.2,
         p_border_flap: 0.1,
-        p_egress_shift: 0.2,
         ..WorldGenConfig::with_ases(1_000)
     });
     for (world, cfg) in [

@@ -26,7 +26,6 @@ fn captured_day(workers: usize, outages: bool) -> (String, Snapshot) {
         cfg.net.worldgen = Some(WorldGenConfig {
             p_session_flap: 0.004,
             p_border_flap: 0.01,
-            p_egress_shift: 0.006,
             ..WorldGenConfig::with_ases(10_000)
         });
         if outages {

@@ -185,7 +185,6 @@ proptest! {
             cfg.net.worldgen = Some(WorldGenConfig {
                 p_session_flap: 0.02,
                 p_border_flap: 0.01,
-                p_egress_shift: 0.03,
                 ..WorldGenConfig::with_ases(10_000)
             });
             cfg.net.p_site_outage = 0.25;

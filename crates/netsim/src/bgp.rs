@@ -15,8 +15,10 @@
 //! 2. **Intradomain (hot-potato) tie-break**: among equally-preferred
 //!    egresses, the ISP picks the one cheapest *for itself* — nearest to the
 //!    client attachment — unless its [`EgressPolicy`] pins a fixed egress.
-//! 3. **Churn**: the day's [`ChurnModel`](crate::churn::ChurnModel) rank can demote the best candidate
-//!    to the runner-up, modelling tie-break flips from config pushes.
+//! 3. **Churn**: the day's rank under the churn law
+//!    ([`selection_rank`](crate::worldgen::dynamics::selection_rank)) can
+//!    demote the best candidate to the runner-up, modelling tie-break flips
+//!    from config pushes.
 
 use anycast_geo::MetroId;
 
@@ -53,7 +55,7 @@ pub struct EgressDecision {
 /// front-ends are down, see [`crate::outage::OutageModel`]). `rank` is the
 /// churn-model selection rank in force (0 = the ISP's preferred candidate,
 /// 1 = the runner-up after a tie-break flip); callers obtain it from
-/// [`crate::churn::ChurnModel`].
+/// [`crate::worldgen::dynamics::selection_rank`].
 ///
 /// Every route learned through a withdrawn border is gone from the
 /// candidate set, so selection runs over what remains — the BGP

@@ -12,9 +12,10 @@
 //! RNG-driven noise on top of the route's base RTT.
 //!
 //! One engine value answers every egress decision; the rest of a route —
-//! the IGP pick, site failures, the hops and their RTT — is written once on
-//! top of it, and only the engine knows when a client's anycast route
-//! moves within a day ([`Internet::anycast_day`]).
+//! the churn law's rank, the IGP pick, site failures, the hops and their
+//! RTT — is written once on top of it. The rank is read at lookup, the same
+//! way for either engine ([`crate::worldgen::dynamics`]), and so is when a
+//! client's anycast route moves within a day ([`Internet::anycast_day`]).
 
 use std::sync::Arc;
 
@@ -22,7 +23,6 @@ use anycast_geo::{GeoPoint, MetroId};
 use rand::Rng;
 
 use crate::bgp::{self, EgressDecision};
-use crate::churn::ChurnModel;
 use crate::config::NetConfig;
 use crate::ids::{AsId, BorderId, SiteId};
 use crate::igp;
@@ -33,7 +33,8 @@ use crate::sim::Day;
 use crate::snapshot::RouteTally;
 use crate::stream::{splitmix64, to_unit};
 use crate::topology::Topology;
-use crate::worldgen::{self, CatchmentTable, PolicyWorld, CDN_NEXT};
+use crate::worldgen::dynamics::{flip_s, selection_rank};
+use crate::worldgen::{self, CatchmentTable, PolicyWorld, RouteEntry, RouteEnv, CDN_NEXT};
 
 /// A client's network attachment: which AS it sits in, at which metro, at
 /// which exact location, over which access technology. The workload crate
@@ -114,15 +115,16 @@ pub struct Internet {
     engine: Engine,
     outages: OutageModel,
     latency: LatencyModel,
+    /// The world seed, which the churn law hashes as it is.
+    seed: u64,
     episode_seed: u64,
 }
 
 /// The routing engine: the one value that answers every egress decision.
 #[derive(Debug, Clone)]
 enum Engine {
-    /// Distance-ranked BGP over the generated topology ([`bgp`]), its
-    /// tie-breaks flipped day to day by the [`ChurnModel`].
-    Distance(ChurnModel),
+    /// Distance-ranked BGP over the generated topology ([`bgp`]).
+    Distance,
     /// The policy-routed AS graph of a worldgen world and its catchment
     /// engine. Clones share the memoized catchment tables.
     Policy(Arc<PolicyWorld>),
@@ -131,74 +133,69 @@ enum Engine {
 /// The anycast catchment in force at one instant: what an [`Engine`]
 /// decides a client's anycast egress from.
 pub(crate) enum Catchment<'a> {
-    /// The distance engine: each attachment's churn rank, over every border
-    /// but the `withdrawn` ones.
-    Ranked {
-        churn: &'a ChurnModel,
-        withdrawn: &'a [BorderId],
-    },
+    /// The distance engine: every border but the `withdrawn` ones ranked
+    /// by distance.
+    Ranked { withdrawn: &'a [BorderId] },
     /// The policy engine: the valley-free catchment table of the
     /// environment in force.
     Table {
         world: &'a PolicyWorld,
+        env: RouteEnv,
         table: Arc<CatchmentTable>,
     },
 }
 
 impl Catchment<'_> {
-    /// Where `client`'s anycast traffic enters the CDN on `day`; `None`
-    /// when its AS holds no route.
+    /// Where `client`'s anycast traffic enters the CDN at egress-selection
+    /// `rank`; `None` when its AS holds no route.
     fn egress(
         &self,
         topo: &Topology,
         client: &ClientAttachment,
-        day: Day,
+        rank: usize,
     ) -> Option<EgressDecision> {
         match self {
-            Catchment::Ranked { churn, withdrawn } => {
-                let (as_id, metro) = (client.as_id, client.metro);
-                let rank = churn.selection_rank(as_id, metro, day);
-                Some(bgp::select_anycast_ingress(
-                    topo, rank, as_id, metro, withdrawn,
-                ))
+            Catchment::Ranked { withdrawn } => Some(bgp::select_anycast_ingress(
+                topo,
+                rank,
+                client.as_id,
+                client.metro,
+                withdrawn,
+            )),
+            Catchment::Table { world, env, table } => {
+                let entry = table.entry(client.as_id.0)?;
+                let ingress = world.ingress_at(table, env, client.as_id.0, rank)?;
+                Some(table_egress(world, entry, ingress))
             }
-            Catchment::Table { world, table } => table_egress(world, table, client.as_id),
         }
     }
 }
 
-/// The egress a policy catchment table gives `as_id`: its ingress border,
-/// and for a multi-hop AS path the first-hop provider and its home metro
-/// as the hand-off. `None` when the AS is unrouted under the table.
-fn table_egress(
-    world: &PolicyWorld,
-    table: &CatchmentTable,
-    as_id: AsId,
-) -> Option<EgressDecision> {
-    let entry = table.entry(as_id.0)?;
+/// The egress over a policy route `entry` that enters the CDN at
+/// `ingress`: for a multi-hop AS path, the first-hop provider and its home
+/// metro as the hand-off.
+fn table_egress(world: &PolicyWorld, entry: RouteEntry, ingress: BorderId) -> EgressDecision {
     let (via_transit, handoff_metro) = if entry.next_hop == CDN_NEXT {
         (None, None)
     } else {
         let v1 = entry.next_hop;
         (Some(AsId(v1)), Some(world.graph.home_metro[v1 as usize]))
     };
-    Some(EgressDecision {
-        ingress: BorderId(entry.ingress),
+    EgressDecision {
+        ingress,
         via_transit,
         handoff_metro,
-    })
+    }
 }
 
 impl Engine {
     /// The steady catchment: every border announces, every session is up.
     fn steady(&self) -> Catchment<'_> {
         match self {
-            Engine::Distance(churn) => Catchment::Ranked {
-                churn,
-                withdrawn: &[],
-            },
+            Engine::Distance => Catchment::Ranked { withdrawn: &[] },
             Engine::Policy(world) => Catchment::Table {
                 world,
+                env: RouteEnv::default(),
                 table: world.steady_table(),
             },
         }
@@ -208,59 +205,43 @@ impl Engine {
     /// withdrawn, or `None` when that is the steady one.
     fn at<'a>(&'a self, day: Day, time_s: f64, withdrawn: &'a [BorderId]) -> Option<Catchment<'a>> {
         match self {
-            Engine::Distance(churn) => {
-                (!withdrawn.is_empty()).then_some(Catchment::Ranked { churn, withdrawn })
-            }
+            Engine::Distance => (!withdrawn.is_empty()).then_some(Catchment::Ranked { withdrawn }),
             Engine::Policy(world) => {
                 let env = world.env_at(day, time_s, withdrawn);
                 (!env.is_steady()).then(|| Catchment::Table {
                     world,
                     table: world.table_for(&env),
+                    env,
                 })
             }
         }
     }
 
     /// Where `client`'s traffic to the unicast prefix announced only at
-    /// `announcement` enters the CDN on `day`.
+    /// `announcement` enters the CDN at egress-selection `rank`.
     fn unicast_egress(
         &self,
         topo: &Topology,
         client: &ClientAttachment,
-        day: Day,
+        rank: usize,
         announcement: BorderId,
     ) -> EgressDecision {
         match self {
-            Engine::Distance(churn) => {
-                let rank = churn.selection_rank(client.as_id, client.metro, day);
+            Engine::Distance => {
                 bgp::select_unicast_ingress(topo, rank, client.as_id, client.metro, announcement)
             }
             // The unicast prefix is announced only at the site's colocated
-            // border (§3.1); its catchment table is computed once and shared
-            // by every day.
+            // border (§3.1), which leaves no runner-up for the rank to move
+            // to; its catchment table is computed once and shared by every
+            // day.
             Engine::Policy(world) => {
-                table_egress(world, &world.unicast_table(announcement), client.as_id)
-                    .expect("unicast policy catchment routes every client AS")
+                let entry = world
+                    .unicast_table(announcement)
+                    .entry(client.as_id.0)
+                    .expect("unicast policy catchment routes every client AS");
+                table_egress(world, entry, BorderId(entry.ingress))
             }
         }
-    }
-
-    /// The intra-day anycast switch of `client` on `day`: the second it
-    /// takes effect and the egress in force before it. Only the distance
-    /// engine's churn flips a route within a day.
-    fn switch(
-        &self,
-        topo: &Topology,
-        client: &ClientAttachment,
-        day: Day,
-    ) -> Option<(f64, EgressDecision)> {
-        let Engine::Distance(churn) = self else {
-            return None;
-        };
-        let at_s = churn.flip_s(client.as_id, client.metro, day)?;
-        // An excursion starts from the preferred route: rank 0.
-        let before = bgp::select_anycast_ingress(topo, 0, client.as_id, client.metro, &[]);
-        Some((at_s, before))
     }
 }
 
@@ -296,14 +277,14 @@ impl Internet {
             let (topo, world) = worldgen::build(&cfg, seed);
             (topo, Engine::Policy(Arc::new(world)))
         } else {
-            let topo = Topology::generate(&cfg, seed);
-            (topo, Engine::Distance(ChurnModel::new(seed)))
+            (Topology::generate(&cfg, seed), Engine::Distance)
         };
         Ok(Internet {
             topo,
             engine,
             outages: OutageModel::new(&cfg, seed),
             latency: LatencyModel::new(cfg, seed),
+            seed,
             episode_seed: seed ^ 0x6970_6765_7069,
         })
     }
@@ -312,7 +293,7 @@ impl Internet {
     pub fn policy_world(&self) -> Option<&Arc<PolicyWorld>> {
         match &self.engine {
             Engine::Policy(world) => Some(world),
-            Engine::Distance(_) => None,
+            Engine::Distance => None,
         }
     }
 
@@ -367,8 +348,8 @@ impl Internet {
     /// Only [`Internet::anycast_day`] honors the flip's instant.
     ///
     /// In worldgen worlds this is the steady valley-free catchment — one
-    /// shared table lookup, identical for every day with the same
-    /// announcement set.
+    /// shared table lookup, its ingress moved to the runner-up border on a
+    /// flip day.
     pub fn anycast_route(&self, client: &ClientAttachment, day: Day) -> RouteDecision {
         self.anycast_route_from(client, self.access_km(client), day)
     }
@@ -399,21 +380,25 @@ impl Internet {
     /// Whether and when anycast moves `client` during `day`, and from which
     /// route: the passive log's and the flow model's view of the day. A
     /// churn flip moves the client at its instant from the rank-0 route to
-    /// [`Internet::anycast_route`]'s; there is no switch on any other day,
-    /// nor in worldgen worlds, whose intra-day movement is windowed route
-    /// dynamics ([`Internet::anycast_route_at`]).
+    /// [`Internet::anycast_route`]'s, in either engine; there is no switch
+    /// on any other day. A policy world's windowed route dynamics are
+    /// [`Internet::anycast_route_at`]'s.
     pub fn anycast_day(&self, client: &ClientAttachment, day: Day) -> AnycastDay {
         let access_km = self.access_km(client);
         let route = self.anycast_route_from(client, access_km, day);
-        let switch = self
-            .engine
-            .switch(&self.topo, client, day)
-            .and_then(|(at_s, egress)| {
-                let site = self.igp_site(egress.ingress, day, &[])?;
-                let before = self.build_decision(client, access_km, egress, site, day);
-                (before != route).then_some((at_s, before))
-            });
+        let switch = flip_s(self.seed, client.as_id, client.metro, day).and_then(|at_s| {
+            // An excursion starts from the preferred route: rank 0.
+            let egress = self.engine.steady().egress(&self.topo, client, 0)?;
+            let site = self.igp_site(egress.ingress, day, &[])?;
+            let before = self.build_decision(client, access_km, egress, site, day);
+            (before != route).then_some((at_s, before))
+        });
         AnycastDay { route, switch }
+    }
+
+    /// The churn law's egress-selection rank of `client` on `day`.
+    pub(crate) fn rank(&self, client: &ClientAttachment, day: Day) -> usize {
+        selection_rank(self.seed, client.as_id, client.metro, day)
     }
 
     /// The route of `client` under `catchment` with the sites in `down` out
@@ -427,7 +412,7 @@ impl Internet {
         day: Day,
         down: &[SiteId],
     ) -> Option<RouteDecision> {
-        let egress = catchment.egress(&self.topo, client, day)?;
+        let egress = catchment.egress(&self.topo, client, self.rank(client, day))?;
         let site = self.igp_site(egress.ingress, day, down)?;
         Some(self.build_decision(client, access_km, egress, site, day))
     }
@@ -487,7 +472,7 @@ impl Internet {
         let steady = self
             .engine
             .steady()
-            .egress(&self.topo, client, day)
+            .egress(&self.topo, client, self.rank(client, day))
             .expect("the steady catchment routes every client AS");
         let steady_site = self
             .igp_site(steady.ingress, day, &[])
@@ -562,9 +547,9 @@ impl Internet {
         day: Day,
     ) -> RouteDecision {
         let announcement = self.topo.cdn.unicast_announcement_border(site);
-        let egress = self
-            .engine
-            .unicast_egress(&self.topo, client, day, announcement);
+        let egress =
+            self.engine
+                .unicast_egress(&self.topo, client, self.rank(client, day), announcement);
         let mut decision = self.build_decision(client, access_km, egress, site, day);
         // Single-prefix routes are often not the ISP's engineered best path.
         decision.base_rtt_ms += self
@@ -821,7 +806,6 @@ mod tests {
                 n_ases: 1000,
                 p_session_flap: 0.2,
                 p_border_flap: 0.1,
-                p_egress_shift: 0.2,
             }),
             ..failures.clone()
         };
@@ -991,10 +975,12 @@ mod tests {
 
     /// The day query over the small, default, failure and 1k-AS policy
     /// worlds: it answers only on flip days of flappy attachments, moves
-    /// the client from its rank-0 route at an instant inside the day, its
-    /// day's route is `anycast_route`, and a policy world never answers.
+    /// the client at an instant inside the day from its rank-0 route — the
+    /// distance ranking's first candidate, or the policy table's own entry
+    /// — and its day's route is `anycast_route`, in either engine.
     #[test]
     fn anycast_day_switches_only_on_flip_days_from_the_rank_zero_route() {
+        use crate::worldgen::dynamics::{flips_on, is_flappy};
         use crate::worldgen::WorldGenConfig;
         let failures = NetConfig {
             p_site_outage: 0.3,
@@ -1005,11 +991,10 @@ mod tests {
             worldgen: Some(WorldGenConfig::with_ases(1_000)),
             ..NetConfig::small()
         };
-        let mut switches = 0;
         for cfg in [NetConfig::small(), NetConfig::default(), failures, policy] {
+            let mut switches = 0;
             for seed in 0..8 {
                 let net = Internet::new(cfg.clone(), seed).unwrap();
-                let churn = ChurnModel::new(seed);
                 for i in 0..24 {
                     let c = client_at(&net, i);
                     for day in Day(0).span(14) {
@@ -1018,12 +1003,18 @@ mod tests {
                         let Some((at_s, before)) = today.switch else {
                             continue;
                         };
-                        assert!(net.policy_world().is_none(), "a policy world switched");
-                        assert!(churn.is_flappy(c.as_id, c.metro));
-                        assert!(churn.flips_on(c.as_id, c.metro, day));
+                        assert!(is_flappy(seed, c.as_id, c.metro));
+                        assert!(flips_on(seed, c.as_id, c.metro, day));
                         assert!((0.0..86_400.0).contains(&at_s));
-                        let egress =
-                            bgp::select_anycast_ingress(&net.topo, 0, c.as_id, c.metro, &[]);
+                        let egress = match net.policy_world() {
+                            None => {
+                                bgp::select_anycast_ingress(&net.topo, 0, c.as_id, c.metro, &[])
+                            }
+                            Some(pw) => {
+                                let entry = pw.steady_table().entry(c.as_id.0).unwrap();
+                                table_egress(pw, entry, BorderId(entry.ingress))
+                            }
+                        };
                         let site = net.igp_site(egress.ingress, day, &[]).unwrap();
                         let access_km = net.access_km(&c);
                         assert_eq!(before, net.build_decision(&c, access_km, egress, site, day));
@@ -1033,8 +1024,8 @@ mod tests {
                     }
                 }
             }
+            assert!(switches > 100, "only {switches} switches");
         }
-        assert!(switches > 100, "only {switches} switches");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!    at a border router, the CDN's IGP sends it to the front-end with the
 //!    lowest *internal* cost from that ingress, which is not necessarily the
 //!    front-end closest to the client ([`igp`]).
-//! 4. **Routes churn.** Tie-breaks and internal weights flip day to day, with
-//!    reduced operator activity on weekends (Figure 7) ([`churn`]).
+//! 4. **Routes churn.** Egresses and internal weights flip day to day, with
+//!    reduced operator activity on weekends (Figure 7), by one law for
+//!    every routing engine ([`worldgen::dynamics`]).
 //! 5. **Front-ends fail.** Sites crash or are drained for maintenance; the
 //!    anycast announcement is withdrawn and BGP re-resolves the catchment,
 //!    while unicast routes to the dead site simply fail ([`outage`]).
@@ -40,7 +41,6 @@
 
 pub mod addressing;
 pub mod bgp;
-pub mod churn;
 pub mod config;
 pub mod ids;
 pub mod igp;

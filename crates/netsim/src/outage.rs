@@ -5,10 +5,10 @@
 //! next-best catchment, whereas DNS-based redirection keeps handing out the
 //! dead unicast address until cached answers expire. To reproduce that
 //! claim the simulator needs a notion of a site being *down* — this module
-//! supplies it, mirroring [`crate::churn::ChurnModel`]: everything is a
-//! pure function of `(seed, site, day, time)`, so any instant can be
-//! queried in isolation and results are identical across processes,
-//! threads, and replays.
+//! supplies it, mirroring the churn law ([`crate::worldgen::dynamics`]):
+//! everything is a pure function of `(seed, site, day, time)`, so any
+//! instant can be queried in isolation and results are identical across
+//! processes, threads, and replays.
 //!
 //! Two kinds of window exist, with different data-plane consequences:
 //!

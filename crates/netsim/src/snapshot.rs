@@ -38,15 +38,16 @@
 //!
 //! Anycast routing varies within a day only at the edges of scheduled
 //! windows, so the snapshot cuts the day there into a sorted **timeline**
-//! of segments and a lookup is a binary search:
+//! of segments and a lookup is a binary search. Egress churn cuts nothing:
+//! a churn flip is in force for its whole day here, as in
+//! [`Internet::anycast_route`], so it is already in the steady decision.
 //!
 //! * **steady** segments answer with the precomputed decision;
-//! * segments under **route dynamics** (worldgen session/border flaps and
-//!   egress shifts) are memoized too: each distinct environment of the day
-//!   is computed once at build time, and since an event moves a sliver of
-//!   ASes, the handful of clients whose AS it rerouted get their resolved
-//!   decision stored beside the steady one — everyone else still gets
-//!   steady;
+//! * segments under **route dynamics** (worldgen session and border flaps)
+//!   are memoized too: each distinct environment of the day is computed
+//!   once at build time, and since an event moves a sliver of ASes, the
+//!   handful of clients it reroutes get their resolved decision stored
+//!   beside the steady one — everyone else still gets steady;
 //! * only segments inside a *site* down-window fall back to the full
 //!   failover computation, which depends on the set of currently-down
 //!   sites and the reconvergence clock. Worlds without failure injection
@@ -211,7 +212,6 @@ impl<'a> RouteSnapshot<'a> {
                 .collect();
             pw.warm_tables(&borders, workers);
         }
-        let timeline = DayTimeline::cut(internet, clients, day, &windows);
 
         let mut row_starts = Vec::with_capacity(clients.len() + 1);
         row_starts.push(0);
@@ -276,6 +276,7 @@ impl<'a> RouteSnapshot<'a> {
                 }
             });
         }
+        let timeline = DayTimeline::cut(internet, clients, &anycast, day, &windows);
         RouteSnapshot {
             day,
             attachments: clients,
@@ -410,10 +411,12 @@ impl DayTimeline {
     /// Cuts `day` at every edge of `windows` (the site down-windows) and
     /// of the policy world's dynamics windows. No edge lies strictly
     /// inside a segment, so the windows open at a segment's start are the
-    /// windows open throughout it.
+    /// windows open throughout it. `steady` is each client's steady
+    /// decision.
     fn cut(
         internet: &Internet,
         clients: &[ClientAttachment],
+        steady: &[RouteDecision],
         day: Day,
         windows: &[Option<OutageWindow>],
     ) -> DayTimeline {
@@ -453,7 +456,7 @@ impl DayTimeline {
             .collect();
 
         let moved = match policy {
-            Some(pw) if !envs.is_empty() => moved_clients(internet, pw, clients, day, &envs),
+            Some(pw) if !envs.is_empty() => moved_clients(internet, pw, clients, steady, day, envs),
             _ => Vec::new(),
         };
         DayTimeline {
@@ -470,15 +473,19 @@ impl DayTimeline {
     }
 }
 
-/// For each environment, the clients whose AS it routes differently from
-/// steady state, with their resolved decision. Each environment's table
-/// is computed here, once, and dropped once its clients are resolved.
+/// For each environment, the clients it may route differently from their
+/// `steady` decision, with their resolved decision: every client whose AS
+/// the environment reroutes, and — where it withdraws a border — every
+/// client on a churn flip day it moves, whose runner-up border may be the
+/// withdrawn one while its AS keeps its route. Each environment's table is
+/// computed here, once, and dropped once its clients are resolved.
 fn moved_clients(
     internet: &Internet,
     pw: &PolicyWorld,
     clients: &[ClientAttachment],
+    steady: &[RouteDecision],
     day: Day,
-    envs: &[RouteEnv],
+    envs: Vec<RouteEnv>,
 ) -> Vec<Vec<Moved>> {
     let mut by_as: Vec<(u32, u32)> = clients
         .iter()
@@ -486,26 +493,45 @@ fn moved_clients(
         .map(|(i, c)| (c.as_id.0, i as u32))
         .collect();
     by_as.sort_unstable();
-    envs.iter()
+    let flipped: Vec<u32> = if envs.iter().any(|env| !env.withdrawn.is_empty()) {
+        (0..clients.len() as u32)
+            .filter(|&i| internet.rank(&clients[i as usize], day) > 0)
+            .collect()
+    } else {
+        Vec::new()
+    };
+    envs.into_iter()
         .map(|env| {
-            let table = pw.table_for(env);
+            let table = pw.table_for(&env);
+            let withdraws = !env.withdrawn.is_empty();
             let catchment = Catchment::Table {
                 world: pw,
+                env,
                 table: Arc::clone(&table),
+            };
+            let route = |i: u32| {
+                let c = &clients[i as usize];
+                internet.anycast_under(&catchment, c, internet.access_km(c), day, &[])
             };
             let mut moved: Vec<Moved> = Vec::new();
             for &(node, _) in table.overrides() {
                 let lo = by_as.partition_point(|&(a, _)| a < node);
                 for &(_, i) in by_as[lo..].iter().take_while(|&&(a, _)| a == node) {
-                    let c = &clients[i as usize];
-                    let access_km = internet.access_km(c);
-                    moved.push((
-                        i,
-                        internet.anycast_under(&catchment, c, access_km, day, &[]),
-                    ));
+                    moved.push((i, route(i)));
                 }
             }
+            if withdraws {
+                for &i in &flipped {
+                    let d = route(i);
+                    if d != Some(steady[i as usize]) {
+                        moved.push((i, d));
+                    }
+                }
+            }
+            // A flipped client of a rerouted AS is listed twice, with one
+            // decision.
             moved.sort_unstable_by_key(|m| m.0);
+            moved.dedup_by_key(|m| m.0);
             moved
         })
         .collect()
@@ -650,7 +676,6 @@ mod tests {
             worldgen: Some(WorldGenConfig {
                 n_ases: 400,
                 p_session_flap: 0.2,
-                p_egress_shift: 0.2,
                 ..WorldGenConfig::default()
             }),
             ..NetConfig::small()

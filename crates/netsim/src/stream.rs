@@ -1,7 +1,7 @@
 //! Splittable RNG stream derivation.
 //!
 //! The simulator's determinism story has two tiers. Pure schedule models
-//! ([`crate::outage::OutageModel`], [`crate::churn::ChurnModel`]) hash
+//! ([`crate::outage::OutageModel`], [`crate::worldgen::dynamics`]) hash
 //! `(seed, entity, day)` straight to a decision and need no generator at
 //! all. Stochastic per-event noise (RTT jitter, beacon scheduling, browser
 //! timing) does need a generator — and if every event in a campaign pulls

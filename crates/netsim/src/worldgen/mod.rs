@@ -18,9 +18,9 @@
 //!   tier-1s at every border, settlement-free peering with hypergiants and
 //!   many access networks — including a fixed share of
 //!   **remote-only peers** reproducing the §5 pathology;
-//! * deterministic mid-day route dynamics ([`dynamics`]) and a catchment
-//!   engine ([`policy`]) that replaces distance ranking with valley-free
-//!   best-path selection.
+//! * deterministic mid-day route dynamics and the churn law every engine
+//!   reads ([`dynamics`]), and a catchment engine ([`policy`]) that
+//!   replaces distance ranking with valley-free best-path selection.
 //!
 //! Generation is a pure function of `(NetConfig, seed)`: the same inputs
 //! produce bit-identical graphs, catchments and (downstream) study output,
@@ -55,9 +55,6 @@ pub struct WorldGenConfig {
     pub p_session_flap: f64,
     /// Per-border-day probability of an announcement withdrawal window.
     pub p_border_flap: f64,
-    /// Per-session-day probability of a hot-potato egress shift (multi-
-    /// border sessions only).
-    pub p_egress_shift: f64,
 }
 
 impl Default for WorldGenConfig {
@@ -66,7 +63,6 @@ impl Default for WorldGenConfig {
             n_ases: 10_000,
             p_session_flap: 0.0008,
             p_border_flap: 0.0004,
-            p_egress_shift: 0.0015,
         }
     }
 }
@@ -102,7 +98,6 @@ impl WorldGenConfig {
         for (name, p) in [
             ("p_session_flap", self.p_session_flap),
             ("p_border_flap", self.p_border_flap),
-            ("p_egress_shift", self.p_egress_shift),
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("worldgen.{name} must be in [0, 1], got {p}"));
@@ -141,7 +136,7 @@ pub fn build(cfg: &NetConfig, seed: u64) -> (Topology, PolicyWorld) {
     let graph = generate_graph(&atlas, &cdn, wg, &mut rng);
     let eyeballs = bridge_eyeballs(&atlas, &graph, &mut rng);
 
-    let dynamics = RouteDynamics::new(seed, wg.p_session_flap, wg.p_border_flap, wg.p_egress_shift);
+    let dynamics = RouteDynamics::new(seed, wg.p_session_flap, wg.p_border_flap);
     let world = PolicyWorld::new(graph, dynamics, &atlas, &cdn);
     let topo = Topology::from_parts(atlas, cdn, Vec::new(), eyeballs);
     (topo, world)

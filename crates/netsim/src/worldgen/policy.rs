@@ -33,8 +33,8 @@
 //! the steady one and the **unicast base**, in which just the sessions
 //! established at every border are live. Every other table shares one of
 //! them and holds only the entries that differ: an **event table**
-//! (session/border flaps, egress shifts) is the steady table minus what an
-//! event takes away, a few dozen entries of 75 000; a **unicast table** is
+//! (session and border flaps) is the steady table minus what an event
+//! takes away, a few dozen entries of 75 000; a **unicast table** is
 //! the unicast base plus what one border's own sessions add, the few
 //! thousand ASes below their owners.
 //!
@@ -43,6 +43,11 @@
 //! announcement set shares them). Event tables are cheap enough that
 //! nobody caches them globally — each day's
 //! [`RouteSnapshot`](crate::RouteSnapshot) computes its own once.
+//!
+//! A table holds each AS's rank-0 route. The churn law's runner-up
+//! ([`super::dynamics::selection_rank`]) keeps the AS path and moves only
+//! the ingress, so it is read at lookup ([`PolicyWorld::ingress_at`]) and
+//! needs no table of its own.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -126,9 +131,6 @@ pub struct RouteEnv {
     pub withdrawn: Vec<BorderId>,
     /// Session indexes that are down (session flaps), sorted ascending.
     pub dead_sessions: Vec<u32>,
-    /// Session indexes whose hot-potato handoff is shifted to the
-    /// runner-up border, sorted ascending.
-    pub shifted: Vec<u32>,
     /// Restrict the announcement to exactly one border: the unicast
     /// per-site prefix, announced only at the site's colocated border.
     pub only_border: Option<BorderId>,
@@ -137,10 +139,7 @@ pub struct RouteEnv {
 impl RouteEnv {
     /// Whether this is the steady anycast environment.
     pub fn is_steady(&self) -> bool {
-        self.withdrawn.is_empty()
-            && self.dead_sessions.is_empty()
-            && self.shifted.is_empty()
-            && self.only_border.is_none()
+        self.withdrawn.is_empty() && self.dead_sessions.is_empty() && self.only_border.is_none()
     }
 
     /// Stable key: equal environments hash equal. The steady environment
@@ -152,8 +151,7 @@ impl RouteEnv {
             return 0;
         }
         if let Some(b) = self.only_border {
-            if self.withdrawn.is_empty() && self.dead_sessions.is_empty() && self.shifted.is_empty()
-            {
+            if self.withdrawn.is_empty() && self.dead_sessions.is_empty() {
                 return (1u64 << 63) | u64::from(b.0);
             }
         }
@@ -170,10 +168,6 @@ impl RouteEnv {
         for s in &self.dead_sessions {
             eat(u64::from(*s) + 1);
         }
-        eat(0xA3);
-        for s in &self.shifted {
-            eat(u64::from(*s) + 1);
-        }
         if let Some(b) = self.only_border {
             eat(0xA4);
             eat(u64::from(b.0) + 1);
@@ -183,10 +177,6 @@ impl RouteEnv {
 
     fn session_dead(&self, s: u32) -> bool {
         self.dead_sessions.binary_search(&s).is_ok()
-    }
-
-    fn session_shifted(&self, s: u32) -> bool {
-        self.shifted.binary_search(&s).is_ok()
     }
 
     /// The one border that announces, if exactly one does.
@@ -680,10 +670,17 @@ impl PolicyWorld {
         }
     }
 
-    /// The hot-potato ingress of session `s` as seen from `for_metro`:
-    /// nearest live border (ties by id), or the runner-up when the session
-    /// is shifted. `None` when no border of the session is live.
-    fn session_ingress(&self, s: u32, for_metro: MetroId, env: &RouteEnv) -> Option<BorderId> {
+    /// The hot-potato ingress of session `s` as seen from `for_metro` at
+    /// egress-selection `rank`: the nearest live border (ties by id) at
+    /// rank 0, the runner-up at any higher rank — the nearest again when it
+    /// is the only live one. `None` when no border of the session is live.
+    fn session_ingress(
+        &self,
+        s: u32,
+        for_metro: MetroId,
+        env: &RouteEnv,
+        rank: usize,
+    ) -> Option<BorderId> {
         let sess = &self.graph.sessions[s as usize];
         let from = self.atlas.metro_km_from(for_metro);
         let km = |b: BorderId| from[self.border_metro[b.0 as usize].0 as usize];
@@ -712,11 +709,46 @@ impl PolicyWorld {
                 }
             }
         }
-        if env.session_shifted(s) {
+        if rank > 0 {
             second.or(best)
         } else {
             best
         }
+    }
+
+    /// The ingress of `node`'s route in `table`, computed under `env`, at
+    /// egress-selection `rank` ([`super::dynamics::selection_rank`]): the
+    /// table's own ingress at rank 0. At rank 1 the AS path stays and only
+    /// the hand-off moves, to the runner-up live border of the session the
+    /// path ends on, seen from the metro the hot-potato rule used: the
+    /// CDN-adjacent AS's own if `node` is that AS, else that of the path's
+    /// AS one hop before it. `None` when `node` is unrouted.
+    pub fn ingress_at(
+        &self,
+        table: &CatchmentTable,
+        env: &RouteEnv,
+        node: u32,
+        rank: usize,
+    ) -> Option<BorderId> {
+        let e = table.entry(node)?;
+        if rank == 0 {
+            return Some(BorderId(e.ingress));
+        }
+        let (mut adjacent, mut below, mut next) = (node, node, e.next_hop);
+        for _ in 1..e.path_len {
+            if next == CDN_NEXT {
+                break;
+            }
+            (below, adjacent) = (adjacent, next);
+            next = table.raw(adjacent).next_hop;
+        }
+        let g = &self.graph;
+        self.session_ingress(
+            g.session_of[adjacent as usize],
+            g.home_metro[below as usize],
+            env,
+            rank,
+        )
     }
 
     /// Whether session `s` can carry the prefix under `env`.
@@ -907,20 +939,17 @@ impl PolicyWorld {
         );
         let sessions = &self.graph.sessions;
         let mut w = Subtree::over(&base.dense, None);
-        // Directly affected: owners of dead/withdrawn/shifted sessions.
+        // Directly affected: owners of dead sessions and of sessions at a
+        // withdrawn border.
         if env.withdrawn.is_empty() && env.only_border.is_none() {
-            // Every border is live, so the environment's own lists name
-            // the affected sessions.
-            for &s in env.dead_sessions.iter().chain(&env.shifted) {
+            // Every border is live, so the dead list names the affected
+            // sessions.
+            for &s in &env.dead_sessions {
                 w.mark(sessions[s as usize].node);
             }
         } else {
             for (s, sess) in sessions.iter().enumerate() {
-                let s = s as u32;
-                if env.session_dead(s)
-                    || env.session_shifted(s)
-                    || sess.borders.iter().any(|&b| !env.border_live(b))
-                {
+                if env.session_dead(s as u32) || sess.borders.iter().any(|&b| !env.border_live(b)) {
                     w.mark(sess.node);
                 }
             }
@@ -1032,7 +1061,7 @@ impl PolicyWorld {
             let e = w.get(v);
             let ingress = match e.next_hop {
                 CDN_NEXT => {
-                    self.session_ingress(g.session_of[v as usize], g.home_metro[v as usize], env)
+                    self.session_ingress(g.session_of[v as usize], g.home_metro[v as usize], env, 0)
                 }
                 next => {
                     let ne = w.get(next);
@@ -1041,6 +1070,7 @@ impl PolicyWorld {
                             g.session_of[next as usize],
                             g.home_metro[v as usize],
                             env,
+                            0,
                         )
                     } else {
                         (ne.ingress != u16::MAX).then_some(BorderId(ne.ingress))
@@ -1091,13 +1121,11 @@ impl PolicyWorld {
             match w.event {
                 DynEvent::SessionDown(s) => env.dead_sessions.push(s),
                 DynEvent::BorderDown(b) => env.withdrawn.push(b),
-                DynEvent::EgressShift(s) => env.shifted.push(s),
             }
         }
         env.withdrawn.sort_unstable();
         env.withdrawn.dedup();
         env.dead_sessions.sort_unstable();
-        env.shifted.sort_unstable();
         env
     }
 

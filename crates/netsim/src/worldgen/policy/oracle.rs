@@ -29,14 +29,13 @@ impl PolicyWorld {
         env: &RouteEnv,
     ) -> Vec<RouteEntry> {
         let n = self.graph.n as usize;
-        // Directly affected: owners of dead/withdrawn/shifted sessions.
+        // Directly affected: owners of dead sessions and of sessions at a
+        // withdrawn border.
         let mut dirty = vec![false; n];
         let mut queue: Vec<u32> = Vec::new();
         for (s, sess) in self.graph.sessions.iter().enumerate() {
             let s = s as u32;
-            let affected = env.session_dead(s)
-                || env.session_shifted(s)
-                || sess.borders.iter().any(|&b| !env.border_live(b));
+            let affected = env.session_dead(s) || sess.borders.iter().any(|&b| !env.border_live(b));
             if affected && !dirty[sess.node as usize] {
                 dirty[sess.node as usize] = true;
                 queue.push(sess.node);
@@ -266,7 +265,7 @@ impl PolicyWorld {
             }
             let ingress = match e.next_hop {
                 CDN_NEXT => {
-                    self.session_ingress(g.session_of[v as usize], g.home_metro[v as usize], env)
+                    self.session_ingress(g.session_of[v as usize], g.home_metro[v as usize], env, 0)
                 }
                 next => {
                     let ne = entries[next as usize];
@@ -275,6 +274,7 @@ impl PolicyWorld {
                             g.session_of[next as usize],
                             g.home_metro[v as usize],
                             env,
+                            0,
                         )
                     } else {
                         (ne.ingress != u16::MAX).then_some(BorderId(ne.ingress))
@@ -304,7 +304,7 @@ mod tests {
     }
 
     /// A deterministic pseudo-random disturbance: several overlapping
-    /// session flaps and egress shifts, borders withdrawn as a border flap
+    /// session flaps, borders withdrawn as a border flap
     /// or a site outage would (any border, not only a flapped session's),
     /// and now and then the announcement pinned to one border.
     fn arbitrary_env(pw: &PolicyWorld, env_seed: u64) -> RouteEnv {
@@ -318,12 +318,6 @@ mod tests {
         for i in 0..(mix(1) % 6) {
             env.dead_sessions.push((mix(100 + i) % n_sessions) as u32);
         }
-        for i in 0..(mix(2) % 4) {
-            let s = (mix(200 + i) % n_sessions) as u32;
-            if pw.graph.sessions[s as usize].borders.len() > 1 {
-                env.shifted.push(s);
-            }
-        }
         if mix(3) % 3 == 0 {
             for i in 0..=(mix(4) % 3) {
                 env.withdrawn.push(BorderId(
@@ -336,8 +330,6 @@ mod tests {
         }
         env.dead_sessions.sort_unstable();
         env.dead_sessions.dedup();
-        env.shifted.sort_unstable();
-        env.shifted.dedup();
         env.withdrawn.sort_unstable();
         env.withdrawn.dedup();
         env

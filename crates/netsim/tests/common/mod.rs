@@ -13,7 +13,6 @@ pub fn flappy_world(seed: u64) -> Internet {
             n_ases: 250,
             p_session_flap: 0.25,
             p_border_flap: 0.1,
-            p_egress_shift: 0.3,
         }),
         p_site_outage: 0.2,
         p_site_drain: 0.1,

@@ -1,8 +1,8 @@
 //! Property tests for the Internet substrate: routing invariants that must
 //! hold over *any* generated world.
 
-use anycast_netsim::churn::ChurnModel;
 use anycast_netsim::latency::{FIBER_KM_PER_MS, FIBER_PATH_STRETCH};
+use anycast_netsim::worldgen::dynamics::flips_on;
 use anycast_netsim::worldgen::{route_class, CdnRelation, Csr, RouteEnv, CDN_NEXT};
 use anycast_netsim::{
     AccessTech, BorderId, CatchmentTable, ClientAttachment, Day, HopKind, Internet, NetConfig,
@@ -109,12 +109,6 @@ fn arbitrary_env(pw: &PolicyWorld, env_seed: u64) -> RouteEnv {
     for i in 0..(mix(1) % 4) {
         env.dead_sessions.push((mix(100 + i) % n_sessions) as u32);
     }
-    for i in 0..(mix(2) % 3) {
-        let s = (mix(200 + i) % n_sessions) as u32;
-        if pw.graph.sessions[s as usize].borders.len() > 1 {
-            env.shifted.push(s);
-        }
-    }
     if mix(3) % 4 == 0 {
         let sess = &pw.graph.sessions[(mix(300) % n_sessions) as usize];
         env.withdrawn
@@ -122,8 +116,6 @@ fn arbitrary_env(pw: &PolicyWorld, env_seed: u64) -> RouteEnv {
     }
     env.dead_sessions.sort_unstable();
     env.dead_sessions.dedup();
-    env.shifted.sort_unstable();
-    env.shifted.dedup();
     env.withdrawn.sort_unstable();
     env.withdrawn.dedup();
     env
@@ -199,7 +191,7 @@ proptest! {
         let today = net.anycast_day(&c, Day(day));
         prop_assert_eq!(today.route, net.anycast_route(&c, Day(day)));
         let start = *today.at(0.0);
-        if !ChurnModel::new(seed).flips_on(c.as_id, c.metro, Day(day)) {
+        if !flips_on(seed, c.as_id, c.metro, Day(day)) {
             prop_assert!(today.switch.is_none());
             prop_assert_eq!(start, today.route);
         }

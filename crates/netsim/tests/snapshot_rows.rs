@@ -32,7 +32,6 @@ fn flapping_policy_world() -> Internet {
         worldgen: Some(WorldGenConfig {
             p_session_flap: 0.1,
             p_border_flap: 0.05,
-            p_egress_shift: 0.1,
             ..WorldGenConfig::with_ases(1_000)
         }),
         p_site_outage: 0.2,

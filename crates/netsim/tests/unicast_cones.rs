@@ -164,7 +164,7 @@ fn bespoke_world() -> (PolicyWorld, u16) {
         sessions,
         session_of,
     };
-    let quiet = RouteDynamics::new(5, 0.0, 0.0, 0.0);
+    let quiet = RouteDynamics::new(5, 0.0, 0.0);
     (
         PolicyWorld::new(graph, quiet, &topo.atlas, &topo.cdn),
         n_borders,

@@ -35,9 +35,9 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use anycast_dns::LdnsId;
 use anycast_geo::GeoPoint;
@@ -69,6 +69,13 @@ pub const RCODE_REFUSED: u8 = 5;
 
 /// Maximum TCP message size (16-bit length prefix).
 const TCP_MAX_MESSAGE: usize = 65535;
+/// Most TCP connections served at once, each on its own thread; one
+/// accepted beyond them is closed unanswered.
+const TCP_MAX_CONNS: usize = 16;
+/// How long one TCP message may take to arrive, its length prefix
+/// included, and one reply write may block. A peer idle or trickling past
+/// it is disconnected; until then it holds only its own thread.
+const TCP_IO_TIMEOUT: Duration = Duration::from_millis(500);
 /// Bytes per arena slot, receive and send alike: the largest datagram a
 /// worker reads and the largest UDP reply it sends.
 const SLOT_BYTES: usize = 4096;
@@ -654,43 +661,85 @@ fn source_ip(src: SocketAddr) -> Ipv4Addr {
     }
 }
 
+/// Accepts TCP connections and serves each on a thread of its own, at most
+/// [`TCP_MAX_CONNS`] at once; the connection threads are joined before the
+/// acceptor's own thread ends.
 fn spawn_tcp_acceptor(ctx: Arc<ServeCtx>, listener: TcpListener) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("serve-tcp".to_string())
         .spawn(move || {
-            while !ctx.stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, src)) => {
-                        counter!("serve_tcp_fallbacks_total").inc();
-                        let _ = serve_tcp_conn(&ctx, stream, src);
+            let (ctx, open) = (&*ctx, &AtomicUsize::new(0));
+            std::thread::scope(|scope| {
+                while !ctx.stop.load(Ordering::Relaxed) {
+                    match listener.accept() {
+                        Ok((stream, src)) => {
+                            counter!("serve_tcp_fallbacks_total").inc();
+                            if open.load(Ordering::Relaxed) >= TCP_MAX_CONNS {
+                                continue; // dropping the stream closes it
+                            }
+                            open.fetch_add(1, Ordering::Relaxed);
+                            let spawned = std::thread::Builder::new()
+                                .name("serve-tcp-conn".to_string())
+                                .spawn_scoped(scope, move || {
+                                    let _ = serve_tcp_conn(ctx, stream, src);
+                                    open.fetch_sub(1, Ordering::Relaxed);
+                                });
+                            if spawned.is_err() {
+                                open.fetch_sub(1, Ordering::Relaxed);
+                            }
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        Err(_) => break,
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
                 }
-            }
+            });
         })
         .expect("spawn tcp acceptor thread")
 }
 
+/// Fills `buf` from `stream`, or fails once `deadline` has passed.
+fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> std::io::Result<()> {
+    let mut got = 0;
+    while got < buf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
+        match stream.read(&mut buf[got..]) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Serves queries on one TCP connection (RFC 1035 §4.2.2 framing) until
-/// the peer closes or times out. The query scratch and the length-prefixed
-/// response frame are per-connection buffers reused across messages; the
-/// table is loaded once per message.
+/// the peer closes, the server stops, or a message or reply overruns
+/// [`TCP_IO_TIMEOUT`]. The query scratch and the length-prefixed response
+/// frame are per-connection buffers reused across messages; the table is
+/// loaded once per message.
 fn serve_tcp_conn(ctx: &ServeCtx, mut stream: TcpStream, src: SocketAddr) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+    // Some platforms hand an accepted socket the listener's non-blocking
+    // mode; the deadlines below need blocking reads.
+    stream.set_nonblocking(false)?;
+    stream.set_write_timeout(Some(TCP_IO_TIMEOUT))?;
     let mut data: Vec<u8> = Vec::new();
     let mut frame: Vec<u8> = Vec::new();
     let mut counts = BatchCounts::new(ctx.cfg.recorder);
-    loop {
+    while !ctx.stop.load(Ordering::Relaxed) {
+        let deadline = Instant::now() + TCP_IO_TIMEOUT;
         let mut len_buf = [0u8; 2];
-        if stream.read_exact(&mut len_buf).is_err() {
-            return Ok(()); // peer closed or timed out
+        if read_by(&mut stream, &mut len_buf, deadline).is_err() {
+            return Ok(()); // peer closed, idle or trickling
         }
         let len = usize::from(u16::from_be_bytes(len_buf));
         data.resize(len, 0);
-        stream.read_exact(&mut data)?;
+        read_by(&mut stream, &mut data, deadline)?;
         counts.tcp_queries += 1;
         let table = ctx.tables.load();
         let resp = respond(ctx, &table, &mut counts, &data, src, Transport::Tcp);
@@ -708,6 +757,7 @@ fn serve_tcp_conn(ctx: &ServeCtx, mut stream: TcpStream, src: SocketAddr) -> std
             stream.write_all(&frame)?;
         }
     }
+    Ok(())
 }
 
 /// How a query arrived — decides the response-size rule and whether the

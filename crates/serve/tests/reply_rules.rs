@@ -5,12 +5,15 @@
 //! never answered, so two servers cannot answer each other forever. A
 //! scrape reply echoes the query's OPT record, as every other reply does
 //! (RFC 6891 §7), over UDP (TC=1, no longer than the query) and over TCP.
+//! A TCP client that sends nothing, or trickles its query in, holds up no
+//! other TCP client.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use anycast_core::prediction::{Grouping, PredictionTable};
 use anycast_dns::DnsName;
@@ -145,4 +148,42 @@ fn scrape_replies_echo_the_querys_opt_over_udp_and_tcp() {
         assert_eq!(u16::from_be_bytes([tcp[6], tcp[7]]), 1, "one TXT answer");
         assert_eq!(additional(&tcp), want, "TCP, query OPT {edns:?}");
     }
+}
+
+#[test]
+fn an_idle_or_trickling_tcp_client_holds_up_no_other() {
+    let server = server();
+    let addr = server.local_addr();
+    let wire = query(0x7C90, "www.example.com", TYPE_A, CLASS_IN, None);
+    let mut framed = (wire.len() as u16).to_be_bytes().to_vec();
+    framed.extend_from_slice(&wire);
+    // One connection that never sends, and one that sends its query a
+    // byte every 100 ms, faster than any per-read timeout fires, for up to
+    // three seconds (so a server it stalls still shuts down).
+    let _idle = TcpStream::connect(addr).expect("connects");
+    let mut trickle = TcpStream::connect(addr).expect("connects");
+    let done = Arc::new(AtomicBool::new(false));
+    let dripper = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            for byte in framed.iter().cycle().take(30) {
+                if done.load(Relaxed) || trickle.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        })
+    };
+    // Both are accepted (the acceptor polls every 5 ms) before the query.
+    std::thread::sleep(Duration::from_millis(50));
+    let asked = Instant::now();
+    let reply = tcp_exchange(addr, &wire);
+    let took = asked.elapsed();
+    done.store(true, Relaxed);
+    dripper.join().expect("dripper ends");
+    assert!(took < Duration::from_millis(100), "answered after {took:?}");
+    let reply = decode_response(&reply).expect("a response");
+    assert_eq!((reply.id, reply.rcode, reply.qtype), (0x7C90, 0, TYPE_A));
+    let anycast = CdnAddressing::standard(8).anycast_ip();
+    assert_eq!(reply.answer.map(|(ip, _)| ip), Some(anycast));
 }
