@@ -5,16 +5,16 @@
 //!   attempt timed out — must match the failed rows of the joined dataset
 //!   the same days produced (satellite: failure worlds are *visible*, not
 //!   just survived).
-//! * `pipeline_shard_panics_total` — ShardError recoveries — must match
-//!   the number of worker deaths the caller actually observed.
+//! * `pipeline_shard_panics_total` — the worker runner's `ShardError`
+//!   recoveries — must match the number of worker deaths the caller
+//!   actually observed.
 //!
 //! Dedicated integration-test binary: exact-count assertions run inside
 //! `obs::capture` windows with nothing else in the process.
 
-use anycast_beacon::Target;
 use anycast_core::{Study, StudyConfig};
+use anycast_netsim::stream::run_workers;
 use anycast_netsim::Day;
-use anycast_pipeline::{mix64, sketch_day, ShardConfig};
 use anycast_workload::{Scenario, ScenarioConfig};
 
 /// A failure world: outages and drains scheduled at high rates so some
@@ -59,33 +59,21 @@ fn failed_fetch_counter_matches_the_dataset_rows() {
 #[test]
 fn shard_panic_counter_matches_observed_errors() {
     anycast_obs::set_enabled(true);
-    // Key 9's owner meets a NaN latency mid-stream and dies; the other
-    // worker finishes its share.
-    let records = (0..1_000u64).map(|i| {
-        let v = if i == 509 { f64::NAN } else { i as f64 };
-        (i % 10, Target::Anycast, v)
-    });
+    // Worker 1 of three dies mid-pass; the other two finish theirs.
     let (observed, delta) = anycast_obs::capture(|| {
-        let died = std::panic::catch_unwind(|| {
-            sketch_day(records, 0.05, ShardConfig { workers: 2 }, |k: &u64| {
-                mix64(*k)
-            })
+        let e = run_workers(vec![0u64, 1, 2], |_, input| {
+            assert!(input != 1, "poison input {input}");
+            input
         })
         .expect_err("the poisoned worker's death reaches the caller");
-        let message = died.downcast_ref::<String>().expect("a formatted panic");
-        assert!(message.contains("shard worker"), "{message}");
-        assert!(message.contains("NaN fed to QuantileSketch"), "{message}");
+        assert_eq!(e.worker, 1);
+        assert!(e.to_string().contains("shard worker"), "{e}");
+        assert!(e.message.contains("poison input 1"), "{e}");
         1u64
     });
     assert_eq!(
         delta.counter("pipeline_shard_panics_total"),
         observed,
         "panic counter disagrees with observed ShardErrors"
-    );
-    // The survivor still reports the rows it kept.
-    let routed = delta.counter("pipeline_records_routed_total");
-    assert!(
-        routed > 0 && routed % 100 == 0 && routed < 1_000,
-        "{routed}"
     );
 }

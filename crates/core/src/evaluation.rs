@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use anycast_analysis::percentile;
 use anycast_beacon::{BeaconDataset, Target};
 use anycast_dns::LdnsId;
+use anycast_netsim::stream::FastMap;
 use anycast_netsim::{Day, Prefix24};
-use anycast_pipeline::FastMap;
 
 use crate::prediction::{Grouping, PredictionTable};
 

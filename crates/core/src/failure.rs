@@ -26,8 +26,8 @@
 use std::collections::HashMap;
 
 use anycast_geo::GeoPoint;
+use anycast_netsim::stream::FastMap;
 use anycast_netsim::{Day, Internet, Prefix24, RouteSnapshot, RouteTally, SiteId};
-use anycast_pipeline::FastMap;
 
 /// Why a request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

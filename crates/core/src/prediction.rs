@@ -16,11 +16,10 @@
 //! … The 25th percentile and median have lower coefficient of variation."
 
 use anycast_analysis::{from_order_key, order_key, percentile, percentile_mut, percentile_of_keys};
-use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target};
+use anycast_beacon::{BeaconDataset, BeaconMeasurement, Target, FETCH_TIMEOUT_MS};
 use anycast_dns::LdnsId;
+use anycast_netsim::stream::{run_workers, FastMap};
 use anycast_netsim::{Day, Prefix, SiteId};
-use anycast_pipeline::{ecs_record_with_failures, ldns_record_with_failures};
-use anycast_pipeline::{run_workers, FastMap, ShardConfig};
 
 /// The granularity clients are grouped at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -392,6 +391,21 @@ impl AggregationConfig {
     }
 }
 
+/// A worker count, as the benchmark's adapter passes it to
+/// [`Predictor::train_sketched`] (which ignores it) and to the
+/// pipeline's `sketch_day` (whose result does not depend on it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardConfig {
+    /// Worker count (≥ 1).
+    pub workers: usize,
+}
+
+impl Default for ShardConfig {
+    fn default() -> Self {
+        ShardConfig { workers: 2 }
+    }
+}
+
 /// What [`Predictor::train`] trains a table from: a window of days and,
 /// optionally, the aggregation pass over it. A [`Day`] converts to the
 /// paper's scheme: that one day, one entry per group.
@@ -473,18 +487,23 @@ impl Predictor {
     }
 
     /// One measurement as a `(group, target, rtt)` training record under
-    /// the configured grouping, failures scored at the fetch timeout.
+    /// the configured grouping: its client's /24 (ECS) or its client's
+    /// LDNS ("assigning each front-end measurement made by a client to the
+    /// client's LDNS", §6).
+    ///
+    /// A *failed* fetch (every attempt timed out against a dead or
+    /// converging front-end) carries no RTT and is scored at the fetch
+    /// timeout: dropped silently, it would make a flaky front-end look as
+    /// good as its successful fetches, and the predictor would redirect
+    /// clients to a site that times out on them. Worlds without failures
+    /// never take the branch.
     fn record(&self, m: &BeaconMeasurement) -> (GroupKey, Target, f64) {
-        match self.cfg.grouping {
-            Grouping::Ecs => {
-                let (p, t, rtt) = ecs_record_with_failures(m);
-                (GroupKey::Ecs(p.into()), t, rtt)
-            }
-            Grouping::Ldns => {
-                let (l, t, rtt) = ldns_record_with_failures(m);
-                (GroupKey::Ldns(l), t, rtt)
-            }
-        }
+        let key = match self.cfg.grouping {
+            Grouping::Ecs => GroupKey::Ecs(m.prefix.into()),
+            Grouping::Ldns => GroupKey::Ldns(m.ldns),
+        };
+        let rtt = if m.failed { FETCH_TIMEOUT_MS } else { m.rtt_ms };
+        (key, m.target, rtt)
     }
 
     /// Trains a prediction table: groups the window's clients, scores
@@ -1654,8 +1673,8 @@ fn target_of_code(code: usize) -> Target {
 mod tests {
     use super::*;
     use anycast_beacon::{BeaconMeasurement, Slot};
+    use anycast_netsim::stream::mix64;
     use anycast_netsim::{Prefix24, SiteId};
-    use anycast_pipeline::mix64;
     use std::collections::{BTreeMap, HashMap};
     use std::net::Ipv4Addr;
 
@@ -1798,6 +1817,39 @@ mod tests {
             Some(Target::Anycast),
             "a mostly-failing front-end must not be chosen"
         );
+    }
+
+    #[test]
+    fn beacon_adapters_project_the_right_fields() {
+        let m = BeaconMeasurement {
+            measurement_id: Slot::Anycast.id_for(7),
+            slot: Slot::Anycast,
+            prefix: Prefix24::containing(Ipv4Addr::new(11, 2, 3, 4)),
+            ldns: LdnsId(9),
+            ecs: None,
+            target: Target::Anycast,
+            served_site: SiteId(1),
+            rtt_ms: 42.0,
+            failed: false,
+            day: Day(3),
+            time_s: 1.0,
+        };
+        let ecs = Predictor::new(PredictorConfig::default());
+        let ldns = Predictor::new(PredictorConfig {
+            grouping: Grouping::Ldns,
+            ..Default::default()
+        });
+        assert_eq!(
+            ecs.record(&m),
+            (GroupKey::Ecs(m.prefix.into()), Target::Anycast, 42.0)
+        );
+        assert_eq!(
+            ldns.record(&m),
+            (GroupKey::Ldns(LdnsId(9)), Target::Anycast, 42.0)
+        );
+        let failed = BeaconMeasurement { failed: true, ..m };
+        assert_eq!(ecs.record(&failed).2, FETCH_TIMEOUT_MS);
+        assert_eq!(ldns.record(&failed).2, FETCH_TIMEOUT_MS);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! 3. **Execute.** The event list is cut into one contiguous range per
 //!    worker — worker *w* of *W* owns events `[w·⌈n/W⌉, (w+1)·⌈n/W⌉)` —
 //!    and each worker runs its range start to finish
-//!    ([`anycast_pipeline::run_workers`]: range 0 on the calling thread,
-//!    so *W* threads are busy, never *W* + 1). Each beacon draws its noise
+//!    ([`anycast_netsim::stream::run_workers`]: range 0 on the calling
+//!    thread, so *W* threads are busy, never *W* + 1). Each beacon draws its noise
 //!    from `stream_rng(seed, [BEACON_STREAM, day, client, beacon])` and
 //!    routes against a shared read-only [`RouteSnapshot`] built once for
 //!    the day, which holds the routes the day's beacons fetch: every
@@ -50,8 +50,8 @@
 //! 4. **Merge.** The caller appends the ranges' joined rows in range
 //!    order. Ranges are consecutive runs of one sorted list, so the
 //!    dataset is globally time-ordered and **bit-identical for any worker
-//!    count** — the same contract the pipeline crate's sharded ingestion
-//!    makes, pinned end-to-end by the `study-worker-invariance` proptest.
+//!    count** — the contract [`anycast_netsim::stream`] states for every
+//!    fan-out, pinned end-to-end by the `study-worker-invariance` proptest.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -64,9 +64,9 @@ use anycast_beacon::{
 };
 use anycast_dns::{AuthoritativeServer, DnsName, Ldns, LdnsId};
 use anycast_geo::GeoPoint;
+use anycast_netsim::stream::run_workers;
 use anycast_netsim::{stream_rng, ClientAttachment, Day, Prefix24, RouteSnapshot, SiteId};
 use anycast_obs::{span, SpanSnapshot};
-use anycast_pipeline::run_workers;
 use anycast_workload::{ldns_assign, temporal, Scenario};
 
 /// First key of every scheduling stream ("schedule").

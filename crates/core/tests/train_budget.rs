@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use anycast_beacon::{BeaconDataset, BeaconMeasurement, Slot, Target};
 use anycast_core::prediction::{Predictor, PredictorConfig};
 use anycast_dns::LdnsId;
+use anycast_netsim::stream::mix64;
 use anycast_netsim::{Day, Prefix24, SiteId};
-use anycast_pipeline::mix64;
 
 /// The system allocator, tracking live and peak bytes and the largest
 /// single block asked for.

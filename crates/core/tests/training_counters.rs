@@ -12,11 +12,10 @@
 use std::collections::HashMap;
 
 use anycast_core::prediction::{
-    AggregationConfig, PredictionTable, Predictor, PredictorConfig, TrainSpec,
+    AggregationConfig, PredictionTable, Predictor, PredictorConfig, ShardConfig, TrainSpec,
 };
 use anycast_core::{Study, StudyConfig};
 use anycast_netsim::Day;
-use anycast_pipeline::ShardConfig;
 use anycast_workload::{Scenario, ScenarioConfig};
 
 #[test]

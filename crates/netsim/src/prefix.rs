@@ -318,8 +318,9 @@ mod tests {
     }
 
     /// The stored `len + 1` never shows: hashing, `Debug`, order and
-    /// `Display` all see the `(net, len)` a prefix was built from. (The
-    /// pipeline's `FastHasher` is checked the same way in its own tests.)
+    /// `Display` all see the `(net, len)` a prefix was built from.
+    /// ([`crate::stream::FastHasher`] is checked the same way in its own
+    /// tests.)
     #[test]
     fn prefix_reads_as_its_net_and_length() {
         use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};

@@ -61,6 +61,7 @@ use crate::ids::{BorderId, SiteId};
 use crate::internet::{Catchment, ClientAttachment, Internet, RouteDecision};
 use crate::outage::OutageWindow;
 use crate::sim::Day;
+use crate::stream::run_workers;
 use crate::worldgen::{PolicyWorld, RouteEnv};
 
 /// What answers an anycast lookup inside one timeline segment.
@@ -256,26 +257,24 @@ impl<'a> RouteSnapshot<'a> {
                 }
             }
         };
-        if workers <= 1 {
-            fill(0, clients, &mut anycast, &mut unicast);
-        } else {
-            let chunk = clients.len().div_ceil(workers);
-            let (fill, row_starts) = (&fill, &row_starts);
-            std::thread::scope(|scope| {
-                let mut rest = unicast.as_mut_slice();
-                for (k, (part, any)) in clients
-                    .chunks(chunk)
-                    .zip(anycast.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let first = k * chunk;
-                    let rows = row_starts[first + part.len()] - row_starts[first];
-                    let (uni, after) = std::mem::take(&mut rest).split_at_mut(rows);
-                    rest = after;
-                    scope.spawn(move || fill(first, part, any, uni));
-                }
-            });
+        let chunk = clients.len().div_ceil(workers).max(1);
+        let mut rest = unicast.as_mut_slice();
+        let mut parts = Vec::with_capacity(workers);
+        for (k, (part, any)) in clients
+            .chunks(chunk)
+            .zip(anycast.chunks_mut(chunk))
+            .enumerate()
+        {
+            let first = k * chunk;
+            let rows = row_starts[first + part.len()] - row_starts[first];
+            let (uni, after) = std::mem::take(&mut rest).split_at_mut(rows);
+            rest = after;
+            parts.push((first, part, any, uni));
         }
+        run_workers(parts, |_, (first, part, any, uni)| {
+            fill(first, part, any, uni)
+        })
+        .unwrap_or_else(|e| panic!("route snapshot of day {} failed: {e}", day.0));
         let timeline = DayTimeline::cut(internet, clients, &anycast, day, &windows);
         RouteSnapshot {
             day,

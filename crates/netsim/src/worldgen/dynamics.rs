@@ -197,17 +197,17 @@ impl RouteDynamics {
         if p <= 0.0 {
             return None;
         }
-        let fire = to_unit(mix64(self.seed, (entity << 20) | u64::from(day.0), salt));
+        let fire = to_unit(flap_mix(self.seed, (entity << 20) | u64::from(day.0), salt));
         if fire >= p {
             return None;
         }
-        let start = to_unit(mix64(
+        let start = to_unit(flap_mix(
             self.seed,
             (entity << 20) | u64::from(day.0),
             salt ^ 0x57A2,
         )) * 60_480.0;
         let span = FLAP_MIN_S
-            + to_unit(mix64(
+            + to_unit(flap_mix(
                 self.seed,
                 (entity << 20) | u64::from(day.0),
                 salt ^ 0xD0A2,
@@ -216,9 +216,10 @@ impl RouteDynamics {
     }
 }
 
-/// SplitMix64-style (seed, key, salt) mixer — the same construction the
-/// outage/latency models use.
-fn mix64(seed: u64, key: u64, salt: u64) -> u64 {
+/// [`stream::mix`](crate::stream::mix) with its own salt multiplier
+/// (`0xC2B2…` where `mix` has `0xBF58…`), kept so the flap schedule stays
+/// byte-identical.
+fn flap_mix(seed: u64, key: u64, salt: u64) -> u64 {
     splitmix64(
         seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
     )

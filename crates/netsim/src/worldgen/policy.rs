@@ -58,6 +58,7 @@ use anycast_obs::counter;
 
 use crate::ids::BorderId;
 use crate::sim::Day;
+use crate::stream::run_workers;
 use crate::topology::CdnNetwork;
 
 use super::dynamics::{DynEvent, EventWindow, RouteDynamics};
@@ -592,20 +593,6 @@ fn relax(w: &mut impl WorkSet, levels: &mut Levels, class: u8, learners: &Csr) {
     });
 }
 
-/// Runs `job(i)` for every `i < n` on up to `workers` threads, thread `t`
-/// taking `t, t + threads, …`. Stripe 0 runs on the calling thread, so one
-/// stripe spawns nothing.
-fn striped(n: usize, workers: usize, job: impl Fn(usize) + Sync) {
-    let threads = workers.clamp(1, n.max(1));
-    let stripe = |t: usize| (t..n).step_by(threads).for_each(&job);
-    std::thread::scope(|scope| {
-        for t in 1..threads {
-            scope.spawn(move || stripe(t));
-        }
-        stripe(0);
-    });
-}
-
 /// Whether `sess` is established at every one of `n_borders` borders, and
 /// so is live under every single-border announcement alike.
 fn at_every_border(sess: &CdnSession, n_borders: usize) -> bool {
@@ -850,7 +837,16 @@ impl PolicyWorld {
         if steady_held && cones.is_empty() {
             return;
         }
-        striped(2, workers, |pass| {
+        // Job `i` of `n` on up to `workers` threads, thread `t` taking
+        // `t, t + threads, …`.
+        let dealt = |n: usize, job: &(dyn Fn(usize) + Sync)| {
+            let threads = workers.clamp(1, n.max(1));
+            run_workers(vec![(); threads], |t, ()| {
+                (t..n).step_by(threads).for_each(job);
+            })
+            .unwrap_or_else(|e| panic!("warming catchment tables failed: {e}"));
+        };
+        dealt(2, &|pass| {
             if pass == 0 && !steady_held {
                 self.steady_table();
             }
@@ -858,7 +854,7 @@ impl PolicyWorld {
                 self.unicast_base();
             }
         });
-        striped(cones.len(), workers, |i| {
+        dealt(cones.len(), &|i| {
             self.unicast_table(cones[i]);
         });
     }

@@ -1,53 +1,14 @@
-//! Adapters from the repo's record types into pipeline streams.
-//!
-//! **Beacon measurements** — `anycast_beacon::BeaconMeasurement`, the
-//! joined active measurements — become `(group, target, latency)` training
-//! records at ECS or LDNS granularity ([`ecs_record_with_failures`],
-//! [`ldns_record_with_failures`]). [`sketch_day`] gathers one record
-//! stream into per-pair columns.
-//!
-//! [`route_subnet`] hashes the *group* key, so sharded ingestion keeps the
-//! key-ownership discipline `shard`'s determinism contract requires.
+//! [`sketch_day`], and the shard route for prefix keys.
 
 use std::hash::Hash;
 
-use anycast_beacon::{BeaconMeasurement, Target, FETCH_TIMEOUT_MS};
-use anycast_dns::LdnsId;
-use anycast_netsim::{Prefix, Prefix24};
+use anycast_beacon::Target;
+use anycast_netsim::stream::{mix64, run_workers, FastMap};
+use anycast_netsim::Prefix;
 use anycast_obs::counter;
 
-use crate::shard::{owner, run_workers, ShardConfig};
-use crate::sketch::{mix64, FastMap, QuantileSketch};
-use crate::window::DaySketches;
-
-/// The latency a measurement contributes to training: its RTT, or for a
-/// *failed* fetch (every attempt timed out against a dead or converging
-/// front-end) the fetch timeout. Failed fetches carry no RTT, but silently
-/// dropping them would make a flaky front-end look as good as its
-/// successful fetches — the predictor would happily redirect clients to a
-/// site that times out on them. Charging each failure the timeout makes
-/// unreliability count against a target exactly as much as being that
-/// slow; worlds without failures never take the branch.
-fn training_ms(m: &BeaconMeasurement) -> f64 {
-    if m.failed {
-        FETCH_TIMEOUT_MS
-    } else {
-        m.rtt_ms
-    }
-}
-
-/// A beacon measurement as an ECS-granularity latency observation, failures
-/// scored as slow rather than invisible.
-pub fn ecs_record_with_failures(m: &BeaconMeasurement) -> (Prefix24, Target, f64) {
-    (m.prefix, m.target, training_ms(m))
-}
-
-/// A beacon measurement as an LDNS-granularity latency observation
-/// ("assigning each front-end measurement made by a client to the
-/// client's LDNS", §6), failure-aware like [`ecs_record_with_failures`].
-pub fn ldns_record_with_failures(m: &BeaconMeasurement) -> (LdnsId, Target, f64) {
-    (m.ldns, m.target, training_ms(m))
-}
+use crate::shard::owner;
+use crate::{DaySketches, QuantileSketch, ShardConfig};
 
 /// Shard route for variable-length subnet keys (aggregated prediction
 /// groups). `Prefix::key` folds the length in, so a /16 and the /24 at the
@@ -61,14 +22,13 @@ pub fn route_subnet(p: Prefix) -> u64 {
 /// each fed its pair's records in stream order. `eps` is ignored: the
 /// columns are exact. Sharded by key ownership without a producer: each
 /// of `cfg.workers` workers replays `records` itself and keeps the records
-/// whose group `route` hashes to it (see [`crate::shard`]). What is read
-/// from the result is bit-identical for any `cfg.workers`.
+/// whose group `route` hashes to it. What is read from the result is
+/// bit-identical for any `cfg.workers`.
 ///
 /// # Panics
-/// Panics when `cfg.workers` is 0, and with the [`ShardError`] text of the
-/// first worker that panicked.
-///
-/// [`ShardError`]: crate::ShardError
+/// Panics when `cfg.workers` is 0, and with the
+/// [`ShardError`](anycast_netsim::stream::ShardError) text of the first
+/// worker that panicked.
 pub fn sketch_day<K, I>(
     records: I,
     _eps: f64,
@@ -102,36 +62,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_netsim::{Day, SiteId};
-    use std::net::Ipv4Addr;
-
-    #[test]
-    fn beacon_adapters_project_the_right_fields() {
-        use anycast_beacon::Slot;
-        let m = BeaconMeasurement {
-            measurement_id: Slot::Anycast.id_for(7),
-            slot: Slot::Anycast,
-            prefix: Prefix24::containing(Ipv4Addr::new(11, 2, 3, 4)),
-            ldns: LdnsId(9),
-            ecs: None,
-            target: Target::Anycast,
-            served_site: SiteId(1),
-            rtt_ms: 42.0,
-            failed: false,
-            day: Day(3),
-            time_s: 1.0,
-        };
-        assert_eq!(
-            ecs_record_with_failures(&m),
-            (m.prefix, Target::Anycast, 42.0)
-        );
-        assert_eq!(
-            ldns_record_with_failures(&m),
-            (LdnsId(9), Target::Anycast, 42.0)
-        );
-        let failed = BeaconMeasurement { failed: true, ..m };
-        assert_eq!(ecs_record_with_failures(&failed).2, FETCH_TIMEOUT_MS);
-    }
+    use crate::ShardConfig;
+    use anycast_netsim::stream::mix64;
 
     #[test]
     fn sketch_day_convenience_matches_counts() {

@@ -7,15 +7,15 @@
 //! worker, key sets disjoint, each column fed its pair's records in stream
 //! order.
 //!
-//! The group key is generic: the pipeline is used with `Prefix` (ECS
-//! granularity), `LdnsId`, and `anycast_core`'s own `GroupKey`.
+//! The group key is generic: the benchmark's probes key it by `Prefix`.
 
 use anycast_beacon::Target;
+use anycast_netsim::stream::FastMap;
 
-use crate::sketch::{FastMap, QuantileSketch};
+use crate::QuantileSketch;
 
 /// One record stream's per-`(group, target)` columns, as
-/// [`sketch_day`](crate::source::sketch_day) leaves them: one share per
+/// [`sketch_day`](crate::sketch_day) leaves them: one share per
 /// worker, each pair in exactly one. Nothing read from it depends on how
 /// many shares it has.
 #[derive(Debug, Clone)]
@@ -44,9 +44,8 @@ impl<K> DaySketches<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardConfig;
-    use crate::sketch::mix64;
-    use crate::source::sketch_day;
+    use crate::{sketch_day, ShardConfig};
+    use anycast_netsim::stream::mix64;
     use anycast_netsim::SiteId;
     use std::collections::BTreeMap;
 

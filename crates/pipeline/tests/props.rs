@@ -10,8 +10,9 @@ use std::collections::BTreeMap;
 
 use anycast_analysis::quantile::percentile;
 use anycast_beacon::Target;
+use anycast_netsim::stream::mix64;
 use anycast_netsim::SiteId;
-use anycast_pipeline::{mix64, sketch_day, QuantileSketch, ShardConfig};
+use anycast_pipeline::{sketch_day, QuantileSketch, ShardConfig};
 use proptest::prelude::*;
 
 /// Every worker count the invariance contract is pinned at.

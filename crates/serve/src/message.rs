@@ -484,7 +484,7 @@ fn write_txt(out: &mut Vec<u8>, text: &str, limit: usize) {
 
 /// [`encode_reply`] for a decoded query: an answer body when `answer` is
 /// `Some`, else an rcode-only body with `rcode`. A [`WireQuery`] holds no
-/// raw bytes, so the question is re-encoded from `q.qname` (lower case)
+/// raw bytes, so the question is written from `q.qname` (lower case)
 /// and the opcode is 0. Kept only for `benchmark/src/adapter.rs`
 /// (ROADMAP item 1a); the server calls [`encode_reply`].
 pub fn encode_response(
@@ -493,12 +493,15 @@ pub fn encode_response(
     rcode: u8,
     max_payload: usize,
 ) -> Vec<u8> {
-    let query = encode_query(q);
+    let mut question = Vec::with_capacity(q.qname.as_str().len() + 6);
+    crate::wire::write_name_uncompressed(&mut question, &q.qname);
+    question.extend_from_slice(&q.qtype.to_be_bytes());
+    question.extend_from_slice(&q.qclass.to_be_bytes());
     let echo = Echo {
         id: q.id,
         opcode: 0,
         rd: q.rd,
-        question: &query[HEADER_LEN..HEADER_LEN + q.qname.as_str().len() + 6],
+        question: &question,
         edns: q.edns,
     };
     let rr = answer.map(|a| (AnswerRr::new(a.addr, a.ttl_s), a.ecs_scope));
