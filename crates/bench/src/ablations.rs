@@ -284,7 +284,7 @@ pub fn outage_ttl(scale: Scale, seed: u64) -> FigureResult {
                 days,
                 &times,
                 FailureReason::StaleDnsAnswer,
-                |snap, i, t| dns.request(s.clients[i].prefix, snap, i, t),
+                |snap, i, t| dns.request(snap, i, t),
             );
             (ttl, dns.unavailability())
         });

@@ -249,7 +249,7 @@ pub fn failover(scale: Scale, seed: u64) -> FigureResult {
             days,
             &times,
             FailureReason::StaleDnsAnswer,
-            |snap, i, t| dns.request(s.clients[i].prefix, snap, i, t),
+            |snap, i, t| dns.request(snap, i, t),
         )
     });
     let dns_pts = TTLS_S

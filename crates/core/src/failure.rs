@@ -23,11 +23,9 @@
 //! availability numbers. Each request is one lookup, and flushes that
 //! lookup's [`RouteTally`] before it returns.
 
-use std::collections::HashMap;
-
 use anycast_geo::GeoPoint;
 use anycast_netsim::stream::FastMap;
-use anycast_netsim::{Day, Internet, Prefix24, RouteSnapshot, RouteTally, SiteId};
+use anycast_netsim::{Day, Internet, RouteSnapshot, RouteTally, SiteId};
 
 /// Why a request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,7 +111,7 @@ pub fn request_times(n: usize) -> Vec<f64> {
 /// The authority is health-checked: at resolution time it always answers
 /// the unicast address of the *live* front-end nearest the client. The
 /// answer is cached for `ttl_s` seconds (client + LDNS caches collapsed
-/// into one, keyed by client /24). A front-end that dies mid-TTL strands
+/// into one, kept per client /24). A front-end that dies mid-TTL strands
 /// its cached clients ([`FailureReason::StaleDnsAnswer`]) until their
 /// entries expire and re-resolution steers them to a live site — exactly
 /// the recovery lag §2 holds against DNS redirection.
@@ -122,7 +120,9 @@ pub struct DnsRedirectionSim<'a> {
     internet: &'a Internet,
     sites: Vec<(SiteId, GeoPoint)>,
     ttl_s: f64,
-    cache: HashMap<Prefix24, (SiteId, f64)>,
+    /// Each client's cached answer and when it expires, by the client's
+    /// index in the snapshots' population.
+    cache: Vec<Option<(SiteId, f64)>>,
     /// Every site by distance from a client location (its coordinates'
     /// bits), nearest first, ties on site id: ranked once, read at every
     /// resolution from there.
@@ -136,7 +136,7 @@ impl<'a> DnsRedirectionSim<'a> {
             internet,
             sites: internet.site_locations(),
             ttl_s,
-            cache: HashMap::new(),
+            cache: Vec::new(),
             rankings: FastMap::default(),
         }
     }
@@ -166,42 +166,41 @@ impl<'a> DnsRedirectionSim<'a> {
     /// cached). `None` when nothing is live to answer.
     fn answer_site(
         &mut self,
-        prefix: Prefix24,
+        client: usize,
         loc: &GeoPoint,
         day: Day,
         time_s: f64,
     ) -> Option<SiteId> {
         let now = f64::from(day.0) * 86_400.0 + time_s;
-        let cached = self
-            .cache
-            .get(&prefix)
-            .copied()
+        if client >= self.cache.len() {
+            self.cache.resize(client + 1, None);
+        }
+        let cached = self.cache[client]
             .filter(|&(_, expires)| expires > now)
             .map(|(site, _)| site);
         match cached {
             Some(site) => Some(site),
             None => {
                 let site = self.resolve(loc, day, time_s)?;
-                self.cache.insert(prefix, (site, now + self.ttl_s));
+                self.cache[client] = Some((site, now + self.ttl_s));
                 Some(site)
             }
         }
     }
 
-    /// One request from `prefix` at `time_s` of the day `routes` was
-    /// built for. `client` indexes the snapshot's population. Time must
-    /// not go backwards across calls for a given prefix (cache expiry is
-    /// absolute experiment time).
+    /// One request from client `client` — an index into the population of
+    /// `routes`, the same client in every snapshot — at `time_s` of the
+    /// day `routes` was built for. Time must not go backwards across calls
+    /// for a given client (cache expiry is absolute experiment time).
     pub fn request(
         &mut self,
-        prefix: Prefix24,
         routes: &RouteSnapshot,
         client: usize,
         time_s: f64,
     ) -> RequestOutcome {
         let day = routes.day();
         let loc = routes.attachment(client).location;
-        let Some(site) = self.answer_site(prefix, &loc, day, time_s) else {
+        let Some(site) = self.answer_site(client, &loc, day, time_s) else {
             return RequestOutcome::Failed(FailureReason::NoLiveRoute);
         };
         let mut tally = RouteTally::default();
@@ -222,7 +221,6 @@ impl<'a> DnsRedirectionSim<'a> {
 mod tests {
     use super::*;
     use anycast_netsim::{ClientAttachment, NetConfig, OutageKind, OutageWindow};
-    use std::net::Ipv4Addr;
 
     fn failure_world() -> Internet {
         let cfg = NetConfig {
@@ -275,11 +273,10 @@ mod tests {
         let internet = Internet::new(NetConfig::small(), 3).unwrap();
         let clients = [attachment(&internet, 0)];
         let routes = RouteSnapshot::build(&internet, &clients, Day(0));
-        let p = Prefix24::containing(Ipv4Addr::new(11, 0, 0, 1));
         let mut dns = DnsRedirectionSim::new(&internet, 300.0);
         for &t in &request_times(8) {
             assert!(anycast_request(&internet, &routes, 0, t).served());
-            assert!(dns.request(p, &routes, 0, t).served());
+            assert!(dns.request(&routes, 0, t).served());
         }
     }
 
@@ -343,13 +340,12 @@ mod tests {
         let c = client_nearest_to(&internet, site).expect("a client homed on the dying site");
         let clients = [c];
         let routes = RouteSnapshot::build(&internet, &clients, day);
-        let p = Prefix24::containing(Ipv4Addr::new(11, 0, 7, 1));
         let ttl = 300.0;
         let mut dns = DnsRedirectionSim::new(&internet, ttl);
         // Resolved shortly before the outage: the healthy nearest site.
         let t0 = win.start_s - 10.0;
         assert_eq!(
-            dns.request(p, &routes, 0, t0),
+            dns.request(&routes, 0, t0),
             RequestOutcome::Served {
                 site,
                 rtt_ms: internet.unicast_route(&clients[0], site, day).base_rtt_ms
@@ -360,7 +356,7 @@ mod tests {
         let t1 = win.start_s + anycast_netsim::outage::BGP_RECONVERGENCE_S + 10.0;
         assert!(t1 - t0 < ttl, "probe must land inside the cached TTL");
         assert_eq!(
-            dns.request(p, &routes, 0, t1).reason(),
+            dns.request(&routes, 0, t1).reason(),
             Some(FailureReason::StaleDnsAnswer)
         );
         // After expiry: re-resolution health-checks and picks a live site.
@@ -369,7 +365,7 @@ mod tests {
             t2 < win.end_s,
             "re-resolution probe still inside the outage"
         );
-        match dns.request(p, &routes, 0, t2) {
+        match dns.request(&routes, 0, t2) {
             RequestOutcome::Served { site: s, .. } => assert_ne!(s, site),
             RequestOutcome::Failed(r) => panic!("expected re-resolved answer, got {r:?}"),
         }

@@ -760,36 +760,87 @@ struct RangeGroups {
     ids: FastMap<PairKey, (u32, u32)>,
 }
 
-/// A chunk of the pairs the grouping kernel's sweep scores: the sweep ids
-/// from `lo`, one a score, the window rows that can hold their samples,
-/// and where their scores go.
-struct Chunk<'a> {
-    lo: usize,
-    rows: std::ops::Range<usize>,
-    scores: &'a mut [Option<f64>],
+/// Range rows a rank checkpoint of [`Runs`] stands for.
+const RANK_STEP: usize = 1 << 12;
+
+/// A range's rows as runs of consecutive rows of one pair: a bit a row,
+/// set where a run starts (bit `r % 64` of word `r / 64` for range row
+/// `r`), the pair's range-local id a run, and the runs that start before
+/// each multiple of [`RANK_STEP`] rows, up to the last run's start.
+struct Runs {
+    starts: Vec<u64>,
+    ids: Vec<u32>,
+    ranks: Vec<u32>,
 }
 
-/// A stretch of a range's rows, from window row `start`, beside their
-/// range-local ids and the range's sweep id of each.
-struct Piece<'a> {
-    start: usize,
-    rows: &'a [BeaconMeasurement],
-    ids: &'a [u32],
-    to_sweep: &'a [u32],
+impl Runs {
+    /// Starts a run of pair `id` at range row `row` of `rows`, after every
+    /// earlier one. The ids grow by doubling, but never past one a row.
+    fn push(&mut self, row: usize, id: u32, rows: usize) {
+        while self.ranks.len() <= row / RANK_STEP {
+            self.ranks.push(self.ids.len() as u32);
+        }
+        self.starts[row / 64] |= 1 << (row % 64);
+        let held = self.ids.len();
+        if held == self.ids.capacity() {
+            self.ids.reserve_exact(held.max(64).min(rows - held));
+        }
+        self.ids.push(id);
+    }
+
+    /// The runs over range rows `rows`, cut to them, in row order: each
+    /// as its pair's id and its row count.
+    fn within(&self, rows: std::ops::Range<usize>) -> impl Iterator<Item = (u32, usize)> + '_ {
+        // The run holding the first row: the runs that start up to it.
+        let (step, word) = (rows.start / RANK_STEP, rows.start / 64);
+        let part = self.starts[word] & u64::MAX >> (63 - rows.start % 64);
+        let whole = self.starts[step * (RANK_STEP / 64)..word]
+            .iter()
+            .chain([&part]);
+        let mut run = self.ranks.get(step).map_or(self.ids.len(), |&before| {
+            before as usize + whole.map(|bits| bits.count_ones() as usize).sum::<usize>()
+        }) - 1;
+        let mut start = rows.start;
+        std::iter::from_fn(move || {
+            let end = self
+                .next_start(start + 1)
+                .map_or(rows.end, |at| at.min(rows.end));
+            let found = (start < rows.end).then(|| (self.ids[run], end - start));
+            (run, start) = (run + 1, end);
+            found
+        })
+    }
+
+    /// The first range row from `row` on where a run starts, if any.
+    fn next_start(&self, row: usize) -> Option<usize> {
+        let mut word = row / 64;
+        let mut bits = self.starts.get(word)? & u64::MAX << (row % 64);
+        while bits == 0 {
+            word += 1;
+            bits = *self.starts.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
+/// The slices of `window` that hold its rows `rows`, cut to them.
+fn slices_in<'a>(
+    window: &'a [&'a [BeaconMeasurement]],
+    rows: std::ops::Range<usize>,
+) -> impl Iterator<Item = &'a [BeaconMeasurement]> {
+    let mut at = 0;
+    let cut = window.iter().map(move |slice| {
+        let (first, end) = (at, at + slice.len());
+        at = end;
+        let within = |row: usize| row.clamp(first, end) - first;
+        &slice[within(rows.start)..within(rows.end)]
+    });
+    cut.filter(|rows| !rows.is_empty())
 }
 
 /// The dense id of a range's or a window's `nth` distinct pair.
 fn pair_id(nth: usize) -> u32 {
     u32::try_from(nth).expect("fewer than 2^32 (group, target) pairs")
-}
-
-/// Turns counts into their exclusive prefix sums in place: run lengths
-/// into run starts.
-fn starts_of(counts: &mut [usize]) {
-    let mut total = 0;
-    for slot in counts {
-        total += std::mem::replace(slot, total);
-    }
 }
 
 /// [`Predictor::grouped_scores`] over `window`'s rows cut into `ranges`
@@ -800,34 +851,31 @@ fn starts_of(counts: &mut [usize]) {
 /// No vector per pair and no sample arena the size of the window. Each
 /// range, on a thread of its own (range 0 on the caller's), reads its rows
 /// once. It packs each row's pair into a [`PairKey`] word and maps the word
-/// to a range-local dense id through a one-multiply hash — once a run of
-/// consecutive rows of one pair, not once a row — keeping each row's id
-/// and each pair's count, first row and last row. While a run is its
-/// pair's first in the range, its samples go to one reused buffer, and
-/// where the run ends they are scored there and then. The key lists merge
-/// in range order, which is first-seen order over the window, ranges being
-/// consecutive rows; a pair whose rows in the window are that one run
-/// keeps its score. So a day stored by client, each pair's rows together,
-/// is read once.
+/// to a range-local dense id through a one-multiply hash once a run of
+/// consecutive rows of one pair, keeping each run's id ([`Runs`]) and each
+/// pair's count, first row and last row. A pair's first run in the range
+/// is scored where it ends, from one reused buffer. The key lists merge in
+/// range order, which is first-seen order over the window; a pair whose
+/// rows in the window are that one run keeps its score. So a day stored by
+/// client, each pair's rows together, is read once.
 ///
-/// The pairs that recur after other rows, or whose rows straddle a range
-/// seam, are scored by a sweep over the rows. It cuts them, in window
-/// order, into chunks that hold `span` samples or more (a pair heavier than
-/// that is a chunk of its own, scored whole), or whose rows the next
-/// pair's all follow. Each chunk sweeps only the rows from its first pair's
-/// first row (pairs being in first-seen order, no earlier row holds any of
+/// The pairs that recur after other rows, or straddle a range seam, are
+/// scored by a sweep over the runs. It cuts them, in window order, into
+/// chunks that hold `span` samples or more (a heavier pair is a chunk of
+/// its own), or whose rows the next pair's all follow. A chunk reads only
+/// the runs from its first pair's first row (no earlier row holds any of
 /// its pairs) to the last row of any of its pairs. The chunks are dealt to
-/// `ranges` threads that each reuse one sample buffer: per chunk, a thread
-/// scatters the rows of the chunk's pairs into the buffer and reads each
-/// pair's run there by selection on [`order_key`]s
-/// ([`percentile_of_keys`]), not sorted. A day in time order, where every
-/// pair recurs, is swept whole, at the cost of one extra score a pair.
+/// `ranges` threads that each reuse one sample buffer: a thread copies the
+/// rows of the runs of a chunk's pairs into it and scores each pair there
+/// by selection on [`order_key`]s ([`percentile_of_keys`]). A day in time
+/// order, where every pair recurs, is swept whole.
 ///
-/// So the pass holds a `u32` id a row, a few words a pair and a sample
-/// buffer a sweeping thread. (The ids come in one buffer per range, so the
-/// largest block the pass frees is a range's ids, not the window's: glibc
-/// lets every arena keep free heap up to twice the largest block of at
-/// most 32 MB it has unmapped.)
+/// So the pass holds a bit a row and a `u32` id a run (a little over 4 B a
+/// row in time order, where nearly every row is a run), a few words a pair
+/// and a sample buffer a sweeping thread. No block it frees is window-sized
+/// (a range's run ids grow to at most 4 B a row; on the pinned day the
+/// largest are per-pair lists of a few MB), and glibc lets every arena keep
+/// free heap up to twice the largest block of at most 32 MB it unmapped.
 ///
 /// # Panics
 /// If a range panicked (`record` did), once every range has been joined.
@@ -846,30 +894,13 @@ fn scores_in_ranges(
     assert!(u32::try_from(rows).is_ok(), "fewer than 2^32 rows a window");
     // ⌈rows/R⌉ rows a range: at most R ranges and none of them empty.
     let per_range = rows.div_ceil(ranges.clamp(1, rows));
-    let mut pair_of_row: Vec<Vec<u32>> = (0..rows)
+    let spans = (0..rows)
         .step_by(per_range)
-        .map(|first| vec![0u32; per_range.min(rows - first)])
-        .collect();
-    let ranges = pair_of_row.len();
-    let mut slices = window.iter().copied();
-    let mut head: &[BeaconMeasurement] = &[];
-    // A range's rows as the window's slices cut to fit, each beside the
-    // ids of its rows.
-    let parts = pair_of_row.iter_mut().map(|ids| {
-        let mut ids = ids.as_mut_slice();
-        let mut part: Vec<(&[BeaconMeasurement], &mut [u32])> = Vec::new();
-        while !ids.is_empty() {
-            if head.is_empty() {
-                head = slices.next().expect("the window holds `rows` rows");
-            }
-            let (rows, later) = head.split_at(ids.len().min(head.len()));
-            let (row_ids, later_ids) = ids.split_at_mut(rows.len());
-            part.push((rows, row_ids));
-            (head, ids) = (later, later_ids);
-        }
-        part
-    });
-    let found = run_workers(parts.collect(), |range, mut part| {
+        .map(|first| first..rows.min(first + per_range));
+    let found = run_workers(spans.collect(), |range, span| {
+        let starts = vec![0; span.len().div_ceil(64)];
+        let (ids, ranks) = (Vec::new(), Vec::new());
+        let mut runs = Runs { starts, ids, ranks };
         // Each pair's id and first row, by key.
         let mut local: FastMap<PairKey, (u32, u32)> = FastMap::default();
         let mut seen: Vec<Seen> = Vec::new();
@@ -878,9 +909,9 @@ fn scores_in_ranges(
         // holds.
         let (mut at, mut id, mut len, mut first_run) = (None, 0, 0, false);
         let mut run: Vec<u64> = Vec::new();
-        let mut row = (range * per_range) as u32;
-        for (rows, ids) in &mut part {
-            for (m, slot) in rows.iter().zip(ids.iter_mut()) {
+        let mut row = span.start as u32;
+        for rows in slices_in(window, span.clone()) {
+            for m in rows {
                 let (pair, rtt) = record(m);
                 if at != Some(pair) {
                     if at.is_some() {
@@ -893,11 +924,11 @@ fn scores_in_ranges(
                     }
                     (at, len) = (Some(pair), 0);
                     first_run = seen[id as usize].n == 0;
+                    runs.push(row as usize - span.start, id, span.len());
                 }
                 if first_run {
                     run.push(order_key(rtt));
                 }
-                *slot = id;
                 len += 1;
                 row += 1;
             }
@@ -918,10 +949,10 @@ fn scores_in_ranges(
             firsts,
             ids: local,
         };
-        (part, groups)
+        (runs, groups)
     })
     .unwrap_or_else(|e| panic!("exact training failed: {e}"));
-    let (parts, mut groups): (Vec<_>, Vec<_>) = found.into_iter().unzip();
+    let (runs, mut groups): (Vec<Runs>, Vec<_>) = found.into_iter().unzip();
 
     // Merge in range order. Ranges are consecutive rows, so first seen in
     // the earliest range is first seen in the window: range 0's ids, keys
@@ -1016,61 +1047,53 @@ fn scores_in_ranges(
     for ids in &mut to_window {
         ids.iter_mut().for_each(|id| *id = sweep_id[*id as usize]);
     }
-    let to_sweep = std::iter::once(&sweep_id).chain(&to_window);
-    let mut pieces: Vec<Piece> = Vec::new();
-    for (part, to_sweep) in parts.into_iter().zip(to_sweep) {
-        for (rows, ids) in part {
-            let start = pieces
-                .last()
-                .map_or(0, |piece| piece.start + piece.rows.len());
-            pieces.push(Piece {
-                start,
-                rows,
-                ids,
-                to_sweep,
-            });
-        }
-    }
+    let to_sweep: Vec<&[u32]> = std::iter::once(&sweep_id)
+        .chain(&to_window)
+        .map(Vec::as_slice)
+        .collect();
 
     let n_of = |sweep: usize| pairs[swept[sweep] as usize].n;
     let mut scores: Vec<Option<f64>> = vec![None; swept.len()];
-    let workers = ranges.min(los.len());
-    let mut dealt: Vec<Vec<Chunk>> = (0..workers).map(|_| Vec::new()).collect();
+    let workers = runs.len().min(los.len());
+    // A chunk: its first sweep id, the window rows that can hold its
+    // pairs' samples, and where its scores go, one a sweep id from there.
+    let mut dealt: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
     let mut rest = &mut scores[..];
     for (c, (&lo, rows)) in los.iter().zip(spans).enumerate() {
         let hi = los.get(c + 1).copied().unwrap_or(swept.len());
-        let (chunk, left) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-        dealt[c % workers].push(Chunk {
-            lo,
-            rows,
-            scores: chunk,
-        });
+        let (scores, left) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+        dealt[c % workers].push((lo, rows, scores));
         rest = left;
     }
     run_workers(dealt, |_, chunks| {
-        let held = |chunk: &Chunk| (chunk.lo..).take(chunk.scores.len()).map(n_of).sum();
-        let mut samples = vec![0u64; chunks.iter().map(held).max().unwrap_or(0)];
+        let held = chunks
+            .iter()
+            .map(|(lo, _, scores)| (*lo..).take(scores.len()).map(n_of).sum());
+        let mut samples = vec![0u64; held.max().unwrap_or(0)];
         let mut ends: Vec<usize> = Vec::new();
-        for Chunk { lo, rows, scores } in chunks {
+        for (lo, rows, scores) in chunks {
             // `ends[k]` starts as sweep id `lo + k`'s offset and, once the
             // sweep has written its last sample, is the end of its run.
             ends.clear();
-            ends.extend((lo..).take(scores.len()).map(n_of));
-            starts_of(&mut ends);
-            let at = pieces.partition_point(|piece| piece.start + piece.rows.len() <= rows.start);
-            for piece in &pieces[at..] {
-                if piece.start >= rows.end {
-                    break;
-                }
-                let from = rows.start.max(piece.start) - piece.start;
-                let to = rows.end.min(piece.start + piece.rows.len()) - piece.start;
-                for (m, &id) in piece.rows[from..to].iter().zip(&piece.ids[from..to]) {
-                    // Rows of pairs scored already, or of other chunks,
+            let sweeps = (lo..).take(scores.len());
+            ends.extend(sweeps.scan(0, |at, sweep| {
+                Some(std::mem::replace(at, *at + n_of(sweep)))
+            }));
+            for range in rows.start / per_range..rows.end.div_ceil(per_range) {
+                let first = range * per_range;
+                let local = rows.start.max(first) - first..rows.end.min(first + per_range) - first;
+                let mut at = slices_in(window, first + local.start..rows.end).flatten();
+                for (id, len) in runs[range].within(local) {
+                    // Runs of pairs scored already, or of other chunks,
                     // fall outside `ends`.
-                    let sweep = piece.to_sweep[id as usize] as usize;
-                    if let Some(at) = ends.get_mut(sweep.wrapping_sub(lo)) {
-                        samples[*at] = order_key(record(m).1);
-                        *at += 1;
+                    let sweep = to_sweep[range][id as usize] as usize;
+                    let Some(end) = ends.get_mut(sweep.wrapping_sub(lo)) else {
+                        at.nth(len - 1);
+                        continue;
+                    };
+                    for m in at.by_ref().take(len) {
+                        samples[*end] = order_key(record(m).1);
+                        *end += 1;
                     }
                 }
             }
@@ -3094,6 +3117,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts that the kernel's pairs over `days`, at ranges {1, 2, 3, 7}
+    /// and each of `spans`, are the brute force's bit for bit.
+    fn assert_brute_force(
+        predictor: &Predictor,
+        ds: &BeaconDataset,
+        days: &[Day],
+        spans: &[usize],
+    ) {
+        let want: BTreeMap<_, _> = columns(predictor, ds, days)
+            .iter()
+            .map(|(&(key, target), column)| {
+                let score = percentile(column, predictor.cfg.metric.p());
+                let pair = PairKey::new(key, target);
+                (pair, (column.len(), score.map(f64::to_bits)))
+            })
+            .collect();
+        for ranges in [1, 2, 3, 7] {
+            for &span in spans {
+                let got = kernel(predictor, ds, days, ranges, span);
+                let by_pair: BTreeMap<_, _> = (got.iter())
+                    .map(|&(pair, n, score)| (pair, (n, score)))
+                    .collect();
+                assert_eq!(by_pair.len(), got.len(), "each pair once");
+                assert_eq!(by_pair, want, "{days:?}: {ranges} ranges, span {span}");
+            }
+        }
+    }
+
+    #[test]
+    fn neither_recurring_resolvers_nor_seams_inside_a_run_show_in_the_pairs() {
+        // The benchmark's day at a hundredth of its /24s, client by client:
+        // /21 blocks of eight /24s, each against anycast and its block's
+        // three unicast sites, and a block's resolver recurring every five
+        // blocks. Under LDNS grouping every pair recurs, pairs are first
+        // seen all through the day, and the chunks' spans overlap. Over
+        // 2 * RANK_STEP rows, so chunks start past a rank checkpoint.
+        let mut ds = BeaconDataset::new();
+        let mut exec = 0;
+        for block in 0..48u16 {
+            for k in 0..8u16 {
+                let g = block * 8 + k;
+                let p = Prefix24::from_raw(0x0b00_0000 | u32::from(g) << 8);
+                for t in 0..4 {
+                    let target = match t {
+                        0 => Target::Anycast,
+                        _ => site((3 * block + t) % 29),
+                    };
+                    let h = mix64(u64::from(g) << 8 | u64::from(t));
+                    for i in 0..3 + h % 6 {
+                        let rtt = 20.0 + (mix64(h ^ i) % 5_000) as f64 / 100.0;
+                        let ldns = u32::from(block % 5);
+                        ds.extend(rows(exec, p, ldns, target, rtt, 1));
+                        exec += 1;
+                    }
+                }
+            }
+        }
+        let n = ds.len();
+        assert!(n > 2 * RANK_STEP, "{n} rows");
+        let ldns = Predictor::new(PredictorConfig {
+            grouping: Grouping::Ldns,
+            ..Default::default()
+        });
+        assert_brute_force(&ldns, &ds, &[Day(0)], &[1, 2, 7, 1_000, n + 5]);
+
+        // One pair's run from row 70 to row 140 of a two-day window: day
+        // 0's last 40 rows and day 1's first 30, so the run crosses the
+        // slice seam at row 110, and a range seam at 2, 3 and 7 ranges
+        // (rows 100, 134, and 87 and 116). A last row of it ends day 1, so
+        // it is swept at one range too.
+        let mut ds = BeaconDataset::new();
+        let mut add = |day, g: u8, n| {
+            let mut run = rows(exec, prefix(g), 0, Target::Anycast, 0.0, n);
+            for (i, m) in run.iter_mut().enumerate() {
+                (m.day, m.rtt_ms) = (Day(day), f64::from(g) + i as f64 * 0.25 + f64::from(day));
+            }
+            ds.extend(run);
+            exec += n as u64;
+        };
+        (0..7).for_each(|g| add(0, g, 10));
+        add(0, 99, 40);
+        add(1, 99, 30);
+        (10..69).for_each(|g| add(1, g, 1));
+        add(1, 99, 1);
+        assert_eq!(ds.len(), 200);
+        let ecs = Predictor::new(PredictorConfig::default());
+        assert_brute_force(&ecs, &ds, &[Day(0), Day(1)], &[1, 2, 7, 205]);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -72,6 +72,10 @@ const TCP_MAX_MESSAGE: usize = 65535;
 /// Most TCP connections served at once, each on its own thread; one
 /// accepted beyond them is closed unanswered.
 const TCP_MAX_CONNS: usize = 16;
+/// Most of those one source address may hold (RFC 7766 §6.2 lets a server
+/// manage its TCP resources): one accepted beyond them is closed too, so
+/// no single source can take the whole plane.
+const TCP_MAX_CONNS_PER_SOURCE: usize = 4;
 /// How long one TCP message may take to arrive, its length prefix
 /// included, and one reply write may block. A peer idle or trickling past
 /// it is disconnected; until then it holds only its own thread.
@@ -178,6 +182,10 @@ pub struct ServeStats {
     pub udp_queries: AtomicU64,
     /// Queries received over TCP (truncation fallback).
     pub tcp_queries: AtomicU64,
+    /// TCP connections closed unanswered at accept: the plane was full, or
+    /// their source held its share of it already (mirrored to
+    /// `serve_tcp_refused_total`).
+    pub tcp_refused: AtomicU64,
     /// Packets that failed to decode.
     pub decode_errors: AtomicU64,
     /// Queries answered by the overload valve.
@@ -662,30 +670,45 @@ fn source_ip(src: SocketAddr) -> Ipv4Addr {
 }
 
 /// Accepts TCP connections and serves each on a thread of its own, at most
-/// [`TCP_MAX_CONNS`] at once; the connection threads are joined before the
-/// acceptor's own thread ends.
+/// [`TCP_MAX_CONNS`] at once and [`TCP_MAX_CONNS_PER_SOURCE`] of them from
+/// one address; the connection threads are joined before the acceptor's
+/// own thread ends.
 fn spawn_tcp_acceptor(ctx: Arc<ServeCtx>, listener: TcpListener) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("serve-tcp".to_string())
         .spawn(move || {
-            let (ctx, open) = (&*ctx, &AtomicUsize::new(0));
+            // The source address of each connection being served.
+            let (ctx, open) = (&*ctx, &Mutex::new(Vec::with_capacity(TCP_MAX_CONNS)));
+            let close = |source| {
+                let mut open = open.lock().unwrap_or_else(|p| p.into_inner());
+                let at = open.iter().position(|&ip| ip == source);
+                open.swap_remove(at.expect("an open connection's source"));
+            };
             std::thread::scope(|scope| {
                 while !ctx.stop.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((stream, src)) => {
                             counter!("serve_tcp_fallbacks_total").inc();
-                            if open.load(Ordering::Relaxed) >= TCP_MAX_CONNS {
+                            let source = src.ip();
+                            let mut held = open.lock().unwrap_or_else(|p| p.into_inner());
+                            let from_source = held.iter().filter(|&&ip| ip == source).count();
+                            if held.len() >= TCP_MAX_CONNS
+                                || from_source >= TCP_MAX_CONNS_PER_SOURCE
+                            {
+                                ctx.stats.tcp_refused.fetch_add(1, Ordering::Relaxed);
+                                counter!("serve_tcp_refused_total").inc();
                                 continue; // dropping the stream closes it
                             }
-                            open.fetch_add(1, Ordering::Relaxed);
+                            held.push(source);
+                            drop(held);
                             let spawned = std::thread::Builder::new()
                                 .name("serve-tcp-conn".to_string())
                                 .spawn_scoped(scope, move || {
                                     let _ = serve_tcp_conn(ctx, stream, src);
-                                    open.fetch_sub(1, Ordering::Relaxed);
+                                    close(source);
                                 });
                             if spawned.is_err() {
-                                open.fetch_sub(1, Ordering::Relaxed);
+                                close(source);
                             }
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

@@ -6,7 +6,8 @@
 //! scrape reply echoes the query's OPT record, as every other reply does
 //! (RFC 6891 §7), over UDP (TC=1, no longer than the query) and over TCP.
 //! A TCP client that sends nothing, or trickles its query in, holds up no
-//! other TCP client.
+//! other TCP client, and one source that keeps many connections busy
+//! locks out no other source.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
@@ -55,17 +56,71 @@ fn udp_socket(timeout: Duration) -> UdpSocket {
 /// The reply to `wire` over TCP, unframed.
 fn tcp_exchange(server: SocketAddr, wire: &[u8]) -> Vec<u8> {
     let mut stream = TcpStream::connect(server).expect("connects");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .expect("timeout set");
+    ask(&mut stream, wire).expect("a reply")
+}
+
+/// The reply to `wire` on an open TCP connection, unframed, waiting up to
+/// two seconds for it.
+fn ask(stream: &mut TcpStream, wire: &[u8]) -> std::io::Result<Vec<u8>> {
+    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     let mut frame = (wire.len() as u16).to_be_bytes().to_vec();
     frame.extend_from_slice(wire);
-    stream.write_all(&frame).expect("query sent");
+    stream.write_all(&frame)?;
     let mut len = [0u8; 2];
-    stream.read_exact(&mut len).expect("length read");
+    stream.read_exact(&mut len)?;
     let mut reply = vec![0u8; usize::from(u16::from_be_bytes(len))];
-    stream.read_exact(&mut reply).expect("reply read");
-    reply
+    stream.read_exact(&mut reply)?;
+    Ok(reply)
+}
+
+/// A TCP connection to `server` from the local address `source`. std
+/// cannot bind a stream before it connects, so the socket is made, bound
+/// and connected through the C library std links already.
+#[cfg(target_os = "linux")]
+fn tcp_connect_from(source: Ipv4Addr, server: SocketAddr) -> TcpStream {
+    use std::os::fd::FromRawFd;
+    /// `struct sockaddr_in`.
+    #[repr(C)]
+    struct SockaddrIn {
+        family: u16,
+        port: [u8; 2],
+        addr: [u8; 4],
+        zero: [u8; 8],
+    }
+    extern "C" {
+        fn socket(domain: i32, kind: i32, protocol: i32) -> i32;
+        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
+        fn connect(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
+    }
+    const AF_INET: u16 = 2;
+    const SOCK_STREAM: i32 = 1;
+    let SocketAddr::V4(server) = server else {
+        panic!("an IPv4 server")
+    };
+    let at = |ip: Ipv4Addr, port: u16| SockaddrIn {
+        family: AF_INET,
+        port: port.to_be_bytes(),
+        addr: ip.octets(),
+        zero: [0; 8],
+    };
+    let len = std::mem::size_of::<SockaddrIn>() as u32;
+    // SAFETY: `socket` takes no pointers; the descriptor it returns is
+    // checked and then owned by the stream alone, which closes it.
+    let stream = unsafe {
+        let fd = socket(i32::from(AF_INET), SOCK_STREAM, 0);
+        assert!(fd >= 0, "socket: {}", std::io::Error::last_os_error());
+        TcpStream::from_raw_fd(fd)
+    };
+    let fd = std::os::fd::AsRawFd::as_raw_fd(&stream);
+    // SAFETY: both addresses are live `sockaddr_in`s of `len` bytes for
+    // the length of the call, and `fd` is the stream's open socket.
+    let (bound, connected) = unsafe {
+        let bound = bind(fd, &at(source, 0), len);
+        (bound, connect(fd, &at(*server.ip(), server.port()), len))
+    };
+    assert_eq!(bound, 0, "bind: {}", std::io::Error::last_os_error());
+    assert_eq!(connected, 0, "connect: {}", std::io::Error::last_os_error());
+    stream
 }
 
 /// Past the name at `at`: labels up to the root, or up to a pointer.
@@ -186,4 +241,50 @@ fn an_idle_or_trickling_tcp_client_holds_up_no_other() {
     assert_eq!((reply.id, reply.rcode, reply.qtype), (0x7C90, 0, TYPE_A));
     let anycast = CdnAddressing::standard(8).anycast_ip();
     assert_eq!(reply.answer.map(|(ip, _)| ip), Some(anycast));
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn one_source_holding_many_tcp_connections_locks_out_no_other_source() {
+    let server = server();
+    let addr = server.local_addr();
+    // Sixteen connections from 127.0.0.1, each asking every 300 ms and
+    // reading its answer, until the server closes it or the test ends.
+    let done = Arc::new(AtomicBool::new(false));
+    let holders: Vec<_> = (0..16u16)
+        .map(|i| {
+            let mut stream = TcpStream::connect(addr).expect("connects");
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let wire = query(0x4000 + i, "www.example.com", TYPE_A, CLASS_IN, None);
+                while !done.load(Relaxed) && ask(&mut stream, &wire).is_ok() {
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+            })
+        })
+        .collect();
+    // All are accepted or refused (the acceptor polls every 5 ms) before
+    // another source asks, five times, 400 ms apart.
+    std::thread::sleep(Duration::from_millis(50));
+    for try_ in 0..5u16 {
+        let wire = query(0x7D00 + try_, "www.example.com", TYPE_A, CLASS_IN, None);
+        let asked = Instant::now();
+        let mut stream = tcp_connect_from(Ipv4Addr::new(127, 0, 0, 2), addr);
+        let reply = ask(&mut stream, &wire);
+        let took = asked.elapsed();
+        let reply = reply.unwrap_or_else(|e| panic!("try {try_}: {e} after {took:?}"));
+        assert!(
+            took < Duration::from_millis(100),
+            "try {try_} answered after {took:?}"
+        );
+        let reply = decode_response(&reply).expect("a response");
+        assert_eq!((reply.id, reply.rcode), (0x7D00 + try_, 0));
+        std::thread::sleep(Duration::from_millis(400));
+    }
+    done.store(true, Relaxed);
+    holders
+        .into_iter()
+        .for_each(|holder| holder.join().expect("a holder ends"));
+    // The source's connections past its cap were closed at accept.
+    assert_eq!(server.stats().tcp_refused.load(Relaxed), 12);
 }
