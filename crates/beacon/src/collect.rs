@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use anycast_netsim::stream::FastMap;
 use anycast_netsim::{Day, Prefix24, SiteId};
 
 use anycast_dns::LdnsId;
@@ -152,10 +153,11 @@ impl BeaconDataset {
         out
     }
 
-    /// Latency samples grouped by `(prefix, target)` for one day — the §5
-    /// per-/24 daily medians and the §6 ECS prediction input.
-    pub fn by_prefix_target(&self, day: Day) -> HashMap<(Prefix24, Target), Vec<f64>> {
-        let mut out: HashMap<(Prefix24, Target), Vec<f64>> = HashMap::new();
+    /// Latency samples grouped by `(prefix, target)` for one day, in row
+    /// order — the §5 per-/24 daily medians and the samples §6's
+    /// evaluation compares a prediction on.
+    pub fn by_prefix_target(&self, day: Day) -> FastMap<(Prefix24, Target), Vec<f64>> {
+        let mut out: FastMap<(Prefix24, Target), Vec<f64>> = FastMap::default();
         for m in self.day(day) {
             if m.failed {
                 continue;

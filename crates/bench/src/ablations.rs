@@ -18,7 +18,7 @@
 //!   control plane: capacity headroom × {off, shed, withdraw}, trading
 //!   overload integral against latency inflation;
 //! * [`table_compression`] — the routing-aware aggregation question: how
-//!   many trie entries the default+exception pass saves per regret-bound
+//!   many table entries the default+exception pass saves per regret-bound
 //!   setting, and what it costs in next-day Figure 9 quality;
 //! * [`world_scale`] — the Internet-scale worldgen question: what growing
 //!   the policy-routed AS graph from 1 k to 75 k ASes costs in route-table
@@ -405,7 +405,7 @@ pub fn load_shedding(scale: Scale, seed: u64) -> FigureResult {
     }
 }
 
-/// Sweep of the routing-aware aggregation regret bound: table size (trie
+/// Sweep of the routing-aware aggregation regret bound: table size (its
 /// entries) against next-day Figure 9 quality, plain per-/24 training as
 /// the baseline.
 ///

@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use anycast_analysis::percentile;
 use anycast_beacon::{BeaconDataset, Target};
 use anycast_dns::LdnsId;
-use anycast_netsim::stream::FastMap;
 use anycast_netsim::{Day, Prefix24};
 
 use crate::prediction::{Grouping, PredictionTable};
@@ -53,15 +52,9 @@ pub fn evaluate_prediction(
     ldns_of: &HashMap<Prefix24, LdnsId>,
     volumes: &HashMap<Prefix24, u64>,
 ) -> Vec<EvalRow> {
-    // One scan of the eval day: per `(prefix, target)`, the latencies of
-    // the served fetches. A failed fetch has no latency to compare.
-    let mut by_pair: FastMap<(Prefix24, Target), Vec<f64>> = FastMap::default();
-    for m in data.day(eval_day).filter(|m| !m.failed) {
-        by_pair
-            .entry((m.prefix, m.target))
-            .or_default()
-            .push(m.rtt_ms);
-    }
+    // Per `(prefix, target)`, the latencies of the eval day's served
+    // fetches. A failed fetch has no latency to compare.
+    let by_pair = data.by_prefix_target(eval_day);
     let served_to = |prefix, target| by_pair.get(&(prefix, target));
     let mut prefixes: Vec<Prefix24> = by_pair.keys().map(|&(p, _)| p).collect();
     prefixes.sort();

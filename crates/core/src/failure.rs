@@ -23,7 +23,7 @@
 //! availability numbers. Each request is one lookup, and flushes that
 //! lookup's [`RouteTally`] before it returns.
 
-use anycast_geo::GeoPoint;
+use anycast_geo::{GeoPoint, NearestIndex};
 use anycast_netsim::stream::FastMap;
 use anycast_netsim::{Day, Internet, RouteSnapshot, RouteTally, SiteId};
 
@@ -118,7 +118,8 @@ pub fn request_times(n: usize) -> Vec<f64> {
 #[derive(Debug)]
 pub struct DnsRedirectionSim<'a> {
     internet: &'a Internet,
-    sites: Vec<(SiteId, GeoPoint)>,
+    /// The sites in id order, so distance ties go to the lower id.
+    sites: NearestIndex<SiteId>,
     ttl_s: f64,
     /// Each client's cached answer and when it expires, by the client's
     /// index in the snapshots' population.
@@ -134,7 +135,7 @@ impl<'a> DnsRedirectionSim<'a> {
     pub fn new(internet: &'a Internet, ttl_s: f64) -> DnsRedirectionSim<'a> {
         DnsRedirectionSim {
             internet,
-            sites: internet.site_locations(),
+            sites: NearestIndex::new(internet.site_locations()),
             ttl_s,
             cache: Vec::new(),
             rankings: FastMap::default(),
@@ -147,12 +148,8 @@ impl<'a> DnsRedirectionSim<'a> {
         let at = (loc.lat_deg().to_bits(), loc.lon_deg().to_bits());
         let sites = &self.sites;
         let ranking = self.rankings.entry(at).or_insert_with(|| {
-            let mut by_km: Vec<(f64, SiteId)> = sites
-                .iter()
-                .map(|&(s, sloc)| (sloc.haversine_km(loc), s))
-                .collect();
-            by_km.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            by_km.into_iter().map(|(_, s)| s).collect()
+            let by_km = sites.k_nearest(loc, sites.len());
+            by_km.into_iter().map(|(s, _)| s).collect()
         });
         let outages = self.internet.outages();
         ranking
@@ -368,6 +365,35 @@ mod tests {
         match dns.request(&routes, 0, t2) {
             RequestOutcome::Served { site: s, .. } => assert_ne!(s, site),
             RequestOutcome::Failed(r) => panic!("expected re-resolved answer, got {r:?}"),
+        }
+    }
+
+    #[test]
+    fn resolution_answers_the_nearest_live_site() {
+        // The authority's memoised ranking against a brute-force one: the
+        // nearest site up at the instant, distance ties to the lower id.
+        let internet = failure_world();
+        let sites = internet.site_locations();
+        let mut sim = DnsRedirectionSim::new(&internet, 300.0);
+        for idx in (0..internet.topology().eyeballs.len()).step_by(5) {
+            let loc = attachment(&internet, idx).location;
+            for day in (0..4).map(Day) {
+                for time_s in request_times(6) {
+                    let up = |&&(s, _): &&(SiteId, GeoPoint)| {
+                        !internet.outages().is_down(s, day, time_s)
+                    };
+                    let nearest = sites.iter().filter(up).min_by(|a, b| {
+                        let (da, db) = (a.1.haversine_km(&loc), b.1.haversine_km(&loc));
+                        da.total_cmp(&db).then(a.0.cmp(&b.0))
+                    });
+                    let want = nearest.map(|&(s, _)| s);
+                    assert_eq!(
+                        sim.resolve(&loc, day, time_s),
+                        want,
+                        "{loc:?} {day:?} {time_s}"
+                    );
+                }
+            }
         }
     }
 

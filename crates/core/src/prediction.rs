@@ -160,12 +160,9 @@ pub struct RankedCandidate {
 #[derive(Debug, Clone, Default)]
 pub struct PredictionTable {
     /// Each group's choice and where its ranking lies in `ranked`.
-    choices: FastMap<GroupKey, Entry>,
+    choices: GroupIndex<Entry>,
     /// Every group's ranking, best first, one group after another.
     ranked: Vec<RankedCandidate>,
-    /// Distinct prefix lengths among the ECS keys, longest first — the
-    /// probe order of the longest-prefix match.
-    ecs_lens: Vec<u8>,
 }
 
 /// One group's row of a [`PredictionTable`]: its choice and the run of
@@ -177,15 +174,32 @@ struct Entry {
     ranked_len: u32,
 }
 
-impl PredictionTable {
-    /// Builds a table from its parts, indexing the ECS prefix lengths
-    /// present. Every constructor funnels through here so longest-prefix
-    /// lookup stays consistent with the key set.
-    fn from_parts(
-        choices: FastMap<GroupKey, Entry>,
-        ranked: Vec<RankedCandidate>,
-    ) -> PredictionTable {
-        let mut ecs_lens: Vec<u8> = choices
+/// Client groups keyed for lookup: one value per [`GroupKey`], and the
+/// rule that finds the group a query belongs to.
+///
+/// The trained [`PredictionTable`] keeps its rows here, and the serving
+/// plane's compiled table keeps its answer templates here, so a query
+/// served on the wire finds the group the table was trained for by
+/// construction. Iteration follows the map the index was built from.
+#[derive(Debug, Clone)]
+pub struct GroupIndex<V> {
+    rows: FastMap<GroupKey, V>,
+    /// Distinct prefix lengths among the ECS keys, longest first — the
+    /// probe order of the longest-prefix match.
+    ecs_lens: Vec<u8>,
+}
+
+impl<V> Default for GroupIndex<V> {
+    fn default() -> Self {
+        GroupIndex::from(FastMap::default())
+    }
+}
+
+impl<V> From<FastMap<GroupKey, V>> for GroupIndex<V> {
+    /// Indexes `rows` as they are: the map moves in, so its iteration
+    /// order is the index's.
+    fn from(rows: FastMap<GroupKey, V>) -> Self {
+        let mut ecs_lens: Vec<u8> = rows
             .keys()
             .filter_map(|k| match k {
                 GroupKey::Ecs(p) => Some(p.len()),
@@ -194,13 +208,71 @@ impl PredictionTable {
             .collect();
         ecs_lens.sort_unstable_by(|a, b| b.cmp(a));
         ecs_lens.dedup();
-        PredictionTable {
-            choices,
-            ranked,
-            ecs_lens,
+        GroupIndex { rows, ecs_lens }
+    }
+}
+
+impl<V> FromIterator<(GroupKey, V)> for GroupIndex<V> {
+    /// A later row for a key replaces an earlier one.
+    fn from_iter<I: IntoIterator<Item = (GroupKey, V)>>(rows: I) -> Self {
+        GroupIndex::from(rows.into_iter().collect::<FastMap<_, _>>())
+    }
+}
+
+impl<V> GroupIndex<V> {
+    /// The group a query from `ldns` carrying the ECS subnet `ecs`
+    /// matches, with its value; `None` sends the query to anycast.
+    ///
+    /// * [`Grouping::Ecs`] is longest-prefix match: the most specific ECS
+    ///   entry covering `ecs`, never one longer than the query's own
+    ///   SOURCE PREFIX-LENGTH (an answer must not claim a scope more
+    ///   specific than the query disclosed). A query without ECS matches
+    ///   nothing, and an LDNS entry never answers.
+    /// * [`Grouping::Ldns`] matches the resolver's own entry and ignores
+    ///   `ecs`.
+    ///
+    /// The answer's RFC 7871 scope follows from the key
+    /// ([`Grouping::answer_scope`]): an ECS key advertises its prefix
+    /// length, an LDNS key or a miss advertises 0.
+    pub fn match_query(
+        &self,
+        grouping: Grouping,
+        ldns: LdnsId,
+        ecs: Option<Prefix>,
+    ) -> Option<(GroupKey, &V)> {
+        let found = |key| self.get(key).map(|v| (key, v));
+        match grouping {
+            Grouping::Ecs => {
+                let p = ecs?;
+                let mut covering = self.ecs_lens.iter().filter(|&&len| len <= p.len());
+                covering.find_map(|&len| found(GroupKey::Ecs(p.truncate(len))))
+            }
+            Grouping::Ldns => found(GroupKey::Ldns(ldns)),
         }
     }
 
+    /// The value of exactly `key`.
+    pub fn get(&self, key: GroupKey) -> Option<&V> {
+        self.rows.get(&key)
+    }
+
+    /// Iterates over every `(group, value)`.
+    pub fn iter(&self) -> impl Iterator<Item = (GroupKey, &V)> {
+        self.rows.iter().map(|(k, v)| (*k, v))
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the index holds no group.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+}
+
+impl PredictionTable {
     /// Appends one group's ranking (best first) to `ranked` and returns
     /// the group's table row: rank 0 as the served choice, with its
     /// expected gain over the ranking's anycast score.
@@ -241,49 +313,22 @@ impl PredictionTable {
     }
 
     /// The group a query from `ldns` carrying the ECS subnet `ecs` matches,
-    /// with that group's choice; `None` sends the query to anycast. This
-    /// is the one rule the evaluation, the control plane's demand model
-    /// and the served compiled table answer by.
-    ///
-    /// * [`Grouping::Ecs`] tables are longest-prefix-match: the most
-    ///   specific entry covering `ecs`, never one longer than the query's
-    ///   own SOURCE PREFIX-LENGTH (an answer must not claim a scope more
-    ///   specific than the query disclosed). A query without ECS matches
-    ///   nothing.
-    /// * [`Grouping::Ldns`] tables match the resolver's own entry and
-    ///   ignore `ecs`.
-    ///
-    /// The answer's RFC 7871 scope follows from the key
-    /// ([`Grouping::answer_scope`]): an ECS key advertises its prefix
-    /// length, an LDNS key or a miss advertises 0.
+    /// with that group's choice; `None` sends the query to anycast. The
+    /// rule is [`GroupIndex::match_query`]: the evaluation, the control
+    /// plane's demand model and the served compiled table all answer by it.
     pub fn match_query(
         &self,
         grouping: Grouping,
         ldns: LdnsId,
         ecs: Option<Prefix>,
     ) -> Option<(GroupKey, &Choice)> {
-        match grouping {
-            Grouping::Ecs => self.lookup_lpm(ecs?),
-            Grouping::Ldns => {
-                let key = GroupKey::Ldns(ldns);
-                self.choice(key).map(|choice| (key, choice))
-            }
-        }
-    }
-
-    /// The most specific ECS entry whose prefix covers `p` and is no
-    /// longer than `p`.
-    fn lookup_lpm(&self, p: Prefix) -> Option<(GroupKey, &Choice)> {
-        let mut covering = self.ecs_lens.iter().filter(|&&len| len <= p.len());
-        covering.find_map(|&len| {
-            let key = GroupKey::Ecs(p.truncate(len));
-            self.choice(key).map(|choice| (key, choice))
-        })
+        let (key, entry) = self.choices.match_query(grouping, ldns, ecs)?;
+        Some((key, &entry.choice))
     }
 
     /// The full choice (target + expected gain) for a group.
     pub fn choice(&self, key: GroupKey) -> Option<&Choice> {
-        self.choices.get(&key).map(|entry| &entry.choice)
+        self.choices.get(key).map(|entry| &entry.choice)
     }
 
     /// Restricts the table to groups whose expected gain over anycast is at
@@ -294,16 +339,19 @@ impl PredictionTable {
     pub fn hybrid_filter(&self, min_gain_ms: f64) -> PredictionTable {
         let mut choices = FastMap::default();
         let mut ranked = Vec::new();
-        for (key, entry) in &self.choices {
+        for (key, entry) in self.choices.iter() {
             let c = &entry.choice;
             if matches!(c.target, Target::Unicast(_)) && c.gain_ms.is_some_and(|g| g >= min_gain_ms)
             {
                 // Same ranking, so the same choice and gain.
                 let ranking = self.ranking(entry).iter().copied();
-                choices.insert(*key, Self::entry(&mut ranked, ranking));
+                choices.insert(key, Self::entry(&mut ranked, ranking));
             }
         }
-        PredictionTable::from_parts(choices, ranked)
+        PredictionTable {
+            choices: choices.into(),
+            ranked,
+        }
     }
 
     /// Number of groups with a prediction.
@@ -323,12 +371,12 @@ impl PredictionTable {
         self.choices
             .iter()
             .filter(|(_, entry)| !matches!(entry.choice.target, Target::Anycast))
-            .map(|(k, entry)| (*k, &entry.choice))
+            .map(|(k, entry)| (k, &entry.choice))
     }
 
     /// Iterates over every `(group, choice)`.
     pub fn iter(&self) -> impl Iterator<Item = (GroupKey, Choice)> + '_ {
-        self.choices.iter().map(|(k, entry)| (*k, entry.choice))
+        self.choices.iter().map(|(k, entry)| (k, entry.choice))
     }
 
     /// The group's full candidate ranking, best first (empty for groups
@@ -337,7 +385,7 @@ impl PredictionTable {
     /// eligible front-ends, in score order with the same tie-break.
     pub fn ranked(&self, key: GroupKey) -> &[RankedCandidate] {
         self.choices
-            .get(&key)
+            .get(key)
             .map_or(&[], |entry| self.ranking(entry))
     }
 }
@@ -1655,7 +1703,10 @@ fn choose(scores: impl Iterator<Item = (GroupKey, Target, f64)>) -> PredictionTa
         let entry = PredictionTable::entry(&mut ranked, ranking);
         choices.insert(PairKey(group[0].0).group(), entry);
     }
-    PredictionTable::from_parts(choices, ranked)
+    PredictionTable {
+        choices: choices.into(),
+        ranked,
+    }
 }
 
 /// Sorts `rows` by `key`, whose order begins with the group word `group`
@@ -1739,7 +1790,10 @@ mod tests {
             let entry = PredictionTable::entry(&mut ranked, ranking.into_iter());
             choices.insert(key, entry);
         }
-        PredictionTable::from_parts(choices, ranked)
+        PredictionTable {
+            choices: choices.into(),
+            ranked,
+        }
     }
 
     /// The tally window training owes `columns`.
@@ -2247,6 +2301,49 @@ mod tests {
         assert_eq!(m.len(), 8);
         // Outside the default entirely: miss.
         assert!(ecs_match(&table, Prefix::new(Ipv4Addr::new(12, 0, 0, 0), 24)).is_none());
+    }
+
+    #[test]
+    fn group_index_longest_match_and_source_len_bound() {
+        let net = |b, c, len| GroupKey::Ecs(Prefix::new(Ipv4Addr::new(10, b, c, 0), len));
+        let mut rows = vec![
+            (net(0, 0, 8), "a8"),
+            (net(1, 0, 16), "a16"),
+            (net(1, 2, 24), "a24"),
+        ];
+        let index: GroupIndex<&str> = rows.iter().copied().collect();
+        assert_eq!(index.len(), 3);
+        // The matched row's value and prefix length.
+        fn lookup(
+            index: &GroupIndex<&'static str>,
+            addr: Ipv4Addr,
+            len: u8,
+        ) -> Option<(&'static str, u8)> {
+            let query = Some(Prefix::new(addr, len));
+            match index.match_query(Grouping::Ecs, LdnsId(0), query)? {
+                (GroupKey::Ecs(p), &v) => Some((v, p.len())),
+                (GroupKey::Ldns(_), _) => unreachable!("an ECS match is keyed by its prefix"),
+            }
+        }
+        // Longest match wins at full depth.
+        let q = Ipv4Addr::new(10, 1, 2, 3);
+        assert_eq!(lookup(&index, q, 32), Some(("a24", 24)));
+        // Bounding by the query's source prefix length hides deeper
+        // entries: a /16 query can only see the /8 and /16.
+        assert_eq!(lookup(&index, q, 16), Some(("a16", 16)));
+        assert_eq!(lookup(&index, q, 12), Some(("a8", 8)));
+        assert_eq!(lookup(&index, q, 0), None);
+        // Siblings don't leak.
+        assert_eq!(
+            lookup(&index, Ipv4Addr::new(10, 9, 0, 1), 32),
+            Some(("a8", 8))
+        );
+        assert_eq!(lookup(&index, Ipv4Addr::new(11, 0, 0, 1), 32), None);
+        // A repeated key replaces the earlier row, not duplicates it.
+        rows.push((net(1, 2, 24), "a8"));
+        let index: GroupIndex<&str> = rows.into_iter().collect();
+        assert_eq!(index.len(), 3);
+        assert_eq!(lookup(&index, q, 24), Some(("a8", 24)));
     }
 
     /// What `table` serves a query from `ldns` carrying `ecs`: the

@@ -13,10 +13,10 @@
 //!   options, bridging [`anycast_dns::DnsAnswer`] and
 //!   [`anycast_dns::ecs::EcsOption`] onto real packets, and the one reply
 //!   encoder every reply comes from ([`message::encode_reply`]);
-//! * [`store`] — trained prediction tables compiled into immutable lookup
-//!   structures (a longest-prefix-match trie for ECS groups, sorted
-//!   arrays for LDNS groups), hot-swapped atomically while the server
-//!   runs — the only thing the server serves;
+//! * [`store`] — trained prediction tables compiled into immutable answer
+//!   templates, keyed by the trained table's own group index (so a query
+//!   matches the group the table was trained for), hot-swapped
+//!   atomically while the server runs — the only thing the server serves;
 //! * [`mmsg`] / [`template`] — the million-QPS hot path: batched UDP I/O
 //!   via raw `recvmmsg`/`sendmmsg` syscalls (libc-free, with a portable
 //!   one-packet fallback behind the same trait), preallocated per-shard
@@ -56,6 +56,6 @@ pub use message::{ChaosText, Edns, WireEcs, WireQuery, WireResponse, CHAOS_METRI
 pub use mmsg::{batch_io, BatchIo, PacketArena};
 pub use replay::{day_queries, day_query_plan, ldns_directory, ldns_source_addr, QuerySpec};
 pub use server::{DnsServer, LdnsDirectory, ServeConfig, ServeStats};
-pub use store::{CompiledTable, PrefixTrie, TableStore};
+pub use store::{CompiledTable, TableStore};
 pub use template::{AnswerRr, QueryView};
 pub use wire::WireError;

@@ -2,140 +2,35 @@
 //!
 //! The §6 predictor retrains once per prediction interval (a day in the
 //! paper); the serving plane must pick the new table up without dropping
-//! queries. [`CompiledTable`] freezes one trained
-//! [`PredictionTable`] into an immutable, cache-friendly lookup structure
-//! (a binary longest-prefix-match trie for ECS groups, a sorted array for
-//! LDNS groups — no hashing, no locking on the read path), and
+//! queries. [`CompiledTable`] freezes one trained [`PredictionTable`] for
+//! serving: each group's answer is interned as a pre-encoded template,
+//! and the groups sit in a [`GroupIndex`], the trained table's own index
+//! (a few hash probes per query, no locking on the read path).
 //! [`TableStore`] swaps whole tables atomically under a brief write lock.
 //! A UDP worker clones the `Arc` once per batch (TCP once per message), so
 //! a swap never blocks a lookup in flight, a batch is answered from one
 //! generation, and an old table stays alive until the last batch holding
 //! it completes.
 //!
-//! [`CompiledTable::answer`] is contractually the answer the source
-//! table's own [`PredictionTable::match_query`] implies — the loopback
+//! A query finds its group by [`GroupIndex::match_query`], the rule
+//! [`PredictionTable::match_query`] answers by, so [`CompiledTable::answer`]
+//! is the answer the source table implies by construction. The loopback
 //! equivalence tests pin `(addr, ttl_s, ecs_scope)` for a full simulated
-//! day of queries, and a property test at every ECS source length.
+//! day of queries on the wire, and a property test at every ECS source
+//! length.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, RwLock};
 
 use anycast_beacon::Target;
-use anycast_core::prediction::{GroupKey, Grouping, PredictionTable};
+use anycast_core::prediction::{GroupIndex, GroupKey, Grouping, PredictionTable};
 use anycast_dns::ecs::EcsOption;
 use anycast_dns::{DnsAnswer, LdnsId};
-use anycast_netsim::{CdnAddressing, Prefix};
+use anycast_netsim::CdnAddressing;
 use anycast_obs::counter;
 
 use crate::template::AnswerRr;
-
-/// A compiled binary longest-prefix-match trie over IPv4 prefixes: one
-/// node per bit of depth, values at the depths where entries live.
-///
-/// This is the serving-plane shape of a routing-aware ECS table: a query
-/// subnet matches the most specific entry covering it, and the matched
-/// depth *is* the RFC 7871 scope the answer advertises. Lookup cost is
-/// bounded by the query's own SOURCE PREFIX-LENGTH — entries deeper than
-/// what the query disclosed are never matched.
-///
-/// Generic over the stored value (`Copy`): the serving table stores
-/// template indices, tests and tools store addresses directly.
-#[derive(Debug, Clone)]
-pub struct PrefixTrie<V = Ipv4Addr> {
-    nodes: Vec<TrieNode<V>>,
-    entries: usize,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TrieNode<V> {
-    /// Child node indexes for bit 0 / bit 1; 0 means "no child" (the root
-    /// is never anyone's child).
-    children: [u32; 2],
-    value: Option<V>,
-}
-
-impl<V: Copy> TrieNode<V> {
-    const EMPTY: TrieNode<V> = TrieNode {
-        children: [0, 0],
-        value: None,
-    };
-}
-
-impl<V: Copy> PrefixTrie<V> {
-    /// An empty trie.
-    pub fn new() -> PrefixTrie<V> {
-        PrefixTrie {
-            nodes: vec![TrieNode::EMPTY],
-            entries: 0,
-        }
-    }
-
-    /// Number of entries (prefixes with a value).
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
-    /// Whether the trie holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Inserts `prefix → value`, replacing any existing value at exactly
-    /// that prefix.
-    pub fn insert(&mut self, prefix: Prefix, value: V) {
-        let bits = prefix.raw();
-        let mut node = 0usize;
-        for depth in 0..prefix.len() {
-            let bit = usize::from((bits >> (31 - depth)) & 1 == 1);
-            let child = self.nodes[node].children[bit];
-            node = if child == 0 {
-                self.nodes.push(TrieNode::EMPTY);
-                let idx = self.nodes.len() - 1;
-                self.nodes[node].children[bit] = idx as u32;
-                idx
-            } else {
-                child as usize
-            };
-        }
-        if self.nodes[node].value.is_none() {
-            self.entries += 1;
-        }
-        self.nodes[node].value = Some(value);
-    }
-
-    /// Longest-prefix match for `addr`, considering only entries no more
-    /// specific than `max_len` bits (the query's SOURCE PREFIX-LENGTH).
-    /// Returns the value and the matched entry's prefix length.
-    pub fn lookup(&self, addr: Ipv4Addr, max_len: u8) -> Option<(V, u8)> {
-        let bits = u32::from(addr);
-        let max_len = max_len.min(32);
-        let mut node = 0usize;
-        let mut best = None;
-        let mut depth = 0u8;
-        loop {
-            if let Some(v) = self.nodes[node].value {
-                best = Some((v, depth));
-            }
-            if depth >= max_len {
-                return best;
-            }
-            let bit = usize::from((bits >> (31 - depth)) & 1 == 1);
-            let child = self.nodes[node].children[bit];
-            if child == 0 {
-                return best;
-            }
-            node = child as usize;
-            depth += 1;
-        }
-    }
-}
-
-impl<V: Copy> Default for PrefixTrie<V> {
-    fn default() -> Self {
-        PrefixTrie::new()
-    }
-}
 
 /// One trained table compiled for serving: immutable, cache-friendly.
 ///
@@ -147,12 +42,9 @@ impl<V: Copy> Default for PrefixTrie<V> {
 #[derive(Debug, Clone)]
 pub struct CompiledTable {
     grouping: Grouping,
-    /// ECS groups, longest-prefix-matchable (variable-length prefixes:
-    /// aggregation defaults plus their exceptions). Values index
-    /// `templates`.
-    by_prefix: PrefixTrie<u32>,
-    /// LDNS groups: `(resolver id, template index)`, sorted by id.
-    by_ldns: Vec<(u32, u32)>,
+    /// Each group's index into `templates`: ECS groups of any prefix
+    /// length (aggregation defaults plus their exceptions) and LDNS groups.
+    groups: GroupIndex<u32>,
     /// Interned pre-encoded answers; `templates[0]` is the anycast VIP.
     templates: Vec<AnswerRr>,
     addressing: CdnAddressing,
@@ -172,7 +64,7 @@ impl CompiledTable {
     ) -> CompiledTable {
         CompiledTable::compile_with_overrides(
             table,
-            &std::collections::BTreeMap::new(),
+            &BTreeMap::new(),
             grouping,
             addressing,
             ttl_s,
@@ -188,7 +80,7 @@ impl CompiledTable {
     /// without training evidence is never steered).
     pub fn compile_with_overrides(
         table: &PredictionTable,
-        overrides: &std::collections::BTreeMap<GroupKey, Target>,
+        overrides: &BTreeMap<GroupKey, Target>,
         grouping: Grouping,
         addressing: CdnAddressing,
         ttl_s: u32,
@@ -200,33 +92,24 @@ impl CompiledTable {
         let mut templates = vec![AnswerRr::new(addressing.anycast_ip(), ttl_s)];
         let mut interned: HashMap<Ipv4Addr, u32> = HashMap::new();
         interned.insert(addressing.anycast_ip(), 0);
-        let mut ecs_entries: Vec<(Prefix, u32)> = Vec::new();
-        let mut by_ldns = Vec::new();
-        for (key, choice) in table.iter() {
-            let target = overrides.get(&key).copied().unwrap_or(choice.target);
-            let addr = match target {
-                Target::Anycast => addressing.anycast_ip(),
-                Target::Unicast(site) => addressing.site_ip(site),
-            };
-            let idx = *interned.entry(addr).or_insert_with(|| {
-                templates.push(AnswerRr::new(addr, ttl_s));
-                (templates.len() - 1) as u32
-            });
-            match key {
-                GroupKey::Ecs(p) => ecs_entries.push((p, idx)),
-                GroupKey::Ldns(l) => by_ldns.push((l.0, idx)),
-            }
-        }
-        ecs_entries.sort_unstable_by_key(|&(p, _)| p.key());
-        let mut by_prefix = PrefixTrie::new();
-        for (p, idx) in ecs_entries {
-            by_prefix.insert(p, idx);
-        }
-        by_ldns.sort_unstable_by_key(|&(k, _)| k);
+        let groups = table
+            .iter()
+            .map(|(key, choice)| {
+                let target = overrides.get(&key).copied().unwrap_or(choice.target);
+                let addr = match target {
+                    Target::Anycast => addressing.anycast_ip(),
+                    Target::Unicast(site) => addressing.site_ip(site),
+                };
+                let idx = *interned.entry(addr).or_insert_with(|| {
+                    templates.push(AnswerRr::new(addr, ttl_s));
+                    (templates.len() - 1) as u32
+                });
+                (key, idx)
+            })
+            .collect();
         CompiledTable {
             grouping,
-            by_prefix,
-            by_ldns,
+            groups,
             templates,
             addressing,
             ttl_s,
@@ -239,8 +122,7 @@ impl CompiledTable {
     pub fn empty(grouping: Grouping, addressing: CdnAddressing, ttl_s: u32) -> CompiledTable {
         CompiledTable {
             grouping,
-            by_prefix: PrefixTrie::new(),
-            by_ldns: Vec::new(),
+            groups: GroupIndex::default(),
             templates: vec![AnswerRr::new(addressing.anycast_ip(), ttl_s)],
             addressing,
             ttl_s,
@@ -255,13 +137,8 @@ impl CompiledTable {
         let rr = AnswerRr::new(self.addressing.site_ip(site), self.ttl_s);
         self.templates.push(rr);
         let idx = (self.templates.len() - 1) as u32;
-        match key {
-            GroupKey::Ecs(p) => self.by_prefix.insert(p, idx),
-            GroupKey::Ldns(l) => {
-                self.by_ldns.push((l.0, idx));
-                self.by_ldns.sort_unstable_by_key(|&(k, _)| k);
-            }
-        }
+        let rows = self.groups.iter().map(|(k, &v)| (k, v));
+        self.groups = rows.chain([(key, idx)]).collect();
         self
     }
 
@@ -270,14 +147,14 @@ impl CompiledTable {
         self.generation
     }
 
-    /// Number of redirectable groups (trie entries plus LDNS entries).
+    /// Number of redirectable groups (ECS and LDNS entries).
     pub fn len(&self) -> usize {
-        self.by_prefix.entries() + self.by_ldns.len()
+        self.groups.len()
     }
 
     /// Whether the table holds no groups at all.
     pub fn is_empty(&self) -> bool {
-        self.by_prefix.is_empty() && self.by_ldns.is_empty()
+        self.groups.is_empty()
     }
 
     /// The answer TTL this table serves.
@@ -294,21 +171,13 @@ impl CompiledTable {
     /// `ldns` carrying `ecs`, plus the ECS scope to advertise. Misses
     /// resolve to `templates[0]`, the anycast VIP. No allocation.
     pub fn answer_rr(&self, ldns: LdnsId, ecs: Option<&EcsOption>) -> (&AnswerRr, u8) {
-        let (idx, matched_len) = match self.grouping {
-            Grouping::Ecs => {
-                match ecs.and_then(|e| self.by_prefix.lookup(e.prefix.network(), e.prefix.len())) {
-                    Some((idx, len)) => (idx, Some(len)),
-                    None => (0, None),
-                }
-            }
-            Grouping::Ldns => (
-                self.by_ldns
-                    .binary_search_by_key(&ldns.0, |&(k, _)| k)
-                    .ok()
-                    .map(|i| self.by_ldns[i].1)
-                    .unwrap_or(0),
-                None,
-            ),
+        let matched = self
+            .groups
+            .match_query(self.grouping, ldns, ecs.map(|e| e.prefix));
+        let (idx, matched_len) = match matched {
+            Some((GroupKey::Ecs(p), &idx)) => (idx, Some(p.len())),
+            Some((GroupKey::Ldns(_), &idx)) => (idx, None),
+            None => (0, None),
         };
         (
             &self.templates[idx as usize],
@@ -321,11 +190,8 @@ impl CompiledTable {
         &self.templates[0]
     }
 
-    /// Decides the answer for a query from `ldns` carrying `ecs`.
-    ///
-    /// Mirrors [`PredictionTable::match_query`] exactly: longest-prefix
-    /// match for ECS tables (bounded by the query's disclosed prefix
-    /// length), exact match for LDNS tables, anycast VIP on a miss. The ECS scope is the
+    /// Decides the answer for a query from `ldns` carrying `ecs`: the
+    /// template [`CompiledTable::answer_rr`] picks. The ECS scope is the
     /// matched entry's prefix length — and 0 on a miss: the VIP fallback
     /// was derived from no subnet, so advertising the query's /24 there
     /// (the old behavior) fragmented resolver caches into per-/24 entries
@@ -372,7 +238,7 @@ impl TableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_netsim::{Day, Prefix24, SiteId};
+    use anycast_netsim::{Day, Prefix, Prefix24, SiteId};
 
     fn plan() -> CdnAddressing {
         CdnAddressing::standard(8)
@@ -392,33 +258,6 @@ mod tests {
         assert_eq!((a.ttl_s, a.ecs_scope), (60, 0));
         let b = t.answer(LdnsId(0), None);
         assert_eq!(b.ecs_scope, 0);
-    }
-
-    #[test]
-    fn trie_longest_match_and_source_len_bound() {
-        let mut trie = PrefixTrie::new();
-        let a8 = Ipv4Addr::new(192, 0, 2, 8);
-        let a16 = Ipv4Addr::new(192, 0, 2, 16);
-        let a24 = Ipv4Addr::new(192, 0, 2, 24);
-        trie.insert(Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 8), a8);
-        trie.insert(Prefix::new(Ipv4Addr::new(10, 1, 0, 0), 16), a16);
-        trie.insert(Prefix::new(Ipv4Addr::new(10, 1, 2, 0), 24), a24);
-        assert_eq!(trie.entries(), 3);
-        // Longest match wins at full depth.
-        let q = Ipv4Addr::new(10, 1, 2, 3);
-        assert_eq!(trie.lookup(q, 32), Some((a24, 24)));
-        // Bounding by the query's source prefix length hides deeper
-        // entries: a /16 query can only see the /8 and /16.
-        assert_eq!(trie.lookup(q, 16), Some((a16, 16)));
-        assert_eq!(trie.lookup(q, 12), Some((a8, 8)));
-        assert_eq!(trie.lookup(q, 0), None);
-        // Siblings don't leak.
-        assert_eq!(trie.lookup(Ipv4Addr::new(10, 9, 0, 1), 32), Some((a8, 8)));
-        assert_eq!(trie.lookup(Ipv4Addr::new(11, 0, 0, 1), 32), None);
-        // Re-inserting replaces, not duplicates.
-        trie.insert(Prefix::new(Ipv4Addr::new(10, 1, 2, 0), 24), a8);
-        assert_eq!(trie.entries(), 3);
-        assert_eq!(trie.lookup(q, 24), Some((a8, 24)));
     }
 
     #[test]

@@ -193,13 +193,15 @@ proptest! {
     }
 }
 
-/// The compiled ECS trie against the obviously-correct model: a linear
+/// The group index's match against the obviously-correct model: a linear
 /// scan for the longest stored prefix that covers the address and fits
-/// the query's SOURCE PREFIX-LENGTH.
-mod trie {
+/// the query's SOURCE PREFIX-LENGTH, and the resolver's own entry for an
+/// LDNS query.
+mod group_index {
     use super::*;
+    use anycast_core::prediction::{GroupIndex, GroupKey, Grouping};
+    use anycast_dns::LdnsId;
     use anycast_netsim::Prefix;
-    use anycast_serve::PrefixTrie;
 
     fn naive_lookup(
         entries: &[(Prefix, Ipv4Addr)],
@@ -210,7 +212,7 @@ mod trie {
             .iter()
             .filter(|(p, _)| p.len() <= max_len.min(32) && p.contains(addr))
             // Ties on length are exact duplicates; `max_by_key` keeps the
-            // last, matching the trie's insert-replaces semantics.
+            // last, matching the index's later-row-replaces semantics.
             .max_by_key(|(p, _)| p.len())
             .map(|&(p, a)| (a, p.len()))
     }
@@ -219,7 +221,7 @@ mod trie {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn trie_lookup_matches_naive_linear_scan(
+        fn group_index_matches_naive_linear_scan(
             raw_entries in prop::collection::vec(
                 // Nets drawn from 8 top bytes × dense mid bits so random
                 // sets actually nest and share subtrees.
@@ -227,6 +229,9 @@ mod trie {
                 0..40,
             ),
             raw_probes in prop::collection::vec((any::<u32>(), 0u8..40), 1..20),
+            // Resolver entries beside the subnets, drawn from few ids so
+            // that some repeat.
+            raw_ldns in prop::collection::vec((0u32..8, any::<u32>()), 0..8),
         ) {
             let entries: Vec<(Prefix, Ipv4Addr)> = raw_entries
                 .into_iter()
@@ -235,13 +240,21 @@ mod trie {
                     (Prefix::from_raw(net, len), Ipv4Addr::from(addr))
                 })
                 .collect();
-            let mut trie = PrefixTrie::new();
-            for &(p, a) in &entries {
-                trie.insert(p, a);
-            }
-            let distinct: std::collections::HashSet<_> =
-                entries.iter().map(|(p, _)| p).collect();
-            prop_assert_eq!(trie.entries(), distinct.len());
+            let ldns: Vec<(LdnsId, Ipv4Addr)> = raw_ldns
+                .into_iter()
+                .map(|(id, addr)| (LdnsId(id), Ipv4Addr::from(addr)))
+                .collect();
+            let index: GroupIndex<Ipv4Addr> = entries
+                .iter()
+                .map(|&(p, a)| (GroupKey::Ecs(p), a))
+                .chain(ldns.iter().map(|&(l, a)| (GroupKey::Ldns(l), a)))
+                .collect();
+            let distinct: std::collections::HashSet<GroupKey> = entries
+                .iter()
+                .map(|&(p, _)| GroupKey::Ecs(p))
+                .chain(ldns.iter().map(|&(l, _)| GroupKey::Ldns(l)))
+                .collect();
+            prop_assert_eq!(index.len(), distinct.len());
             // Random probes plus each entry's own network at several
             // source lengths — the interesting collision points.
             let mut probes: Vec<(Ipv4Addr, u8)> = raw_probes
@@ -255,14 +268,29 @@ mod trie {
                     (Ipv4Addr::from(p.raw() | 0xFF), 24),
                 ]
             }));
-            for (addr, max_len) in probes {
+            for (i, (addr, max_len)) in probes.into_iter().enumerate() {
+                // Every ECS query comes from a resolver that may hold an
+                // entry of its own, which must never answer it.
+                let from = LdnsId(i as u32 % 8);
+                let query = Some(Prefix::new(addr, max_len));
+                let got = index.match_query(Grouping::Ecs, from, query).map(|(key, &a)| {
+                    let GroupKey::Ecs(p) = key else {
+                        panic!("resolver entry {key:?} answered an ECS query");
+                    };
+                    (a, p.len())
+                });
                 prop_assert_eq!(
-                    trie.lookup(addr, max_len),
+                    got,
                     naive_lookup(&entries, addr, max_len),
                     "addr {} max_len {}",
                     addr,
                     max_len
                 );
+                // An LDNS query matches its resolver's last row whatever
+                // subnet it carries.
+                let own = ldns.iter().rev().find(|(l, _)| *l == from).map(|&(_, a)| a);
+                let got = index.match_query(Grouping::Ldns, from, query);
+                prop_assert_eq!(got.map(|(_, &a)| a), own);
             }
         }
     }

@@ -8,7 +8,7 @@
 //! AS) — so numerically adjacent /24s share routing fate, the property the
 //! routing-aware table aggregation depends on.
 
-use anycast_geo::{GeoPoint, LogNormal, Metro, MetroId, Region};
+use anycast_geo::{LogNormal, Metro, MetroId, Region};
 use anycast_netsim::{AccessTech, ClientAttachment, Prefix24, PrefixAllocator, Topology};
 use rand::distributions::Distribution;
 use rand::seq::SliceRandom;
@@ -159,12 +159,6 @@ pub fn generate(topo: &Topology, cfg: &PopulationConfig, rng: &mut impl Rng) -> 
     clients
 }
 
-/// Convenience for analyses: the client's believed location according to a
-/// geolocation database (stable per prefix).
-pub fn believed_location(client: &Client, geodb: &anycast_geo::GeoDb) -> GeoPoint {
-    geodb.locate(client.prefix.key(), client.attachment.location)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,14 +299,5 @@ mod tests {
             .filter(|w| w[0].attachment.as_id == w[1].attachment.as_id)
             .count();
         assert!(same_as > 0, "same-AS adjacency must occur");
-    }
-
-    #[test]
-    fn believed_location_is_stable() {
-        let (_, clients) = world_and_clients();
-        let db = anycast_geo::GeoDb::new(1);
-        for c in clients.iter().take(50) {
-            assert_eq!(believed_location(c, &db), believed_location(c, &db));
-        }
     }
 }
