@@ -286,7 +286,7 @@ mod tests {
     }
 
     fn client(w: &World) -> BeaconClient {
-        let e = &w.internet.topology().eyeballs[0];
+        let e = w.internet.topology().eyeballs().next().unwrap();
         let loc = w.internet.topology().atlas.metro(e.home_metro).location();
         BeaconClient {
             prefix: Prefix24::containing(Ipv4Addr::new(11, 0, 0, 1)),
@@ -427,7 +427,7 @@ mod tests {
         let mut execution = 0u64;
         let mut rng = SmallRng::seed_from_u64(11);
         let mut saw_failure = false;
-        for e in &internet.topology().eyeballs {
+        for e in internet.topology().eyeballs() {
             let loc = internet.topology().atlas.metro(e.home_metro).location();
             let c = BeaconClient {
                 prefix: Prefix24::containing(Ipv4Addr::new(11, 0, 0, 1)),

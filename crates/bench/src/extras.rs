@@ -319,23 +319,19 @@ pub fn world_summary(scale: Scale, seed: u64) -> FigureResult {
         peering_only
     ));
 
-    let transit_only = topo.eyeballs.iter().filter(|e| e.is_transit_only()).count();
+    let n_eyeballs = topo.eyeballs().len();
+    let transit_only = topo.eyeballs().filter(|e| e.is_transit_only()).count();
     let single_peer = topo
-        .eyeballs
-        .iter()
+        .eyeballs()
         .filter(|e| e.peering_borders.len() == 1)
         .count();
     let fixed = topo
-        .eyeballs
-        .iter()
+        .eyeballs()
         .filter(|e| matches!(e.egress_policy, EgressPolicy::FixedEgress(_)))
         .count();
     text.push_str(&format!(
         "eyeball ASes: {} ({} transit-only, {} single-peer, {} fixed-egress)\n",
-        topo.eyeballs.len(),
-        transit_only,
-        single_peer,
-        fixed
+        n_eyeballs, transit_only, single_peer, fixed
     ));
     text.push_str(&format!(
         "transit providers: {}\nclient /24s: {} (total volume {}/day)\nresolvers: {}\n",
@@ -352,7 +348,7 @@ pub fn world_summary(scale: Scale, seed: u64) -> FigureResult {
         series: Vec::new(),
         scalars: vec![
             ("front-end sites".to_string(), topo.cdn.sites.len() as f64),
-            ("eyeball ASes".to_string(), topo.eyeballs.len() as f64),
+            ("eyeball ASes".to_string(), n_eyeballs as f64),
             ("client /24s".to_string(), s.clients.len() as f64),
         ],
         text: Some(text),

@@ -217,7 +217,7 @@ impl<'a> DnsRedirectionSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_netsim::{ClientAttachment, NetConfig, OutageKind, OutageWindow};
+    use anycast_netsim::{ClientAttachment, EyeballAs, NetConfig, OutageKind, OutageWindow};
 
     fn failure_world() -> Internet {
         let cfg = NetConfig {
@@ -228,8 +228,7 @@ mod tests {
         Internet::new(cfg, 11).unwrap()
     }
 
-    fn attachment(internet: &Internet, idx: usize) -> ClientAttachment {
-        let e = &internet.topology().eyeballs[idx];
+    fn attachment(internet: &Internet, e: EyeballAs) -> ClientAttachment {
         ClientAttachment {
             as_id: e.id,
             metro: e.home_metro,
@@ -254,8 +253,8 @@ mod tests {
                 {
                     continue;
                 }
-                for idx in 0..internet.topology().eyeballs.len() {
-                    let c = attachment(internet, idx);
+                for e in internet.topology().eyeballs() {
+                    let c = attachment(internet, e);
                     if internet.anycast_route(&c, Day(day)).site == site {
                         return Some((site, Day(day), win, c));
                     }
@@ -268,7 +267,10 @@ mod tests {
     #[test]
     fn failure_free_world_always_serves() {
         let internet = Internet::new(NetConfig::small(), 3).unwrap();
-        let clients = [attachment(&internet, 0)];
+        let clients = [attachment(
+            &internet,
+            internet.topology().eyeballs().next().unwrap(),
+        )];
         let routes = RouteSnapshot::build(&internet, &clients, Day(0));
         let mut dns = DnsRedirectionSim::new(&internet, 300.0);
         for &t in &request_times(8) {
@@ -317,8 +319,10 @@ mod tests {
     /// everything is healthy) is the given site.
     fn client_nearest_to(internet: &Internet, site: SiteId) -> Option<ClientAttachment> {
         let sites = internet.site_locations();
-        (0..internet.topology().eyeballs.len())
-            .map(|idx| attachment(internet, idx))
+        internet
+            .topology()
+            .eyeballs()
+            .map(|e| attachment(internet, e))
             .find(|c| {
                 sites
                     .iter()
@@ -375,8 +379,8 @@ mod tests {
         let internet = failure_world();
         let sites = internet.site_locations();
         let mut sim = DnsRedirectionSim::new(&internet, 300.0);
-        for idx in (0..internet.topology().eyeballs.len()).step_by(5) {
-            let loc = attachment(&internet, idx).location;
+        for e in internet.topology().eyeballs().step_by(5) {
+            let loc = attachment(&internet, e).location;
             for day in (0..4).map(Day) {
                 for time_s in request_times(6) {
                     let up = |&&(s, _): &&(SiteId, GeoPoint)| {

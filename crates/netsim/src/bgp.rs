@@ -80,7 +80,7 @@ pub fn select_anycast_ingress(
             EgressPolicy::FixedEgress(b) if live(&b) => b,
             // Hot potato, or a pinned egress that lost its route: the
             // nearest surviving direct peering.
-            _ => rank_by_distance(topo, &eyeball.peering_borders, live, client_metro, rank),
+            _ => rank_by_distance(topo, eyeball.peering_borders, live, client_metro, rank),
         };
         return EgressDecision {
             ingress,
@@ -193,8 +193,7 @@ mod tests {
     }
 
     fn some_peered_as(topo: &Topology) -> AsId {
-        topo.eyeballs
-            .iter()
+        topo.eyeballs()
             .find(|e| {
                 e.peering_borders.len() > 1 && matches!(e.egress_policy, EgressPolicy::HotPotato)
             })
@@ -203,8 +202,7 @@ mod tests {
     }
 
     fn some_transit_only_as(topo: &Topology) -> AsId {
-        topo.eyeballs
-            .iter()
+        topo.eyeballs()
             .find(|e| e.is_transit_only())
             .expect("a transit-only AS exists")
             .id
@@ -234,7 +232,7 @@ mod tests {
             .metro(topo.cdn.border_metro(d.ingress))
             .location()
             .haversine_km(&from);
-        for &b in &e.peering_borders {
+        for &b in e.peering_borders {
             let alt = topo
                 .atlas
                 .metro(topo.cdn.border_metro(b))
@@ -282,8 +280,7 @@ mod tests {
     fn fixed_egress_ignores_client_location_and_rank() {
         let topo = world();
         let Some(e) = topo
-            .eyeballs
-            .iter()
+            .eyeballs()
             .find(|e| matches!(e.egress_policy, EgressPolicy::FixedEgress(_)))
         else {
             // Small worlds may not roll a fixed-egress AS; the default world
@@ -293,7 +290,7 @@ mod tests {
         let EgressPolicy::FixedEgress(pinned) = e.egress_policy else {
             unreachable!()
         };
-        for &m in &e.pops {
+        for &m in e.pops {
             for rank in 0..2 {
                 let d = select_anycast_ingress(&topo, rank, e.id, m, &[]);
                 assert_eq!(d.ingress, pinned);
@@ -318,8 +315,8 @@ mod tests {
     fn unicast_ingresses_at_announcement_when_peered_there() {
         let topo = world();
         // Find an AS that peers at some site-colocated border.
-        for e in &topo.eyeballs {
-            for &b in &e.peering_borders {
+        for e in topo.eyeballs() {
+            for &b in e.peering_borders {
                 if let Some(site) = topo.cdn.borders[b.0 as usize].colocated_site {
                     let ann = topo.cdn.unicast_announcement_border(site);
                     assert_eq!(ann, b);
@@ -354,7 +351,7 @@ mod tests {
     #[test]
     fn avoiding_nothing_matches_plain_selection() {
         let topo = world();
-        for e in &topo.eyeballs {
+        for e in topo.eyeballs() {
             let plain = select_anycast_ingress(&topo, 0, e.id, e.home_metro, &[]);
             for b in topo.cdn.border_ids().filter(|&b| b != plain.ingress) {
                 let avoid = select_anycast_ingress(&topo, 0, e.id, e.home_metro, &[b]);
@@ -366,7 +363,7 @@ mod tests {
     #[test]
     fn withdrawn_border_is_never_selected() {
         let topo = world();
-        for e in &topo.eyeballs {
+        for e in topo.eyeballs() {
             let plain = select_anycast_ingress(&topo, 0, e.id, e.home_metro, &[]);
             let withdrawn = [plain.ingress];
             let moved = select_anycast_ingress(&topo, 0, e.id, e.home_metro, &withdrawn);
@@ -378,8 +375,7 @@ mod tests {
     fn fixed_egress_falls_back_when_pinned_border_withdrawn() {
         let topo = world();
         let Some(e) = topo
-            .eyeballs
-            .iter()
+            .eyeballs()
             .find(|e| matches!(e.egress_policy, EgressPolicy::FixedEgress(_)))
         else {
             return;
@@ -437,9 +433,8 @@ mod tests {
         for topo in [world(), crate::worldgen::build(&policy, 42).0] {
             // Every distinct list the selection functions can be handed.
             let mut border_lists: Vec<Vec<BorderId>> = topo
-                .eyeballs
-                .iter()
-                .map(|e| e.peering_borders.clone())
+                .eyeballs()
+                .map(|e| e.peering_borders.to_vec())
                 .chain(topo.transits.iter().map(|t| t.peering_borders.clone()))
                 .chain([topo.cdn.border_ids().collect()])
                 .filter(|l| !l.is_empty())
@@ -447,9 +442,8 @@ mod tests {
             border_lists.sort();
             border_lists.dedup();
             let mut metro_lists: Vec<Vec<MetroId>> = topo
-                .eyeballs
-                .iter()
-                .map(|e| e.pops.clone())
+                .eyeballs()
+                .map(|e| e.pops.to_vec())
                 .chain(topo.transits.iter().map(|t| t.pops.clone()))
                 .filter(|l| !l.is_empty())
                 .collect();

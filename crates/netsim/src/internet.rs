@@ -99,7 +99,7 @@ pub const P_IGP_EPISODE: f64 = 0.02;
 /// use anycast_netsim::{AccessTech, ClientAttachment, Day, Internet, NetConfig};
 ///
 /// let net = Internet::new(NetConfig::small(), 7).unwrap();
-/// let eyeball = &net.topology().eyeballs[0];
+/// let eyeball = net.topology().eyeballs().next().unwrap();
 /// let client = ClientAttachment {
 ///     as_id: eyeball.id,
 ///     metro: eyeball.home_metro,
@@ -715,7 +715,7 @@ mod tests {
     }
 
     fn client_at(net: &Internet, as_idx: usize) -> ClientAttachment {
-        let e = &net.topology().eyeballs[as_idx % net.topology().eyeballs.len()];
+        let e = net.topology().eyeballs().cycle().nth(as_idx).unwrap();
         let metro = e.home_metro;
         let loc = net
             .topology()
@@ -811,10 +811,9 @@ mod tests {
         };
         for cfg in [failures, policy] {
             let net = Internet::new(cfg, 17).unwrap();
-            let hosts: Vec<&crate::topology::EyeballAs> = net
+            let hosts: Vec<crate::topology::EyeballAs> = net
                 .topology()
-                .eyeballs
-                .iter()
+                .eyeballs()
                 .filter(|e| !e.pops.is_empty())
                 .collect();
             let mut rerouted = 0;
@@ -944,7 +943,7 @@ mod tests {
         let sites = net.site_locations();
         let mut optimal = 0;
         let mut total = 0;
-        for (i, e) in topo.eyeballs.iter().enumerate() {
+        for (i, e) in topo.eyeballs().enumerate() {
             let c = client_at(&net, i);
             let d = net.anycast_route(&c, Day(0));
             let inflated = topo.cdn.igp_multiplier[d.ingress.0 as usize]
@@ -1120,7 +1119,7 @@ mod tests {
         let reconv = crate::outage::BGP_RECONVERGENCE_S;
         // Find a client whose steady route lands on a site with an
         // unplanned outage that day.
-        let found = (0..net.topology().eyeballs.len()).find_map(|i| {
+        let found = (0..net.topology().eyeballs().len()).find_map(|i| {
             let c = client_at(&net, i);
             Day(0).span(30).find_map(|day| {
                 let steady = net.anycast_route(&c, day);

@@ -586,7 +586,7 @@ mod tests {
     fn clients(net: &Internet, n: usize) -> Vec<ClientAttachment> {
         (0..n)
             .map(|i| {
-                let e = &net.topology().eyeballs[i % net.topology().eyeballs.len()];
+                let e = net.topology().eyeballs().cycle().nth(i).unwrap();
                 ClientAttachment {
                     as_id: e.id,
                     metro: e.home_metro,
@@ -682,8 +682,7 @@ mod tests {
         let net = Internet::new(cfg, 3).unwrap();
         let hosts: Vec<_> = net
             .topology()
-            .eyeballs
-            .iter()
+            .eyeballs()
             .filter(|e| !e.pops.is_empty())
             .collect();
         let cs: Vec<ClientAttachment> = (0..hosts.len() * 2)

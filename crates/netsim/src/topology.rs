@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use crate::bgp::EgressPolicy;
 use crate::config::NetConfig;
 use crate::ids::{AsId, BorderId, SiteId};
+use crate::worldgen::Csr;
 
 /// A CDN front-end site: terminates client TCP connections.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,36 +101,120 @@ pub struct TransitAs {
 }
 
 /// An eyeball (access) AS: hosts clients, reaches the CDN via direct peering
-/// and/or transit.
-#[derive(Debug, Clone)]
-pub struct EyeballAs {
+/// and/or transit. A `Copy` view of the topology's per-AS columns, from
+/// [`Topology::eyeball`] or [`Topology::eyeballs`]; the AS's country is
+/// its home metro's (`atlas.metro(home_metro).country`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EyeballAs<'a> {
     /// This AS's id.
     pub id: AsId,
     /// The metro where the ISP is headquartered; its footprint grows
     /// outwards from here.
     pub home_metro: MetroId,
-    /// Country of the home metro (footprints are national).
-    pub country: &'static str,
     /// Metros where this AS has client attachment points.
-    pub pops: Vec<MetroId>,
+    pub pops: &'a [MetroId],
     /// CDN border routers this AS peers with directly. Empty means
     /// transit-only.
-    pub peering_borders: Vec<BorderId>,
-    /// Transit providers (always at least one, even for peered ASes, as
-    /// backup and for prefixes not learned over peering).
-    pub transit: Vec<AsId>,
+    pub peering_borders: &'a [BorderId],
+    /// Transit providers (always at least one in a distance world, even for
+    /// peered ASes, as backup and for prefixes not learned over peering;
+    /// none in a policy world, whose graph carries the providers).
+    pub transit: &'a [AsId],
     /// How the AS picks among multiple egress options.
     pub egress_policy: EgressPolicy,
 }
 
-impl EyeballAs {
+impl EyeballAs<'_> {
     /// Whether this AS reaches the CDN only through transit.
     pub fn is_transit_only(&self) -> bool {
         self.peering_borders.is_empty()
     }
 }
 
+/// The eyeball ASes as per-AS columns, by index past the transits. Either
+/// generator fills it one AS at a time, in id order, then adopts the
+/// metros no footprint covers ([`EyeballColumns::cover_orphan_metros`]).
+#[derive(Debug, Clone)]
+pub(crate) struct EyeballColumns {
+    home_metro: Vec<MetroId>,
+    egress_policy: Vec<EgressPolicy>,
+    pops: Csr<MetroId>,
+    peering_borders: Csr<BorderId>,
+    transit: Csr<AsId>,
+}
+
+impl EyeballColumns {
+    /// Empty columns with room for `n` ASes.
+    pub(crate) fn with_capacity(n: usize) -> EyeballColumns {
+        EyeballColumns {
+            home_metro: Vec::with_capacity(n),
+            egress_policy: Vec::with_capacity(n),
+            pops: Csr::with_capacity(n, n),
+            peering_borders: Csr::with_capacity(n, 0),
+            transit: Csr::with_capacity(n, 0),
+        }
+    }
+
+    /// Appends the next AS.
+    pub(crate) fn push(
+        &mut self,
+        home_metro: MetroId,
+        pops: &[MetroId],
+        peering_borders: &[BorderId],
+        transit: &[AsId],
+        egress_policy: EgressPolicy,
+    ) {
+        self.home_metro.push(home_metro);
+        self.pops.push_row(pops);
+        self.peering_borders.push_row(peering_borders);
+        self.transit.push_row(transit);
+        self.egress_policy.push(egress_policy);
+    }
+
+    /// Guarantees every metro hosts at least one eyeball AS, so the
+    /// workload generator can place clients anywhere people live. Each
+    /// metro in no footprint joins, in atlas order, the footprint of the
+    /// AS with the nearest home metro in the same region (any region as
+    /// fallback; the first such AS on ties) among those `may_host` admits,
+    /// after the AS's own metros.
+    pub(crate) fn cover_orphan_metros(
+        &mut self,
+        atlas: &WorldAtlas,
+        may_host: impl Fn(usize) -> bool,
+    ) {
+        let mut covered = vec![false; atlas.len()];
+        for v in 0..self.home_metro.len() as u32 {
+            for m in self.pops.row(v) {
+                covered[m.0 as usize] = true;
+            }
+        }
+        let mut orphans = Vec::new();
+        for (mid, metro) in atlas.iter() {
+            if covered[mid.0 as usize] {
+                continue;
+            }
+            let cost = |v: usize| {
+                let home = self.home_metro[v];
+                region_penalty(atlas, home, metro) + atlas.metro_km(home, mid)
+            };
+            let best = (0..self.home_metro.len())
+                .filter(|&v| may_host(v))
+                .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
+                .expect("some eyeball AS may host clients");
+            orphans.push((best as u32, mid));
+        }
+        self.pops.append_to_rows(orphans);
+    }
+}
+
 /// The generated world: atlas, CDN, transits, eyeballs.
+///
+/// The eyeball ASes are per-AS columns, not one record each: flat arrays
+/// for the home metro and the egress policy, and one compressed-row table
+/// ([`Csr`]) each for footprints, peerings, transits and the ASes by metro.
+/// A 75k-AS policy world keeps them in ~3.5 MiB and a handful of
+/// allocations.
+/// [`Topology::eyeball`] reads one AS as an [`EyeballAs`] view.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// The world atlas all locations refer to.
@@ -138,10 +223,11 @@ pub struct Topology {
     pub cdn: CdnNetwork,
     /// Transit providers (ids `0..n_transit`).
     pub transits: Vec<TransitAs>,
-    /// Eyeball ASes (ids `n_transit..n_transit + n_eyeball`).
-    pub eyeballs: Vec<EyeballAs>,
-    /// By [`MetroId`]: the eyeball ASes with a PoP there, in eyeball order.
-    eyeballs_by_metro: Vec<Vec<AsId>>,
+    /// Eyeball ASes (ids `n_transit..n_transit + n_eyeball`), read through
+    /// [`Topology::eyeball`] and [`Topology::eyeballs`].
+    eyeballs: EyeballColumns,
+    /// By [`MetroId`]: the eyeball ASes with a PoP there, in id order.
+    by_metro: Csr<AsId>,
 }
 
 impl Topology {
@@ -159,7 +245,7 @@ impl Topology {
         let cdn = generate_cdn(&atlas, cfg, &mut rng);
         let transits = generate_transits(&atlas, &cdn, cfg, &mut rng);
         let mut eyeballs = generate_eyeballs(&atlas, &cdn, &transits, cfg, &mut rng);
-        ensure_metro_coverage(&atlas, &mut eyeballs);
+        eyeballs.cover_orphan_metros(&atlas, |_| true);
         Topology::from_parts(atlas, cdn, transits, eyeballs)
     }
 
@@ -169,30 +255,49 @@ impl Topology {
         atlas: WorldAtlas,
         cdn: CdnNetwork,
         transits: Vec<TransitAs>,
-        eyeballs: Vec<EyeballAs>,
+        mut eyeballs: EyeballColumns,
     ) -> Topology {
-        let mut eyeballs_by_metro: Vec<Vec<AsId>> = vec![Vec::new(); atlas.len()];
-        for e in &eyeballs {
-            for &m in &e.pops {
-                eyeballs_by_metro[m.0 as usize].push(e.id);
-            }
-        }
+        // Rows were pushed one AS at a time; keep no growth slack.
+        eyeballs.pops.shrink_to_fit();
+        eyeballs.peering_borders.shrink_to_fit();
+        eyeballs.transit.shrink_to_fit();
+        let first = transits.len() as u32;
+        let pops = &eyeballs.pops;
+        let by_metro = Csr::inverted(atlas.len(), || {
+            (0..pops.rows() as u32)
+                .flat_map(move |v| pops.row(v).iter().map(move |m| (AsId(first + v), m.0)))
+        });
         Topology {
             atlas,
             cdn,
             transits,
             eyeballs,
-            eyeballs_by_metro,
+            by_metro,
         }
     }
 
     /// The eyeball AS with the given id. Panics on a transit or unknown id
     /// (a programming error).
-    pub fn eyeball(&self, id: AsId) -> &EyeballAs {
+    pub fn eyeball(&self, id: AsId) -> EyeballAs<'_> {
         let idx = (id.0 as usize)
             .checked_sub(self.transits.len())
             .expect("AsId is a transit, not an eyeball");
-        &self.eyeballs[idx]
+        let e = &self.eyeballs;
+        let row = idx as u32;
+        EyeballAs {
+            id,
+            home_metro: e.home_metro[idx],
+            pops: e.pops.row(row),
+            peering_borders: e.peering_borders.row(row),
+            transit: e.transit.row(row),
+            egress_policy: e.egress_policy[idx],
+        }
+    }
+
+    /// Every eyeball AS, in id order.
+    pub fn eyeballs(&self) -> impl ExactSizeIterator<Item = EyeballAs<'_>> + Clone + '_ {
+        let first = self.transits.len() as u32;
+        (0..self.eyeballs.home_metro.len() as u32).map(move |i| self.eyeball(AsId(first + i)))
     }
 
     /// The transit AS with the given id. Panics on an eyeball or unknown id.
@@ -200,10 +305,10 @@ impl Topology {
         &self.transits[id.0 as usize]
     }
 
-    /// Eyeball ASes with an attachment point at `metro` (possibly empty for
-    /// metros only covered via the coverage pass of a different metro).
+    /// Eyeball ASes with an attachment point at `metro`, in id order (never
+    /// empty: every metro is in some footprint).
     pub fn eyeballs_at_metro(&self, metro: MetroId) -> &[AsId] {
-        &self.eyeballs_by_metro[metro.0 as usize]
+        self.by_metro.row(metro.0)
     }
 
     /// The metro of a front-end site (convenience).
@@ -371,10 +476,9 @@ fn generate_eyeballs(
     transits: &[TransitAs],
     cfg: &NetConfig,
     rng: &mut impl Rng,
-) -> Vec<EyeballAs> {
-    let mut eyeballs = Vec::with_capacity(cfg.n_eyeball);
-    for i in 0..cfg.n_eyeball {
-        let id = AsId((transits.len() + i) as u32);
+) -> EyeballColumns {
+    let mut eyeballs = EyeballColumns::with_capacity(cfg.n_eyeball);
+    for _ in 0..cfg.n_eyeball {
         let home = atlas.sample_by_population(rng.gen());
         let home_metro = atlas.metro(home);
 
@@ -420,15 +524,7 @@ fn generate_eyeballs(
         transit_ids.shuffle(rng);
         transit_ids.truncate(rng.gen_range(1..=2));
 
-        eyeballs.push(EyeballAs {
-            id,
-            home_metro: home,
-            country: home_metro.country,
-            pops,
-            peering_borders,
-            transit: transit_ids,
-            egress_policy,
-        });
+        eyeballs.push(home, &pops, &peering_borders, &transit_ids, egress_policy);
     }
     eyeballs
 }
@@ -495,38 +591,6 @@ fn choose_peering(
     }
 }
 
-/// Guarantees every metro hosts at least one eyeball AS, so the workload
-/// generator can place clients anywhere people live. Uncovered metros are
-/// appended to the footprint of the eyeball AS with the nearest home metro
-/// in the same region (any region as fallback).
-fn ensure_metro_coverage(atlas: &WorldAtlas, eyeballs: &mut [EyeballAs]) {
-    if eyeballs.is_empty() {
-        return;
-    }
-    let covered: std::collections::HashSet<MetroId> = eyeballs
-        .iter()
-        .flat_map(|e| e.pops.iter().copied())
-        .collect();
-    for (mid, metro) in atlas.iter() {
-        if covered.contains(&mid) {
-            continue;
-        }
-        let best = eyeballs
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let da =
-                    region_penalty(atlas, a.home_metro, metro) + atlas.metro_km(a.home_metro, mid);
-                let db =
-                    region_penalty(atlas, b.home_metro, metro) + atlas.metro_km(b.home_metro, mid);
-                da.total_cmp(&db)
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty eyeballs");
-        eyeballs[best].pops.push(mid);
-    }
-}
-
 fn region_penalty(atlas: &WorldAtlas, home: MetroId, target: &Metro) -> f64 {
     if atlas.metro(home).region == target.region {
         0.0
@@ -552,7 +616,7 @@ mod tests {
         for (x, y) in a.cdn.sites.iter().zip(&b.cdn.sites) {
             assert_eq!(x.metro, y.metro);
         }
-        for (x, y) in a.eyeballs.iter().zip(&b.eyeballs) {
+        for (x, y) in a.eyeballs().zip(b.eyeballs()) {
             assert_eq!(x.home_metro, y.home_metro);
             assert_eq!(x.pops, y.pops);
             assert_eq!(x.peering_borders, y.peering_borders);
@@ -564,12 +628,11 @@ mod tests {
         let a = Topology::generate(&NetConfig::small(), 1);
         let b = Topology::generate(&NetConfig::small(), 2);
         let same = a
-            .eyeballs
-            .iter()
-            .zip(&b.eyeballs)
+            .eyeballs()
+            .zip(b.eyeballs())
             .filter(|(x, y)| x.home_metro == y.home_metro)
             .count();
-        assert!(same < a.eyeballs.len());
+        assert!(same < a.eyeballs().len());
     }
 
     #[test]
@@ -638,20 +701,27 @@ mod tests {
     #[test]
     fn eyeball_footprints_stay_in_country_before_coverage_pass() {
         // The home-country rule is only violated by the coverage pass, which
-        // appends orphan metros; the *home* metro is always in-country.
+        // appends orphan metros — metros no other AS's footprint reaches.
         let t = world();
-        for e in &t.eyeballs {
-            assert_eq!(t.atlas.metro(e.home_metro).country, e.country);
+        for e in t.eyeballs() {
+            let country = t.atlas.metro(e.home_metro).country;
             assert!(e.pops.contains(&e.home_metro));
+            for &m in e.pops {
+                assert!(
+                    t.atlas.metro(m).country == country || t.eyeballs_at_metro(m) == [e.id],
+                    "{} holds {m} abroad",
+                    e.id
+                );
+            }
         }
     }
 
     #[test]
     fn every_eyeball_has_transit() {
         let t = world();
-        for e in &t.eyeballs {
+        for e in t.eyeballs() {
             assert!(!e.transit.is_empty());
-            for tid in &e.transit {
+            for tid in e.transit {
                 assert!(t.transits.iter().any(|tr| tr.id == *tid));
             }
         }
@@ -660,8 +730,8 @@ mod tests {
     #[test]
     fn some_but_not_all_eyeballs_peer_directly() {
         let t = Topology::generate(&NetConfig::default(), 11);
-        let peered = t.eyeballs.iter().filter(|e| !e.is_transit_only()).count();
-        let frac = peered as f64 / t.eyeballs.len() as f64;
+        let peered = t.eyeballs().filter(|e| !e.is_transit_only()).count();
+        let frac = peered as f64 / t.eyeballs().len() as f64;
         assert!(frac > 0.6 && frac < 0.95, "peered fraction {frac}");
     }
 
@@ -669,14 +739,12 @@ mod tests {
     fn remote_peering_and_fixed_egress_exist() {
         let t = Topology::generate(&NetConfig::default(), 13);
         let single = t
-            .eyeballs
-            .iter()
+            .eyeballs()
             .filter(|e| e.peering_borders.len() == 1)
             .count();
         assert!(single > 0, "no remote-peering-only ASes generated");
         let fixed = t
-            .eyeballs
-            .iter()
+            .eyeballs()
             .filter(|e| matches!(e.egress_policy, EgressPolicy::FixedEgress(_)))
             .count();
         assert!(fixed > 0, "no fixed-egress ASes generated");
@@ -716,11 +784,55 @@ mod tests {
     #[test]
     fn eyeball_lookup_roundtrip() {
         let t = world();
-        for e in &t.eyeballs {
+        for e in t.eyeballs() {
             assert_eq!(t.eyeball(e.id).home_metro, e.home_metro);
         }
         for tr in &t.transits {
             assert_eq!(t.transit(tr.id).id, tr.id);
+        }
+    }
+
+    /// The per-AS columns and the metro index against their definitions,
+    /// on distance worlds and on policy worlds of 1,000 and 10,000 ASes:
+    /// a metro lists exactly the ASes whose footprint holds it, in id
+    /// order; `eyeball(id)` is the iterator's entry; every AS that hosts
+    /// clients has a PoP at home.
+    #[test]
+    fn columns_and_metro_index_match_a_brute_force() {
+        let policy = |n| NetConfig {
+            worldgen: Some(crate::worldgen::WorldGenConfig::with_ases(n)),
+            ..NetConfig::small()
+        };
+        let configs = [
+            NetConfig::small(),
+            NetConfig::default(),
+            policy(1_000),
+            policy(10_000),
+        ];
+        for cfg in &configs {
+            for seed in 1..=3 {
+                let t = Topology::generate(cfg, seed);
+                let first = t.transits.len() as u32;
+                for (i, e) in t.eyeballs().enumerate() {
+                    assert_eq!(e.id, AsId(first + i as u32));
+                    assert_eq!(t.eyeball(e.id), e);
+                    // Transit-class nodes of a policy world host no clients.
+                    let hosts = cfg.worldgen.is_none() || !e.pops.is_empty();
+                    assert!(
+                        !hosts || e.pops.contains(&e.home_metro),
+                        "{} not at home",
+                        e.id
+                    );
+                }
+                for (mid, _) in t.atlas.iter() {
+                    let hosts: Vec<AsId> = t
+                        .eyeballs()
+                        .filter(|e| e.pops.contains(&mid))
+                        .map(|e| e.id)
+                        .collect();
+                    assert_eq!(t.eyeballs_at_metro(mid), hosts, "{mid}, seed {seed}");
+                }
+            }
         }
     }
 

@@ -39,12 +39,120 @@ impl AsClass {
     }
 }
 
-/// Compressed sparse row adjacency: `targets[offsets[v]..offsets[v+1]]` are
-/// `v`'s neighbors under one relationship kind, sorted ascending.
+/// Compressed sparse rows: `targets[offsets[v]..offsets[v+1]]` is row `v`.
+/// The graph's adjacency is a `Csr<u32>` per relationship kind, each row a
+/// node's neighbors sorted ascending; the topology keeps its per-AS lists
+/// (footprints, peerings, transits, ASes by metro) as one table each.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Csr {
+pub struct Csr<T = u32> {
     offsets: Vec<u32>,
-    targets: Vec<u32>,
+    targets: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// An empty table with room for `rows` rows of `items` items in all.
+    pub(crate) fn with_capacity(rows: usize, items: usize) -> Csr<T> {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            targets: Vec::with_capacity(items),
+        }
+    }
+
+    /// Appends `row` as the next row.
+    pub(crate) fn push_row(&mut self, row: &[T]) {
+        self.targets.extend_from_slice(row);
+        self.offsets.push(self.targets.len() as u32);
+    }
+
+    /// Gives back the room a table grown row by row has left over.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.targets.shrink_to_fit();
+    }
+
+    /// Appends each `(row, item)` of `extra` to its row, after the row's
+    /// own items and in the order given. One pass in place, from the last
+    /// row down: a row only ever moves up, into space already vacated.
+    pub(crate) fn append_to_rows(&mut self, mut extra: Vec<(u32, T)>) {
+        if extra.is_empty() {
+            return;
+        }
+        extra.sort_by_key(|&(row, _)| row);
+        self.targets.extend(extra.iter().map(|&(_, item)| item));
+        let mut placed = extra.len();
+        for v in (0..self.rows()).rev() {
+            if placed == 0 {
+                break; // rows `..=v` stay where they are
+            }
+            // `extra[..placed]` go to rows `..=v`; `extra[first..placed]` to `v`.
+            let first = extra[..placed].partition_point(|&(row, _)| (row as usize) < v);
+            let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+            self.targets.copy_within(lo..hi, lo + first);
+            for (i, &(_, item)) in extra[first..placed].iter().enumerate() {
+                self.targets[hi + first + i] = item;
+            }
+            self.offsets[v + 1] = (hi + placed) as u32;
+            placed = first;
+        }
+    }
+
+    /// Row `u` lists every `v` of the `(v, u)` pairs `pairs()` yields, in
+    /// the order they come — so sorted when they come by ascending `v`.
+    /// Walks the pairs twice: once to count each row, once to fill it.
+    pub(crate) fn inverted<I: Iterator<Item = (T, u32)>>(
+        n: usize,
+        pairs: impl Fn() -> I,
+    ) -> Csr<T> {
+        let mut offsets = vec![0u32; n + 1];
+        for (_, u) in pairs() {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets.clone();
+        // Every slot is written below; the first pair's item only fills
+        // them until then.
+        let mut targets = match pairs().next() {
+            Some((fill, _)) => vec![fill; offsets[n] as usize],
+            None => Vec::new(),
+        };
+        for (v, u) in pairs() {
+            targets[next[u as usize] as usize] = v;
+            next[u as usize] += 1;
+        }
+        Csr { offsets, targets }
+    }
+
+    /// Row `v`.
+    pub fn row(&self, v: u32) -> &[T] {
+        let lo = self.offsets[v as usize] as usize;
+        let hi = self.offsets[v as usize + 1] as usize;
+        &self.targets[lo..hi]
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Total number of stored items (edges, for adjacency).
+    pub fn len(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Whether the table stores no items.
+    pub fn is_empty(&self) -> bool {
+        self.targets.is_empty()
+    }
+
+    /// Bytes used by the offsets and items.
+    pub fn memory_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<u32>()
+            + self.targets.len() * std::mem::size_of::<T>()
+    }
 }
 
 impl Csr {
@@ -88,52 +196,15 @@ impl Csr {
     /// The reverse relation: `u` lists `v` where `v` lists `u`. Every
     /// target must be a node. A counting pass, not a sort — O(E).
     pub fn transposed(&self) -> Csr {
-        let n = self.offsets.len() - 1;
+        let n = self.rows();
         Csr::inverted(n, || {
             (0..n as u32).flat_map(|v| self.neighbors(v).iter().map(move |&u| (v, u)))
         })
     }
 
-    /// Row `u` lists every `v` of the `(v, u)` pairs `pairs()` yields, in
-    /// the order they come — so sorted when they come by ascending `v`.
-    /// Walks the pairs twice: once to count each row, once to fill it.
-    fn inverted<I: Iterator<Item = (u32, u32)>>(n: usize, pairs: impl Fn() -> I) -> Csr {
-        let mut offsets = vec![0u32; n + 1];
-        for (_, u) in pairs() {
-            offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut next = offsets.clone();
-        let mut targets = vec![0u32; offsets[n] as usize];
-        for (v, u) in pairs() {
-            targets[next[u as usize] as usize] = v;
-            next[u as usize] += 1;
-        }
-        Csr { offsets, targets }
-    }
-
     /// Neighbors of `v`, sorted ascending.
     pub fn neighbors(&self, v: u32) -> &[u32] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.targets[lo..hi]
-    }
-
-    /// Total number of stored edges.
-    pub fn len(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Whether the CSR stores no edges.
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
-    }
-
-    /// Bytes used by the adjacency arrays.
-    pub fn memory_bytes(&self) -> usize {
-        (self.offsets.len() + self.targets.len()) * std::mem::size_of::<u32>()
+        self.row(v)
     }
 }
 
@@ -228,6 +299,20 @@ mod tests {
         assert_eq!(csr.neighbors(3), &[] as &[u32]);
         assert_eq!(csr.len(), 3);
         assert!(Csr::from_pairs(0, Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn appended_items_follow_each_rows_own_in_the_order_given() {
+        let mut csr: Csr<u16> = Csr::with_capacity(4, 8);
+        for row in [&[1, 2][..], &[], &[3], &[4, 5, 6]] {
+            csr.push_row(row);
+        }
+        csr.append_to_rows(vec![(3, 70), (1, 10), (0, 7), (3, 71), (1, 11)]);
+        let rows: Vec<&[u16]> = (0..4).map(|v| csr.row(v)).collect();
+        assert_eq!(rows, [&[1, 2, 7][..], &[10, 11], &[3], &[4, 5, 6, 70, 71]]);
+        assert_eq!(csr.len(), 11);
+        csr.append_to_rows(Vec::new());
+        assert_eq!(csr.row(3), &[4, 5, 6, 70, 71]);
     }
 
     #[test]

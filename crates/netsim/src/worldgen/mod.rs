@@ -36,8 +36,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::bgp::EgressPolicy;
 use crate::config::NetConfig;
-use crate::ids::{AsId, BorderId};
-use crate::topology::{self, CdnNetwork, EyeballAs, Topology};
+use crate::ids::BorderId;
+use crate::topology::{self, CdnNetwork, EyeballColumns, Topology};
 
 pub use dynamics::{DynEvent, EventWindow, RouteDynamics};
 pub use graph::{AsClass, CdnRelation, CdnSession, Csr, PolicyGraph, NO_SESSION};
@@ -409,27 +409,25 @@ fn generate_graph(
     }
 }
 
-/// Bridges every graph node into an [`EyeballAs`] (AsId i = node i) so the
+/// Bridges every graph node into an eyeball AS (AsId i = node i) so the
 /// geo/workload/DNS layers run unmodified. Only enterprise/access nodes get
 /// client footprints; transit-class nodes exist as ASes but never attract
 /// clients. A final coverage pass guarantees every metro hosts at least one
 /// *enterprise* AS (never a transit — clients must not attach to backbones).
-fn bridge_eyeballs(atlas: &WorldAtlas, graph: &PolicyGraph, rng: &mut impl Rng) -> Vec<EyeballAs> {
-    let mut eyeballs: Vec<EyeballAs> = Vec::with_capacity(graph.n as usize);
+fn bridge_eyeballs(atlas: &WorldAtlas, graph: &PolicyGraph, rng: &mut impl Rng) -> EyeballColumns {
+    let mut eyeballs = EyeballColumns::with_capacity(graph.n as usize);
     // A footprint is a prefix of the home metro's same-country metros,
     // nearest first (ties in atlas order): one list per home metro, built
     // when its first enterprise AS asks.
     let mut nearest_in_country: Vec<Option<Vec<MetroId>>> = vec![None; atlas.len()];
-    // By metro: whether some footprint includes it yet.
-    let mut covered = vec![false; atlas.len()];
     for v in 0..graph.n {
         let home = graph.home_metro[v as usize];
-        let home_metro = atlas.metro(home);
-        let pops = if graph.class[v as usize] == AsClass::Ec {
+        let pops: &[MetroId] = if graph.class[v as usize] == AsClass::Ec {
             let candidates = nearest_in_country[home.0 as usize].get_or_insert_with(|| {
+                let country = atlas.metro(home).country;
                 let mut ranked: Vec<(MetroId, f64)> = atlas
                     .iter()
-                    .filter(|(_, m)| m.country == home_metro.country)
+                    .filter(|(_, m)| m.country == country)
                     .map(|(mid, _)| (mid, atlas.metro_km(mid, home)))
                     .collect();
                 ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -438,60 +436,23 @@ fn bridge_eyeballs(atlas: &WorldAtlas, graph: &PolicyGraph, rng: &mut impl Rng) 
             let size = rng
                 .gen_range(1..=topology::EYEBALL_MAX_POPS)
                 .min(candidates.len());
-            for m in &candidates[..size] {
-                covered[m.0 as usize] = true;
-            }
-            candidates[..size].to_vec()
+            &candidates[..size]
         } else {
-            Vec::new()
+            &[]
         };
-        let peering_borders = graph
-            .session(v)
-            .map(|s| s.borders.clone())
-            .unwrap_or_default();
-        eyeballs.push(EyeballAs {
-            id: AsId(v),
-            home_metro: home,
-            country: home_metro.country,
-            pops,
-            peering_borders,
-            transit: Vec::new(),
-            egress_policy: EgressPolicy::HotPotato,
-        });
+        let peering_borders = graph.session(v).map_or(&[][..], |s| &s.borders);
+        eyeballs.push(home, pops, peering_borders, &[], EgressPolicy::HotPotato);
     }
-
     // EC-only metro coverage: orphan metros join the footprint of the
     // enterprise AS with the nearest home (same region strongly preferred).
-    for (mid, metro) in atlas.iter() {
-        if covered[mid.0 as usize] {
-            continue;
-        }
-        let best = (0..graph.n as usize)
-            .filter(|&v| graph.class[v] == AsClass::Ec)
-            .min_by(|&a, &b| {
-                let pa = penalty(atlas, eyeballs[a].home_metro, metro.region)
-                    + atlas.metro_km(eyeballs[a].home_metro, mid);
-                let pb = penalty(atlas, eyeballs[b].home_metro, metro.region)
-                    + atlas.metro_km(eyeballs[b].home_metro, mid);
-                pa.total_cmp(&pb)
-            })
-            .expect("worlds always contain enterprise ASes");
-        eyeballs[best].pops.push(mid);
-    }
+    eyeballs.cover_orphan_metros(atlas, |v| graph.class[v] == AsClass::Ec);
     eyeballs
-}
-
-fn penalty(atlas: &WorldAtlas, home: MetroId, target: anycast_geo::Region) -> f64 {
-    if atlas.metro(home).region == target {
-        0.0
-    } else {
-        20_000.0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::EyeballAs;
 
     fn policy_cfg(n: usize) -> NetConfig {
         NetConfig {
@@ -532,8 +493,8 @@ mod tests {
         assert_eq!(w1.graph.sessions, w2.graph.sessions);
         assert_eq!(w1.graph.providers, w2.graph.providers);
         assert_eq!(w1.graph.peers, w2.graph.peers);
-        assert_eq!(t1.eyeballs.len(), t2.eyeballs.len());
-        for (a, b) in t1.eyeballs.iter().zip(&t2.eyeballs) {
+        assert_eq!(t1.eyeballs().len(), t2.eyeballs().len());
+        for (a, b) in t1.eyeballs().zip(t2.eyeballs()) {
             assert_eq!(a.pops, b.pops);
             assert_eq!(a.home_metro, b.home_metro);
         }
@@ -541,7 +502,10 @@ mod tests {
 
     /// FNV-1a over every bridged AS's id, home, country, footprint (in
     /// order) and peering borders.
-    fn eyeball_digest(eyeballs: &[EyeballAs]) -> u64 {
+    fn eyeball_digest<'a>(
+        atlas: &WorldAtlas,
+        eyeballs: impl Iterator<Item = EyeballAs<'a>>,
+    ) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |word: u64| {
             for byte in word.to_le_bytes() {
@@ -552,7 +516,8 @@ mod tests {
         for e in eyeballs {
             eat(u64::from(e.id.0));
             eat(u64::from(e.home_metro.0));
-            e.country.bytes().for_each(|b| eat(u64::from(b)));
+            let country = atlas.metro(e.home_metro).country;
+            country.bytes().for_each(|b| eat(u64::from(b)));
             eat(e.pops.len() as u64);
             e.pops.iter().for_each(|m| eat(u64::from(m.0)));
             eat(e.peering_borders.len() as u64);
@@ -579,7 +544,7 @@ mod tests {
         // All six at once, so a deliberate change re-records from one run.
         let built = RECORDED.map(|(n, seed, _)| {
             let (topo, _) = build(&policy_cfg(n), seed);
-            (n, seed, eyeball_digest(&topo.eyeballs))
+            (n, seed, eyeball_digest(&topo.atlas, topo.eyeballs()))
         });
         assert_eq!(built, RECORDED, "built: {built:#x?}");
     }
@@ -697,7 +662,7 @@ mod tests {
     #[test]
     fn only_enterprises_host_clients() {
         let (topo, w) = build(&policy_cfg(500), 13);
-        for e in &topo.eyeballs {
+        for e in topo.eyeballs() {
             if w.graph.class[e.id.0 as usize] != AsClass::Ec {
                 assert!(e.pops.is_empty(), "transit AS {} has client pops", e.id.0);
             }

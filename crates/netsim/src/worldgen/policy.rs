@@ -50,7 +50,6 @@
 //! needs no table of its own.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use anycast_geo::{MetroId, WorldAtlas};
@@ -58,7 +57,7 @@ use anycast_obs::counter;
 
 use crate::ids::BorderId;
 use crate::sim::Day;
-use crate::stream::run_workers;
+use crate::stream::{run_workers, FastMap};
 use crate::topology::CdnNetwork;
 
 use super::dynamics::{DynEvent, EventWindow, RouteDynamics};
@@ -619,11 +618,11 @@ pub struct PolicyWorld {
     /// The steady table and the unicast tables, by [`RouteEnv::key`]. Each
     /// cell is filled by exactly one caller; concurrent callers of the
     /// same key wait for it rather than compute it again.
-    tables: Mutex<HashMap<u64, TableCell>>,
+    tables: Mutex<FastMap<u64, TableCell>>,
     /// What every unicast table shares ([`PolicyWorld::unicast_base`]),
     /// filled by the first unicast derivation while concurrent ones wait.
     unicast_base: OnceLock<CatchmentTable>,
-    day_events: Mutex<HashMap<u32, Arc<Vec<EventWindow>>>>,
+    day_events: Mutex<FastMap<u32, Arc<Vec<EventWindow>>>>,
 }
 
 type TableCell = Arc<OnceLock<Arc<CatchmentTable>>>;
@@ -651,9 +650,9 @@ impl PolicyWorld {
             atlas: atlas.clone(),
             border_metro,
             partial_sessions,
-            tables: Mutex::new(HashMap::new()),
+            tables: Mutex::new(FastMap::default()),
             unicast_base: OnceLock::new(),
-            day_events: Mutex::new(HashMap::new()),
+            day_events: Mutex::new(FastMap::default()),
         }
     }
 

@@ -19,8 +19,7 @@ fn policy_world(seed: u64) -> Internet {
 /// One client per hosting AS, at its first point of presence.
 fn hosted_clients(net: &Internet) -> Vec<ClientAttachment> {
     let topo = net.topology();
-    topo.eyeballs
-        .iter()
+    topo.eyeballs()
         .filter(|e| !e.pops.is_empty())
         .map(|e| ClientAttachment {
             as_id: e.id,

@@ -24,10 +24,9 @@ pub fn flappy_world(seed: u64) -> Internet {
 /// A client attached to some enterprise AS of a policy world (transit-class
 /// nodes host no clients).
 pub fn policy_client(net: &Internet, idx: usize) -> ClientAttachment {
-    let hosts: Vec<&anycast_netsim::EyeballAs> = net
+    let hosts: Vec<anycast_netsim::EyeballAs> = net
         .topology()
-        .eyeballs
-        .iter()
+        .eyeballs()
         .filter(|e| !e.pops.is_empty())
         .collect();
     let e = hosts[idx % hosts.len()];

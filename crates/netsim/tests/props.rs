@@ -122,8 +122,8 @@ fn arbitrary_env(pw: &PolicyWorld, env_seed: u64) -> RouteEnv {
 }
 
 fn client_of(net: &Internet, idx: usize, offset_km: f64) -> ClientAttachment {
-    let eyeballs = &net.topology().eyeballs;
-    let e = &eyeballs[idx % eyeballs.len()];
+    let eyeballs = net.topology().eyeballs();
+    let e = eyeballs.clone().nth(idx % eyeballs.len()).unwrap();
     let metro = e.pops[idx % e.pops.len()];
     ClientAttachment {
         as_id: e.id,

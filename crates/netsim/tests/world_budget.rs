@@ -5,7 +5,8 @@
 //! table, the unicast base and one cone per site. A per-edge, per-node or
 //! per-session allocation in the generator, or a hash map in place of an
 //! indexed vector, shows here as calls; a buffer sized by the graph that
-//! outlives its step shows as peak bytes.
+//! outlives its step shows as peak bytes; a per-AS record or copy the
+//! world keeps shows as live bytes.
 //!
 //! A dedicated integration-test binary, one test: the counting allocator
 //! is this binary's alone (every library crate forbids `unsafe`), and
@@ -67,12 +68,16 @@ static ALLOCATOR: Counting = Counting;
 const N_ASES: usize = 10_000;
 
 /// Allocation calls for the build and the warm-up together, measured at
-/// 22,681: about two per AS, since a footprint, a session's border list
-/// and an eyeball's copy of it are one allocation each.
-const MAX_CALLS: usize = 24_000;
+/// 8,549: under one per AS. A session's border list is one allocation;
+/// the per-AS columns (footprints, peerings, transits, the metro index)
+/// are a few tables in all, not a list per AS.
+const MAX_CALLS: usize = 8_950;
 /// Heap high-water above where it started, in bytes; measured at
-/// 2,830,791.
-const MAX_PEAK_BYTES: usize = 3_000_000;
+/// 1,927,155.
+const MAX_PEAK_BYTES: usize = 2_020_000;
+/// Heap the built and warmed world keeps, in bytes: the graph, the per-AS
+/// columns and the warmed tables; measured at 1,912,747.
+const MAX_LIVE_BYTES: usize = 2_000_000;
 
 #[test]
 fn building_and_warming_a_world_stays_within_its_allocation_budget() {
@@ -94,7 +99,10 @@ fn building_and_warming_a_world_stays_within_its_allocation_budget() {
 
     let calls = CALLS.load(Relaxed) - calls_before;
     let peak = PEAK.load(Relaxed) - live_before;
-    println!("{N_ASES} ASes: {calls} allocations, heap peak {peak} B above the start");
+    let live = LIVE.load(Relaxed) - live_before;
+    println!(
+        "{N_ASES} ASes: {calls} allocations, heap peak {peak} B above the start, {live} B kept"
+    );
     assert!(
         calls <= MAX_CALLS,
         "{calls} allocations to build and warm a {N_ASES}-AS world"
@@ -102,5 +110,9 @@ fn building_and_warming_a_world_stays_within_its_allocation_budget() {
     assert!(
         peak <= MAX_PEAK_BYTES,
         "building and warming a {N_ASES}-AS world peaked {peak} B above the start"
+    );
+    assert!(
+        live <= MAX_LIVE_BYTES,
+        "a built and warmed {N_ASES}-AS world keeps {live} B"
     );
 }

@@ -334,10 +334,11 @@ fn answered_tallies_mirror_answers_and_never_influence_them() {
 
 #[test]
 fn aggregated_tables_serve_identically_compiled_or_in_process() {
-    // The routing-aware table behind a real socket: the trie-compiled
-    // table must serve the same (addr, ttl, scope) triple as the table's
-    // own hash-probe longest-prefix match for a full day, never advertise
-    // a scope wider than the query disclosed, and answer misses at scope 0.
+    // The routing-aware table behind a real socket: the compiled table,
+    // matching through its `GroupIndex`, must serve the same (addr, ttl,
+    // scope) triple as the table's own hash-probe longest-prefix match for
+    // a full day, never advertise a scope wider than the query disclosed,
+    // and answer misses at scope 0.
     use anycast_core::prediction::{AggregationConfig, TrainSpec};
     use anycast_dns::ecs::EcsOption;
     use anycast_netsim::Prefix;
@@ -376,7 +377,7 @@ fn aggregated_tables_serve_identically_compiled_or_in_process() {
         assert_eq!(
             (served.addr, served.ttl_s, served.ecs_scope),
             reference.answer(q.ldns, q.ecs.as_ref()),
-            "trie-compiled and hash-probe LPM answers must agree for {q:?}"
+            "compiled GroupIndex and hash-probe LPM answers must agree for {q:?}"
         );
         if let Some(e) = &q.ecs {
             assert!(
@@ -405,9 +406,9 @@ fn aggregated_tables_serve_identically_compiled_or_in_process() {
 
 #[test]
 fn disabled_aggregation_compiles_to_byte_identical_answers() {
-    // Golden-drift guard: with aggregation disabled the trie-compiled
-    // table must answer every query of a simulated day byte-identically
-    // to the plain per-/24 training path.
+    // Golden-drift guard: with aggregation disabled the compiled table's
+    // `GroupIndex` match must answer every query of a simulated day
+    // byte-identically to the plain per-/24 training path.
     use anycast_core::prediction::{AggregationConfig, TrainSpec};
 
     let mut study = Study::new(Scenario::small(51), StudyConfig::default());

@@ -106,10 +106,9 @@ pub fn assign(
 
     // ISP resolvers: per (AS, metro) for decentralized ASes, per AS (at the
     // home metro) for centralized ones.
-    // By position in `topo.eyeballs`, which is the id past the transits.
+    // By position in `topo.eyeballs()`, which is the id past the transits.
     let centralized: Vec<bool> = topo
-        .eyeballs
-        .iter()
+        .eyeballs()
         .map(|_| rng.gen::<f64>() < CENTRALIZED_DNS_FRACTION)
         .collect();
     let mut isp_resolver: HashMap<(u32, u32), LdnsId> = HashMap::new();

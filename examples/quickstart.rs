@@ -26,7 +26,7 @@ fn main() {
         "world: {} front-end sites, {} border routers, {} eyeball ASes, {} client /24s\n",
         deployment.size(),
         scenario.internet.topology().cdn.borders.len(),
-        scenario.internet.topology().eyeballs.len(),
+        scenario.internet.topology().eyeballs().len(),
         scenario.clients.len(),
     );
 
