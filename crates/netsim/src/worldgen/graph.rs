@@ -222,16 +222,77 @@ pub enum CdnRelation {
 }
 
 /// One AS↔CDN BGP session: where (which border routers) the AS can hand
-/// traffic to the CDN, and under which business relationship.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CdnSession {
+/// traffic to the CDN, and under which business relationship. A view of
+/// one entry of [`Sessions`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CdnSession<'a> {
     /// The adjacent AS (graph node index).
     pub node: u32,
     /// Business relationship of the session.
     pub relation: CdnRelation,
     /// Border routers where the session is established, sorted ascending.
     /// Hot-potato handoff picks among these per downstream neighbor.
-    pub borders: Vec<BorderId>,
+    pub borders: &'a [BorderId],
+}
+
+/// The CDN sessions in session order: each one's AS and relationship, and
+/// every session's borders as one row of a table by session.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sessions {
+    ends: Vec<(u32, CdnRelation)>,
+    borders: Csr<BorderId>,
+}
+
+impl Default for Sessions {
+    fn default() -> Sessions {
+        Sessions {
+            ends: Vec::new(),
+            borders: Csr::with_capacity(0, 0),
+        }
+    }
+}
+
+impl Sessions {
+    /// Appends the next session: `node`'s, under `relation`, at `borders`
+    /// (sorted ascending).
+    pub fn push(&mut self, node: u32, relation: CdnRelation, borders: &[BorderId]) {
+        self.ends.push((node, relation));
+        self.borders.push_row(borders);
+    }
+
+    /// Session `s`.
+    pub fn get(&self, s: u32) -> CdnSession<'_> {
+        let (node, relation) = self.ends[s as usize];
+        CdnSession {
+            node,
+            relation,
+            borders: self.borders.row(s),
+        }
+    }
+
+    /// The sessions in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = CdnSession<'_>> + '_ {
+        (0..self.ends.len() as u32).map(|s| self.get(s))
+    }
+
+    /// Number of sessions.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no sessions.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Bytes charged for the sessions: 32 a session and 2 a border, as
+    /// when each session was a record holding its own border list — the
+    /// figure `ablation-world-scale`'s route-table column reports. The
+    /// table by session holds less: 12 B a session (AS, relation and row
+    /// offset) and 2 a border.
+    pub fn memory_bytes(&self) -> usize {
+        32 * self.ends.len() + 2 * self.borders.len()
+    }
 }
 
 /// Sentinel for "no CDN session" in [`PolicyGraph::session_of`].
@@ -256,17 +317,17 @@ pub struct PolicyGraph {
     /// `peers.neighbors(v)` = settlement-free peers of `v` (symmetric).
     pub peers: Csr,
     /// CDN sessions, indexed by the values in `session_of`.
-    pub sessions: Vec<CdnSession>,
+    pub sessions: Sessions,
     /// Per node: index into `sessions`, or [`NO_SESSION`].
     pub session_of: Vec<u32>,
 }
 
 impl PolicyGraph {
     /// The CDN session of `v`, if it has one.
-    pub fn session(&self, v: u32) -> Option<&CdnSession> {
+    pub fn session(&self, v: u32) -> Option<CdnSession<'_>> {
         match self.session_of[v as usize] {
             NO_SESSION => None,
-            s => Some(&self.sessions[s as usize]),
+            s => Some(self.sessions.get(s)),
         }
     }
 
@@ -278,11 +339,7 @@ impl PolicyGraph {
             + self.class.len()
             + self.home_metro.len() * std::mem::size_of::<MetroId>()
             + self.session_of.len() * 4
-            + self
-                .sessions
-                .iter()
-                .map(|s| std::mem::size_of::<CdnSession>() + s.borders.len() * 2)
-                .sum::<usize>()
+            + self.sessions.memory_bytes()
     }
 }
 

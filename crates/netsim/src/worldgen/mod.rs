@@ -40,7 +40,7 @@ use crate::ids::BorderId;
 use crate::topology::{self, CdnNetwork, EyeballColumns, Topology};
 
 pub use dynamics::{DynEvent, EventWindow, RouteDynamics};
-pub use graph::{AsClass, CdnRelation, CdnSession, Csr, PolicyGraph, NO_SESSION};
+pub use graph::{AsClass, CdnRelation, CdnSession, Csr, PolicyGraph, Sessions, NO_SESSION};
 pub use policy::{route_class, CatchmentTable, PolicyWorld, RouteEntry, RouteEnv, CDN_NEXT};
 
 /// Knobs of the AS-graph generator. Present (`NetConfig::worldgen =
@@ -140,6 +140,13 @@ pub fn build(cfg: &NetConfig, seed: u64) -> (Topology, PolicyWorld) {
     let world = PolicyWorld::new(graph, dynamics, &atlas, &cdn);
     let topo = Topology::from_parts(atlas, cdn, Vec::new(), eyeballs);
     (topo, world)
+}
+
+/// The first `k` (at most 4) of `ranked`, sorted ascending, in `buf`.
+fn nearest<'a>(ranked: &[BorderId], k: usize, buf: &'a mut [BorderId; 4]) -> &'a [BorderId] {
+    buf[..k].copy_from_slice(&ranked[..k]);
+    buf[..k].sort_unstable();
+    &buf[..k]
 }
 
 /// Per-metro border ranking (nearest first, ties by id) — shared by session
@@ -324,7 +331,7 @@ fn generate_graph(
     // reachable. Peer sessions follow class-specific footprints.
     let rankings = border_rankings(atlas, cdn);
     let all_borders: Vec<BorderId> = cdn.border_ids().collect();
-    let mut sessions: Vec<CdnSession> = Vec::new();
+    let mut sessions = Sessions::default();
     let mut session_of = vec![NO_SESSION; n];
 
     let mut transit_ltps: Vec<u32> = (0..n_ltp as u32).collect();
@@ -333,11 +340,7 @@ fn generate_graph(
     transit_ltps.sort_unstable();
     for &l in &transit_ltps {
         session_of[l as usize] = sessions.len() as u32;
-        sessions.push(CdnSession {
-            node: l,
-            relation: CdnRelation::Transit,
-            borders: all_borders.clone(),
-        });
+        sessions.push(l, CdnRelation::Transit, &all_borders);
     }
 
     for v in 0..n as u32 {
@@ -345,16 +348,15 @@ fn generate_graph(
             continue;
         }
         let ranked = &rankings[home_metro[v as usize].0 as usize];
-        let borders: Option<Vec<BorderId>> = match class[v as usize] {
+        let mut buf = [BorderId(0); 4];
+        let borders: Option<&[BorderId]> = match class[v as usize] {
             AsClass::Ltp => None, // non-transit LTPs reach the CDN via peers
             AsClass::Hypergiant => {
-                (rng.gen::<f64>() < P_CDN_PEER_HYPERGIANT).then(|| all_borders.clone())
+                (rng.gen::<f64>() < P_CDN_PEER_HYPERGIANT).then_some(&all_borders[..])
             }
             AsClass::Stp => (rng.gen::<f64>() < P_CDN_PEER_STP).then(|| {
                 let k = rng.gen_range(2..=4usize).min(ranked.len());
-                let mut b = ranked[..k].to_vec();
-                b.sort_unstable();
-                b
+                nearest(ranked, k, &mut buf)
             }),
             AsClass::Ec => {
                 let r = rng.gen::<f64>();
@@ -363,26 +365,18 @@ fn generate_graph(
                     // (distant but not antipodal) exchange.
                     let lo = (ranked.len() / 8).max(1);
                     let hi = (ranked.len() / 3).max(lo + 1).min(ranked.len());
-                    Some(vec![ranked[rng.gen_range(lo..hi)]])
+                    Some(std::slice::from_ref(&ranked[rng.gen_range(lo..hi)]))
                 } else if r < P_REMOTE_PEER_EC + P_CDN_PEER_EC {
                     let k = rng.gen_range(1..=2usize).min(ranked.len());
-                    let mut b = ranked[..k].to_vec();
-                    b.sort_unstable();
-                    Some(b)
+                    Some(nearest(ranked, k, &mut buf))
                 } else {
                     None
                 }
             }
         };
-        if let Some(borders) = borders {
-            if !borders.is_empty() {
-                session_of[v as usize] = sessions.len() as u32;
-                sessions.push(CdnSession {
-                    node: v,
-                    relation: CdnRelation::Peer,
-                    borders,
-                });
-            }
+        if let Some(borders) = borders.filter(|b| !b.is_empty()) {
+            session_of[v as usize] = sessions.len() as u32;
+            sessions.push(v, CdnRelation::Peer, borders);
         }
     }
 
@@ -440,7 +434,7 @@ fn bridge_eyeballs(atlas: &WorldAtlas, graph: &PolicyGraph, rng: &mut impl Rng) 
         } else {
             &[]
         };
-        let peering_borders = graph.session(v).map_or(&[][..], |s| &s.borders);
+        let peering_borders = graph.session(v).map_or(&[][..], |s| s.borders);
         eyeballs.push(home, pops, peering_borders, &[], EgressPolicy::HotPotato);
     }
     // EC-only metro coverage: orphan metros join the footprint of the
@@ -572,7 +566,7 @@ mod tests {
                 row.iter().for_each(|&u| eat(u64::from(u)));
             }
         }
-        for s in &g.sessions {
+        for s in g.sessions.iter() {
             eat(u64::from(s.node));
             eat(u64::from(s.relation == CdnRelation::Transit));
             eat(s.borders.len() as u64);
@@ -628,7 +622,7 @@ mod tests {
     fn transit_sessions_cover_every_border() {
         let (topo, w) = build(&policy_cfg(500), 9);
         let n_borders = topo.cdn.borders.len();
-        for s in &w.graph.sessions {
+        for s in w.graph.sessions.iter() {
             if s.relation == CdnRelation::Transit {
                 assert_eq!(s.borders.len(), n_borders);
             }

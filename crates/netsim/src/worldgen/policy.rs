@@ -594,7 +594,7 @@ fn relax(w: &mut impl WorkSet, levels: &mut Levels, class: u8, learners: &Csr) {
 
 /// Whether `sess` is established at every one of `n_borders` borders, and
 /// so is live under every single-border announcement alike.
-fn at_every_border(sess: &CdnSession, n_borders: usize) -> bool {
+fn at_every_border(sess: CdnSession<'_>, n_borders: usize) -> bool {
     (0..n_borders as u16).all(|b| sess.borders.contains(&BorderId(b)))
 }
 
@@ -639,7 +639,7 @@ impl PolicyWorld {
         let mut partial_sessions = vec![Vec::new(); border_metro.len()];
         for (s, sess) in graph.sessions.iter().enumerate() {
             if !at_every_border(sess, border_metro.len()) {
-                for &b in &sess.borders {
+                for &b in sess.borders {
                     partial_sessions[b.0 as usize].push(s as u32);
                 }
             }
@@ -667,12 +667,12 @@ impl PolicyWorld {
         env: &RouteEnv,
         rank: usize,
     ) -> Option<BorderId> {
-        let sess = &self.graph.sessions[s as usize];
+        let sess = self.graph.sessions.get(s);
         let from = self.atlas.metro_km_from(for_metro);
         let km = |b: BorderId| from[self.border_metro[b.0 as usize].0 as usize];
         let mut best: Option<BorderId> = None;
         let mut second: Option<BorderId> = None;
-        for &b in &sess.borders {
+        for &b in sess.borders {
             if !env.border_live(b) {
                 continue;
             }
@@ -742,7 +742,9 @@ impl PolicyWorld {
         if env.session_dead(s) {
             return false;
         }
-        self.graph.sessions[s as usize]
+        self.graph
+            .sessions
+            .get(s)
             .borders
             .iter()
             .any(|&b| env.border_live(b))
@@ -753,7 +755,7 @@ impl PolicyWorld {
     fn learns_directly(&self, v: u32, relation: CdnRelation, env: &RouteEnv) -> bool {
         let s = self.graph.session_of[v as usize];
         s != NO_SESSION
-            && self.graph.sessions[s as usize].relation == relation
+            && self.graph.sessions.get(s).relation == relation
             && self.session_live(s, env)
     }
 
@@ -880,7 +882,7 @@ impl PolicyWorld {
             let n_borders = self.border_metro.len();
             self.compute_scratch(&RouteEnv {
                 dead_sessions: sessions
-                    .filter(|(_, sess)| !at_every_border(sess, n_borders))
+                    .filter(|&(_, sess)| !at_every_border(sess, n_borders))
                     .map(|(s, _)| s as u32)
                     .collect(),
                 ..RouteEnv::default()
@@ -899,8 +901,8 @@ impl PolicyWorld {
         let g = &self.graph;
         let mut w = Subtree::over(&self.unicast_base().dense, Some(border));
         let comes_up = self.partial_sessions[usize::from(border.0)].iter();
-        let (transit, peering): (Vec<&CdnSession>, Vec<&CdnSession>) = comes_up
-            .map(|&s| &g.sessions[s as usize])
+        let (transit, peering): (Vec<CdnSession>, Vec<CdnSession>) = comes_up
+            .map(|&s| g.sessions.get(s))
             .partition(|s| s.relation == CdnRelation::Transit);
         transit.iter().for_each(|s| w.mark(s.node));
         w.close_over(&g.providers);
@@ -940,7 +942,7 @@ impl PolicyWorld {
             // Every border is live, so the dead list names the affected
             // sessions.
             for &s in &env.dead_sessions {
-                w.mark(sessions[s as usize].node);
+                w.mark(sessions.get(s).node);
             }
         } else {
             for (s, sess) in sessions.iter().enumerate() {

@@ -88,7 +88,7 @@ impl PolicyWorld {
             }
             let s = g.session_of[v];
             if s != NO_SESSION
-                && g.sessions[s as usize].relation == CdnRelation::Transit
+                && g.sessions.get(s).relation == CdnRelation::Transit
                 && self.session_live(s, env)
             {
                 entries[v] = RouteEntry {
@@ -147,7 +147,7 @@ impl PolicyWorld {
             let mut best = RouteEntry::NONE;
             let s = g.session_of[v];
             if s != NO_SESSION
-                && g.sessions[s as usize].relation == CdnRelation::Peer
+                && g.sessions.get(s).relation == CdnRelation::Peer
                 && self.session_live(s, env)
             {
                 best = RouteEntry {

@@ -110,7 +110,7 @@ fn arbitrary_env(pw: &PolicyWorld, env_seed: u64) -> RouteEnv {
         env.dead_sessions.push((mix(100 + i) % n_sessions) as u32);
     }
     if mix(3) % 4 == 0 {
-        let sess = &pw.graph.sessions[(mix(300) % n_sessions) as usize];
+        let sess = pw.graph.sessions.get((mix(300) % n_sessions) as u32);
         env.withdrawn
             .push(sess.borders[(mix(301) as usize) % sess.borders.len()]);
     }

@@ -7,7 +7,7 @@ use std::sync::{Arc, Barrier};
 
 use anycast_geo::MetroId;
 use anycast_netsim::worldgen::{
-    route_class, CdnRelation, CdnSession, Csr, RouteDynamics, RouteEnv, NO_SESSION,
+    route_class, CdnRelation, Csr, RouteDynamics, RouteEnv, Sessions, NO_SESSION,
 };
 use anycast_netsim::{
     AsClass, BorderId, CatchmentTable, Internet, NetConfig, PolicyGraph, PolicyWorld,
@@ -113,20 +113,14 @@ fn bespoke_world() -> (PolicyWorld, u16) {
     let topo = net.topology();
     let n_borders = topo.cdn.borders.len() as u16;
     assert!(B3.0 < n_borders);
-    let session = |node, relation, borders: &[BorderId]| CdnSession {
-        node,
-        relation,
-        borders: borders.to_vec(),
-    };
     let every: Vec<BorderId> = topo.cdn.border_ids().collect();
-    let sessions = vec![
-        session(T0, CdnRelation::Transit, &every),
-        session(T2, CdnRelation::Transit, &every),
-        session(R, CdnRelation::Transit, &[B, B2]),
-        session(Q, CdnRelation::Peer, &[B]),
-        session(M, CdnRelation::Peer, &[B, B3]),
-        session(O, CdnRelation::Peer, &[B3]),
-    ];
+    let mut sessions = Sessions::default();
+    sessions.push(T0, CdnRelation::Transit, &every);
+    sessions.push(T2, CdnRelation::Transit, &every);
+    sessions.push(R, CdnRelation::Transit, &[B, B2]);
+    sessions.push(Q, CdnRelation::Peer, &[B]);
+    sessions.push(M, CdnRelation::Peer, &[B, B3]);
+    sessions.push(O, CdnRelation::Peer, &[B3]);
     let mut session_of = vec![NO_SESSION; N];
     for (s, sess) in sessions.iter().enumerate() {
         session_of[sess.node as usize] = s as u32;

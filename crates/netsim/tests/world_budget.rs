@@ -68,15 +68,15 @@ static ALLOCATOR: Counting = Counting;
 const N_ASES: usize = 10_000;
 
 /// Allocation calls for the build and the warm-up together, measured at
-/// 8,549: under one per AS. A session's border list is one allocation;
-/// the per-AS columns (footprints, peerings, transits, the metro index)
-/// are a few tables in all, not a list per AS.
-const MAX_CALLS: usize = 8_950;
+/// 4,677: under one per two ASes. The sessions' border lists are one
+/// table by session, and the per-AS columns (footprints, peerings,
+/// transits, the metro index) a few tables in all, not a list per AS.
+const MAX_CALLS: usize = 4_910;
 /// Heap high-water above where it started, in bytes; measured at
-/// 1,927,155.
+/// 1,850,245.
 const MAX_PEAK_BYTES: usize = 2_020_000;
 /// Heap the built and warmed world keeps, in bytes: the graph, the per-AS
-/// columns and the warmed tables; measured at 1,912,747.
+/// columns and the warmed tables; measured at 1,831,741.
 const MAX_LIVE_BYTES: usize = 2_000_000;
 
 #[test]

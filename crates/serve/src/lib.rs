@@ -12,7 +12,8 @@
 //!   answer, compressed names on decode) plus EDNS0/RFC 7871 client-subnet
 //!   options, bridging [`anycast_dns::DnsAnswer`] and
 //!   [`anycast_dns::ecs::EcsOption`] onto real packets, and the one reply
-//!   encoder every reply comes from ([`message::encode_reply`]);
+//!   encoder every reply comes from ([`message::encode_reply`]), writing
+//!   into the caller's buffer;
 //! * [`store`] — trained prediction tables compiled into immutable answer
 //!   templates, keyed by the trained table's own group index (so a query
 //!   matches the group the table was trained for), hot-swapped
@@ -20,15 +21,17 @@
 //! * [`mmsg`] / [`template`] — the million-QPS hot path: batched UDP I/O
 //!   via raw `recvmmsg`/`sendmmsg` syscalls (libc-free, with a portable
 //!   one-packet fallback behind the same trait), preallocated per-shard
-//!   packet arenas, and zero-alloc templated answers patched straight
-//!   into send buffers;
+//!   packet arenas, the one zero-alloc query parser
+//!   ([`template::QueryView::decode`]) and the answer records baked at
+//!   table-compile time, so a reply goes straight into its send slot
+//!   without a heap allocation;
 //! * [`server`] — a sharded UDP listener (thread-per-worker over cloned
 //!   sockets, emulating an SO_REUSEPORT worker set) with a TCP fallback
 //!   path for truncated responses and an overload valve that degrades to
 //!   the anycast VIP under sustained full batches — the serving-plane
 //!   analogue of the paper's "anycast is the safe default" conclusion.
-//!   Every answer, on either encoder and either transport, comes from one
-//!   decision over the one table generation its batch loaded;
+//!   Every packet, on either transport, is parsed, decided and written by
+//!   one function, against the one table generation its batch loaded;
 //! * [`client`] / [`replay`] — a loopback wire client and a deterministic
 //!   day-of-queries generator used by the equivalence tests.
 //!

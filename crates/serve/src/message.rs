@@ -7,10 +7,9 @@
 //! derived /24) because RFC 7871 §7.1.4 requires the response to echo the
 //! source address and prefix length bit-for-bit.
 //!
-//! Every reply is built by one encoder, [`encode_reply`]: the header, the
-//! question as received, one [`Body`], then OPT. The template fast path
-//! ([`crate::template::write_response`]) patches the same bytes for an
-//! answer body.
+//! Every reply is written by one encoder, [`encode_reply`]: the header,
+//! the question as received, one [`Body`], then OPT, straight into the
+//! caller's buffer, from a query parsed by [`QueryView::decode`].
 
 use std::net::Ipv4Addr;
 
@@ -19,7 +18,7 @@ use anycast_dns::{DnsAnswer, DnsName};
 use anycast_netsim::Prefix;
 
 use crate::server::SERVER_UDP_PAYLOAD;
-use crate::template::AnswerRr;
+use crate::template::{AnswerRr, QueryView};
 use crate::wire::{
     Cursor, Flags, Header, WireError, CLASS_CHAOS, CLASS_IN, HEADER_LEN, OPTION_ECS, TYPE_A,
     TYPE_OPT, TYPE_TXT,
@@ -176,13 +175,6 @@ pub(crate) fn reply_opt(edns: Edns, scope: u8) -> Edns {
     }
 }
 
-/// Appends the OPT record for `edns`.
-fn write_opt_record(out: &mut Vec<u8>, edns: &Edns) {
-    let at = out.len();
-    out.resize(at + opt_record_len(edns.ecs), 0);
-    write_opt(&mut out[at..], edns);
-}
-
 /// Parses the RDATA of an OPT record into its ECS option (if present).
 pub(crate) fn parse_opt_rdata(rdata: &[u8]) -> Result<Option<WireEcs>, WireError> {
     let mut c = Cursor::new(rdata);
@@ -237,12 +229,14 @@ pub fn encode_query(q: &WireQuery) -> Vec<u8> {
         ..Header::default()
     };
     let mut out = Vec::with_capacity(64);
-    header.encode(&mut out);
+    out.extend_from_slice(&header.to_bytes());
     crate::wire::write_name_uncompressed(&mut out, &q.qname);
     out.extend_from_slice(&q.qtype.to_be_bytes());
     out.extend_from_slice(&q.qclass.to_be_bytes());
     if let Some(edns) = &q.edns {
-        write_opt_record(&mut out, edns);
+        let at = out.len();
+        out.resize(at + opt_record_len(edns.ecs), 0);
+        write_opt(&mut out[at..], edns);
     }
     out
 }
@@ -250,7 +244,7 @@ pub fn encode_query(q: &WireQuery) -> Vec<u8> {
 /// Skips a resource record's fixed fields and RDATA, returning
 /// `(type, class, ttl, rdata)`. The record's owner name must already have
 /// been consumed.
-fn record_body<'a>(c: &mut Cursor<'a>) -> Result<(u16, u16, u32, &'a [u8]), WireError> {
+pub(crate) fn record_body<'a>(c: &mut Cursor<'a>) -> Result<(u16, u16, u32, &'a [u8]), WireError> {
     let rtype = c.u16()?;
     let rclass = c.u16()?;
     let ttl = c.u32()?;
@@ -259,109 +253,19 @@ fn record_body<'a>(c: &mut Cursor<'a>) -> Result<(u16, u16, u32, &'a [u8]), Wire
     Ok((rtype, rclass, ttl, rdata))
 }
 
-/// Decodes a query packet (QR must be 0; exactly one question).
+/// Decodes a query packet: [`QueryView::decode`], its name read into a
+/// [`DnsName`] (lower case). Kept for `benchmark/src/adapter.rs`'s decode
+/// and encode probes (ROADMAP item 1a); the server keeps the view.
 pub fn decode_query(buf: &[u8]) -> Result<WireQuery, WireError> {
-    decode_echo(buf).map(|(q, _)| q)
-}
-
-/// Decodes a query packet, and what its reply copies of it. The question
-/// must stand alone: a compression pointer in it (which could only point
-/// into the header or back into the question) is an error, so the
-/// question's bytes as received are `buf[12..12 + name + 4]`.
-pub fn decode_echo(buf: &[u8]) -> Result<(WireQuery, Echo<'_>), WireError> {
-    let mut c = Cursor::new(buf);
-    let h = Header::decode(&mut c)?;
-    if h.flags.qr {
-        return Err(WireError::WrongDirection);
-    }
-    if h.qdcount != 1 {
-        return Err(WireError::BadQuestionCount);
-    }
-    let qname = c.name()?;
-    // A pointer is two bytes standing for a suffix of one byte (the root)
-    // or of three or more, so the name's bytes in the packet number its
-    // wire length exactly when it holds none.
-    if c.pos() - HEADER_LEN != qname.as_str().len() + 2 {
-        return Err(WireError::CompressedQuestion);
-    }
-    let qtype = c.u16()?;
-    let qclass = c.u16()?;
-    let question = &buf[HEADER_LEN..c.pos()];
-    // Answer/authority records in a query are tolerated but skipped.
-    for _ in 0..u32::from(h.ancount) + u32::from(h.nscount) {
-        c.name()?;
-        record_body(&mut c)?;
-    }
-    let mut edns = None;
-    for _ in 0..h.arcount {
-        // OPT records are owned by the root name — a bare 0 octet, which
-        // `DnsName` cannot represent — so detect it before decoding.
-        if c.remaining() > 0 && buf[c.pos()] == 0 {
-            c.skip(1)?;
-        } else {
-            c.name()?;
-        }
-        let (rtype, rclass, _ttl, rdata) = record_body(&mut c)?;
-        if rtype == TYPE_OPT {
-            if edns.is_some() {
-                return Err(WireError::BadOpt); // duplicate OPT is FORMERR
-            }
-            edns = Some(Edns {
-                udp_payload: rclass,
-                ecs: parse_opt_rdata(rdata)?,
-            });
-        }
-    }
-    let query = WireQuery {
-        id: h.id,
-        rd: h.flags.rd,
-        qname,
-        qtype,
-        qclass,
-        edns,
-    };
-    let echo = Echo {
-        id: h.id,
-        opcode: h.flags.opcode,
-        rd: h.flags.rd,
-        question,
-        edns,
-    };
-    Ok((query, echo))
-}
-
-/// What a reply copies of the packet it answers: the header's id, opcode
-/// and RD, the question exactly as received, and the query's OPT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Echo<'a> {
-    /// Transaction id.
-    pub id: u16,
-    /// Opcode (0 = standard query).
-    pub opcode: u8,
-    /// Recursion-desired bit.
-    pub rd: bool,
-    /// QNAME, QTYPE and QCLASS byte for byte as received (0x20 mixed case
-    /// included), or empty for a reply with no question.
-    pub question: &'a [u8],
-    /// The query's EDNS parameters, if it carried an OPT record.
-    pub edns: Option<Edns>,
-}
-
-impl<'a> Echo<'a> {
-    /// The echo of a packet that does not decode: its id, opcode and RD,
-    /// and no question. `None` for a packet shorter than a header or one
-    /// with QR=1: neither draws a reply, because answering responses would
-    /// let two servers answer each other forever.
-    pub fn header_only(buf: &'a [u8]) -> Option<Echo<'a>> {
-        let h = Header::decode(&mut Cursor::new(buf)).ok()?;
-        (!h.flags.qr).then_some(Echo {
-            id: h.id,
-            opcode: h.flags.opcode,
-            rd: h.flags.rd,
-            question: &[],
-            edns: None,
-        })
-    }
+    let view = QueryView::decode(buf)?;
+    Ok(WireQuery {
+        id: view.id,
+        rd: view.rd,
+        qname: Cursor::new(view.qname_wire).name()?,
+        qtype: view.qtype,
+        qclass: view.qclass,
+        edns: view.edns,
+    })
 }
 
 /// What a reply carries between its question and its OPT record.
@@ -380,7 +284,8 @@ pub enum Body<'a> {
     Text(&'a str),
 }
 
-/// Encodes the reply to `echo` into `out` (cleared first), in order:
+/// Writes the reply to `query` at the start of `out` and returns its
+/// length and whether it went out truncated, in order:
 /// 1. the header: id, opcode and RD copied, QR and AA set;
 /// 2. the question, as received;
 /// 3. the body;
@@ -391,58 +296,76 @@ pub enum Body<'a> {
 /// The size rule is applied here and nowhere else: an answer or
 /// rcode-only reply longer than `max_payload` is cut to the truncated
 /// body (TC=1, RCODE kept), and a text body is trimmed to the last whole
-/// line that fits. Returns whether the reply went out truncated.
+/// line that fits. Nothing is written past the whole reply, nor past
+/// `max_payload` bytes or the header and question, whichever ends later:
+/// `out` must hold that much.
 pub fn encode_reply(
-    out: &mut Vec<u8>,
-    echo: &Echo<'_>,
+    out: &mut [u8],
+    query: &QueryView<'_>,
     body: Body<'_>,
     max_payload: usize,
-) -> bool {
+) -> (usize, bool) {
     let (rcode, scope) = match body {
         Body::Answer(_, scope) => (0, scope),
         Body::Rcode(rcode) => (rcode, 0),
         Body::Truncated | Body::Text(_) => (0, 0),
     };
-    let opt = echo.edns.map(|edns| reply_opt(edns, scope));
+    let opt = query.edns.map(|edns| reply_opt(edns, scope));
     let opt_len = opt.map_or(0, |o| opt_record_len(o.ecs));
-    out.clear();
-    out.resize(HEADER_LEN, 0);
-    out.extend_from_slice(echo.question);
-    let question_end = out.len();
+    let question_end = HEADER_LEN + query.question.len();
+    out[HEADER_LEN..question_end].copy_from_slice(query.question);
+    let room = max_payload
+        .saturating_sub(opt_len)
+        .saturating_sub(question_end);
+    let text = match body {
+        Body::Text(text) => trim_txt(text.as_bytes(), room),
+        _ => &[],
+    };
+    let mut len = question_end
+        + match body {
+            Body::Answer(rr, _) => rr.bytes().len(),
+            Body::Text(_) => TXT_FIXED_LEN + txt_rdata_len(text.len()),
+            Body::Rcode(_) | Body::Truncated => 0,
+        };
+    let cut = len + opt_len > max_payload;
+    if cut {
+        len = question_end;
+    }
     match body {
-        Body::Answer(rr, _) => out.extend_from_slice(rr.bytes()),
-        Body::Text(text) => write_txt(out, text, max_payload.saturating_sub(opt_len)),
+        _ if cut => {}
+        Body::Answer(rr, _) => out[question_end..len].copy_from_slice(rr.bytes()),
+        Body::Text(_) => write_txt(&mut out[question_end..len], text),
         Body::Rcode(_) | Body::Truncated => {}
     }
-    let mut tc = body == Body::Truncated;
-    if out.len() + opt_len > max_payload {
-        out.truncate(question_end);
-        tc = true;
-    }
-    let answered = out.len() > question_end;
-    let opt = opt.filter(|_| out.len() + opt_len <= max_payload);
+    let tc = cut || body == Body::Truncated;
+    let answered = len > question_end;
+    let opt = opt.filter(|_| len + opt_len <= max_payload);
     if let Some(opt) = &opt {
-        write_opt_record(out, opt);
+        len += write_opt(&mut out[len..], opt);
     }
     let header = Header {
-        id: echo.id,
+        id: query.id,
         flags: Flags {
             qr: true,
-            opcode: echo.opcode,
+            opcode: query.opcode,
             aa: true,
             tc,
-            rd: echo.rd,
+            rd: query.rd,
             rcode,
             ..Flags::default()
         },
-        qdcount: u16::from(!echo.question.is_empty()),
+        qdcount: u16::from(!query.question.is_empty()),
         ancount: u16::from(answered),
         nscount: 0,
         arcount: u16::from(opt.is_some()),
     };
     out[..HEADER_LEN].copy_from_slice(&header.to_bytes());
-    tc
+    (len, tc)
 }
+
+/// A TXT record's bytes ahead of its RDATA: owner pointer, type, class,
+/// TTL and RDLENGTH.
+const TXT_FIXED_LEN: usize = 12;
 
 /// Wire size of a TXT RDATA carrying `len` payload bytes: one length
 /// octet per ≤255-byte character-string chunk.
@@ -450,35 +373,39 @@ fn txt_rdata_len(len: usize) -> usize {
     len + len.div_ceil(255).max(1)
 }
 
-/// Appends the CHAOS TXT record for `text`, owned by the question,
-/// trimmed to the last whole line that keeps the message within `limit`
-/// bytes. If not even an empty record fits, the caller's size rule cuts
-/// the record.
-fn write_txt(out: &mut Vec<u8>, text: &str, limit: usize) {
-    // Owner pointer, type, class, TTL and RDLENGTH.
-    let overhead = out.len() + 12;
-    let mut payload = text.as_bytes();
-    if overhead + txt_rdata_len(payload.len()) > limit {
-        // The largest byte budget whose chunked form fits, backed off to a
-        // line boundary so the scrape output stays parseable.
-        let budget = limit.saturating_sub(overhead);
-        let mut keep = budget.saturating_sub(budget / 255 + 1);
-        while keep > 0 && (overhead + txt_rdata_len(keep) > limit || payload[keep - 1] != b'\n') {
-            keep -= 1;
-        }
-        payload = &payload[..keep];
+/// `text`, or its longest prefix ending at a line boundary whose TXT
+/// record fits in `room` bytes, so the scrape output stays parseable. If
+/// not even an empty record fits, the caller's size rule cuts the record.
+fn trim_txt(text: &[u8], room: usize) -> &[u8] {
+    if TXT_FIXED_LEN + txt_rdata_len(text.len()) <= room {
+        return text;
     }
-    out.extend_from_slice(&[0xC0, HEADER_LEN as u8]);
-    out.extend_from_slice(&TYPE_TXT.to_be_bytes());
-    out.extend_from_slice(&CLASS_CHAOS.to_be_bytes());
-    out.extend_from_slice(&0u32.to_be_bytes());
-    out.extend_from_slice(&(txt_rdata_len(payload.len()) as u16).to_be_bytes());
+    // The largest byte budget whose chunked form fits, backed off to a
+    // line boundary.
+    let budget = room.saturating_sub(TXT_FIXED_LEN);
+    let mut keep = budget.saturating_sub(budget / 255 + 1);
+    while keep > 0 && (TXT_FIXED_LEN + txt_rdata_len(keep) > room || text[keep - 1] != b'\n') {
+        keep -= 1;
+    }
+    &text[..keep]
+}
+
+/// Writes the CHAOS TXT record (TTL 0) carrying `payload` in ≤255-byte
+/// character-strings, owned by the question, filling `out`.
+fn write_txt(out: &mut [u8], payload: &[u8]) {
+    let [t0, t1] = TYPE_TXT.to_be_bytes();
+    let [c0, c1] = CLASS_CHAOS.to_be_bytes();
+    let [r0, r1] = (txt_rdata_len(payload.len()) as u16).to_be_bytes();
+    let fixed = [0xC0, HEADER_LEN as u8, t0, t1, c0, c1, 0, 0, 0, 0, r0, r1];
+    out[..TXT_FIXED_LEN].copy_from_slice(&fixed);
+    let mut at = TXT_FIXED_LEN;
     if payload.is_empty() {
-        out.push(0);
+        out[at] = 0;
     }
     for chunk in payload.chunks(255) {
-        out.push(chunk.len() as u8);
-        out.extend_from_slice(chunk);
+        out[at] = chunk.len() as u8;
+        out[at + 1..at + 1 + chunk.len()].copy_from_slice(chunk);
+        at += 1 + chunk.len();
     }
 }
 
@@ -495,12 +422,16 @@ pub fn encode_response(
 ) -> Vec<u8> {
     let mut question = Vec::with_capacity(q.qname.as_str().len() + 6);
     crate::wire::write_name_uncompressed(&mut question, &q.qname);
+    let qname_len = question.len();
     question.extend_from_slice(&q.qtype.to_be_bytes());
     question.extend_from_slice(&q.qclass.to_be_bytes());
-    let echo = Echo {
+    let view = QueryView {
         id: q.id,
         opcode: 0,
         rd: q.rd,
+        qname_wire: &question[..qname_len],
+        qtype: q.qtype,
+        qclass: q.qclass,
         question: &question,
         edns: q.edns,
     };
@@ -509,8 +440,11 @@ pub fn encode_response(
         Some((rr, scope)) => Body::Answer(rr, *scope),
         None => Body::Rcode(rcode),
     };
-    let mut out = Vec::with_capacity(128);
-    encode_reply(&mut out, &echo, body, max_payload);
+    // The whole answer reply: no body or size rule makes one longer.
+    let ecs = q.edns.and_then(|e| e.ecs);
+    let mut out = vec![0u8; HEADER_LEN + question.len() + 16 + opt_record_len(ecs)];
+    let (len, _) = encode_reply(&mut out, &view, body, max_payload);
+    out.truncate(len);
     out
 }
 
@@ -770,7 +704,9 @@ mod tests {
         let q = sample_query(None);
         let mut wire = encode_query(&q);
         // Append a second OPT record and bump ARCOUNT to 2.
-        write_opt_record(&mut wire, &Edns::plain(512));
+        let at = wire.len();
+        wire.resize(at + opt_record_len(None), 0);
+        write_opt(&mut wire[at..], &Edns::plain(512));
         wire[11] = 2;
         assert_eq!(decode_query(&wire), Err(WireError::BadOpt));
     }
@@ -801,9 +737,10 @@ mod tests {
             edns: None,
         };
         let wire = encode_query(&q);
-        let (_, echo) = decode_echo(&wire).unwrap();
-        let mut out = Vec::new();
-        encode_reply(&mut out, &echo, body, max_payload);
+        let query = QueryView::decode(&wire).unwrap();
+        let mut out = vec![0; max_payload];
+        let (len, _) = encode_reply(&mut out, &query, body, max_payload);
+        out.truncate(len);
         out
     }
 

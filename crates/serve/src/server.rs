@@ -8,17 +8,19 @@
 //! supported Linux targets, a one-packet portable fallback elsewhere (or
 //! when `batch = 1`). The loop is: receive up to `batch` datagrams in one
 //! syscall, load the compiled table **once**, answer every packet of the
-//! batch in place from that one generation — the templated fast path
-//! patches pre-encoded bytes straight into the send slot; anything unusual
-//! falls back to the full decode/encode path against the *same* table —
-//! flush the batch's counters, and send every response in one syscall.
+//! batch in place from that one generation — each packet is parsed by
+//! the one zero-alloc parser and its reply written by the one encoder
+//! straight into its send slot — flush the batch's counters, and send
+//! every response in one syscall.
 //! Steady state performs **no allocation and no lock acquisition per
 //! packet**. A single **TCP acceptor** thread serves the RFC 1035 fallback
-//! path for clients that saw TC=1, loading the table once per message.
+//! path for clients that saw TC=1, loading the table once per message and
+//! answering through the same function into one frame buffer per
+//! connection.
 //!
-//! What the server serves is a table and nothing else: whichever encoder
-//! a query's shape selects, its `(answer, scope)` comes from the one
-//! decision function (`ServeCtx::decide`: valve → unknown resolver → table
+//! What the server serves is a table and nothing else: on either
+//! transport, a query's `(answer, scope)` comes from the one decision
+//! function (`ServeCtx::decide`: valve → unknown resolver → table
 //! lookup) over the `CompiledTable` its batch loaded, so a batch never mixes
 //! generations and a shard's generation never goes backwards inside one.
 //!
@@ -32,7 +34,6 @@
 //! observation) and sheds the table-lookup cost exactly when the shard
 //! is drowning.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,12 +42,13 @@ use std::time::{Duration, Instant};
 
 use anycast_dns::LdnsId;
 use anycast_geo::GeoPoint;
+use anycast_netsim::stream::FastMap;
 use anycast_obs::{counter, histogram, HistogramSnapshot};
 
-use crate::message::{decode_echo, encode_reply, Body, Echo, Edns, CHAOS_METRICS_QNAME};
+use crate::message::{encode_reply, Body, Edns, CHAOS_METRICS_QNAME};
 use crate::mmsg::{batch_io, BatchIo, PacketArena, MAX_BATCH};
 use crate::store::{CompiledTable, TableStore};
-use crate::template::{response_len, write_response, AnswerRr, QueryView};
+use crate::template::{AnswerRr, QueryView};
 use crate::wire::{CLASSIC_UDP_LIMIT, CLASS_CHAOS, CLASS_IN, HEADER_LEN, TYPE_A, TYPE_TXT};
 
 /// UDP payload size the server advertises in its OPT records.
@@ -139,7 +141,7 @@ impl ServeConfig {
 /// forwarded the request" (§2).
 #[derive(Debug, Clone, Default)]
 pub struct LdnsDirectory {
-    by_ip: HashMap<Ipv4Addr, (LdnsId, GeoPoint)>,
+    by_ip: FastMap<Ipv4Addr, (LdnsId, GeoPoint)>,
 }
 
 impl LdnsDirectory {
@@ -194,9 +196,10 @@ pub struct ServeStats {
     pub truncated: AtomicU64,
     /// Queries from source addresses not in the [`LdnsDirectory`].
     pub unknown_ldns: AtomicU64,
-    /// UDP answers produced by the zero-alloc templated fast path.
+    /// Decodable UDP queries whose reply carries an A record.
     pub template_hits: AtomicU64,
-    /// Decodable UDP queries that needed the full encoder.
+    /// Decodable UDP queries whose reply does not (another type or class,
+    /// another opcode, a scrape, or an answer cut by the size rule).
     pub template_misses: AtomicU64,
     /// Unexpected socket errors on a worker's batch receive or send
     /// (mirrored to `serve_io_errors_total{op="recv"|"send"}`). The
@@ -209,7 +212,7 @@ pub struct ServeStats {
     /// and each increment is mirrored to the labeled obs counter
     /// `serve_answers_total{addr=...}`. Counts depend only on which
     /// queries were answered, so they are worker-count invariant.
-    answered: Mutex<HashMap<Ipv4Addr, (u64, Arc<anycast_obs::Counter>)>>,
+    answered: Mutex<FastMap<Ipv4Addr, (u64, Arc<anycast_obs::Counter>)>>,
 }
 
 impl ServeStats {
@@ -382,9 +385,10 @@ impl ServeCtx {
     /// below the classic 512, which is also the no-EDNS limit), clamped by
     /// the operator's `udp_response_cap` and by the send slot. A reply
     /// over the limit comes back TC=1, so every UDP reply fits its slot.
-    fn udp_payload_limit(&self, advertised: Option<u16>) -> usize {
-        let advertised =
-            advertised.map_or(CLASSIC_UDP_LIMIT, |p| usize::from(p).max(CLASSIC_UDP_LIMIT));
+    fn udp_payload_limit(&self, edns: Option<Edns>) -> usize {
+        let advertised = edns.map_or(CLASSIC_UDP_LIMIT, |e| {
+            usize::from(e.udp_payload).max(CLASSIC_UDP_LIMIT)
+        });
         let cap = self
             .cfg
             .udp_response_cap
@@ -394,9 +398,8 @@ impl ServeCtx {
 
     /// The one answer decision: overload valve → unknown resolver → table
     /// lookup. Returns the baked answer and the ECS scope to advertise;
-    /// counts the branch and tallies the answer. The templated fast path, the
-    /// full-encoder slow path and TCP all answer through here, against the
-    /// table their batch (or message) loaded.
+    /// counts the branch and tallies the answer. UDP and TCP both answer
+    /// through here, against the table their batch (or message) loaded.
     #[inline]
     fn decide<'a>(
         &'a self,
@@ -446,10 +449,8 @@ impl std::fmt::Debug for DnsServer {
 impl DnsServer {
     /// Binds UDP + TCP on an ephemeral loopback port and spawns the worker
     /// set around a [`TableStore`]. Each batch loads the current
-    /// [`CompiledTable`] once: templatable queries get its pre-encoded
-    /// answers patched straight into the send slots, everything else takes
-    /// the full decode/encode path against the same table, so the wire
-    /// bytes are identical either way and no batch mixes generations. Keep
+    /// [`CompiledTable`] once and writes every reply of the batch into its
+    /// send slot from that generation, so no batch mixes generations. Keep
     /// a second `Arc` handle to the store to swap tables while the server
     /// runs.
     pub fn spawn_tables(
@@ -615,51 +616,14 @@ fn answer_batch(
     overloaded: bool,
     counts: &mut BatchCounts,
 ) {
+    let udp = Transport::Udp { overloaded };
     for i in 0..n {
-        let len = serve_packet(ctx, table, arena, i, overloaded, counts);
+        let (data, out, src) = arena.io_slot(i);
+        // The UDP limit never exceeds the send slot, and a reply over the
+        // limit shrinks to header and question: every reply fits.
+        let len = respond(ctx, table, counts, data, src, udp, out);
         arena.set_response_len(i, len);
     }
-}
-
-/// Answers the packet in arena slot `i`, returning the response length
-/// written into the matching send slot (0 = no response).
-fn serve_packet(
-    ctx: &ServeCtx,
-    table: &CompiledTable,
-    arena: &mut PacketArena,
-    i: usize,
-    overloaded: bool,
-    counts: &mut BatchCounts,
-) -> usize {
-    counts.udp_queries += 1;
-    let (data, out, src) = arena.io_slot(i);
-    // The zero-alloc fast path: a templatable query whose response fits
-    // the UDP limit. Any gate failing falls through to the full
-    // decode/encode path, the behavioral reference.
-    let fast = QueryView::parse(data)
-        .filter(|view| response_len(view) <= ctx.udp_payload_limit(view.udp_payload()));
-    // All gates are checked before any count mutation, so the slow path
-    // never double-counts a query the fast path rejected.
-    let written = match fast {
-        Some(view) => {
-            let (rr, scope) = ctx.decide(table, src, view.edns, overloaded, counts);
-            counts.template_hits += 1;
-            write_response(out, &view, rr, scope)
-        }
-        None => match respond(ctx, table, counts, data, src, Transport::Udp { overloaded }) {
-            // The UDP limit never exceeds the send slot, and a reply over
-            // the limit shrinks to header and question: every reply fits.
-            Some(resp) => {
-                out[..resp.len()].copy_from_slice(&resp);
-                resp.len()
-            }
-            None => 0,
-        },
-    };
-    if written > 0 {
-        counts.response(written);
-    }
-    written
 }
 
 fn source_ip(src: SocketAddr) -> Ipv4Addr {
@@ -744,15 +708,15 @@ fn read_by(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> std::io
 /// Serves queries on one TCP connection (RFC 1035 §4.2.2 framing) until
 /// the peer closes, the server stops, or a message or reply overruns
 /// [`TCP_IO_TIMEOUT`]. The query scratch and the length-prefixed response
-/// frame are per-connection buffers reused across messages; the table is
-/// loaded once per message.
+/// frame are per-connection buffers reused across messages, the reply
+/// written straight into the frame; the table is loaded once per message.
 fn serve_tcp_conn(ctx: &ServeCtx, mut stream: TcpStream, src: SocketAddr) -> std::io::Result<()> {
     // Some platforms hand an accepted socket the listener's non-blocking
     // mode; the deadlines below need blocking reads.
     stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(TCP_IO_TIMEOUT))?;
     let mut data: Vec<u8> = Vec::new();
-    let mut frame: Vec<u8> = Vec::new();
+    let mut frame = vec![0u8; 2 + TCP_MAX_MESSAGE];
     let mut counts = BatchCounts::new(ctx.cfg.recorder);
     while !ctx.stop.load(Ordering::Relaxed) {
         let deadline = Instant::now() + TCP_IO_TIMEOUT;
@@ -763,21 +727,23 @@ fn serve_tcp_conn(ctx: &ServeCtx, mut stream: TcpStream, src: SocketAddr) -> std
         let len = usize::from(u16::from_be_bytes(len_buf));
         data.resize(len, 0);
         read_by(&mut stream, &mut data, deadline)?;
-        counts.tcp_queries += 1;
         let table = ctx.tables.load();
-        let resp = respond(ctx, &table, &mut counts, &data, src, Transport::Tcp);
-        if let Some(resp) = &resp {
-            counts.response(resp.len());
-        }
+        let len = respond(
+            ctx,
+            &table,
+            &mut counts,
+            &data,
+            src,
+            Transport::Tcp,
+            &mut frame[2..],
+        );
         counts.flush(&ctx.stats);
-        if let Some(resp) = resp {
-            debug_assert!(resp.len() <= TCP_MAX_MESSAGE);
+        if len > 0 {
+            debug_assert!(len <= TCP_MAX_MESSAGE);
             // One write_all of [len | message]: a single segment on the
-            // wire instead of two, and no fresh buffer per message.
-            frame.clear();
-            frame.extend_from_slice(&(resp.len() as u16).to_be_bytes());
-            frame.extend_from_slice(&resp);
-            stream.write_all(&frame)?;
+            // wire instead of two.
+            frame[..2].copy_from_slice(&(len as u16).to_be_bytes());
+            stream.write_all(&frame[..2 + len])?;
         }
     }
     Ok(())
@@ -798,10 +764,10 @@ enum Transport {
     Tcp,
 }
 
-/// Decodes one packet and encodes its reply, if it draws one: the full
-/// (allocating) path, for every packet the template declines. This is the
-/// one decision of which body a packet gets; [`encode_reply`] lays it out
-/// and applies the size rule.
+/// Answers one packet on either transport: parses it, decides its body,
+/// and writes its reply into `out` with [`encode_reply`], which lays it
+/// out and applies the size rule. Returns the reply's length (0 = no
+/// reply). This is the one decision of which body a packet gets.
 fn respond(
     ctx: &ServeCtx,
     table: &CompiledTable,
@@ -809,31 +775,34 @@ fn respond(
     data: &[u8],
     src: SocketAddr,
     transport: Transport,
-) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(128);
-    let (q, echo) = match decode_echo(data) {
-        Ok(decoded) => decoded,
+    out: &mut [u8],
+) -> usize {
+    match transport {
+        Transport::Udp { .. } => counts.udp_queries += 1,
+        Transport::Tcp => counts.tcp_queries += 1,
+    }
+    let query = match QueryView::decode(data) {
+        Ok(query) => query,
         Err(_) => {
             counts.decode_errors += 1;
-            let echo = Echo::header_only(data)?;
-            encode_reply(&mut out, &echo, Body::Rcode(RCODE_FORMERR), HEADER_LEN);
-            return Some(out);
+            let Ok(header) = QueryView::header(data) else {
+                return 0;
+            };
+            let (len, _) = encode_reply(out, &header, Body::Rcode(RCODE_FORMERR), HEADER_LEN);
+            counts.response(len);
+            return len;
         }
     };
     let (mut max_payload, overloaded) = match transport {
+        Transport::Udp { overloaded } => (ctx.udp_payload_limit(query.edns), overloaded),
         Transport::Tcp => (TCP_MAX_MESSAGE, false),
-        Transport::Udp { overloaded } => {
-            counts.template_misses += 1;
-            let limit = ctx.udp_payload_limit(q.edns.map(|e| e.udp_payload));
-            (limit, overloaded)
-        }
     };
     let text;
-    let body = if echo.opcode != 0 {
+    let body = if query.opcode != 0 {
         Body::Rcode(RCODE_NOTIMP)
-    } else if q.qclass == CLASS_CHAOS
-        && q.qtype == TYPE_TXT
-        && q.qname.as_str() == CHAOS_METRICS_QNAME
+    } else if query.qclass == CLASS_CHAOS
+        && query.qtype == TYPE_TXT
+        && query.qname_is(CHAOS_METRICS_QNAME)
     {
         // The in-band scrape endpoint: `TXT metrics.bind CH` answers a
         // Prometheus-text snapshot of the metrics registry over the same
@@ -852,19 +821,26 @@ fn respond(
                 Body::Text(&text)
             }
         }
-    } else if q.qclass != CLASS_IN {
+    } else if query.qclass != CLASS_IN {
         // Any other CHAOS question, and every class we don't serve.
         Body::Rcode(RCODE_REFUSED)
-    } else if q.qtype != TYPE_A {
+    } else if query.qtype != TYPE_A {
         Body::Rcode(0)
     } else {
-        let (rr, scope) = ctx.decide(table, src, q.edns, overloaded, counts);
+        let (rr, scope) = ctx.decide(table, src, query.edns, overloaded, counts);
         Body::Answer(rr, scope)
     };
-    if encode_reply(&mut out, &echo, body, max_payload) {
-        counts.truncated += 1;
+    let (len, truncated) = encode_reply(out, &query, body, max_payload);
+    counts.truncated += u64::from(truncated);
+    if let Transport::Udp { .. } = transport {
+        if matches!(body, Body::Answer(..)) && !truncated {
+            counts.template_hits += 1;
+        } else {
+            counts.template_misses += 1;
+        }
     }
-    Some(out)
+    counts.response(len);
+    len
 }
 
 #[cfg(test)]
@@ -916,11 +892,9 @@ mod tests {
         })
     }
 
-    /// `query`, with the first QNAME byte upper-cased: the raw question no
-    /// longer equals its canonical re-encoding, so the template declines it.
+    /// `query`, with the first QNAME byte upper-cased (0x20 mixed case).
     fn mixed_case(mut wire: Vec<u8>) -> Vec<u8> {
         wire[HEADER_LEN + 1] = b'W';
-        assert!(QueryView::parse(&wire).is_none());
         wire
     }
 
@@ -936,11 +910,11 @@ mod tests {
 
         let elsewhere = Ipv4Addr::new(203, 0, 113, 0);
         let batch = [
-            query(1, TYPE_A, ecs(TRAINED)),               // template, table hit
-            mixed_case(query(2, TYPE_A, ecs(TRAINED))),   // encoder, table hit
-            query(3, TYPE_A, None),                       // template, no EDNS: miss
-            mixed_case(query(4, TYPE_A, ecs(elsewhere))), // encoder, miss
-            query(5, 28, Some(Edns::plain(1232))),        // encoder, AAAA: no answer
+            query(1, TYPE_A, ecs(TRAINED)),               // table hit
+            mixed_case(query(2, TYPE_A, ecs(TRAINED))),   // mixed case, table hit
+            query(3, TYPE_A, None),                       // no EDNS: miss
+            mixed_case(query(4, TYPE_A, ecs(elsewhere))), // mixed case, miss
+            query(5, 28, Some(Edns::plain(1232))),        // AAAA: no answer
         ];
         let src = SocketAddr::from((RESOLVER, 5353));
         let mut arena = PacketArena::new(batch.len(), SLOT_BYTES);
@@ -950,7 +924,8 @@ mod tests {
             }
             let mut counts = BatchCounts::new(false);
             answer_batch(&ctx, table, &mut arena, batch.len(), false, &mut counts);
-            assert_eq!((counts.template_hits, counts.template_misses), (2, 3));
+            // Every reply carrying an A record is a hit, whatever the case.
+            assert_eq!((counts.template_hits, counts.template_misses), (4, 1));
             (0..batch.len())
                 .map(|i| decode_response(arena.send_slot(i)).expect("response decodes"))
                 .collect::<Vec<_>>()

@@ -19,7 +19,7 @@
 //! day of queries on the wire, and a property test at every ECS source
 //! length.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, RwLock};
 
@@ -27,6 +27,7 @@ use anycast_beacon::Target;
 use anycast_core::prediction::{GroupIndex, GroupKey, Grouping, PredictionTable};
 use anycast_dns::ecs::EcsOption;
 use anycast_dns::{DnsAnswer, LdnsId};
+use anycast_netsim::stream::FastMap;
 use anycast_netsim::CdnAddressing;
 use anycast_obs::counter;
 
@@ -36,9 +37,9 @@ use crate::template::AnswerRr;
 ///
 /// Answers are interned as pre-encoded [`AnswerRr`] templates at compile
 /// time — one 16-byte baked record per distinct answer address, with
-/// index 0 reserved for the anycast-VIP miss/valve answer — so the UDP
-/// fast path patches table bytes straight into its send buffer without
-/// constructing a [`DnsAnswer`] or running the encoder.
+/// index 0 reserved for the anycast-VIP miss/valve answer — so the
+/// encoder copies table bytes straight into a send buffer without
+/// constructing a [`DnsAnswer`].
 #[derive(Debug, Clone)]
 pub struct CompiledTable {
     grouping: Grouping,
@@ -90,7 +91,7 @@ impl CompiledTable {
         // is always the anycast VIP so misses and the overload valve can
         // share it.
         let mut templates = vec![AnswerRr::new(addressing.anycast_ip(), ttl_s)];
-        let mut interned: HashMap<Ipv4Addr, u32> = HashMap::new();
+        let mut interned: FastMap<Ipv4Addr, u32> = FastMap::default();
         interned.insert(addressing.anycast_ip(), 0);
         let groups = table
             .iter()

@@ -1,40 +1,27 @@
-//! Zero-alloc templated answers: patch a pre-encoded A response into a
-//! caller-provided buffer instead of running the full encoder.
+//! The one parsed query, and the answer record baked at compile time.
 //!
-//! The steady-state query mix at an authoritative CDN front end is almost
-//! entirely well-formed `A`/`IN` questions with at most one OPT record.
-//! For exactly that shape, [`crate::message::encode_reply`] with an answer
-//! body is deterministic boilerplate: the question echoes the query's raw
-//! bytes, the answer RR is a fixed 16-byte pattern per `(addr, ttl)` pair
-//! baked at table-compile time ([`AnswerRr`]), and the OPT/ECS scaffolding
-//! depends only on fields a cheap scan extracts. So the hot path:
+//! Every packet the server receives is read by one parser,
+//! [`QueryView::decode`], into a borrowed view that allocates nothing: the
+//! header's id, opcode and RD, the question's bytes as received (0x20
+//! mixed case included), its type and class, and the query's EDNS. Every
+//! reply is written by one encoder, [`crate::message::encode_reply`],
+//! from a view and a body straight into the caller's buffer — a UDP
+//! worker's send slot or a TCP connection's frame. An answer body is an
+//! [`AnswerRr`]: the 16 wire bytes of an A record, baked once per
+//! distinct `(addr, ttl)` when a table is compiled.
 //!
-//! 1. [`QueryView::parse`] scans the packet without allocating. It
-//!    succeeds only for a standard query (opcode 0) whose raw question is
-//!    pointer-free, canonical lowercase and `A`/`IN`, with at most one
-//!    additional record, a well-formed OPT — otherwise it returns `None`
-//!    and the caller falls back to decode → [`crate::message::encode_reply`],
-//!    which decides FORMERR, NOTIMP, REFUSED, truncation and the 0x20
-//!    mixed-case echo.
-//! 2. [`write_response`] patches txid, flags, question echo, the baked
-//!    answer RR, and the ECS scope straight into the caller's send slot.
-//!
-//! That the patched bytes equal `encode_reply`'s is pinned by the unit
-//! tests here, a property across ECS source lengths and txids
-//! (`tests/props.rs`), and the wire conformance property over every
-//! reply (`tests/reply_conformance.rs`).
+//! [`QueryView::parse`] and [`write_response`] are one-line wrappers over
+//! the parser and over the encoder with an answer body, kept for
+//! `benchmark/src/adapter.rs`'s parse and patch probes (ROADMAP item 1a).
 
 use std::net::Ipv4Addr;
 
-use crate::message::{opt_record_len, parse_opt_rdata, reply_opt, write_opt, Edns};
-use crate::wire::{CLASS_IN, HEADER_LEN, TYPE_A, TYPE_OPT};
-
-/// Maximum text length of a DNS name (dot-joined), per RFC 1035.
-const MAX_NAME_TEXT: usize = 253;
+use crate::message::{encode_reply, parse_opt_rdata, record_body, Body, Edns};
+use crate::wire::{Cursor, WireError, CLASS_IN, HEADER_LEN, TYPE_A, TYPE_OPT};
 
 /// A pre-encoded A-record answer: owner pointer to the question, TYPE_A,
-/// CLASS_IN, TTL, RDLENGTH 4, and the address — 16 bytes patched into the
-/// response verbatim. Baked once per distinct `(addr, ttl)` at
+/// CLASS_IN, TTL, RDLENGTH 4, and the address — 16 bytes copied into the
+/// reply verbatim. Baked once per distinct `(addr, ttl)` at
 /// table-compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnswerRr {
@@ -44,8 +31,7 @@ pub struct AnswerRr {
 
 impl AnswerRr {
     /// Bakes the wire form of `addr` with `ttl_s`. The owner name is a
-    /// compression pointer to the question at offset 12; these are the
-    /// bytes [`crate::message::encode_reply`] writes for an answer body.
+    /// compression pointer to the question at offset 12.
     pub fn new(addr: Ipv4Addr, ttl_s: u32) -> AnswerRr {
         let mut bytes = [0u8; 16];
         bytes[0] = 0xC0;
@@ -63,189 +49,166 @@ impl AnswerRr {
         self.addr
     }
 
-    /// The baked TTL, seconds (what the full encoder is handed when a
-    /// query cannot take the template).
-    pub fn ttl_s(&self) -> u32 {
-        u32::from_be_bytes([self.bytes[6], self.bytes[7], self.bytes[8], self.bytes[9]])
-    }
-
     /// The 16 baked wire octets.
     pub fn bytes(&self) -> &[u8; 16] {
         &self.bytes
     }
 }
 
-/// A borrowed, validated view of a templatable query. Produced only by
-/// [`QueryView::parse`]; existence of a view is the proof that the
-/// template patch reproduces the full encoder's bytes.
-#[derive(Debug, Clone, Copy)]
+/// A received query, parsed in place: what its reply copies of it and
+/// what decides the reply's body. Borrowed from the packet; produced by
+/// [`QueryView::decode`], or by [`QueryView::header`] for the FORMERR
+/// reply to a packet that does not decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryView<'a> {
     /// Transaction id to echo.
     pub id: u16,
+    /// Opcode (0 = standard query), echoed.
+    pub opcode: u8,
     /// Recursion-desired bit to echo.
     pub rd: bool,
-    /// Raw QNAME wire bytes (labels + terminal zero), echoed verbatim.
+    /// Raw QNAME wire bytes (labels + terminal zero), as received.
     pub qname_wire: &'a [u8],
-    /// EDNS parameters, when the query carried a well-formed OPT.
+    /// Query type.
+    pub qtype: u16,
+    /// Query class.
+    pub qclass: u16,
+    /// QNAME, QTYPE and QCLASS byte for byte as received, or empty for a
+    /// header-only view.
+    pub question: &'a [u8],
+    /// EDNS parameters, when the query carried an OPT record.
     pub edns: Option<Edns>,
 }
 
 impl<'a> QueryView<'a> {
-    /// Scans `buf` for the templatable-query shape, allocating nothing.
+    /// Parses a query packet, allocating nothing. The accept set:
     ///
-    /// Returns `Some` only when every byte of the response is determined
-    /// by this view plus an [`AnswerRr`] and scope — i.e. the full
-    /// encoder, fed the decoded form of `buf`, would emit exactly what
-    /// [`write_response`] patches. Gate, in order:
+    /// * header: QR=0 and QDCOUNT=1 (any opcode; the reply decides);
+    /// * QNAME: pointer-free — a reply copies the question as received,
+    ///   so it must stand alone — and its labels, joined with dots, a name
+    ///   [`anycast_dns::DnsName::new`] accepts in any case, with no
+    ///   trailing dot (one `DnsName` would drop, so the name read would
+    ///   not be the name received);
+    /// * QTYPE and QCLASS present;
+    /// * answer and authority records tolerated and skipped, their owner
+    ///   names held to the same rules (pointers allowed);
+    /// * additional records skipped, except OPT: a second OPT, or an ECS
+    ///   option that does not parse, is an error (FORMERR).
     ///
-    /// * header: QR=0, opcode 0, QDCOUNT=1, ANCOUNT=0, NSCOUNT=0,
-    ///   ARCOUNT≤1 (any other opcode draws NOTIMP on the slow path);
-    /// * QNAME: pointer-free and already in canonical `DnsName` form —
-    ///   labels 1..=63 of `[a-z0-9-]` with no leading/trailing hyphen,
-    ///   dot-joined text ≤ 253 — so the raw bytes equal the encoder's
-    ///   re-encoding (uppercase or odd bytes → `None` → slow path);
-    /// * QTYPE=A, QCLASS=IN (anything else takes the REFUSED/empty
-    ///   branches of the slow path);
-    /// * the single additional record, when present, is a root-owned OPT
-    ///   whose RDATA parses cleanly (a malformed OPT must reach the slow
-    ///   path to produce its FORMERR).
-    ///
-    /// Trailing bytes beyond the counted records are ignored, matching
-    /// the full decoder.
+    /// Trailing bytes beyond the counted records are ignored.
+    pub fn decode(buf: &'a [u8]) -> Result<QueryView<'a>, WireError> {
+        let mut view = QueryView::header(buf)?;
+        // QDCOUNT, ANCOUNT, NSCOUNT and ARCOUNT: the header words at 4..12.
+        let count = |at: usize| u16::from_be_bytes([buf[at], buf[at + 1]]);
+        if count(4) != 1 {
+            return Err(WireError::BadQuestionCount);
+        }
+        let mut c = Cursor::new(buf);
+        c.skip(HEADER_LEN)?;
+        match c.check_name()? {
+            (true, _) => return Err(WireError::CompressedQuestion),
+            (_, true) => return Err(WireError::BadName),
+            _ => {}
+        }
+        view.qname_wire = &buf[HEADER_LEN..c.pos()];
+        view.qtype = c.u16()?;
+        view.qclass = c.u16()?;
+        view.question = &buf[HEADER_LEN..c.pos()];
+        for _ in 0..u32::from(count(6)) + u32::from(count(8)) {
+            c.check_name()?;
+            record_body(&mut c)?;
+        }
+        for _ in 0..count(10) {
+            // OPT records are owned by the root name — a bare 0 octet,
+            // which `DnsName` cannot represent — so detect it before
+            // checking a name.
+            if c.remaining() > 0 && buf[c.pos()] == 0 {
+                c.skip(1)?;
+            } else {
+                c.check_name()?;
+            }
+            let (rtype, rclass, _ttl, rdata) = record_body(&mut c)?;
+            if rtype == TYPE_OPT {
+                if view.edns.is_some() {
+                    return Err(WireError::BadOpt); // duplicate OPT is FORMERR
+                }
+                view.edns = Some(Edns {
+                    udp_payload: rclass,
+                    ecs: parse_opt_rdata(rdata)?,
+                });
+            }
+        }
+        Ok(view)
+    }
+
+    /// [`QueryView::decode`], or `None` for a packet it refuses.
     pub fn parse(buf: &'a [u8]) -> Option<QueryView<'a>> {
-        if buf.len() < HEADER_LEN {
-            return None;
-        }
-        let id = u16::from_be_bytes([buf[0], buf[1]]);
-        let flags = u16::from_be_bytes([buf[2], buf[3]]);
-        if flags & 0xF800 != 0 {
-            return None; // QR=1 (not a query) or an opcode other than QUERY
-        }
-        let rd = flags & 0x0100 != 0;
-        let qd = u16::from_be_bytes([buf[4], buf[5]]);
-        let an = u16::from_be_bytes([buf[6], buf[7]]);
-        let ns = u16::from_be_bytes([buf[8], buf[9]]);
-        let ar = u16::from_be_bytes([buf[10], buf[11]]);
-        if qd != 1 || an != 0 || ns != 0 || ar > 1 {
-            return None;
-        }
+        QueryView::decode(buf).ok()
+    }
 
-        // QNAME: raw labels, already canonical.
-        let mut pos = HEADER_LEN;
-        let mut text_len = 0usize;
-        let mut labels = 0usize;
-        loop {
-            let len = usize::from(*buf.get(pos)?);
-            pos += 1;
-            if len == 0 {
-                break;
-            }
-            if len > 63 {
-                return None; // compression pointer or reserved label type
-            }
-            let label = buf.get(pos..pos + len)?;
-            if label[0] == b'-' || label[len - 1] == b'-' {
-                return None;
-            }
-            if !label
-                .iter()
-                .all(|&b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-')
-            {
-                return None;
-            }
-            text_len += len + usize::from(labels > 0);
-            if text_len > MAX_NAME_TEXT {
-                return None;
-            }
-            labels += 1;
-            pos += len;
+    /// The view of a packet's header alone — id, opcode and RD, no
+    /// question — which a packet that does not decode is answered FORMERR
+    /// from. An error for a packet shorter than a header or one with QR=1:
+    /// neither draws a reply, because answering responses would let two
+    /// servers answer each other forever.
+    pub fn header(buf: &'a [u8]) -> Result<QueryView<'a>, WireError> {
+        let &[id0, id1, flags, ..] = buf
+            .first_chunk::<HEADER_LEN>()
+            .ok_or(WireError::Truncated)?;
+        if flags & 0x80 != 0 {
+            return Err(WireError::WrongDirection); // QR=1
         }
-        if labels == 0 {
-            return None; // root QNAME fails DnsName validation → FORMERR
-        }
-        let qname_wire = &buf[HEADER_LEN..pos];
-
-        let fixed = buf.get(pos..pos + 4)?;
-        if fixed[..2] != TYPE_A.to_be_bytes() || fixed[2..] != CLASS_IN.to_be_bytes() {
-            return None;
-        }
-        pos += 4;
-
-        let mut edns = None;
-        if ar == 1 {
-            // Root-owned OPT record, nothing else.
-            if *buf.get(pos)? != 0 {
-                return None;
-            }
-            pos += 1;
-            let rr = buf.get(pos..pos + 10)?;
-            if rr[..2] != TYPE_OPT.to_be_bytes() {
-                return None;
-            }
-            let udp_payload = u16::from_be_bytes([rr[2], rr[3]]);
-            // rr[4..8] is ext-rcode/version/flags — ignored by the full
-            // decoder, so ignored here.
-            let rdlen = usize::from(u16::from_be_bytes([rr[8], rr[9]]));
-            pos += 10;
-            let rdata = buf.get(pos..pos + rdlen)?;
-            let ecs = parse_opt_rdata(rdata).ok()?;
-            edns = Some(Edns { udp_payload, ecs });
-        }
-
-        Some(QueryView {
-            id,
-            rd,
-            qname_wire,
-            edns,
+        Ok(QueryView {
+            id: u16::from_be_bytes([id0, id1]),
+            opcode: (flags >> 3) & 0x0F,
+            rd: flags & 1 != 0,
+            qname_wire: &[],
+            qtype: 0,
+            qclass: 0,
+            question: &[],
+            edns: None,
         })
     }
 
-    /// The client's effective payload advertisement (CLASS of the OPT),
-    /// `None` without EDNS.
-    pub fn udp_payload(&self) -> Option<u16> {
-        self.edns.map(|e| e.udp_payload)
+    /// Whether the question names `name` (dotted, lower case) in any case:
+    /// whether its labels, joined with dots, spell it.
+    pub fn qname_is(&self, name: &str) -> bool {
+        let (wire, mut text, mut at) = (self.qname_wire, name.as_bytes(), 0);
+        while let Some(&len) = wire.get(at).filter(|&&len| len > 0) {
+            if at > 0 {
+                match text.split_first() {
+                    Some((b'.', rest)) => text = rest,
+                    _ => return false,
+                }
+            }
+            let Some(label) = wire.get(at + 1..at + 1 + usize::from(len)) else {
+                return false;
+            };
+            match text.split_at_checked(label.len()) {
+                Some((spelled, rest)) if spelled.eq_ignore_ascii_case(label) => text = rest,
+                _ => return false,
+            }
+            at += 1 + label.len();
+        }
+        text.is_empty()
     }
 }
 
-/// Exact wire length [`write_response`] will produce for `view`.
-pub fn response_len(view: &QueryView<'_>) -> usize {
-    let opt = view.edns.map_or(0, |edns| opt_record_len(edns.ecs));
-    HEADER_LEN + view.qname_wire.len() + 4 + 16 + opt
-}
-
-/// Patches the complete response for `view` into `out`: header, question
-/// echo, the baked answer RR, and the OPT/ECS echo with `scope` as the
-/// SCOPE PREFIX-LENGTH. Returns the response length. `out` must hold at
-/// least [`response_len`] bytes; no allocation, no encoder.
+/// Writes the reply to `view` answering `rr` at ECS `scope` into `out` and
+/// returns its length: [`encode_reply`] with an answer body, `out`'s
+/// length the size limit.
 pub fn write_response(out: &mut [u8], view: &QueryView<'_>, rr: &AnswerRr, scope: u8) -> usize {
-    out[0..2].copy_from_slice(&view.id.to_be_bytes());
-    out[2] = 0x84 | u8::from(view.rd); // QR | AA | RD, opcode 0
-    out[3] = 0; // RA=0, Z=0, RCODE=0
-    out[4..6].copy_from_slice(&1u16.to_be_bytes()); // QDCOUNT
-    out[6..8].copy_from_slice(&1u16.to_be_bytes()); // ANCOUNT
-    out[8..10].copy_from_slice(&0u16.to_be_bytes()); // NSCOUNT
-    out[10..12].copy_from_slice(&u16::from(view.edns.is_some()).to_be_bytes());
-    let mut p = HEADER_LEN;
-    out[p..p + view.qname_wire.len()].copy_from_slice(view.qname_wire);
-    p += view.qname_wire.len();
-    out[p..p + 2].copy_from_slice(&TYPE_A.to_be_bytes());
-    out[p + 2..p + 4].copy_from_slice(&CLASS_IN.to_be_bytes());
-    p += 4;
-    out[p..p + 16].copy_from_slice(rr.bytes());
-    p += 16;
-    if let Some(edns) = view.edns {
-        p += write_opt(&mut out[p..], &reply_opt(edns, scope));
-    }
-    p
+    let max_payload = out.len();
+    encode_reply(out, view, Body::Answer(rr, scope), max_payload).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::{
-        decode_echo, decode_query, encode_query, encode_reply, mask_addr, Body, WireEcs, WireQuery,
+        decode_query, encode_query, encode_response, mask_addr, WireEcs, WireQuery,
     };
-    use anycast_dns::DnsName;
+    use anycast_dns::{DnsAnswer, DnsName};
 
     fn query(id: u16, rd: bool, name: &str, edns: Option<Edns>) -> WireQuery {
         WireQuery {
@@ -258,19 +221,16 @@ mod tests {
         }
     }
 
+    /// `write_response` over the parsed view writes what `encode_response`
+    /// writes for the decoded query.
     fn assert_template_matches_encoder(q: &WireQuery, addr: Ipv4Addr, ttl: u32, scope: u8) {
         let wire = encode_query(q);
-        let view = QueryView::parse(&wire).expect("templatable query");
-        assert_eq!(view.id, q.id);
-        assert_eq!(view.rd, q.rd);
-        let rr = AnswerRr::new(addr, ttl);
+        let view = QueryView::parse(&wire).expect("a query that parses");
+        assert_eq!((view.id, view.rd, view.opcode), (q.id, q.rd, 0));
         let mut out = vec![0u8; 4096];
-        let n = write_response(&mut out, &view, &rr, scope);
-        assert_eq!(n, response_len(&view), "advertised length is exact");
-        let (_, echo) = decode_echo(&wire).unwrap();
-        let mut want = Vec::new();
-        encode_reply(&mut want, &echo, Body::Answer(&rr, scope), 4096);
-        assert_eq!(&out[..n], &want[..], "template == full encoder");
+        let n = write_response(&mut out, &view, &AnswerRr::new(addr, ttl), scope);
+        let want = encode_response(q, Some(&DnsAnswer::scoped(addr, ttl, scope)), 0, 4096);
+        assert_eq!(&out[..n], &want[..], "write_response == encode_response");
     }
 
     #[test]
@@ -317,67 +277,65 @@ mod tests {
     }
 
     #[test]
-    fn non_templatable_shapes_fall_back() {
+    fn one_parser_takes_every_decodable_shape_and_refuses_the_rest() {
         let base = encode_query(&query(9, true, "www.cdn.example", Some(Edns::plain(1232))));
-        assert!(QueryView::parse(&base).is_some(), "baseline is templatable");
-
-        // QR set: a response, not a query.
-        let mut b = base.clone();
-        b[2] |= 0x80;
-        assert!(QueryView::parse(&b).is_none());
-
-        // Any opcode but QUERY draws NOTIMP, not an answer.
-        for opcode in [1u8, 2, 4, 5, 15] {
-            let mut b = base.clone();
-            b[2] |= opcode << 3;
-            assert!(QueryView::parse(&b).is_none(), "opcode {opcode}");
-        }
-
-        // Uppercase label byte: the slow path echoes it as received.
-        let mut b = base.clone();
-        b[HEADER_LEN + 1] = b'W';
-        assert!(QueryView::parse(&b).is_none());
-
-        // Hyphen at a label edge fails DnsName validation.
-        let mut b = base.clone();
-        b[HEADER_LEN + 1] = b'-';
-        assert!(QueryView::parse(&b).is_none());
-
-        // Compression pointer in the QNAME.
-        let mut b = base.clone();
-        b[HEADER_LEN] = 0xC0;
-        assert!(QueryView::parse(&b).is_none());
-
-        // Wrong QTYPE (AAAA).
-        let mut b = base.clone();
         let name_end = HEADER_LEN + 1 + 3 + 1 + 3 + 1 + 7 + 1; // www cdn example + zero
-        b[name_end + 1] = 28;
-        assert!(QueryView::parse(&b).is_none());
+        let edit = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = base.clone();
+            f(&mut b);
+            b
+        };
 
-        // Two additional records.
-        let mut b = base.clone();
-        b[11] = 2;
-        assert!(QueryView::parse(&b).is_none());
+        // Shapes the reply decides: other opcodes (NOTIMP), 0x20 mixed
+        // case (echoed as received), another type (no answer).
+        for opcode in [1u8, 2, 4, 5, 15] {
+            let wire = edit(&|b| b[2] |= opcode << 3);
+            assert_eq!(QueryView::parse(&wire).map(|v| v.opcode), Some(opcode));
+        }
+        let mixed = edit(&|b| b[HEADER_LEN + 1] = b'W');
+        let view = QueryView::parse(&mixed).expect("mixed case parses");
+        assert_eq!(&view.qname_wire[..4], b"\x03Www");
+        assert!(view.qname_is("www.cdn.example") && !view.qname_is("www.cdn"));
+        let aaaa = edit(&|b| b[name_end + 1] = 28);
+        assert_eq!(QueryView::parse(&aaaa).map(|v| v.qtype), Some(28));
+        // A second additional record that is not OPT is skipped.
+        let mut two = edit(&|b| b[11] = 2);
+        two.extend_from_slice(&[0, 0, 16, 0, 1, 0, 0, 0, 0, 0, 0]);
+        let edns = QueryView::parse(&two).and_then(|v| v.edns);
+        assert_eq!(edns.map(|e| e.udp_payload), Some(1232));
 
-        // ANCOUNT nonzero.
-        let mut b = base.clone();
-        b[7] = 1;
-        assert!(QueryView::parse(&b).is_none());
-
-        // Truncated mid-name.
-        let b = &base[..HEADER_LEN + 2];
-        assert!(QueryView::parse(b).is_none());
-
-        // Root QNAME.
-        let mut b = base.clone();
-        b[HEADER_LEN] = 0;
-        assert!(QueryView::parse(&b).is_none());
+        // Shapes that draw FORMERR (or, for a response, nothing).
+        let refused: [(&str, Vec<u8>); 7] = [
+            ("QR set", edit(&|b| b[2] |= 0x80)),
+            (
+                "hyphen at a label edge",
+                edit(&|b| b[HEADER_LEN + 1] = b'-'),
+            ),
+            ("pointer in the QNAME", edit(&|b| b[HEADER_LEN] = 0xC0)),
+            ("ANCOUNT with no record", edit(&|b| b[7] = 1)),
+            ("two OPT records", {
+                let mut b = edit(&|b| b[11] = 2);
+                b.extend_from_slice(&base[name_end + 4..]);
+                b
+            }),
+            ("truncated mid-name", base[..HEADER_LEN + 2].to_vec()),
+            ("root QNAME", edit(&|b| b[HEADER_LEN] = 0)),
+        ];
+        for (shape, b) in &refused {
+            assert!(QueryView::parse(b).is_none(), "{shape}");
+            assert!(decode_query(b).is_err(), "{shape}");
+        }
+        let header = QueryView::header(&refused[1].1).expect("a header");
+        assert_eq!((header.id, header.question), (9, &[][..]));
+        assert!(
+            QueryView::header(&refused[0].1).is_err(),
+            "a response draws nothing"
+        );
     }
 
     #[test]
-    fn malformed_opt_falls_back_for_formerr() {
-        // Duplicate ECS options inside one OPT must reach the slow path,
-        // which turns them into FORMERR.
+    fn malformed_opt_is_refused_for_formerr() {
+        // Duplicate ECS options inside one OPT are FORMERR.
         let q = query(
             3,
             true,
@@ -402,8 +360,7 @@ mod tests {
         let old = u16::from_be_bytes([wire[rdlen_at], wire[rdlen_at + 1]]);
         let new = (old + ecs_bytes.len() as u16).to_be_bytes();
         wire[rdlen_at..rdlen_at + 2].copy_from_slice(&new);
-        assert!(QueryView::parse(&wire).is_none());
-        assert!(decode_query(&wire).is_err(), "slow path sees FORMERR");
+        assert_eq!(QueryView::decode(&wire), Err(WireError::BadOpt));
     }
 
     #[test]
@@ -413,13 +370,13 @@ mod tests {
         let view = QueryView::parse(&wire).expect("trailing bytes ignored");
         assert!(decode_query(&wire).is_ok());
         assert_eq!(view.qname_wire, &[3, b'c', b'd', b'n', 0]);
+        assert_eq!(view.question, &wire[HEADER_LEN..HEADER_LEN + 9]);
     }
 
     #[test]
     fn answer_rr_bakes_the_wire_pattern() {
         let rr = AnswerRr::new(Ipv4Addr::new(192, 0, 2, 7), 0x01020304);
         assert_eq!(rr.addr(), Ipv4Addr::new(192, 0, 2, 7));
-        assert_eq!(rr.ttl_s(), 0x01020304);
         assert_eq!(
             rr.bytes(),
             &[0xC0, 0x0C, 0, 1, 0, 1, 1, 2, 3, 4, 0, 4, 192, 0, 2, 7]

@@ -120,17 +120,14 @@ impl<'a> Cursor<'a> {
 
     /// Reads a big-endian u16.
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes([self.u8()?, self.u8()?]))
+        let b = self.take(2)?;
+        Ok(u16::from_be_bytes([b[0], b[1]]))
     }
 
     /// Reads a big-endian u32.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes([
-            self.u8()?,
-            self.u8()?,
-            self.u8()?,
-            self.u8()?,
-        ]))
+        let b = self.take(4)?;
+        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads `n` raw octets.
@@ -149,23 +146,14 @@ impl<'a> Cursor<'a> {
         self.take(n).map(|_| ())
     }
 
-    /// Decodes a (possibly compressed) domain name starting at the current
-    /// position, leaving the cursor just past the name's in-stream bytes.
-    ///
-    /// Safety rules enforced on the wire form:
-    /// * label length octets `0x40..=0xBF` are rejected (reserved types);
-    /// * every compression pointer must target an offset **strictly below**
-    ///   the offset of the earliest pointer followed so far — loops and
-    ///   forward references are structurally impossible;
-    /// * at most [`MAX_POINTER_JUMPS`] hops;
-    /// * the reassembled name is capped at [`MAX_NAME_WIRE_LEN`] octets and
-    ///   must pass [`DnsName`] validation (so downstream code only ever
-    ///   sees well-formed, lowercase names).
-    pub fn name(&mut self) -> Result<DnsName, WireError> {
-        // The dotted text, on the stack: it is one octet shorter than the
-        // wire form the cap below bounds.
-        let mut text = [0u8; MAX_NAME_WIRE_LEN];
-        let mut text_len = 0usize;
+    /// Walks the (possibly compressed) name at the current position under
+    /// [`Cursor::name`]'s wire rules, handing each label to `label` in
+    /// order, and leaves the cursor just past the name's in-stream bytes.
+    /// Returns whether it followed a compression pointer.
+    fn walk_name(
+        &mut self,
+        mut label: impl FnMut(&'a [u8]) -> Result<(), WireError>,
+    ) -> Result<bool, WireError> {
         let mut wire_len = 0usize; // reassembled wire octets (labels + len octets)
         let mut jumps = 0usize;
         // Highest offset the next pointer is allowed to target; tightened
@@ -207,24 +195,81 @@ impl<'a> Cursor<'a> {
                     if wire_len + 1 > MAX_NAME_WIRE_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    let bytes = read.take(l)?;
-                    if !bytes.is_ascii() {
-                        return Err(WireError::BadName);
-                    }
-                    if text_len > 0 {
-                        text[text_len] = b'.';
-                        text_len += 1;
-                    }
-                    text[text_len..text_len + l].copy_from_slice(bytes);
-                    text_len += l;
+                    label(read.take(l)?)?;
                 }
             }
         }
         self.pos = after.unwrap_or(read.pos);
-        std::str::from_utf8(&text[..text_len])
+        Ok(after.is_some())
+    }
+
+    /// Decodes a (possibly compressed) domain name starting at the current
+    /// position, leaving the cursor just past the name's in-stream bytes.
+    ///
+    /// Safety rules enforced on the wire form:
+    /// * label length octets `0x40..=0xBF` are rejected (reserved types);
+    /// * every compression pointer must target an offset **strictly below**
+    ///   the offset of the earliest pointer followed so far — loops and
+    ///   forward references are structurally impossible;
+    /// * at most [`MAX_POINTER_JUMPS`] hops;
+    /// * the reassembled name is capped at [`MAX_NAME_WIRE_LEN`] octets and
+    ///   must pass [`DnsName`] validation (so downstream code only ever
+    ///   sees well-formed, lowercase names).
+    pub fn name(&mut self) -> Result<DnsName, WireError> {
+        // The dotted text, on the stack: it is one octet shorter than the
+        // wire form the cap bounds.
+        let mut text = [0u8; MAX_NAME_WIRE_LEN];
+        let mut len = 0usize;
+        self.walk_name(|label| {
+            if len > 0 {
+                text[len] = b'.';
+                len += 1;
+            }
+            text[len..len + label.len()].copy_from_slice(label);
+            len += label.len();
+            Ok(())
+        })?;
+        std::str::from_utf8(&text[..len])
             .ok()
             .and_then(|text| DnsName::new(text).ok())
             .ok_or(WireError::BadName)
+    }
+
+    /// [`Cursor::name`]'s checks in place, allocating nothing:
+    /// `DnsName::new`'s rules applied to the labels' dotted text, in any
+    /// case — one trailing dot dropped, then labels of 1..=63 letters,
+    /// digits and hyphens, none at a label's edge. A wire label holding a
+    /// dot splits there, as the text does. Returns whether the name held
+    /// a compression pointer and whether its text ends in a dot.
+    pub fn check_name(&mut self) -> Result<(bool, bool), WireError> {
+        let label_ok = |l: &[u8]| {
+            (1..=MAX_LABEL_LEN).contains(&l.len())
+                && l[0] != b'-'
+                && l[l.len() - 1] != b'-'
+                && l.iter().all(|&b| b.is_ascii_alphanumeric() || b == b'-')
+        };
+        // Whether any label came yet, and whether the last ended in a dot:
+        // only the name's last label may.
+        let (mut any, mut trailing_dot) = (false, false);
+        let compressed = self.walk_name(|label| {
+            if trailing_dot {
+                return Err(WireError::BadName);
+            }
+            any = true;
+            if label_ok(label) {
+                return Ok(()); // the common case: no dot in it
+            }
+            let body = label.strip_suffix(b".");
+            trailing_dot = body.is_some();
+            match body.unwrap_or(label).split(|&b| b == b'.').all(label_ok) {
+                true => Ok(()),
+                false => Err(WireError::BadName),
+            }
+        })?;
+        if !any {
+            return Err(WireError::BadName);
+        }
+        Ok((compressed, trailing_dot))
     }
 }
 
@@ -291,11 +336,6 @@ pub struct Header {
 }
 
 impl Header {
-    /// Appends the 12 header octets.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
-    }
-
     /// The 12 header octets.
     pub fn to_bytes(&self) -> [u8; HEADER_LEN] {
         let words = [
@@ -357,9 +397,7 @@ mod tests {
             nscount: 0,
             arcount: 1,
         };
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        assert_eq!(buf.len(), HEADER_LEN);
+        let buf = h.to_bytes();
         let d = Header::decode(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(d, h);
     }

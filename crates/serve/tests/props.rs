@@ -85,8 +85,7 @@ proptest! {
             nscount: counts.2,
             arcount: counts.3,
         };
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
+        let buf = h.to_bytes();
         prop_assert_eq!(Header::decode(&mut Cursor::new(&buf)).unwrap(), h);
     }
 
@@ -393,13 +392,12 @@ mod compiled {
     }
 }
 
-/// The zero-alloc template path against the full encoder: for every
-/// templatable query shape the patched bytes must be identical to what
-/// `encode_response` would have produced — the invariant that makes the
-/// fast path invisible on the wire.
+/// The benchmark's two ways to the one encoder agree: `write_response`
+/// over a parsed view writes the bytes `encode_response` writes for the
+/// decoded query, for every lowercase A query shape.
 mod templates {
     use super::*;
-    use anycast_serve::template::{response_len, write_response};
+    use anycast_serve::template::write_response;
     use anycast_serve::{AnswerRr, QueryView};
 
     /// ECS source prefix lengths the acceptance gate names explicitly.
@@ -452,7 +450,7 @@ mod templates {
                 edns: with_edns.then_some(Edns { udp_payload: payload, ecs }),
             };
             let wire = encode_query(&q);
-            let view = QueryView::parse(&wire).expect("canonical queries are templatable");
+            let view = QueryView::parse(&wire).expect("encoded queries parse");
             prop_assert_eq!(view.id, id);
             let decoded = decode_query(&wire).unwrap();
             let mut out = vec![0u8; 4096];
@@ -462,14 +460,119 @@ mod templates {
             ] {
                 let rr = AnswerRr::new(addr, ttl);
                 let n = write_response(&mut out, &view, &rr, scope);
-                prop_assert_eq!(n, response_len(&view), "advertised length is exact");
                 let want = encode_response(
                     &decoded,
                     Some(&DnsAnswer::scoped(addr, ttl, scope)),
                     0,
                     4096,
                 );
-                prop_assert_eq!(&out[..n], &want[..], "template == full encoder");
+                prop_assert_eq!(&out[..n], &want[..], "write_response == encode_response");
+            }
+        }
+    }
+}
+
+/// The parser's accept set for the question's name, against `DnsName`:
+/// a pointer-free question is accepted exactly when its labels, joined
+/// with dots, make a name `DnsName::new` accepts — less the two shapes the
+/// wire itself rules out. A label of 64 bytes has no length octet (0x40 is
+/// a reserved label type), and a text ending in a dot names what
+/// `DnsName` reads without it, so its question would not echo the name.
+mod accept_set {
+    use super::*;
+    use anycast_serve::wire::HEADER_LEN;
+    use anycast_serve::QueryView;
+
+    /// Bytes a clean label draws from.
+    const CLEAN: &[u8] = b"ABCXYZabcxyz0189-";
+    /// What a dirty label has at one place: a dot (in a label, or
+    /// trailing), and bytes `DnsName` refuses.
+    const DIRTY: &[u8] = b"._\x00\x7f\x80-";
+
+    /// One to four labels of 1, 2, 7, 63 or 64 bytes, or four whose text is
+    /// 250..=255 bytes; each label clean, or with one dirty byte.
+    fn labels() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        (
+            any::<bool>(),
+            prop::collection::vec(prop::sample::select(vec![1usize, 2, 7, 63, 64]), 1..5),
+            58usize..64,
+            prop::collection::vec(prop::sample::select(CLEAN.to_vec()), 256),
+            prop::collection::vec(
+                (
+                    any::<bool>(),
+                    0usize..64,
+                    prop::sample::select(DIRTY.to_vec()),
+                ),
+                4,
+            ),
+        )
+            .prop_map(|(long, short, last, clean, dirt)| {
+                let lens = if long { vec![63, 63, 63, last] } else { short };
+                let mut at = 0;
+                lens.iter()
+                    .zip(dirt)
+                    .map(|(&len, (dirty, place, byte))| {
+                        let mut label = clean[at..at + len].to_vec();
+                        at += len;
+                        if dirty {
+                            label[place % len] = byte;
+                        }
+                        label
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn the_parser_accepts_exactly_the_names_dns_name_does(labels in labels()) {
+            let mut wire = vec![0x12, 0x34, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+            for label in &labels {
+                wire.push(label.len() as u8);
+                wire.extend_from_slice(label);
+            }
+            wire.extend_from_slice(&[0, 0, 1, 0, 1]);
+            let text = labels.join(&b'.');
+            let name = std::str::from_utf8(&text).ok().and_then(|t| DnsName::new(t).ok());
+            let want = labels.iter().all(|l| l.len() <= 63) && !text.ends_with(b".");
+            let view = QueryView::decode(&wire);
+            prop_assert_eq!(view.is_ok(), want && name.is_some(), "{:?}", String::from_utf8_lossy(&text));
+            if let (Ok(view), Some(name)) = (view, name) {
+                prop_assert_eq!(view.question, &wire[HEADER_LEN..]);
+                prop_assert!(view.qname_is(name.as_str()));
+                prop_assert_eq!(decode_query(&wire).map(|q| q.qname), Ok(name));
+            }
+        }
+
+        /// Owner names are checked in place by `check_name`, and decoded
+        /// by `name`: both take the same names, trailing dot and pointers
+        /// included, and end at the same byte. The labels come after `lead`
+        /// arbitrary bytes, and one of those may be a pointer back.
+        #[test]
+        fn checking_a_name_in_place_takes_what_decoding_it_takes(
+            labels in labels(),
+            lead in prop::collection::vec(any::<u8>(), 0..6),
+            pointer in any::<bool>(),
+        ) {
+            let mut wire = lead.clone();
+            let start = wire.len();
+            for label in &labels {
+                wire.push(label.len() as u8);
+                wire.extend_from_slice(label);
+            }
+            match (pointer, start) {
+                (true, 1..) => wire.extend_from_slice(&[0xC0, 0]),
+                _ => wire.push(0),
+            }
+            let (mut checked, mut decoded) = (Cursor::new(&wire), Cursor::new(&wire));
+            checked.skip(start).unwrap();
+            decoded.skip(start).unwrap();
+            let (check, decode) = (checked.check_name(), decoded.name());
+            prop_assert_eq!(check.is_ok(), decode.is_ok(), "{:?}", wire);
+            if check.is_ok() {
+                prop_assert_eq!(checked.pos(), decoded.pos());
             }
         }
     }

@@ -13,7 +13,11 @@
 //! - over UDP, fit in max(512, advertised) bytes, set TC when content was
 //!   cut, grow on its query by at most `MAX_UDP_REPLY_GROWTH` bytes, and be
 //!   no longer than its query for class CH;
-//! - equal `encode_reply`'s bytes when the template fast path wrote it.
+//! - when it carries an A record over UDP, equal what `write_response`
+//!   writes for the parsed query and the answer served;
+//!
+//! and the replies to the whole domain, byte for byte, digest to
+//! `REPLY_DIGEST`.
 //!
 //! A packet that does not decode draws nothing or a 12-byte FORMERR, and
 //! a worker never panics: each burst ends with a sentinel query that must
@@ -31,10 +35,11 @@ use anycast_dns::{DnsName, LdnsId};
 use anycast_geo::GeoPoint;
 use anycast_netsim::Day;
 use anycast_serve::message::{
-    decode_echo, decode_response, encode_query, encode_reply, Body, Echo, Edns, WireEcs, WireQuery,
+    decode_query, decode_response, encode_query, Edns, WireEcs, WireQuery,
 };
 use anycast_serve::server::{DnsServer, LdnsDirectory, ServeConfig, MAX_UDP_REPLY_GROWTH};
 use anycast_serve::store::{CompiledTable, TableStore};
+use anycast_serve::template::write_response;
 use anycast_serve::wire::{
     CLASSIC_UDP_LIMIT, CLASS_CHAOS, CLASS_IN, HEADER_LEN, OPTION_ECS, TYPE_A, TYPE_OPT, TYPE_TXT,
 };
@@ -45,6 +50,50 @@ const TYPE_AAAA: u16 = 28;
 const TYPE_OTHER: u16 = 99;
 /// The id of the query that closes each burst; no query or flip uses it.
 const SENTINEL_ID: u16 = 0x5A5A;
+
+/// FNV-1a digest of every reply the domain draws, in the order sent: per
+/// packet its reply's length and bytes, or `u64::MAX` for no reply, then
+/// the server's decode-error count. A TCP scrape reply counts only up to
+/// its question, because the text it carries is live counter values.
+const REPLY_DIGEST: u64 = 0x55b6_7f8b_9a85_ca1c;
+
+/// FNV-1a over bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, word: u64) {
+        self.bytes(&word.to_le_bytes());
+    }
+
+    /// One packet's reply, or its absence.
+    fn reply(&mut self, query: &[u8], reply: Option<&[u8]>, udp: bool) {
+        let Some(mut r) = reply else {
+            return self.word(u64::MAX);
+        };
+        let question_end = skip_name(query, HEADER_LEN).map(|at| at + 4);
+        if let Some(end) = question_end.filter(|&end| !udp && end <= query.len()) {
+            let field = |at: usize| u16::from_be_bytes([query[at], query[at + 1]]);
+            let scrape =
+                query[2] & 0x78 == 0 && field(end - 4) == TYPE_TXT && field(end - 2) == CLASS_CHAOS;
+            if scrape {
+                r = &r[..end.min(r.len())];
+            }
+        }
+        self.word(r.len() as u64);
+        self.bytes(r);
+    }
+}
 
 /// A one-worker server, so replies leave in the order queries arrive, over
 /// a table trained on one small beacon day; 127.0.0.1 is a known resolver.
@@ -201,12 +250,12 @@ fn udp_limit(edns: Option<Edns>) -> usize {
 
 /// Checks the reply `query` drew over UDP or TCP against every rule.
 fn check(query: &[u8], reply: Option<&[u8]>, udp: bool) -> Result<(), String> {
-    let (q, echo) = match decode_echo(query) {
-        Ok(decoded) => decoded,
-        Err(_) => {
+    let (q, echo) = match (decode_query(query), QueryView::decode(query)) {
+        (Ok(q), Ok(echo)) => (q, echo),
+        _ => {
             // Nothing for a runt or a response, else a 12-byte FORMERR with
             // the header echoed and no question.
-            return match (Echo::header_only(query), reply) {
+            return match (QueryView::header(query).ok(), reply) {
                 (None, None) => Ok(()),
                 (Some(echo), Some(r)) => {
                     let flags = 0x8400 | u16::from(echo.opcode) << 11 | u16::from(echo.rd) << 8 | 1;
@@ -291,19 +340,13 @@ fn check(query: &[u8], reply: Option<&[u8]>, udp: bool) -> Result<(), String> {
         if q.qclass == CLASS_CHAOS && r.len() > query.len() {
             return Err(format!("CH reply of {} bytes for {}", r.len(), query.len()));
         }
-        if QueryView::parse(query).is_some() {
-            let served = decode_response(r).map_err(|e| e.to_string())?;
-            let (addr, ttl) = served.answer.ok_or("a template reply without an answer")?;
+        let served = decode_response(r).map_err(|e| e.to_string())?;
+        if let Some((addr, ttl)) = served.answer {
             let scope = served.ecs.map_or(0, |e| e.scope_prefix_len);
-            let mut want = Vec::new();
-            encode_reply(
-                &mut want,
-                &echo,
-                Body::Answer(&AnswerRr::new(addr, ttl), scope),
-                4096,
-            );
-            if r != want {
-                return Err("template bytes differ from encode_reply's".into());
+            let mut want = [0u8; 4096];
+            let n = write_response(&mut want, &echo, &AnswerRr::new(addr, ttl), scope);
+            if r != &want[..n] {
+                return Err("answer bytes differ from write_response's".into());
             }
         }
     }
@@ -345,7 +388,7 @@ fn udp_burst<'a>(
     let paired = packets
         .iter()
         .map(|&p| {
-            let draws = decode_echo(p).is_ok() || Echo::header_only(p).is_some();
+            let draws = QueryView::header(p).is_ok();
             (p, draws.then(|| replies.next()).flatten())
         })
         .collect();
@@ -390,7 +433,9 @@ fn every_reply_conforms() {
     assert_eq!(queries.len(), 2 * 4 * 16 * 2 * 3);
     let sock = udp_socket();
     let mut failures = Vec::new();
+    let mut digest = Fnv::new();
     let mut note = |query: &[u8], reply: Option<&[u8]>, udp: bool| {
+        digest.reply(query, reply, udp);
         if let Err(why) = check(query, reply, udp) {
             failures.push(format!(
                 "{} {query:02x?}: {why}",
@@ -426,7 +471,10 @@ fn every_reply_conforms() {
             }
         }
     }
-    let undecodable = mutants.iter().filter(|m| decode_echo(m).is_err()).count();
+    let undecodable = mutants
+        .iter()
+        .filter(|m| QueryView::decode(m).is_err())
+        .count();
     for chunk in mutants.chunks(48) {
         let packets: Vec<&[u8]> = chunk.iter().map(Vec::as_slice).collect();
         for (mutant, reply) in udp_burst(&sock, server.local_addr(), &packets) {
@@ -440,10 +488,16 @@ fn every_reply_conforms() {
         2 * queries.len() + mutants.len(),
         &failures[..failures.len().min(8)]
     );
+    let decode_errors = server.stats().decode_errors.load(Relaxed);
     assert_eq!(
-        server.stats().decode_errors.load(Relaxed),
-        undecodable as u64,
+        decode_errors, undecodable as u64,
         "one decode error for each packet that does not decode"
+    );
+    digest.word(decode_errors);
+    assert_eq!(
+        digest.0, REPLY_DIGEST,
+        "the replies to the domain moved: digest {:#018x}",
+        digest.0
     );
 }
 
