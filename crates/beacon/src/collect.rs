@@ -8,8 +8,6 @@
 //!   scheme aggregate latency distributions per client group (/24 prefix or
 //!   LDNS) towards each target.
 
-use std::collections::HashMap;
-
 use anycast_netsim::stream::FastMap;
 use anycast_netsim::{Day, Prefix24, SiteId};
 
@@ -127,7 +125,7 @@ impl BeaconDataset {
     /// Reassembles executions (each beacon run's four measurements).
     /// Incomplete runs are kept — the analyses guard on missing sides.
     pub fn executions(&self) -> Vec<BeaconExecution> {
-        let mut by_exec: HashMap<u64, BeaconExecution> = HashMap::new();
+        let mut by_exec: FastMap<u64, BeaconExecution> = FastMap::default();
         for m in &self.measurements {
             let exec = Slot::execution_of(m.measurement_id);
             let entry = by_exec.entry(exec).or_insert_with(|| BeaconExecution {

@@ -7,8 +7,7 @@
 //! knows) — the LDNS-based prediction scheme of §6 is impossible without
 //! it.
 
-use std::collections::HashMap;
-
+use anycast_netsim::stream::FastMap;
 use anycast_netsim::{CdnAddressing, Day, Prefix, Prefix24, SiteId};
 
 use anycast_dns::{DnsQueryLog, LdnsId};
@@ -77,7 +76,8 @@ pub fn join(
 ) -> Vec<BeaconMeasurement> {
     // Sized once: a filtered iterator promises no length, so collecting
     // it would grow the map through a rehash at every doubling.
-    let mut dns_by_id: HashMap<u64, &DnsQueryLog> = HashMap::with_capacity(dns.len());
+    let mut dns_by_id: FastMap<u64, &DnsQueryLog> =
+        FastMap::with_capacity_and_hasher(dns.len(), Default::default());
     dns_by_id.extend(
         dns.iter()
             .filter_map(|row| row.measurement_id().map(|id| (id, row))),

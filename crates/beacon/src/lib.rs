@@ -14,8 +14,8 @@
 //!   candidate-selection rules server-side;
 //! * [`timing`] — the browser timing accuracy model (W3C Resource Timing
 //!   vs. primitive JavaScript timings);
-//! * [`runner`] — one beacon execution: warm-up query, cached fetch, four
-//!   timed downloads, client-side report;
+//! * [`runner`] — one beacon execution: a warm-up query per test URL,
+//!   four timed downloads from the answered addresses, client-side report;
 //! * [`mod@join`] — joining client-side HTTP results with server-side DNS logs
 //!   on the globally unique hostname id;
 //! * [`collect`] — the joined dataset, grouped into per-execution and

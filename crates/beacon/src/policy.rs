@@ -13,11 +13,10 @@
 //!    reproduce the same "random" diversity.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use anycast_geo::{GeoPoint, NearestIndex};
-use anycast_netsim::stream::splitmix64;
+use anycast_netsim::stream::{splitmix64, FastMap};
 use anycast_netsim::{CdnAddressing, SiteId};
 use rand::{Rng, SeedableRng};
 
@@ -33,8 +32,9 @@ pub struct MeasurementPolicy {
     addressing: CdnAddressing,
     /// Candidate-set size (the paper's ten).
     pub candidates: usize,
-    /// TTL for measurement answers — "longer than the duration of the
-    /// beacon" so the timed fetch is a cache hit.
+    /// TTL written into measurement answers. Nothing in the campaign reads
+    /// it: a beacon resolves each test URL once and fetches from that
+    /// answer, so no answer is ever reused past its query.
     pub ttl_s: u32,
     seed: u64,
     known: Arc<KnownResolvers>,
@@ -49,7 +49,7 @@ struct KnownResolvers {
     /// The candidate-set size the sets were computed at.
     k: usize,
     /// By the bit patterns of the location's latitude and longitude.
-    sets: HashMap<(u64, u64), Vec<(SiteId, f64)>>,
+    sets: FastMap<(u64, u64), Vec<(SiteId, f64)>>,
 }
 
 fn location_bits(p: &GeoPoint) -> (u64, u64) {
@@ -83,7 +83,7 @@ impl MeasurementPolicy {
     /// are unchanged: a location not listed here (or a policy whose
     /// `candidates` was changed afterwards) is ranked on the spot.
     pub fn with_known_resolvers(mut self, locations: &[GeoPoint]) -> MeasurementPolicy {
-        let mut sets = HashMap::new();
+        let mut sets = FastMap::default();
         for loc in locations {
             sets.entry(location_bits(loc))
                 .or_insert_with(|| self.sites.k_nearest(loc, self.candidates));

@@ -3,14 +3,15 @@
 //! The beacon's client-side sequence, per §3.2.2:
 //!
 //! 1. for each of the four test URLs, issue a **warm-up** DNS resolution so
-//!    the timed fetch uses the cached answer ("to remove the impact of DNS
-//!    lookup from our measurements");
-//! 2. fetch each URL and time the download — primitive timings first,
-//!    substituted by Resource Timing values on compliant browsers;
+//!    the timed fetch uses its answer without a lookup ("to remove the
+//!    impact of DNS lookup from our measurements");
+//! 2. fetch each URL from that address and time the download — primitive
+//!    timings first, substituted by Resource Timing values on compliant
+//!    browsers;
 //! 3. report `(measurement id, reported latency)` rows to the backend.
 //!
-//! The warm-up resolution is what lands in the authoritative DNS log, and
-//! its unique hostname is the join key.
+//! The warm-up is each test URL's one resolution: it is what lands in the
+//! authoritative DNS log, and its unique hostname is the join key.
 //!
 //! A beacon writes no shared counter: its obs tallies (executions, fetch
 //! attempts, retries and failures, the reported-latency histogram, and
@@ -143,10 +144,11 @@ impl BeaconTally {
 /// order and on any thread. The engine also derives `rng` per beacon, so
 /// this function's draws never interleave with another execution's.
 ///
-/// Fetches honor the failure schedule: an attempt against a down (or
-/// still-converging) front-end times out after [`FETCH_TIMEOUT_MS`], retries
-/// re-route at the later instant (the DNS answer stays cached, so retries
-/// reuse the same address), and an execution whose every attempt times out
+/// Each slot resolves once, at the warm-up; the fetch and its retries use
+/// that answer. Fetches honor the failure schedule: an attempt against a
+/// down (or still-converging) front-end times out after
+/// [`FETCH_TIMEOUT_MS`], retries re-route at the later instant (to the same
+/// address), and an execution whose every attempt times out
 /// is reported as a *failed* row rather than silently dropped. In a world
 /// with no scheduled failures the sequence — and every random draw — is
 /// identical to the non-retrying path.
@@ -159,7 +161,7 @@ pub fn run_beacon(
     addressing: &CdnAddressing,
     zone: &DnsName,
     client: &BeaconClient,
-    ldns: &mut Ldns,
+    ldns: &Ldns,
     ldns_believed_location: GeoPoint,
     auth: &mut AuthoritativeServer<MeasurementPolicy>,
     execution: u64,
@@ -174,8 +176,9 @@ pub fn run_beacon(
     for slot in Slot::ALL {
         let id = slot.id_for(execution);
         let qname = DnsName::measurement(id, zone);
-        // Warm-up: populates the LDNS cache and the authoritative log.
-        let warm = ldns.resolve(
+        // Warm-up: the name's one query, which the authoritative server
+        // logs. The timed fetch downloads from the answered address.
+        let addr = ldns.resolve(
             &qname,
             client.prefix,
             ldns_believed_location,
@@ -183,19 +186,6 @@ pub fn run_beacon(
             day,
             time_s,
         );
-        debug_assert!(!warm.cache_hit, "unique names always miss on warm-up");
-        // Timed fetch: resolves again (cache hit — TTL outlives the beacon)
-        // and downloads from the answered address.
-        let fetch = ldns.resolve(
-            &qname,
-            client.prefix,
-            ldns_believed_location,
-            auth,
-            day,
-            time_s + 0.5,
-        );
-        debug_assert!(fetch.cache_hit, "timed fetch must be served from cache");
-        let addr = fetch.addr;
         let mut attempts = 0u32;
         let mut served: Option<(SiteId, f64)> = None;
         for attempt in 0..FETCH_ATTEMPTS {
@@ -259,7 +249,7 @@ pub fn run_beacon(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anycast_dns::{LdnsId, ResolverKind};
+    use anycast_dns::{DnsQueryLog, LdnsId, ResolverKind};
     use anycast_netsim::{AccessTech, NetConfig, RouteSnapshot};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -302,7 +292,7 @@ mod tests {
     fn run_one(w: &World, seed: u64) -> (Vec<HttpResult>, AuthoritativeServer<MeasurementPolicy>) {
         let mut a = auth(w);
         let c = client(w);
-        let mut ldns = Ldns::new(
+        let ldns = Ldns::new(
             LdnsId(0),
             ResolverKind::IspLocal,
             c.attachment.location,
@@ -317,7 +307,7 @@ mod tests {
             &w.addressing,
             &w.zone,
             &c,
-            &mut ldns,
+            &ldns,
             c.attachment.location,
             &mut a,
             0,
@@ -364,16 +354,21 @@ mod tests {
         assert_eq!(results[0].served_site, expected);
     }
 
+    /// Each slot resolves once, at its warm-up, and its fetch uses the
+    /// logged answer — retries included.
     #[test]
     fn warm_up_logs_each_name_once() {
         let w = world();
-        let (_, a) = run_one(&w, 4);
-        // One authoritative query per slot (the fetch is a cache hit).
-        assert_eq!(a.log().len(), 4);
-        let mut ids: Vec<u64> = a.log().iter().filter_map(|l| l.measurement_id()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 4);
+        let (rs, a) = run_one(&w, 4);
+        assert_eq!(rs.len(), 4);
+        assert_one_query_per_slot(&rs, a.log());
+        // A retry re-routes, but keeps the address and makes no query.
+        let mut retried = 0;
+        mid_outage_executions(|_, _, rs, log| {
+            assert_one_query_per_slot(rs, log);
+            retried += rs.iter().filter(|r| r.attempts > 1).count();
+        });
+        assert!(retried > 0, "some fetch must retry mid-outage");
     }
 
     #[test]
@@ -411,8 +406,11 @@ mod tests {
         None
     }
 
-    #[test]
-    fn fetches_against_down_front_ends_are_recorded_as_failures() {
+    /// Runs four executions a minute apart for a client in each eyeball
+    /// AS, from the middle of the first scheduled outage of a world whose
+    /// sites fail often, and hands `check` each execution's rows and the
+    /// authoritative log rows it left.
+    fn mid_outage_executions(mut check: impl FnMut(&Internet, Day, &[HttpResult], &[DnsQueryLog])) {
         let cfg = NetConfig {
             p_site_outage: 0.4,
             ..NetConfig::small()
@@ -426,7 +424,6 @@ mod tests {
         let mut auth = AuthoritativeServer::new(policy, false);
         let mut execution = 0u64;
         let mut rng = SmallRng::seed_from_u64(11);
-        let mut saw_failure = false;
         for e in internet.topology().eyeballs() {
             let loc = internet.topology().atlas.metro(e.home_metro).location();
             let c = BeaconClient {
@@ -439,7 +436,7 @@ mod tests {
                 },
             };
             let snap = RouteSnapshot::build(&internet, std::slice::from_ref(&c.attachment), day);
-            let mut ldns = Ldns::new(LdnsId(0), ResolverKind::IspLocal, loc, false);
+            let ldns = Ldns::new(LdnsId(0), ResolverKind::IspLocal, loc, false);
             for i in 0..4u32 {
                 execution += 1;
                 let mut rs = Vec::new();
@@ -449,7 +446,7 @@ mod tests {
                     &addressing,
                     &zone,
                     &c,
-                    &mut ldns,
+                    &ldns,
                     loc,
                     &mut auth,
                     execution,
@@ -458,29 +455,49 @@ mod tests {
                     &mut rs,
                     &mut BeaconTally::default(),
                 );
-                for r in rs {
-                    if r.failed {
-                        saw_failure = true;
-                        assert_eq!(r.attempts, FETCH_ATTEMPTS);
-                        assert_eq!(
-                            r.reported_ms,
-                            f64::from(FETCH_ATTEMPTS) * FETCH_TIMEOUT_MS,
-                            "failed rows report total timeout time"
-                        );
-                        assert!(
-                            internet.outages().is_down(r.served_site, day, r.time_s),
-                            "failure must be attributed to a down site"
-                        );
-                    } else {
-                        assert!(r.reported_ms < FETCH_TIMEOUT_MS);
-                    }
-                }
+                check(&internet, day, &rs, auth.log());
+                auth.clear_log();
             }
         }
+    }
+
+    #[test]
+    fn fetches_against_down_front_ends_are_recorded_as_failures() {
+        let mut saw_failure = false;
+        mid_outage_executions(|internet, day, rs, _| {
+            for r in rs {
+                if r.failed {
+                    saw_failure = true;
+                    assert_eq!(r.attempts, FETCH_ATTEMPTS);
+                    assert_eq!(
+                        r.reported_ms,
+                        f64::from(FETCH_ATTEMPTS) * FETCH_TIMEOUT_MS,
+                        "failed rows report total timeout time"
+                    );
+                    assert!(
+                        internet.outages().is_down(r.served_site, day, r.time_s),
+                        "failure must be attributed to a down site"
+                    );
+                } else {
+                    assert!(r.reported_ms < FETCH_TIMEOUT_MS);
+                }
+            }
+        });
         assert!(
             saw_failure,
             "some fetch must target the down front-end mid-outage"
         );
+    }
+
+    /// An execution's log holds exactly one row per slot id, in slot
+    /// order, and each slot's fetch used that row's answer.
+    fn assert_one_query_per_slot(rs: &[HttpResult], log: &[DnsQueryLog]) {
+        let logged: Vec<Option<u64>> = log.iter().map(DnsQueryLog::measurement_id).collect();
+        let slots: Vec<Option<u64>> = rs.iter().map(|r| Some(r.measurement_id)).collect();
+        assert_eq!(logged, slots, "one authoritative query per slot");
+        for (r, l) in rs.iter().zip(log) {
+            assert_eq!(r.fetched_ip, l.answer, "slot {}", r.measurement_id);
+        }
     }
 
     #[test]
@@ -488,7 +505,7 @@ mod tests {
         let w = world();
         let mut a = auth(&w);
         let c = client(&w);
-        let mut ldns = Ldns::new(
+        let ldns = Ldns::new(
             LdnsId(0),
             ResolverKind::IspLocal,
             c.attachment.location,
@@ -505,7 +522,7 @@ mod tests {
                 &w.addressing,
                 &w.zone,
                 &c,
-                &mut ldns,
+                &ldns,
                 c.attachment.location,
                 &mut a,
                 i,

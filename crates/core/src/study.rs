@@ -39,14 +39,14 @@
 //!    range a block of 512 beacons at a time: the block's beacons
 //!    append to one HTTP buffer and one authoritative log the worker
 //!    owns, it joins the two onto the range's rows, and then empties
-//!    both, and its resolver caches with them, for the next block. A
-//!    row's warm-up query and its fetch happen inside one beacon and
-//!    measurement ids are unique, so a row's DNS half is always in its
-//!    own block, and the join walks the HTTP rows in order: the rows are
-//!    those of a range joined whole. Nothing is handed between threads
-//!    per beacon. Per-worker scratch state (authoritative server,
-//!    resolver caches) is output-transparent: beacon hostnames are
-//!    unique, so resolver caches only ever hit within a single execution.
+//!    both for the next block. A row's one DNS query (its warm-up) and
+//!    its fetch happen inside one beacon and measurement ids are unique,
+//!    so a row's DNS half is always in its own block, and the join walks
+//!    the HTTP rows in order: the rows are those of a range joined whole.
+//!    Nothing is handed between threads per beacon. A worker's own
+//!    authoritative server is output-transparent: its policy is pure and
+//!    keyed by measurement id, and resolvers are the scenario's, shared
+//!    read-only.
 //! 4. **Merge.** The caller appends the ranges' joined rows in range
 //!    order. Ranges are consecutive runs of one sorted list, so the
 //!    dataset is globally time-ordered and **bit-identical for any worker
@@ -62,7 +62,7 @@ use anycast_beacon::{
     join, run_beacon, BeaconClient, BeaconDataset, BeaconMeasurement, BeaconTally,
     MeasurementPolicy, Slot, Target,
 };
-use anycast_dns::{AuthoritativeServer, DnsName, Ldns, LdnsId};
+use anycast_dns::{AuthoritativeServer, DnsName, LdnsId};
 use anycast_geo::GeoPoint;
 use anycast_netsim::stream::run_workers;
 use anycast_netsim::{stream_rng, ClientAttachment, Day, Prefix24, RouteSnapshot, SiteId};
@@ -111,7 +111,8 @@ pub struct StudyConfig {
     /// Candidate-set size for the DNS measurement policy (§3.3's ten).
     /// Affects which targets are measured, hence stream contents.
     pub candidates: usize,
-    /// Measurement answer TTL, seconds (longer than a beacon run).
+    /// TTL written into measurement answers, seconds. The campaign never
+    /// reads it back: a beacon fetches from its warm-up's answer.
     /// Stream-neutral.
     pub ttl_s: u32,
     /// Worker threads for `run_day` (≥ 1). Output bytes never depend on
@@ -156,9 +157,7 @@ pub struct Study {
     dataset: BeaconDataset,
     zone: DnsName,
     cfg: StudyConfig,
-    /// Client prefix → LDNS, fixed for the scenario (built once).
-    ldns_of: HashMap<Prefix24, LdnsId>,
-    /// Client index → LDNS (the hot-path form of `ldns_of`).
+    /// Client index → LDNS (the hot-path form of [`Study::ldns_of`]).
     client_ldns: Vec<LdnsId>,
     /// Resolver id → where the CDN's geolocation database believes the
     /// resolver is (pure per resolver, precomputed).
@@ -171,15 +170,10 @@ pub struct Study {
 impl Study {
     /// Sets up the campaign over a scenario.
     pub fn new(scenario: Scenario, cfg: StudyConfig) -> Study {
-        let ldns_of: HashMap<Prefix24, LdnsId> = scenario
-            .clients
-            .iter()
-            .map(|c| (c.prefix, scenario.ldns.resolver_of(c.prefix)))
-            .collect();
         let client_ldns: Vec<LdnsId> = scenario
             .clients
             .iter()
-            .map(|c| ldns_of[&c.prefix])
+            .map(|c| scenario.ldns.resolver_of(c.prefix))
             .collect();
         let believed: Vec<GeoPoint> = scenario
             .ldns
@@ -204,7 +198,6 @@ impl Study {
             dataset: BeaconDataset::new(),
             zone: DnsName::new("probe.cdn.example").expect("static zone is valid"),
             cfg,
-            ldns_of,
             client_ldns,
             believed,
             attachments,
@@ -419,10 +412,9 @@ impl Study {
     /// to finish on the calling thread, `block` beacons at a time: each
     /// block is run, joined against the log of its own beacons, tallied,
     /// and forgotten. The authoritative server is a clone of the shared
-    /// (pure, id-keyed) policy and resolver replicas are built lazily;
-    /// both are output-transparent, because beacon hostnames are globally
-    /// unique and a resolver cache can only hit within one execution —
-    /// which is also why the rows do not depend on `block`.
+    /// (pure, id-keyed) policy, so it is output-transparent; and beacon
+    /// hostnames are globally unique, so a row's one DNS query is in its
+    /// own block — which is why the rows do not depend on `block`.
     fn run_range(
         &self,
         routes: &RouteSnapshot<'_>,
@@ -434,7 +426,6 @@ impl Study {
         let s = &self.scenario;
         let day = routes.day();
         let mut auth = AuthoritativeServer::new(self.policy.clone(), false);
-        let mut resolvers: HashMap<LdnsId, Ldns> = HashMap::new();
         // Wall time of this worker's beacon executions. Observability
         // only: spans never touch RNG streams or outputs. Like the
         // beacons' own tallies, the span is kept here and merged into the
@@ -457,11 +448,6 @@ impl Study {
                 let start = timed.then(Instant::now);
                 let c = &s.clients[ev.client];
                 let ldns_id = self.client_ldns[ev.client];
-                let ldns = resolvers.entry(ldns_id).or_insert_with(|| {
-                    let r = s.ldns.resolver(ldns_id);
-                    Ldns::new(r.id, r.kind, r.location, r.supports_ecs)
-                        .with_ecs_prefix_len(r.ecs_prefix_len)
-                });
                 let beacon_client = BeaconClient {
                     prefix: c.prefix,
                     attachment: c.attachment,
@@ -478,7 +464,7 @@ impl Study {
                     &s.addressing,
                     &self.zone,
                     &beacon_client,
-                    ldns,
+                    s.ldns.resolver(ldns_id),
                     self.believed[ldns_id.0 as usize],
                     &mut auth,
                     execution,
@@ -499,7 +485,6 @@ impl Study {
             out.failed_rows += http.iter().filter(|r| r.failed).count();
             http.clear();
             auth.clear_log();
-            resolvers.values_mut().for_each(Ldns::clear_cache);
         }
         out
     }
@@ -513,10 +498,10 @@ impl Study {
         }
     }
 
-    /// Client prefix → LDNS map (the DNS side of the §6 LDNS evaluation).
-    /// Fixed for the scenario; built once at [`Study::new`].
+    /// Client prefix → LDNS map (the DNS side of the §6 LDNS evaluation):
+    /// the scenario's assignment, fixed for the scenario.
     pub fn ldns_of(&self) -> &HashMap<Prefix24, LdnsId> {
-        &self.ldns_of
+        &self.scenario.ldns.by_client
     }
 
     /// Client prefix → daily query volume (the figure weighting).

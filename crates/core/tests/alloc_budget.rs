@@ -2,13 +2,13 @@
 //! heap may rise.
 //!
 //! A worker's working set is a block of beacons: hostnames live in their
-//! rows, and the HTTP buffer, the authoritative log, the join map and the
-//! resolver caches are emptied and reused block after block. So a day
-//! allocates per block and per resolver, not per measurement, and what it
-//! holds beyond the rows it keeps is the ranges' rows awaiting the append,
-//! the event list, the route snapshot and one block. Both are budgets
-//! here: a hostname that goes back to the heap costs four allocations a
-//! beacon, a range-sized log or HTTP buffer a multiple of the rows.
+//! rows, and the HTTP buffer, the authoritative log and the join map are
+//! emptied and reused block after block. So a day allocates per block,
+//! not per measurement, and what it holds beyond the rows it keeps is the
+//! ranges' rows awaiting the append, the event list, the route snapshot
+//! and one block. Both are budgets here: a hostname that goes back to the
+//! heap costs four allocations a beacon, a range-sized log or HTTP buffer
+//! a multiple of the rows.
 //!
 //! A dedicated integration-test binary, one test: the counting allocator
 //! is this binary's alone (every library crate forbids `unsafe`), and
@@ -91,10 +91,8 @@ fn a_day_allocates_by_the_block_and_holds_little_beyond_its_rows() {
     let rows = study.dataset().len();
     let beacons = rows / 4;
     assert!(beacons > 10_000, "only {beacons} beacons");
-    assert!(
-        calls <= 3 * beacons,
-        "{calls} allocations for {beacons} beacons"
-    );
+    // Measured 5,908 on this seed; the bound is that plus 5%.
+    assert!(calls <= 6_204, "{calls} allocations for {beacons} beacons");
     let kept = rows * std::mem::size_of::<BeaconMeasurement>();
     let transient = peak - after;
     assert!(

@@ -70,13 +70,8 @@ impl<P: RedirectionPolicy> AuthoritativeServer<P> {
         }
     }
 
-    /// Whether ECS is honored.
-    pub fn ecs_enabled(&self) -> bool {
-        self.ecs_enabled
-    }
-
     /// Resolves one query: consults the policy, appends to the query log,
-    /// returns the answer the LDNS should cache.
+    /// returns the answer.
     pub fn resolve(
         &mut self,
         qname: &DnsName,

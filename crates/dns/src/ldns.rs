@@ -12,9 +12,12 @@
 //!   geographically disparate sets of clients" and are the motivating case
 //!   for ECS.
 //!
-//! [`Ldns`] models both: a location, an ECS capability flag (public
-//! resolvers pioneered ECS), and a TTL cache shared by all clients of the
-//! resolver — the root of the LDNS-granularity imprecision.
+//! [`Ldns`] models both: a location and an ECS capability flag (public
+//! resolvers pioneered ECS). LDNS-granularity imprecision comes from the
+//! grouping — every client of a resolver looks alike to an authoritative
+//! server that sees no ECS — and from where the CDN *believes* the resolver
+//! is, which is what a query hands the policy. A resolver keeps no answer
+//! cache: each beacon name is unique and queried once (§3.2.2).
 
 use std::net::Ipv4Addr;
 
@@ -22,7 +25,6 @@ use anycast_geo::GeoPoint;
 use anycast_netsim::{Day, Prefix, Prefix24};
 
 use crate::authoritative::{AuthoritativeServer, RedirectionPolicy};
-use crate::cache::DnsCache;
 use crate::ecs::EcsOption;
 use crate::name::DnsName;
 
@@ -45,18 +47,8 @@ pub enum ResolverKind {
     Public,
 }
 
-/// The outcome of one resolution through an LDNS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Resolution {
-    /// Address handed to the client.
-    pub addr: Ipv4Addr,
-    /// Whether the answer came from the resolver cache (no authoritative
-    /// query was made — and hence no authoritative log row exists).
-    pub cache_hit: bool,
-}
-
 /// A recursive resolver.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ldns {
     /// This resolver's id.
     pub id: LdnsId,
@@ -72,15 +64,9 @@ pub struct Ldns {
     /// for privacy (RFC 7871 §11.1), which is what the serving plane's
     /// longest-prefix-match tables exist to answer correctly.
     pub ecs_prefix_len: u8,
-    cache: DnsCache,
 }
 
 impl Ldns {
-    /// Cache bound per resolver. The beacon's unique hostnames would grow
-    /// an unbounded cache linearly over a month-long campaign; real
-    /// resolvers cap theirs.
-    const CACHE_CAPACITY: usize = 100_000;
-
     /// Creates a resolver forwarding full /24 ECS (when it forwards ECS at
     /// all).
     pub fn new(id: LdnsId, kind: ResolverKind, location: GeoPoint, supports_ecs: bool) -> Ldns {
@@ -90,72 +76,32 @@ impl Ldns {
             location,
             supports_ecs,
             ecs_prefix_len: 24,
-            cache: DnsCache::with_capacity(Self::CACHE_CAPACITY),
         }
     }
 
-    /// Sets the SOURCE PREFIX-LENGTH this resolver truncates ECS to
-    /// (clamped to 1–24; a resolver that wants no ECS at all clears
-    /// `supports_ecs` instead).
-    pub fn with_ecs_prefix_len(mut self, len: u8) -> Ldns {
-        self.ecs_prefix_len = len.clamp(1, 24);
-        self
-    }
-
-    /// Resolves `qname` on behalf of a client in `client_prefix`,
-    /// consulting the cache first and the authoritative server on a miss.
+    /// Resolves `qname` on behalf of a client in `client_prefix`: forwards
+    /// the query to the authoritative server — with the client's subnet,
+    /// truncated to `ecs_prefix_len`, when this resolver sends ECS (a
+    /// server with ECS off strips it) — and returns the answered address.
     ///
     /// `believed_location` is where the *CDN's geolocation database* places
     /// this LDNS (which may differ from `self.location`); it is what gets
     /// passed to the redirection policy, faithfully reproducing the
     /// geolocation-error exposure of real LDNS-based redirection.
-    #[allow(clippy::too_many_arguments)]
     pub fn resolve<P: RedirectionPolicy>(
-        &mut self,
+        &self,
         qname: &DnsName,
         client_prefix: Prefix24,
         believed_location: GeoPoint,
         auth: &mut AuthoritativeServer<P>,
         day: Day,
         time_s: f64,
-    ) -> Resolution {
-        let now_s = f64::from(day.0) * 86_400.0 + time_s;
-        let ecs_active = self.supports_ecs && auth.ecs_enabled();
-        let cache_scope = if ecs_active {
-            Some(client_prefix)
-        } else {
-            None
-        };
-        if let Some(addr) = self.cache.get(qname, cache_scope, now_s) {
-            return Resolution {
-                addr,
-                cache_hit: true,
-            };
-        }
-        let ecs = ecs_active.then(|| {
+    ) -> Ipv4Addr {
+        let ecs = self.supports_ecs.then(|| {
             EcsOption::for_subnet(Prefix::from(client_prefix).truncate(self.ecs_prefix_len))
         });
-        let answer = auth.resolve(qname, self.id, believed_location, ecs, day, time_s);
-        // Per RFC 7871 the cache scope follows the *answer's* scope: a
-        // global answer (scope 0) is shared across subnets even if we sent
-        // ECS.
-        let store_scope = (ecs_active && answer.ecs_scope > 0).then_some(client_prefix);
-        self.cache
-            .put(qname.clone(), store_scope, answer.addr, answer.ttl_s, now_s);
-        Resolution {
-            addr: answer.addr,
-            cache_hit: false,
-        }
-    }
-
-    /// Forgets every cached answer (the statistics stay).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Cache statistics `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        auth.resolve(qname, self.id, believed_location, ecs, day, time_s)
+            .addr
     }
 }
 
@@ -165,18 +111,15 @@ mod tests {
     use crate::authoritative::QueryContext;
     use crate::record::DnsAnswer;
 
-    fn counting_policy(counter: std::rc::Rc<std::cell::Cell<u32>>) -> impl RedirectionPolicy {
-        move |q: &QueryContext<'_>| {
-            counter.set(counter.get() + 1);
-            match q.ecs {
-                Some(e) => {
-                    // Vary the answer by subnet so scope separation is
-                    // observable.
-                    let last = (e.prefix.raw() >> 8) as u8;
-                    DnsAnswer::subnet_scoped(Ipv4Addr::new(10, 0, 0, last), 300)
-                }
-                None => DnsAnswer::global(Ipv4Addr::new(10, 0, 0, 0), 300),
+    /// Answers an ECS query with an address naming its subnet's third
+    /// octet, and any other query with one shared address.
+    fn by_subnet(q: &QueryContext<'_>) -> DnsAnswer {
+        match q.ecs {
+            Some(e) => {
+                let last = (e.prefix.raw() >> 8) as u8;
+                DnsAnswer::subnet_scoped(Ipv4Addr::new(10, 0, 0, last), 300)
             }
+            None => DnsAnswer::global(Ipv4Addr::new(10, 0, 0, 0), 300),
         }
     }
 
@@ -184,67 +127,40 @@ mod tests {
         Prefix24::containing(Ipv4Addr::new(100, 0, n, 1))
     }
 
-    #[test]
-    fn cache_hit_skips_authoritative() {
-        let hits = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut auth = AuthoritativeServer::new(counting_policy(hits.clone()), false);
-        let mut ldns = Ldns::new(
-            LdnsId(0),
-            ResolverKind::IspLocal,
-            GeoPoint::new(0.0, 0.0),
-            false,
-        );
-        let qname = DnsName::new("www.cdn.example").unwrap();
-        let r1 = ldns.resolve(&qname, prefix(1), ldns.location, &mut auth, Day(0), 0.0);
-        assert!(!r1.cache_hit);
-        let r2 = ldns.resolve(&qname, prefix(2), ldns.location, &mut auth, Day(0), 10.0);
-        assert!(r2.cache_hit);
-        assert_eq!(r1.addr, r2.addr);
-        assert_eq!(hits.get(), 1, "authoritative must be hit exactly once");
-        assert_eq!(auth.log().len(), 1);
+    fn qname() -> DnsName {
+        DnsName::new("www.cdn.example").unwrap()
+    }
+
+    fn resolver(id: u32, kind: ResolverKind, supports_ecs: bool) -> Ldns {
+        Ldns::new(LdnsId(id), kind, GeoPoint::new(0.0, 0.0), supports_ecs)
     }
 
     #[test]
-    fn ttl_expiry_forces_refetch() {
-        let hits = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut auth = AuthoritativeServer::new(counting_policy(hits.clone()), false);
-        let mut ldns = Ldns::new(
-            LdnsId(0),
-            ResolverKind::IspLocal,
-            GeoPoint::new(0.0, 0.0),
-            false,
-        );
-        let qname = DnsName::new("www.cdn.example").unwrap();
-        ldns.resolve(&qname, prefix(1), ldns.location, &mut auth, Day(0), 0.0);
-        // 300s TTL: a query 400s later misses.
-        let r = ldns.resolve(&qname, prefix(1), ldns.location, &mut auth, Day(0), 400.0);
-        assert!(!r.cache_hit);
-        assert_eq!(hits.get(), 2);
+    fn ecs_is_forwarded_per_subnet_and_logged() {
+        let mut auth = AuthoritativeServer::new(by_subnet, true);
+        let ldns = resolver(1, ResolverKind::Public, true);
+        let q = qname();
+        let a1 = ldns.resolve(&q, prefix(1), ldns.location, &mut auth, Day(0), 0.0);
+        let a2 = ldns.resolve(&q, prefix(2), ldns.location, &mut auth, Day(0), 1.0);
+        assert_ne!(a1, a2, "answers are subnet-specific");
+        // Each resolution is one authoritative query, logged with the /24
+        // it forwarded and the address it answered.
+        let logged: Vec<_> = auth.log().iter().map(|r| (r.ecs, r.answer)).collect();
+        let sent = |n| Some(Prefix::from(prefix(n)));
+        assert_eq!(logged, vec![(sent(1), a1), (sent(2), a2)]);
     }
 
     #[test]
-    fn ecs_separates_subnets_in_cache() {
-        let hits = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut auth = AuthoritativeServer::new(counting_policy(hits.clone()), true);
-        let mut ldns = Ldns::new(
-            LdnsId(1),
-            ResolverKind::Public,
-            GeoPoint::new(0.0, 0.0),
-            true,
-        );
-        let qname = DnsName::new("www.cdn.example").unwrap();
-        let r1 = ldns.resolve(&qname, prefix(1), ldns.location, &mut auth, Day(0), 0.0);
-        let r2 = ldns.resolve(&qname, prefix(2), ldns.location, &mut auth, Day(0), 1.0);
-        assert!(
-            !r1.cache_hit && !r2.cache_hit,
-            "different subnets both miss"
-        );
-        assert_ne!(r1.addr, r2.addr, "answers are subnet-specific");
-        // Same subnet again: cached.
-        let r3 = ldns.resolve(&qname, prefix(1), ldns.location, &mut auth, Day(0), 2.0);
-        assert!(r3.cache_hit);
-        assert_eq!(r3.addr, r1.addr);
-        assert_eq!(hits.get(), 2);
+    fn ecs_is_stripped_when_the_server_has_it_off() {
+        let policy = |q: &QueryContext<'_>| {
+            assert!(q.ecs.is_none(), "a server with ECS off never sees it");
+            by_subnet(q)
+        };
+        let mut auth = AuthoritativeServer::new(policy, false);
+        let ldns = resolver(1, ResolverKind::Public, true);
+        let addr = ldns.resolve(&qname(), prefix(1), ldns.location, &mut auth, Day(0), 0.0);
+        assert_eq!(addr, Ipv4Addr::new(10, 0, 0, 0));
+        assert_eq!(auth.log()[0].ecs, None);
     }
 
     #[test]
@@ -254,14 +170,8 @@ mod tests {
             DnsAnswer::global(Ipv4Addr::new(1, 1, 1, 1), 60)
         };
         let mut auth = AuthoritativeServer::new(policy, true);
-        let mut ldns = Ldns::new(
-            LdnsId(2),
-            ResolverKind::IspLocal,
-            GeoPoint::new(0.0, 0.0),
-            false,
-        );
-        let qname = DnsName::new("www.cdn.example").unwrap();
-        ldns.resolve(&qname, prefix(3), ldns.location, &mut auth, Day(0), 0.0);
+        let ldns = resolver(2, ResolverKind::IspLocal, false);
+        ldns.resolve(&qname(), prefix(3), ldns.location, &mut auth, Day(0), 0.0);
         assert_eq!(auth.log()[0].ecs, None);
     }
 
@@ -276,41 +186,12 @@ mod tests {
             DnsAnswer::global(Ipv4Addr::new(1, 1, 1, 1), 60)
         };
         let mut auth = AuthoritativeServer::new(policy, true);
-        let mut ldns = Ldns::new(
-            LdnsId(3),
-            ResolverKind::Public,
-            GeoPoint::new(0.0, 0.0),
-            true,
-        )
-        .with_ecs_prefix_len(16);
-        let qname = DnsName::new("www.cdn.example").unwrap();
-        ldns.resolve(&qname, prefix(1), ldns.location, &mut auth, Day(0), 0.0);
+        let ldns = Ldns {
+            ecs_prefix_len: 16,
+            ..resolver(3, ResolverKind::Public, true)
+        };
+        ldns.resolve(&qname(), prefix(1), ldns.location, &mut auth, Day(0), 0.0);
         let logged = auth.log()[0].ecs.expect("logged ECS");
         assert_eq!(logged.len(), 16);
-    }
-
-    #[test]
-    fn cross_day_time_is_absolute() {
-        let hits = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut auth = AuthoritativeServer::new(counting_policy(hits.clone()), false);
-        let mut ldns = Ldns::new(
-            LdnsId(0),
-            ResolverKind::IspLocal,
-            GeoPoint::new(0.0, 0.0),
-            false,
-        );
-        let qname = DnsName::new("www.cdn.example").unwrap();
-        // Cached at the very end of day 0 ...
-        ldns.resolve(
-            &qname,
-            prefix(1),
-            ldns.location,
-            &mut auth,
-            Day(0),
-            86_399.0,
-        );
-        // ... still valid 100 s into day 1 (TTL 300).
-        let r = ldns.resolve(&qname, prefix(1), ldns.location, &mut auth, Day(1), 100.0);
-        assert!(r.cache_hit);
     }
 }

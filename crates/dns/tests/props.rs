@@ -1,10 +1,8 @@
 //! Property tests for the DNS substrate.
 
-use anycast_dns::{
-    AuthoritativeServer, DnsAnswer, DnsCache, DnsName, Ldns, LdnsId, QueryContext, ResolverKind,
-};
+use anycast_dns::{AuthoritativeServer, DnsAnswer, DnsName, LdnsId, QueryContext};
 use anycast_geo::GeoPoint;
-use anycast_netsim::{Day, Prefix24};
+use anycast_netsim::Day;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -37,21 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn cache_respects_ttl_boundaries(ttl in 1u32..86_400, put_at in 0.0..1e6f64, delta in 0.0..1e5f64) {
-        let mut cache = DnsCache::new();
-        let name = DnsName::new("a.cdn.example").unwrap();
-        let ip = Ipv4Addr::new(203, 0, 113, 1);
-        cache.put(name.clone(), None, ip, ttl, put_at);
-        let probe = put_at + delta;
-        let hit = cache.get(&name, None, probe);
-        if delta < f64::from(ttl) {
-            prop_assert_eq!(hit, Some(ip));
-        } else {
-            prop_assert_eq!(hit, None);
-        }
-    }
-
-    #[test]
     fn authoritative_logs_every_query(n in 1usize..50) {
         let policy = |_q: &QueryContext<'_>| DnsAnswer::global(Ipv4Addr::new(1, 1, 1, 1), 60);
         let mut server = AuthoritativeServer::new(policy, false);
@@ -65,22 +48,6 @@ proptest! {
         for (i, row) in server.log().iter().enumerate() {
             prop_assert_eq!(row.measurement_id(), Some(i as u64));
         }
-    }
-
-    #[test]
-    fn resolver_caches_within_ttl(gap_s in 0.0..250.0f64) {
-        // TTL 300: any second query within 250s must be a cache hit.
-        let policy = |_q: &QueryContext<'_>| DnsAnswer::global(Ipv4Addr::new(9, 9, 9, 9), 300);
-        let mut server = AuthoritativeServer::new(policy, false);
-        let mut ldns = Ldns::new(LdnsId(0), ResolverKind::IspLocal, GeoPoint::new(0.0, 0.0), false);
-        let qname = DnsName::new("www.cdn.example").unwrap();
-        let prefix = Prefix24::containing(Ipv4Addr::new(11, 0, 0, 1));
-        let first = ldns.resolve(&qname, prefix, ldns.location, &mut server, Day(0), 0.0);
-        prop_assert!(!first.cache_hit);
-        let second = ldns.resolve(&qname, prefix, ldns.location, &mut server, Day(0), gap_s);
-        prop_assert!(second.cache_hit);
-        prop_assert_eq!(first.addr, second.addr);
-        prop_assert_eq!(server.log().len(), 1);
     }
 }
 

@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use anycast_core::prediction::{Grouping, Predictor, PredictorConfig};
 use anycast_core::{Study, StudyConfig};
-use anycast_dns::cache::DnsCache;
 use anycast_dns::{DnsAnswer, LdnsId};
 use anycast_netsim::Day;
 use anycast_serve::client::WireClient;
@@ -475,7 +474,7 @@ fn ldns_keyed_tables_serve_scope_zero_on_the_wire() {
 fn hot_swap_and_ttl_control_retention_through_the_wire() {
     // A TableStore behind the server: swapping tables changes answers
     // without restart, and the served TTL controls client-side retention
-    // (a 0-TTL answer must never be cached).
+    // (a 0-TTL answer is never kept).
     let scenario = Scenario::small(44);
     let plan = scenario.addressing;
     let vip = plan.anycast_ip();
@@ -501,15 +500,14 @@ fn hot_swap_and_ttl_control_retention_through_the_wire() {
         let qname = service_qname();
         let mut client =
             WireClient::bind(ldns_source_addr(LdnsId(0)), server.local_addr()).expect("bind");
-        let mut cache = DnsCache::new();
 
-        // First query: miss, VIP answer, cached with the served TTL.
+        // First query at t0: the VIP, with the served TTL. The client
+        // keeps an answer received at t0 while `now < t0 + ttl_s`.
         let t0 = 100.0;
-        assert_eq!(cache.get(&qname, None, t0), None);
         let a = client.query(&qname, None).expect("first query");
         assert_eq!(a.addr, vip);
         assert_eq!(a.ttl_s, ttl);
-        cache.put(qname.clone(), None, a.addr, a.ttl_s, t0);
+        let kept = |now: f64| now < t0 + f64::from(a.ttl_s);
 
         // Retrain: the predictor now redirects LDNS 0 to site 0. Swap the
         // table while the server keeps running.
@@ -543,24 +541,21 @@ fn hot_swap_and_ttl_control_retention_through_the_wire() {
         };
         store.swap(CompiledTable::compile(&table, Grouping::Ldns, plan, ttl, 1));
 
-        // A client still inside the TTL keeps the stale VIP answer; with
-        // TTL 0 nothing was retained and the swap is visible immediately.
+        // A client still inside the TTL keeps the stale VIP answer and
+        // does not ask; with TTL 0 nothing was kept, so it re-queries and
+        // sees the swap immediately.
         let t1 = t0 + 1.0;
-        match cache.get(&qname, None, t1) {
-            Some(addr) => {
-                assert!(expect_stale_hit, "0-TTL answer must not be cached");
-                assert_eq!(addr, vip, "cache serves the pre-swap answer");
-            }
-            None => {
-                assert!(!expect_stale_hit, "300s answer must still be cached at +1s");
-                let b = client.query(&qname, None).expect("re-query");
-                assert_eq!(b.addr, site0, "post-swap answer reaches the wire");
-            }
+        if kept(t1) {
+            assert!(expect_stale_hit, "0-TTL answer must not be kept");
+        } else {
+            assert!(!expect_stale_hit, "300s answer must still be kept at +1s");
+            let b = client.query(&qname, None).expect("re-query");
+            assert_eq!(b.addr, site0, "post-swap answer reaches the wire");
         }
 
         // Past expiry both variants observe the new table.
         let t2 = t0 + f64::from(ttl) + 1.0;
-        assert_eq!(cache.get(&qname, None, t2), None, "entry expired");
+        assert!(!kept(t2), "answer expired");
         let c = client.query(&qname, None).expect("post-expiry query");
         assert_eq!(c.addr, site0);
         drop(server);

@@ -1,5 +1,5 @@
 //! A table trained on a real campaign, compiled as the server serves it,
-//! and resolved through the real DNS stack (resolver cache → authoritative
+//! and resolved through the real DNS stack (resolver → authoritative
 //! server → compiled table), not called directly.
 
 mod common;
@@ -51,10 +51,9 @@ fn resolve(scenario: &Scenario, idx: usize, compiled: &CompiledTable, ecs: bool)
         ResolverKind::IspLocal
     };
     let location = client.attachment.location;
-    let mut ldns = Ldns::new(LdnsId(0), kind, location, ecs);
+    let ldns = Ldns::new(LdnsId(0), kind, location, ecs);
     let qname = DnsName::new("www.cdn.example").unwrap();
-    let resolution = ldns.resolve(&qname, client.prefix, location, &mut auth, Day(0), 0.0);
-    resolution.addr
+    ldns.resolve(&qname, client.prefix, location, &mut auth, Day(0), 0.0)
 }
 
 #[test]

@@ -71,19 +71,4 @@ fn main() {
         "  best unicast = {best_site} ({best_rtt:.0} ms); penalty {:+.0} ms",
         sample.anycast_penalty_ms().unwrap()
     );
-
-    // The DNS side: how hard the warm-up works.
-    let (hits, misses) = study
-        .scenario()
-        .ldns
-        .resolvers
-        .iter()
-        .fold((0u64, 0u64), |(h, m), r| {
-            let (rh, rm) = r.cache_stats();
-            (h + rh, m + rm)
-        });
-    println!(
-        "\nLDNS cache traffic: {hits} hits / {misses} misses \
-         (each beacon warm-up misses once, each timed fetch hits)"
-    );
 }
