@@ -7,8 +7,7 @@
 //! per prefix: the number of days it was poor, and the longest run of
 //! *consecutive* poor days.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
 /// Persistence of poor performance for one prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,13 +18,13 @@ pub struct Persistence {
     pub max_consecutive: u32,
 }
 
-/// Computes persistence per key from `(key, day)` poor observations.
-/// Duplicate `(key, day)` pairs are tolerated (a prefix is poor on a day or
-/// not, however many measurements said so).
-pub fn persistence_by_key<K: Copy + Eq + Hash>(
+/// Computes persistence per key from `(key, day)` poor observations, in
+/// key order. Duplicate `(key, day)` pairs are tolerated (a prefix is poor
+/// on a day or not, however many measurements said so).
+pub fn persistence_by_key<K: Copy + Ord>(
     poor_days: impl IntoIterator<Item = (K, u32)>,
-) -> HashMap<K, Persistence> {
-    let mut days: HashMap<K, Vec<u32>> = HashMap::new();
+) -> BTreeMap<K, Persistence> {
+    let mut days: BTreeMap<K, Vec<u32>> = BTreeMap::new();
     for (k, d) in poor_days {
         days.entry(k).or_default().push(d);
     }
@@ -129,7 +128,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let p: HashMap<u32, Persistence> = persistence_by_key(std::iter::empty::<(u32, u32)>());
+        let p: BTreeMap<u32, Persistence> = persistence_by_key(std::iter::empty::<(u32, u32)>());
         assert!(p.is_empty());
     }
 }

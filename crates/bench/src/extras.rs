@@ -23,7 +23,8 @@ use anycast_control::capacity::{busiest, withdraw};
 use anycast_control::CapacityPlan;
 use anycast_core::flows::{disruption_rate, FlowModel};
 use anycast_core::{
-    anycast_request, request_times, DnsRedirectionSim, FailureReason, Grouping, PredictorConfig,
+    anycast_request, request_times, DnsRedirectionSim, EvalRow, FailureReason, Grouping,
+    PredictorConfig,
 };
 use anycast_dns::ResolverKind;
 use anycast_geo::GeoPoint;
@@ -39,8 +40,8 @@ pub fn ldns_distance(scale: Scale, seed: u64) -> FigureResult {
     let s = scenario(scale, seed);
     let mut isp: Vec<(f64, f64)> = Vec::new();
     let mut public: Vec<(f64, f64)> = Vec::new();
-    for c in &s.clients {
-        let r = s.ldns.resolver(s.ldns.resolver_of(c.prefix));
+    for (i, c) in s.clients.iter().enumerate() {
+        let r = s.ldns.resolver(s.ldns.resolver_of(i));
         let d = c.attachment.location.haversine_km(&r.location);
         let entry = (d.max(1.0), c.volume as f64);
         match r.kind {
@@ -175,20 +176,19 @@ pub fn ecs_adoption(scale: Scale, seed: u64) -> FigureResult {
 
         // ECS reach: share of demand whose resolver forwards its subnet.
         let s = trial.scenario();
-        let forwards_ecs = |prefix| s.ldns.resolver(s.ldns.resolver_of(prefix)).supports_ecs;
+        let forwards_ecs = |client| s.ldns.resolver(s.ldns.resolver_of(client)).supports_ecs;
         let total_volume: f64 = s.clients.iter().map(|c| c.volume as f64).sum();
-        let reachable: f64 = s
-            .clients
-            .iter()
-            .filter(|c| forwards_ecs(c.prefix))
-            .map(|c| c.volume as f64)
+        let reachable: f64 = (0..s.clients.len())
+            .filter(|&i| forwards_ecs(i))
+            .map(|i| s.clients[i].volume as f64)
             .sum();
         reach_pts.push((adoption, reachable / total_volume));
 
         // Prediction benefit, counting unreachable clients as unchanged.
         let table = trial.train(PredictorConfig::default(), Day(0));
         let mut rows = trial.rows(&table, Grouping::Ecs, Day(1));
-        for row in rows.iter_mut().filter(|row| !forwards_ecs(row.prefix)) {
+        let ecs_reaches = |row: &EvalRow| s.client_index(row.prefix).is_some_and(forwards_ecs);
+        for row in rows.iter_mut().filter(|row| !ecs_reaches(row)) {
             // No ECS from this client's resolver: the prediction cannot
             // reach it; it stays on anycast.
             row.improvement_p50_ms = 0.0;

@@ -38,8 +38,8 @@ pub fn best_within_nearest(
     rng: &mut SmallRng,
 ) -> Vec<Vec<f64>> {
     let mut per_client = Vec::with_capacity(s.clients.len());
-    for c in &s.clients {
-        let ldns_id = s.ldns.resolver_of(c.prefix);
+    for (i, c) in s.clients.iter().enumerate() {
+        let ldns_id = s.ldns.resolver_of(i);
         let believed = ldns_assign::believed_ldns_location(s.ldns.resolver(ldns_id), &s.geodb);
         let mut best = f64::INFINITY;
         let mut row = Vec::with_capacity(k);

@@ -6,12 +6,10 @@
 //! anycast measurements are 100ms or more slower than the best unicast for
 //! the client" (§5). Three curves: Europe, World, United States.
 
-use std::collections::HashMap;
-
 use anycast_analysis::cdf::{linear_grid, Ecdf};
 use anycast_analysis::report::Series;
-use anycast_geo::{Region, Scope};
-use anycast_netsim::{Day, Prefix24};
+use anycast_geo::Scope;
+use anycast_netsim::Day;
 
 use crate::worlds::{figure_days, study, Scale};
 use crate::FigureResult;
@@ -25,22 +23,15 @@ pub fn compute(scale: Scale, seed: u64) -> FigureResult {
     let mut st = study(scale, seed);
     st.run_days(Day(0), figure_days(scale, PAPER_DAYS));
 
-    // Scope lookup per prefix.
-    let scope_of: HashMap<Prefix24, (&'static str, Region)> = st
-        .scenario()
-        .clients
-        .iter()
-        .map(|c| (c.prefix, (c.country, c.region)))
-        .collect();
-
+    let s = st.scenario();
     let executions = st.dataset().executions();
     let grid = linear_grid(0.0, 100.0, 20);
     let mut series = Vec::new();
     let mut scalars = Vec::new();
     for scope in Scope::FIGURE3 {
         let penalties = executions.iter().filter_map(|e| {
-            let (country, region) = scope_of.get(&e.prefix)?;
-            if !scope.contains(country, *region) {
+            let client = &s.clients[s.client_index(e.prefix)?];
+            if !scope.contains(client.country, client.region) {
                 return None;
             }
             e.anycast_penalty_ms()

@@ -23,26 +23,21 @@ pub fn compute(scale: Scale, seed: u64) -> FigureResult {
     let mut rng = rng_for(seed, 0xf164);
     let records = s.generate_passive_day(Day(0), &mut rng);
 
-    // Per prefix: the day's majority serving site, the believed client
+    // Per client: the day's majority serving site, the believed client
     // location (what the CDN's geolocation reports), and the query volume.
-    let serving = daily_serving_site(&records);
-    let volumes = query_volume(&records);
+    let serving = daily_serving_site(&records, s.clients.len());
+    let volumes = query_volume(&records, s.clients.len());
     let mut to_fe: Vec<(f64, f64)> = Vec::new(); // (km, weight)
     let mut past_closest: Vec<(f64, f64)> = Vec::new();
-    for (prefix, days) in &serving {
+    for (client, days) in serving.iter().enumerate() {
         let Some(&site) = days.get(&Day(0)) else {
             continue;
         };
-        let Some(rec) = records.iter().find(|r| r.prefix == *prefix) else {
-            continue;
-        };
-        let weight = volumes.get(prefix).copied().unwrap_or(1) as f64;
-        let d_fe = deployment
-            .front_end(site)
-            .location
-            .haversine_km(&rec.location);
+        let location = s.believed_location(client);
+        let weight = volumes[client] as f64;
+        let d_fe = deployment.front_end(site).location.haversine_km(&location);
         let d_closest = deployment
-            .nearest(&rec.location, 1)
+            .nearest(&location, 1)
             .first()
             .map(|&(_, d)| d)
             .unwrap_or(0.0);

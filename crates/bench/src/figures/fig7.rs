@@ -10,10 +10,9 @@
 
 use anycast_analysis::affinity::{cumulative_switch_curve, ClientObservations};
 use anycast_analysis::report::Series;
-use anycast_netsim::{Day, Prefix24, SiteId};
+use anycast_netsim::{Day, SiteId};
 use anycast_workload::record::{daily_serving_site, sites_seen};
-use anycast_workload::PassiveRecord;
-use std::collections::HashMap;
+use anycast_workload::Scenario;
 
 use crate::worlds::{rng_for, scenario, Scale};
 use crate::FigureResult;
@@ -21,51 +20,41 @@ use crate::FigureResult;
 /// The week of passive data.
 pub const WEEK_DAYS: u32 = 7;
 
-/// Builds the per-client observations for the week (shared with Figure 8),
-/// with the week's records in day order.
-pub fn week_observations(
-    scale: Scale,
-    seed: u64,
-) -> (
-    Vec<PassiveRecord>,
-    HashMap<Prefix24, ClientObservations<SiteId>>,
-) {
-    let s = scenario(scale, seed);
+/// Builds each client's observations over the week (shared with Figure
+/// 8), indexed by client. A client never served that week has none. Each
+/// day's records are dropped once they are counted.
+pub fn week_observations(s: &Scenario, seed: u64) -> Vec<ClientObservations<SiteId>> {
+    let n = s.clients.len();
     let mut rng = rng_for(seed, 0xf167);
-    let mut records = Vec::new();
+    let mut observations = vec![
+        ClientObservations {
+            daily_sites: Vec::new(),
+            multi_site_days: Vec::new(),
+        };
+        n
+    ];
     for day in Day(0).span(WEEK_DAYS) {
-        records.extend(s.generate_passive_day(day, &mut rng));
-    }
-    let serving = daily_serving_site(&records);
-    let mut multi: HashMap<Prefix24, Vec<u32>> = HashMap::new();
-    for day in Day(0).span(WEEK_DAYS) {
-        for (prefix, sites) in sites_seen(&records, day) {
-            if sites.len() > 1 {
-                multi.entry(prefix).or_default().push(day.0);
+        let records = s.generate_passive_day(day, &mut rng);
+        let serving = daily_serving_site(&records, n);
+        let seen = sites_seen(&records, day, n);
+        for ((obs, serving), seen) in observations.iter_mut().zip(serving).zip(seen) {
+            obs.daily_sites
+                .extend(serving.get(&day).map(|&site| (day.0, site)));
+            if seen.len() > 1 {
+                obs.multi_site_days.push(day.0);
             }
         }
     }
-    let observations: HashMap<Prefix24, ClientObservations<SiteId>> = serving
-        .into_iter()
-        .map(|(prefix, days)| {
-            let daily_sites: Vec<(u32, SiteId)> = days.into_iter().map(|(d, s)| (d.0, s)).collect();
-            let multi_site_days = multi.remove(&prefix).unwrap_or_default();
-            (
-                prefix,
-                ClientObservations {
-                    daily_sites,
-                    multi_site_days,
-                },
-            )
-        })
-        .collect();
-    (records, observations)
+    observations
 }
 
 /// Computes the figure.
 pub fn compute(scale: Scale, seed: u64) -> FigureResult {
-    let (_, observations) = week_observations(scale, seed);
-    let clients: Vec<ClientObservations<SiteId>> = observations.into_values().collect();
+    let observations = week_observations(&scenario(scale, seed), seed);
+    let clients: Vec<ClientObservations<SiteId>> = observations
+        .into_iter()
+        .filter(|obs| !obs.daily_sites.is_empty())
+        .collect();
     let days: Vec<u32> = (0..WEEK_DAYS).collect();
     let curve = cumulative_switch_curve(&clients, &days);
 

@@ -8,9 +8,6 @@
 use anycast_analysis::cdf::{log2_grid, Ecdf};
 use anycast_analysis::report::Series;
 use anycast_core::Deployment;
-use anycast_geo::GeoPoint;
-use anycast_netsim::Prefix24;
-use std::collections::HashMap;
 
 use crate::figures::fig7::week_observations;
 use crate::worlds::{scenario, Scale};
@@ -20,22 +17,14 @@ use crate::FigureResult;
 pub fn compute(scale: Scale, seed: u64) -> FigureResult {
     let s = scenario(scale, seed);
     let deployment = Deployment::of(&s.internet);
-    let (records, observations) = week_observations(scale, seed);
-
-    // Believed client locations (first record of the week per prefix).
-    let mut client_loc: HashMap<Prefix24, GeoPoint> = HashMap::new();
-    for r in &records {
-        client_loc.entry(r.prefix).or_insert(r.location);
-    }
+    let observations = week_observations(&s, seed);
 
     let mut deltas: Vec<f64> = Vec::new();
-    for (prefix, obs) in &observations {
-        let Some(loc) = client_loc.get(prefix) else {
-            continue;
-        };
+    for (client, obs) in observations.iter().enumerate() {
+        let loc = s.believed_location(client);
         for (_, from, to) in obs.switches() {
-            let d_from = deployment.front_end(from).location.haversine_km(loc);
-            let d_to = deployment.front_end(to).location.haversine_km(loc);
+            let d_from = deployment.front_end(from).location.haversine_km(&loc);
+            let d_to = deployment.front_end(to).location.haversine_km(&loc);
             deltas.push((d_to - d_from).abs());
         }
     }

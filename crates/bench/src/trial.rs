@@ -8,14 +8,13 @@
 //! through here, and every probe-schedule sweep (anycast VIP against a DNS
 //! answer cache) goes through [`replay`].
 
-use std::collections::HashMap;
-
 use anycast_core::evaluation::outcome_shares;
 use anycast_core::{
     evaluate_prediction, EvalRow, FailureReason, Grouping, PredictionTable, Predictor,
-    PredictorConfig, RequestOutcome, Study, StudyConfig, TrainSpec,
+    PredictorConfig, PrefixMap, RequestOutcome, Study, StudyConfig, TrainSpec,
 };
-use anycast_netsim::{Day, Prefix24, RouteSnapshot};
+use anycast_dns::LdnsId;
+use anycast_netsim::{Day, RouteSnapshot};
 use anycast_workload::Scenario;
 
 /// Weighted shares of an evaluation at the 75th percentile — the Bing
@@ -51,7 +50,10 @@ impl Shares {
 /// on its later days.
 pub struct Trial {
     study: Study,
-    volumes: HashMap<Prefix24, u64>,
+    /// The prefix-keyed forms of the per-client resolver and volume
+    /// columns that [`evaluate_prediction`] takes, built once.
+    ldns_of: PrefixMap<LdnsId>,
+    volumes: PrefixMap<u64>,
 }
 
 impl Trial {
@@ -59,8 +61,12 @@ impl Trial {
     pub fn run(scenario: Scenario, days: u32) -> Trial {
         let mut study = Study::new(scenario, StudyConfig::default());
         study.run_days(Day(0), days);
-        let volumes = study.volumes();
-        Trial { study, volumes }
+        let (ldns_of, volumes) = (study.ldns_of(), study.volumes());
+        Trial {
+            study,
+            ldns_of,
+            volumes,
+        }
     }
 
     /// The world the campaign ran over.
@@ -76,8 +82,8 @@ impl Trial {
     /// Scores `table`, trained at `grouping`, against `day`'s beacons: one
     /// row per /24 the comparison is defined for.
     pub fn rows(&self, table: &PredictionTable, grouping: Grouping, day: Day) -> Vec<EvalRow> {
-        let (data, ldns_of) = (self.study.dataset(), self.study.ldns_of());
-        evaluate_prediction(table, grouping, data, day, ldns_of, &self.volumes)
+        let data = self.study.dataset();
+        evaluate_prediction(table, grouping, data, day, &self.ldns_of, &self.volumes)
     }
 
     /// The weighted shares of [`rows`](Trial::rows).

@@ -19,7 +19,7 @@
 //! [`CapacityPlan`] (or [`ControlMode::Off`]) the loop never swaps and
 //! the replay is byte-identical to an uncontrolled one.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -344,7 +344,7 @@ pub fn replay_wire(
     let sites = scenario.internet.site_locations();
     let mut controller = Controller::new(cfg.control, caps.clone(), &sites);
     let qname = service_qname();
-    let mut clients: HashMap<LdnsId, WireClient> = HashMap::new();
+    let mut clients: BTreeMap<LdnsId, WireClient> = BTreeMap::new();
     let mut answers: Vec<(Ipv4Addr, u32, u8)> = Vec::with_capacity(plan.len());
     let mut prev_tally: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
     let mut epochs = Vec::with_capacity(bounds.len());

@@ -19,6 +19,12 @@ use anycast_netsim::{Day, Prefix24};
 
 use crate::prediction::{Grouping, PredictionTable};
 
+/// A map keyed by client /24: the form in which [`evaluate_prediction`]
+/// takes each client's resolver and query volume, built from the
+/// scenario's per-client columns by [`Study::ldns_of`](crate::Study::ldns_of)
+/// and [`Study::volumes`](crate::Study::volumes).
+pub type PrefixMap<V> = HashMap<Prefix24, V>;
+
 /// One prefix's evaluation outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalRow {
@@ -49,8 +55,8 @@ pub fn evaluate_prediction(
     grouping: Grouping,
     data: &BeaconDataset,
     eval_day: Day,
-    ldns_of: &HashMap<Prefix24, LdnsId>,
-    volumes: &HashMap<Prefix24, u64>,
+    ldns_of: &PrefixMap<LdnsId>,
+    volumes: &PrefixMap<u64>,
 ) -> Vec<EvalRow> {
     // Per `(prefix, target)`, the latencies of the eval day's served
     // fetches. A failed fetch has no latency to compare.

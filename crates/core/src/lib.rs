@@ -36,7 +36,7 @@ pub mod prediction;
 pub mod study;
 
 pub use deployment::Deployment;
-pub use evaluation::{evaluate_prediction, EvalRow};
+pub use evaluation::{evaluate_prediction, EvalRow, PrefixMap};
 pub use failure::{
     anycast_request, request_times, DnsRedirectionSim, FailureReason, RequestOutcome,
 };

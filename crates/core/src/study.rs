@@ -53,7 +53,6 @@
 //!    count** — the contract [`anycast_netsim::stream`] states for every
 //!    fan-out, pinned end-to-end by the `study-worker-invariance` proptest.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use anycast_analysis::poor_paths::PrefixDayPerf;
@@ -68,6 +67,8 @@ use anycast_netsim::stream::run_workers;
 use anycast_netsim::{stream_rng, ClientAttachment, Day, Prefix24, RouteSnapshot, SiteId};
 use anycast_obs::{span, SpanSnapshot};
 use anycast_workload::{ldns_assign, temporal, Scenario};
+
+use crate::evaluation::PrefixMap;
 
 /// First key of every scheduling stream ("schedule").
 const SCHEDULE_STREAM: u64 = 0x7363_6865_6475_6c65;
@@ -157,8 +158,6 @@ pub struct Study {
     dataset: BeaconDataset,
     zone: DnsName,
     cfg: StudyConfig,
-    /// Client index → LDNS (the hot-path form of [`Study::ldns_of`]).
-    client_ldns: Vec<LdnsId>,
     /// Resolver id → where the CDN's geolocation database believes the
     /// resolver is (pure per resolver, precomputed).
     believed: Vec<GeoPoint>,
@@ -170,11 +169,6 @@ pub struct Study {
 impl Study {
     /// Sets up the campaign over a scenario.
     pub fn new(scenario: Scenario, cfg: StudyConfig) -> Study {
-        let client_ldns: Vec<LdnsId> = scenario
-            .clients
-            .iter()
-            .map(|c| scenario.ldns.resolver_of(c.prefix))
-            .collect();
         let believed: Vec<GeoPoint> = scenario
             .ldns
             .resolvers
@@ -198,7 +192,6 @@ impl Study {
             dataset: BeaconDataset::new(),
             zone: DnsName::new("probe.cdn.example").expect("static zone is valid"),
             cfg,
-            client_ldns,
             believed,
             attachments,
         }
@@ -380,7 +373,7 @@ impl Study {
             let mut sites: Vec<SiteId> = Vec::new();
             for c in range {
                 let row = sites.len();
-                let at = &self.believed[self.client_ldns[c].0 as usize];
+                let at = &self.believed[self.scenario.ldns.resolver_of(c).0 as usize];
                 for &i in &order[first[c]..first[c + 1]] {
                     let execution = day_bits | u64::from(i);
                     for slot in [Slot::GeoClosest, Slot::Random1, Slot::Random2] {
@@ -447,7 +440,7 @@ impl Study {
             for ev in beacons {
                 let start = timed.then(Instant::now);
                 let c = &s.clients[ev.client];
-                let ldns_id = self.client_ldns[ev.client];
+                let ldns_id = self.scenario.ldns.resolver_of(ev.client);
                 let beacon_client = BeaconClient {
                     prefix: c.prefix,
                     attachment: c.attachment,
@@ -498,14 +491,18 @@ impl Study {
         }
     }
 
-    /// Client prefix → LDNS map (the DNS side of the §6 LDNS evaluation):
-    /// the scenario's assignment, fixed for the scenario.
-    pub fn ldns_of(&self) -> &HashMap<Prefix24, LdnsId> {
-        &self.scenario.ldns.by_client
+    /// Client prefix → LDNS map (the DNS side of the §6 LDNS evaluation),
+    /// built from the scenario's per-client assignment in the form
+    /// [`evaluate_prediction`](crate::evaluate_prediction) takes.
+    pub fn ldns_of(&self) -> PrefixMap<LdnsId> {
+        let s = &self.scenario;
+        let prefixes = s.clients.iter().map(|c| c.prefix);
+        prefixes.zip(s.ldns.by_client.iter().copied()).collect()
     }
 
-    /// Client prefix → daily query volume (the figure weighting).
-    pub fn volumes(&self) -> HashMap<Prefix24, u64> {
+    /// Client prefix → daily query volume (the figure weighting), in the
+    /// form [`evaluate_prediction`](crate::evaluate_prediction) takes.
+    pub fn volumes(&self) -> PrefixMap<u64> {
         self.scenario
             .clients
             .iter()
@@ -756,10 +753,15 @@ mod tests {
 
     #[test]
     fn maps_cover_population() {
+        // The prefix-keyed maps hold each client's own column entries.
         let study = small_study(6);
-        let ldns_of = study.ldns_of();
-        let volumes = study.volumes();
-        assert_eq!(ldns_of.len(), study.scenario().clients.len());
-        assert_eq!(volumes.len(), study.scenario().clients.len());
+        let (ldns_of, volumes) = (study.ldns_of(), study.volumes());
+        let s = study.scenario();
+        assert_eq!(ldns_of.len(), s.clients.len());
+        assert_eq!(volumes.len(), s.clients.len());
+        for (i, c) in s.clients.iter().enumerate() {
+            assert_eq!(ldns_of[&c.prefix], s.ldns.resolver_of(i));
+            assert_eq!(volumes[&c.prefix], c.volume);
+        }
     }
 }

@@ -106,7 +106,7 @@ pub fn day_query_plan(scenario: &Scenario, day: Day, cap: usize) -> Vec<(usize, 
             if out.len() >= cap {
                 break 'passes;
             }
-            let ldns = scenario.ldns.resolver_of(client.prefix);
+            let ldns = scenario.ldns.resolver_of(ci);
             let resolver = scenario.ldns.resolver(ldns);
             // ECS rides along at the resolver's own disclosure length — a
             // privacy-truncating resolver sends a coarser subnet than /24.

@@ -14,10 +14,9 @@
 //! their resolver at the home metro even for remote PoPs (the distant-LDNS
 //! tail), and three public resolvers capture a fixed share of demand.
 
-use std::collections::HashMap;
-
 use anycast_geo::GeoPoint;
-use anycast_netsim::{Prefix24, Topology};
+use anycast_netsim::stream::FastMap;
+use anycast_netsim::Topology;
 use rand::Rng;
 
 use anycast_dns::{Ldns, LdnsId, ResolverKind};
@@ -54,20 +53,17 @@ impl Default for LdnsConfig {
 pub struct LdnsAssignment {
     /// All resolvers, indexed by `LdnsId` value.
     pub resolvers: Vec<Ldns>,
-    /// Client prefix → resolver.
-    pub by_client: HashMap<Prefix24, LdnsId>,
+    /// Client index (position in the assigned population) → resolver.
+    pub by_client: Vec<LdnsId>,
 }
 
 impl LdnsAssignment {
-    /// The resolver serving `prefix`.
+    /// The resolver serving the client at index `client`.
     ///
     /// # Panics
-    /// Panics if the prefix was not part of the assigned population.
-    pub fn resolver_of(&self, prefix: Prefix24) -> LdnsId {
-        *self
-            .by_client
-            .get(&prefix)
-            .expect("prefix not in assignment")
+    /// Panics if the index is past the assigned population.
+    pub fn resolver_of(&self, client: usize) -> LdnsId {
+        self.by_client[client]
     }
 
     /// The resolver with the given id.
@@ -111,9 +107,9 @@ pub fn assign(
         .eyeballs()
         .map(|_| rng.gen::<f64>() < CENTRALIZED_DNS_FRACTION)
         .collect();
-    let mut isp_resolver: HashMap<(u32, u32), LdnsId> = HashMap::new();
+    let mut isp_resolver: FastMap<(u32, u32), LdnsId> = FastMap::default();
 
-    let mut by_client = HashMap::with_capacity(clients.len());
+    let mut by_client = Vec::with_capacity(clients.len());
     for c in clients {
         let use_public = !public_ids.is_empty() && rng.gen::<f64>() < PUBLIC_RESOLVER_SHARE;
         let id = if use_public {
@@ -139,7 +135,7 @@ pub fn assign(
                     id
                 })
         };
-        by_client.insert(c.prefix, id);
+        by_client.push(id);
     }
 
     LdnsAssignment {
@@ -174,8 +170,9 @@ mod tests {
     #[test]
     fn every_client_has_a_resolver() {
         let (_, clients, a) = setup();
-        for c in &clients {
-            let id = a.resolver_of(c.prefix);
+        assert_eq!(a.by_client.len(), clients.len());
+        for i in 0..clients.len() {
+            let id = a.resolver_of(i);
             assert!((id.0 as usize) < a.resolvers.len());
         }
     }
@@ -183,9 +180,8 @@ mod tests {
     #[test]
     fn public_share_is_respected() {
         let (_, clients, a) = setup();
-        let public = clients
-            .iter()
-            .filter(|c| a.resolver(a.resolver_of(c.prefix)).kind == ResolverKind::Public)
+        let public = (0..clients.len())
+            .filter(|&i| a.resolver(a.resolver_of(i)).kind == ResolverKind::Public)
             .count();
         let frac = public as f64 / clients.len() as f64;
         assert!(
@@ -236,8 +232,8 @@ mod tests {
         let (_, clients, a) = setup();
         let mut near = 0;
         let mut total = 0;
-        for c in &clients {
-            let r = a.resolver(a.resolver_of(c.prefix));
+        for (i, c) in clients.iter().enumerate() {
+            let r = a.resolver(a.resolver_of(i));
             if r.kind != ResolverKind::IspLocal {
                 continue;
             }
@@ -268,8 +264,8 @@ mod tests {
             &mut rng,
         );
         let a = assign(&topo, &clients, &LdnsConfig::default(), &mut rng);
-        let distant = clients.iter().any(|c| {
-            let ldns = a.resolver(a.resolver_of(c.prefix));
+        let distant = clients.iter().enumerate().any(|(i, c)| {
+            let ldns = a.resolver(a.resolver_of(i));
             let home = topo.eyeball(c.attachment.as_id).home_metro;
             ldns.kind == ResolverKind::IspLocal
                 && c.attachment.metro != home
@@ -289,9 +285,7 @@ mod tests {
         let clients2 = population::generate(&topo, &PopulationConfig::small(), &mut rng2);
         let a2 = assign(&topo, &clients2, &LdnsConfig::default(), &mut rng2);
         assert_eq!(a1.resolvers.len(), a2.resolvers.len());
-        for c in &clients1 {
-            assert_eq!(a1.resolver_of(c.prefix), a2.resolver_of(c.prefix));
-        }
+        assert_eq!(a1.by_client, a2.by_client);
     }
 
     #[test]

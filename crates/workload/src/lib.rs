@@ -19,8 +19,9 @@
 //! * the passive logs are the production request log of §3.2.1 — "the
 //!   client IP address, location, and what front-end was used during a
 //!   particular request": one [`record::PassiveRecord`] per sampled query,
-//!   with the group-bys the distance (Figure 4) and affinity (Figures 7–8)
-//!   analyses read over a run of them.
+//!   naming its client by index into [`Scenario::clients`], with the
+//!   per-client group-bys the distance (Figure 4) and affinity (Figures
+//!   7–8) analyses read over a run of them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -6,9 +6,9 @@
 //! integration test starts by building one, then drives days of passive
 //! logs and beacon measurements through it.
 
-use anycast_geo::GeoDb;
+use anycast_geo::{GeoDb, GeoPoint};
 use anycast_netsim::stream::splitmix64;
-use anycast_netsim::{CdnAddressing, Day, Internet, NetConfig};
+use anycast_netsim::{CdnAddressing, Day, Internet, NetConfig, Prefix24};
 use rand::Rng;
 
 use crate::ldns_assign::{self, LdnsAssignment, LdnsConfig};
@@ -73,7 +73,8 @@ impl ScenarioConfig {
 pub struct Scenario {
     /// The simulated Internet.
     pub internet: Internet,
-    /// The client /24 population.
+    /// The client /24 population. A client's position here is its index,
+    /// the one key every per-client fact downstream is read by.
     pub clients: Vec<Client>,
     /// Resolver fleet and client assignment.
     pub ldns: LdnsAssignment,
@@ -85,6 +86,8 @@ pub struct Scenario {
     pub passive_sample_rate: f64,
     /// The master seed the scenario was built from.
     pub seed: u64,
+    /// `(prefix, client index)` for every client, sorted by prefix.
+    by_prefix: Vec<(Prefix24, u32)>,
 }
 
 impl Scenario {
@@ -105,6 +108,9 @@ impl Scenario {
         let ldns = ldns_assign::assign(internet.topology(), &clients, &cfg.ldns, &mut rng);
         let geodb = GeoDb::new(cfg.seed ^ 0x67656f64);
         let n_sites = internet.topology().cdn.sites.len() as u16;
+        let mut by_prefix: Vec<(Prefix24, u32)> =
+            (0..).zip(&clients).map(|(i, c)| (c.prefix, i)).collect();
+        by_prefix.sort_unstable();
         Ok(Scenario {
             internet,
             clients,
@@ -113,6 +119,7 @@ impl Scenario {
             addressing: CdnAddressing::standard(n_sites),
             passive_sample_rate: cfg.passive_sample_rate,
             seed: cfg.seed,
+            by_prefix,
         })
     }
 
@@ -121,9 +128,19 @@ impl Scenario {
         Scenario::build(ScenarioConfig::small(seed)).expect("small config is valid")
     }
 
-    /// The client with the given index.
-    pub fn client(&self, idx: usize) -> &Client {
-        &self.clients[idx]
+    /// The index of the client whose /24 is `prefix`, if it is one of the
+    /// population's: where a row names only a prefix, this turns it into
+    /// the index per-client facts are read by.
+    pub fn client_index(&self, prefix: Prefix24) -> Option<usize> {
+        let at = self.by_prefix.binary_search_by_key(&prefix, |&(p, _)| p);
+        at.ok().map(|at| self.by_prefix[at].1 as usize)
+    }
+
+    /// Where the CDN's geolocation database believes client `idx` is (a
+    /// pure function of the client).
+    pub fn believed_location(&self, idx: usize) -> GeoPoint {
+        let c = &self.clients[idx];
+        self.geodb.locate(c.prefix.key(), c.attachment.location)
     }
 
     /// Generates one day of passive production logs: every client's sampled
@@ -133,22 +150,17 @@ impl Scenario {
     pub fn generate_passive_day(&self, day: Day, rng: &mut impl Rng) -> Vec<PassiveRecord> {
         let mut out = Vec::new();
         let day_factor = temporal::day_volume_factor(day);
-        for c in &self.clients {
+        for (client, c) in (0..).zip(&self.clients) {
             let expected = c.volume as f64 * self.passive_sample_rate * day_factor;
             let n = sample_count(expected, rng);
             if n == 0 {
                 continue;
             }
             let routes = self.internet.anycast_day(&c.attachment, day);
-            let believed = self.geodb.locate(c.prefix.key(), c.attachment.location);
             for _ in 0..n {
                 let t = temporal::sample_query_time(c.attachment.location.lon_deg(), rng);
                 out.push(PassiveRecord {
-                    prefix: c.prefix,
-                    metro: c.attachment.metro,
-                    country: c.country,
-                    region: c.region,
-                    location: believed,
+                    client,
                     site: routes.at(t).site,
                     day,
                     time_s: t,
@@ -250,8 +262,8 @@ mod tests {
         let mut rng = seeded_rng(5, 1);
         let found = Day(0).span(7).any(|day| {
             let records = s.generate_passive_day(day, &mut rng);
-            sites_seen(&records, day)
-                .values()
+            sites_seen(&records, day, s.clients.len())
+                .iter()
                 .any(|sites| sites.len() > 1)
         });
         assert!(found, "no intra-day front-end switch observed in a week");
@@ -288,7 +300,7 @@ mod tests {
         let db = b.generate_passive_day(Day(0), &mut rb);
         assert_eq!(da.len(), db.len());
         for (x, y) in da.iter().zip(&db) {
-            assert_eq!(x.prefix, y.prefix);
+            assert_eq!(x.client, y.client);
             assert_eq!(x.site, y.site);
         }
     }

@@ -1,6 +1,5 @@
 //! Property tests for workload generation.
 
-use anycast_geo::{GeoPoint, MetroId, Region};
 use anycast_netsim::{Day, NetConfig, Prefix24, SiteId, Topology};
 use anycast_workload::record::{daily_serving_site, query_volume, sites_seen};
 use anycast_workload::volume::zipf_volumes;
@@ -11,7 +10,6 @@ use anycast_workload::{
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::net::Ipv4Addr;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -49,8 +47,9 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed ^ 7);
         let clients = population::generate(&topo, &PopulationConfig::small(), &mut rng);
         let a = ldns_assign::assign(&topo, &clients, &LdnsConfig::default(), &mut rng);
-        for c in &clients {
-            let id = a.resolver_of(c.prefix);
+        prop_assert_eq!(a.by_client.len(), clients.len());
+        for i in 0..clients.len() {
+            let id = a.resolver_of(i);
             prop_assert!((id.0 as usize) < a.resolvers.len());
             prop_assert_eq!(a.resolver(id).id, id);
         }
@@ -82,6 +81,24 @@ proptest! {
     }
 
     #[test]
+    fn client_index_inverts_the_population(seed in 0u64..6, raw in any::<u32>()) {
+        let s = Scenario::small(seed);
+        for (i, c) in s.clients.iter().enumerate() {
+            prop_assert_eq!(s.client_index(c.prefix), Some(i));
+        }
+        // The /24s just outside the population's lowest and highest, and
+        // an arbitrary one, agree with a scan; the first two always miss.
+        let raws = s.clients.iter().map(|c| c.prefix.raw());
+        let (lo, hi) = (raws.clone().min().unwrap(), raws.max().unwrap());
+        let outside = [lo.wrapping_sub(256), hi.wrapping_add(256)].map(Prefix24::from_raw);
+        for p in outside {
+            prop_assert_eq!(s.client_index(p), None);
+        }
+        let p = Prefix24::from_raw(raw);
+        prop_assert_eq!(s.client_index(p), s.clients.iter().position(|c| c.prefix == p));
+    }
+
+    #[test]
     fn invalid_sample_rates_are_rejected(rate in prop::sample::select(vec![-0.1f64, 1.0001, 5.0])) {
         let cfg = ScenarioConfig { passive_sample_rate: rate, ..ScenarioConfig::small(0) };
         prop_assert!(Scenario::build(cfg).is_err());
@@ -92,44 +109,47 @@ proptest! {
 fn passive_records_reference_real_entities() {
     let s = Scenario::small(31);
     let mut rng = anycast_workload::scenario::seeded_rng(31, 1);
-    let prefixes: std::collections::HashSet<_> = s.clients.iter().map(|c| c.prefix).collect();
     let n_sites = s.internet.topology().cdn.sites.len() as u16;
     for r in s.generate_passive_day(Day(0), &mut rng) {
-        assert!(prefixes.contains(&r.prefix));
+        assert!((r.client as usize) < s.clients.len());
         assert!(r.site.0 < n_sites);
         assert!((0.0..86_400.0).contains(&r.time_s));
         assert_eq!(r.day, Day(0));
     }
 }
 
-fn record(prefix_octet: u8, site: u16, day: u32, t: f64) -> PassiveRecord {
+fn record(client: u32, site: u16, day: u32, t: f64) -> PassiveRecord {
     PassiveRecord {
-        prefix: Prefix24::containing(Ipv4Addr::new(11, 0, prefix_octet, 1)),
-        metro: MetroId(0),
-        country: "US",
-        region: Region::NorthAmerica,
-        location: GeoPoint::new(40.0, -74.0),
+        client,
         site: SiteId(site),
         day: Day(day),
         time_s: t,
     }
 }
 
+/// Clients the group-by properties draw from.
+const CLIENTS: usize = 20;
+
 proptest! {
     #[test]
     fn store_preserves_every_record(
-        rows in prop::collection::vec((0u8..20, 0u16..8, 0u32..7, 0.0..86_400.0f64), 0..300)
+        rows in prop::collection::vec((0u32..20, 0u16..8, 0u32..7, 0.0..86_400.0f64), 0..300)
     ) {
         let records: Vec<PassiveRecord> =
-            rows.iter().map(|&(p, s, d, t)| record(p, s, d, t)).collect();
+            rows.iter().map(|&(c, s, d, t)| record(c, s, d, t)).collect();
         // Each day's sites seen sum to that day's records.
         let by_day: u64 = (0..7)
-            .map(|d| sites_seen(&records, Day(d)).values().flat_map(|m| m.values()).sum::<u64>())
+            .map(|d| {
+                let seen = sites_seen(&records, Day(d), CLIENTS);
+                seen.iter().flat_map(|m| m.values()).sum::<u64>()
+            })
             .sum();
         prop_assert_eq!(by_day as usize, rows.len());
-        // Volumes sum to the total too.
-        let vol: u64 = query_volume(&records).values().sum();
-        prop_assert_eq!(vol as usize, rows.len());
+        // Each client's volume is its own count of records.
+        let vol = query_volume(&records, CLIENTS);
+        for (c, &n) in (0..).zip(&vol) {
+            prop_assert_eq!(n as usize, rows.iter().filter(|r| r.0 == c).count());
+        }
     }
 
     #[test]
@@ -138,8 +158,9 @@ proptest! {
     ) {
         let records: Vec<PassiveRecord> =
             sites.iter().enumerate().map(|(i, &s)| record(1, s, 0, i as f64)).collect();
-        let chosen = daily_serving_site(&records)
-            [&Prefix24::containing(Ipv4Addr::new(11, 0, 1, 1))][&Day(0)];
+        let serving = daily_serving_site(&records, CLIENTS);
+        prop_assert!(serving.iter().enumerate().all(|(c, days)| days.is_empty() == (c != 1)));
+        let chosen = serving[1][&Day(0)];
         // The chosen site's count must be maximal.
         let count = |site: u16| sites.iter().filter(|&&s| s == site).count();
         let max = (0u16..4).map(count).max().unwrap();
@@ -148,12 +169,18 @@ proptest! {
 
     #[test]
     fn sites_seen_counts_match(
-        rows in prop::collection::vec((0u8..5, 0u16..4), 1..100)
+        rows in prop::collection::vec((0u32..5, 0u16..4), 1..100)
     ) {
         let records: Vec<PassiveRecord> =
-            rows.iter().enumerate().map(|(i, &(p, s))| record(p, s, 0, i as f64)).collect();
-        let seen = sites_seen(&records, Day(0));
-        let total: u64 = seen.values().flat_map(|m| m.values()).sum();
+            rows.iter().enumerate().map(|(i, &(c, s))| record(c, s, 0, i as f64)).collect();
+        let seen = sites_seen(&records, Day(0), CLIENTS);
+        for (c, sites) in (0..).zip(&seen) {
+            for (&site, &n) in sites {
+                let rows_of = rows.iter().filter(|&&(rc, rs)| rc == c && rs == site.0);
+                prop_assert_eq!(n as usize, rows_of.count());
+            }
+        }
+        let total: u64 = seen.iter().flat_map(|m| m.values()).sum();
         prop_assert_eq!(total as usize, rows.len());
     }
 }

@@ -37,8 +37,14 @@ fn main() {
             min_samples: 20,
         };
         let table = Predictor::new(cfg).train(study.dataset(), Day(0));
-        let rows =
-            evaluate_prediction(&table, grouping, study.dataset(), Day(1), ldns_of, &volumes);
+        let rows = evaluate_prediction(
+            &table,
+            grouping,
+            study.dataset(),
+            Day(1),
+            &ldns_of,
+            &volumes,
+        );
         let (improved, unchanged, hurt) = outcome_shares(&rows, false);
         println!("{label:10}  groups with prediction: {}", table.len());
         println!(
@@ -70,7 +76,7 @@ fn main() {
             Grouping::Ecs,
             study.dataset(),
             Day(1),
-            ldns_of,
+            &ldns_of,
             &volumes,
         );
         let (improved, _, hurt) = outcome_shares(&rows, false);

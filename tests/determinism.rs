@@ -12,6 +12,7 @@ fn scenario_worlds_are_bit_identical() {
     let a = Scenario::small(99);
     let b = Scenario::small(99);
     assert_eq!(a.clients, b.clients);
+    assert_eq!(a.ldns.by_client, b.ldns.by_client);
     assert_eq!(a.ldns.resolvers.len(), b.ldns.resolvers.len());
     for (x, y) in a.ldns.resolvers.iter().zip(&b.ldns.resolvers) {
         assert_eq!(x.id, y.id);

@@ -44,7 +44,7 @@ fn full_pipeline_produces_all_analyses() {
         Grouping::Ecs,
         dataset,
         Day(1),
-        study.ldns_of(),
+        &study.ldns_of(),
         &study.volumes(),
     );
     assert!(!rows.is_empty(), "no prefixes evaluated");
@@ -113,13 +113,13 @@ fn passive_and_active_views_agree_on_anycast_site() {
     let records = scenario.generate_passive_day(Day(0), &mut rng);
     let mut checked = 0;
     let mut before_switch = 0;
-    for client in &scenario.clients {
+    for (i, client) in (0..).zip(&scenario.clients) {
         let routes = scenario.internet.anycast_day(&client.attachment, Day(0));
         let after = scenario
             .internet
             .anycast_route(&client.attachment, Day(0))
             .site;
-        for r in records.iter().filter(|r| r.prefix == client.prefix) {
+        for r in records.iter().filter(|r| r.client == i) {
             let expected = match routes.switch {
                 Some((at_s, before)) if r.time_s < at_s => {
                     before_switch += 1;
