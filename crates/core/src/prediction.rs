@@ -1749,7 +1749,7 @@ mod tests {
     use anycast_beacon::{BeaconMeasurement, Slot};
     use anycast_netsim::stream::mix64;
     use anycast_netsim::{Prefix24, SiteId};
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
 
     /// Every sample of a window, one column per `(group, target)` pair.
@@ -2118,8 +2118,8 @@ mod tests {
         let table = choose(rows.iter().map(|&(g, t, s)| (ecs_key(g), t, s)));
         // Legacy rule, recomputed independently: strict lexicographic min
         // over (score, target_order).
-        let mut legacy: HashMap<GroupKey, (Target, f64)> = HashMap::new();
-        let mut anycast: HashMap<GroupKey, f64> = HashMap::new();
+        let mut legacy: BTreeMap<GroupKey, (Target, f64)> = BTreeMap::new();
+        let mut anycast: BTreeMap<GroupKey, f64> = BTreeMap::new();
         for &(g, t, s) in rows {
             let key = ecs_key(g);
             if t == Target::Anycast {

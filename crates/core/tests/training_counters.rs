@@ -9,7 +9,7 @@
 //! integration-test binary with a single test, so nothing else in the
 //! process moves the counters.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use anycast_core::prediction::{
     AggregationConfig, PredictionTable, Predictor, PredictorConfig, ShardConfig, TrainSpec,
@@ -31,7 +31,7 @@ fn every_training_mode_counts_each_pair_once() {
     // train at the penalty).
     let predictor = Predictor::new(PredictorConfig::default());
     let min = predictor.config().min_samples;
-    let mut per_pair: HashMap<_, usize> = HashMap::new();
+    let mut per_pair: BTreeMap<_, usize> = BTreeMap::new();
     for m in data.day(Day(0)) {
         *per_pair.entry((m.prefix, m.target)).or_default() += 1;
     }

@@ -350,24 +350,6 @@ mod tests {
         );
     }
 
-    /// The hostname as it was built before the digits were written by
-    /// hand. Kept verbatim as the reference.
-    fn parent_measurement(id: u64, zone: &DnsName) -> String {
-        format!("m-{id:016x}.probe.{zone}")
-    }
-
-    /// `measurement_id` as it stood before it read fixed offsets: split
-    /// off the first label and hand its tail to `from_str_radix`. Kept
-    /// verbatim as the reference.
-    fn parent_measurement_id(name: &DnsName) -> Option<u64> {
-        let first = name.labels().next()?;
-        let hex = first.strip_prefix("m-")?;
-        if hex.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(hex, 16).ok()
-    }
-
     #[test]
     fn measurement_names_equal_the_formatted_ones() {
         let mut ids = vec![0u64, 1, u64::MAX, 0xdead_beef];
@@ -392,67 +374,72 @@ mod tests {
             let zone = DnsName::new(zone).unwrap();
             for &id in &ids {
                 let name = DnsName::measurement(id, &zone);
-                assert_eq!(name.as_str(), parent_measurement(id, &zone));
+                assert_eq!(name.as_str(), format!("m-{id:016x}.probe.{zone}"));
                 assert_eq!(name, DnsName::new(name.as_str()).unwrap());
                 assert_eq!(name.measurement_id(), Some(id), "{name}");
-                assert_eq!(parent_measurement_id(&name), Some(id), "{name}");
             }
         }
     }
 
     #[test]
-    fn measurement_id_accepts_what_the_label_split_parse_accepted() {
+    fn measurement_id_reads_exactly_m_and_sixteen_hex_digits() {
         let good = "0123456789abcdef";
-        let mut corpus: Vec<String> = vec![
+        let id = 0x0123_4567_89ab_cdef;
+        let some = [
             // A bare first label, with and without a zone under it.
-            format!("m-{good}"),
-            format!("m-{good}.probe.cdn.example"),
-            format!("m-{good}.cdn.example"),
-            // One digit short, one digit long.
-            format!("m-{}.probe.cdn.example", &good[1..]),
-            format!("m-{good}0.probe.cdn.example"),
-            format!("m-{}", &good[1..]),
-            format!("m-{good}0"),
-            // No dot after the digits.
-            format!("m-{good}probe.cdn.example"),
-            format!("m-{good}-x.cdn.example"),
-            // The prefix missing, mangled, or a label further down.
-            format!("{good}.probe.cdn.example"),
-            format!("m{good}.probe.cdn.example"),
-            format!("n-{good}.probe.cdn.example"),
-            format!("mm-{good}.probe.cdn.example"),
-            format!("x.m-{good}.probe.cdn.example"),
-            "m-".to_string(),
-            "m".to_string(),
-            "m-.probe.cdn.example".to_string(),
-            // Capitals are folded before either parser sees them.
-            format!("M-{}.PROBE.cdn.example", good.to_ascii_uppercase()),
-            "m-ffffffffffffffff.probe.cdn.example".to_string(),
-            "m-0000000000000000.probe.cdn.example".to_string(),
+            (format!("m-{good}"), id),
+            (format!("m-{good}.probe.cdn.example"), id),
+            (format!("m-{good}.cdn.example"), id),
+            // Capitals are folded before the parser sees them.
+            ("M-0123456789ABCDEF.PROBE.cdn.example".into(), id),
+            ("m-ffffffffffffffff.probe.cdn.example".into(), u64::MAX),
+            ("m-0000000000000000.probe.cdn.example".into(), 0),
         ];
-        // A character that is no hex digit in each position, among them
-        // the `-` that `from_str_radix` would read as a sign up front.
-        for at in 0..16 {
-            for bad in ["g", "z", "-"] {
-                let mut hex = good.to_string();
-                hex.replace_range(at..=at, bad);
-                corpus.push(format!("m-{hex}.probe.cdn.example"));
-                corpus.push(format!("m-{hex}"));
-            }
+        for (text, id) in some {
+            assert_eq!(DnsName::new(&text).unwrap().measurement_id(), Some(id));
         }
-        let mut accepted = 0;
-        for text in &corpus {
-            // `m-0123…-` ends its label with a hyphen: not a name at all.
-            let Ok(name) = DnsName::new(text) else {
+        for text in [
+            // One digit short, one digit long, and no dot after the digits.
+            "m-123456789abcdef.probe.cdn.example",
+            "m-0123456789abcdef0.probe.cdn.example",
+            "m-123456789abcdef",
+            "m-0123456789abcdef0",
+            "m-0123456789abcdefprobe.cdn.example",
+            "m-0123456789abcdef-x.cdn.example",
+            // The prefix missing, short, long, or a label further down.
+            "0123456789abcdef.probe.cdn.example",
+            "m0123456789abcdef.probe.cdn.example",
+            "mm-0123456789abcdef.probe.cdn.example",
+            "x.m-0123456789abcdef.probe.cdn.example",
+            "m",
+        ] {
+            assert_eq!(DnsName::new(text).unwrap().measurement_id(), None, "{text}");
+        }
+        // Every byte of a measurement hostname replaced by every byte: a
+        // digit read as a hex digit (capitals folded) replaces its
+        // nibble and any other digit voids the id, a case fold of the `m`
+        // is the same name, any other change to `m-` or the dot after the
+        // digits voids it, and the zone is never read.
+        let base = format!("m-{good}.probe.cdn.example");
+        for (at, byte) in (0..base.len()).flat_map(|at| (0..=u8::MAX).map(move |b| (at, b))) {
+            let mut bytes = base.clone().into_bytes();
+            bytes[at] = byte;
+            let Ok(Ok(name)) = String::from_utf8(bytes).map(|t| DnsName::new(&t)) else {
                 continue;
             };
-            let id = name.measurement_id();
-            assert_eq!(id, parent_measurement_id(&name), "{text}");
-            accepted += usize::from(id.is_some());
+            let folded = byte.to_ascii_lowercase();
+            let expected = match at {
+                2..18 => char::from(folded).to_digit(16).map(|d| {
+                    let shift = 4 * (17 - at);
+                    (id & !(0xf << shift)) | (u64::from(d) << shift)
+                }),
+                0 | 1 | 18 => (folded == base.as_bytes()[at]).then_some(id),
+                _ => Some(id),
+            };
+            assert_eq!(name.measurement_id(), expected, "{name}");
         }
-        assert_eq!(accepted, 6, "the corpus lost its positive cases");
-        // The one sign `from_str_radix` does take can never reach a parser:
-        // a name cannot hold it.
+        // The one sign `from_str_radix` would take can never reach the
+        // parser: a name cannot hold it.
         assert!(DnsName::new(&format!("m-+{}.probe.cdn.example", &good[1..])).is_err());
     }
 

@@ -387,45 +387,14 @@ mod tests {
         assert_ne!(d.ingress, pinned);
     }
 
-    /// `rank_by_distance` as it stood before the metro distance table:
-    /// great-circle trigonometry per candidate. Kept verbatim as the
-    /// reference the tabulated ranker is checked against.
-    fn parent_rank_by_distance(
-        topo: &Topology,
-        candidates: &[BorderId],
-        from_metro: MetroId,
-        rank: usize,
-    ) -> BorderId {
-        let from = topo.atlas.metro(from_metro).location();
-        let mut ranked: Vec<(BorderId, f64)> = candidates
-            .iter()
-            .map(|&b| {
-                let loc = topo.atlas.metro(topo.cdn.border_metro(b)).location();
-                (b, loc.haversine_km(&from))
-            })
-            .collect();
-        ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        ranked[rank.min(ranked.len() - 1)].0
-    }
-
-    /// `nearest_metro` as it stood before the metro distance table.
-    fn parent_nearest_metro(topo: &Topology, metros: &[MetroId], from_metro: MetroId) -> MetroId {
-        let from = topo.atlas.metro(from_metro).location();
-        *metros
-            .iter()
-            .min_by(|a, b| {
-                topo.atlas
-                    .metro(**a)
-                    .location()
-                    .haversine_km(&from)
-                    .total_cmp(&topo.atlas.metro(**b).location().haversine_km(&from))
-                    .then(a.cmp(b))
-            })
-            .expect("non-empty metro list")
-    }
-
+    /// Both rankers by what they answer, over every list the selection
+    /// functions can be handed, from every metro: the border at `rank` has
+    /// exactly `min(rank, len - 1)` borders of its list ahead of it in
+    /// `(metro_km, id)` order, and the nearest metro none. (geo's
+    /// `metro_km_is_the_direct_haversine_call_bit_for_bit` pins the
+    /// distances themselves.)
     #[test]
-    fn ranker_agrees_with_the_parent_bodies_over_every_list_metro_and_rank() {
+    fn rankers_answer_by_distance_then_id_over_every_list_metro_and_rank() {
         let policy = NetConfig {
             worldgen: Some(crate::worldgen::WorldGenConfig::with_ases(1_000)),
             ..NetConfig::small()
@@ -451,20 +420,29 @@ mod tests {
             metro_lists.dedup();
             assert!(border_lists.len() > 10 && metro_lists.len() > 10);
             for (from, _) in topo.atlas.iter() {
+                let km = |m: MetroId| topo.atlas.metro_km(m, from);
+                let ahead =
+                    |a: (f64, u32), b: (f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt();
                 for list in &border_lists {
+                    let at = |b: BorderId| (km(topo.cdn.border_metro(b)), u32::from(b.0));
                     // One past the end exercises the clamp.
                     for rank in 0..=list.len() {
+                        let got = rank_by_distance(&topo, list, |_| true, from, rank);
+                        let before = list.iter().filter(|&&b| ahead(at(b), at(got))).count();
+                        assert!(list.contains(&got), "{list:?} from {from} at rank {rank}");
                         assert_eq!(
-                            rank_by_distance(&topo, list, |_| true, from, rank),
-                            parent_rank_by_distance(&topo, list, from, rank),
+                            before,
+                            rank.min(list.len() - 1),
                             "{list:?} from {from} at rank {rank}"
                         );
                     }
                 }
                 for list in &metro_lists {
-                    assert_eq!(
-                        nearest_metro(&topo, list, from),
-                        parent_nearest_metro(&topo, list, from),
+                    let got = nearest_metro(&topo, list, from);
+                    let at = |m: MetroId| (km(m), m.0);
+                    assert!(list.contains(&got), "{list:?} from {from}");
+                    assert!(
+                        !list.iter().any(|&m| ahead(at(m), at(got))),
                         "{list:?} from {from}"
                     );
                 }

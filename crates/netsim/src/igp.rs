@@ -87,60 +87,6 @@ mod tests {
         }
     }
 
-    /// `igp_cost` and the ranked and down-avoiding site selections as they
-    /// stood before the metro distance table: great-circle trigonometry
-    /// inside the sort comparator. Kept verbatim as the reference the
-    /// tabulated selection is checked against.
-    fn parent_igp_cost(topo: &Topology, border: BorderId, site: SiteId) -> f64 {
-        let b = topo.atlas.metro(topo.cdn.border_metro(border)).location();
-        let s = topo.atlas.metro(topo.cdn.site_metro(site)).location();
-        let mult = topo.cdn.igp_multiplier[border.0 as usize][site.0 as usize];
-        b.haversine_km(&s) * mult
-    }
-
-    fn parent_select_site_ranked(topo: &Topology, border: BorderId, rank: usize) -> SiteId {
-        if rank == 0 {
-            if let Some(site) = topo.cdn.borders[border.0 as usize].colocated_site {
-                return site;
-            }
-        }
-        let mut ranked: Vec<SiteId> = topo.cdn.site_ids().collect();
-        ranked.sort_by(|a, b| {
-            parent_igp_cost(topo, border, *a)
-                .total_cmp(&parent_igp_cost(topo, border, *b))
-                .then(a.cmp(b))
-        });
-        ranked[rank.min(ranked.len() - 1)]
-    }
-
-    fn parent_select_site_avoiding(
-        topo: &Topology,
-        border: BorderId,
-        rank: usize,
-        down: &[SiteId],
-    ) -> Option<SiteId> {
-        if down.is_empty() {
-            return Some(parent_select_site_ranked(topo, border, rank));
-        }
-        if rank == 0 {
-            if let Some(site) = topo.cdn.borders[border.0 as usize].colocated_site {
-                if !down.contains(&site) {
-                    return Some(site);
-                }
-            }
-        }
-        let mut ranked: Vec<SiteId> = topo.cdn.site_ids().filter(|s| !down.contains(s)).collect();
-        if ranked.is_empty() {
-            return None;
-        }
-        ranked.sort_by(|a, b| {
-            parent_igp_cost(topo, border, *a)
-                .total_cmp(&parent_igp_cost(topo, border, *b))
-                .then(a.cmp(b))
-        });
-        Some(ranked[rank.min(ranked.len() - 1)])
-    }
-
     fn is_inflated(topo: &Topology, b: BorderId) -> bool {
         topo.cdn.igp_multiplier[b.0 as usize]
             .iter()
@@ -169,8 +115,13 @@ mod tests {
             .unwrap()
     }
 
+    /// `igp_cost` is the metro distance times the border's multiplier, bit
+    /// for bit. From every border at every rank, with no site down and
+    /// with each one down: a live colocated site wins rank 0; otherwise the
+    /// answer is the live site with exactly `min(rank, live - 1)` live
+    /// sites ahead of it in `(igp_cost, id)` order.
     #[test]
-    fn site_selection_agrees_with_the_parent_bodies_over_every_border_rank_and_down_site() {
+    fn site_selection_ranks_the_live_sites_by_igp_cost_then_id() {
         let policy = NetConfig {
             worldgen: Some(crate::worldgen::WorldGenConfig::with_ases(1_000)),
             ..NetConfig::small()
@@ -182,25 +133,29 @@ mod tests {
         ] {
             let n_sites = topo.cdn.sites.len();
             for b in topo.cdn.border_ids() {
+                let cost: Vec<f64> = topo.cdn.site_ids().map(|s| igp_cost(&topo, b, s)).collect();
                 for s in topo.cdn.site_ids() {
-                    assert_eq!(
-                        igp_cost(&topo, b, s).to_bits(),
-                        parent_igp_cost(&topo, b, s).to_bits()
-                    );
+                    let (bm, sm) = (topo.cdn.border_metro(b), topo.cdn.site_metro(s));
+                    let mult = topo.cdn.igp_multiplier[b.0 as usize][s.0 as usize];
+                    let inline = topo.atlas.metro_km(bm, sm) * mult;
+                    assert_eq!(cost[s.0 as usize].to_bits(), inline.to_bits());
                 }
-                // One past the end exercises the clamp.
-                for rank in 0..=n_sites {
-                    assert_eq!(
-                        select_site(&topo, b, rank, &[]),
-                        Some(parent_select_site_ranked(&topo, b, rank)),
-                        "border {b:?} rank {rank}"
-                    );
-                    for down in topo.cdn.site_ids() {
-                        assert_eq!(
-                            select_site(&topo, b, rank, &[down]),
-                            parent_select_site_avoiding(&topo, b, rank, &[down]),
-                            "border {b:?} rank {rank} down {down:?}"
-                        );
+                let key = |s: SiteId| (cost[s.0 as usize], s);
+                let colocated = topo.cdn.borders[b.0 as usize].colocated_site;
+                for down in [None].into_iter().chain(topo.cdn.site_ids().map(Some)) {
+                    let down: Vec<SiteId> = down.into_iter().collect();
+                    let live: Vec<SiteId> =
+                        topo.cdn.site_ids().filter(|s| !down.contains(s)).collect();
+                    // One past the end exercises the clamp.
+                    for rank in 0..=n_sites {
+                        let (at, got) = ((b, rank, &down), select_site(&topo, b, rank, &down));
+                        if rank == 0 && colocated.is_some_and(|c| live.contains(&c)) {
+                            assert_eq!(got, colocated, "{at:?}");
+                        } else {
+                            let got = got.filter(|s| live.contains(s)).expect("a live site");
+                            let ahead = live.iter().filter(|&&s| key(s) < key(got)).count();
+                            assert_eq!(ahead, rank.min(live.len() - 1), "{at:?}");
+                        }
                     }
                 }
             }

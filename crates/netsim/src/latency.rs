@@ -384,9 +384,9 @@ mod tests {
     fn access_mix_sums_to_one_and_samples_cover_all() {
         let total: f64 = AccessTech::MIX.iter().map(|(_, w)| w).sum();
         assert!((total - 1.0).abs() < 1e-9);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::stream::FastMap::default();
         for i in 0..100 {
-            seen.insert(AccessTech::sample(i as f64 / 100.0));
+            seen.insert(AccessTech::sample(i as f64 / 100.0), ());
         }
         assert_eq!(seen.len(), 4);
         // Boundary draw falls back to Mobile rather than panicking.

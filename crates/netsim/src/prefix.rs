@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn allocator_yields_unique_prefixes() {
         let mut alloc = PrefixAllocator::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100_000 {
             assert!(seen.insert(alloc.alloc()), "duplicate prefix");
         }

@@ -63,9 +63,6 @@ use crate::topology::CdnNetwork;
 use super::dynamics::{DynEvent, EventWindow, RouteDynamics};
 use super::graph::{CdnRelation, CdnSession, Csr, PolicyGraph, NO_SESSION};
 
-#[cfg(test)]
-mod oracle;
-
 /// Route class codes, ordered by BGP local preference (lower = preferred).
 pub mod route_class {
     /// Learned from a customer (exported to everyone).
@@ -1144,5 +1141,91 @@ impl PolicyWorld {
                 .filter_map(|cell| cell.get())
                 .map(|t| t.memory_bytes())
                 .sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::NetConfig;
+    use crate::worldgen::{self, WorldGenConfig};
+
+    fn world(n_ases: usize, seed: u64) -> PolicyWorld {
+        let cfg = NetConfig {
+            worldgen: Some(WorldGenConfig::with_ases(n_ases)),
+            ..NetConfig::small()
+        };
+        worldgen::build(&cfg, seed).1
+    }
+
+    #[test]
+    fn an_event_table_answers_as_a_scratch_table_from_its_differences() {
+        let pw = world(1_500, 1);
+        let steady = pw.steady_table();
+        let n = pw.graph.sessions.len() as u32;
+        // Session flaps and a withdrawn border, and once an announcement
+        // pinned to another border.
+        let envs: Vec<RouteEnv> = (1..6u16)
+            .map(|k| RouteEnv {
+                withdrawn: vec![BorderId(k)],
+                dead_sessions: (0..u32::from(k)).map(|i| i * n / 5).collect(),
+                only_border: (k == 5).then_some(BorderId(2)),
+            })
+            .collect();
+        for (i, env) in envs.iter().enumerate() {
+            let event = pw.recompute_incremental(&steady, env);
+            let scratch = pw.compute_scratch(env);
+            // The override form holds exactly the entries that differ.
+            let materialised = event.entries();
+            let differing: Vec<(u32, RouteEntry)> = (0..pw.graph.n)
+                .filter(|&v| steady.raw(v) != materialised[v as usize])
+                .map(|v| (v, materialised[v as usize]))
+                .collect();
+            assert!(!differing.is_empty(), "{env:?} moves nothing");
+            assert_eq!(event.overrides(), &differing[..]);
+            assert_eq!(event.routed_count(), scratch.routed_count());
+            for v in 0..pw.graph.n {
+                assert_eq!(event.entry(v), scratch.entry(v));
+                assert_eq!(event.path(v), scratch.path(v));
+            }
+            // The base hands its slot scratch from one recompute to the
+            // next; a second environment over it must not see the first.
+            let other = &envs[(i + 1) % envs.len()];
+            assert!(pw.recompute_incremental(&steady, other) == pw.compute_scratch(other));
+            let again = pw.recompute_incremental(&steady, env);
+            assert_eq!(again.overrides(), event.overrides());
+        }
+    }
+
+    #[test]
+    fn an_event_table_holds_what_it_changes() {
+        let pw = world(10_000, 3);
+        let steady = pw.steady_table();
+        let flapped = pw
+            .graph
+            .sessions
+            .iter()
+            .position(|s| s.relation == CdnRelation::Peer && s.borders.len() == 1)
+            .expect("some single-border peer") as u32;
+        let env = RouteEnv {
+            dead_sessions: vec![flapped],
+            ..RouteEnv::default()
+        };
+        let before = steady.memory_bytes();
+        let event = pw.recompute_incremental(&steady, &env);
+        assert!(
+            !event.overrides().is_empty(),
+            "a dead session moves its owner"
+        );
+        assert!(event.overrides().len() < 100);
+        assert_eq!(event.memory_bytes(), 12 * event.overrides().len());
+        // The base now carries its child index, built by that first
+        // recompute and counted from then on.
+        assert!(steady.memory_bytes() > before);
+        assert_eq!(event.entries()[..], pw.compute_scratch(&env).entries()[..]);
+        // The world memoizes the steady table and nothing about the event.
+        assert!(*pw.table_for(&env) == event);
+        let tables = pw.tables.lock().unwrap();
+        assert_eq!(tables.values().filter(|c| c.get().is_some()).count(), 1);
     }
 }

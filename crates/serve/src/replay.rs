@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn source_addresses_are_unique_and_safe() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for id in 0..5000u32 {
             let a = ldns_source_addr(LdnsId(id));
             assert!(a.octets()[0] == 127 && a.octets()[1] >= 1);

@@ -9,7 +9,7 @@
 
 mod common;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -63,14 +63,14 @@ fn trained(seed: u64, grouping: Grouping) -> Trained {
 /// One client per LDNS source address, created on demand.
 struct ClientPool {
     server: std::net::SocketAddr,
-    clients: HashMap<LdnsId, WireClient>,
+    clients: BTreeMap<LdnsId, WireClient>,
 }
 
 impl ClientPool {
     fn new(server: std::net::SocketAddr) -> ClientPool {
         ClientPool {
             server,
-            clients: HashMap::new(),
+            clients: BTreeMap::new(),
         }
     }
 
@@ -319,7 +319,7 @@ fn answered_tallies_mirror_answers_and_never_influence_them() {
         "every answered query is attributed to exactly one front end"
     );
     // The tally agrees with the answers the clients actually saw.
-    let mut expect: HashMap<Ipv4Addr, u64> = HashMap::new();
+    let mut expect: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
     for &(addr, _, _) in &a1 {
         *expect.entry(addr).or_default() += 1;
     }

@@ -6,7 +6,7 @@
 //! into the window. Every server here runs with the valve off, so each
 //! query meets exactly one answer decision per response.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -80,7 +80,7 @@ fn replay_day(t: &Trained, workers: usize, recorder: bool) -> Replay {
     let qname = service_qname();
     let ((responses, decided), delta) = anycast_obs::capture(|| {
         let mut server = spawn(t, workers, recorder);
-        let mut clients: HashMap<LdnsId, WireClient> = HashMap::new();
+        let mut clients: BTreeMap<LdnsId, WireClient> = BTreeMap::new();
         let mut responses = 0u64;
         for q in &queries {
             let client = clients.entry(q.ldns).or_insert_with(|| {
